@@ -19,10 +19,19 @@
 // benchmarks present in both files are compared, so adding or
 // removing benchmarks never trips the gate.
 //
+// With -ratio NUM,DEN,MAX benchjson gates one benchmark against another
+// in the same run: it exits 1 when the median ns/op of NUM exceeds MAX
+// times the median ns/op of DEN, taking the medians over every result
+// line of each (run the benchmarks with -count N). That is a flatness
+// check a committed baseline cannot give — CI uses it to hold
+// BenchmarkCheckpointSave at 10000 recorded epochs within 3x of itself
+// at 10.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime 1x -benchmem ./... | go run ./cmd/benchjson > BENCH_ci.json
 //	go test -run '^$' -bench . -benchtime 1x -benchmem ./... | go run ./cmd/benchjson -baseline BENCH_baseline.json > BENCH_ci.json
+//	go test -run '^$' -bench Save -benchtime 200x -count 5 ./internal/tuner/ | go run ./cmd/benchjson -ratio 'BenchmarkSave/n=10000,BenchmarkSave/n=10,3'
 package main
 
 import (
@@ -35,6 +44,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"dstune/internal/stats"
 )
 
 // result is one benchmark's summary row.
@@ -49,15 +60,21 @@ type result struct {
 
 func main() {
 	baselinePath := flag.String("baseline", "", "committed benchjson output to gate regressions against")
+	ratio := flag.String("ratio", "", "NUM,DEN,MAX: fail when benchmark NUM's median ns/op exceeds MAX times benchmark DEN's")
 	flag.Parse()
 
 	results := map[string]result{}
+	// samples keeps every ns/op seen per benchmark (a -count N run
+	// prints N lines), keyed without the GOMAXPROCS suffix.
+	samples := map[string][]float64{}
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		name, r, ok := parseLine(sc.Text())
 		if ok {
 			results[name] = r
+			key := procSuffix.ReplaceAllString(name, "")
+			samples[key] = append(samples[key], r.NsPerOp)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -80,6 +97,12 @@ func main() {
 		os.Exit(1)
 	}
 
+	if *ratio != "" {
+		if err := checkRatio(*ratio, samples); err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+	}
 	if *baselinePath == "" {
 		return
 	}
@@ -99,6 +122,29 @@ func main() {
 		}
 		os.Exit(1)
 	}
+}
+
+// checkRatio applies a -ratio NUM,DEN,MAX gate to the collected ns/op
+// samples: an error when either benchmark is missing from the run or
+// NUM's median exceeds MAX times DEN's.
+func checkRatio(spec string, samples map[string][]float64) error {
+	parts := strings.Split(spec, ",")
+	if len(parts) != 3 {
+		return fmt.Errorf("-ratio %q: want NUM,DEN,MAX", spec)
+	}
+	limit, err := strconv.ParseFloat(parts[2], 64)
+	if err != nil || limit <= 0 {
+		return fmt.Errorf("-ratio %q: MAX must be a positive number", spec)
+	}
+	num, den := samples[parts[0]], samples[parts[1]]
+	if len(num) == 0 || len(den) == 0 {
+		return fmt.Errorf("-ratio: the run has %d results for %s and %d for %s", len(num), parts[0], len(den), parts[1])
+	}
+	n, d := stats.Quantile(num, 0.5), stats.Quantile(den, 0.5)
+	if n > limit*d {
+		return fmt.Errorf("regression: %s median %.0f ns/op is %.2fx %s median %.0f ns/op, limit %gx", parts[0], n, n/d, parts[1], d, limit)
+	}
+	return nil
 }
 
 // parseLine reads one `go test -bench` result line, e.g.

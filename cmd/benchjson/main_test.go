@@ -113,3 +113,22 @@ func TestCompareGate(t *testing.T) {
 		t.Fatalf("userspace-level syscall figure not flagged: %v", msgs)
 	}
 }
+
+func TestCheckRatio(t *testing.T) {
+	samples := map[string][]float64{
+		"BenchmarkSave/n=10":    {100, 90, 5000, 110, 95}, // one outlier
+		"BenchmarkSave/n=10000": {250, 260, 240},
+	}
+	if err := checkRatio("BenchmarkSave/n=10000,BenchmarkSave/n=10,3", samples); err != nil {
+		t.Fatalf("2.5x flagged under a 3x limit: %v", err)
+	}
+	if err := checkRatio("BenchmarkSave/n=10000,BenchmarkSave/n=10,2", samples); err == nil {
+		t.Fatal("2.5x passed a 2x limit")
+	}
+	// A benchmark the run did not print must fail the gate, not pass it.
+	for _, spec := range []string{"BenchmarkGone,BenchmarkSave/n=10,3", "BenchmarkSave/n=10,3", "BenchmarkSave/n=10000,BenchmarkSave/n=10,zero"} {
+		if err := checkRatio(spec, samples); err == nil {
+			t.Fatalf("-ratio %q accepted", spec)
+		}
+	}
+}

@@ -26,10 +26,13 @@
 //	dstune -tuner cs-tuner -testbed uchicago -cmp 16 -history runs.jsonl  # warm
 //
 // Long socket-mode runs survive interruption: -checkpoint FILE writes
-// the run's durable state after every control epoch, SIGINT/SIGTERM
-// drains the in-flight epoch and exits cleanly (a second signal
-// aborts hard), -deadline bounds the whole run, and -resume FILE
-// continues a checkpointed run mid-search with exact byte accounting:
+// the run's durable state after every control epoch — a small head at
+// FILE and the recorded epochs appended to FILE.log; keep the two
+// together — SIGINT/SIGTERM drains the in-flight epoch and exits
+// cleanly (a second signal aborts hard), -deadline bounds the whole
+// run, and -resume FILE continues a checkpointed run mid-search with
+// exact byte accounting (single-file checkpoints from earlier releases
+// resume too, and are converted by the first epoch's write):
 //
 //	dstune -mode socket -addr 127.0.0.1:7632 -tuner cs-tuner \
 //	       -bytes 5e9 -checkpoint run.ck
@@ -97,8 +100,8 @@ func main() {
 	maxNP := flag.Int("max-np", 16, "parallelism upper bound")
 	seed := flag.Uint64("seed", 1, "random seed")
 	csvPath := flag.String("csv", "", "write the trace series to this CSV file")
-	checkpointPath := flag.String("checkpoint", "", "write a checkpoint to this file after every epoch")
-	resumePath := flag.String("resume", "", "resume a checkpointed run from this file (socket mode)")
+	checkpointPath := flag.String("checkpoint", "", "write a checkpoint after every epoch: the head to this file, the recorded epochs to FILE.log")
+	resumePath := flag.String("resume", "", "resume a checkpointed run from this file and its FILE.log (socket mode); earlier single-file checkpoints load too")
 	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole run; 0 = none")
 	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. 127.0.0.1:9310")
 	obsTrace := flag.String("obs-trace", "", "append every structured event to this file as JSON lines")
@@ -371,8 +374,8 @@ func main() {
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		if *checkpointPath != "" {
-			log.Printf("stopped (%v) after %d epochs; checkpoint in %s — resume with -resume %s",
-				err, len(trace.Results), *checkpointPath, *checkpointPath)
+			log.Printf("stopped (%v) after %d epochs; checkpoint in %s and %s.log — resume with -resume %s",
+				err, len(trace.Results), *checkpointPath, *checkpointPath, *checkpointPath)
 		} else {
 			log.Printf("stopped (%v) after %d epochs", err, len(trace.Results))
 		}

@@ -455,20 +455,28 @@ type (
 	// CheckpointEpoch is one recorded control epoch of a Checkpoint.
 	CheckpointEpoch = tuner.EpochRecord
 	// CheckpointWriter persists checkpoints; assign one to
-	// TunerConfig.Checkpoint.
+	// TunerConfig.Checkpoint. Each Save carries the complete current
+	// state; its Trace is a read-only view of the engine's records —
+	// do not mutate it; retaining it is safe, the engine only appends.
+	// A writer that is also an io.Closer is closed when the run ends.
 	CheckpointWriter = tuner.CheckpointWriter
 	// CheckpointFunc adapts a function to CheckpointWriter.
 	CheckpointFunc = tuner.CheckpointFunc
-	// FileCheckpoint is a CheckpointWriter targeting a file, written
-	// atomically (temp file + rename) on every save.
+	// FileCheckpoint is a CheckpointWriter targeting a pair of files: a
+	// fixed-size head at its path, replaced atomically (temp file +
+	// rename) on every save, and an append-only epoch log at
+	// path+".log" that each save extends by the new records before the
+	// head counts them — so a save costs the same however long the
+	// run. Move or copy the two together.
 	FileCheckpoint = tuner.FileCheckpoint
 )
 
 // NewFileCheckpoint returns a checkpoint writer targeting path.
 func NewFileCheckpoint(path string) *FileCheckpoint { return tuner.NewFileCheckpoint(path) }
 
-// LoadCheckpoint reads and validates a checkpoint file written by a
-// FileCheckpoint.
+// LoadCheckpoint reads and validates a checkpoint written by a
+// FileCheckpoint — the head at path and the epoch log beside it — or a
+// single-file checkpoint written by an earlier release.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return tuner.LoadCheckpoint(path) }
 
 // ErrInterrupted is returned by Tune when the run was stopped

@@ -1,6 +1,6 @@
 // Package fsx holds small filesystem durability helpers shared by the
-// durable writers in the stack (tuner.FileCheckpoint, history.Store,
-// the dstuned job journal).
+// durable writers in the stack (tuner.FileCheckpoint's head and epoch
+// log, history.Store, the dstuned job journal).
 package fsx
 
 import (
@@ -36,6 +36,19 @@ func WriteAtomic(path string, data []byte, perm os.FileMode) error {
 		return err
 	}
 	return SyncDir(dir)
+}
+
+// WriteSync writes data to f at its current position (the end, for a
+// file opened O_APPEND) and fsyncs it: the append half of a
+// write-ahead pair, whose commit is a later WriteAtomic of the file
+// that counts what was appended. A newly created f is durable under
+// its name only once its directory is synced too — by SyncDir, or by
+// that WriteAtomic in the same directory.
+func WriteSync(f *os.File, data []byte) error {
+	if _, err := f.Write(data); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // SyncDir fsyncs the directory at dir. An atomic create-rename write

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -502,6 +503,70 @@ func TestAutoIDsSurviveRestart(t *testing.T) {
 	}
 	if st1.ID == st2.ID {
 		t.Fatalf("auto ID %q reused across restart", st1.ID)
+	}
+}
+
+// TestShortEpochLogColdStarts: a checkpoint whose epoch log holds fewer
+// records than its head counts is corrupt, and like any unreadable
+// checkpoint it costs the job its trajectory, not its completion — the
+// restarted daemon re-adopts the job at the head's epoch count (the
+// scan reads heads only), finds the log short when it builds the
+// runtime, cold-starts, and the first Save of the new session replaces
+// the damaged pair.
+func TestShortEpochLogColdStarts(t *testing.T) {
+	dir := t.TempDir()
+	const volume = 2e9
+	sv, cancel := startSupervisor(t, Config{Dir: dir, Shards: 1, NewTransfer: memFactory(time.Millisecond, nil)})
+	if _, err := sv.Submit(JobSpec{ID: "torn", Bytes: volume, Epoch: 1, MaxNC: 32}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "a few epochs to settle", func() bool {
+		st, _ := sv.Job("torn")
+		return st.Epochs >= 3
+	})
+	cancel()
+	sv.Wait()
+	ckPath := sv.checkpointPath("torn")
+	before, err := tuner.LoadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(ckPath+".log", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tuner.LoadCheckpoint(ckPath); err == nil {
+		t.Fatal("a checkpoint with an emptied epoch log loaded")
+	}
+
+	var logged []string
+	var mu sync.Mutex
+	sv2, _ := startSupervisor(t, Config{Dir: dir, Shards: 1, NewTransfer: memFactory(0, nil),
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+		}})
+	if got := sv2.Adopted(); len(got) != 1 || got[0].Epochs != before.Epochs {
+		t.Fatalf("adoption report %+v, want the one job at the head's %d epochs", got, before.Epochs)
+	}
+	waitFor(t, 10*time.Second, "the job to finish after the cold start", func() bool {
+		st, _ := sv2.Job("torn")
+		return st.State == JobDone
+	})
+	mu.Lock()
+	cold := strings.Contains(strings.Join(logged, "\n"), "cold-starting")
+	mu.Unlock()
+	if !cold {
+		t.Fatalf("the restart did not report a cold start: %q", logged)
+	}
+	st, _ := sv2.Job("torn")
+	after, err := tuner.LoadCheckpoint(ckPath)
+	if err != nil {
+		t.Fatalf("the cold-started session left an unreadable checkpoint: %v", err)
+	}
+	if after.Epochs != st.Epochs || math.Abs(st.Bytes-volume) > 1 {
+		t.Fatalf("cold-started job reports %d epochs and %.0f bytes; its checkpoint holds %d epochs, the spec asks %.0f bytes",
+			st.Epochs, st.Bytes, after.Epochs, volume)
 	}
 }
 

@@ -3,12 +3,16 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"strconv"
 	"testing"
 	"time"
+
+	"dstune/internal/tuner"
 )
 
 // soakSessions returns the soak scale: DSTUNED_SOAK_SESSIONS when set
@@ -119,6 +123,20 @@ func TestCrashRestartSoak(t *testing.T) {
 		}
 		if !finished[id] && !adopted[id] {
 			t.Errorf("unfinished job %s was not re-adopted", id)
+		}
+	}
+	// The head is the checkpoint's commit point: the epoch count the
+	// adoption scan took from it alone must be the number of records a
+	// full load finds for it in the log.
+	for _, rec := range sv2.Adopted() {
+		ck, err := tuner.LoadCheckpoint(sv2.checkpointPath(rec.ID))
+		switch {
+		case errors.Is(err, fs.ErrNotExist) && rec.Epochs == 0:
+			// Admitted but killed before its first epoch settled.
+		case err != nil:
+			t.Errorf("re-adopted job %s: checkpoint: %v", rec.ID, err)
+		case len(ck.Trace) != rec.Epochs:
+			t.Errorf("re-adopted job %s: adopted at %d epochs, its checkpoint loads %d records", rec.ID, rec.Epochs, len(ck.Trace))
 		}
 	}
 	if t.Failed() {

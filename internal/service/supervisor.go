@@ -37,8 +37,8 @@ type TransferFactory func(id string, spec JobSpec, resume *tuner.Checkpoint) (xf
 // Config parameterizes a Supervisor.
 type Config struct {
 	// Dir is the daemon's state directory; the job journal lives in
-	// Dir/journal and per-job checkpoints in Dir/checkpoints.
-	// Required.
+	// Dir/journal and per-job checkpoints (a head <id>.ck and its
+	// epoch log <id>.ck.log) in Dir/checkpoints. Required.
 	Dir string
 	// Shards is the number of session-supervision worker loops; jobs
 	// are assigned by tuner.ShardIndex of their ID (default 4).
@@ -255,9 +255,11 @@ func New(cfg Config) (*Supervisor, error) {
 
 // adopt scans the journal and re-queues every entry: the restarted
 // daemon owes each of these jobs a completion. Trajectory positions
-// come from the per-job checkpoints when they exist; a journaled job
-// without a checkpoint simply cold-starts (it was admitted but never
-// settled an epoch).
+// come from the heads of the per-job checkpoints when they exist — the
+// epoch logs are not decoded until a shard builds the job's runtime,
+// so a restart holding many long jobs starts stepping without reading
+// their traces first; a journaled job without a checkpoint simply
+// cold-starts (it was admitted but never settled an epoch).
 func (sv *Supervisor) adopt() error {
 	entries, skipped, err := sv.journal.Entries()
 	if err != nil {
@@ -277,7 +279,7 @@ func (sv *Supervisor) adopt() error {
 			adopted: true,
 		}
 		rec := AdoptionRecord{ID: e.ID, Tenant: e.Tenant}
-		if ck, err := tuner.LoadCheckpoint(sv.checkpointPath(e.ID)); err == nil {
+		if ck, err := tuner.LoadCheckpointHead(sv.checkpointPath(e.ID)); err == nil {
 			j.adoptedEpochs = ck.Epochs
 			j.epochs = ck.Epochs
 			j.bytes = ck.Transfer.Acked
@@ -339,7 +341,8 @@ func (sv *Supervisor) logf(format string, args ...any) {
 	}
 }
 
-// checkpointPath returns the durable checkpoint file for job id.
+// checkpointPath returns the durable checkpoint of job id: the path of
+// its head; tuner.FileCheckpoint keeps the epoch log beside it.
 func (sv *Supervisor) checkpointPath(id string) string {
 	return filepath.Join(sv.ckDir, id+".ck")
 }
@@ -575,7 +578,7 @@ func (sv *Supervisor) shardLoop(ctx context.Context, k int) {
 			}
 		}
 		if ctx.Err() != nil {
-			sv.abandon(live)
+			sv.abandon(ctx.Err(), live)
 			return
 		}
 
@@ -681,11 +684,15 @@ func (sv *Supervisor) releaseLocked() {
 
 // abandon marks sessions interrupted at shutdown without
 // touching their journal entries: the whole point of the journal is
-// that these jobs survive to the next incarnation.
-func (sv *Supervisor) abandon(live []*job) {
+// that these jobs survive to the next incarnation. Each runtime is
+// aborted with the drain's cancellation error, which ends the session
+// — releasing what it holds, such as its checkpoint log handle — but
+// under PreserveOnCancel leaves its transfer resumable.
+func (sv *Supervisor) abandon(cause error, live []*job) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
 	for _, j := range live {
+		j.rt.Abort(cause)
 		j.syncFromRuntimeLocked()
 		j.state = JobInterrupted
 		sv.active--

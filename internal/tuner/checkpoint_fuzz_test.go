@@ -8,14 +8,16 @@ import (
 )
 
 // FuzzLoadCheckpoint feeds arbitrary bytes through the checkpoint
-// loader and, when a checkpoint is accepted, through every strategy's
-// Restore. Corrupt or truncated input must surface as an error — never
-// a panic — and anything accepted must satisfy the loader's invariants.
+// loaders — as the head (or a whole version-2 file) and as the epoch
+// log beside it — and, when a checkpoint is accepted, through every
+// strategy's Restore. Corrupt or truncated input must surface as an
+// error — never a panic — and anything accepted must satisfy the
+// loader's invariants.
 func FuzzLoadCheckpoint(f *testing.F) {
-	// Seed the corpus with a real checkpoint, truncations of it, and
-	// hand-corrupted variants.
+	// Seed the corpus with a real checkpoint in both layouts,
+	// truncations of it, and hand-corrupted variants.
 	ck := &Checkpoint{
-		Version:  CheckpointVersion,
+		Version:  checkpointV2,
 		Tuner:    "cs-tuner",
 		Seed:     7,
 		Epochs:   1,
@@ -28,29 +30,52 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"version":2,"epochs":3,"trace":[]}`))
-	f.Add([]byte(`{"version":99}`))
-	f.Add([]byte(`{"version":2,"strategy":{"Phase":"bogus"}}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(``))
+	f.Add(valid, []byte(nil))
+	f.Add(valid[:len(valid)/2], []byte(nil))
+	f.Add([]byte(`{}`), []byte(nil))
+	f.Add([]byte(`{"version":2,"epochs":3,"trace":[]}`), []byte(nil))
+	f.Add([]byte(`{"version":99}`), []byte(nil))
+	f.Add([]byte(`{"version":2,"strategy":{"Phase":"bogus"}}`), []byte(nil))
+	f.Add([]byte(`null`), []byte(nil))
+	f.Add([]byte(``), []byte(nil))
 	// Learned-strategy checkpoints: a plausible rl-q state, and
 	// hostile variants — an out-of-grid bandit arm, a mis-shaped
 	// Q-table, a malformed state key, an overflowing Q-value.
-	f.Add([]byte(`{"version":2,"tuner":"rl-q","seed":7,"epochs":1,"strategy":` +
-		`{"step":1,"ctx":9,"x":[2],"pending":3,"f_max":2.5e8,` +
-		`"table":[{"key":"9|2","q":[0.5,0,0,0,0],"n":[1,0,0,0,0]}]},"trace":[{"x":[2]}]}`))
-	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"pending":64,"q":[[0]],"n":[[0]]},"trace":[{"x":[2]}]}`))
-	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"q":[[1e999]]},"trace":[{"x":[2]}]}`))
-	f.Add([]byte(`{"version":2,"tuner":"rl-q","epochs":1,"strategy":{"table":[{"key":"bogus","q":[],"n":[]}]},"trace":[{"x":[2]}]}`))
+	f.Add([]byte(`{"version":2,"tuner":"rl-q","seed":7,"epochs":1,"strategy":`+
+		`{"step":1,"ctx":9,"x":[2],"pending":3,"f_max":2.5e8,`+
+		`"table":[{"key":"9|2","q":[0.5,0,0,0,0],"n":[1,0,0,0,0]}]},"trace":[{"x":[2]}]}`), []byte(nil))
+	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"pending":64,"q":[[0]],"n":[[0]]},"trace":[{"x":[2]}]}`), []byte(nil))
+	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"q":[[1e999]]},"trace":[{"x":[2]}]}`), []byte(nil))
+	f.Add([]byte(`{"version":2,"tuner":"rl-q","epochs":1,"strategy":{"table":[{"key":"bogus","q":[],"n":[]}]},"trace":[{"x":[2]}]}`), []byte(nil))
+	// Head and log: the pair a FileCheckpoint writes, then a log that
+	// is torn, short of the head, longer than it, or not records at
+	// all, and heads that miscount or smuggle a trace in.
+	head := []byte(`{"version":3,"tuner":"cs-tuner","seed":7,"epochs":2,"transfer":{},"strategy":{"Phase":"search"}}`)
+	rec := `{"x":[2],"report":{"Start":0,"End":30,"Bytes":3e9,"Throughput":1e8}}` + "\n"
+	f.Add(head, []byte(rec+rec))
+	f.Add(head, []byte(rec+rec[:len(rec)/2]))
+	f.Add(head, []byte(rec))
+	f.Add(head, []byte(rec+rec+rec+`{"x":`))
+	f.Add(head, []byte("\n\n\n"))
+	f.Add(head, []byte(rec+"[1,2]\n"))
+	f.Add([]byte(`{"version":3,"epochs":-1}`), []byte(rec))
+	f.Add([]byte(`{"version":3,"epochs":9223372036854775807}`), []byte(rec))
+	f.Add([]byte(`{"version":3,"epochs":1,"trace":[{"x":[2]}]}`), []byte(rec))
+	f.Add([]byte(`{"version":3,"epochs":0}`), []byte(nil))
 
 	names := strategyNames()
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, head, log []byte) {
 		path := filepath.Join(t.TempDir(), "ck.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(path, head, 0o644); err != nil {
 			t.Fatal(err)
+		}
+		if log != nil {
+			if err := os.WriteFile(path+".log", log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h, err := LoadCheckpointHead(path); err == nil && (h.Version != CheckpointVersion || h.Trace != nil || h.Epochs < 0) {
+			t.Fatalf("head loader accepted version %d, %d epochs, %d trace records", h.Version, h.Epochs, len(h.Trace))
 		}
 		ck, err := LoadCheckpoint(path)
 		if err != nil {

@@ -1,8 +1,11 @@
 package tuner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -73,82 +76,126 @@ func tunerCtors() []func(Config) Tuner {
 	}
 }
 
+// drainAfter returns a config that persists every checkpoint through
+// fc (when non-nil) and drains the run once k epochs are recorded.
+func drainAfter(k int, fc *FileCheckpoint) Config {
+	drain := make(chan struct{})
+	drained := false
+	cfg := simCfg()
+	cfg.Drain = drain
+	cfg.Checkpoint = CheckpointFunc(func(ck *Checkpoint) error {
+		if fc != nil {
+			if err := fc.Save(ck); err != nil {
+				return err
+			}
+		}
+		if ck.Epochs >= k && !drained {
+			drained = true
+			close(drain)
+		}
+		return nil
+	})
+	return cfg
+}
+
 // TestResumeMatchesUninterrupted is the checkpoint/resume property:
 // for every tuner, interrupting a run after k epochs (graceful drain),
-// checkpointing it through the durable JSON file form, and resuming on
-// the same live transfer must produce exactly the trace an
-// uninterrupted run produces on an identical fresh world — same
-// proposals, same reports, no restart-from-default.
+// checkpointing it through the durable file form, and resuming on the
+// same live transfer must produce exactly the trace an uninterrupted
+// run produces on an identical fresh world — same proposals, same
+// reports, no restart-from-default. It holds from the checkpoint the
+// drained run just wrote (version 3: head and epoch log) and from the
+// version-2 file the previous release wrote at the same point of the
+// same run (testdata/checkpoint_v2), which the resumed run's first
+// Save then converts in place.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
 	for _, mk := range tunerCtors() {
 		name := mk(simCfg()).Name()
-		t.Run(name, func(t *testing.T) {
-			// Reference: one uninterrupted run to completion.
-			ref, err := mk(simCfg()).Tune(context.Background(), simTransfer(t, seed))
-			if err != nil {
-				t.Fatalf("reference run: %v", err)
-			}
-			if len(ref.Results) <= interruptAfter {
-				t.Fatalf("reference run too short to interrupt: %d epochs", len(ref.Results))
-			}
+		// Reference: one uninterrupted run to completion.
+		ref, err := mk(simCfg()).Tune(context.Background(), simTransfer(t, seed))
+		if err != nil {
+			t.Fatalf("%s: reference run: %v", name, err)
+		}
+		if len(ref.Results) <= interruptAfter {
+			t.Fatalf("%s: reference run too short to interrupt: %d epochs", name, len(ref.Results))
+		}
+		for _, from := range []string{"v3", "v2"} {
+			t.Run(name+"/"+from, func(t *testing.T) {
+				// Interrupted: identical world, drained after k epochs.
+				live := simTransfer(t, seed)
+				fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.checkpoint"))
+				defer fc.Close()
+				part, err := mk(drainAfter(interruptAfter, fc)).Tune(context.Background(), live)
+				if !errors.Is(err, ErrInterrupted) {
+					t.Fatalf("drained run returned %v, want ErrInterrupted", err)
+				}
+				if !reflect.DeepEqual(part.Results, ref.Results[:interruptAfter]) {
+					t.Fatalf("pre-interrupt trace diverged from reference:\n got %+v\nwant %+v",
+						part.Results, ref.Results[:interruptAfter])
+				}
+				if from == "v2" {
+					// Swap in what the previous release left at this point.
+					old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2", name+".json"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(fc.Path(), old, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.Remove(fc.Path() + ".log"); err != nil {
+						t.Fatal(err)
+					}
+				}
 
-			// Interrupted: identical world, drained after k epochs, every
-			// checkpoint persisted through the durable file form.
-			live := simTransfer(t, seed)
-			fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.checkpoint"))
-			drain := make(chan struct{})
-			drained := false
-			cfg := simCfg()
-			cfg.Drain = drain
-			cfg.Checkpoint = CheckpointFunc(func(ck *Checkpoint) error {
-				if err := fc.Save(ck); err != nil {
-					return err
+				// Resume from the file on the same live transfer, writing
+				// on to the same path.
+				ck, err := LoadCheckpoint(fc.Path())
+				if err != nil {
+					t.Fatal(err)
 				}
-				if ck.Epochs >= interruptAfter && !drained {
-					drained = true
-					close(drain)
+				if ck.Version != CheckpointVersion || ck.Epochs != interruptAfter || len(ck.Trace) != interruptAfter {
+					t.Fatalf("checkpoint loads as version %d with %d epochs and %d records, want version %d with %d",
+						ck.Version, ck.Epochs, len(ck.Trace), CheckpointVersion, interruptAfter)
 				}
-				return nil
+				rcfg := simCfg()
+				rcfg.Resume = ck
+				rcfg.Checkpoint = NewFileCheckpoint(fc.Path())
+				resumed, err := mk(rcfg).Tune(context.Background(), live)
+				if err != nil {
+					t.Fatalf("resumed run: %v", err)
+				}
+				if len(resumed.Results) != len(ref.Results) {
+					t.Fatalf("resumed run has %d epochs, reference has %d",
+						len(resumed.Results), len(ref.Results))
+				}
+				for i := range ref.Results {
+					if !reflect.DeepEqual(resumed.Results[i], ref.Results[i]) {
+						t.Fatalf("epoch %d diverged after resume:\n got %+v\nwant %+v",
+							i, resumed.Results[i], ref.Results[i])
+					}
+				}
+
+				// What the resumed run left is a version-3 pair holding the
+				// whole trajectory.
+				final, err := LoadCheckpoint(fc.Path())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if final.Epochs != len(ref.Results) {
+					t.Fatalf("final checkpoint holds %d epochs, the run recorded %d", final.Epochs, len(ref.Results))
+				}
+				for i, rec := range final.Trace {
+					if !reflect.DeepEqual(rec.Report, ref.Results[i].Report) || !reflect.DeepEqual(rec.X, ref.Results[i].X) {
+						t.Fatalf("final checkpoint record %d differs from the reference epoch", i)
+					}
+				}
+				if head, err := os.ReadFile(fc.Path()); err != nil || bytes.Contains(head, []byte(`"trace"`)) {
+					t.Fatalf("head still carries a trace (err %v): %s", err, head)
+				}
 			})
-			part, err := mk(cfg).Tune(context.Background(), live)
-			if !errors.Is(err, ErrInterrupted) {
-				t.Fatalf("drained run returned %v, want ErrInterrupted", err)
-			}
-			if len(part.Results) != interruptAfter {
-				t.Fatalf("drained run recorded %d epochs, want %d", len(part.Results), interruptAfter)
-			}
-			if !reflect.DeepEqual(part.Results, ref.Results[:interruptAfter]) {
-				t.Fatalf("pre-interrupt trace diverged from reference:\n got %+v\nwant %+v",
-					part.Results, ref.Results[:interruptAfter])
-			}
-
-			// Resume from the JSON checkpoint on the same live transfer.
-			ck, err := LoadCheckpoint(fc.Path())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ck.Epochs != interruptAfter {
-				t.Fatalf("checkpoint holds %d epochs, want %d", ck.Epochs, interruptAfter)
-			}
-			rcfg := simCfg()
-			rcfg.Resume = ck
-			resumed, err := mk(rcfg).Tune(context.Background(), live)
-			if err != nil {
-				t.Fatalf("resumed run: %v", err)
-			}
-			if len(resumed.Results) != len(ref.Results) {
-				t.Fatalf("resumed run has %d epochs, reference has %d",
-					len(resumed.Results), len(ref.Results))
-			}
-			for i := range ref.Results {
-				if !reflect.DeepEqual(resumed.Results[i], ref.Results[i]) {
-					t.Fatalf("epoch %d diverged after resume:\n got %+v\nwant %+v",
-						i, resumed.Results[i], ref.Results[i])
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -306,28 +353,63 @@ func TestCancelRecordsPartialEpoch(t *testing.T) {
 	}
 }
 
-// TestFileCheckpointDurability: Save must leave a complete, loadable
-// file (atomic rename, no temp litter), and LoadCheckpoint must reject
-// garbage and version skew.
-func TestFileCheckpointDurability(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.checkpoint")
-	fc := NewFileCheckpoint(path)
+// testCheckpoint builds an n-epoch checkpoint with distinguishable
+// records and a cs-tuner-sized strategy state.
+func testCheckpoint(n int) *Checkpoint {
 	ck := &Checkpoint{
 		Version:  CheckpointVersion,
 		Tuner:    "cs-tuner",
 		Seed:     42,
-		Epochs:   1,
-		Transfer: xfer.TransferState{Total: -1, Acked: 3e9, Remaining: -1, Clock: 30, Token: "tok"},
-		Trace: []EpochRecord{{
-			X:      []int{4},
-			Report: xfer.Report{Start: 0, End: 30, Bytes: 3e9, Throughput: 1e8, Run: 1},
-		}},
+		Epochs:   n,
+		Transfer: xfer.TransferState{Total: -1, Acked: 3e9 * float64(n), Remaining: -1, Clock: 30 * float64(n), Token: "tok"},
+		Strategy: json.RawMessage(`{"phase":"search","monitor":{"last":0,"armed":false}}`),
+		Trace:    make([]EpochRecord, n),
 	}
-	for i := 0; i < 3; i++ { // overwrite repeatedly, as a live run does
-		if err := fc.Save(ck); err != nil {
+	for i := range ck.Trace {
+		start := 30 * float64(i)
+		ck.Trace[i] = EpochRecord{
+			X:         []int{1 + i%32},
+			Report:    xfer.Report{Params: xfer.Params{NC: 1 + i%32, NP: 4}, Start: start, End: start + 30, Bytes: 3e9, Throughput: 1e8, BestCase: 1e8, Run: i + 1},
+			Transient: i%7 == 3,
+		}
+	}
+	return ck
+}
+
+// prefix returns the first n epochs of ck as a checkpoint of their own.
+func prefix(ck *Checkpoint, n int) *Checkpoint {
+	p := *ck
+	p.Epochs, p.Trace = n, ck.Trace[:n:n]
+	return &p
+}
+
+// TestFileCheckpointDurability: a run's Saves must leave exactly the
+// head and the epoch log — complete, loadable, no temp litter — the
+// first Save must replace whatever was at the path, and LoadCheckpoint
+// must reject garbage and version skew.
+func TestFileCheckpointDurability(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.checkpoint")
+	// Garbage at both names, as a crashed or foreign writer might leave.
+	for _, name := range []string{path, path + ".log"} {
+		if err := os.WriteFile(name, []byte("{not json"), 0o644); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := LoadCheckpoint(path); err == nil {
+		t.Fatal("garbage checkpoint loaded")
+	}
+	fc := NewFileCheckpoint(path)
+	ck := testCheckpoint(3)
+	// Grow the trace as a live run does, then repeat the last Save (the
+	// Driver's checkpoint-on-interrupt carries no new record).
+	for _, n := range []int{1, 2, 3, 3} {
+		if err := fc.Save(prefix(ck, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fc.Close(); err != nil {
+		t.Fatal(err)
 	}
 	got, err := LoadCheckpoint(path)
 	if err != nil {
@@ -336,28 +418,212 @@ func TestFileCheckpointDurability(t *testing.T) {
 	if !reflect.DeepEqual(got, ck) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, ck)
 	}
+	head, err := LoadCheckpointHead(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := prefix(ck, 3); head.Trace != nil || head.Epochs != 3 || !reflect.DeepEqual(head.Transfer, want.Transfer) {
+		t.Fatalf("head alone loads as %+v", head)
+	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("checkpoint dir holds %d entries, want only the checkpoint", len(entries))
+	if len(entries) != 2 {
+		t.Fatalf("checkpoint dir holds %d entries, want the head and the log: %v", len(entries), entries)
+	}
+	// A second writer on the same path (a resumed run) starts from a
+	// whole rewrite and leaves the same pair.
+	if err := NewFileCheckpoint(path).Save(prefix(ck, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadCheckpoint(path); err != nil || !reflect.DeepEqual(got, prefix(ck, 2)) {
+		t.Fatalf("after a second writer: %+v, %v", got, err)
 	}
 
-	bad := filepath.Join(dir, "bad.checkpoint")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
+	// Version skew: a head from a build this one does not know.
+	skew := filepath.Join(dir, "skew.checkpoint")
+	if err := os.WriteFile(skew, []byte(`{"version":4,"tuner":"cs-tuner","epochs":0}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(bad); err == nil {
-		t.Fatal("garbage checkpoint loaded")
+	for _, load := range []func(string) (*Checkpoint, error){LoadCheckpoint, LoadCheckpointHead} {
+		if _, err := load(skew); err == nil {
+			t.Fatal("version-skewed checkpoint loaded")
+		}
 	}
-	ck2 := *ck
-	ck2.Version = CheckpointVersion + 1
-	if err := NewFileCheckpoint(bad).Save(&ck2); err != nil {
+}
+
+// TestCheckpointCrashConsistency damages a 50-epoch checkpoint the ways
+// a crash (or an operator copying one file of the pair) can, and holds
+// the loader to its contract: what loads has Epochs == len(Trace) and
+// is a prefix of the original; everything else is an error, never a
+// panic, never a miscount. The head is the commit point, so only
+// damage that leaves the log shorter than the head may fail.
+func TestCheckpointCrashConsistency(t *testing.T) {
+	const n = 50
+	full := testCheckpoint(n)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ck")
+	fc := NewFileCheckpoint(path)
+	defer fc.Close()
+	// Keep the head as it stood at epoch 30: an old head beside a newer
+	// log is what a crash between the append and the rename leaves.
+	var head30 []byte
+	for i := 1; i <= n; i++ {
+		if err := fc.Save(prefix(full, i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 30 {
+			head30 = mustRead(t, path)
+		}
+	}
+	head, log := mustRead(t, path), mustRead(t, path+".log")
+	surplus, err := json.Marshal(EpochRecord{X: []int{99}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadCheckpoint(bad); err == nil {
-		t.Fatal("version-skewed checkpoint loaded")
+
+	type damage struct {
+		name string
+		head []byte
+		log  []byte // nil: no log file
+		want int    // epochs a successful load must hold; -1: must fail
+	}
+	cases := []damage{
+		{"intact", head, log, n},
+		{"log deleted", head, nil, -1},
+		{"surplus record", head, append(append([]byte(nil), log...), append(surplus, '\n')...), n},
+		{"torn surplus record", head, append(append([]byte(nil), log...), surplus[:len(surplus)/2]...), n},
+		{"old head, newer log", head30, log, 30},
+		{"empty head", nil, log, -1},
+		{"torn head", head[:len(head)/2], log, -1},
+	}
+	// Truncate the log at every byte offset, under the final head (always
+	// too short) and under the older one (enough once 30 records survive).
+	for cut := 0; cut < len(log); cut++ {
+		cases = append(cases, damage{fmt.Sprintf("log cut at %d", cut), head, log[:cut], -1})
+		want := -1
+		if bytes.Count(log[:cut], []byte{'\n'}) >= 30 {
+			want = 30
+		}
+		cases = append(cases, damage{fmt.Sprintf("old head, log cut at %d", cut), head30, log[:cut], want})
+	}
+	work := filepath.Join(dir, "damaged.ck")
+	for _, tc := range cases {
+		if err := os.WriteFile(work, tc.head, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if tc.log == nil {
+			os.Remove(work + ".log")
+		} else if err := os.WriteFile(work+".log", tc.log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := LoadCheckpoint(work)
+		switch {
+		case err != nil && tc.want >= 0:
+			t.Errorf("%s: load failed: %v", tc.name, err)
+		case err == nil && tc.want < 0:
+			t.Errorf("%s: loaded %d epochs, want an error", tc.name, got.Epochs)
+		case err == nil:
+			if got.Epochs != tc.want || !reflect.DeepEqual(got.Trace, full.Trace[:tc.want]) {
+				t.Errorf("%s: loaded %d epochs with %d records, want the first %d of the original",
+					tc.name, got.Epochs, len(got.Trace), tc.want)
+			}
+		}
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointSaveBytesAreFlat is the O(1) claim as a count, not a
+// timing: what a cs-tuner Save writes at epoch 5000 — the records it
+// appends plus the head it replaces — is at most twice what it writes
+// at epoch 10.
+func TestCheckpointSaveBytesAreFlat(t *testing.T) {
+	at := map[int]*Checkpoint{9: nil, 10: nil, 4999: nil, 5000: nil}
+	cfg := cfg1D(5000 * 10)
+	cfg.Checkpoint = CheckpointFunc(func(ck *Checkpoint) error {
+		if _, ok := at[ck.Epochs]; ok {
+			at[ck.Epochs] = ck
+		}
+		return nil
+	})
+	if _, err := NewCS(cfg).Tune(context.Background(), newFake(peaked(10))); err != nil {
+		t.Fatal(err)
+	}
+	written := func(n int) int64 {
+		if at[n-1] == nil || at[n] == nil {
+			t.Fatalf("run did not reach epoch %d", n)
+		}
+		fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.ck"))
+		defer fc.Close()
+		return saveBytes(t, fc, at[n-1], at[n])
+	}
+	small, large := written(10), written(5000)
+	if small <= 0 || large > 2*small {
+		t.Fatalf("Save wrote %d bytes at epoch 10 and %d at epoch 5000, want at most twice as many", small, large)
+	}
+}
+
+// saveBytes primes fc with prev (the whole-rewrite first Save) and
+// returns what the Save of next then writes: the growth of the log plus
+// the size of the new head.
+func saveBytes(t *testing.T, fc *FileCheckpoint, prev, next *Checkpoint) int64 {
+	t.Helper()
+	if err := fc.Save(prev); err != nil {
+		t.Fatal(err)
+	}
+	before := fileSize(t, fc.Path()+".log")
+	if err := fc.Save(next); err != nil {
+		t.Fatal(err)
+	}
+	return fileSize(t, fc.Path()+".log") - before + fileSize(t, fc.Path())
+}
+
+func fileSize(t testing.TB, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// BenchmarkCheckpointSave times one steady-state FileCheckpoint.Save —
+// append the new record, sync, replace the head — with 10, 1000 and
+// 10000 epochs already recorded. The first, whole-rewrite Save happens
+// before the timer starts, so even a one-iteration run measures the
+// steady state; B/save is the bytes one Save writes (log growth plus
+// head). The CI bench job checks that ns/op stays flat across the
+// three sizes.
+func BenchmarkCheckpointSave(b *testing.B) {
+	for _, n := range []int{10, 1000, 10000} {
+		b.Run(fmt.Sprintf("epochs=%d", n), func(b *testing.B) {
+			full := testCheckpoint(n + b.N)
+			fc := NewFileCheckpoint(filepath.Join(b.TempDir(), "run.ck"))
+			defer fc.Close()
+			if err := fc.Save(prefix(full, n)); err != nil {
+				b.Fatal(err)
+			}
+			before := fileSize(b, fc.Path()+".log")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 1; i <= b.N; i++ {
+				if err := fc.Save(prefix(full, n+i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			appended := fileSize(b, fc.Path()+".log") - before
+			b.ReportMetric(float64(appended)/float64(b.N)+float64(fileSize(b, fc.Path())), "B/save")
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"dstune/internal/ivec"
 	"dstune/internal/obs"
@@ -45,6 +44,7 @@ func (d *Driver) Run(ctx context.Context, s Strategy, t xfer.Transferer) (*Trace
 		return nil, err
 	}
 	r := &session{cfg: d.cfg.withDefaults(), s: s, t: t, tr: &Trace{Tuner: s.Name()}}
+	r.ckpt = newCheckpointer(r.cfg.Checkpoint, r.cfg.Obs, s, t, r.cfg.Seed)
 	r.cfg.Obs.SetStrategy(s.Name())
 	if ck := d.cfg.Resume; ck != nil {
 		if err := r.resume(ck); err != nil {
@@ -63,9 +63,9 @@ type session struct {
 	s   Strategy
 	t   xfer.Transferer
 	tr  *Trace
-	// records mirrors tr.Results with the transient flag attached —
-	// the trace a checkpoint carries.
-	records []EpochRecord
+	// ckpt mirrors tr.Results with the transient flag attached — the
+	// trace a checkpoint carries — and writes the checkpoints.
+	ckpt *checkpointer
 	// transients counts consecutive transient epoch failures.
 	transients int
 	// preserve suppresses Stop on close: set when the run is
@@ -98,6 +98,7 @@ func (r *session) resume(ck *Checkpoint) error {
 		return fmt.Errorf("tuner: corrupt checkpoint: %d epochs but %d trace records", ck.Epochs, len(ck.Trace))
 	}
 	r.cfg.Seed = ck.Seed
+	r.ckpt.seed = ck.Seed
 	if len(ck.Trace) == 0 {
 		return nil
 	}
@@ -125,12 +126,12 @@ func (r *session) replay(ck *Checkpoint) error {
 	for _, rec := range ck.Trace {
 		x, done := r.s.Propose()
 		if done {
-			return fmt.Errorf("tuner: resume diverged at epoch %d: strategy finished, checkpoint recorded %v", len(r.records), rec.X)
+			return fmt.Errorf("tuner: resume diverged at epoch %d: strategy finished, checkpoint recorded %v", len(r.tr.Results), rec.X)
 		}
 		if !ivec.Equal(x, rec.X) {
 			return fmt.Errorf(
 				"tuner: resume diverged at epoch %d: proposed %v, checkpoint recorded %v (was the configuration changed?)",
-				len(r.records), x, rec.X)
+				len(r.tr.Results), x, rec.X)
 		}
 		if rec.Transient {
 			r.transients++
@@ -184,7 +185,7 @@ func (r *session) loop(ctx context.Context) (*Trace, error) {
 // time), checkpoints, and stops with the context's error.
 func (r *session) step(ctx context.Context, x []int) (bool, error) {
 	p := r.cfg.Map(x)
-	epoch := len(r.records)
+	epoch := len(r.tr.Results)
 	start := r.t.Now()
 	r.cfg.Obs.EpochStart(start, epoch, x)
 	rep, err := r.t.Run(ctx, p, r.cfg.Epoch)
@@ -290,47 +291,26 @@ func (r *session) spent() bool {
 // record appends an epoch to the trace and the checkpoint record.
 func (r *session) record(x []int, rep xfer.Report, transient bool) {
 	r.tr.add(x, rep)
-	r.records = append(r.records, EpochRecord{X: ivec.Clone(x), Report: rep, Transient: transient})
+	r.ckpt.record(x, rep, transient)
 }
 
-// close releases the transfer, unless the run was interrupted — an
-// interrupted transfer is left alive so a checkpointed run can resume
-// it (the caller may still Stop it explicitly).
+// close ends the checkpoint writer's lifetime and releases the
+// transfer, unless the run was interrupted — an interrupted transfer
+// is left alive so a checkpointed run can resume it (the caller may
+// still Stop it explicitly).
 func (r *session) close() {
+	r.ckpt.close()
 	if r.preserve {
 		return
 	}
 	r.t.Stop()
 }
 
-// checkpoint snapshots the session's durable state — including the
-// strategy's serialized state machine — to the configured writer; with
-// no writer configured it is a no-op.
+// checkpoint writes the session's durable state through the shared
+// checkpointer; with no writer configured it is a no-op.
 func (r *session) checkpoint() error {
-	if r.cfg.Checkpoint == nil {
-		return nil
+	if err := r.ckpt.save(r.transients); err != nil {
+		return fmt.Errorf("tuner: %w", err)
 	}
-	raw, err := r.s.Snapshot()
-	if err != nil {
-		return fmt.Errorf("tuner: checkpoint: strategy snapshot: %w", err)
-	}
-	ck := &Checkpoint{
-		Version:    CheckpointVersion,
-		Tuner:      r.tr.Tuner,
-		Seed:       r.cfg.Seed,
-		Epochs:     len(r.records),
-		Transients: r.transients,
-		Transfer:   xfer.CaptureState(r.t),
-		Strategy:   raw,
-		Trace:      append([]EpochRecord(nil), r.records...),
-	}
-	t0 := time.Now()
-	if err := r.cfg.Checkpoint.Save(ck); err != nil {
-		return fmt.Errorf("tuner: checkpoint: %w", err)
-	}
-	// The write latency is wall time and lands in metrics only; the
-	// event carries the transfer clock, keeping Sim traces
-	// deterministic.
-	r.cfg.Obs.CheckpointWritten(r.t.Now(), ck.Epochs, time.Since(t0).Seconds())
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"dstune/internal/history"
 	"dstune/internal/ivec"
@@ -223,12 +222,40 @@ type fleetSession struct {
 	// Observe-event deltas.
 	lastFit float64
 	haveFit bool
-	// records accumulates the checkpoint trace when the session
-	// checkpoints.
-	records []EpochRecord
+	// ckpt records and writes the session's checkpoints (a no-op
+	// without FleetSession.Checkpoint).
+	ckpt *checkpointer
 	// lastTransient reports whether the most recently settled round
 	// was a tolerated transient failure (SessionRuntime surfaces it).
 	lastTransient bool
+}
+
+// newFleetSession builds the runtime state of one validated session
+// under its resolved id, restoring it from spec.Resume when set.
+func newFleetSession(cfg FleetConfig, spec FleetSession, id string) (*fleetSession, error) {
+	if spec.Name == "" {
+		spec.Name = spec.Strategy.Name()
+	}
+	s := &fleetSession{cfg: cfg, spec: spec, id: id, dims: spec.Dims, weights: spec.Weights}
+	s.obs = cfg.Obs.Session(id)
+	s.obs.SetStrategy(spec.Strategy.Name())
+	s.ckpt = newCheckpointer(spec.Checkpoint, s.obs, spec.Strategy, spec.Transfers[0], spec.Seed)
+	if s.weights == nil {
+		s.weights = make([]float64, len(spec.Transfers))
+		for j := range s.weights {
+			s.weights[j] = 1
+		}
+	}
+	s.traces = make([]*Trace, len(spec.Transfers))
+	for j := range s.traces {
+		s.traces[j] = &Trace{Tuner: spec.Name}
+	}
+	if spec.Resume != nil {
+		if err := s.resume(spec.Resume); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // fleetJob is one (session, transfer) epoch in flight.
@@ -279,26 +306,9 @@ func (f *Fleet) Run(ctx context.Context) ([]SessionResult, error) {
 			}
 			histKeys[k.String()] = id
 		}
-		if spec.Name == "" {
-			spec.Name = spec.Strategy.Name()
-		}
-		s := &fleetSession{cfg: cfg, spec: spec, id: id, dims: spec.Dims, weights: spec.Weights}
-		s.obs = cfg.Obs.Session(id)
-		s.obs.SetStrategy(spec.Strategy.Name())
-		if s.weights == nil {
-			s.weights = make([]float64, len(spec.Transfers))
-			for j := range s.weights {
-				s.weights[j] = 1
-			}
-		}
-		s.traces = make([]*Trace, len(spec.Transfers))
-		for j := range s.traces {
-			s.traces[j] = &Trace{Tuner: spec.Name}
-		}
-		if spec.Resume != nil {
-			if err := s.resume(spec.Resume); err != nil {
-				return nil, fmt.Errorf("tuner: fleet session %q: %w", id, err)
-			}
+		s, err := newFleetSession(cfg, spec, id)
+		if err != nil {
+			return nil, fmt.Errorf("tuner: fleet session %q: %w", id, err)
 		}
 		states[i] = s
 	}
@@ -463,7 +473,7 @@ func (s *fleetSession) resume(ck *Checkpoint) error {
 		return fmt.Errorf("resume: %w", err)
 	}
 	for _, rec := range ck.Trace {
-		s.records = append(s.records, EpochRecord{X: ivec.Clone(rec.X), Report: rec.Report, Transient: rec.Transient})
+		s.ckpt.record(rec.X, rec.Report, rec.Transient)
 		s.traces[0].add(rec.X, rec.Report)
 		s.bytes += rec.Report.Bytes
 	}
@@ -548,6 +558,12 @@ func (s *fleetSession) settle(jobs []*fleetJob) {
 			agg.Done = true
 		}
 	}
+	if len(jobs) == 1 {
+		// One transfer's first-byte lag and kernel sample are the
+		// session's; across several neither has a meaningful sum.
+		agg.FirstByteLag = jobs[0].rep.FirstByteLag
+		agg.Kernel = jobs[0].rep.Kernel
+	}
 	epoch := s.epochs
 	s.epochs++
 	if s.obs != nil {
@@ -566,6 +582,7 @@ func (s *fleetSession) settle(jobs []*fleetJob) {
 			Retries:         agg.Retries,
 			DegradedStreams: agg.DegradedStreams,
 			Files:           agg.Files,
+			FirstByteLag:    agg.FirstByteLag,
 		}, failed, budget)
 		var d float64
 		if s.haveFit {
@@ -577,8 +594,13 @@ func (s *fleetSession) settle(jobs []*fleetJob) {
 	// observer or not.
 	s.lastFit, s.haveFit = agg.Throughput, true
 	s.spec.Strategy.Observe(agg)
-	if err := s.checkpoint(jobs, failed); err != nil {
-		s.finish(err)
+	// validate() pinned checkpointing sessions to one transfer, so the
+	// checkpoint records that transfer's own report, in the same
+	// Checkpoint form the single-session Driver writes: a
+	// single-transfer fleet session can be resumed as a solo run.
+	s.ckpt.record(s.parts[0], jobs[0].rep, failed)
+	if err := s.ckpt.save(s.transients); err != nil {
+		s.finish(fmt.Errorf("tuner: fleet session %q: %w", s.id, err))
 		return
 	}
 	if agg.Done {
@@ -590,46 +612,15 @@ func (s *fleetSession) settle(jobs []*fleetJob) {
 	}
 }
 
-// checkpoint writes the session's durable state after a settled epoch,
-// in the same Checkpoint form the single-session Driver writes, so a
-// single-transfer fleet session can be resumed as a solo run. No-op
-// without a configured writer.
-func (s *fleetSession) checkpoint(jobs []*fleetJob, transient bool) error {
-	if s.spec.Checkpoint == nil {
-		return nil
-	}
-	// validate() pinned checkpointing sessions to one transfer.
-	j := jobs[0]
-	s.records = append(s.records, EpochRecord{X: ivec.Clone(s.parts[0]), Report: j.rep, Transient: transient})
-	raw, err := s.spec.Strategy.Snapshot()
-	if err != nil {
-		return fmt.Errorf("tuner: fleet session %q: checkpoint: strategy snapshot: %w", s.id, err)
-	}
-	ck := &Checkpoint{
-		Version:    CheckpointVersion,
-		Tuner:      s.spec.Strategy.Name(),
-		Seed:       s.spec.Seed,
-		Epochs:     len(s.records),
-		Transients: s.transients,
-		Transfer:   xfer.CaptureState(s.spec.Transfers[0]),
-		Strategy:   raw,
-		Trace:      append([]EpochRecord(nil), s.records...),
-	}
-	t0 := time.Now()
-	if err := s.spec.Checkpoint.Save(ck); err != nil {
-		return fmt.Errorf("tuner: fleet session %q: checkpoint: %w", s.id, err)
-	}
-	s.obs.CheckpointWritten(s.spec.Transfers[0].Now(), ck.Epochs, time.Since(t0).Seconds())
-	return nil
-}
-
-// finish ends the session and stops its transfers. A clean end folds
-// the session's best epoch into the fleet's history store. Under
-// PreserveOnCancel a context-cancellation end leaves the transfers
-// running so a supervisor can resume them from the last checkpoint.
+// finish ends the session, closes its checkpoint writer, and stops its
+// transfers. A clean end folds the session's best epoch into the
+// fleet's history store. Under PreserveOnCancel a context-cancellation
+// end leaves the transfers running so a supervisor can resume them
+// from the last checkpoint.
 func (s *fleetSession) finish(err error) {
 	s.done = true
 	s.err = err
+	s.ckpt.close()
 	if err == nil {
 		s.recordHistory()
 	}

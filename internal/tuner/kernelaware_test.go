@@ -1,6 +1,7 @@
 package tuner
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -240,5 +241,79 @@ func TestKernelAwareSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := r.Restore([]byte(`{"last":1,"armed":true,"damped":9,"inner":{}}`)); err == nil {
 		t.Fatal("out-of-range damp count accepted")
+	}
+}
+
+// lossyFake is a fake transfer whose epochs, once lossy is set, run at
+// half rate and report what a real-socket dataset epoch would: a kernel
+// sample showing retransmissions and a first-byte lag.
+type lossyFake struct {
+	fake
+	lossy bool
+}
+
+func (f *lossyFake) Run(ctx context.Context, p xfer.Params, epoch float64) (xfer.Report, error) {
+	rep, err := f.fake.Run(ctx, p, epoch)
+	if f.lossy && err == nil {
+		rep.Throughput /= 2
+		rep.BestCase /= 2
+		rep.Kernel = &xfer.KernelStats{RetransDelta: 7}
+		rep.FirstByteLag = 0.02
+	}
+	return rep, err
+}
+
+// TestKernelAwareUnderSessionRuntime: a single-transfer session's
+// aggregate report carries the transfer's kernel sample and first-byte
+// lag through the Fleet's epoch loop, so under SessionRuntime (and the
+// daemon built on it) a kernel-aware strategy damps a lossy dip and the
+// first-byte-lag histogram moves, exactly as under the Driver.
+func TestKernelAwareUnderSessionRuntime(t *testing.T) {
+	observer := obs.NewObserver(obs.ObserverConfig{})
+	cfg := kernelCfg(observer)
+	s, err := NewKernelAware("cs-tuner", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := func(xfer.Params, float64) float64 { return 100e6 }
+	transfer := &lossyFake{fake: *newFake(flat)}
+	rt, err := NewSessionRuntime(FleetConfig{Epoch: cfg.Epoch, Obs: observer}, FleetSession{
+		ID: "ka", Strategy: s, Transfers: []xfer.Transferer{transfer}, Maps: []ParamMap{cfg.Map},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// Step until the search has settled into its monitor phase.
+	var x []int
+	for stable := 0; stable < 5; {
+		if rt.Epochs() > 200 {
+			t.Fatal("search did not settle in 200 epochs")
+		}
+		if info := rt.Step(ctx); info.Done {
+			t.Fatalf("session ended while settling: %+v", info)
+		}
+		if reflect.DeepEqual(rt.LastX(), x) {
+			stable++
+		} else {
+			stable, x = 0, append([]int(nil), rt.LastX()...)
+		}
+	}
+	before := retriggers(observer)
+	lag := observer.Registry().Histogram(obs.MetricFirstByteLag, "", obs.DefaultLatencyBuckets, obs.L("session", "ka"))
+	if _, n := lag.SumCount(); n != 0 {
+		t.Fatalf("first-byte-lag histogram holds %d samples before any lag was reported", n)
+	}
+
+	transfer.lossy = true
+	rt.Step(ctx)
+	if got := s.Damped(); got != 1 {
+		t.Fatalf("after a lossy dip under SessionRuntime: Damped() = %d, want 1 (the kernel sample did not reach the strategy)", got)
+	}
+	if retriggers(observer) != before {
+		t.Fatal("a lossy dip retriggered the search under SessionRuntime")
+	}
+	if sum, n := lag.SumCount(); n != 1 || sum != 0.02 {
+		t.Fatalf("first-byte-lag histogram holds %d samples summing to %g, want one of 0.02", n, sum)
 	}
 }

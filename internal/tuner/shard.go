@@ -64,26 +64,9 @@ func NewSessionRuntime(cfg FleetConfig, spec FleetSession) (*SessionRuntime, err
 	if err := spec.validate(); err != nil {
 		return nil, fmt.Errorf("tuner: session %q: %w", id, err)
 	}
-	if spec.Name == "" {
-		spec.Name = spec.Strategy.Name()
-	}
-	s := &fleetSession{cfg: cfg, spec: spec, id: id, dims: spec.Dims, weights: spec.Weights}
-	s.obs = cfg.Obs.Session(id)
-	s.obs.SetStrategy(spec.Strategy.Name())
-	if s.weights == nil {
-		s.weights = make([]float64, len(spec.Transfers))
-		for j := range s.weights {
-			s.weights[j] = 1
-		}
-	}
-	s.traces = make([]*Trace, len(spec.Transfers))
-	for j := range s.traces {
-		s.traces[j] = &Trace{Tuner: spec.Name}
-	}
-	if spec.Resume != nil {
-		if err := s.resume(spec.Resume); err != nil {
-			return nil, fmt.Errorf("tuner: session %q: %w", id, err)
-		}
+	s, err := newFleetSession(cfg, spec, id)
+	if err != nil {
+		return nil, fmt.Errorf("tuner: session %q: %w", id, err)
 	}
 	return &SessionRuntime{cfg: cfg, s: s}, nil
 }
