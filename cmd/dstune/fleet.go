@@ -7,7 +7,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"dstune"
 )
@@ -152,39 +151,22 @@ func runFleet(path string, observer *dstune.Observer, checkpointPath string, his
 		if ss.MaxNP == 0 {
 			ss.MaxNP = 16
 		}
-		cfg := dstune.TunerConfig{
+		cfg := dstune.SearchSpace{Two: ss.Two, NP: ss.NP, MaxNC: ss.MaxNC, MaxNP: ss.MaxNP}.Apply(dstune.TunerConfig{
 			Epoch:     spec.Epoch,
 			Tolerance: ss.Tolerance,
 			Budget:    spec.Budget,
 			Seed:      spec.Seed + uint64(i),
 			Obs:       observer.Session(id),
+		})
+		// The session's history key embeds the deduplicated session ID:
+		// "bulk" and "bulk-2" record under different keys, and the key
+		// survives spec renames of other sessions.
+		testbed := spec.Testbed
+		if testbed == "" {
+			testbed = "uchicago"
 		}
-		if ss.Two {
-			cfg.Box = dstune.MustBox([]int{1, 1}, []int{ss.MaxNC, ss.MaxNP})
-			cfg.Start = []int{2, 8}
-			cfg.Map = dstune.MapNCNP()
-		} else {
-			cfg.Box = dstune.MustBox([]int{1}, []int{ss.MaxNC})
-			cfg.Start = []int{2}
-			cfg.Map = dstune.MapNC(ss.NP)
-		}
-		// The session's history key embeds the deduplicated session ID
-		// in the endpoint identity: "bulk" and "bulk-2" record under
-		// different keys, never aliasing one another's best-known
-		// vector, and the key survives spec renames of other sessions.
-		key := fleetHistoryKey(spec, ss, id)
-		var strat dstune.Strategy
-		var err error
-		switch inner, warm := strings.CutPrefix(ss.Tuner, "warm:"); {
-		case warm:
-			strat, err = dstune.NewWarmStartStrategy(inner, cfg, histStore, key)
-		case ss.Tuner == "two-phase":
-			strat = dstune.NewTwoPhaseStrategy(cfg, histStore, key)
-		case histStore != nil:
-			strat, err = dstune.NewWarmStartStrategy(ss.Tuner, cfg, histStore, key)
-		default:
-			strat, err = dstune.NewStrategy(ss.Tuner, cfg)
-		}
+		key := dstune.SessionHistoryKey(id, testbed, ss.Addr, ss.Bytes, ss.Tfr, ss.Cmp)
+		strat, err := dstune.ResolveStrategy(ss.Tuner, cfg, histStore, key)
 		if err != nil {
 			return err
 		}
@@ -255,30 +237,6 @@ func runFleet(path string, observer *dstune.Observer, checkpointPath string, his
 		return fmt.Errorf("one or more fleet sessions failed")
 	}
 	return nil
-}
-
-// fleetHistoryKey derives one session's identity in the shared history
-// store. The endpoint joins the transfer target — the shared testbed,
-// or the session's own server address for socket sessions — with the
-// deduplicated session ID, so identically-named sessions ("bulk",
-// "bulk-2") keep distinct keys. Fleet sessions are unbounded unless a
-// socket byte volume is set; the load class fingerprints the session's
-// configured external load.
-func fleetHistoryKey(spec fleetSpec, ss fleetSessionSpec, id string) dstune.HistoryKey {
-	target := spec.Testbed
-	if target == "" {
-		target = "uchicago"
-	}
-	volume := 0.0
-	if ss.Addr != "" {
-		target = ss.Addr
-		volume = ss.Bytes
-	}
-	return dstune.HistoryKey{
-		Endpoint:  target + "/" + id,
-		SizeClass: dstune.HistorySizeClass(volume),
-		LoadClass: dstune.HistoryLoadClass(ss.Tfr + ss.Cmp),
-	}
 }
 
 // sessionCheckpointPath derives a per-session checkpoint filename from

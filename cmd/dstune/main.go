@@ -53,7 +53,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 
@@ -336,37 +335,22 @@ func main() {
 	if *checkpointPath != "" {
 		cfg.Checkpoint = dstune.NewFileCheckpoint(*checkpointPath)
 	}
-	dataset3D := *datasetSpec != "" && *two && *pp == 0
-	switch {
-	case disk, dataset3D:
-		cfg.Box = dstune.MustBox([]int{1, 1, 1}, []int{*maxNC, *maxNP, 32})
-		cfg.Start = []int{2, 8, 4}
-		cfg.Map = dstune.MapNCNPPP()
-	case *two:
-		cfg.Box = dstune.MustBox([]int{1, 1}, []int{*maxNC, *maxNP})
-		cfg.Start = []int{2, 8}
-		cfg.Map = dstune.MapNCNP()
-	default:
-		cfg.Box = dstune.MustBox([]int{1}, []int{*maxNC})
-		cfg.Start = []int{2}
-		cfg.Map = dstune.MapNC(*np)
+	space := dstune.SearchSpace{
+		Two: *two, Files: *datasetSpec != "", PP: *pp,
+		NP: *np, MaxNC: *maxNC, MaxNP: *maxNP,
 	}
-	if *datasetSpec != "" && !dataset3D {
-		// Fewer than three tuned dimensions: run the dataset at a static
-		// pipelining depth (the -pp flag, or the disk default 4).
-		depth := *pp
-		if depth == 0 {
-			depth = 4
-		}
-		cfg.Map = dstune.MapFixedPP(cfg.Map, depth)
+	if disk {
+		// The simulated disk-to-disk transfer always tunes [nc, np, pp].
+		space.Two, space.Files, space.PP = true, true, 0
 	}
+	cfg = space.Apply(cfg)
 	key := historyKey(*mode, *testbed, *addr, volume, *tfr, *cmp)
-	tn, err := makeTuner(*name, cfg, histStore, key)
+	strat, err := dstune.ResolveStrategy(*name, cfg, histStore, key)
 	if err != nil {
 		fatal(err)
 	}
 
-	trace, err := tn.Tune(ctx, transfer)
+	trace, err := dstune.NewDriver(cfg).Run(ctx, strat, transfer)
 	clean := err == nil
 	switch {
 	case err == nil:
@@ -505,27 +489,6 @@ func simTransfer(testbed, tuner string, seed uint64, l dstune.Load, stepAt float
 		tc.FileOverhead = fileOverhead
 	}
 	return fabric.NewTransfer(tc)
-}
-
-// makeTuner builds the named tuner — any name dstune.KnownStrategy
-// accepts, including checkpoint names like "warm:cs-tuner" a resumed
-// run adopts. With an open history store and no pending resume, plain
-// strategies are wrapped with a warm start and "two-phase" seeds its
-// coarse candidates from the store; without one they run cold.
-func makeTuner(name string, cfg dstune.TunerConfig, store *dstune.HistoryStore, key dstune.HistoryKey) (dstune.Tuner, error) {
-	if !dstune.KnownStrategy(name) {
-		return nil, fmt.Errorf("unknown tuner %q", name)
-	}
-	if inner, ok := strings.CutPrefix(name, "warm:"); ok {
-		return dstune.NewWarm(inner, cfg, store, key)
-	}
-	if name == "two-phase" {
-		return dstune.NewTwoPhaseTuner(cfg, store, key), nil
-	}
-	if store != nil && cfg.Resume == nil {
-		return dstune.NewWarm(name, cfg, store, key)
-	}
-	return dstune.NewNamed(name, cfg)
 }
 
 // printTrace renders the per-epoch table and the summary lines.

@@ -7,7 +7,7 @@ import (
 	"dstune"
 )
 
-func TestMakeTunerAllNames(t *testing.T) {
+func TestResolveStrategyAllNames(t *testing.T) {
 	cfg := dstune.TunerConfig{
 		Box:   dstune.MustBox([]int{1}, []int{64}),
 		Start: []int{2},
@@ -18,7 +18,7 @@ func TestMakeTunerAllNames(t *testing.T) {
 		"model", "two-phase", "warm:cs-tuner",
 	}
 	for _, name := range names {
-		tn, err := makeTuner(name, cfg, nil, dstune.HistoryKey{})
+		tn, err := dstune.ResolveStrategy(name, cfg, nil, dstune.HistoryKey{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -26,22 +26,22 @@ func TestMakeTunerAllNames(t *testing.T) {
 			t.Fatalf("name mismatch %q vs %q", tn.Name(), name)
 		}
 	}
-	if _, err := makeTuner("bogus", cfg, nil, dstune.HistoryKey{}); err == nil {
+	if _, err := dstune.ResolveStrategy("bogus", cfg, nil, dstune.HistoryKey{}); err == nil {
 		t.Fatal("unknown tuner accepted")
 	}
 }
 
-// TestMakeTunerWarmWrap: an open history store wraps plain strategies
+// TestResolveStrategyWarmWrap: an open history store wraps plain strategies
 // with the warm start (so their checkpoints resume by the warm name),
 // but never a resumed run — its state comes from the checkpoint.
-func TestMakeTunerWarmWrap(t *testing.T) {
+func TestResolveStrategyWarmWrap(t *testing.T) {
 	cfg := dstune.TunerConfig{
 		Box:   dstune.MustBox([]int{1}, []int{64}),
 		Start: []int{2},
 		Map:   dstune.MapNC(8),
 	}
 	store := dstune.NewMemHistory()
-	tn, err := makeTuner("cs-tuner", cfg, store, historyKey("sim", "uchicago", "", 0, 0, 16))
+	tn, err := dstune.ResolveStrategy("cs-tuner", cfg, store, historyKey("sim", "uchicago", "", 0, 0, 16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestMakeTunerWarmWrap(t *testing.T) {
 
 	rcfg := cfg
 	rcfg.Resume = &dstune.Checkpoint{Tuner: "cs-tuner"}
-	tn, err = makeTuner("cs-tuner", rcfg, store, dstune.HistoryKey{})
+	tn, err = dstune.ResolveStrategy("cs-tuner", rcfg, store, dstune.HistoryKey{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +113,9 @@ func TestWriteCSVHelper(t *testing.T) {
 }
 
 func TestUsageStringsConsistent(t *testing.T) {
-	// The documented tuner list matches what makeTuner accepts.
+	// The documented tuner list matches what the resolver accepts.
 	for _, name := range strings.Split("default,cd-tuner,cs-tuner,nm-tuner,heur1,heur2,model,two-phase,warm:cs-tuner", ",") {
-		if _, err := makeTuner(name, dstune.TunerConfig{
+		if _, err := dstune.ResolveStrategy(name, dstune.TunerConfig{
 			Box: dstune.MustBox([]int{1}, []int{8}), Start: []int{1}, Map: dstune.MapNC(1),
 		}, nil, dstune.HistoryKey{}); err != nil {
 			t.Fatalf("documented tuner %q rejected: %v", name, err)

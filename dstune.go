@@ -111,9 +111,6 @@ type (
 	ReportTile = report.Tile
 )
 
-// NewHTMLReport returns an empty HTML report page.
-func NewHTMLReport(title, subtitle string) *HTMLReport { return report.New(title, subtitle) }
-
 // Transfer parameters and reports.
 type (
 	// Params are the tunable transfer parameters: concurrency (NC)
@@ -196,10 +193,6 @@ func StepLoad(at float64, before, after Load) LoadSchedule { return load.Step(at
 // PiecewiseLoad builds a piecewise-constant schedule.
 func PiecewiseLoad(segs ...LoadSegment) LoadSchedule { return load.Piecewise(segs...) }
 
-// SquareLoad alternates between a and b every period seconds (a
-// first) — bursty background conditions.
-func SquareLoad(period float64, a, b Load) LoadSchedule { return load.Square(period, a, b) }
-
 // Tuners.
 type (
 	// Tuner adapts a transfer's parameters over its lifetime.
@@ -217,6 +210,10 @@ type (
 	// RestartFrom selects the inner-search restart point of cs-tuner
 	// and nm-tuner.
 	RestartFrom = tuner.RestartFrom
+	// SearchSpace names the tuned dimensions — {nc}, {nc, np} or
+	// {nc, np, pp} — and their bounds; its Apply method fills a
+	// TunerConfig's Box, Start and Map.
+	SearchSpace = tuner.Space
 )
 
 // Inner-search restart points.
@@ -242,12 +239,6 @@ func NewCS(cfg TunerConfig) Tuner { return tuner.NewCS(cfg) }
 // NewNM returns the Nelder–Mead tuner (Algorithm 3).
 func NewNM(cfg TunerConfig) Tuner { return tuner.NewNM(cfg) }
 
-// NewHeur1 returns Balman's additive-increase heuristic baseline.
-func NewHeur1(cfg TunerConfig) Tuner { return tuner.NewHeur1(cfg) }
-
-// NewHeur2 returns Yildirim's exponential-increase heuristic baseline.
-func NewHeur2(cfg TunerConfig) Tuner { return tuner.NewHeur2(cfg) }
-
 // NewModel returns the empirical model-fitting baseline from the
 // paper's related work (Yildirim/Yin): sample, fit the
 // parallel-stream throughput curve, jump to its optimum.
@@ -256,20 +247,20 @@ func NewModel(cfg TunerConfig) Tuner { return tuner.NewModel(cfg) }
 // NewStatic returns the non-adaptive baseline (the paper's `default`).
 func NewStatic(cfg TunerConfig) Tuner { return tuner.NewStatic(cfg) }
 
-// Strategy state machines and the shared epoch Driver. Every tuner
-// above is a Strategy (an explicit propose/observe state machine with
-// JSON-serializable state) composed with the Driver that owns the
-// epoch loop, budget, transient tolerance, and checkpointing; the
-// pieces are exported so custom strategies get the same machinery and
-// one process can drive many strategies concurrently (see Fleet).
+// Strategy state machines and the one epoch engine. Every tuner above
+// is a Strategy (an explicit propose/observe state machine with
+// JSON-serializable state) stepped by the engine that owns the epoch
+// loop, budget, transient tolerance, and checkpointing. Driver (one
+// transfer, run to completion) and Fleet (N sessions) are its front
+// doors here, dstuned's SessionRuntime the third; custom strategies get
+// the same machinery through any of them.
 type (
 	// Strategy is a tuner's decision kernel: Propose a vector, run an
 	// epoch, Observe the report, repeat. Snapshot/Restore round-trip
 	// its complete state for O(1) checkpoint resume.
 	Strategy = tuner.Strategy
-	// Driver paces one Strategy against one Transferer, owning the
-	// epoch loop, budget, transient-failure counting, and
-	// checkpointing.
+	// Driver runs one Strategy against one Transferer to completion: a
+	// one-transfer session of the epoch engine, stepped until done.
 	Driver = tuner.Driver
 	// Fleet drives N (strategy, transfers) sessions concurrently from
 	// one scheduler loop with shared accounting.
@@ -288,17 +279,31 @@ type (
 // "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model",
 // "two-phase", "rl-bandit", "rl-q", or any of them under a "warm:"
 // prefix (e.g. "warm:cs-tuner") — from cfg. The warm and two-phase
-// forms built here are cold (no history store); use
-// NewWarmStartStrategy / NewWarm / NewTwoPhaseTuner to attach one.
+// forms built here are cold (no history store); use ResolveStrategy
+// (or the NewWarm / NewTwoPhaseTuner tuners) to attach one.
 func NewStrategy(name string, cfg TunerConfig) (Strategy, error) { return tuner.NewStrategy(name, cfg) }
+
+// ResolveStrategy builds the strategy a session runs from its tuner
+// name, the history store its owner holds (nil for none) and its key in
+// it: cfg.Resume set means the checkpoint's strategy, cold; "two-phase"
+// seeds its candidates from the store; a "warm:" prefix or a store
+// means a warm start; anything else is NewStrategy. cmd/dstune and
+// dstuned both build their strategies here.
+func ResolveStrategy(name string, cfg TunerConfig, store *HistoryStore, key HistoryKey) (Strategy, error) {
+	return tuner.ResolveStrategy(name, cfg, store, key)
+}
+
+// SessionHistoryKey derives the history key of one session among many
+// sharing a store: the target (addr for a socket session, else the
+// testbed) joined with the session's ID, the size class of the socket
+// volume, the load class of tfr+cmp.
+func SessionHistoryKey(id, testbed, addr string, bytes float64, tfr, cmp int) HistoryKey {
+	return tuner.SessionHistoryKey(id, testbed, addr, bytes, tfr, cmp)
+}
 
 // KnownStrategy reports whether name resolves to a strategy
 // NewStrategy can build, including "warm:"-prefixed forms.
 func KnownStrategy(name string) bool { return tuner.KnownStrategy(name) }
-
-// StrategyNames lists every base (unprefixed) strategy name, in
-// STRATEGIES.md documentation order.
-func StrategyNames() []string { return tuner.StrategyNames() }
 
 // The learning plane: learned strategies under the same Strategy
 // contract as the direct searches, with their full policy state
@@ -317,12 +322,6 @@ type (
 	// RLQState is rl-q's complete serializable state.
 	RLQState = tuner.RLQState
 )
-
-// NewRLBandit returns the rl-bandit learned strategy over cfg's box.
-func NewRLBandit(cfg TunerConfig) *RLBanditStrategy { return tuner.NewRLBandit(cfg) }
-
-// NewRLQ returns the rl-q learned strategy over cfg's box.
-func NewRLQ(cfg TunerConfig) *RLQStrategy { return tuner.NewRLQ(cfg) }
 
 // NewNamed returns the named strategy under the standard Driver — the
 // by-name counterpart of the NewCD/NewCS/... constructors, covering
@@ -350,9 +349,6 @@ type (
 
 // MustBox builds a Box from bounds, panicking on invalid input.
 func MustBox(lo, hi []int) Box { return directsearch.MustBox(lo, hi) }
-
-// NewBox builds a Box from bounds.
-func NewBox(lo, hi []int) (Box, error) { return directsearch.NewBox(lo, hi) }
 
 // MaximizeSearch drives a Searcher against an objective function.
 func MaximizeSearch(s Searcher, f func([]int) float64, maxEvals int) ([]int, float64) {
@@ -425,11 +421,8 @@ type (
 // ErrTransient marks transfer errors that may clear on their own
 // (dial timeouts, resets, partial stripe failures); the tuners record
 // such epochs as zero-throughput and keep tuning. Test with
-// IsTransientError.
+// errors.Is(err, ErrTransient).
 var ErrTransient = xfer.ErrTransient
-
-// IsTransientError reports whether err is marked transient.
-func IsTransientError(err error) bool { return xfer.IsTransient(err) }
 
 // NewFaultInjector returns a deterministic network fault injector;
 // use its Dial as a TransferClientConfig.Dialer or wrap a listener
@@ -502,12 +495,6 @@ type (
 	// HistoryEntry is a Lookup result: the best-known vector, its
 	// throughput, and the key distance of the match (0 = exact).
 	HistoryEntry = history.Entry
-	// WarmStartStrategy wraps any built-in strategy so its first
-	// proposal is the history store's predicted optimum.
-	WarmStartStrategy = tuner.WarmStartStrategy
-	// TwoPhaseStrategy samples a coarse historical candidate list,
-	// then refines around the winner with a fine compass search.
-	TwoPhaseStrategy = tuner.TwoPhaseStrategy
 )
 
 // ErrHistoryCorrupt wraps OpenHistory errors reporting damaged lines
@@ -533,13 +520,6 @@ func HistorySizeClass(bytes float64) int { return history.SizeClass(bytes) }
 // streams plus compute jobs) into a history key's load class.
 func HistoryLoadClass(level int) int { return history.LoadClass(level) }
 
-// NewWarmStartStrategy wraps the named inner strategy with a history
-// warm start: a store hit under key makes the inner strategy begin at
-// the predicted optimum. The store may be nil (cold).
-func NewWarmStartStrategy(inner string, cfg TunerConfig, store *HistoryStore, key HistoryKey) (*WarmStartStrategy, error) {
-	return tuner.NewWarmStart(inner, cfg, store, key)
-}
-
 // NewWarm returns the warm-started form of the named strategy under
 // the standard Driver; its checkpoints carry the "warm:<inner>" name
 // and resume like any other run.
@@ -552,13 +532,6 @@ func NewWarm(inner string, cfg TunerConfig, store *HistoryStore, key HistoryKey)
 // coarse winner. The store may be nil (cold candidates).
 func NewTwoPhaseTuner(cfg TunerConfig, store *HistoryStore, key HistoryKey) Tuner {
 	return tuner.NewTwoPhaseTuner(cfg, store, key)
-}
-
-// NewTwoPhaseStrategy returns the two-phase decision kernel itself,
-// for use under a Driver or Fleet. The store may be nil (cold
-// candidates).
-func NewTwoPhaseStrategy(cfg TunerConfig, store *HistoryStore, key HistoryKey) *TwoPhaseStrategy {
-	return tuner.NewTwoPhase(cfg, store, key)
 }
 
 // Observability: the observation plane documented in OBSERVABILITY.md.
@@ -635,9 +608,6 @@ func TuneConcurrency(tb Testbed, l Load, rc RunConfig) (*TuningResult, error) {
 	return experiment.TuneConcurrency(tb, l, rc)
 }
 
-// VaryingLoad returns the §IV-B load schedule (step at t=1000 s).
-func VaryingLoad() LoadSchedule { return experiment.VaryingLoad() }
-
 // TuneBoth reproduces Figures 8/9 (two-parameter tuning, varying
 // load).
 func TuneBoth(tb Testbed, rc RunConfig) (*TuningResult, error) {
@@ -687,17 +657,8 @@ func LogNormalDataset(n int, median, sigma float64, seed uint64) Dataset {
 	return dataset.LogNormal(n, median, sigma, seed)
 }
 
-// ParetoDataset returns n files with Pareto-distributed sizes
-// (minimum xm bytes, tail index alpha), deterministic per seed.
-func ParetoDataset(n int, xm, alpha float64, seed uint64) Dataset {
-	return dataset.Pareto(n, xm, alpha, seed)
-}
-
 // ManySmallFiles returns the latency-bound regime: n files of 1 MB.
 func ManySmallFiles(n int) Dataset { return dataset.ManySmall(n) }
-
-// ConcatDatasets joins datasets in order.
-func ConcatDatasets(sets ...Dataset) Dataset { return dataset.Concat(sets...) }
 
 // MaterializeDataset creates the dataset's files on disk under dir
 // (sparse, size-exact), ready to serve as a TransferClient SourceDir.
@@ -723,10 +684,6 @@ const (
 	// seconds.
 	DefaultFileOverhead = dataset.DefaultFileOverhead
 )
-
-// DefaultDiskParams returns the static disk-to-disk setting:
-// concurrency 2, parallelism 8, pipelining 4.
-func DefaultDiskParams() Params { return xfer.DefaultDisk() }
 
 // MapNCNPPP tunes concurrency, parallelism, and pipelining; x is
 // [nc, np, pp].
@@ -762,9 +719,6 @@ type (
 	// JointComparison holds the joint-vs-independent study results.
 	JointComparison = experiment.JointComparison
 )
-
-// NewJointCS returns a joint tuner driven by compass search.
-func NewJointCS(cfg JointTunerConfig) *JointTuner { return tuner.NewJointCS(cfg) }
 
 // NewJointNM returns a joint tuner driven by Nelder–Mead.
 func NewJointNM(cfg JointTunerConfig) *JointTuner { return tuner.NewJointNM(cfg) }
@@ -804,10 +758,6 @@ type (
 	WarmStartResult = experiment.WarmStartResult
 )
 
-// WarmStartLoads is the external-load sweep of the warm-start study:
-// no load, then external traffic at 16, 32, and 64 streams.
-func WarmStartLoads() []Load { return experiment.WarmStartLoads() }
-
 // WarmStartStudy measures what the history knowledge plane buys: each
 // named tuner runs cold, records its best epoch, and reruns
 // warm-started on an identically seeded fabric, for every load in the
@@ -829,17 +779,6 @@ type (
 	// DynamicLoadConfig parameterizes DynamicLoadStudy.
 	DynamicLoadConfig = experiment.DynamicLoadConfig
 )
-
-// DynamicSchedules returns the study's default load schedules (step,
-// square, piecewise, constant control) over a run of the given
-// duration (zero selects 1800 s).
-func DynamicSchedules(duration float64) []DynamicSchedule {
-	return experiment.DynamicSchedules(duration)
-}
-
-// DynamicLoadTuners lists the study's default contenders: the paper's
-// three direct searches against both learned strategies.
-func DynamicLoadTuners() []string { return experiment.DynamicLoadTuners() }
 
 // DynamicLoadStudy judges learned strategies against direct search on
 // dynamic load: every tuner crossed with every schedule on one

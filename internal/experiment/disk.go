@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"dstune/internal/dataset"
-	"dstune/internal/directsearch"
 	"dstune/internal/load"
 	"dstune/internal/tuner"
 	"dstune/internal/xfer"
@@ -46,14 +45,7 @@ func DiskScenarios(seed uint64) []DiskScenario {
 // diskTunerCfg builds the three-parameter tuner configuration
 // ([nc, np, pp]) for rc.
 func (rc RunConfig) diskTunerCfg() tuner.Config {
-	return tuner.Config{
-		Epoch:  rc.Epoch,
-		Budget: rc.Duration,
-		Seed:   rc.Seed,
-		Box:    mustBox3(rc.MaxNC, rc.MaxNP, 32),
-		Start:  []int{rc.StartNC, rc.StartNP, 4},
-		Map:    tuner.MapNCNPPP(),
-	}
+	return rc.spaceCfg(tuner.Space{Two: true, Files: true})
 }
 
 // TuneDisk runs the disk-to-disk comparison for one scenario:
@@ -90,15 +82,12 @@ func TuneDisk(tb Testbed, sc DiskScenario, rc RunConfig) (*TuningResult, error) 
 			return nil, err
 		}
 		cfg := rc.diskTunerCfg()
-		var tn tuner.Tuner
-		switch name {
-		case "default":
+		if name == "default" {
 			cfg.Start = []int{2, 8, 4} // the static disk default
-			tn = tuner.NewStatic(cfg)
-		case "cs-tuner":
-			tn = tuner.NewCS(cfg)
-		case "nm-tuner":
-			tn = tuner.NewNM(cfg)
+		}
+		tn, err := tuner.NewNamed(name, cfg)
+		if err != nil {
+			return nil, err
 		}
 		trace, err := tn.Tune(context.Background(), tr)
 		if err != nil {
@@ -116,9 +105,4 @@ func FilesMoved(tr *tuner.Trace) int {
 		n += r.Report.Files
 	}
 	return n
-}
-
-// mustBox3 builds the [nc, np, pp] box.
-func mustBox3(maxNC, maxNP, maxPP int) directsearch.Box {
-	return directsearch.MustBox([]int{1, 1, 1}, []int{maxNC, maxNP, maxPP})
 }

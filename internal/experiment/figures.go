@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dstune/internal/directsearch"
 	"dstune/internal/load"
 	"dstune/internal/stats"
 	"dstune/internal/tuner"
@@ -102,46 +101,15 @@ func (rc RunConfig) withDefaults() RunConfig {
 // tunerCfg builds the tuner configuration for rc. twoParam selects
 // [nc, np] tuning (§IV-B) over nc-only tuning (§IV-A).
 func (rc RunConfig) tunerCfg(twoParam bool) tuner.Config {
-	cfg := tuner.Config{
-		Epoch:  rc.Epoch,
-		Budget: rc.Duration,
-		Seed:   rc.Seed,
-	}
-	if twoParam {
-		cfg.Box = directsearch.MustBox([]int{1, 1}, []int{rc.MaxNC, rc.MaxNP})
-		cfg.Start = []int{rc.StartNC, rc.StartNP}
-		cfg.Map = tuner.MapNCNP()
-	} else {
-		cfg.Box = directsearch.MustBox([]int{1}, []int{rc.MaxNC})
-		cfg.Start = []int{rc.StartNC}
-		cfg.Map = tuner.MapNC(rc.NP)
-	}
-	return cfg
+	return rc.spaceCfg(tuner.Space{Two: twoParam})
 }
 
-// newTuner builds the named tuner ("default", "cd-tuner", "cs-tuner",
-// "nm-tuner", "heur1", "heur2", "model", "two-phase", "rl-bandit",
-// "rl-q").
-func newTuner(name string, cfg tuner.Config) (tuner.Tuner, error) {
-	switch name {
-	case "default":
-		return tuner.NewStatic(cfg), nil
-	case "cd-tuner":
-		return tuner.NewCD(cfg), nil
-	case "cs-tuner":
-		return tuner.NewCS(cfg), nil
-	case "nm-tuner":
-		return tuner.NewNM(cfg), nil
-	case "heur1":
-		return tuner.NewHeur1(cfg), nil
-	case "heur2":
-		return tuner.NewHeur2(cfg), nil
-	case "model":
-		return tuner.NewModel(cfg), nil
-	case "rl-bandit", "rl-q", "two-phase":
-		return tuner.NewNamed(name, cfg)
-	}
-	return nil, fmt.Errorf("experiment: unknown tuner %q", name)
+// spaceCfg builds the tuner configuration for rc over sp's dimensions,
+// with rc's bounds and start.
+func (rc RunConfig) spaceCfg(sp tuner.Space) tuner.Config {
+	sp.NP, sp.MaxNC, sp.MaxNP = rc.NP, rc.MaxNC, rc.MaxNP
+	sp.StartNC, sp.StartNP = rc.StartNC, rc.StartNP
+	return sp.Apply(tuner.Config{Epoch: rc.Epoch, Budget: rc.Duration, Seed: rc.Seed})
 }
 
 // TunerNames lists the tuners in the order the paper presents them,
@@ -173,7 +141,7 @@ func runTuned(tb Testbed, name string, sched load.Schedule, rc RunConfig, twoPar
 	if err != nil {
 		return nil, err
 	}
-	tn, err := newTuner(name, rc.tunerCfg(twoParam))
+	tn, err := tuner.NewNamed(name, rc.tunerCfg(twoParam))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"dstune/internal/load"
+	"dstune/internal/tuner"
 )
 
 // quickRC is a shortened run configuration for tests: a 900 s budget
@@ -234,8 +235,34 @@ func TestSimultaneous(t *testing.T) {
 	}
 }
 
+// TestSimultaneousRepeatable: two sessions on one fabric run on two
+// goroutines per round, and the result must not depend on which of
+// them reaches the fabric first. Twenty runs per seed, side by side so
+// the scheduler has something to reorder, give one result.
+func TestSimultaneousRepeatable(t *testing.T) {
+	const runs = 20
+	for _, seed := range []uint64{1, 9} {
+		rc := RunConfig{Seed: seed, Duration: 600}
+		got := make([]*SimultaneousResult, runs)
+		err := forEachCell(runs, func(i int) (err error) {
+			got[i], err = Simultaneous("nm-tuner", rc)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < runs; i++ {
+			if !reflect.DeepEqual(got[i], got[0]) {
+				t.Fatalf("seed %d: run %d differs from run 0: mean throughputs (%v, %v) vs (%v, %v)", seed, i,
+					got[i].UChicago.MeanThroughput(), got[i].TACC.MeanThroughput(),
+					got[0].UChicago.MeanThroughput(), got[0].TACC.MeanThroughput())
+			}
+		}
+	}
+}
+
 func TestUnknownTuner(t *testing.T) {
-	if _, err := newTuner("bogus", RunConfig{}.withDefaults().tunerCfg(false)); err == nil {
+	if _, err := tuner.NewNamed("bogus", RunConfig{}.withDefaults().tunerCfg(false)); err == nil {
 		t.Fatal("unknown tuner accepted")
 	}
 	if _, err := Simultaneous("bogus", quickRC()); err == nil {
@@ -246,7 +273,7 @@ func TestUnknownTuner(t *testing.T) {
 func TestTunerNamesBuildable(t *testing.T) {
 	cfg := RunConfig{}.withDefaults().tunerCfg(true)
 	for _, name := range TunerNames() {
-		tn, err := newTuner(name, cfg)
+		tn, err := tuner.NewNamed(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -2,22 +2,15 @@ package service
 
 import (
 	"os"
-	"strings"
 
 	"dstune/internal/dataset"
-	"dstune/internal/directsearch"
 	"dstune/internal/experiment"
 	"dstune/internal/faultnet"
 	"dstune/internal/gridftp"
-	"dstune/internal/history"
 	"dstune/internal/load"
 	"dstune/internal/tuner"
 	"dstune/internal/xfer"
 )
-
-// maxPP bounds the pipelining-depth search box for dataset jobs,
-// mirroring the CLI's disk mode.
-const maxPP = 32
 
 // buildRuntime turns one admitted job into a stepping session: resolve
 // the checkpoint (re-adoption resumes mid-trajectory), build the
@@ -42,42 +35,22 @@ func (sv *Supervisor) buildRuntime(j *job) (*tuner.SessionRuntime, error) {
 		}
 	}
 
-	cfg := tuner.Config{
+	// The same search space and the same cold/warm/resumed strategy the
+	// dstune CLI would pick for this spec: tuner.Space and
+	// tuner.ResolveStrategy decide both, once.
+	cfg := tuner.Space{
+		Two: spec.Two, Files: spec.Dataset != "", PP: spec.PP,
+		NP: spec.NP, MaxNC: spec.MaxNC, MaxNP: spec.MaxNP,
+	}.Apply(tuner.Config{
 		Epoch:     spec.Epoch,
 		Tolerance: spec.Tolerance,
 		Budget:    spec.Budget,
 		Seed:      spec.Seed,
+		Resume:    resume,
 		Obs:       sv.obs.Session(j.id),
-	}
-	var m tuner.ParamMap
-	switch {
-	case spec.Dataset != "" && spec.Two && spec.PP == 0:
-		// Dataset job tuning all three dimensions: [nc, np, pp].
-		cfg.Box = directsearch.MustBox([]int{1, 1, 1}, []int{spec.MaxNC, spec.MaxNP, maxPP})
-		cfg.Start = []int{2, 8, 4}
-		m = tuner.MapNCNPPP()
-	case spec.Two:
-		cfg.Box = directsearch.MustBox([]int{1, 1}, []int{spec.MaxNC, spec.MaxNP})
-		cfg.Start = []int{2, 8}
-		m = tuner.MapNCNP()
-	default:
-		cfg.Box = directsearch.MustBox([]int{1}, []int{spec.MaxNC})
-		cfg.Start = []int{2}
-		m = tuner.MapNC(spec.NP)
-	}
-	if spec.Dataset != "" && (!spec.Two || spec.PP > 0) {
-		// Fewer than three tuned dimensions: run the dataset at a
-		// static depth (the spec's pp, or the disk default 4).
-		pp := spec.PP
-		if pp == 0 {
-			pp = 4
-		}
-		m = tuner.MapFixedPP(m, pp)
-	}
-	cfg.Map = m
-
-	key := historyKey(spec, j.id)
-	strat, err := sv.buildStrategy(spec, cfg, key, resume)
+	})
+	key := tuner.SessionHistoryKey(j.id, spec.Testbed, spec.Addr, spec.Bytes, spec.Tfr, spec.Cmp)
+	strat, err := tuner.ResolveStrategy(spec.Tuner, cfg, sv.hist, key)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +71,9 @@ func (sv *Supervisor) buildRuntime(j *job) (*tuner.SessionRuntime, error) {
 		// budget stays as specified.
 		budget -= resume.Transfer.Clock
 		if budget <= 0 {
-			budget = 1e-9 // exhausted: the next settle ends the session
+			// Exhausted (0 would mean unlimited): the session ends in its
+			// first Step without running an epoch.
+			budget = 1e-9
 		}
 	}
 	fcfg := tuner.FleetConfig{
@@ -114,7 +89,7 @@ func (sv *Supervisor) buildRuntime(j *job) (*tuner.SessionRuntime, error) {
 		Name:       j.id,
 		Strategy:   strat,
 		Transfers:  []xfer.Transferer{transfer},
-		Maps:       []tuner.ParamMap{m},
+		Maps:       []tuner.ParamMap{cfg.Map},
 		Seed:       spec.Seed,
 		Checkpoint: tuner.NewFileCheckpoint(ckPath),
 		Resume:     resume,
@@ -123,29 +98,6 @@ func (sv *Supervisor) buildRuntime(j *job) (*tuner.SessionRuntime, error) {
 		sess.HistoryKey = key
 	}
 	return tuner.NewSessionRuntime(fcfg, sess)
-}
-
-// buildStrategy constructs the job's strategy, mirroring the dstune
-// CLI's fleet wiring: explicit "warm:" prefixes and "two-phase" consult
-// the history store, and any other tuner is store-wrapped when the
-// daemon has one. A resumed job instead rebuilds the strategy the
-// checkpoint names (a store-wrapped run checkpoints as "warm:<inner>")
-// and never re-consults the store — the checkpointed state is
-// authoritative.
-func (sv *Supervisor) buildStrategy(spec JobSpec, cfg tuner.Config, key history.Key, resume *tuner.Checkpoint) (tuner.Strategy, error) {
-	if resume != nil && len(resume.Trace) > 0 {
-		return tuner.NewStrategy(resume.Tuner, cfg)
-	}
-	switch inner, warm := strings.CutPrefix(spec.Tuner, "warm:"); {
-	case warm:
-		return tuner.NewWarmStart(inner, cfg, sv.hist, key)
-	case spec.Tuner == "two-phase":
-		return tuner.NewTwoPhase(cfg, sv.hist, key), nil
-	case sv.hist != nil:
-		return tuner.NewWarmStart(spec.Tuner, cfg, sv.hist, key)
-	default:
-		return tuner.NewStrategy(spec.Tuner, cfg)
-	}
 }
 
 // defaultTransfer is the spec-driven TransferFactory: a gridftp client
@@ -236,21 +188,4 @@ func (sv *Supervisor) defaultTransfer(id string, spec JobSpec, resume *tuner.Che
 		tcfg.FileOverhead = dataset.DefaultFileOverhead
 	}
 	return fabric.NewTransfer(tcfg)
-}
-
-// historyKey derives the job's identity in the shared knowledge plane,
-// mirroring the CLI's fleet keying: the transfer target joined with the
-// job ID, classed by volume and configured load.
-func historyKey(spec JobSpec, id string) history.Key {
-	target := spec.Testbed
-	volume := 0.0
-	if spec.Addr != "" {
-		target = spec.Addr
-		volume = spec.Bytes
-	}
-	return history.Key{
-		Endpoint:  target + "/" + id,
-		SizeClass: history.SizeClass(volume),
-		LoadClass: history.LoadClass(spec.Tfr + spec.Cmp),
-	}
 }

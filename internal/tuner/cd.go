@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -169,21 +168,4 @@ func (c *CDStrategy) Restore(raw json.RawMessage) error {
 	}
 	c.st = st
 	return nil
-}
-
-// CD is the cd-tuner as a blocking Tuner: a CDStrategy under the
-// shared Driver.
-type CD struct {
-	cfg Config
-}
-
-// NewCD returns a cd-tuner.
-func NewCD(cfg Config) *CD { return &CD{cfg: cfg} }
-
-// Name implements Tuner.
-func (c *CD) Name() string { return "cd-tuner" }
-
-// Tune implements Tuner.
-func (c *CD) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	return tuneWith(ctx, c.cfg, t, func(cfg Config) Strategy { return NewCDStrategy(cfg) })
 }

@@ -320,11 +320,10 @@ func loadHead(path string) (ck *Checkpoint, inline bool, err error) {
 	}
 }
 
-// checkpointer assembles and writes a session's checkpoints for both
-// epoch loops (session and fleetSession): it owns the recorded epochs,
-// the strategy snapshot, the transfer state capture, the
-// CheckpointWritten emission, and the writer's lifetime. Without a
-// writer every method is a no-op and nothing is recorded.
+// checkpointer assembles and writes a session's checkpoints: it owns
+// the recorded epochs, the strategy snapshot, the transfer state
+// capture, the CheckpointWritten emission, and the writer's lifetime.
+// Without a writer every method is a no-op and nothing is recorded.
 type checkpointer struct {
 	w     CheckpointWriter
 	obs   *obs.SessionObs

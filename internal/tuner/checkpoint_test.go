@@ -107,7 +107,9 @@ func drainAfter(k int, fc *FileCheckpoint) Config {
 // drained run just wrote (version 3: head and epoch log) and from the
 // version-2 file the previous release wrote at the same point of the
 // same run (testdata/checkpoint_v2), which the resumed run's first
-// Save then converts in place.
+// Save then converts in place. The "stepped" column drives both halves
+// through a stepped SessionRuntime instead of the tuner's Driver: one
+// engine, so interrupting and resuming it must give the same trace.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
@@ -121,13 +123,19 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		if len(ref.Results) <= interruptAfter {
 			t.Fatalf("%s: reference run too short to interrupt: %d epochs", name, len(ref.Results))
 		}
-		for _, from := range []string{"v3", "v2"} {
+		for _, from := range []string{"v3", "v2", "stepped"} {
 			t.Run(name+"/"+from, func(t *testing.T) {
 				// Interrupted: identical world, drained after k epochs.
 				live := simTransfer(t, seed)
+				tune := func(cfg Config) (*Trace, error) {
+					if from == "stepped" {
+						return runStepped(context.Background(), name, cfg, nil, live)
+					}
+					return mk(cfg).Tune(context.Background(), live)
+				}
 				fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.checkpoint"))
 				defer fc.Close()
-				part, err := mk(drainAfter(interruptAfter, fc)).Tune(context.Background(), live)
+				part, err := tune(drainAfter(interruptAfter, fc))
 				if !errors.Is(err, ErrInterrupted) {
 					t.Fatalf("drained run returned %v, want ErrInterrupted", err)
 				}
@@ -162,7 +170,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 				rcfg := simCfg()
 				rcfg.Resume = ck
 				rcfg.Checkpoint = NewFileCheckpoint(fc.Path())
-				resumed, err := mk(rcfg).Tune(context.Background(), live)
+				resumed, err := tune(rcfg)
 				if err != nil {
 					t.Fatalf("resumed run: %v", err)
 				}

@@ -43,10 +43,12 @@ type FleetConfig struct {
 	// barrier already orders their epochs.
 	Shards int
 	// PreserveOnCancel leaves a session's transfers running (not
-	// stopped) when the session ends on context cancellation, so the
-	// owner can checkpoint-resume them later — the Fleet analogue of
-	// the Driver's interrupt behaviour. Supervisors (dstuned) set it;
-	// the default (false) keeps the historical stop-on-cancel.
+	// stopped) when the session ends on context cancellation — at a
+	// round boundary or mid-epoch — so the owner can checkpoint-resume
+	// them later. Driver.Run and supervisors (dstuned) set it; the
+	// default (false) stops the transfers, which is what Joint and the
+	// fleet CLI want: nothing of theirs outlives the process. A session
+	// ended by ErrInterrupted keeps its transfers either way.
 	PreserveOnCancel bool
 }
 
@@ -88,11 +90,12 @@ type FleetSession struct {
 	// objective the strategy observes; nil = all ones.
 	Weights []float64
 	// Checkpoint, when non-nil, receives the session's durable state
-	// after every settled epoch, exactly like the single-session
-	// Driver. Only single-transfer sessions support checkpointing.
+	// after every settled epoch and once more when the session is
+	// interrupted. Only single-transfer sessions support checkpointing.
 	Checkpoint CheckpointWriter
-	// Seed is recorded in the session's checkpoints so a resumed
-	// single-session run reconstructs the same strategy.
+	// Seed is recorded in the session's checkpoints so a resumed run
+	// reconstructs the same strategy. A Resume checkpoint's seed
+	// overrides it.
 	Seed uint64
 	// HistoryKey, when non-zero, is the session's identity in the
 	// fleet's shared history store: a clean end records the session's
@@ -102,12 +105,27 @@ type FleetSession struct {
 	HistoryKey history.Key
 	// Resume, when non-nil, restores the session mid-trajectory from a
 	// prior checkpoint before the first round: the strategy state is
-	// deserialized directly (O(1), like the Driver's resume), the
-	// recorded epochs are preloaded into the trace and byte account,
-	// and the transient-failure counter is restored. The checkpoint
-	// must match the session's strategy name; only single-transfer
-	// sessions support resumption.
+	// deserialized directly (O(1), no epoch is replayed), the recorded
+	// epochs are preloaded into the trace and byte account, and the
+	// transient-failure counter is restored. The checkpoint must match
+	// the session's strategy name; only single-transfer sessions
+	// support resumption.
 	Resume *Checkpoint
+
+	// The rest is what Driver.Run hands down from its Config, which has
+	// no counterpart in FleetConfig.
+
+	// obs replaces FleetConfig.Obs.Session(id) as the session's view.
+	obs *obs.SessionObs
+	// drain is Config.Drain: once closed, the session ends with
+	// ErrInterrupted at the next round boundary.
+	drain <-chan struct{}
+	// validateResume is Config.ValidateResume: Resume rebuilds the
+	// strategy by replay instead of deserializing it.
+	validateResume bool
+	// bestCase is Config.ObserveBestCase, for the Observe event's delta
+	// (the strategy applies it to its own objective itself).
+	bestCase bool
 }
 
 // validate reports whether the session is usable.
@@ -174,18 +192,19 @@ type SessionResult struct {
 // all the resulting transfer epochs at once (the simulation fabric
 // keeps them in lockstep virtual time), and feeds each session's
 // aggregate report back to its strategy. Sessions end independently —
-// transfer completion, budget, strategy termination, or failure — and
-// a session's transfers are stopped when it ends. With
+// transfer completion, budget, strategy termination, failure, or a
+// cancelled context — and a session's transfers are stopped when it
+// ends (see FleetConfig.PreserveOnCancel for the one exception). With
 // FleetConfig.Shards > 1 the session table is split across that many
-// worker loops by a stable hash of the session ID; the default single
-// loop is the exact historical code path.
+// worker loops by a stable hash of the session ID.
 //
-// Fleet is the concurrent generalization of the single-session Driver
-// and the substrate of the Joint tuner; it shares its accounting (one
-// trace per transfer, per-session byte totals), per-session
-// checkpointing (FleetSession.Checkpoint), and O(1) mid-trajectory
-// resumption (FleetSession.Resume). Supervisors that need to admit and
-// retire sessions dynamically drive SessionRuntime directly instead.
+// There is one epoch engine in this package and Fleet is one of its
+// three front doors: Fleet.Run runs a fixed set of sessions to
+// completion, SessionRuntime steps one session at a supervisor's pace,
+// and Driver.Run is a one-transfer session stepped until it is done
+// (the Joint tuner is a one-session Fleet). A session behaves the same
+// behind each of them: the same resume, transient tolerance,
+// checkpoints, events and accounting.
 type Fleet struct {
 	cfg      FleetConfig
 	sessions []FleetSession
@@ -218,8 +237,8 @@ type fleetSession struct {
 	epochs int
 	// lastX is the previous proposal, carried on Propose events.
 	lastX []int
-	// lastFit/haveFit track the previous aggregate throughput for
-	// Observe-event deltas.
+	// lastFit/haveFit track the previous aggregate objective (fitnessOf)
+	// for Observe-event deltas.
 	lastFit float64
 	haveFit bool
 	// ckpt records and writes the session's checkpoints (a no-op
@@ -237,7 +256,10 @@ func newFleetSession(cfg FleetConfig, spec FleetSession, id string) (*fleetSessi
 		spec.Name = spec.Strategy.Name()
 	}
 	s := &fleetSession{cfg: cfg, spec: spec, id: id, dims: spec.Dims, weights: spec.Weights}
-	s.obs = cfg.Obs.Session(id)
+	s.obs = spec.obs
+	if s.obs == nil {
+		s.obs = cfg.Obs.Session(id)
+	}
 	s.obs.SetStrategy(spec.Strategy.Name())
 	s.ckpt = newCheckpointer(spec.Checkpoint, s.obs, spec.Strategy, spec.Transfers[0], spec.Seed)
 	if s.weights == nil {
@@ -358,7 +380,7 @@ func runRounds(ctx context.Context, cfg FleetConfig, states []*fleetSession) {
 			if s.done {
 				continue
 			}
-			jobs = append(jobs, s.propose()...)
+			jobs = append(jobs, s.propose(ctx)...)
 		}
 		if len(jobs) == 0 {
 			return
@@ -417,10 +439,21 @@ func sessionID(spec FleetSession, used map[string]bool) string {
 	return id
 }
 
-// propose asks the session's strategy for this round's vector and
-// expands it into per-transfer jobs. A finished strategy or a slicing
-// error ends the session and returns nil.
-func (s *fleetSession) propose() []*fleetJob {
+// propose opens the session's next round: unless the session was
+// interrupted or is already spent, it asks the strategy for the round's
+// vector and expands it into per-transfer jobs. Both checks come before
+// Propose, so a session that ends here has consumed no proposal it will
+// never observe. A nil result means the session has ended.
+func (s *fleetSession) propose(ctx context.Context) []*fleetJob {
+	s.lastTransient = false
+	if err := s.interrupted(ctx); err != nil {
+		s.interrupt(err)
+		return nil
+	}
+	if s.spent() {
+		s.finish(nil)
+		return nil
+	}
 	x, fin := s.spec.Strategy.Propose()
 	if fin {
 		s.finish(nil)
@@ -447,12 +480,49 @@ func (s *fleetSession) propose() []*fleetJob {
 	return jobs
 }
 
+// interrupted reports the interrupt pending at a round boundary, if
+// any: a cancelled ctx, or a closed drain channel (ErrInterrupted).
+func (s *fleetSession) interrupted(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	select {
+	case <-s.spec.drain:
+		return ErrInterrupted
+	default:
+		return nil
+	}
+}
+
+// isCancel reports whether err is a context's cancellation or deadline.
+func isCancel(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// spent reports whether the session has nothing left to run: a transfer
+// is finished or the budget is used up. It is true from the start for a
+// session resumed over a finished transfer or an exhausted budget.
+func (s *fleetSession) spent() bool {
+	for _, t := range s.spec.Transfers {
+		if t.Remaining() <= 0 {
+			return true
+		}
+	}
+	return s.overBudget()
+}
+
+// overBudget reports whether the transfer clock has reached the budget.
+func (s *fleetSession) overBudget() bool {
+	return s.cfg.Budget > 0 && s.spec.Transfers[0].Now() >= s.cfg.Budget-1e-9
+}
+
 // resume restores the session from a prior checkpoint before its first
-// round: validate the checkpoint against the strategy, deserialize the
-// strategy state directly, and preload the recorded epochs into the
-// trace, the byte account, and the checkpoint record — so later
-// checkpoints carry the full trajectory and Bytes counts cumulatively
-// across incarnations (mirroring the Driver's resume).
+// round: validate the checkpoint against the strategy, adopt its seed,
+// rebuild the strategy state — deserialized directly, or replayed under
+// validateResume — and preload the recorded epochs into the trace, the
+// byte account, and the checkpoint record, so later checkpoints carry
+// the full trajectory and Bytes counts cumulatively across
+// incarnations.
 func (s *fleetSession) resume(ck *Checkpoint) error {
 	if ck.Version != CheckpointVersion {
 		return fmt.Errorf("resume: checkpoint version %d, this build reads %d", ck.Version, CheckpointVersion)
@@ -463,23 +533,55 @@ func (s *fleetSession) resume(ck *Checkpoint) error {
 	if ck.Epochs != len(ck.Trace) {
 		return fmt.Errorf("resume: corrupt checkpoint: %d epochs but %d trace records", ck.Epochs, len(ck.Trace))
 	}
+	s.ckpt.seed = ck.Seed
 	if len(ck.Trace) == 0 {
 		return nil
 	}
-	if len(ck.Strategy) == 0 {
-		return errors.New("resume: checkpoint has no strategy state")
-	}
-	if err := s.spec.Strategy.Restore(ck.Strategy); err != nil {
-		return fmt.Errorf("resume: %w", err)
+	switch {
+	case s.spec.validateResume:
+		if err := s.replay(ck); err != nil {
+			return err
+		}
+	case len(ck.Strategy) == 0:
+		return errors.New("resume: checkpoint has no strategy state; set ValidateResume to rebuild it by replay")
+	default:
+		if err := s.spec.Strategy.Restore(ck.Strategy); err != nil {
+			return fmt.Errorf("resume: %w", err)
+		}
+		s.transients = ck.Transients
 	}
 	for _, rec := range ck.Trace {
 		s.ckpt.record(rec.X, rec.Report, rec.Transient)
 		s.traces[0].add(rec.X, rec.Report)
 		s.bytes += rec.Report.Bytes
 	}
-	s.transients = ck.Transients
 	s.epochs = len(ck.Trace)
 	s.lastX = ivec.Clone(ck.Trace[len(ck.Trace)-1].X)
+	return nil
+}
+
+// replay rebuilds the strategy state and the transient count by feeding
+// the recorded reports through the fresh strategy, verifying that each
+// proposal matches the vector the original run recorded — the opt-in
+// divergence check for resumes whose configuration may have drifted.
+func (s *fleetSession) replay(ck *Checkpoint) error {
+	for epoch, rec := range ck.Trace {
+		x, fin := s.spec.Strategy.Propose()
+		if fin {
+			return fmt.Errorf("resume diverged at epoch %d: strategy finished, checkpoint recorded %v", epoch, rec.X)
+		}
+		if !ivec.Equal(x, rec.X) {
+			return fmt.Errorf(
+				"resume diverged at epoch %d: proposed %v, checkpoint recorded %v (was the configuration changed?)",
+				epoch, x, rec.X)
+		}
+		if rec.Transient {
+			s.transients++
+		} else {
+			s.transients = 0
+		}
+		s.spec.Strategy.Observe(rec.Report)
+	}
 	return nil
 }
 
@@ -504,43 +606,68 @@ func (s *fleetSession) slice(x []int) ([][]int, error) {
 	return out, nil
 }
 
-// settle folds one round's per-transfer reports into the session:
-// record the traces, observe the weighted aggregate, and decide
-// whether the session ends (completion, budget, or failure).
+// settle folds one round's per-transfer reports into the session and
+// decides whether it ends: a cancelled or fatally failed epoch ends it
+// with the error; a transient failure is tolerated — the failed epochs
+// are recorded and observed as zero throughput, which trips the
+// strategy's ε-monitor once the transfer recovers — until the
+// MaxTransientFailures-th in a row ends it too; a settled epoch ends it
+// cleanly when a transfer is done or the budget is reached, so Done
+// flips in the round that ran the last epoch.
 func (s *fleetSession) settle(jobs []*fleetJob) {
 	failed := false
 	for _, j := range jobs {
-		if j.err == nil {
-			continue
-		}
-		if errors.Is(j.err, context.Canceled) || errors.Is(j.err, context.DeadlineExceeded) || !xfer.IsTransient(j.err) {
+		switch {
+		case j.err == nil:
+		case isCancel(j.err):
+			// Cancelled mid-epoch. One transfer's partial epoch moved
+			// bytes the checkpoint must account for, so it is recorded
+			// and observed like any other; several transfers have no
+			// checkpoint to keep exact and the round is dropped.
+			if len(jobs) == 1 && j.rep.End > j.rep.Start {
+				s.record(jobs, false)
+			}
+			s.interrupt(j.err)
+			return
+		case !xfer.IsTransient(j.err):
 			s.finish(j.err)
 			return
+		default:
+			failed = true
 		}
-		failed = true
 	}
 	if failed {
 		s.transients++
-		if s.transients >= s.cfg.MaxTransientFailures {
-			for _, j := range jobs {
-				if j.err != nil {
-					s.finish(j.err)
-					return
-				}
-			}
-		}
-		// Tolerated: the failed epochs read as zero throughput, which
-		// trips the strategy's ε-monitor once the transfer recovers.
 		for _, j := range jobs {
-			if j.err != nil {
-				j.rep = xfer.Report{Params: j.p, Start: j.start, End: s.spec.Transfers[j.i].Now()}
+			if j.err == nil {
+				continue
 			}
+			if s.transients >= s.cfg.MaxTransientFailures {
+				s.finish(j.err)
+				return
+			}
+			j.rep = xfer.Report{Params: j.p, Start: j.start, End: s.spec.Transfers[j.i].Now()}
 		}
 	} else {
 		s.transients = 0
 	}
 	s.lastTransient = failed
+	done := s.record(jobs, failed)
+	if err := s.save(); err != nil {
+		s.finish(err)
+		return
+	}
+	if done || s.overBudget() {
+		s.finish(nil)
+	}
+}
 
+// record is the one place an epoch enters the session: the traces, the
+// byte account, the observation plane (EpochEnd, then Observe), the
+// strategy, and the checkpoint record, in that order — so an ε-retrigger
+// emitted inside Strategy.Observe lands after the Observe event. It
+// reports whether a transfer finished.
+func (s *fleetSession) record(jobs []*fleetJob, transient bool) (done bool) {
 	agg := xfer.Report{Start: jobs[0].rep.Start, End: jobs[0].rep.End}
 	for _, j := range jobs {
 		s.traces[j.i].add(s.parts[j.i], j.rep)
@@ -566,13 +693,13 @@ func (s *fleetSession) settle(jobs []*fleetJob) {
 	}
 	epoch := s.epochs
 	s.epochs++
+	fit := fitnessOf(Config{ObserveBestCase: s.spec.bestCase}, agg)
 	if s.obs != nil {
 		budget := s.cfg.MaxTransientFailures - 1 - s.transients
 		if budget < 0 {
 			budget = 0
 		}
-		x := s.lastX
-		s.obs.EpochEnd(agg.End, epoch, x, obs.EpochStats{
+		s.obs.EpochEnd(agg.End, epoch, s.lastX, obs.EpochStats{
 			Throughput:      agg.Throughput,
 			BestCase:        agg.BestCase,
 			Bytes:           agg.Bytes,
@@ -583,40 +710,46 @@ func (s *fleetSession) settle(jobs []*fleetJob) {
 			DegradedStreams: agg.DegradedStreams,
 			Files:           agg.Files,
 			FirstByteLag:    agg.FirstByteLag,
-		}, failed, budget)
+		}, transient, budget)
 		var d float64
 		if s.haveFit {
-			d = delta(s.lastFit, agg.Throughput)
+			d = delta(s.lastFit, fit)
 		}
 		s.obs.Observe(agg.End, epoch, d)
 	}
 	// Tracked unconditionally: SessionRuntime.LastThroughput reads it,
 	// observer or not.
-	s.lastFit, s.haveFit = agg.Throughput, true
+	s.lastFit, s.haveFit = fit, true
 	s.spec.Strategy.Observe(agg)
 	// validate() pinned checkpointing sessions to one transfer, so the
-	// checkpoint records that transfer's own report, in the same
-	// Checkpoint form the single-session Driver writes: a
-	// single-transfer fleet session can be resumed as a solo run.
-	s.ckpt.record(s.parts[0], jobs[0].rep, failed)
+	// checkpoint records that transfer's own report.
+	s.ckpt.record(s.parts[0], jobs[0].rep, transient)
+	return agg.Done
+}
+
+// save writes the session's checkpoint; without a writer it is a no-op.
+func (s *fleetSession) save() error {
 	if err := s.ckpt.save(s.transients); err != nil {
-		s.finish(fmt.Errorf("tuner: fleet session %q: %w", s.id, err))
-		return
+		return fmt.Errorf("tuner: session %q: %w", s.id, err)
 	}
-	if agg.Done {
-		s.finish(nil)
-		return
+	return nil
+}
+
+// interrupt ends the session on a cancelled ctx or a drain, leaving a
+// final checkpoint behind for the run that resumes it.
+func (s *fleetSession) interrupt(err error) {
+	if ckErr := s.save(); ckErr != nil {
+		err = ckErr
 	}
-	if s.cfg.Budget > 0 && s.spec.Transfers[0].Now() >= s.cfg.Budget-1e-9 {
-		s.finish(nil)
-	}
+	s.finish(err)
 }
 
 // finish ends the session, closes its checkpoint writer, and stops its
 // transfers. A clean end folds the session's best epoch into the
-// fleet's history store. Under PreserveOnCancel a context-cancellation
-// end leaves the transfers running so a supervisor can resume them
-// from the last checkpoint.
+// fleet's history store. The transfers are left running — stopping a
+// real-socket transfer deletes the server's byte account a resumed run
+// needs — when the session was drained (ErrInterrupted) and, under
+// PreserveOnCancel, when its context was cancelled.
 func (s *fleetSession) finish(err error) {
 	s.done = true
 	s.err = err
@@ -625,7 +758,7 @@ func (s *fleetSession) finish(err error) {
 		s.recordHistory()
 	}
 	s.obs.Finish(err)
-	if s.cfg.PreserveOnCancel && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+	if errors.Is(err, ErrInterrupted) || (s.cfg.PreserveOnCancel && isCancel(err)) {
 		return
 	}
 	for _, t := range s.spec.Transfers {

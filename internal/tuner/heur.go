@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -123,23 +122,6 @@ func (h *Heur1Strategy) Restore(raw json.RawMessage) error {
 	return nil
 }
 
-// Heur1 is heur1 as a blocking Tuner: a Heur1Strategy under the
-// shared Driver.
-type Heur1 struct {
-	cfg Config
-}
-
-// NewHeur1 returns a heur1 tuner.
-func NewHeur1(cfg Config) *Heur1 { return &Heur1{cfg: cfg} }
-
-// Name implements Tuner.
-func (h *Heur1) Name() string { return "heur1" }
-
-// Tune implements Tuner.
-func (h *Heur1) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	return tuneWith(ctx, h.cfg, t, func(cfg Config) Strategy { return NewHeur1Strategy(cfg) })
-}
-
 // Heur2State is the serializable state of heur2.
 type Heur2State struct {
 	// Phase is the tuner phase: climb or hold.
@@ -242,23 +224,6 @@ func (h *Heur2Strategy) Restore(raw json.RawMessage) error {
 	}
 	h.st = st
 	return nil
-}
-
-// Heur2 is heur2 as a blocking Tuner: a Heur2Strategy under the
-// shared Driver.
-type Heur2 struct {
-	cfg Config
-}
-
-// NewHeur2 returns a heur2 tuner.
-func NewHeur2(cfg Config) *Heur2 { return &Heur2{cfg: cfg} }
-
-// Name implements Tuner.
-func (h *Heur2) Name() string { return "heur2" }
-
-// Tune implements Tuner.
-func (h *Heur2) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	return tuneWith(ctx, h.cfg, t, func(cfg Config) Strategy { return NewHeur2Strategy(cfg) })
 }
 
 // bump moves coordinate dim of x by d within bounds.

@@ -156,6 +156,7 @@ func (j *Joint) Tune(ctx context.Context, ts []xfer.Transferer) ([]*Trace, error
 			Dims:      cfg.Dims,
 			Maps:      cfg.Maps,
 			Weights:   cfg.Weights,
+			bestCase:  cfg.ObserveBestCase,
 		},
 	)
 	results, err := fleet.Run(ctx)

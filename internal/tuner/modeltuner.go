@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -199,21 +198,4 @@ func (m *ModelStrategy) Restore(raw json.RawMessage) error {
 	st.Monitor.Tolerance = m.cfg.Tolerance
 	m.st = st
 	return nil
-}
-
-// Model is the model tuner as a blocking Tuner: a ModelStrategy under
-// the shared Driver.
-type Model struct {
-	cfg Config
-}
-
-// NewModel returns a model-fitting tuner.
-func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
-
-// Name implements Tuner.
-func (m *Model) Name() string { return "model" }
-
-// Tune implements Tuner.
-func (m *Model) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	return tuneWith(ctx, m.cfg, t, func(cfg Config) Strategy { return NewModelStrategy(cfg) })
 }

@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -258,32 +257,4 @@ func (s *SearchStrategy) restoreSearch(st SearchState, rng *sim.RNG) (directsear
 			Lambda: s.cfg.Lambda,
 		}, rng)
 	}
-}
-
-// searchTuner is cs-tuner or nm-tuner as a blocking Tuner: a
-// SearchStrategy under the shared Driver.
-type searchTuner struct {
-	cfg  Config
-	name string
-	kind string
-}
-
-// Name implements Tuner.
-func (s *searchTuner) Name() string { return s.name }
-
-// Tune implements Tuner.
-func (s *searchTuner) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	return tuneWith(ctx, s.cfg, t, func(cfg Config) Strategy {
-		return newSearchStrategy(s.name, s.kind, cfg)
-	})
-}
-
-// NewCS returns the compass-search tuner of Algorithm 2.
-func NewCS(cfg Config) Tuner {
-	return &searchTuner{cfg: cfg, name: "cs-tuner", kind: searchKindCompass}
-}
-
-// NewNM returns the Nelder–Mead tuner of Algorithm 3.
-func NewNM(cfg Config) Tuner {
-	return &searchTuner{cfg: cfg, name: "nm-tuner", kind: searchKindNM}
 }

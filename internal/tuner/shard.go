@@ -39,12 +39,12 @@ type StepInfo struct {
 	Err error
 }
 
-// SessionRuntime drives a single fleet session one round at a time,
-// for supervisors that admit and retire sessions dynamically (the
-// dstuned service) instead of running a fixed set to completion the
-// way Fleet.Run does. It reuses the Fleet's exact per-round machinery
-// — propose, concurrent transfer epochs, settle, checkpoint — so a
-// session behaves identically under either driver.
+// SessionRuntime drives a single session one round at a time, for
+// supervisors that admit and retire sessions dynamically (the dstuned
+// service) instead of running a fixed set to completion the way
+// Fleet.Run does. It is the package's one epoch engine with the loop
+// left to the caller: Fleet.Run and Driver.Run step the very same
+// session state, so a session behaves identically behind all three.
 //
 // A SessionRuntime is owned by one goroutine at a time: Step, Abort,
 // and the accessors must not be called concurrently with one another.
@@ -103,19 +103,25 @@ func (r *SessionRuntime) LastThroughput() float64 { return r.s.lastFit }
 // Step runs one control round: propose, run the session's transfer
 // epochs concurrently, settle, checkpoint. It blocks for the epoch
 // duration (virtual time under a simulation fabric, wall time on
-// sockets). Cancelling ctx aborts the in-flight epoch and ends the
-// session with the context's error; under FleetConfig.PreserveOnCancel
-// the transfers are left running for a later resume.
+// sockets). Done flips in the Step that ran the last epoch; a session
+// that is already spent when it starts — resumed over a finished
+// transfer or an exhausted budget — ends in its first Step without
+// running one.
+//
+// A ctx already cancelled when Step is called ends the session before
+// the strategy is asked for a proposal. A ctx cancelled mid-epoch ends
+// it with the partial epoch recorded, observed and checkpointed (a
+// single-transfer session; several transfers drop the round). Both end
+// it with the context's error and, under
+// FleetConfig.PreserveOnCancel, with the transfers left running for a
+// later resume.
 func (r *SessionRuntime) Step(ctx context.Context) StepInfo {
-	if r.s.done {
-		return StepInfo{Done: true, Err: r.s.err}
+	if !r.s.done {
+		if jobs := r.s.propose(ctx); jobs != nil {
+			runJobs(ctx, r.cfg.Epoch, jobs)
+			r.s.settle(jobs)
+		}
 	}
-	jobs := r.s.propose()
-	if jobs == nil {
-		return StepInfo{Done: true, Err: r.s.err}
-	}
-	runJobs(ctx, r.cfg.Epoch, jobs)
-	r.s.settle(jobs)
 	return StepInfo{Done: r.s.done, Transient: r.s.lastTransient, Err: r.s.err}
 }
 

@@ -13,11 +13,11 @@ import (
 // Strategy is a tuner's decision kernel as an explicit state machine:
 // a pure function of the observed epoch reports. Propose returns the
 // parameter vector for the next control epoch; Observe folds in the
-// epoch's report and advances the state. The Driver owns everything
-// else — the epoch loop, pacing, budget, transient-failure counting,
-// and checkpointing — so one process can step many strategies
-// concurrently (see Fleet) and a checkpoint can serialize a strategy
-// mid-flight.
+// epoch's report and advances the state. The epoch engine behind
+// Driver, Fleet and SessionRuntime owns everything else — the loop,
+// pacing, budget, transient-failure counting, and checkpointing — so
+// one process can step many strategies concurrently and a checkpoint
+// can serialize a strategy mid-flight.
 //
 // Protocol: Propose, run the epoch, Observe, repeat. Propose is
 // idempotent — calling it again before Observe returns the same
@@ -84,6 +84,53 @@ func NewStrategy(name string, cfg Config) (Strategy, error) {
 		return NewRLQ(cfg), nil
 	}
 	return nil, fmt.Errorf("tuner: unknown strategy %q", name)
+}
+
+// ResolveStrategy builds the strategy a session runs from the tuner
+// name its owner was given, the history store the owner holds (nil for
+// none) and the session's key in it — the one place the CLI, the fleet
+// CLI and dstuned decide between the cold, warm and resumed forms:
+//
+//   - cfg.Resume set: the strategy the checkpoint names, built cold. The
+//     checkpointed state is authoritative (a store-wrapped run
+//     checkpoints as "warm:<inner>" with its prediction inside), so the
+//     store is never consulted again.
+//   - "two-phase": its coarse candidates are seeded from the store.
+//   - "warm:<inner>", or any other name with a store: the inner strategy
+//     warm-started from the store (cold under the warm name without one).
+//   - otherwise the plain named strategy.
+func ResolveStrategy(name string, cfg Config, store *history.Store, key history.Key) (Strategy, error) {
+	if cfg.Resume != nil {
+		return NewStrategy(cfg.Resume.Tuner, cfg)
+	}
+	inner, warm := strings.CutPrefix(name, "warm:")
+	switch {
+	case name == "two-phase":
+		return NewTwoPhase(cfg, store, key), nil
+	case warm || store != nil:
+		return NewWarmStart(inner, cfg, store, key)
+	}
+	return NewStrategy(name, cfg)
+}
+
+// SessionHistoryKey derives the history key of one session among many
+// sharing a store (fleet sessions, dstuned jobs). The endpoint joins
+// the transfer's target — the server address of a socket session, the
+// testbed of a simulated one — with the session's deduplicated ID, so
+// identically named sessions ("bulk", "bulk-2") never alias one
+// another's best-known vector. The size class is that of the socket
+// volume (simulated sessions are unbounded); the load class
+// fingerprints the configured external load.
+func SessionHistoryKey(id, testbed, addr string, bytes float64, tfr, cmp int) history.Key {
+	target, volume := testbed, 0.0
+	if addr != "" {
+		target, volume = addr, bytes
+	}
+	return history.Key{
+		Endpoint:  target + "/" + id,
+		SizeClass: history.SizeClass(volume),
+		LoadClass: history.LoadClass(tfr + cmp),
+	}
 }
 
 // StrategyNames lists every base (unprefixed) strategy name NewStrategy

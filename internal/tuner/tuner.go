@@ -68,6 +68,69 @@ func MapFixedPP(m ParamMap, pp int) ParamMap {
 	}
 }
 
+// Space names the transfer parameters a session tunes and the bounds it
+// tunes them in; Apply turns it into a Config's Box, Start and Map. It
+// is the one statement of the search spaces the binaries and the
+// figure harnesses offer:
+//
+//	{nc}          concurrency only, parallelism fixed at NP
+//	{nc, np}      Two
+//	{nc, np, pp}  Two on a Files transfer with no fixed PP
+//
+// A Files transfer that tunes fewer than three dimensions runs at a
+// fixed pipelining depth: PP, or 4.
+type Space struct {
+	// Two tunes parallelism as well as concurrency.
+	Two bool
+	// Files marks a dataset (disk-to-disk) transfer, where pipelining
+	// applies.
+	Files bool
+	// PP fixes the pipelining depth of a Files transfer; zero tunes it
+	// as the third dimension under Two and fixes 4 otherwise.
+	PP int
+	// NP is the fixed parallelism when Two is off.
+	NP int
+	// MaxNC and MaxNP are the box's upper bounds (the lower bounds are
+	// 1; the pipelining depth is bounded by 32).
+	MaxNC, MaxNP int
+	// StartNC and StartNP override the start vector's Globus defaults,
+	// nc=2 and np=8 (the pipelining depth starts at 4).
+	StartNC, StartNP int
+}
+
+// Apply returns cfg with Box, Start and Map set for the space.
+func (sp Space) Apply(cfg Config) Config {
+	if sp.StartNC == 0 {
+		sp.StartNC = 2
+	}
+	if sp.StartNP == 0 {
+		sp.StartNP = 8
+	}
+	const startPP, maxPP, fixedPP = 4, 32, 4
+	switch {
+	case sp.Two && sp.Files && sp.PP == 0:
+		cfg.Box = directsearch.MustBox([]int{1, 1, 1}, []int{sp.MaxNC, sp.MaxNP, maxPP})
+		cfg.Start = []int{sp.StartNC, sp.StartNP, startPP}
+		cfg.Map = MapNCNPPP()
+		return cfg
+	case sp.Two:
+		cfg.Box = directsearch.MustBox([]int{1, 1}, []int{sp.MaxNC, sp.MaxNP})
+		cfg.Start = []int{sp.StartNC, sp.StartNP}
+		cfg.Map = MapNCNP()
+	default:
+		cfg.Box = directsearch.MustBox([]int{1}, []int{sp.MaxNC})
+		cfg.Start = []int{sp.StartNC}
+		cfg.Map = MapNC(sp.NP)
+	}
+	if sp.Files {
+		if sp.PP == 0 {
+			sp.PP = fixedPP
+		}
+		cfg.Map = MapFixedPP(cfg.Map, sp.PP)
+	}
+	return cfg
+}
+
 // RestartFrom selects where cs-tuner and nm-tuner restart their inner
 // search when the throughput monitor triggers.
 type RestartFrom int
@@ -391,37 +454,4 @@ func delta(f0, f1 float64) float64 {
 		return 1e9
 	}
 	return 100 * (f1 - f0) / f0
-}
-
-// tuneWith is the common Tune body of the built-in tuners: validate,
-// adopt a resumed checkpoint's seed before the strategy (and so its
-// RNG) is constructed, and hand the strategy to the Driver.
-func tuneWith(ctx context.Context, cfg Config, t xfer.Transferer, mk func(Config) Strategy) (*Trace, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ck := cfg.Resume; ck != nil {
-		cfg.Seed = ck.Seed
-	}
-	return NewDriver(cfg).Run(ctx, mk(cfg), t)
-}
-
-// Static is the non-adaptive baseline: it runs the transfer with the
-// starting parameters forever. With Start mapping to nc=2, np=8 it is
-// the paper's `default` (the Globus service's large-file setting).
-type Static struct {
-	cfg Config
-}
-
-// NewStatic returns a static tuner.
-func NewStatic(cfg Config) *Static {
-	return &Static{cfg: cfg}
-}
-
-// Name implements Tuner.
-func (s *Static) Name() string { return "default" }
-
-// Tune implements Tuner.
-func (s *Static) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	return tuneWith(ctx, s.cfg, t, func(cfg Config) Strategy { return NewStaticStrategy(cfg) })
 }

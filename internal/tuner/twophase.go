@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -222,32 +221,4 @@ func (s *TwoPhaseStrategy) Restore(raw json.RawMessage) error {
 		return nil
 	}
 	return fmt.Errorf("tuner: two-phase state has unknown phase %q", st.Phase)
-}
-
-// twoPhaseTuner is the two-phase strategy under the shared Driver.
-type twoPhaseTuner struct {
-	cfg   Config
-	store *history.Store
-	key   history.Key
-}
-
-// NewTwoPhaseTuner returns the two-phase Tuner: coarse historical
-// sampling, then fine online search. The store may be nil.
-func NewTwoPhaseTuner(cfg Config, store *history.Store, key history.Key) Tuner {
-	return &twoPhaseTuner{cfg: cfg, store: store, key: key}
-}
-
-// Name implements Tuner.
-func (w *twoPhaseTuner) Name() string { return "two-phase" }
-
-// Tune implements Tuner.
-func (w *twoPhaseTuner) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	cfg := w.cfg
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ck := cfg.Resume; ck != nil {
-		cfg.Seed = ck.Seed
-	}
-	return NewDriver(cfg).Run(ctx, NewTwoPhase(cfg, w.store, w.key), t)
 }

@@ -1,7 +1,6 @@
 package tuner
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -137,62 +136,4 @@ func (s *WarmStartStrategy) Restore(raw json.RawMessage) error {
 	s.pred = pred
 	s.inner = inner
 	return nil
-}
-
-// warmTuner is a warm-started strategy under the shared Driver.
-type warmTuner struct {
-	inner string
-	name  string
-	cfg   Config
-	store *history.Store
-	key   history.Key
-}
-
-// NewWarm returns a Tuner that warm-starts the named inner strategy
-// from the history store under key, then drives it with the standard
-// Driver. The store may be nil (a cold run under the warm name); a
-// resumed configuration takes its start from the checkpoint, never the
-// store.
-func NewWarm(inner string, cfg Config, store *history.Store, key history.Key) (Tuner, error) {
-	if strings.HasPrefix(inner, "warm:") {
-		return nil, fmt.Errorf("tuner: warm start cannot nest %q", inner)
-	}
-	if !KnownStrategy(inner) {
-		return nil, fmt.Errorf("tuner: unknown strategy %q", inner)
-	}
-	return &warmTuner{inner: inner, name: "warm:" + canonicalName(inner), cfg: cfg, store: store, key: key}, nil
-}
-
-// canonicalName resolves strategy-name aliases ("static" is reported
-// as "default", including under the warm prefix).
-func canonicalName(name string) string {
-	if inner, ok := strings.CutPrefix(name, "warm:"); ok {
-		return "warm:" + canonicalName(inner)
-	}
-	if inner, ok := strings.CutPrefix(name, "kernel-aware:"); ok {
-		return "kernel-aware:" + canonicalName(inner)
-	}
-	if name == "static" {
-		return "default"
-	}
-	return name
-}
-
-// Name implements Tuner.
-func (w *warmTuner) Name() string { return w.name }
-
-// Tune implements Tuner.
-func (w *warmTuner) Tune(ctx context.Context, t xfer.Transferer) (*Trace, error) {
-	cfg := w.cfg
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ck := cfg.Resume; ck != nil {
-		cfg.Seed = ck.Seed
-	}
-	s, err := NewWarmStart(w.inner, cfg, w.store, w.key)
-	if err != nil {
-		return nil, err
-	}
-	return NewDriver(cfg).Run(ctx, s, t)
 }

@@ -167,6 +167,7 @@ type Sim struct {
 
 	target    float64 // absolute virtual time this transfer wants to reach
 	deadUntil float64 // restarting until this virtual time
+	restarted bool    // torn down by Run; stepLocked still owes deadUntil
 	started   bool    // first Run seen
 	startTime float64 // virtual time of first Run
 	done      bool
@@ -326,7 +327,7 @@ func (t *Sim) Run(ctx context.Context, p Params, epoch float64) (Report, error) 
 		(t.policy == RestartOnChange && p != t.params)
 	t.params = p
 	if restart {
-		t.restartLocked(now)
+		t.restartLocked()
 	}
 
 	start := now
@@ -344,7 +345,7 @@ func (t *Sim) Run(ctx context.Context, p Params, epoch float64) (Report, error) 
 		return Report{}, ErrStopped
 	}
 	end := f.clock.Now()
-	t.target = end // release the barrier for others while idle between epochs
+	t.target = end // hold the barrier at the epoch's end: nobody steps past it while this transfer idles
 
 	elapsed := end - start
 	r := Report{
@@ -368,11 +369,14 @@ func (t *Sim) Run(ctx context.Context, p Params, epoch float64) (Report, error) 
 	return r, ctx.Err()
 }
 
-// restartLocked tears down the transfer's processes and schedules new
-// ones after the endpoint's restart dead time. For a disk transfer,
+// restartLocked tears down the transfer's processes and leaves the
+// restart dead time for the next stepLocked to settle: the dead time
+// depends on what else runs on the source, and two transfers that
+// restart at the same instant must both see the source after both
+// teardowns, whichever goroutine got here first. For a disk transfer,
 // files in flight go back to the head of the queue (the restarted
 // processes re-request them).
-func (t *Sim) restartLocked(now float64) {
+func (t *Sim) restartLocked() {
 	for _, fl := range t.flows {
 		fl.Remove()
 	}
@@ -381,8 +385,7 @@ func (t *Sim) restartLocked(now float64) {
 	if t.disk != nil {
 		t.disk.requeueInFlight()
 	}
-	procs := t.f.totalProcsLocked() + t.params.NC
-	t.deadUntil = now + t.f.src.RestartTime(procs)
+	t.restarted = true
 }
 
 // teardownLocked removes the transfer's flows and releases the time
@@ -438,6 +441,17 @@ func (f *Fabric) canStepLocked() bool {
 func (f *Fabric) stepLocked() {
 	now := f.clock.Now()
 	dt := f.clock.DT()
+
+	// Restarts requested since the last step, in registration order.
+	// The barrier held the clock since the teardown, so now is still the
+	// instant of the restart; the external flows are still the ones that
+	// ran when it was requested.
+	for _, tr := range f.transfers {
+		if tr.restarted {
+			tr.restarted = false
+			tr.deadUntil = now + f.src.RestartTime(f.totalProcsLocked()+tr.params.NC)
+		}
+	}
 
 	// External load.
 	l := f.extSched.At(now)

@@ -2,6 +2,7 @@ package xfer
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -467,5 +468,51 @@ func TestSimultaneousDeterminismViaFabric(t *testing.T) {
 	a2, b2 := run()
 	if a1 != a2 || b1 != b2 {
 		t.Fatalf("non-deterministic: (%v,%v) vs (%v,%v)", a1, b1, a2, b2)
+	}
+
+	// Two transfers that restart at the same virtual instant, each with
+	// a changing NC: the restart dead time counts the processes on the
+	// source, so it must not matter which Run reached the fabric first.
+	// The second Run of a round is held back until the first has torn
+	// down and is waiting at the barrier.
+	lockstep := func(bFirst bool) (ab, bb float64) {
+		f, _ := testFabric(t, 33)
+		a, _ := f.NewTransfer(TransferConfig{Name: "a", Bytes: Unbounded})
+		b, _ := f.NewTransfer(TransferConfig{Name: "b", Bytes: Unbounded})
+		defer a.Stop()
+		defer b.Stop()
+		for i := 0; i < 6; i++ {
+			first, second := a, b
+			pf, ps := Params{NC: 1 + 3*(i%2), NP: 2}, Params{NC: 6 - 2*(i%3), NP: 1}
+			if bFirst {
+				first, second, pf, ps = b, a, ps, pf
+			}
+			var wg sync.WaitGroup
+			var rf Report
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rf, _ = first.Run(context.Background(), pf, 3)
+			}()
+			for waiting := false; !waiting; {
+				f.mu.Lock()
+				waiting = first.target > f.clock.Now()
+				f.mu.Unlock()
+				runtime.Gosched()
+			}
+			rs, _ := second.Run(context.Background(), ps, 3)
+			wg.Wait()
+			if bFirst {
+				rf, rs = rs, rf
+			}
+			ab += rf.Bytes
+			bb += rs.Bytes
+		}
+		return ab, bb
+	}
+	a1, b1 = lockstep(false)
+	a2, b2 = lockstep(true)
+	if a1 != a2 || b1 != b2 {
+		t.Fatalf("arrival order changed the result: a first (%v,%v), b first (%v,%v)", a1, b1, a2, b2)
 	}
 }
