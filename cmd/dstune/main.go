@@ -129,7 +129,6 @@ func main() {
 	pp := flag.Int("pp", 0, "fixed pipelining depth for -dataset transfers; 0 tunes it as a third dimension with -two, or fixes 4 without (socket mode)")
 	sourceDir := flag.String("source", "", "read -dataset payload from real files under this directory (materialized if absent) instead of synthetic zeros, engaging the zero-copy sendfile pump where the platform has it")
 	requestSink := flag.Bool("sink", false, "ask the server to persist the -dataset files at its configured -sink directory instead of discarding them (socket mode)")
-	noZeroCopy := flag.Bool("no-zerocopy", false, "force the portable userspace pump even where sendfile is available (socket mode, with -source)")
 	tcpInfo := flag.Bool("tcpinfo", false, "sample kernel TCP_INFO per stripe at epoch boundaries and surface it in the trace and events (socket mode, Linux)")
 
 	// Disk-mode flags.
@@ -252,7 +251,6 @@ func main() {
 			Seed:        *seed,
 			SockBuf:     *sockBuf,
 			ColdStart:   *cold,
-			NoZeroCopy:  *noZeroCopy,
 			RequestSink: *requestSink,
 			TCPInfo:     *tcpInfo,
 			Obs:         observer.Session(*name),

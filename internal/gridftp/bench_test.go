@@ -112,46 +112,38 @@ func BenchmarkEpochSetup(b *testing.B) {
 // one writev per header+payload frame, pipelined OPENs batched into
 // one write per refill round, ~1) and allocations per epoch. A
 // regression here means the multi-file pump started fragmenting its
-// frames or allocating per file. The coarse sub-benchmark is the
-// production configuration; wall forces the server back to a time.Now
-// call per socket read, so the pair's MB/s delta is what the coarse
-// activity clock saves on the receive path.
+// frames or allocating per file.
 func BenchmarkManyFilesEpoch(b *testing.B) {
-	run := func(b *testing.B, wallTouch bool) {
-		s, err := Serve("127.0.0.1:0")
+	s, err := Serve("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	const nFiles = 10000
+	ds := dataset.Uniform(nFiles, 1<<20)
+	var syscalls int64
+	b.SetBytes(ds.TotalBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer s.Close()
-		s.wallTouch.Store(wallTouch)
-		const nFiles = 10000
-		ds := dataset.Uniform(nFiles, 1<<20)
-		var syscalls int64
-		b.SetBytes(ds.TotalBytes())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			c, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds})
-			if err != nil {
-				b.Fatal(err)
-			}
-			r, err := c.Run(context.Background(), xfer.Params{NC: 4, NP: 1, PP: 64}, 300)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !r.Done {
-				b.Fatalf("epoch did not complete the dataset: %+v", r)
-			}
-			syscalls += r.Syscalls
-			b.StopTimer()
-			c.Stop()
-			b.StartTimer()
+		r, err := c.Run(context.Background(), xfer.Params{NC: 4, NP: 1, PP: 64}, 300)
+		if err != nil {
+			b.Fatal(err)
 		}
+		if !r.Done {
+			b.Fatalf("epoch did not complete the dataset: %+v", r)
+		}
+		syscalls += r.Syscalls
 		b.StopTimer()
-		b.ReportMetric(float64(syscalls)/float64(int64(b.N)*nFiles), "syscalls/file")
+		c.Stop()
+		b.StartTimer()
 	}
-	b.Run("coarse", func(b *testing.B) { run(b, false) })
-	b.Run("wall", func(b *testing.B) { run(b, true) })
+	b.StopTimer()
+	b.ReportMetric(float64(syscalls)/float64(int64(b.N)*nFiles), "syscalls/file")
 }
 
 // BenchmarkFileSourceEpoch moves a 4 GiB disk-backed dataset (128 x
@@ -223,16 +215,18 @@ func BenchmarkFileSourceEpoch(b *testing.B) {
 		// slow flow-start mode on a busy single-CPU host, and a
 		// throwaway pass lets the timed epochs measure the pump, not
 		// the machine settling.
-		if wc, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds, SourceDir: srcDir, NoZeroCopy: noZC}); err == nil {
+		if wc, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds, SourceDir: srcDir}); err == nil {
+			forceUserspace(wc, noZC)
 			wc.Run(context.Background(), xfer.Params{NC: 4, NP: 1, PP: 16}, 300)
 			wc.Stop()
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds, SourceDir: srcDir, NoZeroCopy: noZC})
+			c, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds, SourceDir: srcDir})
 			if err != nil {
 				b.Fatal(err)
 			}
+			forceUserspace(c, noZC)
 			r, err := c.Run(context.Background(), xfer.Params{NC: 4, NP: 1, PP: 16}, 300)
 			if err != nil {
 				b.Fatal(err)

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -75,15 +76,10 @@ type ClientConfig struct {
 	// local path and exist as a regular file of at least the manifest
 	// size. On Linux, leases on unwrapped *net.TCPConn stripes are
 	// routed through sendfile(2), so payload bytes never cross
-	// userspace; elsewhere — or under NoZeroCopy, the
-	// dstune_nozerocopy build tag, or wrapped connections — a portable
-	// pread+writev pump produces the identical byte stream. Requires a
-	// Dataset.
+	// userspace; elsewhere — under the dstune_nozerocopy build tag, or
+	// on wrapped connections — a portable pread+writev pump produces
+	// the identical byte stream. Requires a Dataset.
 	SourceDir string
-	// NoZeroCopy forces the portable userspace copy path even where
-	// the kernel fast path is available — the runtime A/B switch the
-	// syscall-discipline benchmarks flip.
-	NoZeroCopy bool
 	// RequestSink asks the server to persist the transferred files
 	// under its configured sink directory (Server.SetSink) instead of
 	// discarding them, via a SINK exchange after the manifest. A
@@ -163,19 +159,24 @@ var clientSeq atomic.Int64
 type Client struct {
 	cfg   ClientConfig
 	token string
+	// plane is the bulk stream or the framed file plane, chosen once
+	// in NewClient from ClientConfig.Dataset.
+	plane dataPlane
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	// stopCh is closed by Stop so an in-flight Run — including its
-	// retry backoffs and failed-epoch pacing — aborts promptly.
-	stopCh chan struct{}
+	// stopped is cancelled by Stop with cause xfer.ErrStopped. Run
+	// joins it to its caller's context, so below Run one ctx carries
+	// both "the caller gave up" and "the client was stopped".
+	stopped context.Context
+	stop    context.CancelCauseFunc
 
 	mu        sync.Mutex
 	remaining atomic.Int64
 	start     time.Time
 	started   bool
-	stopped   bool
+	inRun     bool // a Run is in flight (and may be using ctrl)
 	runs      int
 	acked     int64 // server-confirmed bytes (receiver truth)
 
@@ -186,17 +187,7 @@ type Client struct {
 	ctrl  net.Conn      // persistent control connection
 	ctrlR *bufio.Reader // reader paired with ctrl
 
-	// File plane (dataset mode only; nil fq selects the bulk stream).
-	// Mutated only by Run and NewClient — never concurrently.
-	fq           *fileQueue
-	src          *fileSource // file-backed payload (SourceDir); nil synthesizes zeros
-	datasetBytes int64       // total payload bytes across the dataset
-	manifested   bool        // MANIFEST registered on the server
-	sinkOK       bool        // SINK accepted by the server this session
-	needResync   bool        // queue must resync against server counters
-	lastDone     int         // server's completed-file count last reconcile
-	lastRetrans  int64       // summed stripe retransmit counters last sample
-	gotScratch   []int64     // reusable RESYNC parse buffer
+	lastRetrans int64 // summed stripe retransmit counters last sample
 }
 
 // NewClient returns a client for cfg. It does not touch the network
@@ -246,31 +237,24 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		cfg.MinStreams = 1
 	}
 	c := &Client{
-		cfg:    cfg,
-		token:  cfg.Token,
-		rng:    rand.New(rand.NewSource(int64(cfg.Seed))),
-		stopCh: make(chan struct{}),
+		cfg:   cfg,
+		token: cfg.Token,
+		rng:   rand.New(rand.NewSource(int64(cfg.Seed))),
 	}
+	c.stopped, c.stop = context.WithCancelCause(context.Background())
 	c.acked = int64(cfg.AckedBytes)
 	if cfg.Bytes >= float64(int64(1)<<62) {
 		c.remaining.Store(int64(1) << 62)
 	} else {
 		c.remaining.Store(int64(cfg.Bytes - cfg.AckedBytes))
 	}
+	c.plane = bulkPlane{c}
 	if datasetMode {
-		c.fq = newFileQueue(cfg.Dataset)
-		c.datasetBytes = cfg.Dataset.TotalBytes()
-		if cfg.SourceDir != "" {
-			src, err := newFileSource(cfg.SourceDir, cfg.Dataset)
-			if err != nil {
-				return nil, err
-			}
-			c.src = src
+		fp, err := newFramedPlane(c)
+		if err != nil {
+			return nil, err
 		}
-		// A resumed transfer rebuilds its work queue from the server's
-		// per-file counters before the first pump, restarting at
-		// file/offset granularity.
-		c.needResync = cfg.AckedBytes > 0
+		c.plane = fp
 	}
 	return c, nil
 }
@@ -330,67 +314,84 @@ func (c *Client) Snapshot() xfer.TransferState {
 // exchange), so long-lived servers don't accumulate dead counters.
 func (c *Client) Stop() {
 	c.mu.Lock()
-	already := c.stopped
-	c.stopped = true
-	started := c.started
-	pool, ctrl := c.pool, c.ctrl
+	already := c.stopped.Err() != nil
+	c.stop(xfer.ErrStopped)
+	started, inRun := c.started, c.inRun
+	pool, ctrl, br := c.pool, c.ctrl, c.ctrlR
 	c.pool, c.ctrl, c.ctrlR = nil, nil, nil
 	c.mu.Unlock()
 	if already {
 		return
 	}
-	close(c.stopCh)
 	for _, conn := range pool {
 		conn.Close()
 	}
-	if ctrl != nil {
+	if ctrl != nil && inRun {
+		// An epoch may be blocked reading it; closing it is what
+		// unblocks that read.
 		ctrl.Close()
+		ctrl = nil
 	}
 	if !started {
 		return
 	}
-	// Best-effort CLOSE. control would abort its retry backoffs
-	// immediately now that stopCh is closed, so retry the exchange
-	// directly — bounded by the configured attempts and backoff.
-	for k := 0; k < c.cfg.Retry.Attempts; k++ {
-		if k > 0 {
-			time.Sleep(c.backoff(k))
-		}
-		if _, err := c.controlOnce("CLOSE "+c.token, "OK"); err == nil || !transientNetErr(err) {
-			return
-		}
+	// Best-effort CLOSE: first on the idle control connection, which
+	// needs no dial to succeed, then on connections of its own
+	// (ctrlConn refuses a stopped client) — retried under a context Stop
+	// did not just cancel, bounded by the configured attempts.
+	cmd := "CLOSE " + c.token
+	closeOn := func(conn net.Conn, br *bufio.Reader) error {
+		defer conn.Close()
+		return c.send(conn, br, cmd, oneLine(cmd, "OK", new(string)))
 	}
+	if ctrl != nil && closeOn(ctrl, br) == nil {
+		return
+	}
+	c.retry(context.Background(), new(cost), func() error {
+		conn, err := c.cfg.Dialer("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+		if err != nil {
+			return err
+		}
+		return closeOn(conn, bufio.NewReader(conn))
+	})
 }
 
-// sleep waits for d; it returns false without waiting out the full
-// delay when ctx is cancelled or the client is stopped.
-func (c *Client) sleep(ctx context.Context, d time.Duration) bool {
+// sleep waits for d, or until ctx ends if that comes first.
+func sleep(ctx context.Context, d time.Duration) {
 	if d <= 0 {
-		return true
+		return
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
 	case <-ctx.Done():
-		return false
-	case <-c.stopCh:
-		return false
 	}
 }
 
-// interrupted returns the governing interrupt error, if any: the
+// interrupted returns the governing interrupt error of a Run context
+// (the caller's ctx joined to the client's stop signal), if any: the
 // context's error, or xfer.ErrStopped after Stop.
-func (c *Client) interrupted(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	select {
-	case <-c.stopCh:
+func interrupted(ctx context.Context) error {
+	if ctx.Err() != nil && errors.Is(context.Cause(ctx), xfer.ErrStopped) {
 		return xfer.ErrStopped
-	default:
-		return nil
+	}
+	return ctx.Err()
+}
+
+// onAbort arranges for f to run, once, if ctx ends before the returned
+// release is called; release waits out an f that has already started,
+// so the caller may touch f's state again afterwards.
+func onAbort(ctx context.Context, f func()) (release func()) {
+	done := make(chan struct{})
+	cancel := context.AfterFunc(ctx, func() {
+		defer close(done)
+		f()
+	})
+	return func() {
+		if !cancel() {
+			<-done
+		}
 	}
 }
 
@@ -411,30 +412,55 @@ func (c *Client) backoff(k int) time.Duration {
 	return time.Duration(float64(d) * j)
 }
 
-// ctrlConn returns the persistent control connection, dialing it when
-// absent. The bool reports whether a dial was performed (attempted),
-// successful or not.
-func (c *Client) ctrlConn() (net.Conn, *bufio.Reader, bool, error) {
+// cost tallies the dials (attempted, successful or not) and retries
+// an operation spent; an epoch's cost is its Report.Dials and
+// Report.Retries.
+type cost struct{ dials, retries int }
+
+// retry runs op up to Retry.Attempts times, backing off before each
+// retry, until it succeeds or fails with a non-transient error. An
+// interrupt (ctx cancelled, or the client stopped) ends the attempts
+// with the interrupt error, cutting a backoff short.
+func (c *Client) retry(ctx context.Context, t *cost, op func() error) (err error) {
+	for k := 0; k < c.cfg.Retry.Attempts; k++ {
+		if k > 0 {
+			t.retries++
+			sleep(ctx, c.backoff(k))
+		}
+		if ierr := interrupted(ctx); ierr != nil {
+			return ierr
+		}
+		if err = op(); !transientNetErr(err) {
+			return err
+		}
+	}
+	return err
+}
+
+// ctrlConn returns the persistent control connection, dialing it (and
+// tallying the dial) when absent.
+func (c *Client) ctrlConn(t *cost) (net.Conn, *bufio.Reader, error) {
 	c.mu.Lock()
 	conn, br := c.ctrl, c.ctrlR
 	c.mu.Unlock()
 	if conn != nil {
-		return conn, br, false, nil
+		return conn, br, nil
 	}
+	t.dials++
 	conn, err := c.cfg.Dialer("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 	if err != nil {
-		return nil, nil, true, err
+		return nil, nil, err
 	}
 	br = bufio.NewReader(conn)
 	c.mu.Lock()
-	if c.stopped {
+	if c.stopped.Err() != nil {
 		c.mu.Unlock()
 		conn.Close()
-		return nil, nil, true, xfer.ErrStopped
+		return nil, nil, xfer.ErrStopped
 	}
 	c.ctrl, c.ctrlR = conn, br
 	c.mu.Unlock()
-	return conn, br, true, nil
+	return conn, br, nil
 }
 
 // dropCtrl discards the persistent control connection (after an
@@ -448,206 +474,114 @@ func (c *Client) dropCtrl(conn net.Conn) {
 	conn.Close()
 }
 
-// exchange performs one command/response exchange on the persistent
-// control connection, dialing it only when absent and retrying
-// transient failures per the retry config. It returns the response
-// plus the dials (attempted, successful or not) and retries spent. A
-// failed exchange discards the connection so the next attempt
-// re-dials. A backoff wait aborts early when ctx is cancelled or the
-// client is stopped, returning the last exchange error.
-func (c *Client) exchange(ctx context.Context, cmd, wantPrefix string) (resp string, dials, retries int, err error) {
-	for k := 0; k < c.cfg.Retry.Attempts; k++ {
-		if k > 0 {
-			retries++
-			if !c.sleep(ctx, c.backoff(k)) {
-				return "", dials, retries, err
-			}
-		}
-		if ierr := c.interrupted(ctx); ierr != nil {
-			return "", dials, retries, ierr
-		}
-		var conn net.Conn
-		var br *bufio.Reader
-		var dialed bool
-		conn, br, dialed, err = c.ctrlConn()
-		if dialed {
-			dials++
-		}
-		if err != nil {
-			if transientNetErr(err) {
-				continue
-			}
-			return "", dials, retries, err
-		}
-		conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-		if _, err = fmt.Fprintf(conn, "%s\n", cmd); err != nil {
-			c.dropCtrl(conn)
-			if transientNetErr(err) {
-				continue
-			}
-			return "", dials, retries, err
-		}
-		resp, err = readLine(br)
-		if err != nil {
-			c.dropCtrl(conn)
-			if transientNetErr(err) {
-				continue
-			}
-			return "", dials, retries, err
-		}
-		conn.SetDeadline(time.Time{})
-		if !strings.HasPrefix(resp, wantPrefix) {
-			c.dropCtrl(conn)
-			return "", dials, retries, fmt.Errorf("%w: %q to %q got %q", ErrProtocol, cmd, wantPrefix, resp)
-		}
-		return resp, dials, retries, nil
-	}
-	return "", dials, retries, err
-}
-
-// controlOnce performs one un-retried command/response exchange.
-func (c *Client) controlOnce(cmd, wantPrefix string) (string, error) {
-	conn, err := c.cfg.Dialer("tcp", c.cfg.Addr, c.cfg.DialTimeout)
-	if err != nil {
-		return "", err
-	}
-	defer conn.Close()
+// send writes cmd on conn and hands the response to read, all under
+// one DialTimeout deadline.
+func (c *Client) send(conn net.Conn, br *bufio.Reader, cmd string, read func(*bufio.Reader) error) error {
 	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
 	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
-		return "", err
+		return err
 	}
-	resp, err := readLine(bufio.NewReader(conn))
-	if err != nil {
-		return "", err
+	if err := read(br); err != nil {
+		return err
 	}
-	if !strings.HasPrefix(resp, wantPrefix) {
-		return "", fmt.Errorf("%w: %q to %q got %q", ErrProtocol, cmd, wantPrefix, resp)
+	conn.SetDeadline(time.Time{})
+	return nil
+}
+
+// oneLine returns send's response reader for the one-line answers:
+// the line must start with wantPrefix and is stored in *resp.
+func oneLine(cmd, wantPrefix string, resp *string) func(*bufio.Reader) error {
+	return func(br *bufio.Reader) (err error) {
+		if *resp, err = readLine(br); err == nil && !strings.HasPrefix(*resp, wantPrefix) {
+			err = fmt.Errorf("%w: %q to %q got %q", ErrProtocol, cmd, wantPrefix, *resp)
+		}
+		return err
 	}
-	return resp, nil
+}
+
+// roundTrip performs one command/response exchange on the persistent
+// control connection, dialing it only when absent and retrying
+// transient failures per the retry config; read consumes the response
+// (one line for most verbs, a block for RESYNC). A failed exchange
+// discards the connection so the next attempt re-dials.
+func (c *Client) roundTrip(ctx context.Context, t *cost, cmd string, read func(*bufio.Reader) error) error {
+	return c.retry(ctx, t, func() error {
+		conn, br, err := c.ctrlConn(t)
+		if err != nil {
+			return err
+		}
+		if err = c.send(conn, br, cmd, read); err != nil {
+			c.dropCtrl(conn)
+		}
+		return err
+	})
+}
+
+// exchange is roundTrip for the one-line responses: it returns the
+// line, which must start with wantPrefix.
+func (c *Client) exchange(ctx context.Context, t *cost, cmd, wantPrefix string) (resp string, err error) {
+	err = c.roundTrip(ctx, t, cmd, oneLine(cmd, wantPrefix, &resp))
+	return resp, err
 }
 
 // ServerReceived asks the server how many bytes it has received for
 // this transfer's token, over the persistent control connection.
 func (c *Client) ServerReceived() (int64, error) {
-	n, _, err := c.serverReceived()
-	return n, err
+	return c.serverReceived(c.stopped, new(cost))
 }
 
-// serverReceived is ServerReceived plus the dials the STAT exchange
-// spent (zero on a warm control connection).
-func (c *Client) serverReceived() (int64, int, error) {
-	resp, dials, _, err := c.exchange(context.Background(), "STAT "+c.token, "BYTES ")
+// serverReceived is the STAT exchange behind ServerReceived.
+func (c *Client) serverReceived(ctx context.Context, t *cost) (int64, error) {
+	resp, err := c.exchange(ctx, t, "STAT "+c.token, "BYTES ")
 	if err != nil {
-		return 0, dials, err
+		return 0, err
 	}
 	var n int64
 	if _, err := fmt.Sscanf(resp, "BYTES %d", &n); err != nil {
-		return 0, dials, fmt.Errorf("%w: bad STAT response %q", ErrProtocol, resp)
+		return 0, fmt.Errorf("%w: bad STAT response %q", ErrProtocol, resp)
 	}
-	return n, dials, nil
+	return n, nil
 }
 
-// setSockBuf applies the configured kernel socket buffer size to
-// conn, when both are available. Wrapped connections (fault
-// injectors) that do not expose the setters are left alone.
-func (c *Client) setSockBuf(conn net.Conn) {
-	if c.cfg.SockBuf <= 0 {
-		return
-	}
-	if rb, ok := conn.(interface{ SetReadBuffer(int) error }); ok {
-		rb.SetReadBuffer(c.cfg.SockBuf)
-	}
-	if wb, ok := conn.(interface{ SetWriteBuffer(int) error }); ok {
-		wb.SetWriteBuffer(c.cfg.SockBuf)
-	}
-}
-
-// dialData establishes one data connection (dial plus DATA header),
-// retrying transient failures. It returns the connection plus the
-// dials (attempted, successful or not) and retries spent. An
-// interrupt (ctx cancel or Stop) aborts the attempts with the
-// interrupt error.
-func (c *Client) dialData(ctx context.Context) (conn net.Conn, dials, retries int, err error) {
-	for k := 0; k < c.cfg.Retry.Attempts; k++ {
-		if k > 0 {
-			retries++
-			if !c.sleep(ctx, c.backoff(k)) {
-				break
-			}
-		}
-		if ierr := c.interrupted(ctx); ierr != nil {
-			return nil, dials, retries, ierr
-		}
-		dials++
-		conn, err = c.cfg.Dialer("tcp", c.cfg.Addr, c.cfg.DialTimeout)
+// dialData establishes one data connection (dial plus the plane's
+// header), retrying transient failures.
+func (c *Client) dialData(ctx context.Context, t *cost) (data net.Conn, err error) {
+	err = c.retry(ctx, t, func() error {
+		t.dials++
+		conn, err := c.cfg.Dialer("tcp", c.cfg.Addr, c.cfg.DialTimeout)
 		if err != nil {
-			if transientNetErr(err) {
-				continue
-			}
-			return nil, dials, retries, err
+			return err
 		}
-		verb := "DATA"
-		if c.fq != nil {
-			verb = "DATAF" // framed per-file segments
-		}
-		if _, err = fmt.Fprintf(conn, "%s %s\n", verb, c.token); err != nil {
+		if _, err = fmt.Fprintf(conn, "%s %s\n", c.plane.verb(), c.token); err != nil {
 			conn.Close()
-			if transientNetErr(err) {
-				continue
-			}
-			return nil, dials, retries, err
+			return err
 		}
-		c.setSockBuf(conn)
-		return conn, dials, retries, nil
-	}
-	if ierr := c.interrupted(ctx); ierr != nil {
-		return nil, dials, retries, ierr
-	}
-	return nil, dials, retries, err
+		setSockBuf(conn, c.cfg.SockBuf)
+		data = conn
+		return nil
+	})
+	return data, err
 }
 
-// reconcile polls the server's byte count for the token until two
-// consecutive reads agree (the kernel buffers have drained) or a
-// short deadline passes; individual STAT failures are retried within
-// the deadline. It returns the count, the dials spent polling, and
-// whether the server answered at all.
-func (c *Client) reconcile() (int64, int, bool) {
+// pollStable reads receiver truth until two consecutive reads agree
+// (the kernel buffers have drained) or a short deadline passes; failed
+// reads are retried within the deadline, and an ended ctx gives up at
+// once. ok reports whether the server answered at all.
+func pollStable[T comparable](ctx context.Context, read func() (T, error)) (v T, ok bool) {
 	deadline := time.Now().Add(500 * time.Millisecond)
-	prev := int64(-1)
-	dials := 0
-	seen := false
 	for {
-		got, d, err := c.serverReceived()
-		dials += d
+		got, err := read()
 		if err == nil {
-			if seen && got == prev {
-				return got, dials, true
+			if ok && got == v {
+				return v, true
 			}
-			prev, seen = got, true
+			v, ok = got, true
 		}
-		if time.Now().After(deadline) {
-			return prev, dials, seen
+		if ctx.Err() != nil || time.Now().After(deadline) {
+			return v, ok
 		}
-		time.Sleep(5 * time.Millisecond)
+		sleep(ctx, 5*time.Millisecond)
 	}
-}
-
-// failEpoch paces a transiently failed epoch to its nominal duration
-// before returning err. The tuner's outage tolerance
-// (MaxTransientFailures) is counted in consecutive epochs; a refused
-// dial fails in milliseconds, so without pacing N failed epochs burn
-// in well under a second and no real outage could be ridden out.
-// Fatal errors return immediately, and so does an interrupt (ctx
-// cancel or Stop) during the pacing wait — then the interrupt error
-// supersedes err, so a cancellation during an outage surfaces within
-// milliseconds instead of after the rest of the epoch.
-func (c *Client) failEpoch(ctx context.Context, runStart time.Time, epoch float64, err error) error {
-	if xfer.IsTransient(err) {
-		if !c.sleep(ctx, time.Until(runStart.Add(time.Duration(epoch*float64(time.Second))))) {
-			return c.interrupted(ctx)
-		}
-	}
-	return err
 }
 
 // takePool detaches the warm stripe pool from the client, giving the
@@ -666,7 +600,7 @@ func (c *Client) takePool() []net.Conn {
 // are closed instead.
 func (c *Client) storePool(conns []net.Conn) {
 	c.mu.Lock()
-	stopped := c.stopped
+	stopped := c.stopped.Err() != nil
 	if !stopped {
 		c.pool = conns
 	}
@@ -675,39 +609,122 @@ func (c *Client) storePool(conns []net.Conn) {
 		for _, conn := range conns {
 			conn.Close()
 		}
-		c.cfg.Obs.SetPool(0)
-		return
+		conns = nil
 	}
 	c.cfg.Obs.SetPool(len(conns))
 }
 
-// closePool tears down the warm stripe pool (ColdStart mode).
-func (c *Client) closePool() {
-	for _, conn := range c.takePool() {
-		conn.Close()
+// dataPlane is the seam between the two wire formats a transfer can
+// use — the bulk stream (DATA, an anonymous byte budget, STAT) and the
+// framed file plane (DATAF, a per-file work queue, MANIFEST, OPEN and
+// FSTAT). They differ in exactly these four places; everything else
+// about an epoch is written once, in Run's phases.
+type dataPlane interface {
+	// verb is the header word a data connection announces itself with.
+	verb() string
+	// arm follows the epoch's START/ADJ with whatever the plane must
+	// have in place on the server before data flows. An error aborts
+	// the epoch.
+	arm(ctx context.Context, e *epoch) error
+	// pump starts the plane's own share of the pump phase and returns
+	// what every stripe goroutine runs — it reports the payload bytes
+	// written and whether the connection is still usable — plus a join
+	// the pump phase calls once every stripe has returned.
+	pump(ctx context.Context, e *epoch) (stripe func(net.Conn) (sent int64, alive bool), join func())
+	// settle turns receiver truth into the epoch's Bytes and Files and
+	// the transfer's remaining budget; sent is what the stripes wrote.
+	settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report)
+}
+
+// epoch is one Run's working state, threaded through its phases.
+type epoch struct {
+	p        xfer.Params
+	began    time.Time     // arm starts here; DeadTime and failed-epoch pacing count from it
+	length   time.Duration // the nominal epoch
+	deadline time.Time     // end of the pump phase
+	rate     float64       // shaped per-connection byte rate; +Inf unshaped
+	cost                   // dials and retries spent so far
+	reused   int           // stripes taken over from the warm pool
+	degraded int           // stripes given up on after retries
+
+	// pool is the stripe set, owned by the epoch from takePool to
+	// storePool; stripes[i] is what pool[i]'s pump goroutine reported
+	// (each goroutine writes only its own slot).
+	pool    []net.Conn
+	stripes []stripeResult
+}
+
+// stripeResult is what one stripe's pump reported: the payload bytes
+// it wrote and whether its connection is still usable.
+type stripeResult struct {
+	sent  int64
+	alive bool
+}
+
+// bulkPlane is the memory-to-memory stream: every stripe drains one
+// shared byte budget, and receiver truth is the token's STAT counter.
+type bulkPlane struct{ c *Client }
+
+// verb: bulk data connections announce themselves with DATA.
+func (bulkPlane) verb() string { return "DATA" }
+
+// arm: START/ADJ is all the bulk stream needs.
+func (bulkPlane) arm(context.Context, *epoch) error { return nil }
+
+// pump hands every stripe the zero pump over the shared byte budget.
+func (b bulkPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64, bool), func()) {
+	return func(conn net.Conn) (int64, bool) {
+		return pump(conn, e.rate, e.deadline, &b.c.remaining, ctx.Done())
+	}, func() {}
+}
+
+// settle reconciles against the server's byte count: bytes written
+// but lost to a reset go back to the budget, late arrivals from a
+// prior epoch are re-claimed.
+func (b bulkPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report) {
+	c := b.c
+	total, ok := pollStable(ctx, func() (int64, error) { return c.serverReceived(ctx, &e.cost) })
+	if !ok {
+		return
+	}
+	c.mu.Lock()
+	prev := c.acked
+	c.acked = total
+	c.mu.Unlock()
+	// A negative delta means the server's counter restarted (idle-token
+	// expiry); keep local accounting for this epoch and resync.
+	if delta := total - prev; delta >= 0 {
+		c.remaining.Add(sent - delta)
+		r.Bytes = float64(delta)
 	}
 }
 
-// Run implements xfer.Transferer. The epoch is wall-clock seconds. A
-// transiently failed epoch (server unreachable, stripe below
-// MinStreams) still consumes its epoch of wall time, so the tuner's
-// consecutive-failure budget maps onto outage duration. Cancelling
-// ctx aborts the epoch promptly at any point — dial backoffs,
-// failed-epoch pacing, or mid-pump — and Run returns the partial
-// epoch's report with its byte accounting reconciled against the
-// server, together with the context's error. A cancelled (not
+// Run implements xfer.Transferer. The epoch is wall-clock seconds,
+// spent in six phases: arm (START cold or ADJ warm on the control
+// connection, then whatever the data plane needs registered),
+// dialDelta (retire surplus stripes, dial the missing ones),
+// pumpEpoch, evict (kernel sample, then dead stripes leave the pool),
+// settle (receiver truth) and report. Report.DeadTime is arm plus
+// dialDelta, retry backoffs included — the restart analog the paper
+// measures. A transiently failed epoch (server unreachable, stripe
+// below MinStreams) still consumes its epoch of wall time, so the
+// tuner's consecutive-failure budget maps onto outage duration.
+// Cancelling ctx aborts the epoch promptly at any point — dial
+// backoffs, failed-epoch pacing, or mid-pump — and Run returns the
+// partial epoch's report with its byte accounting reconciled against
+// the server, together with the context's error. A cancelled (not
 // stopped) client keeps its warm pool, so a resumed session in the
 // same process re-arms without dialing.
-func (c *Client) Run(ctx context.Context, p xfer.Params, epoch float64) (xfer.Report, error) {
-	if err := ctx.Err(); err != nil {
+func (c *Client) Run(caller context.Context, p xfer.Params, epochSecs float64) (xfer.Report, error) {
+	if err := caller.Err(); err != nil {
 		return xfer.Report{}, err
 	}
 	c.mu.Lock()
-	if c.stopped {
+	if c.stopped.Err() != nil {
 		c.mu.Unlock()
 		return xfer.Report{}, xfer.ErrStopped
 	}
-	if epoch <= 0 {
+	if epochSecs <= 0 {
 		c.mu.Unlock()
 		return xfer.Report{}, xfer.ErrBadEpoch
 	}
@@ -720,355 +737,206 @@ func (c *Client) Run(ctx context.Context, p xfer.Params, epoch float64) (xfer.Re
 		c.start = time.Now()
 	}
 	c.runs++
-	run := c.runs
-	startWall := c.cfg.ClockOffset + time.Since(c.start).Seconds()
+	r := xfer.Report{Params: p, Run: c.runs, Start: c.cfg.ClockOffset + time.Since(c.start).Seconds()}
+	c.inRun = true
 	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.inRun = false
+		c.mu.Unlock()
+	}()
 
 	if c.remaining.Load() <= 0 {
-		return xfer.Report{Params: p, Start: startWall, End: startWall, Run: run, Done: true}, nil
+		r.End, r.Done = r.Start, true
+		return r, nil
 	}
 
-	// Setup phase. Cold, this is the restart analog: a START handshake
-	// plus one dial per data connection. Warm, it is an ADJ exchange on
-	// the live control connection plus the stripe-width delta — zero
-	// dials when the stream count is unchanged. Either way its
-	// duration (including retry backoffs) is the epoch's DeadTime.
-	if c.cfg.ColdStart {
-		c.closePool()
-	}
+	// One signal below this line: ctx ends when the caller cancels or
+	// when Stop does, and its cause tells the two apart.
+	ctx, cancel := context.WithCancelCause(caller)
+	defer cancel(nil)
+	unhook := context.AfterFunc(c.stopped, func() { cancel(xfer.ErrStopped) })
+	defer unhook()
+
 	pool := c.takePool()
-	runStart := time.Now()
-	setupStart := runStart
-	n := p.Streams()
-	var dials, retries int
+	if c.cfg.ColdStart {
+		// Stripes a failed epoch left pooled: cold never reuses one.
+		for _, conn := range pool {
+			conn.Close()
+		}
+		pool = nil
+	}
+	e := &epoch{p: p, began: time.Now(), length: time.Duration(epochSecs * float64(time.Second)), pool: pool}
+	err := c.arm(ctx, e)
+	if err == nil {
+		err = c.dialDelta(ctx, e)
+	}
+	if err != nil {
+		return xfer.Report{}, c.abortEpoch(ctx, e, err)
+	}
+	r.DeadTime = time.Since(e.began).Seconds()
+	sent := c.pumpEpoch(ctx, e)
+	r.Kernel = c.evict(e)
+	// Settle under the stop signal alone: a cancelled epoch still
+	// reconciles its partial volume (that is what gets checkpointed),
+	// a stopped one has no server state left to ask about.
+	r.Bytes = float64(sent)
+	c.plane.settle(c.stopped, e, sent, &r)
+	return c.report(r, e), caller.Err()
+}
+
+// arm re-arms the server for the epoch: START when the stripe is cold
+// (the restart analog), ADJ on the live control connection when warm,
+// then the data plane's own preparations.
+func (c *Client) arm(ctx context.Context, e *epoch) error {
 	verb := "ADJ"
-	if len(pool) == 0 {
+	if len(e.pool) == 0 {
 		verb = "START"
 	}
-	_, d, rt, err := c.exchange(ctx, fmt.Sprintf("%s %s %d", verb, c.token, n), "OK")
-	dials += d
-	retries += rt
-	if err != nil {
-		c.storePool(pool)
-		if ierr := c.interrupted(ctx); ierr != nil {
-			return xfer.Report{}, ierr
-		}
-		return xfer.Report{}, c.failEpoch(ctx, runStart, epoch, classify(fmt.Errorf("gridftp: %s: %w", strings.ToLower(verb), err)))
+	if _, err := c.exchange(ctx, &e.cost, fmt.Sprintf("%s %s %d", verb, c.token, e.p.Streams()), "OK"); err != nil {
+		return fmt.Errorf("gridftp: %s: %w", strings.ToLower(verb), err)
 	}
-	// Dataset mode: register the manifest once per session (the server
-	// keeps it under the token until the idle TTL), and rebuild the
-	// work queue from receiver truth when resuming or after losses.
-	if c.fq != nil && !c.manifested {
-		d, rt, merr := c.sendManifest(ctx)
-		dials += d
-		retries += rt
-		if merr != nil {
-			c.storePool(pool)
-			if ierr := c.interrupted(ctx); ierr != nil {
-				return xfer.Report{}, ierr
-			}
-			return xfer.Report{}, c.failEpoch(ctx, runStart, epoch, classify(fmt.Errorf("gridftp: manifest: %w", merr)))
-		}
-		c.manifested = true
+	return c.plane.arm(ctx, e)
+}
+
+// dialDelta brings the stripe to the epoch's width: surplus
+// connections are retired, only the missing ones are dialed, and the
+// rest of the pool is reused as-is. Dials that fail after retries
+// degrade the epoch; below MinStreams it cannot run.
+func (c *Client) dialDelta(ctx context.Context, e *epoch) error {
+	n := e.p.Streams()
+	for len(e.pool) > n {
+		e.pool[len(e.pool)-1].Close()
+		e.pool = e.pool[:len(e.pool)-1]
 	}
-	// The sink request follows the manifest (the server refuses SINK
-	// for an unmanifested token) and is re-sent whenever the manifest
-	// is, so a server restart re-arms persistence too.
-	if c.fq != nil && c.cfg.RequestSink && !c.sinkOK {
-		_, d, rt, serr := c.exchange(ctx, "SINK "+c.token, "OK")
-		dials += d
-		retries += rt
-		if serr != nil {
-			c.storePool(pool)
-			if ierr := c.interrupted(ctx); ierr != nil {
-				return xfer.Report{}, ierr
-			}
-			return xfer.Report{}, c.failEpoch(ctx, runStart, epoch, classify(fmt.Errorf("gridftp: sink: %w", serr)))
-		}
-		c.sinkOK = true
-	}
-	if c.fq != nil && c.needResync {
-		// Quiesced here: no leases are in flight between epochs. A
-		// failed resync is not fatal — the queue keeps its local view
-		// (duplicates are clamped server-side) and a later epoch
-		// retries.
-		d, rerr := c.resyncQueue(ctx)
-		dials += d
-		if rerr == nil {
-			c.needResync = false
-		} else if ierr := c.interrupted(ctx); ierr != nil {
-			c.storePool(pool)
-			return xfer.Report{}, ierr
-		}
-	}
-	// Delta dialing: retire surplus stripes, dial only the missing
-	// ones; the rest of the pool is reused as-is.
-	for len(pool) > n {
-		pool[len(pool)-1].Close()
-		pool = pool[:len(pool)-1]
-	}
-	reused := len(pool)
-	degraded := 0
-	var lastDialErr error
-	for miss := n - len(pool); miss > 0; miss-- {
-		conn, d, rt, err := c.dialData(ctx)
-		dials += d
-		retries += rt
+	e.reused = len(e.pool)
+	var lastErr error
+	for len(e.pool)+e.degraded < n {
+		conn, err := c.dialData(ctx, &e.cost)
 		if err != nil {
-			if ierr := c.interrupted(ctx); ierr != nil {
-				c.storePool(pool)
-				return xfer.Report{}, ierr
+			if ierr := interrupted(ctx); ierr != nil {
+				return ierr
 			}
-			degraded++
-			lastDialErr = err
+			e.degraded++
+			lastErr = err
 			continue
 		}
-		pool = append(pool, conn)
-		c.cfg.Obs.StripeDialed(c.Now(), len(pool))
+		e.pool = append(e.pool, conn)
+		c.cfg.Obs.StripeDialed(c.Now(), len(e.pool))
 	}
-	if len(pool) < c.cfg.MinStreams {
-		// The surviving stripes stay pooled: the next epoch re-dials
-		// only the still-missing delta.
-		c.storePool(pool)
-		if lastDialErr == nil {
-			// No dial failed: the epoch simply asked for fewer streams
-			// than MinStreams. A configuration error, not an outage.
-			return xfer.Report{}, fmt.Errorf("gridftp: epoch uses %d data connections but MinStreams is %d",
-				n, c.cfg.MinStreams)
-		}
-		return xfer.Report{}, c.failEpoch(ctx, runStart, epoch, classify(fmt.Errorf("gridftp: only %d/%d data connections (min %d): %w",
-			len(pool), n, c.cfg.MinStreams, lastDialErr)))
+	switch {
+	case len(e.pool) >= c.cfg.MinStreams:
+		return nil
+	case lastErr == nil:
+		// No dial failed: the epoch simply asked for fewer streams
+		// than MinStreams. A configuration error, not an outage.
+		return fmt.Errorf("gridftp: epoch uses %d data connections but MinStreams is %d", n, c.cfg.MinStreams)
+	default:
+		return fmt.Errorf("gridftp: only %d/%d data connections (min %d): %w", len(e.pool), n, c.cfg.MinStreams, lastErr)
 	}
-	dead := time.Since(setupStart).Seconds()
+}
 
-	// Pump phase, on the streams that survived setup. An interrupt
-	// (ctx cancel or Stop) closes abort — breaking any pacing wait —
-	// and expires every stream's write deadline, so blocked writes
-	// fail immediately and each pump returns its unsent budget.
-	conns := pool
-	deadline := time.Now().Add(time.Duration(epoch * float64(time.Second)))
-	rate := c.cfg.Shaper.perConnRate(len(conns))
-	// Dataset mode: the opener goroutine owns the control connection
-	// for the pump phase, keeping up to pp OPEN requests in flight and
-	// admitting files to the queue as their ACKs return.
-	var (
-		epochCtrl net.Conn
-		epochBr   *bufio.Reader
-	)
-	if c.fq != nil {
-		conn, br, dialed, cerr := c.ctrlConn()
-		if dialed {
-			dials++
-		}
-		if cerr != nil {
-			c.storePool(pool)
-			if ierr := c.interrupted(ctx); ierr != nil {
-				return xfer.Report{}, ierr
-			}
-			return xfer.Report{}, c.failEpoch(ctx, runStart, epoch, classify(fmt.Errorf("gridftp: control: %w", cerr)))
-		}
-		epochCtrl, epochBr = conn, br
+// abortEpoch ends an epoch that cannot reach its pump. The surviving
+// stripes stay pooled, so the next epoch re-dials only the missing
+// delta; an interrupt (ctx cancel or Stop) supersedes err; and a
+// transient failure is paced to the epoch's nominal duration. The
+// tuner's outage tolerance (MaxTransientFailures) is counted in
+// consecutive epochs; a refused dial fails in milliseconds, so without
+// pacing N failed epochs burn in well under a second and no real
+// outage could be ridden out. Fatal errors return immediately, and so
+// does an interrupt during the pacing wait, so a cancellation during
+// an outage surfaces within milliseconds instead of after the rest of
+// the epoch.
+func (c *Client) abortEpoch(ctx context.Context, e *epoch, err error) error {
+	c.storePool(e.pool)
+	if err = classify(err); xfer.IsTransient(err) {
+		sleep(ctx, time.Until(e.began.Add(e.length)))
 	}
-	abort := make(chan struct{})
-	unwatched := make(chan struct{})
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		select {
-		case <-ctx.Done():
-		case <-c.stopCh:
-		case <-unwatched:
-			return
-		}
-		close(abort)
+	if ierr := interrupted(ctx); ierr != nil {
+		return ierr
+	}
+	return err
+}
+
+// pumpEpoch runs the data plane's pump on every stripe until the epoch
+// deadline and returns the bytes written. An interrupt (ctx cancel or
+// Stop) expires every stream's write deadline, so blocked writes fail
+// immediately and each pump returns its unsent budget.
+func (c *Client) pumpEpoch(ctx context.Context, e *epoch) (sent int64) {
+	e.deadline = time.Now().Add(e.length)
+	e.rate = c.cfg.Shaper.perConnRate(len(e.pool))
+	e.stripes = make([]stripeResult, len(e.pool))
+	stripe, join := c.plane.pump(ctx, e)
+	unwatch := onAbort(ctx, func() {
 		now := time.Now()
-		for _, conn := range conns {
+		for _, conn := range e.pool {
 			conn.SetWriteDeadline(now)
 		}
-		if epochCtrl != nil {
-			// Unblock the opener's ACK read too.
-			epochCtrl.SetReadDeadline(now)
-		}
-	}()
-	// Each pump accumulates into goroutine-local state merged once
-	// after wg.Wait — no adjacent shared counters for the streams to
-	// false-share per chunk.
-	var (
-		wg        sync.WaitGroup
-		mergeMu   sync.Mutex
-		local     int64
-		deadIdx   map[int]bool
-		firstByte atomic.Int64
-		sysCalls  atomic.Int64
-		openDone  chan struct{}
-	)
-	if c.fq != nil {
-		openDone = make(chan struct{})
-		go func() {
-			defer close(openDone)
-			c.opener(epochCtrl, epochBr, c.fq, p.Pipelining(), deadline, abort, &sysCalls)
-		}()
-	}
-	for i, conn := range conns {
+	})
+	var wg sync.WaitGroup
+	for i, conn := range e.pool {
 		wg.Add(1)
 		go func(i int, conn net.Conn) {
 			defer wg.Done()
-			conn.SetWriteDeadline(deadline.Add(time.Second))
-			var sent int64
-			var alive bool
-			if c.fq != nil {
-				pio := c.newPumpIO(conn)
-				sent, alive = filePump(conn, c.fq, pio, rate, deadline, abort, &firstByte, runStart)
-				sysCalls.Add(pio.syscalls())
-			} else {
-				sent, alive = pump(conn, rate, deadline, &c.remaining, abort)
-			}
-			mergeMu.Lock()
-			local += sent
-			if !alive {
-				if deadIdx == nil {
-					deadIdx = make(map[int]bool)
-				}
-				deadIdx[i] = true
-			}
-			mergeMu.Unlock()
+			conn.SetWriteDeadline(e.deadline.Add(time.Second))
+			s := &e.stripes[i]
+			s.sent, s.alive = stripe(conn)
 		}(i, conn)
 	}
 	wg.Wait()
-	// Join the opener before releasing the watchdog: its ACK drain is
-	// bounded by the read deadline, and the control connection must be
-	// quiet again before the reconciliation exchanges below.
-	if openDone != nil {
-		<-openDone
+	join()
+	// Released (and, if it fired, finished) before evict compacts the
+	// pool slice the watchdog walks.
+	unwatch()
+	for _, s := range e.stripes {
+		sent += s.sent
 	}
-	close(unwatched)
-	// Join the watchdog before touching conns again: an already-fired
-	// watchdog may still be walking the slice whose backing array the
-	// eviction below compacts in place.
-	<-watchDone
+	return sent
+}
 
-	// Sample kernel TCP state off the surviving stripes at the epoch
-	// boundary — before eviction or a ColdStart teardown closes them.
-	var kernel *xfer.KernelStats
+// evict samples kernel TCP state off the surviving stripes at the
+// epoch boundary, then closes the dead ones; the survivors stay warm
+// for the next epoch. ColdStart closes them all — the paper's
+// per-epoch restart.
+func (c *Client) evict(e *epoch) (kernel *xfer.KernelStats) {
 	if c.cfg.TCPInfo {
-		kernel = c.sampleKernel(conns, deadIdx)
+		kernel = c.sampleKernel(e)
 	}
-
-	// Evict dead stripes; the survivors stay warm for the next epoch
-	// (unless ColdStart tears the stripe down per epoch, the paper's
-	// restart behavior).
-	if c.cfg.ColdStart {
-		for _, conn := range conns {
+	alive := e.pool[:0]
+	for i, conn := range e.pool {
+		switch {
+		case c.cfg.ColdStart:
 			conn.Close()
-		}
-		c.storePool(nil)
-	} else {
-		alive := conns[:0]
-		for i, conn := range conns {
-			if deadIdx[i] {
-				conn.Close()
-				if c.cfg.Obs != nil {
-					c.cfg.Obs.StripeEvicted(c.Now(), fmt.Sprintf("stripe %d dead after pump", i))
-				}
-				continue
+		case !e.stripes[i].alive:
+			conn.Close()
+			if c.cfg.Obs != nil {
+				c.cfg.Obs.StripeEvicted(c.Now(), fmt.Sprintf("stripe %d dead after pump", i))
 			}
+		default:
 			alive = append(alive, conn)
 		}
-		c.storePool(alive)
 	}
+	c.storePool(alive)
+	return kernel
+}
 
-	bytes := float64(local)
-	filesDone := 0
-	// Reconcile against receiver truth: the epoch's volume is what the
-	// server counted, not what sits in kernel socket buffers; bytes
-	// written but lost to a reset go back to the budget, late arrivals
-	// from a prior epoch are re-claimed. This also settles the exact
-	// accounting an interrupted epoch checkpoints. In dataset mode the
-	// receiver truth is per-file: the server's duplicate-free byte
-	// total (resends past a file's size count toward nothing) and its
-	// completed-file count.
-	if c.fq != nil {
-		done, useful, d, ok := c.reconcileFiles()
-		dials += d
-		if ok {
-			c.mu.Lock()
-			prev := c.acked
-			if useful >= prev {
-				c.acked = useful
-			}
-			c.mu.Unlock()
-			if delta := useful - prev; delta >= 0 {
-				bytes = float64(delta)
-				c.remaining.Store(c.datasetBytes - useful)
-			} else {
-				// The server lost the token's file table (idle-TTL
-				// expiry or restart): re-register the manifest — and
-				// re-request the sink — and resync the queue next epoch.
-				c.manifested = false
-				c.sinkOK = false
-				c.needResync = true
-			}
-			if done >= c.lastDone {
-				filesDone = done - c.lastDone
-			}
-			c.lastDone = done
-			if done < len(c.fq.sizes) && c.fq.drained() {
-				// Every byte was leased but the server still misses
-				// some (lost in dead stripes' socket buffers): requeue
-				// the deficits from receiver truth next epoch.
-				c.needResync = true
-			}
-		}
-	} else {
-		total, d, ok := c.reconcile()
-		dials += d
-		if ok {
-			c.mu.Lock()
-			prev := c.acked
-			c.acked = total
-			c.mu.Unlock()
-			if delta := total - prev; delta >= 0 {
-				c.remaining.Add(local - delta)
-				bytes = float64(delta)
-			}
-			// delta < 0 means the server's counter restarted (idle-token
-			// expiry); keep local accounting for this epoch and resync.
-		}
-	}
-
-	endWall := c.cfg.ClockOffset + time.Since(c.start).Seconds()
-	elapsed := endWall - startWall
-	r := xfer.Report{
-		Params:          p,
-		Start:           startWall,
-		End:             endWall,
-		Bytes:           bytes,
-		DeadTime:        dead,
-		DegradedStreams: degraded,
-		Retries:         retries,
-		Dials:           dials,
-		ReusedStreams:   reused,
-		Run:             run,
-		Files:           filesDone,
-		Kernel:          kernel,
-		Done:            c.remaining.Load() <= 0,
-	}
-	if fb := firstByte.Load(); fb > 0 {
-		r.FirstByteLag = time.Duration(fb).Seconds()
-	}
-	if n := sysCalls.Load(); n > 0 {
-		r.Syscalls = n
-	}
+// report closes the epoch's books: the clock, the setup tallies, and
+// the two throughputs.
+func (c *Client) report(r xfer.Report, e *epoch) xfer.Report {
+	r.End = c.cfg.ClockOffset + time.Since(c.start).Seconds()
+	r.DegradedStreams = e.degraded
+	r.Retries = e.retries
+	r.Dials = e.dials
+	r.ReusedStreams = e.reused
+	r.Done = c.remaining.Load() <= 0
+	elapsed := r.End - r.Start
 	if elapsed > 0 {
 		r.Throughput = r.Bytes / elapsed
 	}
-	if live := elapsed - dead; live > 0 {
+	if live := elapsed - r.DeadTime; live > 0 {
 		r.BestCase = r.Bytes / live
 	}
-	if err := ctx.Err(); err != nil {
-		return r, err
-	}
-	return r, nil
+	return r
 }
 
 // sampleKernel reads TCP_INFO off every surviving data connection and
@@ -1078,12 +946,12 @@ func (c *Client) Run(ctx context.Context, p xfer.Params, epoch float64) (xfer.Re
 // (stripe eviction or redial resets a counter). Returns nil when no
 // connection yields a sample (non-Linux builds, wrapped connections),
 // so reports stay byte-identical where the sampler cannot run.
-func (c *Client) sampleKernel(conns []net.Conn, deadIdx map[int]bool) *xfer.KernelStats {
+func (c *Client) sampleKernel(e *epoch) *xfer.KernelStats {
 	var ks xfer.KernelStats
 	var total int64
 	now := c.Now()
-	for i, conn := range conns {
-		if deadIdx[i] {
+	for i, conn := range e.pool {
+		if !e.stripes[i].alive {
 			continue
 		}
 		info, ok := tcpinfo.Sample(conn)

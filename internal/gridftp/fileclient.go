@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"dstune/internal/dataset"
+	"dstune/internal/xfer"
 )
 
 // errProtocolf wraps ErrProtocol with a formatted detail message.
@@ -230,13 +231,13 @@ type pumpIO struct {
 }
 
 // newPumpIO builds conn's pump context: zero-copy engages only when
-// the build supports it, the config allows it, a file source exists,
-// and the connection is an unwrapped *net.TCPConn (fault-injecting
-// wrappers fall back to the userspace path automatically).
-func (c *Client) newPumpIO(conn net.Conn) *pumpIO {
-	pio := &pumpIO{src: newStripeSource(c.src)}
+// the build supports it, a file source exists, and the connection is
+// an unwrapped *net.TCPConn (fault-injecting wrappers fall back to the
+// userspace path automatically).
+func (f *framedPlane) newPumpIO(conn net.Conn) *pumpIO {
+	pio := &pumpIO{src: newStripeSource(f.src)}
 	pio.tcp, _ = conn.(*net.TCPConn)
-	pio.zc = zeroCopyAvailable && !c.cfg.NoZeroCopy && pio.src != nil && pio.tcp != nil
+	pio.zc = zeroCopyAvailable && !f.userspace && pio.src != nil && pio.tcp != nil
 	return pio
 }
 
@@ -260,8 +261,9 @@ func markFirstByte(firstByte *atomic.Int64, sent int64, start time.Time) {
 	}
 }
 
-// pace enforces token-bucket pacing on a stripe's cumulative volume —
-// across frames, so single-chunk small files are paced too. The sleep
+// pace enforces token-bucket pacing on a stripe's cumulative volume,
+// for both pumps — across frames on the file plane, so single-chunk
+// small files are paced too. The sleep
 // is clamped to the epoch's remainder (a frame still open at the
 // deadline finishes unpaced) and watches for an abort so a cancelled
 // epoch is not held up: the watchdog has expired the write deadline,
@@ -441,31 +443,134 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 	}
 }
 
+// framedPlane is the dataset-aware data plane: stripes pull
+// (file, offset, length) leases from a work queue and send them as
+// FILE frames, an opener pipelines the per-file OPEN handshakes on the
+// control connection, and receiver truth is the server's per-file
+// table (FSTAT, and RESYNC to rebuild the queue from it). Mutated only
+// by Run and NewClient — never concurrently.
+type framedPlane struct {
+	c            *Client
+	q            *fileQueue
+	src          *fileSource // file-backed payload (SourceDir); nil synthesizes zeros
+	userspace    bool        // tests only: keep file-backed leases off sendfile(2), the reference path
+	datasetBytes int64       // total payload bytes across the dataset
+	manifested   bool        // MANIFEST registered on the server
+	sinkOK       bool        // SINK accepted by the server this session
+	needResync   bool        // queue must resync against server counters
+	lastDone     int         // server's completed-file count last settle
+	gotScratch   []int64     // reusable RESYNC parse buffer
+
+	// Per epoch: the control connection arm secured for the opener,
+	// and what the stripes tally for the report.
+	ctrl      net.Conn
+	ctrlR     *bufio.Reader
+	firstByte atomic.Int64 // nanoseconds from epoch start to the first payload byte
+	sysCalls  atomic.Int64 // data-plane syscalls issued
+}
+
+// newFramedPlane builds c's file plane from its Dataset and SourceDir.
+func newFramedPlane(c *Client) (*framedPlane, error) {
+	f := &framedPlane{
+		c:            c,
+		q:            newFileQueue(c.cfg.Dataset),
+		datasetBytes: c.cfg.Dataset.TotalBytes(),
+		// A resumed transfer rebuilds its work queue from the server's
+		// per-file counters before the first pump, restarting at
+		// file/offset granularity.
+		needResync: c.cfg.AckedBytes > 0,
+	}
+	if c.cfg.SourceDir != "" {
+		var err error
+		if f.src, err = newFileSource(c.cfg.SourceDir, c.cfg.Dataset); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// verb: framed data connections announce themselves with DATAF.
+func (*framedPlane) verb() string { return "DATAF" }
+
+// arm registers the manifest once per session (the server keeps it
+// under the token until the idle TTL), requests the sink after it (the
+// server refuses SINK for an unmanifested token; both are re-sent
+// together, so a server restart re-arms persistence too), rebuilds the
+// work queue from receiver truth when resuming or after losses, and
+// secures the control connection the opener will own during the pump.
+func (f *framedPlane) arm(ctx context.Context, e *epoch) error {
+	c := f.c
+	if !f.manifested {
+		if _, err := c.exchange(ctx, &e.cost, f.manifest(), "OK"); err != nil {
+			return fmt.Errorf("gridftp: manifest: %w", err)
+		}
+		f.manifested = true
+	}
+	if c.cfg.RequestSink && !f.sinkOK {
+		if _, err := c.exchange(ctx, &e.cost, "SINK "+c.token, "OK"); err != nil {
+			return fmt.Errorf("gridftp: sink: %w", err)
+		}
+		f.sinkOK = true
+	}
+	if f.needResync {
+		// Quiesced here: no leases are in flight between epochs. A
+		// failed resync is not fatal — the queue keeps its local view
+		// (duplicates are clamped server-side) and a later epoch
+		// retries.
+		if err := f.resync(ctx, e); err == nil {
+			f.needResync = false
+		} else if ierr := interrupted(ctx); ierr != nil {
+			return ierr
+		}
+	}
+	var err error
+	if f.ctrl, f.ctrlR, err = c.ctrlConn(&e.cost); err != nil {
+		return fmt.Errorf("gridftp: control: %w", err)
+	}
+	return nil
+}
+
+// pump starts the opener and hands every stripe a filePump over the
+// shared queue; join waits for the opener's ACK drain (bounded by its
+// read deadline), so the control connection is quiet again before
+// settle's exchanges.
+func (f *framedPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64, bool), func()) {
+	f.firstByte.Store(0)
+	f.sysCalls.Store(0)
+	opened := make(chan struct{})
+	go func() {
+		defer close(opened)
+		f.opener(ctx, e)
+	}()
+	return func(conn net.Conn) (int64, bool) {
+		pio := f.newPumpIO(conn)
+		sent, alive := filePump(conn, f.q, pio, e.rate, e.deadline, ctx.Done(), &f.firstByte, e.began)
+		f.sysCalls.Add(pio.syscalls())
+		return sent, alive
+	}, func() { <-opened }
+}
+
 // opener owns the control connection for the pump phase of a dataset
 // epoch: it keeps up to pp OPEN requests in flight, admits each file
 // to the work queue as its ACK returns, and drains every outstanding
 // ACK before returning so the connection is clean for the FSTAT
-// reconciliation that follows. A read or write failure poisons the
-// control connection (the next exchange re-dials); un-ACKed files
-// simply stay unadmitted for a later epoch. Each refill round batches
-// its OPEN lines into a single write — pp-deep pipelining costs one
-// syscall per ACK round trip, not pp — tallied into calls.
-func (c *Client) opener(conn net.Conn, br *bufio.Reader, q *fileQueue, pp int, deadline time.Time, abort <-chan struct{}, calls *atomic.Int64) {
-	if pp < 1 {
-		pp = 1
-	}
-	conn.SetReadDeadline(deadline.Add(ackSlack))
+// exchanges that follow. A read or write failure poisons the control
+// connection (the next exchange re-dials); un-ACKed files simply stay
+// unadmitted for a later epoch. Each refill round batches its OPEN
+// lines into a single write — pp-deep pipelining costs one syscall per
+// ACK round trip, not pp — tallied into the epoch's syscalls.
+func (f *framedPlane) opener(ctx context.Context, e *epoch) {
+	conn, br, q := f.ctrl, f.ctrlR, f.q
+	pp := max(e.p.Pipelining(), 1)
+	conn.SetReadDeadline(e.deadline.Add(ackSlack))
 	defer conn.SetReadDeadline(time.Time{})
+	// An interrupt must not wait out the ACK read.
+	unwatch := onAbort(ctx, func() { conn.SetReadDeadline(time.Now()) })
+	defer unwatch()
 	batch := make([]byte, 0, 512)
 	inflight := 0
-	for {
-		select {
-		case <-abort:
-			return
-		default:
-		}
-		stopping := time.Now().After(deadline)
-		if !stopping {
+	for ctx.Err() == nil {
+		if !time.Now().After(e.deadline) {
 			batch = batch[:0]
 			for inflight < pp {
 				idx, ok := q.nextToOpen()
@@ -473,7 +578,7 @@ func (c *Client) opener(conn net.Conn, br *bufio.Reader, q *fileQueue, pp int, d
 					break
 				}
 				batch = append(batch, "OPEN "...)
-				batch = append(batch, c.token...)
+				batch = append(batch, f.c.token...)
 				batch = append(batch, ' ')
 				batch = strconv.AppendInt(batch, int64(idx), 10)
 				batch = append(batch, '\n')
@@ -481,28 +586,20 @@ func (c *Client) opener(conn net.Conn, br *bufio.Reader, q *fileQueue, pp int, d
 			}
 			if len(batch) > 0 {
 				if _, err := conn.Write(batch); err != nil {
-					c.dropCtrl(conn)
+					f.c.dropCtrl(conn)
 					return
 				}
-				calls.Add(1)
+				f.sysCalls.Add(1)
 			}
 		}
 		if inflight == 0 {
 			return
 		}
 		resp, err := readLine(br)
-		if err != nil {
-			c.dropCtrl(conn)
-			return
-		}
 		rest, ok := strings.CutPrefix(resp, "ACK ")
-		if !ok {
-			c.dropCtrl(conn)
-			return
-		}
-		idx, err := strconv.Atoi(rest)
-		if err != nil {
-			c.dropCtrl(conn)
+		idx, aerr := strconv.Atoi(rest)
+		if err != nil || !ok || aerr != nil {
+			f.c.dropCtrl(conn)
 			return
 		}
 		q.admit(idx)
@@ -510,158 +607,130 @@ func (c *Client) opener(conn net.Conn, br *bufio.Reader, q *fileQueue, pp int, d
 	}
 }
 
-// sendManifest registers the dataset under the client's token: the
-// MANIFEST header and one size line per file, sent as a single
-// exchange on the persistent control connection (the server answers
-// OK after the last line). Idempotent — a re-sent manifest of the
-// same shape keeps the server's progress.
-func (c *Client) sendManifest(ctx context.Context) (dials, retries int, err error) {
+// manifest renders the MANIFEST command that registers the dataset
+// under the client's token: the header and one size line per file,
+// sent as a single exchange (the server answers OK after the last
+// line). Idempotent — a re-sent manifest of the same shape keeps the
+// server's progress.
+func (f *framedPlane) manifest() string {
 	var sb strings.Builder
-	sb.Grow(len(c.fq.sizes)*8 + 64)
+	sb.Grow(len(f.q.sizes)*8 + 64)
 	sb.WriteString("MANIFEST ")
-	sb.WriteString(c.token)
+	sb.WriteString(f.c.token)
 	sb.WriteByte(' ')
-	sb.WriteString(strconv.Itoa(len(c.fq.sizes)))
-	for _, sz := range c.fq.sizes {
+	sb.WriteString(strconv.Itoa(len(f.q.sizes)))
+	for _, sz := range f.q.sizes {
 		sb.WriteByte('\n')
 		sb.WriteString(strconv.FormatInt(sz, 10))
 	}
-	_, dials, retries, err = c.exchange(ctx, sb.String(), "OK")
-	return dials, retries, err
+	return sb.String()
 }
 
-// fstatFiles asks the server for the token's per-file aggregate: the
+// fileTruth is the server's aggregate for a token's file table: the
 // completed-file count and the duplicate-free received bytes.
-func (c *Client) fstatFiles(ctx context.Context) (done int, useful int64, dials int, err error) {
-	resp, dials, _, err := c.exchange(ctx, "FSTAT "+c.token, "FILES ")
+type fileTruth struct {
+	done   int
+	useful int64
+}
+
+// fstat asks the server for the token's per-file aggregate.
+func (f *framedPlane) fstat(ctx context.Context, t *cost) (ft fileTruth, err error) {
+	resp, err := f.c.exchange(ctx, t, "FSTAT "+f.c.token, "FILES ")
 	if err != nil {
-		return 0, 0, dials, err
+		return ft, err
 	}
 	fields := strings.Fields(resp)
 	if len(fields) != 3 {
-		return 0, 0, dials, errProtocolf("bad FSTAT response %q", resp)
+		return ft, errProtocolf("bad FSTAT response %q", resp)
 	}
 	done, err1 := strconv.Atoi(fields[1])
 	useful, err2 := strconv.ParseInt(fields[2], 10, 64)
 	if err1 != nil || err2 != nil {
-		return 0, 0, dials, errProtocolf("bad FSTAT response %q", resp)
+		return ft, errProtocolf("bad FSTAT response %q", resp)
 	}
-	return done, useful, dials, nil
+	return fileTruth{done, useful}, nil
 }
 
-// reconcileFiles polls the server's per-file aggregate until two
-// consecutive reads agree (the kernel buffers have drained) or a
-// short deadline passes. Mirrors reconcile for the framed data plane.
-func (c *Client) reconcileFiles() (done int, useful int64, dials int, ok bool) {
-	deadline := time.Now().Add(500 * time.Millisecond)
-	prevDone, prevUseful := -1, int64(-1)
-	seen := false
-	for {
-		d, u, dl, err := c.fstatFiles(context.Background())
-		dials += dl
-		if err == nil {
-			if seen && d == prevDone && u == prevUseful {
-				return d, u, dials, true
-			}
-			prevDone, prevUseful, seen = d, u, true
-		}
-		if time.Now().After(deadline) {
-			return prevDone, prevUseful, dials, seen
-		}
-		time.Sleep(5 * time.Millisecond)
+// settle reconciles against per-file receiver truth: the epoch's
+// volume is the growth of the server's duplicate-free byte total
+// (resends past a file's size count toward nothing), its files the
+// growth of the completed-file count.
+func (f *framedPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report) {
+	r.FirstByteLag = time.Duration(f.firstByte.Load()).Seconds()
+	r.Syscalls = f.sysCalls.Load()
+	truth, ok := pollStable(ctx, func() (fileTruth, error) { return f.fstat(ctx, &e.cost) })
+	if !ok {
+		return
+	}
+	c := f.c
+	c.mu.Lock()
+	prev := c.acked
+	if truth.useful >= prev {
+		c.acked = truth.useful
+	}
+	c.mu.Unlock()
+	if delta := truth.useful - prev; delta >= 0 {
+		r.Bytes = float64(delta)
+		c.remaining.Store(f.datasetBytes - truth.useful)
+	} else {
+		// The server lost the token's file table (idle-TTL expiry or
+		// restart): re-register the manifest — and re-request the sink
+		// — and resync the queue next epoch.
+		f.manifested, f.sinkOK, f.needResync = false, false, true
+	}
+	if truth.done >= f.lastDone {
+		r.Files = truth.done - f.lastDone
+	}
+	f.lastDone = truth.done
+	if truth.done < len(f.q.sizes) && f.q.drained() {
+		// Every byte was leased but the server still misses some (lost
+		// in dead stripes' socket buffers): requeue the deficits from
+		// receiver truth next epoch.
+		f.needResync = true
 	}
 }
 
-// resyncQueue rebuilds the work queue from the server's per-file
-// received counts (the RESYNC exchange): lost bytes are requeued,
+// resync rebuilds the work queue from the server's per-file received
+// counts (the RESYNC exchange): lost bytes are requeued,
 // already-received bytes are dropped, and resume restarts at
 // file/offset granularity. Must only run quiesced (no leases in
-// flight). Failure is not fatal — the queue keeps its local view and
-// a later epoch retries.
-func (c *Client) resyncQueue(ctx context.Context) (dials int, err error) {
-	for k := 0; k < c.cfg.Retry.Attempts; k++ {
-		if k > 0 {
-			if !c.sleep(ctx, c.backoff(k)) {
-				return dials, err
-			}
-		}
-		if ierr := c.interrupted(ctx); ierr != nil {
-			return dials, ierr
-		}
-		var conn net.Conn
-		var br *bufio.Reader
-		var dialed bool
-		conn, br, dialed, err = c.ctrlConn()
-		if dialed {
-			dials++
-		}
-		if err != nil {
-			if transientNetErr(err) {
-				continue
-			}
-			return dials, err
-		}
-		conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-		if _, err = conn.Write(append([]byte("RESYNC "+c.token), '\n')); err != nil {
-			c.dropCtrl(conn)
-			if transientNetErr(err) {
-				continue
-			}
-			return dials, err
-		}
-		if c.gotScratch == nil {
-			c.gotScratch = make([]int64, len(c.fq.sizes))
-		}
-		got := c.gotScratch
-		for i := range got {
-			got[i] = 0
-		}
-		bad := false
+// flight).
+func (f *framedPlane) resync(ctx context.Context, e *epoch) error {
+	if f.gotScratch == nil {
+		f.gotScratch = make([]int64, len(f.q.sizes))
+	}
+	got := f.gotScratch
+	err := f.c.roundTrip(ctx, &e.cost, "RESYNC "+f.c.token, func(br *bufio.Reader) error {
+		clear(got)
 		for {
-			var line string
-			line, err = readLine(br)
-			if err != nil {
-				break
-			}
-			if line == "END" {
-				break
+			line, err := readLine(br)
+			if err != nil || line == "END" {
+				return err
 			}
 			fields := strings.Fields(line)
 			if len(fields) != 3 || fields[0] != "F" {
-				bad = true
-				break
+				return errProtocolf("bad RESYNC response")
 			}
 			idx, err1 := strconv.Atoi(fields[1])
 			g, err2 := strconv.ParseInt(fields[2], 10, 64)
 			if err1 != nil || err2 != nil || idx < 0 || idx >= len(got) || g < 0 {
-				bad = true
-				break
+				return errProtocolf("bad RESYNC response")
 			}
 			got[idx] = g
 		}
-		if err != nil || bad {
-			c.dropCtrl(conn)
-			if bad {
-				return dials, errProtocolf("bad RESYNC response")
-			}
-			if transientNetErr(err) {
-				continue
-			}
-			return dials, err
-		}
-		conn.SetDeadline(time.Time{})
-		c.fq.applyServer(got)
-		// Re-baseline the completed-file delta at the server's current
-		// count, so files finished before this session (or already
-		// reconciled) are not reported again as this epoch's progress.
-		done := 0
-		for i, g := range got {
-			if g >= c.fq.sizes[i] {
-				done++
-			}
-		}
-		c.lastDone = done
-		return dials, nil
+	})
+	if err != nil {
+		return err
 	}
-	return dials, err
+	f.q.applyServer(got)
+	// Re-baseline the completed-file delta at the server's current
+	// count, so files finished before this session (or already
+	// reconciled) are not reported again as this epoch's progress.
+	f.lastDone = 0
+	for i, g := range got {
+		if g >= f.q.sizes[i] {
+			f.lastDone++
+		}
+	}
+	return nil
 }

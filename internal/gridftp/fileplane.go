@@ -125,14 +125,10 @@ func (s *Server) SetFileLatency(d time.Duration) { s.fileLatency.Store(int64(d))
 // fileTableFor returns the token's file table, or nil when no
 // MANIFEST registered one.
 func (s *Server) fileTableFor(token string) *fileTable {
-	s.mu.Lock()
-	tc, ok := s.received[token]
-	s.mu.Unlock()
-	if !ok {
-		return nil
+	if tc := s.lookup(token); tc != nil {
+		return tc.files.Load()
 	}
-	tc.touch()
-	return tc.files.Load()
+	return nil
 }
 
 // registerManifest installs the file table for token. A re-sent
@@ -411,13 +407,16 @@ func (s *Server) serveResync(w io.Writer, fields []string) bool {
 // serveDataFramed discards a framed data stream: FILE <idx> <off>
 // <len> headers each followed by exactly len payload bytes, credited
 // to both the token's aggregate counter (so STAT keeps working) and
-// its per-file table. A malformed or out-of-manifest frame drops the
-// connection; bytes that arrived before the corruption stay counted,
-// and other tokens' tables are untouched. A truncated final frame
-// (stripe killed mid-file) credits what arrived — the client resends
-// the deficit after reconciling.
+// its per-file table. An unknown token, or a malformed or
+// out-of-manifest frame, drops the connection; bytes that arrived
+// before the corruption stay counted, and other tokens' tables are
+// untouched. A truncated final frame (stripe killed mid-file) credits
+// what arrived — the client resends the deficit after reconciling.
 func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) {
-	tc := s.counter(token)
+	tc := s.lookup(token)
+	if tc == nil {
+		return
+	}
 	m := s.metrics.Load()
 	bufp := fileDrainPool.Get().(*[]byte)
 	defer fileDrainPool.Put(bufp)
@@ -469,7 +468,7 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 					tc.n.Add(k)
 					m.AddBytes(k)
 					ft.add(idx, k)
-					s.touchToken(tc)
+					tc.touch()
 				})
 				if ok {
 					if terr != nil {
@@ -508,7 +507,7 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 				if ft.add(idx, int64(n)) && sink != nil {
 					sink.closeIdx(idx)
 				}
-				s.touchToken(tc)
+				tc.touch()
 			}
 			if err != nil {
 				return

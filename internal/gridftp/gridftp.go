@@ -32,15 +32,27 @@
 //	MANIFEST <token> <count>\n     (then <count> size lines)
 //	<size>\n ...
 //	                               OK\n
+//	SINK <token>\n                 (persist payloads under the server's
+//	                               OK\n            sink directory; optional)
 //	OPEN <token> <idx>\n           (<= pp in flight; ACK arrives
 //	                               ACK <idx>\n     after the per-file latency)
-//	FSTAT <token> <idx>\n
-//	                               FILE <idx> <got> <size>\n
-//	RESYNC <token>\n               (full per-file progress dump)
-//	                               FILES <count>\n  <idx> <got>\n ...
+//	FSTAT <token>\n                (aggregate receiver truth)
+//	                               FILES <done> <useful>\n
+//	FSTAT <token> <idx>\n          (one file's raw received bytes)
+//	                               BYTES <got>\n
+//	RESYNC <token>\n               (per-file progress dump: one line
+//	                               F <idx> <got>\n ...  per file with bytes)
+//	                               END\n
 //	------ data connections --------------------
 //	DATAF <token>\n
 //	FILE <idx> <off> <len>\n<len payload bytes>  (repeated frames)
+//
+// START, ADJ and MANIFEST are the only verbs that create a token on
+// the server. Data connections (DATA, DATAF) only look theirs up and
+// are dropped when it is unknown, so a stripe whose header arrives
+// after CLOSE cannot resurrect a released counter; every epoch sends
+// START or ADJ before it dials, which also re-creates a token the
+// idle TTL expired.
 //
 // The server credits each file with min(received, size) so duplicate
 // retransmissions never inflate goodput, and an epoch's Report.Bytes
@@ -207,6 +219,21 @@ func classify(err error) error {
 	return err
 }
 
+// setSockBuf sizes conn's kernel socket buffers to n bytes; n <= 0
+// keeps the OS default. Wrapped connections (fault injectors) that do
+// not expose the setters are left alone.
+func setSockBuf(conn net.Conn, n int) {
+	if n <= 0 {
+		return
+	}
+	if rb, ok := conn.(interface{ SetReadBuffer(int) error }); ok {
+		rb.SetReadBuffer(n)
+	}
+	if wb, ok := conn.(interface{ SetWriteBuffer(int) error }); ok {
+		wb.SetWriteBuffer(n)
+	}
+}
+
 // lease claims up to quantum bytes from the shared budget with a
 // single CAS; it returns 0 when the budget is exhausted.
 func lease(budget *atomic.Int64, quantum int64) int64 {
@@ -281,26 +308,8 @@ func pump(w io.Writer, rate float64, deadline time.Time, budget *atomic.Int64, a
 			var ne net.Error
 			return sent, errors.As(err, &ne) && ne.Timeout()
 		}
-		// Token-bucket pacing: sleep off any rate debt, watching for
-		// an abort so a cancelled epoch is not held up by pacing.
 		if shaped {
-			due := time.Duration(float64(sent) / rate * float64(time.Second))
-			elapsed := time.Since(start)
-			if due > elapsed {
-				sleep := due - elapsed
-				if remain := time.Until(deadline); sleep > remain {
-					sleep = remain
-				}
-				if sleep > 0 {
-					t := time.NewTimer(sleep)
-					select {
-					case <-abort:
-						t.Stop()
-						return sent, true
-					case <-t.C:
-					}
-				}
-			}
+			pace(rate, sent, start, deadline, abort)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package gridftp
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"syscall"
@@ -567,6 +569,56 @@ func TestStopReleasesServerToken(t *testing.T) {
 			t.Fatalf("Tokens = %d after Stop, want 0", s.Tokens())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestStopReleasesTokenDuringOutage: Stop's CLOSE rides the idle
+// control connection, so the token is released even when no new
+// connection can be dialed (under the 20 % dial refusals of
+// TestTunedTransferSurvivesInjectedFaults, three fresh dials all failed
+// once in ~125 runs and left the counter to the janitor).
+func TestStopReleasesTokenDuringOutage(t *testing.T) {
+	s := startServer(t)
+	d := &trackDialer{}
+	c, err := NewClient(ClientConfig{Addr: s.Addr(), Bytes: xfer.Unbounded, Shaper: &Shaper{Rate: 4e6}, Dialer: d.Dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(context.Background(), xfer.Params{NC: 1, NP: 1}, 0.05); err != nil {
+		t.Fatal(err)
+	}
+	d.setRefuse(true)
+	c.Stop()
+	if n := s.Tokens(); n != 0 {
+		t.Fatalf("Tokens = %d after Stop during an outage, want 0", n)
+	}
+}
+
+// TestDataConnectionCannotResurrectToken: only START, ADJ and MANIFEST
+// create a token. A data connection whose header is parsed after the
+// token's CLOSE — a stripe dialed while Stop was in flight — must be
+// dropped, not re-create a counter that nobody will ever release.
+func TestDataConnectionCannotResurrectToken(t *testing.T) {
+	for _, verb := range []string{"DATA", "DATAF"} {
+		t.Run(verb, func(t *testing.T) {
+			s := startServer(t)
+			ctrl, br := dialCtrl(t, s)
+			roundTrip(t, ctrl, br, "START tok 1", "OK")
+			roundTrip(t, ctrl, br, "CLOSE tok", "OK")
+			data, _ := dialCtrl(t, s)
+			if _, err := fmt.Fprintf(data, "%s tok\n%s", verb, make([]byte, 1000)); err != nil {
+				t.Fatal(err)
+			}
+			// The server hangs up on the unknown token (EOF, or a reset
+			// for the payload it never read).
+			data.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if _, err := data.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("data connection for a closed token stayed open (read: %v)", err)
+			}
+			if n, got := s.Tokens(), s.Received("tok"); n != 0 || got != 0 {
+				t.Fatalf("Tokens = %d, Received = %d after a late %s; want 0, 0", n, got, verb)
+			}
+		})
 	}
 }
 

@@ -31,16 +31,8 @@ type tokenCounter struct {
 	files      atomic.Pointer[fileTable]
 }
 
-// touch records activity on the token at wall-clock accuracy (the
-// control path; per-read data paths use touchAt with the server's
-// coarse clock instead).
+// touch records activity on the token, deferring its idle expiry.
 func (tc *tokenCounter) touch() { tc.lastActive.Store(time.Now().UnixNano()) }
-
-// touchAt records activity at a caller-supplied coarse timestamp. The
-// data planes call this once per socket read, so activity tracking
-// costs an atomic load+store instead of a time.Now per read; the TTL
-// cutoff carries one janitor tick of grace for the coarseness.
-func (tc *tokenCounter) touchAt(now int64) { tc.lastActive.Store(now) }
 
 // releaseSink closes any persistence handles hung off the token's
 // file table — the token is going away (CLOSE, TTL expiry, shutdown).
@@ -64,16 +56,6 @@ type Server struct {
 	// fileLatency delays each OPEN's ACK (see SetFileLatency); the
 	// fault-injection hook for per-file handshake latency.
 	fileLatency atomic.Int64
-
-	// coarseNow is a coarse wall clock (unix nanos, one janitor tick
-	// of resolution) the data paths read instead of calling time.Now
-	// per socket read; the janitor keeps it current.
-	coarseNow atomic.Int64
-
-	// wallTouch forces the data paths back to per-read time.Now
-	// stamping; only benchmarks set it, to measure what the coarse
-	// clock saves.
-	wallTouch atomic.Bool
 
 	// sinkRoot, when set, is the directory under which framed file
 	// payloads are persisted for tokens that request it with SINK
@@ -113,7 +95,6 @@ func ServeListener(ln net.Listener) *Server {
 		conns:    make(map[net.Conn]struct{}),
 	}
 	s.tokenTTL.Store(int64(defaultTokenTTL))
-	s.coarseNow.Store(time.Now().UnixNano())
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.janitor()
@@ -169,20 +150,6 @@ func (s *Server) SetObserver(o *obs.Observer) {
 // alone.
 func (s *Server) SetSockBuf(bytes int) { s.sockBuf.Store(int64(bytes)) }
 
-// applySockBuf applies the configured socket buffer size to conn.
-func (s *Server) applySockBuf(conn net.Conn) {
-	n := int(s.sockBuf.Load())
-	if n <= 0 {
-		return
-	}
-	if rb, ok := conn.(interface{ SetReadBuffer(int) error }); ok {
-		rb.SetReadBuffer(n)
-	}
-	if wb, ok := conn.(interface{ SetWriteBuffer(int) error }); ok {
-		wb.SetWriteBuffer(n)
-	}
-}
-
 // Addr returns the server's listen address, for clients to dial.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
@@ -212,14 +179,10 @@ func (s *Server) Close() error {
 
 // Received returns the bytes received so far for token.
 func (s *Server) Received(token string) int64 {
-	s.mu.Lock()
-	tc, ok := s.received[token]
-	s.mu.Unlock()
-	if !ok {
-		return 0
+	if tc := s.lookup(token); tc != nil {
+		return tc.n.Load()
 	}
-	tc.touch()
-	return tc.n.Load()
+	return 0
 }
 
 // Tokens returns the number of live token counters.
@@ -229,7 +192,23 @@ func (s *Server) Tokens() int {
 	return len(s.received)
 }
 
-// counter returns (creating if needed) the byte counter for token.
+// lookup returns token's live counter, touched, or nil when the token
+// is unknown. Everything but START, ADJ and MANIFEST goes through
+// here: in particular data connections never create tokens, so a
+// stripe whose header is parsed after CLOSE (or after the idle TTL)
+// is dropped instead of resurrecting a counter nobody will release.
+func (s *Server) lookup(token string) *tokenCounter {
+	s.mu.Lock()
+	tc := s.received[token]
+	s.mu.Unlock()
+	if tc != nil {
+		tc.touch()
+	}
+	return tc
+}
+
+// counter returns (creating if needed) the byte counter for token —
+// the START, ADJ and MANIFEST path.
 func (s *Server) counter(token string) *tokenCounter {
 	s.mu.Lock()
 	tc, ok := s.received[token]
@@ -258,20 +237,16 @@ func (s *Server) dropToken(token string) {
 	s.metrics.Load().SetTokens(live)
 }
 
-// coarseTick is the janitor's period and therefore the resolution of
-// the coarse activity clock.
-const coarseTick = 100 * time.Millisecond
+// janitorTick is the period of the idle-token sweep.
+const janitorTick = 100 * time.Millisecond
 
-// expireTokens drops counters idle for longer than the TTL. The
-// cutoff concedes one janitor tick of grace: data-path activity is
-// stamped with the coarse clock, which lags real time by up to a
-// tick, and an actively receiving token must never expire.
+// expireTokens drops counters idle for longer than the TTL.
 func (s *Server) expireTokens(now time.Time) {
 	ttl := time.Duration(s.tokenTTL.Load())
 	if ttl <= 0 {
 		return
 	}
-	cutoff := now.Add(-ttl - coarseTick).UnixNano()
+	cutoff := now.Add(-ttl).UnixNano()
 	expired := 0
 	var dropped []*tokenCounter
 	s.mu.Lock()
@@ -294,19 +269,16 @@ func (s *Server) expireTokens(now time.Time) {
 	}
 }
 
-// janitor keeps the coarse clock current and expires idle token
-// counters until Close.
+// janitor expires idle token counters until Close.
 func (s *Server) janitor() {
 	defer s.wg.Done()
-	tick := time.NewTicker(coarseTick)
+	tick := time.NewTicker(janitorTick)
 	defer tick.Stop()
 	for {
 		select {
 		case <-s.done:
 			return
-		case <-tick.C:
-			now := time.Now()
-			s.coarseNow.Store(now.UnixNano())
+		case now := <-tick.C:
 			s.expireTokens(now)
 		}
 	}
@@ -343,7 +315,7 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.metrics.Load().Conn()
-		s.applySockBuf(conn)
+		setSockBuf(conn, int(s.sockBuf.Load()))
 		untrack := s.track(conn)
 		s.wg.Add(1)
 		go func() {
@@ -354,8 +326,10 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one connection: the first line selects control (START,
-// STAT, or CLOSE) or data (DATA) mode.
+// handle serves one connection: the first line selects data mode
+// (DATA for the bulk stream, DATAF for framed file segments) or
+// control mode (START, ADJ, STAT, CLOSE, and the file plane's
+// MANIFEST, OPEN, FSTAT, RESYNC and SINK).
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 32<<10)
@@ -402,21 +376,14 @@ var dataBufPool = sync.Pool{
 	},
 }
 
-// touchToken stamps tc's activity clock from the data path: the
-// coarse clock normally, wall time under the wallTouch benchmark
-// toggle.
-func (s *Server) touchToken(tc *tokenCounter) {
-	if s.wallTouch.Load() {
-		tc.touch()
+// serveData discards the connection's byte stream into the token's
+// counter; an unknown token drops the connection. The buffered reader
+// may already hold payload bytes.
+func (s *Server) serveData(br *bufio.Reader, token string) {
+	tc := s.lookup(token)
+	if tc == nil {
 		return
 	}
-	tc.touchAt(s.coarseNow.Load())
-}
-
-// serveData discards the connection's byte stream into the token's
-// counter. The buffered reader may already hold payload bytes.
-func (s *Server) serveData(br *bufio.Reader, token string) {
-	tc := s.counter(token)
 	m := s.metrics.Load()
 	bufp := dataBufPool.Get().(*[]byte)
 	defer dataBufPool.Put(bufp)
@@ -425,7 +392,7 @@ func (s *Server) serveData(br *bufio.Reader, token string) {
 		n, err := br.Read(buf)
 		tc.n.Add(int64(n))
 		m.AddBytes(int64(n))
-		s.touchToken(tc)
+		tc.touch()
 		if err != nil {
 			return
 		}

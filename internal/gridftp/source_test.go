@@ -38,6 +38,11 @@ func writeSourceFiles(t *testing.T, dir string, ds dataset.Dataset) [][]byte {
 	return payloads
 }
 
+// forceUserspace keeps c's file-backed leases off sendfile(2) even
+// where the build provides it: the portable pread+writev pump is the
+// reference the fast path is compared against.
+func forceUserspace(c *Client, on bool) { c.plane.(*framedPlane).userspace = on }
+
 // runToCompletion drives the client in short epochs until the dataset
 // is done, returning the summed syscall count.
 func runToCompletion(t *testing.T, c *Client, p xfer.Params) (syscalls int64) {
@@ -121,11 +126,11 @@ func TestFileSourceToSinkByteExact(t *testing.T) {
 				Dataset:     ds,
 				SourceDir:   srcDir,
 				RequestSink: true,
-				NoZeroCopy:  mode.noZeroCopy,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			forceUserspace(c, mode.noZeroCopy)
 			defer c.Stop()
 			syscalls := runToCompletion(t, c, xfer.Params{NC: 2, NP: 1, PP: 4})
 			if syscalls == 0 {
@@ -248,10 +253,11 @@ func TestZeroCopySyscallDiscipline(t *testing.T) {
 	}
 	measure := func(noZC bool) int64 {
 		s := startServer(t)
-		c, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds, SourceDir: srcDir, NoZeroCopy: noZC})
+		c, err := NewClient(ClientConfig{Addr: s.Addr(), Dataset: ds, SourceDir: srcDir})
 		if err != nil {
 			t.Fatal(err)
 		}
+		forceUserspace(c, noZC)
 		defer c.Stop()
 		return runToCompletion(t, c, xfer.Params{NC: 2, NP: 1, PP: 4})
 	}
