@@ -49,19 +49,3 @@ func TestRunFleetDedupedDurableIdentities(t *testing.T) {
 		}
 	}
 }
-
-// TestFleetHistoryKeySocket: socket sessions key on their own server
-// address and byte volume, not the shared testbed.
-func TestFleetHistoryKeySocket(t *testing.T) {
-	k := dstune.SessionHistoryKey("bulk-2", "tacc", "127.0.0.1:7632", 5e9, 4, 0)
-	if k.Endpoint != "127.0.0.1:7632/bulk-2" {
-		t.Fatalf("endpoint = %q", k.Endpoint)
-	}
-	if k.SizeClass != dstune.HistorySizeClass(5e9) || k.LoadClass != dstune.HistoryLoadClass(4) {
-		t.Fatalf("key = %+v", k)
-	}
-	sim := dstune.SessionHistoryKey("bg", "tacc", "", 5e9, 0, 0)
-	if sim.Endpoint != "tacc/bg" || sim.SizeClass != -1 {
-		t.Fatalf("sim key = %+v", sim)
-	}
-}

@@ -43,6 +43,14 @@
 // (-fleet FILE); the JSON spec format is documented in fleet.go:
 //
 //	dstune -fleet fleet.json
+//
+// The flags fill in a service.JobSpec — the spec a dstuned job and a
+// -fleet session are — and service.Build turns it into the session, so
+// a spec means the same transfer, tuned the same way, at all three.
+// With -dataset SPEC a socket run moves the files over the framed data
+// plane and a simulated run is the disk-to-disk model. The flags that
+// shape the local socket client (-shape-rate, -retries, -sockbuf,
+// -source, ...) describe this host, not the job, and stay flags.
 package main
 
 import (
@@ -55,8 +63,10 @@ import (
 	"os/signal"
 	"sync"
 	"syscall"
+	"time"
 
 	"dstune"
+	"dstune/internal/service"
 )
 
 // shutdown runs registered cleanup functions exactly once, in reverse
@@ -83,60 +93,194 @@ func (s *shutdown) run() {
 	})
 }
 
+// options is the command line: the job spec most flags bind straight
+// onto — the same service.JobSpec a dstuned job or a -fleet session is —
+// and the settings that stay with this process.
+type options struct {
+	spec service.JobSpec
+	// mode and addr: -mode socket copies -addr into the spec.
+	mode, addr string
+
+	fleet, csv, checkpoint, resume string
+	obsAddr, obsTrace, history     string
+	deadline                       time.Duration
+
+	// stepAt > 0 switches the simulated source's external load from the
+	// spec's tfr/cmp to after at that time.
+	stepAt float64
+	after  dstune.Load
+
+	// The socket client's host-local shape: applied to the client
+	// configuration the spec derives, never carried in a spec.
+	shapeRate, shapeQuad float64
+	retry                dstune.RetryConfig
+	minStreams, sockBuf  int
+	cold, sink, tcpInfo  bool
+	source               string
+}
+
+// bindFlags registers every dstune flag on fs and returns the options
+// they fill.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	s, def := &o.spec, service.JobSpec{}.WithDefaults()
+	fs.StringVar(&o.mode, "mode", "sim", "sim or socket")
+	fs.StringVar(&o.fleet, "fleet", "", "drive many tuned sessions from one scheduler: JSON file of shared job-spec defaults plus sessions (see cmd/dstune/fleet.go)")
+	fs.StringVar(&s.Tuner, "tuner", "nm-tuner", "default, cd-tuner, cs-tuner, nm-tuner, heur1, heur2, model, two-phase, rl-bandit, rl-q, warm:<tuner>")
+	fs.Float64Var(&s.Budget, "duration", 1800, "transfer budget in seconds (virtual in sim mode, wall-clock in socket mode)")
+	fs.Float64Var(&s.Epoch, "epoch", 0, "control epoch seconds (default 30 sim, 0.25 socket)")
+	fs.Float64Var(&s.Tolerance, "tolerance", 0, "significance threshold percent (default 5 sim, 30 socket)")
+	fs.BoolVar(&s.Two, "two", false, "tune parallelism as well as concurrency")
+	fs.IntVar(&s.NP, "np", def.NP, "fixed parallelism when not tuning it")
+	fs.IntVar(&s.MaxNC, "max-nc", def.MaxNC, "concurrency upper bound")
+	fs.IntVar(&s.MaxNP, "max-np", def.MaxNP, "parallelism upper bound")
+	fs.Uint64Var(&s.Seed, "seed", def.Seed, "random seed")
+	fs.StringVar(&o.csv, "csv", "", "write the trace series to this CSV file")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a checkpoint after every epoch: the head to this file, the recorded epochs to FILE.log")
+	fs.StringVar(&o.resume, "resume", "", "resume a checkpointed run from this file and its FILE.log (socket mode); earlier single-file checkpoints load too")
+	fs.DurationVar(&o.deadline, "deadline", 0, "wall-clock deadline for the whole run; 0 = none")
+	fs.StringVar(&o.obsAddr, "obs-addr", "", "serve live introspection (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. 127.0.0.1:9310")
+	fs.StringVar(&o.obsTrace, "obs-trace", "", "append every structured event to this file as JSON lines")
+	fs.StringVar(&o.history, "history", "", "transfer-history store (JSONL): warm-start the tuner from past runs and record this run's best epoch")
+	fs.IntVar(&s.MaxTransient, "max-transient", 0, "consecutive transient epoch failures tolerated before aborting; 0 = 3")
+	fs.Float64Var(&s.Bytes, "bytes", 0, "bytes to transfer; 0 = unbounded, ended by -duration")
+	fs.StringVar(&s.Dataset, "dataset", "", "move a multi-file dataset instead of -bytes, e.g. 10000x1MiB or lognormal:2000:8MiB:1.5 (socket mode: the framed data plane, pass again when resuming; sim mode: the disk-to-disk model)")
+	fs.IntVar(&s.PP, "pp", 0, "fixed pipelining depth for -dataset transfers; 0 tunes it as a third dimension with -two, or fixes 4 without")
+
+	// Simulation-mode flags.
+	fs.StringVar(&s.Testbed, "testbed", def.Testbed, "uchicago or tacc")
+	fs.IntVar(&s.Tfr, "tfr", 0, "external transfer streams at the source")
+	fs.IntVar(&s.Cmp, "cmp", 0, "external compute jobs at the source")
+	fs.Float64Var(&o.stepAt, "step-at", 0, "if > 0, switch external load at this time")
+	fs.IntVar(&o.after.Tfr, "tfr2", 0, "external transfer streams after -step-at")
+	fs.IntVar(&o.after.Cmp, "cmp2", 0, "external compute jobs after -step-at")
+
+	// Socket-mode flags.
+	fs.StringVar(&o.addr, "addr", "127.0.0.1:7632", "gridftpd address (socket mode)")
+	fs.Float64Var(&o.shapeRate, "shape-rate", 0, "shaper per-connection rate in bytes/s; 0 = unshaped")
+	fs.Float64Var(&o.shapeQuad, "shape-quad", 0, "shaper contention coefficient")
+	fs.IntVar(&o.retry.Attempts, "retries", 0, "dial attempts per connection, transient failures retried with backoff; 0 = 3 (socket mode)")
+	fs.DurationVar(&o.retry.Backoff, "retry-backoff", 0, "initial retry backoff, doubling per retry; 0 = 50ms (socket mode)")
+	fs.IntVar(&o.minStreams, "min-streams", 0, "minimum data connections to run a degraded epoch; 0 = 1 (socket mode)")
+	fs.IntVar(&o.sockBuf, "sockbuf", 0, "kernel socket buffer bytes per data connection; 0 = OS default (socket mode)")
+	fs.BoolVar(&o.cold, "cold", false, "disable the warm stripe pool: re-dial every data connection each epoch (socket mode)")
+	fs.StringVar(&o.source, "source", "", "read -dataset payload from real files under this directory (materialized if absent) instead of synthetic zeros, engaging the zero-copy sendfile pump where the platform has it (socket mode)")
+	fs.BoolVar(&o.sink, "sink", false, "ask the server to persist the -dataset files at its configured -sink directory instead of discarding them (socket mode)")
+	fs.BoolVar(&o.tcpInfo, "tcpinfo", false, "sample kernel TCP_INFO per stripe at epoch boundaries and surface it in the trace and events (socket mode, Linux)")
+	return o
+}
+
+// jobSpec returns the validated, defaulted job spec the flags describe.
+// -mode is sugar over it: socket mode is a spec with an address, run by
+// default on sub-second epochs with a tolerance that rides out loopback
+// jitter.
+func (o *options) jobSpec() (service.JobSpec, error) {
+	spec := o.spec
+	switch o.mode {
+	case "sim":
+	case "socket":
+		spec.Addr = o.addr
+		if spec.Epoch == 0 {
+			spec.Epoch = 0.25
+		}
+		if spec.Tolerance == 0 {
+			spec.Tolerance = 30
+		}
+	default:
+		return spec, fmt.Errorf("unknown mode %q (want sim or socket)", o.mode)
+	}
+	if err := spec.Validate(); err != nil {
+		return spec, err
+	}
+	if o.source != "" && spec.Dataset == "" {
+		return spec, errors.New("-source reads the files named by a manifest; it requires -dataset")
+	}
+	if o.stepAt > 0 && (o.after.Tfr < 0 || o.after.Cmp < 0) {
+		return spec, fmt.Errorf("-tfr2 %d / -cmp2 %d: external load cannot be negative", o.after.Tfr, o.after.Cmp)
+	}
+	return spec.WithDefaults(), nil
+}
+
+// session builds the run the flags describe through service.Build, the
+// constructor dstuned and -fleet use: this door adds -resume's
+// checkpoint, the socket client's local shape, and -step-at's load
+// schedule on the fabric it hands over.
+func (o *options) session(observer *dstune.Observer, hist *dstune.HistoryStore) (*service.Session, error) {
+	door := service.Door{Obs: observer, History: hist}
+	if o.resume != "" {
+		// A resumed run adopts the checkpoint's tuner and seed and rebuilds
+		// the transfer from its recorded state; only socket-mode transfers
+		// outlive the process that started them.
+		if o.mode != "socket" {
+			return nil, errors.New("-resume requires -mode socket: simulated transfers live and die with the process")
+		}
+		ck, err := dstune.LoadCheckpoint(o.resume)
+		if err != nil {
+			return nil, err
+		}
+		door.Resume = ck
+		o.spec.Tuner, o.spec.Seed = ck.Tuner, ck.Seed
+		if o.checkpoint == "" {
+			o.checkpoint = o.resume
+		}
+		log.Printf("resuming %s from %s: %d epochs, %.0f bytes acked, clock %.1fs",
+			ck.Tuner, o.resume, ck.Epochs, ck.Transfer.Acked, ck.Transfer.Clock)
+	}
+	spec, err := o.jobSpec()
+	if err != nil {
+		return nil, err
+	}
+	if o.checkpoint != "" {
+		door.Checkpoint = dstune.NewFileCheckpoint(o.checkpoint)
+	}
+	switch {
+	case spec.Addr != "":
+		door.NewTransfer = o.socketTransfer(observer)
+	case o.stepAt > 0:
+		if door.Fabric, err = service.NewFabric(spec); err != nil {
+			return nil, err
+		}
+	}
+	sess, err := service.Build(spec, "", door)
+	if err != nil {
+		return nil, err
+	}
+	if door.Fabric != nil {
+		// After Build, which put the spec's constant load on the fabric.
+		door.Fabric.SetLoad(dstune.StepLoad(o.stepAt, dstune.Load{Tfr: spec.Tfr, Cmp: spec.Cmp}, o.after), nil)
+	}
+	return sess, nil
+}
+
+// socketTransfer is the TransferFactory of a socket-mode run: the
+// client configuration the spec (and a resumed checkpoint) derives,
+// shaped by the flags that describe this host rather than the job.
+func (o *options) socketTransfer(observer *dstune.Observer) service.TransferFactory {
+	return func(id string, spec service.JobSpec, resume *dstune.Checkpoint) (dstune.Transferer, error) {
+		ccfg, err := service.ClientConfig(observer, id, spec, resume)
+		if err != nil {
+			return nil, err
+		}
+		if o.shapeRate > 0 {
+			ccfg.Shaper = &dstune.Shaper{Rate: o.shapeRate, Quad: o.shapeQuad}
+		}
+		ccfg.Retry = o.retry
+		ccfg.MinStreams, ccfg.SockBuf = o.minStreams, o.sockBuf
+		ccfg.ColdStart, ccfg.RequestSink, ccfg.TCPInfo = o.cold, o.sink, o.tcpInfo
+		if o.source != "" {
+			if err := dstune.MaterializeDataset(o.source, ccfg.Dataset); err != nil {
+				return nil, err
+			}
+			ccfg.SourceDir = o.source
+		}
+		return dstune.NewTransferClient(ccfg)
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("dstune: ")
-
-	mode := flag.String("mode", "sim", "sim or socket")
-	fleetPath := flag.String("fleet", "", "drive many tuned sessions from one scheduler: JSON spec file (see cmd/dstune/fleet.go)")
-	name := flag.String("tuner", "nm-tuner", "default, cd-tuner, cs-tuner, nm-tuner, heur1, heur2, model, two-phase, rl-bandit, rl-q, warm:<tuner>")
-	duration := flag.Float64("duration", 1800, "transfer budget in seconds (virtual in sim mode, wall-clock in socket mode)")
-	epoch := flag.Float64("epoch", 0, "control epoch seconds (default 30 sim, 0.25 socket)")
-	tolerance := flag.Float64("tolerance", 0, "significance threshold percent (default 5 sim, 30 socket)")
-	two := flag.Bool("two", false, "tune parallelism as well as concurrency")
-	np := flag.Int("np", 8, "fixed parallelism when not tuning it")
-	maxNC := flag.Int("max-nc", 128, "concurrency upper bound")
-	maxNP := flag.Int("max-np", 16, "parallelism upper bound")
-	seed := flag.Uint64("seed", 1, "random seed")
-	csvPath := flag.String("csv", "", "write the trace series to this CSV file")
-	checkpointPath := flag.String("checkpoint", "", "write a checkpoint after every epoch: the head to this file, the recorded epochs to FILE.log")
-	resumePath := flag.String("resume", "", "resume a checkpointed run from this file and its FILE.log (socket mode); earlier single-file checkpoints load too")
-	deadline := flag.Duration("deadline", 0, "wall-clock deadline for the whole run; 0 = none")
-	obsAddr := flag.String("obs-addr", "", "serve live introspection (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. 127.0.0.1:9310")
-	obsTrace := flag.String("obs-trace", "", "append every structured event to this file as JSON lines")
-	historyPath := flag.String("history", "", "transfer-history store (JSONL): warm-start the tuner from past runs and record this run's best epoch")
-
-	// Simulation-mode flags.
-	testbed := flag.String("testbed", "uchicago", "uchicago or tacc")
-	tfr := flag.Int("tfr", 0, "external transfer streams at the source")
-	cmp := flag.Int("cmp", 0, "external compute jobs at the source")
-	stepAt := flag.Float64("step-at", 0, "if > 0, switch external load at this time")
-	tfr2 := flag.Int("tfr2", 0, "external transfer streams after -step-at")
-	cmp2 := flag.Int("cmp2", 0, "external compute jobs after -step-at")
-
-	// Socket-mode flags.
-	addr := flag.String("addr", "127.0.0.1:7632", "gridftpd address (socket mode)")
-	bytes := flag.Float64("bytes", 0, "bytes to transfer; 0 = unbounded (socket mode)")
-	shapeRate := flag.Float64("shape-rate", 0, "shaper per-connection rate in bytes/s; 0 = unshaped")
-	shapeQuad := flag.Float64("shape-quad", 0, "shaper contention coefficient")
-	retries := flag.Int("retries", 0, "dial attempts per connection, transient failures retried with backoff; 0 = 3 (socket mode)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "initial retry backoff, doubling per retry; 0 = 50ms (socket mode)")
-	minStreams := flag.Int("min-streams", 0, "minimum data connections to run a degraded epoch; 0 = 1 (socket mode)")
-	sockBuf := flag.Int("sockbuf", 0, "kernel socket buffer bytes per data connection; 0 = OS default (socket mode)")
-	cold := flag.Bool("cold", false, "disable the warm stripe pool: re-dial every data connection each epoch (socket mode)")
-	maxTransient := flag.Int("max-transient", 0, "consecutive transient epoch failures tolerated before aborting; 0 = 3")
-	datasetSpec := flag.String("dataset", "", "move a multi-file dataset over the framed data plane instead of -bytes, e.g. 10000x1MiB or lognormal:2000:8MiB:1.5 (socket mode; pass again when resuming)")
-	pp := flag.Int("pp", 0, "fixed pipelining depth for -dataset transfers; 0 tunes it as a third dimension with -two, or fixes 4 without (socket mode)")
-	sourceDir := flag.String("source", "", "read -dataset payload from real files under this directory (materialized if absent) instead of synthetic zeros, engaging the zero-copy sendfile pump where the platform has it")
-	requestSink := flag.Bool("sink", false, "ask the server to persist the -dataset files at its configured -sink directory instead of discarding them (socket mode)")
-	tcpInfo := flag.Bool("tcpinfo", false, "sample kernel TCP_INFO per stripe at epoch boundaries and surface it in the trace and events (socket mode, Linux)")
-
-	// Disk-mode flags.
-	files := flag.Int("files", 8000, "file count (disk mode)")
-	fileSize := flag.Float64("file-size", 1<<20, "file size in bytes, or lognormal median with -lognormal (disk mode)")
-	lognormal := flag.Bool("lognormal", false, "log-normal file sizes instead of uniform (disk mode)")
-	diskRate := flag.Float64("disk-rate", dstune.DefaultDiskRate, "source storage bandwidth in bytes/s (disk mode)")
-	fileOverhead := flag.Float64("file-overhead", dstune.DefaultFileOverhead, "per-file request latency in seconds (disk mode)")
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
 
 	var shut shutdown
@@ -146,7 +290,7 @@ func main() {
 		log.Fatal(v...)
 	}
 
-	observer, obsClose, err := newObserver(*obsAddr, *obsTrace)
+	observer, obsClose, err := newObserver(o.obsAddr, o.obsTrace)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -157,8 +301,8 @@ func main() {
 	// after it. A damaged file degrades (intact records load, damage is
 	// reported); only an unopenable one is fatal.
 	var histStore *dstune.HistoryStore
-	if *historyPath != "" {
-		store, herr := dstune.OpenHistory(*historyPath)
+	if o.history != "" {
+		store, herr := dstune.OpenHistory(o.history)
 		if store == nil {
 			fatal(herr)
 		}
@@ -173,126 +317,19 @@ func main() {
 		})
 	}
 
-	if *fleetPath != "" {
-		if err := runFleet(*fleetPath, observer, *checkpointPath, histStore); err != nil {
+	if o.fleet != "" {
+		if err := runFleet(o.fleet, observer, o.checkpoint, histStore); err != nil {
 			fatal(err)
 		}
 		return
 	}
 
-	// A resumed run adopts the checkpoint's tuner and seed and rebuilds
-	// the transfer from its recorded state; only socket-mode transfers
-	// outlive the process that started them.
-	var resume *dstune.Checkpoint
-	if *resumePath != "" {
-		if *mode != "socket" {
-			fatal("-resume requires -mode socket: simulated transfers live and die with the process")
-		}
-		var err error
-		resume, err = dstune.LoadCheckpoint(*resumePath)
-		if err != nil {
-			fatal(err)
-		}
-		*name = resume.Tuner
-		*seed = resume.Seed
-		if *checkpointPath == "" {
-			*checkpointPath = *resumePath
-		}
-		log.Printf("resuming %s from %s: %d epochs, %.0f bytes acked, clock %.1fs",
-			resume.Tuner, *resumePath, resume.Epochs, resume.Transfer.Acked, resume.Transfer.Clock)
-	}
-
-	var transfer dstune.Transferer
-	disk := false
-	volume := 0.0 // history size-class input; 0 = unbounded
-	switch *mode {
-	case "sim":
-		if *epoch == 0 {
-			*epoch = 30
-		}
-		transfer, err = simTransfer(*testbed, *name, *seed,
-			dstune.Load{Tfr: *tfr, Cmp: *cmp}, *stepAt, dstune.Load{Tfr: *tfr2, Cmp: *cmp2}, nil, 0, 0)
-	case "disk":
-		if *epoch == 0 {
-			*epoch = 30
-		}
-		disk = true
-		var d dstune.Dataset
-		if *lognormal {
-			d = dstune.LogNormalDataset(*files, *fileSize, 1.5, *seed)
-		} else {
-			d = dstune.UniformDataset(*files, int64(*fileSize))
-		}
-		volume = float64(d.TotalBytes())
-		fmt.Printf("dataset: %s\n", d)
-		transfer, err = simTransfer(*testbed, *name, *seed,
-			dstune.Load{Tfr: *tfr, Cmp: *cmp}, *stepAt, dstune.Load{Tfr: *tfr2, Cmp: *cmp2},
-			&d, *diskRate, *fileOverhead)
-	case "socket":
-		if *epoch == 0 {
-			*epoch = 0.25
-		}
-		if *tolerance == 0 {
-			*tolerance = 30
-		}
-		volume = *bytes
-		size := *bytes
-		if size <= 0 {
-			size = dstune.Unbounded
-		}
-		var shaper *dstune.Shaper
-		if *shapeRate > 0 {
-			shaper = &dstune.Shaper{Rate: *shapeRate, Quad: *shapeQuad}
-		}
-		ccfg := dstune.TransferClientConfig{
-			Addr: *addr, Bytes: size, Shaper: shaper,
-			Retry:       dstune.RetryConfig{Attempts: *retries, Backoff: *retryBackoff},
-			MinStreams:  *minStreams,
-			Seed:        *seed,
-			SockBuf:     *sockBuf,
-			ColdStart:   *cold,
-			RequestSink: *requestSink,
-			TCPInfo:     *tcpInfo,
-			Obs:         observer.Session(*name),
-		}
-		if *datasetSpec != "" {
-			if *bytes > 0 {
-				fatal("-dataset derives the volume from the dataset; drop -bytes")
-			}
-			var ds dstune.Dataset
-			ds, err = dstune.ParseDataset(*datasetSpec, *seed)
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("dataset: %s\n", ds)
-			ccfg.Dataset = ds
-			ccfg.Bytes = 0 // derived from the dataset
-			volume = float64(ds.TotalBytes())
-			if *sourceDir != "" {
-				if err := dstune.MaterializeDataset(*sourceDir, ds); err != nil {
-					fatal(err)
-				}
-				ccfg.SourceDir = *sourceDir
-			}
-		} else if *sourceDir != "" {
-			fatal("-source reads the files named by a manifest; it requires -dataset")
-		}
-		if resume != nil {
-			if resume.Transfer.Total >= 0 {
-				ccfg.Bytes = resume.Transfer.Total
-			} else {
-				ccfg.Bytes = dstune.Unbounded
-			}
-			ccfg.Token = resume.Transfer.Token
-			ccfg.AckedBytes = resume.Transfer.Acked
-			ccfg.ClockOffset = resume.Transfer.Clock
-		}
-		transfer, err = dstune.NewTransferClient(ccfg)
-	default:
-		err = fmt.Errorf("unknown mode %q", *mode)
-	}
+	sess, err := o.session(observer, histStore)
 	if err != nil {
 		fatal(err)
+	}
+	if sess.Dataset.Count() > 0 {
+		fmt.Printf("dataset: %s\n", sess.Dataset)
 	}
 
 	// Interrupt handling: the first SIGINT/SIGTERM drains — the
@@ -301,8 +338,8 @@ func main() {
 	// the epoch immediately. -deadline bounds the run the hard way.
 	ctx := context.Background()
 	var cancel context.CancelFunc
-	if *deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, *deadline)
+	if o.deadline > 0 {
+		ctx, cancel = context.WithTimeout(ctx, o.deadline)
 	} else {
 		ctx, cancel = context.WithCancel(ctx)
 	}
@@ -318,88 +355,41 @@ func main() {
 		log.Print("second interrupt: aborting")
 		cancel()
 	}()
+	sess.Config.Drain = drain
 
-	sess := observer.Session(*name)
-	cfg := dstune.TunerConfig{
-		Epoch:                *epoch,
-		Tolerance:            *tolerance,
-		Budget:               *duration,
-		Seed:                 *seed,
-		MaxTransientFailures: *maxTransient,
-		Resume:               resume,
-		Drain:                drain,
-		Obs:                  sess,
+	// A completed run extends the knowledge plane with its best epoch —
+	// the engine records it, as it does for every fleet session and
+	// daemon job; interrupted runs don't, their truth lives in the
+	// checkpoint.
+	recorded := -1
+	if histStore != nil {
+		recorded = histStore.Len()
 	}
-	if *checkpointPath != "" {
-		cfg.Checkpoint = dstune.NewFileCheckpoint(*checkpointPath)
-	}
-	space := dstune.SearchSpace{
-		Two: *two, Files: *datasetSpec != "", PP: *pp,
-		NP: *np, MaxNC: *maxNC, MaxNP: *maxNP,
-	}
-	if disk {
-		// The simulated disk-to-disk transfer always tunes [nc, np, pp].
-		space.Two, space.Files, space.PP = true, true, 0
-	}
-	cfg = space.Apply(cfg)
-	key := historyKey(*mode, *testbed, *addr, volume, *tfr, *cmp)
-	strat, err := dstune.ResolveStrategy(*name, cfg, histStore, key)
-	if err != nil {
-		fatal(err)
-	}
-
-	trace, err := dstune.NewDriver(cfg).Run(ctx, strat, transfer)
-	clean := err == nil
+	trace, err := dstune.NewDriver(sess.Config).Run(ctx, sess.Strategy, sess.Transfer)
 	switch {
 	case err == nil:
 	case errors.Is(err, dstune.ErrInterrupted),
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
-		if *checkpointPath != "" {
+		if o.checkpoint != "" {
 			log.Printf("stopped (%v) after %d epochs; checkpoint in %s and %s.log — resume with -resume %s",
-				err, len(trace.Results), *checkpointPath, *checkpointPath, *checkpointPath)
+				err, len(trace.Results), o.checkpoint, o.checkpoint, o.checkpoint)
 		} else {
 			log.Printf("stopped (%v) after %d epochs", err, len(trace.Results))
 		}
 	default:
 		fatal(err)
 	}
-	// A completed run extends the knowledge plane with its best epoch;
-	// interrupted runs don't — their truth lives in the checkpoint.
-	if histStore != nil && clean {
-		if x, tp, ok := trace.BestEpoch(); ok {
-			rec := dstune.HistoryRecord{Key: key, X: x, Throughput: tp, Tuner: trace.Tuner, Epochs: len(trace.Results)}
-			if aerr := histStore.Add(rec); aerr != nil {
-				log.Printf("history: record: %v", aerr)
-			} else {
-				sess.HistoryRecorded()
-				log.Printf("history: recorded x=%v at %.1f MB/s under %s", x, tp/1e6, key)
-			}
-		}
+	if recorded >= 0 && histStore.Len() > recorded {
+		x, tp, _ := trace.BestEpoch()
+		log.Printf("history: recorded x=%v at %.1f MB/s under %s", x, tp/1e6, sess.Config.HistoryKey)
 	}
 	printTrace(trace)
-	if *csvPath != "" {
-		if err := writeCSV(*csvPath, trace); err != nil {
+	if o.csv != "" {
+		if err := writeCSV(o.csv, trace); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("wrote %s\n", *csvPath)
-	}
-}
-
-// historyKey derives the run's identity in the history store: the
-// endpoint is the testbed name (sim and disk modes) or the server
-// address (socket mode); the size class buckets the requested volume
-// (unbounded runs share one class); the load class fingerprints the
-// configured external load.
-func historyKey(mode, testbed, addr string, volume float64, tfr, cmp int) dstune.HistoryKey {
-	ep := testbed
-	if mode == "socket" {
-		ep = addr
-	}
-	return dstune.HistoryKey{
-		Endpoint:  ep,
-		SizeClass: dstune.HistorySizeClass(volume),
-		LoadClass: dstune.HistoryLoadClass(tfr + cmp),
+		fmt.Printf("wrote %s\n", o.csv)
 	}
 }
 
@@ -452,41 +442,6 @@ func newObserver(addr, tracePath string) (*dstune.Observer, func(), error) {
 			}
 		}
 	}, nil
-}
-
-// simTransfer builds a simulated transfer on the named testbed;
-// files selects disk-to-disk mode.
-func simTransfer(testbed, tuner string, seed uint64, l dstune.Load, stepAt float64, after dstune.Load, files *dstune.Dataset, diskRate, fileOverhead float64) (dstune.Transferer, error) {
-	var tb dstune.Testbed
-	switch testbed {
-	case "uchicago":
-		tb = dstune.ANLtoUChicago()
-	case "tacc":
-		tb = dstune.ANLtoTACC()
-	default:
-		return nil, fmt.Errorf("unknown testbed %q (want uchicago or tacc)", testbed)
-	}
-	fabric, _, err := tb.NewFabric(seed)
-	if err != nil {
-		return nil, err
-	}
-	sched := dstune.ConstantLoad(l)
-	if stepAt > 0 {
-		sched = dstune.StepLoad(stepAt, l, after)
-	}
-	fabric.SetLoad(sched, nil)
-	policy := dstune.RestartEveryEpoch
-	if tuner == "default" {
-		policy = dstune.RestartOnChange
-	}
-	tc := dstune.TransferConfig{Name: tuner, Bytes: dstune.Unbounded, Policy: policy}
-	if files != nil {
-		tc.Bytes = 0
-		tc.Files = *files
-		tc.DiskRate = diskRate
-		tc.FileOverhead = fileOverhead
-	}
-	return fabric.NewTransfer(tc)
 }
 
 // printTrace renders the per-epoch table and the summary lines.

@@ -1,101 +1,152 @@
 package main
 
 import (
+	"context"
+	"flag"
+	"io"
+	"math"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"dstune"
+	"dstune/internal/service"
 )
 
-func TestResolveStrategyAllNames(t *testing.T) {
-	cfg := dstune.TunerConfig{
-		Box:   dstune.MustBox([]int{1}, []int{64}),
-		Start: []int{2},
-		Map:   dstune.MapNC(8),
+// parseFlags parses one flag line through the CLI's own binding.
+func parseFlags(t *testing.T, args ...string) *options {
+	t.Helper()
+	fs := flag.NewFlagSet("dstune", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	o := bindFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatalf("%v: %v", args, err)
 	}
-	names := []string{
-		"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2",
-		"model", "two-phase", "warm:cs-tuner",
-	}
-	for _, name := range names {
-		tn, err := dstune.ResolveStrategy(name, cfg, nil, dstune.HistoryKey{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if tn.Name() != name {
-			t.Fatalf("name mismatch %q vs %q", tn.Name(), name)
-		}
-	}
-	if _, err := dstune.ResolveStrategy("bogus", cfg, nil, dstune.HistoryKey{}); err == nil {
-		t.Fatal("unknown tuner accepted")
-	}
+	return o
 }
 
-// TestResolveStrategyWarmWrap: an open history store wraps plain strategies
-// with the warm start (so their checkpoints resume by the warm name),
-// but never a resumed run — its state comes from the checkpoint.
-func TestResolveStrategyWarmWrap(t *testing.T) {
-	cfg := dstune.TunerConfig{
-		Box:   dstune.MustBox([]int{1}, []int{64}),
-		Start: []int{2},
-		Map:   dstune.MapNC(8),
-	}
-	store := dstune.NewMemHistory()
-	tn, err := dstune.ResolveStrategy("cs-tuner", cfg, store, historyKey("sim", "uchicago", "", 0, 0, 16))
+// runFlags runs the session a flag line describes to its end.
+func runFlags(t *testing.T, hist *dstune.HistoryStore, args ...string) (*service.Session, *dstune.Trace) {
+	t.Helper()
+	sess, err := parseFlags(t, args...).session(nil, hist)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v: %v", args, err)
 	}
-	if tn.Name() != "warm:cs-tuner" {
-		t.Fatalf("store-backed tuner named %q, want warm:cs-tuner", tn.Name())
-	}
-
-	rcfg := cfg
-	rcfg.Resume = &dstune.Checkpoint{Tuner: "cs-tuner"}
-	tn, err = dstune.ResolveStrategy("cs-tuner", rcfg, store, dstune.HistoryKey{})
+	trace, err := dstune.NewDriver(sess.Config).Run(context.Background(), sess.Strategy, sess.Transfer)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%v: %v", args, err)
 	}
-	if tn.Name() != "cs-tuner" {
-		t.Fatalf("resumed tuner named %q, want the checkpoint's cs-tuner", tn.Name())
-	}
+	return sess, trace
 }
 
-func TestHistoryKeyDerivation(t *testing.T) {
-	k := historyKey("sim", "uchicago", "ignored:1", 0, 0, 16)
-	want := dstune.HistoryKey{Endpoint: "uchicago", SizeClass: -1, LoadClass: dstune.HistoryLoadClass(16)}
-	if k != want {
-		t.Fatalf("sim key = %+v, want %+v", k, want)
-	}
-	k = historyKey("socket", "uchicago", "127.0.0.1:7632", 5e9, 0, 0)
-	if k.Endpoint != "127.0.0.1:7632" || k.SizeClass != dstune.HistorySizeClass(5e9) || k.LoadClass != 0 {
-		t.Fatalf("socket key = %+v", k)
-	}
-}
-
-func TestSimTransferUnknownTestbed(t *testing.T) {
-	if _, err := simTransfer("mars", "default", 1, dstune.Load{}, 0, dstune.Load{}, nil, 0, 0); err == nil {
+func TestSessionUnknownTestbed(t *testing.T) {
+	if _, err := parseFlags(t, "-testbed", "mars", "-tuner", "default").session(nil, nil); err == nil {
 		t.Fatal("unknown testbed accepted")
 	}
-}
-
-func TestSimTransferDiskMode(t *testing.T) {
-	d := dstune.UniformDataset(4, 1<<20)
-	tr, err := simTransfer("uchicago", "nm-tuner", 1, dstune.Load{}, 0, dstune.Load{}, &d, 1e9, 0.1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Stop()
-	if tr.Remaining() != float64(4<<20) {
-		t.Fatalf("Remaining = %v, want dataset size", tr.Remaining())
+	if _, err := parseFlags(t, "-mode", "disk").session(nil, nil); err == nil {
+		t.Fatal("the removed disk mode accepted")
 	}
 }
 
-func TestSimTransferStepSchedule(t *testing.T) {
-	tr, err := simTransfer("tacc", "cs-tuner", 2, dstune.Load{Cmp: 16}, 100, dstune.Load{}, nil, 0, 0)
-	if err != nil {
+// TestSessionSimDataset: -dataset in sim mode is the disk-to-disk
+// model, bounded by the dataset — it used to be ignored for an
+// unbounded stream.
+func TestSessionSimDataset(t *testing.T) {
+	sess, trace := runFlags(t, nil, "-dataset", "4x1MiB", "-duration", "600")
+	if sess.Dataset.Count() != 4 {
+		t.Fatalf("session dataset holds %d files, want 4", sess.Dataset.Count())
+	}
+	moved := 0.0
+	for _, r := range trace.Results {
+		moved += r.Report.Bytes
+	}
+	if moved != 4<<20 || !trace.Results[len(trace.Results)-1].Report.Done {
+		t.Fatalf("moved %v bytes in %d epochs, want the dataset's 4 MiB and done", moved, len(trace.Results))
+	}
+}
+
+// TestSessionBytesBoundSim: -bytes bounds a simulated CLI run exactly
+// as it bounds a simulated daemon job.
+func TestSessionBytesBoundSim(t *testing.T) {
+	_, trace := runFlags(t, nil, "-tuner", "default", "-bytes", "1e11", "-duration", "1800")
+	moved := 0.0
+	for _, r := range trace.Results {
+		moved += r.Report.Bytes
+	}
+	last := trace.Results[len(trace.Results)-1].Report
+	if math.Abs(moved-1e11) > 1 || !last.Done || last.End >= 1800 {
+		t.Fatalf("moved %v bytes by t=%v (done=%v), want 1e11 well inside the budget", moved, last.End, last.Done)
+	}
+}
+
+// TestSessionStepSchedule: -step-at's schedule is the load the run
+// sees — the constant tfr/cmp load Build puts on the fabric for the
+// same spec must not outlive it.
+func TestSessionStepSchedule(t *testing.T) {
+	_, step := runFlags(t, nil, "-tuner", "default", "-testbed", "tacc", "-cmp", "16", "-step-at", "60", "-duration", "120")
+	_, flat := runFlags(t, nil, "-tuner", "default", "-testbed", "tacc", "-cmp", "16", "-duration", "120")
+	if len(step.Results) != 4 || len(flat.Results) != 4 {
+		t.Fatalf("ran %d and %d epochs, want 4 each", len(step.Results), len(flat.Results))
+	}
+	if step.Results[1].Report.Throughput != flat.Results[1].Report.Throughput {
+		t.Fatalf("before the step the loaded runs differ: %v vs %v",
+			step.Results[1].Report.Throughput, flat.Results[1].Report.Throughput)
+	}
+	if step.Results[3].Report.Throughput <= 1.2*flat.Results[3].Report.Throughput {
+		t.Fatalf("load lifted at t=60 but throughput stayed %v (loaded: %v)",
+			step.Results[3].Report.Throughput, flat.Results[3].Report.Throughput)
+	}
+}
+
+// TestHostileNumbersAreErrors: a flag line and a fleet file go through
+// the validation POST /jobs applies; a hostile number is an error that
+// names its field at every door, never a panic.
+func TestHostileNumbersAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-max-nc", "-5"}, "max_nc"},
+		{[]string{"-np", "-1"}, "np"},
+		{[]string{"-epoch", "NaN"}, "epoch"},
+		{[]string{"-dataset", "9999999999x1"}, "dataset"},
+		{[]string{"-pp", "4"}, "pp"},
+		{[]string{"-duration", "0"}, "budget"},
+		{[]string{"-step-at", "10", "-tfr2", "-5"}, "-tfr2"},
+	} {
+		_, err := parseFlags(t, tc.args...).session(nil, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v does not name %q", tc.args, err, tc.want)
+		}
+	}
+	for _, tc := range []struct{ file, want string }{
+		{`{"budget": 60, "sessions": [{"max_nc": -5}]}`, "max_nc"},
+		{`{"budget": 60, "sessions": [{"tunr": "cs-tuner"}]}`, "tunr"},
+		{`{"budgt": 60, "sessions": [{}]}`, "budgt"},
+		{`{"sessions": [{"tuner": "cs-tuner"}]}`, "budget"},
+		{`{"budget": 60, "sessions": [{"epoch": 5}]}`, "epoch"},
+		{`{"budget": 60, "sessions": [{}, {"addr": "127.0.0.1:1"}]}`, "mixes"},
+		{`{"budget": 60, "sessions": []}`, "no sessions"},
+	} {
+		path := filepath.Join(t.TempDir(), "fleet.json")
+		if err := os.WriteFile(path, []byte(tc.file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := buildFleet(path, nil, "", nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v does not name %q", tc.file, err, tc.want)
+		}
+	}
+	// The file's budget reaches a session that names none.
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	if err := os.WriteFile(path, []byte(`{"budget": 60, "sessions": [{"tuner": "cs-tuner"}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	tr.Stop()
+	if _, err := buildFleet(path, nil, "", nil); err != nil {
+		t.Fatalf("session inheriting the file's budget rejected: %v", err)
+	}
 }
 
 func TestPrintTraceEmpty(t *testing.T) {
@@ -112,13 +163,51 @@ func TestWriteCSVHelper(t *testing.T) {
 	}
 }
 
+// readmeFlagRow matches one row of the README's flag table: the flag's
+// name and the tools it belongs to.
+var readmeFlagRow = regexp.MustCompile("^\\| `-([a-z0-9-]+)[^`]*` \\| ([a-z, ]+) \\|")
+
+// TestUsageStringsConsistent: what the CLI documents is what it does.
+// Every tuner -tuner's usage lists is one the spec accepts, and the
+// README's flag table and the registered flags are the same set — a
+// removed flag cannot linger in the docs, a new one cannot go
+// undocumented.
 func TestUsageStringsConsistent(t *testing.T) {
-	// The documented tuner list matches what the resolver accepts.
-	for _, name := range strings.Split("default,cd-tuner,cs-tuner,nm-tuner,heur1,heur2,model,two-phase,warm:cs-tuner", ",") {
-		if _, err := dstune.ResolveStrategy(name, dstune.TunerConfig{
-			Box: dstune.MustBox([]int{1}, []int{8}), Start: []int{1}, Map: dstune.MapNC(1),
-		}, nil, dstune.HistoryKey{}); err != nil {
-			t.Fatalf("documented tuner %q rejected: %v", name, err)
+	fs := flag.NewFlagSet("dstune", flag.ContinueOnError)
+	bindFlags(fs)
+	for _, name := range strings.Split(fs.Lookup("tuner").Usage, ", ") {
+		name = strings.Replace(name, "<tuner>", "cs-tuner", 1)
+		if err := (service.JobSpec{Tuner: name, Budget: 1}).Validate(); err != nil {
+			t.Errorf("documented tuner %q rejected: %v", name, err)
 		}
+	}
+
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(readme), "\n") {
+		m := readmeFlagRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		for _, tool := range strings.Split(m[2], ", ") {
+			if tool == "dstune" {
+				documented[m[1]] = true
+			}
+		}
+	}
+	if len(documented) == 0 {
+		t.Fatal("found no dstune rows in the README's flag table")
+	}
+	fs.VisitAll(func(f *flag.Flag) {
+		if !documented[f.Name] {
+			t.Errorf("flag -%s has no row in the README's flag table", f.Name)
+		}
+		delete(documented, f.Name)
+	})
+	for name := range documented {
+		t.Errorf("the README documents -%s, which dstune does not register", name)
 	}
 }

@@ -69,7 +69,7 @@ func TestHistoryStoreSurvivesShutdownCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := historyKey("sim", "uchicago", "", 0, 0, 16)
+	key := dstune.HistoryKey{Endpoint: "uchicago", SizeClass: -1, LoadClass: 5}
 	if err := store.Add(dstune.HistoryRecord{Key: key, X: []int{14}, Throughput: 3e8, Tuner: "cs-tuner", Epochs: 40}); err != nil {
 		t.Fatal(err)
 	}

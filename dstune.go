@@ -210,10 +210,6 @@ type (
 	// RestartFrom selects the inner-search restart point of cs-tuner
 	// and nm-tuner.
 	RestartFrom = tuner.RestartFrom
-	// SearchSpace names the tuned dimensions — {nc}, {nc, np} or
-	// {nc, np, pp} — and their bounds; its Apply method fills a
-	// TunerConfig's Box, Start and Map.
-	SearchSpace = tuner.Space
 )
 
 // Inner-search restart points.
@@ -279,27 +275,9 @@ type (
 // "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model",
 // "two-phase", "rl-bandit", "rl-q", or any of them under a "warm:"
 // prefix (e.g. "warm:cs-tuner") — from cfg. The warm and two-phase
-// forms built here are cold (no history store); use ResolveStrategy
-// (or the NewWarm / NewTwoPhaseTuner tuners) to attach one.
+// forms built here are cold (no history store); use the NewWarm /
+// NewTwoPhaseTuner tuners to attach one.
 func NewStrategy(name string, cfg TunerConfig) (Strategy, error) { return tuner.NewStrategy(name, cfg) }
-
-// ResolveStrategy builds the strategy a session runs from its tuner
-// name, the history store its owner holds (nil for none) and its key in
-// it: cfg.Resume set means the checkpoint's strategy, cold; "two-phase"
-// seeds its candidates from the store; a "warm:" prefix or a store
-// means a warm start; anything else is NewStrategy. cmd/dstune and
-// dstuned both build their strategies here.
-func ResolveStrategy(name string, cfg TunerConfig, store *HistoryStore, key HistoryKey) (Strategy, error) {
-	return tuner.ResolveStrategy(name, cfg, store, key)
-}
-
-// SessionHistoryKey derives the history key of one session among many
-// sharing a store: the target (addr for a socket session, else the
-// testbed) joined with the session's ID, the size class of the socket
-// volume, the load class of tfr+cmp.
-func SessionHistoryKey(id, testbed, addr string, bytes float64, tfr, cmp int) HistoryKey {
-	return tuner.SessionHistoryKey(id, testbed, addr, bytes, tfr, cmp)
-}
 
 // KnownStrategy reports whether name resolves to a strategy
 // NewStrategy can build, including "warm:"-prefixed forms.
@@ -512,14 +490,6 @@ func OpenHistory(path string) (*HistoryStore, error) { return history.Open(path)
 // studies).
 func NewMemHistory() *HistoryStore { return history.NewMemStore() }
 
-// HistorySizeClass buckets a transfer volume in bytes into a history
-// key's size class (log2 of megabytes; -1 for unbounded).
-func HistorySizeClass(bytes float64) int { return history.SizeClass(bytes) }
-
-// HistoryLoadClass buckets an external-load level (e.g. competing
-// streams plus compute jobs) into a history key's load class.
-func HistoryLoadClass(level int) int { return history.LoadClass(level) }
-
 // NewWarm returns the warm-started form of the named strategy under
 // the standard Driver; its checkpoints carry the "warm:<inner>" name
 // and resume like any other run.
@@ -651,12 +621,6 @@ type (
 // UniformDataset returns n files of identical size.
 func UniformDataset(n int, size int64) Dataset { return dataset.Uniform(n, size) }
 
-// LogNormalDataset returns n files with log-normally distributed
-// sizes (median bytes, log-space sigma), deterministic per seed.
-func LogNormalDataset(n int, median, sigma float64, seed uint64) Dataset {
-	return dataset.LogNormal(n, median, sigma, seed)
-}
-
 // ManySmallFiles returns the latency-bound regime: n files of 1 MB.
 func ManySmallFiles(n int) Dataset { return dataset.ManySmall(n) }
 
@@ -665,25 +629,6 @@ func ManySmallFiles(n int) Dataset { return dataset.ManySmall(n) }
 // Existing files of the right size are left alone, so re-running
 // against a warm directory is cheap.
 func MaterializeDataset(dir string, d Dataset) error { return dataset.Materialize(dir, d) }
-
-// ParseDataset builds a dataset from a compact textual spec —
-// "10000x1MiB", "manysmall:20000", "fewhuge:16", or
-// "lognormal:2000:8MiB:1.5" (see dataset.ParseSpec). Deterministic
-// per seed; hostile specs return an error, never a panic.
-func ParseDataset(spec string, seed uint64) (Dataset, error) {
-	return dataset.ParseSpec(spec, seed)
-}
-
-// Default per-file transfer constants shared by the disk simulator,
-// the experiment scenarios, and the CLI flag defaults.
-const (
-	// DefaultDiskRate is the assumed source storage bandwidth in
-	// bytes per second.
-	DefaultDiskRate = dataset.DefaultDiskRate
-	// DefaultFileOverhead is the assumed per-file request latency in
-	// seconds.
-	DefaultFileOverhead = dataset.DefaultFileOverhead
-)
 
 // MapNCNPPP tunes concurrency, parallelism, and pipelining; x is
 // [nc, np, pp].

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 
 	"dstune/internal/dataset"
@@ -62,34 +61,15 @@ func TuneDisk(tb Testbed, sc DiskScenario, rc RunConfig) (*TuningResult, error) 
 		Traces:   make(map[string]*tuner.Trace, len(names)),
 	}
 	for _, name := range names {
-		f, _, err := tb.NewFabric(rc.Seed)
-		if err != nil {
-			return nil, err
-		}
-		f.SetLoad(load.None(), nil)
-		policy := xfer.RestartEveryEpoch
-		if name == "default" {
-			policy = xfer.RestartOnChange
-		}
-		tr, err := f.NewTransfer(xfer.TransferConfig{
-			Name:         name,
-			Files:        sc.Files,
-			DiskRate:     sc.DiskRate,
-			FileOverhead: sc.FileOverhead,
-			Policy:       policy,
-		})
-		if err != nil {
-			return nil, err
-		}
 		cfg := rc.diskTunerCfg()
 		if name == "default" {
 			cfg.Start = []int{2, 8, 4} // the static disk default
 		}
-		tn, err := tuner.NewNamed(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		trace, err := tn.Tune(context.Background(), tr)
+		trace, err := runTransfer(tb, name, load.None(), rc.Seed, xfer.TransferConfig{
+			Files:        sc.Files,
+			DiskRate:     sc.DiskRate,
+			FileOverhead: sc.FileOverhead,
+		}, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s on %s: %w", name, sc.Name, err)
 		}

@@ -118,30 +118,28 @@ func TunerNames() []string {
 	return []string{"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model"}
 }
 
-// runTuned executes one tuned transfer on a fresh fabric of tb under
-// schedule sched. The "default" baseline keeps its processes alive
-// (RestartOnChange), as the real Globus service does; every adaptive
-// tuner restarts per epoch, as the paper's wrappers do.
+// runTuned executes one tuned memory-to-memory transfer on a fresh
+// fabric of tb under schedule sched.
 func runTuned(tb Testbed, name string, sched load.Schedule, rc RunConfig, twoParam bool) (*tuner.Trace, error) {
 	rc = rc.withDefaults()
-	f, _, err := tb.NewFabric(rc.Seed)
+	return runTransfer(tb, name, sched, rc.Seed, xfer.TransferConfig{Bytes: xfer.Unbounded}, rc.tunerCfg(twoParam))
+}
+
+// runTransfer tunes the transfer tc describes with the named tuner on
+// a fresh fabric of tb under schedule sched, restarting its processes
+// as tuner.RestartPolicyFor says that tuner does.
+func runTransfer(tb Testbed, name string, sched load.Schedule, seed uint64, tc xfer.TransferConfig, cfg tuner.Config) (*tuner.Trace, error) {
+	f, _, err := tb.NewFabric(seed)
 	if err != nil {
 		return nil, err
 	}
 	f.SetLoad(sched, nil)
-	policy := xfer.RestartEveryEpoch
-	if name == "default" {
-		policy = xfer.RestartOnChange
-	}
-	tr, err := f.NewTransfer(xfer.TransferConfig{
-		Name:   name,
-		Bytes:  xfer.Unbounded,
-		Policy: policy,
-	})
+	tc.Name, tc.Policy = name, tuner.RestartPolicyFor(name)
+	tr, err := f.NewTransfer(tc)
 	if err != nil {
 		return nil, err
 	}
-	tn, err := tuner.NewNamed(name, rc.tunerCfg(twoParam))
+	tn, err := tuner.NewNamed(name, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"dstune/internal/endpoint"
 	"dstune/internal/netem"
 	"dstune/internal/tcpmodel"
@@ -83,6 +85,18 @@ func ANLtoTACC() Testbed {
 			MaxCwnd:    4 << 20,
 		},
 	}
+}
+
+// TestbedByName returns the testbed a job spec, flag or fleet file
+// names: "uchicago" or "tacc".
+func TestbedByName(name string) (Testbed, error) {
+	switch name {
+	case "uchicago":
+		return ANLtoUChicago(), nil
+	case "tacc":
+		return ANLtoTACC(), nil
+	}
+	return Testbed{}, fmt.Errorf("unknown testbed %q (want uchicago or tacc)", name)
 }
 
 // NewFabric builds a fabric for the testbed.

@@ -213,7 +213,13 @@ func TestTunerOverRealSockets(t *testing.T) {
 	sh := &Shaper{Rate: 4e6, Quad: 1.0 / 16} // optimum at 4
 	c := newTestClient(t, s, xfer.Unbounded, sh)
 	cfg := tuner.Config{
-		Epoch: 0.2, // wall-clock seconds
+		// Wall-clock seconds. On a loaded host every epoch pays its
+		// control round trips and its settle late, a fixed cost a 0.2 s
+		// epoch mistook for a slower parameter vector often enough to
+		// walk the search away (2 runs in 30 ended at nc=13 under twelve
+		// CPU hogs on one P, none in 24 at 0.4 s); 0.4 s halves its
+		// weight and still leaves thirty epochs in the budget.
+		Epoch: 0.4,
 		// Loopback timing is far noisier than a 30 s WAN epoch; a
 		// tight tolerance would keep re-triggering the search.
 		Tolerance: 30,

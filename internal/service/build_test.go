@@ -1,0 +1,195 @@
+package service
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"dstune/internal/history"
+	"dstune/internal/tuner"
+	"dstune/internal/xfer"
+)
+
+// simSpec is a runnable simulated spec under the named tuner.
+func simSpec(name string) JobSpec {
+	return JobSpec{Tuner: name, Budget: 60}.WithDefaults()
+}
+
+// TestBuildStrategyAllNames: every documented tuner name builds, under
+// that name; an unknown one is an error at Validate and at Build.
+func TestBuildStrategyAllNames(t *testing.T) {
+	names := []string{
+		"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2",
+		"model", "two-phase", "rl-bandit", "rl-q", "warm:cs-tuner",
+	}
+	for _, name := range names {
+		sess, err := Build(simSpec(name), "", Door{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		sess.Transfer.Stop()
+		if sess.Strategy.Name() != name || sess.ID != name {
+			t.Fatalf("built %q as strategy %q, session %q", name, sess.Strategy.Name(), sess.ID)
+		}
+	}
+	if err := simSpec("bogus").Validate(); err == nil {
+		t.Fatal("unknown tuner validated")
+	}
+	if _, err := Build(simSpec("bogus"), "", Door{}); err == nil {
+		t.Fatal("unknown tuner built")
+	}
+}
+
+// TestBuildStrategyWarmWrap: an open history store wraps plain
+// strategies with the warm start (so their checkpoints resume by the
+// warm name), but never a resumed run — its state comes from the
+// checkpoint.
+func TestBuildStrategyWarmWrap(t *testing.T) {
+	store := history.NewMemStore()
+	sess, err := Build(simSpec("cs-tuner"), "", Door{History: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Transfer.Stop()
+	if sess.Strategy.Name() != "warm:cs-tuner" {
+		t.Fatalf("store-backed tuner named %q, want warm:cs-tuner", sess.Strategy.Name())
+	}
+	if sess.Config.History != store || sess.Config.HistoryKey.Endpoint != "uchicago" {
+		t.Fatalf("history wiring = %v under %+v", sess.Config.History, sess.Config.HistoryKey)
+	}
+
+	ck := &tuner.Checkpoint{Tuner: "cs-tuner", Seed: 1, Transfer: xfer.TransferState{Total: -1, Remaining: -1}}
+	sess, err = Build(simSpec("cs-tuner"), "", Door{History: store, Resume: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Transfer.Stop()
+	if sess.Strategy.Name() != "cs-tuner" {
+		t.Fatalf("resumed tuner named %q, want the checkpoint's cs-tuner", sess.Strategy.Name())
+	}
+}
+
+// TestHistoryKeyDerivation: one function keys a single run (endpoint)
+// and one session among many (endpoint/id); a socket session keys on
+// its own server address, not the testbed; and the size class is that
+// of the volume the job moves — its dataset's bytes when it has one,
+// which a socket dataset job (Bytes must be 0) used to lose.
+func TestHistoryKeyDerivation(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		id   string
+		want history.Key
+	}{
+		{"single simulated run", JobSpec{Testbed: "uchicago", Addr: "", Cmp: 16}, "",
+			history.Key{Endpoint: "uchicago", SizeClass: -1, LoadClass: history.LoadClass(16)}},
+		{"single socket run", JobSpec{Testbed: "uchicago", Addr: "127.0.0.1:7632", Bytes: 5e9}, "",
+			history.Key{Endpoint: "127.0.0.1:7632", SizeClass: history.SizeClass(5e9)}},
+		{"socket session among many", JobSpec{Testbed: "tacc", Addr: "127.0.0.1:7632", Bytes: 5e9, Tfr: 4}, "bulk-2",
+			history.Key{Endpoint: "127.0.0.1:7632/bulk-2", SizeClass: history.SizeClass(5e9), LoadClass: history.LoadClass(4)}},
+		{"simulated session among many", JobSpec{Testbed: "tacc"}, "bg",
+			history.Key{Endpoint: "tacc/bg", SizeClass: -1}},
+		{"bounded simulated session", JobSpec{Testbed: "tacc", Bytes: 5e9}, "bg",
+			history.Key{Endpoint: "tacc/bg", SizeClass: history.SizeClass(5e9)}},
+		{"socket dataset job", JobSpec{Addr: "127.0.0.1:7632", Dataset: "64x1MiB"}, "files",
+			history.Key{Endpoint: "127.0.0.1:7632/files", SizeClass: history.SizeClass(64 << 20)}},
+		{"simulated dataset run", JobSpec{Testbed: "uchicago", Dataset: "64x1MiB"}, "",
+			history.Key{Endpoint: "uchicago", SizeClass: history.SizeClass(64 << 20)}},
+	} {
+		spec := tc.spec.WithDefaults()
+		// Through Build, with a factory so a socket spec dials nothing.
+		sess, err := Build(spec, tc.id, Door{NewTransfer: memFactory(0, nil)})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got := sess.Config.HistoryKey; got != tc.want {
+			t.Errorf("%s: key = %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestBuildUnknownTestbed: a testbed nobody knows is an error at every
+// step that names one, never a silent uchicago.
+func TestBuildUnknownTestbed(t *testing.T) {
+	spec := simSpec("default")
+	spec.Testbed = "mars"
+	if err := spec.Validate(); err == nil {
+		t.Fatal("unknown testbed validated")
+	}
+	if _, err := NewFabric(spec); err == nil {
+		t.Fatal("unknown testbed got a fabric")
+	}
+	if _, err := Build(spec, "", Door{}); err == nil {
+		t.Fatal("unknown testbed built")
+	}
+}
+
+// TestBuildSimDataset: a simulated spec with a dataset is the
+// disk-to-disk model — bounded by the dataset and tuned in the
+// dimensions Two and PP pick, as at every other door.
+func TestBuildSimDataset(t *testing.T) {
+	spec := simSpec("nm-tuner")
+	spec.Dataset = "4x1MiB"
+	for _, tc := range []struct {
+		two  bool
+		pp   int
+		dims int
+	}{{false, 0, 1}, {true, 4, 2}, {true, 0, 3}} {
+		spec.Two, spec.PP = tc.two, tc.pp
+		sess, err := Build(spec, "", Door{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sess.Transfer.Remaining(); got != 4<<20 {
+			t.Fatalf("Remaining = %v, want the dataset's 4 MiB", got)
+		}
+		sess.Transfer.Stop()
+		if got := sess.Config.Box.Dim(); got != tc.dims {
+			t.Fatalf("two=%v pp=%d tunes %d dimensions, want %d", tc.two, tc.pp, got, tc.dims)
+		}
+	}
+}
+
+// TestDefaultIsGlobusDefaultAtEveryDoor: a `default` job under the
+// Supervisor keeps its processes alive between epochs, as the same spec
+// run through a Driver (the CLI's path) always has — the two mean
+// throughputs are equal bit for bit, and the restart overhead is the
+// first epoch's alone, not a tenth of every epoch.
+func TestDefaultIsGlobusDefaultAtEveryDoor(t *testing.T) {
+	spec, err := DecodeJobSpec([]byte(`{"tuner":"default","budget":300}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Build(spec.WithDefaults(), "", Door{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := tuner.NewDriver(sess.Config).Run(context.Background(), sess.Strategy, sess.Transfer)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sv, _ := startSupervisor(t, Config{Shards: 1})
+	st, err := sv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the default job", func() bool {
+		js, _ := sv.Job(st.ID)
+		return js.State == JobDone
+	})
+	ck, err := tuner.LoadCheckpoint(sv.checkpointPath(st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var daemon tuner.Trace
+	for _, rec := range ck.Trace {
+		daemon.Results = append(daemon.Results, tuner.EpochResult{X: rec.X, Report: rec.Report})
+	}
+	if got, want := daemon.MeanThroughput(), cli.MeanThroughput(); got != want {
+		t.Fatalf("daemon default = %.1f MB/s, driver default = %.1f MB/s", got/1e6, want/1e6)
+	}
+	if over := 1 - daemon.MeanThroughput()/daemon.MeanBestCase(); over > 0.02 {
+		t.Fatalf("default pays %.1f%% restart overhead: its processes are being restarted every epoch", 100*over)
+	}
+}

@@ -107,7 +107,7 @@ func TestAbandonReleasesCheckpointLog(t *testing.T) {
 	}
 	var live []*job
 	for i := 0; i < 4; i++ {
-		j := &job{id: fmt.Sprintf("idle-%d", i), spec: JobSpec{Epoch: 1, Budget: 1e9, MaxNC: 32}.withDefaults(), state: JobRunning}
+		j := &job{id: fmt.Sprintf("idle-%d", i), spec: JobSpec{Epoch: 1, Budget: 1e9, MaxNC: 32}.WithDefaults(), state: JobRunning}
 		if j.rt, err = sv.buildRuntime(j); err != nil {
 			t.Fatal(err)
 		}

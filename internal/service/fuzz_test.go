@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"dstune/internal/tuner"
 )
 
 // FuzzDecodeJobSpec hammers the control API's parser with hostile
@@ -29,6 +31,8 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		`{"bytes": "NaN"}`,
 		`{"np": -1, "bytes": 1}`,
 		`{"max_nc": 99999999, "bytes": 1}`,
+		`{"max_nc": -5, "bytes": 1}`,
+		`{"max_nc": 1, "max_np": 1, "two": true, "dataset": "10x1MiB"}`,
 		`{"dial_fail_prob": 0.5, "bytes": 1}`,
 		`{"addr": "127.0.0.1:0", "dial_fail_prob": 0.5, "bytes": 1}`,
 		`{"addr": "127.0.0.1:0", "dataset": "10000x1MiB", "two": true}`,
@@ -67,6 +71,9 @@ func FuzzDecodeJobSpec(f *testing.F) {
 				t.Fatalf("accepted non-UTF-8 name %q from %q", name, data)
 			}
 		}
+		// Every accepted spec builds its search space: no bound it admits
+		// may reach directsearch.MustBox's panic.
+		spec.WithDefaults().space().Apply(tuner.Config{})
 		// Every accepted spec must be able to terminate: a finite byte
 		// volume, a budget, or a dataset (which bounds the transfer).
 		if spec.Bytes == 0 && spec.Budget == 0 && spec.Dataset == "" {

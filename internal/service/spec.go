@@ -19,13 +19,17 @@ import (
 	"math"
 
 	"dstune/internal/dataset"
+	"dstune/internal/experiment"
 	"dstune/internal/tuner"
 )
 
-// JobSpec is a tuning job as submitted to POST /jobs: the transfer to
-// tune (a simulated testbed or a gridftpd server address), the
-// strategy, and the search-box knobs. The zero value of every optional
-// field selects the same default the dstune CLI uses.
+// JobSpec is the one declarative description of a tuned session: the
+// transfer to tune (a simulated testbed or a gridftpd server address),
+// the strategy, and the search-box knobs. It is the body of POST /jobs,
+// the struct dstune's flags bind onto, and — with a name and a weight
+// beside it — each session of a dstune -fleet file; Build turns it into
+// the same session at all three. The zero value of every optional field
+// selects the default WithDefaults documents.
 type JobSpec struct {
 	// ID names the job; empty lets the daemon assign one. IDs are
 	// restricted to letters, digits, '.', '_', and '-' (they become
@@ -91,27 +95,37 @@ type JobSpec struct {
 // enforces it on request bodies.
 const maxSpecBytes = 1 << 20
 
-// DecodeJobSpec parses one JSON-encoded JobSpec strictly: unknown
-// fields, trailing data, oversized documents, and type mismatches are
-// all errors, and the returned spec is validated. Hostile input yields
-// an error — never a panic and never a partially usable spec.
+// DecodeJobSpec parses one JSON-encoded JobSpec strictly (DecodeStrict)
+// and validates it. Hostile input yields an error — never a panic and
+// never a partially usable spec.
 func DecodeJobSpec(data []byte) (JobSpec, error) {
 	var spec JobSpec
-	if len(data) > maxSpecBytes {
-		return JobSpec{}, fmt.Errorf("service: job spec exceeds %d bytes", maxSpecBytes)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return JobSpec{}, fmt.Errorf("service: job spec: %w", err)
-	}
-	if dec.More() {
-		return JobSpec{}, errors.New("service: job spec: trailing data after JSON document")
+	if err := DecodeStrict(data, &spec); err != nil {
+		return JobSpec{}, err
 	}
 	if err := spec.Validate(); err != nil {
 		return JobSpec{}, err
 	}
 	return spec, nil
+}
+
+// DecodeStrict decodes one JSON document holding job specs into v —
+// over whatever v already holds, so a spec decoded onto shared defaults
+// overrides only the keys it names. Unknown fields, trailing data,
+// oversized documents, and type mismatches are all errors.
+func DecodeStrict(data []byte, v any) error {
+	if len(data) > maxSpecBytes {
+		return fmt.Errorf("service: job spec exceeds %d bytes", maxSpecBytes)
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("service: job spec: %w", err)
+	}
+	if dec.More() {
+		return errors.New("service: job spec: trailing data after JSON document")
+	}
+	return nil
 }
 
 // Validate reports whether the spec is runnable: names well-formed,
@@ -127,11 +141,9 @@ func (s JobSpec) Validate() error {
 	if s.Tuner != "" && !tuner.KnownStrategy(s.Tuner) {
 		return fmt.Errorf("service: unknown tuner %q", s.Tuner)
 	}
-	if s.Addr == "" {
-		switch s.Testbed {
-		case "", "uchicago", "tacc":
-		default:
-			return fmt.Errorf("service: unknown testbed %q (want uchicago or tacc)", s.Testbed)
+	if s.Addr == "" && s.Testbed != "" {
+		if _, err := experiment.TestbedByName(s.Testbed); err != nil {
+			return fmt.Errorf("service: %w", err)
 		}
 	}
 	for _, f := range []struct {
@@ -178,9 +190,9 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// withDefaults returns s with zero fields replaced by the documented
-// defaults.
-func (s JobSpec) withDefaults() JobSpec {
+// WithDefaults returns s with zero fields replaced by the documented
+// defaults — the one place they are written.
+func (s JobSpec) WithDefaults() JobSpec {
 	if s.Tenant == "" {
 		s.Tenant = "default"
 	}

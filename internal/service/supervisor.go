@@ -272,7 +272,7 @@ func (sv *Supervisor) adopt() error {
 		j := &job{
 			id:      e.ID,
 			tenant:  e.Tenant,
-			spec:    e.Spec.withDefaults(),
+			spec:    e.Spec.WithDefaults(),
 			seq:     e.Seq,
 			shard:   tuner.ShardIndex(e.ID, sv.shards),
 			state:   JobQueued,
@@ -357,7 +357,7 @@ func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	sv.dobs.Submitted()
-	full := spec.withDefaults()
+	full := spec.WithDefaults()
 
 	sv.mu.Lock()
 	defer sv.mu.Unlock()

@@ -50,6 +50,7 @@ func (d *Driver) Run(ctx context.Context, s Strategy, t xfer.Transferer) (*Trace
 		Epoch:                cfg.Epoch,
 		Budget:               cfg.Budget,
 		MaxTransientFailures: cfg.MaxTransientFailures,
+		History:              cfg.History,
 		PreserveOnCancel:     true,
 	}, FleetSession{
 		Strategy:       s,
@@ -57,6 +58,7 @@ func (d *Driver) Run(ctx context.Context, s Strategy, t xfer.Transferer) (*Trace
 		Maps:           []ParamMap{cfg.Map},
 		Checkpoint:     cfg.Checkpoint,
 		Seed:           cfg.Seed,
+		HistoryKey:     cfg.HistoryKey,
 		Resume:         cfg.Resume,
 		obs:            cfg.Obs,
 		drain:          cfg.Drain,

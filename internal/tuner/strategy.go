@@ -88,8 +88,8 @@ func NewStrategy(name string, cfg Config) (Strategy, error) {
 
 // ResolveStrategy builds the strategy a session runs from the tuner
 // name its owner was given, the history store the owner holds (nil for
-// none) and the session's key in it — the one place the CLI, the fleet
-// CLI and dstuned decide between the cold, warm and resumed forms:
+// none) and the session's key in it — the one place a session's owner
+// decides between the cold, warm and resumed forms:
 //
 //   - cfg.Resume set: the strategy the checkpoint names, built cold. The
 //     checkpointed state is authoritative (a store-wrapped run
@@ -113,24 +113,21 @@ func ResolveStrategy(name string, cfg Config, store *history.Store, key history.
 	return NewStrategy(name, cfg)
 }
 
-// SessionHistoryKey derives the history key of one session among many
-// sharing a store (fleet sessions, dstuned jobs). The endpoint joins
-// the transfer's target — the server address of a socket session, the
-// testbed of a simulated one — with the session's deduplicated ID, so
-// identically named sessions ("bulk", "bulk-2") never alias one
-// another's best-known vector. The size class is that of the socket
-// volume (simulated sessions are unbounded); the load class
-// fingerprints the configured external load.
-func SessionHistoryKey(id, testbed, addr string, bytes float64, tfr, cmp int) history.Key {
-	target, volume := testbed, 0.0
-	if addr != "" {
-		target, volume = addr, bytes
+// RestartPolicyFor returns the restart policy a simulated transfer
+// runs under for the named strategy. The static Globus default
+// ("default", its alias "static", or either under a wrapper prefix)
+// keeps its processes alive between epochs, as the real service does;
+// every adaptive tuner restarts them per epoch, as the paper's wrappers
+// do. The binaries and the figure harnesses all ask here, so a baseline
+// is the same baseline wherever it is run.
+func RestartPolicyFor(name string) xfer.RestartPolicy {
+	for _, prefix := range []string{"warm:", "kernel-aware:"} {
+		name = strings.TrimPrefix(name, prefix)
 	}
-	return history.Key{
-		Endpoint:  target + "/" + id,
-		SizeClass: history.SizeClass(volume),
-		LoadClass: history.LoadClass(tfr + cmp),
+	if name == "default" || name == "static" {
+		return xfer.RestartOnChange
 	}
+	return xfer.RestartEveryEpoch
 }
 
 // StrategyNames lists every base (unprefixed) strategy name NewStrategy

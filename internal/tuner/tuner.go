@@ -20,6 +20,7 @@ import (
 	"math"
 
 	"dstune/internal/directsearch"
+	"dstune/internal/history"
 	"dstune/internal/obs"
 	"dstune/internal/trace"
 	"dstune/internal/xfer"
@@ -226,6 +227,13 @@ type Config struct {
 	// served by /status. Nil — the default — disables observation at
 	// zero cost; see the obs package and OBSERVABILITY.md.
 	Obs *obs.SessionObs
+	// History, when non-nil, is the knowledge plane a run records
+	// into: a run with a HistoryKey that ends cleanly appends its best
+	// epoch, as FleetConfig.History has a fleet session do.
+	History *history.Store
+	// HistoryKey, when non-zero, is the run's identity in History, as
+	// FleetSession.HistoryKey is a fleet session's.
+	HistoryKey history.Key
 }
 
 // resolveSentinel maps the zero value to def and the NaN sentinel
