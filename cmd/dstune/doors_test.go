@@ -52,7 +52,7 @@ func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint string, n int,
 func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 	d := daemonDoor{dir: t.TempDir(), hist: dstune.NewMemHistory()}
 	var err error
-	if d.sv, err = service.New(service.Config{Dir: d.dir, Shards: 2, History: d.hist}); err != nil {
+	if d.sv, err = service.New(service.Config{Dir: d.dir, History: d.hist}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,7 +1,7 @@
 // Command dstuned is the tuning service plane: a long-running,
-// crash-safe, multi-tenant daemon that supervises tuner sessions
-// across worker shards. Jobs arrive over an HTTP/JSON control API,
-// are journaled durably before they are acknowledged, checkpoint
+// crash-safe, multi-tenant daemon that runs each tuner session on its
+// own goroutine, at its own pace. Jobs arrive over an HTTP/JSON control
+// API, are journaled durably before they are acknowledged, checkpoint
 // after every control epoch, and are re-adopted mid-trajectory by the
 // next incarnation after a crash or restart.
 //
@@ -17,8 +17,8 @@
 //
 // Usage:
 //
-//	dstuned -state DIR [-addr 127.0.0.1:9410] [-shards 4]
-//	        [-max-active N] [-max-queued N] [-tenant-max-active N]
+//	dstuned -state DIR [-addr 127.0.0.1:9410] [-max-active N]
+//	        [-max-queued N] [-tenant-max-active N]
 //	        [-tenant-fault-budget N] [-retry-after 1s]
 //	        [-history FILE] [-obs-trace FILE]
 //
@@ -33,13 +33,13 @@ import (
 	"flag"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"dstune"
+	"dstune/internal/obs"
 )
 
 func main() {
@@ -56,9 +56,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("dstuned", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:9410", "control API listen address")
 	state := fs.String("state", "", "state directory for the job journal and checkpoints (required)")
-	shards := fs.Int("shards", 4, "session-supervision worker shards")
-	maxActive := fs.Int("max-active", 0, "sessions running at once across all shards; 0 = default (1024)")
-	maxQueued := fs.Int("max-queued", 0, "jobs waiting for a shard slot before 429; 0 = default (4096)")
+	maxActive := fs.Int("max-active", 0, "sessions running at once; 0 = default (1024)")
+	maxQueued := fs.Int("max-queued", 0, "jobs waiting for a running slot before 429; 0 = default (4096)")
 	tenantMaxActive := fs.Int("tenant-max-active", 0, "per-tenant admitted-job cap; 0 = max-active")
 	tenantFaultBudget := fs.Int("tenant-fault-budget", 0, "per-tenant cumulative transient-epoch budget; 0 disables")
 	retryAfter := fs.Duration("retry-after", 0, "Retry-After hint on 429 responses; 0 = default (1s)")
@@ -102,8 +101,7 @@ func run(args []string) error {
 	}
 
 	sv, err := dstune.NewSupervisor(dstune.ServiceConfig{
-		Dir:    *state,
-		Shards: *shards,
+		Dir: *state,
 		Limits: dstune.ServiceLimits{
 			MaxActive:         *maxActive,
 			MaxQueued:         *maxQueued,
@@ -132,10 +130,10 @@ func run(args []string) error {
 	defer stop()
 	sv.Start(ctx)
 
-	srv := &http.Server{Handler: sv.Handler()}
+	srv := obs.NewHTTPServer(sv.Handler())
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	log.Printf("control API listening on %s (state %s, %d shards)", ln.Addr(), *state, *shards)
+	log.Printf("control API listening on %s (state %s)", ln.Addr(), *state)
 
 	select {
 	case <-ctx.Done():

@@ -45,7 +45,7 @@ type daemon struct {
 // given state directory and waits for its control API address.
 func startDaemon(t *testing.T, state string, args ...string) *daemon {
 	t.Helper()
-	all := append([]string{"-addr", "127.0.0.1:0", "-state", state, "-shards", "2"}, args...)
+	all := append([]string{"-addr", "127.0.0.1:0", "-state", state}, args...)
 	cmd := exec.Command(os.Args[0], all...)
 	cmd.Env = append(os.Environ(), "DSTUNED_REEXEC=1")
 	stderr, err := cmd.StderrPipe()

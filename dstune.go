@@ -258,8 +258,9 @@ type (
 	// Driver runs one Strategy against one Transferer to completion: a
 	// one-transfer session of the epoch engine, stepped until done.
 	Driver = tuner.Driver
-	// Fleet drives N (strategy, transfers) sessions concurrently from
-	// one scheduler loop with shared accounting.
+	// Fleet drives N (strategy, transfers) sessions concurrently, each
+	// on its own goroutine, and returns their results in declaration
+	// order.
 	Fleet = tuner.Fleet
 	// FleetConfig parameterizes a Fleet (epoch, budget, transient
 	// tolerance).
@@ -735,17 +736,17 @@ func DynamicLoadStudy(tb Testbed, cfg DynamicLoadConfig) (*DynamicLoadResult, er
 }
 
 // The service plane: a long-running, crash-safe, multi-tenant tuning
-// daemon (cmd/dstuned) supervising many concurrent sessions across
-// worker shards.
+// daemon (cmd/dstuned) running many concurrent sessions, each on its
+// own goroutine at its own pace.
 type (
 	// ServiceConfig configures a tuning daemon supervisor: state
-	// directory, shard count, admission limits, and wiring.
+	// directory, admission limits, and wiring.
 	ServiceConfig = service.Config
 	// ServiceLimits bounds admission: fleet-wide active/queued caps,
 	// per-tenant quotas, and the tenant transient-fault budget.
 	ServiceLimits = service.Limits
-	// Supervisor owns the daemon's sessions: admission, sharded
-	// execution, journaling, checkpointing, and crash re-adoption.
+	// Supervisor owns the daemon's sessions: admission, execution,
+	// journaling, checkpointing, and crash re-adoption.
 	Supervisor = service.Supervisor
 	// JobSpec is one tuning job as submitted over the control API.
 	JobSpec = service.JobSpec
@@ -766,9 +767,9 @@ type (
 
 // Job lifecycle states reported by the control API.
 const (
-	// JobQueued: accepted and journaled, waiting for a shard slot.
+	// JobQueued: accepted and journaled, waiting for a running slot.
 	JobQueued = service.JobQueued
-	// JobRunning: stepping under a shard's supervision loop.
+	// JobRunning: stepping on its own goroutine.
 	JobRunning = service.JobRunning
 	// JobDone: finished cleanly; journal debt cleared.
 	JobDone = service.JobDone

@@ -1,8 +1,9 @@
-// Fleet: many tuned transfers in one process under one scheduler.
+// Fleet: many tuned transfers in one process.
 // Four transfers share the ANL source endpoint, each driven by its
-// own tuning strategy — the step-driven Strategy interface lets a
-// single Fleet loop pace all of them epoch-by-epoch, where the old
-// blocking Tune API needed one goroutine per tuner.
+// own tuning strategy on its own goroutine, as four independent tuner
+// processes would be. One Fleet builds, runs and collects them; the
+// shared fabric is all that couples them, advancing virtual time only
+// when every transfer is inside its epoch.
 //
 // Run with: go run ./examples/fleet
 package main
@@ -67,5 +68,5 @@ func main() {
 		fmt.Printf("%-10s  %6d  %10.1f  %9v  %12.0f\n",
 			r.Name, len(tr.Results), tr.MeanThroughput()/1e6, tr.FinalX(), r.Bytes)
 	}
-	fmt.Println("\nall four tuners ran in one scheduler loop — no goroutine per tuner")
+	fmt.Println("\nall four tuners ran side by side in one Fleet, coupled only by the shared source")
 }

@@ -384,9 +384,10 @@ func Simultaneous(name string, rc RunConfig) (*SimultaneousResult, error) {
 	}
 
 	// One Fleet, two sessions: each transfer gets its own strategy
-	// instance (offset seeds), and the scheduler runs their control
-	// epochs in the same lockstep rounds the two goroutine-driven
-	// tuners used to produce.
+	// instance (offset seeds) and is tuned on its own goroutine, as the
+	// paper's two independent tuner processes are. The shared fabric's
+	// conservative-time barrier is all that couples them: virtual time
+	// advances only when both transfers are inside an epoch.
 	session := func(t xfer.Transferer, seedOff uint64) (tuner.FleetSession, error) {
 		cfg := rc.tunerCfg(true)
 		cfg.Seed += seedOff

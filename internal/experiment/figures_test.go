@@ -2,7 +2,9 @@ package experiment
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"dstune/internal/load"
@@ -235,27 +237,43 @@ func TestSimultaneous(t *testing.T) {
 	}
 }
 
-// TestSimultaneousRepeatable: two sessions on one fabric run on two
-// goroutines per round, and the result must not depend on which of
-// them reaches the fabric first. Twenty runs per seed, side by side so
-// the scheduler has something to reorder, give one result.
+// TestSimultaneousRepeatable: two sessions on one fabric are tuned on
+// two goroutines with nothing but the fabric's barrier between them, and
+// the result must not depend on which of them reaches the fabric first.
+// Ten runs per seed on one processor and ten on two, side by side so the
+// scheduler has something to reorder, give one result — full traces, not
+// only their means.
 func TestSimultaneousRepeatable(t *testing.T) {
-	const runs = 20
+	const runs = 10
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, seed := range []uint64{1, 9} {
 		rc := RunConfig{Seed: seed, Duration: 600}
-		got := make([]*SimultaneousResult, runs)
-		err := forEachCell(runs, func(i int) (err error) {
-			got[i], err = Simultaneous("nm-tuner", rc)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i < runs; i++ {
-			if !reflect.DeepEqual(got[i], got[0]) {
-				t.Fatalf("seed %d: run %d differs from run 0: mean throughputs (%v, %v) vs (%v, %v)", seed, i,
-					got[i].UChicago.MeanThroughput(), got[i].TACC.MeanThroughput(),
-					got[0].UChicago.MeanThroughput(), got[0].TACC.MeanThroughput())
+		var want *SimultaneousResult
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			got := make([]*SimultaneousResult, runs)
+			errs := make([]error, runs)
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = Simultaneous("nm-tuner", rc)
+				}()
+			}
+			wg.Wait()
+			for i, res := range got {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if want == nil {
+					want = res
+				}
+				if !reflect.DeepEqual(res, want) {
+					t.Fatalf("seed %d, GOMAXPROCS %d: run %d differs from the first: mean throughputs (%v, %v) vs (%v, %v)", seed, procs, i,
+						res.UChicago.MeanThroughput(), res.TACC.MeanThroughput(),
+						want.UChicago.MeanThroughput(), want.TACC.MeanThroughput())
+				}
 			}
 		}
 	}

@@ -26,17 +26,14 @@ const (
 	// (exhausted tenant fault budget).
 	MetricDaemonEvicted = "dstuned_jobs_evicted_total"
 	// MetricDaemonQueueDepth is the number of admitted jobs waiting
-	// for a shard slot.
+	// for a running slot.
 	MetricDaemonQueueDepth = "dstuned_queue_depth"
-	// MetricDaemonActive is the number of sessions currently stepping
-	// on shard loops.
+	// MetricDaemonActive is the number of sessions currently running.
 	MetricDaemonActive = "dstuned_active_sessions"
-	// MetricDaemonShardSessions is the per-shard live session count,
-	// labeled by shard index.
-	MetricDaemonShardSessions = "dstuned_shard_sessions"
-	// MetricDaemonRoundSeconds is the per-shard wall-clock duration of
-	// one supervision round (admit + step + settle), labeled by shard.
-	MetricDaemonRoundSeconds = "dstuned_round_seconds"
+	// MetricDaemonStepSeconds is the wall-clock duration of one
+	// session step (propose, epoch, settle, checkpoint), over all
+	// sessions.
+	MetricDaemonStepSeconds = "dstuned_step_seconds"
 	// MetricDaemonTenantActive is the per-tenant count of admitted
 	// (queued + running) jobs, labeled by tenant.
 	MetricDaemonTenantActive = "dstuned_tenant_active_jobs"
@@ -47,7 +44,7 @@ const (
 )
 
 // DaemonObs is the dstuned supervisor's instrument bundle: admission,
-// adoption, eviction, and shard-load metrics plus the job lifecycle
+// adoption, eviction, and step-latency metrics plus the job lifecycle
 // events. A nil *DaemonObs is a valid no-op; all methods are safe for
 // concurrent use.
 type DaemonObs struct {
@@ -61,6 +58,7 @@ type DaemonObs struct {
 	evicted    *Counter
 	queueDepth *Gauge
 	active     *Gauge
+	stepTime   *Histogram
 }
 
 // Daemon registers and returns the dstuned instrument bundle; nil on a
@@ -78,8 +76,9 @@ func (o *Observer) Daemon() *DaemonObs {
 		failed:     o.reg.Counter(MetricDaemonFailed, "Jobs that ended with an error."),
 		cancelled:  o.reg.Counter(MetricDaemonCancelled, "Jobs cancelled through the control API."),
 		evicted:    o.reg.Counter(MetricDaemonEvicted, "Jobs force-ended by the supervisor."),
-		queueDepth: o.reg.Gauge(MetricDaemonQueueDepth, "Admitted jobs waiting for a shard slot."),
-		active:     o.reg.Gauge(MetricDaemonActive, "Sessions currently stepping on shard loops."),
+		queueDepth: o.reg.Gauge(MetricDaemonQueueDepth, "Admitted jobs waiting for a running slot."),
+		active:     o.reg.Gauge(MetricDaemonActive, "Sessions currently running."),
+		stepTime:   o.reg.Histogram(MetricDaemonStepSeconds, "Wall-clock duration of one session step.", DefaultLatencyBuckets),
 	}
 }
 
@@ -161,21 +160,12 @@ func (d *DaemonObs) SetActive(n int) {
 	d.active.Set(float64(n))
 }
 
-// SetShardSessions updates shard's live session count.
-func (d *DaemonObs) SetShardSessions(shard string, n int) {
+// StepObserved records the wall-clock duration of one session step.
+func (d *DaemonObs) StepObserved(seconds float64) {
 	if d == nil {
 		return
 	}
-	d.o.reg.Gauge(MetricDaemonShardSessions, "Live sessions per shard.", L("shard", shard)).Set(float64(n))
-}
-
-// RoundObserved records the wall-clock duration of one supervision
-// round on shard.
-func (d *DaemonObs) RoundObserved(shard string, seconds float64) {
-	if d == nil {
-		return
-	}
-	d.o.reg.Histogram(MetricDaemonRoundSeconds, "Wall-clock duration of one supervision round.", DefaultLatencyBuckets, L("shard", shard)).Observe(seconds)
+	d.stepTime.Observe(seconds)
 }
 
 // SetTenantActive updates tenant's admitted-job gauge.

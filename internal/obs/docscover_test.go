@@ -51,8 +51,7 @@ func TestObservabilityDocCoverage(t *testing.T) {
 	d.JobDone(nil, false)
 	d.SetQueueDepth(1)
 	d.SetActive(1)
-	d.SetShardSessions("0", 1)
-	d.RoundObserved("0", 0.01)
+	d.StepObserved(0.01)
 	d.SetTenantActive("tenant-a", 1)
 	d.TenantFaults("tenant-a", 1)
 

@@ -7,7 +7,33 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
+
+// Limits NewHTTPServer puts on every connection, so a client that
+// connects and then stalls — or never stops sending headers — cannot
+// hold a goroutine and a descriptor of a long-lived daemon forever.
+// There is no write timeout: /debug/pprof/profile legitimately takes
+// 30 s to answer.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpReadTimeout       = 30 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+	httpMaxHeaderBytes    = 64 << 10
+)
+
+// NewHTTPServer returns the http.Server every listener in this
+// repository serves h through: the observation endpoint (Serve) and
+// dstuned's control API.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		IdleTimeout:       httpIdleTimeout,
+		MaxHeaderBytes:    httpMaxHeaderBytes,
+	}
+}
 
 // Handler returns the introspection mux:
 //
@@ -70,7 +96,7 @@ func (o *Observer) Serve(addr string) (*Endpoint, error) {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
 	o.Registry().PublishExpvar()
-	srv := &http.Server{Handler: o.Handler()}
+	srv := NewHTTPServer(o.Handler())
 	go func() { _ = srv.Serve(ln) }()
 	return &Endpoint{ln: ln, srv: srv}, nil
 }

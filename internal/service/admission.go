@@ -9,10 +9,11 @@ import (
 // per-tenant caps on concurrent work plus per-tenant transient-fault
 // budgets. The zero value of each field selects a permissive default.
 type Limits struct {
-	// MaxActive caps the sessions running across all shards at once;
-	// admitted jobs beyond it wait in the queue (default 1024).
+	// MaxActive caps the sessions running at once, and with them the
+	// daemon's session goroutines; admitted jobs beyond it wait in the
+	// queue (default 1024).
 	MaxActive int
-	// MaxQueued caps the jobs waiting for a shard slot; submissions
+	// MaxQueued caps the jobs waiting for a running slot; submissions
 	// beyond it are rejected with 429 + Retry-After (default 4096).
 	MaxQueued int
 	// TenantMaxActive caps one tenant's admitted jobs — queued plus

@@ -31,7 +31,7 @@ type Door struct {
 	// joins — one fabric shared by a fleet's sessions, or one its owner
 	// put a load schedule on. Nil gives the session a private fabric
 	// (NewFabric), so one daemon tenant's transfer never stalls
-	// another's conservative-time barrier across shards.
+	// another's conservative-time barrier.
 	Fabric *xfer.Fabric
 	// NewTransfer overrides transfer construction; nil builds the
 	// spec's own transfer, a gridftp client (ClientConfig) or a

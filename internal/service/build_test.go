@@ -169,7 +169,7 @@ func TestDefaultIsGlobusDefaultAtEveryDoor(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sv, _ := startSupervisor(t, Config{Shards: 1})
+	sv, _ := startSupervisor(t, Config{})
 	st, err := sv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -4,17 +4,20 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 	"time"
+
+	"dstune/internal/tuner"
 )
 
 // TestSessionEndReleasesCheckpointLog: every session holds its
 // checkpoint's epoch log open while it runs and must release it when it
 // ends, however it ends — clean budget end, fatal transfer error,
-// cancellation, or a daemon drain that abandons it mid-trajectory. The
+// cancellation, or a daemon drain that ends it mid-trajectory. The
 // Supervisor keeps every job it has seen (and, through it, the ended
 // session) reachable for status queries, so a handle that is not closed
 // explicitly is never finalised: 500 twelve-epoch jobs must leave the
@@ -35,7 +38,7 @@ func TestSessionEndReleasesCheckpointLog(t *testing.T) {
 			m.delay = 2 * time.Millisecond
 		}
 	})
-	sv, cancel := startSupervisor(t, Config{Shards: 4, NewTransfer: factory})
+	sv, cancel := startSupervisor(t, Config{NewTransfer: factory})
 	terminal := func(ids []string) bool {
 		for _, id := range ids {
 			if st, err := sv.Job(id); err != nil || st.State == JobQueued || st.State == JobRunning {
@@ -60,7 +63,7 @@ func TestSessionEndReleasesCheckpointLog(t *testing.T) {
 	run(50, 500)
 
 	// Sessions still stepping: cancel some through the API, leave the
-	// rest — more than the tolerance — for the drain to abandon.
+	// rest — more than the tolerance — for the drain to interrupt.
 	var slow []string
 	for i := 0; i < 32; i++ {
 		id := fmt.Sprintf("slow-%02d", i)
@@ -95,9 +98,10 @@ func TestSessionEndReleasesCheckpointLog(t *testing.T) {
 }
 
 // TestAbandonReleasesCheckpointLog covers the drain branch the test
-// above reaches only by luck: a shard that notices the cancellation
-// between rounds abandons sessions that are not mid-epoch, and those
-// must release their log handles too (their transfers stay resumable).
+// above reaches only by luck: a session that is between epochs when the
+// daemon's context is cancelled ends in its next Step without running
+// one, and must release its log handle too (its transfer stays
+// resumable).
 func TestAbandonReleasesCheckpointLog(t *testing.T) {
 	var transfers []*memTransfer
 	keep := func(_ string, m *memTransfer) { transfers = append(transfers, m) }
@@ -105,16 +109,17 @@ func TestAbandonReleasesCheckpointLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var live []*job
+	var live []*tuner.SessionRuntime
 	for i := 0; i < 4; i++ {
 		j := &job{id: fmt.Sprintf("idle-%d", i), spec: JobSpec{Epoch: 1, Budget: 1e9, MaxNC: 32}.WithDefaults(), state: JobRunning}
-		if j.rt, err = sv.buildRuntime(j); err != nil {
+		rt, err := sv.buildRuntime(j)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if info := j.rt.Step(context.Background()); info.Done {
+		if info := rt.Step(context.Background()); info.Done {
 			t.Fatalf("session ended after one epoch: %+v", info)
 		}
-		live = append(live, j)
+		live = append(live, rt)
 	}
 	logs := func() (n int) {
 		entries, err := os.ReadDir("/proc/self/fd")
@@ -131,18 +136,19 @@ func TestAbandonReleasesCheckpointLog(t *testing.T) {
 	if got := logs(); got != len(live) {
 		t.Fatalf("%d epoch logs open under %d running sessions", got, len(live))
 	}
-	sv.abandon(context.Canceled, live)
-	if got := logs(); got != 0 {
-		t.Fatalf("%d epoch logs still open after the drain abandoned their sessions", got)
-	}
-	for _, j := range live {
-		if j.state != JobInterrupted || !j.rt.Done() {
-			t.Fatalf("job %s left %s, runtime done=%v", j.id, j.state, j.rt.Done())
+	drained, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, rt := range live {
+		if info := rt.Step(drained); !info.Done || !errors.Is(info.Err, context.Canceled) || rt.Epochs() != 1 {
+			t.Fatalf("session %s under a cancelled context: %+v after %d epochs, want done with the cancellation after 1", rt.ID(), info, rt.Epochs())
 		}
+	}
+	if got := logs(); got != 0 {
+		t.Fatalf("%d epoch logs still open after the drain ended their sessions", got)
 	}
 	for _, m := range transfers {
 		if m.stopped {
-			t.Fatal("the drain stopped an abandoned session's transfer; it can no longer be resumed")
+			t.Fatal("the drain stopped an interrupted session's transfer; it can no longer be resumed")
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -225,7 +226,7 @@ func getJob(t *testing.T, srv *httptest.Server, id string) (int, JobStatus) {
 // TestJobLifecycleHTTP drives one job through the full control API:
 // submit, watch it run, and see it finish with exact byte accounting.
 func TestJobLifecycleHTTP(t *testing.T) {
-	sv, _ := startSupervisor(t, Config{Shards: 2, NewTransfer: memFactory(0, nil)})
+	sv, _ := startSupervisor(t, Config{NewTransfer: memFactory(0, nil)})
 	srv := httptest.NewServer(sv.Handler())
 	defer srv.Close()
 
@@ -282,7 +283,7 @@ func TestJobLifecycleHTTP(t *testing.T) {
 // removed (no re-adoption), checkpoint retained for inspection.
 func TestCancelKeepsCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	sv, _ := startSupervisor(t, Config{Dir: dir, Shards: 2, NewTransfer: memFactory(2*time.Millisecond, nil)})
+	sv, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(2*time.Millisecond, nil)})
 	srv := httptest.NewServer(sv.Handler())
 	defer srv.Close()
 
@@ -337,7 +338,6 @@ func TestCancelKeepsCheckpoint(t *testing.T) {
 // Retry-After, and a duplicate ID bounces with 409.
 func TestAdmissionBackpressure(t *testing.T) {
 	sv, _ := startSupervisor(t, Config{
-		Shards:      2,
 		Limits:      Limits{MaxActive: 1, MaxQueued: 1, TenantMaxActive: 16, RetryAfter: 2 * time.Second},
 		NewTransfer: memFactory(2*time.Millisecond, nil),
 	})
@@ -385,7 +385,6 @@ func TestAdmissionBackpressure(t *testing.T) {
 // rejected with "tenant-quota" while other tenants still get in.
 func TestTenantQuota(t *testing.T) {
 	sv, _ := startSupervisor(t, Config{
-		Shards:      2,
 		Limits:      Limits{TenantMaxActive: 1},
 		NewTransfer: memFactory(2*time.Millisecond, nil),
 	})
@@ -404,7 +403,7 @@ func TestTenantQuota(t *testing.T) {
 
 // TestTenantFaultBudget pins eviction: a tenant whose jobs keep
 // failing transiently exhausts its fault budget, its running jobs are
-// evicted at the next round boundary, and new submissions bounce —
+// evicted at their next epoch boundary, and new submissions bounce —
 // while a healthy tenant's job rides along unharmed.
 func TestTenantFaultBudget(t *testing.T) {
 	factory := memFactory(0, func(id string, m *memTransfer) {
@@ -414,7 +413,6 @@ func TestTenantFaultBudget(t *testing.T) {
 		}
 	})
 	sv, _ := startSupervisor(t, Config{
-		Shards:      2,
 		Limits:      Limits{TenantFaultBudget: 3},
 		NewTransfer: factory,
 	})
@@ -442,17 +440,16 @@ func TestTenantFaultBudget(t *testing.T) {
 	})
 }
 
-// TestShardFailureIsolation pins the service-level isolation contract:
-// a job that dies with a fatal error must not take down other jobs on
-// the same shard.
-func TestShardFailureIsolation(t *testing.T) {
+// TestJobFailureIsolation pins the service-level isolation contract: a
+// job that dies with a fatal error must not take down the jobs running
+// beside it.
+func TestJobFailureIsolation(t *testing.T) {
 	factory := memFactory(0, func(id string, m *memTransfer) {
 		if id == "doomed" {
 			m.failAfter = 2
 		}
 	})
-	// One shard: everything shares a worker loop on purpose.
-	sv, _ := startSupervisor(t, Config{Shards: 1, NewTransfer: factory})
+	sv, _ := startSupervisor(t, Config{NewTransfer: factory})
 	ids := []string{"doomed", "healthy-1", "healthy-2", "healthy-3"}
 	for _, id := range ids {
 		if _, err := sv.Submit(JobSpec{ID: id, Bytes: 4e8, Epoch: 1, MaxNC: 32}); err != nil {
@@ -485,7 +482,7 @@ func TestShardFailureIsolation(t *testing.T) {
 // restored.
 func TestAutoIDsSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	sv, cancel := startSupervisor(t, Config{Dir: dir, Shards: 1, NewTransfer: memFactory(2*time.Millisecond, nil)})
+	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(2*time.Millisecond, nil)})
 	st1, err := sv.Submit(JobSpec{Budget: 1e9, Epoch: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +490,7 @@ func TestAutoIDsSurviveRestart(t *testing.T) {
 	cancel()
 	sv.Wait()
 
-	sv2, err := New(Config{Dir: dir, Shards: 1, NewTransfer: memFactory(2*time.Millisecond, nil)})
+	sv2, err := New(Config{Dir: dir, NewTransfer: memFactory(2*time.Millisecond, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -516,7 +513,7 @@ func TestAutoIDsSurviveRestart(t *testing.T) {
 func TestShortEpochLogColdStarts(t *testing.T) {
 	dir := t.TempDir()
 	const volume = 2e9
-	sv, cancel := startSupervisor(t, Config{Dir: dir, Shards: 1, NewTransfer: memFactory(time.Millisecond, nil)})
+	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
 	if _, err := sv.Submit(JobSpec{ID: "torn", Bytes: volume, Epoch: 1, MaxNC: 32}); err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +537,7 @@ func TestShortEpochLogColdStarts(t *testing.T) {
 
 	var logged []string
 	var mu sync.Mutex
-	sv2, _ := startSupervisor(t, Config{Dir: dir, Shards: 1, NewTransfer: memFactory(0, nil),
+	sv2, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(0, nil),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
 			defer mu.Unlock()
@@ -574,7 +571,7 @@ func TestShortEpochLogColdStarts(t *testing.T) {
 // the HTTP layer: bad bodies get 400 and leave no trace in the
 // journal.
 func TestMalformedSubmitNeverJournaled(t *testing.T) {
-	sv, _ := startSupervisor(t, Config{Shards: 1, NewTransfer: memFactory(0, nil)})
+	sv, _ := startSupervisor(t, Config{NewTransfer: memFactory(0, nil)})
 	srv := httptest.NewServer(sv.Handler())
 	defer srv.Close()
 
@@ -612,32 +609,28 @@ func TestMalformedSubmitNeverJournaled(t *testing.T) {
 	}
 }
 
-// TestCrossShardSlotRelease pins the wake-on-release contract: the
-// active cap is fleet-wide, so a slot freed by one shard must wake
-// every other shard with queued work. With a cap of one and jobs
-// queued on all shards, the other shards' own wake tokens are spent
-// the moment they first park at capacity — before releaseLocked
-// re-woke them, their queues stalled forever.
-func TestCrossShardSlotRelease(t *testing.T) {
-	const shards = 4
-	ids := map[int]string{}
-	for i := 0; len(ids) < shards; i++ {
-		id := fmt.Sprintf("cross-%03d", i)
-		if k := tuner.ShardIndex(id, shards); ids[k] == "" {
-			ids[k] = id
-		}
-	}
+// TestReleasedSlotAdmitsOldestQueued pins admission under a full active
+// cap: a slot freed by a finishing job goes to the oldest queued job, so
+// with a cap of one every job still finishes and they start in
+// submission order.
+func TestReleasedSlotAdmitsOldestQueued(t *testing.T) {
+	var mu sync.Mutex
+	var started []string
 	sv, _ := startSupervisor(t, Config{
-		Shards:      shards,
-		Limits:      Limits{MaxActive: 1, MaxQueued: 64, TenantMaxActive: 64},
-		NewTransfer: memFactory(100*time.Microsecond, nil),
+		Limits: Limits{MaxActive: 1, MaxQueued: 64, TenantMaxActive: 64},
+		NewTransfer: memFactory(100*time.Microsecond, func(id string, _ *memTransfer) {
+			mu.Lock()
+			defer mu.Unlock()
+			started = append(started, id)
+		}),
 	})
+	ids := []string{"fourth-by-name", "c", "a", "b"}
 	for _, id := range ids {
 		if _, err := sv.Submit(JobSpec{ID: id, Bytes: 2e8, Epoch: 1, MaxNC: 32}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 30*time.Second, "jobs on every shard to finish under a one-slot cap", func() bool {
+	waitFor(t, 30*time.Second, "every job to finish under a one-slot cap", func() bool {
 		for _, st := range sv.Jobs() {
 			if st.State != JobDone {
 				return false
@@ -645,6 +638,34 @@ func TestCrossShardSlotRelease(t *testing.T) {
 		}
 		return true
 	})
+	mu.Lock()
+	defer mu.Unlock()
+	if !reflect.DeepEqual(started, ids) {
+		t.Fatalf("jobs started in order %v, submitted in order %v", started, ids)
+	}
+}
+
+// TestStalledJobDoesNotPaceSiblings: a job whose epochs take a minute of
+// wall time sets nobody's cadence but its own — the job beside it runs
+// to completion while the stalled one is still inside its first epoch.
+func TestStalledJobDoesNotPaceSiblings(t *testing.T) {
+	sv, _ := startSupervisor(t, Config{NewTransfer: memFactory(0, func(id string, m *memTransfer) {
+		if id == "stalled" {
+			m.delay = time.Minute
+		}
+	})})
+	for _, id := range []string{"stalled", "fast"} {
+		if _, err := sv.Submit(JobSpec{ID: id, Bytes: 4e8, Epoch: 1, MaxNC: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 5*time.Second, "the fast job to finish beside a stalled one", func() bool {
+		st, err := sv.Job("fast")
+		return err == nil && st.State == JobDone
+	})
+	if st, err := sv.Job("stalled"); err != nil || st.State != JobRunning || st.Epochs != 0 {
+		t.Fatalf("stalled job = %+v (%v), want running with no epoch settled", st, err)
+	}
 }
 
 // TestSimulatedJobEndToEnd exercises the default transfer factory's
@@ -654,7 +675,7 @@ func TestCrossShardSlotRelease(t *testing.T) {
 // (the zero-value policy restarts processes every epoch): an epoch
 // shorter than that moves zero bytes per epoch, faithfully, forever.
 func TestSimulatedJobEndToEnd(t *testing.T) {
-	sv, _ := startSupervisor(t, Config{Shards: 2})
+	sv, _ := startSupervisor(t, Config{})
 	const volume = 3e9
 	for _, spec := range []JobSpec{
 		{ID: "sim-tacc", Testbed: "tacc", Bytes: volume, Epoch: 30, MaxNC: 32},

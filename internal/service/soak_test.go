@@ -29,7 +29,7 @@ func soakSessions(def int) int {
 
 // waitSoak is waitFor with a coarse poll: at soak scale one snapshot
 // of every job is O(n) under the supervisor's mutex, and the default
-// 1ms poll would spend the whole machine contending with the shard
+// 1ms poll would spend the whole machine contending with the session
 // loops it is waiting on.
 func waitSoak(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Helper()
@@ -69,11 +69,11 @@ func TestCrashRestartSoak(t *testing.T) {
 
 	// Incarnation one: submit everything, let it run briefly, then die.
 	limits := Limits{MaxQueued: n, TenantMaxActive: n}
-	sv1, err := New(Config{Dir: dir, Shards: 8, Limits: limits, NewTransfer: factory})
+	sv1, err := New(Config{Dir: dir, Limits: limits, NewTransfer: factory})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Submit everything before starting the shards, so the kill below
+	// Submit everything before starting the supervisor, so the kill below
 	// lands genuinely mid-flight rather than racing a mostly-drained
 	// queue (per-submission journal fsyncs dominate at scale).
 	for i := 0; i < n; i++ {
@@ -108,7 +108,7 @@ func TestCrashRestartSoak(t *testing.T) {
 
 	// Incarnation two: every owed job must be re-adopted — no more, no
 	// fewer — and run to completion.
-	sv2, err := New(Config{Dir: dir, Shards: 8, Limits: limits, NewTransfer: factory})
+	sv2, err := New(Config{Dir: dir, Limits: limits, NewTransfer: factory})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,11 @@
 // Package service is the dstuned service plane: a long-running,
 // multi-tenant tuning daemon assembled from the stack's existing
-// parts. It supervises tuner sessions across N worker shards
-// (tuner.SessionRuntime hashed by job ID), admits work through
-// bounded queues and per-tenant quotas, journals every accepted job
-// durably before acknowledging it, checkpoints each session through
-// tuner.Checkpoint after every epoch, and re-adopts every in-flight
-// job mid-trajectory after a crash or restart. The HTTP/JSON control
+// parts. It runs each tuner session (tuner.SessionRuntime) on its own
+// goroutine, admits work through one bounded queue and per-tenant
+// quotas, journals every accepted job durably before acknowledging it,
+// checkpoints each session through tuner.Checkpoint after every epoch,
+// and re-adopts every in-flight job mid-trajectory after a crash or
+// restart. The HTTP/JSON control
 // API (Supervisor.Handler) exposes POST /jobs, GET /jobs, GET
 // /jobs/{id}, and DELETE /jobs/{id} alongside the observation plane's
 // /metrics, /status, and /debug endpoints.

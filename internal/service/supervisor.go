@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"time"
 
@@ -40,9 +39,6 @@ type Config struct {
 	// Dir/journal and per-job checkpoints (a head <id>.ck and its
 	// epoch log <id>.ck.log) in Dir/checkpoints. Required.
 	Dir string
-	// Shards is the number of session-supervision worker loops; jobs
-	// are assigned by tuner.ShardIndex of their ID (default 4).
-	Shards int
 	// Limits is the admission-control policy.
 	Limits Limits
 	// Obs, when non-nil, observes the daemon (dstuned_* instruments,
@@ -68,9 +64,9 @@ type JobState string
 // incarnation re-adopts them; the four terminal states are removed
 // from the journal as they are entered.
 const (
-	// JobQueued: admitted, journaled, waiting for a shard slot.
+	// JobQueued: admitted, journaled, waiting for a running slot.
 	JobQueued JobState = "queued"
-	// JobRunning: stepping on a shard loop.
+	// JobRunning: stepping on its own goroutine.
 	JobRunning JobState = "running"
 	// JobDone: ended cleanly (transfer complete, budget spent, or
 	// strategy finished).
@@ -97,8 +93,6 @@ type JobStatus struct {
 	Tuner string `json:"tuner"`
 	// State is the lifecycle state.
 	State JobState `json:"state"`
-	// Shard is the worker loop the job is hashed to.
-	Shard int `json:"shard"`
 	// Adopted reports that this incarnation re-adopted the job from
 	// the journal after a restart.
 	Adopted bool `json:"adopted,omitempty"`
@@ -142,16 +136,14 @@ type AdoptionRecord struct {
 	Clock float64 `json:"clock_seconds"`
 }
 
-// job is one job's supervisor-side state. The rt field is owned by the
-// job's shard goroutine; everything else is guarded by Supervisor.mu,
-// with the shard loop copying runtime progress into the snapshot
-// fields after each round.
+// job is one job's supervisor-side state, guarded by Supervisor.mu. The
+// job's goroutine (Supervisor.run) owns the session runtime and copies
+// its progress into the snapshot fields after each epoch.
 type job struct {
 	id     string
 	tenant string
 	spec   JobSpec // defaults applied
 	seq    int
-	shard  int
 
 	state         JobState
 	err           error
@@ -163,56 +155,46 @@ type job struct {
 	x             []int
 	tput          float64
 	transients    int
-
-	rt *tuner.SessionRuntime
 }
 
-// Supervisor is the dstuned service core: admission control, the
-// sharded session-supervision loops, the crash-safe job journal, and
-// the control-plane state behind the HTTP API. Construct with New
-// (which re-adopts any journaled jobs), call Start to launch the shard
-// loops, and cancel Start's context to drain: in-flight sessions are
-// abandoned preserved-and-journaled, so the next incarnation resumes
-// them mid-trajectory.
+// Supervisor is the dstuned service core: admission control, one
+// goroutine per running session, the crash-safe job journal, and the
+// control-plane state behind the HTTP API. Construct with New (which
+// re-adopts any journaled jobs), call Start to begin running them, and
+// cancel Start's context to drain: in-flight sessions end
+// preserved-and-journaled, so the next incarnation resumes them
+// mid-trajectory.
 type Supervisor struct {
 	cfg     Config
 	limits  Limits
-	shards  int
 	obs     *obs.Observer
 	dobs    *obs.DaemonObs
 	hist    *history.Store
 	journal *Journal
 	ckDir   string
 
-	ctx context.Context
-	wg  sync.WaitGroup
+	wg sync.WaitGroup
 
 	mu             sync.Mutex
+	ctx            context.Context // Start's; nil before it
 	jobs           map[string]*job
 	order          []*job
-	queues         [][]*job
-	wake           []chan struct{}
+	queue          []*job // admitted, waiting for a slot, oldest first
 	active         int
-	queued         int
 	tenantAdmitted map[string]int
 	tenantFaults   map[string]int
 	tenantKilled   map[string]bool
 	nextSeq        int
-	started        bool
 	adoptions      []AdoptionRecord
 }
 
 // New builds a Supervisor over cfg.Dir, creating the state layout if
 // needed and re-adopting every journaled job: each becomes a queued
-// job again, resuming from its checkpoint once a shard picks it up.
+// job again, resuming from its checkpoint once it is given a slot.
 // Call Start to begin supervision.
 func New(cfg Config) (*Supervisor, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("service: Config.Dir is required")
-	}
-	shards := cfg.Shards
-	if shards < 1 {
-		shards = 4
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
@@ -231,21 +213,15 @@ func New(cfg Config) (*Supervisor, error) {
 	sv := &Supervisor{
 		cfg:            cfg,
 		limits:         cfg.Limits.withDefaults(),
-		shards:         shards,
 		obs:            cfg.Obs,
 		dobs:           cfg.Obs.Daemon(),
 		hist:           cfg.History,
 		journal:        journal,
 		ckDir:          ckDir,
 		jobs:           make(map[string]*job),
-		queues:         make([][]*job, shards),
-		wake:           make([]chan struct{}, shards),
 		tenantAdmitted: make(map[string]int),
 		tenantFaults:   make(map[string]int),
 		tenantKilled:   make(map[string]bool),
-	}
-	for k := range sv.wake {
-		sv.wake[k] = make(chan struct{}, 1)
 	}
 	if err := sv.adopt(); err != nil {
 		return nil, err
@@ -256,7 +232,7 @@ func New(cfg Config) (*Supervisor, error) {
 // adopt scans the journal and re-queues every entry: the restarted
 // daemon owes each of these jobs a completion. Trajectory positions
 // come from the heads of the per-job checkpoints when they exist — the
-// epoch logs are not decoded until a shard builds the job's runtime,
+// epoch logs are not decoded until the job's runtime is built,
 // so a restart holding many long jobs starts stepping without reading
 // their traces first; a journaled job without a checkpoint simply
 // cold-starts (it was admitted but never settled an epoch).
@@ -274,7 +250,6 @@ func (sv *Supervisor) adopt() error {
 			tenant:  e.Tenant,
 			spec:    e.Spec.WithDefaults(),
 			seq:     e.Seq,
-			shard:   tuner.ShardIndex(e.ID, sv.shards),
 			state:   JobQueued,
 			adopted: true,
 		}
@@ -289,8 +264,7 @@ func (sv *Supervisor) adopt() error {
 		}
 		sv.jobs[j.id] = j
 		sv.order = append(sv.order, j)
-		sv.queues[j.shard] = append(sv.queues[j.shard], j)
-		sv.queued++
+		sv.queue = append(sv.queue, j)
 		sv.tenantAdmitted[j.tenant]++
 		if e.Seq >= sv.nextSeq {
 			sv.nextSeq = e.Seq + 1
@@ -313,25 +287,35 @@ func (sv *Supervisor) Adopted() []AdoptionRecord {
 	return append([]AdoptionRecord(nil), sv.adoptions...)
 }
 
-// Start launches the shard loops. Cancelling ctx drains the daemon:
-// shards finish their in-flight round, abandon surviving sessions
-// preserved (journal entries and checkpoints intact, transfers left
-// resumable), and exit; Wait blocks until they have.
+// Start begins running jobs: queued ones now, later ones as they are
+// submitted, each on its own goroutine. Cancelling ctx drains the
+// daemon: nothing more is admitted, and every running session ends at
+// its next epoch boundary — or mid-epoch, once its transfer returns —
+// preserved (journal entry and checkpoint intact, transfer left
+// resumable); Wait blocks until they have.
 func (sv *Supervisor) Start(ctx context.Context) {
 	sv.mu.Lock()
 	defer sv.mu.Unlock()
-	if sv.started {
+	if sv.ctx != nil {
 		return
 	}
-	sv.started = true
 	sv.ctx = ctx
-	for k := 0; k < sv.shards; k++ {
-		sv.wg.Add(1)
-		go sv.shardLoop(ctx, k)
-	}
+	// Hold Wait open until the drain begins, so a job admitted while
+	// another goroutine is already in Wait still joins a non-zero
+	// WaitGroup. Passing through mu orders this Done after any admission
+	// that saw ctx live.
+	sv.wg.Add(1)
+	go func() {
+		defer sv.wg.Done()
+		<-ctx.Done()
+		sv.mu.Lock()
+		defer sv.mu.Unlock()
+	}()
+	sv.admitLocked()
 }
 
-// Wait blocks until every shard loop has exited.
+// Wait blocks until Start's context is cancelled and every running
+// session has ended.
 func (sv *Supervisor) Wait() { sv.wg.Wait() }
 
 // logf forwards to Config.Logf when set.
@@ -348,10 +332,10 @@ func (sv *Supervisor) checkpointPath(id string) string {
 }
 
 // Submit admits one job: validate, apply defaults, check quotas,
-// journal durably, enqueue on its shard. The returned status reflects
-// the admitted (queued) job. A *RejectError signals backpressure or a
-// quota; any other error is either an invalid spec or a journal write
-// failure.
+// journal durably, enqueue. The returned status reflects the admitted
+// (queued) job, even when a free slot starts it at once. A *RejectError
+// signals backpressure or a quota; any other error is either an invalid
+// spec or a journal write failure.
 func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
 	if err := spec.Validate(); err != nil {
 		return JobStatus{}, err
@@ -381,7 +365,7 @@ func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
 	if sv.tenantKilled[full.Tenant] {
 		return JobStatus{}, sv.reject("fault-budget", 0)
 	}
-	if sv.queued >= sv.limits.MaxQueued {
+	if len(sv.queue) >= sv.limits.MaxQueued {
 		return JobStatus{}, sv.reject("queue-full", sv.limits.RetryAfter)
 	}
 	if sv.tenantAdmitted[full.Tenant] >= sv.limits.TenantMaxActive {
@@ -395,7 +379,6 @@ func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
 		tenant: full.Tenant,
 		spec:   full,
 		seq:    seq,
-		shard:  tuner.ShardIndex(id, sv.shards),
 		state:  JobQueued,
 	}
 	// The journal entry must be durable before the job becomes
@@ -406,16 +389,12 @@ func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
 	}
 	sv.jobs[id] = j
 	sv.order = append(sv.order, j)
-	sv.queues[j.shard] = append(sv.queues[j.shard], j)
-	sv.queued++
+	sv.queue = append(sv.queue, j)
 	sv.tenantAdmitted[j.tenant]++
 	sv.dobs.JobAdmitted(id, j.tenant)
-	sv.updateGaugesLocked()
-	select {
-	case sv.wake[j.shard] <- struct{}{}:
-	default:
-	}
-	return j.statusLocked(), nil
+	st := j.statusLocked()
+	sv.admitLocked()
+	return st, nil
 }
 
 // reject counts and returns one admission refusal.
@@ -426,7 +405,7 @@ func (sv *Supervisor) reject(reason string, retryAfter time.Duration) *RejectErr
 
 // Cancel gracefully ends job id: a queued job is retired immediately;
 // a running one finishes its in-flight epoch (checkpointing as usual)
-// and is retired at the next round boundary. Either way the last
+// and is retired at the next epoch boundary. Either way the last
 // checkpoint stays on disk and the journal entry is removed, so the
 // job is not re-adopted. Cancelling a finished job returns its
 // terminal status unchanged.
@@ -439,15 +418,14 @@ func (sv *Supervisor) Cancel(id string) (JobStatus, error) {
 	}
 	switch j.state {
 	case JobQueued:
-		q := sv.queues[j.shard]
-		for i, qj := range q {
+		for i, qj := range sv.queue {
 			if qj == j {
-				sv.queues[j.shard] = append(q[:i:i], q[i+1:]...)
+				sv.queue = append(sv.queue[:i:i], sv.queue[i+1:]...)
 				break
 			}
 		}
-		sv.queued--
 		sv.finalizeLocked(j, JobCancelled, nil)
+		sv.updateGaugesLocked()
 	case JobRunning:
 		j.cancel = true
 	}
@@ -483,7 +461,6 @@ func (j *job) statusLocked() JobStatus {
 		Tenant:          j.tenant,
 		Tuner:           j.spec.Tuner,
 		State:           j.state,
-		Shard:           j.shard,
 		Adopted:         j.adopted,
 		AdoptedEpochs:   j.adoptedEpochs,
 		Epochs:          j.epochs,
@@ -499,11 +476,11 @@ func (j *job) statusLocked() JobStatus {
 	return st
 }
 
-// finalizeLocked retires a job into a terminal state: counters,
-// gauges, and — critically — the journal entry, whose durable removal
-// is what keeps the job from being re-adopted. The caller holds
-// Supervisor.mu; for previously running jobs it has already released
-// the shard slot via releaseLocked.
+// finalizeLocked retires a job into a terminal state: counters and —
+// critically — the journal entry, whose durable removal is what keeps
+// the job from being re-adopted. The caller holds Supervisor.mu and
+// refreshes the gauges next: by releasing the slot (releaseLocked) of a
+// job that was running, directly for one that was only queued.
 func (sv *Supervisor) finalizeLocked(j *job, state JobState, err error) {
 	j.state = state
 	j.err = err
@@ -519,199 +496,124 @@ func (sv *Supervisor) finalizeLocked(j *job, state JobState, err error) {
 	default:
 		sv.dobs.JobDone(err, false)
 	}
-	sv.updateGaugesLocked()
 }
 
 // updateGaugesLocked refreshes the queue/active/tenant gauges; the
 // caller holds Supervisor.mu.
 func (sv *Supervisor) updateGaugesLocked() {
-	sv.dobs.SetQueueDepth(sv.queued)
+	sv.dobs.SetQueueDepth(len(sv.queue))
 	sv.dobs.SetActive(sv.active)
 	for tenant, n := range sv.tenantAdmitted {
 		sv.dobs.SetTenantActive(tenant, n)
 	}
 }
 
-// shardLoop is one supervision worker: admit queued jobs up to the
-// global cap, step every live session concurrently (one barrier per
-// round, like a Fleet round), settle the results, repeat. On ctx
-// cancellation it abandons surviving sessions preserved — journal
-// entries and checkpoints intact — so a restart re-adopts them.
-func (sv *Supervisor) shardLoop(ctx context.Context, k int) {
-	defer sv.wg.Done()
-	shard := strconv.Itoa(k)
-	var live []*job
-	for {
-		// Admit while capacity remains.
-		var admits []*job
-		sv.mu.Lock()
-		for len(sv.queues[k]) > 0 && sv.active < sv.limits.MaxActive {
-			j := sv.queues[k][0]
-			sv.queues[k] = sv.queues[k][1:]
-			sv.queued--
+// admitLocked starts the oldest queued jobs while slots are free, each
+// on its own goroutine; the caller holds Supervisor.mu. Nothing is
+// admitted before Start or once its context is cancelled: a draining
+// daemon's queued jobs stay queued and journaled for the next
+// incarnation.
+func (sv *Supervisor) admitLocked() {
+	if sv.ctx != nil && sv.ctx.Err() == nil {
+		for len(sv.queue) > 0 && sv.active < sv.limits.MaxActive {
+			j := sv.queue[0]
+			sv.queue = sv.queue[1:]
 			sv.active++
 			j.state = JobRunning
-			admits = append(admits, j)
+			sv.wg.Add(1)
+			go sv.run(sv.ctx, j)
 		}
-		sv.updateGaugesLocked()
-		sv.mu.Unlock()
-		for _, j := range admits {
-			rt, err := sv.buildRuntime(j)
-			sv.mu.Lock()
-			if err != nil {
-				sv.releaseLocked()
-				sv.finalizeLocked(j, JobFailed, err)
-				sv.mu.Unlock()
-				continue
-			}
-			j.rt = rt
-			sv.mu.Unlock()
-			live = append(live, j)
-		}
-
-		if len(live) == 0 {
-			select {
-			case <-ctx.Done():
-				return
-			case <-sv.wake[k]:
-				continue
-			}
-		}
-		if ctx.Err() != nil {
-			sv.abandon(ctx.Err(), live)
-			return
-		}
-
-		// Honor cancels and tenant evictions at the round boundary.
-		sv.mu.Lock()
-		stepping := live[:0]
-		for _, j := range live {
-			switch {
-			case j.cancel:
-				j.rt.Abort(errCancelled)
-				sv.releaseLocked()
-				sv.finalizeLocked(j, JobCancelled, nil)
-			case sv.tenantKilled[j.tenant]:
-				j.rt.Abort(errFaultBudget)
-				sv.releaseLocked()
-				sv.finalizeLocked(j, JobEvicted, errFaultBudget)
-			default:
-				stepping = append(stepping, j)
-			}
-		}
-		sv.mu.Unlock()
-		live = stepping
-		if len(live) == 0 {
-			continue
-		}
-
-		// One supervision round: all sessions step concurrently.
-		sv.dobs.SetShardSessions(shard, len(live))
-		t0 := time.Now()
-		infos := make([]tuner.StepInfo, len(live))
-		var wg sync.WaitGroup
-		for i, j := range live {
-			wg.Add(1)
-			go func(i int, j *job) {
-				defer wg.Done()
-				infos[i] = j.rt.Step(ctx)
-			}(i, j)
-		}
-		wg.Wait()
-		sv.dobs.RoundObserved(shard, time.Since(t0).Seconds())
-
-		// Settle.
-		next := live[:0]
-		sv.mu.Lock()
-		for i, j := range live {
-			j.syncFromRuntimeLocked()
-			info := infos[i]
-			if info.Transient {
-				sv.tenantFaults[j.tenant]++
-				sv.dobs.TenantFaults(j.tenant, 1)
-				if sv.limits.TenantFaultBudget > 0 && sv.tenantFaults[j.tenant] >= sv.limits.TenantFaultBudget && !sv.tenantKilled[j.tenant] {
-					sv.tenantKilled[j.tenant] = true
-					sv.logf("service: tenant %s exhausted its fault budget (%d transient epochs); evicting its jobs", j.tenant, sv.tenantFaults[j.tenant])
-				}
-			}
-			if !info.Done {
-				next = append(next, j)
-				continue
-			}
-			sv.releaseLocked()
-			switch {
-			case errors.Is(info.Err, context.Canceled) || errors.Is(info.Err, context.DeadlineExceeded):
-				// Daemon shutdown mid-epoch: the session preserved its
-				// transfer and the journal entry stays, so the next
-				// incarnation re-adopts the job from its last
-				// checkpoint.
-				j.state = JobInterrupted
-				j.err = nil
-				sv.tenantAdmitted[j.tenant]--
-			case j.cancel:
-				sv.finalizeLocked(j, JobCancelled, nil)
-			case info.Err != nil:
-				sv.finalizeLocked(j, JobFailed, info.Err)
-			default:
-				sv.finalizeLocked(j, JobDone, nil)
-			}
-		}
-		sv.updateGaugesLocked()
-		sv.mu.Unlock()
-		live = next
-		sv.dobs.SetShardSessions(shard, len(live))
-	}
-}
-
-// releaseLocked returns one shard slot and wakes every shard that
-// still has queued work; the caller holds Supervisor.mu. The active
-// cap is fleet-wide, so the freed slot may unblock admission on a
-// *different* shard — without the wake, a shard whose queue filled
-// while the fleet was at capacity would park in its idle select and
-// never learn that capacity returned (its own wake token is consumed
-// long before the backlog drains).
-func (sv *Supervisor) releaseLocked() {
-	sv.active--
-	for k, q := range sv.queues {
-		if len(q) > 0 {
-			select {
-			case sv.wake[k] <- struct{}{}:
-			default:
-			}
-		}
-	}
-}
-
-// abandon marks sessions interrupted at shutdown without
-// touching their journal entries: the whole point of the journal is
-// that these jobs survive to the next incarnation. Each runtime is
-// aborted with the drain's cancellation error, which ends the session
-// — releasing what it holds, such as its checkpoint log handle — but
-// under PreserveOnCancel leaves its transfer resumable.
-func (sv *Supervisor) abandon(cause error, live []*job) {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	for _, j := range live {
-		j.rt.Abort(cause)
-		j.syncFromRuntimeLocked()
-		j.state = JobInterrupted
-		sv.active--
-		sv.tenantAdmitted[j.tenant]--
 	}
 	sv.updateGaugesLocked()
 }
 
-// syncFromRuntimeLocked copies runtime progress into the job's
-// snapshot fields. Called from the owning shard goroutine (runtime
-// accessors are not concurrency-safe) with Supervisor.mu held (the
-// snapshot fields are read by the API).
-func (j *job) syncFromRuntimeLocked() {
-	if j.rt == nil {
+// releaseLocked returns one slot and hands it to the oldest queued job;
+// the caller holds Supervisor.mu.
+func (sv *Supervisor) releaseLocked() {
+	sv.active--
+	sv.admitLocked()
+}
+
+// run is one running job: build the session, then step it one epoch at
+// a time at its own pace until it ends, honouring a cancel or a tenant
+// eviction at each epoch boundary. A cancelled ctx (the daemon
+// draining) ends the session from inside Step, preserved.
+func (sv *Supervisor) run(ctx context.Context, j *job) {
+	defer sv.wg.Done()
+	rt, err := sv.buildRuntime(j)
+	if err != nil {
+		sv.mu.Lock()
+		defer sv.mu.Unlock()
+		sv.finalizeLocked(j, JobFailed, err)
+		sv.releaseLocked()
 		return
 	}
-	j.epochs = j.rt.Epochs()
-	j.bytes = j.rt.Bytes()
-	j.x = append(j.x[:0], j.rt.LastX()...)
-	j.tput = j.rt.LastThroughput()
-	j.transients = j.rt.Transients()
+	for done := false; !done; {
+		sv.mu.Lock()
+		var evict error
+		switch {
+		case j.cancel:
+			evict = errCancelled
+		case sv.tenantKilled[j.tenant]:
+			evict = errFaultBudget
+		}
+		sv.mu.Unlock()
+
+		var info tuner.StepInfo
+		if evict != nil {
+			rt.Abort(evict)
+			info = tuner.StepInfo{Done: true, Err: evict}
+		} else {
+			t0 := time.Now()
+			info = rt.Step(ctx)
+			sv.dobs.StepObserved(time.Since(t0).Seconds())
+		}
+
+		sv.mu.Lock()
+		done = sv.settleLocked(j, rt, info)
+		sv.mu.Unlock()
+	}
+}
+
+// settleLocked folds one step's outcome into the job: progress for the
+// API, the tenant's fault meter, and — when the session has ended — the
+// slot and the job's final state. It reports whether the job is over;
+// the caller holds Supervisor.mu.
+func (sv *Supervisor) settleLocked(j *job, rt *tuner.SessionRuntime, info tuner.StepInfo) bool {
+	j.epochs = rt.Epochs()
+	j.bytes = rt.Bytes()
+	j.x = append(j.x[:0], rt.LastX()...)
+	j.tput = rt.LastThroughput()
+	j.transients = rt.Transients()
+	if info.Transient {
+		sv.tenantFaults[j.tenant]++
+		sv.dobs.TenantFaults(j.tenant, 1)
+		if sv.limits.TenantFaultBudget > 0 && sv.tenantFaults[j.tenant] >= sv.limits.TenantFaultBudget && !sv.tenantKilled[j.tenant] {
+			sv.tenantKilled[j.tenant] = true
+			sv.logf("service: tenant %s exhausted its fault budget (%d transient epochs); evicting its jobs", j.tenant, sv.tenantFaults[j.tenant])
+		}
+	}
+	if !info.Done {
+		return false
+	}
+	switch {
+	case errors.Is(info.Err, context.Canceled) || errors.Is(info.Err, context.DeadlineExceeded):
+		// Daemon shutdown, at an epoch boundary or mid-epoch: the
+		// session preserved its transfer and the journal entry stays,
+		// so the next incarnation re-adopts the job from its last
+		// checkpoint.
+		j.state = JobInterrupted
+		j.err = nil
+		sv.tenantAdmitted[j.tenant]--
+	case j.cancel:
+		sv.finalizeLocked(j, JobCancelled, nil)
+	case errors.Is(info.Err, errFaultBudget):
+		sv.finalizeLocked(j, JobEvicted, errFaultBudget)
+	case info.Err != nil:
+		sv.finalizeLocked(j, JobFailed, info.Err)
+	default:
+		sv.finalizeLocked(j, JobDone, nil)
+	}
+	sv.releaseLocked()
+	return true
 }

@@ -34,14 +34,6 @@ type FleetConfig struct {
 	// epoch under that key when it ends cleanly. Sessions must not
 	// share a key (Run rejects duplicates).
 	History *history.Store
-	// Shards splits the session table across that many independent
-	// round-robin worker loops, assigning each session by a stable
-	// hash of its ID (ShardIndex). 0 or 1 keeps the single loop —
-	// the exact code path earlier releases ran, so existing traces
-	// stay byte-identical. Sessions sharing one simulation fabric
-	// stay in lockstep across shards: the fabric's conservative-time
-	// barrier already orders their epochs.
-	Shards int
 	// PreserveOnCancel leaves a session's transfers running (not
 	// stopped) when the session ends on context cancellation — at a
 	// round boundary or mid-epoch — so the owner can checkpoint-resume
@@ -187,16 +179,20 @@ type SessionResult struct {
 	Err error
 }
 
-// Fleet drives N (strategy, transfers) sessions concurrently: each
-// round a worker loop collects every active session's proposal, runs
-// all the resulting transfer epochs at once (the simulation fabric
-// keeps them in lockstep virtual time), and feeds each session's
-// aggregate report back to its strategy. Sessions end independently —
-// transfer completion, budget, strategy termination, failure, or a
-// cancelled context — and a session's transfers are stopped when it
-// ends (see FleetConfig.PreserveOnCancel for the one exception). With
-// FleetConfig.Shards > 1 the session table is split across that many
-// worker loops by a stable hash of the session ID.
+// Fleet drives N (strategy, transfers) sessions concurrently, each on
+// its own goroutine at its own pace: propose, run the session's transfer
+// epochs, feed the aggregate report back to the strategy, until the
+// session ends. Nothing here couples one session to another. Sessions
+// whose transfers share a simulation fabric still advance in lockstep
+// virtual time, because the fabric moves its clock only when every
+// active transfer is inside a Run call. Each session's own sequence of
+// proposals, reports, events and checkpoints is deterministic; how
+// different sessions' events interleave in a shared obs.Recorder, or
+// their records in a shared history.Store, is not. Sessions end
+// independently — transfer completion, budget, strategy termination,
+// failure, or a cancelled context — and a session's transfers are
+// stopped when it ends (see FleetConfig.PreserveOnCancel for the one
+// exception).
 //
 // There is one epoch engine in this package and Fleet is one of its
 // three front doors: Fleet.Run runs a fixed set of sessions to
@@ -280,9 +276,8 @@ func newFleetSession(cfg FleetConfig, spec FleetSession, id string) (*fleetSessi
 	return s, nil
 }
 
-// fleetJob is one (session, transfer) epoch in flight.
+// fleetJob is one transfer's epoch in flight.
 type fleetJob struct {
-	s   *fleetSession
 	i   int // transfer index within the session
 	p   xfer.Params
 	rep xfer.Report
@@ -335,86 +330,23 @@ func (f *Fleet) Run(ctx context.Context) ([]SessionResult, error) {
 		states[i] = s
 	}
 
-	if cfg.Shards <= 1 || len(states) == 1 {
-		runRounds(ctx, cfg, states)
-	} else {
-		// Partition the session table by a stable hash of the session
-		// ID and drive each shard from its own loop. Sessions on one
-		// shared fabric still advance in lockstep: the fabric's
-		// conservative-time barrier blocks every shard's epochs until
-		// all registered transfers are in theirs.
-		shards := make([][]*fleetSession, cfg.Shards)
-		for _, s := range states {
-			k := ShardIndex(s.id, cfg.Shards)
-			shards[k] = append(shards[k], s)
-		}
-		var wg sync.WaitGroup
-		for _, shard := range shards {
-			if len(shard) == 0 {
-				continue
+	var wg sync.WaitGroup
+	for _, s := range states {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !s.done {
+				s.step(ctx)
 			}
-			wg.Add(1)
-			go func(shard []*fleetSession) {
-				defer wg.Done()
-				runRounds(ctx, cfg, shard)
-			}(shard)
-		}
-		wg.Wait()
+		}()
 	}
+	wg.Wait()
 
 	results := make([]SessionResult, len(states))
 	for i, s := range states {
-		results[i] = SessionResult{ID: s.id, Name: s.spec.Name, Traces: s.traces, Bytes: s.bytes, Err: s.err}
+		results[i] = s.result()
 	}
 	return results, nil
-}
-
-// runRounds drives one shard's sessions round-by-round until every
-// session has ended: collect each live session's proposal, run all the
-// resulting transfer epochs at once, settle in session order.
-func runRounds(ctx context.Context, cfg FleetConfig, states []*fleetSession) {
-	for {
-		// Collect this round's epochs from every live session.
-		var jobs []*fleetJob
-		for _, s := range states {
-			if s.done {
-				continue
-			}
-			jobs = append(jobs, s.propose(ctx)...)
-		}
-		if len(jobs) == 0 {
-			return
-		}
-
-		runJobs(ctx, cfg.Epoch, jobs)
-
-		// Settle sessions in order.
-		perSession := map[*fleetSession][]*fleetJob{}
-		for _, j := range jobs {
-			perSession[j.s] = append(perSession[j.s], j)
-		}
-		for _, s := range states {
-			if js := perSession[s]; js != nil {
-				s.settle(js)
-			}
-		}
-	}
-}
-
-// runJobs dispatches one round's transfer epochs concurrently and
-// waits for all of them: one barrier group per round, so a simulation
-// fabric advances virtual time only when every participant is in its
-// epoch.
-func runJobs(ctx context.Context, epoch float64, jobs []*fleetJob) {
-	var wg sync.WaitGroup
-	for _, j := range jobs {
-		wg.Add(1)
-		go func(j *fleetJob) {
-			defer wg.Done()
-			j.rep, j.err = j.s.spec.Transfers[j.i].Run(ctx, j.p, epoch)
-		}(j)
-	}
-	wg.Wait()
 }
 
 // sessionID resolves a session's stable identifier: explicit ID, then
@@ -437,6 +369,35 @@ func sessionID(spec FleetSession, used map[string]bool) string {
 	}
 	used[id] = true
 	return id
+}
+
+// step runs one control round: propose, run the round's transfer
+// epochs, settle. A session that ends in propose runs no epoch.
+func (s *fleetSession) step(ctx context.Context) {
+	if jobs := s.propose(ctx); jobs != nil {
+		s.runJobs(ctx, jobs)
+		s.settle(jobs)
+	}
+}
+
+// runJobs dispatches one round's transfer epochs concurrently and waits
+// for all of them, so the transfers of a multi-transfer session are all
+// in their epoch at once.
+func (s *fleetSession) runJobs(ctx context.Context, jobs []*fleetJob) {
+	var wg sync.WaitGroup
+	for _, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j.rep, j.err = s.spec.Transfers[j.i].Run(ctx, j.p, s.cfg.Epoch)
+		}()
+	}
+	wg.Wait()
+}
+
+// result returns the session's outcome so far.
+func (s *fleetSession) result() SessionResult {
+	return SessionResult{ID: s.id, Name: s.spec.Name, Traces: s.traces, Bytes: s.bytes, Err: s.err}
 }
 
 // propose opens the session's next round: unless the session was
@@ -472,7 +433,7 @@ func (s *fleetSession) propose(ctx context.Context) []*fleetJob {
 	jobs := make([]*fleetJob, 0, len(s.spec.Transfers))
 	for i := range s.spec.Transfers {
 		jobs = append(jobs, &fleetJob{
-			s: s, i: i,
+			i:     i,
 			p:     s.spec.Maps[i](parts[i]),
 			start: s.spec.Transfers[i].Now(),
 		})

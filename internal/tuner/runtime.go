@@ -5,25 +5,6 @@ import (
 	"fmt"
 )
 
-// ShardIndex assigns a session ID to one of shards worker loops by a
-// stable FNV-1a hash, so a session lands on the same shard across
-// restarts and across processes. shards <= 1 always maps to 0.
-func ShardIndex(id string, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return int(h % uint64(shards))
-}
-
 // StepInfo is the outcome of one SessionRuntime.Step: whether the
 // session has ended (and with what error), and whether the settled
 // round was a tolerated transient failure.
@@ -49,8 +30,7 @@ type StepInfo struct {
 // A SessionRuntime is owned by one goroutine at a time: Step, Abort,
 // and the accessors must not be called concurrently with one another.
 type SessionRuntime struct {
-	cfg FleetConfig
-	s   *fleetSession
+	s *fleetSession
 }
 
 // NewSessionRuntime validates spec and returns a runtime for it. The
@@ -68,7 +48,7 @@ func NewSessionRuntime(cfg FleetConfig, spec FleetSession) (*SessionRuntime, err
 	if err != nil {
 		return nil, fmt.Errorf("tuner: session %q: %w", id, err)
 	}
-	return &SessionRuntime{cfg: cfg, s: s}, nil
+	return &SessionRuntime{s: s}, nil
 }
 
 // ID returns the session's stable identifier.
@@ -117,10 +97,7 @@ func (r *SessionRuntime) LastThroughput() float64 { return r.s.lastFit }
 // later resume.
 func (r *SessionRuntime) Step(ctx context.Context) StepInfo {
 	if !r.s.done {
-		if jobs := r.s.propose(ctx); jobs != nil {
-			runJobs(ctx, r.cfg.Epoch, jobs)
-			r.s.settle(jobs)
-		}
+		r.s.step(ctx)
 	}
 	return StepInfo{Done: r.s.done, Transient: r.s.lastTransient, Err: r.s.err}
 }
@@ -139,5 +116,5 @@ func (r *SessionRuntime) Abort(err error) {
 // Result returns the session's outcome in the same form Fleet.Run
 // reports. The traces include epochs preloaded by a resume.
 func (r *SessionRuntime) Result() SessionResult {
-	return SessionResult{ID: r.s.id, Name: r.s.spec.Name, Traces: r.s.traces, Bytes: r.s.bytes, Err: r.s.err}
+	return r.s.result()
 }
