@@ -18,10 +18,11 @@ import (
 // dstuned job is — and a session is built by the same service.Build, so
 // a session means the transfer its spec would mean as a dstune flag
 // line or a POST /jobs body. All sessions run in one process under one
-// Fleet scheduler, on one clock: epoch, budget, max_transient and
-// testbed are the file's, not a session's. Simulated sessions share one
-// fabric (and so contend for the source endpoint, as in Figure 11),
-// socket sessions each dial their own addr.
+// Fleet, each stepping at its own pace, but FleetConfig is fleet-wide:
+// epoch, budget, max_transient and testbed are the file's, not a
+// session's. Simulated sessions share one fabric (and so contend for
+// the source endpoint, as in Figure 11), socket sessions each dial
+// their own addr.
 //
 // Example:
 //
@@ -87,7 +88,7 @@ func loadFleet(path string) (service.JobSpec, []fleetSession, error) {
 			return shared, nil, fmt.Errorf("fleet spec %s: session %d: %w", path, i, err)
 		}
 		if s.Epoch != shared.Epoch || s.Budget != shared.Budget || s.MaxTransient != shared.MaxTransient || s.Testbed != shared.Testbed {
-			return shared, nil, fmt.Errorf("fleet spec %s: session %d sets epoch, budget, max_transient or testbed: the scheduler paces all sessions on one clock and one fabric, set them for the whole file", path, i)
+			return shared, nil, fmt.Errorf("fleet spec %s: session %d sets epoch, budget, max_transient or testbed: the fleet has one FleetConfig and one fabric, set them for the whole file", path, i)
 		}
 		if s.Name == "" {
 			s.Name = s.Tuner
@@ -98,7 +99,7 @@ func loadFleet(path string) (service.JobSpec, []fleetSession, error) {
 		sessions[i] = s
 	}
 	if socket != 0 && socket != len(sessions) {
-		return shared, nil, fmt.Errorf("fleet spec %s mixes simulated and socket sessions: the scheduler paces all sessions on one clock", path)
+		return shared, nil, fmt.Errorf("fleet spec %s mixes simulated and socket sessions: the fleet's one epoch and budget would be virtual seconds to some sessions and wall seconds to the others", path)
 	}
 	return shared, sessions, nil
 }

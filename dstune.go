@@ -347,12 +347,6 @@ func NewNelderMeadSearch(start []int, box Box) Searcher {
 	return directsearch.NewNelderMead(start, box, directsearch.NMConfig{})
 }
 
-// NewCoordSearch returns a standalone coordinate-descent search over
-// box starting at start.
-func NewCoordSearch(start []int, box Box) Searcher {
-	return directsearch.NewCoord(start, box, directsearch.CoordConfig{})
-}
-
 // Real-socket transfers.
 type (
 	// GridFTPServer is the receiving end of the striped memory-to-

@@ -56,7 +56,6 @@ func TestSearchers(t *testing.T) {
 	for name, s := range map[string]dstune.Searcher{
 		"compass": dstune.NewCompassSearch([]int{2}, box, 8, 1),
 		"nm":      dstune.NewNelderMeadSearch([]int{2}, box),
-		"coord":   dstune.NewCoordSearch([]int{2}, box),
 	} {
 		x, _ := dstune.MaximizeSearch(s, obj, 0)
 		if x[0] != 33 {

@@ -27,11 +27,3 @@ func BenchmarkNelderMeadSearch(b *testing.B) {
 		Maximize(nm, quadratic2D, 0)
 	}
 }
-
-func BenchmarkCoordSearch(b *testing.B) {
-	box := MustBox([]int{1, 1}, []int{128, 32})
-	for i := 0; i < b.N; i++ {
-		c := NewCoord([]int{2, 2}, box, CoordConfig{})
-		Maximize(c, quadratic2D, 0)
-	}
-}

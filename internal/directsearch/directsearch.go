@@ -1,6 +1,7 @@
 // Package directsearch implements the direct search methods the paper
-// applies to throughput optimization: compass (pattern) search,
-// Nelder–Mead, and coordinate descent, over bounded integer domains.
+// applies to throughput optimization: compass (pattern) search and
+// Nelder–Mead, over bounded integer domains. (Coordinate descent, the
+// paper's Algorithm 1, is tuner.CDStrategy.)
 //
 // The optimizers are *maximizers* driven through an ask/tell
 // (Suggest/Observe) interface, because the objective — the throughput

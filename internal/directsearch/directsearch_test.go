@@ -29,7 +29,6 @@ func searchers(start []int, box Box, seed uint64) map[string]Searcher {
 	return map[string]Searcher{
 		"compass": NewCompass(start, box, CompassConfig{}, sim.NewRNG(seed)),
 		"nm":      NewNelderMead(start, box, NMConfig{}),
-		"coord":   NewCoord(start, box, CoordConfig{}),
 	}
 }
 
@@ -208,7 +207,6 @@ func TestMaxEvalsCaps(t *testing.T) {
 	ss := map[string]Searcher{
 		"compass": NewCompass([]int{1}, box, CompassConfig{MaxEvals: 50}, sim.NewRNG(8)),
 		"nm":      NewNelderMead([]int{1}, box, NMConfig{MaxEvals: 50}),
-		"coord":   NewCoord([]int{1}, box, CoordConfig{MaxEvals: 50}),
 	}
 	for name, s := range ss {
 		evals := 0
@@ -223,7 +221,7 @@ func TestMaxEvalsCaps(t *testing.T) {
 			}
 			s.Observe(mono(sPend(s)))
 		}
-		// Compass and coord climb one step per eval and must hit the
+		// Compass climbs one step per eval and must hit the
 		// cap exactly; NM's exponential expansion may reach the bound
 		// and converge legitimately before the cap.
 		if name == "nm" {
@@ -299,14 +297,6 @@ func TestNelderMead2DSimplexSize(t *testing.T) {
 	}
 }
 
-func TestCoordStepHalves(t *testing.T) {
-	c := NewCoord([]int{32}, MustBox([]int{1}, []int{64}), CoordConfig{Step: 8})
-	Maximize(c, func([]int) float64 { return 0 }, 0)
-	if c.Step() >= 0.5 {
-		t.Fatalf("final step = %v, want < 0.5", c.Step())
-	}
-}
-
 func TestCompassDeterministicPerSeed(t *testing.T) {
 	runOnce := func(seed uint64) []int {
 		c := NewCompass([]int{2, 2}, MustBox([]int{1, 1}, []int{64, 64}), CompassConfig{}, sim.NewRNG(seed))
@@ -320,7 +310,7 @@ func TestCompassDeterministicPerSeed(t *testing.T) {
 }
 
 func TestMaximizeRespectsCap(t *testing.T) {
-	c := NewCoord([]int{1}, MustBox([]int{1}, []int{1 << 20}), CoordConfig{})
+	c := NewCompass([]int{1}, MustBox([]int{1}, []int{1 << 20}), CompassConfig{}, sim.NewRNG(1))
 	calls := 0
 	Maximize(c, func(x []int) float64 { calls++; return float64(x[0]) }, 7)
 	if calls != 7 {

@@ -1,5 +1,5 @@
-// Package docs implements the repository's documentation lints, run
-// both as an in-repo test and by the CI docs job (via cmd/docscheck):
+// Package docs implements the repository's documentation lints, which
+// TestRepoDocs runs over the repository itself in `go test ./...`:
 //
 //   - CheckLinks walks the repo's markdown files and reports
 //     intra-repo links whose targets do not exist;

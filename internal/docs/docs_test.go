@@ -128,7 +128,7 @@ type hidden struct{}
 
 // TestRepoDocs is the in-repo enforcement: the repository's own
 // markdown links must resolve and its public packages must be fully
-// documented. CI runs the same checks via cmd/docscheck.
+// documented.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	links, err := CheckLinks(root)

@@ -3,8 +3,6 @@ package experiment
 import (
 	"strings"
 	"testing"
-
-	"dstune/internal/dataset"
 )
 
 func TestDiskScenariosShape(t *testing.T) {
@@ -32,16 +30,9 @@ func TestDiskScenariosShape(t *testing.T) {
 }
 
 func TestTuneDiskManySmall(t *testing.T) {
-	// A shortened many-small workload: the tuner must discover that
-	// pipelining and concurrency dominate, beating the static disk
-	// default clearly.
-	sc := DiskScenario{
-		Name:         "many-small",
-		Files:        dataset.ManySmall(4000),
-		DiskRate:     2e9,
-		FileOverhead: 0.5,
-	}
-	res, err := TuneDisk(ANLtoUChicago(), sc, RunConfig{Seed: 3, Duration: 900})
+	// The tuner must discover that pipelining and concurrency
+	// dominate, beating the static disk default clearly.
+	res, err := figDiskManySmall()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,16 +61,10 @@ func TestTuneDiskManySmall(t *testing.T) {
 }
 
 func TestTuneDiskFewHuge(t *testing.T) {
-	// Bandwidth-bound regime: 8 x 2 GB. Pipelining is irrelevant;
-	// both default and tuners should move data at a healthy rate,
-	// and the transfers complete before the budget.
-	sc := DiskScenario{
-		Name:         "few-huge",
-		Files:        dataset.Uniform(8, 2<<30),
-		DiskRate:     2e9,
-		FileOverhead: 0.5,
-	}
-	res, err := TuneDisk(ANLtoUChicago(), sc, RunConfig{Seed: 4, Duration: 1800})
+	// Pipelining is irrelevant; both default and tuners should move
+	// data at a healthy rate, and the transfers complete before the
+	// budget.
+	res, err := figDiskFewHuge()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,6 @@ type RunConfig struct {
 	NP int
 	// MaxNC and MaxNP bound the search box; zeros select 128 and 16.
 	MaxNC, MaxNP int
-	// StartNC and StartNP are the starting vector; zeros select the
-	// Globus defaults 2 and 8.
-	StartNC, StartNP int
 }
 
 // withDefaults returns rc with zero fields replaced by defaults.
@@ -89,12 +86,6 @@ func (rc RunConfig) withDefaults() RunConfig {
 	if rc.MaxNP == 0 {
 		rc.MaxNP = 16
 	}
-	if rc.StartNC == 0 {
-		rc.StartNC = 2
-	}
-	if rc.StartNP == 0 {
-		rc.StartNP = 8
-	}
 	return rc
 }
 
@@ -105,10 +96,9 @@ func (rc RunConfig) tunerCfg(twoParam bool) tuner.Config {
 }
 
 // spaceCfg builds the tuner configuration for rc over sp's dimensions,
-// with rc's bounds and start.
+// with rc's bounds.
 func (rc RunConfig) spaceCfg(sp tuner.Space) tuner.Config {
 	sp.NP, sp.MaxNC, sp.MaxNP = rc.NP, rc.MaxNC, rc.MaxNP
-	sp.StartNC, sp.StartNP = rc.StartNC, rc.StartNP
 	return sp.Apply(tuner.Config{Epoch: rc.Epoch, Budget: rc.Duration, Seed: rc.Seed})
 }
 

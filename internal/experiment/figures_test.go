@@ -93,7 +93,7 @@ func TestSweepsDeterministic(t *testing.T) {
 }
 
 func TestTuneConcurrencyNoLoad(t *testing.T) {
-	res, err := TuneConcurrency(ANLtoUChicago(), load.Load{}, quickRC())
+	res, err := figTuneFree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestTuneConcurrencyNoLoad(t *testing.T) {
 }
 
 func TestTuneConcurrencyComputeLoad(t *testing.T) {
-	res, err := TuneConcurrency(ANLtoUChicago(), load.Load{Cmp: 16}, quickRC())
+	res, err := figTuneCmp16()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestTuneConcurrencyComputeLoad(t *testing.T) {
 }
 
 func TestImprovementsFromResults(t *testing.T) {
-	res, err := TuneConcurrency(ANLtoUChicago(), load.Load{Cmp: 16}, quickRC())
+	res, err := figTuneCmp16()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,7 @@ func TestImprovementsFromResults(t *testing.T) {
 }
 
 func TestTuneBothAdaptsToLoadDrop(t *testing.T) {
-	rc := RunConfig{Seed: 3, Duration: 1800, Epoch: 30}
-	res, err := TuneBoth(ANLtoTACC(), rc)
+	res, err := figTuneBoth()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +179,7 @@ func TestTuneBothAdaptsToLoadDrop(t *testing.T) {
 }
 
 func TestCompareHeuristics(t *testing.T) {
-	rc := RunConfig{Seed: 5, Duration: 1800, Epoch: 30}
-	res, err := CompareHeuristics(ANLtoTACC(), rc)
+	res, err := figHeuristics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +212,7 @@ func equalIntsTest(a, b []int) bool {
 }
 
 func TestSimultaneous(t *testing.T) {
-	rc := RunConfig{Seed: 9, Duration: 1200, Epoch: 30}
-	res, err := Simultaneous("nm-tuner", rc)
+	res, err := figSimultaneous()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +299,7 @@ func TestTunerNamesBuildable(t *testing.T) {
 }
 
 func TestThirdPartyRobustness(t *testing.T) {
-	res, err := ThirdParty(ANLtoUChicago(), 64, 180, RunConfig{Seed: 21, Duration: 1440, Epoch: 30})
+	res, err := figThirdParty()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +314,7 @@ func TestThirdPartyRobustness(t *testing.T) {
 }
 
 func TestConvergenceTimesDerived(t *testing.T) {
-	res, err := TuneConcurrency(ANLtoUChicago(), load.Load{}, quickRC())
+	res, err := figTuneFree()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +334,7 @@ func TestConvergenceTimesDerived(t *testing.T) {
 }
 
 func TestCompareModel(t *testing.T) {
-	res, err := CompareModel(ANLtoTACC(), RunConfig{Seed: 23, Duration: 1800, Epoch: 30})
+	res, err := figCompareModel()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,7 @@ func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := xfer.Default()
 	j := tuner.NewJointNM(tuner.JointConfig{
 		Epoch:  rc.Epoch,
 		Budget: rc.Duration,
@@ -63,7 +64,7 @@ func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 		Box: directsearch.MustBox(
 			[]int{1, 1, 1, 1},
 			[]int{rc.MaxNC, rc.MaxNP, rc.MaxNC, rc.MaxNP}),
-		Start: []int{rc.StartNC, rc.StartNP, rc.StartNC, rc.StartNP},
+		Start: []int{start.NC, start.NP, start.NC, start.NP},
 		Dims:  []int{2, 2},
 		Maps:  []tuner.ParamMap{tuner.MapNCNP(), tuner.MapNCNP()},
 	})

@@ -152,7 +152,7 @@ func BenchmarkManyFilesEpoch(b *testing.B) {
 // is the acceptance gate: a sendfile lease costs ~6 syscalls
 // regardless of length, so it must stay ≥5x under the userspace
 // pread+writev figure at equal-or-better throughput
-// (BENCH_baseline.json pins both). With the server's truncating
+// (TestZeroCopySyscallDiscipline holds the ratio). With the server's truncating
 // discard receive the zero-copy path is copy-free end to end — the
 // sender queues page-cache references, the receiver drops them in
 // kernel — so its margin over the userspace pump's three memory
@@ -272,5 +272,24 @@ func BenchmarkPump(b *testing.B) {
 	}
 	if sent != int64(b.N)*chunkSize {
 		b.Fatalf("pump sent %d bytes, want %d", sent, int64(b.N)*chunkSize)
+	}
+}
+
+// TestPumpAllocs holds BenchmarkPump's contract exactly, where every PR
+// is judged: a pump call that moves 256 chunks allocates nothing — not
+// per chunk, not per lease, not per call.
+func TestPumpAllocs(t *testing.T) {
+	const want = 256 * chunkSize
+	var budget atomic.Int64
+	abort := make(chan struct{})
+	deadline := time.Now().Add(time.Hour)
+	allocs := testing.AllocsPerRun(20, func() {
+		budget.Store(want)
+		if sent, alive := pump(io.Discard, math.Inf(1), deadline, &budget, abort); !alive || sent != want {
+			t.Fatalf("pump sent %d bytes (alive %v), want %d", sent, alive, want)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("pump: %v allocs per 256-chunk call, want 0", allocs)
 	}
 }

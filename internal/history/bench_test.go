@@ -7,8 +7,7 @@ import (
 
 // BenchmarkHistoryLookup measures a Lookup over a populated store:
 // half the queries hit their exact key, half fall back to the
-// nearest-neighbor scan. Gated through BENCH_baseline.json by the CI
-// bench job.
+// nearest-neighbor scan.
 func BenchmarkHistoryLookup(b *testing.B) {
 	s := NewMemStore()
 	n := 0

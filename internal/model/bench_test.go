@@ -22,3 +22,12 @@ func BenchmarkOptimum(b *testing.B) {
 		}
 	}
 }
+
+// TestOptimumAllocs: the model tuner's per-epoch argmax over the fitted
+// curve allocates nothing.
+func TestOptimumAllocs(t *testing.T) {
+	c := Coeffs{A: 1e-20, B: -1e-18, C: 3.2e-17}
+	if n := testing.AllocsPerRun(100, func() { c.Optimum(1, 512) }); n != 0 {
+		t.Errorf("Optimum: %v allocs/op, want 0", n)
+	}
+}

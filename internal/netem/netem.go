@@ -32,20 +32,9 @@ type Config struct {
 	Capacity float64
 	// BaseRTT is the propagation round-trip time in seconds.
 	BaseRTT float64
-	// BufferBDP sizes the bottleneck buffer as a multiple of the
-	// bandwidth-delay product. Zero selects 1.0.
-	BufferBDP float64
 	// RandomLoss is the per-packet probability of a non-congestion
 	// loss (transmission errors, cross-traffic microbursts).
 	RandomLoss float64
-	// ShedTarget is the utilization the path aims for when the buffer
-	// is full: congestion losses are sized so that the expected
-	// window reductions bring aggregate demand down to
-	// ShedTarget*Capacity, which drains the queue. Zero selects 0.95.
-	// Dropping "just enough" keeps streams desynchronized, which is
-	// how an ensemble of streams claims more of the capacity than a
-	// single stream can.
-	ShedTarget float64
 	// MSS is the segment size in bytes; zero selects
 	// tcpmodel.DefaultMSS.
 	MSS float64
@@ -54,14 +43,16 @@ type Config struct {
 	MaxCwnd float64
 }
 
+// shedTarget is the utilization the path aims for when the buffer is
+// full: congestion losses are sized so that the expected window
+// reductions bring aggregate demand down to shedTarget*Capacity, which
+// drains the queue. Dropping "just enough" keeps streams
+// desynchronized, which is how an ensemble of streams claims more of
+// the capacity than a single stream can.
+const shedTarget = 0.95
+
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (c Config) withDefaults() Config {
-	if c.BufferBDP == 0 {
-		c.BufferBDP = 1
-	}
-	if c.ShedTarget == 0 {
-		c.ShedTarget = 0.95
-	}
 	if c.MSS == 0 {
 		c.MSS = tcpmodel.DefaultMSS
 	}
@@ -103,7 +94,7 @@ func New(cfg Config, rng *sim.RNG) *Path {
 	cfg = cfg.withDefaults()
 	return &Path{
 		cfg:    cfg,
-		buffer: cfg.BufferBDP * cfg.Capacity * cfg.BaseRTT,
+		buffer: cfg.Capacity * cfg.BaseRTT, // one bandwidth-delay product
 		rng:    rng,
 	}
 }
@@ -313,7 +304,7 @@ func (p *Path) step(dt float64) {
 	const meanDecrease = 0.3
 	pCongStep := 0.0
 	if congested && total > 0 {
-		shed := total - p.cfg.ShedTarget*p.cfg.Capacity
+		shed := total - shedTarget*p.cfg.Capacity
 		if shed > 0 {
 			pCongStep = shed / (meanDecrease * total)
 			if pCongStep > 0.9 {

@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"expvar"
 	"fmt"
 	"net"
@@ -20,6 +22,9 @@ const (
 	httpReadTimeout       = 30 * time.Second
 	httpIdleTimeout       = 2 * time.Minute
 	httpMaxHeaderBytes    = 64 << 10
+	// httpDrainTimeout bounds how long Endpoint.Close waits for
+	// requests in flight; dstuned gives its control server the same.
+	httpDrainTimeout = 5 * time.Second
 )
 
 // NewHTTPServer returns the http.Server every listener in this
@@ -81,8 +86,17 @@ type Endpoint struct {
 // Addr returns the endpoint's bound address (useful with ":0").
 func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 
-// Close shuts the endpoint's listener down.
-func (e *Endpoint) Close() error { return e.srv.Close() }
+// Close stops accepting connections, lets requests in flight finish
+// for up to httpDrainTimeout — a scrape running when the process exits
+// is answered whole — and then cuts whatever is left.
+func (e *Endpoint) Close() error {
+	ctx, cancel := context.WithTimeout(context.Background(), httpDrainTimeout)
+	defer cancel()
+	if err := e.srv.Shutdown(ctx); err != nil {
+		return errors.Join(err, e.srv.Close())
+	}
+	return nil
+}
 
 // Serve binds addr (host:port; ":0" picks a free port), publishes the
 // registry to expvar, and serves Handler until Close. It returns

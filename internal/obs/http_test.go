@@ -51,3 +51,60 @@ func TestHTTPServerDropsStalledClient(t *testing.T) {
 		t.Fatalf("the server kept a stalled connection open: %v", err)
 	}
 }
+
+// TestEndpointCloseDrainsRequestInFlight: a scrape the server is still
+// answering when the process calls Close gets its whole 200, not a
+// connection cut mid-body, and Close returns only once it has.
+func TestEndpointCloseDrainsRequestInFlight(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const body = "first half\nsecond half\n"
+	inHandler, release := make(chan struct{}), make(chan struct{})
+	srv := NewHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, body[:len(body)/2])
+		w.(http.Flusher).Flush()
+		close(inHandler)
+		<-release
+		io.WriteString(w, body[len(body)/2:])
+	}))
+	go func() { _ = srv.Serve(ln) }()
+	ep := &Endpoint{ln: ln, srv: srv}
+
+	resp, err := http.Get("http://" + ep.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	<-inHandler
+
+	closed := make(chan error, 1)
+	go func() { closed <- ep.Close() }()
+	// Close is under way once the listener refuses new connections.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		conn, err := net.Dial("tcp", ep.Addr())
+		if err != nil {
+			break
+		}
+		conn.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("Close never closed the listener")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v with a request still in flight", err)
+	default:
+	}
+	close(release)
+
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || string(got) != body {
+		t.Fatalf("in-flight request got status %d, body %q, err %v; want a complete 200 %q", resp.StatusCode, got, err, body)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}

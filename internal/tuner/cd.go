@@ -51,7 +51,7 @@ type CDState struct {
 //
 // For multi-parameter tuning (the paper's §IV-B extension) the walk
 // applies to one coordinate at a time, rotating to the next after
-// StallEpochs consecutive holds and probing the new coordinate once.
+// stallEpochs (3) consecutive holds and probing the new coordinate once.
 type CDStrategy struct {
 	cfg Config
 	st  CDState
@@ -131,7 +131,7 @@ func (c *CDStrategy) decide() []int {
 
 	// Multi-parameter extension: rotate after repeated holds.
 	if ivec.Equal(next, st.XPrev) {
-		if st.Rotation.Hold(c.cfg.Box.Dim(), c.cfg.StallEpochs) {
+		if st.Rotation.Hold(c.cfg.Box.Dim()) {
 			next = c.step(st.XPrev, +1) // probe the fresh coordinate once
 		}
 	} else {

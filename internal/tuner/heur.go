@@ -88,7 +88,7 @@ func (h *Heur1Strategy) Observe(rep xfer.Report) {
 			// The rejected probe still ran for an epoch; stay at X.
 			st.Climbing = false
 		}
-		if st.Rotation.Hold(h.cfg.Box.Dim(), h.cfg.StallEpochs) {
+		if st.Rotation.Hold(h.cfg.Box.Dim()) {
 			st.Climbing = true // probe the fresh coordinate
 		}
 	}

@@ -313,10 +313,9 @@ func FuzzRLRestore(f *testing.F) {
 	})
 }
 
-// BenchmarkRLPropose holds the learned strategies' hot path to a
-// bounded allocation budget: one Propose plus one Observe per epoch,
-// including the Q-update and the next action choice. CI gates
-// allocs/op against BENCH_baseline.json via benchjson.
+// BenchmarkRLPropose measures the learned strategies' hot path: one
+// Propose plus one Observe per epoch, including the Q-update and the
+// next action choice.
 func BenchmarkRLPropose(b *testing.B) {
 	for _, name := range []string{"rl-bandit", "rl-q"} {
 		b.Run(name, func(b *testing.B) {

@@ -106,8 +106,8 @@ func TestFleetMatchesSoloSessions(t *testing.T) {
 
 // BenchmarkSessionDispatch measures the supervisor's hot path: one
 // SessionRuntime round (propose, epoch, settle) over an in-memory
-// transfer. The allocation count is gated in BENCH_baseline.json — a
-// regression here multiplies across every session of a loaded daemon.
+// transfer. Read the allocation count by hand (22 allocs/op at PR 17):
+// a regression here multiplies across every session of a loaded daemon.
 func BenchmarkSessionDispatch(b *testing.B) {
 	cfg := cfg1D(0)
 	strat, err := NewStrategy("cs-tuner", cfg)

@@ -215,8 +215,12 @@ func (m *Monitor) Disarm() {
 	m.Armed = false
 }
 
+// stallEpochs is the number of consecutive no-change epochs after which
+// the multi-parameter cd-tuner and heur1 rotate to the next parameter.
+const stallEpochs = 3
+
 // Rotation is the stall-rotation shared by the multi-parameter
-// cd-tuner and heur1: after StallEpochs consecutive holds, move the
+// cd-tuner and heur1: after stallEpochs consecutive holds, move the
 // active coordinate to the next dimension.
 type Rotation struct {
 	// Dim is the active coordinate.
@@ -228,7 +232,7 @@ type Rotation struct {
 // Hold records one holding epoch and reports whether it rotated the
 // active coordinate (only with more than one dimension, after
 // stallEpochs consecutive holds).
-func (r *Rotation) Hold(dims, stallEpochs int) bool {
+func (r *Rotation) Hold(dims int) bool {
 	r.Stalls++
 	if dims > 1 && r.Stalls >= stallEpochs {
 		r.Stalls = 0

@@ -94,33 +94,26 @@ type Space struct {
 	// MaxNC and MaxNP are the box's upper bounds (the lower bounds are
 	// 1; the pipelining depth is bounded by 32).
 	MaxNC, MaxNP int
-	// StartNC and StartNP override the start vector's Globus defaults,
-	// nc=2 and np=8 (the pipelining depth starts at 4).
-	StartNC, StartNP int
 }
 
-// Apply returns cfg with Box, Start and Map set for the space.
+// Apply returns cfg with Box, Start and Map set for the space. The
+// search starts at the Globus defaults, xfer.DefaultDisk.
 func (sp Space) Apply(cfg Config) Config {
-	if sp.StartNC == 0 {
-		sp.StartNC = 2
-	}
-	if sp.StartNP == 0 {
-		sp.StartNP = 8
-	}
-	const startPP, maxPP, fixedPP = 4, 32, 4
+	start := xfer.DefaultDisk()
+	const maxPP, fixedPP = 32, 4
 	switch {
 	case sp.Two && sp.Files && sp.PP == 0:
 		cfg.Box = directsearch.MustBox([]int{1, 1, 1}, []int{sp.MaxNC, sp.MaxNP, maxPP})
-		cfg.Start = []int{sp.StartNC, sp.StartNP, startPP}
+		cfg.Start = []int{start.NC, start.NP, start.PP}
 		cfg.Map = MapNCNPPP()
 		return cfg
 	case sp.Two:
 		cfg.Box = directsearch.MustBox([]int{1, 1}, []int{sp.MaxNC, sp.MaxNP})
-		cfg.Start = []int{sp.StartNC, sp.StartNP}
+		cfg.Start = []int{start.NC, start.NP}
 		cfg.Map = MapNCNP()
 	default:
 		cfg.Box = directsearch.MustBox([]int{1}, []int{sp.MaxNC})
-		cfg.Start = []int{sp.StartNC}
+		cfg.Start = []int{start.NC}
 		cfg.Map = MapNC(sp.NP)
 	}
 	if sp.Files {
@@ -175,10 +168,6 @@ type Config struct {
 	// Restart selects the inner-search restart point for cs-tuner
 	// and nm-tuner; the zero value follows the paper (FromOrigin).
 	Restart RestartFrom
-	// StallEpochs is the number of consecutive no-change epochs after
-	// which the multi-parameter cd-tuner and heur1 rotate to the next
-	// parameter; zero selects 3.
-	StallEpochs int
 	// ObserveBestCase makes the tuners optimize the restart-free
 	// (best-case) throughput instead of the observed throughput.
 	// The paper's tuners observe throughput including the restart
@@ -255,9 +244,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Tolerance = resolveSentinel(c.Tolerance, 5)
 	c.Lambda = resolveSentinel(c.Lambda, 8)
-	if c.StallEpochs == 0 {
-		c.StallEpochs = 3
-	}
 	if c.MaxTransientFailures == 0 {
 		c.MaxTransientFailures = 3
 	}

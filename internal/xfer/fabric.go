@@ -293,22 +293,12 @@ func (t *Sim) Run(ctx context.Context, p Params, epoch float64) (Report, error) 
 	if !p.Valid() {
 		return Report{}, ErrBadParams
 	}
-	// A cancelled ctx must wake the barrier wait below; the watcher
-	// exits when Run returns. Skip it for non-cancellable contexts so
-	// the hot simulation path stays goroutine-free.
-	if ctx.Done() != nil {
-		unwatched := make(chan struct{})
-		defer close(unwatched)
-		go func() {
-			select {
-			case <-ctx.Done():
-				f.mu.Lock()
-				f.cond.Broadcast()
-				f.mu.Unlock()
-			case <-unwatched:
-			}
-		}()
-	}
+	// A cancelled ctx must wake the barrier wait below.
+	defer context.AfterFunc(ctx, func() {
+		f.mu.Lock()
+		f.cond.Broadcast()
+		f.mu.Unlock()
+	})()
 	now := f.clock.Now()
 	if !t.started {
 		t.started = true
