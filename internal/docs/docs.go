@@ -5,15 +5,18 @@
 //     intra-repo links whose targets do not exist;
 //   - CheckExports parses Go packages and reports exported
 //     identifiers that carry no doc comment, plus packages with no
-//     package comment.
+//     package comment;
+//   - CheckFormat reports Go files gofmt would rewrite.
 //
-// Both return findings as plain strings ("file:line: message") so
+// All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.
 package docs
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
+	"go/format"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -28,14 +31,11 @@ import (
 // ![alt](target). Reference-style links are not used in this repo.
 var linkRE = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)\)`)
 
-// CheckLinks walks root for .md files (skipping .git and testdata)
-// and reports links to intra-repo targets that do not exist. External
-// links (with a URL scheme) and pure-anchor links are not checked;
-// anchor fragments on file links are stripped before the existence
-// check.
-func CheckLinks(root string) ([]string, error) {
-	var problems []string
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+// eachFile calls visit with the root-relative path and the contents of
+// every file under root whose name ends in suffix, skipping .git,
+// testdata (fixtures may be malformed on purpose) and node_modules.
+func eachFile(root, suffix string, visit func(rel string, data []byte)) error {
+	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -46,13 +46,31 @@ func CheckLinks(root string) ([]string, error) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(d.Name(), ".md") {
+		if !strings.HasSuffix(d.Name(), suffix) {
 			return nil
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
+		rel, rerr := filepath.Rel(root, path)
+		if rerr != nil {
+			rel = path
+		}
+		visit(rel, data)
+		return nil
+	})
+}
+
+// CheckLinks walks root for .md files (skipping .git and testdata)
+// and reports links to intra-repo targets that do not exist. External
+// links (with a URL scheme) and pure-anchor links are not checked;
+// anchor fragments on file links are stripped before the existence
+// check.
+func CheckLinks(root string) ([]string, error) {
+	var problems []string
+	err := eachFile(root, ".md", func(rel string, data []byte) {
+		dir := filepath.Dir(filepath.Join(root, rel))
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range linkRE.FindAllStringSubmatch(line, -1) {
 				target := m[1]
@@ -65,17 +83,31 @@ func CheckLinks(root string) ([]string, error) {
 				if target == "" {
 					continue
 				}
-				resolved := filepath.Join(filepath.Dir(path), filepath.FromSlash(target))
-				if _, err := os.Stat(resolved); err != nil {
-					rel, rerr := filepath.Rel(root, path)
-					if rerr != nil {
-						rel = path
-					}
+				if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(target))); err != nil {
 					problems = append(problems, fmt.Sprintf("%s:%d: broken link %q", rel, i+1, m[1]))
 				}
 			}
 		}
-		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
+// CheckFormat walks root for .go files (skipping .git and testdata)
+// and reports those whose bytes differ from what go/format — gofmt —
+// makes of them.
+func CheckFormat(root string) ([]string, error) {
+	var problems []string
+	err := eachFile(root, ".go", func(rel string, src []byte) {
+		switch formatted, err := format.Source(src); {
+		case err != nil:
+			problems = append(problems, fmt.Sprintf("%s: %v", rel, err))
+		case !bytes.Equal(src, formatted):
+			problems = append(problems, fmt.Sprintf("%s: not gofmt-formatted", rel))
+		}
 	})
 	if err != nil {
 		return nil, err

@@ -126,9 +126,40 @@ type hidden struct{}
 	}
 }
 
+// TestCheckFormat exercises the format lint on a synthetic tree: a
+// gofmt-clean file passes, a misindented one and one that does not
+// parse are reported, and testdata is not looked at.
+func TestCheckFormat(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("clean.go", "package demo\n\nfunc F() {\n\treturn\n}\n")
+	write("sub/ragged.go", "package demo\n\nfunc F() {\n  return\n}\n")
+	write("broken.go", "package demo\n\nfunc F( {\n")
+	write("testdata/ragged.go", "package demo\n\nfunc F() {\n  return\n}\n")
+
+	problems, err := CheckFormat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 2 ||
+		!strings.HasPrefix(problems[0], "broken.go:") ||
+		problems[1] != filepath.Join("sub", "ragged.go")+": not gofmt-formatted" {
+		t.Fatalf("got problems %q, want broken.go's parse error and sub/ragged.go", problems)
+	}
+}
+
 // TestRepoDocs is the in-repo enforcement: the repository's own
-// markdown links must resolve and its public packages must be fully
-// documented.
+// markdown links must resolve, its public packages must be fully
+// documented, and every Go file must be gofmt-clean.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	links, err := CheckLinks(root)
@@ -149,5 +180,12 @@ func TestRepoDocs(t *testing.T) {
 	}
 	for _, p := range exports {
 		t.Errorf("undocumented export: %s", p)
+	}
+	unformatted, err := CheckFormat(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range unformatted {
+		t.Errorf("gofmt: %s", p)
 	}
 }

@@ -255,14 +255,13 @@ func BenchmarkFileSourceEpoch(b *testing.B) {
 // BenchmarkPump measures the unshaped pump fast path in isolation:
 // one stream draining a shared budget through byte leases. allocs/op
 // must stay at zero — the lease quantum amortizes the shared-budget
-// CAS and the deadline checks, and the chunk buffer is the package
-// zeros slice.
+// CAS, and the write buffer is the package's one zero slice.
 func BenchmarkPump(b *testing.B) {
 	var budget atomic.Int64
-	budget.Store(int64(b.N) * chunkSize)
+	budget.Store(int64(b.N) * fileChunk)
 	abort := make(chan struct{})
 	defer close(abort)
-	b.SetBytes(chunkSize)
+	b.SetBytes(fileChunk)
 	b.ReportAllocs()
 	b.ResetTimer()
 	sent, alive := pump(io.Discard, math.Inf(1), time.Now().Add(time.Hour), &budget, abort)
@@ -270,16 +269,16 @@ func BenchmarkPump(b *testing.B) {
 	if !alive {
 		b.Fatal("pump reported a dead stream on io.Discard")
 	}
-	if sent != int64(b.N)*chunkSize {
-		b.Fatalf("pump sent %d bytes, want %d", sent, int64(b.N)*chunkSize)
+	if sent != int64(b.N)*fileChunk {
+		b.Fatalf("pump sent %d bytes, want %d", sent, int64(b.N)*fileChunk)
 	}
 }
 
 // TestPumpAllocs holds BenchmarkPump's contract exactly, where every PR
-// is judged: a pump call that moves 256 chunks allocates nothing — not
-// per chunk, not per lease, not per call.
+// is judged: a pump call that makes 256 writes allocates nothing — not
+// per write, not per lease, not per call.
 func TestPumpAllocs(t *testing.T) {
-	const want = 256 * chunkSize
+	const want = 256 * fileChunk
 	var budget atomic.Int64
 	abort := make(chan struct{})
 	deadline := time.Now().Add(time.Hour)
@@ -290,6 +289,6 @@ func TestPumpAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("pump: %v allocs per 256-chunk call, want 0", allocs)
+		t.Errorf("pump: %v allocs per 256-write call, want 0", allocs)
 	}
 }

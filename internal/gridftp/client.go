@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -188,6 +189,11 @@ type Client struct {
 	ctrlR *bufio.Reader // reader paired with ctrl
 
 	lastRetrans int64 // summed stripe retransmit counters last sample
+	// seen is where SETTLE's expected count starts from: what the
+	// server's aggregate counter for the token will read once everything
+	// written so far is in (see settled); -1 until the first arm has
+	// read it. Only Run touches it.
+	seen int64
 }
 
 // NewClient returns a client for cfg. It does not touch the network
@@ -243,6 +249,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	c.stopped, c.stop = context.WithCancelCause(context.Background())
 	c.acked = int64(cfg.AckedBytes)
+	c.seen = -1
 	if cfg.Bytes >= float64(int64(1)<<62) {
 		c.remaining.Store(int64(1) << 62)
 	} else {
@@ -525,14 +532,10 @@ func (c *Client) exchange(ctx context.Context, t *cost, cmd, wantPrefix string) 
 }
 
 // ServerReceived asks the server how many bytes it has received for
-// this transfer's token, over the persistent control connection.
+// this transfer's token (a STAT exchange on the persistent control
+// connection).
 func (c *Client) ServerReceived() (int64, error) {
-	return c.serverReceived(c.stopped, new(cost))
-}
-
-// serverReceived is the STAT exchange behind ServerReceived.
-func (c *Client) serverReceived(ctx context.Context, t *cost) (int64, error) {
-	resp, err := c.exchange(ctx, t, "STAT "+c.token, "BYTES ")
+	resp, err := c.exchange(c.stopped, new(cost), "STAT "+c.token, "BYTES ")
 	if err != nil {
 		return 0, err
 	}
@@ -541,6 +544,62 @@ func (c *Client) serverReceived(ctx context.Context, t *cost) (int64, error) {
 		return 0, fmt.Errorf("%w: bad STAT response %q", ErrProtocol, resp)
 	}
 	return n, nil
+}
+
+// receiverTruth is the server's answer to SETTLE — the token's aggregate
+// byte counter and, on the file plane, the completed-file count and the
+// duplicate-free received bytes — and what settled made of it.
+type receiverTruth struct {
+	bytes  int64
+	done   int
+	useful int64
+	// pending is how far bytes fell short of the expected count although
+	// no stripe died: late, then, not lost — nothing goes back to the
+	// budget, and the next settle waits for it.
+	pending int64
+	// refund is the expected count less bytes wherever settled took
+	// bytes as the new starting point: what a dead stripe lost
+	// (positive, back to the budget) or what arrived that nobody
+	// expected (negative).
+	refund int64
+}
+
+// settled is the one round trip in which an epoch learns receiver
+// truth: it tells the server what its counter should reach — seen plus
+// the sent bytes the stripes just wrote — and the server answers when
+// it has, or when the difference is not coming (see Server.serveSettle).
+// A failed exchange leaves the caller with the sender's count.
+//
+// The answer is an instant's reading, and seen must be where the
+// counter ends up or every later settle inherits the error. Bytes
+// written to a stripe that is still alive do arrive, so an epoch in
+// which none died moves seen on by exactly what it wrote, whatever the
+// answer said: a count cut short by a spuriously quiet 5 ms (a drain
+// starved of CPU) is pending, and the next settle waits for it. Only
+// where the expectation is known to be off — a stripe died with bytes
+// in its socket buffer, the counter is past it, or below where the
+// epoch began (the server dropped the token) — is the answer itself the
+// new starting point; giveUp says the caller will wait for pending
+// bytes no longer and wants them counted as lost.
+func (c *Client) settled(ctx context.Context, e *epoch, sent int64, giveUp bool) (rt receiverTruth, err error) {
+	began, expect := c.seen, c.seen+sent
+	c.seen = expect
+	cmd := fmt.Sprintf("SETTLE %s %d", c.token, expect)
+	resp, err := c.exchange(ctx, &e.cost, cmd, "SETTLED ")
+	if err != nil {
+		return rt, err
+	}
+	if _, err := fmt.Sscanf(resp, "SETTLED %d %d %d", &rt.bytes, &rt.done, &rt.useful); err != nil {
+		return rt, fmt.Errorf("%w: bad SETTLE response %q", ErrProtocol, resp)
+	}
+	lossy := slices.ContainsFunc(e.stripes, func(s stripeResult) bool { return !s.alive })
+	if giveUp || lossy || rt.bytes < began || rt.bytes > expect {
+		rt.refund = expect - rt.bytes
+		c.seen = rt.bytes
+	} else {
+		rt.pending = expect - rt.bytes
+	}
+	return rt, nil
 }
 
 // dialData establishes one data connection (dial plus the plane's
@@ -561,27 +620,6 @@ func (c *Client) dialData(ctx context.Context, t *cost) (data net.Conn, err erro
 		return nil
 	})
 	return data, err
-}
-
-// pollStable reads receiver truth until two consecutive reads agree
-// (the kernel buffers have drained) or a short deadline passes; failed
-// reads are retried within the deadline, and an ended ctx gives up at
-// once. ok reports whether the server answered at all.
-func pollStable[T comparable](ctx context.Context, read func() (T, error)) (v T, ok bool) {
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for {
-		got, err := read()
-		if err == nil {
-			if ok && got == v {
-				return v, true
-			}
-			v, ok = got, true
-		}
-		if ctx.Err() != nil || time.Now().After(deadline) {
-			return v, ok
-		}
-		sleep(ctx, 5*time.Millisecond)
-	}
 }
 
 // takePool detaches the warm stripe pool from the client, giving the
@@ -615,9 +653,9 @@ func (c *Client) storePool(conns []net.Conn) {
 }
 
 // dataPlane is the seam between the two wire formats a transfer can
-// use — the bulk stream (DATA, an anonymous byte budget, STAT) and the
-// framed file plane (DATAF, a per-file work queue, MANIFEST, OPEN and
-// FSTAT). They differ in exactly these four places; everything else
+// use — the bulk stream (DATA, an anonymous byte budget) and the framed
+// file plane (DATAF, a per-file work queue, MANIFEST, OPEN and RESYNC).
+// They differ in exactly these four places; everything else
 // about an epoch is written once, in Run's phases.
 type dataPlane interface {
 	// verb is the header word a data connection announces itself with.
@@ -646,6 +684,7 @@ type epoch struct {
 	cost                   // dials and retries spent so far
 	reused   int           // stripes taken over from the warm pool
 	degraded int           // stripes given up on after retries
+	found    int64         // first arm only: bytes the token held beyond what the session had acknowledged
 
 	// pool is the stripe set, owned by the epoch from takePool to
 	// storePool; stripes[i] is what pool[i]'s pump goroutine reported
@@ -662,14 +701,11 @@ type stripeResult struct {
 }
 
 // bulkPlane is the memory-to-memory stream: every stripe drains one
-// shared byte budget, and receiver truth is the token's STAT counter.
+// shared byte budget, and receiver truth is the token's byte counter.
 type bulkPlane struct{ c *Client }
 
 // verb: bulk data connections announce themselves with DATA.
 func (bulkPlane) verb() string { return "DATA" }
-
-// arm: START/ADJ is all the bulk stream needs.
-func (bulkPlane) arm(context.Context, *epoch) error { return nil }
 
 // pump hands every stripe the zero pump over the shared byte budget.
 func (b bulkPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64, bool), func()) {
@@ -678,23 +714,41 @@ func (b bulkPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64, b
 	}, func() {}
 }
 
-// settle reconciles against the server's byte count: bytes written
-// but lost to a reset go back to the budget, late arrivals from a
-// prior epoch are re-claimed.
+// arm claims what a resumed token holds beyond the checkpoint — the
+// killed session's last writes, found by the first arm's STAT — so the
+// budget does not send it again; the first settle credits it.
+func (b bulkPlane) arm(_ context.Context, e *epoch) error {
+	if e.found > 0 {
+		b.c.remaining.Add(-e.found)
+	}
+	return nil
+}
+
+// settle reconciles against the server's byte count: bytes lost to a
+// reset go back to the budget, arrivals nobody expected are claimed
+// from it. A count that is short with every stripe alive is late, not
+// lost, and left for the next settle — unless the budget is spent, when
+// there may be no next one: then the transfer would end short if the
+// bytes are in fact gone (the server's end died, unseen), and resend
+// them if it gave them up while they are merely late. So it asks once
+// more, and only then gives up what is still missing.
 func (b bulkPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report) {
 	c := b.c
-	total, ok := pollStable(ctx, func() (int64, error) { return c.serverReceived(ctx, &e.cost) })
-	if !ok {
+	truth, err := c.settled(ctx, e, sent, false)
+	if err == nil && truth.pending > 0 && c.remaining.Load() <= 0 {
+		truth, err = c.settled(ctx, e, 0, true)
+	}
+	if err != nil {
 		return
 	}
 	c.mu.Lock()
 	prev := c.acked
-	c.acked = total
+	c.acked = truth.bytes
 	c.mu.Unlock()
 	// A negative delta means the server's counter restarted (idle-token
 	// expiry); keep local accounting for this epoch and resync.
-	if delta := total - prev; delta >= 0 {
-		c.remaining.Add(sent - delta)
+	if delta := truth.bytes - prev; delta >= 0 {
+		c.remaining.Add(truth.refund)
 		r.Bytes = float64(delta)
 	}
 }
@@ -787,13 +841,38 @@ func (c *Client) Run(caller context.Context, p xfer.Params, epochSecs float64) (
 
 // arm re-arms the server for the epoch: START when the stripe is cold
 // (the restart analog), ADJ on the live control connection when warm,
-// then the data plane's own preparations.
+// then the data plane's own preparations. A session's first arm also
+// reads where the token's counter stands — a STAT in the same write, so
+// still one round trip — because nothing of this session is in flight
+// yet: the one moment the reading is exact, also for a resumed token
+// that holds whatever its killed session wrote after the checkpoint.
 func (c *Client) arm(ctx context.Context, e *epoch) error {
 	verb := "ADJ"
 	if len(e.pool) == 0 {
 		verb = "START"
 	}
-	if _, err := c.exchange(ctx, &e.cost, fmt.Sprintf("%s %s %d", verb, c.token, e.p.Streams()), "OK"); err != nil {
+	cmd := fmt.Sprintf("%s %s %d", verb, c.token, e.p.Streams())
+	first := c.seen < 0
+	if first {
+		cmd += "\nSTAT " + c.token
+	}
+	err := c.roundTrip(ctx, &e.cost, cmd, func(br *bufio.Reader) error {
+		var resp string
+		if err := oneLine(cmd, "OK", &resp)(br); err != nil || !first {
+			return err
+		}
+		if err := oneLine(cmd, "BYTES ", &resp)(br); err != nil {
+			return err
+		}
+		if _, err := fmt.Sscanf(resp, "BYTES %d", &c.seen); err != nil {
+			return fmt.Errorf("%w: bad STAT response %q", ErrProtocol, resp)
+		}
+		c.mu.Lock()
+		e.found = c.seen - c.acked
+		c.mu.Unlock()
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("gridftp: %s: %w", strings.ToLower(verb), err)
 	}
 	return c.plane.arm(ctx, e)

@@ -103,8 +103,8 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 			}
 		case "STAT":
 			reply = "BYTES 0"
-		case "FSTAT":
-			reply = "FILES 0 0"
+		case "SETTLE":
+			reply = "SETTLED 0 0 0"
 		case "RESYNC":
 			reply = "END"
 		case "OPEN":
@@ -153,7 +153,10 @@ func (p *scriptedPeer) clientGoroutines() int {
 // interrupted by a cancelled context or by Stop, on both data planes —
 // and pins what all of them owe the caller: the error class, pacing
 // for transient failures only, the warm pool kept (or closed, after
-// Stop), the byte budget untouched, and no goroutine left behind.
+// Stop), the byte budget untouched, and no goroutine left behind. The
+// one step after the pump, SETTLE, owes the same less the budget: the
+// epoch ran, so failing to learn receiver truth costs it neither its
+// report (which then carries the sender's count) nor any waiting.
 func TestEveryExitFromRun(t *testing.T) {
 	type step struct {
 		name string
@@ -166,7 +169,11 @@ func TestEveryExitFromRun(t *testing.T) {
 		// proceeds: a transient or fatal failure here degrades the
 		// epoch instead of ending it (only an interrupt is an exit).
 		proceeds bool
-		wording  string // what the transient and fatal errors say
+		// pumped: the step comes after the pump, so every mode returns
+		// the epoch's report at once — with the context's error when
+		// cancelled, with none otherwise (Stop shows in the next Run).
+		pumped  bool
+		wording string // what the transient and fatal errors say
 	}
 	steps := []step{
 		{name: "START", verb: "START", cold: true, wording: "gridftp: start:"},
@@ -181,6 +188,7 @@ func TestEveryExitFromRun(t *testing.T) {
 		// lost the one START/ADJ used.
 		{name: "opener-control", verb: "DIAL", after: "RESYNC", afterReply: "", framed: true,
 			wording: "gridftp: control:"},
+		{name: "SETTLE", verb: "SETTLE", proceeds: true, pumped: true},
 	}
 	const (
 		transient = "transient"
@@ -206,12 +214,18 @@ func TestEveryExitFromRun(t *testing.T) {
 					}
 					if framed {
 						// A resumed session (AckedBytes) resyncs in its first
-						// epoch; and since the peer's FSTAT stays below what
+						// epoch; and since the peer's SETTLE stays below what
 						// was acked, every settle concludes the server lost
 						// the file table, so every later epoch re-sends
 						// MANIFEST, SINK and RESYNC too — on a warm pool.
 						cfg.Bytes, cfg.Dataset = 0, dataset.Uniform(4, 64<<10)
 						cfg.Token, cfg.AckedBytes, cfg.RequestSink = "exit-tok", 1, true
+					}
+					if st.pumped && !framed {
+						// More than an epoch can move, so the budget the
+						// failed settle leaves spent does not end the
+						// transfer before the next epoch.
+						cfg.Bytes = 1 << 50
 					}
 					c, err := NewClient(cfg)
 					if err != nil {
@@ -249,19 +263,23 @@ func TestEveryExitFromRun(t *testing.T) {
 					switch {
 					case paced:
 						epoch = 0.3
-					case st.proceeds && (mode == transient || mode == fatal):
+					case st.pumped, st.proceeds && (mode == transient || mode == fatal):
 						epoch = 0.02
 					}
 					remaining := c.Remaining()
 					goroutines := p.clientGoroutines()
 					began := time.Now()
-					_, err = c.Run(ctx, params, epoch)
+					r, err := c.Run(ctx, params, epoch)
 					took := time.Since(began)
 
 					switch {
 					case mode == cancelled:
 						if err != context.Canceled {
 							t.Fatalf("err = %v, want the context's error", err)
+						}
+					case st.pumped:
+						if err != nil {
+							t.Fatalf("err = %v, want the epoch's report and no error", err)
 						}
 					case mode == stopped:
 						if !errors.Is(err, xfer.ErrStopped) {
@@ -277,10 +295,14 @@ func TestEveryExitFromRun(t *testing.T) {
 					if paced && took < 300*time.Millisecond {
 						t.Fatalf("transient failure returned after %v, want it paced to the 0.3 s epoch", took)
 					}
-					if !paced && !st.proceeds && took > 2*time.Second {
+					if !paced && (!st.proceeds || st.pumped) && took > 2*time.Second {
 						t.Fatalf("Run took %v to return, want it at once", took)
 					}
-					if got := c.Remaining(); got != remaining {
+					if st.pumped {
+						if r.Bytes <= 0 {
+							t.Fatalf("report carries %v bytes, want what the stripes wrote", r.Bytes)
+						}
+					} else if got := c.Remaining(); got != remaining {
 						t.Fatalf("Remaining moved from %v to %v", remaining, got)
 					}
 					deadline := time.Now().Add(2 * time.Second)
@@ -293,7 +315,7 @@ func TestEveryExitFromRun(t *testing.T) {
 
 					p.arm(st.after, nil)
 					p.arm(st.verb, nil)
-					r, err := c.Run(context.Background(), params, 0.02)
+					r, err = c.Run(context.Background(), params, 0.02)
 					if mode == stopped {
 						if !errors.Is(err, xfer.ErrStopped) {
 							t.Fatalf("Run after Stop: %v, want xfer.ErrStopped", err)

@@ -22,18 +22,20 @@ func errProtocolf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrProtocol}, args...)...)
 }
 
-// fileChunk is the payload write size of the file pump. It is larger
-// than the bulk pump's chunkSize so a typical small file moves in two
+// fileChunk is the payload write size of both pumps when nothing paces
+// them. On the file plane it lets a typical small file move in two
 // syscalls — one frame header, one payload write — keeping the
-// per-file syscall count flat (BenchmarkManyFilesEpoch pins it).
+// per-file syscall count flat (BenchmarkManyFilesEpoch pins it); on the
+// bulk stream it is what makes a byte cost what a framed one does.
 const fileChunk = 1 << 20
 
-// fileZeros is the shared payload buffer of the file pump.
+// fileZeros is the one payload buffer both pumps slice (the /dev/zero
+// stand-in).
 var fileZeros = make([]byte, fileChunk)
 
 // ackSlack bounds how long the opener waits for the ACKs of OPENs
 // still outstanding when the epoch deadline passes, so the control
-// connection is drained (and reusable for FSTAT) shortly after the
+// connection is drained (and reusable for SETTLE) shortly after the
 // epoch ends.
 const ackSlack = 2 * time.Second
 
@@ -447,7 +449,7 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 // (file, offset, length) leases from a work queue and send them as
 // FILE frames, an opener pipelines the per-file OPEN handshakes on the
 // control connection, and receiver truth is the server's per-file
-// table (FSTAT, and RESYNC to rebuild the queue from it). Mutated only
+// table (SETTLE, and RESYNC to rebuild the queue from it). Mutated only
 // by Run and NewClient — never concurrently.
 type framedPlane struct {
 	c            *Client
@@ -553,8 +555,8 @@ func (f *framedPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64
 // opener owns the control connection for the pump phase of a dataset
 // epoch: it keeps up to pp OPEN requests in flight, admits each file
 // to the work queue as its ACK returns, and drains every outstanding
-// ACK before returning so the connection is clean for the FSTAT
-// exchanges that follow. A read or write failure poisons the control
+// ACK before returning so the connection is clean for the SETTLE
+// exchange that follows. A read or write failure poisons the control
 // connection (the next exchange re-dials); un-ACKed files simply stay
 // unadmitted for a later epoch. Each refill round batches its OPEN
 // lines into a single write — pp-deep pipelining costs one syscall per
@@ -626,31 +628,6 @@ func (f *framedPlane) manifest() string {
 	return sb.String()
 }
 
-// fileTruth is the server's aggregate for a token's file table: the
-// completed-file count and the duplicate-free received bytes.
-type fileTruth struct {
-	done   int
-	useful int64
-}
-
-// fstat asks the server for the token's per-file aggregate.
-func (f *framedPlane) fstat(ctx context.Context, t *cost) (ft fileTruth, err error) {
-	resp, err := f.c.exchange(ctx, t, "FSTAT "+f.c.token, "FILES ")
-	if err != nil {
-		return ft, err
-	}
-	fields := strings.Fields(resp)
-	if len(fields) != 3 {
-		return ft, errProtocolf("bad FSTAT response %q", resp)
-	}
-	done, err1 := strconv.Atoi(fields[1])
-	useful, err2 := strconv.ParseInt(fields[2], 10, 64)
-	if err1 != nil || err2 != nil {
-		return ft, errProtocolf("bad FSTAT response %q", resp)
-	}
-	return fileTruth{done, useful}, nil
-}
-
 // settle reconciles against per-file receiver truth: the epoch's
 // volume is the growth of the server's duplicate-free byte total
 // (resends past a file's size count toward nothing), its files the
@@ -658,11 +635,11 @@ func (f *framedPlane) fstat(ctx context.Context, t *cost) (ft fileTruth, err err
 func (f *framedPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report) {
 	r.FirstByteLag = time.Duration(f.firstByte.Load()).Seconds()
 	r.Syscalls = f.sysCalls.Load()
-	truth, ok := pollStable(ctx, func() (fileTruth, error) { return f.fstat(ctx, &e.cost) })
-	if !ok {
+	c := f.c
+	truth, err := c.settled(ctx, e, sent, false)
+	if err != nil {
 		return
 	}
-	c := f.c
 	c.mu.Lock()
 	prev := c.acked
 	if truth.useful >= prev {

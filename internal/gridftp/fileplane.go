@@ -411,7 +411,9 @@ func (s *Server) serveResync(w io.Writer, fields []string) bool {
 // out-of-manifest frame, drops the connection; bytes that arrived
 // before the corruption stay counted, and other tokens' tables are
 // untouched. A truncated final frame (stripe killed mid-file) credits
-// what arrived — the client resends the deficit after reconciling.
+// what arrived — the client resends the deficit after reconciling. The
+// file is credited before the aggregate: SETTLE waits on the aggregate
+// and then reads the table, which must not be behind it.
 func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) {
 	tc := s.lookup(token)
 	if tc == nil {
@@ -465,9 +467,9 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 			if sink == nil && tryTrunc && br.Buffered() == 0 {
 				ok, terr := discardPayload(conn, rem, func(k int64) {
 					rem -= k
-					tc.n.Add(k)
-					m.AddBytes(k)
 					ft.add(idx, k)
+					m.AddBytes(k)
+					tc.n.Add(k)
 					tc.touch()
 				})
 				if ok {
@@ -502,11 +504,11 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 				}
 				pos += int64(n)
 				rem -= int64(n)
-				tc.n.Add(int64(n))
 				m.AddBytes(int64(n))
 				if ft.add(idx, int64(n)) && sink != nil {
 					sink.closeIdx(idx)
 				}
+				tc.n.Add(int64(n))
 				tc.touch()
 			}
 			if err != nil {

@@ -572,6 +572,16 @@ func FuzzServerControl(f *testing.F) {
 		"MANIFEST t 1\n10\nSINK t\nDATAF t\nFILE 0 99999999999999 5\nabcde",
 		"MANIFEST t 1\n10\nSINK t\nDATAF t\nFILE 0 0 5\nabc", // truncated sink frame
 		"MANIFEST t 2\n10\n10\nSINK t\nDATAF t\nFILE 1 0 10\n0123456789FILE 0 0 10\n0123456789",
+		// SETTLE: missing, negative, non-numeric and overflowing counts,
+		// an unknown token, and well-formed ones that are met at once
+		// and that wait out the quiet window.
+		"SETTLE t\n",
+		"SETTLE t -1\n",
+		"SETTLE t lots\n",
+		"SETTLE t 99999999999999999999\n",
+		"SETTLE ghost 5\n",
+		"START t 1\nSETTLE t 0\nSETTLE t 9223372036854775807\nSTAT t\n",
+		"MANIFEST t 1\n10\nSETTLE t 10 extra\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -8,18 +8,29 @@
 //
 //	client                         server
 //	------ control connection (persistent) ----
-//	START <token> <channels>\n
-//	                               OK\n
+//	START <token> <channels>\n     (a session's first START carries a
+//	                               OK\n            STAT in the same write)
 //	------ data connections (channels) --------
-//	DATA <token>\n                 (reads and discards, counting)
+//	DATA <token>\n                 (discards, counting)
 //	<raw bytes until close>
 //	------ same control connection ------------
+//	SETTLE <token> <expect>\n      (end of epoch: answered once the
+//	                               SETTLED <bytes> <files> <useful>\n
+//	                                count reaches expect or stops moving)
 //	ADJ <token> <channels>\n       (re-arms the next epoch, warm)
 //	                               OK\n
-//	STAT <token>\n
+//	STAT <token>\n                 (the count, now)
 //	                               BYTES <n>\n
 //	CLOSE <token>\n                (releases the token's counter)
 //	                               OK\n
+//
+// The sender writes 1 MiB at a time from one shared zero buffer (64 KiB
+// when a Shaper paces it, so the token bucket is consulted often enough
+// to shape anything), and on Linux the receiver drops the payload in
+// the kernel with recv(MSG_TRUNC), so the sender's copy into the socket
+// is the stream's only memory pass. A wrapped connection, another
+// platform or the dstune_nozerocopy build tag gets the portable copying
+// drain instead, with identical accounting.
 //
 // # File plane
 //
@@ -36,8 +47,8 @@
 //	                               OK\n            sink directory; optional)
 //	OPEN <token> <idx>\n           (<= pp in flight; ACK arrives
 //	                               ACK <idx>\n     after the per-file latency)
-//	FSTAT <token>\n                (aggregate receiver truth)
-//	                               FILES <done> <useful>\n
+//	FSTAT <token>\n                (aggregate receiver truth, now; an
+//	                               FILES <done> <useful>\n  epoch reads it with SETTLE)
 //	FSTAT <token> <idx>\n          (one file's raw received bytes)
 //	                               BYTES <got>\n
 //	RESYNC <token>\n               (per-file progress dump: one line
@@ -110,9 +121,17 @@
 //
 // A mid-epoch stream failure is not an error at all: the pump ends
 // that stream, returns its unsent budget, and the epoch reports what
-// the server actually received (Run reconciles its byte count against
-// STAT, so throughput is receiver truth rather than bytes parked in
-// kernel socket buffers).
+// the server actually received: every epoch ends with one SETTLE round
+// trip, which tells the server the count it should reach — where the
+// session's first START found the counter plus everything written to
+// stripes that are still alive since — and is answered as soon as it
+// has, or once the counter has not moved for 5 ms (the rest died with a
+// stripe), or after 500 ms. Throughput is therefore receiver truth
+// rather than bytes parked in kernel socket buffers, learned without
+// polling. Only an epoch that lost a stripe takes a short answer as
+// loss and returns the difference to the budget; with every stripe
+// alive a short answer means late bytes, which the next settle waits
+// for.
 package gridftp
 
 import (
@@ -127,20 +146,19 @@ import (
 	"dstune/internal/xfer"
 )
 
-// chunkSize is the write size of the zero pump, in bytes.
+// chunkSize is the pacing quantum of the shaped pump: the bytes one
+// write moves between two looks at the token bucket. It stays small
+// because the Shaper's per-connection rates are a few MB/s — a 1 MiB
+// write would be a burst of a large fraction of a second, and the
+// interior peak the Quad term shapes would no longer show on the wire
+// (TestQuadShaperInteriorPeakOnWire). The unshaped pump has no bucket
+// to look at and writes fileChunk.
 const chunkSize = 64 << 10
 
 // leaseQuantum is the byte-lease granularity of the pump: each stream
 // claims this much of the shared budget per refill, so the shared
-// counter sees one CAS per quantum instead of one per chunk.
+// counter sees one CAS per quantum instead of one per write.
 const leaseQuantum = 4 << 20
-
-// clockCheckChunks is how many unshaped chunks a pump writes between
-// deadline/abort checks, amortizing the time.Now() calls.
-const clockCheckChunks = 16
-
-// zeros is the shared source buffer (the /dev/zero stand-in).
-var zeros = make([]byte, chunkSize)
 
 // Shaper emulates endpoint contention on a loopback link. The
 // effective per-connection rate is
@@ -260,9 +278,11 @@ func lease(budget *atomic.Int64, quantum int64) int64 {
 //
 // The shared budget is consumed through per-stream byte leases of
 // leaseQuantum bytes, so the steady-state path performs no shared CAS
-// per chunk; the unspent lease remainder is refunded on every exit
-// path. Deadline and abort checks on the unshaped path are amortized
-// over clockCheckChunks chunks.
+// per write; the unspent lease remainder is refunded on every exit
+// path. Unshaped, a write is fileChunk bytes — the framed pump's size,
+// a sixteenth of the syscalls 64 KiB cost — and the clock is read once
+// per write, which keeps the deadline overshoot at one write; shaped, it
+// is the chunkSize pacing quantum.
 func pump(w io.Writer, rate float64, deadline time.Time, budget *atomic.Int64, abort <-chan struct{}) (sent int64, alive bool) {
 	var leased int64 // unspent bytes of the current lease
 	defer func() {
@@ -272,33 +292,25 @@ func pump(w io.Writer, rate float64, deadline time.Time, budget *atomic.Int64, a
 	}()
 	start := time.Now()
 	shaped := !math.IsInf(rate, 1)
-	sinceCheck := clockCheckChunks // force a check on the first chunk
+	quantum := int64(fileChunk)
+	if shaped {
+		quantum = chunkSize
+	}
 	for {
-		// Deadline and abort checks: every chunk when pacing (the
-		// pacing math needs the clock anyway), every clockCheckChunks
-		// chunks on the unshaped fast path.
-		if shaped || sinceCheck >= clockCheckChunks {
-			sinceCheck = 0
-			select {
-			case <-abort:
-				return sent, true
-			default:
-			}
-			if time.Now().After(deadline) {
-				return sent, true
-			}
+		select {
+		case <-abort:
+			return sent, true
+		default:
 		}
-		sinceCheck++
+		if time.Now().After(deadline) {
+			return sent, true
+		}
 		if leased == 0 {
 			if leased = lease(budget, leaseQuantum); leased == 0 {
 				return sent, true
 			}
 		}
-		want := int64(chunkSize)
-		if leased < want {
-			want = leased
-		}
-		n, err := w.Write(zeros[:want])
+		n, err := w.Write(fileZeros[:min(quantum, leased)])
 		sent += int64(n)
 		leased -= int64(n)
 		if err != nil {

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -328,7 +329,7 @@ func (s *Server) acceptLoop() {
 
 // handle serves one connection: the first line selects data mode
 // (DATA for the bulk stream, DATAF for framed file segments) or
-// control mode (START, ADJ, STAT, CLOSE, and the file plane's
+// control mode (START, ADJ, STAT, SETTLE, CLOSE, and the file plane's
 // MANIFEST, OPEN, FSTAT, RESYNC and SINK).
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
@@ -352,47 +353,63 @@ func (s *Server) handle(conn net.Conn) {
 			fmt.Fprintf(conn, "ERR bad DATA header\n")
 			return
 		}
-		s.serveData(br, fields[1])
+		s.serveData(conn, br, fields[1])
 	case "DATAF":
 		if len(fields) != 2 {
 			fmt.Fprintf(conn, "ERR bad DATAF header\n")
 			return
 		}
 		s.serveDataFramed(conn, br, fields[1])
-	case "START", "ADJ", "STAT", "CLOSE", "MANIFEST", "OPEN", "FSTAT", "RESYNC", "SINK":
+	case "START", "ADJ", "STAT", "SETTLE", "CLOSE", "MANIFEST", "OPEN", "FSTAT", "RESYNC", "SINK":
 		s.serveControl(conn, br, fields)
 	default:
 		fmt.Fprintf(conn, "ERR unknown command %q\n", fields[0])
 	}
 }
 
-// dataBufPool recycles the receive buffers of data connections, so a
-// server churning through striped epochs does not allocate chunkSize
-// per accepted stream.
-var dataBufPool = sync.Pool{
-	New: func() any {
-		buf := make([]byte, chunkSize)
-		return &buf
-	},
-}
+// bulkDrainSlab is how much of the bulk stream one truncating receive
+// asks the kernel to drop. The stream has no frame length to ask for,
+// so the drain asks for a slab at a time; the kernel hands over what is
+// queued, and the size only has to be far above any receive queue.
+const bulkDrainSlab = 1 << 30
 
 // serveData discards the connection's byte stream into the token's
-// counter; an unknown token drops the connection. The buffered reader
-// may already hold payload bytes.
-func (s *Server) serveData(br *bufio.Reader, token string) {
+// counter; an unknown token drops the connection. Payload the header
+// read pulled into br is credited from there; the socket's remainder
+// takes the truncating receive — the kernel drops it in place, so the
+// receiver makes no memory pass — until one rejected attempt (wrapped
+// connections, the portable build) hands the rest of the connection's
+// life to the copying loop. Either way the token is credited with
+// exactly what the kernel handed over, also for a stream that dies
+// mid-payload.
+func (s *Server) serveData(conn net.Conn, br *bufio.Reader, token string) {
 	tc := s.lookup(token)
 	if tc == nil {
 		return
 	}
 	m := s.metrics.Load()
-	bufp := dataBufPool.Get().(*[]byte)
-	defer dataBufPool.Put(bufp)
-	buf := *bufp
-	for {
-		n, err := br.Read(buf)
-		tc.n.Add(int64(n))
-		m.AddBytes(int64(n))
+	credit := func(k int64) {
+		m.AddBytes(k)
+		tc.n.Add(k)
 		tc.touch()
+	}
+	if n, _ := br.Discard(br.Buffered()); n > 0 {
+		credit(int64(n))
+	}
+	for {
+		ok, err := discardPayload(conn, bulkDrainSlab, credit)
+		if !ok {
+			break
+		}
+		if err != nil {
+			return
+		}
+	}
+	bufp := fileDrainPool.Get().(*[]byte)
+	defer fileDrainPool.Put(bufp)
+	for {
+		n, err := conn.Read(*bufp)
+		credit(int64(n))
 		if err != nil {
 			return
 		}
@@ -429,6 +446,10 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 				return
 			}
 			fmt.Fprintf(w, "BYTES %d\n", s.Received(fields[1]))
+		case "SETTLE":
+			if !s.serveSettle(w, fields) {
+				return
+			}
 		case "CLOSE":
 			if len(fields) != 2 {
 				fmt.Fprintf(w, "ERR bad CLOSE\n")
@@ -471,6 +492,79 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 		fields = strings.Fields(line)
 		if len(fields) == 0 {
 			return
+		}
+	}
+}
+
+// The three ways a SETTLE ends short of its expected count, and how
+// often the wait looks. settleBound must stay well inside the client's
+// control-exchange deadline (ClientConfig.DialTimeout, 5 s by default).
+const (
+	settleQuiet = 5 * time.Millisecond   // the counter has not moved for this long: the rest is lost
+	settleBound = 500 * time.Millisecond // answer regardless
+	settlePoll  = 250 * time.Microsecond
+)
+
+// serveSettle handles SETTLE <token> <expect>, the end-of-epoch read of
+// receiver truth: SETTLED <bytes> <filesDone> <useful> — the token's
+// aggregate counter and, for a dataset transfer, its file table's
+// completed count and duplicate-free bytes — sent as soon as the
+// counter reaches expect (what the client knows it has written), once
+// it has stopped moving (the difference died with a stripe), or after
+// settleBound. The client thus learns a settled count in one round
+// trip instead of polling for two that agree. An unknown token answers
+// zeros at once, as STAT does.
+func (s *Server) serveSettle(w io.Writer, fields []string) bool {
+	if len(fields) != 3 {
+		fmt.Fprintf(w, "ERR bad SETTLE\n")
+		return false
+	}
+	expect, err := strconv.ParseInt(fields[2], 10, 64)
+	if err != nil || expect < 0 {
+		fmt.Fprintf(w, "ERR bad SETTLE count\n")
+		return false
+	}
+	var bytes, useful int64
+	var done int
+	if tc := s.lookup(fields[1]); tc != nil {
+		bytes = s.awaitCount(tc, expect)
+		// The framed drain credits a file before the aggregate, so the
+		// table read here holds every byte counted in bytes.
+		if ft := tc.files.Load(); ft != nil {
+			done, useful = ft.stats()
+		}
+	}
+	fmt.Fprintf(w, "SETTLED %d %d %d\n", bytes, done, useful)
+	return true
+}
+
+// awaitCount returns tc's byte count once it has reached expect, has
+// not moved for settleQuiet, or settleBound (or the server's life) is
+// over.
+func (s *Server) awaitCount(tc *tokenCounter, expect int64) int64 {
+	n := tc.n.Load()
+	if n >= expect {
+		return n
+	}
+	tick := time.NewTicker(settlePoll)
+	defer tick.Stop()
+	began := time.Now()
+	moved := began
+	for {
+		select {
+		case <-s.done:
+			return n
+		case <-tick.C:
+		}
+		// The clock, not the tick's own time: a tick can sit in the
+		// channel while this goroutine waits for a processor, and the
+		// quiet window must be measured between two looks.
+		now := time.Now()
+		if cur := tc.n.Load(); cur != n {
+			n, moved = cur, now
+		}
+		if n >= expect || now.Sub(moved) >= settleQuiet || now.Sub(began) >= settleBound {
+			return n
 		}
 	}
 }

@@ -5,7 +5,7 @@ package gridftp
 import "net"
 
 // discardPayload reports that truncating receives are unavailable, so
-// the framed drain keeps its portable copying path. Paired with the
+// both drains keep their portable copying paths. Paired with the
 // dstune_nozerocopy build tag this also gives the A/B benchmark a
 // build with every kernel fast path off.
 func discardPayload(net.Conn, int64, func(int64)) (bool, error) {

@@ -11,9 +11,9 @@ import (
 // discardPayload consumes n payload bytes from conn without copying
 // them into userspace: Linux TCP treats MSG_TRUNC on recvfrom(2) with
 // a null buffer as "drop up to len bytes from the receive queue",
-// releasing the socket-buffer pages in kernel. For a discard-mode
-// framed drain this removes the receiver's only memory pass, which is
-// what lets a sendfile sender run copy-free end to end — the sender
+// releasing the socket-buffer pages in kernel. For the bulk drain and
+// a discard-mode framed drain this removes the receiver's only memory
+// pass, which is what lets a sendfile sender run copy-free end to end — the sender
 // queues page-cache references and the receiver frees them without
 // either side touching the bytes.
 //

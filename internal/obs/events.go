@@ -168,10 +168,17 @@ type Event struct {
 // Recorder collects Events into a bounded ring buffer and optionally
 // mirrors each one as a JSON line to a sink. A nil *Recorder is a
 // valid no-op. Recorder is safe for concurrent use.
+//
+// The ring is held in blocks of eventBlock events, each allocated when
+// next first reaches it: a session that records a few hundred events
+// holds one block, not the whole capacity (a 65 536-event ring is
+// 17.5 MB of Events), and a ring that does fill was never copied or
+// freed on the way up.
 type Recorder struct {
 	mu      sync.Mutex
 	seq     int64
-	ring    []Event
+	size    int       // ring capacity, in events
+	blocks  [][]Event // slot i is blocks[i/eventBlock][i%eventBlock]
 	next    int
 	wrapped bool
 	enc     *json.Encoder
@@ -182,6 +189,9 @@ type Recorder struct {
 // leaves Buffer zero.
 const DefaultEventBuffer = 4096
 
+// eventBlock is the ring's allocation unit, in events.
+const eventBlock = 1024
+
 // NewRecorder returns a Recorder holding the last buffer events
 // (DefaultEventBuffer when buffer <= 0). When sink is non-nil every
 // event is also appended to it as one JSON object per line; sink
@@ -191,7 +201,7 @@ func NewRecorder(buffer int, sink io.Writer) *Recorder {
 	if buffer <= 0 {
 		buffer = DefaultEventBuffer
 	}
-	r := &Recorder{ring: make([]Event, buffer)}
+	r := &Recorder{size: buffer, blocks: make([][]Event, 0, (buffer+eventBlock-1)/eventBlock)}
 	if sink != nil {
 		r.enc = json.NewEncoder(sink)
 	}
@@ -209,9 +219,12 @@ func (r *Recorder) Record(ev Event) {
 	defer r.mu.Unlock()
 	ev.Seq = r.seq
 	r.seq++
-	r.ring[r.next] = ev
+	if r.next/eventBlock == len(r.blocks) {
+		r.blocks = append(r.blocks, make([]Event, min(eventBlock, r.size-r.next)))
+	}
+	r.blocks[r.next/eventBlock][r.next%eventBlock] = ev
 	r.next++
-	if r.next == len(r.ring) {
+	if r.next == r.size {
 		r.next = 0
 		r.wrapped = true
 	}
@@ -229,13 +242,20 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.wrapped {
-		out := make([]Event, r.next)
-		copy(out, r.ring[:r.next])
-		return out
+		return r.appendSlots(make([]Event, 0, r.next), 0, r.next)
 	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
+	out := r.appendSlots(make([]Event, 0, r.size), r.next, r.size)
+	return r.appendSlots(out, 0, r.next)
+}
+
+// appendSlots appends ring slots [from, to) to out, block by block.
+func (r *Recorder) appendSlots(out []Event, from, to int) []Event {
+	for from < to {
+		b, off := from/eventBlock, from%eventBlock
+		n := min(to-from, len(r.blocks[b])-off)
+		out = append(out, r.blocks[b][off:off+n]...)
+		from += n
+	}
 	return out
 }
 

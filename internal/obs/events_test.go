@@ -49,6 +49,44 @@ func TestRecorderRingAndSink(t *testing.T) {
 	}
 }
 
+// TestRecorderRingGrowsByBlocks pins the ring's shape across block
+// boundaries: blocks appear only as events reach them, never more than
+// the capacity's worth (the last one is short when the capacity is not
+// a multiple of the block), and Events stays oldest-first at every
+// fill level — below a block, across blocks, full, and wrapped to a
+// point inside a block.
+func TestRecorderRingGrowsByBlocks(t *testing.T) {
+	const size = 2*eventBlock + 100
+	r := NewRecorder(size, nil)
+	check := func(recorded int) {
+		t.Helper()
+		evs := r.Events()
+		if want := min(recorded, size); len(evs) != want {
+			t.Fatalf("after %d events the ring holds %d, want %d", recorded, len(evs), want)
+		}
+		for i, ev := range evs {
+			if want := int64(recorded - len(evs) + i); ev.Seq != want {
+				t.Fatalf("after %d events: event %d has seq %d, want %d", recorded, i, ev.Seq, want)
+			}
+		}
+		held := 0
+		for _, b := range r.blocks {
+			held += len(b)
+		}
+		want := min((min(recorded, size)+eventBlock-1)/eventBlock*eventBlock, size)
+		if held != want {
+			t.Fatalf("after %d events the ring has allocated %d slots, want %d", recorded, held, want)
+		}
+	}
+	n := 0
+	for _, upTo := range []int{0, 1, eventBlock, eventBlock + 1, size - 1, size, size + 1, size + eventBlock + 7, 3*size + 5} {
+		for ; n < upTo; n++ {
+			r.Record(Event{Type: EventEpochStart})
+		}
+		check(n)
+	}
+}
+
 func TestEventJSONOmitsUnusedFields(t *testing.T) {
 	b, err := json.Marshal(Event{Seq: 1, T: 2.5, Type: EventObserve, Session: "s", Delta: 0.1})
 	if err != nil {

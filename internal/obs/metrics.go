@@ -67,7 +67,9 @@ func (k metricKind) String() string {
 // rendering plus the value-producing instrument itself.
 type series struct {
 	labels string // canonical `{k="v",...}` rendering, "" when unlabeled
-	inst   interface{ write(w *strings.Builder, name, labels string) }
+	inst   interface {
+		write(w *strings.Builder, name, labels string)
+	}
 }
 
 // family groups all series registered under one metric name. A family

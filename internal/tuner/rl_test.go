@@ -204,9 +204,9 @@ func TestRLContextBuckets(t *testing.T) {
 	}{
 		{0, false, 0},
 		{-1, false, 0},
-		{1, false, 1},        // below the anchor clamps into bucket 1
-		{1 << 20, false, 1},  // the anchor itself
-		{1 << 21, false, 2},  // one doubling up
+		{1, false, 1},       // below the anchor clamps into bucket 1
+		{1 << 20, false, 1}, // the anchor itself
+		{1 << 21, false, 2}, // one doubling up
 		{1e18, false, rlLoadBuckets - 1},
 		{0, true, rlLoadBuckets},
 		{1 << 21, true, rlLoadBuckets + 2},
