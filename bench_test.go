@@ -333,12 +333,12 @@ func BenchmarkAblationPipelining(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				trace, err := dstune.NewStatic(dstune.TunerConfig{
+				trace, err := dstune.Run(context.Background(), "default", dstune.TunerConfig{
 					Box:    dstune.MustBox([]int{1, 1, 1}, []int{64, 16, 32}),
 					Start:  []int{8, 4, pp},
 					Map:    dstune.MapNCNPPP(),
 					Budget: 600,
-				}).Tune(context.Background(), tr)
+				}, tr)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -386,14 +386,14 @@ func runCustomCSObserve(b *testing.B, restart dstune.RestartPolicy, observeBest 
 	if err != nil {
 		b.Fatal(err)
 	}
-	trace, err := dstune.NewCS(dstune.TunerConfig{
+	trace, err := dstune.Run(context.Background(), "cs-tuner", dstune.TunerConfig{
 		Box:             dstune.MustBox([]int{1}, []int{128}),
 		Start:           []int{2},
 		Map:             dstune.MapNC(8),
 		Budget:          1800,
 		Seed:            15,
 		ObserveBestCase: observeBest,
-	}).Tune(context.Background(), tr)
+	}, tr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -415,7 +415,7 @@ func runCustomCS(b *testing.B, tolerance, lambda float64, restart dstune.Restart
 	if err != nil {
 		b.Fatal(err)
 	}
-	trace, err := dstune.NewCS(dstune.TunerConfig{
+	trace, err := dstune.Run(context.Background(), "cs-tuner", dstune.TunerConfig{
 		Tolerance: tolerance,
 		Lambda:    lambda,
 		Box:       dstune.MustBox([]int{1}, []int{128}),
@@ -423,7 +423,7 @@ func runCustomCS(b *testing.B, tolerance, lambda float64, restart dstune.Restart
 		Map:       dstune.MapNC(8),
 		Budget:    1800,
 		Seed:      15,
-	}).Tune(context.Background(), tr)
+	}, tr)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -125,6 +125,7 @@ func buildFleet(path string, observer *dstune.Observer, checkpointPath string, h
 		}
 	}
 
+	var fcfg dstune.FleetConfig
 	sessions := make([]dstune.FleetSession, len(specs))
 	usedIDs := make(map[string]bool, len(specs))
 	for i, s := range specs {
@@ -145,19 +146,16 @@ func buildFleet(path string, observer *dstune.Observer, checkpointPath string, h
 		if err != nil {
 			return nil, err
 		}
-		sessions[i] = built.FleetSession()
+		// loadFleet holds every session to the file's epoch, budget and
+		// max_transient, so any session's FleetConfig is the fleet's.
+		fcfg, sessions[i] = built.FleetSession()
 		if s.Weight != 0 {
 			sessions[i].Weights = []float64{s.Weight}
 		}
 	}
-
-	return dstune.NewFleet(dstune.FleetConfig{
-		Epoch:                shared.Epoch,
-		Budget:               shared.Budget,
-		MaxTransientFailures: shared.MaxTransient,
-		Obs:                  observer,
-		History:              histStore,
-	}, sessions...), nil
+	// Nothing of a fleet run outlives the process.
+	fcfg.PreserveOnCancel = false
+	return dstune.NewFleet(fcfg, sessions...), nil
 }
 
 // runFleet drives the fleet buildFleet builds, printing each session's

@@ -35,14 +35,24 @@
 //		Map:    dstune.MapNC(8),
 //		Budget: 1800,
 //	}
-//	trace, err := dstune.NewNM(cfg).Tune(context.Background(), tr)
+//	trace, err := dstune.Run(context.Background(), "nm-tuner", cfg, tr)
 //	// trace.MeanThroughput(), trace.Param(0), ...
 //
-// Tuned runs are interruptible and durable: cancelling the Tune
-// context aborts the in-flight epoch promptly, TunerConfig.Drain
-// stops cleanly at the next epoch boundary, TunerConfig.Checkpoint
-// persists the run's state after every epoch, and TunerConfig.Resume
-// continues a checkpointed run mid-search (see Checkpoint).
+// Run is the one way to run a strategy by name; NewStrategy + NewDriver
+// run a custom Strategy the same way, and NewFleet runs many sessions —
+// or several transfers under one strategy — side by side.
+//
+// Tuned runs are interruptible and durable: cancelling Run's context
+// aborts the in-flight epoch promptly, TunerConfig.Drain stops cleanly
+// at the next epoch boundary, TunerConfig.Checkpoint persists the run's
+// state after every epoch, TunerConfig.Resume continues a checkpointed
+// run mid-search (see Checkpoint), and TunerConfig.History warm-starts
+// a run from what earlier ones recorded.
+//
+// Only what an example, a command, the benchmark or README.md uses is
+// re-exported here, plus the types a Strategy written outside this
+// module must spell (Strategy, Report, Params, Transferer, Box); values
+// of the other internal types arrive through these functions.
 //
 // The experiment harnesses that regenerate every figure of the paper
 // live behind Fig1, TuneConcurrency, TuneBoth, CompareHeuristics, and
@@ -51,20 +61,18 @@
 package dstune
 
 import (
+	"context"
 	"io"
-	"net"
 
 	"dstune/internal/dataset"
 	"dstune/internal/directsearch"
 	"dstune/internal/endpoint"
 	"dstune/internal/experiment"
-	"dstune/internal/faultnet"
 	"dstune/internal/gridftp"
 	"dstune/internal/history"
 	"dstune/internal/load"
 	"dstune/internal/netem"
 	"dstune/internal/obs"
-	"dstune/internal/report"
 	"dstune/internal/service"
 	"dstune/internal/sim"
 	"dstune/internal/trace"
@@ -72,13 +80,9 @@ import (
 	"dstune/internal/xfer"
 )
 
-// Time series produced by traces.
-type (
-	// Series is a named time series of (t, v) samples.
-	Series = trace.Series
-	// SeriesPoint is one sample of a Series.
-	SeriesPoint = trace.Point
-)
+// Series is a named time series of (t, v) samples, as a Trace's
+// Throughput, BestCase and Param methods produce.
+type Series = trace.Series
 
 // WriteSeriesCSV writes series in long format (series,t,v).
 func WriteSeriesCSV(w io.Writer, series ...*Series) error {
@@ -93,24 +97,6 @@ func WriteSeriesJSON(w io.Writer, series ...*Series) error {
 // Sparkline renders a series as a fixed-width ASCII sparkline.
 func Sparkline(s *Series, width int) string { return trace.Sparkline(s, width) }
 
-// HTML reporting.
-type (
-	// HTMLReport assembles charts, tiles, and tables into one
-	// self-contained HTML page with SVG charts (hover tooltips,
-	// legends, table views, light/dark).
-	HTMLReport = report.Report
-	// ReportLineChart is a multi-series line chart section.
-	ReportLineChart = report.LineChart
-	// ReportLineSeries is one series of a ReportLineChart.
-	ReportLineSeries = report.LineSeries
-	// ReportBarChart is a grouped column chart section.
-	ReportBarChart = report.BarChart
-	// ReportBarGroup is one category of a ReportBarChart.
-	ReportBarGroup = report.BarGroup
-	// ReportTile is one stat tile of a KPI row.
-	ReportTile = report.Tile
-)
-
 // Transfer parameters and reports.
 type (
 	// Params are the tunable transfer parameters: concurrency (NC)
@@ -124,9 +110,6 @@ type (
 	// RestartPolicy controls when a simulated transfer pays process
 	// restart dead time.
 	RestartPolicy = xfer.RestartPolicy
-	// TransferState is the durable state of a transfer captured for
-	// checkpointing (acked/remaining bytes, cumulative clock, token).
-	TransferState = xfer.TransferState
 )
 
 // Restart policies.
@@ -155,15 +138,11 @@ type (
 	FabricConfig = xfer.FabricConfig
 	// TransferConfig describes one transfer on a Fabric.
 	TransferConfig = xfer.TransferConfig
-	// SimTransfer is a simulated transfer; it implements Transferer.
-	SimTransfer = xfer.Sim
 	// HostConfig describes a source endpoint (cores, pump rate,
 	// scheduler behaviour, restart cost, NIC).
 	HostConfig = endpoint.Config
 	// PathConfig describes a WAN path (capacity, RTT, loss, buffer).
 	PathConfig = netem.Config
-	// Path is a network path attached to a Fabric.
-	Path = netem.Path
 )
 
 // NewFabric builds a simulation fabric; add paths with AddPath before
@@ -175,28 +154,24 @@ type (
 	// Load is the external load at one instant: Tfr competing
 	// transfer streams and Cmp compute jobs at the source.
 	Load = load.Load
-	// LoadSchedule yields the external load at any virtual time.
-	LoadSchedule = load.Schedule
 	// LoadSegment is one piece of a piecewise-constant schedule.
 	LoadSegment = load.Segment
 )
 
 // ConstantLoad returns a time-invariant schedule.
-func ConstantLoad(l Load) LoadSchedule { return load.Constant(l) }
+func ConstantLoad(l Load) load.Schedule { return load.Constant(l) }
 
 // NoLoad returns the empty schedule.
-func NoLoad() LoadSchedule { return load.None() }
+func NoLoad() load.Schedule { return load.None() }
 
 // StepLoad switches from before to after at time at.
-func StepLoad(at float64, before, after Load) LoadSchedule { return load.Step(at, before, after) }
+func StepLoad(at float64, before, after Load) load.Schedule { return load.Step(at, before, after) }
 
 // PiecewiseLoad builds a piecewise-constant schedule.
-func PiecewiseLoad(segs ...LoadSegment) LoadSchedule { return load.Piecewise(segs...) }
+func PiecewiseLoad(segs ...LoadSegment) load.Schedule { return load.Piecewise(segs...) }
 
 // Tuners.
 type (
-	// Tuner adapts a transfer's parameters over its lifetime.
-	Tuner = tuner.Tuner
 	// TunerConfig parameterizes a tuner (epoch, tolerance, bounds,
 	// starting point, budget).
 	TunerConfig = tuner.Config
@@ -205,20 +180,13 @@ type (
 	ParamMap = tuner.ParamMap
 	// Trace is the per-epoch record of one tuned transfer.
 	Trace = tuner.Trace
-	// EpochResult is one control epoch within a Trace.
-	EpochResult = tuner.EpochResult
-	// RestartFrom selects the inner-search restart point of cs-tuner
-	// and nm-tuner.
-	RestartFrom = tuner.RestartFrom
 )
 
-// Inner-search restart points.
-const (
-	// FromOrigin restarts from x0, as in the paper's pseudocode.
-	FromOrigin = tuner.FromOrigin
-	// FromCurrent restarts from the current incumbent.
-	FromCurrent = tuner.FromCurrent
-)
+// FromCurrent, as TunerConfig.Restart, restarts cs-tuner's and
+// nm-tuner's inner search from the current incumbent when the monitor
+// triggers; the zero value restarts from x0, as in the paper's
+// pseudocode.
+const FromCurrent = tuner.FromCurrent
 
 // MapNC tunes concurrency only, with parallelism fixed at np.
 func MapNC(np int) ParamMap { return tuner.MapNC(np) }
@@ -226,38 +194,30 @@ func MapNC(np int) ParamMap { return tuner.MapNC(np) }
 // MapNCNP tunes concurrency and parallelism simultaneously.
 func MapNCNP() ParamMap { return tuner.MapNCNP() }
 
-// NewCD returns the coordinate-descent tuner (Algorithm 1).
-func NewCD(cfg TunerConfig) Tuner { return tuner.NewCD(cfg) }
+// Run tunes t with the named strategy — any name NewStrategy accepts —
+// until the transfer completes or cfg.Budget is reached, and returns
+// the per-epoch trace. With cfg.History set the strategy warm-starts
+// from the store's best-known vector for cfg.HistoryKey and the run
+// records its own best epoch there ("two-phase" seeds its coarse
+// candidates from it instead); with cfg.Resume set the run continues
+// the checkpointed one, under the checkpoint's strategy and seed.
+func Run(ctx context.Context, name string, cfg TunerConfig, t Transferer) (*Trace, error) {
+	return tuner.Run(ctx, name, cfg, t)
+}
 
-// NewCS returns the compass-search tuner (Algorithm 2).
-func NewCS(cfg TunerConfig) Tuner { return tuner.NewCS(cfg) }
-
-// NewNM returns the Nelder–Mead tuner (Algorithm 3).
-func NewNM(cfg TunerConfig) Tuner { return tuner.NewNM(cfg) }
-
-// NewModel returns the empirical model-fitting baseline from the
-// paper's related work (Yildirim/Yin): sample, fit the
-// parallel-stream throughput curve, jump to its optimum.
-func NewModel(cfg TunerConfig) Tuner { return tuner.NewModel(cfg) }
-
-// NewStatic returns the non-adaptive baseline (the paper's `default`).
-func NewStatic(cfg TunerConfig) Tuner { return tuner.NewStatic(cfg) }
-
-// Strategy state machines and the one epoch engine. Every tuner above
-// is a Strategy (an explicit propose/observe state machine with
+// Strategy state machines and the one epoch engine. Every tuner Run
+// names is a Strategy (an explicit propose/observe state machine with
 // JSON-serializable state) stepped by the engine that owns the epoch
-// loop, budget, transient tolerance, and checkpointing. Driver (one
-// transfer, run to completion) and Fleet (N sessions) are its front
-// doors here, dstuned's SessionRuntime the third; custom strategies get
-// the same machinery through any of them.
+// loop, budget, transient tolerance, and checkpointing. NewDriver (one
+// transfer, run to completion — what Run does once it has resolved the
+// name) and Fleet (N sessions) are its front doors here, dstuned's
+// SessionRuntime the third; custom strategies get the same machinery
+// through any of them.
 type (
 	// Strategy is a tuner's decision kernel: Propose a vector, run an
 	// epoch, Observe the report, repeat. Snapshot/Restore round-trip
 	// its complete state for O(1) checkpoint resume.
 	Strategy = tuner.Strategy
-	// Driver runs one Strategy against one Transferer to completion: a
-	// one-transfer session of the epoch engine, stepped until done.
-	Driver = tuner.Driver
 	// Fleet drives N (strategy, transfers) sessions concurrently, each
 	// on its own goroutine, and returns their results in declaration
 	// order.
@@ -265,51 +225,24 @@ type (
 	// FleetConfig parameterizes a Fleet (epoch, budget, transient
 	// tolerance).
 	FleetConfig = tuner.FleetConfig
-	// FleetSession is one (strategy, transfers) pairing of a Fleet.
+	// FleetSession is one (strategy, transfers) pairing of a Fleet. With
+	// several Transfers, Dims and Maps it is a joint run: one strategy
+	// over the concatenated vector, observing the Weights-weighted
+	// aggregate throughput (examples/joint_tuning).
 	FleetSession = tuner.FleetSession
-	// FleetSessionResult is one session's outcome: per-transfer
-	// traces, total bytes, terminal error.
-	FleetSessionResult = tuner.SessionResult
 )
 
 // NewStrategy builds the named strategy — one of "default",
 // "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model",
 // "two-phase", "rl-bandit", "rl-q", or any of them under a "warm:"
 // prefix (e.g. "warm:cs-tuner") — from cfg. The warm and two-phase
-// forms built here are cold (no history store); use the NewWarm /
-// NewTwoPhaseTuner tuners to attach one.
+// forms built here are cold (no history store); Run attaches
+// TunerConfig.History.
 func NewStrategy(name string, cfg TunerConfig) (Strategy, error) { return tuner.NewStrategy(name, cfg) }
 
-// KnownStrategy reports whether name resolves to a strategy
-// NewStrategy can build, including "warm:"-prefixed forms.
-func KnownStrategy(name string) bool { return tuner.KnownStrategy(name) }
-
-// The learning plane: learned strategies under the same Strategy
-// contract as the direct searches, with their full policy state
-// (value tables, visit counts, RNG position) in the exported JSON
-// snapshot.
-type (
-	// RLBanditStrategy is the contextual ε-greedy bandit over a
-	// geometric (nc, np[, pp]) arm grid with load-level context
-	// buckets ("rl-bandit").
-	RLBanditStrategy = tuner.RLBanditStrategy
-	// RLBanditState is rl-bandit's complete serializable state.
-	RLBanditState = tuner.RLBanditState
-	// RLQStrategy is tabular Q-learning over (load bucket, vector)
-	// states and compass-move-or-stay actions ("rl-q").
-	RLQStrategy = tuner.RLQStrategy
-	// RLQState is rl-q's complete serializable state.
-	RLQState = tuner.RLQState
-)
-
-// NewNamed returns the named strategy under the standard Driver — the
-// by-name counterpart of the NewCD/NewCS/... constructors, covering
-// every name KnownStrategy accepts.
-func NewNamed(name string, cfg TunerConfig) (Tuner, error) { return tuner.NewNamed(name, cfg) }
-
-// NewDriver returns a Driver for cfg; its Run method drives any
-// Strategy against a Transferer.
-func NewDriver(cfg TunerConfig) *Driver { return tuner.NewDriver(cfg) }
+// NewDriver returns a driver for cfg; its Run method drives any
+// Strategy against a Transferer to completion.
+func NewDriver(cfg TunerConfig) *tuner.Driver { return tuner.NewDriver(cfg) }
 
 // NewFleet returns a Fleet over the given sessions; its Run method
 // drives them all concurrently until each ends.
@@ -349,9 +282,6 @@ func NewNelderMeadSearch(start []int, box Box) Searcher {
 
 // Real-socket transfers.
 type (
-	// GridFTPServer is the receiving end of the striped memory-to-
-	// memory protocol.
-	GridFTPServer = gridftp.Server
 	// TransferClient is the striped sender; it implements
 	// Transferer against wall-clock time.
 	TransferClient = gridftp.Client
@@ -363,33 +293,16 @@ type (
 )
 
 // ServeGridFTP starts a transfer server on addr (e.g. "127.0.0.1:0").
-func ServeGridFTP(addr string) (*GridFTPServer, error) { return gridftp.Serve(addr) }
-
-// ServeGridFTPListener starts a transfer server accepting on a
-// caller-supplied listener — e.g. one wrapped with InjectFaults.
-// Closing the server closes the listener.
-func ServeGridFTPListener(ln net.Listener) *GridFTPServer { return gridftp.ServeListener(ln) }
+func ServeGridFTP(addr string) (*gridftp.Server, error) { return gridftp.Serve(addr) }
 
 // NewTransferClient returns a real-socket transfer client.
 func NewTransferClient(cfg TransferClientConfig) (*TransferClient, error) {
 	return gridftp.NewClient(cfg)
 }
 
-// Fault tolerance on the real-socket path.
-type (
-	// RetryConfig governs a TransferClient's per-connection dial
-	// retries (attempts, exponential backoff, cap).
-	RetryConfig = gridftp.RetryConfig
-	// DialFunc is a pluggable dialer for a TransferClient, e.g. a
-	// fault injector's Dial.
-	DialFunc = gridftp.DialFunc
-	// FaultConfig selects the faults a FaultInjector produces (seeded
-	// dial-refusal probability, mid-stream reset, added latency).
-	FaultConfig = faultnet.Config
-	// FaultInjector wraps dials and listeners with deterministic,
-	// seeded network faults for resilience testing.
-	FaultInjector = faultnet.Injector
-)
+// RetryConfig governs a TransferClient's per-connection dial retries
+// (attempts, exponential backoff, cap).
+type RetryConfig = gridftp.RetryConfig
 
 // ErrTransient marks transfer errors that may clear on their own
 // (dial timeouts, resets, partial stripe failures); the tuners record
@@ -397,55 +310,24 @@ type (
 // errors.Is(err, ErrTransient).
 var ErrTransient = xfer.ErrTransient
 
-// NewFaultInjector returns a deterministic network fault injector;
-// use its Dial as a TransferClientConfig.Dialer or wrap a listener
-// with InjectFaults.
-func NewFaultInjector(cfg FaultConfig) *FaultInjector { return faultnet.New(cfg) }
+// Checkpoint is the durable state of a tuned transfer, written after
+// every control epoch; assign one to TunerConfig.Resume to continue the
+// run mid-search.
+type Checkpoint = tuner.Checkpoint
 
-// InjectFaults wraps ln so accepted connections carry in's faults.
-func InjectFaults(in *FaultInjector, ln net.Listener) net.Listener { return in.Listen(ln) }
+// NewFileCheckpoint returns a checkpoint writer for TunerConfig.Checkpoint
+// targeting a pair of files: a fixed-size head at path, replaced
+// atomically on every save, and an append-only epoch log at path+".log"
+// — so a save costs the same however long the run. Move or copy the two
+// together.
+func NewFileCheckpoint(path string) *tuner.FileCheckpoint { return tuner.NewFileCheckpoint(path) }
 
-// NoTolerance and NoLambda make an explicit zero configurable in
-// TunerConfig, where the zero value selects the paper's defaults.
-var (
-	NoTolerance = tuner.NoTolerance
-	NoLambda    = tuner.NoLambda
-)
-
-// Checkpoint and resume.
-type (
-	// Checkpoint is the durable state of a tuned transfer, written
-	// after every control epoch; assign one to TunerConfig.Resume to
-	// continue the run mid-search.
-	Checkpoint = tuner.Checkpoint
-	// CheckpointEpoch is one recorded control epoch of a Checkpoint.
-	CheckpointEpoch = tuner.EpochRecord
-	// CheckpointWriter persists checkpoints; assign one to
-	// TunerConfig.Checkpoint. Each Save carries the complete current
-	// state; its Trace is a read-only view of the engine's records —
-	// do not mutate it; retaining it is safe, the engine only appends.
-	// A writer that is also an io.Closer is closed when the run ends.
-	CheckpointWriter = tuner.CheckpointWriter
-	// CheckpointFunc adapts a function to CheckpointWriter.
-	CheckpointFunc = tuner.CheckpointFunc
-	// FileCheckpoint is a CheckpointWriter targeting a pair of files: a
-	// fixed-size head at its path, replaced atomically (temp file +
-	// rename) on every save, and an append-only epoch log at
-	// path+".log" that each save extends by the new records before the
-	// head counts them — so a save costs the same however long the
-	// run. Move or copy the two together.
-	FileCheckpoint = tuner.FileCheckpoint
-)
-
-// NewFileCheckpoint returns a checkpoint writer targeting path.
-func NewFileCheckpoint(path string) *FileCheckpoint { return tuner.NewFileCheckpoint(path) }
-
-// LoadCheckpoint reads and validates a checkpoint written by a
-// FileCheckpoint — the head at path and the epoch log beside it — or a
+// LoadCheckpoint reads and validates a checkpoint NewFileCheckpoint's
+// writer left — the head at path and the epoch log beside it — or a
 // single-file checkpoint written by an earlier release.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return tuner.LoadCheckpoint(path) }
 
-// ErrInterrupted is returned by Tune when the run was stopped
+// ErrInterrupted is returned by Run when the run was stopped
 // gracefully by the TunerConfig.Drain channel: the in-flight epoch
 // completed, the final checkpoint was written, and the transfer was
 // left running so a later session can resume it.
@@ -465,39 +347,17 @@ type (
 	// HistoryRecord is one recorded outcome: the key, the parameter
 	// vector, its observed throughput, and run metadata.
 	HistoryRecord = history.Record
-	// HistoryEntry is a Lookup result: the best-known vector, its
-	// throughput, and the key distance of the match (0 = exact).
-	HistoryEntry = history.Entry
 )
-
-// ErrHistoryCorrupt wraps OpenHistory errors reporting damaged lines
-// that were skipped; the returned store holds the intact records and
-// remains fully usable.
-var ErrHistoryCorrupt = history.ErrCorrupt
 
 // OpenHistory opens (creating if absent) the transfer-history store at
 // path. Damaged lines — a torn tail from a crash mid-append, or
-// hand-edited garbage — are skipped and reported via an error wrapping
-// ErrHistoryCorrupt; the store is unusable only when it is nil.
+// hand-edited garbage — are skipped and reported in the error; the
+// store is unusable only when it is nil.
 func OpenHistory(path string) (*HistoryStore, error) { return history.Open(path) }
 
 // NewMemHistory returns an in-memory history store (tests, one-shot
 // studies).
 func NewMemHistory() *HistoryStore { return history.NewMemStore() }
-
-// NewWarm returns the warm-started form of the named strategy under
-// the standard Driver; its checkpoints carry the "warm:<inner>" name
-// and resume like any other run.
-func NewWarm(inner string, cfg TunerConfig, store *HistoryStore, key HistoryKey) (Tuner, error) {
-	return tuner.NewWarm(inner, cfg, store, key)
-}
-
-// NewTwoPhaseTuner returns the two-phase tuner: a coarse pass over
-// history-seeded candidates, then a fine compass search around the
-// coarse winner. The store may be nil (cold candidates).
-func NewTwoPhaseTuner(cfg TunerConfig, store *HistoryStore, key HistoryKey) Tuner {
-	return tuner.NewTwoPhaseTuner(cfg, store, key)
-}
 
 // Observability: the observation plane documented in OBSERVABILITY.md.
 type (
@@ -505,31 +365,15 @@ type (
 	// registry, a structured event recorder, and the per-session views
 	// behind the /status endpoint. Assign Observer.Session(id) to
 	// TunerConfig.Obs / TransferClientConfig.Obs, or the Observer
-	// itself to FleetConfig.Obs / FaultConfig.Obs.
+	// itself to FleetConfig.Obs.
 	Observer = obs.Observer
 	// ObserverConfig configures NewObserver: the event ring capacity
 	// and an optional JSONL trace sink.
 	ObserverConfig = obs.ObserverConfig
-	// SessionObs is one session's observation view, created by
-	// Observer.Session.
-	SessionObs = obs.SessionObs
-	// MetricsRegistry holds metric families and renders Prometheus
-	// text exposition.
-	MetricsRegistry = obs.Registry
-	// EventRecorder buffers structured events and mirrors them to a
-	// JSONL sink.
-	EventRecorder = obs.Recorder
-	// Event is one structured trace record.
-	Event = obs.Event
-	// EventType names one kind of structured event.
-	EventType = obs.EventType
 	// ObsEndpoint is a live introspection server started by
-	// Observer.Serve, exposing /metrics, /status, /debug/vars, and
-	// /debug/pprof.
+	// Observer.Serve, exposing /metrics, /status, and the standard
+	// library's /debug/vars and /debug/pprof.
 	ObsEndpoint = obs.Endpoint
-	// SessionStatus is one session's live state in the /status
-	// document.
-	SessionStatus = obs.SessionStatus
 )
 
 // NewObserver returns an observation handle; thread it through the
@@ -601,70 +445,44 @@ func RenderImprovements(imps []Improvement) string {
 	return experiment.RenderImprovements(imps)
 }
 
-// Disk-to-disk transfers (the paper's future-work item (1)).
-type (
-	// Dataset is an ordered set of files for a disk-to-disk
-	// transfer.
-	Dataset = dataset.Dataset
-	// DatasetFile is one file of a Dataset.
-	DatasetFile = dataset.File
-	// DiskScenario is one disk workload regime (file-size mix,
-	// storage bandwidth, per-file latency).
-	DiskScenario = experiment.DiskScenario
-)
-
 // UniformDataset returns n files of identical size.
-func UniformDataset(n int, size int64) Dataset { return dataset.Uniform(n, size) }
+func UniformDataset(n int, size int64) dataset.Dataset { return dataset.Uniform(n, size) }
 
 // ManySmallFiles returns the latency-bound regime: n files of 1 MB.
-func ManySmallFiles(n int) Dataset { return dataset.ManySmall(n) }
+func ManySmallFiles(n int) dataset.Dataset { return dataset.ManySmall(n) }
 
 // MaterializeDataset creates the dataset's files on disk under dir
 // (sparse, size-exact), ready to serve as a TransferClient SourceDir.
 // Existing files of the right size are left alone, so re-running
 // against a warm directory is cheap.
-func MaterializeDataset(dir string, d Dataset) error { return dataset.Materialize(dir, d) }
+func MaterializeDataset(dir string, d dataset.Dataset) error { return dataset.Materialize(dir, d) }
 
 // MapNCNPPP tunes concurrency, parallelism, and pipelining; x is
 // [nc, np, pp].
 func MapNCNPPP() ParamMap { return tuner.MapNCNPPP() }
 
-// MapFixedPP wraps m with the pipelining depth fixed at pp — for
-// dataset transfers that tune fewer than three dimensions.
-func MapFixedPP(m ParamMap, pp int) ParamMap { return tuner.MapFixedPP(m, pp) }
-
 // DiskScenarios returns the three disk workload regimes (many-small,
 // lognormal-mix, few-huge), deterministic per seed.
-func DiskScenarios(seed uint64) []DiskScenario { return experiment.DiskScenarios(seed) }
+func DiskScenarios(seed uint64) []experiment.DiskScenario { return experiment.DiskScenarios(seed) }
 
 // TuneDisk runs the disk-to-disk comparison for one scenario: the
 // static disk default against cs-tuner and nm-tuner tuning
 // [nc, np, pp].
-func TuneDisk(tb Testbed, sc DiskScenario, rc RunConfig) (*TuningResult, error) {
+func TuneDisk(tb Testbed, sc experiment.DiskScenario, rc RunConfig) (*TuningResult, error) {
 	return experiment.TuneDisk(tb, sc, rc)
 }
 
 // FilesMoved sums the files completed across a trace.
 func FilesMoved(tr *Trace) int { return experiment.FilesMoved(tr) }
 
-// Joint (endpoint-level) tuning of several transfers — the paper's
-// future-work item (4).
-type (
-	// JointTuner optimizes several transfers as one direct search
-	// over the concatenated parameter vector, maximizing the
-	// weighted aggregate throughput.
-	JointTuner = tuner.Joint
-	// JointTunerConfig parameterizes a JointTuner.
-	JointTunerConfig = tuner.JointConfig
-	// JointComparison holds the joint-vs-independent study results.
-	JointComparison = experiment.JointComparison
-)
-
-// NewJointNM returns a joint tuner driven by Nelder–Mead.
-func NewJointNM(cfg JointTunerConfig) *JointTuner { return tuner.NewJointNM(cfg) }
+// JointComparison holds the joint-vs-independent study results:
+// endpoint-level tuning of several transfers, the paper's future-work
+// item (4).
+type JointComparison = experiment.JointComparison
 
 // JointVsIndependent runs the Figure 11 scenario twice — independent
-// nm-tuners vs one joint nm search — and returns both outcomes.
+// nm-tuners vs one nm-tuner over both transfers in a single Fleet
+// session — and returns both outcomes.
 func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 	return experiment.JointVsIndependent(rc)
 }
@@ -691,41 +509,15 @@ func CompareModel(tb Testbed, rc RunConfig) (*TuningResult, error) {
 	return experiment.CompareModel(tb, rc)
 }
 
-type (
-	// WarmStartCell is one (tuner, load) cell of a WarmStartStudy.
-	WarmStartCell = experiment.WarmStartCell
-	// WarmStartResult holds a warm-vs-cold study over a load sweep.
-	WarmStartResult = experiment.WarmStartResult
-)
-
-// WarmStartStudy measures what the history knowledge plane buys: each
-// named tuner runs cold, records its best epoch, and reruns
-// warm-started on an identically seeded fabric, for every load in the
-// sweep. frac and window parameterize the critical-point detector.
-func WarmStartStudy(tb Testbed, names []string, loads []Load, rc RunConfig, frac float64, window int) (*WarmStartResult, error) {
-	return experiment.WarmStartStudy(tb, names, loads, rc, frac, window)
-}
-
-type (
-	// DynamicSchedule pairs a named load schedule with its shift
-	// times for the dynamic-load study.
-	DynamicSchedule = experiment.DynamicSchedule
-	// DynamicLoadCell is one (tuner, schedule) run's scores: integral
-	// volume, mean throughput, per-shift re-adaptation lags.
-	DynamicLoadCell = experiment.DynamicLoadCell
-	// DynamicLoadResult holds a dynamic-load study's cells and the
-	// lag-detector settings.
-	DynamicLoadResult = experiment.DynamicLoadResult
-	// DynamicLoadConfig parameterizes DynamicLoadStudy.
-	DynamicLoadConfig = experiment.DynamicLoadConfig
-)
+// DynamicLoadConfig parameterizes DynamicLoadStudy.
+type DynamicLoadConfig = experiment.DynamicLoadConfig
 
 // DynamicLoadStudy judges learned strategies against direct search on
 // dynamic load: every tuner crossed with every schedule on one
 // simulated testbed, scoring integral throughput and the re-adaptation
 // lag after each load shift (measured against the best rolling-window
 // throughput any contender reached in that post-shift segment).
-func DynamicLoadStudy(tb Testbed, cfg DynamicLoadConfig) (*DynamicLoadResult, error) {
+func DynamicLoadStudy(tb Testbed, cfg DynamicLoadConfig) (*experiment.DynamicLoadResult, error) {
 	return experiment.DynamicLoadStudy(tb, cfg)
 }
 
@@ -739,32 +531,12 @@ type (
 	// ServiceLimits bounds admission: fleet-wide active/queued caps,
 	// per-tenant quotas, and the tenant transient-fault budget.
 	ServiceLimits = service.Limits
-	// Supervisor owns the daemon's sessions: admission, execution,
-	// journaling, checkpointing, and crash re-adoption.
-	Supervisor = service.Supervisor
-	// JobSpec is one tuning job as submitted over the control API.
-	JobSpec = service.JobSpec
 	// JobStatus is the control API's view of one job.
 	JobStatus = service.JobStatus
-	// JobState labels where a job is in its lifecycle.
-	JobState = service.JobState
-	// RejectError reports an admission refusal with its reason and a
-	// suggested retry delay.
-	RejectError = service.RejectError
-	// AdoptionRecord describes one in-flight session re-adopted from
-	// the journal after a crash.
-	AdoptionRecord = service.AdoptionRecord
-	// ServiceTransferFactory overrides how the supervisor builds the
-	// data plane for a job (tests inject in-memory transfers here).
-	ServiceTransferFactory = service.TransferFactory
 )
 
 // Job lifecycle states reported by the control API.
 const (
-	// JobQueued: accepted and journaled, waiting for a running slot.
-	JobQueued = service.JobQueued
-	// JobRunning: stepping on its own goroutine.
-	JobRunning = service.JobRunning
 	// JobDone: finished cleanly; journal debt cleared.
 	JobDone = service.JobDone
 	// JobFailed: ended with a fatal error.
@@ -773,18 +545,9 @@ const (
 	JobCancelled = service.JobCancelled
 	// JobEvicted: removed by the tenant fault-budget breaker.
 	JobEvicted = service.JobEvicted
-	// JobInterrupted: the daemon died with the job in flight; the next
-	// incarnation re-adopts it.
-	JobInterrupted = service.JobInterrupted
 )
-
-// ErrJobNotFound reports a control-API lookup of an unknown job ID.
-var ErrJobNotFound = service.ErrNotFound
 
 // NewSupervisor opens (or re-opens) a daemon state directory, re-adopts
 // every journaled in-flight job, and returns the supervisor ready for
 // Start.
-func NewSupervisor(cfg ServiceConfig) (*Supervisor, error) { return service.New(cfg) }
-
-// DecodeJobSpec parses and validates one control-API job submission.
-func DecodeJobSpec(data []byte) (JobSpec, error) { return service.DecodeJobSpec(data) }
+func NewSupervisor(cfg ServiceConfig) (*service.Supervisor, error) { return service.New(cfg) }

@@ -74,12 +74,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := dstune.NewCS(dstune.TunerConfig{
+	trace, err := dstune.Run(context.Background(), "cs-tuner", dstune.TunerConfig{
 		Box:    dstune.MustBox([]int{1}, []int{64}),
 		Start:  []int{2},
 		Map:    dstune.MapNC(4),
 		Budget: 300,
-	}).Tune(context.Background(), tr)
+	}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func main() {
 		dstune.Load{Tfr: 64, Cmp: 16},
 		dstune.Load{Tfr: 16, Cmp: 16})
 
-	run := func(mk func(dstune.TunerConfig) dstune.Tuner, policy dstune.RestartPolicy) *dstune.Trace {
+	run := func(tuner string, policy dstune.RestartPolicy) *dstune.Trace {
 		fabric, _, err := dstune.ANLtoTACC().NewFabric(7)
 		if err != nil {
 			log.Fatal(err)
@@ -32,20 +32,20 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		trace, err := mk(dstune.TunerConfig{
+		trace, err := dstune.Run(context.Background(), tuner, dstune.TunerConfig{
 			Box:    dstune.MustBox([]int{1, 1}, []int{128, 16}),
 			Start:  []int{2, 8},
 			Map:    dstune.MapNCNP(), // tune both parameters
 			Budget: 1800,
-		}).Tune(context.Background(), tr)
+		}, tr)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return trace
 	}
 
-	def := run(dstune.NewStatic, dstune.RestartOnChange)
-	cs := run(dstune.NewCS, dstune.RestartEveryEpoch)
+	def := run("default", dstune.RestartOnChange)
+	cs := run("cs-tuner", dstune.RestartEveryEpoch)
 
 	fmt.Println("phase                default MB/s   cs-tuner MB/s   gain")
 	for _, ph := range []struct {

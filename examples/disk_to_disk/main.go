@@ -65,7 +65,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer client.Stop()
-		trace, err := dstune.NewCD(dstune.TunerConfig{
+		trace, err := dstune.Run(context.Background(), "cd-tuner", dstune.TunerConfig{
 			Epoch:     0.25, // wall-clock seconds per control epoch
 			Tolerance: 30,   // loopback timing is noisy
 			Restart:   dstune.FromCurrent,
@@ -74,7 +74,7 @@ func main() {
 			Map:       dstune.MapNCNPPP(),
 			Budget:    8, // wall-clock seconds per run
 			Seed:      7,
-		}).Tune(context.Background(), client)
+		}, client)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -50,20 +50,38 @@ func main() {
 		log.Fatal(err)
 	}
 
-	joint := dstune.NewJointNM(dstune.JointTunerConfig{
+	// One Fleet session holding both transfers: nm-tuner proposes the
+	// concatenated vector, Dims cuts it back into one slice per transfer,
+	// and the strategy observes the weighted aggregate. The first failed
+	// epoch ends the run (MaxTransientFailures 1): a multi-transfer
+	// session has no checkpoint to resume from.
+	strategy, err := dstune.NewStrategy("nm-tuner", dstune.TunerConfig{
 		Box: dstune.MustBox(
 			[]int{1, 1, 1, 1},
 			[]int{128, 16, 128, 16}),
-		Start:   []int{2, 8, 2, 8},
-		Dims:    []int{2, 2},
-		Maps:    []dstune.ParamMap{dstune.MapNCNP(), dstune.MapNCNP()},
-		Weights: []float64{3, 1}, // UChicago has priority
-		Budget:  1800,
+		Start: []int{2, 8, 2, 8},
 	})
-	traces, err := joint.Tune(context.Background(), []dstune.Transferer{t1, t2})
 	if err != nil {
 		log.Fatal(err)
 	}
+	results, err := dstune.NewFleet(
+		dstune.FleetConfig{Budget: 1800, MaxTransientFailures: 1},
+		dstune.FleetSession{
+			Name:      "joint-nm",
+			Strategy:  strategy,
+			Transfers: []dstune.Transferer{t1, t2},
+			Dims:      []int{2, 2},
+			Maps:      []dstune.ParamMap{dstune.MapNCNP(), dstune.MapNCNP()},
+			Weights:   []float64{3, 1}, // UChicago has priority
+		},
+	).Run(context.Background())
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := results[0].Err; err != nil {
+		log.Fatal(err)
+	}
+	traces := results[0].Traces
 
 	uc, tc := traces[0], traces[1]
 	fmt.Println("joint nm search over [nc1 np1 nc2 np2], weights 3:1")

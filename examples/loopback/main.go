@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	trace, err := dstune.NewCS(dstune.TunerConfig{
+	trace, err := dstune.Run(context.Background(), "cs-tuner", dstune.TunerConfig{
 		Epoch:     0.25, // wall-clock seconds per control epoch
 		Tolerance: 30,   // loopback timing is noisy
 		Restart:   dstune.FromCurrent,
@@ -43,7 +43,7 @@ func main() {
 		Map:       dstune.MapNC(1),
 		Budget:    10, // wall-clock seconds total
 		Seed:      1,
-	}).Tune(context.Background(), client)
+	}, client)
 	if err != nil {
 		log.Fatal(err)
 	}

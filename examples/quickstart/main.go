@@ -16,7 +16,7 @@ func main() {
 	// A transfer from ANL to UChicago while 16 dgemm jobs hammer the
 	// source's cores — the scenario where the paper's default
 	// setting collapses.
-	run := func(mk func(dstune.TunerConfig) dstune.Tuner, policy dstune.RestartPolicy) *dstune.Trace {
+	run := func(tuner string, policy dstune.RestartPolicy) *dstune.Trace {
 		fabric, _, err := dstune.ANLtoUChicago().NewFabric(42)
 		if err != nil {
 			log.Fatal(err)
@@ -36,15 +36,15 @@ func main() {
 			Map:    dstune.MapNC(8), // tune concurrency, parallelism fixed at 8
 			Budget: 900,             // seconds of (virtual) transfer time
 		}
-		trace, err := mk(cfg).Tune(context.Background(), tr)
+		trace, err := dstune.Run(context.Background(), tuner, cfg, tr)
 		if err != nil {
 			log.Fatal(err)
 		}
 		return trace
 	}
 
-	def := run(dstune.NewStatic, dstune.RestartOnChange)
-	nm := run(dstune.NewNM, dstune.RestartEveryEpoch)
+	def := run("default", dstune.RestartOnChange)
+	nm := run("nm-tuner", dstune.RestartEveryEpoch)
 
 	fmt.Println("epoch  t(s)   nc   throughput (MB/s)")
 	for _, r := range nm.Results {

@@ -6,7 +6,9 @@
 //   - CheckExports parses Go packages and reports exported
 //     identifiers that carry no doc comment, plus packages with no
 //     package comment;
-//   - CheckFormat reports Go files gofmt would rewrite.
+//   - CheckFormat reports Go files gofmt would rewrite;
+//   - CheckFacade reports names the root package re-exports that
+//     nothing outside it refers to.
 //
 // All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.
@@ -254,4 +256,71 @@ func funcKind(d *ast.FuncDecl) string {
 		return "method"
 	}
 	return "function"
+}
+
+// facadeContract lists the facade names kept although nothing in the
+// repository refers to them: the types a Strategy implemented outside
+// this module must spell.
+var facadeContract = map[string]bool{
+	"Strategy": true, "Report": true, "Params": true, "Transferer": true, "Box": true,
+}
+
+// CheckFacade parses root/dstune.go and reports every exported
+// package-level name that no .go file other than dstune.go, nor
+// README.md, refers to as dstune.<Name> — the facade re-exports what
+// something uses and nothing else. The facadeContract types are
+// excepted.
+func CheckFacade(root string) ([]string, error) {
+	const facade = "dstune.go"
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join(root, facade), nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	used := map[string]bool{}
+	ref := regexp.MustCompile(`\bdstune\.([A-Z]\w*)`)
+	collect := func(rel string, data []byte) {
+		if rel == facade {
+			return
+		}
+		for _, m := range ref.FindAllSubmatch(data, -1) {
+			used[string(m[1])] = true
+		}
+	}
+	if err := eachFile(root, ".go", collect); err != nil {
+		return nil, err
+	}
+	readme, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		return nil, err
+	}
+	collect("README.md", readme)
+
+	var problems []string
+	check := func(name *ast.Ident) {
+		if name.IsExported() && !used[name.Name] && !facadeContract[name.Name] {
+			p := fset.Position(name.Pos())
+			problems = append(problems, fmt.Sprintf("%s:%d: dstune.%s is referenced by no .go file and not by README.md", facade, p.Line, name.Name))
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				check(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					check(s.Name)
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						check(name)
+					}
+				}
+			}
+		}
+	}
+	return problems, nil
 }

@@ -157,9 +157,51 @@ func TestCheckFormat(t *testing.T) {
 	}
 }
 
+// TestCheckFacade exercises the facade lint on a synthetic module: a
+// name a command uses, one only README.md mentions and a contract type
+// pass; a re-export nothing refers to is reported, and the facade's own
+// package comment does not count as a reference.
+func TestCheckFacade(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("dstune.go", `// Package dstune: call dstune.Orphan.
+package dstune
+
+type (
+	Used   = int
+	Box    = int
+	Orphan = int
+)
+
+var InReadme = 1
+
+func unexported() {}
+`)
+	write("cmd/tool/main.go", "package main\n\nimport \"dstune\"\n\nvar _ dstune.Used\n")
+	write("README.md", "Start from `dstune.InReadme`.\n")
+
+	problems, err := CheckFacade(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || !strings.HasPrefix(problems[0], "dstune.go:7: dstune.Orphan ") {
+		t.Fatalf("got problems %q, want only Orphan at dstune.go:7", problems)
+	}
+}
+
 // TestRepoDocs is the in-repo enforcement: the repository's own
 // markdown links must resolve, its public packages must be fully
-// documented, and every Go file must be gofmt-clean.
+// documented, every Go file must be gofmt-clean, and the facade must
+// re-export nothing that goes unused.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	links, err := CheckLinks(root)
@@ -187,5 +229,12 @@ func TestRepoDocs(t *testing.T) {
 	}
 	for _, p := range unformatted {
 		t.Errorf("gofmt: %s", p)
+	}
+	orphans, err := CheckFacade(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range orphans {
+		t.Errorf("facade: %s", p)
 	}
 }

@@ -1,8 +1,6 @@
 package experiment
 
 import (
-	"fmt"
-
 	"dstune/internal/dataset"
 	"dstune/internal/load"
 	"dstune/internal/tuner"
@@ -54,28 +52,13 @@ func (rc RunConfig) diskTunerCfg() tuner.Config {
 func TuneDisk(tb Testbed, sc DiskScenario, rc RunConfig) (*TuningResult, error) {
 	rc = rc.withDefaults()
 	names := []string{"default", "cs-tuner", "nm-tuner"}
-	res := &TuningResult{
-		Testbed:  tb.Name,
-		Scenario: "disk: " + sc.Name,
-		Order:    names,
-		Traces:   make(map[string]*tuner.Trace, len(names)),
-	}
-	for _, name := range names {
-		cfg := rc.diskTunerCfg()
-		if name == "default" {
-			cfg.Start = []int{2, 8, 4} // the static disk default
-		}
-		trace, err := runTransfer(tb, name, load.None(), rc.Seed, xfer.TransferConfig{
+	return runEach(tb, names, "disk: "+sc.Name, func(name string) (*tuner.Trace, error) {
+		return runTransfer(tb, name, load.None(), rc.Seed, xfer.TransferConfig{
 			Files:        sc.Files,
 			DiskRate:     sc.DiskRate,
 			FileOverhead: sc.FileOverhead,
-		}, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s on %s: %w", name, sc.Name, err)
-		}
-		res.Traces[name] = trace
-	}
-	return res, nil
+		}, rc.diskTunerCfg())
+	})
 }
 
 // FilesMoved sums the files completed across a trace.

@@ -80,8 +80,7 @@ func TestTuneDiskFewHuge(t *testing.T) {
 }
 
 func TestJointVsIndependent(t *testing.T) {
-	rc := RunConfig{Seed: 5, Duration: 1200}
-	jc, err := JointVsIndependent(rc)
+	jc, err := figJoint()
 	if err != nil {
 		t.Fatal(err)
 	}

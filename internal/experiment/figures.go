@@ -129,11 +129,7 @@ func runTransfer(tb Testbed, name string, sched load.Schedule, seed uint64, tc x
 	if err != nil {
 		return nil, err
 	}
-	tn, err := tuner.NewNamed(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return tn.Tune(context.Background(), tr)
+	return tuner.Run(context.Background(), name, cfg, tr)
 }
 
 // Fig1Config parameterizes the Figure 1 concurrency sweep.
@@ -272,18 +268,19 @@ type TuningResult struct {
 // fresh, identically seeded fabric (as in the paper, where each tuner
 // gets its own transfer window under reproduced load).
 func runSet(tb Testbed, names []string, scenario string, sched load.Schedule, rc RunConfig, twoParam bool) (*TuningResult, error) {
-	res := &TuningResult{
-		Testbed:  tb.Name,
-		Scenario: scenario,
-		Order:    names,
-		Traces:   make(map[string]*tuner.Trace, len(names)),
-	}
-	// Each tuner runs on its own identically seeded fabric, so the
-	// runs are independent and can share the worker pool; traces land
-	// in index-addressed slots to keep the result order-independent.
+	return runEach(tb, names, scenario, func(name string) (*tuner.Trace, error) {
+		return runTuned(tb, name, sched, rc, twoParam)
+	})
+}
+
+// runEach collects run(name) for every name into one result. Each run
+// builds its own seeded fabric, so the runs are independent and share
+// the worker pool; traces land in index-addressed slots to keep the
+// result order-independent.
+func runEach(tb Testbed, names []string, scenario string, run func(name string) (*tuner.Trace, error)) (*TuningResult, error) {
 	traces := make([]*tuner.Trace, len(names))
 	err := forEachCell(len(names), func(i int) error {
-		tr, err := runTuned(tb, names[i], sched, rc, twoParam)
+		tr, err := run(names[i])
 		if err != nil {
 			return fmt.Errorf("%s under %s: %w", names[i], scenario, err)
 		}
@@ -292,6 +289,12 @@ func runSet(tb Testbed, names []string, scenario string, sched load.Schedule, rc
 	})
 	if err != nil {
 		return nil, err
+	}
+	res := &TuningResult{
+		Testbed:  tb.Name,
+		Scenario: scenario,
+		Order:    names,
+		Traces:   make(map[string]*tuner.Trace, len(names)),
 	}
 	for i, name := range names {
 		res.Traces[name] = traces[i]

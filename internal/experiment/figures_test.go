@@ -277,7 +277,7 @@ func TestSimultaneousRepeatable(t *testing.T) {
 }
 
 func TestUnknownTuner(t *testing.T) {
-	if _, err := tuner.NewNamed("bogus", RunConfig{}.withDefaults().tunerCfg(false)); err == nil {
+	if _, err := tuner.NewStrategy("bogus", RunConfig{}.withDefaults().tunerCfg(false)); err == nil {
 		t.Fatal("unknown tuner accepted")
 	}
 	if _, err := Simultaneous("bogus", quickRC()); err == nil {
@@ -288,12 +288,12 @@ func TestUnknownTuner(t *testing.T) {
 func TestTunerNamesBuildable(t *testing.T) {
 	cfg := RunConfig{}.withDefaults().tunerCfg(true)
 	for _, name := range TunerNames() {
-		tn, err := tuner.NewNamed(name, cfg)
+		s, err := tuner.NewStrategy(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if tn.Name() != name {
-			t.Fatalf("name mismatch: %q vs %q", tn.Name(), name)
+		if s.Name() != name {
+			t.Fatalf("name mismatch: %q vs %q", s.Name(), name)
 		}
 	}
 }

@@ -56,6 +56,9 @@ var (
 	figCompareModel = sync.OnceValues(func() (*TuningResult, error) {
 		return CompareModel(ANLtoTACC(), RunConfig{Seed: 23, Duration: 1800, Epoch: 30})
 	})
+	figJoint = sync.OnceValues(func() (*JointComparison, error) {
+		return JointVsIndependent(quickRC())
+	})
 )
 
 // dimNames names the coordinates of a tuned vector, in Space.Apply's
@@ -118,6 +121,18 @@ func figureMetrics(t *testing.T) map[string]float64 {
 	m["fig11/uchicago-MB/s"] = uc / 1e6
 	m["fig11/tacc-MB/s"] = tc / 1e6
 	m["fig11/aggregate-MB/s"] = (uc + tc) / 1e6
+	jc, err := figJoint()
+	if err != nil {
+		t.Fatalf("joint: %v", err)
+	}
+	for name, tr := range map[string]*tuner.Trace{
+		"independent/uchicago": jc.Independent.UChicago,
+		"independent/tacc":     jc.Independent.TACC,
+		"joint/uchicago":       jc.JointUChicago,
+		"joint/tacc":           jc.JointTACC,
+	} {
+		traceMetrics(m, "joint/"+name, tr, 0)
+	}
 	return m
 }
 

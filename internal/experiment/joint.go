@@ -35,7 +35,8 @@ func (j *JointComparison) JointAggregate() float64 {
 }
 
 // JointVsIndependent runs the comparison with nm-tuner as the
-// independent tuner and joint-nm as the coordinated one, both tuning
+// independent tuner and, as the coordinated one, a single nm-tuner over
+// both transfers in one Fleet session ("joint-nm"), both tuning
 // [nc, np] per transfer on the shared-NIC dual fabric.
 func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 	rc = rc.withDefaults()
@@ -56,22 +57,36 @@ func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One session, one search: nm-tuner over the concatenation of both
+	// transfers' [nc, np], observing their aggregate throughput. The
+	// first failed epoch of any kind ends it (MaxTransientFailures 1),
+	// as a multi-transfer session has no checkpoint to resume from.
 	start := xfer.Default()
-	j := tuner.NewJointNM(tuner.JointConfig{
-		Epoch:  rc.Epoch,
-		Budget: rc.Duration,
-		Seed:   rc.Seed,
+	strat := tuner.NewNMStrategy(tuner.Config{
+		Epoch: rc.Epoch,
+		Seed:  rc.Seed,
 		Box: directsearch.MustBox(
 			[]int{1, 1, 1, 1},
 			[]int{rc.MaxNC, rc.MaxNP, rc.MaxNC, rc.MaxNP}),
 		Start: []int{start.NC, start.NP, start.NC, start.NP},
-		Dims:  []int{2, 2},
-		Maps:  []tuner.ParamMap{tuner.MapNCNP(), tuner.MapNCNP()},
 	})
-	traces, err := j.Tune(context.Background(), []xfer.Transferer{t1, t2})
+	results, err := tuner.NewFleet(
+		tuner.FleetConfig{Epoch: rc.Epoch, Budget: rc.Duration, MaxTransientFailures: 1},
+		tuner.FleetSession{
+			Name:      "joint-nm",
+			Strategy:  strat,
+			Transfers: []xfer.Transferer{t1, t2},
+			Dims:      []int{2, 2},
+			Maps:      []tuner.ParamMap{tuner.MapNCNP(), tuner.MapNCNP()},
+		},
+	).Run(context.Background())
 	if err != nil {
 		return nil, err
 	}
+	if err := results[0].Err; err != nil {
+		return nil, err
+	}
+	traces := results[0].Traces
 	return &JointComparison{
 		Independent:   ind,
 		JointUChicago: traces[0],

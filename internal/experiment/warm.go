@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
@@ -125,31 +124,6 @@ func warmKey(tb Testbed, l load.Load) history.Key {
 	}
 }
 
-// runWarmTuned mirrors runTuned but wraps the named tuner in the
-// warm-start strategy over store, so its first proposal is the
-// store's best-known vector for key.
-func runWarmTuned(tb Testbed, name string, sched load.Schedule, rc RunConfig, store *history.Store, key history.Key) (*tuner.Trace, error) {
-	rc = rc.withDefaults()
-	f, _, err := tb.NewFabric(rc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	f.SetLoad(sched, nil)
-	tr, err := f.NewTransfer(xfer.TransferConfig{
-		Name:   "warm:" + name,
-		Bytes:  xfer.Unbounded,
-		Policy: xfer.RestartEveryEpoch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	tn, err := tuner.NewWarm(name, rc.tunerCfg(false), store, key)
-	if err != nil {
-		return nil, err
-	}
-	return tn.Tune(context.Background(), tr)
-}
-
 // WarmStartStudy measures what the knowledge plane buys: for every
 // (tuner, load) cell it runs the named tuner cold from the Globus
 // defaults, records the cold run's best epoch into a fresh in-memory
@@ -195,7 +169,9 @@ func WarmStartStudy(tb Testbed, names []string, loads []load.Load, rc RunConfig,
 		}); err != nil {
 			return err
 		}
-		warm, err := runWarmTuned(tb, c.name, sched, rc, store, key)
+		wcfg := rc.withDefaults().tunerCfg(false)
+		wcfg.History, wcfg.HistoryKey = store, key
+		warm, err := runTransfer(tb, "warm:"+c.name, sched, rc.Seed, xfer.TransferConfig{Bytes: xfer.Unbounded}, wcfg)
 		if err != nil {
 			return fmt.Errorf("warm %s under %s: %w", c.name, c.l, err)
 		}

@@ -117,7 +117,7 @@ func TestDeadlineCheckpointsPartialTransfer(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	tr, err := tuner.NewStatic(cfg).Tune(ctx, c)
+	tr, err := tuner.Run(ctx, "default", cfg, c)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -219,7 +219,7 @@ func TestCancelResumeRoundTrip(t *testing.T) {
 		}
 		return nil
 	})
-	_, err := tuner.NewCS(cfg1).Tune(ctx, c1)
+	_, err := tuner.Run(ctx, "cs-tuner", cfg1, c1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("session 1 err = %v, want context.Canceled", err)
 	}
@@ -243,7 +243,7 @@ func TestCancelResumeRoundTrip(t *testing.T) {
 	c2 := mkClient(nil, ck.Transfer.Acked, ck.Transfer.Clock)
 	cfg2 := cfg
 	cfg2.Resume = ck
-	tr, err := tuner.NewCS(cfg2).Tune(context.Background(), c2)
+	tr, err := tuner.Run(context.Background(), "cs-tuner", cfg2, c2)
 	if err != nil {
 		t.Fatalf("resumed session: %v", err)
 	}

@@ -436,7 +436,7 @@ func TestTuned3DFindsPipelining(t *testing.T) {
 		Budget:    10,
 		Seed:      7,
 	}
-	tr, err := tuner.NewCD(cfg).Tune(context.Background(), c)
+	tr, err := tuner.Run(context.Background(), "cd-tuner", cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}

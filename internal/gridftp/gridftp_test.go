@@ -231,7 +231,7 @@ func TestTunerOverRealSockets(t *testing.T) {
 		Seed:      3,
 		Lambda:    4,
 	}
-	tr, err := tuner.NewCS(cfg).Tune(context.Background(), c)
+	tr, err := tuner.Run(context.Background(), "cs-tuner", cfg, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,7 @@ func TestTunedTransferSurvivesInjectedFaults(t *testing.T) {
 		Seed:      5,
 		Lambda:    2,
 	}
-	tr, err := tuner.NewCS(cfg).Tune(context.Background(), c)
+	tr, err := tuner.Run(context.Background(), "cs-tuner", cfg, c)
 	if err != nil {
 		t.Fatalf("tuned transfer did not survive the faults: %v", err)
 	}

@@ -140,8 +140,9 @@ func TestSessionStatusAndStatusEndpoint(t *testing.T) {
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
 	for path, want := range map[string]string{
-		"/metrics": `dstune_epochs_total{session="bulk"} 1`,
-		"/status":  `"id": "bulk"`,
+		"/metrics":    `dstune_epochs_total{session="bulk"} 1`,
+		"/status":     `"id": "bulk"`,
+		"/debug/vars": `"memstats"`, // the standard library's own; the registry's one view is /metrics
 	} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {

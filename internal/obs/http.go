@@ -44,7 +44,7 @@ func NewHTTPServer(h http.Handler) *http.Server {
 //
 //	/metrics        Prometheus text exposition of the registry
 //	/status         JSON snapshot of every session's live state
-//	/debug/vars     expvar (includes the registry once published)
+//	/debug/vars     expvar: the standard library's cmdline and memstats
 //	/debug/pprof/*  net/http/pprof profiles
 //
 // The root path serves a plain-text index of the above. Handler is
@@ -98,9 +98,9 @@ func (e *Endpoint) Close() error {
 	return nil
 }
 
-// Serve binds addr (host:port; ":0" picks a free port), publishes the
-// registry to expvar, and serves Handler until Close. It returns
-// immediately; the accept loop runs on a background goroutine.
+// Serve binds addr (host:port; ":0" picks a free port) and serves
+// Handler until Close. It returns immediately; the accept loop runs on
+// a background goroutine.
 func (o *Observer) Serve(addr string) (*Endpoint, error) {
 	if o == nil {
 		return nil, fmt.Errorf("obs: Serve on nil Observer")
@@ -109,7 +109,6 @@ func (o *Observer) Serve(addr string) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	o.Registry().PublishExpvar()
 	srv := NewHTTPServer(o.Handler())
 	go func() { _ = srv.Serve(ln) }()
 	return &Endpoint{ln: ln, srv: srv}, nil

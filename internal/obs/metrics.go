@@ -1,8 +1,9 @@
 // Package obs is the observation plane of the tuning stack: a
-// zero-dependency metrics registry (Prometheus text exposition plus
-// expvar), a structured event stream with a bounded ring buffer and an
+// zero-dependency metrics registry (Prometheus text exposition, its one
+// view), a structured event stream with a bounded ring buffer and an
 // optional JSONL sink, and a live HTTP introspection endpoint serving
-// /metrics, /status, /debug/vars, and /debug/pprof.
+// /metrics and /status beside the standard library's /debug/vars and
+// /debug/pprof.
 //
 // Every type in the package is nil-safe: methods on a nil *Registry,
 // *Counter, *Gauge, *Histogram, *Recorder, *Observer, or *SessionObs
@@ -18,7 +19,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -288,52 +288,6 @@ func (r *Registry) Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ExpvarFunc returns a func suitable for expvar.Publish(name,
-// expvar.Func(...)): a map from "name{labels}" to the series' current
-// value (buckets are elided for histograms; sum and count are
-// exported).
-func (r *Registry) ExpvarFunc() func() any {
-	return func() any {
-		if r == nil {
-			return nil
-		}
-		out := map[string]any{}
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		for name, f := range r.families {
-			for ls, s := range f.series {
-				switch inst := s.inst.(type) {
-				case *Counter:
-					out[name+ls] = inst.Value()
-				case *Gauge:
-					out[name+ls] = inst.Value()
-				case *Histogram:
-					sum, count := inst.SumCount()
-					out[name+ls+":sum"] = sum
-					out[name+ls+":count"] = count
-				}
-			}
-		}
-		return out
-	}
-}
-
-// publishOnce guards global expvar publication: expvar panics on
-// duplicate names, and tests construct many registries.
-var publishOnce sync.Once
-
-// PublishExpvar publishes the registry under the expvar name "dstune".
-// Only the first registry published process-wide wins; later calls are
-// no-ops (expvar's namespace is global and append-only).
-func (r *Registry) PublishExpvar() {
-	if r == nil {
-		return
-	}
-	publishOnce.Do(func() {
-		expvar.Publish("dstune", expvar.Func(r.ExpvarFunc()))
-	})
 }
 
 // Counter is a monotonically increasing metric. The zero value is

@@ -59,20 +59,11 @@ type Session struct {
 	Dataset dataset.Dataset
 }
 
-// FleetSession returns the session in the form tuner.Fleet and
-// tuner.NewSessionRuntime step.
-func (s *Session) FleetSession() tuner.FleetSession {
-	return tuner.FleetSession{
-		ID:         s.ID,
-		Name:       s.ID,
-		Strategy:   s.Strategy,
-		Transfers:  []xfer.Transferer{s.Transfer},
-		Maps:       []tuner.ParamMap{s.Config.Map},
-		Checkpoint: s.Config.Checkpoint,
-		Seed:       s.Config.Seed,
-		HistoryKey: s.Config.HistoryKey,
-		Resume:     s.Config.Resume,
-	}
+// FleetSession returns the session in the two halves tuner.Fleet and
+// tuner.NewSessionRuntime take: the FleetConfig its Config asks for and
+// the FleetSession that runs it.
+func (s *Session) FleetSession() (tuner.FleetConfig, tuner.FleetSession) {
+	return s.Config.Session(s.ID, s.Strategy, s.Transfer)
 }
 
 // Build turns one validated, defaulted spec (Validate, WithDefaults)
@@ -276,9 +267,9 @@ func fabricTransfer(fabric *xfer.Fabric, id string, spec JobSpec, files dataset.
 
 // buildRuntime turns one admitted job into a stepping session: Build's
 // session over the job's checkpoint file — resumed mid-trajectory when
-// a readable checkpoint exists — wrapped in a tuner.SessionRuntime with
-// PreserveOnCancel set, because a daemon shutdown must leave the
-// session resumable, not stopped.
+// a readable checkpoint exists — wrapped in a tuner.SessionRuntime. It
+// runs as Config.Session maps it, transfers preserved on cancel: a
+// daemon shutdown must leave the session resumable, not stopped.
 func (sv *Supervisor) buildRuntime(j *job) (*tuner.SessionRuntime, error) {
 	ckPath := sv.checkpointPath(j.id)
 	var resume *tuner.Checkpoint
@@ -306,25 +297,18 @@ func (sv *Supervisor) buildRuntime(j *job) (*tuner.SessionRuntime, error) {
 		return nil, err
 	}
 
-	budget := j.spec.Budget
-	if budget > 0 && resume != nil && j.spec.Addr == "" {
+	fcfg, fs := sess.FleetSession()
+	if fcfg.Budget > 0 && resume != nil && j.spec.Addr == "" {
 		// A rebuilt simulated transfer restarts its clock at zero, so
 		// carry only the unspent budget forward. Socket clients carry
 		// the cumulative clock themselves (ClockOffset), so their
 		// budget stays as specified.
-		budget -= resume.Transfer.Clock
-		if budget <= 0 {
+		fcfg.Budget -= resume.Transfer.Clock
+		if fcfg.Budget <= 0 {
 			// Exhausted (0 would mean unlimited): the session ends in its
 			// first Step without running an epoch.
-			budget = 1e-9
+			fcfg.Budget = 1e-9
 		}
 	}
-	return tuner.NewSessionRuntime(tuner.FleetConfig{
-		Epoch:                j.spec.Epoch,
-		Budget:               budget,
-		MaxTransientFailures: j.spec.MaxTransient,
-		Obs:                  sv.obs,
-		History:              sv.hist,
-		PreserveOnCancel:     true,
-	}, sess.FleetSession())
+	return tuner.NewSessionRuntime(fcfg, fs)
 }

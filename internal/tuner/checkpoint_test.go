@@ -63,19 +63,6 @@ func simCfg() Config {
 	}
 }
 
-// tunerCtors builds every tuner kind from a config.
-func tunerCtors() []func(Config) Tuner {
-	return []func(Config) Tuner{
-		func(c Config) Tuner { return NewStatic(c) },
-		func(c Config) Tuner { return NewCD(c) },
-		NewCS,
-		NewNM,
-		func(c Config) Tuner { return NewHeur1(c) },
-		func(c Config) Tuner { return NewHeur2(c) },
-		func(c Config) Tuner { return NewModel(c) },
-	}
-}
-
 // drainAfter returns a config that persists every checkpoint through
 // fc (when non-nil) and drains the run once k epochs are recorded.
 func drainAfter(k int, fc *FileCheckpoint) Config {
@@ -113,10 +100,9 @@ func drainAfter(k int, fc *FileCheckpoint) Config {
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
-	for _, mk := range tunerCtors() {
-		name := mk(simCfg()).Name()
+	for _, name := range goldenTuners {
 		// Reference: one uninterrupted run to completion.
-		ref, err := mk(simCfg()).Tune(context.Background(), simTransfer(t, seed))
+		ref, err := Run(context.Background(), name, simCfg(), simTransfer(t, seed))
 		if err != nil {
 			t.Fatalf("%s: reference run: %v", name, err)
 		}
@@ -131,7 +117,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 					if from == "stepped" {
 						return runStepped(context.Background(), name, cfg, nil, live)
 					}
-					return mk(cfg).Tune(context.Background(), live)
+					return Run(context.Background(), name, cfg, live)
 				}
 				fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.checkpoint"))
 				defer fc.Close()
@@ -207,9 +193,11 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsMismatchedCheckpoint covers the resume validation:
-// foreign tuner, unknown version, and a trace/epoch-count mismatch all
-// fail before the transfer is touched.
+// TestResumeRejectsMismatchedCheckpoint covers the engine's resume
+// validation: foreign tuner, unknown version, and a trace/epoch-count
+// mismatch all fail before the transfer is touched. It hands the
+// Driver its strategy directly, because Run would build the one the
+// checkpoint names.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	good := &Checkpoint{Version: CheckpointVersion, Tuner: "default", Seed: 1}
 	cases := []struct {
@@ -226,7 +214,7 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 			ck := tc.ck
 			cfg.Resume = &ck
 			f := newFake(peaked(10))
-			if _, err := NewStatic(cfg).Tune(context.Background(), f); err == nil {
+			if _, err := NewDriver(cfg).Run(context.Background(), NewStaticStrategy(cfg), f); err == nil {
 				t.Fatal("bad checkpoint accepted")
 			}
 			if f.runs != 0 {
@@ -237,7 +225,7 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	// Sanity: the good zero-epoch checkpoint is accepted.
 	cfg := cfg1D(100)
 	cfg.Resume = good
-	if _, err := NewStatic(cfg).Tune(context.Background(), newFake(peaked(10))); err != nil {
+	if _, err := NewDriver(cfg).Run(context.Background(), NewStaticStrategy(cfg), newFake(peaked(10))); err != nil {
 		t.Fatalf("valid empty checkpoint rejected: %v", err)
 	}
 }
@@ -258,7 +246,7 @@ func TestResumeDivergenceDetected(t *testing.T) {
 	cfg := cfg1D(100) // Start {2}: the static tuner proposes {2}, not {5}
 	cfg.Resume = ck
 	cfg.ValidateResume = true
-	_, err := NewStatic(cfg).Tune(context.Background(), newFake(peaked(10)))
+	_, err := Run(context.Background(), "default", cfg, newFake(peaked(10)))
 	if err == nil {
 		t.Fatal("diverged resume did not fail")
 	}
@@ -295,7 +283,7 @@ func TestDrainLeavesTransferRunning(t *testing.T) {
 	cfg := cfg1D(100)
 	cfg.Drain = drain
 	cfg.Checkpoint = CheckpointFunc(func(ck *Checkpoint) error { last = ck; return nil })
-	tr, err := NewStatic(cfg).Tune(context.Background(), f)
+	tr, err := Run(context.Background(), "default", cfg, f)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
 	}
@@ -342,7 +330,7 @@ func TestCancelRecordsPartialEpoch(t *testing.T) {
 	var last *Checkpoint
 	cfg := cfg1D(1000)
 	cfg.Checkpoint = CheckpointFunc(func(ck *Checkpoint) error { last = ck; return nil })
-	tr, err := NewStatic(cfg).Tune(ctx, f)
+	tr, err := Run(ctx, "default", cfg, f)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -563,7 +551,7 @@ func TestCheckpointSaveBytesAreFlat(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := NewCS(cfg).Tune(context.Background(), newFake(peaked(10))); err != nil {
+	if _, err := Run(context.Background(), "cs-tuner", cfg, newFake(peaked(10))); err != nil {
 		t.Fatal(err)
 	}
 	written := func(n int) int64 {
@@ -642,7 +630,7 @@ func TestCheckpointFailureIsFatal(t *testing.T) {
 	cfg := cfg1D(1000)
 	boom := errors.New("disk full")
 	cfg.Checkpoint = CheckpointFunc(func(*Checkpoint) error { return boom })
-	_, err := NewStatic(cfg).Tune(context.Background(), newFake(peaked(10)))
+	_, err := Run(context.Background(), "default", cfg, newFake(peaked(10)))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want the checkpoint write error", err)
 	}

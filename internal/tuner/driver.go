@@ -6,12 +6,60 @@ import (
 	"dstune/internal/xfer"
 )
 
+// Run tunes t with the named strategy until the transfer completes or
+// cfg.Budget is reached, and returns the per-epoch trace: ResolveStrategy
+// picks the cold, warm-started (cfg.History), two-phase or resumed
+// (cfg.Resume) form of the name, and a Driver runs it. It is the
+// blocking way to run a built-in strategy; a custom Strategy goes to
+// Driver.Run directly.
+func Run(ctx context.Context, name string, cfg Config, t xfer.Transferer) (*Trace, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	s, err := ResolveStrategy(name, cfg, cfg.History, cfg.HistoryKey)
+	if err != nil {
+		return nil, err
+	}
+	return NewDriver(cfg).Run(ctx, s, t)
+}
+
+// Session maps c onto the engine's two halves: the FleetConfig a
+// one-transfer session runs under and the FleetSession that has s tune
+// t, the way Driver.Run runs it — the transfer is left running when the
+// context is cancelled (PreserveOnCancel). id names the session (ID and
+// Name); empty leaves both to the strategy's name. Every door that
+// steps a Config's session — Driver.Run, dstune -fleet, dstuned —
+// builds it here and overrides only what it owns.
+func (c Config) Session(id string, s Strategy, t xfer.Transferer) (FleetConfig, FleetSession) {
+	return FleetConfig{
+			Epoch:                c.Epoch,
+			Budget:               c.Budget,
+			MaxTransientFailures: c.MaxTransientFailures,
+			History:              c.History,
+			PreserveOnCancel:     true,
+		}, FleetSession{
+			ID:             id,
+			Name:           id,
+			Strategy:       s,
+			Transfers:      []xfer.Transferer{t},
+			Maps:           []ParamMap{c.Map},
+			Checkpoint:     c.Checkpoint,
+			Seed:           c.Seed,
+			HistoryKey:     c.HistoryKey,
+			Resume:         c.Resume,
+			obs:            c.Obs,
+			drain:          c.Drain,
+			validateResume: c.ValidateResume,
+			bestCase:       c.ObserveBestCase,
+		}
+}
+
 // Driver runs one Strategy against one transfer to completion: the
 // blocking front door to the package's epoch engine (Fleet and
 // SessionRuntime are the other two). The engine paces the strategy one
 // control epoch at a time, enforces the time budget, tolerates
-// transient epoch failures, and checkpoints after every epoch. The
-// built-in tuners are Strategy + Driver compositions; custom
+// transient epoch failures, and checkpoints after every epoch. Run is
+// ResolveStrategy + Driver for the built-in strategies; custom
 // strategies get the same machinery through NewDriver directly.
 type Driver struct {
 	cfg Config
@@ -45,26 +93,7 @@ func (d *Driver) Run(ctx context.Context, s Strategy, t xfer.Transferer) (*Trace
 	if err := d.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg := d.cfg.withDefaults()
-	rt, err := NewSessionRuntime(FleetConfig{
-		Epoch:                cfg.Epoch,
-		Budget:               cfg.Budget,
-		MaxTransientFailures: cfg.MaxTransientFailures,
-		History:              cfg.History,
-		PreserveOnCancel:     true,
-	}, FleetSession{
-		Strategy:       s,
-		Transfers:      []xfer.Transferer{t},
-		Maps:           []ParamMap{cfg.Map},
-		Checkpoint:     cfg.Checkpoint,
-		Seed:           cfg.Seed,
-		HistoryKey:     cfg.HistoryKey,
-		Resume:         cfg.Resume,
-		obs:            cfg.Obs,
-		drain:          cfg.Drain,
-		validateResume: cfg.ValidateResume,
-		bestCase:       cfg.ObserveBestCase,
-	})
+	rt, err := NewSessionRuntime(d.cfg.Session("", s, t))
 	if err != nil {
 		return nil, err
 	}

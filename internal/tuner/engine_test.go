@@ -11,31 +11,23 @@ import (
 	"reflect"
 	"testing"
 
+	"dstune/internal/history"
 	"dstune/internal/obs"
 	"dstune/internal/xfer"
 )
 
 // runStepped is Driver.Run written against the exported engine: the
 // named strategy under a NewSessionRuntime stepped until it is done,
-// with the Config mapped field by field the way Driver.Run maps it. o,
-// when non-nil, observes the session under the strategy's name.
+// the session mapped from the Config by the one mapping Driver.Run
+// uses. o, when non-nil, observes the session under the strategy's
+// name.
 func runStepped(ctx context.Context, name string, cfg Config, o *obs.Observer, tr xfer.Transferer) (*Trace, error) {
-	scfg := cfg
-	scfg.Obs = o.Session(name) // the strategy's own events: ε-retriggers, RL actions
-	if cfg.Resume != nil {
-		scfg.Seed = cfg.Resume.Seed
-	}
-	s, err := NewStrategy(name, scfg)
+	cfg.Obs = o.Session(name)
+	s, err := ResolveStrategy(name, cfg, nil, history.Key{})
 	if err != nil {
 		return nil, err
 	}
-	rt, err := NewSessionRuntime(FleetConfig{
-		Epoch: cfg.Epoch, Budget: cfg.Budget, MaxTransientFailures: cfg.MaxTransientFailures,
-		Obs: o, PreserveOnCancel: true,
-	}, FleetSession{
-		ID: name, Strategy: s, Transfers: []xfer.Transferer{tr}, Maps: []ParamMap{cfg.Map},
-		Checkpoint: cfg.Checkpoint, Seed: cfg.Seed, Resume: cfg.Resume, drain: cfg.Drain,
-	})
+	rt, err := NewSessionRuntime(cfg.Session(name, s, tr))
 	if err != nil {
 		return nil, err
 	}
@@ -85,10 +77,7 @@ func TestDriverMatchesSessionRuntime(t *testing.T) {
 					out.trace, err = runStepped(context.Background(), name, cfg, o, simTransfer(t, seed))
 				} else {
 					cfg.Obs = o.Session(name)
-					var tn Tuner
-					if tn, err = NewNamed(name, cfg); err == nil {
-						out.trace, err = tn.Tune(context.Background(), simTransfer(t, seed))
-					}
+					out.trace, err = Run(context.Background(), name, cfg, simTransfer(t, seed))
 				}
 				if err != nil {
 					t.Fatal(err)

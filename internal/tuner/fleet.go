@@ -37,10 +37,10 @@ type FleetConfig struct {
 	// PreserveOnCancel leaves a session's transfers running (not
 	// stopped) when the session ends on context cancellation — at a
 	// round boundary or mid-epoch — so the owner can checkpoint-resume
-	// them later. Driver.Run and supervisors (dstuned) set it; the
-	// default (false) stops the transfers, which is what Joint and the
-	// fleet CLI want: nothing of theirs outlives the process. A session
-	// ended by ErrInterrupted keeps its transfers either way.
+	// them later. Config.Session sets it, and so Driver.Run and dstuned
+	// run under it; the default (false) stops the transfers, which is
+	// what a fixed fleet wants: nothing of it outlives the process. A
+	// session ended by ErrInterrupted keeps its transfers either way.
 	PreserveOnCancel bool
 }
 
@@ -104,8 +104,8 @@ type FleetSession struct {
 	// support resumption.
 	Resume *Checkpoint
 
-	// The rest is what Driver.Run hands down from its Config, which has
-	// no counterpart in FleetConfig.
+	// The rest is what Config.Session hands down from a Config, which
+	// has no counterpart in FleetConfig.
 
 	// obs replaces FleetConfig.Obs.Session(id) as the session's view.
 	obs *obs.SessionObs
@@ -197,10 +197,9 @@ type SessionResult struct {
 // There is one epoch engine in this package and Fleet is one of its
 // three front doors: Fleet.Run runs a fixed set of sessions to
 // completion, SessionRuntime steps one session at a supervisor's pace,
-// and Driver.Run is a one-transfer session stepped until it is done
-// (the Joint tuner is a one-session Fleet). A session behaves the same
-// behind each of them: the same resume, transient tolerance,
-// checkpoints, events and accounting.
+// and Driver.Run is a one-transfer session stepped until it is done. A
+// session behaves the same behind each of them: the same resume,
+// transient tolerance, checkpoints, events and accounting.
 type Fleet struct {
 	cfg      FleetConfig
 	sessions []FleetSession

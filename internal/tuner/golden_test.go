@@ -52,17 +52,8 @@ func goldenCases() []goldenCase {
 	}
 }
 
-func goldenTuners() map[string]func(Config) Tuner {
-	return map[string]func(Config) Tuner{
-		"default":  func(c Config) Tuner { return NewStatic(c) },
-		"cd-tuner": func(c Config) Tuner { return NewCD(c) },
-		"cs-tuner": NewCS,
-		"nm-tuner": NewNM,
-		"heur1":    func(c Config) Tuner { return NewHeur1(c) },
-		"heur2":    func(c Config) Tuner { return NewHeur2(c) },
-		"model":    func(c Config) Tuner { return NewModel(c) },
-	}
-}
+// goldenTuners names the tuners whose traces are pinned.
+var goldenTuners = []string{"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model"}
 
 // TestGoldenTraces is the refactor-equivalence property: for every
 // tuner and pinned world, the produced trace must match the byte-level
@@ -70,9 +61,9 @@ func goldenTuners() map[string]func(Config) Tuner {
 // implementation.
 func TestGoldenTraces(t *testing.T) {
 	for _, gc := range goldenCases() {
-		for name, mk := range goldenTuners() {
+		for _, name := range goldenTuners {
 			t.Run(gc.name+"/"+name, func(t *testing.T) {
-				tr, err := mk(gc.cfg).Tune(t.Context(), simTransfer(t, gc.seed))
+				tr, err := Run(t.Context(), name, gc.cfg, simTransfer(t, gc.seed))
 				if err != nil {
 					t.Fatal(err)
 				}

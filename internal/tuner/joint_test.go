@@ -82,59 +82,76 @@ func (m *sharedMember) Remaining() float64 { return m.remaining }
 func (m *sharedMember) Now() float64       { return m.now }
 func (m *sharedMember) Stop()              { m.stopped = true }
 
-func jointCfg(budget float64) JointConfig {
-	return JointConfig{
-		Epoch:  10,
-		Box:    directsearch.MustBox([]int{1, 1}, []int{64, 64}),
-		Start:  []int{2, 2},
-		Dims:   []int{1, 1},
-		Maps:   []ParamMap{MapNC(1), MapNC(1)},
-		Budget: budget,
-		Seed:   1,
+// jointSession is a joint session over the pool's two transfers: the
+// named search (cs-tuner or nm-tuner) over the concatenated vector
+// [nc0, nc1], each transfer taking one coordinate.
+func jointSession(t *testing.T, strategy string, pool *sharedFake) FleetSession {
+	t.Helper()
+	s, err := NewStrategy(strategy, Config{
+		Epoch: 10,
+		Box:   directsearch.MustBox([]int{1, 1}, []int{64, 64}),
+		Start: []int{2, 2},
+		Seed:  1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FleetSession{
+		Name:      "joint",
+		Strategy:  s,
+		Transfers: []xfer.Transferer{pool.member(0), pool.member(1)},
+		Dims:      []int{1, 1},
+		Maps:      []ParamMap{MapNC(1), MapNC(1)},
 	}
 }
 
-func TestJointConfigValidation(t *testing.T) {
-	good := jointCfg(100)
-	if err := good.Validate(); err != nil {
-		t.Fatalf("valid config rejected: %v", err)
+// runJoint runs one joint session the way a joint run is configured —
+// the first failed epoch of any kind ends it — and returns its result.
+func runJoint(t *testing.T, budget float64, session FleetSession) SessionResult {
+	t.Helper()
+	results, err := NewFleet(FleetConfig{Epoch: 10, Budget: budget, MaxTransientFailures: 1}, session).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	bad := good
-	bad.Dims = nil
-	if bad.Validate() == nil {
-		t.Fatal("empty dims accepted")
+	return results[0]
+}
+
+func TestJointSessionValidation(t *testing.T) {
+	pool := &sharedFake{capacity: 1e9, quad: 1e-4}
+	run := func(mutate func(*FleetSession)) error {
+		session := jointSession(t, "cs-tuner", pool)
+		mutate(&session)
+		_, err := NewFleet(FleetConfig{Epoch: 10, Budget: 100}, session).Run(context.Background())
+		return err
 	}
-	bad = good
-	bad.Maps = []ParamMap{MapNC(1)}
-	if bad.Validate() == nil {
-		t.Fatal("map count mismatch accepted")
+	if err := run(func(*FleetSession) {}); err != nil {
+		t.Fatalf("valid session rejected: %v", err)
 	}
-	bad = good
-	bad.Weights = []float64{1}
-	if bad.Validate() == nil {
-		t.Fatal("weight count mismatch accepted")
+	for name, mutate := range map[string]func(*FleetSession){
+		"empty dims":            func(s *FleetSession) { s.Dims = nil },
+		"map count mismatch":    func(s *FleetSession) { s.Maps = s.Maps[:1] },
+		"weight count mismatch": func(s *FleetSession) { s.Weights = []float64{1} },
+		"zero dim":              func(s *FleetSession) { s.Dims = []int{1, 0} },
+		"nil map":               func(s *FleetSession) { s.Maps = []ParamMap{nil, MapNC(1)} },
+	} {
+		if run(mutate) == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	bad = good
-	bad.Dims = []int{1, 0}
-	if bad.Validate() == nil {
-		t.Fatal("zero dim accepted")
-	}
-	bad = good
-	bad.Maps = []ParamMap{nil, MapNC(1)}
-	if bad.Validate() == nil {
-		t.Fatal("nil map accepted")
-	}
-	bad = good
-	bad.Start = []int{1}
-	if bad.Validate() == nil {
-		t.Fatal("start width mismatch accepted")
+	// A box whose width disagrees with Dims passes validation — the
+	// strategy's width is its own — and fails the session's first round.
+	session := jointSession(t, "cs-tuner", pool)
+	session.Dims = []int{1, 2}
+	if res := runJoint(t, 100, session); res.Err == nil || len(res.Traces[0].Results) != 0 {
+		t.Fatalf("width mismatch: err %v after %d epochs, want an error before the first", res.Err, len(res.Traces[0].Results))
 	}
 }
 
 func TestJointTuneWrongTransferCount(t *testing.T) {
 	pool := &sharedFake{capacity: 1e9, quad: 1e-4}
-	_, err := NewJointCS(jointCfg(100)).Tune(context.Background(), []xfer.Transferer{pool.member(0)})
-	if err == nil {
+	session := jointSession(t, "cs-tuner", pool)
+	session.Transfers = session.Transfers[:1]
+	if _, err := NewFleet(FleetConfig{Epoch: 10, Budget: 100}, session).Run(context.Background()); err == nil {
 		t.Fatal("transfer count mismatch accepted")
 	}
 }
@@ -143,15 +160,15 @@ func TestJointFindsSharedOptimum(t *testing.T) {
 	// Aggregate = capacity / (1 + quad*total^2) is maximized by the
 	// SMALLEST total stream count; independent greedy tuners would
 	// race upward. Joint tuning must keep the total low.
-	for _, mk := range []func(JointConfig) *Joint{NewJointCS, NewJointNM} {
+	for _, name := range []string{"cs-tuner", "nm-tuner"} {
 		pool := &sharedFake{capacity: 1e9, quad: 1.0 / 256} // optimum: total -> minimal
-		j := mk(jointCfg(2400))
-		traces, err := j.Tune(context.Background(), []xfer.Transferer{pool.member(0), pool.member(1)})
-		if err != nil {
-			t.Fatalf("%s: %v", j.Name(), err)
+		res := runJoint(t, 2400, jointSession(t, name, pool))
+		if res.Err != nil {
+			t.Fatalf("%s: %v", name, res.Err)
 		}
+		traces := res.Traces
 		if len(traces) != 2 {
-			t.Fatalf("%s: %d traces", j.Name(), len(traces))
+			t.Fatalf("%s: %d traces", name, len(traces))
 		}
 		// Greedy independent tuners would race toward the 64+64
 		// bound; the joint objective keeps the total an order of
@@ -159,25 +176,21 @@ func TestJointFindsSharedOptimum(t *testing.T) {
 		// steps of the true minimum once gains drop under ε).
 		total := traces[0].FinalX()[0] + traces[1].FinalX()[0]
 		if total > 16 {
-			t.Errorf("%s: final total streams %d, want small (joint optimum)", j.Name(), total)
+			t.Errorf("%s: final total streams %d, want small (joint optimum)", name, total)
 		}
 	}
 }
 
 func TestJointInteriorOptimum(t *testing.T) {
-	// With a milder penalty the joint optimum is interior: aggregate
-	// n/(1+q*n^2) peaks at n = 1/sqrt(q) = 16.
 	pool := &sharedFake{capacity: 1e9, quad: 1.0 / 256}
-	// Rescale: make member throughput proportional to demand to give
-	// an interior peak for the total.
-	pool.capacity = 1e9
-	cfg := jointCfg(2400)
-	j := NewJointCS(cfg)
-	traces, err := j.Tune(context.Background(), []xfer.Transferer{pool.member(0), pool.member(1)})
-	if err != nil {
-		t.Fatal(err)
+	res := runJoint(t, 2400, jointSession(t, "cs-tuner", pool))
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	for i, tr := range traces {
+	for i, tr := range res.Traces {
+		if tr.Tuner != "joint" {
+			t.Fatalf("transfer %d's trace is labelled %q, want the session's name", i, tr.Tuner)
+		}
 		if tr.MeanThroughput() <= 0 {
 			t.Fatalf("transfer %d made no progress", i)
 		}
@@ -189,13 +202,13 @@ func TestJointInteriorOptimum(t *testing.T) {
 
 func TestJointBudget(t *testing.T) {
 	pool := &sharedFake{capacity: 1e9, quad: 1e-6}
-	traces, err := NewJointNM(jointCfg(200)).Tune(context.Background(), []xfer.Transferer{pool.member(0), pool.member(1)})
-	if err != nil {
-		t.Fatal(err)
+	res := runJoint(t, 200, jointSession(t, "nm-tuner", pool))
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
 	// 200 s budget at 10 s epochs: exactly 20 joint epochs per
 	// transfer.
-	for i, tr := range traces {
+	for i, tr := range res.Traces {
 		if len(tr.Results) != 20 {
 			t.Fatalf("transfer %d ran %d epochs, want 20", i, len(tr.Results))
 		}
@@ -204,12 +217,14 @@ func TestJointBudget(t *testing.T) {
 
 func TestJointStopsTransfers(t *testing.T) {
 	pool := &sharedFake{capacity: 1e9, quad: 1e-6}
-	m0, m1 := pool.member(0), pool.member(1)
-	if _, err := NewJointCS(jointCfg(100)).Tune(context.Background(), []xfer.Transferer{m0, m1}); err != nil {
-		t.Fatal(err)
+	session := jointSession(t, "cs-tuner", pool)
+	if res := runJoint(t, 100, session); res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	if !m0.stopped || !m1.stopped {
-		t.Fatal("joint tuner did not stop its transfers")
+	for i, tr := range session.Transfers {
+		if !tr.(*sharedMember).stopped {
+			t.Fatalf("joint session did not stop transfer %d", i)
+		}
 	}
 }
 
@@ -217,19 +232,62 @@ func TestJointWeights(t *testing.T) {
 	// All weight on transfer 0: the aggregate ignores transfer 1, so
 	// the search maximizes member 0's share — which grows with its
 	// own demand. Expect x0 to climb well above x1's influence.
-	cfg := jointCfg(2400)
-	cfg.Weights = []float64{1, 0}
 	pool := &sharedFake{capacity: 1e9, quad: 1e-7} // negligible penalty
-	traces, err := NewJointCS(cfg).Tune(context.Background(), []xfer.Transferer{pool.member(0), pool.member(1)})
-	if err != nil {
-		t.Fatal(err)
+	session := jointSession(t, "cs-tuner", pool)
+	session.Weights = []float64{1, 0}
+	res := runJoint(t, 2400, session)
+	if res.Err != nil {
+		t.Fatal(res.Err)
 	}
-	x0 := traces[0].FinalX()[0]
-	x1 := traces[1].FinalX()[0]
+	x0 := res.Traces[0].FinalX()[0]
+	x1 := res.Traces[1].FinalX()[0]
 	// x0 climbs until its share gains fall under the 5% tolerance;
 	// x1 has no effect on the aggregate and stays put.
 	if x0 < 16 || x0 < 3*x1 {
 		t.Fatalf("weighted joint tuner: x0=%d x1=%d; expected x0 to dominate", x0, x1)
+	}
+}
+
+// TestJointFirstFailedEpochEndsRun: under the joint configuration
+// (MaxTransientFailures 1) one transfer's first failed epoch — even a
+// transient one — ends the session with that error, keeps one trace per
+// transfer holding only the epochs settled before it, stops both
+// transfers, and leaves a sibling session of the same fleet to run out
+// its budget.
+func TestJointFirstFailedEpochEndsRun(t *testing.T) {
+	healthy, failing := &flaky{}, &flaky{failRuns: map[int]bool{3: true}}
+	joint := jointSession(t, "nm-tuner", &sharedFake{})
+	joint.Transfers = []xfer.Transferer{healthy, failing}
+	scfg := cfg1D(0)
+	results, err := NewFleet(FleetConfig{Epoch: 10, Budget: 100, MaxTransientFailures: 1},
+		joint,
+		FleetSession{
+			Name:      "sibling",
+			Strategy:  NewCSStrategy(scfg),
+			Transfers: []xfer.Transferer{&flaky{}},
+			Maps:      []ParamMap{scfg.Map},
+		},
+	).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := results[0]
+	if !xfer.IsTransient(res.Err) {
+		t.Fatalf("joint session ended with %v, want the transient failure of its third epoch", res.Err)
+	}
+	if len(res.Traces) != 2 {
+		t.Fatalf("joint session has %d traces, want one per transfer", len(res.Traces))
+	}
+	for i, tr := range res.Traces {
+		if len(tr.Results) != 2 {
+			t.Errorf("transfer %d recorded %d epochs, want the 2 settled before the failure", i, len(tr.Results))
+		}
+	}
+	if !healthy.stopped || !failing.stopped {
+		t.Error("failed joint session left a transfer running")
+	}
+	if results[1].Err != nil || len(results[1].Traces[0].Results) != 10 {
+		t.Errorf("sibling session: err %v after %d epochs, want 10 clean epochs", results[1].Err, len(results[1].Traces[0].Results))
 	}
 }
 

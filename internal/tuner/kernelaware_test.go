@@ -89,15 +89,17 @@ func TestKernelAwareRegistration(t *testing.T) {
 	if s.Name() != "kernel-aware:default" {
 		t.Fatalf("Name() = %q, want kernel-aware:default", s.Name())
 	}
-	if got := canonicalName("warm:kernel-aware:static"); got != "warm:kernel-aware:default" {
-		t.Fatalf("canonicalName = %q", got)
-	}
-	w, err := NewStrategy("warm:kernel-aware:cs-tuner", kernelCfg(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Name() != "warm:kernel-aware:cs-tuner" {
-		t.Fatalf("composed Name() = %q", w.Name())
+	for name, want := range map[string]string{
+		"warm:kernel-aware:static":   "warm:kernel-aware:default",
+		"warm:kernel-aware:cs-tuner": "warm:kernel-aware:cs-tuner",
+	} {
+		w, err := NewStrategy(name, kernelCfg(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.Name() != want {
+			t.Fatalf("NewStrategy(%q).Name() = %q, want %q", name, w.Name(), want)
+		}
 	}
 }
 

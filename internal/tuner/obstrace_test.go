@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"dstune/internal/history"
 	"dstune/internal/obs"
 )
 
@@ -25,28 +24,17 @@ func TestGoldenEventTrace(t *testing.T) {
 	gc := goldenCases()[0] // the 1-D world, long enough for the search to settle
 	cases := []struct {
 		tuner string
-		mk    func(Config) Tuner
+		warm  bool
 	}{
-		{"cs-tuner", NewCS},
+		{"cs-tuner", false},
 		// The model tuner's hold phase retriggers the ε-monitor on this
 		// world, so its fixture locks the RetriggerEpsilon event too.
-		{"model", func(c Config) Tuner { return NewModel(c) }},
+		{"model", false},
 		// The warm case runs cs-tuner over a preloaded memory store, so
 		// its fixture locks the leading WarmStart hit event and the
 		// prediction-first proposal. The label avoids ':' because it is
 		// spliced into artifact and fixture filenames.
-		{"warm-cs-tuner", func(c Config) Tuner {
-			key := history.Key{Endpoint: "golden", SizeClass: -1, LoadClass: 0}
-			store := history.NewMemStore()
-			if err := store.Add(history.Record{Key: key, X: []int{14}, Throughput: 3e8, Tuner: "cs-tuner", Epochs: 12}); err != nil {
-				panic(err)
-			}
-			w, err := NewWarm("cs-tuner", c, store, key)
-			if err != nil {
-				panic(err)
-			}
-			return w
-		}},
+		{"warm-cs-tuner", true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.tuner, func(t *testing.T) {
@@ -54,7 +42,12 @@ func TestGoldenEventTrace(t *testing.T) {
 			cfg := gc.cfg
 			cfg.Obs = observer.Session("e2e")
 			cfg.Checkpoint = CheckpointFunc(func(*Checkpoint) error { return nil })
-			if _, err := tc.mk(cfg).Tune(t.Context(), simTransfer(t, gc.seed)); err != nil {
+			name := tc.tuner
+			if tc.warm {
+				name = "cs-tuner"
+				cfg.History, cfg.HistoryKey = seededStore(t, []int{14}), simKey()
+			}
+			if _, err := Run(t.Context(), name, cfg, simTransfer(t, gc.seed)); err != nil {
 				t.Fatal(err)
 			}
 

@@ -68,7 +68,7 @@ func TestRunnerToleratesConsecutiveTransients(t *testing.T) {
 				Budget:               10,
 				MaxTransientFailures: maxFail,
 			}
-			tr, err := NewStatic(cfg).Tune(context.Background(), f)
+			tr, err := Run(context.Background(), "default", cfg, f)
 			if tc.wantErr {
 				if err == nil {
 					t.Fatal("n consecutive transient failures did not abort")
@@ -108,7 +108,7 @@ func TestFatalErrorStillAborts(t *testing.T) {
 		Map:    MapNC(1),
 		Budget: 10,
 	}
-	_, err := NewStatic(cfg).Tune(context.Background(), f)
+	_, err := Run(context.Background(), "default", cfg, f)
 	if err == nil {
 		t.Fatal("fatal error did not abort tuning")
 	}
@@ -131,7 +131,7 @@ func TestZeroEpochReTriggersSearch(t *testing.T) {
 		Lambda: 2,
 		Seed:   1,
 	}
-	tr, err := NewCS(cfg).Tune(context.Background(), f)
+	tr, err := Run(context.Background(), "cs-tuner", cfg, f)
 	if err != nil {
 		t.Fatalf("cs-tuner died on a single transient outage: %v", err)
 	}
@@ -169,13 +169,6 @@ func TestToleranceSentinels(t *testing.T) {
 			if got.Lambda != tc.wantLambda {
 				t.Fatalf("Lambda resolved to %v, want %v", got.Lambda, tc.wantLambda)
 			}
-
-			jcfg := JointConfig{Tolerance: tc.tol, Lambda: tc.lambda}
-			jgot := jcfg.withDefaults()
-			if jgot.Tolerance != tc.wantTol || jgot.Lambda != tc.wantLambda {
-				t.Fatalf("JointConfig resolved (%v, %v), want (%v, %v)",
-					jgot.Tolerance, jgot.Lambda, tc.wantTol, tc.wantLambda)
-			}
 		})
 	}
 }
@@ -197,7 +190,7 @@ func TestNoToleranceMakesEveryChangeSignificant(t *testing.T) {
 			Map:       MapNC(1),
 			Budget:    30,
 		}
-		tr, err := NewCD(cfg).Tune(context.Background(), f)
+		tr, err := Run(context.Background(), "cd-tuner", cfg, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,11 +129,7 @@ func TestGoldenRLEventTrace(t *testing.T) {
 	cfg := simCfg()
 	cfg.Obs = observer.Session("e2e")
 	cfg.Checkpoint = CheckpointFunc(func(*Checkpoint) error { return nil })
-	tn, err := NewNamed("rl-q", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tn.Tune(t.Context(), simLoadedTransfer(t, 11)); err != nil {
+	if _, err := Run(t.Context(), "rl-q", cfg, simLoadedTransfer(t, 11)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -16,10 +16,11 @@ const (
 	searchPhaseMonitor = "monitor" // holding the incumbent under the ε-monitor
 )
 
-// Inner-search kinds of SearchStrategy.
+// Inner-search kinds of SearchStrategy, each the name its strategy
+// reports.
 const (
-	searchKindCompass = "compass"
-	searchKindNM      = "nm"
+	searchKindCompass = "cs-tuner"
+	searchKindNM      = "nm-tuner"
 )
 
 // SearchState is the serializable state of cs-tuner and nm-tuner: the
@@ -52,7 +53,6 @@ type SearchState struct {
 // search again.
 type SearchStrategy struct {
 	cfg  Config
-	name string
 	kind string
 	x0   []int
 	rng  *sim.RNG
@@ -63,13 +63,11 @@ type SearchStrategy struct {
 	monitor Monitor
 }
 
-// newSearchStrategy builds the shared cs/nm frame under the given
-// name (the Joint tuner reuses it as "joint-cs"/"joint-nm").
-func newSearchStrategy(name, kind string, cfg Config) *SearchStrategy {
+// newSearchStrategy builds the shared cs/nm frame.
+func newSearchStrategy(kind string, cfg Config) *SearchStrategy {
 	cfg = cfg.withDefaults()
 	s := &SearchStrategy{
 		cfg:     cfg,
-		name:    name,
 		kind:    kind,
 		x0:      cfg.Box.ClampInt(cfg.Start),
 		rng:     sim.NewRNG(cfg.Seed),
@@ -82,12 +80,12 @@ func newSearchStrategy(name, kind string, cfg Config) *SearchStrategy {
 
 // NewCSStrategy returns the compass-search strategy of Algorithm 2.
 func NewCSStrategy(cfg Config) *SearchStrategy {
-	return newSearchStrategy("cs-tuner", searchKindCompass, cfg)
+	return newSearchStrategy(searchKindCompass, cfg)
 }
 
 // NewNMStrategy returns the Nelder–Mead strategy of Algorithm 3.
 func NewNMStrategy(cfg Config) *SearchStrategy {
-	return newSearchStrategy("nm-tuner", searchKindNM, cfg)
+	return newSearchStrategy(searchKindNM, cfg)
 }
 
 // newSearch builds a fresh inner search from a starting vector.
@@ -141,7 +139,7 @@ func (s *SearchStrategy) advance() {
 }
 
 // Name implements Strategy.
-func (s *SearchStrategy) Name() string { return s.name }
+func (s *SearchStrategy) Name() string { return s.kind }
 
 // Propose implements Strategy.
 func (s *SearchStrategy) Propose() ([]int, bool) {
@@ -183,7 +181,7 @@ func (s *SearchStrategy) Snapshot() (json.RawMessage, error) {
 	}
 	rng, err := s.rng.MarshalBinary()
 	if err != nil {
-		return nil, fmt.Errorf("tuner: %s snapshot: %w", s.name, err)
+		return nil, fmt.Errorf("tuner: %s snapshot: %w", s.kind, err)
 	}
 	st.RNG = rng
 	switch srch := s.srch.(type) {
@@ -201,12 +199,12 @@ func (s *SearchStrategy) Snapshot() (json.RawMessage, error) {
 func (s *SearchStrategy) Restore(raw json.RawMessage) error {
 	var st SearchState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: %s state: %w", s.name, err)
+		return fmt.Errorf("tuner: %s state: %w", s.kind, err)
 	}
 	rng := sim.NewRNG(s.cfg.Seed)
 	if len(st.RNG) > 0 {
 		if err := rng.UnmarshalBinary(st.RNG); err != nil {
-			return fmt.Errorf("tuner: %s state rng: %w", s.name, err)
+			return fmt.Errorf("tuner: %s state rng: %w", s.kind, err)
 		}
 	}
 	var srch directsearch.Searcher
@@ -219,10 +217,10 @@ func (s *SearchStrategy) Restore(raw json.RawMessage) error {
 		}
 	case searchPhaseMonitor:
 		if len(st.X) != s.cfg.Box.Dim() {
-			return fmt.Errorf("tuner: %s state incumbent has %d dims, box has %d", s.name, len(st.X), s.cfg.Box.Dim())
+			return fmt.Errorf("tuner: %s state incumbent has %d dims, box has %d", s.kind, len(st.X), s.cfg.Box.Dim())
 		}
 	default:
-		return fmt.Errorf("tuner: %s state has unknown phase %q", s.name, st.Phase)
+		return fmt.Errorf("tuner: %s state has unknown phase %q", s.kind, st.Phase)
 	}
 	st.Monitor.Tolerance = s.cfg.Tolerance
 	s.phase = st.Phase
@@ -240,18 +238,18 @@ func (s *SearchStrategy) restoreSearch(st SearchState, rng *sim.RNG) (directsear
 	switch s.kind {
 	case searchKindNM:
 		if st.NM == nil {
-			return nil, fmt.Errorf("tuner: %s state is mid-search but has no nm state", s.name)
+			return nil, fmt.Errorf("tuner: %s state is mid-search but has no nm state", s.kind)
 		}
 		if !st.NM.Pending.Set {
-			return nil, fmt.Errorf("tuner: %s state is mid-search with no pending candidate", s.name)
+			return nil, fmt.Errorf("tuner: %s state is mid-search with no pending candidate", s.kind)
 		}
 		return directsearch.NewNelderMeadFromState(*st.NM, s.cfg.Box, s.nmConfig())
 	default:
 		if st.Compass == nil {
-			return nil, fmt.Errorf("tuner: %s state is mid-search but has no compass state", s.name)
+			return nil, fmt.Errorf("tuner: %s state is mid-search but has no compass state", s.kind)
 		}
 		if !st.Compass.Pending.Set {
-			return nil, fmt.Errorf("tuner: %s state is mid-search with no pending candidate", s.name)
+			return nil, fmt.Errorf("tuner: %s state is mid-search with no pending candidate", s.kind)
 		}
 		return directsearch.NewCompassFromState(*st.Compass, s.cfg.Box, directsearch.CompassConfig{
 			Lambda: s.cfg.Lambda,

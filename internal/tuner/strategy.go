@@ -91,17 +91,19 @@ func NewStrategy(name string, cfg Config) (Strategy, error) {
 // none) and the session's key in it — the one place a session's owner
 // decides between the cold, warm and resumed forms:
 //
-//   - cfg.Resume set: the strategy the checkpoint names, built cold. The
-//     checkpointed state is authoritative (a store-wrapped run
-//     checkpoints as "warm:<inner>" with its prediction inside), so the
-//     store is never consulted again.
+//   - cfg.Resume set: the strategy the checkpoint names, built cold under
+//     the checkpoint's seed (so its RNG is the one the recorded run
+//     drew from). The checkpointed state is authoritative (a
+//     store-wrapped run checkpoints as "warm:<inner>" with its
+//     prediction inside), so neither name nor store is consulted.
 //   - "two-phase": its coarse candidates are seeded from the store.
 //   - "warm:<inner>", or any other name with a store: the inner strategy
 //     warm-started from the store (cold under the warm name without one).
 //   - otherwise the plain named strategy.
 func ResolveStrategy(name string, cfg Config, store *history.Store, key history.Key) (Strategy, error) {
-	if cfg.Resume != nil {
-		return NewStrategy(cfg.Resume.Tuner, cfg)
+	if ck := cfg.Resume; ck != nil {
+		cfg.Seed = ck.Seed
+		return NewStrategy(ck.Tuner, cfg)
 	}
 	inner, warm := strings.CutPrefix(name, "warm:")
 	switch {

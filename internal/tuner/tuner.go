@@ -14,7 +14,6 @@
 package tuner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -194,7 +193,7 @@ type Config struct {
 	// state is deserialized directly — an O(1) continuation, no epoch
 	// is replayed — the recorded trace is preloaded, and live tuning
 	// continues mid-trajectory from the first unrecorded epoch. The
-	// checkpoint's seed overrides Seed. The transfer passed to Tune
+	// checkpoint's seed overrides Seed. The transfer passed to Run
 	// must carry the checkpoint's remaining bytes and clock (see
 	// xfer.TransferState and Checkpoint.Transfer).
 	Resume *Checkpoint
@@ -207,7 +206,7 @@ type Config struct {
 	// Drain, when non-nil, requests a graceful stop: once the channel
 	// is closed, tuning finishes the in-flight control epoch, writes a
 	// final checkpoint, leaves the transfer running, and returns
-	// ErrInterrupted. Cancelling the Tune context instead aborts the
+	// ErrInterrupted. Cancelling Run's context instead aborts the
 	// in-flight epoch immediately.
 	Drain <-chan struct{}
 	// Obs, when non-nil, receives the run's observations: per-epoch
@@ -216,9 +215,10 @@ type Config struct {
 	// served by /status. Nil — the default — disables observation at
 	// zero cost; see the obs package and OBSERVABILITY.md.
 	Obs *obs.SessionObs
-	// History, when non-nil, is the knowledge plane a run records
-	// into: a run with a HistoryKey that ends cleanly appends its best
-	// epoch, as FleetConfig.History has a fleet session do.
+	// History, when non-nil, is the run's knowledge plane: Run
+	// warm-starts the named strategy from it (ResolveStrategy), and a
+	// run with a HistoryKey that ends cleanly appends its best epoch,
+	// as FleetConfig.History has a fleet session do.
 	History *history.Store
 	// HistoryKey, when non-zero, is the run's identity in History, as
 	// FleetSession.HistoryKey is a fleet session's.
@@ -420,22 +420,6 @@ func (tr *Trace) FinalX() []int {
 		return nil
 	}
 	return tr.Results[len(tr.Results)-1].X
-}
-
-// Tuner adapts a transfer's parameters over its lifetime.
-type Tuner interface {
-	// Name returns the tuner's conventional name, e.g. "cs-tuner".
-	Name() string
-	// Tune drives the transfer until it completes or the budget is
-	// reached, then stops it and returns the per-epoch trace.
-	//
-	// Cancelling ctx aborts the in-flight epoch promptly and returns
-	// the trace so far with the context's error; closing Config.Drain
-	// instead finishes the in-flight epoch first and returns
-	// ErrInterrupted. Either way a final checkpoint is written (when
-	// configured) and the transfer is left running — not stopped — so
-	// a later run can resume it.
-	Tune(ctx context.Context, t xfer.Transferer) (*Trace, error)
 }
 
 // delta returns the paper's relative change 100*(f1-f0)/f0 in percent,

@@ -94,9 +94,8 @@ func newFake(g func(xfer.Params, float64) float64) *fake {
 	return &fake{remaining: 1e18, g: g}
 }
 
-func allTuners(cfg Config) []Tuner {
-	return []Tuner{NewCD(cfg), NewCS(cfg), NewNM(cfg), NewHeur1(cfg), NewHeur2(cfg), NewStatic(cfg)}
-}
+// allTuners names the paper's tuners and baselines.
+var allTuners = []string{"cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "default"}
 
 func TestConfigValidation(t *testing.T) {
 	good := cfg1D(100)
@@ -126,28 +125,28 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestTuneRejectsBadConfig(t *testing.T) {
-	for _, tn := range allTuners(Config{}) {
-		if _, err := tn.Tune(context.Background(), newFake(peaked(10))); err == nil {
-			t.Errorf("%s: bad config accepted", tn.Name())
+	for _, name := range allTuners {
+		if _, err := Run(context.Background(), name, Config{}, newFake(peaked(10))); err == nil {
+			t.Errorf("%s: bad config accepted", name)
 		}
 	}
 }
 
 func TestNames(t *testing.T) {
-	want := map[string]bool{
-		"cd-tuner": true, "cs-tuner": true, "nm-tuner": true,
-		"heur1": true, "heur2": true, "default": true,
-	}
-	for _, tn := range allTuners(cfg1D(10)) {
-		if !want[tn.Name()] {
-			t.Errorf("unexpected name %q", tn.Name())
+	for _, name := range append([]string{"model"}, allTuners...) {
+		s, err := NewStrategy(name, cfg1D(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Name() != name {
+			t.Errorf("NewStrategy(%q) reports name %q", name, s.Name())
 		}
 	}
 }
 
 func TestStaticHoldsParams(t *testing.T) {
 	f := newFake(peaked(10))
-	tr, err := NewStatic(cfg1D(100)).Tune(context.Background(), f)
+	tr, err := Run(context.Background(), "default", cfg1D(100), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,40 +167,40 @@ func TestStaticHoldsParams(t *testing.T) {
 }
 
 func TestBudgetRespected(t *testing.T) {
-	for _, tn := range allTuners(cfg1D(120)) {
+	for _, name := range allTuners {
 		f := newFake(peaked(10))
-		tr, err := tn.Tune(context.Background(), f)
+		tr, err := Run(context.Background(), name, cfg1D(120), f)
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got := len(tr.Results); got != 12 {
-			t.Errorf("%s: %d epochs, want 12", tn.Name(), got)
+			t.Errorf("%s: %d epochs, want 12", name, got)
 		}
 		if !f.stopped {
-			t.Errorf("%s: transfer not stopped", tn.Name())
+			t.Errorf("%s: transfer not stopped", name)
 		}
 	}
 }
 
 func TestTunersBeatDefaultOnPeakedObjective(t *testing.T) {
-	base, err := NewStatic(cfg1D(600)).Tune(context.Background(), newFake(peaked(20)))
+	base, err := Run(context.Background(), "default", cfg1D(600), newFake(peaked(20)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseMean := base.SteadyThroughput(300)
-	for _, tn := range []Tuner{NewCD(cfg1D(600)), NewCS(cfg1D(600)), NewNM(cfg1D(600)), NewHeur1(cfg1D(600)), NewHeur2(cfg1D(600))} {
-		tr, err := tn.Tune(context.Background(), newFake(peaked(20)))
+	for _, name := range []string{"cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2"} {
+		tr, err := Run(context.Background(), name, cfg1D(600), newFake(peaked(20)))
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got := tr.SteadyThroughput(300); got < 3*baseMean {
-			t.Errorf("%s: steady %v not >= 3x default %v", tn.Name(), got, baseMean)
+			t.Errorf("%s: steady %v not >= 3x default %v", name, got, baseMean)
 		}
 	}
 }
 
 func TestCDHoversAtPeak(t *testing.T) {
-	tr, err := NewCD(cfg1D(600)).Tune(context.Background(), newFake(peaked(10)))
+	tr, err := Run(context.Background(), "cd-tuner", cfg1D(600), newFake(peaked(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +212,14 @@ func TestCDHoversAtPeak(t *testing.T) {
 }
 
 func TestSearchTunersConvergeNearPeak(t *testing.T) {
-	for _, tn := range []Tuner{NewCS(cfg1D(900)), NewNM(cfg1D(900))} {
-		tr, err := tn.Tune(context.Background(), newFake(peaked(40)))
+	for _, name := range []string{"cs-tuner", "nm-tuner"} {
+		tr, err := Run(context.Background(), name, cfg1D(900), newFake(peaked(40)))
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		x := tr.FinalX()
 		if x[0] < 35 || x[0] > 45 {
-			t.Errorf("%s: final nc=%d, want near 40", tn.Name(), x[0])
+			t.Errorf("%s: final nc=%d, want near 40", name, x[0])
 		}
 	}
 }
@@ -228,16 +227,14 @@ func TestSearchTunersConvergeNearPeak(t *testing.T) {
 func TestSearchTunersReadaptAfterShift(t *testing.T) {
 	// Peak moves from 10 to 30 (and scale doubles) at t=600; the
 	// monitor must notice and re-search.
-	for _, mk := range []func(Config) Tuner{NewCS, NewNM} {
-		cfg := cfg1D(1800)
-		tn := mk(cfg)
-		tr, err := tn.Tune(context.Background(), newFake(shifting(10, 30, 600)))
+	for _, name := range []string{"cs-tuner", "nm-tuner"} {
+		tr, err := Run(context.Background(), name, cfg1D(1800), newFake(shifting(10, 30, 600)))
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		x := tr.FinalX()
 		if x[0] < 25 || x[0] > 35 {
-			t.Errorf("%s: final nc=%d, want near new peak 30", tn.Name(), x[0])
+			t.Errorf("%s: final nc=%d, want near new peak 30", name, x[0])
 		}
 	}
 }
@@ -245,7 +242,7 @@ func TestSearchTunersReadaptAfterShift(t *testing.T) {
 func TestRestartFromCurrent(t *testing.T) {
 	cfg := cfg1D(1800)
 	cfg.Restart = FromCurrent
-	tr, err := NewCS(cfg).Tune(context.Background(), newFake(shifting(10, 30, 600)))
+	tr, err := Run(context.Background(), "cs-tuner", cfg, newFake(shifting(10, 30, 600)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +254,7 @@ func TestRestartFromCurrent(t *testing.T) {
 func TestHeur2SettlesAndNeverRetunes(t *testing.T) {
 	// Doubling from 2: 4, 8, 16 (worse) -> settle at 8 and hold, even
 	// after the landscape shifts.
-	tr, err := NewHeur2(cfg1D(1800)).Tune(context.Background(), newFake(shifting(10, 30, 600)))
+	tr, err := Run(context.Background(), "heur2", cfg1D(1800), newFake(shifting(10, 30, 600)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +275,7 @@ func TestHeur2StartAboveCriticalStaysHigh(t *testing.T) {
 	// back down.
 	cfg := cfg1D(600)
 	cfg.Start = []int{64}
-	tr, err := NewHeur2(cfg).Tune(context.Background(), newFake(peaked(10)))
+	tr, err := Run(context.Background(), "heur2", cfg, newFake(peaked(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +285,7 @@ func TestHeur2StartAboveCriticalStaysHigh(t *testing.T) {
 }
 
 func TestHeur1ClimbsAdditively(t *testing.T) {
-	tr, err := NewHeur1(cfg1D(600)).Tune(context.Background(), newFake(peaked(10)))
+	tr, err := Run(context.Background(), "heur1", cfg1D(600), newFake(peaked(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +306,7 @@ func TestHeur1ClimbsAdditively(t *testing.T) {
 func TestHeur1NeverDecreasesBelowStart(t *testing.T) {
 	cfg := cfg1D(600)
 	cfg.Start = []int{64}
-	tr, err := NewHeur1(cfg).Tune(context.Background(), newFake(peaked(10)))
+	tr, err := Run(context.Background(), "heur1", cfg, newFake(peaked(10)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,50 +333,50 @@ func TestTwoParameterTuning(t *testing.T) {
 		Budget: 2400,
 		Seed:   2,
 	}
-	for _, tn := range []Tuner{NewCS(cfg), NewNM(cfg), NewCD(cfg)} {
-		tr, err := tn.Tune(context.Background(), newFake(g))
+	for _, name := range []string{"cs-tuner", "nm-tuner", "cd-tuner"} {
+		tr, err := Run(context.Background(), name, cfg, newFake(g))
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		x := tr.FinalX()
 		if x[0] < 14 || x[0] > 26 {
-			t.Errorf("%s: final nc=%d, want near 20", tn.Name(), x[0])
+			t.Errorf("%s: final nc=%d, want near 20", name, x[0])
 		}
 	}
 }
 
 func TestErrorPropagation(t *testing.T) {
-	for _, tn := range allTuners(cfg1D(1000)) {
+	for _, name := range allTuners {
 		f := newFake(peaked(10))
 		f.failAfter = 5
-		_, err := tn.Tune(context.Background(), f)
+		_, err := Run(context.Background(), name, cfg1D(1000), f)
 		if err == nil {
-			t.Errorf("%s: injected failure not propagated", tn.Name())
+			t.Errorf("%s: injected failure not propagated", name)
 		}
 	}
 }
 
 func TestTransferCompletionEndsTuning(t *testing.T) {
-	for _, tn := range allTuners(cfg1D(0)) {
+	for _, name := range allTuners {
 		f := newFake(peaked(10))
 		f.remaining = 5e9 // finishes within a few epochs
-		tr, err := tn.Tune(context.Background(), f)
+		tr, err := Run(context.Background(), name, cfg1D(0), f)
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		last := tr.Results[len(tr.Results)-1]
 		if !last.Report.Done {
-			t.Errorf("%s: last epoch not marked done", tn.Name())
+			t.Errorf("%s: last epoch not marked done", name)
 		}
 		if f.remaining > 0 {
-			t.Errorf("%s: transfer incomplete", tn.Name())
+			t.Errorf("%s: transfer incomplete", name)
 		}
 	}
 }
 
 func TestTraceAccessors(t *testing.T) {
 	f := newFake(peaked(10))
-	tr, err := NewStatic(cfg1D(100)).Tune(context.Background(), f)
+	tr, err := Run(context.Background(), "default", cfg1D(100), f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +491,7 @@ func modelCurve(peak int, scale float64) func(p xfer.Params, now float64) float6
 }
 
 func TestModelTunerFindsPeak(t *testing.T) {
-	tr, err := NewModel(cfg1D(900)).Tune(context.Background(), newFake(modelCurve(28, 1)))
+	tr, err := Run(context.Background(), "model", cfg1D(900), newFake(modelCurve(28, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +510,7 @@ func TestModelTunerResamplesOnShift(t *testing.T) {
 		}
 		return late(p, now)
 	}
-	tr, err := NewModel(cfg1D(1800)).Tune(context.Background(), newFake(shiftG))
+	tr, err := Run(context.Background(), "model", cfg1D(1800), newFake(shiftG))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,13 +522,13 @@ func TestModelTunerResamplesOnShift(t *testing.T) {
 }
 
 func TestModelTunerName(t *testing.T) {
-	if NewModel(cfg1D(10)).Name() != "model" {
+	if NewModelStrategy(cfg1D(10)).Name() != "model" {
 		t.Fatal("name")
 	}
 }
 
 func TestModelTunerBadConfig(t *testing.T) {
-	if _, err := NewModel(Config{}).Tune(context.Background(), newFake(peaked(5))); err == nil {
+	if _, err := Run(context.Background(), "model", Config{}, newFake(peaked(5))); err == nil {
 		t.Fatal("bad config accepted")
 	}
 }
@@ -550,18 +547,18 @@ func noisy(g func(xfer.Params, float64) float64, amp float64) func(xfer.Params, 
 func TestTunersTolerateMildNoise(t *testing.T) {
 	// 3% noise sits under the 5% tolerance: tuners should still beat
 	// the static default clearly.
-	base, err := NewStatic(cfg1D(900)).Tune(context.Background(), newFake(noisy(peaked(20), 0.03)))
+	base, err := Run(context.Background(), "default", cfg1D(900), newFake(noisy(peaked(20), 0.03)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	def := base.SteadyThroughput(450)
-	for _, tn := range []Tuner{NewCD(cfg1D(900)), NewCS(cfg1D(900)), NewNM(cfg1D(900))} {
-		tr, err := tn.Tune(context.Background(), newFake(noisy(peaked(20), 0.03)))
+	for _, name := range []string{"cd-tuner", "cs-tuner", "nm-tuner"} {
+		tr, err := Run(context.Background(), name, cfg1D(900), newFake(noisy(peaked(20), 0.03)))
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got := tr.SteadyThroughput(450); got < 2*def {
-			t.Errorf("%s under mild noise: steady %v not >= 2x default %v", tn.Name(), got, def)
+			t.Errorf("%s under mild noise: steady %v not >= 2x default %v", name, got, def)
 		}
 	}
 }
@@ -569,18 +566,18 @@ func TestTunersTolerateMildNoise(t *testing.T) {
 func TestSearchTunersSurviveHeavyNoise(t *testing.T) {
 	// 15% noise constantly re-triggers the monitor; the tuners must
 	// not crash, loop, or collapse below the static baseline.
-	base, err := NewStatic(cfg1D(1200)).Tune(context.Background(), newFake(noisy(peaked(20), 0.15)))
+	base, err := Run(context.Background(), "default", cfg1D(1200), newFake(noisy(peaked(20), 0.15)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	def := base.MeanThroughput()
-	for _, tn := range []Tuner{NewCS(cfg1D(1200)), NewNM(cfg1D(1200))} {
-		tr, err := tn.Tune(context.Background(), newFake(noisy(peaked(20), 0.15)))
+	for _, name := range []string{"cs-tuner", "nm-tuner"} {
+		tr, err := Run(context.Background(), name, cfg1D(1200), newFake(noisy(peaked(20), 0.15)))
 		if err != nil {
-			t.Fatalf("%s: %v", tn.Name(), err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if got := tr.MeanThroughput(); got < def {
-			t.Errorf("%s under heavy noise: mean %v below default %v", tn.Name(), got, def)
+			t.Errorf("%s under heavy noise: mean %v below default %v", name, got, def)
 		}
 	}
 }

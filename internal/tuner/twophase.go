@@ -152,7 +152,7 @@ func (s *TwoPhaseStrategy) enterFine(winner []int) {
 	fcfg := s.cfg
 	fcfg.Start = s.winner
 	fcfg.Lambda = fineLambda
-	s.fine = newSearchStrategy("two-phase", searchKindCompass, fcfg)
+	s.fine = NewCSStrategy(fcfg)
 	s.phase = twoPhaseFine
 }
 
@@ -209,9 +209,9 @@ func (s *TwoPhaseStrategy) Restore(raw json.RawMessage) error {
 		fcfg := s.cfg
 		fcfg.Start = s.cfg.Box.ClampInt(st.Winner)
 		fcfg.Lambda = fineLambda
-		fine := newSearchStrategy("two-phase", searchKindCompass, fcfg)
+		fine := NewCSStrategy(fcfg)
 		if err := fine.Restore(st.Inner); err != nil {
-			return err
+			return fmt.Errorf("tuner: two-phase fine search: %w", err)
 		}
 		s.phase = twoPhaseFine
 		s.winner = ivec.Clone(fcfg.Start)

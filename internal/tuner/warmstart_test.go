@@ -128,11 +128,8 @@ func TestWarmResumeMatchesUninterrupted(t *testing.T) {
 		return nil
 	})
 	store := seededStore(t, []int{14})
-	w, err := NewWarm("cs-tuner", cfg, store, simKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	part, err := w.Tune(context.Background(), live)
+	cfg.History, cfg.HistoryKey = store, simKey()
+	part, err := Run(context.Background(), "cs-tuner", cfg, live)
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("drained run returned %v, want ErrInterrupted", err)
 	}
@@ -172,14 +169,11 @@ func TestWarmResumeMatchesUninterrupted(t *testing.T) {
 func mustWarmRun(t *testing.T, cfg Config, seed uint64, store *history.Store, ck *Checkpoint, live *xfer.Sim) *Trace {
 	t.Helper()
 	cfg.Resume = ck
-	w, err := NewWarm("cs-tuner", cfg, store, simKey())
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg.History, cfg.HistoryKey = store, simKey()
 	if live == nil {
 		live = simTransfer(t, seed)
 	}
-	tr, err := w.Tune(context.Background(), live)
+	tr, err := Run(context.Background(), "cs-tuner", cfg, live)
 	if err != nil {
 		t.Fatal(err)
 	}
