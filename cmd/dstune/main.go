@@ -31,8 +31,7 @@
 // together — SIGINT/SIGTERM drains the in-flight epoch and exits
 // cleanly (a second signal aborts hard), -deadline bounds the whole
 // run, and -resume FILE continues a checkpointed run mid-search with
-// exact byte accounting (single-file checkpoints from earlier releases
-// resume too, and are converted by the first epoch's write):
+// exact byte accounting:
 //
 //	dstune -mode socket -addr 127.0.0.1:7632 -tuner cs-tuner \
 //	       -bytes 5e9 -checkpoint run.ck
@@ -137,7 +136,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.Uint64Var(&s.Seed, "seed", def.Seed, "random seed")
 	fs.StringVar(&o.csv, "csv", "", "write the trace series to this CSV file")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a checkpoint after every epoch: the head to this file, the recorded epochs to FILE.log")
-	fs.StringVar(&o.resume, "resume", "", "resume a checkpointed run from this file and its FILE.log (socket mode); earlier single-file checkpoints load too")
+	fs.StringVar(&o.resume, "resume", "", "resume a checkpointed run from this file and its FILE.log (socket mode)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "wall-clock deadline for the whole run; 0 = none")
 	fs.StringVar(&o.obsAddr, "obs-addr", "", "serve live introspection (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. 127.0.0.1:9310")
 	fs.StringVar(&o.obsTrace, "obs-trace", "", "append every structured event to this file as JSON lines")

@@ -4,228 +4,78 @@ import (
 	"fmt"
 	"os"
 
-	"dstune"
+	"dstune/internal/experiment"
 	"dstune/internal/report"
+	"dstune/internal/trace"
 )
 
-// mbSeries converts a trace series to a MB/s line series.
-func mbSeries(name string, s *dstune.Series) report.LineSeries {
-	out := report.LineSeries{Name: name}
+// lineSeries converts a trace series to a line series, dividing its
+// values by scale (1e6 reads bytes per second as MB/s).
+func lineSeries(s *trace.Series, scale float64) report.LineSeries {
+	out := report.LineSeries{Name: s.Name}
 	for _, p := range s.Points {
 		out.X = append(out.X, p.T)
-		out.Y = append(out.Y, p.V/1e6)
+		out.Y = append(out.Y, p.V/scale)
 	}
 	return out
 }
 
-// rawSeries converts a trace series without scaling (e.g. nc values).
-func rawSeries(name string, s *dstune.Series) report.LineSeries {
-	out := report.LineSeries{Name: name}
-	for _, p := range s.Points {
-		out.X = append(out.X, p.T)
-		out.Y = append(out.Y, p.V)
-	}
-	return out
-}
-
-// tuningLines builds one line chart from a tuning result.
-func tuningLines(title, subtitle string, res *dstune.TuningResult,
-	sel func(*dstune.Trace) *dstune.Series, ylabel string, scaleMB bool) *report.LineChart {
-	c := &report.LineChart{
-		Title: title, Subtitle: subtitle,
-		YLabel: ylabel, XLabel: "transfer time (s)",
-	}
-	for _, name := range res.Order {
-		tr, ok := res.Traces[name]
-		if !ok {
-			continue
-		}
-		if scaleMB {
-			c.Series = append(c.Series, mbSeries(name, sel(tr)))
-		} else {
-			c.Series = append(c.Series, rawSeries(name, sel(tr)))
-		}
-	}
-	return c
-}
-
-// html regenerates everything and writes the self-contained report.
-func (g *gen) html(path string) error {
+// writeHTML renders the studies' outcomes as one self-contained report:
+// per study its charts, then its paper-vs-measured rows.
+func writeHTML(path string, studies []experiment.Study, runs *experiment.Runs) error {
 	rep := report.New(
 		"dstune — Improving Data Transfer Throughput with Direct Search Optimization",
-		"Reproduction report: every figure of the ICPP 2016 paper regenerated on the simulated testbeds, "+
+		"Reproduction report: the studies of the ICPP 2016 paper's evaluation regenerated on the simulated testbeds, "+
 			"plus the implemented future-work extensions. Deterministic per seed; see EXPERIMENTS.md for the "+
 			"paper-vs-measured record.")
-
-	// Headline tiles from the claims sweep and Figure 8.
-	if err := g.runSweep(); err != nil {
-		return err
-	}
-	imps := dstune.Improvements(g.sweep)
-	f8, err := dstune.TuneBoth(dstune.ANLtoTACC(), g.rc())
-	if err != nil {
-		return err
-	}
-	// "After the load drop" means past t=1000 s on the full schedule;
-	// in quick mode (600 s budget) fall back to the final third.
-	after := 1200.0
-	if g.rc().Duration < 1800 {
-		after = g.rc().Duration * 2 / 3
-	}
-	afterFactor := f8.Traces["nm-tuner"].SteadyThroughput(after) /
-		f8.Traces["default"].SteadyThroughput(after)
-	nm7 := g.sweep[1].Traces["nm-tuner"]
-	overhead := 100 * (1 - nm7.MeanThroughput()/nm7.MeanBestCase())
-	rep.AddTiles([]report.Tile{
-		{Label: "Best gain after load drop (Fig 8)", Value: fmt.Sprintf("%.1fx", afterFactor), Note: "paper: up to 10x"},
-		{Label: "Gain under ext.cmp=16 (Fig 5b)", Value: fmt.Sprintf("%.1fx", imps[1].Factor), Note: "paper: 7x"},
-		{Label: "Restart overhead, ext.cmp=16", Value: fmt.Sprintf("%.0f%%", overhead), Note: "paper: 33%"},
-	})
-
-	// Figure 1 — throughput vs streams as grouped bars.
-	fig1cfg := dstune.Fig1Config{Seed: g.seed}
-	if g.quick {
-		fig1cfg.Repeats = 2
-		fig1cfg.Duration = 240
-	}
-	f1, err := dstune.Fig1(dstune.ANLtoUChicago(), fig1cfg)
-	if err != nil {
-		return err
-	}
-	rep.AddHeading("Figure 1 — parallel streams vs throughput",
-		"Median observed throughput per concurrency (np=1), without load and with ext.tfr=ext.cmp=16. "+
-			"The critical point moves right and the peak drops under load.")
-	bc := &report.BarChart{
-		Title:  "Throughput vs concurrency",
-		YLabel: "MB/s",
-	}
-	for _, l := range f1.Loads {
-		bc.SeriesNames = append(bc.SeriesNames, l.String())
-	}
-	for _, nc := range f1.Concurrency {
-		grp := report.BarGroup{Label: fmt.Sprint(nc)}
-		for _, l := range f1.Loads {
-			grp.Values = append(grp.Values, f1.Summary[l][nc].Median/1e6)
-		}
-		bc.Groups = append(bc.Groups, grp)
-	}
-	rep.AddBar(bc)
-
-	// Figures 5-7 from the shared sweep.
-	labels := []string{"(a) no load", "(b) ext.cmp=16", "(c) ext.cmp=64", "(d) ext.tfr=16", "(e) ext.tfr=64"}
-	rep.AddHeading("Figures 5–7 — tuning concurrency under constant load",
-		"Observed throughput, adopted concurrency, and best-case (restart-free) throughput of the same runs.")
-	for i, res := range g.sweep {
-		rep.AddLine(tuningLines("Figure 5"+labels[i], res.Testbed+", "+res.Scenario, res,
-			func(t *dstune.Trace) *dstune.Series { return t.Throughput() }, "MB/s", true))
-	}
-	for i, res := range g.sweep {
-		rep.AddLine(tuningLines("Figure 6"+labels[i]+" — concurrency adopted", res.Testbed+", "+res.Scenario, res,
-			func(t *dstune.Trace) *dstune.Series { return t.Param(0) }, "nc", false))
-	}
-	for i, res := range g.sweep {
-		rep.AddLine(tuningLines("Figure 7"+labels[i]+" — best case", res.Testbed+", "+res.Scenario, res,
-			func(t *dstune.Trace) *dstune.Series { return t.BestCase() }, "MB/s", true))
-	}
-
-	// Figures 8-10.
-	rep.AddHeading("Figures 8–10 — varying load",
-		"ext.tfr=64, ext.cmp=16 until t=1000 s, then ext.tfr=16: two-parameter tuning and the heuristic baselines.")
-	rep.AddLine(tuningLines("Figure 8 — ANL→TACC", "tuning nc and np", f8,
-		func(t *dstune.Trace) *dstune.Series { return t.Throughput() }, "MB/s", true))
-	f9, err := dstune.TuneBoth(dstune.ANLtoUChicago(), g.rc())
-	if err != nil {
-		return err
-	}
-	rep.AddLine(tuningLines("Figure 9 — ANL→UChicago", "tuning nc and np", f9,
-		func(t *dstune.Trace) *dstune.Series { return t.Throughput() }, "MB/s", true))
-	f10, err := dstune.CompareHeuristics(dstune.ANLtoTACC(), g.rc())
-	if err != nil {
-		return err
-	}
-	rep.AddLine(tuningLines("Figure 10 — existing heuristics", "nm-tuner vs heur1 (Balman) and heur2 (Yildirim)", f10,
-		func(t *dstune.Trace) *dstune.Series { return t.Throughput() }, "MB/s", true))
-
-	// Figure 11.
-	f11, err := dstune.Simultaneous("nm-tuner", g.rc())
-	if err != nil {
-		return err
-	}
-	rep.AddHeading("Figure 11 — simultaneous transfers",
-		"Two independently nm-tuned transfers share the ANL source NIC; each treats the other as external load.")
-	rep.AddLine(&report.LineChart{
-		Title: "Simultaneous transfers", Subtitle: "shared 5 GB/s NIC",
-		YLabel: "MB/s", XLabel: "transfer time (s)",
-		Series: []report.LineSeries{
-			mbSeries("UChicago", f11.UChicago.Throughput()),
-			mbSeries("TACC", f11.TACC.Throughput()),
-		},
-	})
-
-	// Claims table.
-	rep.AddHeading("§IV-A claims", "Improvement over default and restart overhead per scenario.")
-	head := []string{"scenario", "default MB/s", "best tuner", "tuner MB/s", "factor"}
-	var rows [][]string
-	for _, im := range imps {
-		rows = append(rows, []string{
-			im.Scenario,
-			fmt.Sprintf("%.1f", im.Default/1e6),
-			im.BestName,
-			fmt.Sprintf("%.1f", im.Best/1e6),
-			fmt.Sprintf("%.1fx", im.Factor),
-		})
-	}
-	rep.AddTable(head, rows)
-
-	// Extensions: disk regimes and joint tuning.
-	rep.AddHeading("Extension — disk-to-disk transfers",
-		"Future-work item (1): datasets of heterogeneous file sizes with a per-file request latency; "+
-			"the tuners gain a third parameter, pipelining.")
-	diskBar := &report.BarChart{
-		Title:       "Disk regimes",
-		Subtitle:    "mean throughput over the run",
-		YLabel:      "MB/s",
-		SeriesNames: []string{"default", "cs-tuner", "nm-tuner"},
-	}
-	for _, sc := range dstune.DiskScenarios(g.seed) {
-		if g.quick && sc.Name != "many-small" {
-			continue
-		}
-		res, err := dstune.TuneDisk(dstune.ANLtoUChicago(), sc, g.rc())
+	for _, s := range studies {
+		out, err := s.Run(runs)
 		if err != nil {
 			return err
 		}
-		grp := report.BarGroup{Label: sc.Name}
-		for _, n := range diskBar.SeriesNames {
-			grp.Values = append(grp.Values, res.Traces[n].MeanThroughput()/1e6)
+		if len(out.Charts) == 0 && len(out.Rows) == 0 {
+			continue
 		}
-		diskBar.Groups = append(diskBar.Groups, grp)
+		rep.AddHeading(s.Title, out.Config)
+		for _, c := range out.Charts {
+			if c.X == "" {
+				line := &report.LineChart{Title: c.Title, YLabel: c.Unit, XLabel: "transfer time (s)"}
+				for _, ser := range c.Series {
+					line.Series = append(line.Series, lineSeries(ser, c.Scale()))
+				}
+				rep.AddLine(line)
+				continue
+			}
+			// A categorical axis: one bar group per point of the first
+			// series, one bar per series.
+			bars := &report.BarChart{Title: c.Title, Subtitle: "by " + c.X, YLabel: c.Unit}
+			for i, p := range c.Series[0].Points {
+				grp := report.BarGroup{Label: fmt.Sprint(p.T)}
+				for _, ser := range c.Series {
+					grp.Values = append(grp.Values, ser.Points[i].V/c.Scale())
+				}
+				bars.Groups = append(bars.Groups, grp)
+			}
+			for _, ser := range c.Series {
+				bars.SeriesNames = append(bars.SeriesNames, ser.Name)
+			}
+			rep.AddBar(bars)
+		}
+		var rows [][]string
+		for _, w := range out.Rows {
+			rows = append(rows, w.Cells())
+		}
+		if rows != nil {
+			rep.AddTable(experiment.ScoreHeader, rows)
+		}
 	}
-	rep.AddBar(diskBar)
-
-	jc, err := dstune.JointVsIndependent(g.rc())
-	if err != nil {
-		return err
-	}
-	rep.AddHeading("Extension — endpoint-level joint tuning",
-		"Future-work item (4): one direct search over both transfers' parameters vs Figure 11's independent tuners.")
-	rep.AddTable([]string{"mode", "UChicago MB/s", "TACC MB/s", "aggregate MB/s"}, [][]string{
-		{"independent", fmt.Sprintf("%.1f", jc.Independent.UChicago.MeanThroughput()/1e6),
-			fmt.Sprintf("%.1f", jc.Independent.TACC.MeanThroughput()/1e6),
-			fmt.Sprintf("%.1f", jc.IndependentAggregate()/1e6)},
-		{"joint", fmt.Sprintf("%.1f", jc.JointUChicago.MeanThroughput()/1e6),
-			fmt.Sprintf("%.1f", jc.JointTACC.MeanThroughput()/1e6),
-			fmt.Sprintf("%.1f", jc.JointAggregate()/1e6)},
-	})
-
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
 	if err := rep.Render(f); err != nil {
+		f.Close()
 		return err
 	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
+	return f.Close()
 }

@@ -1,16 +1,19 @@
-// Command figures regenerates every figure of the paper's evaluation
-// on the simulated testbeds and prints the data series and summary
-// rows.
+// Command figures regenerates the studies of experiment.Studies — every
+// figure of the paper's evaluation, the claims derived from them, the
+// extensions and the ablations — on the simulated testbeds.
 //
 // Usage:
 //
-//	figures [-fig all|1|5|6|7|8|9|10|11|claims] [-quick] [-seed N] [-csv DIR]
+//	figures [-fig all|scorecard|KEY] [-quick] [-seed N] [-csv DIR] [-html FILE]
 //
-// Figures 5, 6, and 7 come from the same runs (observed throughput,
-// adopted concurrency, and best-case throughput of the same tuned
-// transfers), so asking for any of them runs the shared sweep once.
-// -quick shortens runs for a fast smoke pass; -csv writes the
-// underlying series to DIR as CSV files.
+// Without -seed each study runs at its pinned configuration: the seed
+// and length tier-1 simulates it at, the golden holds and EXPERIMENTS.md
+// quotes; -fig scorecard prints EXPERIMENTS.md's paper-vs-measured
+// tables from those runs. -seed N reruns at seed N and the paper's
+// 1800 s; -quick caps every transfer at 600 s for a fast smoke pass.
+// Studies that are views of the same transfers (5, 6, 7, claims,
+// convergence) share one sweep. -csv writes each chart's series to DIR;
+// -html writes the selected studies as one self-contained report.
 package main
 
 import (
@@ -19,304 +22,84 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
-	"dstune"
+	"dstune/internal/experiment"
+	"dstune/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("figures: ")
-	fig := flag.String("fig", "all", "figure to regenerate: all, 1, 5, 6, 7, 8, 9, 10, 11, claims, disk, joint, dynload")
-	quick := flag.Bool("quick", false, "shorten runs (smoke mode)")
-	seed := flag.Uint64("seed", 1, "random seed")
+	var keys []string
+	for _, s := range experiment.Studies() {
+		keys = append(keys, s.Key)
+	}
+	fig := flag.String("fig", "all", "study to regenerate: all, "+strings.Join(keys, ", "))
+	quick := flag.Bool("quick", false, "cap every transfer at 600 s (smoke mode)")
+	seed := flag.Uint64("seed", 0, "random seed, run at the paper's 1800 s; 0 runs each study at its pinned configuration")
 	csvDir := flag.String("csv", "", "directory to write series CSVs into")
 	htmlPath := flag.String("html", "", "write a self-contained HTML report (with SVG charts) to this path")
 	flag.Parse()
 
-	g := &gen{seed: *seed, quick: *quick, csvDir: *csvDir}
-	var err error
+	studies, err := selectStudies(*fig)
+	if err != nil {
+		log.Fatal(err)
+	}
+	runs := experiment.NewRuns(experiment.Config{Seed: *seed, Quick: *quick})
 	if *htmlPath != "" {
-		if err := g.html(*htmlPath); err != nil {
+		if err := writeHTML(*htmlPath, studies, runs); err != nil {
 			log.Fatal(err)
 		}
+		fmt.Printf("wrote %s\n", *htmlPath)
 		return
 	}
-	switch *fig {
-	case "1":
-		err = g.fig1()
-	case "5", "6", "7":
-		err = g.fig567(map[string]bool{*fig: true})
-	case "8":
-		err = g.fig89(dstune.ANLtoTACC(), "Figure 8")
-	case "9":
-		err = g.fig89(dstune.ANLtoUChicago(), "Figure 9")
-	case "10":
-		err = g.fig10()
-	case "11":
-		err = g.fig11()
-	case "claims":
-		err = g.claims()
-	case "disk":
-		err = g.disk()
-	case "joint":
-		err = g.joint()
-	case "dynload":
-		err = g.dynload()
-	case "all":
-		err = g.all()
-	default:
-		err = fmt.Errorf("unknown figure %q", *fig)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-}
-
-// gen carries the run options and caches the shared Fig 5-7 sweep.
-type gen struct {
-	seed   uint64
-	quick  bool
-	csvDir string
-
-	sweep []*dstune.TuningResult // Fig 5-7 runs, one per load
-}
-
-// rc returns the run configuration, shortened in quick mode.
-func (g *gen) rc() dstune.RunConfig {
-	rc := dstune.RunConfig{Seed: g.seed, Duration: 1800}
-	if g.quick {
-		rc.Duration = 600
-	}
-	return rc
-}
-
-// all regenerates everything in paper order.
-func (g *gen) all() error {
-	if err := g.fig1(); err != nil {
-		return err
-	}
-	if err := g.fig567(map[string]bool{"5": true, "6": true, "7": true}); err != nil {
-		return err
-	}
-	if err := g.fig89(dstune.ANLtoTACC(), "Figure 8"); err != nil {
-		return err
-	}
-	if err := g.fig89(dstune.ANLtoUChicago(), "Figure 9"); err != nil {
-		return err
-	}
-	if err := g.fig10(); err != nil {
-		return err
-	}
-	if err := g.fig11(); err != nil {
-		return err
-	}
-	if err := g.claims(); err != nil {
-		return err
-	}
-	if err := g.disk(); err != nil {
-		return err
-	}
-	if err := g.joint(); err != nil {
-		return err
-	}
-	return g.dynload()
-}
-
-// dynload prints the dynamic-load study: learned strategies
-// (rl-bandit, rl-q) against the direct searches on step, square, and
-// piecewise load schedules, scoring integral throughput and
-// re-adaptation lag.
-func (g *gen) dynload() error {
-	res, err := dstune.DynamicLoadStudy(dstune.ANLtoUChicago(),
-		dstune.DynamicLoadConfig{Run: g.rc()})
-	if err != nil {
-		return err
-	}
-	fmt.Println("Extension — learned tuning vs. direct search on dynamic load")
-	fmt.Println(res.Report())
-	return nil
-}
-
-// disk prints the disk-to-disk extension study (the paper's
-// future-work item (1)).
-func (g *gen) disk() error {
-	fmt.Println("Extension — disk-to-disk transfers over heterogeneous file sets")
-	for _, sc := range dstune.DiskScenarios(g.seed) {
-		if g.quick && sc.Name != "many-small" {
-			continue
+	for _, s := range studies {
+		out, err := s.Run(runs)
+		if err != nil {
+			log.Fatal(err)
 		}
-		res, err := dstune.TuneDisk(dstune.ANLtoUChicago(), sc, g.rc())
+		fmt.Printf("%s\n(%s)\n\n%s\n", s.Title, out.Config, out.Text)
+		if *csvDir != "" {
+			if err := writeCSVs(*csvDir, out.Charts); err != nil {
+				log.Fatal(err)
+			}
+		}
+	}
+}
+
+// selectStudies returns the study named fig, or all of them.
+func selectStudies(fig string) ([]experiment.Study, error) {
+	all := experiment.Studies()
+	if fig == "all" {
+		return all, nil
+	}
+	for _, s := range all {
+		if s.Key == fig {
+			return []experiment.Study{s}, nil
+		}
+	}
+	return nil, fmt.Errorf("unknown study %q", fig)
+}
+
+// writeCSVs writes each chart's series to dir, one file per chart.
+func writeCSVs(dir string, charts []experiment.Chart) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, c := range charts {
+		name := strings.NewReplacer("/", "-", " ", "_").Replace(c.Title) + ".csv"
+		f, err := os.Create(filepath.Join(dir, name))
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\n%s (%s)\n", sc.Name, sc.Files)
-		for _, name := range res.Order {
-			tr := res.Traces[name]
-			last := tr.Results[len(tr.Results)-1]
-			fmt.Printf("  %-9s %8.1f MB/s  %6d files  final x=%v done=%v\n",
-				name, tr.MeanThroughput()/1e6, dstune.FilesMoved(tr), tr.FinalX(), last.Report.Done)
-		}
-	}
-	fmt.Println()
-	return nil
-}
-
-// joint prints the joint-vs-independent endpoint tuning study (the
-// paper's future-work item (4)).
-func (g *gen) joint() error {
-	jc, err := dstune.JointVsIndependent(g.rc())
-	if err != nil {
-		return err
-	}
-	fmt.Println(jc.Render())
-	return nil
-}
-
-func (g *gen) fig1() error {
-	cfg := dstune.Fig1Config{Seed: g.seed}
-	if g.quick {
-		cfg.Repeats = 2
-		cfg.Duration = 240
-	}
-	res, err := dstune.Fig1(dstune.ANLtoUChicago(), cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println(res.Render())
-	return nil
-}
-
-// runSweep runs the shared Figures 5-7 sweep once.
-func (g *gen) runSweep() error {
-	if g.sweep != nil {
-		return nil
-	}
-	for _, l := range dstune.Fig5Loads() {
-		res, err := dstune.TuneConcurrency(dstune.ANLtoUChicago(), l, g.rc())
-		if err != nil {
+		if err := trace.WriteCSV(f, c.Series...); err != nil {
+			f.Close()
 			return err
 		}
-		g.sweep = append(g.sweep, res)
-	}
-	return nil
-}
-
-func (g *gen) fig567(want map[string]bool) error {
-	if err := g.runSweep(); err != nil {
-		return err
-	}
-	labels := []string{"(a)", "(b)", "(c)", "(d)", "(e)"}
-	for i, res := range g.sweep {
-		if want["5"] {
-			fmt.Printf("Figure 5%s — observed throughput, %s, %s\n", labels[i], res.Testbed, res.Scenario)
-			g.seriesBlock(res, func(t *dstune.Trace) *dstune.Series { return t.Throughput() }, "MB/s",
-				fmt.Sprintf("fig5%s", labels[i]))
-		}
-		if want["6"] {
-			fmt.Printf("Figure 6%s — concurrency adopted, %s, %s\n", labels[i], res.Testbed, res.Scenario)
-			g.seriesBlock(res, func(t *dstune.Trace) *dstune.Series { return t.Param(0) }, "nc",
-				fmt.Sprintf("fig6%s", labels[i]))
-		}
-		if want["7"] {
-			fmt.Printf("Figure 7%s — best-case throughput, %s, %s\n", labels[i], res.Testbed, res.Scenario)
-			g.seriesBlock(res, func(t *dstune.Trace) *dstune.Series { return t.BestCase() }, "MB/s",
-				fmt.Sprintf("fig7%s", labels[i]))
-		}
-	}
-	return nil
-}
-
-// seriesBlock prints one line per tuner with a sparkline, final value,
-// and mean; optionally writing the CSVs.
-func (g *gen) seriesBlock(res *dstune.TuningResult, sel func(*dstune.Trace) *dstune.Series, unit, csvName string) {
-	var all []*dstune.Series
-	for _, name := range res.Order {
-		tr := res.Traces[name]
-		s := sel(tr)
-		scale := 1.0
-		if unit == "MB/s" {
-			scale = 1e6
-		}
-		fmt.Printf("  %-9s %s  final %8.1f %s  mean %8.1f\n",
-			name, dstune.Sparkline(s, 40), s.Last().V/scale, unit, s.Mean()/scale)
-		all = append(all, s)
-	}
-	fmt.Println()
-	g.writeCSV(csvName, all...)
-}
-
-func (g *gen) fig89(tb dstune.Testbed, label string) error {
-	res, err := dstune.TuneBoth(tb, g.rc())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%s — tuning nc and np under varying load\n%s\n", label, res.Render())
-	for _, name := range res.Order {
-		tr := res.Traces[name]
-		g.writeCSV(fmt.Sprintf("%s-%s", label, name), tr.Throughput(), tr.Param(0), tr.Param(1))
-	}
-	return nil
-}
-
-func (g *gen) fig10() error {
-	res, err := dstune.CompareHeuristics(dstune.ANLtoTACC(), g.rc())
-	if err != nil {
-		return err
-	}
-	fmt.Printf("Figure 10 — nm-tuner vs existing heuristics\n%s\n", res.Render())
-	for _, name := range res.Order {
-		g.writeCSV("fig10-"+name, res.Traces[name].Throughput())
-	}
-	return nil
-}
-
-func (g *gen) fig11() error {
-	for _, name := range []string{"nm-tuner", "cs-tuner"} {
-		res, err := dstune.Simultaneous(name, g.rc())
-		if err != nil {
+		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Println(res.Render())
-		g.writeCSV("fig11-"+name,
-			res.UChicago.Throughput(), res.TACC.Throughput())
 	}
 	return nil
-}
-
-func (g *gen) claims() error {
-	if err := g.runSweep(); err != nil {
-		return err
-	}
-	fmt.Println("§IV-A claims — improvement over default and restart overhead")
-	fmt.Println(dstune.RenderImprovements(dstune.Improvements(g.sweep)))
-	fmt.Println("convergence to 90% of steady state (seconds; -1 = not reached):")
-	for _, res := range g.sweep {
-		times := dstune.ConvergenceTimes(res, 0.9, 3)
-		fmt.Printf("  %-24s", res.Scenario)
-		for _, name := range res.Order {
-			fmt.Printf("  %s=%.0f", name, times[name])
-		}
-		fmt.Println()
-	}
-	fmt.Println()
-	return nil
-}
-
-// writeCSV writes series to the -csv directory when set.
-func (g *gen) writeCSV(name string, series ...*dstune.Series) {
-	if g.csvDir == "" {
-		return
-	}
-	if err := os.MkdirAll(g.csvDir, 0o755); err != nil {
-		log.Fatal(err)
-	}
-	path := filepath.Join(g.csvDir, name+".csv")
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	if err := dstune.WriteSeriesCSV(f, series...); err != nil {
-		log.Fatal(err)
-	}
 }

@@ -54,10 +54,11 @@
 // module must spell (Strategy, Report, Params, Transferer, Box); values
 // of the other internal types arrive through these functions.
 //
-// The experiment harnesses that regenerate every figure of the paper
-// live behind Fig1, TuneConcurrency, TuneBoth, CompareHeuristics, and
-// Simultaneous; cmd/figures prints them and EXPERIMENTS.md records
-// paper-vs-measured values.
+// The harnesses behind the paper's figures are TuneConcurrency,
+// TuneBoth, CompareHeuristics and Simultaneous; the whole evaluation —
+// every figure, claim, extension and ablation — is the table
+// internal/experiment.Studies, which cmd/figures prints and whose
+// paper-vs-measured scorecard EXPERIMENTS.md records.
 package dstune
 
 import (
@@ -386,18 +387,9 @@ type (
 	Testbed = experiment.Testbed
 	// RunConfig carries the knobs shared by the figure harnesses.
 	RunConfig = experiment.RunConfig
-	// Fig1Config parameterizes the Figure 1 sweep.
-	Fig1Config = experiment.Fig1Config
-	// Fig1Result holds Figure 1's boxplot statistics.
-	Fig1Result = experiment.Fig1Result
 	// TuningResult holds the traces of several tuners run under
 	// identical conditions (Figures 5-10).
 	TuningResult = experiment.TuningResult
-	// SimultaneousResult holds Figure 11's two concurrently tuned
-	// transfers.
-	SimultaneousResult = experiment.SimultaneousResult
-	// Improvement summarizes one scenario's default-vs-tuner gain.
-	Improvement = experiment.Improvement
 )
 
 // ANLtoUChicago returns the paper's 40 Gb/s short-RTT testbed.
@@ -405,9 +397,6 @@ func ANLtoUChicago() Testbed { return experiment.ANLtoUChicago() }
 
 // ANLtoTACC returns the paper's 20 Gb/s, 33 ms testbed.
 func ANLtoTACC() Testbed { return experiment.ANLtoTACC() }
-
-// Fig1 reproduces the Figure 1 concurrency sweep.
-func Fig1(tb Testbed, cfg Fig1Config) (*Fig1Result, error) { return experiment.Fig1(tb, cfg) }
 
 // Fig5Loads returns the five load scenarios of Figures 5-7.
 func Fig5Loads() []Load { return experiment.Fig5Loads() }
@@ -430,26 +419,12 @@ func CompareHeuristics(tb Testbed, rc RunConfig) (*TuningResult, error) {
 
 // Simultaneous reproduces Figure 11 (two concurrently tuned
 // transfers sharing the source NIC).
-func Simultaneous(tunerName string, rc RunConfig) (*SimultaneousResult, error) {
+func Simultaneous(tunerName string, rc RunConfig) (*experiment.SimultaneousResult, error) {
 	return experiment.Simultaneous(tunerName, rc)
-}
-
-// Improvements derives the §IV-A claims (gain factors, restart
-// overheads) from tuning results.
-func Improvements(results []*TuningResult) []Improvement {
-	return experiment.Improvements(results)
-}
-
-// RenderImprovements formats the claims table of Improvements.
-func RenderImprovements(imps []Improvement) string {
-	return experiment.RenderImprovements(imps)
 }
 
 // UniformDataset returns n files of identical size.
 func UniformDataset(n int, size int64) dataset.Dataset { return dataset.Uniform(n, size) }
-
-// ManySmallFiles returns the latency-bound regime: n files of 1 MB.
-func ManySmallFiles(n int) dataset.Dataset { return dataset.ManySmall(n) }
 
 // MaterializeDataset creates the dataset's files on disk under dir
 // (sparse, size-exact), ready to serve as a TransferClient SourceDir.
@@ -461,65 +436,11 @@ func MaterializeDataset(dir string, d dataset.Dataset) error { return dataset.Ma
 // [nc, np, pp].
 func MapNCNPPP() ParamMap { return tuner.MapNCNPPP() }
 
-// DiskScenarios returns the three disk workload regimes (many-small,
-// lognormal-mix, few-huge), deterministic per seed.
-func DiskScenarios(seed uint64) []experiment.DiskScenario { return experiment.DiskScenarios(seed) }
-
-// TuneDisk runs the disk-to-disk comparison for one scenario: the
-// static disk default against cs-tuner and nm-tuner tuning
-// [nc, np, pp].
-func TuneDisk(tb Testbed, sc experiment.DiskScenario, rc RunConfig) (*TuningResult, error) {
-	return experiment.TuneDisk(tb, sc, rc)
-}
-
 // FilesMoved sums the files completed across a trace.
 func FilesMoved(tr *Trace) int { return experiment.FilesMoved(tr) }
 
-// JointComparison holds the joint-vs-independent study results:
-// endpoint-level tuning of several transfers, the paper's future-work
-// item (4).
-type JointComparison = experiment.JointComparison
-
-// JointVsIndependent runs the Figure 11 scenario twice — independent
-// nm-tuners vs one nm-tuner over both transfers in a single Fleet
-// session — and returns both outcomes.
-func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
-	return experiment.JointVsIndependent(rc)
-}
-
 // TunerNames lists the tuners in the paper's presentation order.
 func TunerNames() []string { return experiment.TunerNames() }
-
-// ThirdParty runs the tuners under bursty third-party network traffic
-// (n background streams toggling every period seconds) — the traffic
-// class the paper could not control on its production links.
-func ThirdParty(tb Testbed, n int, period float64, rc RunConfig) (*TuningResult, error) {
-	return experiment.ThirdParty(tb, n, period, rc)
-}
-
-// ConvergenceTimes returns each tuner's time to reach frac of its
-// steady throughput (rolling window of `window` epochs).
-func ConvergenceTimes(res *TuningResult, frac float64, window int) map[string]float64 {
-	return experiment.ConvergenceTimes(res, frac, window)
-}
-
-// CompareModel pits the related-work empirical model baseline against
-// nm-tuner and default under the Figure 10 varying load.
-func CompareModel(tb Testbed, rc RunConfig) (*TuningResult, error) {
-	return experiment.CompareModel(tb, rc)
-}
-
-// DynamicLoadConfig parameterizes DynamicLoadStudy.
-type DynamicLoadConfig = experiment.DynamicLoadConfig
-
-// DynamicLoadStudy judges learned strategies against direct search on
-// dynamic load: every tuner crossed with every schedule on one
-// simulated testbed, scoring integral throughput and the re-adaptation
-// lag after each load shift (measured against the best rolling-window
-// throughput any contender reached in that post-shift segment).
-func DynamicLoadStudy(tb Testbed, cfg DynamicLoadConfig) (*experiment.DynamicLoadResult, error) {
-	return experiment.DynamicLoadStudy(tb, cfg)
-}
 
 // The service plane: a long-running, crash-safe, multi-tenant tuning
 // daemon (cmd/dstuned) running many concurrent sessions, each on its

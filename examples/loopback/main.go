@@ -54,9 +54,4 @@ func main() {
 	}
 	fmt.Printf("\nshaper optimum: %d connections; tuner finished at %d\n",
 		shaper.Optimum(), trace.FinalX()[0])
-	got, err := client.ServerReceived()
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("server received %.1f MB in total\n", float64(got)/1e6)
 }

@@ -8,7 +8,9 @@
 //     package comment;
 //   - CheckFormat reports Go files gofmt would rewrite;
 //   - CheckFacade reports names the root package re-exports that
-//     nothing outside it refers to.
+//     nothing outside it refers to;
+//   - CheckFigKeys reports `-fig KEY` quoted in markdown where KEY is
+//     not a study cmd/figures knows.
 //
 // All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.
@@ -87,6 +89,37 @@ func CheckLinks(root string) ([]string, error) {
 				}
 				if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(target))); err != nil {
 					problems = append(problems, fmt.Sprintf("%s:%d: broken link %q", rel, i+1, m[1]))
+				}
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	sort.Strings(problems)
+	return problems, nil
+}
+
+// figKeyRE matches a cmd/figures study selection quoted in prose or a
+// code block. Placeholders (KEY, <key>, N) are not lower-case and do
+// not match.
+var figKeyRE = regexp.MustCompile(`-fig ([a-z0-9][a-z0-9-]*)`)
+
+// CheckFigKeys walks root for .md files and reports every `-fig KEY`
+// whose KEY is neither "all" nor one of keys (experiment.Studies'), so
+// that a study renamed or dropped cannot leave a regeneration command
+// behind that no longer runs.
+func CheckFigKeys(root string, keys []string) ([]string, error) {
+	known := map[string]bool{"all": true}
+	for _, k := range keys {
+		known[k] = true
+	}
+	var problems []string
+	err := eachFile(root, ".md", func(rel string, data []byte) {
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range figKeyRE.FindAllStringSubmatch(line, -1) {
+				if !known[m[1]] {
+					problems = append(problems, fmt.Sprintf("%s:%d: -fig %s names no study", rel, i+1, m[1]))
 				}
 			}
 		}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dstune/internal/experiment"
 )
 
 // TestCheckLinks exercises the link checker on a synthetic tree: good
@@ -198,10 +200,28 @@ func unexported() {}
 	}
 }
 
+// TestCheckFigKeys: a known key, "all" and an upper-case placeholder
+// pass; a key no study has is reported with its file and line.
+func TestCheckFigKeys(t *testing.T) {
+	dir := t.TempDir()
+	md := "Run `figures -fig 5`, `-fig all` or `-fig KEY`.\n\nRegenerate: `go run ./cmd/figures -fig fig12`.\n"
+	if err := os.WriteFile(filepath.Join(dir, "DOC.md"), []byte(md), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	problems, err := CheckFigKeys(dir, []string{"5", "claims"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(problems) != 1 || problems[0] != "DOC.md:3: -fig fig12 names no study" {
+		t.Fatalf("got problems %q, want only fig12 at DOC.md:3", problems)
+	}
+}
+
 // TestRepoDocs is the in-repo enforcement: the repository's own
 // markdown links must resolve, its public packages must be fully
-// documented, every Go file must be gofmt-clean, and the facade must
-// re-export nothing that goes unused.
+// documented, every Go file must be gofmt-clean, the facade must
+// re-export nothing that goes unused, and every `-fig KEY` a document
+// quotes must be a study.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	links, err := CheckLinks(root)
@@ -236,5 +256,16 @@ func TestRepoDocs(t *testing.T) {
 	}
 	for _, p := range orphans {
 		t.Errorf("facade: %s", p)
+	}
+	var keys []string
+	for _, s := range experiment.Studies() {
+		keys = append(keys, s.Key)
+	}
+	stale, err := CheckFigKeys(root, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range stale {
+		t.Errorf("figure key: %s", p)
 	}
 }

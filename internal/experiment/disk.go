@@ -9,35 +9,15 @@ import (
 
 // DiskScenario is one disk-to-disk workload regime, following the
 // file-size analysis of Yildirim et al. [25] that the paper's
-// future-work item (1) builds on.
-type DiskScenario struct {
-	// Name labels the regime.
-	Name string
-	// Files is the dataset to move.
-	Files dataset.Dataset
-	// DiskRate is the source storage bandwidth in bytes per second.
-	DiskRate float64
-	// FileOverhead is the per-file request+seek latency in seconds.
-	FileOverhead float64
-}
+// future-work item (1) builds on: a dataset, the source storage
+// bandwidth and the per-file request latency. The regimes are defined
+// once, in package dataset, shared with the real-socket path.
+type DiskScenario = dataset.Workload
 
 // DiskScenarios returns the three regimes: request-latency-bound many
 // small files, a heavy-tailed mix, and bandwidth-bound huge files.
-// The regimes are defined once in dataset.Workloads, shared with the
-// real-socket path. Deterministic per seed.
-func DiskScenarios(seed uint64) []DiskScenario {
-	ws := dataset.Workloads(seed)
-	out := make([]DiskScenario, len(ws))
-	for i, w := range ws {
-		out[i] = DiskScenario{
-			Name:         w.Name,
-			Files:        w.Files,
-			DiskRate:     w.DiskRate,
-			FileOverhead: w.FileOverhead,
-		}
-	}
-	return out
-}
+// Deterministic per seed.
+func DiskScenarios(seed uint64) []DiskScenario { return dataset.Workloads(seed) }
 
 // diskTunerCfg builds the three-parameter tuner configuration
 // ([nc, np, pp]) for rc.

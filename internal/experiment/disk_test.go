@@ -32,10 +32,7 @@ func TestDiskScenariosShape(t *testing.T) {
 func TestTuneDiskManySmall(t *testing.T) {
 	// The tuner must discover that pipelining and concurrency
 	// dominate, beating the static disk default clearly.
-	res, err := figDiskManySmall()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[[]*TuningResult](t, "disk")[0]
 	def := res.Traces["default"].MeanThroughput()
 	best := 0.0
 	bestPP := 0
@@ -64,10 +61,7 @@ func TestTuneDiskFewHuge(t *testing.T) {
 	// Pipelining is irrelevant; both default and tuners should move
 	// data at a healthy rate, and the transfers complete before the
 	// budget.
-	res, err := figDiskFewHuge()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[[]*TuningResult](t, "disk")[1]
 	for name, tr := range res.Traces {
 		if FilesMoved(tr) != 8 {
 			t.Errorf("%s moved %d files, want all 8", name, FilesMoved(tr))
@@ -80,10 +74,7 @@ func TestTuneDiskFewHuge(t *testing.T) {
 }
 
 func TestJointVsIndependent(t *testing.T) {
-	jc, err := figJoint()
-	if err != nil {
-		t.Fatal(err)
-	}
+	jc := raw[*JointComparison](t, "joint")
 	if jc.IndependentAggregate() <= 0 || jc.JointAggregate() <= 0 {
 		t.Fatal("no progress in one of the modes")
 	}

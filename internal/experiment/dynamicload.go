@@ -213,9 +213,7 @@ func segmentOf(tr *tuner.Trace, from, to float64) []tuner.EpochResult {
 func peakWindow(seg []tuner.EpochResult, window int) float64 {
 	best := 0.0
 	for i := 0; i+window <= len(seg); i++ {
-		if m := windowMean(seg[i : i+window]); m > best {
-			best = m
-		}
+		best = max(best, tuner.WindowMean(seg[i:i+window]))
 	}
 	return best
 }
@@ -224,10 +222,8 @@ func peakWindow(seg []tuner.EpochResult, window int) float64 {
 // window whose mean reaches target; a segment that never gets there —
 // or is too short to hold one window — is charged its full length.
 func segmentLag(seg []tuner.EpochResult, target float64, window int) int {
-	for i := 0; i+window <= len(seg); i++ {
-		if windowMean(seg[i:i+window]) >= target {
-			return i
-		}
+	if i := tuner.FirstWindow(seg, window, target); i >= 0 {
+		return i
 	}
 	return len(seg)
 }

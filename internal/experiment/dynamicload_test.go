@@ -28,20 +28,8 @@ func dynCell(t *testing.T, res *DynamicLoadResult, sched, tun string) *DynamicLo
 func TestRLBeatsDirectSearchOnDynamicLoad(t *testing.T) {
 	direct := []string{"cd-tuner", "cs-tuner", "nm-tuner"}
 	learned := []string{"rl-bandit", "rl-q"}
-	var scheds []DynamicSchedule
-	for _, sc := range DynamicSchedules(0) {
-		if sc.Name == "step" || sc.Name == "square" || sc.Name == "constant" {
-			scheds = append(scheds, sc)
-		}
-	}
-	res, err := DynamicLoadStudy(ANLtoUChicago(), DynamicLoadConfig{
-		Run:       RunConfig{Seed: 7},
-		Tuners:    append(append([]string{}, direct...), learned...),
-		Schedules: scheds,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Pinned: seed 7, 1800 s, the step, square and constant schedules.
+	res := raw[*DynamicLoadResult](t, "dynload")
 
 	var winner, winSched string
 	for _, sc := range []string{"step", "square"} {

@@ -119,12 +119,18 @@ func runTuned(tb Testbed, name string, sched load.Schedule, rc RunConfig, twoPar
 // a fresh fabric of tb under schedule sched, restarting its processes
 // as tuner.RestartPolicyFor says that tuner does.
 func runTransfer(tb Testbed, name string, sched load.Schedule, seed uint64, tc xfer.TransferConfig, cfg tuner.Config) (*tuner.Trace, error) {
+	return runPolicy(tb, name, tuner.RestartPolicyFor(name), sched, seed, tc, cfg)
+}
+
+// runPolicy is runTransfer with the restart policy explicit, for the
+// ablations that vary it.
+func runPolicy(tb Testbed, name string, policy xfer.RestartPolicy, sched load.Schedule, seed uint64, tc xfer.TransferConfig, cfg tuner.Config) (*tuner.Trace, error) {
 	f, _, err := tb.NewFabric(seed)
 	if err != nil {
 		return nil, err
 	}
 	f.SetLoad(sched, nil)
-	tc.Name, tc.Policy = name, tuner.RestartPolicyFor(name)
+	tc.Name, tc.Policy = name, policy
 	tr, err := f.NewTransfer(tc)
 	if err != nil {
 		return nil, err
@@ -430,7 +436,7 @@ type Improvement struct {
 	// Factor is Best / Default.
 	Factor float64
 	// OverheadPct maps tuner name -> percent of throughput lost to
-	// restarts: 100 * (1 - observed/best-case).
+	// restarts (overheadPct).
 	OverheadPct map[string]float64
 }
 
@@ -447,9 +453,9 @@ func Improvements(results []*TuningResult) []Improvement {
 			imp.Default = d.MeanThroughput()
 		}
 		for name, tr := range res.Traces {
-			obs, best := tr.MeanThroughput(), tr.MeanBestCase()
-			if best > 0 {
-				imp.OverheadPct[name] = 100 * (1 - obs/best)
+			obs := tr.MeanThroughput()
+			if tr.MeanBestCase() > 0 {
+				imp.OverheadPct[name] = overheadPct(tr)
 			}
 			if name != "default" && obs > imp.Best {
 				imp.Best, imp.BestName = obs, name

@@ -20,15 +20,9 @@ func quickRC() RunConfig {
 }
 
 func TestFig1Shape(t *testing.T) {
-	res, err := Fig1(ANLtoUChicago(), Fig1Config{
-		Seed:        1,
-		Repeats:     2,
-		Duration:    240,
-		Concurrency: []int{1, 4, 16, 64, 256},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The pinned sweep is shortened: seed 1, 2 repeats of 240 s at
+	// nc = 1, 4, 16, 64, 256.
+	res := raw[*Fig1Result](t, "1")
 	noLoad := load.Load{}
 	hiLoad := load.Load{Tfr: 16, Cmp: 16}
 
@@ -93,10 +87,7 @@ func TestSweepsDeterministic(t *testing.T) {
 }
 
 func TestTuneConcurrencyNoLoad(t *testing.T) {
-	res, err := figTuneFree()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepCell(t, 0)
 	def := res.Traces["default"].SteadyThroughput(600)
 	for _, name := range []string{"cd-tuner", "cs-tuner", "nm-tuner"} {
 		tr := res.Traces[name]
@@ -110,10 +101,7 @@ func TestTuneConcurrencyNoLoad(t *testing.T) {
 }
 
 func TestTuneConcurrencyComputeLoad(t *testing.T) {
-	res, err := figTuneCmp16()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepCell(t, 1)
 	def := res.Traces["default"].SteadyThroughput(600)
 	bestOf := 0.0
 	for _, name := range []string{"cs-tuner", "nm-tuner"} {
@@ -127,10 +115,7 @@ func TestTuneConcurrencyComputeLoad(t *testing.T) {
 }
 
 func TestImprovementsFromResults(t *testing.T) {
-	res, err := figTuneCmp16()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepCell(t, 1)
 	imps := Improvements([]*TuningResult{res})
 	if len(imps) != 1 {
 		t.Fatalf("got %d improvements", len(imps))
@@ -158,10 +143,7 @@ func TestImprovementsFromResults(t *testing.T) {
 }
 
 func TestTuneBothAdaptsToLoadDrop(t *testing.T) {
-	res, err := figTuneBoth()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[*TuningResult](t, "8")
 	def := res.Traces["default"]
 	for _, name := range []string{"cs-tuner", "nm-tuner"} {
 		tr := res.Traces[name]
@@ -179,10 +161,7 @@ func TestTuneBothAdaptsToLoadDrop(t *testing.T) {
 }
 
 func TestCompareHeuristics(t *testing.T) {
-	res, err := figHeuristics()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[*TuningResult](t, "10")
 	nm := res.Traces["nm-tuner"].MeanThroughput()
 	h1 := res.Traces["heur1"].MeanThroughput()
 	if nm < h1 {
@@ -212,10 +191,7 @@ func equalIntsTest(a, b []int) bool {
 }
 
 func TestSimultaneous(t *testing.T) {
-	res, err := figSimultaneous()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[[]*SimultaneousResult](t, "11")[0]
 	uc, tc := res.UChicago.MeanThroughput(), res.TACC.MeanThroughput()
 	if uc <= 0 || tc <= 0 {
 		t.Fatalf("transfers made no progress: %v, %v", uc, tc)
@@ -299,10 +275,7 @@ func TestTunerNamesBuildable(t *testing.T) {
 }
 
 func TestThirdPartyRobustness(t *testing.T) {
-	res, err := figThirdParty()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[*TuningResult](t, "third-party")
 	def := res.Traces["default"].MeanThroughput()
 	nm := res.Traces["nm-tuner"].MeanThroughput()
 	if nm < def {
@@ -314,10 +287,7 @@ func TestThirdPartyRobustness(t *testing.T) {
 }
 
 func TestConvergenceTimesDerived(t *testing.T) {
-	res, err := figTuneFree()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := sweepCell(t, 0)
 	times := ConvergenceTimes(res, 0.9, 3)
 	if len(times) != 4 {
 		t.Fatalf("got %d entries", len(times))
@@ -334,10 +304,7 @@ func TestConvergenceTimesDerived(t *testing.T) {
 }
 
 func TestCompareModel(t *testing.T) {
-	res, err := figCompareModel()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[*TuningResult](t, "model")
 	def := res.Traces["default"].MeanThroughput()
 	mod := res.Traces["model"].MeanThroughput()
 	nm := res.Traces["nm-tuner"].MeanThroughput()
@@ -364,10 +331,7 @@ func TestTACCNoLoadTrend(t *testing.T) {
 	// gains are modest (far below the 4x+ of the compute-load
 	// scenarios) and the best-case rate exceeds the observed rate by
 	// the restart overhead.
-	res, err := TuneConcurrency(ANLtoTACC(), load.Load{}, RunConfig{Seed: 30, Duration: 1800})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := raw[*TuningResult](t, "tacc")
 	def := res.Traces["default"].MeanThroughput()
 	nm := res.Traces["nm-tuner"]
 	if gain := nm.MeanThroughput() / def; gain < 1.0 || gain > 2.0 {

@@ -1,17 +1,17 @@
 package experiment
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"hash/fnv"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"testing"
 
-	"dstune/internal/dataset"
-	"dstune/internal/load"
 	"dstune/internal/tuner"
 )
 
@@ -19,120 +19,126 @@ import (
 // simulator, printing old → new for every metric that moved.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/figures.golden.json")
 
-// The seeded figure runs. Each is simulated once per test binary, by
-// whichever test asks first: the shape tests assert the paper's claims
-// on them and TestFigureMetricsGolden pins their numbers, so the golden
-// costs no simulation of its own.
-var (
-	figTuneFree = sync.OnceValues(func() (*TuningResult, error) {
-		return TuneConcurrency(ANLtoUChicago(), load.Load{}, quickRC())
-	})
-	figTuneCmp16 = sync.OnceValues(func() (*TuningResult, error) {
-		return TuneConcurrency(ANLtoUChicago(), load.Load{Cmp: 16}, quickRC())
-	})
-	figTuneBoth = sync.OnceValues(func() (*TuningResult, error) {
-		return TuneBoth(ANLtoTACC(), RunConfig{Seed: 3, Duration: 1800, Epoch: 30})
-	})
-	figHeuristics = sync.OnceValues(func() (*TuningResult, error) {
-		return CompareHeuristics(ANLtoTACC(), RunConfig{Seed: 5, Duration: 1800, Epoch: 30})
-	})
-	figSimultaneous = sync.OnceValues(func() (*SimultaneousResult, error) {
-		return Simultaneous("nm-tuner", RunConfig{Seed: 9, Duration: 1200, Epoch: 30})
-	})
-	// A shortened many-small workload, where pipelining and concurrency
-	// dominate.
-	figDiskManySmall = sync.OnceValues(func() (*TuningResult, error) {
-		sc := DiskScenario{Name: "many-small", Files: dataset.ManySmall(4000), DiskRate: 2e9, FileOverhead: 0.5}
-		return TuneDisk(ANLtoUChicago(), sc, RunConfig{Seed: 3, Duration: 900})
-	})
-	// The bandwidth-bound regime: 8 x 2 GB.
-	figDiskFewHuge = sync.OnceValues(func() (*TuningResult, error) {
-		sc := DiskScenario{Name: "few-huge", Files: dataset.Uniform(8, 2<<30), DiskRate: 2e9, FileOverhead: 0.5}
-		return TuneDisk(ANLtoUChicago(), sc, RunConfig{Seed: 4, Duration: 1800})
-	})
-	figThirdParty = sync.OnceValues(func() (*TuningResult, error) {
-		return ThirdParty(ANLtoUChicago(), 64, 180, RunConfig{Seed: 21, Duration: 1440, Epoch: 30})
-	})
-	figCompareModel = sync.OnceValues(func() (*TuningResult, error) {
-		return CompareModel(ANLtoTACC(), RunConfig{Seed: 23, Duration: 1800, Epoch: 30})
-	})
-	figJoint = sync.OnceValues(func() (*JointComparison, error) {
-		return JointVsIndependent(quickRC())
-	})
-)
+// pinned holds the seeded runs behind every study at its pinned
+// configuration. Each is simulated once per test binary, by whichever
+// test asks first: the shape tests assert the paper's claims on them,
+// TestFigureMetricsGolden pins their numbers and TestScorecard their
+// verdicts, so neither costs a simulation of its own.
+var pinned = NewRuns(Config{})
 
-// dimNames names the coordinates of a tuned vector, in Space.Apply's
-// order.
-var dimNames = [...]string{"nc", "np", "pp"}
-
-// traceMetrics records under prefix what the figures report of one
-// tuner's trace: whole-run and steady-state (after t = steadyFrom; none
-// when that is zero) throughput, restart overhead, the vector it ended
-// on, files moved.
-func traceMetrics(m map[string]float64, prefix string, tr *tuner.Trace, steadyFrom float64) {
-	m[prefix+"/mean-MB/s"] = tr.MeanThroughput() / 1e6
-	if steadyFrom > 0 {
-		m[prefix+"/steady-MB/s"] = tr.SteadyThroughput(steadyFrom) / 1e6
+// study returns the Studies entry named key.
+func study(t *testing.T, key string) Study {
+	t.Helper()
+	for _, s := range Studies() {
+		if s.Key == key {
+			return s
+		}
 	}
-	if best := tr.MeanBestCase(); best > 0 {
-		m[prefix+"/overhead-%"] = 100 * (1 - tr.MeanThroughput()/best)
-	}
-	for i, v := range tr.FinalX() {
-		m[prefix+"/final-"+dimNames[i]] = float64(v)
-	}
-	if files := FilesMoved(tr); files > 0 {
-		m[prefix+"/files"] = float64(files)
-	}
+	t.Fatalf("no study %q", key)
+	return Study{}
 }
 
-// figureMetrics gathers every seeded run's metrics under one flat name
-// space, run/tuner/metric.
+// raw returns what the pinned run of study key was rendered from.
+func raw[T any](t *testing.T, key string) T {
+	t.Helper()
+	out, err := study(t, key).Run(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Raw.(T)
+}
+
+// sweepCell returns cell i (Fig5Loads order) of the pinned sweep.
+func sweepCell(t *testing.T, i int) *TuningResult {
+	t.Helper()
+	return raw[[]*TuningResult](t, "5")[i]
+}
+
+// tracesOf lists the traces behind a study's Raw.
+func tracesOf(t *testing.T, raw any) []*tuner.Trace {
+	var out []*tuner.Trace
+	result := func(res *TuningResult) {
+		for _, tr := range res.Traces {
+			out = append(out, tr)
+		}
+	}
+	switch v := raw.(type) {
+	case nil, *Fig1Result, []Improvement:
+	case *TuningResult:
+		result(v)
+	case []*TuningResult:
+		for _, res := range v {
+			result(res)
+		}
+	case []*SimultaneousResult:
+		for _, res := range v {
+			out = append(out, res.UChicago, res.TACC)
+		}
+	case *JointComparison:
+		out = append(out, v.Independent.UChicago, v.Independent.TACC, v.JointUChicago, v.JointTACC)
+	case *DynamicLoadResult:
+		for _, c := range v.Cells {
+			out = append(out, c.Trace)
+		}
+	case *WarmStartResult:
+		for _, c := range v.Cells {
+			out = append(out, c.Cold, c.Warm)
+		}
+	default:
+		t.Fatalf("tracesOf: unhandled %T", raw)
+	}
+	return out
+}
+
+// traceDigest is the FNV-1a of one trace's per-epoch (X, Start, End,
+// Bytes, Throughput, DeadTime).
+func traceDigest(tr *tuner.Trace) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, r := range tr.Results {
+		for _, x := range r.X {
+			put(uint64(x))
+		}
+		for _, f := range []float64{r.Report.Start, r.Report.End, r.Report.Bytes, r.Report.Throughput, r.Report.DeadTime} {
+			put(math.Float64bits(f))
+		}
+	}
+	return h.Sum64()
+}
+
+// figureMetrics gathers the Metrics of every study tier-1 simulates
+// under one flat name space, plus sim/trace-digest: the sum of
+// traceDigest over every distinct trace behind them, so that a change
+// to any epoch of any trajectory moves the golden even when it leaves
+// every mean where it was. 48 bits of it: what a float64 holds exactly.
 func figureMetrics(t *testing.T) map[string]float64 {
 	t.Helper()
 	m := map[string]float64{}
-	for _, run := range []struct {
-		name       string
-		result     func() (*TuningResult, error)
-		steadyFrom float64
-	}{
-		{"fig5-free", figTuneFree, 600},
-		{"fig5-cmp16", figTuneCmp16, 600},
-		{"fig8-tune-both", figTuneBoth, 1200},
-		{"fig10-heuristics", figHeuristics, 1200},
-		// A dataset ends when its files run out: no steady window.
-		{"disk-many-small", figDiskManySmall, 0},
-		{"disk-few-huge", figDiskFewHuge, 0},
-		{"third-party", figThirdParty, 960},
-		{"compare-model", figCompareModel, 1200},
-	} {
-		res, err := run.result()
+	seen := map[*tuner.Trace]bool{}
+	var digest uint64
+	for _, s := range Studies() {
+		if s.ByHand {
+			continue
+		}
+		out, err := s.Run(pinned)
 		if err != nil {
-			t.Fatalf("%s: %v", run.name, err)
+			t.Fatal(err)
 		}
-		for name, tr := range res.Traces {
-			traceMetrics(m, run.name+"/"+name, tr, run.steadyFrom)
+		for k, v := range out.Metrics {
+			m[k] = v
+		}
+		for _, tr := range tracesOf(t, out.Raw) {
+			if !seen[tr] {
+				seen[tr] = true
+				digest += traceDigest(tr)
+			}
 		}
 	}
-	sim, err := figSimultaneous()
-	if err != nil {
-		t.Fatalf("fig11: %v", err)
-	}
-	uc, tc := sim.UChicago.MeanThroughput(), sim.TACC.MeanThroughput()
-	m["fig11/uchicago-MB/s"] = uc / 1e6
-	m["fig11/tacc-MB/s"] = tc / 1e6
-	m["fig11/aggregate-MB/s"] = (uc + tc) / 1e6
-	jc, err := figJoint()
-	if err != nil {
-		t.Fatalf("joint: %v", err)
-	}
-	for name, tr := range map[string]*tuner.Trace{
-		"independent/uchicago": jc.Independent.UChicago,
-		"independent/tacc":     jc.Independent.TACC,
-		"joint/uchicago":       jc.JointUChicago,
-		"joint/tacc":           jc.JointTACC,
-	} {
-		traceMetrics(m, "joint/"+name, tr, 0)
-	}
+	m["sim/trace-digest"] = float64(digest & (1<<48 - 1))
 	return m
 }
 

@@ -41,13 +41,8 @@ func (r *Fig1Result) Render() string {
 // renderTrace writes one tuner's summary block: means, final vector,
 // and sparklines of throughput and the tuned parameters.
 func renderTrace(b *strings.Builder, name string, tr *tuner.Trace) {
-	obs, best := tr.MeanThroughput(), tr.MeanBestCase()
-	overhead := 0.0
-	if best > 0 {
-		overhead = 100 * (1 - obs/best)
-	}
 	fmt.Fprintf(b, "%-9s mean %7s MB/s  best-case %7s MB/s  overhead %4.1f%%  final x=%v\n",
-		name, trace.MBs(obs), trace.MBs(best), overhead, tr.FinalX())
+		name, trace.MBs(tr.MeanThroughput()), trace.MBs(tr.MeanBestCase()), overheadPct(tr), tr.FinalX())
 	fmt.Fprintf(b, "          throughput %s\n", trace.Sparkline(tr.Throughput(), sparkWidth))
 	dims := 0
 	if x := tr.FinalX(); x != nil {

@@ -33,9 +33,8 @@ type WarmStartCell struct {
 	// throughput the warm run far exceeds.
 	Target float64
 	// ColdEpochs and WarmEpochs count epochs until the rolling mean
-	// throughput reaches the critical fraction of Target
-	// (EpochsToTarget); a run that never got there within budget
-	// reports its full epoch count.
+	// throughput reaches the critical fraction of Target; a run that
+	// never got there within budget reports its full epoch count.
 	ColdEpochs, WarmEpochs int
 	// ColdBytes and WarmBytes are the integral throughput of each run:
 	// total bytes moved over the shared budget.
@@ -59,49 +58,7 @@ type WarmStartResult struct {
 // divides out the epoch length; counting epochs keeps the comparison
 // exact across runs that share e.
 func EpochsToCritical(tr *tuner.Trace, frac float64, window int) int {
-	return EpochsToTarget(tr, frac*steadyMean(tr, window), window)
-}
-
-// EpochsToTarget returns the index of the first epoch opening a
-// rolling window of `window` epochs whose mean throughput reaches
-// target, or -1 when the trace is shorter than the window or the
-// target is never reached. Unlike EpochsToCritical the reference is
-// explicit, so two runs can be measured against the same bar.
-func EpochsToTarget(tr *tuner.Trace, target float64, window int) int {
-	if window < 1 {
-		window = 1
-	}
-	n := len(tr.Results)
-	if n < window {
-		return -1
-	}
-	for i := 0; i+window <= n; i++ {
-		if windowMean(tr.Results[i:i+window]) >= target {
-			return i
-		}
-	}
-	return -1
-}
-
-// steadyMean is the mean throughput of the trace's last `window`
-// epochs — its steady value; 0 for traces shorter than the window.
-func steadyMean(tr *tuner.Trace, window int) float64 {
-	if window < 1 {
-		window = 1
-	}
-	n := len(tr.Results)
-	if n < window {
-		return 0
-	}
-	return windowMean(tr.Results[n-window:])
-}
-
-func windowMean(rs []tuner.EpochResult) float64 {
-	sum := 0.0
-	for _, r := range rs {
-		sum += r.Report.Throughput
-	}
-	return sum / float64(len(rs))
+	return tuner.FirstWindow(tr.Results, window, frac*tr.SteadyMean(window))
 }
 
 // integralBytes is the integral of observed throughput over the run:
@@ -178,20 +135,14 @@ func WarmStartStudy(tb Testbed, names []string, loads []load.Load, rc RunConfig,
 		// Both runs are judged against the same bar — the better of
 		// the two steady values — and a run that never reaches it
 		// within budget counts as taking every epoch it had.
-		target := max(steadyMean(cold, window), steadyMean(warm, window))
-		atTarget := func(tr *tuner.Trace) int {
-			if e := EpochsToTarget(tr, frac*target, window); e >= 0 {
-				return e
-			}
-			return len(tr.Results)
-		}
+		target := max(cold.SteadyMean(window), warm.SteadyMean(window))
 		out[i] = WarmStartCell{
 			Tuner:      c.name,
 			Load:       c.l,
 			Pred:       x,
 			Target:     target,
-			ColdEpochs: atTarget(cold),
-			WarmEpochs: atTarget(warm),
+			ColdEpochs: segmentLag(cold.Results, frac*target, window),
+			WarmEpochs: segmentLag(warm.Results, frac*target, window),
 			ColdBytes:  integralBytes(cold),
 			WarmBytes:  integralBytes(warm),
 			Cold:       cold,

@@ -14,11 +14,8 @@ import (
 // fewer epochs than the cold run AND move at least as many bytes over
 // the same budget.
 func TestWarmStartBeatsCold(t *testing.T) {
-	res, err := WarmStartStudy(ANLtoUChicago(), []string{"cs-tuner", "cd-tuner"},
-		WarmStartLoads(), RunConfig{Seed: 11, Duration: 900, Epoch: 30}, 0.9, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Pinned: seed 11, 900 s, 30 s epochs; 90% over a 3-epoch window.
+	res := raw[*WarmStartResult](t, "warm")
 	if len(res.Cells) != 8 {
 		t.Fatalf("study holds %d cells, want 2 tuners x 4 loads", len(res.Cells))
 	}

@@ -112,28 +112,3 @@ func barTable(c *BarChart) string {
 	b.WriteString(`</tbody></table></details>`)
 	return b.String()
 }
-
-// Tile is one stat tile: a label, a compact value, and an optional
-// note (e.g. the paper's reported number).
-type Tile struct {
-	Label string
-	Value string
-	Note  string
-}
-
-// TileRow renders a KPI row of stat tiles.
-func TileRow(tiles []Tile) string {
-	var b strings.Builder
-	b.WriteString(`<div class="tiles">`)
-	for _, t := range tiles {
-		fmt.Fprintf(&b,
-			`<div class="tile"><div class="tile-label">%s</div><div class="tile-value">%s</div>`,
-			esc(t.Label), esc(t.Value))
-		if t.Note != "" {
-			fmt.Fprintf(&b, `<div class="tile-note">%s</div>`, esc(t.Note))
-		}
-		b.WriteString(`</div>`)
-	}
-	b.WriteString(`</div>`)
-	return b.String()
-}

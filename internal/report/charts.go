@@ -9,13 +9,12 @@ import (
 
 // Chart geometry shared by the figures.
 const (
-	chartW  = 760
-	chartH  = 300
-	padL    = 64  // y-axis band
-	padR    = 120 // end-label gutter
-	padT    = 18
-	padB    = 40 // x-axis band — included in the fixed height
-	tileMin = 170
+	chartW = 760
+	chartH = 300
+	padL   = 64  // y-axis band
+	padR   = 120 // end-label gutter
+	padT   = 18
+	padB   = 40 // x-axis band — included in the fixed height
 )
 
 // LineSeries is one series of a line chart. X and Y must have equal

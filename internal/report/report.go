@@ -33,9 +33,6 @@ func (r *Report) AddLine(c *LineChart) { r.sections = append(r.sections, c.HTML(
 // AddBar appends a grouped bar chart.
 func (r *Report) AddBar(c *BarChart) { r.sections = append(r.sections, c.HTML()) }
 
-// AddTiles appends a stat-tile row.
-func (r *Report) AddTiles(tiles []Tile) { r.sections = append(r.sections, TileRow(tiles)) }
-
 // AddTable appends a plain data table.
 func (r *Report) AddTable(header []string, rows [][]string) {
 	var b strings.Builder
@@ -75,7 +72,7 @@ func (r *Report) Render(w io.Writer) error {
 }
 
 // pageCSS is the chart chrome: recessive grid, thin marks, text in ink
-// tokens, tiles, legend, and table views. Series colors appear only on
+// tokens, legend, and table views. Series colors appear only on
 // marks and legend keys, never on text.
 var pageCSS = `
 * { box-sizing: border-box; }
@@ -105,14 +102,6 @@ svg text.direct-label { fill: var(--ink-2); font-size: 12px; }
 .legend .key { display: inline-block; margin-right: 6px; vertical-align: middle; }
 .legend .key-line { width: 16px; height: 2px; border-radius: 1px; }
 .legend .key-bar { width: 10px; height: 10px; border-radius: 2px; }
-.tiles { display: flex; flex-wrap: wrap; gap: 12px; margin: 14px 0; }
-.tile {
-  background: var(--surface); border: 1px solid var(--border); border-radius: 10px;
-  padding: 12px 16px; min-width: ` + fmt.Sprint(tileMin) + `px; flex: 1;
-}
-.tile-label { font-size: 13px; color: var(--ink-2); }
-.tile-value { font-size: 30px; font-weight: 600; margin-top: 2px; }
-.tile-note { font-size: 12px; color: var(--muted); margin-top: 2px; }
 details.table-view { margin-top: 8px; font-size: 13px; }
 details.table-view summary { color: var(--ink-2); cursor: pointer; }
 table { border-collapse: collapse; margin-top: 6px; width: 100%; }

@@ -23,14 +23,10 @@ import (
 // instead of a replay. Version 3 keeps that state but splits the file:
 // a fixed-size head at the checkpoint path and an append-only epoch log
 // beside it (see FileCheckpoint), so writing a checkpoint costs the
-// same at epoch 10 and at epoch 10 000. Version-2 files still load —
-// LoadCheckpoint upgrades them in memory — and Config.Resume rejects
-// every other version rather than guess at its layout.
+// same at epoch 10 and at epoch 10 000. LoadCheckpoint and
+// Config.Resume reject every other version rather than guess at its
+// layout.
 const CheckpointVersion = 3
-
-// checkpointV2 is the one older on-disk layout the loader still reads:
-// a single JSON object with the trace inline.
-const checkpointV2 = 2
 
 // ErrInterrupted is returned by Run and Driver.Run when the run was
 // stopped by the Config.Drain channel: the in-flight epoch completed,
@@ -79,8 +75,7 @@ type Checkpoint struct {
 	// after the last recorded epoch was observed.
 	Strategy json.RawMessage `json:"strategy,omitempty"`
 	// Trace holds every recorded epoch in order. On disk it lives in
-	// the epoch log, not in the head (a version-2 file carries it
-	// inline).
+	// the epoch log, not in the head.
 	Trace []EpochRecord `json:"trace,omitempty"`
 }
 
@@ -110,11 +105,11 @@ func (f CheckpointFunc) Save(ck *Checkpoint) error { return f(ck) }
 // surplus tail is never seen. Move or copy a checkpoint as the pair.
 //
 // The first Save of a FileCheckpoint rewrites the log whole, which
-// brings whatever is at the path — an earlier run's files, a version-2
-// file, a torn tail, garbage — to a clean state; every later Save
-// appends only the records added since and costs the same however long
-// the trace has grown. Saves must therefore carry an append-only
-// trace, as the engine's do. A FileCheckpoint is not safe for
+// brings whatever is at the path — an earlier run's files, a torn
+// tail, garbage — to a clean state; every later Save appends only the
+// records added since and costs the same however long the trace has
+// grown. Saves must therefore carry an append-only trace, as the
+// engine's do. A FileCheckpoint is not safe for
 // concurrent use; Close releases the log handle (the engine calls it
 // when the session ends), after which a Save starts over with a whole
 // rewrite.
@@ -251,12 +246,11 @@ func (f *FileCheckpoint) Close() error {
 // FileCheckpoint: the head at path and the first head.Epochs records
 // of the epoch log beside it. Records past that count — a torn or
 // uncommitted tail — are ignored; a log shorter than the head counts
-// is corruption. A version-2 file (one JSON object, trace inline) loads
-// too and is returned as the current version.
+// is corruption.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	ck, inline, err := loadHead(path)
-	if err != nil || inline {
-		return ck, err
+	ck, err := LoadCheckpointHead(path)
+	if err != nil {
+		return nil, err
 	}
 	data, err := os.ReadFile(logPath(path))
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
@@ -283,41 +277,21 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 // the epoch log, so it cannot tell whether LoadCheckpoint would find
 // the log intact.
 func LoadCheckpointHead(path string) (*Checkpoint, error) {
-	ck, _, err := loadHead(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	ck.Trace = nil
-	return ck, nil
-}
-
-// loadHead decodes the file at path. inline reports a version-2 file,
-// whose trace came with it; a version-3 head's trace is still in the
-// log.
-func loadHead(path string) (ck *Checkpoint, inline bool, err error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false, err
-	}
-	ck = new(Checkpoint)
+	ck := new(Checkpoint)
 	if err := json.Unmarshal(data, ck); err != nil {
-		return nil, false, fmt.Errorf("tuner: checkpoint %s: %w", path, err)
+		return nil, fmt.Errorf("tuner: checkpoint %s: %w", path, err)
 	}
-	switch ck.Version {
-	case checkpointV2:
-		if ck.Epochs != len(ck.Trace) {
-			return nil, false, fmt.Errorf("tuner: checkpoint %s is corrupt: %d epochs but %d trace records", path, ck.Epochs, len(ck.Trace))
-		}
-		ck.Version = CheckpointVersion
-		return ck, true, nil
-	case CheckpointVersion:
-		if ck.Epochs < 0 || len(ck.Trace) != 0 {
-			return nil, false, fmt.Errorf("tuner: checkpoint %s is corrupt: head counts %d epochs and carries %d trace records", path, ck.Epochs, len(ck.Trace))
-		}
-		return ck, false, nil
-	default:
-		return nil, false, fmt.Errorf("tuner: checkpoint %s has version %d, this build reads %d and %d", path, ck.Version, checkpointV2, CheckpointVersion)
+	if ck.Version != CheckpointVersion {
+		return nil, fmt.Errorf("tuner: checkpoint %s has version %d, this build reads %d", path, ck.Version, CheckpointVersion)
 	}
+	if ck.Epochs < 0 || len(ck.Trace) != 0 {
+		return nil, fmt.Errorf("tuner: checkpoint %s is corrupt: head counts %d epochs and carries %d trace records", path, ck.Epochs, len(ck.Trace))
+	}
+	return ck, nil
 }
 
 // checkpointer assembles and writes a session's checkpoints: it owns

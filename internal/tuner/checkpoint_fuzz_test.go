@@ -8,16 +8,17 @@ import (
 )
 
 // FuzzLoadCheckpoint feeds arbitrary bytes through the checkpoint
-// loaders — as the head (or a whole version-2 file) and as the epoch
-// log beside it — and, when a checkpoint is accepted, through every
-// strategy's Restore. Corrupt or truncated input must surface as an
-// error — never a panic — and anything accepted must satisfy the
-// loader's invariants.
+// loaders — as the head and as the epoch log beside it — and, when a
+// checkpoint is accepted, through every strategy's Restore. Corrupt or
+// truncated input must surface as an error — never a panic — and
+// anything accepted must satisfy the loader's invariants.
 func FuzzLoadCheckpoint(f *testing.F) {
-	// Seed the corpus with a real checkpoint in both layouts,
-	// truncations of it, and hand-corrupted variants.
+	// Seed the corpus with a real checkpoint in this build's layout and
+	// in the retired single-file one (version 2, trace inline: rejected
+	// since, but still input a loader must survive), truncations of
+	// it, and hand-corrupted variants.
 	ck := &Checkpoint{
-		Version:  checkpointV2,
+		Version:  2,
 		Tuner:    "cs-tuner",
 		Seed:     7,
 		Epochs:   1,

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dstune/internal/directsearch"
@@ -90,13 +91,10 @@ func drainAfter(k int, fc *FileCheckpoint) Config {
 // checkpointing it through the durable file form, and resuming on the
 // same live transfer must produce exactly the trace an uninterrupted
 // run produces on an identical fresh world — same proposals, same
-// reports, no restart-from-default. It holds from the checkpoint the
-// drained run just wrote (version 3: head and epoch log) and from the
-// version-2 file the previous release wrote at the same point of the
-// same run (testdata/checkpoint_v2), which the resumed run's first
-// Save then converts in place. The "stepped" column drives both halves
-// through a stepped SessionRuntime instead of the tuner's Driver: one
-// engine, so interrupting and resuming it must give the same trace.
+// reports, no restart-from-default. The "stepped" column drives both
+// halves through a stepped SessionRuntime instead of the tuner's
+// Driver: one engine, so interrupting and resuming it must give the
+// same trace.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
@@ -109,7 +107,7 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 		if len(ref.Results) <= interruptAfter {
 			t.Fatalf("%s: reference run too short to interrupt: %d epochs", name, len(ref.Results))
 		}
-		for _, from := range []string{"v3", "v2", "stepped"} {
+		for _, from := range []string{"v3", "stepped"} {
 			t.Run(name+"/"+from, func(t *testing.T) {
 				// Interrupted: identical world, drained after k epochs.
 				live := simTransfer(t, seed)
@@ -128,19 +126,6 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 				if !reflect.DeepEqual(part.Results, ref.Results[:interruptAfter]) {
 					t.Fatalf("pre-interrupt trace diverged from reference:\n got %+v\nwant %+v",
 						part.Results, ref.Results[:interruptAfter])
-				}
-				if from == "v2" {
-					// Swap in what the previous release left at this point.
-					old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v2", name+".json"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := os.WriteFile(fc.Path(), old, 0o644); err != nil {
-						t.Fatal(err)
-					}
-					if err := os.Remove(fc.Path() + ".log"); err != nil {
-						t.Fatal(err)
-					}
 				}
 
 				// Resume from the file on the same live transfer, writing
@@ -437,14 +422,20 @@ func TestFileCheckpointDurability(t *testing.T) {
 		t.Fatalf("after a second writer: %+v, %v", got, err)
 	}
 
-	// Version skew: a head from a build this one does not know.
-	skew := filepath.Join(dir, "skew.checkpoint")
-	if err := os.WriteFile(skew, []byte(`{"version":4,"tuner":"cs-tuner","epochs":0}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, load := range []func(string) (*Checkpoint, error){LoadCheckpoint, LoadCheckpointHead} {
-		if _, err := load(skew); err == nil {
-			t.Fatal("version-skewed checkpoint loaded")
+	// Version skew: a head from a build this one does not know, and the
+	// single-file layout of the release before the head/log split.
+	for _, tc := range []struct{ file, want string }{
+		{`{"version":4,"tuner":"cs-tuner","epochs":0}`, "has version 4, this build reads 3"},
+		{`{"version":2,"tuner":"cs-tuner","epochs":1,"trace":[{"x":[2]}]}`, "has version 2, this build reads 3"},
+	} {
+		skew := filepath.Join(dir, "skew.checkpoint")
+		if err := os.WriteFile(skew, []byte(tc.file), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, load := range []func(string) (*Checkpoint, error){LoadCheckpoint, LoadCheckpointHead} {
+			if _, err := load(skew); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("version-skewed checkpoint: got %v, want an error saying %q", err, tc.want)
+			}
 		}
 	}
 }

@@ -366,34 +366,54 @@ func (tr *Trace) SteadyThroughput(t0 float64) float64 {
 	return sum / float64(n)
 }
 
-// ConvergenceTime returns the transfer time (the epoch-start of the
-// first window) at which the rolling mean throughput over `window`
-// epochs first reaches frac of the steady value (the mean of the last
-// `window` epochs). It returns -1 when the trace is shorter than the
-// window or the threshold is never reached. The paper quotes such
-// times in §IV-A: cd-tuner ~100 s unloaded, cs/nm ~500-600 s.
-func (tr *Trace) ConvergenceTime(frac float64, window int) float64 {
-	if window < 1 {
-		window = 1
+// WindowMean is the mean observed throughput of the epochs rs.
+func WindowMean(rs []EpochResult) float64 {
+	sum := 0.0
+	for _, r := range rs {
+		sum += r.Report.Throughput
 	}
-	n := len(tr.Results)
-	if n < window {
-		return -1
-	}
-	mean := func(rs []EpochResult) float64 {
-		sum := 0.0
-		for _, r := range rs {
-			sum += r.Report.Throughput
-		}
-		return sum / float64(len(rs))
-	}
-	steady := mean(tr.Results[n-window:])
-	for i := 0; i+window <= n; i++ {
-		if mean(tr.Results[i:i+window]) >= frac*steady {
-			return tr.Results[i].Report.Start
+	return sum / float64(len(rs))
+}
+
+// FirstWindow returns the index of the first epoch in rs opening a
+// rolling window of `window` epochs (at least one) whose mean
+// throughput reaches target, or -1 when no window does — rs being
+// shorter than one window included. Every "when did it get there"
+// quantity — convergence time, epochs to the critical point,
+// re-adaptation lag — is this index.
+func FirstWindow(rs []EpochResult, window int, target float64) int {
+	window = max(window, 1)
+	for i := 0; i+window <= len(rs); i++ {
+		if WindowMean(rs[i:i+window]) >= target {
+			return i
 		}
 	}
 	return -1
+}
+
+// SteadyMean is the mean throughput of the trace's last `window`
+// epochs — its steady value; 0 for traces shorter than the window.
+func (tr *Trace) SteadyMean(window int) float64 {
+	window = max(window, 1)
+	n := len(tr.Results)
+	if n < window {
+		return 0
+	}
+	return WindowMean(tr.Results[n-window:])
+}
+
+// ConvergenceTime returns the transfer time (the epoch-start of the
+// first window) at which the rolling mean throughput over `window`
+// epochs first reaches frac of the steady value (SteadyMean). It
+// returns -1 when the trace is shorter than the window or the
+// threshold is never reached. The paper quotes such times in §IV-A:
+// cd-tuner ~100 s unloaded, cs/nm ~500-600 s.
+func (tr *Trace) ConvergenceTime(frac float64, window int) float64 {
+	i := FirstWindow(tr.Results, window, frac*tr.SteadyMean(window))
+	if i < 0 {
+		return -1
+	}
+	return tr.Results[i].Report.Start
 }
 
 // BestEpoch returns the vector and observed throughput of the
