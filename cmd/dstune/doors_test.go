@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -16,22 +18,25 @@ import (
 )
 
 // doorRun is what one front door made of a spec: the per-epoch vectors
-// and throughputs, and the key the run recorded under.
+// and throughputs, whether each epoch carried kernel TCP samples, and
+// the key the run recorded under.
 type doorRun struct {
-	xs  [][]int
-	tps []float64
-	key dstune.HistoryKey
+	xs     [][]int
+	tps    []float64
+	kernel []bool
+	key    dstune.HistoryKey
 }
 
 // doorRunOf reads a run back from its per-epoch records and the one key
 // its door's history store now holds under endpoint.
-func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint string, n int, epoch func(i int) ([]int, float64)) doorRun {
+func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint string, n int, epoch func(i int) ([]int, dstune.Report)) doorRun {
 	t.Helper()
 	var run doorRun
 	for i := 0; i < n; i++ {
-		x, tp := epoch(i)
+		x, rep := epoch(i)
 		run.xs = append(run.xs, x)
-		run.tps = append(run.tps, tp)
+		run.tps = append(run.tps, rep.Throughput)
+		run.kernel = append(run.kernel, rep.Kernel != nil)
 	}
 	recs := store.Records(endpoint)
 	if len(recs) != 1 {
@@ -48,7 +53,9 @@ func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint string, n int,
 // session-id suffix the two multi-session doors add. The `default` rows
 // hold since the doors agree that the static baseline keeps its
 // processes alive; the dataset rows since a simulated -dataset is the
-// disk-to-disk model at the CLI too.
+// disk-to-disk model at the CLI too. The socket row cannot compare
+// wall-clock throughputs; it holds what a strategy that reads kernel
+// samples is owed at every door: the samples, with no flag asking.
 func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 	d := daemonDoor{dir: t.TempDir(), hist: dstune.NewMemHistory()}
 	var err error
@@ -81,6 +88,27 @@ func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 			}
 		}
 	}
+
+	t.Run("socket/kernel-aware:cs-tuner", func(t *testing.T) {
+		if runtime.GOOS != "linux" {
+			t.Skip("TCP_INFO sampling is Linux-only")
+		}
+		srv, err := dstune.ServeGridFTP("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		spec := service.JobSpec{
+			ID: "row-socket", Tuner: "kernel-aware:cs-tuner", Addr: srv.Addr(),
+			Epoch: 0.05, Tolerance: 30, Budget: 0.25, MaxNC: 4, Seed: 3,
+		}
+		cli, viaFleet, daemon := atEveryDoor(t, d, spec)
+		for door, run := range map[string]doorRun{"the CLI": cli, "-fleet": viaFleet, "dstuned": daemon} {
+			if len(run.kernel) == 0 || slices.Contains(run.kernel, false) {
+				t.Errorf("%s: epochs with kernel samples %v, want every one of at least one", door, run.kernel)
+			}
+		}
+	})
 }
 
 // daemonDoor is one running Supervisor, its state directory and its
@@ -91,13 +119,22 @@ type daemonDoor struct {
 	hist *dstune.HistoryStore
 }
 
-// sameAtEveryDoor runs spec through the three doors and compares.
-func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) {
+// atEveryDoor runs spec through the three doors and returns what each
+// made of it.
+func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) (cli, viaFleet, daemon doorRun) {
 	// (a) The flag line, through the CLI's own flag binding and session
 	// construction.
 	args := []string{
-		"-tuner", spec.Tuner, "-testbed", spec.Testbed, "-cmp", strconv.Itoa(spec.Cmp),
+		"-tuner", spec.Tuner, "-cmp", strconv.Itoa(spec.Cmp),
 		"-duration", fmt.Sprint(spec.Budget), "-seed", fmt.Sprint(spec.Seed),
+	}
+	endpoint := spec.Testbed
+	if spec.Addr != "" {
+		endpoint = spec.Addr
+		args = append(args, "-mode", "socket", "-addr", spec.Addr, "-epoch", fmt.Sprint(spec.Epoch),
+			"-tolerance", fmt.Sprint(spec.Tolerance), "-max-nc", strconv.Itoa(spec.MaxNC))
+	} else {
+		args = append(args, "-testbed", spec.Testbed)
 	}
 	if spec.Two {
 		args = append(args, "-two")
@@ -107,8 +144,8 @@ func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) {
 	}
 	cliHist := dstune.NewMemHistory()
 	_, trace := runFlags(t, cliHist, args...)
-	cli := doorRunOf(t, cliHist, spec.Testbed, len(trace.Results), func(i int) ([]int, float64) {
-		return trace.Results[i].X, trace.Results[i].Report.Throughput
+	cli = doorRunOf(t, cliHist, endpoint, len(trace.Results), func(i int) ([]int, dstune.Report) {
+		return trace.Results[i].X, trace.Results[i].Report
 	})
 	if len(cli.xs) == 0 {
 		t.Fatal("the CLI ran no epochs")
@@ -139,8 +176,8 @@ func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) {
 		t.Fatalf("fleet: %v / %v", err, results[0].Err)
 	}
 	ft := results[0].Traces[0]
-	viaFleet := doorRunOf(t, fleetHist, spec.Testbed+"/only", len(ft.Results), func(i int) ([]int, float64) {
-		return ft.Results[i].X, ft.Results[i].Report.Throughput
+	viaFleet = doorRunOf(t, fleetHist, endpoint+"/only", len(ft.Results), func(i int) ([]int, dstune.Report) {
+		return ft.Results[i].X, ft.Results[i].Report
 	})
 
 	// (c) A dstuned job; its epochs are read back from its checkpoint.
@@ -166,15 +203,20 @@ func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon := doorRunOf(t, d.hist, spec.Testbed+"/"+st.ID, len(ck.Trace), func(i int) ([]int, float64) {
-		return ck.Trace[i].X, ck.Trace[i].Report.Throughput
+	daemon = doorRunOf(t, d.hist, endpoint+"/"+st.ID, len(ck.Trace), func(i int) ([]int, dstune.Report) {
+		return ck.Trace[i].X, ck.Trace[i].Report
 	})
+	return cli, viaFleet, daemon
+}
 
+// sameAtEveryDoor runs spec through the three doors and compares.
+func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) {
+	cli, viaFleet, daemon := atEveryDoor(t, d, spec)
 	for _, other := range []struct {
 		door   string
 		run    doorRun
 		suffix string
-	}{{"-fleet", viaFleet, "/only"}, {"dstuned", daemon, "/" + st.ID}} {
+	}{{"-fleet", viaFleet, "/only"}, {"dstuned", daemon, "/" + spec.ID}} {
 		if !reflect.DeepEqual(other.run.xs, cli.xs) {
 			t.Errorf("%s proposed %v, the CLI %v", other.door, other.run.xs, cli.xs)
 		}

@@ -165,7 +165,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.cold, "cold", false, "disable the warm stripe pool: re-dial every data connection each epoch (socket mode)")
 	fs.StringVar(&o.source, "source", "", "read -dataset payload from real files under this directory (materialized if absent) instead of synthetic zeros, engaging the zero-copy sendfile pump where the platform has it (socket mode)")
 	fs.BoolVar(&o.sink, "sink", false, "ask the server to persist the -dataset files at its configured -sink directory instead of discarding them (socket mode)")
-	fs.BoolVar(&o.tcpInfo, "tcpinfo", false, "sample kernel TCP_INFO per stripe at epoch boundaries and surface it in the trace and events (socket mode, Linux)")
+	fs.BoolVar(&o.tcpInfo, "tcpinfo", false, "sample kernel TCP_INFO per stripe at epoch boundaries and surface it in the trace and events; always on under kernel-aware:<tuner>, rl-bandit and rl-q, which read it (socket mode, Linux)")
 	return o
 }
 
@@ -265,7 +265,9 @@ func (o *options) socketTransfer(observer *dstune.Observer) service.TransferFact
 		}
 		ccfg.Retry = o.retry
 		ccfg.MinStreams, ccfg.SockBuf = o.minStreams, o.sockBuf
-		ccfg.ColdStart, ccfg.RequestSink, ccfg.TCPInfo = o.cold, o.sink, o.tcpInfo
+		ccfg.ColdStart, ccfg.RequestSink = o.cold, o.sink
+		// The spec's strategy may have asked for kernel samples already.
+		ccfg.TCPInfo = ccfg.TCPInfo || o.tcpInfo
 		if o.source != "" {
 			if err := dstune.MaterializeDataset(o.source, ccfg.Dataset); err != nil {
 				return nil, err

@@ -39,14 +39,6 @@ func (d Dataset) TotalBytes() int64 {
 	return sum
 }
 
-// MeanSize returns the mean file size in bytes, or 0 when empty.
-func (d Dataset) MeanSize() float64 {
-	if len(d.Files) == 0 {
-		return 0
-	}
-	return float64(d.TotalBytes()) / float64(len(d.Files))
-}
-
 // MedianSize returns the median file size in bytes, or 0 when empty.
 func (d Dataset) MedianSize() float64 {
 	n := len(d.Files)
@@ -68,15 +60,6 @@ func (d Dataset) MedianSize() float64 {
 func (d Dataset) String() string {
 	return fmt.Sprintf("%d files, %.1f MB total, median %.2f MB",
 		d.Count(), float64(d.TotalBytes())/1e6, d.MedianSize()/1e6)
-}
-
-// Concat joins datasets in order, renumbering nothing.
-func Concat(sets ...Dataset) Dataset {
-	var out Dataset
-	for _, s := range sets {
-		out.Files = append(out.Files, s.Files...)
-	}
-	return out
 }
 
 // Uniform returns n files of identical size.
@@ -105,32 +88,6 @@ func LogNormal(n int, median float64, sigma float64, seed uint64) Dataset {
 	d := Dataset{Files: make([]File, n)}
 	for i := range d.Files {
 		size := int64(math.Exp(mu + sigma*rng.NormFloat64()))
-		if size < 1 {
-			size = 1
-		}
-		d.Files[i] = File{Name: fmt.Sprintf("file-%06d", i), Size: size}
-	}
-	return d
-}
-
-// Pareto returns n files with Pareto-distributed sizes: minimum size
-// xm bytes and tail index alpha (smaller alpha = heavier tail; alpha
-// must exceed 0). Deterministic per seed.
-func Pareto(n int, xm float64, alpha float64, seed uint64) Dataset {
-	if n < 0 {
-		n = 0
-	}
-	if alpha <= 0 {
-		alpha = 1
-	}
-	rng := sim.NewRNG(seed)
-	d := Dataset{Files: make([]File, n)}
-	for i := range d.Files {
-		u := rng.Float64()
-		if u == 0 {
-			u = 0.5
-		}
-		size := int64(xm / math.Pow(u, 1/alpha))
 		if size < 1 {
 			size = 1
 		}

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,8 +11,8 @@ func TestUniform(t *testing.T) {
 	if d.Count() != 10 || d.TotalBytes() != 10000 {
 		t.Fatalf("Uniform: %v", d)
 	}
-	if d.MeanSize() != 1000 || d.MedianSize() != 1000 {
-		t.Fatalf("mean/median: %v/%v", d.MeanSize(), d.MedianSize())
+	if d.MedianSize() != 1000 {
+		t.Fatalf("median: %v", d.MedianSize())
 	}
 	if d.Files[3].Name != "file-000003" {
 		t.Fatalf("name %q", d.Files[3].Name)
@@ -25,7 +24,7 @@ func TestUniform(t *testing.T) {
 
 func TestEmptyDataset(t *testing.T) {
 	var d Dataset
-	if d.MeanSize() != 0 || d.MedianSize() != 0 || d.TotalBytes() != 0 {
+	if d.MedianSize() != 0 || d.TotalBytes() != 0 {
 		t.Fatal("empty dataset stats not zero")
 	}
 }
@@ -47,8 +46,8 @@ func TestLogNormalProperties(t *testing.T) {
 		t.Fatalf("median %v, want near 1e6", med)
 	}
 	// Heavy tail: mean well above median.
-	if d.MeanSize() <= med {
-		t.Fatalf("mean %v not above median %v", d.MeanSize(), med)
+	if mean := float64(d.TotalBytes()) / float64(d.Count()); mean <= med {
+		t.Fatalf("mean %v not above median %v", mean, med)
 	}
 	for _, f := range d.Files {
 		if f.Size < 1 {
@@ -75,39 +74,6 @@ func TestLogNormalDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds identical")
-	}
-}
-
-func TestParetoProperties(t *testing.T) {
-	d := Pareto(5000, 1e5, 1.5, 9)
-	min := int64(math.MaxInt64)
-	for _, f := range d.Files {
-		if f.Size < min {
-			min = f.Size
-		}
-	}
-	if min < 1e5*0.99 {
-		t.Fatalf("minimum %v below xm", min)
-	}
-	// Tail: max far above the minimum.
-	var max int64
-	for _, f := range d.Files {
-		if f.Size > max {
-			max = f.Size
-		}
-	}
-	if float64(max) < 10*1e5 {
-		t.Fatalf("max %v suspiciously small for a Pareto tail", max)
-	}
-	if Pareto(10, 100, -1, 1).Count() != 10 {
-		t.Fatal("alpha fallback broken")
-	}
-}
-
-func TestConcat(t *testing.T) {
-	d := Concat(Uniform(2, 10), Uniform(3, 20))
-	if d.Count() != 5 || d.TotalBytes() != 80 {
-		t.Fatalf("Concat: %v", d)
 	}
 }
 

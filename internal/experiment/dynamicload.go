@@ -23,8 +23,15 @@ import (
 // immediately. For each (schedule, shift) the yardstick is the best
 // rolling-window throughput any tuner in the study achieved in that
 // post-shift segment; a cell's lag is the index of its first epoch
-// window at or above Frac of that, and a cell that never gets there is
-// charged the full segment length.
+// window at or above lagFrac of that, and a cell that never gets there
+// is charged the full segment length.
+
+// The lag yardstick's rolling-mean width in epochs, and the fraction of
+// the segment's best window a cell must reach to count as re-adapted.
+const (
+	lagWindow = 3
+	lagFrac   = 0.8
+)
 
 // DynamicSchedule pairs a named load schedule with the times its load
 // shifts, so the harness knows where re-adaptation segments begin.
@@ -92,11 +99,6 @@ type DynamicLoadCell struct {
 type DynamicLoadResult struct {
 	// Testbed names the simulated link.
 	Testbed string
-	// Window is the rolling-mean width (epochs) for lag detection.
-	Window int
-	// Frac is the fraction of the shared post-shift yardstick a cell
-	// must reach to count as re-adapted.
-	Frac float64
 	// Cells holds every run's scores.
 	Cells []DynamicLoadCell
 }
@@ -111,10 +113,6 @@ type DynamicLoadConfig struct {
 	Tuners []string
 	// Schedules defaults to DynamicSchedules(Run.Duration).
 	Schedules []DynamicSchedule
-	// Window is the rolling-mean width in epochs; zero selects 3.
-	Window int
-	// Frac is the re-adaptation threshold; zero selects 0.8.
-	Frac float64
 }
 
 // DynamicLoadStudy runs the dynamic-load comparison on tb: every tuner
@@ -130,17 +128,8 @@ func DynamicLoadStudy(tb Testbed, cfg DynamicLoadConfig) (*DynamicLoadResult, er
 	if len(scheds) == 0 {
 		scheds = DynamicSchedules(rc.Duration)
 	}
-	window := cfg.Window
-	if window <= 0 {
-		window = 3
-	}
-	frac := cfg.Frac
-	if frac <= 0 {
-		frac = 0.8
-	}
 
-	res := &DynamicLoadResult{Testbed: tb.Name, Window: window, Frac: frac,
-		Cells: make([]DynamicLoadCell, len(scheds)*len(tuners))}
+	res := &DynamicLoadResult{Testbed: tb.Name, Cells: make([]DynamicLoadCell, len(scheds)*len(tuners))}
 	err := forEachCell(len(res.Cells), func(i int) error {
 		sc := scheds[i/len(tuners)]
 		name := tuners[i%len(tuners)]
@@ -174,13 +163,13 @@ func DynamicLoadStudy(tb Testbed, cfg DynamicLoadConfig) (*DynamicLoadResult, er
 			}
 			best := 0.0
 			for ci := range cells {
-				if p := peakWindow(segmentOf(cells[ci].Trace, ts, end), window); p > best {
+				if p := peakWindow(segmentOf(cells[ci].Trace, ts, end), lagWindow); p > best {
 					best = p
 				}
 			}
 			for ci := range cells {
 				seg := segmentOf(cells[ci].Trace, ts, end)
-				cells[ci].Lags = append(cells[ci].Lags, segmentLag(seg, frac*best, window))
+				cells[ci].Lags = append(cells[ci].Lags, segmentLag(seg, lagFrac*best, lagWindow))
 			}
 		}
 		for ci := range cells {
@@ -233,7 +222,7 @@ func segmentLag(seg []tuner.EpochResult, target float64, window int) int {
 // vector.
 func (r *DynamicLoadResult) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "DynamicLoadStudy %s (window=%d epochs, frac=%.2f)\n", r.Testbed, r.Window, r.Frac)
+	fmt.Fprintf(&b, "DynamicLoadStudy %s (window=%d epochs, frac=%.2f)\n", r.Testbed, lagWindow, lagFrac)
 	fmt.Fprintf(&b, "%-10s %-10s %12s %12s %8s  %s\n",
 		"schedule", "tuner", "GB", "mean MB/s", "mean lag", "lags (epochs)")
 	for _, c := range r.Cells {

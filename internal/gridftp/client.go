@@ -83,8 +83,8 @@ type ClientConfig struct {
 	SourceDir string
 	// RequestSink asks the server to persist the transferred files
 	// under its configured sink directory (Server.SetSink) instead of
-	// discarding them, via a SINK exchange after the manifest. A
-	// server without a sink refuses, failing the epoch fatally.
+	// discarding them, via the SINK flag on the manifest. A server
+	// without a sink refuses the manifest, failing the epoch fatally.
 	// Requires a Dataset.
 	RequestSink bool
 	// TCPInfo samples every surviving data connection's kernel TCP
@@ -532,16 +532,16 @@ func (c *Client) exchange(ctx context.Context, t *cost, cmd, wantPrefix string) 
 }
 
 // ServerReceived asks the server how many bytes it has received for
-// this transfer's token (a STAT exchange on the persistent control
-// connection).
+// this transfer's token: a SETTLE that expects nothing, so it is
+// answered at once, on the persistent control connection.
 func (c *Client) ServerReceived() (int64, error) {
-	resp, err := c.exchange(c.stopped, new(cost), "STAT "+c.token, "BYTES ")
+	resp, err := c.exchange(c.stopped, new(cost), "SETTLE "+c.token+" 0", "SETTLED ")
 	if err != nil {
 		return 0, err
 	}
 	var n int64
-	if _, err := fmt.Sscanf(resp, "BYTES %d", &n); err != nil {
-		return 0, fmt.Errorf("%w: bad STAT response %q", ErrProtocol, resp)
+	if _, err := fmt.Sscanf(resp, "SETTLED %d", &n); err != nil {
+		return 0, fmt.Errorf("%w: bad SETTLE response %q", ErrProtocol, resp)
 	}
 	return n, nil
 }
@@ -660,7 +660,7 @@ func (c *Client) storePool(conns []net.Conn) {
 type dataPlane interface {
 	// verb is the header word a data connection announces itself with.
 	verb() string
-	// arm follows the epoch's START/ADJ with whatever the plane must
+	// arm follows the epoch's START with whatever the plane must
 	// have in place on the server before data flows. An error aborts
 	// the epoch.
 	arm(ctx context.Context, e *epoch) error
@@ -715,7 +715,7 @@ func (b bulkPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64, b
 }
 
 // arm claims what a resumed token holds beyond the checkpoint — the
-// killed session's last writes, found by the first arm's STAT — so the
+// killed session's last writes, found by the first arm's START — so the
 // budget does not send it again; the first settle credits it.
 func (b bulkPlane) arm(_ context.Context, e *epoch) error {
 	if e.found > 0 {
@@ -754,8 +754,8 @@ func (b bulkPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Rep
 }
 
 // Run implements xfer.Transferer. The epoch is wall-clock seconds,
-// spent in six phases: arm (START cold or ADJ warm on the control
-// connection, then whatever the data plane needs registered),
+// spent in six phases: arm (START on the control connection, then
+// whatever the data plane needs registered),
 // dialDelta (retire surplus stripes, dial the missing ones),
 // pumpEpoch, evict (kernel sample, then dead stripes leave the pool),
 // settle (receiver truth) and report. Report.DeadTime is arm plus
@@ -839,41 +839,27 @@ func (c *Client) Run(caller context.Context, p xfer.Params, epochSecs float64) (
 	return c.report(r, e), caller.Err()
 }
 
-// arm re-arms the server for the epoch: START when the stripe is cold
-// (the restart analog), ADJ on the live control connection when warm,
-// then the data plane's own preparations. A session's first arm also
-// reads where the token's counter stands — a STAT in the same write, so
-// still one round trip — because nothing of this session is in flight
-// yet: the one moment the reading is exact, also for a resumed token
-// that holds whatever its killed session wrote after the checkpoint.
+// arm re-arms the server for the epoch — one START on the control
+// connection, whether the stripe is cold (the restart analog) or warm —
+// then makes the data plane's own preparations. START answers with
+// where the token's counter stands, and a session's first arm keeps
+// that reading: nothing of this session is in flight yet, the one
+// moment it is exact, also for a resumed token that holds whatever its
+// killed session wrote after the checkpoint.
 func (c *Client) arm(ctx context.Context, e *epoch) error {
-	verb := "ADJ"
-	if len(e.pool) == 0 {
-		verb = "START"
-	}
-	cmd := fmt.Sprintf("%s %s %d", verb, c.token, e.p.Streams())
-	first := c.seen < 0
-	if first {
-		cmd += "\nSTAT " + c.token
-	}
-	err := c.roundTrip(ctx, &e.cost, cmd, func(br *bufio.Reader) error {
-		var resp string
-		if err := oneLine(cmd, "OK", &resp)(br); err != nil || !first {
-			return err
-		}
-		if err := oneLine(cmd, "BYTES ", &resp)(br); err != nil {
-			return err
-		}
-		if _, err := fmt.Sscanf(resp, "BYTES %d", &c.seen); err != nil {
-			return fmt.Errorf("%w: bad STAT response %q", ErrProtocol, resp)
-		}
-		c.mu.Lock()
-		e.found = c.seen - c.acked
-		c.mu.Unlock()
-		return nil
-	})
+	resp, err := c.exchange(ctx, &e.cost, "START "+c.token, "OK ")
 	if err != nil {
-		return fmt.Errorf("gridftp: %s: %w", strings.ToLower(verb), err)
+		return fmt.Errorf("gridftp: start: %w", err)
+	}
+	var n int64
+	if _, err := fmt.Sscanf(resp, "OK %d", &n); err != nil {
+		return fmt.Errorf("gridftp: start: %w: bad START response %q", ErrProtocol, resp)
+	}
+	if c.seen < 0 {
+		c.seen = n
+		c.mu.Lock()
+		e.found = n - c.acked
+		c.mu.Unlock()
 	}
 	return c.plane.arm(ctx, e)
 }

@@ -92,6 +92,8 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 		}
 		reply := "OK"
 		switch f[0] {
+		case "START":
+			reply = "OK 0"
 		case "DATA", "DATAF":
 			p.data.Add(1)
 			io.Copy(io.Discard, br)
@@ -101,8 +103,6 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 			for n, _ := strconv.Atoi(f[2]); n > 0; n-- {
 				readLine(br)
 			}
-		case "STAT":
-			reply = "BYTES 0"
 		case "SETTLE":
 			reply = "SETTLED 0 0 0"
 		case "RESYNC":
@@ -177,15 +177,14 @@ func TestEveryExitFromRun(t *testing.T) {
 	}
 	steps := []step{
 		{name: "START", verb: "START", cold: true, wording: "gridftp: start:"},
-		{name: "ADJ", verb: "ADJ", wording: "gridftp: adj:"},
+		{name: "START-warm", verb: "START", wording: "gridftp: start:"},
 		{name: "MANIFEST", verb: "MANIFEST", framed: true, wording: "gridftp: manifest:"},
-		{name: "SINK", verb: "SINK", framed: true, wording: "gridftp: sink:"},
 		{name: "RESYNC", verb: "RESYNC", framed: true, proceeds: true},
 		// The first data dial follows a START that went through.
-		{name: "data-dial", verb: "DIAL", after: "START", afterReply: "OK", cold: true,
+		{name: "data-dial", verb: "DIAL", after: "START", afterReply: "OK 0", cold: true,
 			wording: "only 0/1 data connections (min 1)"},
 		// The opener's control connection is dialed only when RESYNC
-		// lost the one START/ADJ used.
+		// lost the one START used.
 		{name: "opener-control", verb: "DIAL", after: "RESYNC", afterReply: "", framed: true,
 			wording: "gridftp: control:"},
 		{name: "SETTLE", verb: "SETTLE", proceeds: true, pumped: true},
@@ -217,7 +216,8 @@ func TestEveryExitFromRun(t *testing.T) {
 						// epoch; and since the peer's SETTLE stays below what
 						// was acked, every settle concludes the server lost
 						// the file table, so every later epoch re-sends
-						// MANIFEST, SINK and RESYNC too — on a warm pool.
+						// MANIFEST (with its SINK flag) and RESYNC too — on a
+						// warm pool.
 						cfg.Bytes, cfg.Dataset = 0, dataset.Uniform(4, 64<<10)
 						cfg.Token, cfg.AckedBytes, cfg.RequestSink = "exit-tok", 1, true
 					}

@@ -457,8 +457,7 @@ type framedPlane struct {
 	src          *fileSource // file-backed payload (SourceDir); nil synthesizes zeros
 	userspace    bool        // tests only: keep file-backed leases off sendfile(2), the reference path
 	datasetBytes int64       // total payload bytes across the dataset
-	manifested   bool        // MANIFEST registered on the server
-	sinkOK       bool        // SINK accepted by the server this session
+	manifested   bool        // MANIFEST (and the sink it asks for) registered on the server
 	needResync   bool        // queue must resync against server counters
 	lastDone     int         // server's completed-file count last settle
 	gotScratch   []int64     // reusable RESYNC parse buffer
@@ -495,11 +494,10 @@ func newFramedPlane(c *Client) (*framedPlane, error) {
 func (*framedPlane) verb() string { return "DATAF" }
 
 // arm registers the manifest once per session (the server keeps it
-// under the token until the idle TTL), requests the sink after it (the
-// server refuses SINK for an unmanifested token; both are re-sent
-// together, so a server restart re-arms persistence too), rebuilds the
-// work queue from receiver truth when resuming or after losses, and
-// secures the control connection the opener will own during the pump.
+// under the token until the idle TTL; the sink request rides on it, so
+// a server restart re-arms persistence too), rebuilds the work queue
+// from receiver truth when resuming or after losses, and secures the
+// control connection the opener will own during the pump.
 func (f *framedPlane) arm(ctx context.Context, e *epoch) error {
 	c := f.c
 	if !f.manifested {
@@ -507,12 +505,6 @@ func (f *framedPlane) arm(ctx context.Context, e *epoch) error {
 			return fmt.Errorf("gridftp: manifest: %w", err)
 		}
 		f.manifested = true
-	}
-	if c.cfg.RequestSink && !f.sinkOK {
-		if _, err := c.exchange(ctx, &e.cost, "SINK "+c.token, "OK"); err != nil {
-			return fmt.Errorf("gridftp: sink: %w", err)
-		}
-		f.sinkOK = true
 	}
 	if f.needResync {
 		// Quiesced here: no leases are in flight between epochs. A
@@ -610,10 +602,11 @@ func (f *framedPlane) opener(ctx context.Context, e *epoch) {
 }
 
 // manifest renders the MANIFEST command that registers the dataset
-// under the client's token: the header and one size line per file,
-// sent as a single exchange (the server answers OK after the last
-// line). Idempotent — a re-sent manifest of the same shape keeps the
-// server's progress.
+// under the client's token: the header — with the SINK flag when the
+// client wants the files persisted — and one size line per file, sent
+// as a single exchange (the server answers OK after the last line).
+// Idempotent — a re-sent manifest of the same shape keeps the server's
+// progress.
 func (f *framedPlane) manifest() string {
 	var sb strings.Builder
 	sb.Grow(len(f.q.sizes)*8 + 64)
@@ -621,6 +614,9 @@ func (f *framedPlane) manifest() string {
 	sb.WriteString(f.c.token)
 	sb.WriteByte(' ')
 	sb.WriteString(strconv.Itoa(len(f.q.sizes)))
+	if f.c.cfg.RequestSink {
+		sb.WriteString(" SINK")
+	}
 	for _, sz := range f.q.sizes {
 		sb.WriteByte('\n')
 		sb.WriteString(strconv.FormatInt(sz, 10))
@@ -651,9 +647,9 @@ func (f *framedPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.
 		c.remaining.Store(f.datasetBytes - truth.useful)
 	} else {
 		// The server lost the token's file table (idle-TTL expiry or
-		// restart): re-register the manifest — and re-request the sink
-		// — and resync the queue next epoch.
-		f.manifested, f.sinkOK, f.needResync = false, false, true
+		// restart): re-register the manifest — and with it the sink —
+		// and resync the queue next epoch.
+		f.manifested, f.needResync = false, true
 	}
 	if truth.done >= f.lastDone {
 		r.Files = truth.done - f.lastDone

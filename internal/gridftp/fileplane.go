@@ -31,8 +31,8 @@ type fileTable struct {
 	nDone  int
 	useful int64 // sum of min(got, size): duplicate-free progress
 
-	// sink, when non-nil, persists the table's payloads (the SINK
-	// command); nil discards them.
+	// sink, when non-nil, persists the table's payloads (MANIFEST's SINK
+	// flag); nil discards them.
 	sink atomic.Pointer[fileSink]
 }
 
@@ -93,13 +93,6 @@ func (ft *fileTable) stats() (done int, useful int64) {
 	return ft.nDone, ft.useful
 }
 
-// fileGot returns the raw received bytes for file idx.
-func (ft *fileTable) fileGot(idx int) int64 {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.got[idx]
-}
-
 // progress returns a copy of the per-file received counts.
 func (ft *fileTable) progress() []int64 {
 	ft.mu.Lock()
@@ -131,21 +124,23 @@ func (s *Server) fileTableFor(token string) *fileTable {
 	return nil
 }
 
-// registerManifest installs the file table for token. A re-sent
-// manifest with the same file count keeps the existing table — a
-// resumed session must not erase the server's per-file progress — and
+// registerManifest installs the file table for token and returns it. A
+// re-sent manifest with the same file count keeps the existing table —
+// a resumed session must not erase the server's per-file progress — and
 // any other shape replaces it, releasing the replaced table's sink
 // handles.
-func (s *Server) registerManifest(token string, sizes []int64) {
+func (s *Server) registerManifest(token string, sizes []int64) *fileTable {
 	tc := s.counter(token)
 	old := tc.files.Load()
 	if old != nil && old.count() == len(sizes) {
-		return
+		return old
 	}
-	tc.files.Store(newFileTable(sizes))
+	ft := newFileTable(sizes)
+	tc.files.Store(ft)
 	if old != nil {
 		old.setSink(nil)
 	}
+	return ft
 }
 
 // sinkOpenFiles counts sink file handles currently open process-wide;
@@ -244,39 +239,6 @@ func sinkDirName(token string) string {
 	return fmt.Sprintf("%s-%08x", safe, h.Sum32())
 }
 
-// serveSink handles SINK <token>: it switches the token's framed data
-// plane from discarding payloads to persisting them under the
-// server's sink root (Server.SetSink). Requires a prior MANIFEST and
-// a configured sink; either missing is an ERR. Idempotent for a token
-// already sinking.
-func (s *Server) serveSink(w io.Writer, fields []string) bool {
-	if len(fields) != 2 {
-		fmt.Fprintf(w, "ERR bad SINK\n")
-		return false
-	}
-	root := s.sinkDir()
-	if root == "" {
-		fmt.Fprintf(w, "ERR sink not configured\n")
-		return false
-	}
-	ft := s.fileTableFor(fields[1])
-	if ft == nil {
-		fmt.Fprintf(w, "ERR SINK before MANIFEST\n")
-		return false
-	}
-	if ft.sink.Load() == nil {
-		dir := filepath.Join(root, sinkDirName(fields[1]))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			s.logf("gridftp: sink: %v", err)
-			fmt.Fprintf(w, "ERR sink unavailable\n")
-			return false
-		}
-		ft.setSink(newFileSink(dir))
-	}
-	fmt.Fprintf(w, "OK\n")
-	return true
-}
-
 // connWriter serializes line writes to a control connection, so the
 // delayed ACKs of pipelined OPENs never interleave mid-line with a
 // synchronous response.
@@ -292,12 +254,17 @@ func (w *connWriter) Write(p []byte) (int, error) {
 	return w.c.Write(p)
 }
 
-// serveManifest handles MANIFEST <token> <count>: it reads count size
-// lines from br and registers the token's file table. Malformed input
-// gets an ERR and drops the connection; the token's existing state is
-// never corrupted by a bad manifest.
+// serveManifest handles MANIFEST <token> <count> [SINK]: it reads count
+// size lines from br and registers the token's file table; with the
+// SINK flag it also switches the token's framed data plane from
+// discarding payloads to persisting them under the server's sink root
+// (Server.SetSink), idempotently for a token already sinking. Malformed
+// input, or the flag on a server with no sink, gets an ERR and drops
+// the connection; the token's existing state is never corrupted by a
+// refused manifest.
 func (s *Server) serveManifest(w io.Writer, br *bufio.Reader, fields []string) bool {
-	if len(fields) != 3 {
+	sink := len(fields) == 4 && fields[3] == "SINK"
+	if len(fields) != 3 && !sink {
 		fmt.Fprintf(w, "ERR bad MANIFEST\n")
 		return false
 	}
@@ -319,7 +286,24 @@ func (s *Server) serveManifest(w io.Writer, br *bufio.Reader, fields []string) b
 		}
 		sizes[i] = v
 	}
-	s.registerManifest(fields[1], sizes)
+	var dir string
+	if sink {
+		root := s.sinkDir()
+		if root == "" {
+			fmt.Fprintf(w, "ERR sink not configured\n")
+			return false
+		}
+		dir = filepath.Join(root, sinkDirName(fields[1]))
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			s.logf("gridftp: sink: %v", err)
+			fmt.Fprintf(w, "ERR sink unavailable\n")
+			return false
+		}
+	}
+	ft := s.registerManifest(fields[1], sizes)
+	if sink && ft.sink.Load() == nil {
+		ft.setSink(newFileSink(dir))
+	}
 	fmt.Fprintf(w, "OK\n")
 	return true
 }
@@ -352,34 +336,6 @@ func (s *Server) serveOpen(w *connWriter, fields []string) bool {
 	return true
 }
 
-// serveFstat handles FSTAT <token> [<idx>]: the aggregate form
-// answers FILES <done> <useful-bytes> (duplicate-free receiver
-// truth); the per-file form answers BYTES <got>.
-func (s *Server) serveFstat(w io.Writer, fields []string) bool {
-	ft := s.fileTableFor(fields[1])
-	switch len(fields) {
-	case 2:
-		if ft == nil {
-			fmt.Fprintf(w, "FILES 0 0\n")
-			return true
-		}
-		done, useful := ft.stats()
-		fmt.Fprintf(w, "FILES %d %d\n", done, useful)
-		return true
-	case 3:
-		idx, err := strconv.Atoi(fields[2])
-		if err != nil || idx < 0 || ft == nil || idx >= ft.count() {
-			fmt.Fprintf(w, "ERR bad FSTAT index\n")
-			return false
-		}
-		fmt.Fprintf(w, "BYTES %d\n", ft.fileGot(idx))
-		return true
-	default:
-		fmt.Fprintf(w, "ERR bad FSTAT\n")
-		return false
-	}
-}
-
 // serveResync handles RESYNC <token>: it streams the token's per-file
 // received counts — one "F <idx> <got>" line per file with any bytes,
 // then "END" — so a resuming client rebuilds its work queue at
@@ -406,8 +362,8 @@ func (s *Server) serveResync(w io.Writer, fields []string) bool {
 
 // serveDataFramed discards a framed data stream: FILE <idx> <off>
 // <len> headers each followed by exactly len payload bytes, credited
-// to both the token's aggregate counter (so STAT keeps working) and
-// its per-file table. An unknown token, or a malformed or
+// to both the token's aggregate counter and its per-file table. An
+// unknown token, or a malformed or
 // out-of-manifest frame, drops the connection; bytes that arrived
 // before the corruption stay counted, and other tokens' tables are
 // untouched. A truncated final frame (stripe killed mid-file) credits

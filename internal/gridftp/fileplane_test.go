@@ -97,8 +97,8 @@ func TestManifestLifecycle(t *testing.T) {
 	conn, br := dialCtrl(t, s)
 	// Register 3 files; the zero-length one is done on arrival.
 	roundTrip(t, conn, br, "MANIFEST tokm 3\n100\n200\n0", "OK")
-	roundTrip(t, conn, br, "FSTAT tokm", "FILES 1 0")
-	roundTrip(t, conn, br, "FSTAT tokm 1", "BYTES 0")
+	roundTrip(t, conn, br, "SETTLE tokm 0", "SETTLED 0 1 0")
+	roundTrip(t, conn, br, "RESYNC tokm", "END") // no file has bytes yet
 
 	// Complete file 0.
 	sendFrame(t, s, "tokm", 0, 0, 100, 100)
@@ -107,11 +107,11 @@ func TestManifestLifecycle(t *testing.T) {
 	// A re-sent manifest of the same shape keeps the progress (the
 	// resume path must not erase the server's per-file state).
 	roundTrip(t, conn, br, "MANIFEST tokm 3\n100\n200\n0", "OK")
-	roundTrip(t, conn, br, "FSTAT tokm", "FILES 2 100")
+	roundTrip(t, conn, br, "SETTLE tokm 100", "SETTLED 100 2 100")
 
 	// A different shape replaces the table.
 	roundTrip(t, conn, br, "MANIFEST tokm 2\n50\n50", "OK")
-	roundTrip(t, conn, br, "FSTAT tokm", "FILES 0 0")
+	roundTrip(t, conn, br, "SETTLE tokm 0", "SETTLED 100 0 0")
 }
 
 func TestManifestRejectsHostileInput(t *testing.T) {
@@ -210,7 +210,6 @@ func TestFramedDataAccounting(t *testing.T) {
 	// 1600 but the duplicate-free useful total clamps at the file size.
 	sendFrame(t, s, "tokf", 0, 0, 1000, 1000)
 	waitFileStats(t, s, "tokf", 1, 1000)
-	roundTrip(t, conn, br, "FSTAT tokf 0", "BYTES 1600")
 
 	// Truncated frame (stripe killed mid-file): the 200 bytes that
 	// arrived stay credited.
@@ -544,8 +543,6 @@ func FuzzServerControl(f *testing.F) {
 		"OPEN t -1\n",
 		"OPEN t 999\n",
 		"OPEN\n",
-		"FSTAT t\n",
-		"FSTAT t 0\nFSTAT t 99\nFSTAT t x\n",
 		"RESYNC t\n",
 		"RESYNC\n",
 		"DATAF t\nFILE 0 0 10\n0123456789",
@@ -555,23 +552,26 @@ func FuzzServerControl(f *testing.F) {
 		"DATAF t\nFILE 0 0 99999999999\n",
 		"DATAF t\nGARBAGE\n",
 		"FILE 0 0 10\n",
-		"MANIFEST t 2\n100\n200\nOPEN t 0\nFSTAT t\nRESYNC t\nCLOSE t\n",
-		"START t 4\nMANIFEST t 3\n1\n2\n3\nOPEN t 2\nSTAT t\n",
+		"MANIFEST t 2\n100\n200\nOPEN t 0\nSETTLE t 0\nRESYNC t\nCLOSE t\n",
+		"START t\nMANIFEST t 3\n1\n2\n3\nOPEN t 2\nSETTLE t 0\n",
+		"START\n",
+		"START t 4\n", // the channel count START no longer takes
+		"CLOSE t\nSTART t\nCLOSE\n",
 		strings.Repeat("MANIFEST t 1\n1\n", 20),
 		"\x00\xff\n",
 		strings.Repeat("x", 300) + "\n", // over maxLineLen
-		// SINK: before manifest, malformed, hostile token names, and
+		// MANIFEST's SINK flag: malformed, hostile token names, and
 		// sinked frames with out-of-bounds offsets and lengths.
-		"SINK t\n",
-		"SINK\n",
-		"SINK t extra\n",
-		"SINK " + strings.Repeat("A", 200) + "\n",
-		"MANIFEST ../../evil 1\n10\nSINK ../../evil\n",
-		"MANIFEST t 1\n10\nSINK t\nSINK t\nDATAF t\nFILE 0 0 10\n0123456789",
-		"MANIFEST t 1\n10\nSINK t\nDATAF t\nFILE 0 8 10\n0123456789",
-		"MANIFEST t 1\n10\nSINK t\nDATAF t\nFILE 0 99999999999999 5\nabcde",
-		"MANIFEST t 1\n10\nSINK t\nDATAF t\nFILE 0 0 5\nabc", // truncated sink frame
-		"MANIFEST t 2\n10\n10\nSINK t\nDATAF t\nFILE 1 0 10\n0123456789FILE 0 0 10\n0123456789",
+		"MANIFEST t 1 SINK\n",
+		"MANIFEST t 1 sink\n10\n",
+		"MANIFEST t 1 SINK extra\n10\n",
+		"MANIFEST " + strings.Repeat("A", 200) + " 1 SINK\n10\n",
+		"MANIFEST ../../evil 1 SINK\n10\n",
+		"MANIFEST t 1 SINK\n10\nMANIFEST t 1 SINK\n10\nDATAF t\nFILE 0 0 10\n0123456789",
+		"MANIFEST t 1 SINK\n10\nDATAF t\nFILE 0 8 10\n0123456789",
+		"MANIFEST t 1 SINK\n10\nDATAF t\nFILE 0 99999999999999 5\nabcde",
+		"MANIFEST t 1 SINK\n10\nDATAF t\nFILE 0 0 5\nabc", // truncated sink frame
+		"MANIFEST t 2 SINK\n10\n10\nDATAF t\nFILE 1 0 10\n0123456789FILE 0 0 10\n0123456789",
 		// SETTLE: missing, negative, non-numeric and overflowing counts,
 		// an unknown token, and well-formed ones that are met at once
 		// and that wait out the quiet window.
@@ -580,8 +580,13 @@ func FuzzServerControl(f *testing.F) {
 		"SETTLE t lots\n",
 		"SETTLE t 99999999999999999999\n",
 		"SETTLE ghost 5\n",
-		"START t 1\nSETTLE t 0\nSETTLE t 9223372036854775807\nSTAT t\n",
+		"START t\nSETTLE t 0\nSETTLE t 9223372036854775807\nSETTLE t 0\n",
 		"MANIFEST t 1\n10\nSETTLE t 10 extra\n",
+		// The four verbs the protocol lost: unknown commands now.
+		"ADJ t 4\n",
+		"STAT t\n",
+		"FSTAT t\nFSTAT t 0\n",
+		"MANIFEST t 1\n10\nSINK t\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -592,8 +597,8 @@ func FuzzServerControl(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		// A sink root makes the SINK verbs land real pwrites, so the
-		// hostile frames exercise the bounds checks and the handle
+		// A sink root makes the SINK-flagged manifests land real pwrites,
+		// so the hostile frames exercise the bounds checks and the handle
 		// cache, not just the parser.
 		s.SetSink(t.TempDir())
 		// A bystander token with a registered manifest: hostile traffic

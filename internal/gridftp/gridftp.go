@@ -8,19 +8,17 @@
 //
 //	client                         server
 //	------ control connection (persistent) ----
-//	START <token> <channels>\n     (a session's first START carries a
-//	                               OK\n            STAT in the same write)
+//	START <token>\n                (arms an epoch, cold or warm; creates
+//	                               OK <bytes>\n   or touches the token and
+//	                                says what it holds now)
 //	------ data connections (channels) --------
 //	DATA <token>\n                 (discards, counting)
 //	<raw bytes until close>
 //	------ same control connection ------------
 //	SETTLE <token> <expect>\n      (end of epoch: answered once the
 //	                               SETTLED <bytes> <files> <useful>\n
-//	                                count reaches expect or stops moving)
-//	ADJ <token> <channels>\n       (re-arms the next epoch, warm)
-//	                               OK\n
-//	STAT <token>\n                 (the count, now)
-//	                               BYTES <n>\n
+//	                                count reaches expect or stops moving;
+//	                                expect 0 reads the count, now)
 //	CLOSE <token>\n                (releases the token's counter)
 //	                               OK\n
 //
@@ -40,17 +38,11 @@
 // nc and np:
 //
 //	------ control connection ------------------
-//	MANIFEST <token> <count>\n     (then <count> size lines)
-//	<size>\n ...
-//	                               OK\n
-//	SINK <token>\n                 (persist payloads under the server's
-//	                               OK\n            sink directory; optional)
+//	MANIFEST <token> <count> [SINK]\n  (then <count> size lines; SINK
+//	<size>\n ...                   also persists the payloads under the
+//	                               OK\n           server's sink directory)
 //	OPEN <token> <idx>\n           (<= pp in flight; ACK arrives
 //	                               ACK <idx>\n     after the per-file latency)
-//	FSTAT <token>\n                (aggregate receiver truth, now; an
-//	                               FILES <done> <useful>\n  epoch reads it with SETTLE)
-//	FSTAT <token> <idx>\n          (one file's raw received bytes)
-//	                               BYTES <got>\n
 //	RESYNC <token>\n               (per-file progress dump: one line
 //	                               F <idx> <got>\n ...  per file with bytes)
 //	                               END\n
@@ -58,12 +50,15 @@
 //	DATAF <token>\n
 //	FILE <idx> <off> <len>\n<len payload bytes>  (repeated frames)
 //
-// START, ADJ and MANIFEST are the only verbs that create a token on
-// the server. Data connections (DATA, DATAF) only look theirs up and
-// are dropped when it is unknown, so a stripe whose header arrives
-// after CLOSE cannot resurrect a released counter; every epoch sends
-// START or ADJ before it dials, which also re-creates a token the
-// idle TTL expired.
+// Those six verbs are the control protocol; anything else is answered
+// ERR unknown command. START and MANIFEST are the only verbs that
+// create a token on the server. Data connections (DATA, DATAF) only
+// look theirs up and are dropped when it is unknown, so a stripe whose
+// header arrives after CLOSE cannot resurrect a released counter; every
+// epoch sends START before it dials, which also re-creates a token the
+// idle TTL expired. A dataset transfer reads its per-file truth — the
+// completed-file count and the duplicate-free bytes — off the same
+// SETTLE answer.
 //
 // The server credits each file with min(received, size) so duplicate
 // retransmissions never inflate goodput, and an epoch's Report.Bytes
@@ -82,7 +77,7 @@
 // Data connections form a persistent stripe pool that survives Run
 // boundaries. The first epoch performs the START handshake and dials
 // the full stripe; a later epoch with the same stream count performs
-// zero dials — a lightweight ADJ exchange on the persistent control
+// zero dials — the same START exchange on the persistent control
 // connection re-arms it — and a ±k change in stream count dials or
 // retires only the k-connection delta. Stripes that die mid-epoch
 // (resets, server failure) are evicted from the pool and only the

@@ -266,7 +266,7 @@ func TestServerRejectsGarbage(t *testing.T) {
 
 func TestServerRejectsBadStart(t *testing.T) {
 	s := startServer(t)
-	for _, cmd := range []string{"START onlytoken", "START tok notanumber", "STAT", "DATA"} {
+	for _, cmd := range []string{"START", "START tok 4", "DATA"} {
 		conn, err := net.Dial("tcp", s.Addr())
 		if err != nil {
 			t.Fatal(err)
@@ -291,13 +291,13 @@ func TestControlMultipleCommands(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "START tok1 4\n")
-	if resp, _ := readLine(br); resp != "OK" {
+	fmt.Fprintf(conn, "START tok1\n")
+	if resp, _ := readLine(br); resp != "OK 0" {
 		t.Fatalf("START got %q", resp)
 	}
-	fmt.Fprintf(conn, "STAT tok1\n")
-	if resp, _ := readLine(br); resp != "BYTES 0" {
-		t.Fatalf("STAT got %q", resp)
+	fmt.Fprintf(conn, "SETTLE tok1 0\n")
+	if resp, _ := readLine(br); resp != "SETTLED 0 0 0" {
+		t.Fatalf("SETTLE got %q", resp)
 	}
 }
 

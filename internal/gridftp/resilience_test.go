@@ -174,7 +174,8 @@ func TestMinStreamsAboveStripeWidthIsConfigError(t *testing.T) {
 
 func TestReceiverTruthAccounting(t *testing.T) {
 	// The epoch's Bytes must equal what the server counted, so a
-	// follow-up STAT agrees immediately rather than eventually.
+	// follow-up read of the count agrees immediately rather than
+	// eventually.
 	s := startServer(t)
 	c := newTestClient(t, s, xfer.Unbounded, &Shaper{Rate: 4e6})
 	r, err := c.Run(context.Background(), xfer.Params{NC: 2, NP: 2}, 0.2)
@@ -594,7 +595,7 @@ func TestStopReleasesTokenDuringOutage(t *testing.T) {
 	}
 }
 
-// TestDataConnectionCannotResurrectToken: only START, ADJ and MANIFEST
+// TestDataConnectionCannotResurrectToken: only START and MANIFEST
 // create a token. A data connection whose header is parsed after the
 // token's CLOSE — a stripe dialed while Stop was in flight — must be
 // dropped, not re-create a counter that nobody will ever release.
@@ -603,7 +604,7 @@ func TestDataConnectionCannotResurrectToken(t *testing.T) {
 		t.Run(verb, func(t *testing.T) {
 			s := startServer(t)
 			ctrl, br := dialCtrl(t, s)
-			roundTrip(t, ctrl, br, "START tok 1", "OK")
+			roundTrip(t, ctrl, br, "START tok", "OK 0")
 			roundTrip(t, ctrl, br, "CLOSE tok", "OK")
 			data, _ := dialCtrl(t, s)
 			if _, err := fmt.Fprintf(data, "%s tok\n%s", verb, make([]byte, 1000)); err != nil {
@@ -630,7 +631,7 @@ func TestIdleTokenExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(conn, "START ghost 1\n")
+	fmt.Fprintf(conn, "START ghost\n")
 	readLine(bufio.NewReader(conn))
 	conn.Close()
 	if s.Tokens() == 0 {
@@ -653,8 +654,8 @@ func TestCloseCommandProtocol(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "START tokc 1\n")
-	if resp, _ := readLine(br); resp != "OK" {
+	fmt.Fprintf(conn, "START tokc\n")
+	if resp, _ := readLine(br); resp != "OK 0" {
 		t.Fatalf("START got %q", resp)
 	}
 	fmt.Fprintf(conn, "CLOSE tokc\n")

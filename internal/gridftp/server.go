@@ -18,9 +18,9 @@ import (
 const maxLineLen = 256
 
 // defaultTokenTTL is the idle expiry for token counters: a token that
-// sees no data and no STAT for this long is released, so long-lived
-// servers don't accumulate counters from clients that never sent
-// CLOSE.
+// sees no data and no control verb for this long is released, so
+// long-lived servers don't accumulate counters from clients that never
+// sent CLOSE.
 const defaultTokenTTL = 5 * time.Minute
 
 // tokenCounter tracks one transfer token's received bytes and its
@@ -59,8 +59,8 @@ type Server struct {
 	fileLatency atomic.Int64
 
 	// sinkRoot, when set, is the directory under which framed file
-	// payloads are persisted for tokens that request it with SINK
-	// (per-token subdirectories, index-named files); nil discards
+	// payloads are persisted for tokens whose MANIFEST carries the SINK
+	// flag (per-token subdirectories, index-named files); nil discards
 	// payloads (the default).
 	sinkRoot atomic.Pointer[string]
 
@@ -116,7 +116,7 @@ func (s *Server) SetLogger(logf func(format string, args ...any)) {
 func (s *Server) SetTokenTTL(d time.Duration) { s.tokenTTL.Store(int64(d)) }
 
 // SetSink enables payload persistence: framed file payloads of tokens
-// that request it (the client's SINK exchange,
+// that request it (the SINK flag on the client's MANIFEST,
 // ClientConfig.RequestSink) are written under dir — one subdirectory
 // per token, one index-named file per manifest entry — instead of
 // being discarded. Empty disables (the default). Safe to call while
@@ -194,7 +194,7 @@ func (s *Server) Tokens() int {
 }
 
 // lookup returns token's live counter, touched, or nil when the token
-// is unknown. Everything but START, ADJ and MANIFEST goes through
+// is unknown. Everything but START and MANIFEST goes through
 // here: in particular data connections never create tokens, so a
 // stripe whose header is parsed after CLOSE (or after the idle TTL)
 // is dropped instead of resurrecting a counter nobody will release.
@@ -209,7 +209,7 @@ func (s *Server) lookup(token string) *tokenCounter {
 }
 
 // counter returns (creating if needed) the byte counter for token —
-// the START, ADJ and MANIFEST path.
+// the START and MANIFEST path.
 func (s *Server) counter(token string) *tokenCounter {
 	s.mu.Lock()
 	tc, ok := s.received[token]
@@ -328,9 +328,8 @@ func (s *Server) acceptLoop() {
 }
 
 // handle serves one connection: the first line selects data mode
-// (DATA for the bulk stream, DATAF for framed file segments) or
-// control mode (START, ADJ, STAT, SETTLE, CLOSE, and the file plane's
-// MANIFEST, OPEN, FSTAT, RESYNC and SINK).
+// (DATA for the bulk stream, DATAF for framed file segments) or, for
+// anything else, control mode.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 32<<10)
@@ -360,10 +359,8 @@ func (s *Server) handle(conn net.Conn) {
 			return
 		}
 		s.serveDataFramed(conn, br, fields[1])
-	case "START", "ADJ", "STAT", "SETTLE", "CLOSE", "MANIFEST", "OPEN", "FSTAT", "RESYNC", "SINK":
-		s.serveControl(conn, br, fields)
 	default:
-		fmt.Fprintf(conn, "ERR unknown command %q\n", fields[0])
+		s.serveControl(conn, br, fields)
 	}
 }
 
@@ -416,8 +413,10 @@ func (s *Server) serveData(conn net.Conn, br *bufio.Reader, token string) {
 	}
 }
 
-// serveControl answers control commands; the first is already parsed,
-// further commands may follow on the same connection. Responses go
+// serveControl answers the six control verbs — START, SETTLE, CLOSE and
+// the file plane's MANIFEST, OPEN and RESYNC — and nothing else; the
+// first command is already parsed, further ones may follow on the same
+// connection. Responses go
 // through a locked writer because the ACKs of pipelined OPENs are
 // written asynchronously after the injected file latency.
 func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
@@ -425,27 +424,15 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 	fields := first
 	for {
 		switch fields[0] {
-		case "START", "ADJ":
-			// START <token> <channels> opens a session; ADJ re-arms a
-			// warm epoch (possibly with a new channel count) without a
-			// fresh handshake. The server is stateless about channel
-			// counts; the argument is validated for protocol hygiene.
-			if len(fields) != 3 {
-				fmt.Fprintf(w, "ERR bad %s\n", fields[0])
-				return
-			}
-			if _, err := strconv.Atoi(fields[2]); err != nil {
-				fmt.Fprintf(w, "ERR bad channel count\n")
-				return
-			}
-			s.counter(fields[1]) // pre-create (START) or touch (ADJ)
-			fmt.Fprintf(w, "OK\n")
-		case "STAT":
+		case "START":
+			// START <token> arms an epoch, cold or warm: it creates the
+			// token (or touches it, or re-creates one the idle TTL
+			// expired) and answers with the count it holds now.
 			if len(fields) != 2 {
-				fmt.Fprintf(w, "ERR bad STAT\n")
+				fmt.Fprintf(w, "ERR bad START\n")
 				return
 			}
-			fmt.Fprintf(w, "BYTES %d\n", s.Received(fields[1]))
+			fmt.Fprintf(w, "OK %d\n", s.counter(fields[1]).n.Load())
 		case "SETTLE":
 			if !s.serveSettle(w, fields) {
 				return
@@ -465,20 +452,8 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 			if !s.serveOpen(w, fields) {
 				return
 			}
-		case "FSTAT":
-			if len(fields) < 2 {
-				fmt.Fprintf(w, "ERR bad FSTAT\n")
-				return
-			}
-			if !s.serveFstat(w, fields) {
-				return
-			}
 		case "RESYNC":
 			if !s.serveResync(w, fields) {
-				return
-			}
-		case "SINK":
-			if !s.serveSink(w, fields) {
 				return
 			}
 		default:
@@ -512,8 +487,9 @@ const (
 // counter reaches expect (what the client knows it has written), once
 // it has stopped moving (the difference died with a stripe), or after
 // settleBound. The client thus learns a settled count in one round
-// trip instead of polling for two that agree. An unknown token answers
-// zeros at once, as STAT does.
+// trip instead of polling for two that agree; expect 0 is met at once,
+// which is how Client.ServerReceived reads the count. An unknown token
+// answers zeros at once.
 func (s *Server) serveSettle(w io.Writer, fields []string) bool {
 	if len(fields) != 3 {
 		fmt.Fprintf(w, "ERR bad SETTLE\n")

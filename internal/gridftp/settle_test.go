@@ -35,7 +35,7 @@ func waitReceived(t *testing.T, s *Server, token string, want int64) {
 func bulkStripe(t *testing.T, s *Server, token string, first int) net.Conn {
 	t.Helper()
 	ctrl, br := dialCtrl(t, s)
-	roundTrip(t, ctrl, br, "START "+token+" 1", "OK")
+	roundTrip(t, ctrl, br, "START "+token, "OK 0")
 	conn, _ := dialCtrl(t, s)
 	if _, err := conn.Write(append([]byte("DATA "+token+"\n"), make([]byte, first)...)); err != nil {
 		t.Fatal(err)
@@ -335,8 +335,8 @@ func (p *lateServer) serve(conn net.Conn) {
 					return
 				}
 			}
-		case "STAT":
-			fmt.Fprintf(conn, "BYTES %d\n", p.got.Load())
+		case "START":
+			fmt.Fprintf(conn, "OK %d\n", p.got.Load())
 		case "SETTLE":
 			var expect int64
 			fmt.Sscan(f[2], &expect)

@@ -26,7 +26,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 
 	"dstune/internal/fsx"
@@ -308,31 +307,6 @@ func (s *Store) Records(endpoint string) []Record {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-// Keys returns the distinct keys present in the store, sorted.
-func (s *Store) Keys() []Key {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seen := map[Key]bool{}
-	var out []Key
-	for _, rec := range s.recs {
-		if !seen[rec.Key] {
-			seen[rec.Key] = true
-			out = append(out, rec.Key)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Endpoint != b.Endpoint {
-			return a.Endpoint < b.Endpoint
-		}
-		if a.SizeClass != b.SizeClass {
-			return a.SizeClass < b.SizeClass
-		}
-		return a.LoadClass < b.LoadClass
-	})
 	return out
 }
 

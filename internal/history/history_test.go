@@ -70,9 +70,6 @@ func TestStoreRoundTrip(t *testing.T) {
 	if got := re.Records("uchicago"); len(got) != 2 || !reflect.DeepEqual(got[0], recs[0]) {
 		t.Fatalf("Records(uchicago) = %+v", got)
 	}
-	if keys := re.Keys(); len(keys) != 3 || keys[0].Endpoint != "tacc" {
-		t.Fatalf("Keys() = %+v", keys)
-	}
 	// Appends after reopen extend, not clobber.
 	extra := Record{Key: Key{Endpoint: "tacc", SizeClass: 12, LoadClass: 1}, X: []int{6}, Throughput: 4e8}
 	if err := re.Add(extra); err != nil {

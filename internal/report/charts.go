@@ -29,11 +29,10 @@ type LineSeries struct {
 // legend (for two or more series), selective direct end-labels, and a
 // table view.
 type LineChart struct {
-	Title    string
-	Subtitle string
-	YLabel   string
-	XLabel   string
-	Series   []LineSeries
+	Title  string
+	YLabel string
+	XLabel string
+	Series []LineSeries
 }
 
 // jsonPayload is the data handed to the hover layer.
@@ -139,7 +138,7 @@ func (c *LineChart) HTML() string {
 
 	var b strings.Builder
 	b.WriteString(`<figure class="chart" data-kind="line">`)
-	writeHeading(&b, c.Title, c.Subtitle)
+	writeHeading(&b, c.Title, "")
 	fmt.Fprintf(&b,
 		`<svg viewBox="0 0 %d %d" role="img" aria-label="%s" tabindex="0">%s</svg>`,
 		chartW, chartH, esc(c.Title), svg.String())

@@ -10,10 +10,9 @@ import (
 
 func sampleLine() *LineChart {
 	return &LineChart{
-		Title:    "Observed throughput",
-		Subtitle: "ANL->UChicago, ext.cmp=16",
-		YLabel:   "MB/s",
-		XLabel:   "transfer time (s)",
+		Title:  "Observed throughput",
+		YLabel: "MB/s",
+		XLabel: "transfer time (s)",
 		Series: []LineSeries{
 			{Name: "default", X: []float64{0, 30, 60}, Y: []float64{100, 150, 160}},
 			{Name: "nm-tuner", X: []float64{0, 30, 60}, Y: []float64{100, 400, 650}},

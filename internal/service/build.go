@@ -176,6 +176,7 @@ func clientConfig(o *obs.Observer, id string, spec JobSpec, files dataset.Datase
 		Dataset: files,
 		Seed:    spec.Seed,
 		Obs:     o.Session(id),
+		TCPInfo: tuner.ReadsKernel(spec.Tuner),
 	}
 	if spec.Dataset != "" {
 		ccfg.Bytes = 0 // derived from the dataset

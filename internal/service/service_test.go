@@ -235,8 +235,8 @@ func TestJobLifecycleHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("submit: got %d, want 201", resp.StatusCode)
 	}
-	if st.ID != "alpha" || st.State != JobQueued {
-		t.Fatalf("submit status = %+v", st)
+	if st.ID != "alpha" || st.State != JobRunning {
+		t.Fatalf("submit status = %+v, want the job running: a slot was free", st)
 	}
 	waitFor(t, 10*time.Second, "job alpha to finish", func() bool {
 		_, st := getJob(t, srv, "alpha")
@@ -642,6 +642,28 @@ func TestReleasedSlotAdmitsOldestQueued(t *testing.T) {
 	defer mu.Unlock()
 	if !reflect.DeepEqual(started, ids) {
 		t.Fatalf("jobs started in order %v, submitted in order %v", started, ids)
+	}
+}
+
+// TestSubmitReportsStateAfterAdmission: Submit answers with the job's
+// state once admission has run — running for the job a free slot
+// started at once, queued for the one that found the slots full.
+func TestSubmitReportsStateAfterAdmission(t *testing.T) {
+	sv, _ := startSupervisor(t, Config{
+		Limits:      Limits{MaxActive: 1, MaxQueued: 64, TenantMaxActive: 64},
+		NewTransfer: memFactory(0, func(_ string, m *memTransfer) { m.delay = time.Minute }),
+	})
+	for _, want := range []struct {
+		id    string
+		state JobState
+	}{{"holder", JobRunning}, {"waiter", JobQueued}} {
+		st, err := sv.Submit(JobSpec{ID: want.id, Bytes: 4e8, Epoch: 1, MaxNC: 32})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != want.state {
+			t.Fatalf("Submit(%s) reports %s, want %s", want.id, st.State, want.state)
+		}
 	}
 }
 

@@ -332,8 +332,9 @@ func (sv *Supervisor) checkpointPath(id string) string {
 }
 
 // Submit admits one job: validate, apply defaults, check quotas,
-// journal durably, enqueue. The returned status reflects the admitted
-// (queued) job, even when a free slot starts it at once. A *RejectError
+// journal durably, enqueue. The returned status is the job's after
+// admission: running when a free slot started it at once, queued
+// otherwise. A *RejectError
 // signals backpressure or a quota; any other error is either an invalid
 // spec or a journal write failure.
 func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
@@ -392,9 +393,8 @@ func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
 	sv.queue = append(sv.queue, j)
 	sv.tenantAdmitted[j.tenant]++
 	sv.dobs.JobAdmitted(id, j.tenant)
-	st := j.statusLocked()
 	sv.admitLocked()
-	return st, nil
+	return j.statusLocked(), nil
 }
 
 // reject counts and returns one admission refusal.

@@ -21,21 +21,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Std returns the sample standard deviation of xs (n-1 denominator),
-// or 0 when fewer than two values are given.
-func Std(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(xs)-1))
-}
-
 // Quantile returns the q-th quantile of xs (0 <= q <= 1) using linear
 // interpolation between order statistics (type 7, the R default). It
 // returns 0 for an empty slice and does not modify xs.
@@ -89,38 +74,6 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g mean=%.4g",
 		s.N, s.Min, s.Q1, s.Median, s.Q3, s.Max, s.Mean)
-}
-
-// Bin divides the time span [t0, t1) into width-sized bins and returns
-// the mean of the values whose times fall in each bin. Empty bins
-// yield NaN so callers can distinguish "no data" from zero.
-func Bin(ts, vs []float64, t0, t1, width float64) []float64 {
-	if width <= 0 || t1 <= t0 {
-		return nil
-	}
-	n := int(math.Ceil((t1 - t0) / width))
-	sums := make([]float64, n)
-	counts := make([]int, n)
-	for i, t := range ts {
-		if i >= len(vs) || t < t0 || t >= t1 {
-			continue
-		}
-		b := int((t - t0) / width)
-		if b >= n {
-			b = n - 1
-		}
-		sums[b] += vs[i]
-		counts[b]++
-	}
-	out := make([]float64, n)
-	for i := range out {
-		if counts[i] == 0 {
-			out[i] = math.NaN()
-		} else {
-			out[i] = sums[i] / float64(counts[i])
-		}
-	}
-	return out
 }
 
 // Improvement returns the ratio of a to b (how many times better a is

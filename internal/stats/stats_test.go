@@ -16,17 +16,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStd(t *testing.T) {
-	if Std(nil) != 0 || Std([]float64{5}) != 0 {
-		t.Fatal("Std of <2 values should be 0")
-	}
-	got := Std([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	want := 2.138089935299395 // sample std
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Std = %v, want %v", got, want)
-	}
-}
-
 func TestQuantileKnownValues(t *testing.T) {
 	xs := []float64{3, 1, 4, 1, 5, 9, 2, 6}
 	cases := []struct{ q, want float64 }{
@@ -114,47 +103,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestBin(t *testing.T) {
-	ts := []float64{0, 1, 2, 10, 11, 25}
-	vs := []float64{1, 2, 3, 10, 20, 99}
-	bins := Bin(ts, vs, 0, 30, 10)
-	if len(bins) != 3 {
-		t.Fatalf("got %d bins, want 3", len(bins))
-	}
-	if bins[0] != 2 {
-		t.Fatalf("bin 0 = %v, want 2", bins[0])
-	}
-	if bins[1] != 15 {
-		t.Fatalf("bin 1 = %v, want 15", bins[1])
-	}
-	if bins[2] != 99 {
-		t.Fatalf("bin 2 = %v, want 99", bins[2])
-	}
-}
-
-func TestBinEmptyBinIsNaN(t *testing.T) {
-	bins := Bin([]float64{0}, []float64{5}, 0, 20, 10)
-	if !math.IsNaN(bins[1]) {
-		t.Fatalf("empty bin = %v, want NaN", bins[1])
-	}
-}
-
-func TestBinInvalid(t *testing.T) {
-	if Bin(nil, nil, 0, 10, 0) != nil {
-		t.Fatal("zero width should return nil")
-	}
-	if Bin(nil, nil, 10, 0, 1) != nil {
-		t.Fatal("inverted range should return nil")
-	}
-}
-
-func TestBinIgnoresOutOfRange(t *testing.T) {
-	bins := Bin([]float64{-5, 100}, []float64{1, 2}, 0, 10, 10)
-	if !math.IsNaN(bins[0]) {
-		t.Fatalf("out-of-range samples were binned: %v", bins)
 	}
 }
 

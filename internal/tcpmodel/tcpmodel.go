@@ -317,14 +317,3 @@ func ByName(name string) (Algorithm, error) {
 
 // Names lists the available algorithm names.
 func Names() []string { return []string{"reno", "cubic", "htcp", "scalable"} }
-
-// MathisRate returns the classic steady-state Reno throughput bound
-// (Mathis et al.): MSS/RTT * sqrt(3/2) / sqrt(p) bytes per second for
-// packet-loss probability p. It is used in tests as a sanity reference
-// and by documentation examples.
-func MathisRate(mss, rtt, p float64) float64 {
-	if rtt <= 0 || p <= 0 {
-		return math.Inf(1)
-	}
-	return mss / rtt * math.Sqrt(1.5/p)
-}

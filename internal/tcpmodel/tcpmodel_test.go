@@ -302,22 +302,6 @@ func TestObserveRTT(t *testing.T) {
 	}
 }
 
-func TestMathisRate(t *testing.T) {
-	// MSS=1448, RTT=30ms, p=1e-4: 1448/0.03*sqrt(15000) ~ 5.9 MB/s.
-	r := MathisRate(1448, 0.03, 1e-4)
-	if r < 5e6 || r > 7e6 {
-		t.Fatalf("MathisRate = %v, want ~5.9e6", r)
-	}
-	if !math.IsInf(MathisRate(1448, 0.03, 0), 1) {
-		t.Fatal("MathisRate with p=0 should be +Inf")
-	}
-	// Quadrupling loss halves throughput.
-	r2 := MathisRate(1448, 0.03, 4e-4)
-	if math.Abs(r2*2-r) > 1 {
-		t.Fatalf("Mathis scaling: %v vs %v", r2*2, r)
-	}
-}
-
 func TestLossNeverBelowOneMSS(t *testing.T) {
 	for _, alg := range allAlgorithms() {
 		alg := alg

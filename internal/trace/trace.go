@@ -48,15 +48,6 @@ func (s *Series) Values() []float64 {
 	return vs
 }
 
-// Times returns the sample times.
-func (s *Series) Times() []float64 {
-	ts := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		ts[i] = p.T
-	}
-	return ts
-}
-
 // Mean returns the mean value, or 0 when empty.
 func (s *Series) Mean() float64 {
 	if len(s.Points) == 0 {
@@ -67,38 +58,6 @@ func (s *Series) Mean() float64 {
 		sum += p.V
 	}
 	return sum / float64(len(s.Points))
-}
-
-// MeanAfter returns the mean of samples with T >= t0, or 0 when there
-// are none. Experiment harnesses use it for steady-state throughput.
-func (s *Series) MeanAfter(t0 float64) float64 {
-	sum, n := 0.0, 0
-	for _, p := range s.Points {
-		if p.T >= t0 {
-			sum += p.V
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// MeanBetween returns the mean of samples with t0 <= T < t1, or 0 when
-// there are none.
-func (s *Series) MeanBetween(t0, t1 float64) float64 {
-	sum, n := 0.0, 0
-	for _, p := range s.Points {
-		if p.T >= t0 && p.T < t1 {
-			sum += p.V
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }
 
 // WriteCSV writes the series in long format (series,t,v), one row per

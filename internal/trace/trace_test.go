@@ -29,18 +29,6 @@ func TestSeriesBasics(t *testing.T) {
 	if got := s.Mean(); got != 25 {
 		t.Fatalf("Mean = %v", got)
 	}
-	if got := s.MeanAfter(60); got != 35 {
-		t.Fatalf("MeanAfter(60) = %v", got)
-	}
-	if got := s.MeanAfter(1000); got != 0 {
-		t.Fatalf("MeanAfter past end = %v", got)
-	}
-	if got := s.MeanBetween(30, 90); got != 25 {
-		t.Fatalf("MeanBetween(30,90) = %v", got)
-	}
-	if got := s.MeanBetween(91, 92); got != 0 {
-		t.Fatalf("MeanBetween empty = %v", got)
-	}
 }
 
 func TestEmptySeries(t *testing.T) {
@@ -53,14 +41,9 @@ func TestEmptySeries(t *testing.T) {
 	}
 }
 
-func TestValuesTimes(t *testing.T) {
-	s := sample()
-	vs, ts := s.Values(), s.Times()
-	if len(vs) != 4 || vs[2] != 30 {
+func TestValues(t *testing.T) {
+	if vs := sample().Values(); len(vs) != 4 || vs[2] != 30 {
 		t.Fatalf("Values = %v", vs)
-	}
-	if len(ts) != 4 || ts[3] != 90 {
-		t.Fatalf("Times = %v", ts)
 	}
 }
 

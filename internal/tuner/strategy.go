@@ -132,6 +132,16 @@ func RestartPolicyFor(name string) xfer.RestartPolicy {
 	return xfer.RestartEveryEpoch
 }
 
+// ReadsKernel reports whether the named strategy consults
+// Report.Kernel: kernel-aware:<inner> and the two learned strategies,
+// under a warm: prefix or not. Whoever builds a socket transfer asks
+// here and switches the TCP_INFO sampler on for such a strategy, so it
+// is not inert at a door that has no flag for the sampler.
+func ReadsKernel(name string) bool {
+	name = strings.TrimPrefix(name, "warm:")
+	return strings.HasPrefix(name, "kernel-aware:") || name == "rl-bandit" || name == "rl-q"
+}
+
 // StrategyNames lists every base (unprefixed) strategy name NewStrategy
 // accepts, in documentation order. The "static" alias for "default" is
 // not listed. STRATEGIES.md keeps one section per name (plus the two
