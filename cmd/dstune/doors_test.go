@@ -27,9 +27,11 @@ type doorRun struct {
 	key    dstune.HistoryKey
 }
 
-// doorRunOf reads a run back from its per-epoch records and the one key
-// its door's history store now holds under endpoint.
-func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint string, n int, epoch func(i int) ([]int, dstune.Report)) doorRun {
+// doorRunOf reads a run back from its per-epoch records and the record
+// it added to its door's history store under endpoint — after the one
+// seedStore put there, when pred is set — which must carry the spec's
+// tuner name: a store-backed session is named for its algorithm.
+func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint, tuner string, pred []int, n int, epoch func(i int) ([]int, dstune.Report)) doorRun {
 	t.Helper()
 	var run doorRun
 	for i := 0; i < n; i++ {
@@ -38,19 +40,59 @@ func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint string, n int,
 		run.tps = append(run.tps, rep.Throughput)
 		run.kernel = append(run.kernel, rep.Kernel != nil)
 	}
-	recs := store.Records(endpoint)
-	if len(recs) != 1 {
-		t.Fatalf("endpoint %s holds %d history records, want the run's one", endpoint, len(recs))
+	recs, want := store.Records(endpoint), 1
+	if pred != nil {
+		want = 2
 	}
-	run.key = recs[0].Key
+	if len(recs) != want {
+		t.Fatalf("endpoint %s holds %d history records, want %d ending in the run's one", endpoint, len(recs), want)
+	}
+	last := recs[len(recs)-1]
+	if last.Tuner != tuner {
+		t.Fatalf("endpoint %s: the run recorded itself as %q, want %q", endpoint, last.Tuner, tuner)
+	}
+	run.key = last.Key
 	return run
+}
+
+// seedStore puts the prediction pred (none when nil) under endpoint,
+// where a session keyed there finds it whatever its size and load
+// classes: a lookup falls back to the endpoint's nearest record.
+func seedStore(t *testing.T, store *dstune.HistoryStore, endpoint string, pred []int) {
+	t.Helper()
+	if pred == nil {
+		return
+	}
+	if err := store.Add(dstune.HistoryRecord{Key: dstune.HistoryKey{Endpoint: endpoint}, X: pred, Throughput: 1}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// doorRow is one strategy column of the table: a tuner name, run cold
+// or — warm — from a prediction seeded into each door's history store.
+type doorRow struct {
+	tuner string
+	warm  bool
+}
+
+// label is the row's subtest name. A warm row keeps the spelling these
+// subtests carried while a warm start was a name prefix; the spec's
+// tuner is the bare name.
+func (r doorRow) label() string {
+	if r.warm {
+		return "warm:" + r.tuner
+	}
+	return r.tuner
 }
 
 // TestSameSpecSameSessionAtEveryDoor: one spec, handed to dstune as a
 // flag line, to dstune -fleet as a one-session file, and to dstuned as
 // a job, is one session — the same vectors, the same throughputs, epoch
 // for epoch, recorded under history keys that differ only by the
-// session-id suffix the two multi-session doors add. The `default` rows
+// session-id suffix the two multi-session doors add. The warm rows seed
+// each door's store with a prediction: every door starts there, and
+// two-phase samples the one bracketing ladder (pred, 2·pred, pred/2) at
+// all three. The `default` rows
 // hold since the doors agree that the static baseline keeps its
 // processes alive; the dataset rows since a simulated -dataset is the
 // disk-to-disk model at the CLI too. The socket row cannot compare
@@ -71,17 +113,27 @@ func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 
 	row := 0
 	for _, testbed := range []string{"uchicago", "tacc"} {
-		for _, tn := range []string{"default", "cs-tuner", "nm-tuner", "two-phase", "warm:cd-tuner"} {
+		for _, tn := range []doorRow{{tuner: "default"}, {tuner: "cs-tuner"}, {tuner: "nm-tuner"}, {tuner: "two-phase"}, {"cd-tuner", true}, {"two-phase", true}} {
 			for _, two := range []bool{false, true} {
 				for _, cmp := range []int{0, 16} {
 					for _, files := range []string{"", "200x1MiB"} {
 						row++
 						spec := service.JobSpec{
-							ID: fmt.Sprintf("row-%d", row), Tuner: tn, Testbed: testbed,
+							ID: fmt.Sprintf("row-%d", row), Tuner: tn.tuner, Testbed: testbed,
 							Two: two, Cmp: cmp, Dataset: files, Budget: 180, Seed: 3,
 						}
-						t.Run(fmt.Sprintf("%s/%s/two=%v/cmp=%d/%s", testbed, tn, two, cmp, files), func(t *testing.T) {
-							sameAtEveryDoor(t, d, spec)
+						var pred []int
+						switch {
+						case !tn.warm:
+						case two && files != "":
+							pred = []int{6, 4, 4} // nc, np, pp
+						case two:
+							pred = []int{6, 4}
+						default:
+							pred = []int{6}
+						}
+						t.Run(fmt.Sprintf("%s/%s/two=%v/cmp=%d/%s", testbed, tn.label(), two, cmp, files), func(t *testing.T) {
+							sameAtEveryDoor(t, d, spec, pred)
 						})
 					}
 				}
@@ -102,7 +154,7 @@ func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 			ID: "row-socket", Tuner: "kernel-aware:cs-tuner", Addr: srv.Addr(),
 			Epoch: 0.05, Tolerance: 30, Budget: 0.25, MaxNC: 4, Seed: 3,
 		}
-		cli, viaFleet, daemon := atEveryDoor(t, d, spec)
+		cli, viaFleet, daemon := atEveryDoor(t, d, spec, nil)
 		for door, run := range map[string]doorRun{"the CLI": cli, "-fleet": viaFleet, "dstuned": daemon} {
 			if len(run.kernel) == 0 || slices.Contains(run.kernel, false) {
 				t.Errorf("%s: epochs with kernel samples %v, want every one of at least one", door, run.kernel)
@@ -119,9 +171,10 @@ type daemonDoor struct {
 	hist *dstune.HistoryStore
 }
 
-// atEveryDoor runs spec through the three doors and returns what each
+// atEveryDoor runs spec through the three doors, each over a history
+// store that predicts pred (nil: an empty one), and returns what each
 // made of it.
-func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) (cli, viaFleet, daemon doorRun) {
+func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) (cli, viaFleet, daemon doorRun) {
 	// (a) The flag line, through the CLI's own flag binding and session
 	// construction.
 	args := []string{
@@ -143,8 +196,12 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) (cli, viaFlee
 		args = append(args, "-dataset", spec.Dataset)
 	}
 	cliHist := dstune.NewMemHistory()
+	seedStore(t, cliHist, endpoint, pred)
 	_, trace := runFlags(t, cliHist, args...)
-	cli = doorRunOf(t, cliHist, endpoint, len(trace.Results), func(i int) ([]int, dstune.Report) {
+	if trace.Tuner != spec.Tuner {
+		t.Fatalf("the CLI's trace is named %q, want %q", trace.Tuner, spec.Tuner)
+	}
+	cli = doorRunOf(t, cliHist, endpoint, spec.Tuner, pred, len(trace.Results), func(i int) ([]int, dstune.Report) {
 		return trace.Results[i].X, trace.Results[i].Report
 	})
 	if len(cli.xs) == 0 {
@@ -167,6 +224,7 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) (cli, viaFlee
 		t.Fatal(err)
 	}
 	fleetHist := dstune.NewMemHistory()
+	seedStore(t, fleetHist, endpoint+"/only", pred)
 	fleet, err := buildFleet(path, nil, "", fleetHist)
 	if err != nil {
 		t.Fatal(err)
@@ -176,11 +234,13 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) (cli, viaFlee
 		t.Fatalf("fleet: %v / %v", err, results[0].Err)
 	}
 	ft := results[0].Traces[0]
-	viaFleet = doorRunOf(t, fleetHist, endpoint+"/only", len(ft.Results), func(i int) ([]int, dstune.Report) {
+	viaFleet = doorRunOf(t, fleetHist, endpoint+"/only", spec.Tuner, pred, len(ft.Results), func(i int) ([]int, dstune.Report) {
 		return ft.Results[i].X, ft.Results[i].Report
 	})
 
-	// (c) A dstuned job; its epochs are read back from its checkpoint.
+	// (c) A dstuned job; its epochs are read back from its checkpoint,
+	// which is the algorithm's own and records the start it adopted.
+	seedStore(t, d.hist, endpoint+"/"+spec.ID, pred)
 	st, err := d.sv.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -203,15 +263,33 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) (cli, viaFlee
 	if err != nil {
 		t.Fatal(err)
 	}
-	daemon = doorRunOf(t, d.hist, endpoint+"/"+st.ID, len(ck.Trace), func(i int) ([]int, dstune.Report) {
+	if ck.Tuner != spec.Tuner || !reflect.DeepEqual(ck.Start, pred) {
+		t.Fatalf("dstuned's checkpoint is %q started at %v, want %q at %v", ck.Tuner, ck.Start, spec.Tuner, pred)
+	}
+	daemon = doorRunOf(t, d.hist, endpoint+"/"+st.ID, spec.Tuner, pred, len(ck.Trace), func(i int) ([]int, dstune.Report) {
 		return ck.Trace[i].X, ck.Trace[i].Report
 	})
 	return cli, viaFleet, daemon
 }
 
-// sameAtEveryDoor runs spec through the three doors and compares.
-func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec) {
-	cli, viaFleet, daemon := atEveryDoor(t, d, spec)
+// sameAtEveryDoor runs spec through the three doors and compares. With
+// a prediction the CLI — and so every door — must open on it, and
+// two-phase go on to the rest of its bracketing ladder.
+func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) {
+	cli, viaFleet, daemon := atEveryDoor(t, d, spec, pred)
+	if pred != nil {
+		ladder := [][]int{pred}
+		if spec.Tuner == "two-phase" {
+			double, half := slices.Clone(pred), slices.Clone(pred)
+			for i, v := range pred {
+				double[i], half[i] = 2*v, v/2
+			}
+			ladder = append(ladder, double, half)
+		}
+		if n := min(len(ladder), len(cli.xs)); !reflect.DeepEqual(cli.xs[:n], ladder[:n]) {
+			t.Errorf("the CLI opened with %v, want %v", cli.xs[:n], ladder[:n])
+		}
+	}
 	for _, other := range []struct {
 		door   string
 		run    doorRun

@@ -14,13 +14,14 @@
 //	       -epoch 0.25 -duration 15 -shape-rate 8e6 -shape-quad 0.028
 //
 // The tuner is one of: default, cd-tuner, cs-tuner, nm-tuner, heur1,
-// heur2, model, two-phase, rl-bandit, rl-q — or any of them under a
-// "warm:" prefix to force the warm-start wrapper's name explicitly.
+// heur2, model, two-phase, rl-bandit, rl-q — or any of them behind
+// "kernel-aware:", which damps the ε-monitor over kernel-reported loss.
 //
 // With -history FILE the process keeps a durable knowledge base of
-// past runs: the tuner warm-starts from the best-known parameters for
-// the (endpoint, size, load) regime and the run's best epoch is
-// recorded back on completion:
+// past runs: the named tuner starts from the best-known parameters for
+// the (endpoint, size, load) regime instead of the Globus defaults — it
+// is still that tuner, in the trace and in its checkpoint — and the
+// run's best epoch is recorded back on completion:
 //
 //	dstune -tuner cs-tuner -testbed uchicago -cmp 16 -history runs.jsonl
 //	dstune -tuner cs-tuner -testbed uchicago -cmp 16 -history runs.jsonl  # warm
@@ -125,7 +126,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	s, def := &o.spec, service.JobSpec{}.WithDefaults()
 	fs.StringVar(&o.mode, "mode", "sim", "sim or socket")
 	fs.StringVar(&o.fleet, "fleet", "", "drive many tuned sessions from one scheduler: JSON file of shared job-spec defaults plus sessions (see cmd/dstune/fleet.go)")
-	fs.StringVar(&s.Tuner, "tuner", "nm-tuner", "default, cd-tuner, cs-tuner, nm-tuner, heur1, heur2, model, two-phase, rl-bandit, rl-q, warm:<tuner>")
+	fs.StringVar(&s.Tuner, "tuner", "nm-tuner", dstune.StrategyUsage())
 	fs.Float64Var(&s.Budget, "duration", 1800, "transfer budget in seconds (virtual in sim mode, wall-clock in socket mode)")
 	fs.Float64Var(&s.Epoch, "epoch", 0, "control epoch seconds (default 30 sim, 0.25 socket)")
 	fs.Float64Var(&s.Tolerance, "tolerance", 0, "significance threshold percent (default 5 sim, 30 socket)")
@@ -140,7 +141,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.deadline, "deadline", 0, "wall-clock deadline for the whole run; 0 = none")
 	fs.StringVar(&o.obsAddr, "obs-addr", "", "serve live introspection (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. 127.0.0.1:9310")
 	fs.StringVar(&o.obsTrace, "obs-trace", "", "append every structured event to this file as JSON lines")
-	fs.StringVar(&o.history, "history", "", "transfer-history store (JSONL): warm-start the tuner from past runs and record this run's best epoch")
+	fs.StringVar(&o.history, "history", "", "transfer-history store (JSONL): start the tuner from the best-known parameters of past runs and record this run's best epoch")
 	fs.IntVar(&s.MaxTransient, "max-transient", 0, "consecutive transient epoch failures tolerated before aborting; 0 = 3")
 	fs.Float64Var(&s.Bytes, "bytes", 0, "bytes to transfer; 0 = unbounded, ended by -duration")
 	fs.StringVar(&s.Dataset, "dataset", "", "move a multi-file dataset instead of -bytes, e.g. 10000x1MiB or lognormal:2000:8MiB:1.5 (socket mode: the framed data plane, pass again when resuming; sim mode: the disk-to-disk model)")
@@ -207,9 +208,9 @@ func (o *options) jobSpec() (service.JobSpec, error) {
 func (o *options) session(observer *dstune.Observer, hist *dstune.HistoryStore) (*service.Session, error) {
 	door := service.Door{Obs: observer, History: hist}
 	if o.resume != "" {
-		// A resumed run adopts the checkpoint's tuner and seed and rebuilds
-		// the transfer from its recorded state; only socket-mode transfers
-		// outlive the process that started them.
+		// A resumed run adopts the checkpoint's tuner, seed and start and
+		// rebuilds the transfer from its recorded state; only socket-mode
+		// transfers outlive the process that started them.
 		if o.mode != "socket" {
 			return nil, errors.New("-resume requires -mode socket: simulated transfers live and die with the process")
 		}
@@ -366,7 +367,7 @@ func main() {
 	if histStore != nil {
 		recorded = histStore.Len()
 	}
-	trace, err := dstune.NewDriver(sess.Config).Run(ctx, sess.Strategy, sess.Transfer)
+	trace, err := runSession(ctx, sess)
 	switch {
 	case err == nil:
 	case errors.Is(err, dstune.ErrInterrupted),
@@ -392,6 +393,17 @@ func main() {
 		}
 		fmt.Printf("wrote %s\n", o.csv)
 	}
+}
+
+// runSession runs the one session of a single run to its end — a fleet
+// of one, under the engine -fleet and dstuned run theirs on — and
+// returns its trace and the error that ended it.
+func runSession(ctx context.Context, sess *service.Session) (*dstune.Trace, error) {
+	results, err := dstune.NewFleet(sess.FleetSession()).Run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return results[0].Traces[0], results[0].Err
 }
 
 // newObserver builds the run's observation plane from the -obs-addr

@@ -34,7 +34,7 @@ func runFlags(t *testing.T, hist *dstune.HistoryStore, args ...string) (*service
 	if err != nil {
 		t.Fatalf("%v: %v", args, err)
 	}
-	trace, err := dstune.NewDriver(sess.Config).Run(context.Background(), sess.Strategy, sess.Transfer)
+	trace, err := runSession(context.Background(), sess)
 	if err != nil {
 		t.Fatalf("%v: %v", args, err)
 	}
@@ -47,6 +47,23 @@ func TestSessionUnknownTestbed(t *testing.T) {
 	}
 	if _, err := parseFlags(t, "-mode", "disk").session(nil, nil); err == nil {
 		t.Fatal("the removed disk mode accepted")
+	}
+}
+
+// TestResumeRefusesRetiredStrategy: -resume of a checkpoint written by
+// a build that still named store-backed runs "warm:<tuner>" (the
+// fixture is one, from the parent commit) is refused by that name
+// before anything is dialled — as is the name itself at -tuner, and the
+// old `static` alias.
+func TestResumeRefusesRetiredStrategy(t *testing.T) {
+	_, err := parseFlags(t, "-mode", "socket", "-resume", "../../internal/tuner/testdata/parent_warm.checkpoint").session(nil, nil)
+	if err == nil || !strings.Contains(err.Error(), `"warm:cs-tuner"`) {
+		t.Fatalf("resume of a warm: checkpoint returned %v, want a refusal naming it", err)
+	}
+	for _, name := range []string{"warm:cs-tuner", "static"} {
+		if _, err := parseFlags(t, "-tuner", name).session(nil, nil); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("-tuner %s returned %v, want a refusal naming it", name, err)
+		}
 	}
 }
 

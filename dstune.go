@@ -197,11 +197,12 @@ func MapNCNP() ParamMap { return tuner.MapNCNP() }
 
 // Run tunes t with the named strategy — any name NewStrategy accepts —
 // until the transfer completes or cfg.Budget is reached, and returns
-// the per-epoch trace. With cfg.History set the strategy warm-starts
-// from the store's best-known vector for cfg.HistoryKey and the run
-// records its own best epoch there ("two-phase" seeds its coarse
-// candidates from it instead); with cfg.Resume set the run continues
-// the checkpointed one, under the checkpoint's strategy and seed.
+// the per-epoch trace. With cfg.History set the strategy starts from
+// the store's best-known vector for cfg.HistoryKey instead of cfg.Start
+// (still under its own name; "two-phase" brackets such a start) and the
+// run records its own best epoch there; with cfg.Resume set the run
+// continues the checkpointed one, under the checkpoint's strategy, seed
+// and start.
 func Run(ctx context.Context, name string, cfg TunerConfig, t Transferer) (*Trace, error) {
 	return tuner.Run(ctx, name, cfg, t)
 }
@@ -233,13 +234,16 @@ type (
 	FleetSession = tuner.FleetSession
 )
 
-// NewStrategy builds the named strategy — one of "default",
-// "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model",
-// "two-phase", "rl-bandit", "rl-q", or any of them under a "warm:"
-// prefix (e.g. "warm:cs-tuner") — from cfg. The warm and two-phase
-// forms built here are cold (no history store); Run attaches
-// TunerConfig.History.
+// NewStrategy builds the named strategy — any name StrategyUsage
+// lists: a row of the strategy registry (STRATEGIES.md), or one behind
+// "kernel-aware:" — from cfg, starting at cfg.Start. It consults no
+// history store; Run is what starts a strategy from
+// TunerConfig.History's prediction.
 func NewStrategy(name string, cfg TunerConfig) (Strategy, error) { return tuner.NewStrategy(name, cfg) }
+
+// StrategyUsage is the list of accepted strategy names a usage string
+// prints: "default, cd-tuner, …, rl-q, kernel-aware:<tuner>".
+func StrategyUsage() string { return tuner.StrategyUsage() }
 
 // NewDriver returns a driver for cfg; its Run method drives any
 // Strategy against a Transferer to completion.
@@ -336,8 +340,8 @@ var ErrInterrupted = tuner.ErrInterrupted
 
 // Historical knowledge plane: an append-only store of past transfer
 // outcomes keyed by endpoint identity, dataset size class, and
-// external-load fingerprint, and the strategies that warm-start from
-// it (see DESIGN.md §3d).
+// external-load fingerprint, which any strategy can take its starting
+// vector from (see DESIGN.md §3d).
 type (
 	// HistoryStore is a crash-safe JSONL store of best-known transfer
 	// outcomes; query it with Lookup, extend it with Add.

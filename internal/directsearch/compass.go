@@ -12,22 +12,20 @@ type CompassConfig struct {
 	// Lambda is the initial step size; the paper uses 8. Zero selects
 	// 8.
 	Lambda float64
-	// MinLambda terminates the search once the step size drops below
-	// it; the paper stops at 0.5 (where the rounded coordinate set
-	// degenerates to a single point). Zero selects 0.5.
-	MinLambda float64
 	// MaxEvals caps the number of objective evaluations as a safety
 	// net; zero selects 10000.
 	MaxEvals int
 }
 
+// minLambda is the paper's stop rule: the search terminates once the
+// step size drops below 0.5, where the rounded coordinate set
+// degenerates to a single point.
+const minLambda = 0.5
+
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (c CompassConfig) withDefaults() CompassConfig {
 	if c.Lambda == 0 {
 		c.Lambda = 8
-	}
-	if c.MinLambda == 0 {
-		c.MinLambda = 0.5
 	}
 	if c.MaxEvals == 0 {
 		c.MaxEvals = 10000
@@ -39,7 +37,7 @@ func (c CompassConfig) withDefaults() CompassConfig {
 // COMPASS-SEARCH procedure: poll the 2m coordinate directions around
 // the incumbent at step lambda in random order; move to the first
 // improving point, or halve lambda when no direction improves;
-// terminate when lambda falls below MinLambda.
+// terminate when lambda falls below minLambda.
 type Compass struct {
 	box    Box
 	cfg    CompassConfig
@@ -115,7 +113,7 @@ func (c *Compass) Suggest() ([]int, bool) {
 	// Keep halving until a pollable candidate exists or we converge.
 	for len(c.queue) == 0 {
 		c.lambda *= 0.5
-		if c.lambda < c.cfg.MinLambda {
+		if c.lambda < minLambda {
 			c.done = true
 			return nil, true
 		}
@@ -147,7 +145,7 @@ func (c *Compass) Observe(f float64) {
 	if len(c.queue) == 0 {
 		// All directions at this lambda failed; halve.
 		c.lambda *= 0.5
-		if c.lambda < c.cfg.MinLambda {
+		if c.lambda < minLambda {
 			c.done = true
 			return
 		}

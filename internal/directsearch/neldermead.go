@@ -7,12 +7,17 @@ import (
 	"dstune/internal/ivec"
 )
 
-// NMConfig parameterizes Nelder–Mead search. The paper sets the
-// customary coefficients R=1, E=2, C=0.5, S=0.5.
+// The reflection, expansion, contraction and shrink coefficients: the
+// customary values, which the paper sets.
+const (
+	coefR = 1.0
+	coefE = 2.0
+	coefC = 0.5
+	coefS = 0.5
+)
+
+// NMConfig parameterizes Nelder–Mead search.
 type NMConfig struct {
-	// R, E, C, S are the reflection, expansion, contraction, and
-	// shrink coefficients. Zeros select 1, 2, 0.5, 0.5.
-	R, E, C, S float64
 	// InitStep is the offset used to build the initial simplex around
 	// the starting point; zero selects 8 (comparable to the paper's
 	// compass lambda, giving the "large steps in the beginning" the
@@ -25,18 +30,6 @@ type NMConfig struct {
 
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (c NMConfig) withDefaults() NMConfig {
-	if c.R == 0 {
-		c.R = 1
-	}
-	if c.E == 0 {
-		c.E = 2
-	}
-	if c.C == 0 {
-		c.C = 0.5
-	}
-	if c.S == 0 {
-		c.S = 0.5
-	}
 	if c.InitStep == 0 {
 		c.InitStep = 8
 	}
@@ -184,7 +177,7 @@ func (nm *NelderMead) startIteration() {
 	worst := nm.verts[m].x
 	x := make([]float64, len(nm.centroid))
 	for i := range x {
-		x[i] = nm.centroid[i] + nm.cfg.R*(nm.centroid[i]-float64(worst[i]))
+		x[i] = nm.centroid[i] + coefR*(nm.centroid[i]-float64(worst[i]))
 	}
 	nm.xr = nm.box.Clamp(x)
 	nm.phase = nmReflect
@@ -207,7 +200,7 @@ func (nm *NelderMead) proposeContract() {
 	}
 	x := make([]float64, len(nm.centroid))
 	for i := range x {
-		x[i] = nm.centroid[i] + nm.cfg.C*(xt[i]-nm.centroid[i])
+		x[i] = nm.centroid[i] + coefC*(xt[i]-nm.centroid[i])
 	}
 	nm.xc = nm.box.Clamp(x)
 	nm.phase = nmContract
@@ -220,7 +213,7 @@ func (nm *NelderMead) beginShrink() {
 	for j := 1; j < len(nm.verts); j++ {
 		x := make([]float64, len(x0))
 		for i := range x {
-			x[i] = float64(x0[i]) + nm.cfg.S*(float64(nm.verts[j].x[i])-float64(x0[i]))
+			x[i] = float64(x0[i]) + coefS*(float64(nm.verts[j].x[i])-float64(x0[i]))
 		}
 		nm.verts[j].x = nm.box.Clamp(x)
 	}
@@ -284,7 +277,7 @@ func (nm *NelderMead) Observe(f float64) {
 			// New best: try to expand further.
 			xe := make([]float64, len(nm.centroid))
 			for i := range xe {
-				xe[i] = nm.centroid[i] + nm.cfg.E*(float64(nm.xr[i])-nm.centroid[i])
+				xe[i] = nm.centroid[i] + coefE*(float64(nm.xr[i])-nm.centroid[i])
 			}
 			nm.xe = nm.box.Clamp(xe)
 			nm.phase = nmExpand

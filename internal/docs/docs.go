@@ -9,8 +9,10 @@
 //   - CheckFormat reports Go files gofmt would rewrite;
 //   - CheckFacade reports names the root package re-exports that
 //     nothing outside it refers to;
-//   - CheckFigKeys reports `-fig KEY` quoted in markdown where KEY is
-//     not a study cmd/figures knows.
+//   - CheckQuoted reports names quoted in markdown that the code no
+//     longer has: a `-fig KEY` that is not a study cmd/figures knows
+//     (FigKeys), a `-tuner NAME` or `"tuner": "NAME"` that is not a
+//     strategy (TunerNames).
 //
 // All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.
@@ -27,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -100,26 +103,59 @@ func CheckLinks(root string) ([]string, error) {
 	return problems, nil
 }
 
-// figKeyRE matches a cmd/figures study selection quoted in prose or a
-// code block. Placeholders (KEY, <key>, N) are not lower-case and do
-// not match.
-var figKeyRE = regexp.MustCompile(`-fig ([a-z0-9][a-z0-9-]*)`)
+// Quoted is one kind of name the documents quote, and what holds it to
+// the code.
+type Quoted struct {
+	// RE matches one quotation; its first group is the name. Upper-case
+	// placeholders (KEY, NAME) must not match.
+	RE *regexp.Regexp
+	// Known reports whether the code has the name.
+	Known func(name string) bool
+	// Problem words a finding; its one %s is the name.
+	Problem string
+	// History lists root-relative files that record the past and are not
+	// held to the present.
+	History []string
+}
 
-// CheckFigKeys walks root for .md files and reports every `-fig KEY`
-// whose KEY is neither "all" nor one of keys (experiment.Studies'), so
-// that a study renamed or dropped cannot leave a regeneration command
-// behind that no longer runs.
-func CheckFigKeys(root string, keys []string) ([]string, error) {
-	known := map[string]bool{"all": true}
-	for _, k := range keys {
-		known[k] = true
+// FigKeys holds every `-fig KEY` quoted in prose or a code block to
+// keys (experiment.Studies') and "all", in every markdown file, so that
+// a study renamed or dropped cannot leave a regeneration command behind
+// that no longer runs.
+func FigKeys(keys []string) Quoted {
+	return Quoted{
+		RE:      regexp.MustCompile(`-fig ([a-z0-9][a-z0-9-]*)`),
+		Known:   func(k string) bool { return k == "all" || slices.Contains(keys, k) },
+		Problem: "-fig %s names no study",
 	}
+}
+
+// TunerNames holds every `-tuner NAME` flag and `"tuner": "NAME"` JSON
+// key quoted in the living documents to known (tuner.KnownStrategy).
+// CHANGES.md, ROADMAP.md and ISSUE.md tell what names once were.
+func TunerNames(known func(name string) bool) Quoted {
+	return Quoted{
+		RE:      regexp.MustCompile(`(?:(?:^|[^a-z0-9])-tuner |"tuner": *")([a-z][a-z0-9:-]*)`),
+		Known:   known,
+		Problem: "tuner %s names no strategy",
+		History: []string{"CHANGES.md", "ROADMAP.md", "ISSUE.md"},
+	}
+}
+
+// CheckQuoted walks root for .md files and reports, for each kind,
+// every quoted name the code does not have.
+func CheckQuoted(root string, kinds ...Quoted) ([]string, error) {
 	var problems []string
 	err := eachFile(root, ".md", func(rel string, data []byte) {
 		for i, line := range strings.Split(string(data), "\n") {
-			for _, m := range figKeyRE.FindAllStringSubmatch(line, -1) {
-				if !known[m[1]] {
-					problems = append(problems, fmt.Sprintf("%s:%d: -fig %s names no study", rel, i+1, m[1]))
+			for _, q := range kinds {
+				if slices.Contains(q.History, rel) {
+					continue
+				}
+				for _, m := range q.RE.FindAllStringSubmatch(line, -1) {
+					if !q.Known(m[1]) {
+						problems = append(problems, fmt.Sprintf("%s:%d: "+q.Problem, rel, i+1, m[1]))
+					}
 				}
 			}
 		}

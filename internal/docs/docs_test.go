@@ -3,10 +3,12 @@ package docs
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"dstune/internal/experiment"
+	"dstune/internal/tuner"
 )
 
 // TestCheckLinks exercises the link checker on a synthetic tree: good
@@ -208,7 +210,7 @@ func TestCheckFigKeys(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "DOC.md"), []byte(md), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	problems, err := CheckFigKeys(dir, []string{"5", "claims"})
+	problems, err := CheckQuoted(dir, FigKeys([]string{"5", "claims"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,11 +219,37 @@ func TestCheckFigKeys(t *testing.T) {
 	}
 }
 
+// TestCheckTunerNames: a known strategy behind the flag or the JSON
+// key, an upper-case placeholder and a strategy's name in prose
+// ("cs-tuner and") pass; an unknown one is reported wherever a living
+// document quotes it — and nowhere in the history files.
+func TestCheckTunerNames(t *testing.T) {
+	dir := t.TempDir()
+	md := "Run `dstune -tuner cs-tuner`, `-tuner NAME`; cs-tuner and nm-tuner agree.\n" +
+		"`{\"tuner\": \"kernel-aware:cs-tuner\"}` or `{\"tuner\":\"warm:cs-tuner\"}`\n" +
+		"\tdstune -tuner static -duration 60\n"
+	for _, name := range []string{"DOC.md", "CHANGES.md"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(md), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	known := func(name string) bool { return name == "cs-tuner" || name == "kernel-aware:cs-tuner" }
+	problems, err := CheckQuoted(dir, FigKeys(nil), TunerNames(known))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"DOC.md:2: tuner warm:cs-tuner names no strategy", "DOC.md:3: tuner static names no strategy"}
+	if !slices.Equal(problems, want) {
+		t.Fatalf("got problems %q, want %q", problems, want)
+	}
+}
+
 // TestRepoDocs is the in-repo enforcement: the repository's own
 // markdown links must resolve, its public packages must be fully
 // documented, every Go file must be gofmt-clean, the facade must
-// re-export nothing that goes unused, and every `-fig KEY` a document
-// quotes must be a study.
+// re-export nothing that goes unused, every `-fig KEY` a document
+// quotes must be a study, and every `-tuner NAME` or `"tuner": "NAME"` a
+// living document quotes a strategy.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	links, err := CheckLinks(root)
@@ -261,11 +289,11 @@ func TestRepoDocs(t *testing.T) {
 	for _, s := range experiment.Studies() {
 		keys = append(keys, s.Key)
 	}
-	stale, err := CheckFigKeys(root, keys)
+	stale, err := CheckQuoted(root, FigKeys(keys), TunerNames(tuner.KnownStrategy))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range stale {
-		t.Errorf("figure key: %s", p)
+		t.Errorf("stale name: %s", p)
 	}
 }

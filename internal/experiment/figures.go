@@ -150,10 +150,11 @@ type Fig1Config struct {
 	// Concurrency values to sweep; nil selects powers of two from 1
 	// to 512.
 	Concurrency []int
-	// Loads to sweep; nil selects the paper's two scenarios: no load
-	// and ext.tfr=ext.cmp=16.
-	Loads []load.Load
 }
+
+// fig1Loads are Figure 1's two scenarios: no load, and
+// ext.tfr=ext.cmp=16.
+var fig1Loads = []load.Load{{}, {Tfr: 16, Cmp: 16}}
 
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (c Fig1Config) withDefaults() Fig1Config {
@@ -165,9 +166,6 @@ func (c Fig1Config) withDefaults() Fig1Config {
 	}
 	if c.Concurrency == nil {
 		c.Concurrency = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	}
-	if c.Loads == nil {
-		c.Loads = []load.Load{{}, {Tfr: 16, Cmp: 16}}
 	}
 	return c
 }
@@ -195,7 +193,7 @@ func Fig1(tb Testbed, cfg Fig1Config) (*Fig1Result, error) {
 	res := &Fig1Result{
 		Testbed:     tb.Name,
 		Concurrency: cfg.Concurrency,
-		Loads:       cfg.Loads,
+		Loads:       fig1Loads,
 		Summary:     make(map[load.Load]map[int]stats.Summary),
 		Critical:    make(map[load.Load]int),
 	}
@@ -207,8 +205,8 @@ func Fig1(tb Testbed, cfg Fig1Config) (*Fig1Result, error) {
 		l       load.Load
 		nc, rep int
 	}
-	cells := make([]cell, 0, len(cfg.Loads)*len(cfg.Concurrency)*cfg.Repeats)
-	for _, l := range cfg.Loads {
+	cells := make([]cell, 0, len(fig1Loads)*len(cfg.Concurrency)*cfg.Repeats)
+	for _, l := range fig1Loads {
 		for _, nc := range cfg.Concurrency {
 			for rep := 0; rep < cfg.Repeats; rep++ {
 				cells = append(cells, cell{l: l, nc: nc, rep: rep})
@@ -245,7 +243,7 @@ func Fig1(tb Testbed, cfg Fig1Config) (*Fig1Result, error) {
 	// Summarize sequentially; cells were appended repeats-innermost, so
 	// each (load, nc) owns a contiguous run of cfg.Repeats slots.
 	next := 0
-	for _, l := range cfg.Loads {
+	for _, l := range fig1Loads {
 		perNC := make(map[int]stats.Summary, len(cfg.Concurrency))
 		medians := make(map[int]float64, len(cfg.Concurrency))
 		for _, nc := range cfg.Concurrency {

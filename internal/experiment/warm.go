@@ -128,7 +128,7 @@ func WarmStartStudy(tb Testbed, names []string, loads []load.Load, rc RunConfig,
 		}
 		wcfg := rc.withDefaults().tunerCfg(false)
 		wcfg.History, wcfg.HistoryKey = store, key
-		warm, err := runTransfer(tb, "warm:"+c.name, sched, rc.Seed, xfer.TransferConfig{Bytes: xfer.Unbounded}, wcfg)
+		warm, err := runTransfer(tb, c.name, sched, rc.Seed, xfer.TransferConfig{Bytes: xfer.Unbounded}, wcfg)
 		if err != nil {
 			return fmt.Errorf("warm %s under %s: %w", c.name, c.l, err)
 		}

@@ -42,9 +42,9 @@ const (
 	// EventFaultInjected marks the faultnet fabric injecting a dial
 	// refusal or connection reset.
 	EventFaultInjected EventType = "FaultInjected"
-	// EventWarmStart marks a strategy consulting the history knowledge
-	// plane at construction: Detail is "hit" (X carries the adopted
-	// prediction) or "miss" (the run cold-starts).
+	// EventWarmStart marks a session consulting the history knowledge
+	// plane for its starting vector: Detail is "hit" (X carries the
+	// adopted prediction) or "miss" (the run cold-starts).
 	EventWarmStart EventType = "WarmStart"
 	// EventJobAdmitted marks the dstuned daemon accepting a tuning job
 	// past admission control, after its journal entry is durable.

@@ -515,9 +515,10 @@ func (s *SessionObs) CheckpointWritten(t float64, epochs int, seconds float64) {
 	s.o.Event(Event{T: t, Type: EventCheckpointWritten, Session: s.id, Epoch: epochs})
 }
 
-// WarmStart records a strategy consulting the history knowledge plane
-// at construction (transfer clock t, normally 0): on a hit, x is the
-// adopted prediction; on a miss, x is nil and the session cold-starts.
+// WarmStart records a session consulting the history knowledge plane
+// for its starting vector (transfer clock t, normally 0): on a hit, x
+// is the adopted prediction; on a miss, x is nil and the session
+// cold-starts.
 func (s *SessionObs) WarmStart(t float64, x []int, hit bool) {
 	if s == nil {
 		return

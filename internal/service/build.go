@@ -40,8 +40,8 @@ type Door struct {
 }
 
 // Session is one spec built into the parts every front door runs:
-// dstune hands Config, Strategy and Transfer to a tuner.Driver, dstune
-// -fleet and dstuned step the FleetSession.
+// dstune and dstune -fleet hand the FleetSession to a tuner.Fleet,
+// dstuned steps it in a tuner.SessionRuntime.
 type Session struct {
 	// ID is the session's label: the id Build was given, or the
 	// strategy's name for the one session of a single run.
@@ -51,8 +51,10 @@ type Session struct {
 	// and the door's checkpoint, resume, observation and history wiring.
 	Config tuner.Config
 	// Strategy is the cold, warm-started or resumed strategy
-	// tuner.ResolveStrategy picked for the spec.
+	// tuner.ResolveStrategy picked for the spec, and Start the starting
+	// vector it adopted for it in place of Config.Start (nil: none).
 	Strategy tuner.Strategy
+	Start    []int
 	// Transfer is the transfer the strategy tunes.
 	Transfer xfer.Transferer
 	// Dataset is the spec's parsed dataset; empty without one.
@@ -63,7 +65,7 @@ type Session struct {
 // tuner.NewSessionRuntime take: the FleetConfig its Config asks for and
 // the FleetSession that runs it.
 func (s *Session) FleetSession() (tuner.FleetConfig, tuner.FleetSession) {
-	return s.Config.Session(s.ID, s.Strategy, s.Transfer)
+	return s.Config.Session(s.ID, s.Strategy, s.Start, s.Transfer)
 }
 
 // Build turns one validated, defaulted spec (Validate, WithDefaults)
@@ -93,7 +95,7 @@ func Build(spec JobSpec, id string, door Door) (*Session, error) {
 		History:              door.History,
 		HistoryKey:           spec.sessionKey(id, s.Dataset),
 	})
-	if s.Strategy, err = tuner.ResolveStrategy(spec.Tuner, s.Config, door.History, s.Config.HistoryKey); err != nil {
+	if s.Strategy, s.Start, err = tuner.ResolveStrategy(spec.Tuner, s.Config); err != nil {
 		return nil, err
 	}
 	switch {

@@ -18,11 +18,7 @@ func simSpec(name string) JobSpec {
 // TestBuildStrategyAllNames: every documented tuner name builds, under
 // that name; an unknown one is an error at Validate and at Build.
 func TestBuildStrategyAllNames(t *testing.T) {
-	names := []string{
-		"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2",
-		"model", "two-phase", "rl-bandit", "rl-q", "warm:cs-tuner",
-	}
-	for _, name := range names {
+	for _, name := range append(tuner.StrategyNames(), "kernel-aware:cs-tuner") {
 		sess, err := Build(simSpec(name), "", Door{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -32,40 +28,57 @@ func TestBuildStrategyAllNames(t *testing.T) {
 			t.Fatalf("built %q as strategy %q, session %q", name, sess.Strategy.Name(), sess.ID)
 		}
 	}
-	if err := simSpec("bogus").Validate(); err == nil {
-		t.Fatal("unknown tuner validated")
-	}
-	if _, err := Build(simSpec("bogus"), "", Door{}); err == nil {
-		t.Fatal("unknown tuner built")
+	// The retired spellings are unknown names like any other.
+	for _, name := range []string{"bogus", "warm:cs-tuner", "static"} {
+		if err := simSpec(name).Validate(); err == nil {
+			t.Fatalf("unknown tuner %q validated", name)
+		}
+		if _, err := Build(simSpec(name), "", Door{}); err == nil {
+			t.Fatalf("unknown tuner %q built", name)
+		}
 	}
 }
 
-// TestBuildStrategyWarmWrap: an open history store wraps plain
-// strategies with the warm start (so their checkpoints resume by the
-// warm name), but never a resumed run — its state comes from the
-// checkpoint.
-func TestBuildStrategyWarmWrap(t *testing.T) {
+// TestBuildStrategyWarmStart: an open history store starts the named
+// strategy — under its own name — from the store's prediction and hands
+// the adopted start to the engine, whose checkpoints record it; a miss
+// adopts nothing; and a resumed run never asks the store — its seed and
+// start come from the checkpoint.
+func TestBuildStrategyWarmStart(t *testing.T) {
 	store := history.NewMemStore()
 	sess, err := Build(simSpec("cs-tuner"), "", Door{History: store})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Transfer.Stop()
-	if sess.Strategy.Name() != "warm:cs-tuner" {
-		t.Fatalf("store-backed tuner named %q, want warm:cs-tuner", sess.Strategy.Name())
+	if sess.Strategy.Name() != "cs-tuner" || sess.Start != nil {
+		t.Fatalf("store miss built %q from %v, want cs-tuner from its own start", sess.Strategy.Name(), sess.Start)
 	}
 	if sess.Config.History != store || sess.Config.HistoryKey.Endpoint != "uchicago" {
 		t.Fatalf("history wiring = %v under %+v", sess.Config.History, sess.Config.HistoryKey)
 	}
 
-	ck := &tuner.Checkpoint{Tuner: "cs-tuner", Seed: 1, Transfer: xfer.TransferState{Total: -1, Remaining: -1}}
+	if err := store.Add(history.Record{Key: sess.Config.HistoryKey, X: []int{14}, Throughput: 3e8, Tuner: "cs-tuner", Epochs: 9}); err != nil {
+		t.Fatal(err)
+	}
+	sess, err = Build(simSpec("cs-tuner"), "", Door{History: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess.Transfer.Stop()
+	_, fs := sess.FleetSession()
+	if x, _ := sess.Strategy.Propose(); sess.Strategy.Name() != "cs-tuner" || x[0] != 14 || len(fs.Start) != 1 || fs.Start[0] != 14 {
+		t.Fatalf("store hit built %q proposing %v with session start %v, want cs-tuner at [14]", sess.Strategy.Name(), x, fs.Start)
+	}
+
+	ck := &tuner.Checkpoint{Tuner: "nm-tuner", Seed: 1, Start: []int{9}, Transfer: xfer.TransferState{Total: -1, Remaining: -1}}
 	sess, err = Build(simSpec("cs-tuner"), "", Door{History: store, Resume: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sess.Transfer.Stop()
-	if sess.Strategy.Name() != "cs-tuner" {
-		t.Fatalf("resumed tuner named %q, want the checkpoint's cs-tuner", sess.Strategy.Name())
+	if x, _ := sess.Strategy.Propose(); sess.Strategy.Name() != "nm-tuner" || x[0] != 9 {
+		t.Fatalf("resumed run is %q at %v, want the checkpoint's nm-tuner at [9]", sess.Strategy.Name(), x)
 	}
 }
 

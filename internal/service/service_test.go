@@ -567,6 +567,49 @@ func TestShortEpochLogColdStarts(t *testing.T) {
 	}
 }
 
+// TestRetiredStrategyCheckpointFailsJob: a job whose checkpoint was
+// written by a build that still had the warm-start wrapper (the fixture
+// is a parent-commit "warm:cs-tuner" run) is re-adopted and then
+// refused by that name — GET /jobs/{id} shows it failed with the error.
+// It is not cold-started under another name: unlike a damaged
+// checkpoint, this one says exactly which strategy it needs.
+func TestRetiredStrategyCheckpointFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
+	if _, err := sv.Submit(JobSpec{ID: "old", Bytes: 2e9, Epoch: 1, MaxNC: 32}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "an epoch to settle", func() bool {
+		st, _ := sv.Job("old")
+		return st.Epochs >= 1
+	})
+	cancel()
+	sv.Wait()
+	for _, suffix := range []string{"", ".log"} {
+		data, err := os.ReadFile("../tuner/testdata/parent_warm.checkpoint" + suffix)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(sv.checkpointPath("old")+suffix, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	sv2, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(0, nil)})
+	if got := sv2.Adopted(); len(got) != 1 || got[0].ID != "old" {
+		t.Fatalf("adoption report %+v, want the one job", got)
+	}
+	srv := httptest.NewServer(sv2.Handler())
+	defer srv.Close()
+	waitFor(t, 10*time.Second, "the re-adopted job to end", func() bool {
+		_, st := getJob(t, srv, "old")
+		return st.State != JobQueued && st.State != JobRunning
+	})
+	if _, st := getJob(t, srv, "old"); st.State != JobFailed || !strings.Contains(st.Error, `"warm:cs-tuner"`) {
+		t.Fatalf("re-adopted job is %s with error %q, want failed naming warm:cs-tuner", st.State, st.Error)
+	}
+}
+
 // TestMalformedSubmitNeverJournaled pins the hostile-input contract at
 // the HTTP layer: bad bodies get 400 and leave no trace in the
 // journal.

@@ -39,8 +39,9 @@ type JobSpec struct {
 	// Tenant attributes the job for quotas and fault budgets; empty
 	// selects "default". Same character set as ID.
 	Tenant string `json:"tenant,omitempty"`
-	// Tuner is the strategy name (default "cs-tuner"); any name
-	// tuner.NewStrategy accepts, including "warm:<inner>".
+	// Tuner is the strategy name (default "cs-tuner"): any name
+	// tuner.StrategyUsage lists — a row of the strategy registry
+	// (STRATEGIES.md), or one behind "kernel-aware:".
 	Tuner string `json:"tuner,omitempty"`
 	// Testbed selects the simulated testbed ("uchicago" or "tacc")
 	// for simulator jobs. Ignored when Addr is set.

@@ -61,6 +61,10 @@ type Checkpoint struct {
 	Tuner string `json:"tuner"`
 	// Seed is the run's RNG seed; resume adopts it.
 	Seed uint64 `json:"seed"`
+	// Start is the starting vector the run adopted from its history
+	// store in place of the configured one; absent for a cold run.
+	// Resume adopts it as it adopts Seed, and consults no store.
+	Start []int `json:"start,omitempty"`
 	// Epochs counts the recorded control epochs (== len(Trace)).
 	Epochs int `json:"epochs"`
 	// Transients is the consecutive transient-failure count at the
@@ -305,15 +309,17 @@ type checkpointer struct {
 	t     xfer.Transferer
 	tuner string
 	seed  uint64
+	start []int
 	// records is the trace the checkpoints carry; the engine only ever
 	// appends to it.
 	records []EpochRecord
 }
 
 // newCheckpointer returns the checkpointer of a session running
-// strategy s against transfer t; w may be nil.
-func newCheckpointer(w CheckpointWriter, o *obs.SessionObs, s Strategy, t xfer.Transferer, seed uint64) *checkpointer {
-	return &checkpointer{w: w, obs: o, s: s, t: t, tuner: s.Name(), seed: seed}
+// strategy s, built under seed from start (nil: the configured one),
+// against transfer t; w may be nil.
+func newCheckpointer(w CheckpointWriter, o *obs.SessionObs, s Strategy, t xfer.Transferer, seed uint64, start []int) *checkpointer {
+	return &checkpointer{w: w, obs: o, s: s, t: t, tuner: s.Name(), seed: seed, start: start}
 }
 
 // record appends one settled epoch to the trace the next save carries.
@@ -342,6 +348,7 @@ func (c *checkpointer) save(transients int) error {
 		Version:    CheckpointVersion,
 		Tuner:      c.tuner,
 		Seed:       c.seed,
+		Start:      c.start,
 		Epochs:     n,
 		Transients: transients,
 		Transfer:   xfer.CaptureState(c.t),

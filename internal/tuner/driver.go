@@ -8,29 +8,43 @@ import (
 
 // Run tunes t with the named strategy until the transfer completes or
 // cfg.Budget is reached, and returns the per-epoch trace: ResolveStrategy
-// picks the cold, warm-started (cfg.History), two-phase or resumed
-// (cfg.Resume) form of the name, and a Driver runs it. It is the
-// blocking way to run a built-in strategy; a custom Strategy goes to
+// picks the cold, warm-started (cfg.History) or resumed (cfg.Resume)
+// form of the name, and the session runs as Driver.Run runs one. It is
+// the blocking way to run a built-in strategy; a custom Strategy goes to
 // Driver.Run directly.
 func Run(ctx context.Context, name string, cfg Config, t xfer.Transferer) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := ResolveStrategy(name, cfg, cfg.History, cfg.HistoryKey)
+	s, start, err := ResolveStrategy(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return NewDriver(cfg).Run(ctx, s, t)
+	return cfg.run(ctx, s, start, t)
+}
+
+// run steps c's one-transfer session of s to its end.
+func (c Config) run(ctx context.Context, s Strategy, start []int, t xfer.Transferer) (*Trace, error) {
+	rt, err := NewSessionRuntime(c.Session("", s, start, t))
+	if err != nil {
+		return nil, err
+	}
+	for !rt.Done() {
+		rt.Step(ctx)
+	}
+	return rt.Result().Traces[0], rt.Err()
 }
 
 // Session maps c onto the engine's two halves: the FleetConfig a
 // one-transfer session runs under and the FleetSession that has s tune
 // t, the way Driver.Run runs it — the transfer is left running when the
 // context is cancelled (PreserveOnCancel). id names the session (ID and
-// Name); empty leaves both to the strategy's name. Every door that
-// steps a Config's session — Driver.Run, dstune -fleet, dstuned —
-// builds it here and overrides only what it owns.
-func (c Config) Session(id string, s Strategy, t xfer.Transferer) (FleetConfig, FleetSession) {
+// Name); empty leaves both to the strategy's name. start is the
+// starting vector ResolveStrategy returned beside s, nil for a strategy
+// built from c.Start. Every door that steps a Config's session — Run,
+// Driver.Run, dstune, dstune -fleet, dstuned — builds it here and
+// overrides only what it owns.
+func (c Config) Session(id string, s Strategy, start []int, t xfer.Transferer) (FleetConfig, FleetSession) {
 	return FleetConfig{
 			Epoch:                c.Epoch,
 			Budget:               c.Budget,
@@ -45,6 +59,7 @@ func (c Config) Session(id string, s Strategy, t xfer.Transferer) (FleetConfig, 
 			Maps:           []ParamMap{c.Map},
 			Checkpoint:     c.Checkpoint,
 			Seed:           c.Seed,
+			Start:          start,
 			HistoryKey:     c.HistoryKey,
 			Resume:         c.Resume,
 			obs:            c.Obs,
@@ -59,8 +74,8 @@ func (c Config) Session(id string, s Strategy, t xfer.Transferer) (FleetConfig, 
 // SessionRuntime are the other two). The engine paces the strategy one
 // control epoch at a time, enforces the time budget, tolerates
 // transient epoch failures, and checkpoints after every epoch. Run is
-// ResolveStrategy + Driver for the built-in strategies; custom
-// strategies get the same machinery through NewDriver directly.
+// ResolveStrategy + the same session for the built-in strategies;
+// custom strategies get the same machinery through NewDriver directly.
 type Driver struct {
 	cfg Config
 }
@@ -93,12 +108,5 @@ func (d *Driver) Run(ctx context.Context, s Strategy, t xfer.Transferer) (*Trace
 	if err := d.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rt, err := NewSessionRuntime(d.cfg.Session("", s, t))
-	if err != nil {
-		return nil, err
-	}
-	for !rt.Done() {
-		rt.Step(ctx)
-	}
-	return rt.Result().Traces[0], rt.Err()
+	return d.cfg.run(ctx, s, nil, t)
 }

@@ -9,14 +9,65 @@ import (
 	"dstune/internal/xfer"
 )
 
-// strategyNames lists every built-in strategy.
-func strategyNames() []string {
-	return []string{
-		"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model",
-		"two-phase", "rl-bandit", "rl-q", "warm:cs-tuner", "warm:cd-tuner",
-		"warm:rl-q", "kernel-aware:cs-tuner", "kernel-aware:rl-q",
-		"warm:kernel-aware:cs-tuner",
+// strategyCase is one strategy the table tests run: a name NewStrategy
+// accepts, cold or — warm — started from the prediction [14] of a
+// history store, the way ResolveStrategy starts a store-backed session.
+type strategyCase struct {
+	name string
+	warm bool
+}
+
+// label is the case's subtest name. A warm case keeps the spelling
+// these subtests have carried since the warm-start wrapper, long gone,
+// was a name; nothing parses it.
+func (c strategyCase) label() string {
+	if c.warm {
+		return "warm:" + c.name
 	}
+	return c.name
+}
+
+// resolve builds the case's strategy through ResolveStrategy and
+// returns the configuration it was resolved under, the strategy, and
+// the start the session must record: a warm case gets a store that
+// predicts [14], which a cfg.Resume checkpoint outranks.
+func (c strategyCase) resolve(t *testing.T, cfg Config) (Config, Strategy, []int) {
+	t.Helper()
+	if c.warm {
+		cfg = withStore(t, cfg, "hit")
+	}
+	s, start, err := ResolveStrategy(c.name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm := start != nil; warm != c.warm {
+		t.Fatalf("%s resolved with start %v", c.label(), start)
+	}
+	return cfg, s, start
+}
+
+// strategyCases lists every built-in strategy: the registry's rows,
+// kernel-aware wrappers, and warm starts of both.
+func strategyCases() []strategyCase {
+	var cases []strategyCase
+	for _, name := range StrategyNames() {
+		cases = append(cases, strategyCase{name: name})
+	}
+	return append(cases,
+		strategyCase{"cs-tuner", true}, strategyCase{"cd-tuner", true}, strategyCase{"rl-q", true},
+		strategyCase{name: "kernel-aware:cs-tuner"}, strategyCase{name: "kernel-aware:rl-q"},
+		strategyCase{"kernel-aware:cs-tuner", true})
+}
+
+// strategyNames lists the name of every case, once.
+func strategyNames() []string {
+	var names []string
+	for _, c := range strategyCases() {
+		if !c.warm {
+			names = append(names, c.name)
+		}
+	}
+	return names
 }
 
 // countingStrategy wraps a Strategy and counts the protocol calls, so
@@ -49,10 +100,10 @@ func (c *countingStrategy) Restore(raw json.RawMessage) error {
 func TestDirectResumeSkipsReplay(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
-	for _, name := range strategyNames() {
-		t.Run(name, func(t *testing.T) {
-			// Reference: an uninterrupted Driver run.
-			ref, err := mustStrategyRun(t, name, simCfg(), seed, nil, nil)
+	for _, c := range strategyCases() {
+		t.Run(c.label(), func(t *testing.T) {
+			// Reference: an uninterrupted run.
+			ref, err := mustStrategyRun(t, c, simCfg(), seed)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -76,11 +127,8 @@ func TestDirectResumeSkipsReplay(t *testing.T) {
 				}
 				return nil
 			})
-			s, err := NewStrategy(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := NewDriver(cfg).Run(context.Background(), s, live); err != ErrInterrupted {
+			cfg, s, start := c.resolve(t, cfg)
+			if _, err := cfg.run(context.Background(), s, start, live); err != ErrInterrupted {
 				t.Fatalf("drained run returned %v, want ErrInterrupted", err)
 			}
 			if last == nil || last.Epochs != interruptAfter {
@@ -95,12 +143,9 @@ func TestDirectResumeSkipsReplay(t *testing.T) {
 			// and only the live epochs' Proposes — no replay.
 			rcfg := simCfg()
 			rcfg.Resume = last
-			rs, err := NewStrategy(name, rcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			rcfg, rs, start := c.resolve(t, rcfg)
 			cs := &countingStrategy{Strategy: rs}
-			resumed, err := NewDriver(rcfg).Run(context.Background(), cs, live)
+			resumed, err := rcfg.run(context.Background(), cs, start, live)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}
@@ -124,18 +169,17 @@ func TestDirectResumeSkipsReplay(t *testing.T) {
 }
 
 // TestSnapshotRestoreRoundTrip: after any number of observed epochs,
-// Snapshot into a fresh identically-configured strategy must continue
+// Snapshot into a fresh identically-configured strategy — built, as a
+// resume builds it, under the original's seed and start — must continue
 // with exactly the proposals the original produces.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	const seed = 11
-	for _, name := range strategyNames() {
-		t.Run(name, func(t *testing.T) {
+	for _, c := range strategyCases() {
+		t.Run(c.label(), func(t *testing.T) {
 			cfg := simCfg()
 			cfg.Budget = 100 // 20 epochs: deep enough to cross phases
-			orig, err := NewStrategy(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg, orig, start := c.resolve(t, cfg)
+			cfg.Resume = &Checkpoint{Tuner: c.name, Seed: cfg.Seed, Start: start}
 			tr := simTransfer(t, seed)
 			defer tr.Stop()
 			ctx := context.Background()
@@ -154,10 +198,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("epoch %d: snapshot: %v", epoch, err)
 				}
-				clone, err := NewStrategy(name, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
+				_, clone, _ := c.resolve(t, cfg)
 				if err := clone.Restore(raw); err != nil {
 					t.Fatalf("epoch %d: restore: %v", epoch, err)
 				}
@@ -172,15 +213,10 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-// mustStrategyRun drives the named strategy under a Driver on a fresh
+// mustStrategyRun runs the case's strategy to the end of a fresh
 // simulated transfer.
-func mustStrategyRun(t *testing.T, name string, cfg Config, seed uint64, drain chan struct{}, ckpt CheckpointWriter) (*Trace, error) {
+func mustStrategyRun(t *testing.T, c strategyCase, cfg Config, seed uint64) (*Trace, error) {
 	t.Helper()
-	cfg.Drain = drain
-	cfg.Checkpoint = ckpt
-	s, err := NewStrategy(name, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return NewDriver(cfg).Run(context.Background(), s, simTransfer(t, seed))
+	cfg, s, start := c.resolve(t, cfg)
+	return cfg.run(context.Background(), s, start, simTransfer(t, seed))
 }

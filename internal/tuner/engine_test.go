@@ -11,23 +11,21 @@ import (
 	"reflect"
 	"testing"
 
-	"dstune/internal/history"
 	"dstune/internal/obs"
 	"dstune/internal/xfer"
 )
 
-// runStepped is Driver.Run written against the exported engine: the
-// named strategy under a NewSessionRuntime stepped until it is done,
-// the session mapped from the Config by the one mapping Driver.Run
-// uses. o, when non-nil, observes the session under the strategy's
-// name.
+// runStepped is Run written against the exported engine: the named
+// strategy under a NewSessionRuntime stepped until it is done, the
+// session mapped from the Config by the one mapping Run uses. o, when
+// non-nil, observes the session under the strategy's name.
 func runStepped(ctx context.Context, name string, cfg Config, o *obs.Observer, tr xfer.Transferer) (*Trace, error) {
 	cfg.Obs = o.Session(name)
-	s, err := ResolveStrategy(name, cfg, nil, history.Key{})
+	s, start, err := ResolveStrategy(name, cfg)
 	if err != nil {
 		return nil, err
 	}
-	rt, err := NewSessionRuntime(cfg.Session(name, s, tr))
+	rt, err := NewSessionRuntime(cfg.Session(name, s, start, tr))
 	if err != nil {
 		return nil, err
 	}
@@ -51,17 +49,22 @@ func eventLines(t *testing.T, o *obs.Observer) []byte {
 	return out
 }
 
-// TestDriverMatchesSessionRuntime: Driver.Run is a wrapper around the
-// engine SessionRuntime exposes, so the same strategy, seed and world
-// must come out identical through both — the trace, the event stream,
-// and the checkpoint files byte for byte. What can differ is only the
-// wrapper's wiring (seed, session name, observation handle), and this
-// is the test that covers it.
+// TestDriverMatchesSessionRuntime: Run (and Driver.Run under it) is a
+// wrapper around the engine SessionRuntime exposes, so the same
+// strategy, seed and world must come out identical through both — the
+// trace, the event stream, and the checkpoint files byte for byte. What
+// can differ is only the wrapper's wiring (seed, start, session name,
+// observation handle), and this is the test that covers it; the warm
+// case's head carries the start both recorded.
 func TestDriverMatchesSessionRuntime(t *testing.T) {
 	const seed = 11
-	names := append(StrategyNames(), "warm:cs-tuner", "kernel-aware:cs-tuner")
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
+	cases := []strategyCase{{"cs-tuner", true}, {name: "kernel-aware:cs-tuner"}}
+	for _, name := range StrategyNames() {
+		cases = append(cases, strategyCase{name: name})
+	}
+	for _, c := range cases {
+		name := c.name
+		t.Run(c.label(), func(t *testing.T) {
 			type outcome struct {
 				trace             *Trace
 				events, head, log []byte
@@ -70,6 +73,9 @@ func TestDriverMatchesSessionRuntime(t *testing.T) {
 				o := obs.NewObserver(obs.ObserverConfig{})
 				fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.ck"))
 				cfg := simCfg()
+				if c.warm {
+					cfg = withStore(t, cfg, "hit")
+				}
 				cfg.Checkpoint = fc
 				var out outcome
 				var err error
@@ -98,8 +104,8 @@ func TestDriverMatchesSessionRuntime(t *testing.T) {
 			if !bytes.Equal(driver.events, stepped.events) {
 				t.Fatalf("event streams differ:\n driver:\n%s stepped:\n%s", driver.events, stepped.events)
 			}
-			if !bytes.Equal(driver.head, stepped.head) {
-				t.Fatalf("checkpoint heads differ:\n driver  %s stepped %s", driver.head, stepped.head)
+			if !bytes.Equal(driver.head, stepped.head) || bytes.Contains(driver.head, []byte(`"start":[14]`)) != c.warm {
+				t.Fatalf("checkpoint heads differ, or record the wrong start:\n driver  %s stepped %s", driver.head, stepped.head)
 			}
 			if !bytes.Equal(driver.log, stepped.log) {
 				t.Fatal("checkpoint epoch logs differ")

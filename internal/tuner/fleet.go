@@ -89,6 +89,11 @@ type FleetSession struct {
 	// reconstructs the same strategy. A Resume checkpoint's seed
 	// overrides it.
 	Seed uint64
+	// Start is the starting vector Strategy was built from when that
+	// is not its configuration's own — the history prediction
+	// ResolveStrategy adopted; nil for a cold session. It is recorded
+	// beside Seed, and a Resume checkpoint's start overrides it.
+	Start []int
 	// HistoryKey, when non-zero, is the session's identity in the
 	// fleet's shared history store: a clean end records the session's
 	// best epoch under it. Keys must be unique across the fleet —
@@ -256,7 +261,7 @@ func newFleetSession(cfg FleetConfig, spec FleetSession, id string) (*fleetSessi
 		s.obs = cfg.Obs.Session(id)
 	}
 	s.obs.SetStrategy(spec.Strategy.Name())
-	s.ckpt = newCheckpointer(spec.Checkpoint, s.obs, spec.Strategy, spec.Transfers[0], spec.Seed)
+	s.ckpt = newCheckpointer(spec.Checkpoint, s.obs, spec.Strategy, spec.Transfers[0], spec.Seed, spec.Start)
 	if s.weights == nil {
 		s.weights = make([]float64, len(spec.Transfers))
 		for j := range s.weights {
@@ -477,8 +482,8 @@ func (s *fleetSession) overBudget() bool {
 }
 
 // resume restores the session from a prior checkpoint before its first
-// round: validate the checkpoint against the strategy, adopt its seed,
-// rebuild the strategy state — deserialized directly, or replayed under
+// round: validate the checkpoint against the strategy, adopt its seed
+// and start, rebuild the strategy state — deserialized directly, or replayed under
 // validateResume — and preload the recorded epochs into the trace, the
 // byte account, and the checkpoint record, so later checkpoints carry
 // the full trajectory and Bytes counts cumulatively across
@@ -493,7 +498,7 @@ func (s *fleetSession) resume(ck *Checkpoint) error {
 	if ck.Epochs != len(ck.Trace) {
 		return fmt.Errorf("resume: corrupt checkpoint: %d epochs but %d trace records", ck.Epochs, len(ck.Trace))
 	}
-	s.ckpt.seed = ck.Seed
+	s.ckpt.seed, s.ckpt.start = ck.Seed, ck.Start
 	if len(ck.Trace) == 0 {
 		return nil
 	}

@@ -3,7 +3,6 @@ package tuner
 import (
 	"encoding/json"
 	"fmt"
-	"strings"
 
 	"dstune/internal/xfer"
 )
@@ -41,34 +40,22 @@ type KernelAwareState struct {
 // or a run without kernel samples (Report.Kernel == nil: Sim fabric,
 // fault-wrapped conns, non-Linux) passes through untouched.
 type KernelAwareStrategy struct {
-	cfg   Config // kept for Restore
+	cfg   Config
 	inner Strategy
-	name  string
 	st    KernelAwareState
 }
 
-// NewKernelAware builds a kernel-aware wrapper around the named inner
-// strategy. The wrapper does not nest, and warm wrapping goes outside
-// ("warm:kernel-aware:<inner>"), never inside.
-func NewKernelAware(innerName string, cfg Config) (*KernelAwareStrategy, error) {
-	if strings.HasPrefix(innerName, "kernel-aware:") || strings.HasPrefix(innerName, "warm:") {
-		return nil, fmt.Errorf("tuner: kernel-aware cannot wrap %q", innerName)
-	}
-	inner, err := NewStrategy(innerName, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &KernelAwareStrategy{
-		cfg:   cfg,
-		inner: inner,
-		name:  "kernel-aware:" + inner.Name(),
-	}, nil
+// NewKernelAware wraps inner, a strategy built from cfg, with
+// kernel-informed damping. NewStrategy builds "kernel-aware:<inner>"
+// here from the registry's <inner>, so the wrapper never nests.
+func NewKernelAware(inner Strategy, cfg Config) *KernelAwareStrategy {
+	return &KernelAwareStrategy{cfg: cfg, inner: inner}
 }
 
 // Name implements Strategy. The name carries the inner strategy
 // ("kernel-aware:cs-tuner") so checkpoints resume through NewStrategy
 // by name.
-func (s *KernelAwareStrategy) Name() string { return s.name }
+func (s *KernelAwareStrategy) Name() string { return kernelAwarePrefix + s.inner.Name() }
 
 // Propose implements Strategy.
 func (s *KernelAwareStrategy) Propose() ([]int, bool) { return s.inner.Propose() }
@@ -116,29 +103,23 @@ func (s *KernelAwareStrategy) Snapshot() (json.RawMessage, error) {
 	return json.Marshal(st)
 }
 
-// Restore implements Strategy. The inner strategy is rebuilt from the
-// configuration and then restored from the snapshot's inner state.
+// Restore implements Strategy: the wrapper's own state is validated,
+// then the inner strategy restores the snapshot's inner state.
 func (s *KernelAwareStrategy) Restore(raw json.RawMessage) error {
 	var st KernelAwareState
 	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: %s state: %w", s.name, err)
+		return fmt.Errorf("tuner: %s state: %w", s.Name(), err)
 	}
 	if len(st.Inner) == 0 {
-		return fmt.Errorf("tuner: %s state has no inner strategy state", s.name)
+		return fmt.Errorf("tuner: %s state has no inner strategy state", s.Name())
 	}
 	if st.Damped < 0 || st.Damped > kernelDampCap {
-		return fmt.Errorf("tuner: %s state damp count %d out of range", s.name, st.Damped)
+		return fmt.Errorf("tuner: %s state damp count %d out of range", s.Name(), st.Damped)
 	}
-	innerName := strings.TrimPrefix(s.name, "kernel-aware:")
-	inner, err := NewStrategy(innerName, s.cfg)
-	if err != nil {
-		return err
-	}
-	if err := inner.Restore(st.Inner); err != nil {
+	if err := s.inner.Restore(st.Inner); err != nil {
 		return err
 	}
 	st.Inner = nil
 	s.st = st
-	s.inner = inner
 	return nil
 }

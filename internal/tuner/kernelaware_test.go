@@ -21,6 +21,11 @@ func kernelCfg(observer *obs.Observer) Config {
 	return cfg
 }
 
+// kernelAwareCS is kernel-aware:cs-tuner under cfg, as its own type.
+func kernelAwareCS(cfg Config) *KernelAwareStrategy {
+	return NewKernelAware(NewCSStrategy(cfg), cfg)
+}
+
 // settle drives s with a constant fitness until the inner search
 // converges to its monitor phase (the proposal stops moving), then
 // returns the incumbent vector.
@@ -59,19 +64,15 @@ func retriggers(observer *obs.Observer) int {
 	return n
 }
 
-// TestKernelAwareRegistration: the prefix registers, refuses to nest,
-// composes under warm: (and only in that order), and canonicalizes its
-// inner alias.
+// TestKernelAwareRegistration: the prefix registers over every
+// registry row, refuses to nest, and names itself for its inner
+// strategy.
 func TestKernelAwareRegistration(t *testing.T) {
 	if !KnownStrategy("kernel-aware:cs-tuner") {
 		t.Fatal("kernel-aware:cs-tuner unknown")
 	}
-	if !KnownStrategy("warm:kernel-aware:cs-tuner") {
-		t.Fatal("warm:kernel-aware:cs-tuner unknown")
-	}
 	for _, bad := range []string{
 		"kernel-aware:kernel-aware:cs-tuner",
-		"kernel-aware:warm:cs-tuner",
 		"kernel-aware:bogus",
 		"kernel-aware:",
 	} {
@@ -82,24 +83,12 @@ func TestKernelAwareRegistration(t *testing.T) {
 			t.Fatalf("NewStrategy(%q) succeeded", bad)
 		}
 	}
-	s, err := NewStrategy("kernel-aware:static", kernelCfg(nil))
+	s, err := NewStrategy("kernel-aware:default", kernelCfg(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "kernel-aware:default" {
-		t.Fatalf("Name() = %q, want kernel-aware:default", s.Name())
-	}
-	for name, want := range map[string]string{
-		"warm:kernel-aware:static":   "warm:kernel-aware:default",
-		"warm:kernel-aware:cs-tuner": "warm:kernel-aware:cs-tuner",
-	} {
-		w, err := NewStrategy(name, kernelCfg(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if w.Name() != want {
-			t.Fatalf("NewStrategy(%q).Name() = %q, want %q", name, w.Name(), want)
-		}
+	if _, ok := s.(*KernelAwareStrategy); !ok || s.Name() != "kernel-aware:default" {
+		t.Fatalf("NewStrategy built a %T named %q", s, s.Name())
 	}
 }
 
@@ -110,10 +99,7 @@ func TestKernelAwareRegistration(t *testing.T) {
 // through and the search restarts.
 func TestKernelAwareDampsRetransDips(t *testing.T) {
 	observer := obs.NewObserver(obs.ObserverConfig{})
-	s, err := NewKernelAware("cs-tuner", kernelCfg(observer))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := kernelAwareCS(kernelCfg(observer))
 	const base = 100e6
 	incumbent := settle(t, s, base)
 	before := retriggers(observer)
@@ -158,10 +144,7 @@ func TestKernelAwarePassesThroughCleanDips(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			observer := obs.NewObserver(obs.ObserverConfig{})
-			s, err := NewKernelAware("cs-tuner", kernelCfg(observer))
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := kernelAwareCS(kernelCfg(observer))
 			const base = 100e6
 			settle(t, s, base)
 			before := retriggers(observer)
@@ -181,10 +164,7 @@ func TestKernelAwarePassesThroughCleanDips(t *testing.T) {
 // level the recovery is not itself a significant change.
 func TestKernelAwareRecoveryKeepsBaseline(t *testing.T) {
 	observer := obs.NewObserver(obs.ObserverConfig{})
-	s, err := NewKernelAware("cs-tuner", kernelCfg(observer))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := kernelAwareCS(kernelCfg(observer))
 	const base = 100e6
 	settle(t, s, base)
 	before := retriggers(observer)
@@ -202,10 +182,7 @@ func TestKernelAwareRecoveryKeepsBaseline(t *testing.T) {
 // an identically configured strategy with the damp count, baseline,
 // and inner search state intact.
 func TestKernelAwareSnapshotRoundTrip(t *testing.T) {
-	s, err := NewKernelAware("cs-tuner", kernelCfg(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := kernelAwareCS(kernelCfg(nil))
 	const base = 100e6
 	incumbent := settle(t, s, base)
 	s.Observe(xfer.Report{Throughput: base / 2, BestCase: base / 2, Kernel: &xfer.KernelStats{RetransDelta: 1}})
@@ -214,10 +191,7 @@ func TestKernelAwareSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewKernelAware("cs-tuner", kernelCfg(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := kernelAwareCS(kernelCfg(nil))
 	if err := r.Restore(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -273,10 +247,7 @@ func (f *lossyFake) Run(ctx context.Context, p xfer.Params, epoch float64) (xfer
 func TestKernelAwareUnderSessionRuntime(t *testing.T) {
 	observer := obs.NewObserver(obs.ObserverConfig{})
 	cfg := kernelCfg(observer)
-	s, err := NewKernelAware("cs-tuner", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := kernelAwareCS(cfg)
 	flat := func(xfer.Params, float64) float64 { return 100e6 }
 	transfer := &lossyFake{fake: *newFake(flat)}
 	rt, err := NewSessionRuntime(FleetConfig{Epoch: cfg.Epoch, Obs: observer}, FleetSession{

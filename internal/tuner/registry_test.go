@@ -1,0 +1,227 @@
+package tuner
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"dstune/internal/history"
+)
+
+// storeKinds are the three knowledge-plane situations a named run can
+// start in: no store, a store with nothing under the run's key, and a
+// store whose record under the key predicts [14].
+var storeKinds = []string{"cold", "miss", "hit"}
+
+// withStore returns cfg in the named situation.
+func withStore(t *testing.T, cfg Config, kind string) Config {
+	t.Helper()
+	switch kind {
+	case "miss":
+		cfg.History, cfg.HistoryKey = seededStore(t, []int{14}), history.Key{Endpoint: "elsewhere"}
+	case "hit":
+		cfg.History, cfg.HistoryKey = seededStore(t, []int{14}), simKey()
+	}
+	return cfg
+}
+
+// parentNames are the names the fixtures generated on the parent commit
+// cover: every registry row and one kernel-aware wrapper.
+func parentNames() []string { return append(StrategyNames(), "kernel-aware:cs-tuner") }
+
+// proposalRun is one fixture entry of TestProposalsMatchParent.
+type proposalRun struct {
+	// ParentTuner is the Trace.Tuner the parent commit gave the run;
+	// informational — this build names every run for its algorithm.
+	ParentTuner string `json:"parent_tuner"`
+	// X holds the proposal of every epoch.
+	X [][]int `json:"x"`
+}
+
+// TestProposalsMatchParent holds "same behaviour" across the removal of
+// the warm-start wrapper: testdata/golden/proposals.json was recorded on
+// the parent commit (PR 23) — Run under the parent's ResolveStrategy,
+// store-backed runs named "warm:<inner>" there — and every 40-epoch
+// run, for every registry row and kernel-aware:cs-tuner, without a
+// store, on a store miss and on a store hit, must propose the same
+// vectors here under the row's own name.
+func TestProposalsMatchParent(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "proposals.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]proposalRun
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(parentNames())*len(storeKinds) {
+		t.Fatalf("fixture holds %d runs, want %d", len(want), len(parentNames())*len(storeKinds))
+	}
+	for _, name := range parentNames() {
+		for _, kind := range storeKinds {
+			t.Run(name+"/"+kind, func(t *testing.T) {
+				cfg := withStore(t, simCfg(), kind)
+				cfg.Budget = 200 // 40 epochs
+				tr, err := Run(context.Background(), name, cfg, simTransfer(t, 11))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tr.Tuner != name {
+					t.Fatalf("trace is named %q, want %q", tr.Tuner, name)
+				}
+				var got [][]int
+				for _, r := range tr.Results {
+					got = append(got, r.X)
+				}
+				if w := want[name+"/"+kind]; len(got) != 40 || !reflect.DeepEqual(got, w.X) {
+					t.Fatalf("proposed\n %v\nthe parent (as %s) proposed\n %v", got, w.ParentTuner, w.X)
+				}
+			})
+		}
+	}
+}
+
+// TestColdCheckpointMatchesParent: a session without a history store
+// writes the checkpoint the parent commit wrote, byte for byte — the
+// head (no "start" key) and the epoch log. The fixture holds both files
+// of a 12-epoch run of every name, recorded on the parent.
+func TestColdCheckpointMatchesParent(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "cold_checkpoints.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]struct{ Head, Log string }
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range parentNames() {
+		t.Run(name, func(t *testing.T) {
+			fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.ck"))
+			cfg := simCfg()
+			cfg.Checkpoint = fc
+			if _, err := Run(context.Background(), name, cfg, simTransfer(t, 11)); err != nil {
+				t.Fatal(err)
+			}
+			head, err := os.ReadFile(fc.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			log, err := os.ReadFile(fc.Path() + ".log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, ok := want[name]
+			if !ok || string(head) != w.Head {
+				t.Fatalf("head\n %s\nthe parent wrote\n %s", head, w.Head)
+			}
+			if string(log) != w.Log {
+				t.Fatal("epoch log differs from the parent's")
+			}
+		})
+	}
+}
+
+// TestParentWarmCheckpointRefused: testdata/parent_warm.checkpoint is the
+// checkpoint a store-backed cs-tuner run of the parent commit wrote,
+// under the wrapper name that no longer exists. Resuming it is refused
+// by that name — at Run, and at NewStrategy — rather than cold-started
+// under another.
+func TestParentWarmCheckpointRefused(t *testing.T) {
+	ck, err := LoadCheckpoint(filepath.Join("testdata", "parent_warm.checkpoint"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Tuner != "warm:cs-tuner" || ck.Epochs != 3 {
+		t.Fatalf("fixture is a %d-epoch checkpoint of %q", ck.Epochs, ck.Tuner)
+	}
+	cfg := simCfg()
+	cfg.Resume = ck
+	_, err = Run(context.Background(), "cs-tuner", cfg, simTransfer(t, 11))
+	if err == nil || !strings.Contains(err.Error(), `"warm:cs-tuner"`) {
+		t.Fatalf("resume of the parent's warm checkpoint returned %v, want a refusal naming it", err)
+	}
+	for _, gone := range []string{"warm:cs-tuner", "warm:kernel-aware:cs-tuner", "static", "kernel-aware:static"} {
+		if _, err := NewStrategy(gone, simCfg()); err == nil || KnownStrategy(gone) {
+			t.Fatalf("retired name %q still resolves", gone)
+		}
+	}
+}
+
+// TestRegistryTable walks the registry: every row — bare and behind
+// the kernel-aware prefix — constructs under its own name, is known,
+// round-trips Snapshot into a fresh instance at every step of a
+// 20-epoch run, and the two columns read as documented. The prefix does
+// not nest and wraps only rows.
+func TestRegistryTable(t *testing.T) {
+	for _, row := range StrategyNames() {
+		for _, name := range []string{row, "kernel-aware:" + row} {
+			t.Run(name, func(t *testing.T) {
+				if !KnownStrategy(name) {
+					t.Fatal("not known")
+				}
+				cfg := simCfg()
+				s, err := NewStrategy(name, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s.Name() != name {
+					t.Fatalf("Name() = %q", s.Name())
+				}
+				tr := simTransfer(t, 11)
+				defer tr.Stop()
+				for epoch := 0; epoch < 20; epoch++ {
+					x, _ := s.Propose()
+					rep, err := tr.Run(context.Background(), cfg.Map(x), cfg.Epoch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.Observe(rep)
+					raw, err := s.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fresh, err := NewStrategy(name, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := fresh.Restore(raw); err != nil {
+						t.Fatalf("epoch %d: restore: %v", epoch, err)
+					}
+					again, err := fresh.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fx, _ := fresh.Propose()
+					sx, _ := s.Propose()
+					if !bytes.Equal(raw, again) || !reflect.DeepEqual(fx, sx) {
+						t.Fatalf("epoch %d: restored instance holds\n %s\nand proposes %v, the original\n %s\nand %v", epoch, again, fx, raw, sx)
+					}
+				}
+			})
+		}
+	}
+	if got := RestartPolicyFor("kernel-aware:default"); got != RestartPolicyFor("default") || got == RestartPolicyFor("cs-tuner") {
+		t.Fatal("only default, wrapped or not, keeps its processes alive")
+	}
+	for name, want := range map[string]bool{
+		"cs-tuner": false, "kernel-aware:cs-tuner": true, "rl-bandit": true, "rl-q": true,
+		"kernel-aware:rl-q": true, "default": false, "bogus": false, "kernel-aware:bogus": false,
+	} {
+		if ReadsKernel(name) != want {
+			t.Fatalf("ReadsKernel(%q) = %v", name, !want)
+		}
+	}
+	for _, bad := range []string{"kernel-aware:kernel-aware:cs-tuner", "kernel-aware:", "", "bogus"} {
+		if _, err := NewStrategy(bad, simCfg()); err == nil || KnownStrategy(bad) {
+			t.Fatalf("%q resolves", bad)
+		}
+	}
+	if want := strings.Join(StrategyNames(), ", ") + ", kernel-aware:<tuner>"; StrategyUsage() != want {
+		t.Fatalf("StrategyUsage() = %q", StrategyUsage())
+	}
+}

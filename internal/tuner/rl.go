@@ -186,9 +186,9 @@ type RLBanditStrategy struct {
 }
 
 // NewRLBandit returns an rl-bandit strategy over cfg's box. The
-// clamped cfg.Start is the first arm played — under the warm: wrapper
-// the history-predicted vector lands there, seeding the value table
-// with the prediction's reward first.
+// clamped cfg.Start is the first arm played — on a warm start the
+// history-predicted vector lands there, seeding the value table with
+// the prediction's reward first.
 func NewRLBandit(cfg Config) *RLBanditStrategy {
 	cfg = cfg.withDefaults()
 	start := cfg.Box.ClampInt(cfg.Start)
@@ -433,9 +433,8 @@ type RLQStrategy struct {
 }
 
 // NewRLQ returns an rl-q strategy over cfg's box, starting at the
-// clamped cfg.Start — under the warm: wrapper the history-predicted
-// vector becomes the initial state, so its neighborhood is valued
-// first.
+// clamped cfg.Start — on a warm start the history-predicted vector
+// becomes the initial state, so its neighborhood is valued first.
 func NewRLQ(cfg Config) *RLQStrategy {
 	cfg = cfg.withDefaults()
 	coarse := 1

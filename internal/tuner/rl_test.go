@@ -61,7 +61,7 @@ func TestRLResumeByteIdentical(t *testing.T) {
 	const interruptAfter = 4
 	for _, name := range []string{"rl-bandit", "rl-q"} {
 		t.Run(name, func(t *testing.T) {
-			ref, err := mustStrategyRun(t, name, simCfg(), seed, nil, nil)
+			ref, err := mustStrategyRun(t, strategyCase{name: name}, simCfg(), seed)
 			if err != nil {
 				t.Fatalf("reference run: %v", err)
 			}
@@ -276,7 +276,7 @@ func FuzzRLRestore(f *testing.F) {
 	f.Add([]byte(`{"table":[{"key":"1|4","q":[0.5,0,0,0,0],"n":[1,0,0,0,-7]}]}`))
 	f.Add([]byte(`{"rng":"AAAA"}`))
 
-	names := []string{"rl-bandit", "rl-q", "warm:rl-bandit", "kernel-aware:rl-q"}
+	names := []string{"rl-bandit", "rl-q", "kernel-aware:rl-q"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, name := range names {
 			cfg := simCfg()

@@ -92,22 +92,12 @@ func NewNMStrategy(cfg Config) *SearchStrategy {
 func (s *SearchStrategy) newSearch(start []int) directsearch.Searcher {
 	switch s.kind {
 	case searchKindNM:
-		return directsearch.NewNelderMead(start, s.cfg.Box, s.nmConfig())
+		return directsearch.NewNelderMead(start, s.cfg.Box, directsearch.NMConfig{InitStep: s.cfg.Lambda})
 	default:
 		return directsearch.NewCompass(start, s.cfg.Box, directsearch.CompassConfig{
 			Lambda: s.cfg.Lambda,
 		}, s.rng)
 	}
-}
-
-// nmConfig resolves the Nelder–Mead configuration (InitStep defaults
-// to Lambda).
-func (s *SearchStrategy) nmConfig() directsearch.NMConfig {
-	nmCfg := s.cfg.NM
-	if nmCfg.InitStep == 0 {
-		nmCfg.InitStep = s.cfg.Lambda
-	}
-	return nmCfg
 }
 
 // startSearch enters the search phase with a fresh inner search.
@@ -243,7 +233,7 @@ func (s *SearchStrategy) restoreSearch(st SearchState, rng *sim.RNG) (directsear
 		if !st.NM.Pending.Set {
 			return nil, fmt.Errorf("tuner: %s state is mid-search with no pending candidate", s.kind)
 		}
-		return directsearch.NewNelderMeadFromState(*st.NM, s.cfg.Box, s.nmConfig())
+		return directsearch.NewNelderMeadFromState(*st.NM, s.cfg.Box, directsearch.NMConfig{InitStep: s.cfg.Lambda})
 	default:
 		if st.Compass == nil {
 			return nil, fmt.Errorf("tuner: %s state is mid-search but has no compass state", s.kind)

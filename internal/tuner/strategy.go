@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"dstune/internal/history"
 	"dstune/internal/ivec"
 	"dstune/internal/xfer"
 )
@@ -45,136 +44,177 @@ type Strategy interface {
 	Restore(raw json.RawMessage) error
 }
 
-// NewStrategy builds the named strategy — one of "default",
-// "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model",
-// "two-phase", "rl-bandit", "rl-q", "kernel-aware:<inner>", or
-// "warm:<inner>" — from cfg.
-// The prefixed and two-phase forms construct cold (no history store):
-// a checkpointed warm run resumes through this constructor by name
-// alone, taking its predicted start from the serialized state rather
-// than a store. The prefixes compose in exactly one order:
-// "warm:kernel-aware:<inner>".
+// strategyRow is one line of the registry.
+type strategyRow struct {
+	name string
+	// build constructs the strategy from cfg, x0 = cfg.Start. predicted
+	// says that x0 is a history prediction (see warmStart) rather than
+	// the configured cold start; only two-phase's ladder asks.
+	build func(cfg Config, predicted bool) Strategy
+	// keepsAlive marks a strategy whose simulated transfer keeps its
+	// processes alive between epochs (xfer.RestartOnChange), as the real
+	// Globus service does; every adaptive tuner restarts them per epoch,
+	// as the paper's wrappers do.
+	keepsAlive bool
+	// readsKernel marks a strategy that consults Report.Kernel.
+	readsKernel bool
+}
+
+// strategies is the registry: one row per strategy name, in
+// documentation order, and the only place a name is spelled. Adding a
+// strategy is its file plus its row here: NewStrategy, StrategyNames,
+// KnownStrategy, RestartPolicyFor, ReadsKernel and the binaries' -tuner
+// usage are all reads of this table, and STRATEGIES.md keeps one
+// section per row (TestStrategyDocCoverage).
+var strategies = []strategyRow{
+	{name: "default", build: from(NewStaticStrategy), keepsAlive: true},
+	{name: "cd-tuner", build: from(NewCDStrategy)},
+	{name: "cs-tuner", build: from(NewCSStrategy)},
+	{name: "nm-tuner", build: from(NewNMStrategy)},
+	{name: "heur1", build: from(NewHeur1Strategy)},
+	{name: "heur2", build: from(NewHeur2Strategy)},
+	{name: "model", build: from(NewModelStrategy)},
+	{name: "two-phase", build: func(cfg Config, predicted bool) Strategy { return NewTwoPhaseStrategy(cfg, predicted) }},
+	{name: "rl-bandit", build: from(NewRLBandit), readsKernel: true},
+	{name: "rl-q", build: from(NewRLQ), readsKernel: true},
+}
+
+// from makes a registry row's build of a constructor that takes x0 as
+// it comes, predicted or not.
+func from[S Strategy](ctor func(Config) S) func(Config, bool) Strategy {
+	return func(cfg Config, _ bool) Strategy { return ctor(cfg) }
+}
+
+// kernelAwarePrefix is the one name prefix: "kernel-aware:<inner>" is
+// the registry's <inner> behind a KernelAwareStrategy. It does not nest.
+const kernelAwarePrefix = "kernel-aware:"
+
+// lookup finds name's registry row, seen through the kernel-aware
+// prefix (aware reports that name carried it); nil for an unknown name.
+func lookup(name string) (row *strategyRow, aware bool) {
+	name, aware = strings.CutPrefix(name, kernelAwarePrefix)
+	for i := range strategies {
+		if strategies[i].name == name {
+			return &strategies[i], aware
+		}
+	}
+	return nil, aware
+}
+
+// newStrategy builds the named strategy from cfg; predicted is passed
+// to the row's build.
+func newStrategy(name string, cfg Config, predicted bool) (Strategy, error) {
+	row, aware := lookup(name)
+	if row == nil {
+		return nil, fmt.Errorf("tuner: unknown strategy %q", name)
+	}
+	s := row.build(cfg, predicted)
+	if aware {
+		s = NewKernelAware(s, cfg)
+	}
+	return s, nil
+}
+
+// NewStrategy builds the named strategy — a StrategyNames row, or one
+// behind "kernel-aware:" — from cfg, starting at cfg.Start. It consults
+// no history store and no checkpoint: ResolveStrategy is the door that
+// does.
 func NewStrategy(name string, cfg Config) (Strategy, error) {
-	if inner, ok := strings.CutPrefix(name, "warm:"); ok {
-		return NewWarmStart(inner, cfg, nil, history.Key{})
+	return newStrategy(name, cfg, false)
+}
+
+// warmStart asks the run's knowledge plane for its starting vector: the
+// best-known vector recorded in cfg.History under cfg.HistoryKey,
+// clamped to the box. A store with no record under the key, or one of
+// another dimensionality, is a miss and returns nil, as does a Config
+// without a store. Either outcome of a consultation is announced
+// through cfg.Obs as a WarmStart event and counted.
+func warmStart(cfg Config) []int {
+	if cfg.History == nil {
+		return nil
 	}
-	if inner, ok := strings.CutPrefix(name, "kernel-aware:"); ok {
-		return NewKernelAware(inner, cfg)
+	var pred []int
+	if e, ok := cfg.History.Lookup(cfg.HistoryKey); ok && len(e.X) == cfg.Box.Dim() {
+		pred = cfg.Box.ClampInt(e.X)
 	}
-	switch name {
-	case "default", "static":
-		return NewStaticStrategy(cfg), nil
-	case "cd-tuner":
-		return NewCDStrategy(cfg), nil
-	case "cs-tuner":
-		return NewCSStrategy(cfg), nil
-	case "nm-tuner":
-		return NewNMStrategy(cfg), nil
-	case "heur1":
-		return NewHeur1Strategy(cfg), nil
-	case "heur2":
-		return NewHeur2Strategy(cfg), nil
-	case "model":
-		return NewModelStrategy(cfg), nil
-	case "two-phase":
-		return NewTwoPhaseStrategy(cfg), nil
-	case "rl-bandit":
-		return NewRLBandit(cfg), nil
-	case "rl-q":
-		return NewRLQ(cfg), nil
-	}
-	return nil, fmt.Errorf("tuner: unknown strategy %q", name)
+	cfg.Obs.WarmStart(0, pred, pred != nil)
+	return pred
 }
 
 // ResolveStrategy builds the strategy a session runs from the tuner
-// name its owner was given, the history store the owner holds (nil for
-// none) and the session's key in it — the one place a session's owner
-// decides between the cold, warm and resumed forms:
+// name its owner was given, and returns beside it the starting vector
+// the session adopted in place of cfg.Start — nil for a cold session.
+// It is the one place a session's owner decides between the cold, the
+// warm-started and the resumed form:
 //
-//   - cfg.Resume set: the strategy the checkpoint names, built cold under
-//     the checkpoint's seed (so its RNG is the one the recorded run
-//     drew from). The checkpointed state is authoritative (a
-//     store-wrapped run checkpoints as "warm:<inner>" with its
-//     prediction inside), so neither name nor store is consulted.
-//   - "two-phase": its coarse candidates are seeded from the store.
-//   - "warm:<inner>", or any other name with a store: the inner strategy
-//     warm-started from the store (cold under the warm name without one).
+//   - cfg.Resume set: the strategy the checkpoint names, built under the
+//     checkpoint's seed (so its RNG is the one the recorded run drew
+//     from) and, when the recorded run was warm-started, from the
+//     checkpoint's start. Neither name nor store is consulted.
+//   - cfg.History set: a warmStart hit replaces cfg.Start — for every
+//     strategy alike; two-phase brackets a predicted start where it
+//     climbs from a cold one.
 //   - otherwise the plain named strategy.
-func ResolveStrategy(name string, cfg Config, store *history.Store, key history.Key) (Strategy, error) {
+//
+// The adopted start is construction input exactly like the seed —
+// strategies derive unserialized structure from x0 (the restart
+// origin, the bandit's arm grid) — so the caller hands it to the engine
+// (Config.Session), whose checkpoints record it.
+func ResolveStrategy(name string, cfg Config) (Strategy, []int, error) {
+	var start []int
 	if ck := cfg.Resume; ck != nil {
-		cfg.Seed = ck.Seed
-		return NewStrategy(ck.Tuner, cfg)
+		name, cfg.Seed, start = ck.Tuner, ck.Seed, ck.Start
+	} else {
+		start = warmStart(cfg)
 	}
-	inner, warm := strings.CutPrefix(name, "warm:")
-	switch {
-	case name == "two-phase":
-		return NewTwoPhase(cfg, store, key), nil
-	case warm || store != nil:
-		return NewWarmStart(inner, cfg, store, key)
+	if start != nil {
+		cfg.Start = start
 	}
-	return NewStrategy(name, cfg)
+	s, err := newStrategy(name, cfg, start != nil)
+	return s, start, err
 }
 
 // RestartPolicyFor returns the restart policy a simulated transfer
-// runs under for the named strategy. The static Globus default
-// ("default", its alias "static", or either under a wrapper prefix)
-// keeps its processes alive between epochs, as the real service does;
-// every adaptive tuner restarts them per epoch, as the paper's wrappers
-// do. The binaries and the figure harnesses all ask here, so a baseline
-// is the same baseline wherever it is run.
+// runs under for the named strategy: the registry's keepsAlive column.
+// The binaries and the figure harnesses all ask here, so a baseline is
+// the same baseline wherever it is run.
 func RestartPolicyFor(name string) xfer.RestartPolicy {
-	for _, prefix := range []string{"warm:", "kernel-aware:"} {
-		name = strings.TrimPrefix(name, prefix)
-	}
-	if name == "default" || name == "static" {
+	if row, _ := lookup(name); row != nil && row.keepsAlive {
 		return xfer.RestartOnChange
 	}
 	return xfer.RestartEveryEpoch
 }
 
 // ReadsKernel reports whether the named strategy consults
-// Report.Kernel: kernel-aware:<inner> and the two learned strategies,
-// under a warm: prefix or not. Whoever builds a socket transfer asks
-// here and switches the TCP_INFO sampler on for such a strategy, so it
-// is not inert at a door that has no flag for the sampler.
+// Report.Kernel: kernel-aware:<inner> and the registry's readsKernel
+// column. Whoever builds a socket transfer asks here and switches the
+// TCP_INFO sampler on for such a strategy, so it is not inert at a door
+// that has no flag for the sampler.
 func ReadsKernel(name string) bool {
-	name = strings.TrimPrefix(name, "warm:")
-	return strings.HasPrefix(name, "kernel-aware:") || name == "rl-bandit" || name == "rl-q"
+	row, aware := lookup(name)
+	return row != nil && (aware || row.readsKernel)
 }
 
-// StrategyNames lists every base (unprefixed) strategy name NewStrategy
-// accepts, in documentation order. The "static" alias for "default" is
-// not listed. STRATEGIES.md keeps one section per name (plus the two
-// wrapper prefixes); TestStrategyDocCoverage fails when one goes
-// undocumented.
+// StrategyNames lists every registry name in documentation order;
+// each is also accepted behind "kernel-aware:".
 func StrategyNames() []string {
-	return []string{
-		"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2",
-		"model", "two-phase", "rl-bandit", "rl-q",
+	names := make([]string, len(strategies))
+	for i, row := range strategies {
+		names[i] = row.name
 	}
+	return names
 }
 
-// KnownStrategy reports whether name resolves to a built-in strategy,
-// including the "warm:<inner>" and "kernel-aware:<inner>" prefixed
-// forms (neither wrapper nests itself, and warm goes outside
-// kernel-aware, never inside).
+// StrategyUsage is the list of accepted names a usage string prints:
+// the registry's, then the one prefix.
+func StrategyUsage() string {
+	return strings.Join(StrategyNames(), ", ") + ", " + kernelAwarePrefix + "<tuner>"
+}
+
+// KnownStrategy reports whether NewStrategy accepts name.
 func KnownStrategy(name string) bool {
-	if inner, ok := strings.CutPrefix(name, "warm:"); ok {
-		return !strings.HasPrefix(inner, "warm:") && KnownStrategy(inner)
-	}
-	if inner, ok := strings.CutPrefix(name, "kernel-aware:"); ok {
-		return !strings.HasPrefix(inner, "kernel-aware:") &&
-			!strings.HasPrefix(inner, "warm:") && KnownStrategy(inner)
-	}
-	if name == "static" {
-		return true
-	}
-	for _, n := range StrategyNames() {
-		if name == n {
-			return true
-		}
-	}
-	return false
+	row, _ := lookup(name)
+	return row != nil
 }
 
 // fitnessOf returns the objective value of an epoch under the

@@ -9,9 +9,9 @@ import (
 
 // TestStrategyDocCoverage pins STRATEGIES.md to the strategy registry
 // the way TestObservabilityDocCoverage pins OBSERVABILITY.md to the
-// instrument registry: every name NewStrategy accepts must have its
-// own "## `name`" section, the wrapper prefixes must be documented,
-// and — in reverse — every documented name must actually construct,
+// instrument registry: every registry row must have its own
+// "## `name`" section, the one wrapper prefix must be documented, and —
+// in reverse — every documented name must actually construct,
 // so the catalog can neither lag the code nor advertise strategies
 // that do not exist.
 func TestStrategyDocCoverage(t *testing.T) {
@@ -30,7 +30,7 @@ func TestStrategyDocCoverage(t *testing.T) {
 		documented[m[1]] = true
 	}
 
-	want := append(StrategyNames(), "static", "warm:<inner>", "kernel-aware:<inner>")
+	want := append(StrategyNames(), "kernel-aware:<inner>")
 	for _, name := range want {
 		if !documented[name] {
 			t.Errorf("STRATEGIES.md has no section \"## `%s`\"", name)
@@ -39,8 +39,8 @@ func TestStrategyDocCoverage(t *testing.T) {
 
 	for name := range documented {
 		probe := name
-		// The wrapper sections use a placeholder inner name; probe
-		// them with a real one.
+		// The wrapper section uses a placeholder inner name; probe it
+		// with a real one.
 		if strings.Contains(name, "<inner>") {
 			probe = strings.ReplaceAll(name, "<inner>", "cs-tuner")
 		}

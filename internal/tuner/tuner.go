@@ -145,15 +145,15 @@ type Config struct {
 	// Tolerance is the significance threshold ε in percent; zero
 	// selects the paper's 5%, NoTolerance selects an exact 0.
 	Tolerance float64
-	// Lambda is cs-tuner's initial step size; zero selects the
-	// paper's 8, NoLambda selects an exact 0.
+	// Lambda is cs-tuner's initial step size and the offset of
+	// nm-tuner's initial simplex; zero selects the paper's 8, NoLambda
+	// selects an exact 0.
 	Lambda float64
-	// NM carries nm-tuner's coefficients; zeros select the customary
-	// R=1, E=2, C=0.5, S=0.5.
-	NM directsearch.NMConfig
 	// Box bounds the tuned vector.
 	Box directsearch.Box
-	// Start is the initial vector x0.
+	// Start is the initial vector x0. ResolveStrategy builds the
+	// strategy from another one in two cases: a History hit, and a
+	// Resume checkpoint that recorded the start its run adopted.
 	Start []int
 	// Map converts the tuned vector to transfer parameters.
 	Map ParamMap
@@ -193,7 +193,8 @@ type Config struct {
 	// state is deserialized directly — an O(1) continuation, no epoch
 	// is replayed — the recorded trace is preloaded, and live tuning
 	// continues mid-trajectory from the first unrecorded epoch. The
-	// checkpoint's seed overrides Seed. The transfer passed to Run
+	// checkpoint's seed overrides Seed, and its start, if it recorded
+	// one, Start. The transfer passed to Run
 	// must carry the checkpoint's remaining bytes and clock (see
 	// xfer.TransferState and Checkpoint.Transfer).
 	Resume *Checkpoint
@@ -215,10 +216,11 @@ type Config struct {
 	// served by /status. Nil — the default — disables observation at
 	// zero cost; see the obs package and OBSERVABILITY.md.
 	Obs *obs.SessionObs
-	// History, when non-nil, is the run's knowledge plane: Run
-	// warm-starts the named strategy from it (ResolveStrategy), and a
-	// run with a HistoryKey that ends cleanly appends its best epoch,
-	// as FleetConfig.History has a fleet session do.
+	// History, when non-nil, is the run's knowledge plane: Run starts
+	// the named strategy from its best-known vector under HistoryKey
+	// instead of Start (ResolveStrategy), and a run with a HistoryKey
+	// that ends cleanly appends its best epoch, as FleetConfig.History
+	// has a fleet session do.
 	History *history.Store
 	// HistoryKey, when non-zero, is the run's identity in History, as
 	// FleetSession.HistoryKey is a fleet session's.

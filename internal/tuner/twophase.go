@@ -3,8 +3,8 @@ package tuner
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 
-	"dstune/internal/history"
 	"dstune/internal/ivec"
 	"dstune/internal/xfer"
 )
@@ -27,8 +27,8 @@ type TwoPhaseState struct {
 	// Phase is "coarse" or "fine".
 	Phase string `json:"phase"`
 	// Cands is the coarse candidate list (coarse phase only). It is
-	// serialized state, not configuration: a warm construction derives
-	// it from the history store, and a resume must not re-derive it.
+	// serialized state: a restored coarse phase samples the recorded
+	// list, whatever ladder the fresh instance was built with.
 	Cands [][]int `json:"cands,omitempty"`
 	// Fits holds the observed fitness of each sampled candidate, in
 	// candidate order (coarse phase only).
@@ -57,60 +57,36 @@ type TwoPhaseStrategy struct {
 	fine   *SearchStrategy
 }
 
-// NewTwoPhase builds a two-phase strategy, consulting the store under
-// key for the coarse phase's seed when store is non-nil and no resume
-// is pending (the consultation is announced through cfg.Obs as a
-// WarmStart event). NewStrategy("two-phase", cfg) uses the nil-store
-// form.
-func NewTwoPhase(cfg Config, store *history.Store, key history.Key) *TwoPhaseStrategy {
+// NewTwoPhaseStrategy builds a two-phase strategy whose coarse phase
+// starts at cfg.Start. predicted says cfg.Start is the history store's
+// prediction (ResolveStrategy adopted a warmStart hit) and selects the
+// bracketing ladder; a cold start climbs.
+func NewTwoPhaseStrategy(cfg Config, predicted bool) *TwoPhaseStrategy {
 	cfg = cfg.withDefaults()
-	s := &TwoPhaseStrategy{cfg: cfg, phase: twoPhaseCoarse}
-	var pred []int
-	if store != nil && cfg.Resume == nil {
-		if e, ok := store.Lookup(key); ok && len(e.X) == cfg.Box.Dim() {
-			pred = cfg.Box.ClampInt(e.X)
-		}
-		cfg.Obs.WarmStart(0, pred, pred != nil)
-	}
-	s.cands = coarseCandidates(cfg, pred)
-	return s
+	return &TwoPhaseStrategy{cfg: cfg, phase: twoPhaseCoarse, cands: coarseCandidates(cfg, predicted)}
 }
 
-// NewTwoPhaseStrategy builds the cold (store-less) two-phase strategy.
-func NewTwoPhaseStrategy(cfg Config) *TwoPhaseStrategy {
-	return NewTwoPhase(cfg, nil, history.Key{})
-}
-
-// coarseCandidates derives the coarse sampling list: around a
-// historical prediction it brackets the predicted optimum (pred,
-// pred×2, pred÷2); cold it climbs from the start point (start, ×2,
-// ×4). Candidates are clamped to the box and deduplicated in order,
-// so the list always holds at least one vector.
-func coarseCandidates(cfg Config, pred []int) [][]int {
-	scale := func(x []int, num, den int) []int {
-		out := make([]int, len(x))
-		for i, v := range x {
+// coarseCandidates derives the coarse sampling list from x0 =
+// cfg.Start: a predicted optimum is bracketed (x0, x0×2, x0÷2), a cold
+// start climbed from (x0, ×2, ×4). Candidates are clamped to the box
+// and deduplicated in order, so the list always holds at least one
+// vector.
+func coarseCandidates(cfg Config, predicted bool) [][]int {
+	x0 := cfg.Box.ClampInt(cfg.Start)
+	scale := func(num, den int) []int {
+		out := make([]int, len(x0))
+		for i, v := range x0 {
 			out[i] = v * num / den
 		}
 		return cfg.Box.ClampInt(out)
 	}
-	var raw [][]int
-	if pred != nil {
-		raw = [][]int{scale(pred, 1, 1), scale(pred, 2, 1), scale(pred, 1, 2)}
-	} else {
-		start := cfg.Box.ClampInt(cfg.Start)
-		raw = [][]int{scale(start, 1, 1), scale(start, 2, 1), scale(start, 4, 1)}
+	raw := [][]int{scale(1, 1), scale(2, 1), scale(4, 1)}
+	if predicted {
+		raw[2] = scale(1, 2)
 	}
 	var cands [][]int
 	for _, c := range raw {
-		dup := false
-		for _, prev := range cands {
-			if ivec.Equal(prev, c) {
-				dup = true
-				break
-			}
-		}
-		if !dup {
+		if !slices.ContainsFunc(cands, func(prev []int) bool { return ivec.Equal(prev, c) }) {
 			cands = append(cands, c)
 		}
 	}

@@ -3,11 +3,13 @@ package tuner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"dstune/internal/history"
+	"dstune/internal/obs"
 	"dstune/internal/xfer"
 )
 
@@ -27,66 +29,100 @@ func seededStore(t *testing.T, x []int) *history.Store {
 	return s
 }
 
-// TestWarmStartAdoptsPrediction: a store hit makes the wrapped
-// strategy's first proposal the predicted optimum; a miss leaves the
-// cold start untouched; out-of-box predictions are clamped.
+// warmEvents returns the detail of every WarmStart event o recorded.
+func warmEvents(o *obs.Observer) []string {
+	var out []string
+	for _, ev := range o.Recorder().Events() {
+		if ev.Type == obs.EventWarmStart {
+			out = append(out, ev.Detail)
+		}
+	}
+	return out
+}
+
+// TestWarmStartAdoptsPrediction: a store hit replaces the starting
+// vector of the named strategy — which keeps its own name — with the
+// prediction, clamped to the box, and ResolveStrategy returns it for the
+// checkpoint to record; a miss, a record of another dimensionality and
+// a session without a store start cold and return no start. Each
+// consultation of a store is one WarmStart event.
 func TestWarmStartAdoptsPrediction(t *testing.T) {
-	s, err := NewWarmStart("cs-tuner", simCfg(), seededStore(t, []int{14}), simKey())
-	if err != nil {
+	twoD := history.NewMemStore()
+	if err := twoD.Add(history.Record{Key: simKey(), X: []int{14, 4}, Throughput: 3e8, Tuner: "cs-tuner", Epochs: 12}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "warm:cs-tuner" {
-		t.Fatalf("Name() = %q", s.Name())
-	}
-	if pred, ok := s.Warm(); !ok || !reflect.DeepEqual(pred, []int{14}) {
-		t.Fatalf("Warm() = %v, %v; want [14], true", pred, ok)
-	}
-	if x, done := s.Propose(); done || !reflect.DeepEqual(x, []int{14}) {
-		t.Fatalf("first proposal = %v, done=%v; want the prediction [14]", x, done)
-	}
-
-	// Miss: an endpoint the store has never seen cold-starts.
-	cold, err := NewWarmStart("cs-tuner", simCfg(), seededStore(t, []int{14}), history.Key{Endpoint: "elsewhere"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cold.Warm(); ok {
-		t.Fatal("miss reported as warm")
-	}
-	if x, _ := cold.Propose(); !reflect.DeepEqual(x, []int{2}) {
-		t.Fatalf("cold first proposal = %v, want the configured start [2]", x)
-	}
-
-	// A prediction outside the box is clamped into it, never trusted raw.
-	clamped, err := NewWarmStart("cs-tuner", simCfg(), seededStore(t, []int{99}), simKey())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pred, ok := clamped.Warm(); !ok || !reflect.DeepEqual(pred, []int{32}) {
-		t.Fatalf("Warm() = %v, %v; want the clamped [32]", pred, ok)
-	}
-
-	// Warm-start nesting is rejected.
-	if _, err := NewWarmStart("warm:cs-tuner", simCfg(), nil, history.Key{}); err == nil {
-		t.Fatal("nested warm start accepted")
+	for _, tc := range []struct {
+		name   string
+		store  *history.Store
+		key    history.Key
+		start  []int // what ResolveStrategy returns
+		first  []int // the first proposal
+		events []string
+	}{
+		{"hit", seededStore(t, []int{14}), simKey(), []int{14}, []int{14}, []string{"hit"}},
+		{"miss", seededStore(t, []int{14}), history.Key{Endpoint: "elsewhere"}, nil, []int{2}, []string{"miss"}},
+		{"clamped", seededStore(t, []int{99}), simKey(), []int{32}, []int{32}, []string{"hit"}},
+		{"other dimensionality", twoD, simKey(), nil, []int{2}, []string{"miss"}},
+		{"no store", nil, simKey(), nil, []int{2}, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := obs.NewObserver(obs.ObserverConfig{})
+			cfg := simCfg()
+			cfg.Obs = o.Session("s")
+			cfg.History, cfg.HistoryKey = tc.store, tc.key
+			s, start, err := ResolveStrategy("cs-tuner", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Name() != "cs-tuner" {
+				t.Fatalf("Name() = %q", s.Name())
+			}
+			if !reflect.DeepEqual(start, tc.start) {
+				t.Fatalf("adopted start %v, want %v", start, tc.start)
+			}
+			if x, done := s.Propose(); done || !reflect.DeepEqual(x, tc.first) {
+				t.Fatalf("first proposal = %v, done=%v; want %v", x, done, tc.first)
+			}
+			if got := warmEvents(o); !reflect.DeepEqual(got, tc.events) {
+				t.Fatalf("WarmStart events %v, want %v", got, tc.events)
+			}
+		})
 	}
 }
 
-// TestTwoPhaseCoarseCandidates: with a prediction the coarse list
-// brackets it; cold it climbs from the start point; the fine phase
-// begins only after every candidate has one observation.
+// TestTwoPhaseCoarseCandidates: around a prediction the coarse list
+// brackets it — the one ladder, bare or behind kernel-aware:, after one
+// consultation of the store; cold it climbs from the start point.
 func TestTwoPhaseCoarseCandidates(t *testing.T) {
-	warm := NewTwoPhase(simCfg(), seededStore(t, []int{14}), simKey())
-	if x, _ := warm.Propose(); !reflect.DeepEqual(x, []int{14}) {
-		t.Fatalf("warm two-phase first proposal = %v, want the prediction [14]", x)
-	}
-	if want := [][]int{{14}, {28}, {7}}; !reflect.DeepEqual(warm.cands, want) {
-		t.Fatalf("warm candidates = %v, want %v", warm.cands, want)
+	for _, name := range []string{"two-phase", "kernel-aware:two-phase"} {
+		o := obs.NewObserver(obs.ObserverConfig{})
+		cfg := withStore(t, simCfg(), "hit")
+		cfg.Obs = o.Session("s")
+		s, start, err := ResolveStrategy(name, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(start, []int{14}) || !reflect.DeepEqual(warmEvents(o), []string{"hit"}) {
+			t.Fatalf("%s adopted %v after WarmStart events %v", name, start, warmEvents(o))
+		}
+		for _, want := range [][]int{{14}, {28}, {7}} {
+			if x, _ := s.Propose(); !reflect.DeepEqual(x, want) {
+				t.Fatalf("warm %s proposes %v, want %v of the ladder [14] [28] [7]", name, x, want)
+			}
+			s.Observe(xfer.Report{Throughput: 1e8})
+		}
 	}
 
-	cold := NewTwoPhaseStrategy(simCfg())
+	cold := NewTwoPhaseStrategy(simCfg(), false)
 	if want := [][]int{{2}, {4}, {8}}; !reflect.DeepEqual(cold.cands, want) {
 		t.Fatalf("cold candidates = %v, want %v", cold.cands, want)
+	}
+	miss, _, err := ResolveStrategy("two-phase", withStore(t, simCfg(), "miss"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := miss.(*TwoPhaseStrategy).cands; !reflect.DeepEqual(got, cold.cands) {
+		t.Fatalf("candidates after a store miss = %v, want the cold %v", got, cold.cands)
 	}
 }
 
@@ -94,74 +130,92 @@ func TestTwoPhaseCoarseCandidates(t *testing.T) {
 // property: a warm-started run interrupted mid-flight and resumed from
 // its durable checkpoint reproduces the uninterrupted warm trace
 // exactly — even when the history store has learned new (different)
-// records in between, because the prediction travels in the checkpoint,
-// never through a fresh lookup.
+// records in between, because the adopted start travels in the
+// checkpoint beside the seed, never through a fresh lookup. The
+// checkpoint is the algorithm's own ("cs-tuner"), and resuming it by
+// replay (ValidateResume) rebuilds the same strategy from the same
+// start.
 func TestWarmResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
+	for _, tc := range []struct{ recorded, start []int }{
+		{[]int{14}, []int{14}},
+		{[]int{99}, []int{32}}, // clamped to the box
+	} {
+		t.Run(fmt.Sprint(tc.recorded), func(t *testing.T) {
+			// Reference: one uninterrupted warm run to completion.
+			ref := mustWarmRun(t, simCfg(), seed, seededStore(t, tc.recorded), nil, nil)
+			if len(ref.Results) <= interruptAfter {
+				t.Fatalf("reference run too short to interrupt: %d epochs", len(ref.Results))
+			}
+			if ref.Tuner != "cs-tuner" || !reflect.DeepEqual(ref.Results[0].X, tc.start) {
+				t.Fatalf("reference is a %q trace starting at %v", ref.Tuner, ref.Results[0].X)
+			}
 
-	// Reference: one uninterrupted warm run to completion.
-	ref := mustWarmRun(t, simCfg(), seed, seededStore(t, []int{14}), nil, nil)
-	if len(ref.Results) <= interruptAfter {
-		t.Fatalf("reference run too short to interrupt: %d epochs", len(ref.Results))
-	}
-	if ref.Tuner != "warm:cs-tuner" {
-		t.Fatalf("trace tuner = %q", ref.Tuner)
-	}
+			// Interrupted: identical world, drained after k epochs, every
+			// checkpoint persisted through the durable file form.
+			live := simTransfer(t, seed)
+			fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.checkpoint"))
+			cfg := drainAfter(interruptAfter, fc)
+			store := seededStore(t, tc.recorded)
+			cfg.History, cfg.HistoryKey = store, simKey()
+			part, err := Run(context.Background(), "cs-tuner", cfg, live)
+			if !errors.Is(err, ErrInterrupted) {
+				t.Fatalf("drained run returned %v, want ErrInterrupted", err)
+			}
+			if !reflect.DeepEqual(part.Results, ref.Results[:interruptAfter]) {
+				t.Fatalf("pre-interrupt trace diverged from reference:\n got %+v\nwant %+v",
+					part.Results, ref.Results[:interruptAfter])
+			}
 
-	// Interrupted: identical world, drained after k epochs, every
-	// checkpoint persisted through the durable file form.
-	live := simTransfer(t, seed)
-	fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.checkpoint"))
-	drain := make(chan struct{})
-	drained := false
+			// The store learns a new, better record before the resume. The
+			// resumed run must ignore it: the adopted start is checkpoint
+			// state.
+			if err := store.Add(history.Record{Key: simKey(), X: []int{31}, Throughput: 9e8, Tuner: "cs-tuner", Epochs: 2}); err != nil {
+				t.Fatal(err)
+			}
+
+			ck, err := LoadCheckpoint(fc.Path())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Tuner != "cs-tuner" || !reflect.DeepEqual(ck.Start, tc.start) {
+				t.Fatalf("checkpoint is %q started at %v, want cs-tuner at %v", ck.Tuner, ck.Start, tc.start)
+			}
+			// Replay first, on a fresh world: it runs the remaining epochs
+			// too, so it must not share the live transfer.
+			vcfg := simCfg()
+			vcfg.ValidateResume = true
+			replayed := mustWarmRun(t, vcfg, seed, store, ck, replayTransfer(t, seed, ck))
+			resumed := mustWarmRun(t, simCfg(), seed, store, ck, live)
+			for name, got := range map[string]*Trace{"resumed": resumed, "replayed": replayed} {
+				if len(got.Results) != len(ref.Results) {
+					t.Fatalf("%s run has %d epochs, reference has %d", name, len(got.Results), len(ref.Results))
+				}
+				for i := range ref.Results {
+					if !reflect.DeepEqual(got.Results[i], ref.Results[i]) {
+						t.Fatalf("%s: epoch %d diverged:\n got %+v\nwant %+v",
+							name, i, got.Results[i], ref.Results[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// replayTransfer returns a fresh simulated world advanced through the
+// epochs ck recorded, so a run resumed from ck continues on it exactly
+// where the interrupted one stopped.
+func replayTransfer(t *testing.T, seed uint64, ck *Checkpoint) *xfer.Sim {
+	t.Helper()
+	tr := simTransfer(t, seed)
 	cfg := simCfg()
-	cfg.Drain = drain
-	cfg.Checkpoint = CheckpointFunc(func(ck *Checkpoint) error {
-		if err := fc.Save(ck); err != nil {
-			return err
-		}
-		if ck.Epochs >= interruptAfter && !drained {
-			drained = true
-			close(drain)
-		}
-		return nil
-	})
-	store := seededStore(t, []int{14})
-	cfg.History, cfg.HistoryKey = store, simKey()
-	part, err := Run(context.Background(), "cs-tuner", cfg, live)
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("drained run returned %v, want ErrInterrupted", err)
-	}
-	if !reflect.DeepEqual(part.Results, ref.Results[:interruptAfter]) {
-		t.Fatalf("pre-interrupt trace diverged from reference:\n got %+v\nwant %+v",
-			part.Results, ref.Results[:interruptAfter])
-	}
-
-	// The store learns a new, better record before the resume. The
-	// resumed run must ignore it: the adopted prediction is checkpoint
-	// state.
-	if err := store.Add(history.Record{Key: simKey(), X: []int{31}, Throughput: 9e8, Tuner: "cs-tuner", Epochs: 2}); err != nil {
-		t.Fatal(err)
-	}
-
-	ck, err := LoadCheckpoint(fc.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Tuner != "warm:cs-tuner" {
-		t.Fatalf("checkpoint tuner = %q, want warm:cs-tuner", ck.Tuner)
-	}
-	resumed := mustWarmRun(t, simCfg(), seed, store, ck, live)
-	if len(resumed.Results) != len(ref.Results) {
-		t.Fatalf("resumed run has %d epochs, reference has %d", len(resumed.Results), len(ref.Results))
-	}
-	for i := range ref.Results {
-		if !reflect.DeepEqual(resumed.Results[i], ref.Results[i]) {
-			t.Fatalf("epoch %d diverged after resume:\n got %+v\nwant %+v",
-				i, resumed.Results[i], ref.Results[i])
+	for _, rec := range ck.Trace {
+		if _, err := tr.Run(context.Background(), cfg.Map(rec.X), cfg.Epoch); err != nil {
+			t.Fatal(err)
 		}
 	}
+	return tr
 }
 
 // mustWarmRun runs the warm cs-tuner to completion on live (or a fresh
