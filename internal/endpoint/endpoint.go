@@ -30,6 +30,7 @@ package endpoint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -101,6 +102,11 @@ func (c Config) Validate() error {
 type Host struct {
 	cfg         Config
 	computeJobs int
+
+	// Scratch of the scheduling round, reused by every Allocate call.
+	fill      waterfill
+	overheads []float64
+	caps      []float64
 }
 
 // New returns a host for cfg. It panics if cfg is invalid; call
@@ -155,10 +161,16 @@ func (h *Host) Efficiency(totalThreads int) float64 {
 // second for each process. External compute jobs set via
 // SetComputeJobs participate in the round with weight ComputeWeight
 // and full-machine demands.
+//
+// The returned slice belongs to the host and is valid until the next
+// Allocate call, which overwrites it: a caller that keeps caps across
+// rounds copies them. A round allocates nothing once the host has seen
+// a round as large.
 func (h *Host) Allocate(procs []Demand) []float64 {
 	cfg := h.cfg
 	n := len(procs)
-	caps := make([]float64, n)
+	caps := slices.Grow(h.caps[:0], n)[:n]
+	h.caps = caps
 	if n == 0 {
 		return caps
 	}
@@ -177,9 +189,10 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 	// Build the demand vector in units of cores. A transfer process
 	// can exploit at most one core (GridFTP parallelism threads share
 	// their process's core); a compute job wants the whole machine.
-	demands := make([]float64, 0, n+h.computeJobs)
-	weights := make([]float64, 0, n+h.computeJobs)
-	overheads := make([]float64, n)
+	wf := &h.fill
+	demands, weights := wf.d[:0], wf.w[:0]
+	overheads := slices.Grow(h.overheads[:0], n)[:n]
+	h.overheads = overheads
 	for i, d := range procs {
 		t := d.Threads
 		if t < 1 {
@@ -201,8 +214,9 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 		demands = append(demands, float64(cfg.Cores))
 		weights = append(weights, cfg.ComputeWeight)
 	}
+	wf.d, wf.w = demands, weights
 
-	alloc := waterfill(demands, weights, float64(cfg.Cores))
+	alloc := wf.run(float64(cfg.Cores))
 
 	total := 0.0
 	for i := range procs {
@@ -242,19 +256,40 @@ func (h *Host) RestartTime(totalProcs int) float64 {
 	return h.cfg.RestartBase * (1 + h.cfg.RestartPerLoad*over)
 }
 
-// waterfill computes the weighted max-min fair allocation of capacity
-// c among demands d with weights w: alloc[i] = min(d[i], w[i]*level)
-// with level chosen so the capacity is exhausted, or alloc = d when
-// total demand fits.
-func waterfill(d, w []float64, c float64) []float64 {
+// waterfill computes the weighted max-min fair allocation of a capacity
+// among demands d with weights w: alloc[i] = min(d[i], w[i]*level) with
+// level chosen so the capacity is exhausted, or alloc = d when total
+// demand fits. Its slices are scratch reused from round to round; as a
+// sort.Interface it orders idx by the level at which each demand
+// saturates.
+type waterfill struct {
+	d, w, alloc []float64
+	idx         []int
+}
+
+func (wf *waterfill) Len() int { return len(wf.idx) }
+
+func (wf *waterfill) Less(a, b int) bool {
+	ia, ib := wf.idx[a], wf.idx[b]
+	return wf.d[ia]/wf.w[ia] < wf.d[ib]/wf.w[ib]
+}
+
+func (wf *waterfill) Swap(a, b int) { wf.idx[a], wf.idx[b] = wf.idx[b], wf.idx[a] }
+
+// run allocates capacity c among wf.d and returns wf.alloc, valid until
+// the next run.
+func (wf *waterfill) run(c float64) []float64 {
+	d, w := wf.d, wf.w
 	n := len(d)
-	alloc := make([]float64, n)
-	idx := make([]int, n)
+	alloc := slices.Grow(wf.alloc[:0], n)[:n]
+	clear(alloc)
+	idx := slices.Grow(wf.idx[:0], n)[:n]
 	for i := range idx {
 		idx[i] = i
 	}
+	wf.alloc, wf.idx = alloc, idx
 	// Ascending by the level at which each demand saturates.
-	sort.Slice(idx, func(a, b int) bool { return d[idx[a]]/w[idx[a]] < d[idx[b]]/w[idx[b]] })
+	sort.Sort(wf)
 
 	remaining := c
 	weightSum := 0.0

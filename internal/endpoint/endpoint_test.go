@@ -2,6 +2,7 @@ package endpoint
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -58,7 +59,7 @@ func TestAllocateUncontendedMeetsDemand(t *testing.T) {
 func TestAllocateComputeLoadStarvesTransfers(t *testing.T) {
 	h := testHost()
 	demand := []Demand{{Threads: 8, Rate: 1.25e9}, {Threads: 8, Rate: 1.25e9}}
-	free := h.Allocate(demand)
+	free := slices.Clone(h.Allocate(demand)) // the next round overwrites the host's slice
 	h.SetComputeJobs(16)
 	loaded := h.Allocate(demand)
 	for i := range free {
@@ -242,10 +243,16 @@ func TestRestartTimeMinimumOneProc(t *testing.T) {
 	}
 }
 
+// fill runs one waterfill round over d and w.
+func fill(d, w []float64, c float64) []float64 {
+	wf := waterfill{d: d, w: w}
+	return wf.run(c)
+}
+
 func TestWaterfillExactDemandFit(t *testing.T) {
 	d := []float64{1, 2, 3}
 	w := []float64{1, 1, 1}
-	a := waterfill(d, w, 10)
+	a := fill(d, w, 10)
 	for i := range d {
 		if a[i] != d[i] {
 			t.Fatalf("alloc %v, want demands %v met exactly", a, d)
@@ -256,7 +263,7 @@ func TestWaterfillExactDemandFit(t *testing.T) {
 func TestWaterfillScarcity(t *testing.T) {
 	d := []float64{10, 10}
 	w := []float64{1, 1}
-	a := waterfill(d, w, 8)
+	a := fill(d, w, 8)
 	if math.Abs(a[0]-4) > 1e-9 || math.Abs(a[1]-4) > 1e-9 {
 		t.Fatalf("alloc %v, want [4 4]", a)
 	}
@@ -265,7 +272,7 @@ func TestWaterfillScarcity(t *testing.T) {
 func TestWaterfillWeights(t *testing.T) {
 	d := []float64{10, 10}
 	w := []float64{3, 1}
-	a := waterfill(d, w, 8)
+	a := fill(d, w, 8)
 	if math.Abs(a[0]-6) > 1e-9 || math.Abs(a[1]-2) > 1e-9 {
 		t.Fatalf("alloc %v, want [6 2]", a)
 	}
@@ -275,7 +282,7 @@ func TestWaterfillSmallDemandReleases(t *testing.T) {
 	// A process with a small demand frees capacity for the others.
 	d := []float64{0.5, 10, 10}
 	w := []float64{1, 1, 1}
-	a := waterfill(d, w, 8)
+	a := fill(d, w, 8)
 	if a[0] != 0.5 {
 		t.Fatalf("small demand allocated %v, want 0.5", a[0])
 	}
@@ -301,7 +308,7 @@ func TestWaterfillConservation(t *testing.T) {
 			totalD += d[i]
 		}
 		const c = 8.0
-		a := waterfill(d, w, c)
+		a := fill(d, w, c)
 		sum := 0.0
 		for i := range a {
 			if a[i] < -1e-12 || a[i] > d[i]+1e-12 {

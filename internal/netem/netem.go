@@ -124,7 +124,7 @@ type stream struct {
 	tcp      tcpmodel.Stream
 	rttTimer float64 // time accumulated toward the next window update
 	cooldown float64 // time remaining during which further losses are ignored
-	rate     float64 // delivered rate, last step
+	rate     float64 // offered rate (cwnd/RTT) for the coming substep
 }
 
 // Flow is a group of streams managed as one unit: one transfer process
@@ -137,6 +137,7 @@ type Flow struct {
 
 	cap       float64 // aggregate rate cap; 0 = unlimited
 	offered   float64 // window-limited desire before the cap, last step
+	ahead     float64 // sum of the streams' rates: offered for the coming substep
 	rate      float64 // delivered aggregate rate, last step
 	delivered float64 // cumulative bytes
 	removed   bool
@@ -211,18 +212,6 @@ func (f *Flow) Losses() uint64 {
 	return n
 }
 
-// meanCwnd returns the average congestion window, for diagnostics.
-func (f *Flow) meanCwnd() float64 {
-	if len(f.strs) == 0 {
-		return 0
-	}
-	var sum float64
-	for i := range f.strs {
-		sum += f.strs[i].tcp.Cwnd
-	}
-	return sum / float64(len(f.strs))
-}
-
 // minSubstep bounds how finely Step subdivides time, in seconds.
 const minSubstep = 0.001
 
@@ -236,7 +225,8 @@ func (p *Path) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	sub := p.RTT() / 2
+	rtt := p.RTT()
+	sub := rtt / 2
 	if sub < minSubstep {
 		sub = minSubstep
 	}
@@ -248,24 +238,35 @@ func (p *Path) Step(dt float64) {
 		n = 1
 	}
 	h := dt / float64(n)
+	// Flows may have come and gone since the last Step: offer every
+	// stream's rate for the first substep; each substep then offers
+	// the next one's.
+	for _, f := range p.flows {
+		ahead := 0.0
+		for i := range f.strs {
+			s := &f.strs[i]
+			s.rate = s.tcp.Rate(rtt)
+			ahead += s.rate
+		}
+		f.ahead = ahead
+	}
 	for i := 0; i < n; i++ {
 		p.step(h)
 	}
 }
 
-// step advances the path by one substep of h seconds.
+// step advances the path by one substep of h seconds. It walks the
+// streams once: the offered rate each stream delivers from was left in
+// stream.rate by the walk before, and the walk leaves the rate for the
+// substep after, at the RTT this substep's queue sets.
 func (p *Path) step(dt float64) {
 	rtt := p.RTT()
 
-	// Phase 1: offered rates, flow caps.
+	// Phase 1: flow caps.
 	total := 0.0
 	for _, f := range p.flows {
-		off := 0.0
-		for i := range f.strs {
-			off += f.strs[i].tcp.Rate(rtt)
-		}
-		f.offered = off
-		capped := off
+		f.offered = f.ahead
+		capped := f.offered
 		switch {
 		case f.cap < 0:
 			capped = 0
@@ -293,6 +294,9 @@ func (p *Path) step(dt float64) {
 		p.queue = 0
 	}
 	p.lastCongested = congested
+	// The queue is settled for this substep, so this is the next
+	// substep's RTT exactly.
+	nextRTT := p.RTT()
 
 	// Per-stream congestion-loss probability for this step. When the
 	// buffer is full we size the probability so that the expected
@@ -313,20 +317,22 @@ func (p *Path) step(dt float64) {
 		}
 	}
 
-	// Phase 3: delivery, losses, and window evolution.
-	delivered := 0.0
+	// Phase 3: delivery, losses, window evolution, and the next
+	// substep's offered rates.
+	mss, randomLoss, rng := p.cfg.MSS, p.cfg.RandomLoss, p.rng
+	pathRate := 0.0
 	for _, f := range p.flows {
+		alg := f.alg
 		scale := 1.0
 		if f.offered > 0 {
 			scale = f.rate / f.offered // cap scaling
 		}
-		flowRate := 0.0
+		flowRate, delivered, ahead := 0.0, f.delivered, 0.0
 		for i := range f.strs {
 			s := &f.strs[i]
-			rate := s.tcp.Rate(rtt) * scale * deliverFrac
-			s.rate = rate
+			rate := s.rate * scale * deliverFrac
 			flowRate += rate
-			f.delivered += rate * dt
+			delivered += rate * dt
 
 			s.tcp.SinceLoss += dt
 			s.tcp.ObserveRTT(rtt)
@@ -336,33 +342,39 @@ func (p *Path) step(dt float64) {
 			// per-substep expected count is small, so the linear
 			// approximation to 1-(1-p)^n is accurate and avoids a
 			// transcendental call in the hot loop.
-			pkts := rate * dt / p.cfg.MSS
+			pkts := rate * dt / mss
 			pLoss := pCongStep
-			if p.cfg.RandomLoss > 0 && pkts > 0 {
-				pRand := pkts * p.cfg.RandomLoss
+			if randomLoss > 0 && pkts > 0 {
+				pRand := pkts * randomLoss
 				if pRand > 0.5 {
 					pRand = 0.5
 				}
 				pLoss = 1 - (1-pLoss)*(1-pRand)
 			}
 
-			if pLoss > 0 && s.cooldown <= 0 && p.rng.Bernoulli(pLoss) {
-				f.alg.OnLoss(&s.tcp)
+			// rng.Bernoulli(pLoss) with the draw inlined (pLoss < 1:
+			// pCongStep <= 0.9 and pRand <= 0.5).
+			if pLoss > 0 && s.cooldown <= 0 && sim.Unit(rng.Uint64()) < pLoss {
+				alg.OnLoss(&s.tcp)
 				// TCP reacts at most once per RTT; when the step is
 				// coarser than the RTT, at most once per two steps so
 				// short-RTT paths are not cut on every step.
 				s.cooldown = math.Max(rtt, 2*dt)
 				s.rttTimer = 0
-				continue
+			} else {
+				s.rttTimer += dt
+				for s.rttTimer >= rtt {
+					alg.OnRTT(&s.tcp, rtt)
+					s.rttTimer -= rtt
+				}
 			}
-			s.rttTimer += dt
-			for s.rttTimer >= rtt {
-				f.alg.OnRTT(&s.tcp, rtt)
-				s.rttTimer -= rtt
-			}
+			s.rate = s.tcp.Rate(nextRTT)
+			ahead += s.rate
 		}
 		f.rate = flowRate
-		delivered += flowRate
+		f.delivered = delivered
+		f.ahead = ahead
+		pathRate += flowRate
 	}
-	p.lastTotal = delivered
+	p.lastTotal = pathRate
 }

@@ -287,19 +287,6 @@ func TestNewFlowMinimumOneStream(t *testing.T) {
 	}
 }
 
-func TestMeanCwndPositive(t *testing.T) {
-	p := New(testConfig(), sim.NewRNG(1))
-	f := p.NewFlow(4, tcpmodel.NewHTCP())
-	run(p, f, 10)
-	if f.meanCwnd() <= 0 {
-		t.Fatal("meanCwnd not positive")
-	}
-	empty := &Flow{}
-	if empty.meanCwnd() != 0 {
-		t.Fatal("empty flow meanCwnd != 0")
-	}
-}
-
 func TestShortRTTPathSaturatesWithFewStreams(t *testing.T) {
 	// On a short, clean path a handful of streams should reach most
 	// of the capacity (the paper's <20ms dedicated-link observation).

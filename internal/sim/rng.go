@@ -10,11 +10,14 @@ package sim
 
 import "math/rand/v2"
 
-// RNG is a deterministic random source. The zero value is not usable;
-// construct with NewRNG.
+// RNG is a deterministic random source: a math/rand/v2 PCG with the
+// draws the simulators need on top. It promotes the PCG's Uint64 (a
+// uniform 64-bit value) and MarshalBinary / UnmarshalBinary, which
+// capture and restore the generator's exact position in its stream for
+// checkpointing. The zero value is not usable; construct with NewRNG.
 type RNG struct {
-	r   *rand.Rand
-	src *rand.PCG
+	*rand.PCG
+	r *rand.Rand // the same PCG, for the draws math/rand/v2 derives
 }
 
 // NewRNG returns a generator seeded from seed. Two RNGs built from the
@@ -23,16 +26,8 @@ func NewRNG(seed uint64) *RNG {
 	// Derive the second PCG word from the first with SplitMix64 so that
 	// nearby seeds give unrelated streams.
 	src := rand.NewPCG(seed, splitmix64(seed))
-	return &RNG{r: rand.New(src), src: src}
+	return &RNG{PCG: src, r: rand.New(src)}
 }
-
-// MarshalBinary captures the generator's exact position in its stream,
-// for checkpointing. It implements encoding.BinaryMarshaler.
-func (g *RNG) MarshalBinary() ([]byte, error) { return g.src.MarshalBinary() }
-
-// UnmarshalBinary restores a position captured by MarshalBinary. It
-// implements encoding.BinaryUnmarshaler.
-func (g *RNG) UnmarshalBinary(data []byte) error { return g.src.UnmarshalBinary(data) }
 
 // splitmix64 is the finalizer of the SplitMix64 generator, used only to
 // expand a single seed word into two.
@@ -43,14 +38,19 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Float64 returns a uniform value in [0, 1).
-func (g *RNG) Float64() float64 { return g.r.Float64() }
+// Float64 returns a uniform value in [0, 1): math/rand/v2's
+// Rand.Float64, read straight from the PCG.
+func (g *RNG) Float64() float64 { return Unit(g.Uint64()) }
+
+// Unit maps a uniform 64-bit draw onto [0, 1) exactly as math/rand/v2's
+// Rand.Float64 does, so Unit(g.Uint64()) is g.Float64(). The network
+// simulator's per-stream loop writes its draw that way: Float64 is over
+// the compiler's inlining budget, and a call there spills every live
+// register.
+func Unit(u uint64) float64 { return float64(u<<11>>11) / (1 << 53) }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }
-
-// Uint64 returns a uniform 64-bit value.
-func (g *RNG) Uint64() uint64 { return g.r.Uint64() }
 
 // Bernoulli reports true with probability p. Values of p outside [0, 1]
 // are clamped.
@@ -61,7 +61,7 @@ func (g *RNG) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return g.r.Float64() < p
+	return g.Float64() < p
 }
 
 // Jitter returns x scaled by a uniform factor in [1-frac, 1+frac].
@@ -70,7 +70,7 @@ func (g *RNG) Jitter(x, frac float64) float64 {
 	if frac <= 0 {
 		return x
 	}
-	return x * (1 + frac*(2*g.r.Float64()-1))
+	return x * (1 + frac*(2*g.Float64()-1))
 }
 
 // NormFloat64 returns a standard normal variate.
@@ -83,5 +83,5 @@ func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
 // output. It is used to give each subsystem its own source so that
 // adding draws in one subsystem does not perturb another.
 func (g *RNG) Split() *RNG {
-	return NewRNG(g.r.Uint64())
+	return NewRNG(g.Uint64())
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -36,6 +37,20 @@ func TestFloat64Range(t *testing.T) {
 		v := g.Float64()
 		if v < 0 || v >= 1 {
 			t.Fatalf("Float64() = %v out of [0,1)", v)
+		}
+	}
+}
+
+// TestFloat64MatchesRand holds Float64's direct read of the PCG to the
+// value math/rand/v2 computes from the same source: every seeded
+// simulation depends on the two being the same draw, bit for bit.
+func TestFloat64MatchesRand(t *testing.T) {
+	const seed = 2016
+	g := NewRNG(seed)
+	r := rand.New(rand.NewPCG(seed, splitmix64(seed)))
+	for i := 0; i < 1_000_000; i++ {
+		if got, want := g.Float64(), r.Float64(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Float64() = %v, math/rand/v2 = %v", i, got, want)
 		}
 	}
 }

@@ -52,6 +52,18 @@ type Fabric struct {
 	extFlows []*netem.Flow // ext.tfr: source-originated, CPU-scheduled
 	netFlows []*netem.Flow // third-party: network only
 	curLoad  load.Load
+
+	// Scratch of stepLocked's scheduling round, reused every step.
+	demands []endpoint.Demand
+	refs    []procRef
+}
+
+// procRef ties one demand of a scheduling round to the flow its cap
+// goes to.
+type procRef struct {
+	tr  *Sim // nil for external flows
+	idx int
+	fl  *netem.Flow
 }
 
 // NewFabric returns a fabric with the given source endpoint and no
@@ -474,13 +486,7 @@ func (f *Fabric) stepLocked() {
 	// headroom so flows can grow into idle capacity.
 	const headroom = 2.0
 	const demandFloor = 10e6 // bytes/s; lets fresh processes ramp
-	type procRef struct {
-		tr  *Sim // nil for external flows
-		idx int
-		fl  *netem.Flow
-	}
-	var demands []endpoint.Demand
-	var refs []procRef
+	demands, refs := f.demands[:0], f.refs[:0]
 	for _, tr := range f.transfers {
 		for i, fl := range tr.flows {
 			demands = append(demands, endpoint.Demand{
@@ -510,6 +516,10 @@ func (f *Fabric) stepLocked() {
 			ref.fl.SetCap(c)
 		}
 	}
+	// The scratch must not keep a removed flow or a finished transfer
+	// reachable until a later round happens to overwrite it.
+	clear(refs)
+	f.demands, f.refs = demands, refs[:0]
 
 	// Network dynamics.
 	for _, p := range f.paths {
