@@ -53,14 +53,14 @@ func TestSessionUnknownTestbed(t *testing.T) {
 // TestResumeRefusesRetiredStrategy: -resume of a checkpoint written by
 // a build that still named store-backed runs "warm:<tuner>" (the
 // fixture is one, from the parent commit) is refused by that name
-// before anything is dialled — as is the name itself at -tuner, and the
-// old `static` alias.
+// before anything is dialled — as is the name itself at -tuner, the old
+// `static` alias, and the deleted tabular Q-learner `rl-q`.
 func TestResumeRefusesRetiredStrategy(t *testing.T) {
 	_, err := parseFlags(t, "-mode", "socket", "-resume", "../../internal/tuner/testdata/parent_warm.checkpoint").session(nil, nil)
 	if err == nil || !strings.Contains(err.Error(), `"warm:cs-tuner"`) {
 		t.Fatalf("resume of a warm: checkpoint returned %v, want a refusal naming it", err)
 	}
-	for _, name := range []string{"warm:cs-tuner", "static"} {
+	for _, name := range []string{"warm:cs-tuner", "static", "rl-q"} {
 		if _, err := parseFlags(t, "-tuner", name).session(nil, nil); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("-tuner %s returned %v, want a refusal naming it", name, err)
 		}

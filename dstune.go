@@ -242,7 +242,7 @@ type (
 func NewStrategy(name string, cfg TunerConfig) (Strategy, error) { return tuner.NewStrategy(name, cfg) }
 
 // StrategyUsage is the list of accepted strategy names a usage string
-// prints: "default, cd-tuner, …, rl-q, kernel-aware:<tuner>".
+// prints: "default, cd-tuner, …, rl-bandit, kernel-aware:<tuner>".
 func StrategyUsage() string { return tuner.StrategyUsage() }
 
 // NewDriver returns a driver for cfg; its Run method drives any

@@ -8,8 +8,8 @@ import (
 	"dstune/internal/tuner"
 )
 
-// DynamicLoadStudy judges the learned strategies where they should
-// win: dynamic load. Direct search re-discovers the optimum from
+// DynamicLoadStudy judges the learned strategy where it should win:
+// dynamic load. Direct search re-discovers the optimum from
 // scratch after every ε-monitor retrigger, while a learned policy that
 // has seen a load level before switches back to the winning vector on
 // the next epoch. The study runs each tuner over step, square, and
@@ -73,9 +73,9 @@ func DynamicSchedules(duration float64) []DynamicSchedule {
 }
 
 // DynamicLoadTuners lists the tuners the study compares by default:
-// the paper's three direct searches against both learned strategies.
+// the paper's three direct searches against the learned rl-bandit.
 func DynamicLoadTuners() []string {
-	return []string{"cd-tuner", "cs-tuner", "nm-tuner", "rl-bandit", "rl-q"}
+	return []string{"cd-tuner", "cs-tuner", "nm-tuner", "rl-bandit"}
 }
 
 // DynamicLoadCell is one (tuner, schedule) run's scores.

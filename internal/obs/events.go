@@ -68,7 +68,7 @@ const (
 	// segments, Rate the delivery-rate estimate in bytes/second, and
 	// Retrans the stripe's cumulative retransmit counter.
 	EventStripeKernelStats EventType = "StripeKernelStats"
-	// EventRLAction marks a learned strategy (rl-bandit, rl-q)
+	// EventRLAction marks the learned strategy (rl-bandit)
 	// committing to its next action: X is the chosen vector, Bucket
 	// the load-context bucket the choice was made in, Epsilon the
 	// exploration probability in force, QValue the chosen action's

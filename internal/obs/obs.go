@@ -156,8 +156,8 @@ const (
 	// RNG forced a random (exploring) action instead of the greedy
 	// one.
 	MetricRLExplorations = "dstune_rl_explorations_total"
-	// MetricRLQValue is the value estimate of the action a learned
-	// strategy most recently committed to.
+	// MetricRLQValue is the value estimate of the action the learned
+	// strategy (rl-bandit) most recently committed to.
 	MetricRLQValue = "dstune_rl_q_value"
 	// MetricRLEpsilon is the learned strategy's current exploration
 	// probability (decays with context visits).

@@ -25,7 +25,7 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		`{"id": "../../etc/passwd", "bytes": 1}`,
 		"{\"id\": \"a\x00b\", \"bytes\": 1}",
 		`{"tuner": "kernel-aware:cs-tuner", "bytes": 1e9, "tenant": "t1"}`,
-		`{"tuner": "rl-q", "bytes": 1e9, "tenant": "t1"}`,
+		`{"tuner": "kernel-aware:rl-bandit", "bytes": 1e9, "tenant": "t1"}`,
 		`{"tuner": "rl-bandit", "budget": 60, "two": true}`,
 		`{"bytes": 1e308, "epoch": 1e308, "budget": 1e308}`,
 		`{"bytes": "NaN"}`,

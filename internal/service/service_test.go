@@ -567,46 +567,78 @@ func TestShortEpochLogColdStarts(t *testing.T) {
 	}
 }
 
-// TestRetiredStrategyCheckpointFailsJob: a job whose checkpoint was
-// written by a build that still had the warm-start wrapper (the fixture
-// is a parent-commit "warm:cs-tuner" run) is re-adopted and then
-// refused by that name — GET /jobs/{id} shows it failed with the error.
-// It is not cold-started under another name: unlike a damaged
-// checkpoint, this one says exactly which strategy it needs.
+// TestRetiredStrategyCheckpointFailsJob: a job whose checkpoint names a
+// strategy this build no longer has — one written under the warm-start
+// wrapper (a parent-commit "warm:cs-tuner" run), one by the tabular
+// Q-learner "rl-q" — is re-adopted and then refused by that name: GET
+// /jobs/{id} shows it failed with the error. It is not cold-started
+// under another name: unlike a damaged checkpoint, this one says
+// exactly which strategy it needs.
 func TestRetiredStrategyCheckpointFailsJob(t *testing.T) {
-	dir := t.TempDir()
-	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
-	if _, err := sv.Submit(JobSpec{ID: "old", Bytes: 2e9, Epoch: 1, MaxNC: 32}); err != nil {
+	raw, err := os.ReadFile("../tuner/testdata/golden/cold_checkpoints.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, 10*time.Second, "an epoch to settle", func() bool {
-		st, _ := sv.Job("old")
-		return st.Epochs >= 1
+	var cold map[string]struct{ Head, Log string }
+	if err := json.Unmarshal(raw, &cold); err != nil {
+		t.Fatal(err)
+	}
+	warmHead, err := os.ReadFile("../tuner/testdata/parent_warm.checkpoint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmLog, err := os.ReadFile("../tuner/testdata/parent_warm.checkpoint.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := []struct {
+		id, tuner string
+		head, log []byte
+	}{
+		{"old", "warm:cs-tuner", warmHead, warmLog},
+		{"rlq", "rl-q", []byte(cold["rl-q"].Head), []byte(cold["rl-q"].Log)},
+	}
+
+	dir := t.TempDir()
+	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
+	for _, r := range retired {
+		if _, err := sv.Submit(JobSpec{ID: r.id, Bytes: 2e9, Epoch: 1, MaxNC: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "an epoch to settle in every job", func() bool {
+		for _, r := range retired {
+			if st, _ := sv.Job(r.id); st.Epochs < 1 {
+				return false
+			}
+		}
+		return true
 	})
 	cancel()
 	sv.Wait()
-	for _, suffix := range []string{"", ".log"} {
-		data, err := os.ReadFile("../tuner/testdata/parent_warm.checkpoint" + suffix)
-		if err != nil {
+	for _, r := range retired {
+		if err := os.WriteFile(sv.checkpointPath(r.id), r.head, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(sv.checkpointPath("old")+suffix, data, 0o644); err != nil {
+		if err := os.WriteFile(sv.checkpointPath(r.id)+".log", r.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	sv2, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(0, nil)})
-	if got := sv2.Adopted(); len(got) != 1 || got[0].ID != "old" {
-		t.Fatalf("adoption report %+v, want the one job", got)
+	if got := sv2.Adopted(); len(got) != len(retired) {
+		t.Fatalf("adoption report %+v, want the %d jobs", got, len(retired))
 	}
 	srv := httptest.NewServer(sv2.Handler())
 	defer srv.Close()
-	waitFor(t, 10*time.Second, "the re-adopted job to end", func() bool {
-		_, st := getJob(t, srv, "old")
-		return st.State != JobQueued && st.State != JobRunning
-	})
-	if _, st := getJob(t, srv, "old"); st.State != JobFailed || !strings.Contains(st.Error, `"warm:cs-tuner"`) {
-		t.Fatalf("re-adopted job is %s with error %q, want failed naming warm:cs-tuner", st.State, st.Error)
+	for _, r := range retired {
+		waitFor(t, 10*time.Second, "the re-adopted job to end", func() bool {
+			_, st := getJob(t, srv, r.id)
+			return st.State != JobQueued && st.State != JobRunning
+		})
+		if _, st := getJob(t, srv, r.id); st.State != JobFailed || !strings.Contains(st.Error, `"`+r.tuner+`"`) {
+			t.Fatalf("re-adopted job %s is %s with error %q, want failed naming %s", r.id, st.State, st.Error, r.tuner)
+		}
 	}
 }
 

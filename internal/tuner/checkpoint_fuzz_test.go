@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"dstune/internal/xfer"
 )
 
 // FuzzLoadCheckpoint feeds arbitrary bytes through the checkpoint
@@ -39,20 +41,35 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"version":2,"strategy":{"Phase":"bogus"}}`), []byte(nil))
 	f.Add([]byte(`null`), []byte(nil))
 	f.Add([]byte(``), []byte(nil))
-	// Learned-strategy checkpoints: a plausible rl-q state, and
-	// hostile variants — an out-of-grid bandit arm, a mis-shaped
-	// Q-table, a malformed state key, an overflowing Q-value.
-	f.Add([]byte(`{"version":2,"tuner":"rl-q","seed":7,"epochs":1,"strategy":`+
-		`{"step":1,"ctx":9,"x":[2],"pending":3,"f_max":2.5e8,`+
-		`"table":[{"key":"9|2","q":[0.5,0,0,0,0],"n":[1,0,0,0,0]}]},"trace":[{"x":[2]}]}`), []byte(nil))
+	// Learned-strategy checkpoints: a real rl-bandit state, and one
+	// whose prior holds a negative visit count, in this build's layout
+	// with the one epoch record their heads count, so that Restore sees
+	// them; then hostile variants in the retired layout — an
+	// out-of-grid arm, an overflowing Q-value.
+	rec := `{"x":[2],"report":{"Start":0,"End":30,"Bytes":3e9,"Throughput":1e8}}` + "\n"
+	bandit := NewRLBandit(simCfg())
+	bandit.Propose()
+	bandit.Observe(xfer.Report{End: 30, Bytes: 3e9, Throughput: 1e8})
+	state, err := bandit.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	hostile := bandit.st
+	hostile.GN = append([]int(nil), hostile.GN...)
+	hostile.GN[1] = -1
+	bad, err := json.Marshal(hostile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, st := range [][]byte{state, bad} {
+		f.Add([]byte(`{"version":3,"tuner":"rl-bandit","seed":7,"epochs":1,"transfer":{},"strategy":`+string(st)+`}`), []byte(rec))
+	}
 	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"pending":64,"q":[[0]],"n":[[0]]},"trace":[{"x":[2]}]}`), []byte(nil))
 	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"q":[[1e999]]},"trace":[{"x":[2]}]}`), []byte(nil))
-	f.Add([]byte(`{"version":2,"tuner":"rl-q","epochs":1,"strategy":{"table":[{"key":"bogus","q":[],"n":[]}]},"trace":[{"x":[2]}]}`), []byte(nil))
 	// Head and log: the pair a FileCheckpoint writes, then a log that
 	// is torn, short of the head, longer than it, or not records at
 	// all, and heads that miscount or smuggle a trace in.
 	head := []byte(`{"version":3,"tuner":"cs-tuner","seed":7,"epochs":2,"transfer":{},"strategy":{"Phase":"search"}}`)
-	rec := `{"x":[2],"report":{"Start":0,"End":30,"Bytes":3e9,"Throughput":1e8}}` + "\n"
 	f.Add(head, []byte(rec+rec))
 	f.Add(head, []byte(rec+rec[:len(rec)/2]))
 	f.Add(head, []byte(rec))

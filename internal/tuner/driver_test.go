@@ -54,8 +54,8 @@ func strategyCases() []strategyCase {
 		cases = append(cases, strategyCase{name: name})
 	}
 	return append(cases,
-		strategyCase{"cs-tuner", true}, strategyCase{"cd-tuner", true}, strategyCase{"rl-q", true},
-		strategyCase{name: "kernel-aware:cs-tuner"}, strategyCase{name: "kernel-aware:rl-q"},
+		strategyCase{"cs-tuner", true}, strategyCase{"cd-tuner", true}, strategyCase{"rl-bandit", true},
+		strategyCase{name: "kernel-aware:cs-tuner"}, strategyCase{name: "kernel-aware:rl-bandit"},
 		strategyCase{"kernel-aware:cs-tuner", true})
 }
 

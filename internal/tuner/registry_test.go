@@ -127,25 +127,49 @@ func TestColdCheckpointMatchesParent(t *testing.T) {
 }
 
 // TestParentWarmCheckpointRefused: testdata/parent_warm.checkpoint is the
-// checkpoint a store-backed cs-tuner run of the parent commit wrote,
-// under the wrapper name that no longer exists. Resuming it is refused
-// by that name — at Run, and at NewStrategy — rather than cold-started
-// under another.
+// checkpoint a store-backed cs-tuner run of an earlier build wrote,
+// under the wrapper name that no longer exists, and the "rl-q" entry of
+// testdata/golden/cold_checkpoints.json is a checkpoint of the tabular
+// Q-learner since deleted. Resuming either is refused by its name — at
+// Run, and at NewStrategy — rather than cold-started under another.
 func TestParentWarmCheckpointRefused(t *testing.T) {
-	ck, err := LoadCheckpoint(filepath.Join("testdata", "parent_warm.checkpoint"))
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "cold_checkpoints.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Tuner != "warm:cs-tuner" || ck.Epochs != 3 {
-		t.Fatalf("fixture is a %d-epoch checkpoint of %q", ck.Epochs, ck.Tuner)
+	var cold map[string]struct{ Head, Log string }
+	if err := json.Unmarshal(raw, &cold); err != nil {
+		t.Fatal(err)
 	}
-	cfg := simCfg()
-	cfg.Resume = ck
-	_, err = Run(context.Background(), "cs-tuner", cfg, simTransfer(t, 11))
-	if err == nil || !strings.Contains(err.Error(), `"warm:cs-tuner"`) {
-		t.Fatalf("resume of the parent's warm checkpoint returned %v, want a refusal naming it", err)
+	rlq := filepath.Join(t.TempDir(), "rl-q.ck")
+	if err := os.WriteFile(rlq, []byte(cold["rl-q"].Head), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, gone := range []string{"warm:cs-tuner", "warm:kernel-aware:cs-tuner", "static", "kernel-aware:static"} {
+	if err := os.WriteFile(rlq+".log", []byte(cold["rl-q"].Log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]struct {
+		tuner  string
+		epochs int
+	}{
+		filepath.Join("testdata", "parent_warm.checkpoint"): {"warm:cs-tuner", 3},
+		rlq: {"rl-q", 12},
+	} {
+		ck, err := LoadCheckpoint(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Tuner != want.tuner || ck.Epochs != want.epochs {
+			t.Fatalf("fixture is a %d-epoch checkpoint of %q", ck.Epochs, ck.Tuner)
+		}
+		cfg := simCfg()
+		cfg.Resume = ck
+		_, err = Run(context.Background(), "cs-tuner", cfg, simTransfer(t, 11))
+		if err == nil || !strings.Contains(err.Error(), `"`+want.tuner+`"`) {
+			t.Fatalf("resume of the parent's %s checkpoint returned %v, want a refusal naming it", want.tuner, err)
+		}
+	}
+	for _, gone := range []string{"warm:cs-tuner", "warm:kernel-aware:cs-tuner", "static", "kernel-aware:static", "rl-q", "kernel-aware:rl-q"} {
 		if _, err := NewStrategy(gone, simCfg()); err == nil || KnownStrategy(gone) {
 			t.Fatalf("retired name %q still resolves", gone)
 		}
@@ -209,8 +233,8 @@ func TestRegistryTable(t *testing.T) {
 		t.Fatal("only default, wrapped or not, keeps its processes alive")
 	}
 	for name, want := range map[string]bool{
-		"cs-tuner": false, "kernel-aware:cs-tuner": true, "rl-bandit": true, "rl-q": true,
-		"kernel-aware:rl-q": true, "default": false, "bogus": false, "kernel-aware:bogus": false,
+		"cs-tuner": false, "kernel-aware:cs-tuner": true, "rl-bandit": true,
+		"default": false, "bogus": false, "kernel-aware:bogus": false,
 	} {
 		if ReadsKernel(name) != want {
 			t.Fatalf("ReadsKernel(%q) = %v", name, !want)

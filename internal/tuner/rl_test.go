@@ -17,7 +17,7 @@ import (
 
 // simLoadedTransfer builds the simTransfer world with a Step load
 // schedule: heavy external traffic for the first half of the budget,
-// light after — the dynamic regime the learned strategies are built
+// light after — the dynamic regime the learned strategy is built
 // for.
 func simLoadedTransfer(t *testing.T, seed uint64) *xfer.Sim {
 	t.Helper()
@@ -51,7 +51,7 @@ func simLoadedTransfer(t *testing.T, seed uint64) *xfer.Sim {
 }
 
 // TestRLResumeByteIdentical is the acceptance property in its
-// strictest form: for both learned strategies, a run interrupted
+// strictest form: for the learned strategy, a run interrupted
 // mid-flight and resumed from its checkpoint must produce a trace that
 // is byte-identical (as canonical JSON) to the uninterrupted run's —
 // the Q-tables, visit counts, and RNG stream position all survive the
@@ -59,7 +59,7 @@ func simLoadedTransfer(t *testing.T, seed uint64) *xfer.Sim {
 func TestRLResumeByteIdentical(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 4
-	for _, name := range []string{"rl-bandit", "rl-q"} {
+	for _, name := range []string{"rl-bandit"} {
 		t.Run(name, func(t *testing.T) {
 			ref, err := mustStrategyRun(t, strategyCase{name: name}, simCfg(), seed)
 			if err != nil {
@@ -117,19 +117,19 @@ func TestRLResumeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestGoldenRLEventTrace pins rl-q's full event stream — including the
-// new RLAction events — on a Step-load world, exactly as
+// TestGoldenRLEventTrace pins rl-bandit's full event stream —
+// including its RLAction events — on a Step-load world, exactly as
 // TestGoldenEventTrace pins the search strategies'. When
 // DSTUNE_EVENT_TRACE is set the trace is also written to
-// $DSTUNE_EVENT_TRACE.rl-q-step.jsonl for the CI race job's artifacts
-// (the label avoids ':' because it is spliced into filenames).
+// $DSTUNE_EVENT_TRACE.rl-bandit-step.jsonl for the CI race job's
+// artifacts (the label avoids ':' because it is spliced into filenames).
 func TestGoldenRLEventTrace(t *testing.T) {
-	const label = "rl-q-step"
+	const label = "rl-bandit-step"
 	observer := obs.NewObserver(obs.ObserverConfig{})
 	cfg := simCfg()
 	cfg.Obs = observer.Session("e2e")
 	cfg.Checkpoint = CheckpointFunc(func(*Checkpoint) error { return nil })
-	if _, err := Run(t.Context(), "rl-q", cfg, simLoadedTransfer(t, 11)); err != nil {
+	if _, err := Run(t.Context(), "rl-bandit", cfg, simLoadedTransfer(t, 11)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,15 +233,16 @@ func TestRLBanditGrid(t *testing.T) {
 	}
 }
 
-// FuzzRLRestore feeds arbitrary bytes through both learned strategies'
-// Restore (bare and wrapped): hostile state — NaN or infinite
-// Q-values, out-of-grid actions, truncated or mis-shaped tables,
-// malformed state keys — must error or clamp, never panic, and any
-// accepted state must propose an in-box vector and snapshot cleanly
-// into a second strategy.
+// FuzzRLRestore feeds arbitrary bytes through rl-bandit's Restore
+// (bare and wrapped): hostile state — NaN or infinite Q-values,
+// out-of-grid arms, truncated or mis-shaped tables — must error, never
+// panic, and any accepted state must propose an in-box vector and
+// snapshot cleanly into a second strategy.
 func FuzzRLRestore(f *testing.F) {
-	// Real snapshots of both strategies after a few observed epochs.
-	for _, name := range []string{"rl-bandit", "rl-q"} {
+	names := []string{"rl-bandit", "kernel-aware:rl-bandit"}
+	// Real snapshots, bare and wrapped, after a few observed epochs.
+	var bandit []byte
+	for _, name := range names {
 		s, err := NewStrategy(name, simCfg())
 		if err != nil {
 			f.Fatal(err)
@@ -259,6 +260,9 @@ func FuzzRLRestore(f *testing.F) {
 		}
 		f.Add([]byte(raw))
 		f.Add([]byte(raw[:len(raw)/2]))
+		if bandit == nil {
+			bandit = raw
+		}
 	}
 	// Hand-built hostile states.
 	f.Add([]byte(`{}`))
@@ -268,15 +272,29 @@ func FuzzRLRestore(f *testing.F) {
 	f.Add([]byte(`{"ctx":9999}`))
 	f.Add([]byte(`{"pending":64,"q":[[0]],"n":[[0]]}`))
 	f.Add([]byte(`{"q":[[1e999]]}`))
-	f.Add([]byte(`{"x":[1,2,3]}`))
-	f.Add([]byte(`{"f_max":-1}`))
-	f.Add([]byte(`{"table":[{"key":"bogus","q":[],"n":[]}]}`))
-	f.Add([]byte(`{"table":[{"key":"0|2","q":[1,2],"n":[1,2]}]}`))
-	f.Add([]byte(`{"table":[{"key":"0|2","q":[0,0,0,0,0],"n":[0,0,0,0,0]},{"key":"0|2","q":[0,0,0,0,0],"n":[0,0,0,0,0]}]}`))
-	f.Add([]byte(`{"table":[{"key":"1|4","q":[0.5,0,0,0,0],"n":[1,0,0,0,-7]}]}`))
 	f.Add([]byte(`{"rng":"AAAA"}`))
+	// The real bare state one defect away from valid, each defect
+	// reaching a table check the shape-free seeds above stop short of.
+	for _, spoil := range []func(st *RLBanditState){
+		func(st *RLBanditState) { st.Q = st.Q[:1] },
+		func(st *RLBanditState) { st.N[3] = st.N[3][:2] },
+		func(st *RLBanditState) { st.N[5][1] = -7 },
+		func(st *RLBanditState) { st.G = st.G[:3] },
+		func(st *RLBanditState) { st.GN[0] = -1 },
+		func(st *RLBanditState) { st.Q[7] = append(st.Q[7], 0) },
+	} {
+		var st RLBanditState
+		if err := json.Unmarshal(bandit, &st); err != nil {
+			f.Fatal(err)
+		}
+		spoil(&st)
+		raw, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 
-	names := []string{"rl-bandit", "rl-q", "kernel-aware:rl-q"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, name := range names {
 			cfg := simCfg()
@@ -309,11 +327,11 @@ func FuzzRLRestore(f *testing.F) {
 	})
 }
 
-// BenchmarkRLPropose measures the learned strategies' hot path: one
-// Propose plus one Observe per epoch, including the Q-update and the
-// next action choice.
+// BenchmarkRLPropose measures the learned strategy's hot path: one
+// Propose plus one Observe per epoch, including the value update and
+// the next arm choice.
 func BenchmarkRLPropose(b *testing.B) {
-	for _, name := range []string{"rl-bandit", "rl-q"} {
+	for _, name := range []string{"rl-bandit"} {
 		b.Run(name, func(b *testing.B) {
 			s, err := NewStrategy(name, simCfg())
 			if err != nil {

@@ -76,7 +76,6 @@ var strategies = []strategyRow{
 	{name: "model", build: from(NewModelStrategy)},
 	{name: "two-phase", build: func(cfg Config, predicted bool) Strategy { return NewTwoPhaseStrategy(cfg, predicted) }},
 	{name: "rl-bandit", build: from(NewRLBandit), readsKernel: true},
-	{name: "rl-q", build: from(NewRLQ), readsKernel: true},
 }
 
 // from makes a registry row's build of a constructor that takes x0 as
