@@ -8,10 +8,20 @@
 // flows share one bottleneck of fixed capacity with a drop-tail buffer:
 // when aggregate demand exceeds capacity the queue grows (inflating the
 // effective RTT), and when the buffer is full streams suffer congestion
-// losses with a per-RTT probability, desynchronized by the random
-// source. A base random loss rate applies at all times, which is what
-// keeps a single stream from saturating a long path and makes parallel
-// streams pay off — the paper's Figure 1 behaviour.
+// losses. A base random loss rate per delivered packet applies at all
+// times, which is what keeps a single stream from saturating a long path
+// and makes parallel streams pay off — the paper's Figure 1 behaviour.
+//
+// Losses are a hazard, not a per-stream coin: in each substep every
+// stream that is not cooling down from its last loss has a loss hazard
+// (its delivered packets times the random loss rate, plus the
+// congestion term), and each such stream fails independently with
+// probability 1-exp(-hazard). One exponential clock per flow realises
+// exactly that: it runs down by the flow's summed hazard, and when it
+// runs out a stream is picked in proportion to its hazard. Streams of a
+// flow therefore lose at different instants — desynchronized by the
+// random source — while the simulator draws a random number per loss,
+// not per stream and substep.
 //
 // All rates are bytes per second and times are seconds of virtual time.
 package netem
@@ -19,6 +29,7 @@ package netem
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dstune/internal/sim"
 	"dstune/internal/tcpmodel"
@@ -80,6 +91,7 @@ type Path struct {
 	queue  float64 // bytes currently queued
 	rng    *sim.RNG
 	flows  []*Flow
+	now    float64 // virtual time at the start of the next substep
 
 	lastTotal     float64 // aggregate delivered rate, last step
 	lastCongested bool
@@ -119,28 +131,40 @@ func (p *Path) QueueBytes() float64 { return p.queue }
 // Flows returns the number of flows attached to the path.
 func (p *Path) Flows() int { return len(p.flows) }
 
-// stream is one TCP connection within a flow.
+// stream is one TCP connection within a flow. Its times are absolute
+// path times, so a substep only reads them unless something happens.
 type stream struct {
-	tcp      tcpmodel.Stream
-	rttTimer float64 // time accumulated toward the next window update
-	cooldown float64 // time remaining during which further losses are ignored
-	rate     float64 // offered rate (cwnd/RTT) for the coming substep
+	rttFrom   float64 // start of the round trip in progress: the window grows when it is one RTT old
+	coolUntil float64 // further losses are ignored in substeps starting before this
+	lossAt    float64 // end of the substep of the last loss (or the stream's birth)
+	tcp       tcpmodel.Stream
 }
+
+// coolEps absorbs the rounding of the path clock when a cool-down ends
+// on a substep boundary.
+const coolEps = 1e-9
 
 // Flow is a group of streams managed as one unit: one transfer process
 // in the paper's terms (a concurrency unit running `parallelism`
 // streams). The endpoint scheduler caps a flow's aggregate rate.
 type Flow struct {
-	path *Path
-	alg  tcpmodel.Algorithm
 	strs []stream
+	alg  tcpmodel.Algorithm
 
 	cap       float64 // aggregate rate cap; 0 = unlimited
 	offered   float64 // window-limited desire before the cap, last step
-	ahead     float64 // sum of the streams' rates: offered for the coming substep
 	rate      float64 // delivered aggregate rate, last step
 	delivered float64 // cumulative bytes
-	removed   bool
+
+	// The streams' sums, kept by delta and recomputed on every Step.
+	cwnd    float64 // Σcwnd
+	active  float64 // Σcwnd over streams not cooling down
+	nActive int     // streams not cooling down
+
+	clock float64 // Exp(1) hazard left before the flow's next loss
+
+	path    *Path
+	removed bool
 }
 
 // NewFlow attaches a flow of n streams driven by alg to the path. The
@@ -154,10 +178,26 @@ func (p *Path) NewFlow(n int, alg tcpmodel.Algorithm) *Flow {
 	for i := range f.strs {
 		st := tcpmodel.NewStream(p.cfg.MSS, p.cfg.MaxCwnd)
 		st.Cwnd = p.rng.Jitter(st.Cwnd, 0.3)
-		f.strs[i] = stream{tcp: st, rttTimer: p.rng.Float64() * p.cfg.BaseRTT}
+		f.strs[i] = stream{rttFrom: p.now - p.rng.Float64()*p.cfg.BaseRTT, lossAt: p.now, tcp: st}
 	}
+	f.clock = p.rng.ExpFloat64()
 	p.flows = append(p.flows, f)
 	return f
+}
+
+// resum recomputes the flow's sums from its streams at the path's
+// current time. Step calls it on entry, so a new flow needs no other.
+func (f *Flow) resum() {
+	t := f.path.now + coolEps
+	f.cwnd, f.active, f.nActive = 0, 0, 0
+	for i := range f.strs {
+		s := &f.strs[i]
+		f.cwnd += s.tcp.Cwnd
+		if s.coolUntil <= t {
+			f.active += s.tcp.Cwnd
+			f.nActive++
+		}
+	}
 }
 
 // Remove detaches the flow from its path. Removing twice is a no-op.
@@ -166,12 +206,10 @@ func (f *Flow) Remove() {
 		return
 	}
 	f.removed = true
-	flows := f.path.flows
-	for i, g := range flows {
-		if g == f {
-			f.path.flows = append(flows[:i], flows[i+1:]...)
-			return
-		}
+	if i := slices.Index(f.path.flows, f); i >= 0 {
+		// slices.Delete zeroes the vacated tail slot, so the path no
+		// longer holds the flow.
+		f.path.flows = slices.Delete(f.path.flows, i, i+1)
 	}
 }
 
@@ -225,8 +263,21 @@ func (p *Path) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
-	rtt := p.RTT()
-	sub := rtt / 2
+	n, h := p.substeps(dt)
+	// The substeps keep each flow's sums by delta; recomputing them here
+	// bounds the drift to one Step.
+	for _, f := range p.flows {
+		f.resum()
+	}
+	for i := 0; i < n; i++ {
+		p.step(h)
+	}
+}
+
+// substeps returns how many substeps Step cuts dt into, and their
+// length.
+func (p *Path) substeps(dt float64) (int, float64) {
+	sub := p.RTT() / 2
 	if sub < minSubstep {
 		sub = minSubstep
 	}
@@ -237,35 +288,18 @@ func (p *Path) Step(dt float64) {
 	if n < 1 {
 		n = 1
 	}
-	h := dt / float64(n)
-	// Flows may have come and gone since the last Step: offer every
-	// stream's rate for the first substep; each substep then offers
-	// the next one's.
-	for _, f := range p.flows {
-		ahead := 0.0
-		for i := range f.strs {
-			s := &f.strs[i]
-			s.rate = s.tcp.Rate(rtt)
-			ahead += s.rate
-		}
-		f.ahead = ahead
-	}
-	for i := 0; i < n; i++ {
-		p.step(h)
-	}
+	return n, dt / float64(n)
 }
 
-// step advances the path by one substep of h seconds. It walks the
-// streams once: the offered rate each stream delivers from was left in
-// stream.rate by the walk before, and the walk leaves the rate for the
-// substep after, at the RTT this substep's queue sets.
+// step advances the path by one substep of dt seconds.
 func (p *Path) step(dt float64) {
 	rtt := p.RTT()
+	invRTT := 1 / rtt
 
-	// Phase 1: flow caps.
+	// Phase 1: offered rates and flow caps.
 	total := 0.0
 	for _, f := range p.flows {
-		f.offered = f.ahead
+		f.offered = f.cwnd * invRTT
 		capped := f.offered
 		switch {
 		case f.cap < 0:
@@ -273,7 +307,7 @@ func (p *Path) step(dt float64) {
 		case f.cap > 0 && capped > f.cap:
 			capped = f.cap
 		}
-		// Stash the capped aggregate in rate temporarily; phase 2
+		// Stash the capped aggregate in rate temporarily; phase 3
 		// rescales it into the delivered rate.
 		f.rate = capped
 		total += capped
@@ -294,9 +328,6 @@ func (p *Path) step(dt float64) {
 		p.queue = 0
 	}
 	p.lastCongested = congested
-	// The queue is settled for this substep, so this is the next
-	// substep's RTT exactly.
-	nextRTT := p.RTT()
 
 	// Per-stream congestion-loss probability for this step. When the
 	// buffer is full we size the probability so that the expected
@@ -317,64 +348,126 @@ func (p *Path) step(dt float64) {
 		}
 	}
 
-	// Phase 3: delivery, losses, window evolution, and the next
-	// substep's offered rates.
-	mss, randomLoss, rng := p.cfg.MSS, p.cfg.RandomLoss, p.rng
+	// The hazards. A stream not cooling down loses in this substep with
+	// probability 1-exp(-h), h = k*cwnd + hc: hc keeps the congestion
+	// probability exactly, and k*cwnd is the random loss rate times the
+	// packets the stream delivers, cwnd/RTT * scale * deliverFrac * dt /
+	// MSS. Only the flow's cap scale is left to multiply in.
+	hc := 0.0
+	if pCongStep > 0 {
+		hc = -math.Log1p(-pCongStep)
+	}
+	kPath := deliverFrac * dt * p.cfg.RandomLoss * invRTT / p.cfg.MSS
+
+	// Phase 3: delivery, losses and window evolution.
+	t := p.now
+	tNext := t + dt
+	tCool, tNextCool := t+coolEps, tNext+coolEps
+	due := tNext - rtt // a round trip begun by then ends in this substep
 	pathRate := 0.0
 	for _, f := range p.flows {
-		alg := f.alg
-		scale := 1.0
-		if f.offered > 0 {
-			scale = f.rate / f.offered // cap scaling
+		k := kPath
+		if f.rate != f.offered {
+			k *= f.rate / f.offered // cap scaling
 		}
-		flowRate, delivered, ahead := 0.0, f.delivered, 0.0
+		rate := f.rate * deliverFrac
+		f.rate = rate
+		f.delivered += rate * dt
+		pathRate += rate
+
+		// A flow's streams are born together and see the same path RTT,
+		// so the first stream's extremes are every stream's.
+		f.strs[0].tcp.ObserveRTT(rtt)
+
+		// The loss clock runs down by the flow's hazard; most substeps
+		// end before it runs out.
+		if hz := f.hazard(k, hc); hz > 0 {
+			if f.clock > hz {
+				f.clock -= hz
+			} else {
+				f.lose(hz, k, hc, rtt, t, dt)
+			}
+		}
+
+		// What is left per stream: a window update when a round trip
+		// ends, and rejoining the hazard when a cool-down does.
+		alg, sum, active, nActive := f.alg, f.cwnd, f.active, f.nActive
 		for i := range f.strs {
 			s := &f.strs[i]
-			rate := s.rate * scale * deliverFrac
-			flowRate += rate
-			delivered += rate * dt
-
-			s.tcp.SinceLoss += dt
-			s.tcp.ObserveRTT(rtt)
-			s.cooldown -= dt
-
-			// Random loss scales with packets sent this step. The
-			// per-substep expected count is small, so the linear
-			// approximation to 1-(1-p)^n is accurate and avoids a
-			// transcendental call in the hot loop.
-			pkts := rate * dt / mss
-			pLoss := pCongStep
-			if randomLoss > 0 && pkts > 0 {
-				pRand := pkts * randomLoss
-				if pRand > 0.5 {
-					pRand = 0.5
-				}
-				pLoss = 1 - (1-pLoss)*(1-pRand)
-			}
-
-			// rng.Bernoulli(pLoss) with the draw inlined (pLoss < 1:
-			// pCongStep <= 0.9 and pRand <= 0.5).
-			if pLoss > 0 && s.cooldown <= 0 && sim.Unit(rng.Uint64()) < pLoss {
-				alg.OnLoss(&s.tcp)
-				// TCP reacts at most once per RTT; when the step is
-				// coarser than the RTT, at most once per two steps so
-				// short-RTT paths are not cut on every step.
-				s.cooldown = math.Max(rtt, 2*dt)
-				s.rttTimer = 0
-			} else {
-				s.rttTimer += dt
-				for s.rttTimer >= rtt {
+			if s.rttFrom <= due {
+				w := s.tcp.Cwnd
+				s.tcp.SinceLoss = tNext - s.lossAt
+				for s.rttFrom <= due {
 					alg.OnRTT(&s.tcp, rtt)
-					s.rttTimer -= rtt
+					s.rttFrom += rtt
+				}
+				d := s.tcp.Cwnd - w
+				sum += d
+				if s.coolUntil <= tCool {
+					active += d
 				}
 			}
-			s.rate = s.tcp.Rate(nextRTT)
-			ahead += s.rate
+			if s.coolUntil > tCool && s.coolUntil <= tNextCool {
+				active += s.tcp.Cwnd
+				nActive++
+			}
 		}
-		f.rate = flowRate
-		f.delivered = delivered
-		f.ahead = ahead
-		pathRate += flowRate
+		f.cwnd, f.active, f.nActive = sum, active, nActive
 	}
 	p.lastTotal = pathRate
+	p.now = tNext
+}
+
+// hazard is the flow's loss hazard in a substep: the sum over its
+// streams not cooling down of k*cwnd + hc.
+func (f *Flow) hazard(k, hc float64) float64 { return k*f.active + hc*float64(f.nActive) }
+
+// lose fires the flow's loss clock in the substep [t, t+dt), whose
+// hazard hz the clock has not outlasted. Each firing charges the
+// fraction of the substep the clock took, picks a stream not cooling
+// down in proportion to its hazard k*cwnd + hc, cuts its window, takes
+// it out of the hazard, and re-arms the clock against only what is left
+// of the substep at the reduced hazard. That bookkeeping is what makes
+// each stream lose independently with probability 1-exp(-k*cwnd - hc).
+func (f *Flow) lose(hz, k, hc, rtt, t, dt float64) {
+	rng := f.path.rng
+	tCool := t + coolEps
+	rem := 1.0 // fraction of the substep not yet charged
+	for {
+		rem -= f.clock / hz
+		u := sim.Unit(rng.Uint64()) * hz
+		var s *stream
+		for i := range f.strs {
+			if f.strs[i].coolUntil > tCool {
+				continue
+			}
+			s = &f.strs[i]
+			if u -= k*s.tcp.Cwnd + hc; u < 0 {
+				break
+			}
+		}
+		w := s.tcp.Cwnd
+		f.active -= w
+		f.nActive--
+		s.tcp.MinRTT, s.tcp.MaxRTT = f.strs[0].tcp.MinRTT, f.strs[0].tcp.MaxRTT
+		f.alg.OnLoss(&s.tcp)
+		f.cwnd += s.tcp.Cwnd - w
+		// TCP reacts at most once per RTT; when the step is coarser than
+		// the RTT, at most once per two steps so short-RTT paths are not
+		// cut on every step.
+		s.coolUntil = t + math.Max(rtt, 2*dt)
+		s.lossAt = t + dt
+		s.rttFrom = s.lossAt
+
+		f.clock = rng.ExpFloat64()
+		if f.nActive == 0 {
+			f.active = 0
+			return
+		}
+		hz = f.hazard(k, hc)
+		if left := hz * rem; f.clock > left {
+			f.clock -= left
+			return
+		}
+	}
 }

@@ -44,10 +44,14 @@ func (g *RNG) Float64() float64 { return Unit(g.Uint64()) }
 
 // Unit maps a uniform 64-bit draw onto [0, 1) exactly as math/rand/v2's
 // Rand.Float64 does, so Unit(g.Uint64()) is g.Float64(). The network
-// simulator's per-stream loop writes its draw that way: Float64 is over
-// the compiler's inlining budget, and a call there spills every live
+// simulator's loss clock writes its draw that way: Float64 is over the
+// compiler's inlining budget, and a call there spills every live
 // register.
 func Unit(u uint64) float64 { return float64(u<<11>>11) / (1 << 53) }
+
+// ExpFloat64 returns an exponentially distributed value with rate 1:
+// math/rand/v2's Rand.ExpFloat64 on the same PCG.
+func (g *RNG) ExpFloat64() float64 { return g.r.ExpFloat64() }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (g *RNG) IntN(n int) int { return g.r.IntN(n) }

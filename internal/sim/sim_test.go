@@ -55,6 +55,26 @@ func TestFloat64MatchesRand(t *testing.T) {
 	}
 }
 
+// TestExpFloat64Mean checks the loss clock's draw: rate 1, so mean and
+// variance 1, never negative.
+func TestExpFloat64Mean(t *testing.T) {
+	g := NewRNG(23)
+	const n = 200000
+	var sum, sq float64
+	for i := 0; i < n; i++ {
+		v := g.ExpFloat64()
+		if v < 0 {
+			t.Fatalf("ExpFloat64() = %v < 0", v)
+		}
+		sum += v
+		sq += v * v
+	}
+	mean := sum / n
+	if v := sq/n - mean*mean; math.Abs(mean-1) > 0.01 || math.Abs(v-1) > 0.03 {
+		t.Fatalf("ExpFloat64: mean %v, variance %v, want 1 and 1", mean, v)
+	}
+}
+
 func TestBernoulliEdges(t *testing.T) {
 	g := NewRNG(3)
 	for i := 0; i < 100; i++ {

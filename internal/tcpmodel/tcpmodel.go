@@ -35,14 +35,17 @@ type Stream struct {
 	// SlowStart reports whether the stream is in slow start.
 	SlowStart bool
 	// SinceLoss is the time in seconds since the last congestion
-	// event, advanced by the emulator. CUBIC and H-TCP growth are
-	// functions of this value.
+	// event. CUBIC and H-TCP growth are functions of this value. The
+	// emulator sets it just before each OnRTT (it keeps the loss time,
+	// not a running count), so between updates it may be stale.
 	SinceLoss float64
 	// WMax is the window (bytes) at the last loss; used by CUBIC.
 	WMax float64
 	// MinRTT and MaxRTT are the observed round-trip extremes in
-	// seconds, maintained by the emulator; used by H-TCP's adaptive
-	// backoff. Zero values mean "not yet observed".
+	// seconds; used by H-TCP's adaptive backoff. Zero values mean "not
+	// yet observed". The emulator maintains them with ObserveRTT on one
+	// stream per flow (a flow's streams see the same path RTT) and
+	// copies them onto the others just before their OnLoss.
 	MinRTT, MaxRTT float64
 	// Losses counts congestion events, for diagnostics.
 	Losses uint64

@@ -45,11 +45,13 @@ type proposalRun struct {
 
 // TestProposalsMatchParent holds "same behaviour" across the removal of
 // the warm-start wrapper: testdata/golden/proposals.json was recorded on
-// the parent commit (PR 23) — Run under the parent's ResolveStrategy,
-// store-backed runs named "warm:<inner>" there — and every 40-epoch
-// run, for every registry row and kernel-aware:cs-tuner, without a
-// store, on a store miss and on a store hit, must propose the same
-// vectors here under the row's own name.
+// the commit before it — Run under that ResolveStrategy, store-backed
+// runs named "warm:<inner>" there, as parent_tuner keeps — and every
+// 40-epoch run, for every registry row and kernel-aware:cs-tuner,
+// without a store, on a store miss and on a store hit, must propose the
+// same vectors here under the row's own name. The vectors were
+// regenerated, by the same throw-away generator, when the simulator's
+// loss draw became a per-flow clock (DESIGN.md §4).
 func TestProposalsMatchParent(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "proposals.json"))
 	if err != nil {
@@ -89,7 +91,9 @@ func TestProposalsMatchParent(t *testing.T) {
 // TestColdCheckpointMatchesParent: a session without a history store
 // writes the checkpoint the parent commit wrote, byte for byte — the
 // head (no "start" key) and the epoch log. The fixture holds both files
-// of a 12-epoch run of every name, recorded on the parent.
+// of a 12-epoch run of every name, recorded on the parent and, but for
+// the retired rl-q's, regenerated when the simulator's loss draw became
+// a per-flow clock.
 func TestColdCheckpointMatchesParent(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "cold_checkpoints.json"))
 	if err != nil {
