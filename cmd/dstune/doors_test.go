@@ -75,12 +75,11 @@ type doorRow struct {
 	warm  bool
 }
 
-// label is the row's subtest name. A warm row keeps the spelling these
-// subtests carried while a warm start was a name prefix; the spec's
-// tuner is the bare name.
+// label is the row's subtest name: the spec's tuner, and for a warm row
+// the store it starts from.
 func (r doorRow) label() string {
 	if r.warm {
-		return "warm:" + r.tuner
+		return r.tuner + "+history"
 	}
 	return r.tuner
 }

@@ -335,9 +335,10 @@ func main() {
 	}
 
 	// Interrupt handling: the first SIGINT/SIGTERM drains — the
-	// in-flight epoch finishes, the checkpoint is written, and
-	// Driver.Run returns cleanly; a second signal cancels the context, aborting
-	// the epoch immediately. -deadline bounds the run the hard way.
+	// in-flight epoch finishes, the checkpoint is written, and the
+	// session ends with ErrInterrupted; a second signal cancels the
+	// context, aborting the epoch immediately. -deadline bounds the run
+	// the hard way.
 	ctx := context.Background()
 	var cancel context.CancelFunc
 	if o.deadline > 0 {

@@ -38,9 +38,12 @@
 //	trace, err := dstune.Run(context.Background(), "nm-tuner", cfg, tr)
 //	// trace.MeanThroughput(), trace.Param(0), ...
 //
-// Run is the one way to run a strategy by name; NewStrategy + NewDriver
-// run a custom Strategy the same way, and NewFleet runs many sessions —
-// or several transfers under one strategy — side by side.
+// Run is the one way to run a strategy by name. A custom Strategy runs
+// the same one-transfer session as NewFleet(cfg.Session("", s, nil, t)):
+// call cfg.Validate first, since Run validates and a fleet does not, and
+// read the session's own failure from results[0].Err beside Run's error.
+// NewFleet also runs many sessions — or several transfers under one
+// strategy — side by side.
 //
 // Tuned runs are interruptible and durable: cancelling Run's context
 // aborts the in-flight epoch promptly, TunerConfig.Drain stops cleanly
@@ -183,12 +186,6 @@ type (
 	Trace = tuner.Trace
 )
 
-// FromCurrent, as TunerConfig.Restart, restarts cs-tuner's and
-// nm-tuner's inner search from the current incumbent when the monitor
-// triggers; the zero value restarts from x0, as in the paper's
-// pseudocode.
-const FromCurrent = tuner.FromCurrent
-
 // MapNC tunes concurrency only, with parallelism fixed at np.
 func MapNC(np int) ParamMap { return tuner.MapNC(np) }
 
@@ -210,11 +207,11 @@ func Run(ctx context.Context, name string, cfg TunerConfig, t Transferer) (*Trac
 // Strategy state machines and the one epoch engine. Every tuner Run
 // names is a Strategy (an explicit propose/observe state machine with
 // JSON-serializable state) stepped by the engine that owns the epoch
-// loop, budget, transient tolerance, and checkpointing. NewDriver (one
-// transfer, run to completion — what Run does once it has resolved the
-// name) and Fleet (N sessions) are its front doors here, dstuned's
-// SessionRuntime the third; custom strategies get the same machinery
-// through any of them.
+// loop, budget, transient tolerance, and checkpointing. Run (one named
+// strategy, one transfer, run to completion) and Fleet (N sessions) are
+// its front doors here, dstuned's SessionRuntime the third; a custom
+// Strategy runs through Fleet, its one-transfer session built by
+// TunerConfig.Session.
 type (
 	// Strategy is a tuner's decision kernel: Propose a vector, run an
 	// epoch, Observe the report, repeat. Snapshot/Restore round-trip
@@ -244,10 +241,6 @@ func NewStrategy(name string, cfg TunerConfig) (Strategy, error) { return tuner.
 // StrategyUsage is the list of accepted strategy names a usage string
 // prints: "default, cd-tuner, …, rl-bandit, kernel-aware:<tuner>".
 func StrategyUsage() string { return tuner.StrategyUsage() }
-
-// NewDriver returns a driver for cfg; its Run method drives any
-// Strategy against a Transferer to completion.
-func NewDriver(cfg TunerConfig) *tuner.Driver { return tuner.NewDriver(cfg) }
 
 // NewFleet returns a Fleet over the given sessions; its Run method
 // drives them all concurrently until each ends.

@@ -68,7 +68,6 @@ func main() {
 		trace, err := dstune.Run(context.Background(), "cd-tuner", dstune.TunerConfig{
 			Epoch:     0.25, // wall-clock seconds per control epoch
 			Tolerance: 30,   // loopback timing is noisy
-			Restart:   dstune.FromCurrent,
 			Box:       dstune.MustBox([]int{1, 1, 1}, []int{4, 2, maxPP}),
 			Start:     []int{2, 1, 1},
 			Map:       dstune.MapNCNPPP(),

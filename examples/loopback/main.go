@@ -36,7 +36,6 @@ func main() {
 	trace, err := dstune.Run(context.Background(), "cs-tuner", dstune.TunerConfig{
 		Epoch:     0.25, // wall-clock seconds per control epoch
 		Tolerance: 30,   // loopback timing is noisy
-		Restart:   dstune.FromCurrent,
 		Lambda:    4,
 		Box:       dstune.MustBox([]int{1}, []int{32}),
 		Start:     []int{1},

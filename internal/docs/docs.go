@@ -12,7 +12,8 @@
 //   - CheckQuoted reports names quoted in markdown that the code no
 //     longer has: a `-fig KEY` that is not a study cmd/figures knows
 //     (FigKeys), a `-tuner NAME` or `"tuner": "NAME"` that is not a
-//     strategy (TunerNames).
+//     strategy (TunerNames), a `dstune.<Name>` the root package does not
+//     declare (FacadeRefs).
 //
 // All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.
@@ -130,15 +131,34 @@ func FigKeys(keys []string) Quoted {
 	}
 }
 
+// historyDocs are the documents that tell what names once were; the
+// name checks hold only the living documents to the present.
+var historyDocs = []string{"CHANGES.md", "ROADMAP.md", "ISSUE.md"}
+
 // TunerNames holds every `-tuner NAME` flag and `"tuner": "NAME"` JSON
 // key quoted in the living documents to known (tuner.KnownStrategy).
-// CHANGES.md, ROADMAP.md and ISSUE.md tell what names once were.
 func TunerNames(known func(name string) bool) Quoted {
 	return Quoted{
 		RE:      regexp.MustCompile(`(?:(?:^|[^a-z0-9])-tuner |"tuner": *")([a-z][a-z0-9:-]*)`),
 		Known:   known,
 		Problem: "tuner %s names no strategy",
-		History: []string{"CHANGES.md", "ROADMAP.md", "ISSUE.md"},
+		History: historyDocs,
+	}
+}
+
+// facadeRef matches a reference to a facade name: dstune.<Name>.
+var facadeRef = regexp.MustCompile(`\bdstune\.([A-Z]\w*)`)
+
+// FacadeRefs holds every dstune.<Name> the living documents spell to
+// names, the facade's declarations (FacadeNames), so that deleting a
+// re-export cannot leave README's quickstart or a guide calling
+// something that is gone — nothing compiles the documents' code.
+func FacadeRefs(names map[string]int) Quoted {
+	return Quoted{
+		RE:      facadeRef,
+		Known:   func(name string) bool { _, ok := names[name]; return ok },
+		Problem: "dstune.%s is not declared in dstune.go",
+		History: historyDocs,
 	}
 }
 
@@ -334,25 +354,60 @@ var facadeContract = map[string]bool{
 	"Strategy": true, "Report": true, "Params": true, "Transferer": true, "Box": true,
 }
 
-// CheckFacade parses root/dstune.go and reports every exported
-// package-level name that no .go file other than dstune.go, nor
-// README.md, refers to as dstune.<Name> — the facade re-exports what
-// something uses and nothing else. The facadeContract types are
-// excepted.
-func CheckFacade(root string) ([]string, error) {
-	const facade = "dstune.go"
+// facade is the root package's one file.
+const facade = "dstune.go"
+
+// FacadeNames parses root/dstune.go and returns the line of every
+// exported package-level name it declares.
+func FacadeNames(root string) (map[string]int, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, filepath.Join(root, facade), nil, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
+	names := map[string]int{}
+	add := func(name *ast.Ident) {
+		if name.IsExported() {
+			names[name.Name] = fset.Position(name.Pos()).Line
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					add(s.Name)
+				case *ast.ValueSpec:
+					for _, name := range s.Names {
+						add(name)
+					}
+				}
+			}
+		}
+	}
+	return names, nil
+}
+
+// CheckFacade reports every name FacadeNames finds that no .go file
+// other than dstune.go, nor README.md, refers to as dstune.<Name> — the
+// facade re-exports what something uses and nothing else. The
+// facadeContract types are excepted.
+func CheckFacade(root string) ([]string, error) {
+	names, err := FacadeNames(root)
+	if err != nil {
+		return nil, err
+	}
 	used := map[string]bool{}
-	ref := regexp.MustCompile(`\bdstune\.([A-Z]\w*)`)
 	collect := func(rel string, data []byte) {
 		if rel == facade {
 			return
 		}
-		for _, m := range ref.FindAllSubmatch(data, -1) {
+		for _, m := range facadeRef.FindAllSubmatch(data, -1) {
 			used[string(m[1])] = true
 		}
 	}
@@ -366,30 +421,11 @@ func CheckFacade(root string) ([]string, error) {
 	collect("README.md", readme)
 
 	var problems []string
-	check := func(name *ast.Ident) {
-		if name.IsExported() && !used[name.Name] && !facadeContract[name.Name] {
-			p := fset.Position(name.Pos())
-			problems = append(problems, fmt.Sprintf("%s:%d: dstune.%s is referenced by no .go file and not by README.md", facade, p.Line, name.Name))
+	for name, line := range names {
+		if !used[name] && !facadeContract[name] {
+			problems = append(problems, fmt.Sprintf("%s:%d: dstune.%s is referenced by no .go file and not by README.md", facade, line, name))
 		}
 	}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				check(d.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch s := spec.(type) {
-				case *ast.TypeSpec:
-					check(s.Name)
-				case *ast.ValueSpec:
-					for _, name := range s.Names {
-						check(name)
-					}
-				}
-			}
-		}
-	}
+	sort.Strings(problems)
 	return problems, nil
 }

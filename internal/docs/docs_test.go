@@ -202,6 +202,34 @@ func unexported() {}
 	}
 }
 
+// TestCheckFacadeRefs: a name dstune.go declares, a lower-case file
+// name and a placeholder pass; a dstune.<Name> it does not declare is
+// reported wherever a living document spells it — and nowhere in the
+// history files.
+func TestCheckFacadeRefs(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "dstune.go"), []byte("package dstune\n\nfunc Run() {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	md := "Call `dstune.Run` (see dstune.go), not `dstune.<Name>`.\n\n\ttrace, err := dstune.Planted(cfg).Run(ctx, s, t)\n"
+	for _, name := range []string{"README.md", "ROADMAP.md"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(md), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	names, err := FacadeNames(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := CheckQuoted(dir, FacadeRefs(names))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"README.md:3: dstune.Planted is not declared in dstune.go"}; !slices.Equal(problems, want) {
+		t.Fatalf("got problems %q, want %q", problems, want)
+	}
+}
+
 // TestCheckFigKeys: a known key, "all" and an upper-case placeholder
 // pass; a key no study has is reported with its file and line.
 func TestCheckFigKeys(t *testing.T) {
@@ -248,8 +276,9 @@ func TestCheckTunerNames(t *testing.T) {
 // markdown links must resolve, its public packages must be fully
 // documented, every Go file must be gofmt-clean, the facade must
 // re-export nothing that goes unused, every `-fig KEY` a document
-// quotes must be a study, and every `-tuner NAME` or `"tuner": "NAME"` a
-// living document quotes a strategy.
+// quotes must be a study, every `-tuner NAME` or `"tuner": "NAME"` a
+// living document quotes a strategy, and every `dstune.<Name>` one spells
+// a name dstune.go declares.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	links, err := CheckLinks(root)
@@ -289,7 +318,11 @@ func TestRepoDocs(t *testing.T) {
 	for _, s := range experiment.Studies() {
 		keys = append(keys, s.Key)
 	}
-	stale, err := CheckQuoted(root, FigKeys(keys), TunerNames(tuner.KnownStrategy))
+	names, err := FacadeNames(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := CheckQuoted(root, FigKeys(keys), TunerNames(tuner.KnownStrategy), FacadeRefs(names))
 	if err != nil {
 		t.Fatal(err)
 	}

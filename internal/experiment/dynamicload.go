@@ -72,12 +72,6 @@ func DynamicSchedules(duration float64) []DynamicSchedule {
 	}
 }
 
-// DynamicLoadTuners lists the tuners the study compares by default:
-// the paper's three direct searches against the learned rl-bandit.
-func DynamicLoadTuners() []string {
-	return []string{"cd-tuner", "cs-tuner", "nm-tuner", "rl-bandit"}
-}
-
 // DynamicLoadCell is one (tuner, schedule) run's scores.
 type DynamicLoadCell struct {
 	// Tuner and Schedule name the cell.
@@ -106,24 +100,19 @@ type DynamicLoadResult struct {
 // DynamicLoadConfig parameterizes DynamicLoadStudy beyond the shared
 // RunConfig. The zero value selects the defaults.
 type DynamicLoadConfig struct {
-	// Run carries the shared harness knobs (seed, duration, epoch,
-	// box).
+	// Run carries the shared harness knobs (seed, duration, epoch).
 	Run RunConfig
-	// Tuners defaults to DynamicLoadTuners().
-	Tuners []string
 	// Schedules defaults to DynamicSchedules(Run.Duration).
 	Schedules []DynamicSchedule
 }
 
-// DynamicLoadStudy runs the dynamic-load comparison on tb: every tuner
-// crossed with every schedule, concurrency-only tuning (the paper's
-// §IV-A box), each cell on its own identically-seeded fabric.
+// DynamicLoadStudy runs the dynamic-load comparison on tb: the paper's
+// three direct searches and the learned rl-bandit, each crossed with
+// every schedule, concurrency-only tuning (the paper's §IV-A box), each
+// cell on its own identically-seeded fabric.
 func DynamicLoadStudy(tb Testbed, cfg DynamicLoadConfig) (*DynamicLoadResult, error) {
 	rc := cfg.Run.withDefaults()
-	tuners := cfg.Tuners
-	if len(tuners) == 0 {
-		tuners = DynamicLoadTuners()
-	}
+	tuners := []string{"cd-tuner", "cs-tuner", "nm-tuner", "rl-bandit"}
 	scheds := cfg.Schedules
 	if len(scheds) == 0 {
 		scheds = DynamicSchedules(rc.Duration)

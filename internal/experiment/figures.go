@@ -62,12 +62,14 @@ type RunConfig struct {
 	Duration float64
 	// Epoch is the control epoch e; zero selects the paper's 30 s.
 	Epoch float64
-	// NP is the fixed parallelism for concurrency-only tuning; zero
-	// selects the paper's 8.
-	NP int
-	// MaxNC and MaxNP bound the search box; zeros select 128 and 16.
-	MaxNC, MaxNP int
 }
+
+// The figure harnesses' search space: parallelism fixed at the paper's
+// 8 for concurrency-only tuning, and the box's upper bounds.
+const (
+	fixedNP      = 8
+	maxNC, maxNP = 128, 16
+)
 
 // withDefaults returns rc with zero fields replaced by defaults.
 func (rc RunConfig) withDefaults() RunConfig {
@@ -76,15 +78,6 @@ func (rc RunConfig) withDefaults() RunConfig {
 	}
 	if rc.Epoch == 0 {
 		rc.Epoch = 30
-	}
-	if rc.NP == 0 {
-		rc.NP = 8
-	}
-	if rc.MaxNC == 0 {
-		rc.MaxNC = 128
-	}
-	if rc.MaxNP == 0 {
-		rc.MaxNP = 16
 	}
 	return rc
 }
@@ -96,9 +89,9 @@ func (rc RunConfig) tunerCfg(twoParam bool) tuner.Config {
 }
 
 // spaceCfg builds the tuner configuration for rc over sp's dimensions,
-// with rc's bounds.
+// in the harnesses' box.
 func (rc RunConfig) spaceCfg(sp tuner.Space) tuner.Config {
-	sp.NP, sp.MaxNC, sp.MaxNP = rc.NP, rc.MaxNC, rc.MaxNP
+	sp.NP, sp.MaxNC, sp.MaxNP = fixedNP, maxNC, maxNP
 	return sp.Apply(tuner.Config{Epoch: rc.Epoch, Budget: rc.Duration, Seed: rc.Seed})
 }
 
@@ -367,15 +360,7 @@ type SimultaneousResult struct {
 // tuners run concurrently in lockstep virtual time.
 func Simultaneous(name string, rc RunConfig) (*SimultaneousResult, error) {
 	rc = rc.withDefaults()
-	f, p1, p2, err := NewDualFabric(rc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t1, err := f.NewTransfer(xfer.TransferConfig{Name: "to-uchicago", Bytes: xfer.Unbounded, Path: p1})
-	if err != nil {
-		return nil, err
-	}
-	t2, err := f.NewTransfer(xfer.TransferConfig{Name: "to-tacc", Bytes: xfer.Unbounded, Path: p2})
+	t1, t2, err := dualTransfers(rc.Seed, "to-")
 	if err != nil {
 		return nil, err
 	}

@@ -45,15 +45,7 @@ func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 		return nil, err
 	}
 
-	f, p1, p2, err := NewDualFabric(rc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	t1, err := f.NewTransfer(xfer.TransferConfig{Name: "joint-uchicago", Bytes: xfer.Unbounded, Path: p1})
-	if err != nil {
-		return nil, err
-	}
-	t2, err := f.NewTransfer(xfer.TransferConfig{Name: "joint-tacc", Bytes: xfer.Unbounded, Path: p2})
+	t1, t2, err := dualTransfers(rc.Seed, "joint-")
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +59,7 @@ func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 		Seed:  rc.Seed,
 		Box: directsearch.MustBox(
 			[]int{1, 1, 1, 1},
-			[]int{rc.MaxNC, rc.MaxNP, rc.MaxNC, rc.MaxNP}),
+			[]int{maxNC, maxNP, maxNC, maxNP}),
 		Start: []int{start.NC, start.NP, start.NC, start.NP},
 	})
 	results, err := tuner.NewFleet(

@@ -612,7 +612,7 @@ func dynloadStudy(r *Runs, rc RunConfig, out *Outcome) error {
 
 // warmStudy is the warm-start-vs-cold study of the knowledge plane.
 func warmStudy(_ *Runs, rc RunConfig, out *Outcome) error {
-	res, err := WarmStartStudy(ANLtoUChicago(), nil, nil, rc, 0.9, 3)
+	res, err := WarmStartStudy(ANLtoUChicago(), rc)
 	if err != nil {
 		return err
 	}

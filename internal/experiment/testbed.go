@@ -29,16 +29,14 @@ type Testbed struct {
 	Source endpoint.Config
 	// Path is the WAN path to the destination.
 	Path netem.Config
-	// DT is the fabric step; zero selects 0.1 s, which resolves 30 s
-	// control epochs while keeping 1800 s experiments cheap.
-	DT float64
 	// CC names the TCP congestion-control algorithm ("htcp",
 	// "cubic", "reno", "scalable"); empty selects H-TCP, the
 	// algorithm on the paper's endpoints.
 	CC string
 }
 
-// defaultDT is the fabric step used by the experiment harnesses.
+// defaultDT is the fabric step of every testbed: 0.1 s resolves 30 s
+// control epochs while keeping 1800 s experiments cheap.
 const defaultDT = 0.1
 
 // SourceANL returns the paper's source endpoint: the 8-core Nehalem
@@ -101,10 +99,6 @@ func TestbedByName(name string) (Testbed, error) {
 
 // NewFabric builds a fabric for the testbed.
 func (tb Testbed) NewFabric(seed uint64) (*xfer.Fabric, *netem.Path, error) {
-	dt := tb.DT
-	if dt == 0 {
-		dt = defaultDT
-	}
 	var alg tcpmodel.Algorithm
 	if tb.CC != "" {
 		var err error
@@ -113,7 +107,7 @@ func (tb Testbed) NewFabric(seed uint64) (*xfer.Fabric, *netem.Path, error) {
 			return nil, nil, err
 		}
 	}
-	f, err := xfer.NewFabric(xfer.FabricConfig{DT: dt, Seed: seed, Source: tb.Source, TCP: alg})
+	f, err := xfer.NewFabric(xfer.FabricConfig{DT: defaultDT, Seed: seed, Source: tb.Source, TCP: alg})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -124,22 +118,22 @@ func (tb Testbed) NewFabric(seed uint64) (*xfer.Fabric, *netem.Path, error) {
 	return f, p, nil
 }
 
-// NewDualFabric builds the §IV-D fabric: one ANL source feeding both
-// the UChicago and TACC paths through the shared 40 Gb/s NIC. The
-// returned paths are in that order.
-func NewDualFabric(seed uint64) (*xfer.Fabric, *netem.Path, *netem.Path, error) {
-	uc := ANLtoUChicago()
-	f, err := xfer.NewFabric(xfer.FabricConfig{DT: defaultDT, Seed: seed, Source: uc.Source})
+// dualTransfers builds the §IV-D fabric — one ANL source feeding both
+// the UChicago and TACC paths through the shared 40 Gb/s NIC — and one
+// unbounded transfer on each path, named prefix+"uchicago" and
+// prefix+"tacc", in that order.
+func dualTransfers(seed uint64, prefix string) (uchicago, tacc *xfer.Sim, err error) {
+	f, p1, err := ANLtoUChicago().NewFabric(seed)
 	if err != nil {
-		return nil, nil, nil, err
-	}
-	p1, err := f.AddPath(uc.Path)
-	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	p2, err := f.AddPath(ANLtoTACC().Path)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return f, p1, p2, nil
+	if uchicago, err = f.NewTransfer(xfer.TransferConfig{Name: prefix + "uchicago", Bytes: xfer.Unbounded, Path: p1}); err != nil {
+		return nil, nil, err
+	}
+	tacc, err = f.NewTransfer(xfer.TransferConfig{Name: prefix + "tacc", Bytes: xfer.Unbounded, Path: p2})
+	return uchicago, tacc, err
 }

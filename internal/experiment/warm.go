@@ -16,6 +16,14 @@ func WarmStartLoads() []load.Load {
 	return []load.Load{{}, {Tfr: 16}, {Tfr: 32}, {Tfr: 64}}
 }
 
+// The warm-start study's critical-point detector: a run has reached
+// the critical point once a rolling mean over warmWindow epochs reaches
+// warmFrac of its cell's target.
+const (
+	warmFrac   = 0.9
+	warmWindow = 3
+)
+
 // WarmStartCell is one (tuner, load) cell of a warm-start study: a
 // cold run from the Globus defaults, its best epoch recorded into a
 // fresh history store, then a warm run on an identically seeded fabric
@@ -49,18 +57,6 @@ type WarmStartResult struct {
 	Cells   []WarmStartCell
 }
 
-// EpochsToCritical is the epoch-index analog of
-// Trace.ConvergenceTime: the index of the first epoch opening a
-// rolling window of `window` epochs whose mean throughput reaches
-// frac of the steady value (the mean of the last `window` epochs). It
-// returns -1 when the trace is shorter than the window or the
-// threshold is never reached. The paper's "time to critical point"
-// divides out the epoch length; counting epochs keeps the comparison
-// exact across runs that share e.
-func EpochsToCritical(tr *tuner.Trace, frac float64, window int) int {
-	return tuner.FirstWindow(tr.Results, window, frac*tr.SteadyMean(window))
-}
-
 // integralBytes is the integral of observed throughput over the run:
 // total bytes moved.
 func integralBytes(tr *tuner.Trace) float64 {
@@ -82,20 +78,15 @@ func warmKey(tb Testbed, l load.Load) history.Key {
 }
 
 // WarmStartStudy measures what the knowledge plane buys: for every
-// (tuner, load) cell it runs the named tuner cold from the Globus
-// defaults, records the cold run's best epoch into a fresh in-memory
-// history store, and reruns warm on an identically seeded fabric so
-// the only difference is the starting vector. Cells are independent
-// and run on the worker pool. frac and window parameterize the
-// critical-point detector (EpochsToCritical); the paper-style choice
-// is frac=0.9, window=3.
-func WarmStartStudy(tb Testbed, names []string, loads []load.Load, rc RunConfig, frac float64, window int) (*WarmStartResult, error) {
-	if len(names) == 0 {
-		names = []string{"cs-tuner", "cd-tuner"}
-	}
-	if len(loads) == 0 {
-		loads = WarmStartLoads()
-	}
+// (tuner, load) cell of {cs-tuner, cd-tuner} × WarmStartLoads it runs
+// the tuner cold from the Globus defaults, records the cold run's best
+// epoch into a fresh in-memory history store, and reruns warm on an
+// identically seeded fabric so the only difference is the starting
+// vector. Cells are independent and run on the worker pool. The
+// paper's "time to critical point" divides out the epoch length;
+// counting epochs keeps the comparison exact across runs that share e.
+func WarmStartStudy(tb Testbed, rc RunConfig) (*WarmStartResult, error) {
+	names, loads := []string{"cs-tuner", "cd-tuner"}, WarmStartLoads()
 	type cell struct {
 		name string
 		l    load.Load
@@ -135,14 +126,14 @@ func WarmStartStudy(tb Testbed, names []string, loads []load.Load, rc RunConfig,
 		// Both runs are judged against the same bar — the better of
 		// the two steady values — and a run that never reaches it
 		// within budget counts as taking every epoch it had.
-		target := max(cold.SteadyMean(window), warm.SteadyMean(window))
+		target := max(cold.SteadyMean(warmWindow), warm.SteadyMean(warmWindow))
 		out[i] = WarmStartCell{
 			Tuner:      c.name,
 			Load:       c.l,
 			Pred:       x,
 			Target:     target,
-			ColdEpochs: segmentLag(cold.Results, frac*target, window),
-			WarmEpochs: segmentLag(warm.Results, frac*target, window),
+			ColdEpochs: segmentLag(cold.Results, warmFrac*target, warmWindow),
+			WarmEpochs: segmentLag(warm.Results, warmFrac*target, warmWindow),
 			ColdBytes:  integralBytes(cold),
 			WarmBytes:  integralBytes(warm),
 			Cold:       cold,

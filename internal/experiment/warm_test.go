@@ -1,11 +1,8 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
-
-	"dstune/internal/load"
-	"dstune/internal/tuner"
-	"dstune/internal/xfer"
 )
 
 // TestWarmStartBeatsCold is the knowledge-plane acceptance criterion:
@@ -38,49 +35,29 @@ func TestWarmStartBeatsCold(t *testing.T) {
 	}
 }
 
-// TestWarmStartStudyDefaults: empty tuner and load slices select the
-// documented defaults, and the report renders a row per cell.
+// TestWarmStartStudyDefaults: the pinned study runs cs-tuner and
+// cd-tuner over WarmStartLoads, tuner-major; every cell's prediction is
+// a concurrency vector, both traces are retained, and the report
+// renders a row per cell.
 func TestWarmStartStudyDefaults(t *testing.T) {
-	res, err := WarmStartStudy(ANLtoUChicago(), []string{"cs-tuner"},
-		[]load.Load{{}}, RunConfig{Seed: 5, Duration: 300, Epoch: 30}, 0.9, 2)
-	if err != nil {
-		t.Fatal(err)
+	res := raw[*WarmStartResult](t, "warm")
+	names, loads := []string{"cs-tuner", "cd-tuner"}, WarmStartLoads()
+	if len(res.Cells) != len(names)*len(loads) {
+		t.Fatalf("cells = %d, want %d", len(res.Cells), len(names)*len(loads))
 	}
-	if len(res.Cells) != 1 {
-		t.Fatalf("cells = %d", len(res.Cells))
+	for i, c := range res.Cells {
+		if c.Tuner != names[i/len(loads)] || c.Load != loads[i%len(loads)] {
+			t.Fatalf("cell %d is (%s, %s), want (%s, %s)", i, c.Tuner, c.Load, names[i/len(loads)], loads[i%len(loads)])
+		}
+		if len(c.Pred) != 1 || c.Pred[0] < 1 {
+			t.Fatalf("%s under %s: prediction %v not a concurrency vector", c.Tuner, c.Load, c.Pred)
+		}
+		if c.Cold == nil || c.Warm == nil {
+			t.Fatalf("%s under %s: traces not retained", c.Tuner, c.Load)
+		}
 	}
-	c := res.Cells[0]
-	if len(c.Pred) != 1 || c.Pred[0] < 1 {
-		t.Fatalf("prediction %v not a concurrency vector", c.Pred)
-	}
-	if c.Cold == nil || c.Warm == nil {
-		t.Fatal("traces not retained")
-	}
-	if got := res.Report(); got == "" {
-		t.Fatal("empty report")
-	}
-}
-
-// TestEpochsToCritical pins the detector on a hand-built trace: ramp
-// epochs below the steady mean, then a plateau.
-func TestEpochsToCritical(t *testing.T) {
-	tr := &tuner.Trace{}
-	tputs := []float64{10, 20, 100, 100, 100, 100}
-	for i, tp := range tputs {
-		tr.Results = append(tr.Results, tuner.EpochResult{
-			Epoch:  i,
-			X:      []int{1},
-			Report: xfer.Report{Throughput: tp},
-		})
-	}
-	if got := EpochsToCritical(tr, 0.9, 2); got != 2 {
-		t.Fatalf("critical epoch = %d, want 2", got)
-	}
-	if got := EpochsToCritical(tr, 0.9, 10); got != -1 {
-		t.Fatalf("short trace: got %d, want -1", got)
-	}
-	flat := &tuner.Trace{Results: tr.Results[2:]}
-	if got := EpochsToCritical(flat, 0.9, 2); got != 0 {
-		t.Fatalf("flat trace critical epoch = %d, want 0", got)
+	// A title line and a header line, then one row per cell.
+	if rows := strings.Split(strings.TrimSpace(res.Report()), "\n"); len(rows) != 2+len(res.Cells) {
+		t.Fatalf("report has %d lines, want 2 + %d cells:\n%s", len(rows), len(res.Cells), res.Report())
 	}
 }

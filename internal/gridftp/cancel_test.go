@@ -196,7 +196,6 @@ func TestCancelResumeRoundTrip(t *testing.T) {
 		Epoch:     0.1,
 		Tolerance: 30,
 		Lambda:    2,
-		Restart:   tuner.FromCurrent,
 		Box:       directsearch.MustBox([]int{1}, []int{8}),
 		Start:     []int{2},
 		Map:       tuner.MapNC(1),

@@ -136,7 +136,7 @@ type ClientConfig struct {
 	// Obs, when non-nil, receives the client's fine-grained data-plane
 	// events (StripeDialed, StripeEvicted) and keeps the warm-pool
 	// gauge current. Per-epoch aggregates (dials, retries, throughput)
-	// are recorded by the tuning Driver from the epoch Report, not
+	// are recorded by the epoch engine from the epoch Report, not
 	// here, so the two layers never double-count. Nil disables
 	// observation; the pump path is never instrumented either way.
 	Obs *obs.SessionObs

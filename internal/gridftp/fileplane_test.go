@@ -428,7 +428,6 @@ func TestTuned3DFindsPipelining(t *testing.T) {
 	cfg := tuner.Config{
 		Epoch:     0.25,
 		Tolerance: 30,
-		Restart:   tuner.FromCurrent,
 		Box:       directsearch.MustBox([]int{1, 1, 1}, []int{4, 2, 16}),
 		Start:     []int{2, 1, 1}, // pp starts at 1: the tuner must discover the depth
 		Map:       tuner.MapNCNPPP(),

@@ -35,7 +35,6 @@ func TestFleetConcurrentFaultySockets(t *testing.T) {
 		cfg := tuner.Config{
 			Epoch:     0.1,
 			Tolerance: 30,
-			Restart:   tuner.FromCurrent,
 			Box:       directsearch.MustBox([]int{1}, []int{8}),
 			Start:     []int{2},
 			Map:       tuner.MapNC(1),

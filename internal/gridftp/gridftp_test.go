@@ -223,7 +223,6 @@ func TestTunerOverRealSockets(t *testing.T) {
 		// Loopback timing is far noisier than a 30 s WAN epoch; a
 		// tight tolerance would keep re-triggering the search.
 		Tolerance: 30,
-		Restart:   tuner.FromCurrent,
 		Box:       directsearch.MustBox([]int{1}, []int{32}),
 		Start:     []int{1},
 		Map:       tuner.MapNC(1),

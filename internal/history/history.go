@@ -1,8 +1,8 @@
 // Package history is the stack's knowledge plane: an append-only,
 // crash-safe JSONL store of past tuning outcomes, keyed by endpoint
 // identity, dataset size class, and external-load fingerprint. A
-// Driver (or Fleet session) records the best parameter vector a run
-// found; a later run against the same — or a nearby — key warm-starts
+// tuning session records the best parameter vector a run found; a
+// later run against the same — or a nearby — key warm-starts
 // its search from that vector instead of the fixed cold-start point,
 // following the offline-knowledge + online-refinement designs of Nine
 // et al. (arXiv:1707.09455) and Arslan & Kosar (arXiv:1708.03053).

@@ -13,8 +13,8 @@ type EventType string
 
 // The event vocabulary of the tuning stack.
 const (
-	// EventEpochStart marks the Driver handing a parameter vector to
-	// the data plane for one epoch.
+	// EventEpochStart marks the epoch engine handing a parameter vector
+	// to the data plane for one epoch.
 	EventEpochStart EventType = "EpochStart"
 	// EventEpochEnd carries the epoch's observed report: throughput,
 	// dead time, stream accounting, and whether the epoch failed

@@ -165,7 +165,7 @@ func TestBuildSimDataset(t *testing.T) {
 
 // TestDefaultIsGlobusDefaultAtEveryDoor: a `default` job under the
 // Supervisor keeps its processes alive between epochs, as the same spec
-// run through a Driver (the CLI's path) always has — the two mean
+// run as a one-session Fleet (the CLI's path) always has — the two mean
 // throughputs are equal bit for bit, and the restart overhead is the
 // first epoch's alone, not a tenth of every epoch.
 func TestDefaultIsGlobusDefaultAtEveryDoor(t *testing.T) {
@@ -177,10 +177,14 @@ func TestDefaultIsGlobusDefaultAtEveryDoor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cli, err := tuner.NewDriver(sess.Config).Run(context.Background(), sess.Strategy, sess.Transfer)
+	results, err := tuner.NewFleet(sess.FleetSession()).Run(context.Background())
+	if err == nil {
+		err = results[0].Err
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	cli := results[0].Traces[0]
 
 	sv, _ := startSupervisor(t, Config{})
 	st, err := sv.Submit(spec)

@@ -28,10 +28,10 @@ import (
 // layout.
 const CheckpointVersion = 3
 
-// ErrInterrupted is returned by Run and Driver.Run when the run was
-// stopped by the Config.Drain channel: the in-flight epoch completed,
-// the final checkpoint (when configured) was written, and the transfer
-// was left running so a later run can resume it.
+// ErrInterrupted is returned by Run when the run was stopped by the
+// Config.Drain channel: the in-flight epoch completed, the final
+// checkpoint (when configured) was written, and the transfer was left
+// running so a later run can resume it.
 var ErrInterrupted = errors.New("tuner: tuning interrupted")
 
 // EpochRecord is one recorded control epoch of a checkpointed run.
@@ -85,7 +85,7 @@ type Checkpoint struct {
 
 // CheckpointWriter persists checkpoints. Save is called after every
 // control epoch with the complete current state (not a delta); an
-// error ends the session, and Run or Driver.Run returns it. Trace is a
+// error ends the session, and Run returns it. Trace is a
 // read-only view that shares the engine's backing array — do not mutate
 // it; retaining it is safe because the engine only appends. A writer
 // that also implements io.Closer is closed when its session ends.

@@ -92,9 +92,8 @@ func drainAfter(k int, fc *FileCheckpoint) Config {
 // same live transfer must produce exactly the trace an uninterrupted
 // run produces on an identical fresh world — same proposals, same
 // reports, no restart-from-default. The "stepped" column drives both
-// halves through a stepped SessionRuntime instead of the tuner's
-// Driver: one engine, so interrupting and resuming it must give the
-// same trace.
+// halves through a stepped SessionRuntime instead of Run: one engine,
+// so interrupting and resuming it must give the same trace.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
@@ -180,9 +179,9 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 
 // TestResumeRejectsMismatchedCheckpoint covers the engine's resume
 // validation: foreign tuner, unknown version, and a trace/epoch-count
-// mismatch all fail before the transfer is touched. It hands the
-// Driver its strategy directly, because Run would build the one the
-// checkpoint names.
+// mismatch all fail before the transfer is touched. It hands a
+// one-session Fleet its strategy directly, because Run would build the
+// one the checkpoint names.
 func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	good := &Checkpoint{Version: CheckpointVersion, Tuner: "default", Seed: 1}
 	cases := []struct {
@@ -199,7 +198,7 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 			ck := tc.ck
 			cfg.Resume = &ck
 			f := newFake(peaked(10))
-			if _, err := NewDriver(cfg).Run(context.Background(), NewStaticStrategy(cfg), f); err == nil {
+			if _, err := NewFleet(cfg.Session("", NewStaticStrategy(cfg), nil, f)).Run(context.Background()); err == nil {
 				t.Fatal("bad checkpoint accepted")
 			}
 			if f.runs != 0 {
@@ -210,7 +209,11 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 	// Sanity: the good zero-epoch checkpoint is accepted.
 	cfg := cfg1D(100)
 	cfg.Resume = good
-	if _, err := NewDriver(cfg).Run(context.Background(), NewStaticStrategy(cfg), newFake(peaked(10))); err != nil {
+	results, err := NewFleet(cfg.Session("", NewStaticStrategy(cfg), nil, newFake(peaked(10)))).Run(context.Background())
+	if err == nil {
+		err = results[0].Err
+	}
+	if err != nil {
 		t.Fatalf("valid empty checkpoint rejected: %v", err)
 	}
 }
@@ -383,7 +386,7 @@ func TestFileCheckpointDurability(t *testing.T) {
 	fc := NewFileCheckpoint(path)
 	ck := testCheckpoint(3)
 	// Grow the trace as a live run does, then repeat the last Save (the
-	// Driver's checkpoint-on-interrupt carries no new record).
+	// engine's checkpoint-on-interrupt carries no new record).
 	for _, n := range []int{1, 2, 3, 3} {
 		if err := fc.Save(prefix(ck, n)); err != nil {
 			t.Fatal(err)

@@ -17,12 +17,11 @@ type strategyCase struct {
 	warm bool
 }
 
-// label is the case's subtest name. A warm case keeps the spelling
-// these subtests have carried since the warm-start wrapper, long gone,
-// was a name; nothing parses it.
+// label is the case's subtest name: the strategy's name, and for a warm
+// case the store it started from.
 func (c strategyCase) label() string {
 	if c.warm {
-		return "warm:" + c.name
+		return c.name + "+history"
 	}
 	return c.name
 }
@@ -71,7 +70,7 @@ func strategyNames() []string {
 }
 
 // countingStrategy wraps a Strategy and counts the protocol calls, so
-// a test can prove how a resumed Driver rebuilt the state: one Restore
+// a test can prove how a resumed session rebuilt the state: one Restore
 // and zero replayed Proposes for the direct path.
 type countingStrategy struct {
 	Strategy

@@ -49,13 +49,13 @@ func eventLines(t *testing.T, o *obs.Observer) []byte {
 	return out
 }
 
-// TestDriverMatchesSessionRuntime: Run (and Driver.Run under it) is a
-// wrapper around the engine SessionRuntime exposes, so the same
-// strategy, seed and world must come out identical through both — the
-// trace, the event stream, and the checkpoint files byte for byte. What
-// can differ is only the wrapper's wiring (seed, start, session name,
-// observation handle), and this is the test that covers it; the warm
-// case's head carries the start both recorded.
+// TestDriverMatchesSessionRuntime: Run is a wrapper around the engine
+// SessionRuntime exposes, so the same strategy, seed and world must
+// come out identical through both — the trace, the event stream, and
+// the checkpoint files byte for byte. What can differ is only the
+// wrapper's wiring (seed, start, session name, observation handle), and
+// this is the test that covers it; the history case's head carries the
+// start both recorded.
 func TestDriverMatchesSessionRuntime(t *testing.T) {
 	const seed = 11
 	cases := []strategyCase{{"cs-tuner", true}, {name: "kernel-aware:cs-tuner"}}
@@ -97,17 +97,17 @@ func TestDriverMatchesSessionRuntime(t *testing.T) {
 				}
 				return out
 			}
-			driver, stepped := run(false), run(true)
-			if len(driver.trace.Results) == 0 || !reflect.DeepEqual(driver.trace, stepped.trace) {
-				t.Fatalf("traces differ:\n driver  %+v\n stepped %+v", driver.trace, stepped.trace)
+			viaRun, stepped := run(false), run(true)
+			if len(viaRun.trace.Results) == 0 || !reflect.DeepEqual(viaRun.trace, stepped.trace) {
+				t.Fatalf("traces differ:\n Run     %+v\n stepped %+v", viaRun.trace, stepped.trace)
 			}
-			if !bytes.Equal(driver.events, stepped.events) {
-				t.Fatalf("event streams differ:\n driver:\n%s stepped:\n%s", driver.events, stepped.events)
+			if !bytes.Equal(viaRun.events, stepped.events) {
+				t.Fatalf("event streams differ:\n Run:\n%s stepped:\n%s", viaRun.events, stepped.events)
 			}
-			if !bytes.Equal(driver.head, stepped.head) || bytes.Contains(driver.head, []byte(`"start":[14]`)) != c.warm {
-				t.Fatalf("checkpoint heads differ, or record the wrong start:\n driver  %s stepped %s", driver.head, stepped.head)
+			if !bytes.Equal(viaRun.head, stepped.head) || bytes.Contains(viaRun.head, []byte(`"start":[14]`)) != c.warm {
+				t.Fatalf("checkpoint heads differ, or record the wrong start:\n Run     %s stepped %s", viaRun.head, stepped.head)
 			}
-			if !bytes.Equal(driver.log, stepped.log) {
+			if !bytes.Equal(viaRun.log, stepped.log) {
 				t.Fatal("checkpoint epoch logs differ")
 			}
 		})

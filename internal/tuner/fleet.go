@@ -37,7 +37,7 @@ type FleetConfig struct {
 	// PreserveOnCancel leaves a session's transfers running (not
 	// stopped) when the session ends on context cancellation — at a
 	// round boundary or mid-epoch — so the owner can checkpoint-resume
-	// them later. Config.Session sets it, and so Driver.Run and dstuned
+	// them later. Config.Session sets it, and so Run and dstuned
 	// run under it; the default (false) stops the transfers, which is
 	// what a fixed fleet wants: nothing of it outlives the process. A
 	// session ended by ErrInterrupted keeps its transfers either way.
@@ -202,7 +202,7 @@ type SessionResult struct {
 // There is one epoch engine in this package and Fleet is one of its
 // three front doors: Fleet.Run runs a fixed set of sessions to
 // completion, SessionRuntime steps one session at a supervisor's pace,
-// and Driver.Run is a one-transfer session stepped until it is done. A
+// and Run is a one-transfer session stepped until it is done. A
 // session behaves the same behind each of them: the same resume,
 // transient tolerance, checkpoints, events and accounting.
 type Fleet struct {

@@ -12,9 +12,9 @@ import (
 )
 
 // updateGolden rewrites the golden trace fixtures from the current
-// implementation. The fixtures were captured from the pre-Driver seed
+// implementation. The fixtures were captured from the seed
 // implementation (the blocking Tune loops), so a clean run of
-// TestGoldenTraces proves the Strategy/Driver control plane reproduces
+// TestGoldenTraces proves the Strategy/engine control plane reproduces
 // the seed traces exactly.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden traces")
 

@@ -14,7 +14,6 @@ import (
 func kernelCfg(observer *obs.Observer) Config {
 	cfg := simCfg()
 	cfg.Tolerance = 10
-	cfg.Restart = FromCurrent
 	if observer != nil {
 		cfg.Obs = observer.Session("ka")
 	}
@@ -243,7 +242,7 @@ func (f *lossyFake) Run(ctx context.Context, p xfer.Params, epoch float64) (xfer
 // aggregate report carries the transfer's kernel sample and first-byte
 // lag through the Fleet's epoch loop, so under SessionRuntime (and the
 // daemon built on it) a kernel-aware strategy damps a lossy dip and the
-// first-byte-lag histogram moves, exactly as under the Driver.
+// first-byte-lag histogram moves, exactly as under Run.
 func TestKernelAwareUnderSessionRuntime(t *testing.T) {
 	observer := obs.NewObserver(obs.ObserverConfig{})
 	cfg := kernelCfg(observer)

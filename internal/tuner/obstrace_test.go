@@ -10,7 +10,7 @@ import (
 )
 
 // TestGoldenEventTrace is the observation-plane determinism property:
-// a Driver session on a pinned simulated world, watched by an
+// a Run session on a pinned simulated world, watched by an
 // obs.Recorder, must emit exactly the event sequence captured in the
 // golden fixture — same types, same order, same epochs, same virtual
 // timestamps, same strategy deltas. Event.T is transfer-clock time and
@@ -101,7 +101,7 @@ func TestGoldenEventTrace(t *testing.T) {
 	}
 }
 
-// checkEventOrdering asserts the per-epoch protocol the Driver
+// checkEventOrdering asserts the per-epoch protocol the engine
 // documents: Propose precedes EpochStart, EpochEnd precedes Observe,
 // retriggers only ever follow an Observe, and sequence numbers are
 // contiguous from zero.

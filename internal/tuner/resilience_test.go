@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"dstune/internal/directsearch"
@@ -145,10 +146,12 @@ func TestToleranceSentinels(t *testing.T) {
 		name                string
 		tol, lambda         float64
 		wantTol, wantLambda float64
+		wantErr             bool
 	}{
-		{"zero values select paper defaults", 0, 0, 5, 8},
-		{"explicit values kept", 12, 3, 12, 3},
-		{"sentinels select exact zero", NoTolerance, NoLambda, 0, 0},
+		{"zero values select paper defaults", 0, 0, 5, 8, false},
+		{"explicit values kept", 12, 3, 12, 3, false},
+		{"NaN tolerance rejected", math.NaN(), 0, 0, 0, true},
+		{"NaN lambda rejected", 0, math.NaN(), 0, 0, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -159,7 +162,19 @@ func TestToleranceSentinels(t *testing.T) {
 				Start:     []int{2},
 				Map:       MapNC(1),
 			}
-			if err := cfg.Validate(); err != nil {
+			err := cfg.Validate()
+			if tc.wantErr {
+				if err == nil {
+					t.Fatal("Validate accepted a NaN parameter")
+				}
+				cfg.Epoch, cfg.Budget = 1, 5
+				flat := func(xfer.Params, float64) float64 { return 100e6 }
+				if _, err := Run(context.Background(), "cd-tuner", cfg, &fake{remaining: 1e18, g: flat}); err == nil {
+					t.Fatal("Run accepted a NaN parameter")
+				}
+				return
+			}
+			if err != nil {
 				t.Fatalf("Validate rejected the config: %v", err)
 			}
 			got := cfg.withDefaults()
@@ -173,10 +188,10 @@ func TestToleranceSentinels(t *testing.T) {
 	}
 }
 
-func TestNoToleranceMakesEveryChangeSignificant(t *testing.T) {
-	// With ε = 0 the cd-tuner must react to an arbitrarily small
-	// slope; with the default ε = 5% it must hold. The fake's
-	// throughput grows 1% per unit of nc — below 5, above 0.
+// TestToleranceGatesSmallChanges: with ε = 0.5% the cd-tuner must react
+// to a gentle slope; with the default ε = 5% it must hold. The fake's
+// throughput grows 1% per unit of nc — below 5, above 0.5.
+func TestToleranceGatesSmallChanges(t *testing.T) {
 	gentle := func(p xfer.Params, _ float64) float64 {
 		return 100e6 * (1 + 0.01*float64(p.NC))
 	}
@@ -196,8 +211,8 @@ func TestNoToleranceMakesEveryChangeSignificant(t *testing.T) {
 		}
 		return tr.FinalX()[0]
 	}
-	if got := run(NoTolerance); got <= 3 {
-		t.Fatalf("ε=0 cd-tuner stayed at nc=%d, want climb", got)
+	if got := run(0.5); got <= 3 {
+		t.Fatalf("ε=0.5%% cd-tuner stayed at nc=%d, want climb", got)
 	}
 	if got := run(0); got > 4 {
 		t.Fatalf("default-ε cd-tuner climbed to nc=%d on an insignificant slope", got)

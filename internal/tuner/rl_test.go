@@ -83,21 +83,13 @@ func TestRLResumeByteIdentical(t *testing.T) {
 				}
 				return nil
 			})
-			s, err := NewStrategy(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := NewDriver(cfg).Run(context.Background(), s, live); err != ErrInterrupted {
+			if _, err := runStepped(context.Background(), name, cfg, nil, live); err != ErrInterrupted {
 				t.Fatalf("drained run returned %v, want ErrInterrupted", err)
 			}
 
 			rcfg := simCfg()
 			rcfg.Resume = last
-			rs, err := NewStrategy(name, rcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := NewDriver(rcfg).Run(context.Background(), rs, live)
+			resumed, err := runStepped(context.Background(), name, rcfg, nil, live)
 			if err != nil {
 				t.Fatalf("resumed run: %v", err)
 			}

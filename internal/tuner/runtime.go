@@ -24,7 +24,7 @@ type StepInfo struct {
 // supervisors that admit and retire sessions dynamically (the dstuned
 // service) instead of running a fixed set to completion the way
 // Fleet.Run does. It is the package's one epoch engine with the loop
-// left to the caller: Fleet.Run and Driver.Run step the very same
+// left to the caller: Fleet.Run and Run step the very same
 // session state, so a session behaves identically behind all three.
 //
 // A SessionRuntime is owned by one goroutine at a time: Step, Abort,

@@ -153,11 +153,8 @@ func (s *SearchStrategy) Observe(rep xfer.Report) {
 	last := s.monitor.Last
 	if s.monitor.Observe(f) {
 		s.cfg.Obs.Retrigger(rep.End, delta(last, f))
-		start := s.x0
-		if s.cfg.Restart == FromCurrent {
-			start = s.x
-		}
-		s.startSearch(start)
+		// Line 22: restart the inner search from x0.
+		s.startSearch(s.x0)
 		s.advance()
 	}
 }

@@ -13,7 +13,7 @@ import (
 // a pure function of the observed epoch reports. Propose returns the
 // parameter vector for the next control epoch; Observe folds in the
 // epoch's report and advances the state. The epoch engine behind
-// Driver, Fleet and SessionRuntime owns everything else — the loop,
+// Run, Fleet and SessionRuntime owns everything else — the loop,
 // pacing, budget, transient-failure counting, and checkpointing — so
 // one process can step many strategies concurrently and a checkpoint
 // can serialize a strategy mid-flight.

@@ -16,23 +16,12 @@ package tuner
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"dstune/internal/directsearch"
 	"dstune/internal/history"
 	"dstune/internal/obs"
 	"dstune/internal/trace"
 	"dstune/internal/xfer"
-)
-
-// NoTolerance and NoLambda make an explicit zero configurable where
-// the zero value would select the paper's default: assign
-// Config.Tolerance = NoTolerance for an exact ε = 0 monitor (every
-// change is significant) and Config.Lambda = NoLambda for a zero
-// initial step. They are NaN sentinels, resolved by withDefaults.
-var (
-	NoTolerance = math.NaN()
-	NoLambda    = math.NaN()
 )
 
 // ParamMap converts a tuned integer vector into transfer parameters.
@@ -124,30 +113,16 @@ func (sp Space) Apply(cfg Config) Config {
 	return cfg
 }
 
-// RestartFrom selects where cs-tuner and nm-tuner restart their inner
-// search when the throughput monitor triggers.
-type RestartFrom int
-
-const (
-	// FromOrigin restarts from the tuner's original starting point
-	// x0, as written in the paper's Algorithm 2 (line 22).
-	FromOrigin RestartFrom = iota
-	// FromCurrent restarts from the current incumbent, keeping the
-	// progress made so far.
-	FromCurrent
-)
-
 // Config parameterizes a tuner. Box, Start, and Map are required.
 type Config struct {
 	// Epoch is the control epoch length e in seconds; zero selects
 	// the paper's 30 s.
 	Epoch float64
 	// Tolerance is the significance threshold ε in percent; zero
-	// selects the paper's 5%, NoTolerance selects an exact 0.
+	// selects the paper's 5%.
 	Tolerance float64
 	// Lambda is cs-tuner's initial step size and the offset of
-	// nm-tuner's initial simplex; zero selects the paper's 8, NoLambda
-	// selects an exact 0.
+	// nm-tuner's initial simplex; zero selects the paper's 8.
 	Lambda float64
 	// Box bounds the tuned vector.
 	Box directsearch.Box
@@ -164,9 +139,6 @@ type Config struct {
 	Budget float64
 	// Seed drives the randomized polling order of cs-tuner.
 	Seed uint64
-	// Restart selects the inner-search restart point for cs-tuner
-	// and nm-tuner; the zero value follows the paper (FromOrigin).
-	Restart RestartFrom
 	// ObserveBestCase makes the tuners optimize the restart-free
 	// (best-case) throughput instead of the observed throughput.
 	// The paper's tuners observe throughput including the restart
@@ -227,25 +199,17 @@ type Config struct {
 	HistoryKey history.Key
 }
 
-// resolveSentinel maps the zero value to def and the NaN sentinel
-// (NoTolerance / NoLambda) to an exact zero.
-func resolveSentinel(v, def float64) float64 {
-	if math.IsNaN(v) {
-		return 0
-	}
-	if v == 0 {
-		return def
-	}
-	return v
-}
-
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (c Config) withDefaults() Config {
 	if c.Epoch == 0 {
 		c.Epoch = 30
 	}
-	c.Tolerance = resolveSentinel(c.Tolerance, 5)
-	c.Lambda = resolveSentinel(c.Lambda, 8)
+	if c.Tolerance == 0 {
+		c.Tolerance = 5
+	}
+	if c.Lambda == 0 {
+		c.Lambda = 8
+	}
 	if c.MaxTransientFailures == 0 {
 		c.MaxTransientFailures = 3
 	}
@@ -263,8 +227,10 @@ func (c Config) Validate() error {
 	if c.Map == nil {
 		return errors.New("tuner: Map is required")
 	}
-	if c.Epoch < 0 || c.Tolerance < 0 || c.Lambda < 0 || c.Budget < 0 || c.MaxTransientFailures < 0 {
-		return errors.New("tuner: negative parameter")
+	// NaN compares false both ways: it would pass a < 0 check, survive
+	// withDefaults' == 0 test, and make every dc > Tolerance gate false.
+	if c.Epoch < 0 || !(c.Tolerance >= 0) || !(c.Lambda >= 0) || c.Budget < 0 || c.MaxTransientFailures < 0 {
+		return errors.New("tuner: negative or NaN parameter")
 	}
 	return nil
 }

@@ -239,18 +239,6 @@ func TestSearchTunersReadaptAfterShift(t *testing.T) {
 	}
 }
 
-func TestRestartFromCurrent(t *testing.T) {
-	cfg := cfg1D(1800)
-	cfg.Restart = FromCurrent
-	tr, err := Run(context.Background(), "cs-tuner", cfg, newFake(shifting(10, 30, 600)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x := tr.FinalX(); x[0] < 25 || x[0] > 35 {
-		t.Fatalf("FromCurrent final nc=%d, want near 30", x[0])
-	}
-}
-
 func TestHeur2SettlesAndNeverRetunes(t *testing.T) {
 	// Doubling from 2: 4, 8, 16 (worse) -> settle at 8 and hold, even
 	// after the landscape shifts.
@@ -453,6 +441,28 @@ func TestConvergenceTime(t *testing.T) {
 	// Empty trace.
 	if got := (&Trace{}).ConvergenceTime(0.9, 1); got != -1 {
 		t.Fatalf("empty trace = %v, want -1", got)
+	}
+}
+
+// TestFirstWindow pins the critical-point detector the warm-start
+// study counts epochs with on a hand-built trace: ramp epochs below the
+// steady mean, then a plateau.
+func TestFirstWindow(t *testing.T) {
+	tr := &Trace{}
+	for _, tp := range []float64{10, 20, 100, 100, 100, 100} {
+		tr.add([]int{1}, xfer.Report{Throughput: tp})
+	}
+	critical := func(tr *Trace, window int) int {
+		return FirstWindow(tr.Results, window, 0.9*tr.SteadyMean(window))
+	}
+	if got := critical(tr, 2); got != 2 {
+		t.Fatalf("critical epoch = %d, want 2", got)
+	}
+	if got := critical(tr, 10); got != -1 {
+		t.Fatalf("short trace: got %d, want -1", got)
+	}
+	if got := critical(&Trace{Results: tr.Results[2:]}, 2); got != 0 {
+		t.Fatalf("flat trace critical epoch = %d, want 0", got)
 	}
 }
 
