@@ -51,9 +51,6 @@ type fleetSession struct {
 	service.JobSpec
 	// Name labels the session; empty defaults to the tuner name.
 	Name string `json:"name"`
-	// Weight scales the session's transfer in its aggregate objective
-	// (single-transfer sessions: cosmetic).
-	Weight float64 `json:"weight"`
 }
 
 // loadFleet reads a fleet file the way dstuned reads a job: strictly
@@ -149,9 +146,6 @@ func buildFleet(path string, observer *dstune.Observer, checkpointPath string, h
 		// loadFleet holds every session to the file's epoch, budget and
 		// max_transient, so any session's FleetConfig is the fleet's.
 		fcfg, sessions[i] = built.FleetSession()
-		if s.Weight != 0 {
-			sessions[i].Weights = []float64{s.Weight}
-		}
 	}
 	// Nothing of a fleet run outlives the process.
 	fcfg.PreserveOnCancel = false

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"dstune"
@@ -47,5 +48,19 @@ func TestRunFleetDedupedDurableIdentities(t *testing.T) {
 		if recs := store.Records(ep); len(recs) != 1 {
 			t.Errorf("endpoint %s holds %d records, want 1", ep, len(recs))
 		}
+	}
+}
+
+// TestFleetRefusesWeight: a session is one transfer, with nothing to be
+// weighed against, so a fleet file has no "weight" key — strictly
+// decoded, it is an unknown one.
+func TestFleetRefusesWeight(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fleet.json")
+	spec := `{"testbed": "uchicago", "sessions": [{"name": "bulk", "tuner": "cs-tuner", "weight": 3}]}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loadFleet(path); err == nil || !strings.Contains(err.Error(), `"weight"`) {
+		t.Fatalf("loadFleet = %v, want the weight key refused by name", err)
 	}
 }

@@ -2,7 +2,6 @@ package gridftp
 
 import (
 	"context"
-	"io"
 	"math"
 	"net"
 	"os"
@@ -252,43 +251,65 @@ func BenchmarkFileSourceEpoch(b *testing.B) {
 	b.Run("userspace", func(b *testing.B) { run(b, true) })
 }
 
+// discardConn is a data connection whose writes vanish, so the pump's
+// own costs are all a measurement sees.
+type discardConn struct{ net.Conn }
+
+func (discardConn) Write(p []byte) (int, error) { return len(p), nil }
+
+// oneFileQueue is the work queue of a one-file transfer of size bytes,
+// its file admitted.
+func oneFileQueue(size int64) *fileQueue {
+	q := newFileQueue(dataset.Uniform(1, size))
+	q.admit(0)
+	return q
+}
+
+// pumpOneFile runs filePump unshaped over q until q is leased out.
+func pumpOneFile(conn net.Conn, q *fileQueue, pio *pumpIO, firstByte *atomic.Int64) (sent int64, alive bool) {
+	return filePump(conn, q, pio, math.Inf(1), time.Now().Add(time.Hour), nil, firstByte, time.Now())
+}
+
 // BenchmarkPump measures the unshaped pump fast path in isolation:
-// one stream draining a shared budget through byte leases. allocs/op
-// must stay at zero — the lease quantum amortizes the shared-budget
-// CAS, and the write buffer is the package's one zero slice.
+// one stream draining a one-file transfer's queue through 4 MiB leases.
+// allocs/op must stay at zero — the lease quantum amortizes the queue's
+// lock, the write buffer is the package's one zero slice, and the frame
+// header and writev vector live in the stream's pumpIO.
 func BenchmarkPump(b *testing.B) {
-	var budget atomic.Int64
-	budget.Store(int64(b.N) * fileChunk)
-	abort := make(chan struct{})
-	defer close(abort)
+	want := int64(b.N) * fileChunk
+	q := oneFileQueue(want)
+	var conn net.Conn = discardConn{}
+	var firstByte atomic.Int64
 	b.SetBytes(fileChunk)
 	b.ReportAllocs()
 	b.ResetTimer()
-	sent, alive := pump(io.Discard, math.Inf(1), time.Now().Add(time.Hour), &budget, abort)
+	sent, alive := pumpOneFile(conn, q, &pumpIO{}, &firstByte)
 	b.StopTimer()
 	if !alive {
-		b.Fatal("pump reported a dead stream on io.Discard")
+		b.Fatal("pump reported a dead stream on a discarding connection")
 	}
-	if sent != int64(b.N)*fileChunk {
-		b.Fatalf("pump sent %d bytes, want %d", sent, int64(b.N)*fileChunk)
+	if sent != want {
+		b.Fatalf("pump sent %d bytes, want %d", sent, want)
 	}
 }
 
 // TestPumpAllocs holds BenchmarkPump's contract exactly, where every PR
-// is judged: a pump call that makes 256 writes allocates nothing — not
-// per write, not per lease, not per call.
+// is judged: a pump call that moves 256 MiB allocates nothing — not
+// per write, not per lease, not per frame, not per call.
 func TestPumpAllocs(t *testing.T) {
 	const want = 256 * fileChunk
-	var budget atomic.Int64
-	abort := make(chan struct{})
-	deadline := time.Now().Add(time.Hour)
+	q := oneFileQueue(want)
+	var conn net.Conn = discardConn{}
+	pio := &pumpIO{}
+	var firstByte atomic.Int64
+	nothingReceived := []int64{0}
 	allocs := testing.AllocsPerRun(20, func() {
-		budget.Store(want)
-		if sent, alive := pump(io.Discard, math.Inf(1), deadline, &budget, abort); !alive || sent != want {
+		q.applyServer(nothingReceived)
+		if sent, alive := pumpOneFile(conn, q, pio, &firstByte); !alive || sent != want {
 			t.Fatalf("pump sent %d bytes (alive %v), want %d", sent, alive, want)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("pump: %v allocs per 256-write call, want 0", allocs)
+		t.Errorf("pump: %v allocs per 256 MiB call, want 0", allocs)
 	}
 }

@@ -63,13 +63,12 @@ type ClientConfig struct {
 	// open-ended runs. With a Dataset, leave it zero (it is derived
 	// from the dataset's total size).
 	Bytes float64
-	// Dataset, when non-empty, switches the client from the bulk
-	// memory-to-memory stream to the multi-file framed data plane: the
-	// dataset is registered on the server by a MANIFEST exchange, data
-	// connections carry per-file segments behind FILE headers, file
-	// starts are pipelined up to the epoch's pp depth (Params.PP), and
-	// accounting is per-file receiver truth. Empty keeps the bulk
-	// plane bit-for-bit unchanged.
+	// Dataset is the multi-file transfer: it is registered on the
+	// server by a MANIFEST exchange, data connections carry per-file
+	// segments behind FILE headers, file starts are pipelined up to the
+	// epoch's pp depth (Params.PP), and accounting is per-file receiver
+	// truth. Empty makes the transfer a dataset of one file of Bytes
+	// bytes — 2^62 when unbounded — on the same plane.
 	Dataset dataset.Dataset
 	// SourceDir switches the dataset's payload from synthesized zeros
 	// to real file contents: manifest entry i is read from
@@ -160,9 +159,7 @@ var clientSeq atomic.Int64
 type Client struct {
 	cfg   ClientConfig
 	token string
-	// plane is the bulk stream or the framed file plane, chosen once
-	// in NewClient from ClientConfig.Dataset.
-	plane dataPlane
+	plane *framedPlane
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -250,21 +247,25 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.stopped, c.stop = context.WithCancelCause(context.Background())
 	c.acked = int64(cfg.AckedBytes)
 	c.seen = -1
-	if cfg.Bytes >= float64(int64(1)<<62) {
-		c.remaining.Store(int64(1) << 62)
-	} else {
-		c.remaining.Store(int64(cfg.Bytes - cfg.AckedBytes))
-	}
-	c.plane = bulkPlane{c}
-	if datasetMode {
-		fp, err := newFramedPlane(c)
-		if err != nil {
-			return nil, err
+	if !datasetMode {
+		// A bulk transfer is a dataset of one file.
+		size := unboundedBytes
+		if cfg.Bytes < float64(unboundedBytes) {
+			size = int64(cfg.Bytes)
 		}
-		c.plane = fp
+		c.cfg.Dataset = dataset.Uniform(1, size)
+	}
+	c.remaining.Store(c.cfg.Dataset.TotalBytes() - c.acked)
+	var err error
+	if c.plane, err = newFramedPlane(c); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
+
+// unboundedBytes is what an unbounded transfer (Bytes at or past it)
+// writes: the size of its one file, and its remaining budget.
+const unboundedBytes = int64(1) << 62
 
 // Token returns the transfer's identifying token on the server.
 func (c *Client) Token() string { return c.token }
@@ -296,7 +297,7 @@ func (c *Client) Now() float64 {
 // ClockOffset: Clock} — as long as the transfer was not stopped, so
 // the server still holds the token's counter.
 func (c *Client) Snapshot() xfer.TransferState {
-	unbounded := c.cfg.Bytes >= float64(int64(1)<<62)
+	unbounded := c.cfg.Bytes >= float64(unboundedBytes)
 	s := xfer.TransferState{
 		Total: c.cfg.Bytes,
 		Clock: c.Now(),
@@ -546,22 +547,13 @@ func (c *Client) ServerReceived() (int64, error) {
 	return n, nil
 }
 
-// receiverTruth is the server's answer to SETTLE — the token's aggregate
-// byte counter and, on the file plane, the completed-file count and the
-// duplicate-free received bytes — and what settled made of it.
+// receiverTruth is the server's answer to SETTLE: the token's aggregate
+// byte counter, the completed-file count and the duplicate-free
+// received bytes.
 type receiverTruth struct {
 	bytes  int64
 	done   int
 	useful int64
-	// pending is how far bytes fell short of the expected count although
-	// no stripe died: late, then, not lost — nothing goes back to the
-	// budget, and the next settle waits for it.
-	pending int64
-	// refund is the expected count less bytes wherever settled took
-	// bytes as the new starting point: what a dead stripe lost
-	// (positive, back to the budget) or what arrived that nobody
-	// expected (negative).
-	refund int64
 }
 
 // settled is the one round trip in which an epoch learns receiver
@@ -575,13 +567,12 @@ type receiverTruth struct {
 // written to a stripe that is still alive do arrive, so an epoch in
 // which none died moves seen on by exactly what it wrote, whatever the
 // answer said: a count cut short by a spuriously quiet 5 ms (a drain
-// starved of CPU) is pending, and the next settle waits for it. Only
-// where the expectation is known to be off — a stripe died with bytes
-// in its socket buffer, the counter is past it, or below where the
-// epoch began (the server dropped the token) — is the answer itself the
-// new starting point; giveUp says the caller will wait for pending
-// bytes no longer and wants them counted as lost.
-func (c *Client) settled(ctx context.Context, e *epoch, sent int64, giveUp bool) (rt receiverTruth, err error) {
+// starved of CPU) is late, and the next settle waits for it. Only where
+// the expectation is known to be off — a stripe died with bytes in its
+// socket buffer, the counter is past it, or below where the epoch began
+// (the server dropped the token) — is the answer itself the new
+// starting point.
+func (c *Client) settled(ctx context.Context, e *epoch, sent int64) (rt receiverTruth, err error) {
 	began, expect := c.seen, c.seen+sent
 	c.seen = expect
 	cmd := fmt.Sprintf("SETTLE %s %d", c.token, expect)
@@ -593,16 +584,13 @@ func (c *Client) settled(ctx context.Context, e *epoch, sent int64, giveUp bool)
 		return rt, fmt.Errorf("%w: bad SETTLE response %q", ErrProtocol, resp)
 	}
 	lossy := slices.ContainsFunc(e.stripes, func(s stripeResult) bool { return !s.alive })
-	if giveUp || lossy || rt.bytes < began || rt.bytes > expect {
-		rt.refund = expect - rt.bytes
+	if lossy || rt.bytes < began || rt.bytes > expect {
 		c.seen = rt.bytes
-	} else {
-		rt.pending = expect - rt.bytes
 	}
 	return rt, nil
 }
 
-// dialData establishes one data connection (dial plus the plane's
+// dialData establishes one data connection (dial plus the DATAF
 // header), retrying transient failures.
 func (c *Client) dialData(ctx context.Context, t *cost) (data net.Conn, err error) {
 	err = c.retry(ctx, t, func() error {
@@ -611,7 +599,7 @@ func (c *Client) dialData(ctx context.Context, t *cost) (data net.Conn, err erro
 		if err != nil {
 			return err
 		}
-		if _, err = fmt.Fprintf(conn, "%s %s\n", c.plane.verb(), c.token); err != nil {
+		if _, err = fmt.Fprintf(conn, "DATAF %s\n", c.token); err != nil {
 			conn.Close()
 			return err
 		}
@@ -652,28 +640,6 @@ func (c *Client) storePool(conns []net.Conn) {
 	c.cfg.Obs.SetPool(len(conns))
 }
 
-// dataPlane is the seam between the two wire formats a transfer can
-// use — the bulk stream (DATA, an anonymous byte budget) and the framed
-// file plane (DATAF, a per-file work queue, MANIFEST, OPEN and RESYNC).
-// They differ in exactly these four places; everything else
-// about an epoch is written once, in Run's phases.
-type dataPlane interface {
-	// verb is the header word a data connection announces itself with.
-	verb() string
-	// arm follows the epoch's START with whatever the plane must
-	// have in place on the server before data flows. An error aborts
-	// the epoch.
-	arm(ctx context.Context, e *epoch) error
-	// pump starts the plane's own share of the pump phase and returns
-	// what every stripe goroutine runs — it reports the payload bytes
-	// written and whether the connection is still usable — plus a join
-	// the pump phase calls once every stripe has returned.
-	pump(ctx context.Context, e *epoch) (stripe func(net.Conn) (sent int64, alive bool), join func())
-	// settle turns receiver truth into the epoch's Bytes and Files and
-	// the transfer's remaining budget; sent is what the stripes wrote.
-	settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report)
-}
-
 // epoch is one Run's working state, threaded through its phases.
 type epoch struct {
 	p        xfer.Params
@@ -684,7 +650,6 @@ type epoch struct {
 	cost                   // dials and retries spent so far
 	reused   int           // stripes taken over from the warm pool
 	degraded int           // stripes given up on after retries
-	found    int64         // first arm only: bytes the token held beyond what the session had acknowledged
 
 	// pool is the stripe set, owned by the epoch from takePool to
 	// storePool; stripes[i] is what pool[i]'s pump goroutine reported
@@ -700,62 +665,10 @@ type stripeResult struct {
 	alive bool
 }
 
-// bulkPlane is the memory-to-memory stream: every stripe drains one
-// shared byte budget, and receiver truth is the token's byte counter.
-type bulkPlane struct{ c *Client }
-
-// verb: bulk data connections announce themselves with DATA.
-func (bulkPlane) verb() string { return "DATA" }
-
-// pump hands every stripe the zero pump over the shared byte budget.
-func (b bulkPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64, bool), func()) {
-	return func(conn net.Conn) (int64, bool) {
-		return pump(conn, e.rate, e.deadline, &b.c.remaining, ctx.Done())
-	}, func() {}
-}
-
-// arm claims what a resumed token holds beyond the checkpoint — the
-// killed session's last writes, found by the first arm's START — so the
-// budget does not send it again; the first settle credits it.
-func (b bulkPlane) arm(_ context.Context, e *epoch) error {
-	if e.found > 0 {
-		b.c.remaining.Add(-e.found)
-	}
-	return nil
-}
-
-// settle reconciles against the server's byte count: bytes lost to a
-// reset go back to the budget, arrivals nobody expected are claimed
-// from it. A count that is short with every stripe alive is late, not
-// lost, and left for the next settle — unless the budget is spent, when
-// there may be no next one: then the transfer would end short if the
-// bytes are in fact gone (the server's end died, unseen), and resend
-// them if it gave them up while they are merely late. So it asks once
-// more, and only then gives up what is still missing.
-func (b bulkPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report) {
-	c := b.c
-	truth, err := c.settled(ctx, e, sent, false)
-	if err == nil && truth.pending > 0 && c.remaining.Load() <= 0 {
-		truth, err = c.settled(ctx, e, 0, true)
-	}
-	if err != nil {
-		return
-	}
-	c.mu.Lock()
-	prev := c.acked
-	c.acked = truth.bytes
-	c.mu.Unlock()
-	// A negative delta means the server's counter restarted (idle-token
-	// expiry); keep local accounting for this epoch and resync.
-	if delta := truth.bytes - prev; delta >= 0 {
-		c.remaining.Add(truth.refund)
-		r.Bytes = float64(delta)
-	}
-}
-
 // Run implements xfer.Transferer. The epoch is wall-clock seconds,
 // spent in six phases: arm (START on the control connection, then
-// whatever the data plane needs registered),
+// the manifest, a resync when one is owed, and the opener's control
+// connection),
 // dialDelta (retire surplus stripes, dial the missing ones),
 // pumpEpoch, evict (kernel sample, then dead stripes leave the pool),
 // settle (receiver truth) and report. Report.DeadTime is arm plus
@@ -841,7 +754,7 @@ func (c *Client) Run(caller context.Context, p xfer.Params, epochSecs float64) (
 
 // arm re-arms the server for the epoch — one START on the control
 // connection, whether the stripe is cold (the restart analog) or warm —
-// then makes the data plane's own preparations. START answers with
+// then makes the file plane's own preparations. START answers with
 // where the token's counter stands, and a session's first arm keeps
 // that reading: nothing of this session is in flight yet, the one
 // moment it is exact, also for a resumed token that holds whatever its
@@ -857,11 +770,8 @@ func (c *Client) arm(ctx context.Context, e *epoch) error {
 	}
 	if c.seen < 0 {
 		c.seen = n
-		c.mu.Lock()
-		e.found = n - c.acked
-		c.mu.Unlock()
 	}
-	return c.plane.arm(ctx, e)
+	return c.plane.arm(ctx, e, n)
 }
 
 // dialDelta brings the stripe to the epoch's width: surplus
@@ -923,7 +833,7 @@ func (c *Client) abortEpoch(ctx context.Context, e *epoch, err error) error {
 	return err
 }
 
-// pumpEpoch runs the data plane's pump on every stripe until the epoch
+// pumpEpoch runs the file pump on every stripe until the epoch
 // deadline and returns the bytes written. An interrupt (ctx cancel or
 // Stop) expires every stream's write deadline, so blocked writes fail
 // immediately and each pump returns its unsent budget.

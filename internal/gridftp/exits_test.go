@@ -33,6 +33,7 @@ type scriptedPeer struct {
 	mu       sync.Mutex
 	acts     map[string]func() string
 	data     atomic.Int64 // live data connections
+	opened   atomic.Int64 // data connections ever opened
 	handlers atomic.Int64 // live connection goroutines (the peer's, not the client's)
 }
 
@@ -94,8 +95,9 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 		switch f[0] {
 		case "START":
 			reply = "OK 0"
-		case "DATA", "DATAF":
+		case "DATAF":
 			p.data.Add(1)
+			p.opened.Add(1)
 			io.Copy(io.Discard, br)
 			p.data.Add(-1)
 			return
@@ -150,8 +152,10 @@ func (p *scriptedPeer) clientGoroutines() int {
 
 // TestEveryExitFromRun walks every way an epoch can end before its
 // pump — each setup step failing transiently, fatally, or being
-// interrupted by a cancelled context or by Stop, on both data planes —
-// and pins what all of them owe the caller: the error class, pacing
+// interrupted by a cancelled context or by Stop, for a bulk transfer
+// (the one-file manifest NewClient builds from Bytes) and for a resumed
+// multi-file dataset that asks for a sink (framed) — and pins what all
+// of them owe the caller: the error class, pacing
 // for transient failures only, the warm pool kept (or closed, after
 // Stop), the byte budget untouched, and no goroutine left behind. The
 // one step after the pump, SETTLE, owes the same less the budget: the
@@ -214,8 +218,8 @@ func TestEveryExitFromRun(t *testing.T) {
 					if framed {
 						// A resumed session (AckedBytes) resyncs in its first
 						// epoch; and since the peer's SETTLE stays below what
-						// was acked, every settle concludes the server lost
-						// the file table, so every later epoch re-sends
+						// was acked, the first settle concludes the server
+						// lost the file table, so the next epoch re-sends
 						// MANIFEST (with its SINK flag) and RESYNC too — on a
 						// warm pool.
 						cfg.Bytes, cfg.Dataset = 0, dataset.Uniform(4, 64<<10)
@@ -337,5 +341,55 @@ func TestEveryExitFromRun(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestParentBulkCheckpointIsRefused: a checkpoint of a transfer an
+// older client streamed without a manifest names a token whose counter
+// holds the acknowledged bytes while its file table, registered only
+// now, holds none. Resumed from offset zero, the transfer would send the
+// whole volume again and the server would count it twice, so the first
+// epoch fails with a named, fatal error before any data connection is
+// opened — and every later one too. A resumed session whose RESYNC
+// fails cannot tell, so it sends nothing either.
+func TestParentBulkCheckpointIsRefused(t *testing.T) {
+	const volume, acked = 8 << 20, 3 << 20
+	for _, row := range []struct {
+		name   string
+		resync func() string // the peer's answer to RESYNC; nil reads no progress
+		check  func(error) bool
+	}{
+		{"older-server", nil, func(err error) bool { return errors.Is(err, errNotResumable) && !xfer.IsTransient(err) }},
+		{"resync-lost", func() string { return "" }, xfer.IsTransient},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p := newScriptedPeer(t)
+			// The older server: START reads the bulk bytes.
+			p.arm("START", func() string { return fmt.Sprintf("OK %d", acked+4096) })
+			p.arm("RESYNC", row.resync)
+			c, err := NewClient(ClientConfig{
+				Addr:        p.ln.Addr().String(),
+				Bytes:       volume,
+				Token:       "parent-tok",
+				AckedBytes:  acked,
+				DialTimeout: 100 * time.Millisecond,
+				Retry:       RetryConfig{Attempts: 2, Backoff: time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			for i := 0; i < 2; i++ {
+				if _, err := c.Run(context.Background(), xfer.Params{NC: 2, NP: 1}, 0.05); !row.check(err) {
+					t.Fatalf("epoch %d: err = %v", i, err)
+				}
+			}
+			if n := p.opened.Load(); n != 0 {
+				t.Fatalf("%d data connections opened, want none", n)
+			}
+			if got := c.Remaining(); got != volume-acked {
+				t.Fatalf("Remaining = %v, want the checkpoint's %d untouched", got, volume-acked)
+			}
+		})
 	}
 }

@@ -3,6 +3,7 @@ package gridftp
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -22,14 +23,14 @@ func errProtocolf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrProtocol}, args...)...)
 }
 
-// fileChunk is the payload write size of both pumps when nothing paces
-// them. On the file plane it lets a typical small file move in two
-// syscalls — one frame header, one payload write — keeping the
-// per-file syscall count flat (BenchmarkManyFilesEpoch pins it); on the
-// bulk stream it is what makes a byte cost what a framed one does.
+// fileChunk is the pump's payload write size when nothing paces it. It
+// lets a typical small file move in one writev of frame header and
+// payload, keeping the per-file syscall count flat
+// (BenchmarkManyFilesEpoch pins it), and a one-file transfer write a
+// sixteenth of the syscalls a 64 KiB write would cost.
 const fileChunk = 1 << 20
 
-// fileZeros is the one payload buffer both pumps slice (the /dev/zero
+// fileZeros is the one payload buffer the pump slices (the /dev/zero
 // stand-in).
 var fileZeros = make([]byte, fileChunk)
 
@@ -39,11 +40,10 @@ var fileZeros = make([]byte, fileChunk)
 // epoch ends.
 const ackSlack = 2 * time.Second
 
-// fileQueue is the client-side file-segment work queue that replaces
-// the anonymous byte budget in dataset mode. Files become leasable
-// only after admission (the OPEN/ACK handshake the opener performs up
-// to pp deep); stripes then pull (file, offset, length) leases of at
-// most leaseQuantum bytes. The unsent remainder of a failed lease is
+// fileQueue is the client-side file-segment work queue. Files become
+// leasable only after admission (the OPEN/ACK handshake the opener
+// performs up to pp deep); stripes then pull (file, offset, length)
+// leases of at most leaseQuantum bytes. The unsent remainder of a failed lease is
 // requeued immediately; bytes lost in a dead stripe's socket buffer
 // are recovered by resyncing against the server's per-file counters.
 type fileQueue struct {
@@ -230,6 +230,7 @@ type pumpIO struct {
 	calls  int64        // write/writev syscalls issued
 	vec    net.Buffers
 	vecbuf [2][]byte // backing array for vec, so writev costs no allocation
+	hdr    [48]byte  // backing array for the frame header, likewise
 }
 
 // newPumpIO builds conn's pump context: zero-copy engages only when
@@ -264,8 +265,7 @@ func markFirstByte(firstByte *atomic.Int64, sent int64, start time.Time) {
 }
 
 // pace enforces token-bucket pacing on a stripe's cumulative volume,
-// for both pumps — across frames on the file plane, so single-chunk
-// small files are paced too. The sleep
+// across frames, so single-chunk small files are paced too. The sleep
 // is clamped to the epoch's remainder (a frame still open at the
 // deadline finishes unpaced) and watches for an abort so a cancelled
 // epoch is not held up: the watchdog has expired the write deadline,
@@ -307,10 +307,20 @@ func pace(rate float64, sent int64, pumpStart, deadline time.Time, abort <-chan 
 //   - no source: synthesized zeros.
 //
 // On the userspace paths the header rides the first payload chunk in
-// a single writev, so a small file still moves in one syscall.
+// a single writev, so a small file still moves in one syscall. Shaped,
+// a lease is one chunkSize frame written whole between two looks at the
+// token bucket, so a committed frame overshoots the deadline by at most
+// one pacing quantum; unshaped, boundLease sizes it to the stripe's
+// rate.
 func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline time.Time, abort <-chan struct{}, firstByte *atomic.Int64, start time.Time) (sent int64, alive bool) {
-	hdr := make([]byte, 0, 48)
 	shaped := !math.IsInf(rate, 1)
+	quantum := int64(leaseQuantum)
+	switch {
+	case shaped:
+		quantum = chunkSize
+	case pio.zc:
+		quantum = zcLeaseQuantum
+	}
 	pumpStart := time.Now()
 	defer pio.src.release()
 	for {
@@ -319,25 +329,11 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 			return sent, true
 		default:
 		}
-		if time.Now().After(deadline) {
+		now := time.Now()
+		if now.After(deadline) {
 			return sent, true
 		}
-		quantum := int64(leaseQuantum)
-		if pio.zc {
-			quantum = zcLeaseQuantum
-		}
-		if shaped {
-			// Bound the lease to what the rate can move before the
-			// deadline, so finishing the frame overshoots the epoch by
-			// at most about one chunk.
-			if b := int64(rate * time.Until(deadline).Seconds()); b < quantum {
-				quantum = b
-			}
-			if quantum < fileChunk {
-				quantum = fileChunk
-			}
-		}
-		idx, off, n, wait := q.next(quantum)
+		idx, off, n, wait := q.next(boundLease(quantum, sent, now.Sub(pumpStart), deadline.Sub(now)))
 		if n == 0 {
 			if !wait {
 				return sent, true
@@ -364,7 +360,7 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 				return sent, false
 			}
 		}
-		hdr = appendFrameHeader(hdr[:0], idx, off, n)
+		hdr := appendFrameHeader(pio.hdr[:0], idx, off, n)
 
 		if pio.zc && n >= zcMinSegment {
 			// Warm the lease's pages before sendfile: cold pages fault
@@ -399,10 +395,7 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 
 		first := true
 		for rem, pos := n, off; rem > 0; {
-			want := rem
-			if want > fileChunk {
-				want = fileChunk
-			}
+			want := min(rem, fileChunk)
 			payload := fileZeros[:want]
 			if f != nil {
 				buf := pio.src.buf()
@@ -445,12 +438,29 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 	}
 }
 
-// framedPlane is the dataset-aware data plane: stripes pull
-// (file, offset, length) leases from a work queue and send them as
-// FILE frames, an opener pipelines the per-file OPEN handshakes on the
-// control connection, and receiver truth is the server's per-file
-// table (SETTLE, and RESYNC to rebuild the queue from it). Mutated only
-// by Run and NewClient — never concurrently.
+// boundLease bounds a lease so that its frame, written whole once
+// committed, still fits before the stripe's write deadline a second past
+// the epoch's: the epoch's first lease is one chunkSize, and a later one
+// at most what the stripe's rate so far moves before the epoch deadline,
+// never less than chunkSize nor more than quantum (so a shaped lease is
+// always chunkSize). On a stream of a few MB/s a 4 MiB lease begun late
+// would time out, and the half-written frame would cost the stripe its
+// place in the warm pool. (A send buffer that emptied between epochs
+// makes the first rates read high; only the second of slack covers
+// that.)
+func boundLease(quantum, sent int64, elapsed, left time.Duration) int64 {
+	if sent == 0 || elapsed <= 0 {
+		return chunkSize
+	}
+	return max(chunkSize, int64(min(float64(quantum), float64(sent)*left.Seconds()/elapsed.Seconds())))
+}
+
+// framedPlane is the data plane: stripes pull (file, offset, length)
+// leases from a work queue and send them as FILE frames, an opener
+// pipelines the per-file OPEN handshakes on the control connection, and
+// receiver truth is the server's per-file table (SETTLE, and RESYNC to
+// rebuild the queue from it). Mutated only by Run and NewClient — never
+// concurrently.
 type framedPlane struct {
 	c            *Client
 	q            *fileQueue
@@ -459,6 +469,8 @@ type framedPlane struct {
 	datasetBytes int64       // total payload bytes across the dataset
 	manifested   bool        // MANIFEST (and the sink it asks for) registered on the server
 	needResync   bool        // queue must resync against server counters
+	resuming     bool        // a resumed session that has not yet resynced
+	counted      int64       // the token's counter in the last SETTLE answer
 	lastDone     int         // server's completed-file count last settle
 	gotScratch   []int64     // reusable RESYNC parse buffer
 
@@ -480,6 +492,7 @@ func newFramedPlane(c *Client) (*framedPlane, error) {
 		// per-file counters before the first pump, restarting at
 		// file/offset granularity.
 		needResync: c.cfg.AckedBytes > 0,
+		resuming:   c.cfg.AckedBytes > 0,
 	}
 	if c.cfg.SourceDir != "" {
 		var err error
@@ -490,16 +503,31 @@ func newFramedPlane(c *Client) (*framedPlane, error) {
 	return f, nil
 }
 
-// verb: framed data connections announce themselves with DATAF.
-func (*framedPlane) verb() string { return "DATAF" }
+// errNotResumable refuses a resumed token whose server counter holds
+// the checkpoint's bytes while its file table does not: a bulk-stream
+// token of a client older than the one-file manifest. Resent from file
+// offset zero, those bytes would be counted twice.
+var errNotResumable = errors.New("gridftp: token not resumable: the server counts the checkpoint's bytes but holds no file progress for them")
 
 // arm registers the manifest once per session (the server keeps it
 // under the token until the idle TTL; the sink request rides on it, so
 // a server restart re-arms persistence too), rebuilds the work queue
 // from receiver truth when resuming or after losses, and secures the
-// control connection the opener will own during the pump.
-func (f *framedPlane) arm(ctx context.Context, e *epoch) error {
+// control connection the opener will own during the pump. held is what
+// the epoch's START found in the token's counter.
+func (f *framedPlane) arm(ctx context.Context, e *epoch, held int64) error {
 	c := f.c
+	if held < f.counted {
+		// The counter started over: the server expired or lost the
+		// token, and its file table with it, so nothing of the transfer
+		// is confirmed any more. Register the manifest again and rebuild
+		// the queue from the new, empty table before anything is sent.
+		f.manifested, f.needResync = false, true
+		f.counted, c.seen = held, held
+		c.mu.Lock()
+		c.acked = 0
+		c.mu.Unlock()
+	}
 	if !f.manifested {
 		if _, err := c.exchange(ctx, &e.cost, f.manifest(), "OK"); err != nil {
 			return fmt.Errorf("gridftp: manifest: %w", err)
@@ -510,11 +538,19 @@ func (f *framedPlane) arm(ctx context.Context, e *epoch) error {
 		// Quiesced here: no leases are in flight between epochs. A
 		// failed resync is not fatal — the queue keeps its local view
 		// (duplicates are clamped server-side) and a later epoch
-		// retries.
-		if err := f.resync(ctx, e); err == nil {
-			f.needResync = false
-		} else if ierr := interrupted(ctx); ierr != nil {
+		// retries — except to a resumed session, which sends nothing
+		// before it knows what the server holds.
+		useful, err := f.resync(ctx, e)
+		acked := int64(c.cfg.AckedBytes)
+		switch ierr := interrupted(ctx); {
+		case err == nil && f.resuming && held >= acked && useful < acked:
+			return errNotResumable
+		case err == nil:
+			f.needResync, f.resuming = false, false
+		case ierr != nil:
 			return ierr
+		case f.resuming:
+			return fmt.Errorf("gridftp: resync: %w", err)
 		}
 	}
 	var err error
@@ -632,28 +668,26 @@ func (f *framedPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.
 	r.FirstByteLag = time.Duration(f.firstByte.Load()).Seconds()
 	r.Syscalls = f.sysCalls.Load()
 	c := f.c
-	truth, err := c.settled(ctx, e, sent, false)
+	truth, err := c.settled(ctx, e, sent)
 	if err != nil {
 		return
 	}
+	f.counted = truth.bytes
 	c.mu.Lock()
 	prev := c.acked
-	if truth.useful >= prev {
-		c.acked = truth.useful
-	}
+	c.acked = truth.useful
 	c.mu.Unlock()
+	c.remaining.Store(f.datasetBytes - truth.useful)
 	if delta := truth.useful - prev; delta >= 0 {
 		r.Bytes = float64(delta)
-		c.remaining.Store(f.datasetBytes - truth.useful)
 	} else {
-		// The server lost the token's file table (idle-TTL expiry or
-		// restart): re-register the manifest — and with it the sink —
-		// and resync the queue next epoch.
+		// The server lost the token's file table during the epoch
+		// (idle-TTL expiry or restart): the epoch keeps the sender's
+		// count, and the next one re-registers the manifest — and with
+		// it the sink — and resyncs the queue.
 		f.manifested, f.needResync = false, true
 	}
-	if truth.done >= f.lastDone {
-		r.Files = truth.done - f.lastDone
-	}
+	r.Files = max(truth.done-f.lastDone, 0)
 	f.lastDone = truth.done
 	if truth.done < len(f.q.sizes) && f.q.drained() {
 		// Every byte was leased but the server still misses some (lost
@@ -666,14 +700,14 @@ func (f *framedPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.
 // resync rebuilds the work queue from the server's per-file received
 // counts (the RESYNC exchange): lost bytes are requeued,
 // already-received bytes are dropped, and resume restarts at
-// file/offset granularity. Must only run quiesced (no leases in
-// flight).
-func (f *framedPlane) resync(ctx context.Context, e *epoch) error {
+// file/offset granularity. It returns the duplicate-free bytes the
+// server holds. Must only run quiesced (no leases in flight).
+func (f *framedPlane) resync(ctx context.Context, e *epoch) (useful int64, err error) {
 	if f.gotScratch == nil {
 		f.gotScratch = make([]int64, len(f.q.sizes))
 	}
 	got := f.gotScratch
-	err := f.c.roundTrip(ctx, &e.cost, "RESYNC "+f.c.token, func(br *bufio.Reader) error {
+	err = f.c.roundTrip(ctx, &e.cost, "RESYNC "+f.c.token, func(br *bufio.Reader) error {
 		clear(got)
 		for {
 			line, err := readLine(br)
@@ -693,17 +727,21 @@ func (f *framedPlane) resync(ctx context.Context, e *epoch) error {
 		}
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	f.q.applyServer(got)
-	// Re-baseline the completed-file delta at the server's current
-	// count, so files finished before this session (or already
-	// reconciled) are not reported again as this epoch's progress.
-	f.lastDone = 0
+	done := 0
 	for i, g := range got {
 		if g >= f.q.sizes[i] {
-			f.lastDone++
+			done++
 		}
+		useful += min(g, f.q.sizes[i])
 	}
-	return nil
+	if f.resuming {
+		// Files finished before this session are not its progress. Later
+		// resyncs leave the baseline to the settles, so a file a late
+		// byte completed after the last one is still reported.
+		f.lastDone = done
+	}
+	return useful, nil
 }

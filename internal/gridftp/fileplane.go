@@ -2,9 +2,11 @@ package gridftp
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"net"
 	"os"
 	"path/filepath"
@@ -367,47 +369,61 @@ func (s *Server) serveResync(w io.Writer, fields []string) bool {
 // out-of-manifest frame, drops the connection; bytes that arrived
 // before the corruption stay counted, and other tokens' tables are
 // untouched. A truncated final frame (stripe killed mid-file) credits
-// what arrived — the client resends the deficit after reconciling. The
-// file is credited before the aggregate: SETTLE waits on the aggregate
-// and then reads the table, which must not be behind it.
+// what arrived — the client resends the deficit after reconciling.
+// Draining a frame allocates nothing: a bulk transfer's one file is a
+// frame per 4 MiB, and garbage at that rate would grow the heap.
 func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) {
 	tc := s.lookup(token)
 	if tc == nil {
 		return
 	}
 	m := s.metrics.Load()
-	bufp := fileDrainPool.Get().(*[]byte)
-	defer fileDrainPool.Put(bufp)
-	buf := *bufp
+	// The frame in progress, which credit counts into. It is one closure
+	// for the connection's life, and the file is credited before the
+	// aggregate: SETTLE waits on the aggregate and then reads the table,
+	// which must not be behind it.
+	var ft *fileTable
+	var sink *fileSink
+	var idx int
+	var rem int64
+	credit := func(k int64) {
+		rem -= k
+		m.AddBytes(k)
+		if ft.add(idx, k) && sink != nil {
+			sink.closeIdx(idx)
+		}
+		tc.n.Add(k)
+		tc.touch()
+	}
+	// The copying path's buffer, taken from the pool only by a sink or a
+	// connection the truncating receive refuses.
+	var bufp *[]byte
+	defer func() {
+		if bufp != nil {
+			fileDrainPool.Put(bufp)
+		}
+	}()
 	// Discard mode tries the truncating receive first: payload bytes
 	// the kernel can drop in place never cross into userspace. One
-	// rejected attempt (non-Linux conn types, old kernels) disables it
-	// for the connection's lifetime.
-	tryTrunc := true
+	// rejected attempt (wrapped connections, old kernels, the portable
+	// build) disables it for the connection's lifetime.
+	trunc := truncDrain(conn, credit)
 	for {
-		line, err := readLine(br)
+		line, err := br.ReadSlice('\n')
 		if err != nil {
 			return
 		}
-		fields := strings.Fields(line)
-		if len(fields) != 4 || fields[0] != "FILE" {
+		var off, length int64
+		var ok bool
+		if idx, off, length, ok = parseFrame(line); !ok {
 			s.logf("gridftp: bad frame header %q", line)
 			return
 		}
-		idx, err1 := strconv.Atoi(fields[1])
-		off, err2 := strconv.ParseInt(fields[2], 10, 64)
-		length, err3 := strconv.ParseInt(fields[3], 10, 64)
-		if err1 != nil || err2 != nil || err3 != nil || idx < 0 || off < 0 || length < 0 {
-			s.logf("gridftp: bad frame header %q", line)
-			return
-		}
-		ft := tc.files.Load()
-		if ft == nil || idx >= ft.count() {
+		if ft = tc.files.Load(); ft == nil || idx >= ft.count() {
 			s.logf("gridftp: frame for file %d outside manifest", idx)
 			return
 		}
-		sink := ft.sink.Load()
-		if sink != nil {
+		if sink = ft.sink.Load(); sink != nil {
 			// A persisted frame must stay inside the manifest size:
 			// a hostile offset would otherwise make pwrite allocate
 			// an arbitrarily large sparse file. (The check is
@@ -419,37 +435,32 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 				return
 			}
 		}
-		for rem, pos := length, off; rem > 0; {
-			if sink == nil && tryTrunc && br.Buffered() == 0 {
-				ok, terr := discardPayload(conn, rem, func(k int64) {
-					rem -= k
-					ft.add(idx, k)
-					m.AddBytes(k)
-					tc.n.Add(k)
-					tc.touch()
-				})
+		rem = length
+		for pos := off; rem > 0; {
+			if b := int64(br.Buffered()); sink == nil && b > 0 {
+				// What the header read pulled in leaves the reader
+				// without a copy.
+				n, _ := br.Discard(int(min(rem, b)))
+				credit(int64(n))
+				continue
+			}
+			if sink == nil && trunc != nil {
+				ok, terr := trunc(rem)
 				if ok {
 					if terr != nil {
 						return
 					}
 					continue
 				}
-				tryTrunc = false
+				trunc = nil
 			}
-			want := rem
-			if want > int64(len(buf)) {
-				want = int64(len(buf))
+			if bufp == nil {
+				bufp = fileDrainPool.Get().(*[]byte)
 			}
-			if b := int64(br.Buffered()); sink == nil && tryTrunc && b > 0 && want > b {
-				// Only the header read's overshoot is buffered; drain
-				// just that through the copy path and let the socket
-				// remainder take the truncating receive.
-				want = b
-			}
-			n, err := br.Read(buf[:want])
+			n, err := br.Read((*bufp)[:min(rem, int64(len(*bufp)))])
 			if n > 0 {
 				if sink != nil {
-					if werr := sink.writeAt(idx, buf[:n], pos); werr != nil {
+					if werr := sink.writeAt(idx, (*bufp)[:n], pos); werr != nil {
 						// Nothing persisted: leave the read uncredited,
 						// so receiver truth stays what is actually on
 						// disk and the client resends the deficit after
@@ -459,19 +470,33 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 					}
 				}
 				pos += int64(n)
-				rem -= int64(n)
-				m.AddBytes(int64(n))
-				if ft.add(idx, int64(n)) && sink != nil {
-					sink.closeIdx(idx)
-				}
-				tc.n.Add(int64(n))
-				tc.touch()
+				credit(int64(n))
 			}
 			if err != nil {
 				return
 			}
 		}
 	}
+}
+
+// parseFrame parses a "FILE <idx> <off> <len>" header line — single
+// spaces, unsigned decimals — without allocating.
+func parseFrame(line []byte) (idx int, off, n int64, ok bool) {
+	var v [3]int64
+	rest, ok := bytes.CutPrefix(bytes.TrimRight(line, "\r\n"), []byte("FILE "))
+	for i := 0; ok && i < len(v); i++ {
+		var field []byte
+		field, rest, _ = bytes.Cut(rest, []byte(" "))
+		ok = len(field) > 0 && len(field) <= 19
+		for _, c := range field {
+			ok = ok && '0' <= c && c <= '9'
+			v[i] = v[i]*10 + int64(c-'0') // 19 digits past MaxInt64 wrap negative
+		}
+	}
+	// Every field is checked for the wrap: a negative idx would index
+	// the file table.
+	ok = ok && len(rest) == 0 && 0 <= v[0] && v[0] <= math.MaxInt32 && v[1] >= 0 && v[2] >= 0
+	return int(v[0]), v[1], v[2], ok
 }
 
 // fileDrainChunk is the framed data plane's receive buffer size. The
@@ -482,7 +507,7 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 // sendfile-sized bursts at one pooled buffer per active stream.
 const fileDrainChunk = 1 << 20
 
-// fileDrainPool recycles the framed plane's receive buffers.
+// fileDrainPool recycles the copying drain's receive buffers.
 var fileDrainPool = sync.Pool{
 	New: func() any {
 		buf := make([]byte, fileDrainChunk)

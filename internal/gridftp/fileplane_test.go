@@ -549,6 +549,11 @@ func FuzzServerControl(f *testing.F) {
 		"DATAF t\nFILE -1 0 10\n",
 		"DATAF t\nFILE 0 0 nonsense\n",
 		"DATAF t\nFILE 0 0 99999999999\n",
+		// 19-digit fields that wrap an int64 negative.
+		"DATAF t\nFILE 9999999999999999999 0 10\n0123456789",
+		"DATAF t\nFILE 9223372036854775808 0 10\n0123456789",
+		"DATAF t\nFILE 0 9999999999999999999 10\n0123456789",
+		"DATAF t\nFILE 0 0 9999999999999999999\n0123456789",
 		"DATAF t\nGARBAGE\n",
 		"FILE 0 0 10\n",
 		"MANIFEST t 2\n100\n200\nOPEN t 0\nSETTLE t 0\nRESYNC t\nCLOSE t\n",
@@ -601,14 +606,18 @@ func FuzzServerControl(f *testing.F) {
 		// cache, not just the parser.
 		s.SetSink(t.TempDir())
 		// A bystander token with a registered manifest: hostile traffic
-		// against other tokens must not touch it.
+		// against other tokens must not touch it. Token t has a one-file
+		// table too, so a hostile data connection's frames reach one.
 		kc, err := net.Dial("tcp", s.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(kc, "MANIFEST keeper 2\n100\n200\n")
-		if resp, err := readLine(bufio.NewReader(kc)); err != nil || resp != "OK" {
-			t.Fatalf("keeper manifest: %q, %v", resp, err)
+		fmt.Fprintf(kc, "MANIFEST keeper 2\n100\n200\nMANIFEST t 1\n10\n")
+		kbr := bufio.NewReader(kc)
+		for _, tok := range []string{"keeper", "t"} {
+			if resp, err := readLine(kbr); err != nil || resp != "OK" {
+				t.Fatalf("%s manifest: %q, %v", tok, resp, err)
+			}
 		}
 		kc.Close()
 

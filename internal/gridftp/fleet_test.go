@@ -46,9 +46,12 @@ func TestFleetConcurrentFaultySockets(t *testing.T) {
 			t.Fatal(err)
 		}
 		c, err := NewClient(ClientConfig{
-			Addr:   s.Addr(),
-			Bytes:  sizes[i],
-			Shaper: &Shaper{Rate: 4e6},
+			Addr:  s.Addr(),
+			Bytes: sizes[i],
+			// Three 64 KiB frames a stripe per 0.1 s epoch: a stripe
+			// outlives its first epoch and dies, at 256 KiB, in its
+			// second, so the sessions both reuse and re-dial.
+			Shaper: &Shaper{Rate: 1.5e6},
 			Dialer: injectors[i].Dial,
 			Retry:  RetryConfig{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
 			Seed:   uint64(11 + i),

@@ -1,43 +1,20 @@
 // Package gridftp provides a real-socket substitute for the paper's
-// globus-url-copy: a striped memory-to-memory transfer protocol over
-// plain TCP, exposing the same xfer.Transferer interface the tuners
-// drive against the simulator.
+// globus-url-copy: a striped transfer protocol over plain TCP, exposing
+// the same xfer.Transferer interface the tuners drive against the
+// simulator.
 //
-// The protocol is deliberately minimal (the paper's transfers are
-// /dev/zero to /dev/null):
+// Every transfer is a dataset. The paper's, /dev/zero to /dev/null, is
+// one file: a client given Bytes and no Dataset registers a manifest of
+// one file of that size (2^62 bytes when unbounded), so a bulk stream
+// and a many-file dataset share one data handshake, one pump, one
+// server drain and one receiver truth. Pipelining depth (pp) is a third
+// tunable dimension alongside nc and np:
 //
 //	client                         server
 //	------ control connection (persistent) ----
 //	START <token>\n                (arms an epoch, cold or warm; creates
 //	                               OK <bytes>\n   or touches the token and
 //	                                says what it holds now)
-//	------ data connections (channels) --------
-//	DATA <token>\n                 (discards, counting)
-//	<raw bytes until close>
-//	------ same control connection ------------
-//	SETTLE <token> <expect>\n      (end of epoch: answered once the
-//	                               SETTLED <bytes> <files> <useful>\n
-//	                                count reaches expect or stops moving;
-//	                                expect 0 reads the count, now)
-//	CLOSE <token>\n                (releases the token's counter)
-//	                               OK\n
-//
-// The sender writes 1 MiB at a time from one shared zero buffer (64 KiB
-// when a Shaper paces it, so the token bucket is consulted often enough
-// to shape anything), and on Linux the receiver drops the payload in
-// the kernel with recv(MSG_TRUNC), so the sender's copy into the socket
-// is the stream's only memory pass. A wrapped connection, another
-// platform or the dstune_nozerocopy build tag gets the portable copying
-// drain instead, with identical accounting.
-//
-// # File plane
-//
-// When ClientConfig.Dataset is set, the same connections carry a
-// dataset-aware framed protocol instead of the raw byte stream, so
-// pipelining depth (pp) becomes a third tunable dimension alongside
-// nc and np:
-//
-//	------ control connection ------------------
 //	MANIFEST <token> <count> [SINK]\n  (then <count> size lines; SINK
 //	<size>\n ...                   also persists the payloads under the
 //	                               OK\n           server's sink directory)
@@ -46,31 +23,46 @@
 //	RESYNC <token>\n               (per-file progress dump: one line
 //	                               F <idx> <got>\n ...  per file with bytes)
 //	                               END\n
-//	------ data connections --------------------
+//	------ data connections (channels) --------
 //	DATAF <token>\n
 //	FILE <idx> <off> <len>\n<len payload bytes>  (repeated frames)
+//	------ same control connection ------------
+//	SETTLE <token> <expect>\n      (end of epoch: answered once the
+//	                               SETTLED <bytes> <files> <useful>\n
+//	                                count reaches expect or stops moving;
+//	                                expect 0 reads the count, now)
+//	CLOSE <token>\n                (releases the token's counter)
+//	                               OK\n
 //
-// Those six verbs are the control protocol; anything else is answered
-// ERR unknown command. START and MANIFEST are the only verbs that
-// create a token on the server. Data connections (DATA, DATAF) only
-// look theirs up and are dropped when it is unknown, so a stripe whose
-// header arrives after CLOSE cannot resurrect a released counter; every
-// epoch sends START before it dials, which also re-creates a token the
-// idle TTL expired. A dataset transfer reads its per-file truth — the
-// completed-file count and the duplicate-free bytes — off the same
-// SETTLE answer.
+// Those six verbs are the control protocol, and DATAF the one data
+// handshake; anything else — the DATA header of the retired raw byte
+// stream among it — is answered ERR unknown command. START and MANIFEST
+// are the only verbs that create a token on the server. A data
+// connection only looks its token up and is dropped when it is unknown,
+// so a stripe whose header arrives after CLOSE cannot resurrect a
+// released counter; every epoch sends START before it dials, which also
+// re-creates a token the idle TTL expired.
+//
+// The sender leases up to 4 MiB of a file at a time and writes it 1 MiB
+// at a time from one shared zero buffer, the frame header riding the
+// first write; when a Shaper paces it, a lease is one 64 KiB frame, so
+// the token bucket is consulted often enough to shape anything. On
+// Linux the receiver drops the payload in the kernel with
+// recv(MSG_TRUNC), so the sender's copy into the socket is the stream's
+// only memory pass. A wrapped connection, another platform or the
+// dstune_nozerocopy build tag gets the portable copying drain instead,
+// with identical accounting.
 //
 // The server credits each file with min(received, size) so duplicate
 // retransmissions never inflate goodput, and an epoch's Report.Bytes
-// is the delta of that per-file "useful" sum — receiver truth at
-// file granularity. OPEN admission is what pp buys: each file start
-// costs one server-side latency (SetFileLatency in tests, real
-// metadata lookups in the wild), and keeping pp OPENs outstanding
-// overlaps those waits. Mid-epoch failures resume at file/offset
-// granularity: RESYNC rebuilds the client's work queue from the
-// server's per-file progress, so a restarted session re-sends only
-// unacknowledged tails. An empty manifest leaves the protocol
-// byte-identical to the bulk stream above.
+// is the delta of that per-file "useful" sum, read off the SETTLE
+// answer with the completed-file count — receiver truth at file
+// granularity. OPEN admission is what pp buys: each file start costs
+// one server-side latency (SetFileLatency in tests, real metadata
+// lookups in the wild), and keeping pp OPENs outstanding overlaps those
+// waits. Mid-epoch failures resume at file/offset granularity: RESYNC
+// rebuilds the client's work queue from the server's per-file progress,
+// so a restarted session re-sends only unacknowledged tails.
 //
 // # Warm data plane
 //
@@ -115,18 +107,18 @@
 //     never retried and never marked transient.
 //
 // A mid-epoch stream failure is not an error at all: the pump ends
-// that stream, returns its unsent budget, and the epoch reports what
-// the server actually received: every epoch ends with one SETTLE round
-// trip, which tells the server the count it should reach — where the
-// session's first START found the counter plus everything written to
-// stripes that are still alive since — and is answered as soon as it
-// has, or once the counter has not moved for 5 ms (the rest died with a
-// stripe), or after 500 ms. Throughput is therefore receiver truth
-// rather than bytes parked in kernel socket buffers, learned without
-// polling. Only an epoch that lost a stripe takes a short answer as
-// loss and returns the difference to the budget; with every stripe
-// alive a short answer means late bytes, which the next settle waits
-// for.
+// that stream, puts the unsent rest of its lease back in the work
+// queue, and the epoch reports what the server actually received:
+// every epoch ends with one SETTLE round trip, which tells the server
+// the count it should reach — where the session's first START found
+// the counter plus everything written to stripes that are still alive
+// since — and is answered as soon as it has, or once the counter has
+// not moved for 5 ms (the rest died with a stripe), or after 500 ms.
+// Throughput is therefore receiver truth rather than bytes parked in
+// kernel socket buffers, learned without polling. A short answer is
+// never refunded to a budget: what the server misses once every byte
+// is leased, RESYNC's per-file counts put back in the queue, and a late
+// byte is credited by the settle that finds it.
 package gridftp
 
 import (
@@ -134,25 +126,23 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync/atomic"
 	"syscall"
-	"time"
 
 	"dstune/internal/xfer"
 )
 
-// chunkSize is the pacing quantum of the shaped pump: the bytes one
-// write moves between two looks at the token bucket. It stays small
-// because the Shaper's per-connection rates are a few MB/s — a 1 MiB
-// write would be a burst of a large fraction of a second, and the
-// interior peak the Quad term shapes would no longer show on the wire
+// chunkSize is the shaped pump's lease and write: the bytes one frame
+// moves between two looks at the token bucket. It stays small because
+// the Shaper's per-connection rates are a few MB/s — a 1 MiB write
+// would be a burst of a large fraction of a second, and the interior
+// peak the Quad term shapes would no longer show on the wire
 // (TestQuadShaperInteriorPeakOnWire). The unshaped pump has no bucket
 // to look at and writes fileChunk.
 const chunkSize = 64 << 10
 
-// leaseQuantum is the byte-lease granularity of the pump: each stream
-// claims this much of the shared budget per refill, so the shared
-// counter sees one CAS per quantum instead of one per write.
+// leaseQuantum is the unshaped pump's lease: the most of one file a
+// stream claims from the work queue per refill, so the queue's lock is
+// taken once per quantum instead of once per write.
 const leaseQuantum = 4 << 20
 
 // Shaper emulates endpoint contention on a loopback link. The
@@ -244,79 +234,5 @@ func setSockBuf(conn net.Conn, n int) {
 	}
 	if wb, ok := conn.(interface{ SetWriteBuffer(int) error }); ok {
 		wb.SetWriteBuffer(n)
-	}
-}
-
-// lease claims up to quantum bytes from the shared budget with a
-// single CAS; it returns 0 when the budget is exhausted.
-func lease(budget *atomic.Int64, quantum int64) int64 {
-	for {
-		left := budget.Load()
-		if left <= 0 {
-			return 0
-		}
-		take := quantum
-		if left < take {
-			take = left
-		}
-		if budget.CompareAndSwap(left, left-take) {
-			return take
-		}
-	}
-}
-
-// pump writes zeros to w at the given rate until the deadline, the
-// shared byte budget runs out, a write fails, or abort is closed. It
-// returns the bytes written and whether the stream is still usable
-// (false after a write error that is not a deadline expiry — the
-// stream is dead and must be evicted from the pool).
-//
-// The shared budget is consumed through per-stream byte leases of
-// leaseQuantum bytes, so the steady-state path performs no shared CAS
-// per write; the unspent lease remainder is refunded on every exit
-// path. Unshaped, a write is fileChunk bytes — the framed pump's size,
-// a sixteenth of the syscalls 64 KiB cost — and the clock is read once
-// per write, which keeps the deadline overshoot at one write; shaped, it
-// is the chunkSize pacing quantum.
-func pump(w io.Writer, rate float64, deadline time.Time, budget *atomic.Int64, abort <-chan struct{}) (sent int64, alive bool) {
-	var leased int64 // unspent bytes of the current lease
-	defer func() {
-		if leased > 0 {
-			budget.Add(leased)
-		}
-	}()
-	start := time.Now()
-	shaped := !math.IsInf(rate, 1)
-	quantum := int64(fileChunk)
-	if shaped {
-		quantum = chunkSize
-	}
-	for {
-		select {
-		case <-abort:
-			return sent, true
-		default:
-		}
-		if time.Now().After(deadline) {
-			return sent, true
-		}
-		if leased == 0 {
-			if leased = lease(budget, leaseQuantum); leased == 0 {
-				return sent, true
-			}
-		}
-		n, err := w.Write(fileZeros[:min(quantum, leased)])
-		sent += int64(n)
-		leased -= int64(n)
-		if err != nil {
-			// A deadline expiry (epoch end, or the abort watchdog
-			// expiring the write) leaves the stream usable; any other
-			// write error is a dead stripe.
-			var ne net.Error
-			return sent, errors.As(err, &ne) && ne.Timeout()
-		}
-		if shaped {
-			pace(rate, sent, start, deadline, abort)
-		}
 	}
 }

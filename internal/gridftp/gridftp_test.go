@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"dstune/internal/dataset"
 	"dstune/internal/directsearch"
 	"dstune/internal/tuner"
 	"dstune/internal/xfer"
@@ -188,22 +189,42 @@ func TestShaperOptimum(t *testing.T) {
 	}
 }
 
+// TestQuadShaperInteriorPeakOnWire: the Shaper's interior optimum shows
+// on the wire, for a bulk transfer's one file and for a dataset whose
+// files are larger than a lease, so a pump that wrote a file in bursts
+// past the pacing quantum would flatten it.
 func TestQuadShaperInteriorPeakOnWire(t *testing.T) {
 	s := startServer(t)
 	sh := &Shaper{Rate: 4e6, Quad: 1.0 / 16} // optimum at 4 conns
-	measure := func(nc int) float64 {
-		c := newTestClient(t, s, xfer.Unbounded, sh)
-		r, err := c.Run(context.Background(), xfer.Params{NC: nc, NP: 1}, 0.4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.BestCase
-	}
-	mid := measure(4)
-	lo := measure(1)
-	hi := measure(16)
-	if !(mid > lo && mid > hi) {
-		t.Fatalf("no interior peak: nc=1 %v, nc=4 %v, nc=16 %v", lo, mid, hi)
+	for _, row := range []struct {
+		name string
+		cfg  ClientConfig
+	}{
+		{"bulk", ClientConfig{Bytes: xfer.Unbounded}},
+		{"dataset", ClientConfig{Dataset: dataset.Uniform(16, 2<<20)}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			measure := func(nc int) float64 {
+				cfg := row.cfg
+				cfg.Addr, cfg.Shaper = s.Addr(), sh
+				c, err := NewClient(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Stop()
+				r, err := c.Run(context.Background(), xfer.Params{NC: nc, NP: 1, PP: 4}, 0.4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r.BestCase
+			}
+			mid := measure(4)
+			lo := measure(1)
+			hi := measure(16)
+			if !(mid > lo && mid > hi) {
+				t.Fatalf("no interior peak: nc=1 %v, nc=4 %v, nc=16 %v", lo, mid, hi)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -54,7 +55,7 @@ func servedVerbs(t *testing.T) (control, data []string) {
 // verb against an unknown token, with the wrong arity, with
 // non-numeric, negative and overflowing arguments, and after the
 // token's CLOSE, and holds each answer — and whether a token exists
-// afterwards — to what the package comment says. The four verbs the
+// afterwards — to what the package comment says. The words the
 // protocol lost are unknown commands that create nothing.
 func TestControlVerbTable(t *testing.T) {
 	const huge = "99999999999999999999" // overflows int64
@@ -122,8 +123,12 @@ func TestControlVerbTable(t *testing.T) {
 		{name: "RESYNC/no-token", send: "RESYNC", want: "ERR bad RESYNC"},
 		{name: "RESYNC/extra-argument", setup: []exchange{manifest}, send: "RESYNC tok 0", want: "ERR bad RESYNC", tokens: 1},
 
-		{name: "DATA/no-token", send: "DATA", want: "ERR bad DATA header"},
 		{name: "DATAF/extra-argument", send: "DATAF tok 0", want: "ERR bad DATAF header"},
+
+		// The raw byte stream's data handshake went with it: a stripe of
+		// an older client is refused, its token neither created nor fed.
+		{name: "DATA/no-token", send: "DATA", want: `ERR unknown command "DATA"`},
+		{name: "DATA/is-gone", setup: []exchange{start}, send: "DATA tok", want: `ERR unknown command "DATA"`, tokens: 1},
 
 		{name: "ADJ/is-gone", send: "ADJ tok 4", want: `ERR unknown command "ADJ"`},
 		{name: "ADJ/is-gone-mid-connection", setup: []exchange{start}, send: "ADJ tok 4", want: `ERR unknown command "ADJ"`, tokens: 1},
@@ -180,6 +185,41 @@ func TestControlVerbTable(t *testing.T) {
 			if len(made) != wantDirs {
 				t.Fatalf("sink root holds %d directories after %q, want %d", len(made), r.send, wantDirs)
 			}
+		})
+	}
+}
+
+// TestHostileFrameHeaderKeepsServing sends DATAF frame headers that are
+// malformed, outside the manifest, or wide enough to wrap an int64,
+// after a MANIFEST of one 10-byte file. Each one costs the sender its
+// data connection with nothing answered and nothing credited, and the
+// server goes on answering control verbs.
+func TestHostileFrameHeaderKeepsServing(t *testing.T) {
+	const wrap = "9999999999999999999" // 19 digits, past MaxInt64
+	for _, hdr := range []string{
+		"FILE " + wrap + " 0 10",
+		"FILE 9223372036854775808 0 10",
+		"FILE 0 " + wrap + " 10",
+		"FILE 0 0 " + wrap,
+		"FILE -1 0 10",
+		"FILE 1 0 10",
+		"FILE 2147483648 0 10",
+		"FILE 0 0",
+		"FILE 0  0 10",
+		"FILE 0 0 10 0",
+	} {
+		t.Run(hdr, func(t *testing.T) {
+			s := startServer(t)
+			conn, br := dialCtrl(t, s)
+			roundTrip(t, conn, br, "MANIFEST tok 1\n10", "OK")
+			data, _ := dialCtrl(t, s)
+			fmt.Fprintf(data, "DATAF tok\n%s\n0123456789", hdr)
+			data.SetReadDeadline(time.Now().Add(2 * time.Second))
+			if n, err := data.Read(make([]byte, 1)); n > 0 || err == nil || os.IsTimeout(err) {
+				t.Fatalf("data connection after %q: read %d bytes, %v; want a hang-up", hdr, n, err)
+			}
+			roundTrip(t, conn, br, "RESYNC tok", "END")
+			roundTrip(t, conn, br, "START tok", "OK 0")
 		})
 	}
 }

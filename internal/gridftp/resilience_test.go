@@ -325,6 +325,75 @@ func (c *dieAfterConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
+// slowConn moves its writes at rate bytes per second, a stream of a
+// slow WAN: a write that cannot finish before the write deadline writes
+// what the rate allows by then and fails with os.ErrDeadlineExceeded,
+// as a socket whose send buffer stays full does.
+type slowConn struct {
+	net.Conn
+	rate     float64
+	mu       sync.Mutex
+	deadline time.Time
+}
+
+func (c *slowConn) SetWriteDeadline(t time.Time) error {
+	c.mu.Lock()
+	c.deadline = t
+	c.mu.Unlock()
+	return c.Conn.SetWriteDeadline(t)
+}
+
+func (c *slowConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	deadline := c.deadline
+	c.mu.Unlock()
+	n, err := len(p), error(nil)
+	done := time.Now().Add(time.Duration(float64(n) / c.rate * float64(time.Second)))
+	if !deadline.IsZero() && done.After(deadline) {
+		n = min(len(p), int(max(0, time.Until(deadline).Seconds())*c.rate))
+		done, err = deadline, os.ErrDeadlineExceeded
+	}
+	time.Sleep(time.Until(done))
+	m, werr := c.Conn.Write(p[:n])
+	if werr != nil {
+		return m, werr
+	}
+	return m, err
+}
+
+// TestSlowStripesStayWarm: on streams of 1 MB/s, a frame begun near the
+// epoch's end must still be written whole before the stripe's write
+// deadline, so no stripe is lost to a half-written frame and the second
+// epoch reuses every one.
+func TestSlowStripesStayWarm(t *testing.T) {
+	s := startServer(t)
+	dial := func(network, addr string, timeout time.Duration) (net.Conn, error) {
+		conn, err := net.DialTimeout(network, addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return &slowConn{Conn: conn, rate: 1e6}, nil
+	}
+	c, err := NewClient(ClientConfig{Addr: s.Addr(), Bytes: xfer.Unbounded, Dialer: dial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	p := xfer.Params{NC: 2, NP: 1}
+	for ep := 0; ep < 2; ep++ {
+		r, err := c.Run(context.Background(), p, 0.25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Bytes <= 0 {
+			t.Fatalf("epoch %d moved no bytes", ep)
+		}
+		if ep == 1 && r.ReusedStreams != p.Streams() {
+			t.Fatalf("second epoch reused %d of %d slow stripes", r.ReusedStreams, p.Streams())
+		}
+	}
+}
+
 func TestWarmPoolSteadyStateZeroDials(t *testing.T) {
 	// First epoch: one control dial plus one per data connection.
 	// Every following epoch with unchanged params: zero dials, full
@@ -507,7 +576,7 @@ func TestColdStartDialsEveryEpoch(t *testing.T) {
 func TestServerCloseUnderConcurrentConnects(t *testing.T) {
 	// Regression for the shutdown race: Close used to sweep s.conns
 	// while just-accepted connections were not yet tracked, leaving
-	// their handlers blocked in serveData and Close deadlocked in
+	// their handlers blocked in the data drain and Close deadlocked in
 	// wg.Wait. Hammer the server with connects while closing it.
 	for round := 0; round < 5; round++ {
 		s, err := Serve("127.0.0.1:0")
@@ -531,7 +600,7 @@ func TestServerCloseUnderConcurrentConnects(t *testing.T) {
 					if err != nil {
 						return
 					}
-					fmt.Fprintf(conn, "DATA race-token\n")
+					fmt.Fprintf(conn, "DATAF race-token\n")
 					conn.Write(make([]byte, 4096))
 					conn.Close()
 				}
@@ -597,26 +666,36 @@ func TestStopReleasesTokenDuringOutage(t *testing.T) {
 // TestDataConnectionCannotResurrectToken: only START and MANIFEST
 // create a token. A data connection whose header is parsed after the
 // token's CLOSE — a stripe dialed while Stop was in flight — must be
-// dropped, not re-create a counter that nobody will ever release.
+// dropped, not re-create a counter that nobody will ever release. So
+// must a stripe of an older client, whose DATA header is no longer a
+// data handshake at all.
 func TestDataConnectionCannotResurrectToken(t *testing.T) {
-	for _, verb := range []string{"DATA", "DATAF"} {
-		t.Run(verb, func(t *testing.T) {
+	for _, r := range []struct{ verb, answer string }{
+		{"DATA", `ERR unknown command "DATA"`},
+		{"DATAF", ""}, // a data connection is never answered
+	} {
+		t.Run(r.verb, func(t *testing.T) {
 			s := startServer(t)
 			ctrl, br := dialCtrl(t, s)
 			roundTrip(t, ctrl, br, "START tok", "OK 0")
 			roundTrip(t, ctrl, br, "CLOSE tok", "OK")
-			data, _ := dialCtrl(t, s)
-			if _, err := fmt.Fprintf(data, "%s tok\n%s", verb, make([]byte, 1000)); err != nil {
+			data, dbr := dialCtrl(t, s)
+			if _, err := fmt.Fprintf(data, "%s tok\n%s", r.verb, make([]byte, 1000)); err != nil {
 				t.Fatal(err)
 			}
-			// The server hangs up on the unknown token (EOF, or a reset
-			// for the payload it never read).
 			data.SetReadDeadline(time.Now().Add(2 * time.Second))
-			if _, err := data.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+			if r.answer != "" {
+				if line, err := readLine(dbr); line != r.answer {
+					t.Fatalf("late %s answered %q (%v), want %q", r.verb, line, err, r.answer)
+				}
+			}
+			// Then the server hangs up on the unknown token or command
+			// (EOF, or a reset for the payload it never read).
+			if _, err := dbr.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("data connection for a closed token stayed open (read: %v)", err)
 			}
 			if n, got := s.Tokens(), s.Received("tok"); n != 0 || got != 0 {
-				t.Fatalf("Tokens = %d, Received = %d after a late %s; want 0, 0", n, got, verb)
+				t.Fatalf("Tokens = %d, Received = %d after a late %s; want 0, 0", n, got, r.verb)
 			}
 		})
 	}

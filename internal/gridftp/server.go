@@ -327,9 +327,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one connection: the first line selects data mode
-// (DATA for the bulk stream, DATAF for framed file segments) or, for
-// anything else, control mode.
+// handle serves one connection: a first line of DATAF makes it a data
+// connection carrying framed file segments, anything else a control
+// connection.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 32<<10)
@@ -347,12 +347,6 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	switch fields[0] {
-	case "DATA":
-		if len(fields) != 2 {
-			fmt.Fprintf(conn, "ERR bad DATA header\n")
-			return
-		}
-		s.serveData(conn, br, fields[1])
 	case "DATAF":
 		if len(fields) != 2 {
 			fmt.Fprintf(conn, "ERR bad DATAF header\n")
@@ -364,59 +358,10 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// bulkDrainSlab is how much of the bulk stream one truncating receive
-// asks the kernel to drop. The stream has no frame length to ask for,
-// so the drain asks for a slab at a time; the kernel hands over what is
-// queued, and the size only has to be far above any receive queue.
-const bulkDrainSlab = 1 << 30
-
-// serveData discards the connection's byte stream into the token's
-// counter; an unknown token drops the connection. Payload the header
-// read pulled into br is credited from there; the socket's remainder
-// takes the truncating receive — the kernel drops it in place, so the
-// receiver makes no memory pass — until one rejected attempt (wrapped
-// connections, the portable build) hands the rest of the connection's
-// life to the copying loop. Either way the token is credited with
-// exactly what the kernel handed over, also for a stream that dies
-// mid-payload.
-func (s *Server) serveData(conn net.Conn, br *bufio.Reader, token string) {
-	tc := s.lookup(token)
-	if tc == nil {
-		return
-	}
-	m := s.metrics.Load()
-	credit := func(k int64) {
-		m.AddBytes(k)
-		tc.n.Add(k)
-		tc.touch()
-	}
-	if n, _ := br.Discard(br.Buffered()); n > 0 {
-		credit(int64(n))
-	}
-	for {
-		ok, err := discardPayload(conn, bulkDrainSlab, credit)
-		if !ok {
-			break
-		}
-		if err != nil {
-			return
-		}
-	}
-	bufp := fileDrainPool.Get().(*[]byte)
-	defer fileDrainPool.Put(bufp)
-	for {
-		n, err := conn.Read(*bufp)
-		credit(int64(n))
-		if err != nil {
-			return
-		}
-	}
-}
-
-// serveControl answers the six control verbs — START, SETTLE, CLOSE and
-// the file plane's MANIFEST, OPEN and RESYNC — and nothing else; the
-// first command is already parsed, further ones may follow on the same
-// connection. Responses go
+// serveControl answers the six control verbs — START, SETTLE, CLOSE,
+// MANIFEST, OPEN and RESYNC — and nothing else, the DATA header of the
+// retired raw byte stream included; the first command is already
+// parsed, further ones may follow on the same connection. Responses go
 // through a locked writer because the ACKs of pipelined OPENs are
 // written asynchronously after the injected file latency.
 func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {

@@ -2,10 +2,14 @@ package gridftp
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"net"
+	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,26 +32,30 @@ func waitReceived(t *testing.T, s *Server, token string, want int64) {
 	}
 }
 
-// bulkStripe registers token and opens a DATA connection for it whose
-// header and first payload bytes leave in one write — one segment on
-// loopback, so the server's header read pulls payload into its
-// bufio.Reader. It returns the connection with first bytes sent.
-func bulkStripe(t *testing.T, s *Server, token string, first int) net.Conn {
+// bulkStripe registers token the way a client given Bytes and no
+// Dataset does — a manifest of one unbounded file — and opens a data
+// connection for it whose DATAF header, the header of a frame of frame
+// bytes and the frame's first payload bytes leave in one write: one
+// segment on loopback, so the server's header read pulls payload into
+// its bufio.Reader. It returns the connection with first bytes sent.
+func bulkStripe(t *testing.T, s *Server, token string, frame int64, first int) net.Conn {
 	t.Helper()
 	ctrl, br := dialCtrl(t, s)
-	roundTrip(t, ctrl, br, "START "+token, "OK 0")
+	roundTrip(t, ctrl, br, fmt.Sprintf("MANIFEST %s 1\n%d", token, unboundedBytes), "OK")
 	conn, _ := dialCtrl(t, s)
-	if _, err := conn.Write(append([]byte("DATA "+token+"\n"), make([]byte, first)...)); err != nil {
+	head := fmt.Sprintf("DATAF %s\nFILE 0 0 %d\n", token, frame)
+	if _, err := conn.Write(append([]byte(head), make([]byte, first)...)); err != nil {
 		t.Fatal(err)
 	}
 	return conn
 }
 
-// TestBulkDrainCountsToTheByte holds the bulk drain's accounting where
-// its two halves meet: payload that arrived with the header (and sits
-// in the bufio.Reader) plus the socket's remainder — dropped in the
-// kernel where the build and the connection allow, copied otherwise —
-// add up to exactly what was sent. It runs under both build tags.
+// TestBulkDrainCountsToTheByte holds the drain's accounting of a bulk
+// transfer's one-file frame where its two halves meet: payload that
+// arrived with the headers (and sits in the bufio.Reader) plus the
+// socket's remainder — dropped in the kernel where the build and the
+// connection allow, copied otherwise — add up to exactly what was sent.
+// It runs under both build tags.
 func TestBulkDrainCountsToTheByte(t *testing.T) {
 	// More than the server's 32 KiB reader holds, so one write feeds
 	// both the reader's overshoot and the socket path; odd on purpose.
@@ -55,7 +63,7 @@ func TestBulkDrainCountsToTheByte(t *testing.T) {
 
 	t.Run("header-and-payload-in-one-segment", func(t *testing.T) {
 		s := startServer(t)
-		conn := bulkStripe(t, s, "tok", first)
+		conn := bulkStripe(t, s, "tok", first+rest, first)
 		if _, err := conn.Write(make([]byte, rest)); err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +73,7 @@ func TestBulkDrainCountsToTheByte(t *testing.T) {
 
 	t.Run("stripe-killed-mid-stream", func(t *testing.T) {
 		s := startServer(t)
-		conn := bulkStripe(t, s, "tok", first)
+		conn := bulkStripe(t, s, "tok", first+rest, first)
 		waitReceived(t, s, "tok", first)
 		// An RST, not a FIN: the drain's receive fails instead of
 		// reading EOF. What the kernel had handed over stays credited,
@@ -73,7 +81,7 @@ func TestBulkDrainCountsToTheByte(t *testing.T) {
 		conn.(*net.TCPConn).SetLinger(0)
 		conn.Close()
 		ctrl, br := dialCtrl(t, s)
-		roundTrip(t, ctrl, br, fmt.Sprintf("SETTLE tok %d", first+rest), fmt.Sprintf("SETTLED %d 0 0", first))
+		roundTrip(t, ctrl, br, fmt.Sprintf("SETTLE tok %d", first+rest), fmt.Sprintf("SETTLED %d 0 %d", first, first))
 	})
 
 	t.Run("wrapped-connection-falls-back", func(t *testing.T) {
@@ -86,7 +94,7 @@ func TestBulkDrainCountsToTheByte(t *testing.T) {
 		}
 		s := ServeListener(faultnet.New(faultnet.Config{ResetAfterBytes: 1 << 50}).Listen(ln))
 		t.Cleanup(func() { s.Close() })
-		conn := bulkStripe(t, s, "tok", first)
+		conn := bulkStripe(t, s, "tok", first+rest, first)
 		if _, err := conn.Write(make([]byte, rest)); err != nil {
 			t.Fatal(err)
 		}
@@ -117,7 +125,7 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 
 	t.Run("at-once-when-already-there", func(t *testing.T) {
 		s := startServer(t)
-		data := bulkStripe(t, s, "tok", sent)
+		data := bulkStripe(t, s, "tok", sent, sent)
 		defer data.Close()
 		waitReceived(t, s, "tok", sent)
 		ctrl, br := dialCtrl(t, s)
@@ -127,7 +135,7 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		best := time.Hour
 		for i := 0; i < 5; i++ {
 			resp, took := settleOnce(t, ctrl, br, "tok", sent-int64(i))
-			if want := fmt.Sprintf("SETTLED %d 0 0", sent); resp != want {
+			if want := fmt.Sprintf("SETTLED %d 0 %d", sent, sent); resp != want {
 				t.Fatalf("got %q, want %q", resp, want)
 			}
 			best = min(best, took)
@@ -139,12 +147,12 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 
 	t.Run("after-the-quiet-window-when-bytes-were-lost", func(t *testing.T) {
 		s := startServer(t)
-		data := bulkStripe(t, s, "tok", sent)
+		data := bulkStripe(t, s, "tok", sent+4096, sent)
 		waitReceived(t, s, "tok", sent)
 		data.Close() // the stripe died owing the 4096 bytes expect counts on
 		ctrl, br := dialCtrl(t, s)
 		resp, took := settleOnce(t, ctrl, br, "tok", sent+4096)
-		if want := fmt.Sprintf("SETTLED %d 0 0", sent); resp != want {
+		if want := fmt.Sprintf("SETTLED %d 0 %d", sent, sent); resp != want {
 			t.Fatalf("got %q, want %q", resp, want)
 		}
 		if took < settleQuiet || took >= settleBound {
@@ -154,7 +162,7 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 
 	t.Run("by-the-bound-while-another-connection-writes", func(t *testing.T) {
 		s := startServer(t)
-		data := bulkStripe(t, s, "tok", sent)
+		data := bulkStripe(t, s, "tok", 1<<50, sent)
 		stop := make(chan struct{})
 		writerDone := make(chan struct{})
 		go func() {
@@ -221,11 +229,12 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 }
 
 // TestSettleResyncsAfterCounterRestart: a server that lost the token
-// between epochs (idle-token expiry, a restart) answers SETTLE from a
-// counter that started over. The bulk plane keeps the sender's count
-// for that epoch and carries on from the new counter; the file plane
-// re-registers its manifest, rebuilds its queue from the server's
-// (empty) table and still delivers every file exactly once.
+// between epochs (idle-token expiry, a restart) answers the next START
+// from a counter that started over, below the last SETTLE's. Before it
+// sends anything the client re-registers its manifest and rebuilds its
+// queue from the server's (empty) table: a bulk transfer's one file
+// carries on from the new counter in that very epoch, and a dataset
+// still delivers every file exactly once.
 func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 	t.Run("bulk", func(t *testing.T) {
 		s := startServer(t)
@@ -284,25 +293,29 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 	})
 }
 
-// lateServer is a fake server that counts what its data connections
-// receive and answers SETTLE the way a starved drain makes the real one
-// answer: short by hold bytes for the first short asks, truthfully
-// after — the bytes were late, never lost.
+// lateServer is a fake server for a one-file transfer. It counts what
+// its data connections' frames carry and answers SETTLE the way a
+// starved drain makes the real one answer: short by hold bytes for the
+// first short asks, truthfully after — the bytes were late, never lost.
+// START and RESYNC always tell the truth. The first lose payload bytes
+// of the file it takes in and never counts: those are really gone.
 type lateServer struct {
-	ln      net.Listener
-	got     atomic.Int64
-	hold    int64
-	short   atomic.Int64 // SETTLEs still to answer short
-	settles atomic.Int64 // SETTLEs answered
+	ln         net.Listener
+	hold, lose int64
+	size       atomic.Int64 // the file's size, from MANIFEST
+	got        atomic.Int64 // counted payload bytes
+	short      atomic.Int64 // SETTLEs still to answer short
+	mu         sync.Mutex
+	frames     [][2]int64 // (offset, length) of every frame received
 }
 
-func newLateServer(t *testing.T, hold int64, short int) *lateServer {
+func newLateServer(t *testing.T, hold int64, short int, lose int64) *lateServer {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	p := &lateServer{ln: ln, hold: hold}
+	p := &lateServer{ln: ln, hold: hold, lose: lose}
 	p.short.Store(int64(short))
 	go func() {
 		for {
@@ -326,43 +339,96 @@ func (p *lateServer) serve(conn net.Conn) {
 			return
 		}
 		switch f[0] {
-		case "DATA":
-			buf := make([]byte, 256<<10)
-			for {
-				n, err := br.Read(buf)
-				p.got.Add(int64(n))
-				if err != nil {
-					return
-				}
-			}
+		case "DATAF":
+			p.drain(br)
+			return
+		case "FILE":
+			return
 		case "START":
 			fmt.Fprintf(conn, "OK %d\n", p.got.Load())
+		case "MANIFEST":
+			size, _ := readLine(br)
+			n, _ := strconv.ParseInt(size, 10, 64)
+			p.size.Store(n)
+			fmt.Fprintf(conn, "OK\n")
+		case "OPEN":
+			fmt.Fprintf(conn, "ACK %s\n", f[2])
+		case "RESYNC":
+			if got := p.got.Load(); got > 0 {
+				fmt.Fprintf(conn, "F 0 %d\n", got)
+			}
+			fmt.Fprintf(conn, "END\n")
 		case "SETTLE":
-			var expect int64
-			fmt.Sscan(f[2], &expect)
-			for deadline := time.Now().Add(2 * time.Second); p.got.Load() < expect && time.Now().Before(deadline); {
+			expect, _ := strconv.ParseInt(f[2], 10, 64)
+			for deadline := time.Now().Add(200 * time.Millisecond); p.got.Load() < expect && time.Now().Before(deadline); {
 				time.Sleep(200 * time.Microsecond)
 			}
 			n := p.got.Load()
 			if p.short.Add(-1) >= 0 {
 				n -= p.hold
 			}
-			p.settles.Add(1)
-			fmt.Fprintf(conn, "SETTLED %d 0 0\n", n)
+			done, size := 0, p.size.Load()
+			if n >= size {
+				done = 1
+			}
+			fmt.Fprintf(conn, "SETTLED %d %d %d\n", n, done, min(n, size))
 		default:
 			fmt.Fprintf(conn, "OK\n")
 		}
 	}
 }
 
+// drain counts a data connection's frames until it ends.
+func (p *lateServer) drain(br *bufio.Reader) {
+	buf := make([]byte, 256<<10)
+	for {
+		line, err := readLine(br)
+		var idx int
+		var off, n int64
+		if _, serr := fmt.Sscanf(line, "FILE %d %d %d", &idx, &off, &n); err != nil || serr != nil {
+			return
+		}
+		p.mu.Lock()
+		p.frames = append(p.frames, [2]int64{off, n})
+		p.mu.Unlock()
+		for pos := off; pos < off+n; {
+			m, err := br.Read(buf[:min(int64(len(buf)), off+n-pos)])
+			lo, hi := max(pos, p.lose), pos+int64(m)
+			if hi > lo {
+				p.got.Add(hi - lo)
+			}
+			pos += int64(m)
+			if err != nil {
+				return
+			}
+		}
+	}
+}
+
+// sentTwice returns how many payload bytes arrived more than once: the
+// overlap of the frames received.
+func (p *lateServer) sentTwice() (dup int64) {
+	p.mu.Lock()
+	frames := slices.Clone(p.frames)
+	p.mu.Unlock()
+	slices.SortFunc(frames, func(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) })
+	var end int64
+	for _, fr := range frames {
+		if fr[0] < end {
+			dup += min(end, fr[0]+fr[1]) - fr[0]
+		}
+		end = max(end, fr[0]+fr[1])
+	}
+	return dup
+}
+
 // TestLateBytesAreNeitherLostNorResent: a SETTLE answer that falls
 // short while every stripe is alive means the bytes are late (a drain
-// starved of CPU looks quiet for 5 ms), and the bulk plane must treat
-// them so — a refund would have them sent twice, and the transfer would
-// deliver more than its volume. Mid-transfer they stay pending and the
-// next settle credits them; with the budget spent there is no next
-// settle, so the epoch asks once more, and only gives the bytes up for
-// lost when the second answer is short too.
+// starved of CPU looks quiet for 5 ms), and the client must treat them
+// so — requeued, they would be sent twice. Receiver truth decides: the
+// epoch reports what the answer admits, the next settle credits the
+// rest, and only what RESYNC's per-file count shows missing once every
+// byte is leased goes out again.
 func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 	const hold = 300 << 10
 	run := func(t *testing.T, c *Client, secs float64) xfer.Report {
@@ -375,7 +441,7 @@ func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 	}
 
 	t.Run("mid-transfer", func(t *testing.T) {
-		p := newLateServer(t, hold, 1)
+		p := newLateServer(t, hold, 1, 0)
 		c, err := NewClient(ClientConfig{Addr: p.ln.Addr().String(), Bytes: 1 << 40})
 		if err != nil {
 			t.Fatal(err)
@@ -386,43 +452,51 @@ func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 		if r1.Bytes != float64(sent1-hold) {
 			t.Fatalf("first epoch reports %v bytes, want the %d the server admitted to", r1.Bytes, sent1-hold)
 		}
-		if got, want := c.Remaining(), float64(1<<40-sent1); got != want {
-			t.Fatalf("Remaining = %v after a short answer with no stripe dead, want %v: late bytes must not go back to the budget", got, want)
-		}
 		r2 := run(t, c, 0.05)
 		if total := p.got.Load(); r1.Bytes+r2.Bytes != float64(total) || c.Remaining() != float64(1<<40-total) {
 			t.Fatalf("epochs report %v + %v bytes and leave %v, the server holds %d", r1.Bytes, r2.Bytes, c.Remaining(), total)
+		}
+		if dup := p.sentTwice(); dup != 0 {
+			t.Fatalf("%d bytes were sent twice", dup)
 		}
 	})
 
 	t.Run("budget-spent", func(t *testing.T) {
 		const volume = 8 << 20
-		p := newLateServer(t, hold, 1)
+		p := newLateServer(t, hold, 1, 0)
 		c, err := NewClient(ClientConfig{Addr: p.ln.Addr().String(), Bytes: volume})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Stop()
-		r := run(t, c, 5)
-		if !r.Done || r.Bytes != volume || p.got.Load() != volume {
-			t.Fatalf("report %+v, server holds %d; want the %d-byte transfer done exactly", r, p.got.Load(), volume)
+		r1 := run(t, c, 5)
+		if r1.Done || r1.Bytes != volume-hold || p.got.Load() != volume {
+			t.Fatalf("report %+v, server holds %d; want all %d bytes sent and %d of them admitted to", r1, p.got.Load(), volume, volume-hold)
 		}
-		if n := p.settles.Load(); n != 2 {
-			t.Fatalf("%d SETTLE exchanges, want the short one and one more", n)
+		r2 := run(t, c, 5)
+		if !r2.Done || r2.Bytes != hold || r2.Files != 1 {
+			t.Fatalf("report %+v; want the late %d bytes credited and the file done", r2, hold)
+		}
+		if got, dup := p.got.Load(), p.sentTwice(); got != volume || dup != 0 {
+			t.Fatalf("server holds %d bytes, %d of them sent twice; want %d, none", got, dup, volume)
 		}
 	})
 
 	t.Run("budget-spent-and-really-gone", func(t *testing.T) {
 		const volume = 8 << 20
-		p := newLateServer(t, hold, 2)
+		p := newLateServer(t, 0, 0, hold)
 		c, err := NewClient(ClientConfig{Addr: p.ln.Addr().String(), Bytes: volume})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Stop()
-		r := run(t, c, 5)
-		if r.Done || r.Bytes != volume-hold || c.Remaining() != hold {
-			t.Fatalf("report %+v, Remaining %v; want %d bytes given up for lost and back in the budget", r, c.Remaining(), hold)
+		r1 := run(t, c, 5)
+		if r1.Done || r1.Bytes != volume-hold || c.Remaining() != hold {
+			t.Fatalf("report %+v, Remaining %v; want the %d lost bytes still to send", r1, c.Remaining(), hold)
+		}
+		r2 := run(t, c, 5)
+		if !r2.Done || r2.Bytes != hold || p.sentTwice() != hold {
+			t.Fatalf("report %+v, %d bytes sent twice; want exactly the %d lost ones resent", r2, p.sentTwice(), hold)
 		}
 	})
 }
@@ -430,14 +504,15 @@ func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 // TestResumedTokenHoldingMoreThanItsCheckpoint: a session killed after
 // its last checkpoint leaves the server holding bytes the checkpoint
 // knows nothing of. The resumed session must find them (its first arm
-// reads the counter), credit them, and not send them again — the
-// transfer ends with the server holding exactly the volume.
+// resyncs the file's progress), credit them, and not send them again —
+// the transfer ends with the server holding exactly the volume.
 func TestResumedTokenHoldingMoreThanItsCheckpoint(t *testing.T) {
 	const volume, acked, orphans = 24 << 20, 8 << 20, 5<<20 + 123
 	s := startServer(t)
-	data := bulkStripe(t, s, "tok", acked+orphans)
+	ctrl, br := dialCtrl(t, s)
+	roundTrip(t, ctrl, br, fmt.Sprintf("MANIFEST tok 1\n%d", volume), "OK")
+	sendFrame(t, s, "tok", 0, 0, acked+orphans, acked+orphans)
 	waitReceived(t, s, "tok", acked+orphans)
-	data.Close()
 
 	c, err := NewClient(ClientConfig{Addr: s.Addr(), Bytes: volume, Token: "tok", AckedBytes: acked})
 	if err != nil {

@@ -41,7 +41,7 @@ func writeSourceFiles(t *testing.T, dir string, ds dataset.Dataset) [][]byte {
 // forceUserspace keeps c's file-backed leases off sendfile(2) even
 // where the build provides it: the portable pread+writev pump is the
 // reference the fast path is compared against.
-func forceUserspace(c *Client, on bool) { c.plane.(*framedPlane).userspace = on }
+func forceUserspace(c *Client, on bool) { c.plane.userspace = on }
 
 // runToCompletion drives the client in short epochs until the dataset
 // is done, returning the summed syscall count.

@@ -4,10 +4,10 @@ package gridftp
 
 import "net"
 
-// discardPayload reports that truncating receives are unavailable, so
-// both drains keep their portable copying paths. Paired with the
+// truncDrain reports that truncating receives are unavailable, so the
+// drain keeps its portable copying path. Paired with the
 // dstune_nozerocopy build tag this also gives the A/B benchmark a
 // build with every kernel fast path off.
-func discardPayload(net.Conn, int64, func(int64)) (bool, error) {
-	return false, nil
+func truncDrain(net.Conn, func(int64)) func(int64) (bool, error) {
+	return nil
 }

@@ -8,35 +8,38 @@ import (
 	"syscall"
 )
 
-// discardPayload consumes n payload bytes from conn without copying
-// them into userspace: Linux TCP treats MSG_TRUNC on recvfrom(2) with
-// a null buffer as "drop up to len bytes from the receive queue",
-// releasing the socket-buffer pages in kernel. For the bulk drain and
-// a discard-mode framed drain this removes the receiver's only memory
-// pass, which is what lets a sendfile sender run copy-free end to end — the sender
-// queues page-cache references and the receiver frees them without
-// either side touching the bytes.
+// truncDrain returns conn's truncating drain, or nil for a connection
+// that is not an unwrapped TCP connection. The drain consumes n payload
+// bytes without copying them into userspace: Linux TCP treats MSG_TRUNC
+// on recvfrom(2) with a null buffer as "drop up to len bytes from the
+// receive queue", releasing the socket-buffer pages in kernel. For a
+// discard-mode drain this removes the receiver's only memory pass,
+// which is what lets a sendfile sender run copy-free end to end — the
+// sender queues page-cache references and the receiver frees them
+// without either side touching the bytes. It is built once per
+// connection, so a frame's drain allocates nothing.
 //
 // credit is invoked with each slab dropped, so byte accounting and
 // the server activity clock advance exactly as the copying drain's
-// would, including for a stream that dies mid-payload. Returns
-// ok=false — with nothing consumed and credit never called — when the
-// kernel rejects the first truncating recv, so the caller can fall
-// back to the copying drain; any later error is returned as err with
-// the preceding slabs already credited (receiver truth is what the
+// would, including for a stream that dies mid-payload. The drain
+// returns ok=false — with nothing consumed and credit never called —
+// when the kernel rejects the first truncating recv, so the caller can
+// fall back to the copying drain; any later error is returned as err
+// with the preceding slabs already credited (receiver truth is what the
 // kernel actually handed over).
-func discardPayload(conn net.Conn, n int64, credit func(int64)) (ok bool, err error) {
+func truncDrain(conn net.Conn, credit func(int64)) func(n int64) (ok bool, err error) {
 	tcp, isTCP := conn.(*net.TCPConn)
 	if !isTCP {
-		return false, nil
+		return nil
 	}
 	rc, rcErr := tcp.SyscallConn()
 	if rcErr != nil {
-		return false, nil
+		return nil
 	}
-	var done int64
+	var n, done int64
+	var err error
 	unsupported := false
-	ioErr := rc.Read(func(fd uintptr) bool {
+	recv := func(fd uintptr) bool {
 		for n > 0 {
 			r, _, errno := syscall.Syscall6(syscall.SYS_RECVFROM, fd, 0, uintptr(n), syscall.MSG_TRUNC, 0, 0)
 			if errno == syscall.EAGAIN {
@@ -59,12 +62,16 @@ func discardPayload(conn net.Conn, n int64, credit func(int64)) (ok bool, err er
 			n -= int64(r)
 		}
 		return true
-	})
-	if unsupported {
-		return false, nil
 	}
-	if err == nil {
-		err = ioErr
+	return func(want int64) (bool, error) {
+		n, done, err, unsupported = want, 0, nil, false
+		ioErr := rc.Read(recv)
+		if unsupported {
+			return false, nil
+		}
+		if err == nil {
+			err = ioErr
+		}
+		return true, err
 	}
-	return true, err
 }

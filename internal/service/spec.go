@@ -26,8 +26,8 @@ import (
 // JobSpec is the one declarative description of a tuned session: the
 // transfer to tune (a simulated testbed or a gridftpd server address),
 // the strategy, and the search-box knobs. It is the body of POST /jobs,
-// the struct dstune's flags bind onto, and — with a name and a weight
-// beside it — each session of a dstune -fleet file; Build turns it into
+// the struct dstune's flags bind onto, and — with a name beside it —
+// each session of a dstune -fleet file; Build turns it into
 // the same session at all three. The zero value of every optional field
 // selects the default WithDefaults documents.
 type JobSpec struct {
