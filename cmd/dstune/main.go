@@ -61,37 +61,12 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sync"
 	"syscall"
 	"time"
 
 	"dstune"
 	"dstune/internal/service"
 )
-
-// shutdown runs registered cleanup functions exactly once, in reverse
-// registration order, whichever exit path fires first — the normal
-// return, a fatal error, or the drained-interrupt path. log.Fatal
-// calls os.Exit, which skips deferred calls, so every fatal exit after
-// a durable sink is open must drain through this instead: otherwise
-// the event-trace file and the history store lose their final,
-// unsynced writes.
-type shutdown struct {
-	once sync.Once
-	fns  []func()
-}
-
-// add registers a cleanup to run on shutdown.
-func (s *shutdown) add(fn func()) { s.fns = append(s.fns, fn) }
-
-// run executes the registered cleanups once, last-registered first.
-func (s *shutdown) run() {
-	s.once.Do(func() {
-		for i := len(s.fns) - 1; i >= 0; i-- {
-			s.fns[i]()
-		}
-	})
-}
 
 // options is the command line: the job spec most flags bind straight
 // onto — the same service.JobSpec a dstuned job or a -fleet session is —
@@ -284,19 +259,23 @@ func main() {
 	log.SetPrefix("dstune: ")
 	o := bindFlags(flag.CommandLine)
 	flag.Parse()
-
-	var shut shutdown
-	defer shut.run()
-	fatal := func(v ...any) {
-		shut.run()
-		log.Fatal(v...)
-	}
-
-	observer, obsClose, err := newObserver(o.obsAddr, o.obsTrace)
-	if err != nil {
+	// log.Fatal exits without running deferred calls; run's have all run
+	// — the trace file synced and closed, the history store closed — by
+	// the time it returns.
+	if err := run(o); err != nil {
 		log.Fatal(err)
 	}
-	shut.add(obsClose)
+}
+
+// run is one dstune invocation after flag parsing: it opens the durable
+// sinks the flags ask for, runs the fleet or the single session, prints
+// the trace, and releases the sinks on every way out.
+func run(o *options) error {
+	observer, obsClose, err := newObserver(o.obsAddr, o.obsTrace)
+	if err != nil {
+		return err
+	}
+	defer obsClose()
 
 	// The history store is the run's knowledge plane: consulted for a
 	// warm start before tuning, extended with this run's best epoch
@@ -306,29 +285,26 @@ func main() {
 	if o.history != "" {
 		store, herr := dstune.OpenHistory(o.history)
 		if store == nil {
-			fatal(herr)
+			return herr
 		}
 		if herr != nil {
 			log.Printf("history: %v (continuing with the %d intact records)", herr, store.Len())
 		}
 		histStore = store
-		shut.add(func() {
+		defer func() {
 			if cerr := store.Close(); cerr != nil {
 				log.Printf("history: close: %v", cerr)
 			}
-		})
+		}()
 	}
 
 	if o.fleet != "" {
-		if err := runFleet(o.fleet, observer, o.checkpoint, histStore); err != nil {
-			fatal(err)
-		}
-		return
+		return runFleet(o.fleet, observer, o.checkpoint, histStore)
 	}
 
 	sess, err := o.session(observer, histStore)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if sess.Dataset.Count() > 0 {
 		fmt.Printf("dataset: %s\n", sess.Dataset)
@@ -350,6 +326,7 @@ func main() {
 	drain := make(chan struct{})
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	go func() {
 		<-sigCh
 		log.Print("interrupt: draining the in-flight epoch (interrupt again to abort)")
@@ -381,7 +358,7 @@ func main() {
 			log.Printf("stopped (%v) after %d epochs", err, len(trace.Results))
 		}
 	default:
-		fatal(err)
+		return err
 	}
 	if recorded >= 0 && histStore.Len() > recorded {
 		x, tp, _ := trace.BestEpoch()
@@ -390,10 +367,11 @@ func main() {
 	printTrace(trace)
 	if o.csv != "" {
 		if err := writeCSV(o.csv, trace); err != nil {
-			fatal(err)
+			return err
 		}
 		fmt.Printf("wrote %s\n", o.csv)
 	}
+	return nil
 }
 
 // runSession runs the one session of a single run to its end — a fleet

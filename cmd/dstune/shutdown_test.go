@@ -9,19 +9,38 @@ import (
 	"dstune"
 )
 
-// TestShutdownRunsOnceInReverse: the shutdown drain runs every
-// registered cleanup exactly once, last-registered first, no matter
-// how many exit paths call it.
-func TestShutdownRunsOnceInReverse(t *testing.T) {
-	var shut shutdown
-	var order []int
-	for i := 0; i < 3; i++ {
-		shut.add(func() { order = append(order, i) })
+// TestFailingRunSyncsAndClosesTraceSink: a run that fails after its
+// session ran — here the -csv file's directory does not exist — returns
+// its error through run's defers, so by the time main's log.Fatal exits
+// the -obs-trace file holds every event whole and is no longer open.
+func TestFailingRunSyncsAndClosesTraceSink(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "events.jsonl")
+	o := parseFlags(t, "-tuner", "cs-tuner", "-testbed", "tacc", "-duration", "120",
+		"-obs-trace", path, "-csv", filepath.Join(dir, "missing", "trace.csv"))
+	if err := run(o); err == nil {
+		t.Fatal("run wrote a CSV into a directory that does not exist")
 	}
-	shut.run()
-	shut.run() // second drain (e.g. fatal after a deferred run) is a no-op
-	if len(order) != 3 || order[0] != 2 || order[1] != 1 || order[2] != 0 {
-		t.Fatalf("cleanup order = %v, want [2 1 0] exactly once", order)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "{") || !strings.HasSuffix(line, "}") {
+			t.Fatalf("line %d of %d is torn: %q", i, len(lines), line)
+		}
+	}
+	if !strings.Contains(string(data), `"EpochEnd"`) {
+		t.Fatalf("the trace holds no EpochEnd event:\n%s", data)
+	}
+	// Closed, not just synced: no descriptor of this process still
+	// names the file (where /proc lists them).
+	fds, _ := os.ReadDir("/proc/self/fd")
+	for _, fd := range fds {
+		if target, _ := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); target == path {
+			t.Fatalf("descriptor %s still holds %s after run returned", fd.Name(), path)
+		}
 	}
 }
 

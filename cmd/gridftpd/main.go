@@ -23,7 +23,7 @@ func main() {
 	log.SetFlags(log.LstdFlags)
 	log.SetPrefix("gridftpd: ")
 	addr := flag.String("addr", ":7632", "listen address")
-	tokenTTL := flag.Duration("token-ttl", 5*time.Minute, "idle expiry for per-transfer byte counters; 0 disables")
+	tokenTTL := flag.Duration("token-ttl", 5*time.Minute, "idle expiry for per-transfer tokens (their file tables); 0 disables")
 	sockBuf := flag.Int("sockbuf", 0, "kernel socket buffer bytes for accepted connections; 0 = OS default")
 	fileLatency := flag.Duration("file-latency", 0, "artificial per-file OPEN latency for dataset transfers, emulating remote metadata cost (what -pp pipelining hides)")
 	sinkDir := flag.String("sink", "", "persist dataset transfers that request a sink under this directory (one subdirectory per token); empty keeps the discard-and-count behavior")

@@ -226,8 +226,8 @@ type (
 	FleetConfig = tuner.FleetConfig
 	// FleetSession is one (strategy, transfers) pairing of a Fleet. With
 	// several Transfers, Dims and Maps it is a joint run: one strategy
-	// over the concatenated vector, observing the Weights-weighted
-	// aggregate throughput (examples/joint_tuning).
+	// over the concatenated vector, observing the summed aggregate
+	// throughput (examples/joint_tuning).
 	FleetSession = tuner.FleetSession
 )
 

@@ -1,9 +1,9 @@
 // Joint tuning: the paper's future-work item (4). Two transfers leave
 // the same source; instead of two independent tuners that treat each
 // other as external load (Figure 11), ONE direct search optimizes the
-// concatenated vector [nc1, np1, nc2, np2] against the weighted
-// aggregate throughput. Weights express transfer priority: here the
-// UChicago transfer counts three times as much as the TACC one.
+// concatenated vector [nc1, np1, nc2, np2] against the aggregate
+// throughput, the sum of both transfers' rates: every byte counts the
+// same, whichever path it leaves on.
 //
 // Run with: go run ./examples/joint_tuning
 package main
@@ -52,7 +52,7 @@ func main() {
 
 	// One Fleet session holding both transfers: nm-tuner proposes the
 	// concatenated vector, Dims cuts it back into one slice per transfer,
-	// and the strategy observes the weighted aggregate. The first failed
+	// and the strategy observes the summed aggregate. The first failed
 	// epoch ends the run (MaxTransientFailures 1): a multi-transfer
 	// session has no checkpoint to resume from.
 	strategy, err := dstune.NewStrategy("nm-tuner", dstune.TunerConfig{
@@ -72,7 +72,6 @@ func main() {
 			Transfers: []dstune.Transferer{t1, t2},
 			Dims:      []int{2, 2},
 			Maps:      []dstune.ParamMap{dstune.MapNCNP(), dstune.MapNCNP()},
-			Weights:   []float64{3, 1}, // UChicago has priority
 		},
 	).Run(context.Background())
 	if err != nil {
@@ -84,7 +83,7 @@ func main() {
 	traces := results[0].Traces
 
 	uc, tc := traces[0], traces[1]
-	fmt.Println("joint nm search over [nc1 np1 nc2 np2], weights 3:1")
+	fmt.Println("joint nm search over [nc1 np1 nc2 np2], aggregate throughput")
 	fmt.Printf("UChicago: %7.1f MB/s  final %v\n", uc.MeanThroughput()/1e6, uc.FinalX())
 	fmt.Printf("TACC:     %7.1f MB/s  final %v\n", tc.MeanThroughput()/1e6, tc.FinalX())
 	fmt.Printf("aggregate %7.1f of 5000 MB/s NIC\n",

@@ -114,8 +114,8 @@ type ClientConfig struct {
 	// AckedBytes seeds the receiver-confirmed byte count when resuming
 	// a checkpointed transfer: the server has already received this
 	// many bytes for Token, so Bytes-AckedBytes remain to send.
-	// Requires an explicit Token (the server-side counter must be the
-	// same one the original session fed).
+	// Requires an explicit Token (the server-side file table must be
+	// the same one the original session fed).
 	AckedBytes float64
 	// ClockOffset advances the transfer clock when resuming: Now
 	// reports ClockOffset plus the wall time since the first Run, so a
@@ -159,7 +159,6 @@ var clientSeq atomic.Int64
 type Client struct {
 	cfg   ClientConfig
 	token string
-	plane *framedPlane
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -176,7 +175,7 @@ type Client struct {
 	started   bool
 	inRun     bool // a Run is in flight (and may be using ctrl)
 	runs      int
-	acked     int64 // server-confirmed bytes (receiver truth)
+	acked     int64 // server-confirmed useful bytes (receiver truth)
 
 	// Warm data plane, guarded by mu so Stop can sweep it while a Run
 	// is in flight. Only Run mutates it otherwise (Run is not
@@ -186,11 +185,29 @@ type Client struct {
 	ctrlR *bufio.Reader // reader paired with ctrl
 
 	lastRetrans int64 // summed stripe retransmit counters last sample
-	// seen is where SETTLE's expected count starts from: what the
-	// server's aggregate counter for the token will read once everything
-	// written so far is in (see settled); -1 until the first arm has
-	// read it. Only Run touches it.
-	seen int64
+
+	// The data plane: stripes pull (file, offset, length) leases from q
+	// and send them as FILE frames, an opener pipelines the per-file OPEN
+	// handshakes on the control connection, and receiver truth is the
+	// server's file table for the token (START, SETTLE, and RESYNC to
+	// rebuild q from it). Touched only by NewClient and Run.
+	q          *fileQueue
+	src        *fileSource // file-backed payload (SourceDir); nil synthesizes zeros
+	userspace  bool        // tests only: keep file-backed leases off sendfile(2), the reference path
+	total      int64       // payload bytes across the dataset
+	manifested bool        // MANIFEST (and the sink it asks for) registered on the server
+	needResync bool        // q must be rebuilt from the server's file table
+	resuming   bool        // a resumed session that has not yet resynced
+	// expect is what the token's useful total will read once every byte
+	// written so far is in: SETTLE waits for it (see settle). -1 until
+	// the session's first START.
+	expect     int64
+	lastDone   int     // the server's completed-file count last settle
+	gotScratch []int64 // reusable RESYNC parse buffer
+
+	// Per epoch, what the stripes tally for the report.
+	firstByte atomic.Int64 // nanoseconds from epoch start to the first payload byte
+	sysCalls  atomic.Int64 // data-plane syscalls issued
 }
 
 // NewClient returns a client for cfg. It does not touch the network
@@ -239,26 +256,34 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.MinStreams < 1 {
 		cfg.MinStreams = 1
 	}
-	c := &Client{
-		cfg:   cfg,
-		token: cfg.Token,
-		rng:   rand.New(rand.NewSource(int64(cfg.Seed))),
-	}
-	c.stopped, c.stop = context.WithCancelCause(context.Background())
-	c.acked = int64(cfg.AckedBytes)
-	c.seen = -1
 	if !datasetMode {
 		// A bulk transfer is a dataset of one file.
 		size := unboundedBytes
 		if cfg.Bytes < float64(unboundedBytes) {
 			size = int64(cfg.Bytes)
 		}
-		c.cfg.Dataset = dataset.Uniform(1, size)
+		cfg.Dataset = dataset.Uniform(1, size)
 	}
-	c.remaining.Store(c.cfg.Dataset.TotalBytes() - c.acked)
-	var err error
-	if c.plane, err = newFramedPlane(c); err != nil {
-		return nil, err
+	c := &Client{
+		cfg:   cfg,
+		token: cfg.Token,
+		rng:   rand.New(rand.NewSource(int64(cfg.Seed))),
+		q:     newFileQueue(cfg.Dataset),
+		total: cfg.Dataset.TotalBytes(),
+		// A resumed transfer rebuilds its work queue from the server's
+		// file table before the first pump, restarting at file/offset
+		// granularity.
+		needResync: cfg.AckedBytes > 0,
+		resuming:   cfg.AckedBytes > 0,
+		expect:     -1,
+	}
+	c.stopped, c.stop = context.WithCancelCause(context.Background())
+	c.confirm(int64(cfg.AckedBytes))
+	if cfg.SourceDir != "" {
+		var err error
+		if c.src, err = newFileSource(cfg.SourceDir, cfg.Dataset); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -295,7 +320,7 @@ func (c *Client) Now() float64 {
 // later session resumes the transfer with a client built from
 // ClientConfig{Bytes: Total, Token: Token, AckedBytes: Acked,
 // ClockOffset: Clock} — as long as the transfer was not stopped, so
-// the server still holds the token's counter.
+// the server still holds the token's file table.
 func (c *Client) Snapshot() xfer.TransferState {
 	unbounded := c.cfg.Bytes >= float64(unboundedBytes)
 	s := xfer.TransferState{
@@ -318,8 +343,8 @@ func (c *Client) Snapshot() xfer.TransferState {
 // Stop implements xfer.Transferer. It aborts an in-flight Run —
 // including its retry backoffs and failed-epoch pacing — closes the
 // warm stripe pool and control connection, and releases the
-// transfer's token counter on the server (a best-effort CLOSE
-// exchange), so long-lived servers don't accumulate dead counters.
+// transfer's token on the server (a best-effort CLOSE exchange), so
+// long-lived servers don't accumulate dead file tables.
 func (c *Client) Stop() {
 	c.mu.Lock()
 	already := c.stopped.Err() != nil
@@ -532,62 +557,46 @@ func (c *Client) exchange(ctx context.Context, t *cost, cmd, wantPrefix string) 
 	return resp, err
 }
 
-// ServerReceived asks the server how many bytes it has received for
+// ServerReceived asks the server how many useful bytes it holds for
 // this transfer's token: a SETTLE that expects nothing, so it is
 // answered at once, on the persistent control connection.
 func (c *Client) ServerReceived() (int64, error) {
-	resp, err := c.exchange(c.stopped, new(cost), "SETTLE "+c.token+" 0", "SETTLED ")
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	if _, err := fmt.Sscanf(resp, "SETTLED %d", &n); err != nil {
-		return 0, fmt.Errorf("%w: bad SETTLE response %q", ErrProtocol, resp)
-	}
-	return n, nil
+	_, useful, err := c.settleExchange(c.stopped, new(cost), 0)
+	return useful, err
 }
 
-// receiverTruth is the server's answer to SETTLE: the token's aggregate
-// byte counter, the completed-file count and the duplicate-free
-// received bytes.
-type receiverTruth struct {
-	bytes  int64
-	done   int
-	useful int64
-}
-
-// settled is the one round trip in which an epoch learns receiver
-// truth: it tells the server what its counter should reach — seen plus
-// the sent bytes the stripes just wrote — and the server answers when
-// it has, or when the difference is not coming (see Server.serveSettle).
-// A failed exchange leaves the caller with the sender's count.
-//
-// The answer is an instant's reading, and seen must be where the
-// counter ends up or every later settle inherits the error. Bytes
-// written to a stripe that is still alive do arrive, so an epoch in
-// which none died moves seen on by exactly what it wrote, whatever the
-// answer said: a count cut short by a spuriously quiet 5 ms (a drain
-// starved of CPU) is late, and the next settle waits for it. Only where
-// the expectation is known to be off — a stripe died with bytes in its
-// socket buffer, the counter is past it, or below where the epoch began
-// (the server dropped the token) — is the answer itself the new
-// starting point.
-func (c *Client) settled(ctx context.Context, e *epoch, sent int64) (rt receiverTruth, err error) {
-	began, expect := c.seen, c.seen+sent
-	c.seen = expect
+// settleExchange sends SETTLE <token> <expect> and parses the
+// SETTLED <files> <useful> answer — exactly two numbers: an older
+// server's three (its aggregate counter first) are a protocol error.
+func (c *Client) settleExchange(ctx context.Context, t *cost, expect int64) (done int, useful int64, err error) {
 	cmd := fmt.Sprintf("SETTLE %s %d", c.token, expect)
-	resp, err := c.exchange(ctx, &e.cost, cmd, "SETTLED ")
-	if err != nil {
-		return rt, err
-	}
-	if _, err := fmt.Sscanf(resp, "SETTLED %d %d %d", &rt.bytes, &rt.done, &rt.useful); err != nil {
-		return rt, fmt.Errorf("%w: bad SETTLE response %q", ErrProtocol, resp)
-	}
-	lossy := slices.ContainsFunc(e.stripes, func(s stripeResult) bool { return !s.alive })
-	if lossy || rt.bytes < began || rt.bytes > expect {
-		c.seen = rt.bytes
-	}
-	return rt, nil
+	err = c.roundTrip(ctx, t, cmd, func(br *bufio.Reader) error {
+		var resp string
+		if err := oneLine(cmd, "SETTLED ", &resp)(br); err != nil {
+			return err
+		}
+		if _, err := fmt.Sscanf(resp+"\n", "SETTLED %d %d\n", &done, &useful); err != nil {
+			return fmt.Errorf("%w %q", errSettledShape, resp)
+		}
+		return nil
+	})
+	return done, useful, err
+}
+
+// errSettledShape is a SETTLED answer of the wrong shape — an older
+// gridftpd's three numbers. Unlike a refused SETTLE, which costs one
+// epoch its receiver truth, it recurs every epoch, so it ends the
+// session.
+var errSettledShape = fmt.Errorf("%w: bad SETTLE response", ErrProtocol)
+
+// confirm records useful as the server-confirmed byte count, and the
+// budget left, and returns the count it replaces.
+func (c *Client) confirm(useful int64) (prev int64) {
+	c.mu.Lock()
+	prev, c.acked = c.acked, useful
+	c.mu.Unlock()
+	c.remaining.Store(c.total - useful)
+	return prev
 }
 
 // dialData establishes one data connection (dial plus the DATAF
@@ -656,6 +665,10 @@ type epoch struct {
 	// (each goroutine writes only its own slot).
 	pool    []net.Conn
 	stripes []stripeResult
+
+	// The control connection arm secured for the opener.
+	ctrl  net.Conn
+	ctrlR *bufio.Reader
 }
 
 // stripeResult is what one stripe's pump reported: the payload bytes
@@ -748,30 +761,132 @@ func (c *Client) Run(caller context.Context, p xfer.Params, epochSecs float64) (
 	// reconciles its partial volume (that is what gets checkpointed),
 	// a stopped one has no server state left to ask about.
 	r.Bytes = float64(sent)
-	c.plane.settle(c.stopped, e, sent, &r)
+	if err := c.settle(c.stopped, e, sent, &r); errors.Is(err, errSettledShape) {
+		return xfer.Report{}, fmt.Errorf("gridftp: settle: %w", err)
+	}
 	return c.report(r, e), caller.Err()
 }
 
 // arm re-arms the server for the epoch — one START on the control
 // connection, whether the stripe is cold (the restart analog) or warm —
-// then makes the file plane's own preparations. START answers with
-// where the token's counter stands, and a session's first arm keeps
-// that reading: nothing of this session is in flight yet, the one
-// moment it is exact, also for a resumed token that holds whatever its
-// killed session wrote after the checkpoint.
+// registers the manifest once per session (the server keeps it under
+// the token until the idle TTL; the sink request rides on it), rebuilds
+// the work queue from receiver truth when resuming or after losses, and
+// secures the control connection the opener will own during the pump.
+//
+// START answers the token's useful total, and a session's first arm
+// takes it as the expectation: nothing of this session is in flight
+// yet, the one moment it is exact, also for a resumed token that holds
+// whatever its killed session wrote after the checkpoint. A START that
+// finds no token — the server expired or lost it, and everything it
+// confirmed with it — starts the account over: the manifest is
+// registered again and, if the session had registered one, the queue is
+// rebuilt from the new, empty table before anything is sent.
 func (c *Client) arm(ctx context.Context, e *epoch) error {
-	resp, err := c.exchange(ctx, &e.cost, "START "+c.token, "OK ")
-	if err != nil {
+	var resp string
+	var held int64
+	err := c.roundTrip(ctx, &e.cost, "START "+c.token, func(br *bufio.Reader) (err error) {
+		if resp, err = readLine(br); err != nil || resp == "NONE" {
+			return err
+		}
+		if _, serr := fmt.Sscanf(resp+"\n", "OK %d\n", &held); serr != nil {
+			return fmt.Errorf("%w: bad START response %q", ErrProtocol, resp)
+		}
+		return nil
+	})
+	switch {
+	case err != nil:
 		return fmt.Errorf("gridftp: start: %w", err)
+	case resp == "NONE":
+		c.needResync = c.needResync || c.manifested
+		c.manifested = false
+		c.expect, c.lastDone = 0, 0
+		c.confirm(0)
+	case c.expect < 0:
+		c.expect = held
 	}
-	var n int64
-	if _, err := fmt.Sscanf(resp, "OK %d", &n); err != nil {
-		return fmt.Errorf("gridftp: start: %w: bad START response %q", ErrProtocol, resp)
+	if !c.manifested {
+		if _, err := c.exchange(ctx, &e.cost, c.manifest(), "OK"); err != nil {
+			return fmt.Errorf("gridftp: manifest: %w", err)
+		}
+		c.manifested = true
 	}
-	if c.seen < 0 {
-		c.seen = n
+	if c.needResync {
+		// Quiesced here: no leases are in flight between epochs. A
+		// failed resync is not fatal — the queue keeps its local view
+		// (duplicates are clamped server-side) and a later epoch
+		// retries — except to a resumed session, which sends nothing
+		// before it knows what the server holds.
+		useful, err := c.resync(ctx, e)
+		acked := int64(c.cfg.AckedBytes)
+		switch ierr := interrupted(ctx); {
+		case err == nil && c.resuming && held >= acked && useful < acked:
+			return errNotResumable
+		case err == nil:
+			c.needResync, c.resuming = false, false
+		case ierr != nil:
+			return ierr
+		case c.resuming:
+			return fmt.Errorf("gridftp: resync: %w", err)
+		}
 	}
-	return c.plane.arm(ctx, e, n)
+	if e.ctrl, e.ctrlR, err = c.ctrlConn(&e.cost); err != nil {
+		return fmt.Errorf("gridftp: control: %w", err)
+	}
+	return nil
+}
+
+// settle is the one round trip in which an epoch learns receiver
+// truth: it tells the server the useful total to wait for — expect
+// plus the bytes the stripes just wrote — and the server answers when
+// its file table holds it, or when the difference is not coming (see
+// Server.serveSettle). The epoch's volume is the growth of that
+// duplicate-free total (resends past a file's size count toward
+// nothing), its files the growth of the completed-file count. A failed
+// exchange leaves the report with the sender's count.
+//
+// The answer is an instant's reading, and expect must be where the
+// total ends up or every later settle inherits the error. Bytes written
+// to a stripe that is still alive do arrive, so an epoch in which none
+// died moves expect on by exactly what it wrote, whatever the answer
+// said: a total cut short by a spuriously quiet 5 ms (a drain starved
+// of CPU) is late, and the next settle waits for it. Only where the
+// expectation is known to be off — a stripe died with bytes in its
+// socket buffer, or the total is past it — is the answer itself the
+// new starting point; a RESYNC, which rebuilds the queue from the
+// table, re-bases it too.
+//
+// A SETTLED of the wrong shape (an older gridftpd's) is returned and
+// ends the session: its epochs would otherwise carry the sender's count
+// forever and a bounded transfer never finish.
+func (c *Client) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report) error {
+	r.FirstByteLag = time.Duration(c.firstByte.Load()).Seconds()
+	r.Syscalls = c.sysCalls.Load()
+	want := c.expect + sent
+	c.expect = want
+	done, useful, err := c.settleExchange(ctx, &e.cost, want)
+	if err != nil {
+		return err
+	}
+	if useful > want || slices.ContainsFunc(e.stripes, func(s stripeResult) bool { return !s.alive }) {
+		c.expect = useful
+	}
+	// A total below the last one means the server lost the token during
+	// the epoch (idle-TTL expiry or restart): the epoch keeps the
+	// sender's count, and the next START, finding no token, starts the
+	// account over.
+	if prev := c.confirm(useful); useful >= prev {
+		r.Bytes = float64(useful - prev)
+	}
+	r.Files = max(done-c.lastDone, 0)
+	c.lastDone = done
+	if done < len(c.q.sizes) && c.q.drained() {
+		// Every byte was leased but the server still misses some (lost
+		// in dead stripes' socket buffers): requeue the deficits from
+		// receiver truth next epoch.
+		c.needResync = true
+	}
+	return nil
 }
 
 // dialDelta brings the stripe to the epoch's width: surplus
@@ -833,15 +948,24 @@ func (c *Client) abortEpoch(ctx context.Context, e *epoch, err error) error {
 	return err
 }
 
-// pumpEpoch runs the file pump on every stripe until the epoch
-// deadline and returns the bytes written. An interrupt (ctx cancel or
-// Stop) expires every stream's write deadline, so blocked writes fail
-// immediately and each pump returns its unsent budget.
+// pumpEpoch starts the opener and runs a filePump over the shared
+// queue on every stripe until the epoch deadline, and returns the bytes
+// written. It waits for the opener's ACK drain (bounded by its read
+// deadline), so the control connection is quiet again before settle's
+// exchange. An interrupt (ctx cancel or Stop) expires every stream's
+// write deadline, so blocked writes fail immediately and each pump
+// returns its unsent budget.
 func (c *Client) pumpEpoch(ctx context.Context, e *epoch) (sent int64) {
 	e.deadline = time.Now().Add(e.length)
 	e.rate = c.cfg.Shaper.perConnRate(len(e.pool))
 	e.stripes = make([]stripeResult, len(e.pool))
-	stripe, join := c.plane.pump(ctx, e)
+	c.firstByte.Store(0)
+	c.sysCalls.Store(0)
+	opened := make(chan struct{})
+	go func() {
+		defer close(opened)
+		c.opener(ctx, e)
+	}()
 	unwatch := onAbort(ctx, func() {
 		now := time.Now()
 		for _, conn := range e.pool {
@@ -854,12 +978,14 @@ func (c *Client) pumpEpoch(ctx context.Context, e *epoch) (sent int64) {
 		go func(i int, conn net.Conn) {
 			defer wg.Done()
 			conn.SetWriteDeadline(e.deadline.Add(time.Second))
+			pio := c.newPumpIO(conn)
 			s := &e.stripes[i]
-			s.sent, s.alive = stripe(conn)
+			s.sent, s.alive = filePump(conn, c.q, pio, e.rate, e.deadline, ctx.Done(), &c.firstByte, e.began)
+			c.sysCalls.Add(pio.syscalls())
 		}(i, conn)
 	}
 	wg.Wait()
-	join()
+	<-opened
 	// Released (and, if it fired, finished) before evict compacts the
 	// pool slice the watchdog walks.
 	unwatch()

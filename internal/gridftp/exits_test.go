@@ -22,8 +22,10 @@ import (
 )
 
 // scriptedPeer is a fake server that answers every control verb the
-// way a healthy one would — and reports no progress, so a transfer
-// against it never finishes — until the test arms an action at one
+// way a healthy one would — and holds nothing: every START finds no
+// token, so every epoch registers its manifest (and, after the first,
+// resyncs), and a transfer against it never finishes — until the test
+// arms an action at one
 // verb. An action returns the reply line to send instead; "" hangs
 // up, "stall" never answers. "DIAL" is not a verb: its action runs in
 // the client's dialer (dial below) and its reply selects how the dial
@@ -94,7 +96,7 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 		reply := "OK"
 		switch f[0] {
 		case "START":
-			reply = "OK 0"
+			reply = "NONE"
 		case "DATAF":
 			p.data.Add(1)
 			p.opened.Add(1)
@@ -106,7 +108,7 @@ func (p *scriptedPeer) serve(conn net.Conn) {
 				readLine(br)
 			}
 		case "SETTLE":
-			reply = "SETTLED 0 0 0"
+			reply = "SETTLED 0 0"
 		case "RESYNC":
 			reply = "END"
 		case "OPEN":
@@ -184,7 +186,8 @@ func TestEveryExitFromRun(t *testing.T) {
 		{name: "START-warm", verb: "START", wording: "gridftp: start:"},
 		{name: "MANIFEST", verb: "MANIFEST", framed: true, wording: "gridftp: manifest:"},
 		{name: "RESYNC", verb: "RESYNC", framed: true, proceeds: true},
-		// The first data dial follows a START that went through.
+		// The first data dial follows a START that found the token: a
+		// NONE would start a resumed session's account over before it.
 		{name: "data-dial", verb: "DIAL", after: "START", afterReply: "OK 0", cold: true,
 			wording: "only 0/1 data connections (min 1)"},
 		// The opener's control connection is dialed only when RESYNC
@@ -217,11 +220,9 @@ func TestEveryExitFromRun(t *testing.T) {
 					}
 					if framed {
 						// A resumed session (AckedBytes) resyncs in its first
-						// epoch; and since the peer's SETTLE stays below what
-						// was acked, the first settle concludes the server
-						// lost the file table, so the next epoch re-sends
-						// MANIFEST (with its SINK flag) and RESYNC too — on a
-						// warm pool.
+						// epoch; and since the peer's START finds no token,
+						// the next epoch re-sends MANIFEST (with its SINK
+						// flag) and RESYNC too — on a warm pool.
 						cfg.Bytes, cfg.Dataset = 0, dataset.Uniform(4, 64<<10)
 						cfg.Token, cfg.AckedBytes, cfg.RequestSink = "exit-tok", 1, true
 					}
@@ -389,6 +390,41 @@ func TestParentBulkCheckpointIsRefused(t *testing.T) {
 			}
 			if got := c.Remaining(); got != volume-acked {
 				t.Fatalf("Remaining = %v, want the checkpoint's %d untouched", got, volume-acked)
+			}
+		})
+	}
+}
+
+// TestAnswerOfTheWrongShapeIsFatal: an older gridftpd answers START
+// with its aggregate (which this client accepts) and SETTLE with three
+// numbers. Were that SETTLE only a failed exchange, every epoch would
+// carry the sender's count and a bounded transfer would never finish;
+// it ends the session on the first epoch instead. A START answered by
+// neither form is as fatal, and drops the control connection as every
+// other protocol error does.
+func TestAnswerOfTheWrongShapeIsFatal(t *testing.T) {
+	for _, row := range []struct{ name, verb, reply string }{
+		{"older-server-SETTLED", "SETTLE", "SETTLED 4096 0 4096"},
+		{"ERR-to-START", "START", "ERR bad START"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p := newScriptedPeer(t)
+			p.arm("START", func() string { return "OK 0" })
+			p.arm(row.verb, func() string { return row.reply })
+			c, err := NewClient(ClientConfig{Addr: p.ln.Addr().String(), Bytes: 8 << 20, DialTimeout: 100 * time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			_, err = c.Run(context.Background(), xfer.Params{NC: 2, NP: 1}, 0.05)
+			if !errors.Is(err, ErrProtocol) || xfer.IsTransient(err) {
+				t.Fatalf("first epoch: err = %v, want a fatal protocol error", err)
+			}
+			c.mu.Lock()
+			kept := c.ctrl != nil
+			c.mu.Unlock()
+			if kept {
+				t.Fatal("the control connection that carried the bad answer is kept")
 			}
 		})
 	}

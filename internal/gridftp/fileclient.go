@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"dstune/internal/dataset"
-	"dstune/internal/xfer"
 )
 
 // errProtocolf wraps ErrProtocol with a formatted detail message.
@@ -237,10 +236,10 @@ type pumpIO struct {
 // the build supports it, a file source exists, and the connection is
 // an unwrapped *net.TCPConn (fault-injecting wrappers fall back to the
 // userspace path automatically).
-func (f *framedPlane) newPumpIO(conn net.Conn) *pumpIO {
-	pio := &pumpIO{src: newStripeSource(f.src)}
+func (c *Client) newPumpIO(conn net.Conn) *pumpIO {
+	pio := &pumpIO{src: newStripeSource(c.src)}
 	pio.tcp, _ = conn.(*net.TCPConn)
-	pio.zc = zeroCopyAvailable && !f.userspace && pio.src != nil && pio.tcp != nil
+	pio.zc = zeroCopyAvailable && !c.userspace && pio.src != nil && pio.tcp != nil
 	return pio
 }
 
@@ -455,130 +454,12 @@ func boundLease(quantum, sent int64, elapsed, left time.Duration) int64 {
 	return max(chunkSize, int64(min(float64(quantum), float64(sent)*left.Seconds()/elapsed.Seconds())))
 }
 
-// framedPlane is the data plane: stripes pull (file, offset, length)
-// leases from a work queue and send them as FILE frames, an opener
-// pipelines the per-file OPEN handshakes on the control connection, and
-// receiver truth is the server's per-file table (SETTLE, and RESYNC to
-// rebuild the queue from it). Mutated only by Run and NewClient — never
-// concurrently.
-type framedPlane struct {
-	c            *Client
-	q            *fileQueue
-	src          *fileSource // file-backed payload (SourceDir); nil synthesizes zeros
-	userspace    bool        // tests only: keep file-backed leases off sendfile(2), the reference path
-	datasetBytes int64       // total payload bytes across the dataset
-	manifested   bool        // MANIFEST (and the sink it asks for) registered on the server
-	needResync   bool        // queue must resync against server counters
-	resuming     bool        // a resumed session that has not yet resynced
-	counted      int64       // the token's counter in the last SETTLE answer
-	lastDone     int         // server's completed-file count last settle
-	gotScratch   []int64     // reusable RESYNC parse buffer
-
-	// Per epoch: the control connection arm secured for the opener,
-	// and what the stripes tally for the report.
-	ctrl      net.Conn
-	ctrlR     *bufio.Reader
-	firstByte atomic.Int64 // nanoseconds from epoch start to the first payload byte
-	sysCalls  atomic.Int64 // data-plane syscalls issued
-}
-
-// newFramedPlane builds c's file plane from its Dataset and SourceDir.
-func newFramedPlane(c *Client) (*framedPlane, error) {
-	f := &framedPlane{
-		c:            c,
-		q:            newFileQueue(c.cfg.Dataset),
-		datasetBytes: c.cfg.Dataset.TotalBytes(),
-		// A resumed transfer rebuilds its work queue from the server's
-		// per-file counters before the first pump, restarting at
-		// file/offset granularity.
-		needResync: c.cfg.AckedBytes > 0,
-		resuming:   c.cfg.AckedBytes > 0,
-	}
-	if c.cfg.SourceDir != "" {
-		var err error
-		if f.src, err = newFileSource(c.cfg.SourceDir, c.cfg.Dataset); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
-// errNotResumable refuses a resumed token whose server counter holds
-// the checkpoint's bytes while its file table does not: a bulk-stream
-// token of a client older than the one-file manifest. Resent from file
-// offset zero, those bytes would be counted twice.
+// errNotResumable refuses a resumed token whose START answer holds the
+// checkpoint's bytes while its file table does not: a bulk-stream token
+// of a client older than the one-file manifest, on an older gridftpd
+// whose START reads its aggregate counter. Resent from file offset
+// zero, those bytes would be counted twice.
 var errNotResumable = errors.New("gridftp: token not resumable: the server counts the checkpoint's bytes but holds no file progress for them")
-
-// arm registers the manifest once per session (the server keeps it
-// under the token until the idle TTL; the sink request rides on it, so
-// a server restart re-arms persistence too), rebuilds the work queue
-// from receiver truth when resuming or after losses, and secures the
-// control connection the opener will own during the pump. held is what
-// the epoch's START found in the token's counter.
-func (f *framedPlane) arm(ctx context.Context, e *epoch, held int64) error {
-	c := f.c
-	if held < f.counted {
-		// The counter started over: the server expired or lost the
-		// token, and its file table with it, so nothing of the transfer
-		// is confirmed any more. Register the manifest again and rebuild
-		// the queue from the new, empty table before anything is sent.
-		f.manifested, f.needResync = false, true
-		f.counted, c.seen = held, held
-		c.mu.Lock()
-		c.acked = 0
-		c.mu.Unlock()
-	}
-	if !f.manifested {
-		if _, err := c.exchange(ctx, &e.cost, f.manifest(), "OK"); err != nil {
-			return fmt.Errorf("gridftp: manifest: %w", err)
-		}
-		f.manifested = true
-	}
-	if f.needResync {
-		// Quiesced here: no leases are in flight between epochs. A
-		// failed resync is not fatal — the queue keeps its local view
-		// (duplicates are clamped server-side) and a later epoch
-		// retries — except to a resumed session, which sends nothing
-		// before it knows what the server holds.
-		useful, err := f.resync(ctx, e)
-		acked := int64(c.cfg.AckedBytes)
-		switch ierr := interrupted(ctx); {
-		case err == nil && f.resuming && held >= acked && useful < acked:
-			return errNotResumable
-		case err == nil:
-			f.needResync, f.resuming = false, false
-		case ierr != nil:
-			return ierr
-		case f.resuming:
-			return fmt.Errorf("gridftp: resync: %w", err)
-		}
-	}
-	var err error
-	if f.ctrl, f.ctrlR, err = c.ctrlConn(&e.cost); err != nil {
-		return fmt.Errorf("gridftp: control: %w", err)
-	}
-	return nil
-}
-
-// pump starts the opener and hands every stripe a filePump over the
-// shared queue; join waits for the opener's ACK drain (bounded by its
-// read deadline), so the control connection is quiet again before
-// settle's exchanges.
-func (f *framedPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64, bool), func()) {
-	f.firstByte.Store(0)
-	f.sysCalls.Store(0)
-	opened := make(chan struct{})
-	go func() {
-		defer close(opened)
-		f.opener(ctx, e)
-	}()
-	return func(conn net.Conn) (int64, bool) {
-		pio := f.newPumpIO(conn)
-		sent, alive := filePump(conn, f.q, pio, e.rate, e.deadline, ctx.Done(), &f.firstByte, e.began)
-		f.sysCalls.Add(pio.syscalls())
-		return sent, alive
-	}, func() { <-opened }
-}
 
 // opener owns the control connection for the pump phase of a dataset
 // epoch: it keeps up to pp OPEN requests in flight, admits each file
@@ -589,8 +470,8 @@ func (f *framedPlane) pump(ctx context.Context, e *epoch) (func(net.Conn) (int64
 // unadmitted for a later epoch. Each refill round batches its OPEN
 // lines into a single write — pp-deep pipelining costs one syscall per
 // ACK round trip, not pp — tallied into the epoch's syscalls.
-func (f *framedPlane) opener(ctx context.Context, e *epoch) {
-	conn, br, q := f.ctrl, f.ctrlR, f.q
+func (c *Client) opener(ctx context.Context, e *epoch) {
+	conn, br, q := e.ctrl, e.ctrlR, c.q
 	pp := max(e.p.Pipelining(), 1)
 	conn.SetReadDeadline(e.deadline.Add(ackSlack))
 	defer conn.SetReadDeadline(time.Time{})
@@ -608,7 +489,7 @@ func (f *framedPlane) opener(ctx context.Context, e *epoch) {
 					break
 				}
 				batch = append(batch, "OPEN "...)
-				batch = append(batch, f.c.token...)
+				batch = append(batch, c.token...)
 				batch = append(batch, ' ')
 				batch = strconv.AppendInt(batch, int64(idx), 10)
 				batch = append(batch, '\n')
@@ -616,10 +497,10 @@ func (f *framedPlane) opener(ctx context.Context, e *epoch) {
 			}
 			if len(batch) > 0 {
 				if _, err := conn.Write(batch); err != nil {
-					f.c.dropCtrl(conn)
+					c.dropCtrl(conn)
 					return
 				}
-				f.sysCalls.Add(1)
+				c.sysCalls.Add(1)
 			}
 		}
 		if inflight == 0 {
@@ -629,7 +510,7 @@ func (f *framedPlane) opener(ctx context.Context, e *epoch) {
 		rest, ok := strings.CutPrefix(resp, "ACK ")
 		idx, aerr := strconv.Atoi(rest)
 		if err != nil || !ok || aerr != nil {
-			f.c.dropCtrl(conn)
+			c.dropCtrl(conn)
 			return
 		}
 		q.admit(idx)
@@ -643,71 +524,37 @@ func (f *framedPlane) opener(ctx context.Context, e *epoch) {
 // as a single exchange (the server answers OK after the last line).
 // Idempotent — a re-sent manifest of the same shape keeps the server's
 // progress.
-func (f *framedPlane) manifest() string {
+func (c *Client) manifest() string {
 	var sb strings.Builder
-	sb.Grow(len(f.q.sizes)*8 + 64)
+	sb.Grow(len(c.q.sizes)*8 + 64)
 	sb.WriteString("MANIFEST ")
-	sb.WriteString(f.c.token)
+	sb.WriteString(c.token)
 	sb.WriteByte(' ')
-	sb.WriteString(strconv.Itoa(len(f.q.sizes)))
-	if f.c.cfg.RequestSink {
+	sb.WriteString(strconv.Itoa(len(c.q.sizes)))
+	if c.cfg.RequestSink {
 		sb.WriteString(" SINK")
 	}
-	for _, sz := range f.q.sizes {
+	for _, sz := range c.q.sizes {
 		sb.WriteByte('\n')
 		sb.WriteString(strconv.FormatInt(sz, 10))
 	}
 	return sb.String()
 }
 
-// settle reconciles against per-file receiver truth: the epoch's
-// volume is the growth of the server's duplicate-free byte total
-// (resends past a file's size count toward nothing), its files the
-// growth of the completed-file count.
-func (f *framedPlane) settle(ctx context.Context, e *epoch, sent int64, r *xfer.Report) {
-	r.FirstByteLag = time.Duration(f.firstByte.Load()).Seconds()
-	r.Syscalls = f.sysCalls.Load()
-	c := f.c
-	truth, err := c.settled(ctx, e, sent)
-	if err != nil {
-		return
-	}
-	f.counted = truth.bytes
-	c.mu.Lock()
-	prev := c.acked
-	c.acked = truth.useful
-	c.mu.Unlock()
-	c.remaining.Store(f.datasetBytes - truth.useful)
-	if delta := truth.useful - prev; delta >= 0 {
-		r.Bytes = float64(delta)
-	} else {
-		// The server lost the token's file table during the epoch
-		// (idle-TTL expiry or restart): the epoch keeps the sender's
-		// count, and the next one re-registers the manifest — and with
-		// it the sink — and resyncs the queue.
-		f.manifested, f.needResync = false, true
-	}
-	r.Files = max(truth.done-f.lastDone, 0)
-	f.lastDone = truth.done
-	if truth.done < len(f.q.sizes) && f.q.drained() {
-		// Every byte was leased but the server still misses some (lost
-		// in dead stripes' socket buffers): requeue the deficits from
-		// receiver truth next epoch.
-		f.needResync = true
-	}
-}
-
 // resync rebuilds the work queue from the server's per-file received
 // counts (the RESYNC exchange): lost bytes are requeued,
 // already-received bytes are dropped, and resume restarts at
-// file/offset granularity. It returns the duplicate-free bytes the
-// server holds. Must only run quiesced (no leases in flight).
-func (f *framedPlane) resync(ctx context.Context, e *epoch) (useful int64, err error) {
-	if f.gotScratch == nil {
-		f.gotScratch = make([]int64, len(f.q.sizes))
+// file/offset granularity. The expectation is re-based on the
+// duplicate-free bytes the server holds, which it returns: a late byte
+// the queue now owes again would otherwise be counted twice, once as
+// written and once as resent. Must only run quiesced (no leases in
+// flight).
+func (c *Client) resync(ctx context.Context, e *epoch) (useful int64, err error) {
+	if c.gotScratch == nil {
+		c.gotScratch = make([]int64, len(c.q.sizes))
 	}
-	got := f.gotScratch
-	err = f.c.roundTrip(ctx, &e.cost, "RESYNC "+f.c.token, func(br *bufio.Reader) error {
+	got := c.gotScratch
+	err = c.roundTrip(ctx, &e.cost, "RESYNC "+c.token, func(br *bufio.Reader) error {
 		clear(got)
 		for {
 			line, err := readLine(br)
@@ -729,19 +576,20 @@ func (f *framedPlane) resync(ctx context.Context, e *epoch) (useful int64, err e
 	if err != nil {
 		return 0, err
 	}
-	f.q.applyServer(got)
+	c.q.applyServer(got)
 	done := 0
 	for i, g := range got {
-		if g >= f.q.sizes[i] {
+		if g >= c.q.sizes[i] {
 			done++
 		}
-		useful += min(g, f.q.sizes[i])
+		useful += min(g, c.q.sizes[i])
 	}
-	if f.resuming {
+	c.expect = useful
+	if c.resuming {
 		// Files finished before this session are not its progress. Later
 		// resyncs leave the baseline to the settles, so a file a late
 		// byte completed after the last one is still reported.
-		f.lastDone = done
+		c.lastDone = done
 	}
 	return useful, nil
 }

@@ -22,9 +22,11 @@ import (
 // file table.
 const maxManifestFiles = 1 << 20
 
-// fileTable is a token's server-side per-file state, registered by
-// MANIFEST and fed by framed data connections. It hangs off the
-// token's counter, so the idle-TTL janitor frees it with the token.
+// fileTable is a token on the server: its per-file state, registered
+// by MANIFEST, fed by framed data connections, and read by START,
+// SETTLE and RESYNC — the one receiver truth. CLOSE and the idle-TTL
+// janitor free it. Its sizes never change after MANIFEST; a manifest of
+// another shape installs a new table.
 type fileTable struct {
 	mu     sync.Mutex
 	sizes  []int64
@@ -32,6 +34,8 @@ type fileTable struct {
 	done   []bool
 	nDone  int
 	useful int64 // sum of min(got, size): duplicate-free progress
+
+	lastActive atomic.Int64 // unix nanos, for idle expiry
 
 	// sink, when non-nil, persists the table's payloads (MANIFEST's SINK
 	// flag); nil discards them.
@@ -52,8 +56,12 @@ func newFileTable(sizes []int64) *fileTable {
 			ft.nDone++
 		}
 	}
+	ft.touch()
 	return ft
 }
+
+// touch records activity on the token, deferring its idle expiry.
+func (ft *fileTable) touch() { ft.lastActive.Store(time.Now().UnixNano()) }
 
 // add credits n received bytes to file idx, maintaining the done count
 // and the duplicate-free useful total (got beyond the file's size —
@@ -71,13 +79,6 @@ func (ft *fileTable) add(idx int, n int64) (completed bool) {
 	}
 	ft.mu.Unlock()
 	return completed
-}
-
-// sizeOf returns file idx's manifest size.
-func (ft *fileTable) sizeOf(idx int) int64 {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.sizes[idx]
 }
 
 // setSink installs (or with nil removes) the table's persistence
@@ -102,13 +103,6 @@ func (ft *fileTable) progress() []int64 {
 	return append([]int64(nil), ft.got...)
 }
 
-// count returns the number of files in the table.
-func (ft *fileTable) count() int {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return len(ft.sizes)
-}
-
 // SetFileLatency injects a delay between a pipelined OPEN request and
 // its ACK, simulating the per-file handshake round trip that the
 // pipelining depth (pp) hides. Pipelined OPENs are delayed
@@ -117,29 +111,25 @@ func (ft *fileTable) count() int {
 // Zero (the default) ACKs immediately. Safe to call while serving.
 func (s *Server) SetFileLatency(d time.Duration) { s.fileLatency.Store(int64(d)) }
 
-// fileTableFor returns the token's file table, or nil when no
-// MANIFEST registered one.
-func (s *Server) fileTableFor(token string) *fileTable {
-	if tc := s.lookup(token); tc != nil {
-		return tc.files.Load()
-	}
-	return nil
-}
-
-// registerManifest installs the file table for token and returns it. A
-// re-sent manifest with the same file count keeps the existing table —
-// a resumed session must not erase the server's per-file progress — and
-// any other shape replaces it, releasing the replaced table's sink
-// handles.
+// registerManifest creates token — MANIFEST is the only verb that
+// does — and returns its file table. A re-sent manifest with the same file count
+// keeps the existing table, touched — a resumed session must not erase
+// the server's per-file progress — and any other shape replaces it,
+// releasing the replaced table's sink handles.
 func (s *Server) registerManifest(token string, sizes []int64) *fileTable {
-	tc := s.counter(token)
-	old := tc.files.Load()
-	if old != nil && old.count() == len(sizes) {
-		return old
+	s.mu.Lock()
+	old := s.tokens[token]
+	ft := old
+	if old == nil || len(old.sizes) != len(sizes) {
+		ft = newFileTable(sizes)
+		s.tokens[token] = ft
 	}
-	ft := newFileTable(sizes)
-	tc.files.Store(ft)
-	if old != nil {
+	live := len(s.tokens)
+	s.mu.Unlock()
+	s.metrics.Load().SetTokens(live)
+	if ft == old {
+		ft.touch()
+	} else if old != nil {
 		old.setSink(nil)
 	}
 	return ft
@@ -324,8 +314,8 @@ func (s *Server) serveOpen(w *connWriter, fields []string) bool {
 		fmt.Fprintf(w, "ERR bad OPEN index\n")
 		return false
 	}
-	ft := s.fileTableFor(fields[1])
-	if ft == nil || idx >= ft.count() {
+	ft := s.lookup(fields[1])
+	if ft == nil || idx >= len(ft.sizes) {
 		fmt.Fprintf(w, "ERR OPEN outside manifest\n")
 		return false
 	}
@@ -347,7 +337,7 @@ func (s *Server) serveResync(w io.Writer, fields []string) bool {
 		fmt.Fprintf(w, "ERR bad RESYNC\n")
 		return false
 	}
-	ft := s.fileTableFor(fields[1])
+	ft := s.lookup(fields[1])
 	if ft == nil {
 		fmt.Fprintf(w, "END\n")
 		return true
@@ -364,24 +354,22 @@ func (s *Server) serveResync(w io.Writer, fields []string) bool {
 
 // serveDataFramed discards a framed data stream: FILE <idx> <off>
 // <len> headers each followed by exactly len payload bytes, credited
-// to both the token's aggregate counter and its per-file table. An
-// unknown token, or a malformed or
-// out-of-manifest frame, drops the connection; bytes that arrived
-// before the corruption stay counted, and other tokens' tables are
+// to the token's file table. Each frame looks the token up afresh, so a
+// stripe outlives a table its client re-registered (after a loss) and
+// is cut at its next frame by a CLOSE. An unknown token, or a malformed
+// or out-of-manifest frame, drops the connection; bytes that arrived
+// before the corruption stay credited, and other tokens' tables are
 // untouched. A truncated final frame (stripe killed mid-file) credits
 // what arrived — the client resends the deficit after reconciling.
 // Draining a frame allocates nothing: a bulk transfer's one file is a
 // frame per 4 MiB, and garbage at that rate would grow the heap.
 func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) {
-	tc := s.lookup(token)
-	if tc == nil {
+	if s.lookup(token) == nil {
 		return
 	}
 	m := s.metrics.Load()
-	// The frame in progress, which credit counts into. It is one closure
-	// for the connection's life, and the file is credited before the
-	// aggregate: SETTLE waits on the aggregate and then reads the table,
-	// which must not be behind it.
+	// The frame in progress, which credit counts into: one closure for
+	// the connection's life.
 	var ft *fileTable
 	var sink *fileSink
 	var idx int
@@ -392,8 +380,7 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 		if ft.add(idx, k) && sink != nil {
 			sink.closeIdx(idx)
 		}
-		tc.n.Add(k)
-		tc.touch()
+		ft.touch()
 	}
 	// The copying path's buffer, taken from the pool only by a sink or a
 	// connection the truncating receive refuses.
@@ -419,7 +406,7 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 			s.logf("gridftp: bad frame header %q", line)
 			return
 		}
-		if ft = tc.files.Load(); ft == nil || idx >= ft.count() {
+		if ft = s.lookup(token); ft == nil || idx >= len(ft.sizes) {
 			s.logf("gridftp: frame for file %d outside manifest", idx)
 			return
 		}
@@ -430,8 +417,8 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 			// overflow-safe: off <= sz first, then length against the
 			// non-negative remainder.) Discard mode keeps the lenient
 			// behavior — bytes past the size count toward nothing.
-			if sz := ft.sizeOf(idx); off > sz || length > sz-off {
-				s.logf("gridftp: sink frame for file %d outside its %d bytes", idx, ft.sizeOf(idx))
+			if sz := ft.sizes[idx]; off > sz || length > sz-off {
+				s.logf("gridftp: sink frame for file %d outside its %d bytes", idx, sz)
 				return
 			}
 		}

@@ -50,13 +50,13 @@ func waitFileStats(t *testing.T, s *Server, token string, wantDone int, wantUsef
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if ft := s.fileTableFor(token); ft != nil {
+		if ft := s.lookup(token); ft != nil {
 			if done, useful := ft.stats(); done == wantDone && useful == wantUseful {
 				return
 			}
 		}
 		if time.Now().After(deadline) {
-			ft := s.fileTableFor(token)
+			ft := s.lookup(token)
 			if ft == nil {
 				t.Fatalf("token %q has no file table", token)
 			}
@@ -96,22 +96,27 @@ func TestManifestLifecycle(t *testing.T) {
 	s := startServer(t)
 	conn, br := dialCtrl(t, s)
 	// Register 3 files; the zero-length one is done on arrival.
+	roundTrip(t, conn, br, "START tokm", "NONE") // no manifest, no token
 	roundTrip(t, conn, br, "MANIFEST tokm 3\n100\n200\n0", "OK")
-	roundTrip(t, conn, br, "SETTLE tokm 0", "SETTLED 0 1 0")
+	roundTrip(t, conn, br, "SETTLE tokm 0", "SETTLED 1 0")
 	roundTrip(t, conn, br, "RESYNC tokm", "END") // no file has bytes yet
 
-	// Complete file 0.
+	// Complete file 0, then resend half of it: START reads the
+	// duplicate-free total.
 	sendFrame(t, s, "tokm", 0, 0, 100, 100)
+	sendFrame(t, s, "tokm", 0, 0, 50, 50)
 	waitFileStats(t, s, "tokm", 2, 100)
+	roundTrip(t, conn, br, "START tokm", "OK 100")
 
 	// A re-sent manifest of the same shape keeps the progress (the
 	// resume path must not erase the server's per-file state).
 	roundTrip(t, conn, br, "MANIFEST tokm 3\n100\n200\n0", "OK")
-	roundTrip(t, conn, br, "SETTLE tokm 100", "SETTLED 100 2 100")
+	roundTrip(t, conn, br, "SETTLE tokm 100", "SETTLED 2 100")
 
-	// A different shape replaces the table.
+	// A different shape replaces the table, and with it the total.
 	roundTrip(t, conn, br, "MANIFEST tokm 2\n50\n50", "OK")
-	roundTrip(t, conn, br, "SETTLE tokm 0", "SETTLED 100 0 0")
+	roundTrip(t, conn, br, "SETTLE tokm 0", "SETTLED 0 0")
+	roundTrip(t, conn, br, "START tokm", "OK 0")
 }
 
 func TestManifestRejectsHostileInput(t *testing.T) {
@@ -136,7 +141,7 @@ func TestManifestRejectsHostileInput(t *testing.T) {
 		conn.Close()
 	}
 	// None of the rejected manifests may have installed a table.
-	if ft := s.fileTableFor("badtok"); ft != nil {
+	if ft := s.lookup("badtok"); ft != nil {
 		t.Fatal("rejected manifest left a file table behind")
 	}
 }
@@ -243,7 +248,7 @@ func TestFramedDataAccounting(t *testing.T) {
 	// touching tokf's table.
 	sendFrame(t, s, "straytok", 0, 0, 10, 10)
 	time.Sleep(50 * time.Millisecond)
-	if ft := s.fileTableFor("straytok"); ft != nil {
+	if ft := s.lookup("straytok"); ft != nil {
 		t.Fatal("unmanifested token grew a file table")
 	}
 	waitFileStats(t, s, "tokf", 1, 1200)
@@ -279,7 +284,7 @@ func TestDatasetTransferCompletes(t *testing.T) {
 				t.Fatalf("done but remaining %v", c.Remaining())
 			}
 			// Server-side receiver truth agrees file by file.
-			ft := s.fileTableFor(c.Token())
+			ft := s.lookup(c.Token())
 			if ft == nil {
 				t.Fatal("server lost the file table")
 			}
@@ -343,7 +348,7 @@ func TestDatasetResumeAtFileOffsetGranularity(t *testing.T) {
 			if files != ds.Count() {
 				t.Fatalf("sessions account %d files, want %d", files, ds.Count())
 			}
-			ft := s.fileTableFor(snap.Token)
+			ft := s.lookup(snap.Token)
 			if ft == nil {
 				t.Fatal("server lost the file table")
 			}
@@ -500,7 +505,7 @@ func TestDatasetSurvivesInjectedFaults(t *testing.T) {
 	if files != nFiles {
 		t.Fatalf("reports account %d files, want %d", files, nFiles)
 	}
-	ft := s.fileTableFor(c.Token())
+	ft := s.lookup(c.Token())
 	if ft == nil {
 		t.Fatal("server lost the file table")
 	}
@@ -634,8 +639,8 @@ func FuzzServerControl(f *testing.F) {
 		hc.Close()
 		s.Close() // waits for every handler, so the checks below are quiesced
 
-		ft := s.fileTableFor("keeper")
-		if ft == nil || ft.count() != 2 {
+		ft := s.lookup("keeper")
+		if ft == nil || len(ft.sizes) != 2 {
 			t.Fatalf("hostile input corrupted the keeper token's file table: %v", ft)
 		}
 		if done, useful := ft.stats(); done != 0 || useful != 0 {

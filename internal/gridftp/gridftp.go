@@ -12,12 +12,14 @@
 //
 //	client                         server
 //	------ control connection (persistent) ----
-//	START <token>\n                (arms an epoch, cold or warm; creates
-//	                               OK <bytes>\n   or touches the token and
-//	                                says what it holds now)
-//	MANIFEST <token> <count> [SINK]\n  (then <count> size lines; SINK
-//	<size>\n ...                   also persists the payloads under the
-//	                               OK\n           server's sink directory)
+//	START <token>\n                (arms an epoch, cold or warm: touches
+//	                               OK <useful>\n  the token and says the
+//	                               NONE\n          duplicate-free total it
+//	                                holds, or that it holds no such token)
+//	MANIFEST <token> <count> [SINK]\n  (creates the token, the only verb
+//	<size>\n ...                   that does; then <count> size lines;
+//	                               OK\n           SINK also persists the
+//	                                payloads under the sink directory)
 //	OPEN <token> <idx>\n           (<= pp in flight; ACK arrives
 //	                               ACK <idx>\n     after the per-file latency)
 //	RESYNC <token>\n               (per-file progress dump: one line
@@ -28,20 +30,22 @@
 //	FILE <idx> <off> <len>\n<len payload bytes>  (repeated frames)
 //	------ same control connection ------------
 //	SETTLE <token> <expect>\n      (end of epoch: answered once the
-//	                               SETTLED <bytes> <files> <useful>\n
-//	                                count reaches expect or stops moving;
-//	                                expect 0 reads the count, now)
-//	CLOSE <token>\n                (releases the token's counter)
+//	                               SETTLED <files> <useful>\n
+//	                                useful total reaches expect or stops
+//	                                moving; expect 0 reads it, now)
+//	CLOSE <token>\n                (releases the token's file table)
 //	                               OK\n
 //
 // Those six verbs are the control protocol, and DATAF the one data
 // handshake; anything else — the DATA header of the retired raw byte
-// stream among it — is answered ERR unknown command. START and MANIFEST
-// are the only verbs that create a token on the server. A data
-// connection only looks its token up and is dropped when it is unknown,
-// so a stripe whose header arrives after CLOSE cannot resurrect a
-// released counter; every epoch sends START before it dials, which also
-// re-creates a token the idle TTL expired.
+// stream among it — is answered ERR unknown command. A token on the
+// server is its file table, and MANIFEST is the only verb that creates
+// one. A data connection only looks its token up — at its header and at
+// every frame — and is dropped when it is unknown, so a stripe whose
+// header arrives after CLOSE cannot resurrect a released table. Every
+// epoch sends START before it dials; a NONE — the idle TTL expired the
+// token, or the server restarted — makes the client register its
+// manifest again and rebuild its queue from the new, empty table.
 //
 // The sender leases up to 4 MiB of a file at a time and writes it 1 MiB
 // at a time from one shared zero buffer, the frame header riding the
@@ -54,15 +58,17 @@
 // with identical accounting.
 //
 // The server credits each file with min(received, size) so duplicate
-// retransmissions never inflate goodput, and an epoch's Report.Bytes
-// is the delta of that per-file "useful" sum, read off the SETTLE
-// answer with the completed-file count — receiver truth at file
-// granularity. OPEN admission is what pp buys: each file start costs
-// one server-side latency (SetFileLatency in tests, real metadata
-// lookups in the wild), and keeping pp OPENs outstanding overlaps those
-// waits. Mid-epoch failures resume at file/offset granularity: RESYNC
-// rebuilds the client's work queue from the server's per-file progress,
-// so a restarted session re-sends only unacknowledged tails.
+// retransmissions never inflate goodput, and the sum of those per-file
+// "useful" bytes is the one count it keeps: START and SETTLE answer it,
+// Server.Received reads it, and an epoch's Report.Bytes is its delta,
+// read off the SETTLE answer with the completed-file count — receiver
+// truth at file granularity. OPEN admission is what pp buys: each file
+// start costs one server-side latency (SetFileLatency in tests, real
+// metadata lookups in the wild), and keeping pp OPENs outstanding
+// overlaps those waits. Mid-epoch failures resume at file/offset
+// granularity: RESYNC rebuilds the client's work queue from the
+// server's per-file progress, so a restarted session re-sends only
+// unacknowledged tails.
 //
 // # Warm data plane
 //
@@ -110,10 +116,11 @@
 // that stream, puts the unsent rest of its lease back in the work
 // queue, and the epoch reports what the server actually received:
 // every epoch ends with one SETTLE round trip, which tells the server
-// the count it should reach — where the session's first START found
-// the counter plus everything written to stripes that are still alive
-// since — and is answered as soon as it has, or once the counter has
-// not moved for 5 ms (the rest died with a stripe), or after 500 ms.
+// the useful total it should reach — what the session's first START or
+// the last RESYNC found, plus everything written since to stripes that
+// are still alive — and is answered as soon as the table holds it, or
+// once the total has not moved for 5 ms (the rest died with a stripe),
+// or after 500 ms.
 // Throughput is therefore receiver truth rather than bytes parked in
 // kernel socket buffers, learned without polling. A short answer is
 // never refunded to a budget: what the server misses once every byte

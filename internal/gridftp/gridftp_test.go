@@ -312,11 +312,11 @@ func TestControlMultipleCommands(t *testing.T) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	fmt.Fprintf(conn, "START tok1\n")
-	if resp, _ := readLine(br); resp != "OK 0" {
+	if resp, _ := readLine(br); resp != "NONE" {
 		t.Fatalf("START got %q", resp)
 	}
 	fmt.Fprintf(conn, "SETTLE tok1 0\n")
-	if resp, _ := readLine(br); resp != "SETTLED 0 0 0" {
+	if resp, _ := readLine(br); resp != "SETTLED 0 0" {
 		t.Fatalf("SETTLE got %q", resp)
 	}
 }

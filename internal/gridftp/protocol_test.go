@@ -55,14 +55,14 @@ func servedVerbs(t *testing.T) (control, data []string) {
 // verb against an unknown token, with the wrong arity, with
 // non-numeric, negative and overflowing arguments, and after the
 // token's CLOSE, and holds each answer — and whether a token exists
-// afterwards — to what the package comment says. The words the
-// protocol lost are unknown commands that create nothing.
+// afterwards — to what the package comment says: only MANIFEST creates
+// one. The words the protocol lost are unknown commands that create
+// nothing.
 func TestControlVerbTable(t *testing.T) {
 	const huge = "99999999999999999999" // overflows int64
 	type exchange struct{ cmd, want string }
 	manifest := exchange{"MANIFEST tok 2\n10\n0", "OK"}
-	start := exchange{"START tok", "OK 0"}
-	closed := []exchange{start, {"CLOSE tok", "OK"}}
+	closed := []exchange{manifest, {"CLOSE tok", "OK"}}
 	rows := []struct {
 		name   string
 		sink   bool       // the server has a sink directory
@@ -71,26 +71,26 @@ func TestControlVerbTable(t *testing.T) {
 		want   string // the first line of the answer
 		tokens int    // Server.Tokens() afterwards
 	}{
-		{name: "START/unknown-token-is-created", send: "START tok", want: "OK 0", tokens: 1},
-		{name: "START/again-touches", setup: []exchange{start}, send: "START tok", want: "OK 0", tokens: 1},
-		{name: "START/after-CLOSE-recreates", setup: closed, send: "START tok", want: "OK 0", tokens: 1},
+		{name: "START/unknown-token-is-none", send: "START tok", want: "NONE"},
+		{name: "START/again-touches", setup: []exchange{manifest}, send: "START tok", want: "OK 0", tokens: 1},
+		{name: "START/after-CLOSE-is-none", setup: closed, send: "START tok", want: "NONE"},
 		{name: "START/no-token", send: "START", want: "ERR bad START"},
 		{name: "START/old-channel-count", send: "START tok 4", want: "ERR bad START"},
 
-		{name: "SETTLE/unknown-token-is-zeros", send: "SETTLE ghost 5", want: "SETTLED 0 0 0"},
-		{name: "SETTLE/expect-0-at-once", setup: []exchange{manifest}, send: "SETTLE tok 0", want: "SETTLED 0 1 0", tokens: 1},
-		{name: "SETTLE/after-CLOSE-is-zeros", setup: closed, send: "SETTLE tok 0", want: "SETTLED 0 0 0"},
+		{name: "SETTLE/unknown-token-is-zeros", send: "SETTLE ghost 5", want: "SETTLED 0 0"},
+		{name: "SETTLE/expect-0-at-once", setup: []exchange{manifest}, send: "SETTLE tok 0", want: "SETTLED 1 0", tokens: 1},
+		{name: "SETTLE/after-CLOSE-is-zeros", setup: closed, send: "SETTLE tok 0", want: "SETTLED 0 0"},
 		{name: "SETTLE/no-count", send: "SETTLE tok", want: "ERR bad SETTLE"},
 		{name: "SETTLE/extra-argument", send: "SETTLE tok 1 2", want: "ERR bad SETTLE"},
 		{name: "SETTLE/non-numeric", send: "SETTLE tok lots", want: "ERR bad SETTLE count"},
 		{name: "SETTLE/negative", send: "SETTLE tok -1", want: "ERR bad SETTLE count"},
 		{name: "SETTLE/overflow", send: "SETTLE tok " + huge, want: "ERR bad SETTLE count"},
 
-		{name: "CLOSE/releases", setup: []exchange{start}, send: "CLOSE tok", want: "OK"},
+		{name: "CLOSE/releases", setup: []exchange{manifest}, send: "CLOSE tok", want: "OK"},
 		{name: "CLOSE/unknown-token", send: "CLOSE ghost", want: "OK"},
 		{name: "CLOSE/after-CLOSE", setup: closed, send: "CLOSE tok", want: "OK"},
 		{name: "CLOSE/no-token", send: "CLOSE", want: "ERR bad CLOSE"},
-		{name: "CLOSE/extra-argument", setup: []exchange{start}, send: "CLOSE tok now", want: "ERR bad CLOSE", tokens: 1},
+		{name: "CLOSE/extra-argument", setup: []exchange{manifest}, send: "CLOSE tok now", want: "ERR bad CLOSE", tokens: 1},
 
 		{name: "MANIFEST/unknown-token-is-created", send: manifest.cmd, want: "OK", tokens: 1},
 		{name: "MANIFEST/after-CLOSE-recreates", setup: closed, send: manifest.cmd, want: "OK", tokens: 1},
@@ -110,7 +110,7 @@ func TestControlVerbTable(t *testing.T) {
 
 		{name: "OPEN/admits", setup: []exchange{manifest}, send: "OPEN tok 0", want: "ACK 0", tokens: 1},
 		{name: "OPEN/unknown-token", send: "OPEN ghost 0", want: "ERR OPEN outside manifest"},
-		{name: "OPEN/after-CLOSE", setup: []exchange{manifest, {"CLOSE tok", "OK"}}, send: "OPEN tok 0", want: "ERR OPEN outside manifest"},
+		{name: "OPEN/after-CLOSE", setup: closed, send: "OPEN tok 0", want: "ERR OPEN outside manifest"},
 		{name: "OPEN/past-the-manifest", setup: []exchange{manifest}, send: "OPEN tok 2", want: "ERR OPEN outside manifest", tokens: 1},
 		{name: "OPEN/no-index", send: "OPEN tok", want: "ERR bad OPEN"},
 		{name: "OPEN/non-numeric", setup: []exchange{manifest}, send: "OPEN tok x", want: "ERR bad OPEN index", tokens: 1},
@@ -119,7 +119,7 @@ func TestControlVerbTable(t *testing.T) {
 
 		{name: "RESYNC/nothing-received", setup: []exchange{manifest}, send: "RESYNC tok", want: "END", tokens: 1},
 		{name: "RESYNC/unknown-token", send: "RESYNC ghost", want: "END"},
-		{name: "RESYNC/after-CLOSE", setup: []exchange{manifest, {"CLOSE tok", "OK"}}, send: "RESYNC tok", want: "END"},
+		{name: "RESYNC/after-CLOSE", setup: closed, send: "RESYNC tok", want: "END"},
 		{name: "RESYNC/no-token", send: "RESYNC", want: "ERR bad RESYNC"},
 		{name: "RESYNC/extra-argument", setup: []exchange{manifest}, send: "RESYNC tok 0", want: "ERR bad RESYNC", tokens: 1},
 
@@ -128,10 +128,10 @@ func TestControlVerbTable(t *testing.T) {
 		// The raw byte stream's data handshake went with it: a stripe of
 		// an older client is refused, its token neither created nor fed.
 		{name: "DATA/no-token", send: "DATA", want: `ERR unknown command "DATA"`},
-		{name: "DATA/is-gone", setup: []exchange{start}, send: "DATA tok", want: `ERR unknown command "DATA"`, tokens: 1},
+		{name: "DATA/is-gone", setup: []exchange{manifest}, send: "DATA tok", want: `ERR unknown command "DATA"`, tokens: 1},
 
 		{name: "ADJ/is-gone", send: "ADJ tok 4", want: `ERR unknown command "ADJ"`},
-		{name: "ADJ/is-gone-mid-connection", setup: []exchange{start}, send: "ADJ tok 4", want: `ERR unknown command "ADJ"`, tokens: 1},
+		{name: "ADJ/is-gone-mid-connection", setup: []exchange{manifest}, send: "ADJ tok 4", want: `ERR unknown command "ADJ"`, tokens: 1},
 		{name: "STAT/is-gone", send: "STAT tok", want: `ERR unknown command "STAT"`},
 		{name: "FSTAT/is-gone", send: "FSTAT tok", want: `ERR unknown command "FSTAT"`},
 		{name: "FSTAT/per-file-is-gone", setup: []exchange{manifest}, send: "FSTAT tok 0", want: `ERR unknown command "FSTAT"`, tokens: 1},

@@ -663,10 +663,10 @@ func TestStopReleasesTokenDuringOutage(t *testing.T) {
 	}
 }
 
-// TestDataConnectionCannotResurrectToken: only START and MANIFEST
-// create a token. A data connection whose header is parsed after the
+// TestDataConnectionCannotResurrectToken: only MANIFEST creates a
+// token. A data connection whose header is parsed after the
 // token's CLOSE — a stripe dialed while Stop was in flight — must be
-// dropped, not re-create a counter that nobody will ever release. So
+// dropped, not re-create a table that nobody will ever release. So
 // must a stripe of an older client, whose DATA header is no longer a
 // data handshake at all.
 func TestDataConnectionCannotResurrectToken(t *testing.T) {
@@ -677,7 +677,7 @@ func TestDataConnectionCannotResurrectToken(t *testing.T) {
 		t.Run(r.verb, func(t *testing.T) {
 			s := startServer(t)
 			ctrl, br := dialCtrl(t, s)
-			roundTrip(t, ctrl, br, "START tok", "OK 0")
+			roundTrip(t, ctrl, br, "MANIFEST tok 1\n1000", "OK")
 			roundTrip(t, ctrl, br, "CLOSE tok", "OK")
 			data, dbr := dialCtrl(t, s)
 			if _, err := fmt.Fprintf(data, "%s tok\n%s", r.verb, make([]byte, 1000)); err != nil {
@@ -709,7 +709,7 @@ func TestIdleTokenExpiry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(conn, "START ghost\n")
+	fmt.Fprintf(conn, "MANIFEST ghost 1\n10\n")
 	readLine(bufio.NewReader(conn))
 	conn.Close()
 	if s.Tokens() == 0 {
@@ -732,9 +732,9 @@ func TestCloseCommandProtocol(t *testing.T) {
 	}
 	defer conn.Close()
 	br := bufio.NewReader(conn)
-	fmt.Fprintf(conn, "START tokc\n")
-	if resp, _ := readLine(br); resp != "OK 0" {
-		t.Fatalf("START got %q", resp)
+	fmt.Fprintf(conn, "MANIFEST tokc 1\n10\n")
+	if resp, _ := readLine(br); resp != "OK" {
+		t.Fatalf("MANIFEST got %q", resp)
 	}
 	fmt.Fprintf(conn, "CLOSE tokc\n")
 	if resp, _ := readLine(br); resp != "OK" {

@@ -17,34 +17,15 @@ import (
 // maxLineLen bounds protocol header lines.
 const maxLineLen = 256
 
-// defaultTokenTTL is the idle expiry for token counters: a token that
-// sees no data and no control verb for this long is released, so
-// long-lived servers don't accumulate counters from clients that never
-// sent CLOSE.
+// defaultTokenTTL is the idle expiry for tokens: a token that sees no
+// data and no control verb for this long is released, so long-lived
+// servers don't accumulate file tables from clients that never sent
+// CLOSE.
 const defaultTokenTTL = 5 * time.Minute
 
-// tokenCounter tracks one transfer token's received bytes and its
-// last activity, for idle expiry. Dataset transfers additionally hang
-// their per-file table here, so the TTL janitor frees both together.
-type tokenCounter struct {
-	n          atomic.Int64
-	lastActive atomic.Int64 // unix nanos
-	files      atomic.Pointer[fileTable]
-}
-
-// touch records activity on the token, deferring its idle expiry.
-func (tc *tokenCounter) touch() { tc.lastActive.Store(time.Now().UnixNano()) }
-
-// releaseSink closes any persistence handles hung off the token's
-// file table — the token is going away (CLOSE, TTL expiry, shutdown).
-func (tc *tokenCounter) releaseSink() {
-	if ft := tc.files.Load(); ft != nil {
-		ft.setSink(nil)
-	}
-}
-
 // Server is the receiving end: it accepts control and data
-// connections, discards transferred bytes, and counts them per token.
+// connections, discards transferred bytes, and credits them to the
+// token's file table.
 type Server struct {
 	ln     net.Listener
 	logf   func(format string, args ...any)
@@ -68,10 +49,10 @@ type Server struct {
 	// Atomic so SetObserver is safe while traffic is flowing.
 	metrics atomic.Pointer[obs.ServerMetrics]
 
-	mu       sync.Mutex
-	received map[string]*tokenCounter
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	tokens map[string]*fileTable
+	conns  map[net.Conn]struct{}
+	wg     sync.WaitGroup
 }
 
 // Serve starts a server listening on addr (e.g. "127.0.0.1:0") and
@@ -89,11 +70,11 @@ func Serve(addr string) (*Server, error) {
 // faultnet.Injector.Listen. Close closes ln.
 func ServeListener(ln net.Listener) *Server {
 	s := &Server{
-		ln:       ln,
-		logf:     func(string, ...any) {},
-		done:     make(chan struct{}),
-		received: make(map[string]*tokenCounter),
-		conns:    make(map[net.Conn]struct{}),
+		ln:     ln,
+		logf:   func(string, ...any) {},
+		done:   make(chan struct{}),
+		tokens: make(map[string]*fileTable),
+		conns:  make(map[net.Conn]struct{}),
 	}
 	s.tokenTTL.Store(int64(defaultTokenTTL))
 	s.wg.Add(2)
@@ -111,8 +92,8 @@ func (s *Server) SetLogger(logf func(format string, args ...any)) {
 	s.logf = logf
 }
 
-// SetTokenTTL sets the idle expiry for token counters; non-positive
-// disables expiry. The default is 5 minutes.
+// SetTokenTTL sets the idle expiry for tokens; non-positive disables
+// expiry. The default is 5 minutes.
 func (s *Server) SetTokenTTL(d time.Duration) { s.tokenTTL.Store(int64(d)) }
 
 // SetSink enables payload persistence: framed file payloads of tokens
@@ -169,71 +150,58 @@ func (s *Server) Close() error {
 	s.mu.Unlock()
 	s.wg.Wait()
 	// Handlers have drained: release every token's sink handles. The
-	// counters themselves stay queryable after Close.
+	// file tables themselves stay queryable after Close.
 	s.mu.Lock()
-	for _, tc := range s.received {
-		tc.releaseSink()
+	for _, ft := range s.tokens {
+		ft.setSink(nil)
 	}
 	s.mu.Unlock()
 	return err
 }
 
-// Received returns the bytes received so far for token.
+// Received returns token's duplicate-free received bytes: the sum over
+// its file table of min(received, size).
 func (s *Server) Received(token string) int64 {
-	if tc := s.lookup(token); tc != nil {
-		return tc.n.Load()
+	if ft := s.lookup(token); ft != nil {
+		_, useful := ft.stats()
+		return useful
 	}
 	return 0
 }
 
-// Tokens returns the number of live token counters.
+// Tokens returns the number of live tokens: manifests registered and
+// not yet closed or expired.
 func (s *Server) Tokens() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.received)
+	return len(s.tokens)
 }
 
-// lookup returns token's live counter, touched, or nil when the token
-// is unknown. Everything but START and MANIFEST goes through
-// here: in particular data connections never create tokens, so a
-// stripe whose header is parsed after CLOSE (or after the idle TTL)
-// is dropped instead of resurrecting a counter nobody will release.
-func (s *Server) lookup(token string) *tokenCounter {
+// lookup returns token's file table, touched, or nil when the token is
+// unknown. Everything but MANIFEST goes through here: in particular
+// data connections never create tokens, so a stripe whose header is
+// parsed after CLOSE (or after the idle TTL) is dropped instead of
+// resurrecting a table nobody will release.
+func (s *Server) lookup(token string) *fileTable {
 	s.mu.Lock()
-	tc := s.received[token]
+	ft := s.tokens[token]
 	s.mu.Unlock()
-	if tc != nil {
-		tc.touch()
+	if ft != nil {
+		ft.touch()
 	}
-	return tc
+	return ft
 }
 
-// counter returns (creating if needed) the byte counter for token —
-// the START and MANIFEST path.
-func (s *Server) counter(token string) *tokenCounter {
-	s.mu.Lock()
-	tc, ok := s.received[token]
-	if !ok {
-		tc = new(tokenCounter)
-		s.received[token] = tc
-	}
-	live := len(s.received)
-	s.mu.Unlock()
-	s.metrics.Load().SetTokens(live)
-	tc.touch()
-	return tc
-}
-
-// dropToken releases token's counter (the CLOSE command) and any sink
-// handles hung off it.
+// dropToken releases token's file table (the CLOSE command) and its
+// sink handles.
 func (s *Server) dropToken(token string) {
 	s.mu.Lock()
-	tc := s.received[token]
-	delete(s.received, token)
-	live := len(s.received)
+	ft := s.tokens[token]
+	delete(s.tokens, token)
+	live := len(s.tokens)
 	s.mu.Unlock()
-	if tc != nil {
-		tc.releaseSink()
+	if ft != nil {
+		ft.setSink(nil)
 	}
 	s.metrics.Load().SetTokens(live)
 }
@@ -241,7 +209,7 @@ func (s *Server) dropToken(token string) {
 // janitorTick is the period of the idle-token sweep.
 const janitorTick = 100 * time.Millisecond
 
-// expireTokens drops counters idle for longer than the TTL.
+// expireTokens drops tokens idle for longer than the TTL.
 func (s *Server) expireTokens(now time.Time) {
 	ttl := time.Duration(s.tokenTTL.Load())
 	if ttl <= 0 {
@@ -249,19 +217,19 @@ func (s *Server) expireTokens(now time.Time) {
 	}
 	cutoff := now.Add(-ttl).UnixNano()
 	expired := 0
-	var dropped []*tokenCounter
+	var dropped []*fileTable
 	s.mu.Lock()
-	for tok, tc := range s.received {
-		if tc.lastActive.Load() < cutoff {
-			delete(s.received, tok)
-			dropped = append(dropped, tc)
+	for tok, ft := range s.tokens {
+		if ft.lastActive.Load() < cutoff {
+			delete(s.tokens, tok)
+			dropped = append(dropped, ft)
 			expired++
 		}
 	}
-	live := len(s.received)
+	live := len(s.tokens)
 	s.mu.Unlock()
-	for _, tc := range dropped {
-		tc.releaseSink()
+	for _, ft := range dropped {
+		ft.setSink(nil)
 	}
 	if expired > 0 {
 		m := s.metrics.Load()
@@ -270,7 +238,7 @@ func (s *Server) expireTokens(now time.Time) {
 	}
 }
 
-// janitor expires idle token counters until Close.
+// janitor expires idle tokens until Close.
 func (s *Server) janitor() {
 	defer s.wg.Done()
 	tick := time.NewTicker(janitorTick)
@@ -370,14 +338,20 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 	for {
 		switch fields[0] {
 		case "START":
-			// START <token> arms an epoch, cold or warm: it creates the
-			// token (or touches it, or re-creates one the idle TTL
-			// expired) and answers with the count it holds now.
+			// START <token> arms an epoch, cold or warm: it touches the
+			// token and answers with its duplicate-free total, or NONE
+			// when the server holds no such token — never registered,
+			// closed, or expired by the idle TTL.
 			if len(fields) != 2 {
 				fmt.Fprintf(w, "ERR bad START\n")
 				return
 			}
-			fmt.Fprintf(w, "OK %d\n", s.counter(fields[1]).n.Load())
+			if ft := s.lookup(fields[1]); ft != nil {
+				_, useful := ft.stats()
+				fmt.Fprintf(w, "OK %d\n", useful)
+			} else {
+				fmt.Fprintf(w, "NONE\n")
+			}
 		case "SETTLE":
 			if !s.serveSettle(w, fields) {
 				return
@@ -416,25 +390,24 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 	}
 }
 
-// The three ways a SETTLE ends short of its expected count, and how
+// The three ways a SETTLE ends short of its expected total, and how
 // often the wait looks. settleBound must stay well inside the client's
 // control-exchange deadline (ClientConfig.DialTimeout, 5 s by default).
 const (
-	settleQuiet = 5 * time.Millisecond   // the counter has not moved for this long: the rest is lost
+	settleQuiet = 5 * time.Millisecond   // the total has not moved for this long: the rest is lost
 	settleBound = 500 * time.Millisecond // answer regardless
 	settlePoll  = 250 * time.Microsecond
 )
 
 // serveSettle handles SETTLE <token> <expect>, the end-of-epoch read of
-// receiver truth: SETTLED <bytes> <filesDone> <useful> — the token's
-// aggregate counter and, for a dataset transfer, its file table's
-// completed count and duplicate-free bytes — sent as soon as the
-// counter reaches expect (what the client knows it has written), once
-// it has stopped moving (the difference died with a stripe), or after
-// settleBound. The client thus learns a settled count in one round
-// trip instead of polling for two that agree; expect 0 is met at once,
-// which is how Client.ServerReceived reads the count. An unknown token
-// answers zeros at once.
+// receiver truth: SETTLED <files> <useful> — the token's completed-file
+// count and duplicate-free byte total — sent as soon as the total
+// reaches expect (what the client expects it to hold once its written
+// bytes are in), once it has stopped moving (the difference died with a
+// stripe), or after settleBound. The client thus learns a settled total
+// in one round trip instead of polling for two that agree; expect 0 is
+// met at once, which is how Client.ServerReceived reads it. An unknown
+// token answers zeros at once.
 func (s *Server) serveSettle(w io.Writer, fields []string) bool {
 	if len(fields) != 3 {
 		fmt.Fprintf(w, "ERR bad SETTLE\n")
@@ -445,27 +418,22 @@ func (s *Server) serveSettle(w io.Writer, fields []string) bool {
 		fmt.Fprintf(w, "ERR bad SETTLE count\n")
 		return false
 	}
-	var bytes, useful int64
 	var done int
-	if tc := s.lookup(fields[1]); tc != nil {
-		bytes = s.awaitCount(tc, expect)
-		// The framed drain credits a file before the aggregate, so the
-		// table read here holds every byte counted in bytes.
-		if ft := tc.files.Load(); ft != nil {
-			done, useful = ft.stats()
-		}
+	var useful int64
+	if ft := s.lookup(fields[1]); ft != nil {
+		done, useful = s.awaitUseful(ft, expect)
 	}
-	fmt.Fprintf(w, "SETTLED %d %d %d\n", bytes, done, useful)
+	fmt.Fprintf(w, "SETTLED %d %d\n", done, useful)
 	return true
 }
 
-// awaitCount returns tc's byte count once it has reached expect, has
-// not moved for settleQuiet, or settleBound (or the server's life) is
-// over.
-func (s *Server) awaitCount(tc *tokenCounter, expect int64) int64 {
-	n := tc.n.Load()
-	if n >= expect {
-		return n
+// awaitUseful returns ft's done count and useful total once the total
+// has reached expect, has not moved for settleQuiet, or settleBound (or
+// the server's life) is over.
+func (s *Server) awaitUseful(ft *fileTable, expect int64) (done int, useful int64) {
+	done, useful = ft.stats()
+	if useful >= expect {
+		return done, useful
 	}
 	tick := time.NewTicker(settlePoll)
 	defer tick.Stop()
@@ -474,18 +442,19 @@ func (s *Server) awaitCount(tc *tokenCounter, expect int64) int64 {
 	for {
 		select {
 		case <-s.done:
-			return n
+			return done, useful
 		case <-tick.C:
 		}
 		// The clock, not the tick's own time: a tick can sit in the
 		// channel while this goroutine waits for a processor, and the
 		// quiet window must be measured between two looks.
 		now := time.Now()
-		if cur := tc.n.Load(); cur != n {
-			n, moved = cur, now
+		last := useful
+		if done, useful = ft.stats(); useful != last {
+			moved = now
 		}
-		if n >= expect || now.Sub(moved) >= settleQuiet || now.Sub(began) >= settleBound {
-			return n
+		if useful >= expect || now.Sub(moved) >= settleQuiet || now.Sub(began) >= settleBound {
+			return done, useful
 		}
 	}
 }

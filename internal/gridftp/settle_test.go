@@ -19,8 +19,8 @@ import (
 	"dstune/internal/xfer"
 )
 
-// waitReceived polls the server's counter for token until it reads
-// want (data connections credit asynchronously).
+// waitReceived polls the server's useful total for token until it
+// reads want (data connections credit asynchronously).
 func waitReceived(t *testing.T, s *Server, token string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -81,7 +81,7 @@ func TestBulkDrainCountsToTheByte(t *testing.T) {
 		conn.(*net.TCPConn).SetLinger(0)
 		conn.Close()
 		ctrl, br := dialCtrl(t, s)
-		roundTrip(t, ctrl, br, fmt.Sprintf("SETTLE tok %d", first+rest), fmt.Sprintf("SETTLED %d 0 %d", first, first))
+		roundTrip(t, ctrl, br, fmt.Sprintf("SETTLE tok %d", first+rest), fmt.Sprintf("SETTLED 0 %d", first))
 	})
 
 	t.Run("wrapped-connection-falls-back", func(t *testing.T) {
@@ -135,7 +135,7 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		best := time.Hour
 		for i := 0; i < 5; i++ {
 			resp, took := settleOnce(t, ctrl, br, "tok", sent-int64(i))
-			if want := fmt.Sprintf("SETTLED %d 0 %d", sent, sent); resp != want {
+			if want := fmt.Sprintf("SETTLED 0 %d", sent); resp != want {
 				t.Fatalf("got %q, want %q", resp, want)
 			}
 			best = min(best, took)
@@ -152,7 +152,7 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		data.Close() // the stripe died owing the 4096 bytes expect counts on
 		ctrl, br := dialCtrl(t, s)
 		resp, took := settleOnce(t, ctrl, br, "tok", sent+4096)
-		if want := fmt.Sprintf("SETTLED %d 0 %d", sent, sent); resp != want {
+		if want := fmt.Sprintf("SETTLED 0 %d", sent); resp != want {
 			t.Fatalf("got %q, want %q", resp, want)
 		}
 		if took < settleQuiet || took >= settleBound {
@@ -181,8 +181,8 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		defer func() { close(stop); data.Close(); <-writerDone }()
 		ctrl, br := dialCtrl(t, s)
 		resp, took := settleOnce(t, ctrl, br, "tok", 1<<60)
-		var bytes, done, useful int64
-		if _, err := fmt.Sscanf(resp, "SETTLED %d %d %d", &bytes, &done, &useful); err != nil || bytes < sent {
+		var done, useful int64
+		if _, err := fmt.Sscanf(resp, "SETTLED %d %d", &done, &useful); err != nil || useful < sent {
 			t.Fatalf("got %q, want SETTLED with at least %d bytes", resp, sent)
 		}
 		// Without the bound this writer would hold the answer back for
@@ -198,8 +198,8 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		s := startServer(t)
 		ctrl, br := dialCtrl(t, s)
 		resp, took := settleOnce(t, ctrl, br, "ghost", 1<<20)
-		if resp != "SETTLED 0 0 0" || took >= settleBound {
-			t.Fatalf("got %q after %v, want SETTLED 0 0 0 without a wait", resp, took)
+		if resp != "SETTLED 0 0" || took >= settleBound {
+			t.Fatalf("got %q after %v, want SETTLED 0 0 without a wait", resp, took)
 		}
 		if n := s.Tokens(); n != 0 {
 			t.Fatalf("SETTLE created a token: Tokens = %d", n)
@@ -211,9 +211,9 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		ctrl, br := dialCtrl(t, s)
 		roundTrip(t, ctrl, br, "MANIFEST tokf 2\n1000\n1000", "OK")
 		sendFrame(t, s, "tokf", 0, 0, 1000, 1000)
-		sendFrame(t, s, "tokf", 0, 0, 1000, 1000) // a resend: counted, not useful
+		sendFrame(t, s, "tokf", 0, 0, 1000, 1000) // a resend: not useful, so the 2400 asked for never comes
 		sendFrame(t, s, "tokf", 1, 0, 400, 400)
-		roundTrip(t, ctrl, br, "SETTLE tokf 2400", "SETTLED 2400 1 1400")
+		roundTrip(t, ctrl, br, "SETTLE tokf 2400", "SETTLED 1 1400")
 	})
 
 	t.Run("malformed", func(t *testing.T) {
@@ -230,16 +230,15 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 
 // TestSettleResyncsAfterCounterRestart: a server that lost the token
 // between epochs (idle-token expiry, a restart) answers the next START
-// from a counter that started over, below the last SETTLE's. Before it
-// sends anything the client re-registers its manifest and rebuilds its
-// queue from the server's (empty) table: a bulk transfer's one file
-// carries on from the new counter in that very epoch, and a dataset
-// still delivers every file exactly once.
+// NONE. Before it sends anything the client re-registers its manifest
+// and rebuilds its queue from the server's new, empty table: a bulk
+// transfer's one file carries on from zero in that very epoch, and a
+// dataset still delivers every file exactly once — also when nothing
+// had been confirmed before the loss, so no answer could have fallen
+// below the last one.
 func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 	t.Run("bulk", func(t *testing.T) {
 		s := startServer(t)
-		// Cold stripes: a warm one would go on feeding the counter the
-		// server dropped.
 		c, err := NewClient(ClientConfig{Addr: s.Addr(), Bytes: xfer.Unbounded, Shaper: &Shaper{Rate: 4e6}, ColdStart: true})
 		if err != nil {
 			t.Fatal(err)
@@ -251,21 +250,51 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 			t.Fatalf("first epoch: %+v, %v", r1, err)
 		}
 		s.dropToken(c.Token())
-		// Shorter than the first, so the new counter ends below the old
-		// one: the restart is unmistakable.
+		// Shorter than the first, so the new total ends below the old
+		// one: an answer falling short would look the same.
 		r2, err := c.Run(context.Background(), p, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := s.Received(c.Token()); r2.Bytes == 0 || r2.Bytes != float64(got) {
-			t.Fatalf("epoch over the restart reports %v bytes, the new counter holds %d", r2.Bytes, got)
+			t.Fatalf("epoch over the restart reports %v bytes, the new table holds %d", r2.Bytes, got)
 		}
 		r3, err := c.Run(context.Background(), p, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := s.Received(c.Token()); r3.Bytes == 0 || r2.Bytes+r3.Bytes != float64(got) {
-			t.Fatalf("epochs since the restart report %v + %v bytes, the counter holds %d", r2.Bytes, r3.Bytes, got)
+			t.Fatalf("epochs since the restart report %v + %v bytes, the table holds %d", r2.Bytes, r3.Bytes, got)
+		}
+	})
+
+	t.Run("before-first-byte", func(t *testing.T) {
+		// The first epoch's one OPEN is ACKed only after the epoch, so it
+		// confirms nothing, and the warm stripe it dialed outlives the
+		// token.
+		s := startServer(t)
+		s.SetFileLatency(300 * time.Millisecond)
+		c, err := NewClient(ClientConfig{Addr: s.Addr(), Bytes: xfer.Unbounded, Shaper: &Shaper{Rate: 4e6}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		p := xfer.Params{NC: 1, NP: 1}
+		if r, err := c.Run(context.Background(), p, 0.1); err != nil || r.Bytes != 0 {
+			t.Fatalf("first epoch: %+v, %v; want nothing confirmed", r, err)
+		}
+		s.dropToken(c.Token())
+		s.SetFileLatency(0)
+		var moved float64
+		for i := 0; i < 5; i++ {
+			r, err := c.Run(context.Background(), p, 0.1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			moved += r.Bytes
+		}
+		if got := s.Received(c.Token()); moved == 0 || moved != float64(got) {
+			t.Fatalf("five epochs since the loss report %v bytes, the server holds %d", moved, got)
 		}
 	})
 
@@ -283,7 +312,7 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 		}
 		s.dropToken(c.Token())
 		runToCompletion(t, c, p)
-		ft := s.fileTableFor(c.Token())
+		ft := s.lookup(c.Token())
 		if ft == nil {
 			t.Fatal("the manifest was not registered again")
 		}
@@ -297,16 +326,19 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 // its data connections' frames carry and answers SETTLE the way a
 // starved drain makes the real one answer: short by hold bytes for the
 // first short asks, truthfully after — the bytes were late, never lost.
-// START and RESYNC always tell the truth. The first lose payload bytes
-// of the file it takes in and never counts: those are really gone.
+// RESYNC is short by hold too for the first resyncShort asks, START
+// always tells the truth. The first lose payload bytes of the file it
+// takes in and never counts: those are really gone.
 type lateServer struct {
-	ln         net.Listener
-	hold, lose int64
-	size       atomic.Int64 // the file's size, from MANIFEST
-	got        atomic.Int64 // counted payload bytes
-	short      atomic.Int64 // SETTLEs still to answer short
-	mu         sync.Mutex
-	frames     [][2]int64 // (offset, length) of every frame received
+	ln          net.Listener
+	hold, lose  int64
+	size        atomic.Int64 // the file's size, from MANIFEST
+	got         atomic.Int64 // counted payload bytes, duplicates included
+	short       atomic.Int64 // SETTLEs still to answer short
+	resyncShort atomic.Int64 // RESYNCs still to answer short
+	mu          sync.Mutex
+	frames      [][2]int64 // (offset, length) of every frame received
+	asked       int64      // the largest total a SETTLE waited for
 }
 
 func newLateServer(t *testing.T, hold int64, short int, lose int64) *lateServer {
@@ -329,6 +361,9 @@ func newLateServer(t *testing.T, hold int64, short int, lose int64) *lateServer 
 	return p
 }
 
+// useful is the file's duplicate-free received bytes.
+func (p *lateServer) useful() int64 { return min(p.got.Load(), p.size.Load()) }
+
 func (p *lateServer) serve(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
@@ -345,7 +380,7 @@ func (p *lateServer) serve(conn net.Conn) {
 		case "FILE":
 			return
 		case "START":
-			fmt.Fprintf(conn, "OK %d\n", p.got.Load())
+			fmt.Fprintf(conn, "OK %d\n", p.useful())
 		case "MANIFEST":
 			size, _ := readLine(br)
 			n, _ := strconv.ParseInt(size, 10, 64)
@@ -354,27 +389,47 @@ func (p *lateServer) serve(conn net.Conn) {
 		case "OPEN":
 			fmt.Fprintf(conn, "ACK %s\n", f[2])
 		case "RESYNC":
-			if got := p.got.Load(); got > 0 {
+			got := p.got.Load()
+			if p.resyncShort.Add(-1) >= 0 {
+				got -= p.hold
+			}
+			if got > 0 {
 				fmt.Fprintf(conn, "F 0 %d\n", got)
 			}
 			fmt.Fprintf(conn, "END\n")
 		case "SETTLE":
 			expect, _ := strconv.ParseInt(f[2], 10, 64)
-			for deadline := time.Now().Add(200 * time.Millisecond); p.got.Load() < expect && time.Now().Before(deadline); {
+			p.mu.Lock()
+			p.asked = max(p.asked, expect)
+			p.mu.Unlock()
+			for deadline := time.Now().Add(200 * time.Millisecond); p.useful() < expect && time.Now().Before(deadline); {
 				time.Sleep(200 * time.Microsecond)
 			}
-			n := p.got.Load()
+			n := p.useful()
 			if p.short.Add(-1) >= 0 {
 				n -= p.hold
 			}
-			done, size := 0, p.size.Load()
-			if n >= size {
+			done := 0
+			if n >= p.size.Load() {
 				done = 1
 			}
-			fmt.Fprintf(conn, "SETTLED %d %d %d\n", n, done, min(n, size))
+			fmt.Fprintf(conn, "SETTLED %d %d\n", done, n)
 		default:
 			fmt.Fprintf(conn, "OK\n")
 		}
+	}
+}
+
+// overAsked fails t when a SETTLE waited for a total the server never
+// came to hold: every settle after such an expectation waits out the
+// quiet window.
+func (p *lateServer) overAsked(t *testing.T) {
+	t.Helper()
+	p.mu.Lock()
+	asked := p.asked
+	p.mu.Unlock()
+	if held := p.useful(); asked > held {
+		t.Fatalf("a SETTLE waited for %d bytes, the server came to hold %d", asked, held)
 	}
 }
 
@@ -428,7 +483,8 @@ func (p *lateServer) sentTwice() (dup int64) {
 // so — requeued, they would be sent twice. Receiver truth decides: the
 // epoch reports what the answer admits, the next settle credits the
 // rest, and only what RESYNC's per-file count shows missing once every
-// byte is leased goes out again.
+// byte is leased goes out again. No SETTLE ever waits for more than the
+// server comes to hold.
 func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 	const hold = 300 << 10
 	run := func(t *testing.T, c *Client, secs float64) xfer.Report {
@@ -459,6 +515,7 @@ func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 		if dup := p.sentTwice(); dup != 0 {
 			t.Fatalf("%d bytes were sent twice", dup)
 		}
+		p.overAsked(t)
 	})
 
 	t.Run("budget-spent", func(t *testing.T) {
@@ -480,6 +537,33 @@ func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 		if got, dup := p.got.Load(), p.sentTwice(); got != volume || dup != 0 {
 			t.Fatalf("server holds %d bytes, %d of them sent twice; want %d, none", got, dup, volume)
 		}
+		p.overAsked(t)
+	})
+
+	t.Run("late-past-the-resync", func(t *testing.T) {
+		// The late bytes are still out when the next epoch's RESYNC
+		// reads the file, so they are sent again and land twice: the
+		// expectation RESYNC re-based counts them once.
+		const volume = 8 << 20
+		p := newLateServer(t, hold, 1, 0)
+		p.resyncShort.Store(1)
+		c, err := NewClient(ClientConfig{Addr: p.ln.Addr().String(), Bytes: volume})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		r1 := run(t, c, 5)
+		r2 := run(t, c, 5)
+		// The file's total reads full before the resend lands (the late
+		// bytes did arrive), so the epoch may end with it in flight.
+		for deadline := time.Now().Add(2 * time.Second); p.got.Load() < volume+hold && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		if r1.Bytes+r2.Bytes != volume || !r2.Done || p.sentTwice() != hold {
+			t.Fatalf("reports %v + %v bytes (done %v), %d bytes sent twice; want %d, done, the %d RESYNC missed",
+				r1.Bytes, r2.Bytes, r2.Done, p.sentTwice(), volume, hold)
+		}
+		p.overAsked(t)
 	})
 
 	t.Run("budget-spent-and-really-gone", func(t *testing.T) {
@@ -498,6 +582,7 @@ func TestLateBytesAreNeitherLostNorResent(t *testing.T) {
 		if !r2.Done || r2.Bytes != hold || p.sentTwice() != hold {
 			t.Fatalf("report %+v, %d bytes sent twice; want exactly the %d lost ones resent", r2, p.sentTwice(), hold)
 		}
+		p.overAsked(t)
 	})
 }
 
@@ -536,7 +621,10 @@ func TestResumedTokenHoldingMoreThanItsCheckpoint(t *testing.T) {
 			t.Fatal("transfer did not finish")
 		}
 	}
-	if got := s.Received("tok"); got != volume || moved != volume-acked {
-		t.Fatalf("server holds %d bytes and the epochs report %v, want %d and %d", got, moved, volume, volume-acked)
+	// Received is duplicate-free and cannot exceed the volume; the file's
+	// raw count, duplicates included, is what a resend would push past it.
+	if got, wire := s.Received("tok"), s.lookup("tok").progress()[0]; got != volume || wire != volume || moved != volume-acked {
+		t.Fatalf("server holds %d bytes (%d on the wire) and the epochs report %v, want %d (%d) and %d",
+			got, wire, moved, volume, volume, volume-acked)
 	}
 }

@@ -147,7 +147,7 @@ type Event struct {
 	// (StripeKernelStats only).
 	Retrans int64 `json:"retrans,omitempty"`
 	// Delta is the relative change driving Observe/RetriggerEpsilon,
-	// as a fraction (0.2 = 20%).
+	// in percent (20 = 20%), the unit of the tuner's tolerance.
 	Delta float64 `json:"delta,omitempty"`
 	// Bucket is the load-context bucket a learned strategy acted in
 	// (RLAction only).
@@ -185,8 +185,8 @@ type Recorder struct {
 	sinkErr error
 }
 
-// DefaultEventBuffer is the ring capacity used when RecorderConfig
-// leaves Buffer zero.
+// DefaultEventBuffer is the ring capacity used when
+// ObserverConfig.EventBuffer is zero (NewRecorder's buffer <= 0).
 const DefaultEventBuffer = 4096
 
 // eventBlock is the ring's allocation unit, in events.

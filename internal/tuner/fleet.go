@@ -78,9 +78,6 @@ type FleetSession struct {
 	Dims []int
 	// Maps converts each transfer's slice to its parameters.
 	Maps []ParamMap
-	// Weights scale each transfer's contribution to the aggregate
-	// objective the strategy observes; nil = all ones.
-	Weights []float64
 	// Checkpoint, when non-nil, receives the session's durable state
 	// after every settled epoch and once more when the session is
 	// interrupted. Only single-transfer sessions support checkpointing.
@@ -152,9 +149,6 @@ func (s FleetSession) validate() error {
 			return fmt.Errorf("session transfer %d has dim %d", i, d)
 		}
 	}
-	if s.Weights != nil && len(s.Weights) != len(s.Transfers) {
-		return fmt.Errorf("session has %d weights for %d transfers", len(s.Weights), len(s.Transfers))
-	}
 	if s.Checkpoint != nil && len(s.Transfers) != 1 {
 		return fmt.Errorf("session has %d transfers; checkpointing supports exactly one", len(s.Transfers))
 	}
@@ -217,13 +211,12 @@ func NewFleet(cfg FleetConfig, sessions ...FleetSession) *Fleet {
 
 // fleetSession is one session's runtime state.
 type fleetSession struct {
-	cfg     FleetConfig
-	spec    FleetSession
-	id      string
-	dims    []int
-	weights []float64
-	traces  []*Trace
-	bytes   float64
+	cfg    FleetConfig
+	spec   FleetSession
+	id     string
+	dims   []int
+	traces []*Trace
+	bytes  float64
 	// transients counts consecutive transient epoch failures.
 	transients int
 	done       bool
@@ -255,19 +248,13 @@ func newFleetSession(cfg FleetConfig, spec FleetSession, id string) (*fleetSessi
 	if spec.Name == "" {
 		spec.Name = spec.Strategy.Name()
 	}
-	s := &fleetSession{cfg: cfg, spec: spec, id: id, dims: spec.Dims, weights: spec.Weights}
+	s := &fleetSession{cfg: cfg, spec: spec, id: id, dims: spec.Dims}
 	s.obs = spec.obs
 	if s.obs == nil {
 		s.obs = cfg.Obs.Session(id)
 	}
 	s.obs.SetStrategy(spec.Strategy.Name())
 	s.ckpt = newCheckpointer(spec.Checkpoint, s.obs, spec.Strategy, spec.Transfers[0], spec.Seed, spec.Start)
-	if s.weights == nil {
-		s.weights = make([]float64, len(spec.Transfers))
-		for j := range s.weights {
-			s.weights[j] = 1
-		}
-	}
 	s.traces = make([]*Trace, len(spec.Transfers))
 	for j := range s.traces {
 		s.traces[j] = &Trace{Tuner: spec.Name}
@@ -638,8 +625,8 @@ func (s *fleetSession) record(jobs []*fleetJob, transient bool) (done bool) {
 		s.traces[j.i].add(s.parts[j.i], j.rep)
 		s.bytes += j.rep.Bytes
 		agg.Bytes += j.rep.Bytes
-		agg.Throughput += s.weights[j.i] * j.rep.Throughput
-		agg.BestCase += s.weights[j.i] * j.rep.BestCase
+		agg.Throughput += j.rep.Throughput
+		agg.BestCase += j.rep.BestCase
 		agg.DeadTime += j.rep.DeadTime
 		agg.Dials += j.rep.Dials
 		agg.ReusedStreams += j.rep.ReusedStreams

@@ -128,11 +128,10 @@ func TestJointSessionValidation(t *testing.T) {
 		t.Fatalf("valid session rejected: %v", err)
 	}
 	for name, mutate := range map[string]func(*FleetSession){
-		"empty dims":            func(s *FleetSession) { s.Dims = nil },
-		"map count mismatch":    func(s *FleetSession) { s.Maps = s.Maps[:1] },
-		"weight count mismatch": func(s *FleetSession) { s.Weights = []float64{1} },
-		"zero dim":              func(s *FleetSession) { s.Dims = []int{1, 0} },
-		"nil map":               func(s *FleetSession) { s.Maps = []ParamMap{nil, MapNC(1)} },
+		"empty dims":         func(s *FleetSession) { s.Dims = nil },
+		"map count mismatch": func(s *FleetSession) { s.Maps = s.Maps[:1] },
+		"zero dim":           func(s *FleetSession) { s.Dims = []int{1, 0} },
+		"nil map":            func(s *FleetSession) { s.Maps = []ParamMap{nil, MapNC(1)} },
 	} {
 		if run(mutate) == nil {
 			t.Errorf("%s accepted", name)
@@ -225,26 +224,6 @@ func TestJointStopsTransfers(t *testing.T) {
 		if !tr.(*sharedMember).stopped {
 			t.Fatalf("joint session did not stop transfer %d", i)
 		}
-	}
-}
-
-func TestJointWeights(t *testing.T) {
-	// All weight on transfer 0: the aggregate ignores transfer 1, so
-	// the search maximizes member 0's share — which grows with its
-	// own demand. Expect x0 to climb well above x1's influence.
-	pool := &sharedFake{capacity: 1e9, quad: 1e-7} // negligible penalty
-	session := jointSession(t, "cs-tuner", pool)
-	session.Weights = []float64{1, 0}
-	res := runJoint(t, 2400, session)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	x0 := res.Traces[0].FinalX()[0]
-	x1 := res.Traces[1].FinalX()[0]
-	// x0 climbs until its share gains fall under the 5% tolerance;
-	// x1 has no effect on the aggregate and stays put.
-	if x0 < 16 || x0 < 3*x1 {
-		t.Fatalf("weighted joint tuner: x0=%d x1=%d; expected x0 to dominate", x0, x1)
 	}
 }
 
