@@ -2,6 +2,7 @@ package gridftp
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -84,27 +85,57 @@ func newFileQueue(d dataset.Dataset) *fileQueue {
 func (q *fileQueue) next(quantum int64) (idx int, off, n int64, wait bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.ready) > 0 {
-		i := q.ready[len(q.ready)-1]
-		if q.rem[i] <= 0 {
-			q.ready = q.ready[:len(q.ready)-1]
-			q.inReady[i] = false
-			continue
-		}
-		take := q.rem[i]
-		if take > quantum {
-			take = quantum
-		}
-		off = q.sizes[i] - q.rem[i]
-		q.rem[i] -= take
-		q.unleased -= take
-		if q.rem[i] <= 0 {
-			q.ready = q.ready[:len(q.ready)-1]
-			q.inReady[i] = false
-		}
-		return int(i), off, take, false
+	if i, ok := q.top(); ok {
+		off, n = q.take(i, min(q.rem[i], quantum))
+		return i, off, n, false
 	}
 	return 0, 0, 0, q.unleased > 0
+}
+
+// nextRun appends to run, up to its capacity, leases of the whole
+// remainders of the next admitted files, while each remainder is at most
+// each bytes and they total at most budget: the small files one
+// coalesced write carries after run's first lease.
+func (q *fileQueue) nextRun(run []frameLease, budget, each int64) []frameLease {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(run) < cap(run) {
+		i, ok := q.top()
+		if !ok || q.rem[i] > min(each, budget) {
+			break
+		}
+		budget -= q.rem[i]
+		off, n := q.take(i, q.rem[i])
+		run = append(run, frameLease{idx: i, off: off, n: n})
+	}
+	return run
+}
+
+// top returns the next admitted file with bytes to lease, dropping
+// drained ones from ready. q.mu must be held.
+func (q *fileQueue) top() (idx int, ok bool) {
+	for len(q.ready) > 0 {
+		i := q.ready[len(q.ready)-1]
+		if q.rem[i] > 0 {
+			return int(i), true
+		}
+		q.ready = q.ready[:len(q.ready)-1]
+		q.inReady[i] = false
+	}
+	return 0, false
+}
+
+// take leases the next n bytes of file idx, the one top just returned.
+// q.mu must be held.
+func (q *fileQueue) take(idx int, n int64) (off, taken int64) {
+	off = q.sizes[idx] - q.rem[idx]
+	q.rem[idx] -= n
+	q.unleased -= n
+	if q.rem[idx] <= 0 {
+		q.ready = q.ready[:len(q.ready)-1]
+		q.inReady[idx] = false
+	}
+	return off, n
 }
 
 // requeue returns n unsent bytes of file idx to the queue (a lease
@@ -218,18 +249,31 @@ const zcLeaseQuantum = 32 << 20
 // against the kernel path's three).
 const zcMinSegment = 256 << 10
 
+// maxRun bounds the frames one coalesced write carries (see writeRun).
+const maxRun = 64
+
+// frameLease is one lease of a coalesced run: hdr is its frame header's
+// length once written.
+type frameLease struct {
+	idx         int
+	off, n, hdr int64
+}
+
 // pumpIO is one stripe's I/O context for filePump: the payload source
-// (nil synthesizes zeros), the zero-copy routing decision, and the
+// (nil synthesizes zeros), the zero-copy routing decision, the
 // write-side syscall tally the epoch report surfaces (source-side
-// reads tally in src). Owned by a single pump goroutine.
+// reads tally in src), and the arrays a write's leases, frame headers
+// and iovecs live in, so no write allocates. Owned by a single pump
+// goroutine.
 type pumpIO struct {
 	src    *stripeSource
 	tcp    *net.TCPConn // non-nil when conn is an unwrapped TCP connection
 	zc     bool         // route big leases through sendfile(2)
 	calls  int64        // write/writev syscalls issued
 	vec    net.Buffers
-	vecbuf [2][]byte // backing array for vec, so writev costs no allocation
-	hdr    [48]byte  // backing array for the frame header, likewise
+	vecbuf [2 * maxRun][]byte
+	run    [maxRun]frameLease
+	hdrs   [maxRun][64]byte // "FILE <idx> <off> <len>\n" is at most 56 bytes
 }
 
 // newPumpIO builds conn's pump context: zero-copy engages only when
@@ -293,24 +337,26 @@ func pace(rate float64, sent int64, pumpStart, deadline time.Time, abort <-chan 
 // filePump drains the file queue into one data stripe. A lease, once
 // its frame header is committed, is always pushed to completion (the
 // server expects exactly the framed length) — the epoch deadline is
-// enforced between frames. Any write or source-read error marks the
-// stripe dead (a half-written frame makes the connection unusable for
-// the next epoch) and requeues the unsent remainder.
+// enforced between leases, a coalesced run counting as one. Any write
+// or source-read error marks the stripe dead (a half-written frame
+// makes the connection unusable for the next epoch) and requeues the
+// unsent remainder.
 //
 // Payload routing per lease:
 //   - zero-copy (pio.zc, lease >= zcMinSegment): one header write,
 //     then the whole lease through sendfile(2) — payload bytes never
 //     cross userspace;
-//   - file-backed userspace: pread into a pooled buffer, fileChunk at
-//     a time;
-//   - no source: synthesized zeros.
+//   - at most fileChunk: one writev of its frame and those of the small
+//     files after it (writeRun);
+//   - bigger: the header rides the first fileChunk of payload in one
+//     writev, the rest follows fileChunk at a time.
 //
-// On the userspace paths the header rides the first payload chunk in
-// a single writev, so a small file still moves in one syscall. Shaped,
-// a lease is one chunkSize frame written whole between two looks at the
-// token bucket, so a committed frame overshoots the deadline by at most
-// one pacing quantum; unshaped, boundLease sizes it to the stripe's
-// rate.
+// Userspace payload is pread into a pooled buffer when file-backed and
+// sliced from the shared zero buffer otherwise. Shaped, a lease is one chunkSize
+// frame, or a run of frames as big, written whole between two looks at
+// the token bucket, so a committed write overshoots the deadline by at
+// most one pacing quantum; unshaped, boundLease sizes a write to the
+// stripe's rate.
 func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline time.Time, abort <-chan struct{}, firstByte *atomic.Int64, start time.Time) (sent int64, alive bool) {
 	shaped := !math.IsInf(rate, 1)
 	quantum := int64(leaseQuantum)
@@ -332,7 +378,8 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 		if now.After(deadline) {
 			return sent, true
 		}
-		idx, off, n, wait := q.next(boundLease(quantum, sent, now.Sub(pumpStart), deadline.Sub(now)))
+		bound := boundLease(quantum, sent, now.Sub(pumpStart), deadline.Sub(now))
+		idx, off, n, wait := q.next(bound)
 		if n == 0 {
 			if !wait {
 				return sent, true
@@ -348,6 +395,18 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 			}
 			continue
 		}
+		if n <= fileChunk && !(pio.zc && n >= zcMinSegment) {
+			m, ok := pio.writeRun(conn, q, frameLease{idx: idx, off: off, n: n}, min(bound, fileChunk))
+			sent += m
+			markFirstByte(firstByte, m, start)
+			if !ok {
+				return sent, false
+			}
+			if shaped {
+				pace(rate, sent, pumpStart, deadline, abort)
+			}
+			continue
+		}
 		var f *os.File
 		if pio.src != nil {
 			var err error
@@ -359,7 +418,7 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 				return sent, false
 			}
 		}
-		hdr := appendFrameHeader(pio.hdr[:0], idx, off, n)
+		hdr := appendFrameHeader(pio.hdrs[0][:0], idx, off, n)
 
 		if pio.zc && n >= zcMinSegment {
 			// Warm the lease's pages before sendfile: cold pages fault
@@ -437,6 +496,59 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 	}
 }
 
+// writeRun writes the lease first and the run of small files nextRun
+// adds after it — at most budget payload bytes and maxRun frames, each
+// added file under zcMinSegment on a zero-copy stripe, so sendfile keeps
+// the leases it would have taken — as frames in one writev, and returns
+// the payload bytes written; ok false is a failed read or write.
+func (pio *pumpIO) writeRun(conn net.Conn, q *fileQueue, first frameLease, budget int64) (sent int64, ok bool) {
+	each := budget - first.n
+	if pio.zc {
+		each = min(each, zcMinSegment-1)
+	}
+	run := q.nextRun(append(pio.run[:0], first), budget-first.n, each)
+	pio.vec = pio.vecbuf[:0]
+	var pos int64
+	for i := range run {
+		l := &run[i]
+		hdr := appendFrameHeader(pio.hdrs[i][:0], l.idx, l.off, l.n)
+		l.hdr = int64(len(hdr))
+		payload := fileZeros[:l.n]
+		if pio.src != nil {
+			payload = pio.src.buf()[pos : pos+l.n]
+			pos += l.n
+			f, err := pio.src.file(l.idx)
+			m := 0
+			if err == nil {
+				m, _ = f.ReadAt(payload, l.off)
+				pio.src.calls++
+			}
+			if int64(m) < l.n {
+				// Nothing is written yet: the whole run goes back.
+				return creditRun(q, run, 0), false
+			}
+		}
+		pio.vec = append(pio.vec, hdr, payload)
+	}
+	nw, err := pio.vec.WriteTo(conn)
+	pio.calls++
+	return creditRun(q, run, nw), err == nil
+}
+
+// creditRun returns the payload bytes the first written bytes of run's
+// frames carried, and requeues each lease's unsent rest: all of a frame
+// the write did not reach, the tail of the one it cut, nothing of those
+// it finished.
+func creditRun(q *fileQueue, run []frameLease, written int64) (sent int64) {
+	for _, l := range run {
+		got := min(max(written-l.hdr, 0), l.n)
+		written -= min(written, l.hdr+l.n)
+		sent += got
+		q.requeue(l.idx, l.n-got)
+	}
+	return sent
+}
+
 // boundLease bounds a lease so that its frame, written whole once
 // committed, still fits before the stripe's write deadline a second past
 // the epoch's: the epoch's first lease is one chunkSize, and a later one
@@ -467,9 +579,11 @@ var errNotResumable = errors.New("gridftp: token not resumable: the server count
 // ACK before returning so the connection is clean for the SETTLE
 // exchange that follows. A read or write failure poisons the control
 // connection (the next exchange re-dials); un-ACKed files simply stay
-// unadmitted for a later epoch. Each refill round batches its OPEN
-// lines into a single write — pp-deep pipelining costs one syscall per
-// ACK round trip, not pp — tallied into the epoch's syscalls.
+// unadmitted for a later epoch. After each blocking read it takes every
+// ACK already buffered before it refills, so a round's freed slots
+// leave as one batch of OPEN lines in one write — tallied into the
+// epoch's syscalls — and, with the server batching its ACKs the same
+// way, pp-deep pipelining costs one write per round trip, not per file.
 func (c *Client) opener(ctx context.Context, e *epoch) {
 	conn, br, q := e.ctrl, e.ctrlR, c.q
 	pp := max(e.p.Pipelining(), 1)
@@ -506,16 +620,25 @@ func (c *Client) opener(ctx context.Context, e *epoch) {
 		if inflight == 0 {
 			return
 		}
-		resp, err := readLine(br)
-		rest, ok := strings.CutPrefix(resp, "ACK ")
-		idx, aerr := strconv.Atoi(rest)
-		if err != nil || !ok || aerr != nil {
-			c.dropCtrl(conn)
-			return
+		for read := false; inflight > 0 && (!read || holdsLine(br)); read = true {
+			idx, ok := readAck(br)
+			if !ok {
+				c.dropCtrl(conn)
+				return
+			}
+			q.admit(idx)
+			inflight--
 		}
-		q.admit(idx)
-		inflight--
 	}
+}
+
+// readAck reads one "ACK <idx>" answer without allocating; ok false is
+// a failed read or any other line.
+func readAck(br *bufio.Reader) (idx int, ok bool) {
+	line, err := readSlice(br)
+	digits, isAck := bytes.CutPrefix(line, []byte("ACK "))
+	v, ok := parseDecimal(digits, 9)
+	return int(v), ok && isAck && err == nil
 }
 
 // manifest renders the MANIFEST command that registers the dataset
@@ -525,20 +648,19 @@ func (c *Client) opener(ctx context.Context, e *epoch) {
 // Idempotent — a re-sent manifest of the same shape keeps the server's
 // progress.
 func (c *Client) manifest() string {
-	var sb strings.Builder
-	sb.Grow(len(c.q.sizes)*8 + 64)
-	sb.WriteString("MANIFEST ")
-	sb.WriteString(c.token)
-	sb.WriteByte(' ')
-	sb.WriteString(strconv.Itoa(len(c.q.sizes)))
+	b := make([]byte, 0, len(c.q.sizes)*8+64)
+	b = append(b, "MANIFEST "...)
+	b = append(b, c.token...)
+	b = append(b, ' ')
+	b = strconv.AppendInt(b, int64(len(c.q.sizes)), 10)
 	if c.cfg.RequestSink {
-		sb.WriteString(" SINK")
+		b = append(b, " SINK"...)
 	}
 	for _, sz := range c.q.sizes {
-		sb.WriteByte('\n')
-		sb.WriteString(strconv.FormatInt(sz, 10))
+		b = append(b, '\n')
+		b = strconv.AppendInt(b, sz, 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // resync rebuilds the work queue from the server's per-file received

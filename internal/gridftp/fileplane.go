@@ -11,7 +11,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -231,19 +230,46 @@ func sinkDirName(token string) string {
 	return fmt.Sprintf("%s-%08x", safe, h.Sum32())
 }
 
-// connWriter serializes line writes to a control connection, so the
-// delayed ACKs of pipelined OPENs never interleave mid-line with a
-// synchronous response.
+// connWriter batches a control connection's answers: they collect in a
+// buffered writer under one lock, because the ACKs of delayed OPENs are
+// written from timers, and leave in one write when the connection's
+// reader holds no whole request (next), before SETTLE waits, when the
+// connection ends, and from a delayed ACK's own timer.
 type connWriter struct {
 	mu sync.Mutex
-	c  net.Conn
+	bw *bufio.Writer
 }
 
 // Write implements io.Writer under the lock.
 func (w *connWriter) Write(p []byte) (int, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.c.Write(p)
+	return w.bw.Write(p)
+}
+
+// Flush sends what is batched.
+func (w *connWriter) Flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.bw.Flush()
+}
+
+// ack batches "ACK <idx>" without allocating.
+func (w *connWriter) ack(idx int) {
+	w.mu.Lock()
+	b := strconv.AppendInt(append(w.bw.AvailableBuffer(), "ACK "...), int64(idx), 10)
+	w.bw.Write(append(b, '\n'))
+	w.mu.Unlock()
+}
+
+// next returns the connection's next request line (see readSlice). When
+// br holds no whole line the read may block on a client that waits for
+// the batched answers, so they leave first.
+func (w *connWriter) next(br *bufio.Reader) ([]byte, error) {
+	if !holdsLine(br) {
+		w.Flush()
+	}
+	return readSlice(br)
 }
 
 // serveManifest handles MANIFEST <token> <count> [SINK]: it reads count
@@ -254,7 +280,7 @@ func (w *connWriter) Write(p []byte) (int, error) {
 // input, or the flag on a server with no sink, gets an ERR and drops
 // the connection; the token's existing state is never corrupted by a
 // refused manifest.
-func (s *Server) serveManifest(w io.Writer, br *bufio.Reader, fields []string) bool {
+func (s *Server) serveManifest(w *connWriter, br *bufio.Reader, fields []string) bool {
 	sink := len(fields) == 4 && fields[3] == "SINK"
 	if len(fields) != 3 && !sink {
 		fmt.Fprintf(w, "ERR bad MANIFEST\n")
@@ -267,11 +293,11 @@ func (s *Server) serveManifest(w io.Writer, br *bufio.Reader, fields []string) b
 	}
 	sizes := make([]int64, count)
 	for i := range sizes {
-		line, err := readLine(br)
+		line, err := w.next(br)
 		if err != nil {
 			return false
 		}
-		v, err := strconv.ParseInt(strings.TrimSpace(line), 10, 64)
+		v, err := strconv.ParseInt(string(bytes.TrimSpace(line)), 10, 64)
 		if err != nil || v < 0 {
 			fmt.Fprintf(w, "ERR bad MANIFEST size\n")
 			return false
@@ -300,30 +326,23 @@ func (s *Server) serveManifest(w io.Writer, br *bufio.Reader, fields []string) b
 	return true
 }
 
-// serveOpen handles OPEN <token> <idx>: it validates the index
-// against the token's manifest and schedules the ACK after the
-// configured file latency. ACKs are concurrent across pipelined
-// OPENs, writing through the locked writer.
-func (s *Server) serveOpen(w *connWriter, fields []string) bool {
-	if len(fields) != 3 {
-		fmt.Fprintf(w, "ERR bad OPEN\n")
-		return false
-	}
-	idx, err := strconv.Atoi(fields[2])
-	if err != nil || idx < 0 {
-		fmt.Fprintf(w, "ERR bad OPEN index\n")
-		return false
-	}
-	ft := s.lookup(fields[1])
+// serveOpen answers OPEN <token> <idx>: it validates the index against
+// the token's manifest and batches the ACK, at once or, under an
+// injected file latency, from a timer of its own — pipelined OPENs wait
+// out their latencies concurrently.
+func (s *Server) serveOpen(w *connWriter, token string, idx int) bool {
+	ft := s.lookup(token)
 	if ft == nil || idx >= len(ft.sizes) {
 		fmt.Fprintf(w, "ERR OPEN outside manifest\n")
 		return false
 	}
-	ack := func() { fmt.Fprintf(w, "ACK %d\n", idx) }
 	if lat := time.Duration(s.fileLatency.Load()); lat > 0 {
-		time.AfterFunc(lat, ack)
+		time.AfterFunc(lat, func() {
+			w.ack(idx)
+			w.Flush()
+		})
 	} else {
-		ack()
+		w.ack(idx)
 	}
 	return true
 }
@@ -332,24 +351,20 @@ func (s *Server) serveOpen(w *connWriter, fields []string) bool {
 // received counts — one "F <idx> <got>" line per file with any bytes,
 // then "END" — so a resuming client rebuilds its work queue at
 // file/offset granularity instead of re-sending the epoch.
-func (s *Server) serveResync(w io.Writer, fields []string) bool {
+func (s *Server) serveResync(w *connWriter, fields []string) bool {
 	if len(fields) != 2 {
 		fmt.Fprintf(w, "ERR bad RESYNC\n")
 		return false
 	}
-	ft := s.lookup(fields[1])
-	if ft == nil {
-		fmt.Fprintf(w, "END\n")
-		return true
-	}
-	bw := bufio.NewWriter(w)
-	for idx, got := range ft.progress() {
-		if got > 0 {
-			fmt.Fprintf(bw, "F %d %d\n", idx, got)
+	if ft := s.lookup(fields[1]); ft != nil {
+		for idx, got := range ft.progress() {
+			if got > 0 {
+				fmt.Fprintf(w, "F %d %d\n", idx, got)
+			}
 		}
 	}
-	fmt.Fprintf(bw, "END\n")
-	return bw.Flush() == nil
+	fmt.Fprintf(w, "END\n")
+	return true
 }
 
 // serveDataFramed discards a framed data stream: FILE <idx> <off>
@@ -362,7 +377,14 @@ func (s *Server) serveResync(w io.Writer, fields []string) bool {
 // untouched. A truncated final frame (stripe killed mid-file) credits
 // what arrived — the client resends the deficit after reconciling.
 // Draining a frame allocates nothing: a bulk transfer's one file is a
-// frame per 4 MiB, and garbage at that rate would grow the heap.
+// frame per 4 MiB, and garbage at that rate would grow the heap. br
+// comes a line long (handle) and stays so while the truncating receive
+// drops payloads: a header read then copies the header and at most a
+// line's worth of payload into userspace, and a small file's payload
+// otherwise stays in the kernel. The copying drain (a sink, or a
+// connection the truncating receive refuses) copies every payload byte
+// anyway, so it widens br, and one read takes in the small frames
+// behind a header, as the control connection's reader does.
 func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) {
 	if s.lookup(token) == nil {
 		return
@@ -422,11 +444,14 @@ func (s *Server) serveDataFramed(conn net.Conn, br *bufio.Reader, token string) 
 				return
 			}
 		}
+		if (sink != nil || trunc == nil) && br.Size() < wideReader {
+			br = widen(br, conn)
+		}
 		rem = length
 		for pos := off; rem > 0; {
 			if b := int64(br.Buffered()); sink == nil && b > 0 {
 				// What the header read pulled in leaves the reader
-				// without a copy.
+				// without another copy.
 				n, _ := br.Discard(int(min(rem, b)))
 				credit(int64(n))
 				continue
@@ -474,11 +499,7 @@ func parseFrame(line []byte) (idx int, off, n int64, ok bool) {
 	for i := 0; ok && i < len(v); i++ {
 		var field []byte
 		field, rest, _ = bytes.Cut(rest, []byte(" "))
-		ok = len(field) > 0 && len(field) <= 19
-		for _, c := range field {
-			ok = ok && '0' <= c && c <= '9'
-			v[i] = v[i]*10 + int64(c-'0') // 19 digits past MaxInt64 wrap negative
-		}
+		v[i], ok = parseDecimal(field, 19)
 	}
 	// Every field is checked for the wrap: a negative idx would index
 	// the file table.

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,6 +201,166 @@ func TestOpenAcksArePipelined(t *testing.T) {
 			t.Fatalf("%q got %q, want ERR", bad, resp)
 		}
 		c2.Close()
+	}
+}
+
+// ioCounter counts the writes, and the reads that return bytes, on
+// every connection its listener accepts. Its connections are wrapped,
+// so the server drains them through the copying drain.
+type ioCounter struct {
+	net.Listener
+	writes, reads *atomic.Int64
+}
+
+func (l ioCounter) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countedConn{c, l}, nil
+}
+
+type countedConn struct {
+	net.Conn
+	l ioCounter
+}
+
+func (c countedConn) Write(p []byte) (int, error) {
+	c.l.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+func (c countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if n > 0 {
+		c.l.reads.Add(1)
+	}
+	return n, err
+}
+
+// countingServer serves on a loopback listener wrapped in an ioCounter.
+func countingServer(t *testing.T) (s *Server, writes, reads *atomic.Int64) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes, reads = new(atomic.Int64), new(atomic.Int64)
+	s = ServeListener(ioCounter{ln, writes, reads})
+	t.Cleanup(func() { s.Close() })
+	return s, writes, reads
+}
+
+// openBatch returns the OPEN lines of files [from, to) of token.
+func openBatch(token string, from, to int) string {
+	var sb strings.Builder
+	for i := from; i < to; i++ {
+		fmt.Fprintf(&sb, "OPEN %s %d\n", token, i)
+	}
+	return sb.String()
+}
+
+// readAcks reads n ACK lines and returns the indices.
+func readAcks(t *testing.T, br *bufio.Reader, n int) map[int]bool {
+	t.Helper()
+	seen := make(map[int]bool)
+	for len(seen) < n {
+		resp, err := readLine(br)
+		if err != nil {
+			t.Fatalf("after %d of %d ACKs: %v", len(seen), n, err)
+		}
+		var idx int
+		if _, err := fmt.Sscanf(resp, "ACK %d", &idx); err != nil {
+			t.Fatalf("bad ACK %q", resp)
+		}
+		seen[idx] = true
+	}
+	return seen
+}
+
+// batchConn dials a control connection to s, registers token as a
+// manifest of files ten-byte files, and bounds the connection's life:
+// an answer the server holds back is a hang, and it must fail the test
+// in seconds.
+func batchConn(t *testing.T, s *Server, token string, files int) (net.Conn, *bufio.Reader) {
+	t.Helper()
+	conn, br := dialCtrl(t, s)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	roundTrip(t, conn, br, "MANIFEST "+token+" "+strconv.Itoa(files)+strings.Repeat("\n10", files), "OK")
+	return conn, br
+}
+
+// TestOpenBatchIsAnsweredInOneWrite: the server batches its answers, so
+// 32 pipelined OPENs that arrive in one write are ACKed in one write —
+// two if the batch happens to arrive in two reads — not 32.
+func TestOpenBatchIsAnsweredInOneWrite(t *testing.T) {
+	s, writes, _ := countingServer(t)
+	const files = 32
+	conn, br := batchConn(t, s, "tokb", files)
+	writes.Store(0)
+	if _, err := io.WriteString(conn, openBatch("tokb", 0, files)); err != nil {
+		t.Fatal(err)
+	}
+	if seen := readAcks(t, br, files); len(seen) != files {
+		t.Fatalf("ACKed %d distinct files, want %d", len(seen), files)
+	}
+	if n := writes.Load(); n > 2 {
+		t.Errorf("%d OPENs in one write were answered in %d writes, want at most 2", files, n)
+	}
+}
+
+// TestSplitOpenBatchIsAnswered is the flush-before-block case: a batch
+// of OPENs cut in the middle of a line must have the ACKs of its whole
+// lines sent before the server waits for the rest of the cut one — the
+// client may be waiting for them — and, 50 ms later, the rest.
+func TestSplitOpenBatchIsAnswered(t *testing.T) {
+	s := startServer(t)
+	const files, whole = 16, 7
+	conn, br := batchConn(t, s, "toks", files)
+	batch := openBatch("toks", 0, files)
+	cut := len(openBatch("toks", 0, whole)) + len("OPEN to")
+	if _, err := io.WriteString(conn, batch[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	if seen := readAcks(t, br, whole); len(seen) != whole {
+		t.Fatalf("ACKed %d distinct files of the first half, want %d", len(seen), whole)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if _, err := io.WriteString(conn, batch[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	seen := readAcks(t, br, files-whole)
+	for i := whole; i < files; i++ {
+		if !seen[i] {
+			t.Errorf("file %d of the second half was not ACKed: %v", i, seen)
+		}
+	}
+}
+
+// TestCopyingDrainReadsAhead: the copying drain — here on a wrapped
+// connection, which the truncating receive refuses, as under a sink or
+// the portable build — copies every payload byte anyway, so it reads
+// 32 KiB ahead instead of a header and a payload per frame: 64 frames
+// of 1 KiB that arrive in one write are drained in a handful of reads,
+// not 128.
+func TestCopyingDrainReadsAhead(t *testing.T) {
+	s, _, reads := countingServer(t)
+	const frames, size = 64, 1 << 10
+	ctrl, br := dialCtrl(t, s)
+	roundTrip(t, ctrl, br, "MANIFEST tokr "+strconv.Itoa(frames)+strings.Repeat("\n"+strconv.Itoa(size), frames), "OK")
+	batch := []byte("DATAF tokr\n")
+	for i := 0; i < frames; i++ {
+		batch = fmt.Appendf(batch, "FILE %d 0 %d\n", i, size)
+		batch = append(batch, make([]byte, size)...)
+	}
+	conn, _ := dialCtrl(t, s)
+	reads.Store(0)
+	if _, err := conn.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	waitReceived(t, s, "tokr", frames*size)
+	if n := reads.Load(); n > 16 {
+		t.Errorf("%d frames of %d bytes took %d reads to drain, want at most 16", frames, size, n)
 	}
 }
 

@@ -49,13 +49,17 @@
 //
 // The sender leases up to 4 MiB of a file at a time and writes it 1 MiB
 // at a time from one shared zero buffer, the frame header riding the
-// first write; when a Shaper paces it, a lease is one 64 KiB frame, so
-// the token bucket is consulted often enough to shape anything. On
-// Linux the receiver drops the payload in the kernel with
-// recv(MSG_TRUNC), so the sender's copy into the socket is the stream's
-// only memory pass. A wrapped connection, another platform or the
-// dstune_nozerocopy build tag gets the portable copying drain instead,
-// with identical accounting.
+// first write, and the frames of small files share one writev; when a
+// Shaper paces it, a write is at most 64 KiB, so the token bucket is
+// consulted often enough to shape anything. On Linux the receiver reads
+// each frame header through a reader one line long and drops the rest
+// of the payload in the kernel with recv(MSG_TRUNC), so beyond under a
+// line's worth per frame the sender's copy into the socket is the
+// stream's only memory pass, for a small file as for a 4 MiB lease. A
+// wrapped connection, another platform or the dstune_nozerocopy build
+// tag gets the portable copying drain instead, which reads 32 KiB
+// ahead, with identical accounting. The server batches its control
+// answers, so k pipelined OPENs cost it one read and one write.
 //
 // The server credits each file with min(received, size) so duplicate
 // retransmissions never inflate goodput, and the sum of those per-file

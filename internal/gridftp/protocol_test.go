@@ -112,7 +112,9 @@ func TestControlVerbTable(t *testing.T) {
 		{name: "OPEN/unknown-token", send: "OPEN ghost 0", want: "ERR OPEN outside manifest"},
 		{name: "OPEN/after-CLOSE", setup: closed, send: "OPEN tok 0", want: "ERR OPEN outside manifest"},
 		{name: "OPEN/past-the-manifest", setup: []exchange{manifest}, send: "OPEN tok 2", want: "ERR OPEN outside manifest", tokens: 1},
+		{name: "OPEN/spaced", setup: []exchange{manifest}, send: " OPEN  tok\t1 ", want: "ACK 1", tokens: 1},
 		{name: "OPEN/no-index", send: "OPEN tok", want: "ERR bad OPEN"},
+		{name: "OPEN/extra-field", setup: []exchange{manifest}, send: "OPEN tok 0 0", want: "ERR bad OPEN", tokens: 1},
 		{name: "OPEN/non-numeric", setup: []exchange{manifest}, send: "OPEN tok x", want: "ERR bad OPEN index", tokens: 1},
 		{name: "OPEN/negative", setup: []exchange{manifest}, send: "OPEN tok -1", want: "ERR bad OPEN index", tokens: 1},
 		{name: "OPEN/overflow", setup: []exchange{manifest}, send: "OPEN tok " + huge, want: "ERR bad OPEN index", tokens: 1},

@@ -2,14 +2,17 @@ package gridftp
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"dstune/internal/obs"
 )
@@ -297,10 +300,13 @@ func (s *Server) acceptLoop() {
 
 // handle serves one connection: a first line of DATAF makes it a data
 // connection carrying framed file segments, anything else a control
-// connection.
+// connection. The first line is read through a reader a line long,
+// which a data connection keeps while it drops payloads in the kernel
+// (see serveDataFramed); a control connection reads on through a wide
+// one.
 func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 32<<10)
+	br := bufio.NewReaderSize(conn, maxLineLen)
 
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	line, err := readLine(br)
@@ -322,21 +328,48 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		s.serveDataFramed(conn, br, fields[1])
 	default:
-		s.serveControl(conn, br, fields)
+		s.serveControl(conn, widen(br, conn), []byte(line))
 	}
 }
 
+// widen returns a 32 KiB reader over conn that begins with what br
+// holds, so a connection that outgrows its line-long reader keeps its
+// place in the stream.
+func widen(br *bufio.Reader, conn net.Conn) *bufio.Reader {
+	var r io.Reader = conn
+	if rest, _ := br.Peek(br.Buffered()); len(rest) > 0 {
+		r = io.MultiReader(bytes.NewReader(rest), conn)
+	}
+	return bufio.NewReaderSize(r, wideReader)
+}
+
+// wideReader is the size of a reader that reads ahead: the control
+// connection's, and a data connection's on the copying drain, where a
+// header read that takes the frames behind it saves read syscalls.
+const wideReader = 32 << 10
+
 // serveControl answers the six control verbs — START, SETTLE, CLOSE,
 // MANIFEST, OPEN and RESYNC — and nothing else, the DATA header of the
-// retired raw byte stream included; the first command is already
-// parsed, further ones may follow on the same connection. Responses go
-// through a locked writer because the ACKs of pipelined OPENs are
-// written asynchronously after the injected file latency.
-func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
-	w := &connWriter{c: conn}
-	fields := first
-	for {
-		switch fields[0] {
+// retired raw byte stream included; first is the connection's first
+// line, further commands may follow on the same connection. An OPEN is
+// parsed in place, any other line by fields. Answers are batched (see
+// connWriter), so k pipelined OPENs cost one read and one write;
+// whatever is still batched leaves when the connection ends.
+func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []byte) {
+	w := &connWriter{bw: bufio.NewWriter(conn)}
+	defer w.Flush()
+	var tok string // the last OPEN's token, so a run of them allocates nothing
+	var err error
+	for line := first; err == nil; line, err = w.next(br) {
+		verb, args := cutField(line)
+		if len(verb) == 0 {
+			return
+		}
+		var fields []string
+		if string(verb) != "OPEN" {
+			fields = strings.Fields(string(line))
+		}
+		switch string(verb) {
 		case "START":
 			// START <token> arms an epoch, cold or warm: it touches the
 			// token and answers with its duplicate-free total, or NONE
@@ -368,7 +401,15 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 				return
 			}
 		case "OPEN":
-			if !s.serveOpen(w, fields) {
+			token, idx, bad := parseOpen(args)
+			if bad != "" {
+				io.WriteString(w, bad)
+				return
+			}
+			if string(token) != tok {
+				tok = string(token)
+			}
+			if !s.serveOpen(w, tok, idx) {
 				return
 			}
 		case "RESYNC":
@@ -379,15 +420,34 @@ func (s *Server) serveControl(conn net.Conn, br *bufio.Reader, first []string) {
 			fmt.Fprintf(w, "ERR unknown command %q\n", fields[0])
 			return
 		}
-		line, err := readLine(br)
-		if err != nil {
-			return
-		}
-		fields = strings.Fields(line)
-		if len(fields) == 0 {
-			return
-		}
 	}
+}
+
+// parseOpen parses an OPEN's arguments, "<token> <idx>", without
+// allocating. bad, when not empty, is the ERR line that answers them:
+// the wrong count of fields, or an index that is no unsigned decimal
+// within int32.
+func parseOpen(args []byte) (token []byte, idx int, bad string) {
+	token, args = cutField(args)
+	digits, args := cutField(args)
+	if extra, _ := cutField(args); len(digits) == 0 || len(extra) > 0 {
+		return nil, 0, "ERR bad OPEN\n"
+	}
+	v, ok := parseDecimal(digits, 19)
+	if !ok || v < 0 || v > math.MaxInt32 {
+		return nil, 0, "ERR bad OPEN index\n"
+	}
+	return token, int(v), ""
+}
+
+// cutField returns b's first field and what follows it, splitting at
+// white space as strings.Fields does, without allocating.
+func cutField(b []byte) (field, rest []byte) {
+	b = bytes.TrimLeftFunc(b, unicode.IsSpace)
+	if i := bytes.IndexFunc(b, unicode.IsSpace); i >= 0 {
+		return b[:i], b[i:]
+	}
+	return b, nil
 }
 
 // The three ways a SETTLE ends short of its expected total, and how
@@ -408,7 +468,7 @@ const (
 // in one round trip instead of polling for two that agree; expect 0 is
 // met at once, which is how Client.ServerReceived reads it. An unknown
 // token answers zeros at once.
-func (s *Server) serveSettle(w io.Writer, fields []string) bool {
+func (s *Server) serveSettle(w *connWriter, fields []string) bool {
 	if len(fields) != 3 {
 		fmt.Fprintf(w, "ERR bad SETTLE\n")
 		return false
@@ -421,6 +481,8 @@ func (s *Server) serveSettle(w io.Writer, fields []string) bool {
 	var done int
 	var useful int64
 	if ft := s.lookup(fields[1]); ft != nil {
+		// The answers batched so far must not wait out this one.
+		w.Flush()
 		done, useful = s.awaitUseful(ft, expect)
 	}
 	fmt.Fprintf(w, "SETTLED %d %d\n", done, useful)
@@ -461,12 +523,39 @@ func (s *Server) awaitUseful(ft *fileTable, expect int64) (done int, useful int6
 
 // readLine reads one \n-terminated line, enforcing the length bound.
 func readLine(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
+	line, err := readSlice(br)
+	return string(line), err
+}
+
+// holdsLine reports whether br has a whole line buffered, so reading it
+// waits on nothing.
+func holdsLine(br *bufio.Reader) bool {
+	b, _ := br.Peek(br.Buffered())
+	return bytes.IndexByte(b, '\n') >= 0
+}
+
+// readSlice is readLine without the copy: the line, trimmed, is valid
+// until br's next read. Every reader here holds at least maxLineLen
+// bytes, so one that fills without a line end has read a line too long.
+func readSlice(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull || len(line) > maxLineLen {
+		return nil, fmt.Errorf("%w: line too long (over %d bytes)", ErrProtocol, maxLineLen)
+	}
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	if len(line) > maxLineLen {
-		return "", fmt.Errorf("%w: line too long (%d bytes)", ErrProtocol, len(line))
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// parseDecimal parses b as an unsigned decimal of one to max digits
+// without allocating. Nineteen digits can wrap past MaxInt64 to a
+// negative value, which callers allowing that many must refuse.
+func parseDecimal(b []byte, max int) (v int64, ok bool) {
+	ok = len(b) > 0 && len(b) <= max
+	for _, c := range b {
+		ok = ok && '0' <= c && c <= '9'
+		v = v*10 + int64(c-'0')
 	}
-	return strings.TrimRight(line, "\r\n"), nil
+	return v, ok
 }

@@ -37,7 +37,8 @@ func waitReceived(t *testing.T, s *Server, token string, want int64) {
 // connection for it whose DATAF header, the header of a frame of frame
 // bytes and the frame's first payload bytes leave in one write: one
 // segment on loopback, so the server's header read pulls payload into
-// its bufio.Reader. It returns the connection with first bytes sent.
+// its line-long bufio.Reader, which the copying drain then widens
+// around. It returns the connection with first bytes sent.
 func bulkStripe(t *testing.T, s *Server, token string, frame int64, first int) net.Conn {
 	t.Helper()
 	ctrl, br := dialCtrl(t, s)
@@ -57,8 +58,9 @@ func bulkStripe(t *testing.T, s *Server, token string, frame int64, first int) n
 // connection allow, copied otherwise — add up to exactly what was sent.
 // It runs under both build tags.
 func TestBulkDrainCountsToTheByte(t *testing.T) {
-	// More than the server's 32 KiB reader holds, so one write feeds
-	// both the reader's overshoot and the socket path; odd on purpose.
+	// Far more than the server's header reader holds (a line), so one
+	// write feeds both the reader's overshoot and the socket path; odd
+	// on purpose.
 	const first, rest = 100<<10 + 17, 3<<20 + 5
 
 	t.Run("header-and-payload-in-one-segment", func(t *testing.T) {
