@@ -32,7 +32,9 @@
 // together — SIGINT/SIGTERM drains the in-flight epoch and exits
 // cleanly (a second signal aborts hard), -deadline bounds the whole
 // run, and -resume FILE continues a checkpointed run mid-search with
-// exact byte accounting:
+// exact byte accounting — given the tuning flags the run was started
+// with, since the resume replays FILE.log and refuses a log they do not
+// reproduce ("resume diverged at epoch k"):
 //
 //	dstune -mode socket -addr 127.0.0.1:7632 -tuner cs-tuner \
 //	       -bytes 5e9 -checkpoint run.ck

@@ -214,8 +214,10 @@ func Run(ctx context.Context, name string, cfg TunerConfig, t Transferer) (*Trac
 // TunerConfig.Session.
 type (
 	// Strategy is a tuner's decision kernel: Propose a vector, run an
-	// epoch, Observe the report, repeat. Snapshot/Restore round-trip
-	// its complete state for O(1) checkpoint resume.
+	// epoch, Observe the report, repeat. Its state is a function of its
+	// configuration and the reports it observed, so a checkpoint
+	// resumes it by replaying the epoch log, verifying every recorded
+	// proposal; Snapshot serializes the state for inspection.
 	Strategy = tuner.Strategy
 	// Fleet drives N (strategy, transfers) sessions concurrently, each
 	// on its own goroutine, and returns their results in declaration
@@ -321,8 +323,8 @@ type Checkpoint = tuner.Checkpoint
 func NewFileCheckpoint(path string) *tuner.FileCheckpoint { return tuner.NewFileCheckpoint(path) }
 
 // LoadCheckpoint reads and validates a checkpoint NewFileCheckpoint's
-// writer left — the head at path and the epoch log beside it — or a
-// single-file checkpoint written by an earlier release.
+// writer left — the head at path and the epoch log beside it; a
+// checkpoint of any other format version is refused.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return tuner.LoadCheckpoint(path) }
 
 // ErrInterrupted is returned by Run when the run was stopped

@@ -1,8 +1,6 @@
 package directsearch
 
 import (
-	"fmt"
-
 	"dstune/internal/ivec"
 	"dstune/internal/sim"
 )
@@ -158,9 +156,8 @@ func (c *Compass) Best() ([]int, float64) { return ivec.Clone(c.best.x), c.best.
 
 // CompassState is the complete JSON-serializable state of a compass
 // search: the step size, incumbent, remaining polling queue, the
-// ask/tell handshake, and the best observation. Snapshot and
-// NewCompassFromState round-trip it exactly, so a checkpointed search
-// resumes in O(1) without replaying its evaluation history.
+// ask/tell handshake, and the best observation, as Snapshot captures
+// it.
 type CompassState struct {
 	Kind          string    `json:"kind"`
 	Lambda        float64   `json:"lambda"`
@@ -192,51 +189,6 @@ func (c *Compass) Snapshot() CompassState {
 		Evals:         c.evals,
 		Done:          c.done,
 	}
-}
-
-// NewCompassFromState rebuilds a compass search from a Snapshot. The
-// box and cfg are not part of the state and must match the original
-// construction; rng must be positioned where the original stream was
-// (see sim.RNG.UnmarshalBinary). The state is validated against the
-// box so a corrupt checkpoint fails here rather than panicking later.
-func NewCompassFromState(st CompassState, box Box, cfg CompassConfig, rng *sim.RNG) (*Compass, error) {
-	if st.Kind != "compass" {
-		return nil, fmt.Errorf("directsearch: compass state has kind %q", st.Kind)
-	}
-	if len(st.Incumbent) != box.Dim() {
-		return nil, fmt.Errorf("directsearch: compass incumbent has %d dims, box has %d", len(st.Incumbent), box.Dim())
-	}
-	if st.Lambda <= 0 || st.Evals < 0 {
-		return nil, fmt.Errorf("directsearch: compass state has lambda %v, evals %d", st.Lambda, st.Evals)
-	}
-	for _, q := range st.Queue {
-		if len(q) != box.Dim() || !box.Contains(q) {
-			return nil, fmt.Errorf("directsearch: compass queue entry %v outside box", q)
-		}
-	}
-	c := &Compass{
-		box:        box,
-		cfg:        cfg.withDefaults(),
-		rng:        rng,
-		lambda:     st.Lambda,
-		incumbent:  ivec.Clone(st.Incumbent),
-		fIncumbent: st.FIncumbent,
-		haveInc:    st.HaveIncumbent,
-		evals:      st.Evals,
-		done:       st.Done,
-	}
-	c.queue = make([][]int, len(st.Queue))
-	for i, q := range st.Queue {
-		c.queue[i] = ivec.Clone(q)
-	}
-	var err error
-	if c.pend, err = st.Pending.restore(box); err != nil {
-		return nil, err
-	}
-	if c.best, err = st.Best.restore(); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // Incumbent returns the current incumbent point and value.

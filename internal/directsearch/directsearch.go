@@ -177,15 +177,6 @@ func (p *pending) state() PendState {
 	return PendState{X: ivec.Clone(p.x), Set: p.set}
 }
 
-// restore rebuilds the handshake from a snapshot, validating the
-// pending point against the box.
-func (s PendState) restore(box Box) (pending, error) {
-	if s.Set && len(s.X) != box.Dim() {
-		return pending{}, fmt.Errorf("directsearch: pending point has %d dims, box has %d", len(s.X), box.Dim())
-	}
-	return pending{x: ivec.Clone(s.X), set: s.Set}, nil
-}
-
 // propose records x as the outstanding suggestion.
 func (p *pending) propose(x []int) {
 	p.x = ivec.Clone(x)
@@ -220,12 +211,4 @@ func (b *best) update(x []int, f float64) {
 // state captures the tracker for a snapshot.
 func (b *best) state() BestState {
 	return BestState{X: ivec.Clone(b.x), F: b.f, N: b.n}
-}
-
-// restore rebuilds the tracker from a snapshot.
-func (s BestState) restore() (best, error) {
-	if s.N < 0 {
-		return best{}, fmt.Errorf("directsearch: best tracker has %d observations", s.N)
-	}
-	return best{x: ivec.Clone(s.X), f: s.F, n: s.N}, nil
 }

@@ -1,7 +1,6 @@
 package directsearch
 
 import (
-	"fmt"
 	"sort"
 
 	"dstune/internal/ivec"
@@ -122,25 +121,6 @@ func (nm *NelderMead) Phase() string {
 		return "shrink"
 	}
 	return "done"
-}
-
-// parseNMPhase inverts Phase.
-func parseNMPhase(s string) (nmPhase, error) {
-	switch s {
-	case "init":
-		return nmInit, nil
-	case "reflect":
-		return nmReflect, nil
-	case "expand":
-		return nmExpand, nil
-	case "contract":
-		return nmContract, nil
-	case "shrink":
-		return nmShrink, nil
-	case "done":
-		return nmDone, nil
-	}
-	return 0, fmt.Errorf("directsearch: unknown Nelder-Mead phase %q", s)
 }
 
 // degenerate reports whether all vertices coincide.
@@ -320,9 +300,7 @@ type NMVertex struct {
 // NMState is the complete JSON-serializable state of a Nelder–Mead
 // search: the phase, the full simplex, the in-flight iteration points
 // (centroid, reflection, expansion, contraction), the ask/tell
-// handshake, and the best observation. Snapshot and
-// NewNelderMeadFromState round-trip it exactly, so a checkpointed
-// search resumes in O(1) without replaying its evaluation history.
+// handshake, and the best observation, as Snapshot captures it.
 type NMState struct {
 	Kind      string     `json:"kind"`
 	Phase     string     `json:"phase"`
@@ -360,58 +338,4 @@ func (nm *NelderMead) Snapshot() NMState {
 		Best:      nm.best.state(),
 		Evals:     nm.evals,
 	}
-}
-
-// NewNelderMeadFromState rebuilds a Nelder–Mead search from a
-// Snapshot. The box and cfg are not part of the state and must match
-// the original construction. The state is validated so a corrupt
-// checkpoint fails here rather than panicking later.
-func NewNelderMeadFromState(st NMState, box Box, cfg NMConfig) (*NelderMead, error) {
-	if st.Kind != "nelder-mead" {
-		return nil, fmt.Errorf("directsearch: Nelder-Mead state has kind %q", st.Kind)
-	}
-	phase, err := parseNMPhase(st.Phase)
-	if err != nil {
-		return nil, err
-	}
-	m := box.Dim()
-	if len(st.Simplex) != m+1 {
-		return nil, fmt.Errorf("directsearch: simplex has %d vertices, box dim %d needs %d", len(st.Simplex), m, m+1)
-	}
-	nm := &NelderMead{box: box, cfg: cfg.withDefaults(), phase: phase}
-	nm.verts = make([]vertex, len(st.Simplex))
-	for i, v := range st.Simplex {
-		if len(v.X) != m {
-			return nil, fmt.Errorf("directsearch: simplex vertex %d has %d dims, want %d", i, len(v.X), m)
-		}
-		nm.verts[i] = vertex{x: ivec.Clone(v.X), f: v.F}
-	}
-	if st.InitIdx < 0 || st.InitIdx > len(nm.verts) ||
-		st.ShrinkIdx < 0 || st.ShrinkIdx > len(nm.verts) || st.Evals < 0 {
-		return nil, fmt.Errorf("directsearch: Nelder-Mead state has init_idx %d, shrink_idx %d, evals %d",
-			st.InitIdx, st.ShrinkIdx, st.Evals)
-	}
-	for _, pt := range [][]int{st.XR, st.XE, st.XC} {
-		if len(pt) != 0 && len(pt) != m {
-			return nil, fmt.Errorf("directsearch: Nelder-Mead working point %v has %d dims, want %d", pt, len(pt), m)
-		}
-	}
-	if len(st.Centroid) != 0 && len(st.Centroid) != m {
-		return nil, fmt.Errorf("directsearch: centroid has %d dims, want %d", len(st.Centroid), m)
-	}
-	nm.initIdx = st.InitIdx
-	nm.shrinkIdx = st.ShrinkIdx
-	nm.centroid = append([]float64(nil), st.Centroid...)
-	nm.xr = ivec.Clone(st.XR)
-	nm.fr = st.FR
-	nm.xe = ivec.Clone(st.XE)
-	nm.xc = ivec.Clone(st.XC)
-	nm.evals = st.Evals
-	if nm.pend, err = st.Pending.restore(box); err != nil {
-		return nil, err
-	}
-	if nm.best, err = st.Best.restore(); err != nil {
-		return nil, err
-	}
-	return nm, nil
 }

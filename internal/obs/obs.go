@@ -2,6 +2,7 @@ package obs
 
 import (
 	"sync"
+	"sync/atomic"
 )
 
 // ObserverConfig configures NewObserver.
@@ -341,8 +342,25 @@ type SessionObs struct {
 	deadTime, ckSeconds, firstByte, stripeRTT        *Histogram
 	stripeRate                                       *Histogram
 
+	// muted silences what a strategy reports (see Muted).
+	muted atomic.Bool
+
 	mu sync.Mutex
 	st SessionStatus
+}
+
+// Muted runs f with the reports a strategy makes — Retrigger and
+// RLAction — silenced: they emit no event and move no instrument. The
+// engine replays a resumed checkpoint's epoch log under it, so epochs
+// an earlier incarnation already reported are not reported twice.
+func (s *SessionObs) Muted(f func()) {
+	if s == nil {
+		f()
+		return
+	}
+	s.muted.Store(true)
+	defer s.muted.Store(false)
+	f()
 }
 
 // ID returns the session's stable identifier; "" on a nil receiver.
@@ -488,7 +506,7 @@ func (s *SessionObs) Observe(t float64, epoch int, delta float64) {
 // Retrigger records an armed ε-monitor restarting the search after
 // observing relative change delta.
 func (s *SessionObs) Retrigger(t float64, delta float64) {
-	if s == nil {
+	if s == nil || s.muted.Load() {
 		return
 	}
 	s.retriggers.Inc()
@@ -540,7 +558,7 @@ func (s *SessionObs) WarmStart(t float64, x []int, hit bool) {
 // whether the RNG forced exploration. Bumps the exploration counter
 // on explore and keeps the q-value/epsilon gauges current.
 func (s *SessionObs) RLAction(t float64, epoch int, x []int, bucket int, eps, q float64, explore bool) {
-	if s == nil {
+	if s == nil || s.muted.Load() {
 		return
 	}
 	detail := "exploit"

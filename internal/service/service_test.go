@@ -642,6 +642,53 @@ func TestRetiredStrategyCheckpointFailsJob(t *testing.T) {
 	}
 }
 
+// TestDivergedCheckpointFailsJob: a re-adopted job whose epoch log its
+// strategy does not reproduce — here the first recorded vector is one
+// the box cannot hold — is refused by the replay that resumes it: GET
+// /jobs/{id} shows it failed with "resume diverged at epoch 0" rather
+// than continuing from a state the run never reached.
+func TestDivergedCheckpointFailsJob(t *testing.T) {
+	dir := t.TempDir()
+	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
+	if _, err := sv.Submit(JobSpec{ID: "div", Bytes: 2e9, Epoch: 1, MaxNC: 32}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "an epoch to settle", func() bool {
+		st, _ := sv.Job("div")
+		return st.Epochs >= 1
+	})
+	cancel()
+	sv.Wait()
+	logFile := sv.checkpointPath("div") + ".log"
+	log, err := os.ReadFile(logFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]json.RawMessage
+	first, rest, _ := bytes.Cut(log, []byte("\n"))
+	if err := json.Unmarshal(first, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["x"] = json.RawMessage(`[99]`)
+	if first, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(logFile, append(append(first, '\n'), rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sv2, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(0, nil)})
+	srv := httptest.NewServer(sv2.Handler())
+	defer srv.Close()
+	waitFor(t, 10*time.Second, "the re-adopted job to end", func() bool {
+		_, st := getJob(t, srv, "div")
+		return st.State != JobQueued && st.State != JobRunning
+	})
+	if _, st := getJob(t, srv, "div"); st.State != JobFailed || !strings.Contains(st.Error, "resume diverged at epoch 0") {
+		t.Fatalf("re-adopted job is %s with error %q, want failed with a divergence", st.State, st.Error)
+	}
+}
+
 // TestMalformedSubmitNeverJournaled pins the hostile-input contract at
 // the HTTP layer: bad bodies get 400 and leave no trace in the
 // journal.

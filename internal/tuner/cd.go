@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"dstune/internal/ivec"
 	"dstune/internal/xfer"
@@ -142,30 +141,3 @@ func (c *CDStrategy) decide() []int {
 
 // Snapshot implements Strategy.
 func (c *CDStrategy) Snapshot() (json.RawMessage, error) { return json.Marshal(c.st) }
-
-// Restore implements Strategy.
-func (c *CDStrategy) Restore(raw json.RawMessage) error {
-	var st CDState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: cd state: %w", err)
-	}
-	dim := c.cfg.Box.Dim()
-	switch st.Phase {
-	case cdPhaseStart, cdPhaseProbe, cdPhaseWalk:
-	default:
-		return fmt.Errorf("tuner: cd state has unknown phase %q", st.Phase)
-	}
-	for name, x := range map[string][]int{"next": st.Next, "x_prev": st.XPrev, "x_prev2": st.XPrev2} {
-		if x == nil && name != "next" {
-			continue // legitimately absent before the walk phase
-		}
-		if len(x) != dim {
-			return fmt.Errorf("tuner: cd state %s has %d dims, box has %d", name, len(x), dim)
-		}
-	}
-	if st.Rotation.Dim < 0 || st.Rotation.Dim >= dim || st.Rotation.Stalls < 0 {
-		return fmt.Errorf("tuner: cd state rotation %+v out of range", st.Rotation)
-	}
-	c.st = st
-	return nil
-}

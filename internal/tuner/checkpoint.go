@@ -18,14 +18,14 @@ import (
 
 // CheckpointVersion is the checkpoint format version this build
 // writes, and the Version of every Checkpoint LoadCheckpoint returns.
-// Version 2 replaced the diagnostic Search snapshot with the
-// authoritative Strategy state, making resume a direct deserialization
-// instead of a replay. Version 3 keeps that state but splits the file:
-// a fixed-size head at the checkpoint path and an append-only epoch log
-// beside it (see FileCheckpoint), so writing a checkpoint costs the
-// same at epoch 10 and at epoch 10 000. LoadCheckpoint and
-// Config.Resume reject every other version rather than guess at its
-// layout.
+// Version 3 splits the file into a fixed-size head at the checkpoint
+// path and an append-only epoch log beside it (see FileCheckpoint), so
+// writing a checkpoint costs the same at epoch 10 and at epoch 10 000.
+// A resume replays the log; the head's Strategy snapshot is written
+// for inspection and never read back, and a version-3 head that still
+// carries the "transients" key an earlier build wrote loads and
+// resumes the same. LoadCheckpoint and Config.Resume reject every
+// other version rather than guess at its layout.
 const CheckpointVersion = 3
 
 // ErrInterrupted is returned by Run when the run was stopped by the
@@ -41,18 +41,19 @@ type EpochRecord struct {
 	// Report is the transfer's account of the epoch.
 	Report xfer.Report `json:"report"`
 	// Transient marks a tolerated transient-failure epoch (recorded
-	// as zero throughput); replay validation uses it to restore the
-	// consecutive failure counter.
+	// as zero throughput); a resume recounts the consecutive failure
+	// counter from it.
 	Transient bool `json:"transient,omitempty"`
 }
 
 // Checkpoint is the durable state of a tuned transfer, written after
-// every control epoch. Strategy is the authoritative tuner state: a
-// resume deserializes it directly and continues in O(1), without
-// re-running or replaying any epoch. Trace holds the recorded epochs
-// for reporting — and, with Config.ValidateResume, for the opt-in
-// divergence check that rebuilds the strategy by replay and verifies
-// every recorded proposal.
+// every control epoch. Trace is the record a resume reads: a strategy
+// freshly built under Seed and Start is fed the recorded reports, and
+// every proposal it makes is verified against the recorded vector, so
+// the resumed state is the one the original run reached — or the
+// resume is refused. A tuner's state after k epochs is a function of
+// its configuration, its seed and the k reports it observed, so the
+// log is all there is to restore.
 type Checkpoint struct {
 	// Version is the format version; see CheckpointVersion.
 	Version int `json:"version"`
@@ -67,16 +68,14 @@ type Checkpoint struct {
 	Start []int `json:"start,omitempty"`
 	// Epochs counts the recorded control epochs (== len(Trace)).
 	Epochs int `json:"epochs"`
-	// Transients is the consecutive transient-failure count at the
-	// time of the snapshot.
-	Transients int `json:"transients,omitempty"`
 	// Transfer is the transfer's durable state: bytes acked by the
 	// receiver, bytes remaining, and the cumulative transfer clock.
 	Transfer xfer.TransferState `json:"transfer"`
-	// Strategy is the tuner's complete serialized state machine —
-	// phase, incumbents, compass queue and step size, Nelder–Mead
-	// simplex, stall rotation, ε-monitor, RNG stream position — taken
-	// after the last recorded epoch was observed.
+	// Strategy is the tuner's serialized state machine — phase,
+	// incumbents, compass queue and step size, Nelder–Mead simplex,
+	// stall rotation, ε-monitor, RNG stream position — taken after the
+	// last recorded epoch was observed. It is written for inspection; a
+	// resume rebuilds the state from Trace instead.
 	Strategy json.RawMessage `json:"strategy,omitempty"`
 	// Trace holds every recorded epoch in order. On disk it lives in
 	// the epoch log, not in the head.
@@ -331,11 +330,10 @@ func (c *checkpointer) record(x []int, rep xfer.Report, transient bool) {
 }
 
 // save snapshots the session's durable state — the strategy's
-// serialized state machine, the transfer state, the consecutive
-// transient count — and hands it to the writer with a view of the
-// records: capped at its length, so a writer that appends to it
-// cannot reach the engine's next record.
-func (c *checkpointer) save(transients int) error {
+// serialized state machine and the transfer state — and hands it to
+// the writer with a view of the records: capped at its length, so a
+// writer that appends to it cannot reach the engine's next record.
+func (c *checkpointer) save() error {
 	if c.w == nil {
 		return nil
 	}
@@ -345,15 +343,14 @@ func (c *checkpointer) save(transients int) error {
 	}
 	n := len(c.records)
 	ck := &Checkpoint{
-		Version:    CheckpointVersion,
-		Tuner:      c.tuner,
-		Seed:       c.seed,
-		Start:      c.start,
-		Epochs:     n,
-		Transients: transients,
-		Transfer:   xfer.CaptureState(c.t),
-		Strategy:   raw,
-		Trace:      c.records[:n:n],
+		Version:  CheckpointVersion,
+		Tuner:    c.tuner,
+		Seed:     c.seed,
+		Start:    c.start,
+		Epochs:   n,
+		Transfer: xfer.CaptureState(c.t),
+		Strategy: raw,
+		Trace:    c.records[:n:n],
 	}
 	t0 := time.Now()
 	if err := c.w.Save(ck); err != nil {

@@ -10,10 +10,11 @@ import (
 )
 
 // FuzzLoadCheckpoint feeds arbitrary bytes through the checkpoint
-// loaders — as the head and as the epoch log beside it — and, when a
-// checkpoint is accepted, through every strategy's Restore. Corrupt or
-// truncated input must surface as an error — never a panic — and
-// anything accepted must satisfy the loader's invariants.
+// loaders — as the head and as the epoch log beside it — and resumes
+// every checkpoint they accept under the strategy name it carries, so
+// its log is replayed. Corrupt or truncated input must surface as an
+// error — never a panic — from the loader or the replay, and anything
+// accepted must satisfy the loader's invariants.
 func FuzzLoadCheckpoint(f *testing.F) {
 	// Seed the corpus with a real checkpoint in this build's layout and
 	// in the retired single-file one (version 2, trace inline: rejected
@@ -43,9 +44,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(``), []byte(nil))
 	// Learned-strategy checkpoints: a real rl-bandit state, and one
 	// whose prior holds a negative visit count, in this build's layout
-	// with the one epoch record their heads count, so that Restore sees
-	// them; then hostile variants in the retired layout — an
-	// out-of-grid arm, an overflowing Q-value.
+	// with the one epoch record their heads count, so that the replay
+	// runs it — the state is never read back; then hostile variants in
+	// the retired layout — an out-of-grid arm, an overflowing Q-value.
 	rec := `{"x":[2],"report":{"Start":0,"End":30,"Bytes":3e9,"Throughput":1e8}}` + "\n"
 	bandit := NewRLBandit(simCfg())
 	bandit.Propose()
@@ -80,8 +81,25 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"version":3,"epochs":9223372036854775807}`), []byte(rec))
 	f.Add([]byte(`{"version":3,"epochs":1,"trace":[{"x":[2]}]}`), []byte(rec))
 	f.Add([]byte(`{"version":3,"epochs":0}`), []byte(nil))
+	// Pairs whose logs replay: every cold name's, as a drained run with
+	// a transient last epoch writes them, cd-tuner's with a start of the
+	// wrong width, which ResolveStrategy refuses (replayed, it indexed
+	// past an empty vector), and model's with a hostile report.
+	var pairs map[string]struct{ Head, Log string }
+	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "parent_checkpoints.json"))
+	if err == nil {
+		err = json.Unmarshal(raw, &pairs)
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, name := range strategyNames() {
+		f.Add([]byte(pairs[name].Head), []byte(pairs[name].Log))
+	}
+	f.Add([]byte(`{"version":3,"tuner":"cd-tuner","seed":7,"start":[],"epochs":2,"transfer":{}}`), []byte("{\"x\":[]}\n{\"x\":[]}\n"))
+	f.Add([]byte(`{"version":3,"tuner":"model","seed":7,"epochs":1,"transfer":{}}`),
+		[]byte(`{"x":[2],"report":{"Start":-1e308,"End":1e308,"Throughput":-1e308,"BestCase":1e308,"Kernel":{"retrans_delta":-9,"stripes":[{}]}}}`+"\n"))
 
-	names := strategyNames()
 	f.Fuzz(func(t *testing.T, head, log []byte) {
 		path := filepath.Join(t.TempDir(), "ck.json")
 		if err := os.WriteFile(path, head, 0o644); err != nil {
@@ -105,17 +123,14 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if ck.Epochs != len(ck.Trace) {
 			t.Fatalf("loader accepted %d epochs with %d trace records", ck.Epochs, len(ck.Trace))
 		}
-		// An accepted checkpoint's strategy state must restore cleanly
-		// or error — arbitrary raw state must never panic a strategy.
-		if len(ck.Strategy) == 0 {
+		// An accepted checkpoint resumes or is refused; arbitrary
+		// records must never panic the strategy they are replayed into.
+		cfg := simCfg()
+		cfg.Resume = ck
+		s, start, err := ResolveStrategy(ck.Tuner, cfg)
+		if err != nil {
 			return
 		}
-		for _, name := range names {
-			s, err := NewStrategy(name, simCfg())
-			if err != nil {
-				t.Fatal(err)
-			}
-			_ = s.Restore(ck.Strategy)
-		}
+		_, _ = NewSessionRuntime(cfg.Session("", s, start, newFake(peaked(10))))
 	})
 }

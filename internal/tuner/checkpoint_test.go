@@ -220,7 +220,8 @@ func TestResumeRejectsMismatchedCheckpoint(t *testing.T) {
 
 // TestResumeDivergenceDetected: resuming with a changed configuration
 // makes the tuner propose a different vector than the checkpoint
-// recorded, which must fail loudly rather than corrupt the trace.
+// recorded, which the replay every resume runs must refuse loudly
+// rather than corrupt the trace.
 func TestResumeDivergenceDetected(t *testing.T) {
 	ck := &Checkpoint{
 		Version: CheckpointVersion,
@@ -233,7 +234,6 @@ func TestResumeDivergenceDetected(t *testing.T) {
 	}
 	cfg := cfg1D(100) // Start {2}: the static tuner proposes {2}, not {5}
 	cfg.Resume = ck
-	cfg.ValidateResume = true
 	_, err := Run(context.Background(), "default", cfg, newFake(peaked(10)))
 	if err == nil {
 		t.Fatal("diverged resume did not fail")

@@ -62,19 +62,18 @@ func (c Config) Session(id string, s Strategy, start []int, t xfer.Transferer) (
 			History:              c.History,
 			PreserveOnCancel:     true,
 		}, FleetSession{
-			ID:             id,
-			Name:           id,
-			Strategy:       s,
-			Transfers:      []xfer.Transferer{t},
-			Maps:           []ParamMap{c.Map},
-			Checkpoint:     c.Checkpoint,
-			Seed:           c.Seed,
-			Start:          start,
-			HistoryKey:     c.HistoryKey,
-			Resume:         c.Resume,
-			obs:            c.Obs,
-			drain:          c.Drain,
-			validateResume: c.ValidateResume,
-			bestCase:       c.ObserveBestCase,
+			ID:         id,
+			Name:       id,
+			Strategy:   s,
+			Transfers:  []xfer.Transferer{t},
+			Maps:       []ParamMap{c.Map},
+			Checkpoint: c.Checkpoint,
+			Seed:       c.Seed,
+			Start:      start,
+			HistoryKey: c.HistoryKey,
+			Resume:     c.Resume,
+			obs:        c.Obs,
+			drain:      c.Drain,
+			bestCase:   c.ObserveBestCase,
 		}
 }

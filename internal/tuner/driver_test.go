@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"context"
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -70,11 +69,11 @@ func strategyNames() []string {
 }
 
 // countingStrategy wraps a Strategy and counts the protocol calls, so
-// a test can prove how a resumed session rebuilt the state: one Restore
-// and zero replayed Proposes for the direct path.
+// a test can prove how a resumed session rebuilt the state: one
+// replayed Propose and Observe per recorded epoch.
 type countingStrategy struct {
 	Strategy
-	proposes, observes, restores int
+	proposes, observes int
 }
 
 func (c *countingStrategy) Propose() ([]int, bool) {
@@ -87,16 +86,12 @@ func (c *countingStrategy) Observe(rep xfer.Report) {
 	c.Strategy.Observe(rep)
 }
 
-func (c *countingStrategy) Restore(raw json.RawMessage) error {
-	c.restores++
-	return c.Strategy.Restore(raw)
-}
-
-// TestDirectResumeSkipsReplay is the O(1)-resume property: for every
-// strategy, a run interrupted after k epochs resumes by deserializing
-// the checkpointed strategy state directly — exactly one Restore, no
-// replayed proposals — and still produces the uninterrupted trace.
-func TestDirectResumeSkipsReplay(t *testing.T) {
+// TestResumeReplaysEveryStrategy is the resume property for every
+// strategy: a run interrupted after k epochs resumes by replaying its
+// k recorded epochs through a freshly resolved strategy — k Proposes
+// and Observes before the live epochs' — and produces the
+// uninterrupted trace.
+func TestResumeReplaysEveryStrategy(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
 	for _, c := range strategyCases() {
@@ -138,8 +133,8 @@ func TestDirectResumeSkipsReplay(t *testing.T) {
 			}
 
 			// Resume on the same live transfer with a counting wrapper:
-			// the trace must match the reference, via exactly one Restore
-			// and only the live epochs' Proposes — no replay.
+			// the trace must match the reference, via the k replayed
+			// epochs and then the live ones.
 			rcfg := simCfg()
 			rcfg.Resume = last
 			rcfg, rs, start := c.resolve(t, rcfg)
@@ -152,61 +147,10 @@ func TestDirectResumeSkipsReplay(t *testing.T) {
 				t.Fatalf("resumed trace diverged from reference:\n got %+v\nwant %+v",
 					resumed.Results, ref.Results)
 			}
-			liveEpochs := len(ref.Results) - interruptAfter
-			if cs.restores != 1 {
-				t.Fatalf("resume called Restore %d times, want 1", cs.restores)
-			}
-			if cs.proposes != liveEpochs {
-				t.Fatalf("resume called Propose %d times, want %d (replay would add %d)",
-					cs.proposes, liveEpochs, interruptAfter)
-			}
-			if cs.observes != liveEpochs {
-				t.Fatalf("resume called Observe %d times, want %d", cs.observes, liveEpochs)
-			}
-		})
-	}
-}
-
-// TestSnapshotRestoreRoundTrip: after any number of observed epochs,
-// Snapshot into a fresh identically-configured strategy — built, as a
-// resume builds it, under the original's seed and start — must continue
-// with exactly the proposals the original produces.
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	const seed = 11
-	for _, c := range strategyCases() {
-		t.Run(c.label(), func(t *testing.T) {
-			cfg := simCfg()
-			cfg.Budget = 100 // 20 epochs: deep enough to cross phases
-			cfg, orig, start := c.resolve(t, cfg)
-			cfg.Resume = &Checkpoint{Tuner: c.name, Seed: cfg.Seed, Start: start}
-			tr := simTransfer(t, seed)
-			defer tr.Stop()
-			ctx := context.Background()
-			for epoch := 0; epoch < 20; epoch++ {
-				x, done := orig.Propose()
-				if done {
-					break
-				}
-				rep, err := tr.Run(ctx, cfg.Map(x), cfg.Epoch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				orig.Observe(rep)
-
-				raw, err := orig.Snapshot()
-				if err != nil {
-					t.Fatalf("epoch %d: snapshot: %v", epoch, err)
-				}
-				_, clone, _ := c.resolve(t, cfg)
-				if err := clone.Restore(raw); err != nil {
-					t.Fatalf("epoch %d: restore: %v", epoch, err)
-				}
-				ox, od := orig.Propose()
-				cx, cd := clone.Propose()
-				if od != cd || !reflect.DeepEqual(ox, cx) {
-					t.Fatalf("epoch %d: restored clone proposes (%v,%v), original (%v,%v)",
-						epoch, cx, cd, ox, od)
-				}
+			want := len(ref.Results) // interruptAfter replayed, the rest live
+			if cs.proposes != want || cs.observes != want {
+				t.Fatalf("resume called Propose %d and Observe %d times, want %d each (%d replayed, %d live)",
+					cs.proposes, cs.observes, want, interruptAfter, len(ref.Results)-interruptAfter)
 			}
 		})
 	}

@@ -225,7 +225,9 @@ func TestRuntimeCancelBeforeStepConsumesNoProposal(t *testing.T) {
 // TestRuntimeResumedSpentRunsNoEpoch: a session that is resumed with
 // nothing left to do — its budget already used up, or its transfer
 // already finished — ends cleanly in its first Step without asking the
-// strategy for anything or running an epoch.
+// strategy for anything or running an epoch. The resume itself replays
+// the recorded epochs, so proposals are counted from the built
+// runtime on.
 func TestRuntimeResumedSpentRunsNoEpoch(t *testing.T) {
 	cfg := cfg1D(60)
 	var last *Checkpoint
@@ -257,13 +259,14 @@ func TestRuntimeResumedSpentRunsNoEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			replayed := s.proposes
 			info := rt.Step(context.Background())
 			if !info.Done || info.Err != nil {
 				t.Fatalf("first Step returned %+v, want a clean end", info)
 			}
-			if rt.Epochs() != last.Epochs || f.runs != 0 || s.proposes != 0 {
+			if rt.Epochs() != last.Epochs || f.runs != 0 || s.proposes != replayed {
 				t.Fatalf("spent session ran on: %d epochs (resumed at %d), %d runs, %d proposals",
-					rt.Epochs(), last.Epochs, f.runs, s.proposes)
+					rt.Epochs(), last.Epochs, f.runs, s.proposes-replayed)
 			}
 		})
 	}

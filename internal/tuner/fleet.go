@@ -98,12 +98,14 @@ type FleetSession struct {
 	// key, or one session's record would overwrite another's identity.
 	HistoryKey history.Key
 	// Resume, when non-nil, restores the session mid-trajectory from a
-	// prior checkpoint before the first round: the strategy state is
-	// deserialized directly (O(1), no epoch is replayed), the recorded
+	// prior checkpoint before the first round: the checkpoint's epoch
+	// log is replayed through Strategy, which must be freshly built
+	// under the checkpoint's Seed and Start, and every proposal is
+	// verified against the vector the log recorded; the recorded
 	// epochs are preloaded into the trace and byte account, and the
-	// transient-failure counter is restored. The checkpoint must match
-	// the session's strategy name; only single-transfer sessions
-	// support resumption.
+	// transient-failure counter is recounted from them. The replay
+	// emits no events. The checkpoint must match the session's
+	// strategy name; only single-transfer sessions support resumption.
 	Resume *Checkpoint
 
 	// The rest is what Config.Session hands down from a Config, which
@@ -114,9 +116,6 @@ type FleetSession struct {
 	// drain is Config.Drain: once closed, the session ends with
 	// ErrInterrupted at the next round boundary.
 	drain <-chan struct{}
-	// validateResume is Config.ValidateResume: Resume rebuilds the
-	// strategy by replay instead of deserializing it.
-	validateResume bool
 	// bestCase is Config.ObserveBestCase, for the Observe event's delta
 	// (the strategy applies it to its own objective itself).
 	bestCase bool
@@ -470,11 +469,12 @@ func (s *fleetSession) overBudget() bool {
 
 // resume restores the session from a prior checkpoint before its first
 // round: validate the checkpoint against the strategy, adopt its seed
-// and start, rebuild the strategy state — deserialized directly, or replayed under
-// validateResume — and preload the recorded epochs into the trace, the
-// byte account, and the checkpoint record, so later checkpoints carry
-// the full trajectory and Bytes counts cumulatively across
-// incarnations.
+// and start, replay its epoch log through the strategy with the
+// session's observation muted — those epochs were reported by the
+// incarnation that ran them — and preload the recorded epochs into the
+// trace, the byte account, and the checkpoint record, so later
+// checkpoints carry the full trajectory and Bytes counts cumulatively
+// across incarnations.
 func (s *fleetSession) resume(ck *Checkpoint) error {
 	if ck.Version != CheckpointVersion {
 		return fmt.Errorf("resume: checkpoint version %d, this build reads %d", ck.Version, CheckpointVersion)
@@ -489,18 +489,10 @@ func (s *fleetSession) resume(ck *Checkpoint) error {
 	if len(ck.Trace) == 0 {
 		return nil
 	}
-	switch {
-	case s.spec.validateResume:
-		if err := s.replay(ck); err != nil {
-			return err
-		}
-	case len(ck.Strategy) == 0:
-		return errors.New("resume: checkpoint has no strategy state; set ValidateResume to rebuild it by replay")
-	default:
-		if err := s.spec.Strategy.Restore(ck.Strategy); err != nil {
-			return fmt.Errorf("resume: %w", err)
-		}
-		s.transients = ck.Transients
+	var err error
+	s.obs.Muted(func() { err = s.replay(ck) })
+	if err != nil {
+		return err
 	}
 	for _, rec := range ck.Trace {
 		s.ckpt.record(rec.X, rec.Report, rec.Transient)
@@ -514,8 +506,9 @@ func (s *fleetSession) resume(ck *Checkpoint) error {
 
 // replay rebuilds the strategy state and the transient count by feeding
 // the recorded reports through the fresh strategy, verifying that each
-// proposal matches the vector the original run recorded — the opt-in
-// divergence check for resumes whose configuration may have drifted.
+// proposal matches the vector the original run recorded: a checkpoint
+// this build, or this configuration, does not reproduce is refused
+// rather than continued from a state it never reached.
 func (s *fleetSession) replay(ck *Checkpoint) error {
 	for epoch, rec := range ck.Trace {
 		x, fin := s.spec.Strategy.Propose()
@@ -681,7 +674,7 @@ func (s *fleetSession) record(jobs []*fleetJob, transient bool) (done bool) {
 
 // save writes the session's checkpoint; without a writer it is a no-op.
 func (s *fleetSession) save() error {
-	if err := s.ckpt.save(s.transients); err != nil {
+	if err := s.ckpt.save(); err != nil {
 		return fmt.Errorf("tuner: session %q: %w", s.id, err)
 	}
 	return nil

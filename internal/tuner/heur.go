@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"dstune/internal/ivec"
 	"dstune/internal/xfer"
@@ -102,26 +101,6 @@ func (h *Heur1Strategy) Observe(rep xfer.Report) {
 // Snapshot implements Strategy.
 func (h *Heur1Strategy) Snapshot() (json.RawMessage, error) { return json.Marshal(h.st) }
 
-// Restore implements Strategy.
-func (h *Heur1Strategy) Restore(raw json.RawMessage) error {
-	var st Heur1State
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: heur1 state: %w", err)
-	}
-	dim := h.cfg.Box.Dim()
-	if st.Phase != heurPhaseStart && st.Phase != heurPhaseLoop {
-		return fmt.Errorf("tuner: heur1 state has unknown phase %q", st.Phase)
-	}
-	if len(st.Next) != dim || (st.Phase == heurPhaseLoop && len(st.X) != dim) {
-		return fmt.Errorf("tuner: heur1 state vectors do not match box dim %d", dim)
-	}
-	if st.Rotation.Dim < 0 || st.Rotation.Dim >= dim || st.Rotation.Stalls < 0 {
-		return fmt.Errorf("tuner: heur1 state rotation %+v out of range", st.Rotation)
-	}
-	h.st = st
-	return nil
-}
-
 // Heur2State is the serializable state of heur2.
 type Heur2State struct {
 	// Phase is the tuner phase: climb or hold.
@@ -203,28 +182,6 @@ func (h *Heur2Strategy) Observe(rep xfer.Report) {
 
 // Snapshot implements Strategy.
 func (h *Heur2Strategy) Snapshot() (json.RawMessage, error) { return json.Marshal(h.st) }
-
-// Restore implements Strategy.
-func (h *Heur2Strategy) Restore(raw json.RawMessage) error {
-	var st Heur2State
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: heur2 state: %w", err)
-	}
-	dim := h.cfg.Box.Dim()
-	switch st.Phase {
-	case heurPhaseStart, heurPhaseClimb, heurPhaseHold:
-	default:
-		return fmt.Errorf("tuner: heur2 state has unknown phase %q", st.Phase)
-	}
-	if len(st.Next) != dim || (st.Phase != heurPhaseStart && len(st.X) != dim) {
-		return fmt.Errorf("tuner: heur2 state vectors do not match box dim %d", dim)
-	}
-	if st.Dim < 0 || st.Dim > dim {
-		return fmt.Errorf("tuner: heur2 state dim %d out of range", st.Dim)
-	}
-	h.st = st
-	return nil
-}
 
 // bump moves coordinate dim of x by d within bounds.
 func bump(cfg Config, x []int, dim, d int) []int {

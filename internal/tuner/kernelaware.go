@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"dstune/internal/xfer"
 )
@@ -101,25 +100,4 @@ func (s *KernelAwareStrategy) Snapshot() (json.RawMessage, error) {
 	st := s.st
 	st.Inner = raw
 	return json.Marshal(st)
-}
-
-// Restore implements Strategy: the wrapper's own state is validated,
-// then the inner strategy restores the snapshot's inner state.
-func (s *KernelAwareStrategy) Restore(raw json.RawMessage) error {
-	var st KernelAwareState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: %s state: %w", s.Name(), err)
-	}
-	if len(st.Inner) == 0 {
-		return fmt.Errorf("tuner: %s state has no inner strategy state", s.Name())
-	}
-	if st.Damped < 0 || st.Damped > kernelDampCap {
-		return fmt.Errorf("tuner: %s state damp count %d out of range", s.Name(), st.Damped)
-	}
-	if err := s.inner.Restore(st.Inner); err != nil {
-		return err
-	}
-	st.Inner = nil
-	s.st = st
-	return nil
 }

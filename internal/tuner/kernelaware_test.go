@@ -177,45 +177,52 @@ func TestKernelAwareRecoveryKeepsBaseline(t *testing.T) {
 	}
 }
 
-// TestKernelAwareSnapshotRoundTrip: a mid-damp snapshot restores into
-// an identically configured strategy with the damp count, baseline,
-// and inner search state intact.
+// logging wraps a Strategy and logs every epoch it plays — the
+// proposal and the report it observed — as a checkpoint's epoch log.
+type logging struct {
+	Strategy
+	x   []int
+	log []EpochRecord
+}
+
+func (l *logging) Propose() ([]int, bool) {
+	x, done := l.Strategy.Propose()
+	l.x = x
+	return x, done
+}
+
+func (l *logging) Observe(rep xfer.Report) {
+	l.log = append(l.log, EpochRecord{X: l.x, Report: rep})
+	l.Strategy.Observe(rep)
+}
+
+// TestKernelAwareSnapshotRoundTrip: a checkpoint whose log ends in a
+// damped dip resumes mid-damp — the replay rebuilds the damp count, the
+// baseline and the inner search, so the resumed wrapper proposes what
+// the original would and damps exactly one more epoch.
 func TestKernelAwareSnapshotRoundTrip(t *testing.T) {
-	s := kernelAwareCS(kernelCfg(nil))
+	cfg := kernelCfg(nil)
+	s := &logging{Strategy: kernelAwareCS(cfg)}
 	const base = 100e6
 	incumbent := settle(t, s, base)
 	s.Observe(xfer.Report{Throughput: base / 2, BestCase: base / 2, Kernel: &xfer.KernelStats{RetransDelta: 1}})
-	raw, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	r := kernelAwareCS(kernelCfg(nil))
-	if err := r.Restore(raw); err != nil {
+	r := kernelAwareCS(cfg)
+	ck := &Checkpoint{Version: CheckpointVersion, Tuner: r.Name(), Seed: cfg.Seed, Epochs: len(s.log), Trace: s.log}
+	if _, err := NewSessionRuntime(FleetConfig{Epoch: cfg.Epoch}, FleetSession{
+		Strategy: r, Transfers: []xfer.Transferer{newFake(peaked(10))}, Maps: []ParamMap{cfg.Map}, Resume: ck,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if r.Damped() != 1 {
-		t.Fatalf("restored Damped() = %d, want 1", r.Damped())
+		t.Fatalf("resumed Damped() = %d, want 1", r.Damped())
 	}
 	if x, _ := r.Propose(); !reflect.DeepEqual(x, incumbent) {
-		t.Fatalf("restored proposal = %v, want %v", x, incumbent)
+		t.Fatalf("resumed proposal = %v, want %v", x, incumbent)
 	}
-	// The restored wrapper damps exactly one more epoch, like the
-	// original would.
 	r.Observe(xfer.Report{Throughput: base / 2, BestCase: base / 2, Kernel: &xfer.KernelStats{RetransDelta: 1}})
 	if r.Damped() != 2 {
-		t.Fatalf("restored wrapper Damped() = %d after second dip, want 2", r.Damped())
-	}
-
-	// Garbage and truncated states are rejected.
-	if err := r.Restore([]byte("{")); err == nil {
-		t.Fatal("garbage state accepted")
-	}
-	if err := r.Restore([]byte(`{"last":1,"armed":true,"damped":0}`)); err == nil {
-		t.Fatal("state without inner accepted")
-	}
-	if err := r.Restore([]byte(`{"last":1,"armed":true,"damped":9,"inner":{}}`)); err == nil {
-		t.Fatal("out-of-range damp count accepted")
+		t.Fatalf("resumed wrapper Damped() = %d after second dip, want 2", r.Damped())
 	}
 }
 

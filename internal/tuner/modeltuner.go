@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"dstune/internal/ivec"
 	"dstune/internal/model"
@@ -173,29 +172,3 @@ func (m *ModelStrategy) fit() int {
 
 // Snapshot implements Strategy.
 func (m *ModelStrategy) Snapshot() (json.RawMessage, error) { return json.Marshal(m.st) }
-
-// Restore implements Strategy.
-func (m *ModelStrategy) Restore(raw json.RawMessage) error {
-	var st ModelState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: model state: %w", err)
-	}
-	switch st.Phase {
-	case modelPhaseSample:
-		if st.Idx < 0 || st.Idx >= len(m.points) {
-			return fmt.Errorf("tuner: model state sample index %d out of range (have %d points)", st.Idx, len(m.points))
-		}
-		if len(st.Ns) != st.Idx || len(st.Th) != st.Idx {
-			return fmt.Errorf("tuner: model state has %d/%d samples at index %d", len(st.Ns), len(st.Th), st.Idx)
-		}
-	case modelPhaseHold:
-	default:
-		return fmt.Errorf("tuner: model state has unknown phase %q", st.Phase)
-	}
-	if len(st.Next) != m.cfg.Box.Dim() {
-		return fmt.Errorf("tuner: model state next has %d dims, box has %d", len(st.Next), m.cfg.Box.Dim())
-	}
-	st.Monitor.Tolerance = m.cfg.Tolerance
-	m.st = st
-	return nil
-}

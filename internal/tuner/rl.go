@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 
 	"dstune/internal/directsearch"
@@ -68,12 +67,6 @@ func rlContext(fit float64, lossy bool) int {
 // kernel sample, so the flag simply stays false there.
 func rlLossy(rep xfer.Report) bool {
 	return rep.Kernel != nil && rep.Kernel.RetransDelta > 0
-}
-
-// rlFinite reports whether f is an ordinary float (no NaN, no ±Inf) —
-// the invariant every restored value estimate must satisfy.
-func rlFinite(f float64) bool {
-	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 // rlArms builds the bandit's action grid: per dimension a geometric
@@ -296,68 +289,4 @@ func (s *RLBanditStrategy) Snapshot() (json.RawMessage, error) {
 	}
 	st.RNG = rng
 	return json.Marshal(st)
-}
-
-// Restore implements Strategy. Hostile state — wrong table shapes,
-// non-finite value estimates, negative visit counts, an out-of-grid
-// pending arm — is rejected with an error, never a panic; an entirely
-// empty state restores as a fresh strategy.
-func (s *RLBanditStrategy) Restore(raw json.RawMessage) error {
-	var st RLBanditState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: rl-bandit state: %w", err)
-	}
-	nArms := len(s.arms)
-	if st.Step < 0 {
-		return fmt.Errorf("tuner: rl-bandit state has negative step %d", st.Step)
-	}
-	if st.Pending < 0 || st.Pending >= nArms {
-		return fmt.Errorf("tuner: rl-bandit state pending arm %d outside grid of %d", st.Pending, nArms)
-	}
-	if st.Ctx < 0 || st.Ctx >= rlNumContexts {
-		return fmt.Errorf("tuner: rl-bandit state context %d outside [0,%d)", st.Ctx, rlNumContexts)
-	}
-	if st.Q == nil && st.N == nil && st.G == nil && st.GN == nil {
-		st.Q = rlZeroTable(nArms)
-		st.N = rlZeroCounts(nArms)
-		st.G = make([]float64, nArms)
-		st.GN = make([]int, nArms)
-	} else {
-		if len(st.Q) != rlNumContexts || len(st.N) != rlNumContexts {
-			return fmt.Errorf("tuner: rl-bandit state has %d/%d contexts, want %d", len(st.Q), len(st.N), rlNumContexts)
-		}
-		for c := range st.Q {
-			if len(st.Q[c]) != nArms || len(st.N[c]) != nArms {
-				return fmt.Errorf("tuner: rl-bandit state context %d has %d/%d arms, grid has %d", c, len(st.Q[c]), len(st.N[c]), nArms)
-			}
-			for a := range st.Q[c] {
-				if !rlFinite(st.Q[c][a]) {
-					return fmt.Errorf("tuner: rl-bandit state q[%d][%d] is not finite", c, a)
-				}
-				if st.N[c][a] < 0 {
-					return fmt.Errorf("tuner: rl-bandit state n[%d][%d] is negative", c, a)
-				}
-			}
-		}
-		if len(st.G) != nArms || len(st.GN) != nArms {
-			return fmt.Errorf("tuner: rl-bandit state prior has %d/%d arms, grid has %d", len(st.G), len(st.GN), nArms)
-		}
-		for a := range st.G {
-			if !rlFinite(st.G[a]) {
-				return fmt.Errorf("tuner: rl-bandit state g[%d] is not finite", a)
-			}
-			if st.GN[a] < 0 {
-				return fmt.Errorf("tuner: rl-bandit state gn[%d] is negative", a)
-			}
-		}
-	}
-	rng := sim.NewRNG(s.cfg.Seed)
-	if len(st.RNG) > 0 {
-		if err := rng.UnmarshalBinary(st.RNG); err != nil {
-			return fmt.Errorf("tuner: rl-bandit state rng: %w", err)
-		}
-	}
-	s.st = st
-	s.rng = rng
-	return nil
 }

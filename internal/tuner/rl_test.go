@@ -225,100 +225,6 @@ func TestRLBanditGrid(t *testing.T) {
 	}
 }
 
-// FuzzRLRestore feeds arbitrary bytes through rl-bandit's Restore
-// (bare and wrapped): hostile state — NaN or infinite Q-values,
-// out-of-grid arms, truncated or mis-shaped tables — must error, never
-// panic, and any accepted state must propose an in-box vector and
-// snapshot cleanly into a second strategy.
-func FuzzRLRestore(f *testing.F) {
-	names := []string{"rl-bandit", "kernel-aware:rl-bandit"}
-	// Real snapshots, bare and wrapped, after a few observed epochs.
-	var bandit []byte
-	for _, name := range names {
-		s, err := NewStrategy(name, simCfg())
-		if err != nil {
-			f.Fatal(err)
-		}
-		rep := xfer.Report{Start: 0, End: 5, Bytes: 5e8, Throughput: 2.5e8, BestCase: 2.6e8}
-		for i := 0; i < 4; i++ {
-			s.Propose()
-			s.Observe(rep)
-			rep.Start, rep.End = rep.End, rep.End+5
-			rep.Throughput *= 1.3
-		}
-		raw, err := s.Snapshot()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add([]byte(raw))
-		f.Add([]byte(raw[:len(raw)/2]))
-		if bandit == nil {
-			bandit = raw
-		}
-	}
-	// Hand-built hostile states.
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`{"step":-1}`))
-	f.Add([]byte(`{"ctx":-3}`))
-	f.Add([]byte(`{"ctx":9999}`))
-	f.Add([]byte(`{"pending":64,"q":[[0]],"n":[[0]]}`))
-	f.Add([]byte(`{"q":[[1e999]]}`))
-	f.Add([]byte(`{"rng":"AAAA"}`))
-	// The real bare state one defect away from valid, each defect
-	// reaching a table check the shape-free seeds above stop short of.
-	for _, spoil := range []func(st *RLBanditState){
-		func(st *RLBanditState) { st.Q = st.Q[:1] },
-		func(st *RLBanditState) { st.N[3] = st.N[3][:2] },
-		func(st *RLBanditState) { st.N[5][1] = -7 },
-		func(st *RLBanditState) { st.G = st.G[:3] },
-		func(st *RLBanditState) { st.GN[0] = -1 },
-		func(st *RLBanditState) { st.Q[7] = append(st.Q[7], 0) },
-	} {
-		var st RLBanditState
-		if err := json.Unmarshal(bandit, &st); err != nil {
-			f.Fatal(err)
-		}
-		spoil(&st)
-		raw, err := json.Marshal(st)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(raw)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, name := range names {
-			cfg := simCfg()
-			s, err := NewStrategy(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Restore(data); err != nil {
-				continue // rejected input is fine; panics are not
-			}
-			x, done := s.Propose()
-			if done {
-				t.Fatalf("%s: restored state proposes done", name)
-			}
-			if len(x) != cfg.Box.Dim() || !cfg.Box.Contains(x) {
-				t.Fatalf("%s: restored state proposes %v outside box", name, x)
-			}
-			raw, err := s.Snapshot()
-			if err != nil {
-				t.Fatalf("%s: snapshot after accepted restore: %v", name, err)
-			}
-			clone, err := NewStrategy(name, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := clone.Restore(raw); err != nil {
-				t.Fatalf("%s: snapshot of accepted state rejected: %v", name, err)
-			}
-		}
-	})
-}
-
 // BenchmarkRLPropose measures the learned strategy's hot path: one
 // Propose plus one Observe per epoch, including the value update and
 // the next arm choice.

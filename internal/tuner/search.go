@@ -181,65 +181,3 @@ func (s *SearchStrategy) Snapshot() (json.RawMessage, error) {
 	}
 	return json.Marshal(st)
 }
-
-// Restore implements Strategy.
-func (s *SearchStrategy) Restore(raw json.RawMessage) error {
-	var st SearchState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: %s state: %w", s.kind, err)
-	}
-	rng := sim.NewRNG(s.cfg.Seed)
-	if len(st.RNG) > 0 {
-		if err := rng.UnmarshalBinary(st.RNG); err != nil {
-			return fmt.Errorf("tuner: %s state rng: %w", s.kind, err)
-		}
-	}
-	var srch directsearch.Searcher
-	switch st.Phase {
-	case searchPhaseSearch:
-		var err error
-		srch, err = s.restoreSearch(st, rng)
-		if err != nil {
-			return err
-		}
-	case searchPhaseMonitor:
-		if len(st.X) != s.cfg.Box.Dim() {
-			return fmt.Errorf("tuner: %s state incumbent has %d dims, box has %d", s.kind, len(st.X), s.cfg.Box.Dim())
-		}
-	default:
-		return fmt.Errorf("tuner: %s state has unknown phase %q", s.kind, st.Phase)
-	}
-	st.Monitor.Tolerance = s.cfg.Tolerance
-	s.phase = st.Phase
-	s.x = st.X
-	s.monitor = st.Monitor
-	s.rng = rng
-	s.srch = srch
-	return nil
-}
-
-// restoreSearch rebuilds the in-flight inner search from its
-// serialized state, enforcing the advance invariant: a search-phase
-// snapshot always carries a pending candidate.
-func (s *SearchStrategy) restoreSearch(st SearchState, rng *sim.RNG) (directsearch.Searcher, error) {
-	switch s.kind {
-	case searchKindNM:
-		if st.NM == nil {
-			return nil, fmt.Errorf("tuner: %s state is mid-search but has no nm state", s.kind)
-		}
-		if !st.NM.Pending.Set {
-			return nil, fmt.Errorf("tuner: %s state is mid-search with no pending candidate", s.kind)
-		}
-		return directsearch.NewNelderMeadFromState(*st.NM, s.cfg.Box, directsearch.NMConfig{InitStep: s.cfg.Lambda})
-	default:
-		if st.Compass == nil {
-			return nil, fmt.Errorf("tuner: %s state is mid-search but has no compass state", s.kind)
-		}
-		if !st.Compass.Pending.Set {
-			return nil, fmt.Errorf("tuner: %s state is mid-search with no pending candidate", s.kind)
-		}
-		return directsearch.NewCompassFromState(*st.Compass, s.cfg.Box, directsearch.CompassConfig{
-			Lambda: s.cfg.Lambda,
-		}, rng)
-	}
-}

@@ -15,16 +15,15 @@ import (
 // epoch's report and advances the state. The epoch engine behind
 // Run, Fleet and SessionRuntime owns everything else — the loop,
 // pacing, budget, transient-failure counting, and checkpointing — so
-// one process can step many strategies concurrently and a checkpoint
-// can serialize a strategy mid-flight.
+// one process can step many strategies concurrently.
 //
 // Protocol: Propose, run the epoch, Observe, repeat. Propose is
 // idempotent — calling it again before Observe returns the same
 // vector — and must be called at least once before the first Observe.
 // A strategy's state after k Observe calls is a deterministic function
-// of its configuration and the k observed reports; Snapshot/Restore
-// round-trip that state exactly, which is what makes O(1) resume
-// equivalent to replaying the recorded epochs.
+// of its configuration and the k observed reports, which is what lets
+// a resume rebuild it by replaying a checkpoint's epoch log into a
+// strategy built under the same configuration.
 type Strategy interface {
 	// Name returns the strategy's conventional name, e.g. "cs-tuner".
 	Name() string
@@ -37,11 +36,9 @@ type Strategy interface {
 	// so the ε-monitor re-triggers naturally once the transfer
 	// recovers.
 	Observe(rep xfer.Report)
-	// Snapshot returns the strategy's complete serializable state.
+	// Snapshot returns the strategy's complete serializable state, as
+	// checkpoints carry it for inspection.
 	Snapshot() (json.RawMessage, error)
-	// Restore replaces the strategy's state with a Snapshot taken from
-	// an identically configured strategy, validating it first.
-	Restore(raw json.RawMessage) error
 }
 
 // strategyRow is one line of the registry.
@@ -162,6 +159,9 @@ func warmStart(cfg Config) []int {
 func ResolveStrategy(name string, cfg Config) (Strategy, []int, error) {
 	var start []int
 	if ck := cfg.Resume; ck != nil {
+		if ck.Start != nil && len(ck.Start) != cfg.Box.Dim() {
+			return nil, nil, fmt.Errorf("tuner: checkpoint start %v has %d dims, box has %d", ck.Start, len(ck.Start), cfg.Box.Dim())
+		}
 		name, cfg.Seed, start = ck.Tuner, ck.Seed, ck.Start
 	} else {
 		start = warmStart(cfg)
@@ -329,16 +329,3 @@ func (s *StaticStrategy) Observe(xfer.Report) {}
 
 // Snapshot implements Strategy.
 func (s *StaticStrategy) Snapshot() (json.RawMessage, error) { return json.Marshal(s.st) }
-
-// Restore implements Strategy.
-func (s *StaticStrategy) Restore(raw json.RawMessage) error {
-	var st StaticState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: static state: %w", err)
-	}
-	if len(st.X) != s.cfg.Box.Dim() {
-		return fmt.Errorf("tuner: static state has %d dims, box has %d", len(st.X), s.cfg.Box.Dim())
-	}
-	s.st = st
-	return nil
-}

@@ -161,21 +161,16 @@ type Config struct {
 	// resumed later. See FileCheckpoint for the durable file form.
 	Checkpoint CheckpointWriter
 	// Resume, when non-nil, continues the run recorded in the
-	// checkpoint instead of starting fresh: the strategy's serialized
-	// state is deserialized directly — an O(1) continuation, no epoch
-	// is replayed — the recorded trace is preloaded, and live tuning
-	// continues mid-trajectory from the first unrecorded epoch. The
-	// checkpoint's seed overrides Seed, and its start, if it recorded
-	// one, Start. The transfer passed to Run
-	// must carry the checkpoint's remaining bytes and clock (see
-	// xfer.TransferState and Checkpoint.Transfer).
+	// checkpoint instead of starting fresh: the strategy is rebuilt by
+	// replaying the checkpoint's epoch log through it — each recorded
+	// proposal verified, a divergence refused as "resume diverged at
+	// epoch k", no event emitted — the recorded trace is preloaded, and
+	// live tuning continues mid-trajectory from the first unrecorded
+	// epoch. The checkpoint's seed overrides Seed, and its start, if it
+	// recorded one, Start. The transfer passed to Run must carry the
+	// checkpoint's remaining bytes and clock (see xfer.TransferState
+	// and Checkpoint.Transfer).
 	Resume *Checkpoint
-	// ValidateResume makes Resume rebuild the strategy by replaying
-	// the recorded reports through it instead of deserializing its
-	// state, verifying that every proposal matches what the checkpoint
-	// recorded — an opt-in divergence check for resumes whose
-	// configuration may have drifted since the checkpoint was written.
-	ValidateResume bool
 	// Drain, when non-nil, requests a graceful stop: once the channel
 	// is closed, tuning finishes the in-flight control epoch, writes a
 	// final checkpoint, leaves the transfer running, and returns

@@ -148,53 +148,3 @@ func (s *TwoPhaseStrategy) Snapshot() (json.RawMessage, error) {
 	st.Inner = raw
 	return json.Marshal(st)
 }
-
-// Restore implements Strategy.
-func (s *TwoPhaseStrategy) Restore(raw json.RawMessage) error {
-	var st TwoPhaseState
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return fmt.Errorf("tuner: two-phase state: %w", err)
-	}
-	dim := s.cfg.Box.Dim()
-	switch st.Phase {
-	case twoPhaseCoarse:
-		if len(st.Cands) == 0 {
-			return fmt.Errorf("tuner: two-phase state has no candidates")
-		}
-		for i, c := range st.Cands {
-			if len(c) != dim {
-				return fmt.Errorf("tuner: two-phase candidate %d has %d dims, box has %d", i, len(c), dim)
-			}
-		}
-		if len(st.Fits) >= len(st.Cands) {
-			return fmt.Errorf("tuner: two-phase state is coarse with %d of %d candidates already observed", len(st.Fits), len(st.Cands))
-		}
-		s.phase = twoPhaseCoarse
-		s.cands = st.Cands
-		s.fits = st.Fits
-		s.winner = nil
-		s.fine = nil
-		return nil
-	case twoPhaseFine:
-		if len(st.Winner) != dim {
-			return fmt.Errorf("tuner: two-phase winner has %d dims, box has %d", len(st.Winner), dim)
-		}
-		if len(st.Inner) == 0 {
-			return fmt.Errorf("tuner: two-phase state is fine but has no inner search state")
-		}
-		fcfg := s.cfg
-		fcfg.Start = s.cfg.Box.ClampInt(st.Winner)
-		fcfg.Lambda = fineLambda
-		fine := NewCSStrategy(fcfg)
-		if err := fine.Restore(st.Inner); err != nil {
-			return fmt.Errorf("tuner: two-phase fine search: %w", err)
-		}
-		s.phase = twoPhaseFine
-		s.winner = ivec.Clone(fcfg.Start)
-		s.fine = fine
-		s.cands = nil
-		s.fits = nil
-		return nil
-	}
-	return fmt.Errorf("tuner: two-phase state has unknown phase %q", st.Phase)
-}

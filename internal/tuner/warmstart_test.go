@@ -132,9 +132,8 @@ func TestTwoPhaseCoarseCandidates(t *testing.T) {
 // exactly — even when the history store has learned new (different)
 // records in between, because the adopted start travels in the
 // checkpoint beside the seed, never through a fresh lookup. The
-// checkpoint is the algorithm's own ("cs-tuner"), and resuming it by
-// replay (ValidateResume) rebuilds the same strategy from the same
-// start.
+// checkpoint is the algorithm's own ("cs-tuner"), and the replay that
+// resumes it rebuilds the same strategy from the same start.
 func TestWarmResumeMatchesUninterrupted(t *testing.T) {
 	const seed = 11
 	const interruptAfter = 3
@@ -182,40 +181,18 @@ func TestWarmResumeMatchesUninterrupted(t *testing.T) {
 			if ck.Tuner != "cs-tuner" || !reflect.DeepEqual(ck.Start, tc.start) {
 				t.Fatalf("checkpoint is %q started at %v, want cs-tuner at %v", ck.Tuner, ck.Start, tc.start)
 			}
-			// Replay first, on a fresh world: it runs the remaining epochs
-			// too, so it must not share the live transfer.
-			vcfg := simCfg()
-			vcfg.ValidateResume = true
-			replayed := mustWarmRun(t, vcfg, seed, store, ck, replayTransfer(t, seed, ck))
 			resumed := mustWarmRun(t, simCfg(), seed, store, ck, live)
-			for name, got := range map[string]*Trace{"resumed": resumed, "replayed": replayed} {
-				if len(got.Results) != len(ref.Results) {
-					t.Fatalf("%s run has %d epochs, reference has %d", name, len(got.Results), len(ref.Results))
-				}
-				for i := range ref.Results {
-					if !reflect.DeepEqual(got.Results[i], ref.Results[i]) {
-						t.Fatalf("%s: epoch %d diverged:\n got %+v\nwant %+v",
-							name, i, got.Results[i], ref.Results[i])
-					}
+			if len(resumed.Results) != len(ref.Results) {
+				t.Fatalf("resumed run has %d epochs, reference has %d", len(resumed.Results), len(ref.Results))
+			}
+			for i := range ref.Results {
+				if !reflect.DeepEqual(resumed.Results[i], ref.Results[i]) {
+					t.Fatalf("epoch %d diverged after resume:\n got %+v\nwant %+v",
+						i, resumed.Results[i], ref.Results[i])
 				}
 			}
 		})
 	}
-}
-
-// replayTransfer returns a fresh simulated world advanced through the
-// epochs ck recorded, so a run resumed from ck continues on it exactly
-// where the interrupted one stopped.
-func replayTransfer(t *testing.T, seed uint64, ck *Checkpoint) *xfer.Sim {
-	t.Helper()
-	tr := simTransfer(t, seed)
-	cfg := simCfg()
-	for _, rec := range ck.Trace {
-		if _, err := tr.Run(context.Background(), cfg.Map(rec.X), cfg.Epoch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return tr
 }
 
 // mustWarmRun runs the warm cs-tuner to completion on live (or a fresh
