@@ -260,19 +260,16 @@ func (h *Host) RestartTime(totalProcs int) float64 {
 // among demands d with weights w: alloc[i] = min(d[i], w[i]*level) with
 // level chosen so the capacity is exhausted, or alloc = d when total
 // demand fits. Its slices are scratch reused from round to round; as a
-// sort.Interface it orders idx by the level at which each demand
-// saturates.
+// sort.Interface it orders idx by sat, the level d[i]/w[i] at which each
+// demand saturates, computed once a round.
 type waterfill struct {
-	d, w, alloc []float64
-	idx         []int
+	d, w, alloc, sat []float64
+	idx              []int
 }
 
 func (wf *waterfill) Len() int { return len(wf.idx) }
 
-func (wf *waterfill) Less(a, b int) bool {
-	ia, ib := wf.idx[a], wf.idx[b]
-	return wf.d[ia]/wf.w[ia] < wf.d[ib]/wf.w[ib]
-}
+func (wf *waterfill) Less(a, b int) bool { return wf.sat[wf.idx[a]] < wf.sat[wf.idx[b]] }
 
 func (wf *waterfill) Swap(a, b int) { wf.idx[a], wf.idx[b] = wf.idx[b], wf.idx[a] }
 
@@ -283,11 +280,13 @@ func (wf *waterfill) run(c float64) []float64 {
 	n := len(d)
 	alloc := slices.Grow(wf.alloc[:0], n)[:n]
 	clear(alloc)
+	sat := slices.Grow(wf.sat[:0], n)[:n]
 	idx := slices.Grow(wf.idx[:0], n)[:n]
 	for i := range idx {
+		sat[i] = d[i] / w[i]
 		idx[i] = i
 	}
-	wf.alloc, wf.idx = alloc, idx
+	wf.alloc, wf.sat, wf.idx = alloc, sat, idx
 	// Ascending by the level at which each demand saturates.
 	sort.Sort(wf)
 

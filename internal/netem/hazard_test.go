@@ -362,12 +362,13 @@ func TestLossClockFiresAtHazard(t *testing.T) {
 
 // TestFlowSumsExact holds the sums a substep keeps by delta to a fresh
 // recompute after every Step of a seeded run of 10⁵ substeps: the stream
-// count not cooling down exactly, the window sums within 1e-9.
+// counts not cooling down and at the cap exactly, the window sums within
+// 1e-9.
 func TestFlowSumsExact(t *testing.T) {
 	for ci, tc := range equivCases {
 		choose := sim.NewRNG(uint64(300 + ci))
 		p := New(tc.cfg, sim.NewRNG(uint64(ci)))
-		substeps := 0
+		substeps, atCap := 0, false
 		for step := 0; substeps < 100_000; step++ {
 			mutatePath(choose, p)
 			dt := equivDTs[choose.IntN(len(equivDTs))]
@@ -375,13 +376,20 @@ func TestFlowSumsExact(t *testing.T) {
 			substeps += n
 			p.Step(dt)
 			for i, f := range p.flows {
-				cwnd, active, n := f.cwnd, f.active, f.nActive
+				cwnd, active, n, full := f.cwnd, f.active, f.nActive, f.full
 				f.resum()
 				if n != f.nActive || math.Abs(cwnd-f.cwnd) > 1e-9*f.cwnd || math.Abs(active-f.active) > 1e-9*f.cwnd {
 					t.Fatalf("%s: step %d flow %d: kept Σcwnd %v, active %v over %d streams; recomputed %v, %v over %d",
 						tc.name, step, i, cwnd, active, n, f.cwnd, f.active, f.nActive)
 				}
+				if full != f.full {
+					t.Fatalf("%s: step %d flow %d: kept %d streams at the cap, recomputed %d", tc.name, step, i, full, f.full)
+				}
+				atCap = atCap || full > 0
 			}
+		}
+		if atCap != (tc.cfg.MaxCwnd > 0) {
+			t.Errorf("%s: some stream reached the cap: %v, want %v", tc.name, atCap, tc.cfg.MaxCwnd > 0)
 		}
 	}
 }

@@ -23,6 +23,11 @@
 // random source — while the simulator draws a random number per loss,
 // not per stream and substep.
 //
+// A window at the path's MaxCwnd is a fixed point of every algorithm's
+// OnRTT, and only a loss moves it, so a substep passes over a stream at
+// the cap without advancing its round trip, and over a flow whose
+// streams are all at the cap and none cooling down without visiting it.
+//
 // All rates are bytes per second and times are seconds of virtual time.
 package netem
 
@@ -160,6 +165,7 @@ type Flow struct {
 	cwnd    float64 // Σcwnd
 	active  float64 // Σcwnd over streams not cooling down
 	nActive int     // streams not cooling down
+	full    int     // streams whose window is at the path's MaxCwnd
 
 	clock float64 // Exp(1) hazard left before the flow's next loss
 
@@ -188,14 +194,17 @@ func (p *Path) NewFlow(n int, alg tcpmodel.Algorithm) *Flow {
 // resum recomputes the flow's sums from its streams at the path's
 // current time. Step calls it on entry, so a new flow needs no other.
 func (f *Flow) resum() {
-	t := f.path.now + coolEps
-	f.cwnd, f.active, f.nActive = 0, 0, 0
+	t, maxCwnd := f.path.now+coolEps, f.path.cfg.MaxCwnd
+	f.cwnd, f.active, f.nActive, f.full = 0, 0, 0, 0
 	for i := range f.strs {
 		s := &f.strs[i]
 		f.cwnd += s.tcp.Cwnd
 		if s.coolUntil <= t {
 			f.active += s.tcp.Cwnd
 			f.nActive++
+		}
+		if s.tcp.Cwnd == maxCwnd {
+			f.full++
 		}
 	}
 }
@@ -364,6 +373,7 @@ func (p *Path) step(dt float64) {
 	tNext := t + dt
 	tCool, tNextCool := t+coolEps, tNext+coolEps
 	due := tNext - rtt // a round trip begun by then ends in this substep
+	maxCwnd := p.cfg.MaxCwnd
 	pathRate := 0.0
 	for _, f := range p.flows {
 		k := kPath
@@ -390,11 +400,19 @@ func (p *Path) step(dt float64) {
 		}
 
 		// What is left per stream: a window update when a round trip
-		// ends, and rejoining the hazard when a cool-down does.
-		alg, sum, active, nActive := f.alg, f.cwnd, f.active, f.nActive
+		// ends, and rejoining the hazard when a cool-down does. A window
+		// at the cap stays there until its next loss, and the loss
+		// restarts its round trip, so a stream at the cap has nothing to
+		// update and a flow of them with none cooling down has nothing
+		// left at all.
+		n := len(f.strs)
+		if f.full == n && f.nActive == n {
+			continue
+		}
+		alg, sum, active, nActive, full := f.alg, f.cwnd, f.active, f.nActive, f.full
 		for i := range f.strs {
 			s := &f.strs[i]
-			if s.rttFrom <= due {
+			if s.rttFrom <= due && s.tcp.Cwnd != maxCwnd {
 				w := s.tcp.Cwnd
 				s.tcp.SinceLoss = tNext - s.lossAt
 				for s.rttFrom <= due {
@@ -406,13 +424,16 @@ func (p *Path) step(dt float64) {
 				if s.coolUntil <= tCool {
 					active += d
 				}
+				if s.tcp.Cwnd == maxCwnd {
+					full++
+				}
 			}
 			if s.coolUntil > tCool && s.coolUntil <= tNextCool {
 				active += s.tcp.Cwnd
 				nActive++
 			}
 		}
-		f.cwnd, f.active, f.nActive = sum, active, nActive
+		f.cwnd, f.active, f.nActive, f.full = sum, active, nActive, full
 	}
 	p.lastTotal = pathRate
 	p.now = tNext
@@ -446,12 +467,18 @@ func (f *Flow) lose(hz, k, hc, rtt, t, dt float64) {
 				break
 			}
 		}
-		w := s.tcp.Cwnd
+		w, maxCwnd := s.tcp.Cwnd, f.path.cfg.MaxCwnd
 		f.active -= w
 		f.nActive--
+		if w == maxCwnd {
+			f.full--
+		}
 		s.tcp.MinRTT, s.tcp.MaxRTT = f.strs[0].tcp.MinRTT, f.strs[0].tcp.MaxRTT
 		f.alg.OnLoss(&s.tcp)
 		f.cwnd += s.tcp.Cwnd - w
+		if s.tcp.Cwnd == maxCwnd { // a cut can land on a small cap
+			f.full++
+		}
 		// TCP reacts at most once per RTT; when the step is coarser than
 		// the RTT, at most once per two steps so short-RTT paths are not
 		// cut on every step.

@@ -108,7 +108,12 @@ func (s *Stream) clamp() {
 type Algorithm interface {
 	// Name returns the algorithm's conventional name.
 	Name() string
-	// OnRTT advances the window after one round trip with no loss.
+	// OnRTT advances the window after one round trip with no loss. It
+	// never shrinks a window (slow start runs with Ssthresh +Inf) except
+	// to clamp it to MaxCwnd, so a window at MaxCwnd is a fixed point:
+	// OnRTT leaves it bit-identical, whatever the rest of the Stream
+	// holds. internal/netem skips the round trips of a stream at the cap
+	// on the strength of this.
 	OnRTT(s *Stream, rtt float64)
 	// OnLoss applies the multiplicative decrease for one congestion
 	// event.

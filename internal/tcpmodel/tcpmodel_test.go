@@ -321,3 +321,51 @@ func TestLossNeverBelowOneMSS(t *testing.T) {
 		}
 	}
 }
+
+// TestOnRTTFixedAtCap pins the contract internal/netem's substep stands
+// on: for every algorithm, a window at MaxCwnd comes back from OnRTT
+// bit-identical, with the rest of the stream, in every state a stream at
+// the cap can be in — slow start, after a loss, with CUBIC's WMax above
+// and below the cap, and with the time since the loss anywhere from zero
+// to far past H-TCP's DeltaL — and at any RTT.
+func TestOnRTTFixedAtCap(t *testing.T) {
+	const maxCwnd = 4 << 20
+	for _, name := range Names() {
+		alg, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slowStart := NewStream(0, maxCwnd)
+		slowStart.Cwnd = maxCwnd
+		if !slowStart.SlowStart || !math.IsInf(slowStart.Ssthresh, 1) {
+			t.Fatalf("%s: a new stream is not in slow start with Ssthresh +Inf", name)
+		}
+		afterLoss := slowStart
+		alg.OnLoss(&afterLoss)
+		afterLoss.Cwnd = maxCwnd
+		wmaxAbove, wmaxBelow := afterLoss, afterLoss
+		wmaxAbove.WMax, wmaxBelow.WMax = 3*maxCwnd, maxCwnd/3
+		for _, st := range []struct {
+			what string
+			s    Stream
+		}{
+			{"slow start", slowStart},
+			{"after a loss", afterLoss},
+			{"WMax above the cap", wmaxAbove},
+			{"WMax below the cap", wmaxBelow},
+		} {
+			for _, since := range []float64{0, 0.012, 0.9, 1.5, 30, 1e4} {
+				for _, rtt := range []float64{0.001, 0.012, 0.033, 0.3} {
+					want := st.s
+					want.SinceLoss = since
+					got := want
+					alg.OnRTT(&got, rtt)
+					if math.Float64bits(got.Cwnd) != math.Float64bits(maxCwnd) || got != want {
+						t.Errorf("%s, %s, %v s since the loss, RTT %v: OnRTT moved the stream at the cap: %+v, want %+v",
+							name, st.what, since, rtt, got, want)
+					}
+				}
+			}
+		}
+	}
+}
