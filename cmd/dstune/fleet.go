@@ -181,9 +181,8 @@ func runFleet(path string, observer *dstune.Observer, checkpointPath string, his
 
 // sessionCheckpointPath derives a per-session checkpoint filename from
 // the shared -checkpoint path by splicing the session ID in before the
-// extension: run.ck + "bulk" -> run-bulk.ck (and, beside it, the epoch
-// log run-bulk.ck.log). Extensionless paths get a plain suffix: run +
-// "bulk" -> run-bulk.
+// extension: run.ck + "bulk" -> run-bulk.ck. Extensionless paths get a
+// plain suffix: run + "bulk" -> run-bulk.
 func sessionCheckpointPath(path, id string) string {
 	ext := filepath.Ext(path)
 	return path[:len(path)-len(ext)] + "-" + id + ext

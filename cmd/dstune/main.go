@@ -27,14 +27,14 @@
 //	dstune -tuner cs-tuner -testbed uchicago -cmp 16 -history runs.jsonl  # warm
 //
 // Long socket-mode runs survive interruption: -checkpoint FILE writes
-// the run's durable state after every control epoch — a small head at
-// FILE and the recorded epochs appended to FILE.log; keep the two
-// together — SIGINT/SIGTERM drains the in-flight epoch and exits
-// cleanly (a second signal aborts hard), -deadline bounds the whole
-// run, and -resume FILE continues a checkpointed run mid-search with
-// exact byte accounting — given the tuning flags the run was started
-// with, since the resume replays FILE.log and refuses a log they do not
-// reproduce ("resume diverged at epoch k"):
+// the run's durable state after every control epoch — one file, each
+// recorded epoch appended to it — SIGINT/SIGTERM drains the in-flight
+// epoch and exits cleanly (a second signal aborts hard), -deadline
+// bounds the whole run, and -resume FILE continues a checkpointed run
+// mid-search with exact byte accounting — given the tuning flags the
+// run was started with, since the resume replays the recorded epochs
+// and refuses ones they do not reproduce ("resume diverged at epoch
+// k"):
 //
 //	dstune -mode socket -addr 127.0.0.1:7632 -tuner cs-tuner \
 //	       -bytes 5e9 -checkpoint run.ck
@@ -113,8 +113,8 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&s.MaxNP, "max-np", def.MaxNP, "parallelism upper bound")
 	fs.Uint64Var(&s.Seed, "seed", def.Seed, "random seed")
 	fs.StringVar(&o.csv, "csv", "", "write the trace series to this CSV file")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a checkpoint after every epoch: the head to this file, the recorded epochs to FILE.log")
-	fs.StringVar(&o.resume, "resume", "", "resume a checkpointed run from this file and its FILE.log (socket mode)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "write a checkpoint after every epoch to this file, appending each recorded epoch")
+	fs.StringVar(&o.resume, "resume", "", "resume a checkpointed run from this file (socket mode)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "wall-clock deadline for the whole run; 0 = none")
 	fs.StringVar(&o.obsAddr, "obs-addr", "", "serve live introspection (/metrics, /status, /debug/vars, /debug/pprof) on this address, e.g. 127.0.0.1:9310")
 	fs.StringVar(&o.obsTrace, "obs-trace", "", "append every structured event to this file as JSON lines")
@@ -354,8 +354,8 @@ func run(o *options) error {
 		errors.Is(err, context.Canceled),
 		errors.Is(err, context.DeadlineExceeded):
 		if o.checkpoint != "" {
-			log.Printf("stopped (%v) after %d epochs; checkpoint in %s and %s.log — resume with -resume %s",
-				err, len(trace.Results), o.checkpoint, o.checkpoint, o.checkpoint)
+			log.Printf("stopped (%v) after %d epochs; checkpoint in %s — resume with -resume %s",
+				err, len(trace.Results), o.checkpoint, o.checkpoint)
 		} else {
 			log.Printf("stopped (%v) after %d epochs", err, len(trace.Results))
 		}

@@ -54,11 +54,16 @@ func TestSessionUnknownTestbed(t *testing.T) {
 // a build that still named store-backed runs "warm:<tuner>" (the
 // fixture is one, from the parent commit) is refused by that name
 // before anything is dialled — as is the name itself at -tuner, the old
-// `static` alias, and the deleted tabular Q-learner `rl-q`.
+// `static` alias, and the deleted tabular Q-learner `rl-q`. The head of
+// a version-3 head-and-log pair is refused by its version.
 func TestResumeRefusesRetiredStrategy(t *testing.T) {
 	_, err := parseFlags(t, "-mode", "socket", "-resume", "../../internal/tuner/testdata/parent_warm.checkpoint").session(nil, nil)
 	if err == nil || !strings.Contains(err.Error(), `"warm:cs-tuner"`) {
 		t.Fatalf("resume of a warm: checkpoint returned %v, want a refusal naming it", err)
+	}
+	_, err = parseFlags(t, "-mode", "socket", "-resume", "../../internal/tuner/testdata/v3.checkpoint").session(nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "has version 3, this build reads 4") {
+		t.Fatalf("resume of a version-3 checkpoint returned %v, want a refusal naming its version", err)
 	}
 	for _, name := range []string{"warm:cs-tuner", "static", "rl-q"} {
 		if _, err := parseFlags(t, "-tuner", name).session(nil, nil); err == nil || !strings.Contains(err.Error(), name) {

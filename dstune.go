@@ -216,8 +216,8 @@ type (
 	// Strategy is a tuner's decision kernel: Propose a vector, run an
 	// epoch, Observe the report, repeat. Its state is a function of its
 	// configuration and the reports it observed, so a checkpoint
-	// resumes it by replaying the epoch log, verifying every recorded
-	// proposal; Snapshot serializes the state for inspection.
+	// resumes it by replaying the recorded epochs, verifying every
+	// recorded proposal; Snapshot serializes the state for inspection.
 	Strategy = tuner.Strategy
 	// Fleet drives N (strategy, transfers) sessions concurrently, each
 	// on its own goroutine, and returns their results in declaration
@@ -316,15 +316,16 @@ var ErrTransient = xfer.ErrTransient
 type Checkpoint = tuner.Checkpoint
 
 // NewFileCheckpoint returns a checkpoint writer for TunerConfig.Checkpoint
-// targeting a pair of files: a fixed-size head at path, replaced
-// atomically on every save, and an append-only epoch log at path+".log"
-// — so a save costs the same however long the run. Move or copy the two
-// together.
+// targeting one append-only file at path: a header line, then one
+// CRC-checked line per recorded epoch. The first save replaces the file
+// whole; every later one appends only the new epoch, so a save costs
+// the same however long the run.
 func NewFileCheckpoint(path string) *tuner.FileCheckpoint { return tuner.NewFileCheckpoint(path) }
 
-// LoadCheckpoint reads and validates a checkpoint NewFileCheckpoint's
-// writer left — the head at path and the epoch log beside it; a
-// checkpoint of any other format version is refused.
+// LoadCheckpoint reads and validates the checkpoint file
+// NewFileCheckpoint's writer left at path: a torn last line — an
+// append a crash cut short — is dropped, a damaged line before it is
+// refused, and so is a checkpoint of any other format version.
 func LoadCheckpoint(path string) (*Checkpoint, error) { return tuner.LoadCheckpoint(path) }
 
 // ErrInterrupted is returned by Run when the run was stopped

@@ -1,6 +1,6 @@
 // Package fsx holds small filesystem durability helpers shared by the
-// durable writers in the stack (tuner.FileCheckpoint's head and epoch
-// log, history.Store, the dstuned job journal).
+// durable writers in the stack (tuner.FileCheckpoint, history.Store,
+// the dstuned job journal).
 package fsx
 
 import (
@@ -39,11 +39,11 @@ func WriteAtomic(path string, data []byte, perm os.FileMode) error {
 }
 
 // WriteSync writes data to f at its current position (the end, for a
-// file opened O_APPEND) and fsyncs it: the append half of a
-// write-ahead pair, whose commit is a later WriteAtomic of the file
-// that counts what was appended. A newly created f is durable under
-// its name only once its directory is synced too — by SyncDir, or by
-// that WriteAtomic in the same directory.
+// file opened O_APPEND) and fsyncs it: an append to a file that
+// WriteAtomic created, whose records each check themselves, so a crash
+// mid-append can tear only the last, which its reader drops. A newly
+// created f is durable under its name only once its directory is
+// synced too — by SyncDir, or by the WriteAtomic that created it.
 func WriteSync(f *os.File, data []byte) error {
 	if _, err := f.Write(data); err != nil {
 		return err

@@ -279,11 +279,12 @@ func (sv *Supervisor) buildRuntime(j *job) (*tuner.SessionRuntime, error) {
 	if _, err := os.Stat(ckPath); err == nil {
 		ck, err := tuner.LoadCheckpoint(ckPath)
 		if err != nil {
-			// An unreadable checkpoint — a damaged head, or an epoch
-			// log shorter than its head counts — loses the trajectory,
-			// not the job: the journal entry still owes a completion,
-			// so cold-start rather than fail. The new session's first
-			// Save replaces the damaged files.
+			// An unreadable checkpoint — a damaged header, a record
+			// that fails its check before the last line, another
+			// format's version — loses the trajectory, not the job:
+			// the journal entry still owes a completion, so cold-start
+			// rather than fail. The new session's first Save replaces
+			// the damaged file.
 			sv.logf("service: job %s: checkpoint unreadable, cold-starting: %v", j.id, err)
 		} else {
 			resume = ck

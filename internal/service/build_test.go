@@ -2,6 +2,8 @@ package service
 
 import (
 	"context"
+	"math"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -208,5 +210,59 @@ func TestDefaultIsGlobusDefaultAtEveryDoor(t *testing.T) {
 	}
 	if over := 1 - daemon.MeanThroughput()/daemon.MeanBestCase(); over > 0.02 {
 		t.Fatalf("default pays %.1f%% restart overhead: its processes are being restarted every epoch", 100*over)
+	}
+}
+
+// TestDrainBeforeFirstEpochResumes: a job drained before its first
+// epoch leaves a checkpoint of no record, its transfer state carried in
+// the header. A simulated job resumes from it over its whole volume —
+// not finishing at once with nothing moved, as a zero state would make
+// it — and a socket job's client continues under the token and total
+// the header recorded.
+func TestDrainBeforeFirstEpochResumes(t *testing.T) {
+	const volume = 3e9
+	sv, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &job{id: "early", spec: JobSpec{Bytes: volume, Epoch: 5}.WithDefaults(), state: JobRunning}
+	rt, err := sv.buildRuntime(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drained, cancel := context.WithCancel(context.Background())
+	cancel()
+	if info := rt.Step(drained); !info.Done || rt.Epochs() != 0 {
+		t.Fatalf("a session stepped under a cancelled context: %+v after %d epochs, want done after none", info, rt.Epochs())
+	}
+	ck, err := tuner.LoadCheckpoint(sv.checkpointPath(j.id))
+	if err != nil || ck.Epochs != 0 || ck.Transfer.Total != volume || ck.Transfer.Remaining != volume {
+		t.Fatalf("the drained job's checkpoint loads as %+v, %v; want no epoch and all %.0f bytes remaining", ck, err, volume)
+	}
+	if rt, err = sv.buildRuntime(j); err != nil {
+		t.Fatal(err)
+	}
+	for !rt.Done() {
+		rt.Step(context.Background())
+	}
+	if rt.Err() != nil || math.Abs(rt.Bytes()-volume) > 1 || rt.Epochs() == 0 {
+		t.Fatalf("the resumed job moved %.0f bytes in %d epochs (%v), want %.0f", rt.Bytes(), rt.Epochs(), rt.Err(), volume)
+	}
+
+	fc := tuner.NewFileCheckpoint(filepath.Join(t.TempDir(), "socket.ck"))
+	if err := fc.Save(&tuner.Checkpoint{Tuner: "cs-tuner", Transfer: xfer.TransferState{Total: volume, Remaining: volume, Token: "tok"}}); err != nil {
+		t.Fatal(err)
+	}
+	fc.Close()
+	if ck, err = tuner.LoadCheckpoint(fc.Path()); err != nil {
+		t.Fatal(err)
+	}
+	ccfg, err := ClientConfig(nil, "socket", JobSpec{Addr: "127.0.0.1:1", Bytes: volume}.WithDefaults(), ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ccfg.Token != "tok" || ccfg.Bytes != volume || ccfg.AckedBytes != 0 {
+		t.Fatalf("a socket job resumed from no epoch dials token %q for %.0f bytes, %.0f acked; want %q for %.0f, none acked",
+			ccfg.Token, ccfg.Bytes, ccfg.AckedBytes, "tok", volume)
 	}
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // TestSessionEndReleasesCheckpointLog: every session holds its
-// checkpoint's epoch log open while it runs and must release it when it
+// checkpoint file open for appending while it runs and must release it when it
 // ends, however it ends — clean budget end, fatal transfer error,
 // cancellation, or a daemon drain that ends it mid-trajectory. The
 // Supervisor keeps every job it has seen (and, through it, the ended
@@ -81,7 +81,7 @@ func TestSessionEndReleasesCheckpointLog(t *testing.T) {
 		return true
 	})
 	if during := openFDs(); during < base+len(slow)-8 {
-		t.Fatalf("%d descriptors open with %d sessions running, %d with none: the test no longer sees the log handles", during, len(slow), base)
+		t.Fatalf("%d descriptors open with %d sessions running, %d with none: the test no longer sees the checkpoint handles", during, len(slow), base)
 	}
 	for _, id := range slow[:8] {
 		if _, err := sv.Cancel(id); err != nil {
@@ -100,7 +100,7 @@ func TestSessionEndReleasesCheckpointLog(t *testing.T) {
 // TestAbandonReleasesCheckpointLog covers the drain branch the test
 // above reaches only by luck: a session that is between epochs when the
 // daemon's context is cancelled ends in its next Step without running
-// one, and must release its log handle too (its transfer stays
+// one, and must release its checkpoint handle too (its transfer stays
 // resumable).
 func TestAbandonReleasesCheckpointLog(t *testing.T) {
 	var transfers []*memTransfer
@@ -127,14 +127,14 @@ func TestAbandonReleasesCheckpointLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
-			if target, _ := os.Readlink("/proc/self/fd/" + e.Name()); strings.HasSuffix(target, ".ck.log") {
+			if target, _ := os.Readlink("/proc/self/fd/" + e.Name()); strings.HasSuffix(target, ".ck") {
 				n++
 			}
 		}
 		return n
 	}
 	if got := logs(); got != len(live) {
-		t.Fatalf("%d epoch logs open under %d running sessions", got, len(live))
+		t.Fatalf("%d checkpoint files open under %d running sessions", got, len(live))
 	}
 	drained, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -144,7 +144,7 @@ func TestAbandonReleasesCheckpointLog(t *testing.T) {
 		}
 	}
 	if got := logs(); got != 0 {
-		t.Fatalf("%d epoch logs still open after the drain ended their sessions", got)
+		t.Fatalf("%d checkpoint files still open after the drain ended their sessions", got)
 	}
 	for _, m := range transfers {
 		if m.stopped {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -503,67 +504,99 @@ func TestAutoIDsSurviveRestart(t *testing.T) {
 	}
 }
 
-// TestShortEpochLogColdStarts: a checkpoint whose epoch log holds fewer
-// records than its head counts is corrupt, and like any unreadable
-// checkpoint it costs the job its trajectory, not its completion — the
-// restarted daemon re-adopts the job at the head's epoch count (the
-// scan reads heads only), finds the log short when it builds the
-// runtime, cold-starts, and the first Save of the new session replaces
-// the damaged pair.
-func TestShortEpochLogColdStarts(t *testing.T) {
-	dir := t.TempDir()
-	const volume = 2e9
-	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
-	if _, err := sv.Submit(JobSpec{ID: "torn", Bytes: volume, Epoch: 1, MaxNC: 32}); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "a few epochs to settle", func() bool {
-		st, _ := sv.Job("torn")
-		return st.Epochs >= 3
-	})
-	cancel()
-	sv.Wait()
-	ckPath := sv.checkpointPath("torn")
-	before, err := tuner.LoadCheckpoint(ckPath)
+// TestCorruptCheckpointColdStarts: a checkpoint the restarted daemon
+// cannot resume — one whose middle record fails its CRC, or the head
+// and epoch log the previous format wrote — costs the job its
+// trajectory, not its completion, and every report of the job says so:
+// the adoption report and GET /jobs/{id} show it adopted at 0 epochs,
+// the runtime cold-starts and logs why, and the first Save of the new
+// session replaces the file.
+func TestCorruptCheckpointColdStarts(t *testing.T) {
+	v3Head, err := os.ReadFile("../tuner/testdata/v3.checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(ckPath+".log", 0); err != nil {
+	v3Log, err := os.ReadFile("../tuner/testdata/v3.checkpoint.log")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tuner.LoadCheckpoint(ckPath); err == nil {
-		t.Fatal("a checkpoint with an emptied epoch log loaded")
-	}
+	for _, tc := range []struct {
+		name, why string
+		damage    func(path string) error
+	}{
+		{"mid-file CRC", "record 1 fails its check", func(path string) error {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			lines := bytes.SplitAfter(data, []byte("\n"))
+			lines[2][20] ^= 1 // inside record 1's JSON; records 0 and 2 stay whole
+			return os.WriteFile(path, bytes.Join(lines, nil), 0o644)
+		}},
+		{"v3 pair", "has version 3, this build reads 4", func(path string) error {
+			if err := os.WriteFile(path, v3Head, 0o644); err != nil {
+				return err
+			}
+			return os.WriteFile(path+".log", v3Log, 0o644)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			const volume = 2e9
+			sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
+			if _, err := sv.Submit(JobSpec{ID: "torn", Bytes: volume, Epoch: 1, MaxNC: 32}); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, "a few epochs to settle", func() bool {
+				st, _ := sv.Job("torn")
+				return st.Epochs >= 3
+			})
+			cancel()
+			sv.Wait()
+			ckPath := sv.checkpointPath("torn")
+			if err := tc.damage(ckPath); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tuner.LoadCheckpoint(ckPath); err == nil || !strings.Contains(err.Error(), tc.why) {
+				t.Fatalf("the damaged checkpoint loads with %v, want an error saying %q", err, tc.why)
+			}
 
-	var logged []string
-	var mu sync.Mutex
-	sv2, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(0, nil),
-		Logf: func(format string, args ...any) {
+			var logged []string
+			var mu sync.Mutex
+			sv2, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(0, nil),
+				Logf: func(format string, args ...any) {
+					mu.Lock()
+					defer mu.Unlock()
+					logged = append(logged, fmt.Sprintf(format, args...))
+				}})
+			if got := sv2.Adopted(); len(got) != 1 || got[0].Epochs != 0 || got[0].Bytes != 0 {
+				t.Fatalf("adoption report %+v, want the one job at 0 epochs", got)
+			}
+			srv := httptest.NewServer(sv2.Handler())
+			defer srv.Close()
+			waitFor(t, 10*time.Second, "the job to finish after the cold start", func() bool {
+				_, st := getJob(t, srv, "torn")
+				return st.State == JobDone
+			})
+			_, st := getJob(t, srv, "torn")
+			if !st.Adopted || st.AdoptedEpochs != 0 {
+				t.Fatalf("GET /jobs/torn reports adopted %v at %d epochs, want adopted at 0", st.Adopted, st.AdoptedEpochs)
+			}
 			mu.Lock()
-			defer mu.Unlock()
-			logged = append(logged, fmt.Sprintf(format, args...))
-		}})
-	if got := sv2.Adopted(); len(got) != 1 || got[0].Epochs != before.Epochs {
-		t.Fatalf("adoption report %+v, want the one job at the head's %d epochs", got, before.Epochs)
-	}
-	waitFor(t, 10*time.Second, "the job to finish after the cold start", func() bool {
-		st, _ := sv2.Job("torn")
-		return st.State == JobDone
-	})
-	mu.Lock()
-	cold := strings.Contains(strings.Join(logged, "\n"), "cold-starting")
-	mu.Unlock()
-	if !cold {
-		t.Fatalf("the restart did not report a cold start: %q", logged)
-	}
-	st, _ := sv2.Job("torn")
-	after, err := tuner.LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatalf("the cold-started session left an unreadable checkpoint: %v", err)
-	}
-	if after.Epochs != st.Epochs || math.Abs(st.Bytes-volume) > 1 {
-		t.Fatalf("cold-started job reports %d epochs and %.0f bytes; its checkpoint holds %d epochs, the spec asks %.0f bytes",
-			st.Epochs, st.Bytes, after.Epochs, volume)
+			all := strings.Join(logged, "\n")
+			mu.Unlock()
+			if !strings.Contains(all, "cold-starting") || !strings.Contains(all, tc.why) {
+				t.Fatalf("the restart did not report a cold start saying %q: %q", tc.why, logged)
+			}
+			after, err := tuner.LoadCheckpoint(ckPath)
+			if err != nil {
+				t.Fatalf("the cold-started session left an unreadable checkpoint: %v", err)
+			}
+			if after.Epochs != st.Epochs || math.Abs(st.Bytes-volume) > 1 {
+				t.Fatalf("cold-started job reports %d epochs and %.0f bytes; its checkpoint holds %d epochs, the spec asks %.0f bytes",
+					st.Epochs, st.Bytes, after.Epochs, volume)
+			}
+		})
 	}
 }
 
@@ -579,24 +612,20 @@ func TestRetiredStrategyCheckpointFailsJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cold map[string]struct{ Head, Log string }
+	var cold map[string]string
 	if err := json.Unmarshal(raw, &cold); err != nil {
 		t.Fatal(err)
 	}
-	warmHead, err := os.ReadFile("../tuner/testdata/parent_warm.checkpoint")
-	if err != nil {
-		t.Fatal(err)
-	}
-	warmLog, err := os.ReadFile("../tuner/testdata/parent_warm.checkpoint.log")
+	warm, err := os.ReadFile("../tuner/testdata/parent_warm.checkpoint")
 	if err != nil {
 		t.Fatal(err)
 	}
 	retired := []struct {
 		id, tuner string
-		head, log []byte
+		file      []byte
 	}{
-		{"old", "warm:cs-tuner", warmHead, warmLog},
-		{"rlq", "rl-q", []byte(cold["rl-q"].Head), []byte(cold["rl-q"].Log)},
+		{"old", "warm:cs-tuner", warm},
+		{"rlq", "rl-q", []byte(cold["rl-q"])},
 	}
 
 	dir := t.TempDir()
@@ -617,10 +646,7 @@ func TestRetiredStrategyCheckpointFailsJob(t *testing.T) {
 	cancel()
 	sv.Wait()
 	for _, r := range retired {
-		if err := os.WriteFile(sv.checkpointPath(r.id), r.head, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(sv.checkpointPath(r.id)+".log", r.log, 0o644); err != nil {
+		if err := os.WriteFile(sv.checkpointPath(r.id), r.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -642,9 +668,10 @@ func TestRetiredStrategyCheckpointFailsJob(t *testing.T) {
 	}
 }
 
-// TestDivergedCheckpointFailsJob: a re-adopted job whose epoch log its
-// strategy does not reproduce — here the first recorded vector is one
-// the box cannot hold — is refused by the replay that resumes it: GET
+// TestDivergedCheckpointFailsJob: a re-adopted job whose recorded
+// epochs its strategy does not reproduce — here the first recorded
+// vector is one the box cannot hold, re-framed under a CRC that
+// matches it — is refused by the replay that resumes it: GET
 // /jobs/{id} shows it failed with "resume diverged at epoch 0" rather
 // than continuing from a state the run never reached.
 func TestDivergedCheckpointFailsJob(t *testing.T) {
@@ -659,21 +686,23 @@ func TestDivergedCheckpointFailsJob(t *testing.T) {
 	})
 	cancel()
 	sv.Wait()
-	logFile := sv.checkpointPath("div") + ".log"
-	log, err := os.ReadFile(logFile)
+	path := sv.checkpointPath("div")
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
 	var rec map[string]json.RawMessage
-	first, rest, _ := bytes.Cut(log, []byte("\n"))
-	if err := json.Unmarshal(first, &rec); err != nil {
+	if err := json.Unmarshal(bytes.TrimSuffix(lines[1][9:], []byte("\n")), &rec); err != nil {
 		t.Fatal(err)
 	}
 	rec["x"] = json.RawMessage(`[99]`)
-	if first, err = json.Marshal(rec); err != nil {
+	js, err := json.Marshal(rec)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(logFile, append(append(first, '\n'), rest...), 0o644); err != nil {
+	lines[1] = frameRecord(js)
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -687,6 +716,12 @@ func TestDivergedCheckpointFailsJob(t *testing.T) {
 	if _, st := getJob(t, srv, "div"); st.State != JobFailed || !strings.Contains(st.Error, "resume diverged at epoch 0") {
 		t.Fatalf("re-adopted job is %s with error %q, want failed with a divergence", st.State, st.Error)
 	}
+}
+
+// frameRecord frames one record's JSON as a checkpoint file line: its
+// CRC-32C in 8 hex digits, a space, the JSON and a newline.
+func frameRecord(js []byte) []byte {
+	return fmt.Appendf(nil, "%08x %s\n", crc32.Checksum(js, crc32.MakeTable(crc32.Castagnoli)), js)
 }
 
 // TestMalformedSubmitNeverJournaled pins the hostile-input contract at

@@ -36,8 +36,8 @@ type TransferFactory func(id string, spec JobSpec, resume *tuner.Checkpoint) (xf
 // Config parameterizes a Supervisor.
 type Config struct {
 	// Dir is the daemon's state directory; the job journal lives in
-	// Dir/journal and per-job checkpoints (a head <id>.ck and its
-	// epoch log <id>.ck.log) in Dir/checkpoints. Required.
+	// Dir/journal and per-job checkpoints (one file, <id>.ck) in
+	// Dir/checkpoints. Required.
 	Dir string
 	// Limits is the admission-control policy.
 	Limits Limits
@@ -231,11 +231,13 @@ func New(cfg Config) (*Supervisor, error) {
 
 // adopt scans the journal and re-queues every entry: the restarted
 // daemon owes each of these jobs a completion. Trajectory positions
-// come from the heads of the per-job checkpoints when they exist — the
-// epoch logs are not decoded until the job's runtime is built,
-// so a restart holding many long jobs starts stepping without reading
-// their traces first; a journaled job without a checkpoint simply
-// cold-starts (it was admitted but never settled an epoch).
+// come from the per-job checkpoints through tuner.LoadCheckpointHead,
+// which checks every record as the runtime's resume will but decodes
+// only the header and the last, so a restart holding many long jobs
+// starts stepping without decoding their traces first, and a job whose
+// checkpoint the resume would refuse is adopted at 0 epochs, as it will
+// run; a journaled job without a checkpoint simply cold-starts (it was
+// admitted but never settled an epoch).
 func (sv *Supervisor) adopt() error {
 	entries, skipped, err := sv.journal.Entries()
 	if err != nil {
@@ -325,8 +327,7 @@ func (sv *Supervisor) logf(format string, args ...any) {
 	}
 }
 
-// checkpointPath returns the durable checkpoint of job id: the path of
-// its head; tuner.FileCheckpoint keeps the epoch log beside it.
+// checkpointPath returns the path of job id's durable checkpoint.
 func (sv *Supervisor) checkpointPath(id string) string {
 	return filepath.Join(sv.ckDir, id+".ck")
 }

@@ -2,115 +2,94 @@ package tuner
 
 import (
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
-
-	"dstune/internal/xfer"
 )
 
 // FuzzLoadCheckpoint feeds arbitrary bytes through the checkpoint
-// loaders — as the head and as the epoch log beside it — and resumes
-// every checkpoint they accept under the strategy name it carries, so
-// its log is replayed. Corrupt or truncated input must surface as an
-// error — never a panic — from the loader or the replay, and anything
-// accepted must satisfy the loader's invariants.
+// loaders as one checkpoint file and resumes every checkpoint they
+// accept under the strategy name it carries, so its records are
+// replayed. Corrupt or truncated input must surface as an error — never
+// a panic — from the loader or the replay, anything accepted must
+// satisfy the loader's invariants, and the header-only loader must
+// agree with the full one on every file the full one accepts.
 func FuzzLoadCheckpoint(f *testing.F) {
-	// Seed the corpus with a real checkpoint in this build's layout and
-	// in the retired single-file one (version 2, trace inline: rejected
-	// since, but still input a loader must survive), truncations of
-	// it, and hand-corrupted variants.
-	ck := &Checkpoint{
-		Version:  2,
-		Tuner:    "cs-tuner",
-		Seed:     7,
-		Epochs:   1,
-		Strategy: json.RawMessage(`{"Phase":"search","Monitor":{"Last":0,"Armed":false}}`),
-		Trace: []EpochRecord{
-			{X: []int{2}},
-		},
+	frame := func(js string) string {
+		return fmt.Sprintf("%08x %s\n", crc32.Checksum([]byte(js), castagnoli), js)
 	}
-	valid, err := json.Marshal(ck)
+	flip := func(s string, at int) string {
+		b := []byte(s)
+		b[at] ^= 1
+		return string(b)
+	}
+	// A file in this build's layout, then the ways a crash, a bad disk
+	// or a foreign writer can leave one: torn, flipped, unframed,
+	// framed non-records, and headers of other layouts.
+	hdr := `{"version":4,"tuner":"cs-tuner","seed":7,"transfer":{"total_bytes":-1,"remaining_bytes":-1}}` + "\n"
+	rec := `{"x":[2],"report":{"Start":0,"End":30,"Bytes":3e9,"Throughput":1e8},"transfer":{"total_bytes":-1,"acked_bytes":3e9,"remaining_bytes":-1,"clock_seconds":30}}`
+	valid := hdr + frame(rec) + frame(rec)
+	v3, err := os.ReadFile(filepath.Join("testdata", "v3.checkpoint"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(valid, []byte(nil))
-	f.Add(valid[:len(valid)/2], []byte(nil))
-	f.Add([]byte(`{}`), []byte(nil))
-	f.Add([]byte(`{"version":2,"epochs":3,"trace":[]}`), []byte(nil))
-	f.Add([]byte(`{"version":99}`), []byte(nil))
-	f.Add([]byte(`{"version":2,"strategy":{"Phase":"bogus"}}`), []byte(nil))
-	f.Add([]byte(`null`), []byte(nil))
-	f.Add([]byte(``), []byte(nil))
-	// Learned-strategy checkpoints: a real rl-bandit state, and one
-	// whose prior holds a negative visit count, in this build's layout
-	// with the one epoch record their heads count, so that the replay
-	// runs it — the state is never read back; then hostile variants in
-	// the retired layout — an out-of-grid arm, an overflowing Q-value.
-	rec := `{"x":[2],"report":{"Start":0,"End":30,"Bytes":3e9,"Throughput":1e8}}` + "\n"
-	bandit := NewRLBandit(simCfg())
-	bandit.Propose()
-	bandit.Observe(xfer.Report{End: 30, Bytes: 3e9, Throughput: 1e8})
-	state, err := bandit.Snapshot()
-	if err != nil {
-		f.Fatal(err)
+	for _, seed := range []string{
+		valid,
+		valid[:len(valid)/2],
+		valid[:len(valid)-1],
+		hdr + flip(frame(rec), 20) + frame(rec),
+		hdr + frame(rec) + flip(frame(rec), 20),
+		hdr,
+		hdr[:len(hdr)-1],
+		hdr + rec + "\n",
+		hdr + frame("[1,2]"),
+		hdr + "\n\n\n",
+		hdr + strings.ToUpper(frame(rec)),
+		`{}`,
+		"{}\n",
+		"{\"version\":99}\n",
+		`null`,
+		``,
+		string(v3),
+		`{"version":2,"tuner":"cs-tuner","epochs":1,"trace":[{"x":[2]}]}`,
+		`{"version":4,"tuner":"rl-bandit","seed":7,"transfer":{}}` + "\n" + frame(rec),
+		`{"version":4,"epochs":-1,"trace":[{"x":[2]}]}` + "\n" + frame(rec),
+		hdr + frame(rec) + frame(`{"x":`),
+		`{"version":4,"transfer":{"total_bytes":1e999}}` + "\n",
+		hdr + frame(`{"x":[2],"transfer":{"acked_bytes":"x"}}`),
+	} {
+		f.Add([]byte(seed))
 	}
-	hostile := bandit.st
-	hostile.GN = append([]int(nil), hostile.GN...)
-	hostile.GN[1] = -1
-	bad, err := json.Marshal(hostile)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, st := range [][]byte{state, bad} {
-		f.Add([]byte(`{"version":3,"tuner":"rl-bandit","seed":7,"epochs":1,"transfer":{},"strategy":`+string(st)+`}`), []byte(rec))
-	}
-	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"pending":64,"q":[[0]],"n":[[0]]},"trace":[{"x":[2]}]}`), []byte(nil))
-	f.Add([]byte(`{"version":2,"tuner":"rl-bandit","epochs":1,"strategy":{"q":[[1e999]]},"trace":[{"x":[2]}]}`), []byte(nil))
-	// Head and log: the pair a FileCheckpoint writes, then a log that
-	// is torn, short of the head, longer than it, or not records at
-	// all, and heads that miscount or smuggle a trace in.
-	head := []byte(`{"version":3,"tuner":"cs-tuner","seed":7,"epochs":2,"transfer":{},"strategy":{"Phase":"search"}}`)
-	f.Add(head, []byte(rec+rec))
-	f.Add(head, []byte(rec+rec[:len(rec)/2]))
-	f.Add(head, []byte(rec))
-	f.Add(head, []byte(rec+rec+rec+`{"x":`))
-	f.Add(head, []byte("\n\n\n"))
-	f.Add(head, []byte(rec+"[1,2]\n"))
-	f.Add([]byte(`{"version":3,"epochs":-1}`), []byte(rec))
-	f.Add([]byte(`{"version":3,"epochs":9223372036854775807}`), []byte(rec))
-	f.Add([]byte(`{"version":3,"epochs":1,"trace":[{"x":[2]}]}`), []byte(rec))
-	f.Add([]byte(`{"version":3,"epochs":0}`), []byte(nil))
-	// Pairs whose logs replay: every cold name's, as a drained run with
-	// a transient last epoch writes them, cd-tuner's with a start of the
-	// wrong width, which ResolveStrategy refuses (replayed, it indexed
-	// past an empty vector), and model's with a hostile report.
-	var pairs map[string]struct{ Head, Log string }
+	// Files whose records replay: every cold name's, as a drained run
+	// with a transient last epoch writes them, cd-tuner's with a start
+	// of the wrong width, which ResolveStrategy refuses (replayed, it
+	// indexed past an empty vector), and model's with a hostile report.
+	var files map[string]string
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "parent_checkpoints.json"))
 	if err == nil {
-		err = json.Unmarshal(raw, &pairs)
+		err = json.Unmarshal(raw, &files)
 	}
 	if err != nil {
 		f.Fatal(err)
 	}
 	for _, name := range strategyNames() {
-		f.Add([]byte(pairs[name].Head), []byte(pairs[name].Log))
+		f.Add([]byte(files[name]))
 	}
-	f.Add([]byte(`{"version":3,"tuner":"cd-tuner","seed":7,"start":[],"epochs":2,"transfer":{}}`), []byte("{\"x\":[]}\n{\"x\":[]}\n"))
-	f.Add([]byte(`{"version":3,"tuner":"model","seed":7,"epochs":1,"transfer":{}}`),
-		[]byte(`{"x":[2],"report":{"Start":-1e308,"End":1e308,"Throughput":-1e308,"BestCase":1e308,"Kernel":{"retrans_delta":-9,"stripes":[{}]}}}`+"\n"))
+	f.Add([]byte(`{"version":4,"tuner":"cd-tuner","seed":7,"start":[],"transfer":{}}` + "\n" + frame(`{"x":[]}`) + frame(`{"x":[]}`)))
+	f.Add([]byte(`{"version":4,"tuner":"model","seed":7,"transfer":{}}` + "\n" +
+		frame(`{"x":[2],"report":{"Start":-1e308,"End":1e308,"Throughput":-1e308,"BestCase":1e308,"Kernel":{"retrans_delta":-9,"stripes":[{}]}}}`)))
 
-	f.Fuzz(func(t *testing.T, head, log []byte) {
-		path := filepath.Join(t.TempDir(), "ck.json")
-		if err := os.WriteFile(path, head, 0o644); err != nil {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "run.ck")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if log != nil {
-			if err := os.WriteFile(path+".log", log, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if h, err := LoadCheckpointHead(path); err == nil && (h.Version != CheckpointVersion || h.Trace != nil || h.Epochs < 0) {
+		h, herr := LoadCheckpointHead(path)
+		if herr == nil && (h.Version != CheckpointVersion || h.Trace != nil || h.Epochs < 0) {
 			t.Fatalf("head loader accepted version %d, %d epochs, %d trace records", h.Version, h.Epochs, len(h.Trace))
 		}
 		ck, err := LoadCheckpoint(path)
@@ -122,6 +101,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		}
 		if ck.Epochs != len(ck.Trace) {
 			t.Fatalf("loader accepted %d epochs with %d trace records", ck.Epochs, len(ck.Trace))
+		}
+		if herr != nil || h.Epochs != ck.Epochs || !reflect.DeepEqual(h.Transfer, ck.Transfer) {
+			t.Fatalf("the head loader reads %+v (%v) where the full one reads %d epochs at %+v", h, herr, ck.Epochs, ck.Transfer)
 		}
 		// An accepted checkpoint resumes or is refused; arbitrary
 		// records must never panic the strategy they are replayed into.

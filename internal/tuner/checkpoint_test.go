@@ -3,7 +3,6 @@ package tuner
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -155,8 +154,8 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 					}
 				}
 
-				// What the resumed run left is a version-3 pair holding the
-				// whole trajectory.
+				// What the resumed run left is one file holding the whole
+				// trajectory.
 				final, err := LoadCheckpoint(fc.Path())
 				if err != nil {
 					t.Fatal(err)
@@ -168,9 +167,6 @@ func TestResumeMatchesUninterrupted(t *testing.T) {
 					if !reflect.DeepEqual(rec.Report, ref.Results[i].Report) || !reflect.DeepEqual(rec.X, ref.Results[i].X) {
 						t.Fatalf("final checkpoint record %d differs from the reference epoch", i)
 					}
-				}
-				if head, err := os.ReadFile(fc.Path()); err != nil || bytes.Contains(head, []byte(`"trace"`)) {
-					t.Fatalf("head still carries a trace (err %v): %s", err, head)
 				}
 			})
 		}
@@ -338,15 +334,14 @@ func TestCancelRecordsPartialEpoch(t *testing.T) {
 }
 
 // testCheckpoint builds an n-epoch checkpoint with distinguishable
-// records and a cs-tuner-sized strategy state.
+// records, each carrying the transfer state testState gives after it.
 func testCheckpoint(n int) *Checkpoint {
 	ck := &Checkpoint{
 		Version:  CheckpointVersion,
 		Tuner:    "cs-tuner",
 		Seed:     42,
 		Epochs:   n,
-		Transfer: xfer.TransferState{Total: -1, Acked: 3e9 * float64(n), Remaining: -1, Clock: 30 * float64(n), Token: "tok"},
-		Strategy: json.RawMessage(`{"phase":"search","monitor":{"last":0,"armed":false}}`),
+		Transfer: testState(n),
 		Trace:    make([]EpochRecord, n),
 	}
 	for i := range ck.Trace {
@@ -355,41 +350,65 @@ func testCheckpoint(n int) *Checkpoint {
 			X:         []int{1 + i%32},
 			Report:    xfer.Report{Params: xfer.Params{NC: 1 + i%32, NP: 4}, Start: start, End: start + 30, Bytes: 3e9, Throughput: 1e8, BestCase: 1e8, Run: i + 1},
 			Transient: i%7 == 3,
+			Transfer:  testState(i + 1),
 		}
 	}
 	return ck
 }
 
+// testState is the state of testCheckpoint's socket transfer after n
+// epochs: a finite total, so it differs from the zero value in every
+// field.
+func testState(n int) xfer.TransferState {
+	const total = 1e15
+	return xfer.TransferState{Total: total, Acked: 3e9 * float64(n), Remaining: total - 3e9*float64(n), Clock: 30 * float64(n), Token: "tok"}
+}
+
 // prefix returns the first n epochs of ck as a checkpoint of their own.
 func prefix(ck *Checkpoint, n int) *Checkpoint {
 	p := *ck
-	p.Epochs, p.Trace = n, ck.Trace[:n:n]
+	p.Epochs, p.Trace, p.Transfer = n, ck.Trace[:n:n], testState(n)
 	return &p
 }
 
-// TestFileCheckpointDurability: a run's Saves must leave exactly the
-// head and the epoch log — complete, loadable, no temp litter — the
-// first Save must replace whatever was at the path, and LoadCheckpoint
+// TestFileCheckpointDurability: a run's Saves must leave exactly one
+// file — complete, loadable, no temp litter — the first Save must
+// replace whatever was at the path, every later Save must append to
+// that same file rather than rename a new one over it, a checkpoint of
+// no epoch must still carry the transfer's state, and LoadCheckpoint
 // must reject garbage and version skew.
 func TestFileCheckpointDurability(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.checkpoint")
-	// Garbage at both names, as a crashed or foreign writer might leave.
-	for _, name := range []string{path, path + ".log"} {
-		if err := os.WriteFile(name, []byte("{not json"), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	// Garbage at the path, as a crashed or foreign writer might leave.
+	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := LoadCheckpoint(path); err == nil {
 		t.Fatal("garbage checkpoint loaded")
 	}
 	fc := NewFileCheckpoint(path)
 	ck := testCheckpoint(3)
-	// Grow the trace as a live run does, then repeat the last Save (the
-	// engine's checkpoint-on-interrupt carries no new record).
-	for _, n := range []int{1, 2, 3, 3} {
+	// A drain before the first epoch saves none; then the trace grows
+	// as a live run's does, and the last Save repeats (the engine's
+	// checkpoint-on-interrupt carries no new record).
+	var first os.FileInfo
+	for i, n := range []int{0, 1, 2, 3, 3} {
 		if err := fc.Save(prefix(ck, n)); err != nil {
 			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = fi
+			got, err := LoadCheckpoint(path)
+			if err != nil || got.Epochs != 0 || !reflect.DeepEqual(got.Transfer, testState(0)) {
+				t.Fatalf("a checkpoint of no epoch loads as %+v, %v; want its transfer state %+v", got, err, testState(0))
+			}
+		} else if !os.SameFile(first, fi) {
+			t.Fatalf("Save %d replaced the file; a later Save must append to it", i+1)
 		}
 	}
 	if err := fc.Close(); err != nil {
@@ -406,18 +425,18 @@ func TestFileCheckpointDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := prefix(ck, 3); head.Trace != nil || head.Epochs != 3 || !reflect.DeepEqual(head.Transfer, want.Transfer) {
+	if head.Trace != nil || head.Epochs != 3 || !reflect.DeepEqual(head.Transfer, ck.Transfer) {
 		t.Fatalf("head alone loads as %+v", head)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 2 {
-		t.Fatalf("checkpoint dir holds %d entries, want the head and the log: %v", len(entries), entries)
+	if len(entries) != 1 {
+		t.Fatalf("checkpoint dir holds %d entries, want the one file: %v", len(entries), entries)
 	}
 	// A second writer on the same path (a resumed run) starts from a
-	// whole rewrite and leaves the same pair.
+	// whole rewrite.
 	if err := NewFileCheckpoint(path).Save(prefix(ck, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -425,30 +444,32 @@ func TestFileCheckpointDurability(t *testing.T) {
 		t.Fatalf("after a second writer: %+v, %v", got, err)
 	}
 
-	// Version skew: a head from a build this one does not know, and the
-	// single-file layout of the release before the head/log split.
-	for _, tc := range []struct{ file, want string }{
-		{`{"version":4,"tuner":"cs-tuner","epochs":0}`, "has version 4, this build reads 3"},
-		{`{"version":2,"tuner":"cs-tuner","epochs":1,"trace":[{"x":[2]}]}`, "has version 2, this build reads 3"},
+	// Version skew: a file from a build this one does not know, and
+	// the head of the head-and-log pair the release before wrote.
+	skew := filepath.Join(dir, "skew.checkpoint")
+	if err := os.WriteFile(skew, []byte(`{"version":5,"tuner":"cs-tuner"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, want := range map[string]string{
+		skew: "has version 5, this build reads 4",
+		filepath.Join("testdata", "v3.checkpoint"): "has version 3, this build reads 4",
 	} {
-		skew := filepath.Join(dir, "skew.checkpoint")
-		if err := os.WriteFile(skew, []byte(tc.file), 0o644); err != nil {
-			t.Fatal(err)
-		}
 		for _, load := range []func(string) (*Checkpoint, error){LoadCheckpoint, LoadCheckpointHead} {
-			if _, err := load(skew); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("version-skewed checkpoint: got %v, want an error saying %q", err, tc.want)
+			if _, err := load(path); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("version-skewed checkpoint: got %v, want an error saying %q", err, want)
 			}
 		}
 	}
 }
 
 // TestCheckpointCrashConsistency damages a 50-epoch checkpoint the ways
-// a crash (or an operator copying one file of the pair) can, and holds
-// the loader to its contract: what loads has Epochs == len(Trace) and
-// is a prefix of the original; everything else is an error, never a
-// panic, never a miscount. The head is the commit point, so only
-// damage that leaves the log shorter than the head may fail.
+// a crash or a bad disk can, and holds the loader to its contract: what
+// loads has Epochs == len(Trace) and is a prefix of the original;
+// everything else is an error, never a panic, never a miscount. A crash
+// can only cut an append short, so a file cut at any byte past its
+// header loads the records it holds whole; a record that fails its CRC
+// is a torn tail when it is the last line, and corruption anywhere
+// else.
 func TestCheckpointCrashConsistency(t *testing.T) {
 	const n = 50
 	full := testCheckpoint(n)
@@ -456,69 +477,77 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 	path := filepath.Join(dir, "run.ck")
 	fc := NewFileCheckpoint(path)
 	defer fc.Close()
-	// Keep the head as it stood at epoch 30: an old head beside a newer
-	// log is what a crash between the append and the rename leaves.
-	var head30 []byte
 	for i := 1; i <= n; i++ {
 		if err := fc.Save(prefix(full, i)); err != nil {
 			t.Fatal(err)
 		}
-		if i == 30 {
-			head30 = mustRead(t, path)
+	}
+	data := mustRead(t, path)
+	// lines[i] is where line i starts: 0 is the header, k the k-th
+	// record, n+1 the end of the file.
+	lines := []int{0}
+	for i, b := range data {
+		if b == '\n' {
+			lines = append(lines, i+1)
 		}
 	}
-	head, log := mustRead(t, path), mustRead(t, path+".log")
-	surplus, err := json.Marshal(EpochRecord{X: []int{99}})
-	if err != nil {
-		t.Fatal(err)
+	if len(lines) != n+2 {
+		t.Fatalf("the file holds %d lines, want a header and %d records", len(lines)-1, n)
 	}
 
 	type damage struct {
 		name string
-		head []byte
-		log  []byte // nil: no log file
-		want int    // epochs a successful load must hold; -1: must fail
+		file []byte
+		want int // epochs a successful load must hold; -1: must fail
 	}
-	cases := []damage{
-		{"intact", head, log, n},
-		{"log deleted", head, nil, -1},
-		{"surplus record", head, append(append([]byte(nil), log...), append(surplus, '\n')...), n},
-		{"torn surplus record", head, append(append([]byte(nil), log...), surplus[:len(surplus)/2]...), n},
-		{"old head, newer log", head30, log, 30},
-		{"empty head", nil, log, -1},
-		{"torn head", head[:len(head)/2], log, -1},
-	}
-	// Truncate the log at every byte offset, under the final head (always
-	// too short) and under the older one (enough once 30 records survive).
-	for cut := 0; cut < len(log); cut++ {
-		cases = append(cases, damage{fmt.Sprintf("log cut at %d", cut), head, log[:cut], -1})
+	cases := []damage{{"intact", data, n}}
+	for cut := 0; cut < len(data); cut++ {
 		want := -1
-		if bytes.Count(log[:cut], []byte{'\n'}) >= 30 {
-			want = 30
+		if cut >= lines[1] {
+			want = bytes.Count(data[lines[1]:cut], []byte{'\n'})
 		}
-		cases = append(cases, damage{fmt.Sprintf("old head, log cut at %d", cut), head30, log[:cut], want})
+		cases = append(cases, damage{fmt.Sprintf("cut at %d", cut), data[:cut], want})
+	}
+	// One flipped byte: anywhere in a middle record it is corruption,
+	// anywhere in the last it is a torn tail.
+	flips := []struct {
+		line, want int
+	}{{n / 2, -1}, {n, n - 1}}
+	for _, f := range flips {
+		for at := lines[f.line]; at < lines[f.line+1]; at++ {
+			flipped := append([]byte(nil), data...)
+			flipped[at] ^= 1
+			cases = append(cases, damage{fmt.Sprintf("record %d flipped at %d", f.line, at), flipped, f.want})
+		}
 	}
 	work := filepath.Join(dir, "damaged.ck")
+	load := func(tc damage) (*Checkpoint, error) {
+		if err := os.WriteFile(work, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return LoadCheckpoint(work)
+	}
 	for _, tc := range cases {
-		if err := os.WriteFile(work, tc.head, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if tc.log == nil {
-			os.Remove(work + ".log")
-		} else if err := os.WriteFile(work+".log", tc.log, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		got, err := LoadCheckpoint(work)
+		got, err := load(tc)
 		switch {
 		case err != nil && tc.want >= 0:
 			t.Errorf("%s: load failed: %v", tc.name, err)
 		case err == nil && tc.want < 0:
 			t.Errorf("%s: loaded %d epochs, want an error", tc.name, got.Epochs)
 		case err == nil:
-			if got.Epochs != tc.want || !reflect.DeepEqual(got.Trace, full.Trace[:tc.want]) {
+			if got.Epochs != tc.want || len(got.Trace) != tc.want || (tc.want > 0 && !reflect.DeepEqual(got.Trace, full.Trace[:tc.want])) {
 				t.Errorf("%s: loaded %d epochs with %d records, want the first %d of the original",
 					tc.name, got.Epochs, len(got.Trace), tc.want)
 			}
+		}
+	}
+	// The header is written whole by a rename and carries no CRC: a
+	// flipped byte in it fails the load or leaves every record intact.
+	for at := 0; at < lines[1]; at++ {
+		flipped := append([]byte(nil), data...)
+		flipped[at] ^= 1
+		if got, err := load(damage{file: flipped}); err == nil && !reflect.DeepEqual(got.Trace, full.Trace) {
+			t.Errorf("header flipped at %d: loaded %d epochs, want an error or all %d", at, got.Epochs, n)
 		}
 	}
 }
@@ -533,9 +562,8 @@ func mustRead(t *testing.T, path string) []byte {
 }
 
 // TestCheckpointSaveBytesAreFlat is the O(1) claim as a count, not a
-// timing: what a cs-tuner Save writes at epoch 5000 — the records it
-// appends plus the head it replaces — is at most twice what it writes
-// at epoch 10.
+// timing: what a cs-tuner Save appends at epoch 5000 is at most twice
+// what it appends at epoch 10.
 func TestCheckpointSaveBytesAreFlat(t *testing.T) {
 	at := map[int]*Checkpoint{9: nil, 10: nil, 4999: nil, 5000: nil}
 	cfg := cfg1D(5000 * 10)
@@ -563,18 +591,17 @@ func TestCheckpointSaveBytesAreFlat(t *testing.T) {
 }
 
 // saveBytes primes fc with prev (the whole-rewrite first Save) and
-// returns what the Save of next then writes: the growth of the log plus
-// the size of the new head.
+// returns what the Save of next then writes: the file's growth.
 func saveBytes(t *testing.T, fc *FileCheckpoint, prev, next *Checkpoint) int64 {
 	t.Helper()
 	if err := fc.Save(prev); err != nil {
 		t.Fatal(err)
 	}
-	before := fileSize(t, fc.Path()+".log")
+	before := fileSize(t, fc.Path())
 	if err := fc.Save(next); err != nil {
 		t.Fatal(err)
 	}
-	return fileSize(t, fc.Path()+".log") - before + fileSize(t, fc.Path())
+	return fileSize(t, fc.Path()) - before
 }
 
 func fileSize(t testing.TB, path string) int64 {
@@ -587,12 +614,12 @@ func fileSize(t testing.TB, path string) int64 {
 }
 
 // BenchmarkCheckpointSave times one steady-state FileCheckpoint.Save —
-// append the new record, sync, replace the head — with 10, 1000 and
-// 10000 epochs already recorded. The first, whole-rewrite Save happens
-// before the timer starts, so even a one-iteration run measures the
-// steady state; B/save is the bytes one Save writes (log growth plus
-// head). TestCheckpointSaveBytesAreFlat holds the flatness as a byte
-// count; bench's checkpoint.save_ms_at_10/1000/2000 are its timing.
+// append the new record and sync — with 10, 1000 and 10000 epochs
+// already recorded. The first, whole-rewrite Save happens before the
+// timer starts, so even a one-iteration run measures the steady state;
+// B/save is the file's growth per Save. TestCheckpointSaveBytesAreFlat
+// holds the flatness as a byte count; bench's
+// checkpoint.save_ms_at_10/1000/2000 are its timing.
 func BenchmarkCheckpointSave(b *testing.B) {
 	for _, n := range []int{10, 1000, 10000} {
 		b.Run(fmt.Sprintf("epochs=%d", n), func(b *testing.B) {
@@ -602,7 +629,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 			if err := fc.Save(prefix(full, n)); err != nil {
 				b.Fatal(err)
 			}
-			before := fileSize(b, fc.Path()+".log")
+			before := fileSize(b, fc.Path())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 1; i <= b.N; i++ {
@@ -611,8 +638,7 @@ func BenchmarkCheckpointSave(b *testing.B) {
 				}
 			}
 			b.StopTimer()
-			appended := fileSize(b, fc.Path()+".log") - before
-			b.ReportMetric(float64(appended)/float64(b.N)+float64(fileSize(b, fc.Path())), "B/save")
+			b.ReportMetric(float64(fileSize(b, fc.Path())-before)/float64(b.N), "B/save")
 		})
 	}
 }

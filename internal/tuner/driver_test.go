@@ -128,9 +128,6 @@ func TestResumeReplaysEveryStrategy(t *testing.T) {
 			if last == nil || last.Epochs != interruptAfter {
 				t.Fatalf("last checkpoint holds %v epochs, want %d", last, interruptAfter)
 			}
-			if len(last.Strategy) == 0 {
-				t.Fatal("checkpoint carries no strategy state")
-			}
 
 			// Resume on the same live transfer with a counting wrapper:
 			// the trace must match the reference, via the k replayed

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
-	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -52,10 +51,10 @@ func eventLines(t *testing.T, o *obs.Observer) []byte {
 // TestDriverMatchesSessionRuntime: Run is a wrapper around the engine
 // SessionRuntime exposes, so the same strategy, seed and world must
 // come out identical through both — the trace, the event stream, and
-// the checkpoint files byte for byte. What can differ is only the
+// the checkpoint file byte for byte. What can differ is only the
 // wrapper's wiring (seed, start, session name, observation handle), and
-// this is the test that covers it; the history case's head carries the
-// start both recorded.
+// this is the test that covers it; the history case's header carries
+// the start both recorded.
 func TestDriverMatchesSessionRuntime(t *testing.T) {
 	const seed = 11
 	cases := []strategyCase{{"cs-tuner", true}, {name: "kernel-aware:cs-tuner"}}
@@ -66,8 +65,8 @@ func TestDriverMatchesSessionRuntime(t *testing.T) {
 		name := c.name
 		t.Run(c.label(), func(t *testing.T) {
 			type outcome struct {
-				trace             *Trace
-				events, head, log []byte
+				trace        *Trace
+				events, file []byte
 			}
 			run := func(stepped bool) outcome {
 				o := obs.NewObserver(obs.ObserverConfig{})
@@ -89,12 +88,7 @@ func TestDriverMatchesSessionRuntime(t *testing.T) {
 					t.Fatal(err)
 				}
 				out.events = eventLines(t, o)
-				if out.head, err = os.ReadFile(fc.Path()); err != nil {
-					t.Fatal(err)
-				}
-				if out.log, err = os.ReadFile(fc.Path() + ".log"); err != nil {
-					t.Fatal(err)
-				}
+				out.file = mustRead(t, fc.Path())
 				return out
 			}
 			viaRun, stepped := run(false), run(true)
@@ -104,11 +98,11 @@ func TestDriverMatchesSessionRuntime(t *testing.T) {
 			if !bytes.Equal(viaRun.events, stepped.events) {
 				t.Fatalf("event streams differ:\n Run:\n%s stepped:\n%s", viaRun.events, stepped.events)
 			}
-			if !bytes.Equal(viaRun.head, stepped.head) || bytes.Contains(viaRun.head, []byte(`"start":[14]`)) != c.warm {
-				t.Fatalf("checkpoint heads differ, or record the wrong start:\n Run     %s stepped %s", viaRun.head, stepped.head)
+			if !bytes.Equal(viaRun.file, stepped.file) {
+				t.Fatal("checkpoint files differ")
 			}
-			if !bytes.Equal(viaRun.log, stepped.log) {
-				t.Fatal("checkpoint epoch logs differ")
+			if header, _, _ := bytes.Cut(viaRun.file, []byte{'\n'}); bytes.Contains(header, []byte(`"start":[14]`)) != c.warm {
+				t.Fatalf("checkpoint header records the wrong start: %s", header)
 			}
 		})
 	}

@@ -253,7 +253,7 @@ func newFleetSession(cfg FleetConfig, spec FleetSession, id string) (*fleetSessi
 		s.obs = cfg.Obs.Session(id)
 	}
 	s.obs.SetStrategy(spec.Strategy.Name())
-	s.ckpt = newCheckpointer(spec.Checkpoint, s.obs, spec.Strategy, spec.Transfers[0], spec.Seed, spec.Start)
+	s.ckpt = newCheckpointer(spec.Checkpoint, s.obs, spec.Strategy.Name(), spec.Transfers[0], spec.Seed, spec.Start)
 	s.traces = make([]*Trace, len(spec.Transfers))
 	for j := range s.traces {
 		s.traces[j] = &Trace{Tuner: spec.Name}
@@ -469,7 +469,7 @@ func (s *fleetSession) overBudget() bool {
 
 // resume restores the session from a prior checkpoint before its first
 // round: validate the checkpoint against the strategy, adopt its seed
-// and start, replay its epoch log through the strategy with the
+// and start, replay its recorded epochs through the strategy with the
 // session's observation muted — those epochs were reported by the
 // incarnation that ran them — and preload the recorded epochs into the
 // trace, the byte account, and the checkpoint record, so later
@@ -494,8 +494,8 @@ func (s *fleetSession) resume(ck *Checkpoint) error {
 	if err != nil {
 		return err
 	}
+	s.ckpt.records = append(s.ckpt.records, ck.Trace...)
 	for _, rec := range ck.Trace {
-		s.ckpt.record(rec.X, rec.Report, rec.Transient)
 		s.traces[0].add(rec.X, rec.Report)
 		s.bytes += rec.Report.Bytes
 	}

@@ -156,23 +156,37 @@ func stumblingTransfer(t *testing.T) *stumbling {
 }
 
 // writeDrainedCheckpoint runs name on stumblingTransfer, drained after
-// parentCheckpointEpochs epochs, and returns the head and epoch log
-// its FileCheckpoint left.
-func writeDrainedCheckpoint(t *testing.T, name string) (head, log []byte) {
+// parentCheckpointEpochs epochs, and returns the file its
+// FileCheckpoint left.
+func writeDrainedCheckpoint(t *testing.T, name string) []byte {
 	t.Helper()
 	fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.ck"))
 	defer fc.Close()
 	if _, err := Run(t.Context(), name, drainAfter(parentCheckpointEpochs, fc), stumblingTransfer(t)); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("drained run returned %v, want ErrInterrupted", err)
 	}
-	head, err := os.ReadFile(fc.Path())
-	if err != nil {
-		t.Fatal(err)
+	return mustRead(t, fc.Path())
+}
+
+// parentView returns the lines of a checkpoint file as a build whose
+// records carried no transfer state would frame them: the header line,
+// then each record's JSON with its "transfer" key, always the last,
+// cut off. The fixtures of the parent commits are re-framed files of
+// such records.
+func parentView(t *testing.T, file []byte) []string {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(string(file), "\n"), "\n")
+	for i := 1; i < len(lines); i++ {
+		js, ok := unframe([]byte(lines[i]))
+		if !ok {
+			t.Fatalf("record %d fails its check: %s", i-1, lines[i])
+		}
+		lines[i] = string(js)
+		if before, _, found := strings.Cut(lines[i], `,"transfer":`); found {
+			lines[i] = before + "}"
+		}
 	}
-	if log, err = os.ReadFile(logPath(fc.Path())); err != nil {
-		t.Fatal(err)
-	}
-	return head, log
+	return lines
 }
 
 // replayTransfer returns a fresh simulated world advanced through the
@@ -191,45 +205,40 @@ func replayTransfer(t *testing.T, seed uint64, ck *Checkpoint) *xfer.Sim {
 }
 
 // TestParentCheckpointResumes: testdata/golden/parent_checkpoints.json
-// holds, for every cold strategy name, the checkpoint pair the commit
-// before resume became a replay wrote for a run drained after
+// holds, for every cold strategy name, the checkpoint the commit before
+// resume became a replay wrote for a run drained after
 // parentCheckpointEpochs epochs, the last a tolerated transient
-// failure — so each head carries that build's "strategy" and
-// "transients" keys. Resumed here from its log alone, each must recount
+// failure — its epoch log re-framed as the records of one file, their
+// JSON unchanged. Resumed from those records alone, each must recount
 // the transient and continue to exactly the uninterrupted run's trace.
 func TestParentCheckpointResumes(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "parent_checkpoints.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pairs map[string]struct{ Head, Log string }
-	if err := json.Unmarshal(raw, &pairs); err != nil {
+	var files map[string]string
+	if err := json.Unmarshal(raw, &files); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range strategyNames() {
 		t.Run(name, func(t *testing.T) {
-			pair, ok := pairs[name]
+			file, ok := files[name]
 			if !ok {
 				t.Fatal("fixture has no checkpoint for this strategy")
 			}
-			if !strings.Contains(pair.Head, `"transients":1`) || !strings.Contains(pair.Head, `"strategy":`) {
-				t.Fatalf("fixture head lacks the parent's strategy and transients keys: %s", pair.Head)
-			}
 			path := filepath.Join(t.TempDir(), "run.ck")
-			if err := os.WriteFile(path, []byte(pair.Head), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(logPath(path), []byte(pair.Log), 0o644); err != nil {
+			if err := os.WriteFile(path, []byte(file), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			ck, err := LoadCheckpoint(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// This build writes the same pair but for the transients key.
-			head, log := writeDrainedCheckpoint(t, name)
-			if string(log) != pair.Log || string(head) != strings.Replace(pair.Head, `"transients":1,`, "", 1) {
-				t.Fatalf("this build's checkpoint differs from the parent's beyond its transients key:\n %s\nthe parent wrote\n %s", head, pair.Head)
+			// This build writes the same file but for the transfer state
+			// its records carry.
+			got := writeDrainedCheckpoint(t, name)
+			if !reflect.DeepEqual(parentView(t, got), parentView(t, []byte(file))) {
+				t.Fatalf("this build's checkpoint differs from the parent's beyond its records' transfer state:\n %s\nthe parent wrote\n %s", got, file)
 			}
 
 			ref, err := Run(context.Background(), name, simCfg(), stumblingTransfer(t))

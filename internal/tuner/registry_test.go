@@ -88,20 +88,14 @@ func TestProposalsMatchParent(t *testing.T) {
 }
 
 // TestColdCheckpointMatchesParent: a session without a history store
-// writes the checkpoint the parent commit wrote, byte for byte — the
-// head (no "start" key) and the epoch log. The fixture holds both files
-// of a 12-epoch run of every name, recorded on the parent and, but for
-// the retired rl-q's, regenerated when the simulator's loss draw became
-// a per-flow clock.
+// writes the checkpoint the parent commit wrote — the header (no
+// "start" key) and every record — but for the transfer state its
+// records now carry. The fixture holds a 12-epoch run of every name,
+// recorded on the parent and, but for the retired rl-q's, regenerated
+// when the simulator's loss draw became a per-flow clock; its epoch
+// logs were since re-framed as the records of one file.
 func TestColdCheckpointMatchesParent(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "cold_checkpoints.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want map[string]struct{ Head, Log string }
-	if err := json.Unmarshal(raw, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := coldCheckpoints(t)
 	for _, name := range parentNames() {
 		t.Run(name, func(t *testing.T) {
 			fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.ck"))
@@ -110,23 +104,30 @@ func TestColdCheckpointMatchesParent(t *testing.T) {
 			if _, err := Run(context.Background(), name, cfg, simTransfer(t, 11)); err != nil {
 				t.Fatal(err)
 			}
-			head, err := os.ReadFile(fc.Path())
-			if err != nil {
-				t.Fatal(err)
-			}
-			log, err := os.ReadFile(fc.Path() + ".log")
-			if err != nil {
-				t.Fatal(err)
-			}
 			w, ok := want[name]
-			if !ok || string(head) != w.Head {
-				t.Fatalf("head\n %s\nthe parent wrote\n %s", head, w.Head)
+			if !ok {
+				t.Fatal("fixture has no checkpoint for this strategy")
 			}
-			if string(log) != w.Log {
-				t.Fatal("epoch log differs from the parent's")
+			got, parent := parentView(t, mustRead(t, fc.Path())), parentView(t, []byte(w))
+			if got[0] != parent[0] {
+				t.Fatalf("header\n %s\nthe parent wrote\n %s", got[0], parent[0])
+			}
+			if !reflect.DeepEqual(got, parent) {
+				t.Fatal("records differ from the parent's")
 			}
 		})
 	}
+}
+
+// coldCheckpoints reads testdata/golden/cold_checkpoints.json: a
+// checkpoint file per strategy name.
+func coldCheckpoints(t *testing.T) map[string]string {
+	t.Helper()
+	var files map[string]string
+	if err := json.Unmarshal(mustRead(t, filepath.Join("testdata", "golden", "cold_checkpoints.json")), &files); err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestParentWarmCheckpointRefused: testdata/parent_warm.checkpoint is the
@@ -136,19 +137,8 @@ func TestColdCheckpointMatchesParent(t *testing.T) {
 // Q-learner since deleted. Resuming either is refused by its name — at
 // Run, and at NewStrategy — rather than cold-started under another.
 func TestParentWarmCheckpointRefused(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "cold_checkpoints.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cold map[string]struct{ Head, Log string }
-	if err := json.Unmarshal(raw, &cold); err != nil {
-		t.Fatal(err)
-	}
 	rlq := filepath.Join(t.TempDir(), "rl-q.ck")
-	if err := os.WriteFile(rlq, []byte(cold["rl-q"].Head), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(rlq+".log", []byte(cold["rl-q"].Log), 0o644); err != nil {
+	if err := os.WriteFile(rlq, []byte(coldCheckpoints(t)["rl-q"]), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for path, want := range map[string]struct {

@@ -22,8 +22,8 @@ import (
 // vector — and must be called at least once before the first Observe.
 // A strategy's state after k Observe calls is a deterministic function
 // of its configuration and the k observed reports, which is what lets
-// a resume rebuild it by replaying a checkpoint's epoch log into a
-// strategy built under the same configuration.
+// a resume rebuild it by replaying a checkpoint's recorded epochs into
+// a strategy built under the same configuration.
 type Strategy interface {
 	// Name returns the strategy's conventional name, e.g. "cs-tuner".
 	Name() string
@@ -36,8 +36,8 @@ type Strategy interface {
 	// so the ε-monitor re-triggers naturally once the transfer
 	// recovers.
 	Observe(rep xfer.Report)
-	// Snapshot returns the strategy's complete serializable state, as
-	// checkpoints carry it for inspection.
+	// Snapshot returns the strategy's complete serializable state, for
+	// inspection; no checkpoint carries it.
 	Snapshot() (json.RawMessage, error)
 }
 

@@ -162,7 +162,7 @@ type Config struct {
 	Checkpoint CheckpointWriter
 	// Resume, when non-nil, continues the run recorded in the
 	// checkpoint instead of starting fresh: the strategy is rebuilt by
-	// replaying the checkpoint's epoch log through it — each recorded
+	// replaying the checkpoint's recorded epochs through it — each recorded
 	// proposal verified, a divergence refused as "resume diverged at
 	// epoch k", no event emitted — the recorded trace is preloaded, and
 	// live tuning continues mid-trajectory from the first unrecorded
