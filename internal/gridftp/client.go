@@ -133,10 +133,10 @@ type ClientConfig struct {
 	// steady-state epoch performs zero dials.
 	ColdStart bool
 	// Obs, when non-nil, receives the client's fine-grained data-plane
-	// events (StripeDialed, StripeEvicted) and keeps the warm-pool
-	// gauge current. Per-epoch aggregates (dials, retries, throughput)
-	// are recorded by the epoch engine from the epoch Report, not
-	// here, so the two layers never double-count. Nil disables
+	// events (StripeDialed, StripeEvicted) and keeps the session's
+	// warm-pool size current. Per-epoch aggregates (dials, retries,
+	// throughput) are recorded by the epoch engine from the epoch
+	// Report, not here, so the two layers never double-count. Nil disables
 	// observation; the pump path is never instrumented either way.
 	Obs *obs.SessionObs
 }

@@ -128,19 +128,16 @@ func TestSessionStatusAndStatusEndpoint(t *testing.T) {
 		t.Errorf("status X = %v, want [4 8]", got.X)
 	}
 
-	// The instruments must reflect the same epoch.
-	if v := o.Registry().Counter(MetricEpochs, "", L("session", "bulk")).Value(); v != 1 {
+	// The process-wide instruments must count the same epoch.
+	if v := o.Registry().Counter(MetricEpochs, "").Value(); v != 1 {
 		t.Errorf("epochs counter = %d, want 1", v)
-	}
-	if v := o.Registry().Gauge(MetricParamNC, "", L("session", "bulk")).Value(); v != 4 {
-		t.Errorf("nc gauge = %v, want 4", v)
 	}
 
 	// And the HTTP endpoints must serve them.
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
 	for path, want := range map[string]string{
-		"/metrics":    `dstune_epochs_total{session="bulk"} 1`,
+		"/metrics":    "\ndstune_epochs_total 1\n",
 		"/status":     `"id": "bulk"`,
 		"/debug/vars": `"memstats"`, // the standard library's own; the registry's one view is /metrics
 	} {

@@ -1,7 +1,14 @@
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -167,7 +174,7 @@ func TestNilSafety(t *testing.T) {
 	s.SetPool(1)
 	s.SetStrategy("cs")
 	s.Finish(nil)
-	if st := s.Status(); s.ID() != "" || st.ID != "" || st.Epochs != 0 {
+	if st := s.Status(); s.ID() != "" || st.ID != "" || st.Epochs != 0 || st.Pool != 0 {
 		t.Fatal("nil SessionObs must read zero values")
 	}
 	o.FaultInjected(FaultDialRefusal, "addr")
@@ -182,6 +189,119 @@ func TestNilSafety(t *testing.T) {
 	rec.Record(Event{})
 	if rec.Events() != nil || rec.Len() != 0 || rec.Err() != nil {
 		t.Fatal("nil recorder must read zero values")
+	}
+}
+
+// TestMetricsDoNotGrowWithSessions pins /metrics to the process: after
+// 6 400 sessions it publishes exactly the series it published after
+// one, no series names a session, and every per-session value that is
+// not a /metrics series is read back from /status or from the event
+// that carried it. Sessions run on several goroutines, as dstuned's
+// do, so under -race it also checks that they share the instruments
+// safely.
+func TestMetricsDoNotGrowWithSessions(t *testing.T) {
+	get := func(url string) string {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(body)
+	}
+	// Session "job-i" reports values derived from i.
+	job := func(id string) int {
+		var i int
+		if _, err := fmt.Sscanf(id, "job-%d", &i); err != nil {
+			t.Fatalf("session %q: %v", id, err)
+		}
+		return i
+	}
+	xOf := func(i int) []int { return []int{i%64 + 1, i%16 + 1, i%8 + 1} }
+	// drive runs n sessions through one epoch each and returns the
+	// number of series /metrics publishes.
+	drive := func(n int) int {
+		o := NewObserver(ObserverConfig{EventBuffer: 5 * n})
+		const workers = 4
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < n; i += workers {
+					s := o.Session(fmt.Sprintf("job-%d", i))
+					s.EpochStart(0, 0, xOf(i))
+					s.EpochEnd(1, 0, xOf(i), EpochStats{Throughput: float64(i+1) * 1e6,
+						BestCase: float64(i+2) * 1e6, Bytes: 1e6, DeadTime: 0.1, Dials: 1}, false, i%5)
+					s.StripeKernel(1, 0, i+10, 0.02, 0.001, 1e8, int64(i))
+					s.RLAction(1, 1, xOf(i), i%4, 1/float64(i+2), float64(i)*1e3, i%2 == 0)
+					s.CheckpointWritten(1, 1, 0.001)
+					s.SetPool(i%32 + 1)
+				}
+			}(w)
+		}
+		wg.Wait()
+		srv := httptest.NewServer(o.Handler())
+		defer srv.Close()
+
+		metrics := get(srv.URL + "/metrics")
+		series := 0
+		for _, line := range strings.Split(metrics, "\n") {
+			if strings.Contains(line, "session=") {
+				t.Fatalf("%d sessions: a series names its session: %s", n, line)
+			}
+			if line != "" && !strings.HasPrefix(line, "#") {
+				series++
+			}
+		}
+		if !strings.Contains(metrics, fmt.Sprintf("\ndstune_epochs_total %d\n", n)) {
+			t.Errorf("%d sessions: dstune_epochs_total does not sum over them", n)
+		}
+
+		var st Status
+		if err := json.Unmarshal([]byte(get(srv.URL+"/status")), &st); err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Sessions) != n {
+			t.Fatalf("/status lists %d sessions, want %d", len(st.Sessions), n)
+		}
+		for _, ss := range st.Sessions {
+			i := job(ss.ID)
+			want := SessionStatus{X: xOf(i), Throughput: float64(i+1) * 1e6,
+				BestCase: float64(i+2) * 1e6, TransientBudget: i % 5, Pool: i%32 + 1}
+			got := SessionStatus{X: ss.X, Throughput: ss.Throughput, BestCase: ss.BestCase,
+				TransientBudget: ss.TransientBudget, Pool: ss.Pool}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("/status of %s = %+v, want %+v", ss.ID, got, want)
+			}
+		}
+		kernel, rl := 0, 0
+		for _, ev := range o.Recorder().Events() {
+			switch ev.Type {
+			case EventStripeKernelStats:
+				if i := job(ev.Session); ev.Cwnd != i+10 {
+					t.Fatalf("%s: StripeKernelStats cwnd %d, want %d", ev.Session, ev.Cwnd, i+10)
+				}
+				kernel++
+			case EventRLAction:
+				if i := job(ev.Session); ev.Epsilon != 1/float64(i+2) || ev.QValue != float64(i)*1e3 {
+					t.Fatalf("%s: RLAction epsilon %g q %g", ev.Session, ev.Epsilon, ev.QValue)
+				}
+				rl++
+			}
+		}
+		if kernel != n || rl != n {
+			t.Fatalf("recorded %d StripeKernelStats and %d RLAction events, want %d each", kernel, rl, n)
+		}
+		return series
+	}
+	one, many := drive(1), drive(6400)
+	if one != many {
+		t.Errorf("/metrics publishes %d series after one session and %d after 6400", one, many)
 	}
 }
 

@@ -16,24 +16,62 @@ type ObserverConfig struct {
 }
 
 // Observer is the top-level observation handle: one metrics Registry,
-// one event Recorder, and the set of per-session views feeding the
-// /status endpoint. A nil *Observer is a valid no-op, as are all
-// handles derived from it.
+// one event Recorder, the session instruments every session shares, and
+// the set of per-session views feeding the /status endpoint. A nil
+// *Observer is a valid no-op, as are all handles derived from it.
 type Observer struct {
 	reg *Registry
 	rec *Recorder
+	m   sessionMetrics
 
 	mu       sync.Mutex
 	sessions []*SessionObs
 	byID     map[string]*SessionObs
 }
 
+// sessionMetrics is the session families: one unlabelled instrument
+// each, registered once per Observer and summed over every session.
+// /metrics counts the process; /status and the event stream describe
+// each session.
+type sessionMetrics struct {
+	epochs, bytes, dials, reused, retries, degraded  *Counter
+	transient, retriggers, ckWrites, evictions       *Counter
+	histHits, histMisses, histRecs, files, stripeRtx *Counter
+	rlExplore                                        *Counter
+	deadTime, ckSeconds, firstByte, stripeRTT        *Histogram
+	stripeRate                                       *Histogram
+}
+
 // NewObserver returns an Observer with a fresh registry and recorder.
 func NewObserver(cfg ObserverConfig) *Observer {
+	r := NewRegistry()
 	return &Observer{
-		reg:  NewRegistry(),
+		reg:  r,
 		rec:  NewRecorder(cfg.EventBuffer, cfg.EventSink),
 		byID: make(map[string]*SessionObs),
+		m: sessionMetrics{
+			epochs:     r.Counter(MetricEpochs, "Completed control epochs."),
+			bytes:      r.Counter(MetricBytes, "Payload bytes acknowledged."),
+			dials:      r.Counter(MetricDials, "New data connections established."),
+			reused:     r.Counter(MetricReused, "Warm streams reused instead of dialed."),
+			retries:    r.Counter(MetricRetries, "Transient-error retries inside epochs."),
+			degraded:   r.Counter(MetricDegraded, "Stream-slots run below requested concurrency."),
+			transient:  r.Counter(MetricTransientEpochs, "Epochs lost to transient failures."),
+			retriggers: r.Counter(MetricRetriggers, "Epsilon-monitor search restarts."),
+			ckWrites:   r.Counter(MetricCheckpointWrites, "Durable checkpoint writes."),
+			evictions:  r.Counter(MetricStripeEvictions, "Dead stripes evicted from the warm pool."),
+			histHits:   r.Counter(MetricHistoryHits, "History lookups that warm-started a session."),
+			histMisses: r.Counter(MetricHistoryMisses, "History lookups without a usable prediction."),
+			histRecs:   r.Counter(MetricHistoryRecords, "Tuning outcomes recorded into the history store."),
+			files:      r.Counter(MetricFilesCompleted, "Dataset files completed (receiver truth)."),
+			stripeRtx:  r.Counter(MetricStripeRetrans, "Retransmitted segments observed between epoch-boundary samples."),
+			rlExplore:  r.Counter(MetricRLExplorations, "Epochs where a learned strategy explored a random action."),
+			deadTime:   r.Histogram(MetricDeadTime, "Per-epoch dead time in seconds.", DefaultLatencyBuckets),
+			ckSeconds:  r.Histogram(MetricCheckpointSeconds, "Checkpoint write latency in wall seconds.", DefaultLatencyBuckets),
+			firstByte:  r.Histogram(MetricFirstByteLag, "Delay from epoch start to first payload byte in seconds.", DefaultLatencyBuckets),
+			stripeRTT:  r.Histogram(MetricStripeRTT, "Per-stripe kernel smoothed RTT at epoch boundaries in seconds.", DefaultLatencyBuckets),
+			stripeRate: r.Histogram(MetricStripeRate, "Per-stripe kernel delivery-rate estimate in bytes/second.", DefaultRateBuckets),
+		},
 	}
 }
 
@@ -66,28 +104,19 @@ func (o *Observer) Event(ev Event) {
 }
 
 // Metric names emitted by the stack. Each is documented in
-// OBSERVABILITY.md; TestMetricsDocumented fails when one is missing.
+// OBSERVABILITY.md; TestObservabilityDocCoverage fails when one is
+// missing. The session families carry no label: each is one series,
+// summed over every session of the process.
 const (
-	// MetricEpochs counts completed control epochs per session.
+	// MetricEpochs counts completed control epochs.
 	MetricEpochs = "dstune_epochs_total"
-	// MetricThroughput is the last epoch's mean throughput (bytes/s).
-	MetricThroughput = "dstune_epoch_throughput_bytes_per_second"
-	// MetricBestCase is the last epoch's dead-time-compensated
-	// throughput (bytes/s).
-	MetricBestCase = "dstune_epoch_bestcase_bytes_per_second"
 	// MetricDeadTime is the per-epoch dead-time distribution
 	// (seconds).
 	MetricDeadTime = "dstune_epoch_dead_seconds"
-	// MetricBytes counts payload bytes acknowledged per session.
+	// MetricBytes counts payload bytes acknowledged.
 	MetricBytes = "dstune_bytes_total"
-	// MetricParamNC is the current concurrency (nc) parameter.
-	MetricParamNC = "dstune_param_nc"
-	// MetricParamNP is the current parallelism (np) parameter.
-	MetricParamNP = "dstune_param_np"
-	// MetricParamPP is the current pipelining depth (pp) parameter.
-	MetricParamPP = "dstune_param_pp"
 	// MetricFilesCompleted counts dataset files completed (receiver
-	// truth) per session.
+	// truth).
 	MetricFilesCompleted = "gridftp_files_completed_total"
 	// MetricFirstByteLag is the per-epoch distribution of the delay
 	// between epoch start and the first payload byte (seconds).
@@ -103,9 +132,6 @@ const (
 	MetricDegraded = "dstune_degraded_streams_total"
 	// MetricTransientEpochs counts epochs lost to transient failures.
 	MetricTransientEpochs = "dstune_transient_epochs_total"
-	// MetricTransientBudget is the remaining consecutive transient
-	// failures the session tolerates before giving up.
-	MetricTransientBudget = "dstune_transient_budget"
 	// MetricRetriggers counts ε-monitor search restarts.
 	MetricRetriggers = "dstune_retriggers_total"
 	// MetricCheckpointWrites counts durable checkpoint writes.
@@ -113,9 +139,6 @@ const (
 	// MetricCheckpointSeconds is the checkpoint write-latency
 	// distribution (wall seconds).
 	MetricCheckpointSeconds = "dstune_checkpoint_write_seconds"
-	// MetricWarmPool is the number of idle warm streams pooled between
-	// epochs.
-	MetricWarmPool = "dstune_warm_pool_streams"
 	// MetricStripeEvictions counts dead stripes evicted from the warm
 	// pool.
 	MetricStripeEvictions = "dstune_stripe_evictions_total"
@@ -144,9 +167,6 @@ const (
 	// MetricStripeRTT is the distribution of per-stripe kernel
 	// smoothed RTT samples at epoch boundaries (seconds).
 	MetricStripeRTT = "gridftp_stripe_rtt_seconds"
-	// MetricStripeCwnd is the last sampled per-stripe congestion
-	// window (segments).
-	MetricStripeCwnd = "gridftp_stripe_cwnd_segments"
 	// MetricStripeRate is the distribution of per-stripe kernel
 	// delivery-rate estimates (bytes/s).
 	MetricStripeRate = "gridftp_stripe_delivery_bytes_per_second"
@@ -157,12 +177,6 @@ const (
 	// RNG forced a random (exploring) action instead of the greedy
 	// one.
 	MetricRLExplorations = "dstune_rl_explorations_total"
-	// MetricRLQValue is the value estimate of the action the learned
-	// strategy (rl-bandit) most recently committed to.
-	MetricRLQValue = "dstune_rl_q_value"
-	// MetricRLEpsilon is the learned strategy's current exploration
-	// probability (decays with context visits).
-	MetricRLEpsilon = "dstune_rl_epsilon"
 )
 
 // EpochStats is the per-epoch observation a SessionObs ingests. It
@@ -230,6 +244,8 @@ type SessionStatus struct {
 	Retriggers int `json:"retriggers"`
 	// Checkpoints counts durable checkpoint writes.
 	Checkpoints int `json:"checkpoints"`
+	// Pool is the number of live warm data stripes (gridftp client).
+	Pool int `json:"pool,omitempty"`
 	// Clock is the transfer clock at the last event (seconds).
 	Clock float64 `json:"clock_seconds"`
 	// Done reports whether the session has finished.
@@ -263,84 +279,33 @@ func (o *Observer) Status() Status {
 }
 
 // Session returns the session view registered under id, creating it on
-// first use. Sessions appear in /status in creation order and label
-// every session-scoped metric with session=id. Returns nil (a no-op
-// view) on a nil receiver.
+// first use. Sessions appear in /status in creation order; they share
+// the Observer's unlabelled instruments, so a new session adds no
+// series to /metrics. Returns nil (a no-op view) on a nil receiver.
 func (o *Observer) Session(id string) *SessionObs {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
+	defer o.mu.Unlock()
 	if s, ok := o.byID[id]; ok {
-		o.mu.Unlock()
 		return s
 	}
-	o.mu.Unlock()
-
-	lbl := L("session", id)
-	s := &SessionObs{
-		o:          o,
-		id:         id,
-		epochs:     o.reg.Counter(MetricEpochs, "Completed control epochs.", lbl),
-		bytes:      o.reg.Counter(MetricBytes, "Payload bytes acknowledged.", lbl),
-		dials:      o.reg.Counter(MetricDials, "New data connections established.", lbl),
-		reused:     o.reg.Counter(MetricReused, "Warm streams reused instead of dialed.", lbl),
-		retries:    o.reg.Counter(MetricRetries, "Transient-error retries inside epochs.", lbl),
-		degraded:   o.reg.Counter(MetricDegraded, "Stream-slots run below requested concurrency.", lbl),
-		transient:  o.reg.Counter(MetricTransientEpochs, "Epochs lost to transient failures.", lbl),
-		retriggers: o.reg.Counter(MetricRetriggers, "Epsilon-monitor search restarts.", lbl),
-		ckWrites:   o.reg.Counter(MetricCheckpointWrites, "Durable checkpoint writes.", lbl),
-		evictions:  o.reg.Counter(MetricStripeEvictions, "Dead stripes evicted from the warm pool.", lbl),
-		histHits:   o.reg.Counter(MetricHistoryHits, "History lookups that warm-started the session.", lbl),
-		histMisses: o.reg.Counter(MetricHistoryMisses, "History lookups without a usable prediction.", lbl),
-		histRecs:   o.reg.Counter(MetricHistoryRecords, "Tuning outcomes recorded into the history store.", lbl),
-		files:      o.reg.Counter(MetricFilesCompleted, "Dataset files completed (receiver truth).", lbl),
-		throughput: o.reg.Gauge(MetricThroughput, "Last epoch mean throughput in bytes/second.", lbl),
-		bestCase:   o.reg.Gauge(MetricBestCase, "Last epoch dead-time-compensated throughput in bytes/second.", lbl),
-		nc:         o.reg.Gauge(MetricParamNC, "Current concurrency (nc) parameter.", lbl),
-		np:         o.reg.Gauge(MetricParamNP, "Current parallelism (np) parameter.", lbl),
-		pp:         o.reg.Gauge(MetricParamPP, "Current pipelining depth (pp) parameter.", lbl),
-		budget:     o.reg.Gauge(MetricTransientBudget, "Remaining tolerated consecutive transient failures.", lbl),
-		pool:       o.reg.Gauge(MetricWarmPool, "Idle warm streams pooled between epochs.", lbl),
-		deadTime:   o.reg.Histogram(MetricDeadTime, "Per-epoch dead time in seconds.", DefaultLatencyBuckets, lbl),
-		ckSeconds:  o.reg.Histogram(MetricCheckpointSeconds, "Checkpoint write latency in wall seconds.", DefaultLatencyBuckets, lbl),
-		firstByte:  o.reg.Histogram(MetricFirstByteLag, "Delay from epoch start to first payload byte in seconds.", DefaultLatencyBuckets, lbl),
-		stripeRTT:  o.reg.Histogram(MetricStripeRTT, "Per-stripe kernel smoothed RTT at epoch boundaries in seconds.", DefaultLatencyBuckets, lbl),
-		stripeRate: o.reg.Histogram(MetricStripeRate, "Per-stripe kernel delivery-rate estimate in bytes/second.", DefaultRateBuckets, lbl),
-		stripeCwnd: o.reg.Gauge(MetricStripeCwnd, "Last sampled per-stripe congestion window in segments.", lbl),
-		stripeRtx:  o.reg.Counter(MetricStripeRetrans, "Retransmitted segments observed between epoch-boundary samples.", lbl),
-		rlExplore:  o.reg.Counter(MetricRLExplorations, "Epochs where the learned strategy explored a random action.", lbl),
-		rlQ:        o.reg.Gauge(MetricRLQValue, "Value estimate of the learned strategy's chosen action.", lbl),
-		rlEps:      o.reg.Gauge(MetricRLEpsilon, "Learned strategy's current exploration probability.", lbl),
-	}
+	s := &SessionObs{o: o, sessionMetrics: &o.m, id: id}
 	s.st.ID = id
-
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if prior, ok := o.byID[id]; ok {
-		return prior // lost a registration race; instruments are shared anyway
-	}
 	o.byID[id] = s
 	o.sessions = append(o.sessions, s)
 	return s
 }
 
-// SessionObs is one session's observation view: it owns the session's
-// metric instruments, feeds /status, and emits session-scoped events.
-// A nil *SessionObs is a valid no-op. All methods are safe for
-// concurrent use.
+// SessionObs is one session's observation view: it feeds the shared
+// session instruments, keeps the session's /status entry, and emits
+// session-scoped events. A nil *SessionObs is a valid no-op. All
+// methods are safe for concurrent use.
 type SessionObs struct {
-	o  *Observer
+	o *Observer
+	*sessionMetrics
 	id string
-
-	epochs, bytes, dials, reused, retries, degraded  *Counter
-	transient, retriggers, ckWrites, evictions       *Counter
-	histHits, histMisses, histRecs, files, stripeRtx *Counter
-	rlExplore                                        *Counter
-	throughput, bestCase, nc, np, pp, budget, pool   *Gauge
-	stripeCwnd, rlQ, rlEps                           *Gauge
-	deadTime, ckSeconds, firstByte, stripeRTT        *Histogram
-	stripeRate                                       *Histogram
 
 	// muted silences what a strategy reports (see Muted).
 	muted atomic.Bool
@@ -394,21 +359,6 @@ func (s *SessionObs) SetStrategy(name string) {
 	s.mu.Unlock()
 }
 
-// setParams mirrors the leading parameter dimensions into the nc/np
-// gauges and the status vector. Callers hold s.mu.
-func (s *SessionObs) setParams(x []int) {
-	s.st.X = append(s.st.X[:0], x...)
-	if len(x) > 0 {
-		s.nc.Set(float64(x[0]))
-	}
-	if len(x) > 1 {
-		s.np.Set(float64(x[1]))
-	}
-	if len(x) > 2 {
-		s.pp.Set(float64(x[2]))
-	}
-}
-
 // Propose records the strategy proposing vector x at transfer clock t,
 // with prev the previously proposed vector (nil on the first epoch).
 func (s *SessionObs) Propose(t float64, x, prev []int) {
@@ -416,7 +366,7 @@ func (s *SessionObs) Propose(t float64, x, prev []int) {
 		return
 	}
 	s.mu.Lock()
-	s.setParams(x)
+	s.st.X = append(s.st.X[:0], x...)
 	s.st.Clock = t
 	epoch := s.st.Epochs
 	s.mu.Unlock()
@@ -431,7 +381,7 @@ func (s *SessionObs) EpochStart(t float64, epoch int, x []int) {
 		return
 	}
 	s.mu.Lock()
-	s.setParams(x)
+	s.st.X = append(s.st.X[:0], x...)
 	s.st.Clock = t
 	s.mu.Unlock()
 	s.o.Event(Event{T: t, Type: EventEpochStart, Session: s.id, Epoch: epoch,
@@ -452,13 +402,10 @@ func (s *SessionObs) EpochEnd(t float64, epoch int, x []int, rep EpochStats, tra
 	s.retries.Add(int64(rep.Retries))
 	s.degraded.Add(int64(rep.DegradedStreams))
 	s.files.Add(int64(rep.Files))
-	s.throughput.Set(rep.Throughput)
-	s.bestCase.Set(rep.BestCase)
 	s.deadTime.Observe(rep.DeadTime)
 	if rep.FirstByteLag > 0 {
 		s.firstByte.Observe(rep.FirstByteLag)
 	}
-	s.budget.Set(float64(budget))
 	if transient {
 		s.transient.Inc()
 	}
@@ -556,7 +503,7 @@ func (s *SessionObs) WarmStart(t float64, x []int, hit bool) {
 // the chosen vector, the load-context bucket it was chosen in, the
 // exploration probability in force, the action's value estimate, and
 // whether the RNG forced exploration. Bumps the exploration counter
-// on explore and keeps the q-value/epsilon gauges current.
+// on explore; the event is where ε and the value estimate are read.
 func (s *SessionObs) RLAction(t float64, epoch int, x []int, bucket int, eps, q float64, explore bool) {
 	if s == nil || s.muted.Load() {
 		return
@@ -566,8 +513,6 @@ func (s *SessionObs) RLAction(t float64, epoch int, x []int, bucket int, eps, q 
 		s.rlExplore.Inc()
 		detail = "explore"
 	}
-	s.rlQ.Set(q)
-	s.rlEps.Set(eps)
 	s.o.Event(Event{T: t, Type: EventRLAction, Session: s.id, Epoch: epoch,
 		X: append([]int(nil), x...), Bucket: bucket, Epsilon: eps, QValue: q,
 		Detail: detail})
@@ -585,12 +530,13 @@ func (s *SessionObs) HistoryRecorded() {
 }
 
 // StripeDialed records the warm data plane establishing a new stripe
-// connection; pool is the resulting live stripe count.
+// connection; pool is the resulting live stripe count, kept in the
+// session's status.
 func (s *SessionObs) StripeDialed(t float64, pool int) {
 	if s == nil {
 		return
 	}
-	s.pool.Set(float64(pool))
+	s.SetPool(pool)
 	s.o.Event(Event{T: t, Type: EventStripeDialed, Session: s.id, Dials: 1})
 }
 
@@ -615,7 +561,6 @@ func (s *SessionObs) StripeKernel(t float64, stripe, cwnd int, rtt, rttvar, rate
 		return
 	}
 	s.stripeRTT.Observe(rtt)
-	s.stripeCwnd.Set(float64(cwnd))
 	if rate > 0 {
 		s.stripeRate.Observe(rate)
 	}
@@ -633,13 +578,15 @@ func (s *SessionObs) KernelRetrans(n int64) {
 	s.stripeRtx.Add(n)
 }
 
-// SetPool updates the warm-pool gauge without emitting an event (used
-// when stripes are parked between epochs).
+// SetPool records the session's warm-pool size in its status without
+// emitting an event (used when stripes are parked between epochs).
 func (s *SessionObs) SetPool(n int) {
 	if s == nil {
 		return
 	}
-	s.pool.Set(float64(n))
+	s.mu.Lock()
+	s.st.Pool = n
+	s.mu.Unlock()
 }
 
 // Finish marks the session done, recording its terminal error if any.

@@ -29,7 +29,7 @@ func fleetTestSession(t *testing.T, name string, peak int) FleetSession {
 }
 
 // TestFleetRejectsSharedDurableIdentity is the dedup/durability guard:
-// session-ID deduplication ("bulk", "bulk-2") keeps metrics apart, but
+// session-ID deduplication ("bulk", "bulk-2") keeps /status apart, but
 // checkpoint files and history keys are configured before dedup runs —
 // two sessions pointing at one file (or one key) must be rejected, not
 // silently interleaved.

@@ -279,7 +279,7 @@ func TestKernelAwareUnderSessionRuntime(t *testing.T) {
 		}
 	}
 	before := retriggers(observer)
-	lag := observer.Registry().Histogram(obs.MetricFirstByteLag, "", obs.DefaultLatencyBuckets, obs.L("session", "ka"))
+	lag := observer.Registry().Histogram(obs.MetricFirstByteLag, "", obs.DefaultLatencyBuckets)
 	if _, n := lag.SumCount(); n != 0 {
 		t.Fatalf("first-byte-lag histogram holds %d samples before any lag was reported", n)
 	}
