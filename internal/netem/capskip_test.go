@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"testing"
@@ -218,18 +219,27 @@ func TestCapSkipIsExact(t *testing.T) {
 }
 
 // sameState reports the first difference between a and b in the queue,
-// a flow's delivered bytes, or a stream's window or loss count.
+// the delivered rate, the clock, a flow's offered and delivered rates,
+// delivered bytes or loss clock, or a stream's window or loss count.
 func sameState(a, b *Path) error {
-	if math.Float64bits(a.queue) != math.Float64bits(b.queue) {
-		return fmt.Errorf("queue %v, reference %v", a.queue, b.queue)
+	differ := func(what string, x, y float64) error {
+		if math.Float64bits(x) != math.Float64bits(y) {
+			return fmt.Errorf("%s %v, reference %v", what, x, y)
+		}
+		return nil
+	}
+	if err := errors.Join(differ("queue", a.queue, b.queue),
+		differ("delivered rate", a.lastTotal, b.lastTotal), differ("clock", a.now, b.now)); err != nil {
+		return err
 	}
 	if len(a.flows) != len(b.flows) {
 		return fmt.Errorf("%d flows, reference %d", len(a.flows), len(b.flows))
 	}
 	for i, fa := range a.flows {
 		fb := b.flows[i]
-		if math.Float64bits(fa.delivered) != math.Float64bits(fb.delivered) {
-			return fmt.Errorf("flow %d delivered %v, reference %v", i, fa.delivered, fb.delivered)
+		if err := errors.Join(differ("offered", fa.offered, fb.offered), differ("rate", fa.rate, fb.rate),
+			differ("delivered", fa.delivered, fb.delivered), differ("loss clock", fa.clock, fb.clock)); err != nil {
+			return fmt.Errorf("flow %d: %w", i, err)
 		}
 		for j := range fa.strs {
 			sa, sb := fa.strs[j].tcp, fb.strs[j].tcp

@@ -28,6 +28,14 @@
 // the cap without advancing its round trip, and over a flow whose
 // streams are all at the cap and none cooling down without visiting it.
 //
+// The endpoint CPU, not the network, caps most transfers, so the
+// bottleneck is rarely full. A Step in which no substep can fill it is
+// calm: the queue stays empty, the RTT is fixed, and flows meet only in
+// the order their losses draw from the random source. A calm Step runs
+// each flow through all its substeps in one pass, stopping it where its
+// loss clock runs out, and fires the losses in the order the
+// substep-by-substep loop would, so both orders come to the same bits.
+//
 // All rates are bytes per second and times are seconds of virtual time.
 package netem
 
@@ -100,6 +108,8 @@ type Path struct {
 
 	lastTotal     float64 // aggregate delivered rate, last step
 	lastCongested bool
+
+	held []held // a calm Step's flows stopped at a loss, in flow order
 }
 
 // New returns a path for cfg, drawing randomness from rng. It panics if
@@ -268,19 +278,72 @@ const minSubstep = 0.001
 // roughly half the current RTT so that window growth and loss feedback
 // interleave at the cadence real TCP would see, even when the caller's
 // step is much coarser than the RTT.
+//
+// A calm Step, one whose substeps cannot fill the bottleneck (see
+// begin), runs flow by flow; any other runs substep by substep. Both
+// orders leave the same bits and draw the same random numbers.
 func (p *Path) Step(dt float64) {
 	if dt <= 0 {
 		return
 	}
 	n, h := p.substeps(dt)
-	// The substeps keep each flow's sums by delta; recomputing them here
-	// bounds the drift to one Step.
-	for _, f := range p.flows {
-		f.resum()
+	if p.begin() {
+		p.calmStep(n, h)
+		return
 	}
 	for i := 0; i < n; i++ {
 		p.step(h)
 	}
+}
+
+// calmSlack is the relative drift allowed for a flow's Σcwnd, which the
+// substeps keep by delta. Each delta rounds it by at most 2⁻⁵³ of its
+// size, so it would take some 2³² of them in one Step to drift past
+// 10⁻⁶.
+const calmSlack = 1e-6
+
+// begin readies the path for a Step. It recomputes every flow's sums —
+// the substeps keep them by delta, so this bounds their drift to one
+// Step — and reports whether the Step is calm: the queue is empty, the
+// path caps windows, and the flows' bounds on their rates, summed in
+// flow order, come to at most the capacity. A flow's bound is 0 if it is
+// blocked, its cap if it has one, and otherwise the most its windows can
+// sum to in the Step over the RTT. Every substep of a calm Step then
+// finds the queue empty and the same RTT, delivers every flow's capped
+// rate in full and has no congestion hazard, so its flows meet only in
+// the order their losses draw from the random source.
+func (p *Path) begin() bool {
+	for _, f := range p.flows {
+		f.resum()
+	}
+	if p.queue != 0 || p.cfg.MaxCwnd <= 0 {
+		return false
+	}
+	invRTT := 1 / p.RTT()
+	total := 0.0
+	for _, f := range p.flows {
+		switch {
+		case f.cap < 0:
+		case f.cap > 0:
+			total += f.cap
+		default:
+			total += f.ceil() * (1 + calmSlack) * invRTT
+		}
+	}
+	return total <= p.cfg.Capacity
+}
+
+// ceil returns the most the flow's windows can sum to before the next
+// Step. A window moves only by OnRTT and OnLoss, which leave it at most
+// the larger of MaxCwnd and the MSS, so each can reach at most that or
+// what it is now (NewFlow's jitter can leave it above MaxCwnd).
+func (f *Flow) ceil() float64 {
+	top := max(f.path.cfg.MaxCwnd, f.path.cfg.MSS)
+	c := 0.0
+	for i := range f.strs {
+		c += max(f.strs[i].tcp.Cwnd, top)
+	}
+	return c
 }
 
 // substeps returns how many substeps Step cuts dt into, and their
@@ -308,18 +371,9 @@ func (p *Path) step(dt float64) {
 	// Phase 1: offered rates and flow caps.
 	total := 0.0
 	for _, f := range p.flows {
-		f.offered = f.cwnd * invRTT
-		capped := f.offered
-		switch {
-		case f.cap < 0:
-			capped = 0
-		case f.cap > 0 && capped > f.cap:
-			capped = f.cap
-		}
-		// Stash the capped aggregate in rate temporarily; phase 3
-		// rescales it into the delivered rate.
-		f.rate = capped
-		total += capped
+		// offer stashes the capped aggregate in rate; phase 3 rescales
+		// it into the delivered rate.
+		total += f.offer(invRTT)
 	}
 
 	// Phase 2: bottleneck contention and queue dynamics.
@@ -371,15 +425,9 @@ func (p *Path) step(dt float64) {
 	// Phase 3: delivery, losses and window evolution.
 	t := p.now
 	tNext := t + dt
-	tCool, tNextCool := t+coolEps, tNext+coolEps
-	due := tNext - rtt // a round trip begun by then ends in this substep
-	maxCwnd := p.cfg.MaxCwnd
 	pathRate := 0.0
 	for _, f := range p.flows {
-		k := kPath
-		if f.rate != f.offered {
-			k *= f.rate / f.offered // cap scaling
-		}
+		k := f.scaled(kPath)
 		rate := f.rate * deliverFrac
 		f.rate = rate
 		f.delivered += rate * dt
@@ -389,54 +437,214 @@ func (p *Path) step(dt float64) {
 		// so the first stream's extremes are every stream's.
 		f.strs[0].tcp.ObserveRTT(rtt)
 
-		// The loss clock runs down by the flow's hazard; most substeps
-		// end before it runs out.
-		if hz := f.hazard(k, hc); hz > 0 {
-			if f.clock > hz {
-				f.clock -= hz
-			} else {
-				f.lose(hz, k, hc, rtt, t, dt)
-			}
+		if hz := f.hazard(k, hc); f.runsOut(hz) {
+			f.lose(hz, k, hc, rtt, t, dt)
 		}
-
-		// What is left per stream: a window update when a round trip
-		// ends, and rejoining the hazard when a cool-down does. A window
-		// at the cap stays there until its next loss, and the loss
-		// restarts its round trip, so a stream at the cap has nothing to
-		// update and a flow of them with none cooling down has nothing
-		// left at all.
-		n := len(f.strs)
-		if f.full == n && f.nActive == n {
-			continue
+		if !f.still() {
+			f.walk(rtt, t, tNext)
 		}
-		alg, sum, active, nActive, full := f.alg, f.cwnd, f.active, f.nActive, f.full
-		for i := range f.strs {
-			s := &f.strs[i]
-			if s.rttFrom <= due && s.tcp.Cwnd != maxCwnd {
-				w := s.tcp.Cwnd
-				s.tcp.SinceLoss = tNext - s.lossAt
-				for s.rttFrom <= due {
-					alg.OnRTT(&s.tcp, rtt)
-					s.rttFrom += rtt
-				}
-				d := s.tcp.Cwnd - w
-				sum += d
-				if s.coolUntil <= tCool {
-					active += d
-				}
-				if s.tcp.Cwnd == maxCwnd {
-					full++
-				}
-			}
-			if s.coolUntil > tCool && s.coolUntil <= tNextCool {
-				active += s.tcp.Cwnd
-				nActive++
-			}
-		}
-		f.cwnd, f.active, f.nActive, f.full = sum, active, nActive, full
 	}
 	p.lastTotal = pathRate
 	p.now = tNext
+}
+
+// calm is what every substep of a calm Step holds the same: the RTT,
+// the substep's length, and the random loss hazard per byte of window
+// before a flow's cap scale. The queue is empty, the bottleneck delivers
+// every offered rate in full, and there is no congestion hazard.
+type calm struct {
+	rtt, invRTT, dt, kPath float64
+}
+
+// held is a flow that a calm Step runs on its own, at its substep i,
+// which starts at t. When the flow's loss clock runs out, run leaves it
+// there, delivered, with the loss of hazard hz at scale k still to fire.
+type held struct {
+	f        *Flow
+	i        int
+	t, k, hz float64
+}
+
+// calmStep is a calm Step of n substeps of dt, run flow by flow. Each
+// flow runs its substeps on its own until its loss clock runs out, and
+// the losses fire in the order the substep loop fires them — by
+// substep, and within a substep by flow — so the random source is drawn
+// exactly as it would be. The path's state is then what the substep
+// loop would have left: the queue still empty, no congestion, and the
+// flows' rates of the last substep.
+func (p *Path) calmStep(n int, dt float64) {
+	rtt := p.RTT()
+	invRTT := 1 / rtt
+	// kPath as step computes it, with deliverFrac 1.
+	c := calm{rtt: rtt, invRTT: invRTT, dt: dt, kPath: dt * p.cfg.RandomLoss * invRTT / p.cfg.MSS}
+	p.held = slices.Grow(p.held[:0], len(p.flows))
+	for _, f := range p.flows {
+		h := held{f: f, t: p.now}
+		if h.run(&c, n); h.i < n {
+			p.held = append(p.held, h)
+		}
+	}
+	// p.held stays in flow order, so the first of its earliest
+	// substep is the next loss to fire.
+	for len(p.held) > 0 {
+		j := 0
+		for i := range p.held {
+			if p.held[i].i < p.held[j].i {
+				j = i
+			}
+		}
+		h := &p.held[j]
+		h.f.lose(h.hz, h.k, 0, rtt, h.t, dt)
+		if !h.f.still() {
+			h.f.walk(rtt, h.t, h.t+dt)
+		}
+		h.i, h.t = h.i+1, h.t+dt
+		if h.run(&c, n); h.i == n {
+			p.held = slices.Delete(p.held, j, j+1)
+		}
+	}
+	total := 0.0
+	for _, f := range p.flows {
+		total += f.rate
+	}
+	p.lastTotal = total
+	p.lastCongested = false
+	for i := 0; i < n; i++ {
+		p.now += dt // one substep at a time, as the substep loop rounds it
+	}
+}
+
+// run takes h's flow through the substeps of a calm Step of n, from h.i
+// on, until its loss clock runs out in one (h.i < n) or the Step ends
+// (h.i == n).
+func (h *held) run(c *calm, n int) {
+	f := h.f
+	// The RTT is the same in every substep of a calm Step, and the first
+	// stream's extremes are every stream's (see step).
+	f.strs[0].tcp.ObserveRTT(c.rtt)
+	for ; h.i < n; h.i, h.t = h.i+1, h.t+c.dt {
+		// step's offer, delivery and hazard at deliverFrac 1 and h_c 0.
+		f.offer(c.invRTT)
+		k := f.scaled(c.kPath)
+		hz := f.hazard(k, 0)
+		f.delivered += f.rate * c.dt
+		if f.still() {
+			// Every substep up to the flow's next loss is this one
+			// again, and only its bytes and its clock move.
+			if h.coast(c.dt, n, hz) {
+				return
+			}
+		} else if !f.runsOut(hz) {
+			f.walk(c.rtt, h.t, h.t+c.dt)
+			continue
+		}
+		h.k, h.hz = k, hz
+		return
+	}
+}
+
+// coast runs a still flow, delivered in its substep h.i, on through the
+// substeps of dt of a calm Step of n until its loss clock runs out at a
+// hazard of hz a substep. It reports whether the Step ended first.
+func (h *held) coast(dt float64, n int, hz float64) (ended bool) {
+	f := h.f
+	i, t, clock, delivered := h.i, h.t, f.clock, f.delivered
+	for {
+		if hz > 0 {
+			if !(clock > hz) {
+				break
+			}
+			clock -= hz
+		}
+		if i++; i == n {
+			ended = true
+			break
+		}
+		t += dt
+		delivered += f.rate * dt
+	}
+	h.i, h.t, f.clock, f.delivered = i, t, clock, delivered
+	return ended
+}
+
+// runsOut runs the loss clock down by a substep's hazard hz, and
+// reports whether the clock ran out in the substep, which is a loss to
+// fire. Most substeps end before it runs out.
+func (f *Flow) runsOut(hz float64) bool {
+	if hz > 0 && f.clock > hz {
+		f.clock -= hz
+		return false
+	}
+	return hz > 0
+}
+
+// still reports whether the flow has every stream at the cap and none
+// cooling down: then a substep leaves its windows and sums as they are.
+func (f *Flow) still() bool {
+	n := len(f.strs)
+	return f.full == n && f.nActive == n
+}
+
+// walk is what is left of the substep [t, tNext) per stream of a flow
+// that is not still: a window update when a round trip ends, and
+// rejoining the hazard when a cool-down does. A window at the cap stays
+// there until its next loss, and the loss restarts its round trip, so a
+// stream at the cap has nothing to update and a still flow nothing at
+// all. Both loop orders call it.
+func (f *Flow) walk(rtt, t, tNext float64) {
+	tCool, tNextCool := t+coolEps, tNext+coolEps
+	due := tNext - rtt // a round trip begun by then ends in this substep
+	maxCwnd := f.path.cfg.MaxCwnd
+	alg, sum, active, nActive, full := f.alg, f.cwnd, f.active, f.nActive, f.full
+	for i := range f.strs {
+		s := &f.strs[i]
+		if s.rttFrom <= due && s.tcp.Cwnd != maxCwnd {
+			w := s.tcp.Cwnd
+			s.tcp.SinceLoss = tNext - s.lossAt
+			for s.rttFrom <= due {
+				alg.OnRTT(&s.tcp, rtt)
+				s.rttFrom += rtt
+			}
+			d := s.tcp.Cwnd - w
+			sum += d
+			if s.coolUntil <= tCool {
+				active += d
+			}
+			if s.tcp.Cwnd == maxCwnd {
+				full++
+			}
+		}
+		if s.coolUntil > tCool && s.coolUntil <= tNextCool {
+			active += s.tcp.Cwnd
+			nActive++
+		}
+	}
+	f.cwnd, f.active, f.nActive, f.full = sum, active, nActive, full
+}
+
+// offer sets the flow's offered rate, its windows over the RTT, and
+// returns its rate capped, which it stashes in rate.
+func (f *Flow) offer(invRTT float64) float64 {
+	f.offered = f.cwnd * invRTT
+	capped := f.offered
+	switch {
+	case f.cap < 0:
+		capped = 0
+	case f.cap > 0 && capped > f.cap:
+		capped = f.cap
+	}
+	f.rate = capped
+	return capped
+}
+
+// scaled returns the path's random loss hazard per byte of window,
+// kPath, scaled by the share of its offered rate the flow's cap lets
+// through. It reads the capped rate offer stashed.
+func (f *Flow) scaled(kPath float64) float64 {
+	if f.rate != f.offered {
+		return kPath * (f.rate / f.offered)
+	}
+	return kPath
 }
 
 // hazard is the flow's loss hazard in a substep: the sum over its
