@@ -89,11 +89,9 @@ func (r doorRow) label() string {
 // a job, is one session — the same vectors, the same throughputs, epoch
 // for epoch, recorded under history keys that differ only by the
 // session-id suffix the two multi-session doors add. The warm rows seed
-// each door's store with a prediction: every door starts there, and
-// two-phase samples the one bracketing ladder (pred, 2·pred, pred/2) at
-// all three. The `default` rows
-// hold since the doors agree that the static baseline keeps its
-// processes alive; the dataset rows since a simulated -dataset is the
+// each door's store with a prediction: every door starts there. The
+// `default` rows hold since the doors agree that the static baseline
+// keeps its processes alive; the dataset rows since a simulated -dataset is the
 // disk-to-disk model at the CLI too. The socket row cannot compare
 // wall-clock throughputs; it holds what a strategy that reads kernel
 // samples is owed at every door: the samples, with no flag asking.
@@ -112,7 +110,7 @@ func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 
 	row := 0
 	for _, testbed := range []string{"uchicago", "tacc"} {
-		for _, tn := range []doorRow{{tuner: "default"}, {tuner: "cs-tuner"}, {tuner: "nm-tuner"}, {tuner: "two-phase"}, {"cd-tuner", true}, {"two-phase", true}} {
+		for _, tn := range []doorRow{{tuner: "default"}, {tuner: "cs-tuner"}, {tuner: "nm-tuner"}, {"cd-tuner", true}} {
 			for _, two := range []bool{false, true} {
 				for _, cmp := range []int{0, 16} {
 					for _, files := range []string{"", "200x1MiB"} {
@@ -140,7 +138,7 @@ func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 		}
 	}
 
-	t.Run("socket/kernel-aware:cs-tuner", func(t *testing.T) {
+	t.Run("socket/rl-bandit", func(t *testing.T) {
 		if runtime.GOOS != "linux" {
 			t.Skip("TCP_INFO sampling is Linux-only")
 		}
@@ -150,7 +148,7 @@ func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 		}
 		defer srv.Close()
 		spec := service.JobSpec{
-			ID: "row-socket", Tuner: "kernel-aware:cs-tuner", Addr: srv.Addr(),
+			ID: "row-socket", Tuner: "rl-bandit", Addr: srv.Addr(),
 			Epoch: 0.05, Tolerance: 30, Budget: 0.25, MaxNC: 4, Seed: 3,
 		}
 		cli, viaFleet, daemon := atEveryDoor(t, d, spec, nil)
@@ -272,22 +270,11 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) (
 }
 
 // sameAtEveryDoor runs spec through the three doors and compares. With
-// a prediction the CLI — and so every door — must open on it, and
-// two-phase go on to the rest of its bracketing ladder.
+// a prediction the CLI — and so every door — must open on it.
 func sameAtEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) {
 	cli, viaFleet, daemon := atEveryDoor(t, d, spec, pred)
-	if pred != nil {
-		ladder := [][]int{pred}
-		if spec.Tuner == "two-phase" {
-			double, half := slices.Clone(pred), slices.Clone(pred)
-			for i, v := range pred {
-				double[i], half[i] = 2*v, v/2
-			}
-			ladder = append(ladder, double, half)
-		}
-		if n := min(len(ladder), len(cli.xs)); !reflect.DeepEqual(cli.xs[:n], ladder[:n]) {
-			t.Errorf("the CLI opened with %v, want %v", cli.xs[:n], ladder[:n])
-		}
+	if pred != nil && !reflect.DeepEqual(cli.xs[0], pred) {
+		t.Errorf("the CLI opened with %v, want %v", cli.xs[0], pred)
 	}
 	for _, other := range []struct {
 		door   string

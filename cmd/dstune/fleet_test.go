@@ -64,3 +64,19 @@ func TestFleetRefusesWeight(t *testing.T) {
 		t.Fatalf("loadFleet = %v, want the weight key refused by name", err)
 	}
 }
+
+// TestFleetRefusesWithdrawnStrategy: a fleet session naming a strategy
+// that is no registry row — the withdrawn two-phase, or any name behind
+// the withdrawn kernel-aware: prefix — is refused by that name.
+func TestFleetRefusesWithdrawnStrategy(t *testing.T) {
+	for _, name := range []string{"two-phase", "kernel-aware:cs-tuner"} {
+		path := filepath.Join(t.TempDir(), "fleet.json")
+		spec := `{"testbed": "uchicago", "budget": 60, "sessions": [{"name": "s", "tuner": "` + name + `"}]}`
+		if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := loadFleet(path); err == nil || !strings.Contains(err.Error(), `"`+name+`"`) {
+			t.Fatalf("loadFleet = %v, want %s refused by name", err, name)
+		}
+	}
+}

@@ -14,8 +14,7 @@
 //	       -epoch 0.25 -duration 15 -shape-rate 8e6 -shape-quad 0.028
 //
 // The tuner is one of: default, cd-tuner, cs-tuner, nm-tuner, heur1,
-// heur2, model, two-phase, rl-bandit — or any of them behind
-// "kernel-aware:", which damps the ε-monitor over kernel-reported loss.
+// heur2, model, rl-bandit.
 //
 // With -history FILE the process keeps a durable knowledge base of
 // past runs: the named tuner starts from the best-known parameters for
@@ -143,7 +142,7 @@ func bindFlags(fs *flag.FlagSet) *options {
 	fs.BoolVar(&o.cold, "cold", false, "disable the warm stripe pool: re-dial every data connection each epoch (socket mode)")
 	fs.StringVar(&o.source, "source", "", "read -dataset payload from real files under this directory (materialized if absent) instead of synthetic zeros, engaging the zero-copy sendfile pump where the platform has it (socket mode)")
 	fs.BoolVar(&o.sink, "sink", false, "ask the server to persist the -dataset files at its configured -sink directory instead of discarding them (socket mode)")
-	fs.BoolVar(&o.tcpInfo, "tcpinfo", false, "sample kernel TCP_INFO per stripe at epoch boundaries and surface it in the trace and events; always on under kernel-aware:<tuner> and rl-bandit, which read it (socket mode, Linux)")
+	fs.BoolVar(&o.tcpInfo, "tcpinfo", false, "sample kernel TCP_INFO per stripe at epoch boundaries and surface it in the trace and events; always on under rl-bandit, which reads it (socket mode, Linux)")
 	return o
 }
 

@@ -54,9 +54,16 @@ func TestSessionUnknownTestbed(t *testing.T) {
 // a build that still named store-backed runs "warm:<tuner>" (the
 // fixture is one, from the parent commit) is refused by that name
 // before anything is dialled — as is the name itself at -tuner, the old
-// `static` alias, and the deleted tabular Q-learner `rl-q`. The head of
-// a version-3 head-and-log pair is refused by its version.
+// `static` alias, the deleted tabular Q-learner `rl-q`, and the
+// withdrawn `two-phase` and `kernel-aware:` prefix. The head of
+// a version-3 head-and-log pair is refused by its version. The -tuner
+// usage lists the registry's rows and nothing else.
 func TestResumeRefusesRetiredStrategy(t *testing.T) {
+	fs := flag.NewFlagSet("dstune", flag.ContinueOnError)
+	bindFlags(fs)
+	if got, want := fs.Lookup("tuner").Usage, "default, cd-tuner, cs-tuner, nm-tuner, heur1, heur2, model, rl-bandit"; got != want {
+		t.Fatalf("-tuner usage %q, want %q", got, want)
+	}
 	_, err := parseFlags(t, "-mode", "socket", "-resume", "../../internal/tuner/testdata/parent_warm.checkpoint").session(nil, nil)
 	if err == nil || !strings.Contains(err.Error(), `"warm:cs-tuner"`) {
 		t.Fatalf("resume of a warm: checkpoint returned %v, want a refusal naming it", err)
@@ -65,7 +72,7 @@ func TestResumeRefusesRetiredStrategy(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "has version 3, this build reads 4") {
 		t.Fatalf("resume of a version-3 checkpoint returned %v, want a refusal naming its version", err)
 	}
-	for _, name := range []string{"warm:cs-tuner", "static", "rl-q"} {
+	for _, name := range []string{"warm:cs-tuner", "static", "rl-q", "two-phase", "kernel-aware:cs-tuner"} {
 		if _, err := parseFlags(t, "-tuner", name).session(nil, nil); err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("-tuner %s returned %v, want a refusal naming it", name, err)
 		}

@@ -196,10 +196,9 @@ func MapNCNP() ParamMap { return tuner.MapNCNP() }
 // until the transfer completes or cfg.Budget is reached, and returns
 // the per-epoch trace. With cfg.History set the strategy starts from
 // the store's best-known vector for cfg.HistoryKey instead of cfg.Start
-// (still under its own name; "two-phase" brackets such a start) and the
-// run records its own best epoch there; with cfg.Resume set the run
-// continues the checkpointed one, under the checkpoint's strategy, seed
-// and start.
+// (still under its own name) and the run records its own best epoch
+// there; with cfg.Resume set the run continues the checkpointed one,
+// under the checkpoint's strategy, seed and start.
 func Run(ctx context.Context, name string, cfg TunerConfig, t Transferer) (*Trace, error) {
 	return tuner.Run(ctx, name, cfg, t)
 }
@@ -234,14 +233,13 @@ type (
 )
 
 // NewStrategy builds the named strategy — any name StrategyUsage
-// lists: a row of the strategy registry (STRATEGIES.md), or one behind
-// "kernel-aware:" — from cfg, starting at cfg.Start. It consults no
-// history store; Run is what starts a strategy from
-// TunerConfig.History's prediction.
+// lists, a row of the strategy registry (STRATEGIES.md) — from cfg,
+// starting at cfg.Start. It consults no history store; Run is what
+// starts a strategy from TunerConfig.History's prediction.
 func NewStrategy(name string, cfg TunerConfig) (Strategy, error) { return tuner.NewStrategy(name, cfg) }
 
 // StrategyUsage is the list of accepted strategy names a usage string
-// prints: "default, cd-tuner, …, rl-bandit, kernel-aware:<tuner>".
+// prints: "default, cd-tuner, …, rl-bandit".
 func StrategyUsage() string { return tuner.StrategyUsage() }
 
 // NewFleet returns a Fleet over the given sessions; its Run method

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"testing"
 
 	"dstune/internal/tuner"
@@ -154,36 +153,20 @@ func figureMetrics(t *testing.T) map[string]float64 {
 	return m
 }
 
-// unstudied are the strategy names no simulated study runs yet. Both
-// wait on ROADMAP item 9(c): two-phase enters the tournament against
-// cs-tuner over one seeded store, kernel-aware: on a lossy schedule.
-// The list only shrinks: TestEveryStrategyIsStudied fails once a study
-// runs a name still on it.
-var unstudied = map[string]bool{"two-phase": true, "kernel-aware:": true}
-
 // TestEveryStrategyIsStudied holds the roster to the evaluation: every
-// registry row, and the kernel-aware: prefix, is the Tuner of some
-// trace behind the pinned studies — the traces the golden's digest
-// walks — or is on the unstudied list, never both. A strategy no study
-// runs is one no number in the repository defends.
+// registry row is the Tuner of some trace behind the pinned studies —
+// the traces the golden's digest walks. A strategy no study runs is one
+// no number in the repository defends.
 func TestEveryStrategyIsStudied(t *testing.T) {
-	const prefix = "kernel-aware:"
 	studied := map[string]bool{}
 	for _, out := range simulated(t) {
 		for _, tr := range tracesOf(t, out.Raw) {
-			if strings.HasPrefix(tr.Tuner, prefix) {
-				studied[prefix] = true
-			} else {
-				studied[tr.Tuner] = true
-			}
+			studied[tr.Tuner] = true
 		}
 	}
-	for _, name := range append(tuner.StrategyNames(), prefix) {
-		switch {
-		case !studied[name] && !unstudied[name]:
+	for _, name := range tuner.StrategyNames() {
+		if !studied[name] {
 			t.Errorf("%s runs in no study: study it or delete it", name)
-		case studied[name] && unstudied[name]:
-			t.Errorf("%s runs in a study now: strike it off the unstudied list", name)
 		}
 	}
 }

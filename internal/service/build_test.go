@@ -20,7 +20,7 @@ func simSpec(name string) JobSpec {
 // TestBuildStrategyAllNames: every documented tuner name builds, under
 // that name; an unknown one is an error at Validate and at Build.
 func TestBuildStrategyAllNames(t *testing.T) {
-	for _, name := range append(tuner.StrategyNames(), "kernel-aware:cs-tuner") {
+	for _, name := range tuner.StrategyNames() {
 		sess, err := Build(simSpec(name), "", Door{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -30,8 +30,9 @@ func TestBuildStrategyAllNames(t *testing.T) {
 			t.Fatalf("built %q as strategy %q, session %q", name, sess.Strategy.Name(), sess.ID)
 		}
 	}
-	// The retired spellings are unknown names like any other.
-	for _, name := range []string{"bogus", "warm:cs-tuner", "static"} {
+	// The retired and withdrawn spellings are unknown names like any
+	// other.
+	for _, name := range []string{"bogus", "warm:cs-tuner", "static", "two-phase", "kernel-aware:cs-tuner"} {
 		if err := simSpec(name).Validate(); err == nil {
 			t.Fatalf("unknown tuner %q validated", name)
 		}

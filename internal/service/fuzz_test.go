@@ -24,6 +24,7 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		`{"id": "alpha", "budget": 60}`,
 		`{"id": "../../etc/passwd", "bytes": 1}`,
 		"{\"id\": \"a\x00b\", \"bytes\": 1}",
+		// The withdrawn kernel-aware: prefix: rejected inputs now.
 		`{"tuner": "kernel-aware:cs-tuner", "bytes": 1e9, "tenant": "t1"}`,
 		`{"tuner": "kernel-aware:rl-bandit", "bytes": 1e9, "tenant": "t1"}`,
 		`{"tuner": "rl-bandit", "budget": 60, "two": true}`,

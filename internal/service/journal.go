@@ -88,6 +88,8 @@ func (j *Journal) Remove(id string) error {
 // that fail to parse are counted in skipped and left on disk for
 // inspection, not deleted: a half-written temp file (dot-prefixed)
 // never matches the scan in the first place because Append is atomic.
+// A tuner name this build does not know is no damage: such a job is
+// adopted and fails, by that name, when it runs.
 func (j *Journal) Entries() (entries []JournalEntry, skipped int, err error) {
 	names, err := os.ReadDir(j.dir)
 	if err != nil {
@@ -104,7 +106,10 @@ func (j *Journal) Entries() (entries []JournalEntry, skipped int, err error) {
 			continue
 		}
 		var e JournalEntry
-		if json.Unmarshal(data, &e) != nil || e.ID != strings.TrimSuffix(name, ".json") || e.Spec.Validate() != nil {
+		err = json.Unmarshal(data, &e)
+		shape := e.Spec
+		shape.Tuner = ""
+		if err != nil || e.ID != strings.TrimSuffix(name, ".json") || shape.Validate() != nil {
 			skipped++
 			continue
 		}

@@ -54,7 +54,9 @@ func TestJournalRoundTrip(t *testing.T) {
 // TestJournalSkipsDamage pins the scan's robustness: corrupt files,
 // mismatched IDs, invalid specs, and stray temp files never abort
 // adoption — they are counted and left in place while healthy entries
-// still load.
+// still load. A tuner this build does not know is no damage: that entry
+// loads, and its job fails by the name when it runs
+// (TestWithdrawnStrategyJobFailsByName).
 func TestJournalSkipsDamage(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "journal")
 	j, err := OpenJournal(dir)
@@ -67,7 +69,8 @@ func TestJournalSkipsDamage(t *testing.T) {
 	damage := map[string]string{
 		"torn.json":    `{"id": "torn", "spe`,
 		"renamed.json": `{"id": "other-name", "spec": {"id": "other-name", "bytes": 1}}`,
-		"badspec.json": `{"id": "badspec", "spec": {"id": "badspec", "tuner": "nope", "bytes": 1}}`,
+		"badspec.json": `{"id": "badspec", "spec": {"id": "badspec", "max_nc": -5, "bytes": 1}}`,
+		"nope.json":    `{"id": "nope", "spec": {"id": "nope", "tuner": "nope", "bytes": 1}, "seq": 2}`,
 		".tmp-half":    `{"id": "half"`,
 		"notes.txt":    `not a journal entry`,
 	}
@@ -80,8 +83,8 @@ func TestJournalSkipsDamage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].ID != "good" {
-		t.Fatalf("entries = %+v, want just \"good\"", entries)
+	if len(entries) != 2 || entries[0].ID != "good" || entries[1].ID != "nope" {
+		t.Fatalf("entries = %+v, want \"good\" and \"nope\"", entries)
 	}
 	// Only the three damaged .json files count; dotfiles and foreign
 	// extensions are silently out of scope.

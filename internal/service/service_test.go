@@ -668,6 +668,80 @@ func TestRetiredStrategyCheckpointFailsJob(t *testing.T) {
 	}
 }
 
+// TestWithdrawnStrategyJobFailsByName: a job journaled and
+// checkpointed under a strategy this build withdrew — "two-phase", as a
+// daemon of an earlier build left it — is re-adopted beside a cs-tuner
+// job and then fails with an error naming the strategy, while the
+// cs-tuner job completes and the restarted daemon goes on serving new
+// jobs.
+func TestWithdrawnStrategyJobFailsByName(t *testing.T) {
+	dir := t.TempDir()
+	sv, cancel := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(time.Millisecond, nil)})
+	for _, id := range []string{"tp", "cs"} {
+		if _, err := sv.Submit(JobSpec{ID: id, Tuner: "cs-tuner", Bytes: 2e9, Epoch: 1, MaxNC: 32}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, 10*time.Second, "an epoch to settle in both jobs", func() bool {
+		tp, _ := sv.Job("tp")
+		cs, _ := sv.Job("cs")
+		return tp.Epochs >= 1 && cs.Epochs >= 1
+	})
+	cancel()
+	sv.Wait()
+	entries, _, err := sv.journal.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.ID != "tp" {
+			continue
+		}
+		e.Spec.Tuner = "two-phase"
+		if err := sv.journal.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ck, err := os.ReadFile(sv.checkpointPath("tp"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck = bytes.Replace(ck, []byte(`"tuner":"cs-tuner"`), []byte(`"tuner":"two-phase"`), 1)
+	if err := os.WriteFile(sv.checkpointPath("tp"), ck, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if head, err := tuner.LoadCheckpointHead(sv.checkpointPath("tp")); err != nil || head.Tuner != "two-phase" {
+		t.Fatalf("rewritten checkpoint reads as %+v, %v", head, err)
+	}
+
+	sv2, _ := startSupervisor(t, Config{Dir: dir, NewTransfer: memFactory(0, nil)})
+	if got := sv2.Adopted(); len(got) != 2 {
+		t.Fatalf("adoption report %+v, want both jobs", got)
+	}
+	srv := httptest.NewServer(sv2.Handler())
+	defer srv.Close()
+	ended := func(id string) JobStatus {
+		waitFor(t, 10*time.Second, "job "+id+" to end", func() bool {
+			_, st := getJob(t, srv, id)
+			return st.State != JobQueued && st.State != JobRunning
+		})
+		_, st := getJob(t, srv, id)
+		return st
+	}
+	if st := ended("tp"); st.State != JobFailed || !strings.Contains(st.Error, `"two-phase"`) {
+		t.Fatalf("re-adopted two-phase job is %s with error %q, want failed naming two-phase", st.State, st.Error)
+	}
+	if st := ended("cs"); st.State != JobDone {
+		t.Fatalf("re-adopted cs-tuner job is %s (%s), want done", st.State, st.Error)
+	}
+	if resp, _ := postJob(t, srv, JobSpec{ID: "after", Bytes: 5e8, Epoch: 1, MaxNC: 32}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("a new job after the restart got %d", resp.StatusCode)
+	}
+	if st := ended("after"); st.State != JobDone {
+		t.Fatalf("a new job after the restart is %s (%s), want done", st.State, st.Error)
+	}
+}
+
 // TestDivergedCheckpointFailsJob: a re-adopted job whose recorded
 // epochs its strategy does not reproduce — here the first recorded
 // vector is one the box cannot hold, re-framed under a CRC that
@@ -742,6 +816,8 @@ func TestMalformedSubmitNeverJournaled(t *testing.T) {
 		`{"id": "x", "bytes": -5}`,
 		`{"id": "x"}`, // unbounded without budget
 		`{"id": "x", "tuner": "no-such-tuner", "bytes": 1e9}`,
+		`{"id": "x", "tuner": "two-phase", "bytes": 1e9}`,
+		`{"id": "x", "tuner": "kernel-aware:cs-tuner", "bytes": 1e9}`,
 		fmt.Sprintf(`{"id": %q, "bytes": 1e9}`, strings.Repeat("a", 65)),
 	}
 	for _, body := range bad {

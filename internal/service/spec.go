@@ -40,8 +40,8 @@ type JobSpec struct {
 	// selects "default". Same character set as ID.
 	Tenant string `json:"tenant,omitempty"`
 	// Tuner is the strategy name (default "cs-tuner"): any name
-	// tuner.StrategyUsage lists — a row of the strategy registry
-	// (STRATEGIES.md), or one behind "kernel-aware:".
+	// tuner.StrategyUsage lists, a row of the strategy registry
+	// (STRATEGIES.md).
 	Tuner string `json:"tuner,omitempty"`
 	// Testbed selects the simulated testbed ("uchicago" or "tacc")
 	// for simulator jobs. Ignored when Addr is set.

@@ -44,17 +44,15 @@ func (c strategyCase) resolve(t *testing.T, cfg Config) (Config, Strategy, []int
 	return cfg, s, start
 }
 
-// strategyCases lists every built-in strategy: the registry's rows,
-// kernel-aware wrappers, and warm starts of both.
+// strategyCases lists every built-in strategy: the registry's rows and
+// warm starts of three of them.
 func strategyCases() []strategyCase {
 	var cases []strategyCase
 	for _, name := range StrategyNames() {
 		cases = append(cases, strategyCase{name: name})
 	}
 	return append(cases,
-		strategyCase{"cs-tuner", true}, strategyCase{"cd-tuner", true}, strategyCase{"rl-bandit", true},
-		strategyCase{name: "kernel-aware:cs-tuner"}, strategyCase{name: "kernel-aware:rl-bandit"},
-		strategyCase{"kernel-aware:cs-tuner", true})
+		strategyCase{"cs-tuner", true}, strategyCase{"cd-tuner", true}, strategyCase{"rl-bandit", true})
 }
 
 // strategyNames lists the name of every case, once.

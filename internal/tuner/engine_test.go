@@ -57,7 +57,7 @@ func eventLines(t *testing.T, o *obs.Observer) []byte {
 // the start both recorded.
 func TestDriverMatchesSessionRuntime(t *testing.T) {
 	const seed = 11
-	cases := []strategyCase{{"cs-tuner", true}, {name: "kernel-aware:cs-tuner"}}
+	cases := []strategyCase{{"cs-tuner", true}}
 	for _, name := range StrategyNames() {
 		cases = append(cases, strategyCase{name: name})
 	}

@@ -25,7 +25,6 @@ var resumedEventCases = []struct {
 }{
 	{"cs-tuner", obs.EventRetriggerEpsilon},
 	{"model", obs.EventRetriggerEpsilon},
-	{"kernel-aware:cs-tuner", obs.EventRetriggerEpsilon},
 	{"rl-bandit", obs.EventRLAction},
 }
 

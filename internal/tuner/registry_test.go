@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"dstune/internal/history"
+	"dstune/internal/xfer"
 )
 
 // storeKinds are the three knowledge-plane situations a named run can
@@ -29,10 +30,6 @@ func withStore(t *testing.T, cfg Config, kind string) Config {
 	return cfg
 }
 
-// parentNames are the names the fixtures generated on the parent commit
-// cover: every registry row and one kernel-aware wrapper.
-func parentNames() []string { return append(StrategyNames(), "kernel-aware:cs-tuner") }
-
 // proposalRun is one fixture entry of TestProposalsMatchParent.
 type proposalRun struct {
 	// ParentTuner is the Trace.Tuner the parent commit gave the run;
@@ -46,8 +43,7 @@ type proposalRun struct {
 // the warm-start wrapper: testdata/golden/proposals.json was recorded on
 // the commit before it — Run under that ResolveStrategy, store-backed
 // runs named "warm:<inner>" there, as parent_tuner keeps — and every
-// 40-epoch run, for every registry row and kernel-aware:cs-tuner,
-// without a store, on a store miss and on a store hit, must propose the
+// 40-epoch run, for every registry row, without a store, on a store miss and on a store hit, must propose the
 // same vectors here under the row's own name. The vectors were
 // regenerated, by the same throw-away generator, when the simulator's
 // loss draw became a per-flow clock (DESIGN.md §4).
@@ -60,10 +56,10 @@ func TestProposalsMatchParent(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(parentNames())*len(storeKinds) {
-		t.Fatalf("fixture holds %d runs, want %d", len(want), len(parentNames())*len(storeKinds))
+	if len(want) != len(StrategyNames())*len(storeKinds) {
+		t.Fatalf("fixture holds %d runs, want %d", len(want), len(StrategyNames())*len(storeKinds))
 	}
-	for _, name := range parentNames() {
+	for _, name := range StrategyNames() {
 		for _, kind := range storeKinds {
 			t.Run(name+"/"+kind, func(t *testing.T) {
 				cfg := withStore(t, simCfg(), kind)
@@ -96,7 +92,7 @@ func TestProposalsMatchParent(t *testing.T) {
 // logs were since re-framed as the records of one file.
 func TestColdCheckpointMatchesParent(t *testing.T) {
 	want := coldCheckpoints(t)
-	for _, name := range parentNames() {
+	for _, name := range StrategyNames() {
 		t.Run(name, func(t *testing.T) {
 			fc := NewFileCheckpoint(filepath.Join(t.TempDir(), "run.ck"))
 			cfg := simCfg()
@@ -162,70 +158,65 @@ func TestParentWarmCheckpointRefused(t *testing.T) {
 			t.Fatalf("resume of the parent's %s checkpoint returned %v, want a refusal naming it", want.tuner, err)
 		}
 	}
-	for _, gone := range []string{"warm:cs-tuner", "warm:kernel-aware:cs-tuner", "static", "kernel-aware:static", "rl-q", "kernel-aware:rl-q"} {
+	for _, gone := range []string{"warm:cs-tuner", "warm:kernel-aware:cs-tuner", "static", "kernel-aware:static", "rl-q", "kernel-aware:rl-q", "two-phase", "kernel-aware:cs-tuner"} {
 		if _, err := NewStrategy(gone, simCfg()); err == nil || KnownStrategy(gone) {
 			t.Fatalf("retired name %q still resolves", gone)
 		}
 	}
 }
 
-// TestRegistryTable walks the registry: every row — bare and behind
-// the kernel-aware prefix — constructs under its own name, is known,
-// snapshots to JSON at every step of a 20-epoch run, and the two
-// columns read as documented. The prefix does not nest and wraps only
-// rows.
+// TestRegistryTable walks the registry: every row constructs under its
+// own name, is known, snapshots to JSON at every step of a 20-epoch
+// run, and the two columns read as documented. Names that are no row —
+// among them the withdrawn two-phase and kernel-aware: prefix — do not
+// resolve, and the usage lists the rows alone.
 func TestRegistryTable(t *testing.T) {
-	for _, row := range StrategyNames() {
-		for _, name := range []string{row, "kernel-aware:" + row} {
-			t.Run(name, func(t *testing.T) {
-				if !KnownStrategy(name) {
-					t.Fatal("not known")
-				}
-				cfg := simCfg()
-				s, err := NewStrategy(name, cfg)
+	for _, name := range StrategyNames() {
+		t.Run(name, func(t *testing.T) {
+			if !KnownStrategy(name) {
+				t.Fatal("not known")
+			}
+			cfg := simCfg()
+			s, err := NewStrategy(name, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.Name() != name {
+				t.Fatalf("Name() = %q", s.Name())
+			}
+			tr := simTransfer(t, 11)
+			defer tr.Stop()
+			for epoch := 0; epoch < 20; epoch++ {
+				x, _ := s.Propose()
+				rep, err := tr.Run(context.Background(), cfg.Map(x), cfg.Epoch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if s.Name() != name {
-					t.Fatalf("Name() = %q", s.Name())
+				s.Observe(rep)
+				raw, err := s.Snapshot()
+				if err != nil {
+					t.Fatal(err)
 				}
-				tr := simTransfer(t, 11)
-				defer tr.Stop()
-				for epoch := 0; epoch < 20; epoch++ {
-					x, _ := s.Propose()
-					rep, err := tr.Run(context.Background(), cfg.Map(x), cfg.Epoch)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s.Observe(rep)
-					raw, err := s.Snapshot()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !json.Valid(raw) {
-						t.Fatalf("epoch %d: snapshot is not JSON: %s", epoch, raw)
-					}
+				if !json.Valid(raw) {
+					t.Fatalf("epoch %d: snapshot is not JSON: %s", epoch, raw)
 				}
-			})
+			}
+		})
+	}
+	for _, name := range StrategyNames() {
+		if got := RestartPolicyFor(name); (got == xfer.RestartOnChange) != (name == "default") {
+			t.Fatalf("RestartPolicyFor(%q) = %v: only default keeps its processes alive", name, got)
+		}
+		if ReadsKernel(name) != (name == "rl-bandit") {
+			t.Fatalf("ReadsKernel(%q) = %v: only rl-bandit reads the kernel", name, !ReadsKernel(name))
 		}
 	}
-	if got := RestartPolicyFor("kernel-aware:default"); got != RestartPolicyFor("default") || got == RestartPolicyFor("cs-tuner") {
-		t.Fatal("only default, wrapped or not, keeps its processes alive")
-	}
-	for name, want := range map[string]bool{
-		"cs-tuner": false, "kernel-aware:cs-tuner": true, "rl-bandit": true,
-		"default": false, "bogus": false, "kernel-aware:bogus": false,
-	} {
-		if ReadsKernel(name) != want {
-			t.Fatalf("ReadsKernel(%q) = %v", name, !want)
-		}
-	}
-	for _, bad := range []string{"kernel-aware:kernel-aware:cs-tuner", "kernel-aware:", "", "bogus"} {
-		if _, err := NewStrategy(bad, simCfg()); err == nil || KnownStrategy(bad) {
+	for _, bad := range []string{"two-phase", "kernel-aware:cs-tuner", "kernel-aware:rl-bandit", "kernel-aware:", "", "bogus"} {
+		if _, err := NewStrategy(bad, simCfg()); err == nil || KnownStrategy(bad) || ReadsKernel(bad) {
 			t.Fatalf("%q resolves", bad)
 		}
 	}
-	if want := strings.Join(StrategyNames(), ", ") + ", kernel-aware:<tuner>"; StrategyUsage() != want {
+	if want := strings.Join(StrategyNames(), ", "); StrategyUsage() != want {
 		t.Fatalf("StrategyUsage() = %q", StrategyUsage())
 	}
 }

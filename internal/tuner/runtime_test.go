@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dstune/internal/obs"
 	"dstune/internal/xfer"
 )
 
@@ -101,6 +102,84 @@ func TestFleetMatchesSoloSessions(t *testing.T) {
 		if len(solo.Traces[0].Results) == 0 || !reflect.DeepEqual(solo.Traces, fleet[i].Traces) {
 			t.Errorf("session %s: fleet trace differs from the trace of the session stepped alone", solo.ID)
 		}
+	}
+}
+
+// logging wraps a Strategy and logs every epoch it plays — the
+// proposal and the report it observed — as a checkpoint's epoch log.
+type logging struct {
+	Strategy
+	x   []int
+	log []EpochRecord
+}
+
+func (l *logging) Propose() ([]int, bool) {
+	x, done := l.Strategy.Propose()
+	l.x = x
+	return x, done
+}
+
+func (l *logging) Observe(rep xfer.Report) {
+	l.log = append(l.log, EpochRecord{X: l.x, Report: rep})
+	l.Strategy.Observe(rep)
+}
+
+// lossyFake is a fake transfer whose epochs, once lossy is set, run at
+// half rate and report what a real-socket dataset epoch would: a kernel
+// sample showing retransmissions and a first-byte lag.
+type lossyFake struct {
+	fake
+	lossy bool
+}
+
+func (f *lossyFake) Run(ctx context.Context, p xfer.Params, epoch float64) (xfer.Report, error) {
+	rep, err := f.fake.Run(ctx, p, epoch)
+	if f.lossy && err == nil {
+		rep.Throughput /= 2
+		rep.BestCase /= 2
+		rep.Kernel = &xfer.KernelStats{RetransDelta: 7}
+		rep.FirstByteLag = 0.02
+	}
+	return rep, err
+}
+
+// TestSessionRuntimeCarriesKernelSample: a single-transfer session's
+// aggregate report carries the transfer's kernel sample and first-byte
+// lag through the Fleet's epoch loop, so under SessionRuntime (and the
+// daemon built on it) a strategy that reads the kernel — rl-bandit's
+// lossy context — observes them, and the first-byte-lag histogram
+// moves, exactly as under Run.
+func TestSessionRuntimeCarriesKernelSample(t *testing.T) {
+	observer := obs.NewObserver(obs.ObserverConfig{})
+	cfg := simCfg()
+	s := &logging{Strategy: NewCSStrategy(cfg)}
+	transfer := &lossyFake{fake: *newFake(func(xfer.Params, float64) float64 { return 100e6 })}
+	rt, err := NewSessionRuntime(FleetConfig{Epoch: cfg.Epoch, Obs: observer}, FleetSession{
+		ID: "k", Strategy: s, Transfers: []xfer.Transferer{transfer}, Maps: []ParamMap{cfg.Map},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rt.Step(ctx)
+	lag := observer.Registry().Histogram(obs.MetricFirstByteLag, "", obs.DefaultLatencyBuckets)
+	if rep := s.log[0].Report; rep.Kernel != nil || rep.FirstByteLag != 0 {
+		t.Fatalf("a clean epoch delivered kernel sample %+v and first-byte lag %g", rep.Kernel, rep.FirstByteLag)
+	}
+	if _, n := lag.SumCount(); n != 0 {
+		t.Fatalf("first-byte-lag histogram holds %d samples before any lag was reported", n)
+	}
+
+	transfer.lossy = true
+	rt.Step(ctx)
+	if len(s.log) != 2 {
+		t.Fatalf("the strategy observed %d epochs, want 2", len(s.log))
+	}
+	if rep := s.log[1].Report; rep.Kernel == nil || rep.Kernel.RetransDelta != 7 || rep.FirstByteLag != 0.02 {
+		t.Fatalf("a lossy epoch delivered kernel sample %+v and first-byte lag %g, want RetransDelta 7 and 0.02", rep.Kernel, rep.FirstByteLag)
+	}
+	if sum, n := lag.SumCount(); n != 1 || sum != 0.02 {
+		t.Fatalf("first-byte-lag histogram holds %d samples summing to %g, want one of 0.02", n, sum)
 	}
 }
 

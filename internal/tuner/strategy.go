@@ -44,10 +44,8 @@ type Strategy interface {
 // strategyRow is one line of the registry.
 type strategyRow struct {
 	name string
-	// build constructs the strategy from cfg, x0 = cfg.Start. predicted
-	// says that x0 is a history prediction (see warmStart) rather than
-	// the configured cold start; only two-phase's ladder asks.
-	build func(cfg Config, predicted bool) Strategy
+	// build constructs the strategy from cfg, x0 = cfg.Start.
+	build func(cfg Config) Strategy
 	// keepsAlive marks a strategy whose simulated transfer keeps its
 	// processes alive between epochs (xfer.RestartOnChange), as the real
 	// Globus service does; every adaptive tuner restarts them per epoch,
@@ -71,52 +69,33 @@ var strategies = []strategyRow{
 	{name: "heur1", build: from(NewHeur1Strategy)},
 	{name: "heur2", build: from(NewHeur2Strategy)},
 	{name: "model", build: from(NewModelStrategy)},
-	{name: "two-phase", build: func(cfg Config, predicted bool) Strategy { return NewTwoPhaseStrategy(cfg, predicted) }},
 	{name: "rl-bandit", build: from(NewRLBandit), readsKernel: true},
 }
 
-// from makes a registry row's build of a constructor that takes x0 as
-// it comes, predicted or not.
-func from[S Strategy](ctor func(Config) S) func(Config, bool) Strategy {
-	return func(cfg Config, _ bool) Strategy { return ctor(cfg) }
+// from makes a registry row's build of a constructor.
+func from[S Strategy](ctor func(Config) S) func(Config) Strategy {
+	return func(cfg Config) Strategy { return ctor(cfg) }
 }
 
-// kernelAwarePrefix is the one name prefix: "kernel-aware:<inner>" is
-// the registry's <inner> behind a KernelAwareStrategy. It does not nest.
-const kernelAwarePrefix = "kernel-aware:"
-
-// lookup finds name's registry row, seen through the kernel-aware
-// prefix (aware reports that name carried it); nil for an unknown name.
-func lookup(name string) (row *strategyRow, aware bool) {
-	name, aware = strings.CutPrefix(name, kernelAwarePrefix)
+// lookup finds name's registry row; nil for an unknown name.
+func lookup(name string) *strategyRow {
 	for i := range strategies {
 		if strategies[i].name == name {
-			return &strategies[i], aware
+			return &strategies[i]
 		}
 	}
-	return nil, aware
+	return nil
 }
 
-// newStrategy builds the named strategy from cfg; predicted is passed
-// to the row's build.
-func newStrategy(name string, cfg Config, predicted bool) (Strategy, error) {
-	row, aware := lookup(name)
+// NewStrategy builds the named strategy — a StrategyNames row — from
+// cfg, starting at cfg.Start. It consults no history store and no
+// checkpoint: ResolveStrategy is the door that does.
+func NewStrategy(name string, cfg Config) (Strategy, error) {
+	row := lookup(name)
 	if row == nil {
 		return nil, fmt.Errorf("tuner: unknown strategy %q", name)
 	}
-	s := row.build(cfg, predicted)
-	if aware {
-		s = NewKernelAware(s, cfg)
-	}
-	return s, nil
-}
-
-// NewStrategy builds the named strategy — a StrategyNames row, or one
-// behind "kernel-aware:" — from cfg, starting at cfg.Start. It consults
-// no history store and no checkpoint: ResolveStrategy is the door that
-// does.
-func NewStrategy(name string, cfg Config) (Strategy, error) {
-	return newStrategy(name, cfg, false)
+	return row.build(cfg), nil
 }
 
 // warmStart asks the run's knowledge plane for its starting vector: the
@@ -148,8 +127,7 @@ func warmStart(cfg Config) []int {
 //     from) and, when the recorded run was warm-started, from the
 //     checkpoint's start. Neither name nor store is consulted.
 //   - cfg.History set: a warmStart hit replaces cfg.Start — for every
-//     strategy alike; two-phase brackets a predicted start where it
-//     climbs from a cold one.
+//     strategy alike.
 //   - otherwise the plain named strategy.
 //
 // The adopted start is construction input exactly like the seed —
@@ -169,7 +147,7 @@ func ResolveStrategy(name string, cfg Config) (Strategy, []int, error) {
 	if start != nil {
 		cfg.Start = start
 	}
-	s, err := newStrategy(name, cfg, start != nil)
+	s, err := NewStrategy(name, cfg)
 	return s, start, err
 }
 
@@ -178,24 +156,23 @@ func ResolveStrategy(name string, cfg Config) (Strategy, []int, error) {
 // The binaries and the figure harnesses all ask here, so a baseline is
 // the same baseline wherever it is run.
 func RestartPolicyFor(name string) xfer.RestartPolicy {
-	if row, _ := lookup(name); row != nil && row.keepsAlive {
+	if row := lookup(name); row != nil && row.keepsAlive {
 		return xfer.RestartOnChange
 	}
 	return xfer.RestartEveryEpoch
 }
 
 // ReadsKernel reports whether the named strategy consults
-// Report.Kernel: kernel-aware:<inner> and the registry's readsKernel
-// column. Whoever builds a socket transfer asks here and switches the
-// TCP_INFO sampler on for such a strategy, so it is not inert at a door
-// that has no flag for the sampler.
+// Report.Kernel: the registry's readsKernel column. Whoever builds a
+// socket transfer asks here and switches the TCP_INFO sampler on for
+// such a strategy, so it is not inert at a door that has no flag for
+// the sampler.
 func ReadsKernel(name string) bool {
-	row, aware := lookup(name)
-	return row != nil && (aware || row.readsKernel)
+	row := lookup(name)
+	return row != nil && row.readsKernel
 }
 
-// StrategyNames lists every registry name in documentation order;
-// each is also accepted behind "kernel-aware:".
+// StrategyNames lists every registry name in documentation order.
 func StrategyNames() []string {
 	names := make([]string, len(strategies))
 	for i, row := range strategies {
@@ -205,15 +182,14 @@ func StrategyNames() []string {
 }
 
 // StrategyUsage is the list of accepted names a usage string prints:
-// the registry's, then the one prefix.
+// the registry's.
 func StrategyUsage() string {
-	return strings.Join(StrategyNames(), ", ") + ", " + kernelAwarePrefix + "<tuner>"
+	return strings.Join(StrategyNames(), ", ")
 }
 
 // KnownStrategy reports whether NewStrategy accepts name.
 func KnownStrategy(name string) bool {
-	row, _ := lookup(name)
-	return row != nil
+	return lookup(name) != nil
 }
 
 // fitnessOf returns the objective value of an epoch under the

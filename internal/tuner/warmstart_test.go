@@ -90,42 +90,6 @@ func TestWarmStartAdoptsPrediction(t *testing.T) {
 	}
 }
 
-// TestTwoPhaseCoarseCandidates: around a prediction the coarse list
-// brackets it — the one ladder, bare or behind kernel-aware:, after one
-// consultation of the store; cold it climbs from the start point.
-func TestTwoPhaseCoarseCandidates(t *testing.T) {
-	for _, name := range []string{"two-phase", "kernel-aware:two-phase"} {
-		o := obs.NewObserver(obs.ObserverConfig{})
-		cfg := withStore(t, simCfg(), "hit")
-		cfg.Obs = o.Session("s")
-		s, start, err := ResolveStrategy(name, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(start, []int{14}) || !reflect.DeepEqual(warmEvents(o), []string{"hit"}) {
-			t.Fatalf("%s adopted %v after WarmStart events %v", name, start, warmEvents(o))
-		}
-		for _, want := range [][]int{{14}, {28}, {7}} {
-			if x, _ := s.Propose(); !reflect.DeepEqual(x, want) {
-				t.Fatalf("warm %s proposes %v, want %v of the ladder [14] [28] [7]", name, x, want)
-			}
-			s.Observe(xfer.Report{Throughput: 1e8})
-		}
-	}
-
-	cold := NewTwoPhaseStrategy(simCfg(), false)
-	if want := [][]int{{2}, {4}, {8}}; !reflect.DeepEqual(cold.cands, want) {
-		t.Fatalf("cold candidates = %v, want %v", cold.cands, want)
-	}
-	miss, _, err := ResolveStrategy("two-phase", withStore(t, simCfg(), "miss"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := miss.(*TwoPhaseStrategy).cands; !reflect.DeepEqual(got, cold.cands) {
-		t.Fatalf("candidates after a store miss = %v, want the cold %v", got, cold.cands)
-	}
-}
-
 // TestWarmResumeMatchesUninterrupted is the warm-path determinism
 // property: a warm-started run interrupted mid-flight and resumed from
 // its durable checkpoint reproduces the uninterrupted warm trace
