@@ -102,12 +102,12 @@ func loadFleet(path string) (service.JobSpec, []fleetSession, error) {
 }
 
 // buildFleet loads a fleet spec and builds all its sessions under one
-// scheduler. A non-nil observer watches every session (metrics labeled
-// by session ID, live /status); a non-empty checkpointPath makes each
-// session write its durable state to a per-session file derived from it
-// (see sessionCheckpointPath); a non-nil history store warm-starts
-// every session and records each session's best epoch under a
-// per-session key on a clean end.
+// scheduler. A non-nil observer watches every session (process-wide
+// metrics, live /status by session ID); a non-empty checkpointPath
+// makes each session write its durable state to a per-session file
+// derived from it (see sessionCheckpointPath); a non-nil history store
+// warm-starts every session and records each session's best epoch
+// under a per-session key on a clean end.
 func buildFleet(path string, observer *dstune.Observer, checkpointPath string, histStore *dstune.HistoryStore) (*dstune.Fleet, error) {
 	shared, specs, err := loadFleet(path)
 	if err != nil {
@@ -147,8 +147,6 @@ func buildFleet(path string, observer *dstune.Observer, checkpointPath string, h
 		// max_transient, so any session's FleetConfig is the fleet's.
 		fcfg, sessions[i] = built.FleetSession()
 	}
-	// Nothing of a fleet run outlives the process.
-	fcfg.PreserveOnCancel = false
 	return dstune.NewFleet(fcfg, sessions...), nil
 }
 

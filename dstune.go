@@ -204,19 +204,19 @@ func Run(ctx context.Context, name string, cfg TunerConfig, t Transferer) (*Trac
 }
 
 // Strategy state machines and the one epoch engine. Every tuner Run
-// names is a Strategy (an explicit propose/observe state machine with
-// JSON-serializable state) stepped by the engine that owns the epoch
-// loop, budget, transient tolerance, and checkpointing. Run (one named
-// strategy, one transfer, run to completion) and Fleet (N sessions) are
-// its front doors here, dstuned's SessionRuntime the third; a custom
-// Strategy runs through Fleet, its one-transfer session built by
-// TunerConfig.Session.
+// names is a Strategy (an explicit propose/observe state machine)
+// stepped by the engine that owns the epoch loop, budget, transient
+// tolerance, and checkpointing. Run (one named strategy, one transfer,
+// run to completion) and Fleet (N sessions) are its front doors here,
+// dstuned's SessionRuntime the third; a custom Strategy runs through
+// Fleet, its one-transfer session built by TunerConfig.Session.
 type (
 	// Strategy is a tuner's decision kernel: Propose a vector, run an
 	// epoch, Observe the report, repeat. Its state is a function of its
 	// configuration and the reports it observed, so a checkpoint
 	// resumes it by replaying the recorded epochs, verifying every
-	// recorded proposal; Snapshot serializes the state for inspection.
+	// recorded proposal; Snapshot marshals its own state record, for
+	// inspection.
 	Strategy = tuner.Strategy
 	// Fleet drives N (strategy, transfers) sessions concurrently, each
 	// on its own goroutine, and returns their results in declaration

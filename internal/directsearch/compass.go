@@ -66,9 +66,6 @@ func NewCompass(start []int, box Box, cfg CompassConfig, rng *sim.RNG) *Compass 
 	return c
 }
 
-// Lambda returns the current step size, for diagnostics.
-func (c *Compass) Lambda() float64 { return c.lambda }
-
 // refill regenerates the candidate queue: the 2m coordinate moves from
 // the incumbent at the current lambda, clamped, deduplicated against
 // the incumbent, in random order.
@@ -153,43 +150,3 @@ func (c *Compass) Observe(f float64) {
 
 // Best implements Searcher.
 func (c *Compass) Best() ([]int, float64) { return ivec.Clone(c.best.x), c.best.f }
-
-// CompassState is the complete JSON-serializable state of a compass
-// search: the step size, incumbent, remaining polling queue, the
-// ask/tell handshake, and the best observation, as Snapshot captures
-// it.
-type CompassState struct {
-	Kind          string    `json:"kind"`
-	Lambda        float64   `json:"lambda"`
-	Incumbent     []int     `json:"incumbent,omitempty"`
-	FIncumbent    float64   `json:"f_incumbent"`
-	HaveIncumbent bool      `json:"have_incumbent"`
-	Queue         [][]int   `json:"queue,omitempty"`
-	Pending       PendState `json:"pending"`
-	Best          BestState `json:"best"`
-	Evals         int       `json:"evals"`
-	Done          bool      `json:"done"`
-}
-
-// Snapshot captures the search's current state.
-func (c *Compass) Snapshot() CompassState {
-	queue := make([][]int, len(c.queue))
-	for i, q := range c.queue {
-		queue[i] = ivec.Clone(q)
-	}
-	return CompassState{
-		Kind:          "compass",
-		Lambda:        c.lambda,
-		Incumbent:     ivec.Clone(c.incumbent),
-		FIncumbent:    c.fIncumbent,
-		HaveIncumbent: c.haveInc,
-		Queue:         queue,
-		Pending:       c.pend.state(),
-		Best:          c.best.state(),
-		Evals:         c.evals,
-		Done:          c.done,
-	}
-}
-
-// Incumbent returns the current incumbent point and value.
-func (c *Compass) Incumbent() ([]int, float64) { return ivec.Clone(c.incumbent), c.fIncumbent }

@@ -151,30 +151,10 @@ func roundHalfAway(v float64) float64 {
 	return -float64(int(-v + 0.5))
 }
 
-// PendState is the serializable form of a searcher's ask/tell
-// handshake: the outstanding suggestion, if any.
-type PendState struct {
-	X   []int `json:"x,omitempty"`
-	Set bool  `json:"set"`
-}
-
-// BestState is the serializable form of a searcher's best-observation
-// tracker.
-type BestState struct {
-	X []int   `json:"x,omitempty"`
-	F float64 `json:"f"`
-	N int     `json:"n"`
-}
-
 // pending tracks the ask/tell handshake shared by the searchers.
 type pending struct {
 	x   []int
 	set bool
-}
-
-// state captures the handshake for a snapshot.
-func (p *pending) state() PendState {
-	return PendState{X: ivec.Clone(p.x), Set: p.set}
 }
 
 // propose records x as the outstanding suggestion.
@@ -206,9 +186,4 @@ func (b *best) update(x []int, f float64) {
 		b.x = ivec.Clone(x)
 		b.f = f
 	}
-}
-
-// state captures the tracker for a snapshot.
-func (b *best) state() BestState {
-	return BestState{X: ivec.Clone(b.x), F: b.f, N: b.n}
 }

@@ -245,8 +245,8 @@ func TestCompassLambdaHalves(t *testing.T) {
 	// Flat objective: nothing ever improves, so lambda halves through
 	// 8, 4, 2, 1, 0.5 and the search stops below 0.5.
 	Maximize(c, func([]int) float64 { return 0 }, 0)
-	if c.Lambda() >= 0.5 {
-		t.Fatalf("final lambda = %v, want < 0.5", c.Lambda())
+	if c.lambda >= 0.5 {
+		t.Fatalf("final lambda = %v, want < 0.5", c.lambda)
 	}
 	if _, done := c.Suggest(); !done {
 		t.Fatal("compass not done after lambda exhaustion")
@@ -256,7 +256,7 @@ func TestCompassLambdaHalves(t *testing.T) {
 func TestCompassIncumbentTracksBest(t *testing.T) {
 	c := NewCompass([]int{2}, MustBox([]int{1}, []int{64}), CompassConfig{}, sim.NewRNG(10))
 	Maximize(c, concave1D(20), 0)
-	x, f := c.Incumbent()
+	x, f := c.incumbent, c.fIncumbent
 	bx, bf := c.Best()
 	if !ivec.Equal(x, bx) || f != bf {
 		t.Fatalf("incumbent (%v, %v) != best (%v, %v)", x, f, bx, bf)
@@ -273,12 +273,12 @@ func TestCompassEvaluatesStartFirst(t *testing.T) {
 
 func TestNelderMeadPhases(t *testing.T) {
 	nm := NewNelderMead([]int{2}, MustBox([]int{1}, []int{64}), NMConfig{})
-	if nm.Phase() != "init" {
-		t.Fatalf("initial phase = %q", nm.Phase())
+	if nm.phase != nmInit {
+		t.Fatalf("initial phase = %d, want nmInit", nm.phase)
 	}
 	Maximize(nm, concave1D(30), 0)
-	if nm.Phase() != "done" {
-		t.Fatalf("final phase = %q", nm.Phase())
+	if nm.phase != nmDone {
+		t.Fatalf("final phase = %d, want nmDone", nm.phase)
 	}
 }
 

@@ -106,23 +106,6 @@ func NewNelderMead(start []int, box Box, cfg NMConfig) *NelderMead {
 	return nm
 }
 
-// Phase returns a short name for the current phase, for diagnostics.
-func (nm *NelderMead) Phase() string {
-	switch nm.phase {
-	case nmInit:
-		return "init"
-	case nmReflect:
-		return "reflect"
-	case nmExpand:
-		return "expand"
-	case nmContract:
-		return "contract"
-	case nmShrink:
-		return "shrink"
-	}
-	return "done"
-}
-
 // degenerate reports whether all vertices coincide.
 func (nm *NelderMead) degenerate() bool {
 	for _, v := range nm.verts[1:] {
@@ -290,52 +273,3 @@ func (nm *NelderMead) Observe(f float64) {
 
 // Best implements Searcher.
 func (nm *NelderMead) Best() ([]int, float64) { return ivec.Clone(nm.best.x), nm.best.f }
-
-// NMVertex is one simplex vertex of an NMState.
-type NMVertex struct {
-	X []int   `json:"x"`
-	F float64 `json:"f"`
-}
-
-// NMState is the complete JSON-serializable state of a Nelder–Mead
-// search: the phase, the full simplex, the in-flight iteration points
-// (centroid, reflection, expansion, contraction), the ask/tell
-// handshake, and the best observation, as Snapshot captures it.
-type NMState struct {
-	Kind      string     `json:"kind"`
-	Phase     string     `json:"phase"`
-	Simplex   []NMVertex `json:"simplex"`
-	InitIdx   int        `json:"init_idx,omitempty"`
-	ShrinkIdx int        `json:"shrink_idx,omitempty"`
-	Centroid  []float64  `json:"centroid,omitempty"`
-	XR        []int      `json:"xr,omitempty"`
-	FR        float64    `json:"fr,omitempty"`
-	XE        []int      `json:"xe,omitempty"`
-	XC        []int      `json:"xc,omitempty"`
-	Pending   PendState  `json:"pending"`
-	Best      BestState  `json:"best"`
-	Evals     int        `json:"evals"`
-}
-
-// Snapshot captures the search's current state.
-func (nm *NelderMead) Snapshot() NMState {
-	simplex := make([]NMVertex, len(nm.verts))
-	for i, v := range nm.verts {
-		simplex[i] = NMVertex{X: ivec.Clone(v.x), F: v.f}
-	}
-	return NMState{
-		Kind:      "nelder-mead",
-		Phase:     nm.Phase(),
-		Simplex:   simplex,
-		InitIdx:   nm.initIdx,
-		ShrinkIdx: nm.shrinkIdx,
-		Centroid:  append([]float64(nil), nm.centroid...),
-		XR:        ivec.Clone(nm.xr),
-		FR:        nm.fr,
-		XE:        ivec.Clone(nm.xe),
-		XC:        ivec.Clone(nm.xc),
-		Pending:   nm.pend.state(),
-		Best:      nm.best.state(),
-		Evals:     nm.evals,
-	}
-}

@@ -272,13 +272,60 @@ func TestCheckTunerNames(t *testing.T) {
 	}
 }
 
+// TestCheckPackageRefs: a name its internal package declares, a
+// qualifier that is no internal package, a test-only package's name and
+// a fenced code block's local variable pass; a planted reference to the
+// deleted compass-state mirror type is reported with its file and line
+// in a living document, and nowhere in the history files.
+func TestCheckPackageRefs(t *testing.T) {
+	// Spelled in two pieces, so that a search of the tree for the
+	// deleted type finds only the history files.
+	const planted = "directsearch.Compass" + "State"
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("internal/directsearch/compass.go", "package directsearch\n\ntype Compass struct{}\n\nfunc (Compass) Snapshot() {}\n")
+	write("internal/trace/trace.go", "package trace\n\nfunc New() {}\n")
+	write("internal/lint/lint_test.go", "package lint\n\nfunc Check() {}\n")
+	write("internal/lint/ext_test.go", "package lint_test\n\nfunc Outside() {}\n")
+	md := "`directsearch.Compass` searches; `json.Marshal` and `lint.Check` stay.\n\n" +
+		"```go\ntrace, err := run()\nfmt.Println(trace.MeanThroughput())\n```\n\n" +
+		"It snapshots to a `" + planted + "`; `lint.Outside` is not lint's.\n"
+	write("DESIGN.md", md)
+	write("CHANGES.md", md)
+	decls, err := PackageDecls(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	problems, err := CheckQuoted(dir, PackageRefs(decls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"DESIGN.md:8: " + planted + " is not declared in its package",
+		"DESIGN.md:8: lint.Outside is not declared in its package",
+	}
+	if !slices.Equal(problems, want) {
+		t.Fatalf("got problems %q, want %q", problems, want)
+	}
+}
+
 // TestRepoDocs is the in-repo enforcement: the repository's own
 // markdown links must resolve, its public packages must be fully
 // documented, every Go file must be gofmt-clean, the facade must
 // re-export nothing that goes unused, every `-fig KEY` a document
 // quotes must be a study, every `-tuner NAME` or `"tuner": "NAME"` a
-// living document quotes a strategy, and every `dstune.<Name>` one spells
-// a name dstune.go declares.
+// living document quotes a strategy, every `dstune.<Name>` one spells
+// a name dstune.go declares, and every `<pkg>.<Name>` one writes in
+// prose a name its internal package declares.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
 	links, err := CheckLinks(root)
@@ -322,7 +369,11 @@ func TestRepoDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stale, err := CheckQuoted(root, FigKeys(keys), TunerNames(tuner.KnownStrategy), FacadeRefs(names))
+	decls, err := PackageDecls(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, err := CheckQuoted(root, FigKeys(keys), TunerNames(tuner.KnownStrategy), FacadeRefs(names), PackageRefs(decls))
 	if err != nil {
 		t.Fatal(err)
 	}

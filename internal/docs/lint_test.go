@@ -13,7 +13,8 @@
 //     longer has: a `-fig KEY` that is not a study cmd/figures knows
 //     (FigKeys), a `-tuner NAME` or `"tuner": "NAME"` that is not a
 //     strategy (TunerNames), a `dstune.<Name>` the root package does not
-//     declare (FacadeRefs).
+//     declare (FacadeRefs), a `<pkg>.<Name>` written in prose whose
+//     internal package does not declare it (PackageRefs).
 //
 // All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.
@@ -118,6 +119,9 @@ type Quoted struct {
 	// History lists root-relative files that record the past and are not
 	// held to the present.
 	History []string
+	// Prose, when set, skips the lines of fenced code blocks, whose
+	// identifiers are the example's own.
+	Prose bool
 }
 
 // FigKeys holds every `-fig KEY` quoted in prose or a code block to
@@ -163,14 +167,71 @@ func FacadeRefs(names map[string]int) Quoted {
 	}
 }
 
+// PackageRefs holds every <pkg>.<Name> the living documents write
+// outside a fenced code block, where <pkg> is a package in decls
+// (PackageDecls), to a name that package declares, so that deleting an
+// internal type cannot leave a design note describing it. Other
+// qualifiers (json.Marshal, a local variable) are not looked at.
+// bench/README.md changes only together with bench/, so the two stale
+// names it still spells wait for the next change there.
+func PackageRefs(decls map[string]map[string]bool) Quoted {
+	return Quoted{
+		RE: regexp.MustCompile(`\b([a-z][a-z0-9]*\.[A-Z]\w*)`),
+		Known: func(ref string) bool {
+			pkg, name, _ := strings.Cut(ref, ".")
+			names, ok := decls[pkg]
+			return !ok || names[name]
+		},
+		Problem: "%s is not declared in its package",
+		History: append(slices.Clip(historyDocs), filepath.Join("bench", "README.md")),
+		Prose:   true,
+	}
+}
+
+// PackageDecls parses every package under root/internal and returns,
+// by package name, the exported package-level names its files declare
+// (test files too, for the test-only packages).
+func PackageDecls(root string) (map[string]map[string]bool, error) {
+	dirs, err := filepath.Glob(filepath.Join(root, "internal", "*"))
+	if err != nil {
+		return nil, err
+	}
+	decls := map[string]map[string]bool{}
+	for _, dir := range dirs {
+		fset := token.NewFileSet()
+		pkgs, err := parser.ParseDir(fset, dir, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		for name, pkg := range pkgs {
+			if strings.HasSuffix(name, "_test") {
+				continue
+			}
+			if decls[name] == nil {
+				decls[name] = map[string]bool{}
+			}
+			for _, f := range pkg.Files {
+				for _, id := range exportedDecls(f) {
+					decls[name][id.Name] = true
+				}
+			}
+		}
+	}
+	return decls, nil
+}
+
 // CheckQuoted walks root for .md files and reports, for each kind,
 // every quoted name the code does not have.
 func CheckQuoted(root string, kinds ...Quoted) ([]string, error) {
 	var problems []string
 	err := eachFile(root, ".md", func(rel string, data []byte) {
+		fenced := false
 		for i, line := range strings.Split(string(data), "\n") {
+			if t := strings.TrimSpace(line); strings.HasPrefix(t, "```") || strings.HasPrefix(t, "~~~") {
+				fenced = !fenced
+			}
 			for _, q := range kinds {
-				if slices.Contains(q.History, rel) {
+				if slices.Contains(q.History, rel) || q.Prose && fenced {
 					continue
 				}
 				for _, m := range q.RE.FindAllStringSubmatch(line, -1) {
@@ -367,9 +428,19 @@ func FacadeNames(root string) (map[string]int, error) {
 		return nil, err
 	}
 	names := map[string]int{}
+	for _, id := range exportedDecls(f) {
+		names[id.Name] = fset.Position(id.Pos()).Line
+	}
+	return names, nil
+}
+
+// exportedDecls returns the exported package-level names f declares:
+// functions, types, constants and variables (not methods).
+func exportedDecls(f *ast.File) []*ast.Ident {
+	var ids []*ast.Ident
 	add := func(name *ast.Ident) {
 		if name.IsExported() {
-			names[name.Name] = fset.Position(name.Pos()).Line
+			ids = append(ids, name)
 		}
 	}
 	for _, decl := range f.Decls {
@@ -391,7 +462,7 @@ func FacadeNames(root string) (map[string]int, error) {
 			}
 		}
 	}
-	return names, nil
+	return ids
 }
 
 // CheckFacade reports every name FacadeNames finds that no .go file

@@ -13,8 +13,8 @@ import "math/rand/v2"
 // RNG is a deterministic random source: a math/rand/v2 PCG with the
 // draws the simulators need on top. It promotes the PCG's Uint64 (a
 // uniform 64-bit value) and MarshalBinary / UnmarshalBinary, which
-// capture and restore the generator's exact position in its stream for
-// checkpointing. The zero value is not usable; construct with NewRNG.
+// capture and restore the generator's exact position in its stream.
+// The zero value is not usable; construct with NewRNG.
 type RNG struct {
 	*rand.PCG
 	r *rand.Rand // the same PCG, for the draws math/rand/v2 derives

@@ -47,20 +47,18 @@ func (c Config) run(ctx context.Context, s Strategy, start []int, t xfer.Transfe
 
 // Session maps c onto the engine's two halves: the FleetConfig a
 // one-transfer session runs under and the FleetSession that has s tune
-// t, the way Run runs it — the transfer is left running when the
-// context is cancelled (PreserveOnCancel). id names the session (ID and
-// Name); empty leaves both to the strategy's name. start is the
-// starting vector ResolveStrategy returned beside s, nil for a strategy
-// built from c.Start. Every door that steps a Config's session — Run,
-// dstune, dstune -fleet, dstuned — builds it here and overrides only
-// what it owns.
+// t, the way Run runs it. id names the session (ID and Name); empty
+// leaves both to the strategy's name. start is the starting vector
+// ResolveStrategy returned beside s, nil for a strategy built from
+// c.Start. Every door that steps a Config's session — Run, dstune,
+// dstune -fleet, dstuned — builds it here and overrides only what it
+// owns.
 func (c Config) Session(id string, s Strategy, start []int, t xfer.Transferer) (FleetConfig, FleetSession) {
 	return FleetConfig{
 			Epoch:                c.Epoch,
 			Budget:               c.Budget,
 			MaxTransientFailures: c.MaxTransientFailures,
 			History:              c.History,
-			PreserveOnCancel:     true,
 		}, FleetSession{
 			ID:         id,
 			Name:       id,

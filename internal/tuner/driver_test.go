@@ -67,8 +67,9 @@ func strategyNames() []string {
 }
 
 // countingStrategy wraps a Strategy and counts the protocol calls, so
-// a test can prove how a resumed session rebuilt the state: one
-// replayed Propose and Observe per recorded epoch.
+// a test can prove how a resumed session rebuilt the state (one
+// replayed Propose and Observe per recorded epoch) and that a cancelled
+// Step made neither call.
 type countingStrategy struct {
 	Strategy
 	proposes, observes int

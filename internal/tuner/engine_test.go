@@ -185,7 +185,7 @@ func TestRuntimeCancelBeforeStepConsumesNoProposal(t *testing.T) {
 	}
 	s := &countingStrategy{Strategy: inner}
 	f := newFake(peaked(10))
-	rt, err := NewSessionRuntime(FleetConfig{Epoch: cfg.Epoch, PreserveOnCancel: true},
+	rt, err := NewSessionRuntime(FleetConfig{Epoch: cfg.Epoch},
 		FleetSession{Strategy: s, Transfers: []xfer.Transferer{f}, Maps: []ParamMap{cfg.Map}})
 	if err != nil {
 		t.Fatal(err)
@@ -207,12 +207,12 @@ func TestRuntimeCancelBeforeStepConsumesNoProposal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.proposes != 1 || f.runs != 1 || !bytes.Equal(before, after) {
-		t.Fatalf("cancelled Step reached the strategy: %d proposals, %d epochs run, state\n before %s\n after  %s",
-			s.proposes, f.runs, before, after)
+	if s.proposes != 1 || s.observes != 1 || f.runs != 1 || !bytes.Equal(before, after) {
+		t.Fatalf("cancelled Step reached the strategy: %d proposals, %d observations, %d epochs run, state\n before %s\n after  %s",
+			s.proposes, s.observes, f.runs, before, after)
 	}
 	if f.stopped {
-		t.Fatal("PreserveOnCancel session stopped its transfer")
+		t.Fatal("cancelled session stopped its transfer")
 	}
 }
 

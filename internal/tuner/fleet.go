@@ -25,23 +25,15 @@ type FleetConfig struct {
 	// transient epoch failure (default 3). 1 means the first failure
 	// of any kind ends the session.
 	MaxTransientFailures int
-	// Obs, when non-nil, observes every session: each session
-	// registers under its stable ID, labels its metrics with it, and
-	// appears in the /status document. Nil disables observation.
+	// Obs, when non-nil, observes every session: each session counts
+	// into the process-wide metrics and appears under its stable ID in
+	// the /status document. Nil disables observation.
 	Obs *obs.Observer
 	// History, when non-nil, is the shared knowledge plane: every
 	// session with a non-zero HistoryKey records its best observed
 	// epoch under that key when it ends cleanly. Sessions must not
 	// share a key (Run rejects duplicates).
 	History *history.Store
-	// PreserveOnCancel leaves a session's transfers running (not
-	// stopped) when the session ends on context cancellation — at a
-	// round boundary or mid-epoch — so the owner can checkpoint-resume
-	// them later. Config.Session sets it, and so Run and dstuned
-	// run under it; the default (false) stops the transfers, which is
-	// what a fixed fleet wants: nothing of it outlives the process. A
-	// session ended by ErrInterrupted keeps its transfers either way.
-	PreserveOnCancel bool
 }
 
 // withDefaults returns cfg with zero fields replaced by defaults.
@@ -61,10 +53,11 @@ func (c FleetConfig) withDefaults() FleetConfig {
 // single-transfer session may leave Dims nil to hand the whole vector
 // to that transfer.
 type FleetSession struct {
-	// ID is the session's stable identifier: the metrics label, the
-	// /status key, and the error prefix. Empty defaults to Name (then
-	// to the strategy name); Fleet deduplicates colliding IDs
-	// deterministically by appending "-2", "-3", … in session order.
+	// ID is the session's stable identifier: the /status key, the
+	// events' session field, and the error prefix. Empty defaults to
+	// Name (then to the strategy name); Fleet deduplicates colliding
+	// IDs deterministically by appending "-2", "-3", … in session
+	// order.
 	ID string
 	// Name labels the session in results; empty defaults to the
 	// strategy name.
@@ -189,8 +182,8 @@ type SessionResult struct {
 // their records in a shared history.Store, is not. Sessions end
 // independently — transfer completion, budget, strategy termination,
 // failure, or a cancelled context — and a session's transfers are
-// stopped when it ends (see FleetConfig.PreserveOnCancel for the one
-// exception).
+// stopped when it ends, except that a cancelled or drained session
+// leaves them running for a later resume.
 //
 // There is one epoch engine in this package and Fleet is one of its
 // three front doors: Fleet.Run runs a fixed set of sessions to
@@ -289,7 +282,7 @@ func (f *Fleet) Run(ctx context.Context) ([]SessionResult, error) {
 	}
 	states := make([]*fleetSession, len(f.sessions))
 	ids := make(map[string]bool, len(f.sessions))
-	// Deduplicated session IDs guarantee distinct metrics labels, but
+	// Deduplicated session IDs guarantee distinct /status keys, but
 	// durable identities are configured before deduplication runs — so
 	// two sessions could still point at one checkpoint file or one
 	// history key. Both would silently corrupt a resume (or a record),
@@ -693,8 +686,8 @@ func (s *fleetSession) interrupt(err error) {
 // transfers. A clean end folds the session's best epoch into the
 // fleet's history store. The transfers are left running — stopping a
 // real-socket transfer deletes the server's byte account a resumed run
-// needs — when the session was drained (ErrInterrupted) and, under
-// PreserveOnCancel, when its context was cancelled.
+// needs — when the session was drained (ErrInterrupted) or its context
+// was cancelled.
 func (s *fleetSession) finish(err error) {
 	s.done = true
 	s.err = err
@@ -703,7 +696,7 @@ func (s *fleetSession) finish(err error) {
 		s.recordHistory()
 	}
 	s.obs.Finish(err)
-	if errors.Is(err, ErrInterrupted) || (s.cfg.PreserveOnCancel && isCancel(err)) {
+	if errors.Is(err, ErrInterrupted) || isCancel(err) {
 		return
 	}
 	for _, t := range s.spec.Transfers {

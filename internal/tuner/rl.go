@@ -116,10 +116,9 @@ func rlArmIndex(arms [][]int, x []int) int {
 	return -1
 }
 
-// RLBanditState is the complete serializable state of RLBanditStrategy:
-// the value tables, visit counts, the arm in flight, and the RNG stream
-// position. Everything the policy learned is in here, so a resumed run
-// keeps its experience.
+// RLBanditState is what RLBanditStrategy has learned: the value
+// tables, visit counts and the arm in flight. Snapshot marshals it, for
+// inspection; a resumed run relearns it by replaying the epoch log.
 type RLBanditState struct {
 	// Step counts committed actions (equals epochs observed).
 	Step int `json:"step"`
@@ -138,9 +137,6 @@ type RLBanditState struct {
 	G []float64 `json:"g"`
 	// GN is the context-free per-arm visit count.
 	GN []int `json:"gn"`
-	// RNG is the exploration stream position (binary, JSON-encoded as
-	// base64).
-	RNG []byte `json:"rng,omitempty"`
 }
 
 // RLBanditStrategy is a contextual ε-greedy bandit over a geometric
@@ -281,12 +277,4 @@ func (s *RLBanditStrategy) choose(ctx int) (arm int, eps, q float64, explore boo
 }
 
 // Snapshot implements Strategy.
-func (s *RLBanditStrategy) Snapshot() (json.RawMessage, error) {
-	st := s.st
-	rng, err := s.rng.MarshalBinary()
-	if err != nil {
-		return nil, err
-	}
-	st.RNG = rng
-	return json.Marshal(st)
-}
+func (s *RLBanditStrategy) Snapshot() (json.RawMessage, error) { return json.Marshal(s.st) }

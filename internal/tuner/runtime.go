@@ -92,9 +92,8 @@ func (r *SessionRuntime) LastThroughput() float64 { return r.s.lastFit }
 // the strategy is asked for a proposal. A ctx cancelled mid-epoch ends
 // it with the partial epoch recorded, observed and checkpointed (a
 // single-transfer session; several transfers drop the round). Both end
-// it with the context's error and, under
-// FleetConfig.PreserveOnCancel, with the transfers left running for a
-// later resume.
+// it with the context's error and with the transfers left running for
+// a later resume.
 func (r *SessionRuntime) Step(ctx context.Context) StepInfo {
 	if !r.s.done {
 		r.s.step(ctx)
@@ -103,7 +102,7 @@ func (r *SessionRuntime) Step(ctx context.Context) StepInfo {
 }
 
 // Abort ends the session immediately with err, stopping its transfers
-// (unless err is a context cancellation under PreserveOnCancel). It is
+// (unless err is a context cancellation or ErrInterrupted). It is
 // how a supervisor evicts or cancels a session between rounds; a
 // session that is already done is left untouched.
 func (r *SessionRuntime) Abort(err error) {

@@ -2,7 +2,6 @@ package tuner
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"dstune/internal/directsearch"
 	"dstune/internal/ivec"
@@ -23,11 +22,10 @@ const (
 	searchKindNM      = "nm-tuner"
 )
 
-// SearchState is the serializable state of cs-tuner and nm-tuner: the
-// tuner phase, the monitor incumbent, the ε-monitor, the RNG stream
-// position, and — while a search is in flight — the inner search's
-// complete position (the compass step size, polling queue, and
-// pending candidate, or the Nelder–Mead simplex and working points).
+// SearchState is the tuner-level state of cs-tuner and nm-tuner: the
+// phase, the monitor incumbent and the ε-monitor. The inner search's
+// position lives in the searcher itself; Snapshot marshals only this
+// record, for inspection.
 type SearchState struct {
 	// Phase is the tuner phase: search or monitor.
 	Phase string `json:"phase"`
@@ -35,14 +33,6 @@ type SearchState struct {
 	X []int `json:"x,omitempty"`
 	// Monitor is the ε-monitor state (armed flag and baseline).
 	Monitor Monitor `json:"monitor"`
-	// RNG is the random stream position (binary, JSON-encoded as
-	// base64).
-	RNG []byte `json:"rng,omitempty"`
-	// Compass is the inner compass search state (cs-tuner, search
-	// phase only).
-	Compass *directsearch.CompassState `json:"compass,omitempty"`
-	// NM is the inner Nelder–Mead state (nm-tuner, search phase only).
-	NM *directsearch.NMState `json:"nm,omitempty"`
 }
 
 // SearchStrategy is the common frame of cs-tuner and nm-tuner
@@ -57,21 +47,18 @@ type SearchStrategy struct {
 	x0   []int
 	rng  *sim.RNG
 	srch directsearch.Searcher
-
-	phase   string
-	x       []int
-	monitor Monitor
+	st   SearchState
 }
 
 // newSearchStrategy builds the shared cs/nm frame.
 func newSearchStrategy(kind string, cfg Config) *SearchStrategy {
 	cfg = cfg.withDefaults()
 	s := &SearchStrategy{
-		cfg:     cfg,
-		kind:    kind,
-		x0:      cfg.Box.ClampInt(cfg.Start),
-		rng:     sim.NewRNG(cfg.Seed),
-		monitor: Monitor{Tolerance: cfg.Tolerance},
+		cfg:  cfg,
+		kind: kind,
+		x0:   cfg.Box.ClampInt(cfg.Start),
+		rng:  sim.NewRNG(cfg.Seed),
+		st:   SearchState{Monitor: Monitor{Tolerance: cfg.Tolerance}},
 	}
 	s.startSearch(s.x0)
 	s.advance()
@@ -102,7 +89,7 @@ func (s *SearchStrategy) newSearch(start []int) directsearch.Searcher {
 
 // startSearch enters the search phase with a fresh inner search.
 func (s *SearchStrategy) startSearch(start []int) {
-	s.phase = searchPhaseSearch
+	s.st.Phase = searchPhaseSearch
 	s.srch = s.newSearch(start)
 }
 
@@ -111,7 +98,7 @@ func (s *SearchStrategy) startSearch(start []int) {
 // it converged and the strategy moved to the monitor phase with the
 // incumbent and a re-armed monitor.
 func (s *SearchStrategy) advance() {
-	if s.phase != searchPhaseSearch {
+	if s.st.Phase != searchPhaseSearch {
 		return
 	}
 	if _, done := s.srch.Suggest(); !done {
@@ -122,9 +109,9 @@ func (s *SearchStrategy) advance() {
 	if len(bx) == 0 {
 		bx = ivec.Clone(s.x0)
 	}
-	s.x = bx
-	s.monitor.Reset(bf)
-	s.phase = searchPhaseMonitor
+	s.st.X = bx
+	s.st.Monitor.Reset(bf)
+	s.st.Phase = searchPhaseMonitor
 	s.srch = nil
 }
 
@@ -133,25 +120,25 @@ func (s *SearchStrategy) Name() string { return s.kind }
 
 // Propose implements Strategy.
 func (s *SearchStrategy) Propose() ([]int, bool) {
-	if s.phase == searchPhaseSearch {
+	if s.st.Phase == searchPhaseSearch {
 		// advance left a pending candidate, so Suggest is pure here.
 		cand, _ := s.srch.Suggest()
 		return ivec.Clone(cand), false
 	}
-	return ivec.Clone(s.x), false
+	return ivec.Clone(s.st.X), false
 }
 
 // Observe implements Strategy.
 func (s *SearchStrategy) Observe(rep xfer.Report) {
 	f := fitnessOf(s.cfg, rep)
-	if s.phase == searchPhaseSearch {
+	if s.st.Phase == searchPhaseSearch {
 		s.srch.Observe(f)
 		s.advance()
 		return
 	}
 	// Lines 18-25: the monitor loop.
-	last := s.monitor.Last
-	if s.monitor.Observe(f) {
+	last := s.st.Monitor.Last
+	if s.st.Monitor.Observe(f) {
 		s.cfg.Obs.Retrigger(rep.End, delta(last, f))
 		// Line 22: restart the inner search from x0.
 		s.startSearch(s.x0)
@@ -160,24 +147,4 @@ func (s *SearchStrategy) Observe(rep xfer.Report) {
 }
 
 // Snapshot implements Strategy.
-func (s *SearchStrategy) Snapshot() (json.RawMessage, error) {
-	st := SearchState{
-		Phase:   s.phase,
-		X:       s.x,
-		Monitor: s.monitor,
-	}
-	rng, err := s.rng.MarshalBinary()
-	if err != nil {
-		return nil, fmt.Errorf("tuner: %s snapshot: %w", s.kind, err)
-	}
-	st.RNG = rng
-	switch srch := s.srch.(type) {
-	case *directsearch.Compass:
-		cs := srch.Snapshot()
-		st.Compass = &cs
-	case *directsearch.NelderMead:
-		nm := srch.Snapshot()
-		st.NM = &nm
-	}
-	return json.Marshal(st)
-}
+func (s *SearchStrategy) Snapshot() (json.RawMessage, error) { return json.Marshal(s.st) }

@@ -36,8 +36,8 @@ type Strategy interface {
 	// so the ε-monitor re-triggers naturally once the transfer
 	// recovers.
 	Observe(rep xfer.Report)
-	// Snapshot returns the strategy's complete serializable state, for
-	// inspection; no checkpoint carries it.
+	// Snapshot returns the strategy's own state record, for
+	// inspection; kept for bench/'s traced strategy.
 	Snapshot() (json.RawMessage, error)
 }
 
