@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"dstune/internal/sim"
 )
@@ -64,12 +66,9 @@ func (d Dataset) String() string {
 
 // Uniform returns n files of identical size.
 func Uniform(n int, size int64) Dataset {
-	if n < 0 {
-		n = 0
-	}
-	d := Dataset{Files: make([]File, n)}
+	d := Dataset{Files: newFiles(n)}
 	for i := range d.Files {
-		d.Files[i] = File{Name: fmt.Sprintf("file-%06d", i), Size: size}
+		d.Files[i].Size = size
 	}
 	return d
 }
@@ -80,20 +79,56 @@ func Uniform(n int, size int64) Dataset {
 // deviation (1.0 is a typical spread; larger is heavier-tailed).
 // Sizes are clamped to at least 1 byte. Deterministic per seed.
 func LogNormal(n int, median float64, sigma float64, seed uint64) Dataset {
-	if n < 0 {
-		n = 0
-	}
 	rng := sim.NewRNG(seed)
 	mu := math.Log(median)
-	d := Dataset{Files: make([]File, n)}
+	d := Dataset{Files: newFiles(n)}
 	for i := range d.Files {
 		size := int64(math.Exp(mu + sigma*rng.NormFloat64()))
 		if size < 1 {
 			size = 1
 		}
-		d.Files[i] = File{Name: fmt.Sprintf("file-%06d", i), Size: size}
+		d.Files[i].Size = size
 	}
 	return d
+}
+
+// newFiles returns n unsized files named as fmt's "file-%06d" prints
+// their index (n < 0 is none). The names are slices of one shared
+// string, so n names cost one allocation, not n.
+func newFiles(n int) []File {
+	files := make([]File, max(n, 0))
+	total := 0
+	for i := range files {
+		total += nameLen(i)
+	}
+	var b strings.Builder
+	b.Grow(total)
+	var digits [20]byte
+	for i := range files {
+		d := strconv.AppendInt(digits[:0], int64(i), 10)
+		b.WriteString("file-")
+		for k := len(d); k < 6; k++ {
+			b.WriteByte('0')
+		}
+		b.Write(d)
+	}
+	names, off := b.String(), 0
+	for i := range files {
+		end := off + nameLen(i)
+		files[i].Name = names[off:end]
+		off = end
+	}
+	return files
+}
+
+// nameLen is the length of file i's name: "file-" and its index in at
+// least six digits.
+func nameLen(i int) int {
+	n := len("file-000000")
+	for v := i / 1000000; v > 0; v /= 10 {
+		n++
+	}
+	return n
 }
 
 // ManySmall returns the latency-bound regime of [25]: n files of

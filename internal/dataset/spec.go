@@ -64,7 +64,38 @@ func Workloads(seed uint64) []Workload {
 // spec cannot allocate an unbounded manifest.
 const maxSpecFiles = 1 << 20
 
-// ParseSpec builds a dataset from a compact textual spec:
+// Spec is a checked dataset spec: the file count and sizes Parse read
+// from the text, before any file exists. Generate builds the files.
+type Spec struct {
+	n     int
+	size  int64   // each file's size, or the log-normal median
+	sigma float64 // the log-normal spread; 0 for uniform sizes
+}
+
+// Count returns the number of files the spec generates.
+func (s Spec) Count() int { return s.n }
+
+// Generate builds the spec's files. Log-normal specs are deterministic
+// per seed; uniform ones ignore it.
+func (s Spec) Generate(seed uint64) Dataset {
+	if s.sigma == 0 {
+		return Uniform(s.n, s.size)
+	}
+	return LogNormal(s.n, float64(s.size), s.sigma, seed)
+}
+
+// ParseSpec builds a dataset from a compact textual spec: Parse, then
+// Generate. A caller that only checks a spec calls Parse alone, which
+// costs the same at any file count.
+func ParseSpec(spec string, seed uint64) (Dataset, error) {
+	s, err := Parse(spec)
+	if err != nil {
+		return Dataset{}, err
+	}
+	return s.Generate(seed), nil
+}
+
+// Parse checks a compact textual dataset spec without generating it:
 //
 //	COUNTxSIZE          uniform files, e.g. "10000x1MiB", "16x4GiB"
 //	manysmall:COUNT     COUNT x 1 MB (the latency-bound regime)
@@ -72,61 +103,61 @@ const maxSpecFiles = 1 << 20
 //	lognormal:COUNT:MEDIAN:SIGMA
 //	                    heavy-tailed sizes, e.g. "lognormal:2000:8MiB:1.5"
 //
-// SIZE accepts a decimal number with an optional B, KB, MB, GB, TB
-// (decimal) or KiB, MiB, GiB, TiB (binary) suffix. Log-normal specs
-// are deterministic per seed. Hostile specs return an error, never a
-// panic.
-func ParseSpec(spec string, seed uint64) (Dataset, error) {
+// COUNT lies in [1, 2^20] and SIGMA in (0, 16]. SIZE accepts a decimal
+// number with an optional B, KB, MB, GB, TB (decimal) or KiB, MiB,
+// GiB, TiB (binary) suffix, up to 2^62 bytes. Hostile specs return an
+// error, never a panic.
+func Parse(spec string) (Spec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
-		return Dataset{}, fmt.Errorf("dataset: empty spec")
+		return Spec{}, fmt.Errorf("dataset: empty spec")
 	}
 	if rest, ok := strings.CutPrefix(spec, "manysmall:"); ok {
 		n, err := parseCount(rest)
 		if err != nil {
-			return Dataset{}, err
+			return Spec{}, err
 		}
-		return ManySmall(n), nil
+		return Spec{n: n, size: 1 << 20}, nil
 	}
 	if rest, ok := strings.CutPrefix(spec, "fewhuge:"); ok {
 		n, err := parseCount(rest)
 		if err != nil {
-			return Dataset{}, err
+			return Spec{}, err
 		}
-		return FewHuge(n), nil
+		return Spec{n: n, size: 10 << 30}, nil
 	}
 	if rest, ok := strings.CutPrefix(spec, "lognormal:"); ok {
 		parts := strings.Split(rest, ":")
 		if len(parts) != 3 {
-			return Dataset{}, fmt.Errorf("dataset: lognormal spec %q: want lognormal:COUNT:MEDIAN:SIGMA", spec)
+			return Spec{}, fmt.Errorf("dataset: lognormal spec %q: want lognormal:COUNT:MEDIAN:SIGMA", spec)
 		}
 		n, err := parseCount(parts[0])
 		if err != nil {
-			return Dataset{}, err
+			return Spec{}, err
 		}
 		median, err := ParseSize(parts[1])
 		if err != nil {
-			return Dataset{}, err
+			return Spec{}, err
 		}
 		sigma, err := strconv.ParseFloat(parts[2], 64)
 		if err != nil || sigma <= 0 || sigma > 16 {
-			return Dataset{}, fmt.Errorf("dataset: lognormal sigma %q outside (0, 16]", parts[2])
+			return Spec{}, fmt.Errorf("dataset: lognormal sigma %q outside (0, 16]", parts[2])
 		}
-		return LogNormal(n, float64(median), sigma, seed), nil
+		return Spec{n: n, size: median, sigma: sigma}, nil
 	}
 	count, sizeStr, ok := strings.Cut(spec, "x")
 	if !ok {
-		return Dataset{}, fmt.Errorf("dataset: bad spec %q: want COUNTxSIZE, manysmall:N, fewhuge:N, or lognormal:N:MEDIAN:SIGMA", spec)
+		return Spec{}, fmt.Errorf("dataset: bad spec %q: want COUNTxSIZE, manysmall:N, fewhuge:N, or lognormal:N:MEDIAN:SIGMA", spec)
 	}
 	n, err := parseCount(count)
 	if err != nil {
-		return Dataset{}, err
+		return Spec{}, err
 	}
 	size, err := ParseSize(sizeStr)
 	if err != nil {
-		return Dataset{}, err
+		return Spec{}, err
 	}
-	return Uniform(n, size), nil
+	return Spec{n: n, size: size}, nil
 }
 
 // parseCount parses a file count, bounded to [1, maxSpecFiles].

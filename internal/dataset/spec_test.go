@@ -1,0 +1,190 @@
+package dataset
+
+import (
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"testing"
+
+	"dstune/internal/sim"
+)
+
+// parentParseSpec, parentUniform and parentLogNormal are the
+// generators as they were before Parse split from Generate and the
+// names came to share one string: one fmt.Sprintf per file name, and
+// the build inside the check. They exist only to pin today's output to
+// theirs.
+func parentParseSpec(spec string, seed uint64) (Dataset, error) {
+	spec = strings.TrimSpace(spec)
+	if spec == "" {
+		return Dataset{}, fmt.Errorf("dataset: empty spec")
+	}
+	if rest, ok := strings.CutPrefix(spec, "manysmall:"); ok {
+		n, err := parseCount(rest)
+		if err != nil {
+			return Dataset{}, err
+		}
+		return parentUniform(n, 1<<20), nil
+	}
+	if rest, ok := strings.CutPrefix(spec, "fewhuge:"); ok {
+		n, err := parseCount(rest)
+		if err != nil {
+			return Dataset{}, err
+		}
+		return parentUniform(n, 10<<30), nil
+	}
+	if rest, ok := strings.CutPrefix(spec, "lognormal:"); ok {
+		parts := strings.Split(rest, ":")
+		if len(parts) != 3 {
+			return Dataset{}, fmt.Errorf("dataset: lognormal spec %q: want lognormal:COUNT:MEDIAN:SIGMA", spec)
+		}
+		n, err := parseCount(parts[0])
+		if err != nil {
+			return Dataset{}, err
+		}
+		median, err := ParseSize(parts[1])
+		if err != nil {
+			return Dataset{}, err
+		}
+		sigma, err := strconv.ParseFloat(parts[2], 64)
+		if err != nil || sigma <= 0 || sigma > 16 {
+			return Dataset{}, fmt.Errorf("dataset: lognormal sigma %q outside (0, 16]", parts[2])
+		}
+		return parentLogNormal(n, float64(median), sigma, seed), nil
+	}
+	count, sizeStr, ok := strings.Cut(spec, "x")
+	if !ok {
+		return Dataset{}, fmt.Errorf("dataset: bad spec %q: want COUNTxSIZE, manysmall:N, fewhuge:N, or lognormal:N:MEDIAN:SIGMA", spec)
+	}
+	n, err := parseCount(count)
+	if err != nil {
+		return Dataset{}, err
+	}
+	size, err := ParseSize(sizeStr)
+	if err != nil {
+		return Dataset{}, err
+	}
+	return parentUniform(n, size), nil
+}
+
+func parentUniform(n int, size int64) Dataset {
+	if n < 0 {
+		n = 0
+	}
+	d := Dataset{Files: make([]File, n)}
+	for i := range d.Files {
+		d.Files[i] = File{Name: fmt.Sprintf("file-%06d", i), Size: size}
+	}
+	return d
+}
+
+func parentLogNormal(n int, median float64, sigma float64, seed uint64) Dataset {
+	if n < 0 {
+		n = 0
+	}
+	rng := sim.NewRNG(seed)
+	mu := math.Log(median)
+	d := Dataset{Files: make([]File, n)}
+	for i := range d.Files {
+		size := int64(math.Exp(mu + sigma*rng.NormFloat64()))
+		if size < 1 {
+			size = 1
+		}
+		d.Files[i] = File{Name: fmt.Sprintf("file-%06d", i), Size: size}
+	}
+	return d
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// TestParseSpecMatchesParent holds every spec form to the per-file
+// Sprintf generators, name for name and size for size, on both sides
+// of the six-to-seven digit boundary of the names. The parent's first
+// n files are the first n of its 1 000 001 (the names count up and the
+// RNG is read in file order), so each form and seed builds the parent
+// once, and a uniform form, which reads no seed, once in all.
+func TestParseSpecMatchesParent(t *testing.T) {
+	const most = 1000001
+	for _, form := range []string{"%dx48KiB", "manysmall:%d", "fewhuge:%d", "lognormal:%d:48KiB:1.2"} {
+		var want Dataset
+		for _, seed := range []uint64{1, 7, 9471} {
+			if want.Files == nil || strings.HasPrefix(form, "lognormal:") {
+				want, _ = parentParseSpec(fmt.Sprintf(form, most), seed)
+			}
+			for _, n := range []int{1, 10, 999999, most} {
+				spec := fmt.Sprintf(form, n)
+				got, err := ParseSpec(spec, seed)
+				if err != nil {
+					t.Fatalf("ParseSpec(%q): %v", spec, err)
+				}
+				if len(got.Files) != n {
+					t.Fatalf("ParseSpec(%q, %d): %d files", spec, seed, len(got.Files))
+				}
+				for i, f := range got.Files {
+					if f != want.Files[i] {
+						t.Fatalf("ParseSpec(%q, %d) file %d = %+v, want %+v", spec, seed, i, f, want.Files[i])
+					}
+				}
+			}
+		}
+	}
+	if got := Uniform(-5, 1).Files; got == nil || len(got) != 0 {
+		t.Fatalf("Uniform(-5) files = %#v, want empty and non-nil", got)
+	}
+}
+
+// TestParseRejectsWhatParentRejects holds Parse to the parent's
+// combined check-and-build at the edges of every bound: the same specs
+// fail, with the same text, and a spec that parses generates the
+// parent's file count.
+func TestParseRejectsWhatParentRejects(t *testing.T) {
+	for _, spec := range []string{
+		"", "   ", "0x1MiB", "1x1MiB", "1048576x1B", "1048577x1B", "-1x1B",
+		"manysmall:0", "manysmall:1", "fewhuge:1048577", "fewhuge:x",
+		"lognormal:10:1MiB:0", "lognormal:10:1MiB:16", "lognormal:10:1MiB:16.0001",
+		"lognormal:10:1MiB:-3", "lognormal:10:1MiB:NaN", "lognormal:10:1MiB", "lognormal:10:1ZiB:1",
+		"4611686018427387904x1", "1x4611686018427387904B", "1x4611686018427387905B", "1x4194305TiB",
+		"1x1ZiB", "1x-1B", "10", "axb",
+	} {
+		p, perr := Parse(spec)
+		_, berr := ParseSpec(spec, 1)
+		want, werr := parentParseSpec(spec, 1)
+		if errText(perr) != errText(werr) || errText(berr) != errText(werr) {
+			t.Errorf("%q: Parse error %q, ParseSpec error %q, parent %q", spec, errText(perr), errText(berr), errText(werr))
+			continue
+		}
+		if perr == nil && p.Count() != want.Count() {
+			t.Errorf("%q: Count() = %d, parent generates %d", spec, p.Count(), want.Count())
+		}
+	}
+}
+
+// TestParseSpecAllocs: a 300 000-file spec costs a handful of
+// allocations (the file slice, the shared name string, the RNG), not
+// one or two a file.
+func TestParseSpecAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := ParseSpec("lognormal:300000:48KiB:1.2", 7); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("ParseSpec of 300 000 files: %v allocations, budget 8", allocs)
+	}
+}
+
+func BenchmarkParseSpec300k(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := ParseSpec("lognormal:300000:48KiB:1.2", 7); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"unicode/utf8"
 
+	"dstune/internal/dataset"
 	"dstune/internal/tuner"
 )
 
@@ -14,43 +15,7 @@ import (
 // validated, runnable spec — there is no partially-usable middle
 // ground a caller could journal by mistake.
 func FuzzDecodeJobSpec(f *testing.F) {
-	seeds := []string{
-		``,
-		`{}`,
-		`null`,
-		`[]`,
-		`"job"`,
-		`{"id": "alpha", "bytes": 1e9}`,
-		`{"id": "alpha", "budget": 60}`,
-		`{"id": "../../etc/passwd", "bytes": 1}`,
-		"{\"id\": \"a\x00b\", \"bytes\": 1}",
-		// The withdrawn kernel-aware: prefix: rejected inputs now.
-		`{"tuner": "kernel-aware:cs-tuner", "bytes": 1e9, "tenant": "t1"}`,
-		`{"tuner": "kernel-aware:rl-bandit", "bytes": 1e9, "tenant": "t1"}`,
-		`{"tuner": "rl-bandit", "budget": 60, "two": true}`,
-		`{"bytes": 1e308, "epoch": 1e308, "budget": 1e308}`,
-		`{"bytes": "NaN"}`,
-		`{"np": -1, "bytes": 1}`,
-		`{"max_nc": 99999999, "bytes": 1}`,
-		`{"max_nc": -5, "bytes": 1}`,
-		`{"max_nc": 1, "max_np": 1, "two": true, "dataset": "10x1MiB"}`,
-		`{"dial_fail_prob": 0.5, "bytes": 1}`,
-		`{"addr": "127.0.0.1:0", "dial_fail_prob": 0.5, "bytes": 1}`,
-		`{"addr": "127.0.0.1:0", "dataset": "10000x1MiB", "two": true}`,
-		`{"addr": "127.0.0.1:0", "dataset": "lognormal:2000:8MiB:1.5", "pp": 4}`,
-		`{"dataset": "manysmall:20000", "budget": 60}`,
-		`{"dataset": "0x1MiB", "budget": 60}`,
-		`{"dataset": "99999999999x1TiB"}`,
-		`{"dataset": "lognormal:10:1MiB:-3"}`,
-		`{"dataset": "10x1MiB", "bytes": 1}`,
-		`{"pp": 4, "bytes": 1}`,
-		`{"pp": -1, "dataset": "10x1MiB"}`,
-		`{"unknown": true, "bytes": 1}`,
-		`{"bytes": 1}{"bytes": 2}`,
-		`{"id": "` + strings.Repeat("x", 100) + `", "bytes": 1}`,
-		strings.Repeat(`{"id":`, 1000),
-	}
-	for _, s := range seeds {
+	for _, s := range decodeSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -80,5 +45,62 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		if spec.Bytes == 0 && spec.Budget == 0 && spec.Dataset == "" {
 			t.Fatalf("accepted non-terminating spec from %q", data)
 		}
+		// Validate parses a dataset without generating it, so generate
+		// what it accepted (up to 2^14 files, to keep each input cheap):
+		// the build has no error path of its own and yields the parsed
+		// count.
+		if spec.Dataset == "" {
+			return
+		}
+		parsed, err := dataset.Parse(spec.Dataset)
+		if err != nil {
+			t.Fatalf("accepted dataset %q that does not parse: %v", spec.Dataset, err)
+		}
+		if parsed.Count() > 1<<14 {
+			return
+		}
+		files, err := spec.files()
+		if err != nil || files.Count() != parsed.Count() {
+			t.Fatalf("dataset %q parsed to %d files but built %d (%v)", spec.Dataset, parsed.Count(), files.Count(), err)
+		}
 	})
+}
+
+// decodeSeeds is FuzzDecodeJobSpec's seed corpus; its dataset rows are
+// also TestDatasetCheckMatchesBuild's.
+var decodeSeeds = []string{
+	``,
+	`{}`,
+	`null`,
+	`[]`,
+	`"job"`,
+	`{"id": "alpha", "bytes": 1e9}`,
+	`{"id": "alpha", "budget": 60}`,
+	`{"id": "../../etc/passwd", "bytes": 1}`,
+	"{\"id\": \"a\x00b\", \"bytes\": 1}",
+	// The withdrawn kernel-aware: prefix: rejected inputs now.
+	`{"tuner": "kernel-aware:cs-tuner", "bytes": 1e9, "tenant": "t1"}`,
+	`{"tuner": "kernel-aware:rl-bandit", "bytes": 1e9, "tenant": "t1"}`,
+	`{"tuner": "rl-bandit", "budget": 60, "two": true}`,
+	`{"bytes": 1e308, "epoch": 1e308, "budget": 1e308}`,
+	`{"bytes": "NaN"}`,
+	`{"np": -1, "bytes": 1}`,
+	`{"max_nc": 99999999, "bytes": 1}`,
+	`{"max_nc": -5, "bytes": 1}`,
+	`{"max_nc": 1, "max_np": 1, "two": true, "dataset": "10x1MiB"}`,
+	`{"dial_fail_prob": 0.5, "bytes": 1}`,
+	`{"addr": "127.0.0.1:0", "dial_fail_prob": 0.5, "bytes": 1}`,
+	`{"addr": "127.0.0.1:0", "dataset": "10000x1MiB", "two": true}`,
+	`{"addr": "127.0.0.1:0", "dataset": "lognormal:2000:8MiB:1.5", "pp": 4}`,
+	`{"dataset": "manysmall:20000", "budget": 60}`,
+	`{"dataset": "0x1MiB", "budget": 60}`,
+	`{"dataset": "99999999999x1TiB"}`,
+	`{"dataset": "lognormal:10:1MiB:-3"}`,
+	`{"dataset": "10x1MiB", "bytes": 1}`,
+	`{"pp": 4, "bytes": 1}`,
+	`{"pp": -1, "dataset": "10x1MiB"}`,
+	`{"unknown": true, "bytes": 1}`,
+	`{"bytes": 1}{"bytes": 2}`,
+	`{"id": "` + strings.Repeat("x", 100) + `", "bytes": 1}`,
+	strings.Repeat(`{"id":`, 1000),
 }

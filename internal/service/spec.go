@@ -70,7 +70,7 @@ type JobSpec struct {
 	// Dataset.
 	PP int `json:"pp,omitempty"`
 	// Dataset, when set, makes the job move a multi-file dataset
-	// instead of an anonymous byte volume (see dataset.ParseSpec for
+	// instead of an anonymous byte volume (see dataset.Parse for
 	// the syntax, e.g. "10000x1MiB" or "lognormal:2000:8MiB:1.5").
 	// Socket jobs use the framed per-file data plane; simulated jobs
 	// use the disk-to-disk model. The dataset bounds the transfer, so
@@ -131,7 +131,10 @@ func DecodeStrict(data []byte, v any) error {
 
 // Validate reports whether the spec is runnable: names well-formed,
 // strategy and testbed known, numbers finite and in range, and the job
-// guaranteed to terminate (finite bytes or a budget).
+// guaranteed to terminate (finite bytes or a budget). It never
+// generates a dataset: it parses the spec (dataset.Parse), which
+// rejects exactly what the build would, at a cost that does not grow
+// with the file count. Build generates it.
 func (s JobSpec) Validate() error {
 	if err := validName("id", s.ID); err != nil {
 		return err
@@ -176,7 +179,7 @@ func (s JobSpec) Validate() error {
 		}
 	}
 	if s.Dataset != "" {
-		if _, err := dataset.ParseSpec(s.Dataset, 1); err != nil {
+		if _, err := dataset.Parse(s.Dataset); err != nil {
 			return fmt.Errorf("service: %w", err)
 		}
 		if s.Bytes != 0 {
