@@ -1,6 +1,11 @@
 package dataset
 
 import (
+	"fmt"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,8 +19,8 @@ func TestUniform(t *testing.T) {
 	if d.MedianSize() != 1000 {
 		t.Fatalf("median: %v", d.MedianSize())
 	}
-	if d.Files[3].Name != "file-000003" {
-		t.Fatalf("name %q", d.Files[3].Name)
+	if Name(3) != "file-000003" {
+		t.Fatalf("name %q", Name(3))
 	}
 	if Uniform(-5, 1).Count() != 0 {
 		t.Fatal("negative count not clamped")
@@ -30,7 +35,7 @@ func TestEmptyDataset(t *testing.T) {
 }
 
 func TestMedianEvenCount(t *testing.T) {
-	d := Dataset{Files: []File{{Size: 1}, {Size: 3}, {Size: 100}, {Size: 2}}}
+	d := Dataset{Sizes: []int64{1, 3, 100, 2}}
 	if got := d.MedianSize(); got != 2.5 {
 		t.Fatalf("median = %v, want 2.5", got)
 	}
@@ -49,8 +54,8 @@ func TestLogNormalProperties(t *testing.T) {
 	if mean := float64(d.TotalBytes()) / float64(d.Count()); mean <= med {
 		t.Fatalf("mean %v not above median %v", mean, med)
 	}
-	for _, f := range d.Files {
-		if f.Size < 1 {
+	for _, size := range d.Sizes {
+		if size < 1 {
 			t.Fatal("size below 1 byte")
 		}
 	}
@@ -59,20 +64,10 @@ func TestLogNormalProperties(t *testing.T) {
 func TestLogNormalDeterministic(t *testing.T) {
 	a := LogNormal(100, 1e6, 1, 3)
 	b := LogNormal(100, 1e6, 1, 3)
-	for i := range a.Files {
-		if a.Files[i] != b.Files[i] {
-			t.Fatal("same seed differs")
-		}
+	if !slices.Equal(a.Sizes, b.Sizes) {
+		t.Fatal("same seed differs")
 	}
-	c := LogNormal(100, 1e6, 1, 4)
-	same := true
-	for i := range a.Files {
-		if a.Files[i].Size != c.Files[i].Size {
-			same = false
-			break
-		}
-	}
-	if same {
+	if c := LogNormal(100, 1e6, 1, 4); slices.Equal(a.Sizes, c.Sizes) {
 		t.Fatal("different seeds identical")
 	}
 }
@@ -99,12 +94,57 @@ func TestTotalBytesMatchesSumProperty(t *testing.T) {
 		d := Dataset{}
 		var want int64
 		for _, s := range sizes {
-			d.Files = append(d.Files, File{Size: int64(s)})
+			d.Sizes = append(d.Sizes, int64(s))
 			want += int64(s)
 		}
 		return d.TotalBytes() == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNameIsLocalAndUnique: a name is fmt's "file-%06d" of its index,
+// one local path element, and distinct from every other index's — at
+// the first index, both sides of the six-to-seven digit boundary and
+// the last index a spec may reach. Names are what Materialize creates
+// and a file-backed source opens under its directory, which is why
+// neither needs a check that a name escapes it or collides.
+func TestNameIsLocalAndUnique(t *testing.T) {
+	seen := map[string]int{}
+	for _, i := range []int{0, 999999, 1000000, maxSpecFiles - 1} {
+		name := Name(i)
+		if want := fmt.Sprintf("file-%06d", i); name != want {
+			t.Errorf("Name(%d) = %q, want %q", i, name, want)
+		}
+		if !filepath.IsLocal(name) || filepath.Base(name) != name {
+			t.Errorf("Name(%d) = %q is not one local path element", i, name)
+		}
+		if j, dup := seen[name]; dup {
+			t.Errorf("Name(%d) = Name(%d) = %q", i, j, name)
+		}
+		seen[name] = i
+		if back, err := strconv.Atoi(strings.TrimPrefix(name, "file-")); err != nil || back != i {
+			t.Errorf("Name(%d) = %q reads back as %d (%v)", i, name, back, err)
+		}
+	}
+}
+
+// TestParseSpecBytes: a dataset is its sizes, so generating the most
+// files a spec may ask for allocates their eight bytes each and little
+// else: at most 8.5 MiB for 2^20 files.
+func TestParseSpecBytes(t *testing.T) {
+	least := ^uint64(0)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := ParseSpec(fmt.Sprintf("lognormal:%d:48KiB:1.2", maxSpecFiles), 7); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > 17<<19 {
+		t.Fatalf("ParseSpec of %d files allocated %d bytes, budget 8.5 MiB", maxSpecFiles, least)
 	}
 }

@@ -6,46 +6,28 @@ import (
 	"path/filepath"
 )
 
-// Materialize creates d's files under dir as real, sparsely allocated
-// files of the manifest sizes, so a file-backed transfer source
-// (gridftp.ClientConfig.SourceDir) has actual disk objects to
-// sendfile from. Existing files of the right size are left untouched;
-// wrong-sized ones are truncated to the manifest size. Sparse
-// allocation (create + truncate, no payload writes) keeps even
+// Materialize creates d's files under dir, file i as Name(i), as real,
+// sparsely allocated files of the manifest sizes, so a file-backed
+// transfer source (gridftp.ClientConfig.SourceDir) has actual disk
+// objects to sendfile from. Existing files of the right size are left
+// untouched; wrong-sized ones are truncated to the manifest size.
+// Sparse allocation (create + truncate, no payload writes) keeps even
 // multi-GiB benchmark datasets instant and storage-free — reads
 // return zeros, which is exactly the paper's /dev/zero payload.
-//
-// File names must be local paths (no absolute paths, no ".." escapes)
-// and must not collide at differing sizes; either is an error.
 func Materialize(dir string, d Dataset) error {
-	sizes := make(map[string]int64, len(d.Files))
-	for _, f := range d.Files {
-		if f.Name == "" || !filepath.IsLocal(f.Name) {
-			return fmt.Errorf("dataset: file name %q escapes the source directory", f.Name)
-		}
-		if prev, ok := sizes[f.Name]; ok && prev != f.Size {
-			return fmt.Errorf("dataset: file name %q appears at both %d and %d bytes", f.Name, prev, f.Size)
-		}
-		sizes[f.Name] = f.Size
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, f := range d.Files {
-		path := filepath.Join(dir, f.Name)
-		if sub := filepath.Dir(path); sub != dir {
-			if err := os.MkdirAll(sub, 0o755); err != nil {
-				return err
-			}
-		}
-		if st, err := os.Stat(path); err == nil && st.Size() == f.Size && st.Mode().IsRegular() {
+	for i, size := range d.Sizes {
+		path := filepath.Join(dir, Name(i))
+		if st, err := os.Stat(path); err == nil && st.Size() == size && st.Mode().IsRegular() {
 			continue
 		}
 		fh, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644)
 		if err != nil {
 			return err
 		}
-		err = fh.Truncate(f.Size)
+		err = fh.Truncate(size)
 		if cerr := fh.Close(); err == nil {
 			err = cerr
 		}

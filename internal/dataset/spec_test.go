@@ -10,88 +10,100 @@ import (
 	"dstune/internal/sim"
 )
 
+// parentFile is a file as the parent generators built it: a name
+// stored beside each size.
+type parentFile struct {
+	Name string
+	Size int64
+}
+
+// parentDataset is a dataset as the parent generators built it.
+type parentDataset struct{ Files []parentFile }
+
+func (d parentDataset) Count() int { return len(d.Files) }
+
 // parentParseSpec, parentUniform and parentLogNormal are the
-// generators as they were before Parse split from Generate and the
-// names came to share one string: one fmt.Sprintf per file name, and
-// the build inside the check. They exist only to pin today's output to
-// theirs.
-func parentParseSpec(spec string, seed uint64) (Dataset, error) {
+// generators as they were before Parse split from Generate and a
+// dataset came to hold only its sizes: one fmt.Sprintf per stored file
+// name, and the build inside the check. They exist only to pin today's
+// sizes and Name to theirs.
+func parentParseSpec(spec string, seed uint64) (parentDataset, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
-		return Dataset{}, fmt.Errorf("dataset: empty spec")
+		return parentDataset{}, fmt.Errorf("dataset: empty spec")
 	}
 	if rest, ok := strings.CutPrefix(spec, "manysmall:"); ok {
 		n, err := parseCount(rest)
 		if err != nil {
-			return Dataset{}, err
+			return parentDataset{}, err
 		}
 		return parentUniform(n, 1<<20), nil
 	}
 	if rest, ok := strings.CutPrefix(spec, "fewhuge:"); ok {
 		n, err := parseCount(rest)
 		if err != nil {
-			return Dataset{}, err
+			return parentDataset{}, err
 		}
 		return parentUniform(n, 10<<30), nil
 	}
 	if rest, ok := strings.CutPrefix(spec, "lognormal:"); ok {
 		parts := strings.Split(rest, ":")
 		if len(parts) != 3 {
-			return Dataset{}, fmt.Errorf("dataset: lognormal spec %q: want lognormal:COUNT:MEDIAN:SIGMA", spec)
+			return parentDataset{}, fmt.Errorf("dataset: lognormal spec %q: want lognormal:COUNT:MEDIAN:SIGMA", spec)
 		}
 		n, err := parseCount(parts[0])
 		if err != nil {
-			return Dataset{}, err
+			return parentDataset{}, err
 		}
 		median, err := ParseSize(parts[1])
 		if err != nil {
-			return Dataset{}, err
+			return parentDataset{}, err
 		}
 		sigma, err := strconv.ParseFloat(parts[2], 64)
 		if err != nil || sigma <= 0 || sigma > 16 {
-			return Dataset{}, fmt.Errorf("dataset: lognormal sigma %q outside (0, 16]", parts[2])
+			return parentDataset{}, fmt.Errorf("dataset: lognormal sigma %q outside (0, 16]", parts[2])
 		}
 		return parentLogNormal(n, float64(median), sigma, seed), nil
 	}
 	count, sizeStr, ok := strings.Cut(spec, "x")
 	if !ok {
-		return Dataset{}, fmt.Errorf("dataset: bad spec %q: want COUNTxSIZE, manysmall:N, fewhuge:N, or lognormal:N:MEDIAN:SIGMA", spec)
+		return parentDataset{}, fmt.Errorf("dataset: bad spec %q: want COUNTxSIZE, manysmall:N, fewhuge:N, or lognormal:N:MEDIAN:SIGMA", spec)
 	}
 	n, err := parseCount(count)
 	if err != nil {
-		return Dataset{}, err
+		return parentDataset{}, err
 	}
 	size, err := ParseSize(sizeStr)
 	if err != nil {
-		return Dataset{}, err
+		return parentDataset{}, err
 	}
 	return parentUniform(n, size), nil
 }
 
-func parentUniform(n int, size int64) Dataset {
+func parentUniform(n int, size int64) parentDataset {
 	if n < 0 {
 		n = 0
 	}
-	d := Dataset{Files: make([]File, n)}
+	d := parentDataset{Files: make([]parentFile, n)}
 	for i := range d.Files {
-		d.Files[i] = File{Name: fmt.Sprintf("file-%06d", i), Size: size}
+		d.Files[i] = parentFile{Name: fmt.Sprintf("file-%06d", i), Size: size}
 	}
 	return d
 }
 
-func parentLogNormal(n int, median float64, sigma float64, seed uint64) Dataset {
+func parentLogNormal(n int, median float64, sigma float64, seed uint64) parentDataset {
 	if n < 0 {
 		n = 0
 	}
 	rng := sim.NewRNG(seed)
 	mu := math.Log(median)
-	d := Dataset{Files: make([]File, n)}
+	d := parentDataset{Files: make([]parentFile, n)}
 	for i := range d.Files {
 		size := int64(math.Exp(mu + sigma*rng.NormFloat64()))
 		if size < 1 {
 			size = 1
 		}
-		d.Files[i] = File{Name: fmt.Sprintf("file-%06d", i), Size: size}
+		d.Files[i] = parentFile{Name: fmt.Sprintf("file-%06d", i), Size: size}
 	}
 	return d
 }
@@ -105,15 +117,15 @@ func errText(err error) string {
 }
 
 // TestParseSpecMatchesParent holds every spec form to the per-file
-// Sprintf generators, name for name and size for size, on both sides
-// of the six-to-seven digit boundary of the names. The parent's first
+// Sprintf generators, Name for stored name and size for size, on both
+// sides of the six-to-seven digit boundary of the names. The parent's first
 // n files are the first n of its 1 000 001 (the names count up and the
 // RNG is read in file order), so each form and seed builds the parent
 // once, and a uniform form, which reads no seed, once in all.
 func TestParseSpecMatchesParent(t *testing.T) {
 	const most = 1000001
 	for _, form := range []string{"%dx48KiB", "manysmall:%d", "fewhuge:%d", "lognormal:%d:48KiB:1.2"} {
-		var want Dataset
+		var want parentDataset
 		for _, seed := range []uint64{1, 7, 9471} {
 			if want.Files == nil || strings.HasPrefix(form, "lognormal:") {
 				want, _ = parentParseSpec(fmt.Sprintf(form, most), seed)
@@ -124,19 +136,19 @@ func TestParseSpecMatchesParent(t *testing.T) {
 				if err != nil {
 					t.Fatalf("ParseSpec(%q): %v", spec, err)
 				}
-				if len(got.Files) != n {
-					t.Fatalf("ParseSpec(%q, %d): %d files", spec, seed, len(got.Files))
+				if got.Count() != n {
+					t.Fatalf("ParseSpec(%q, %d): %d files", spec, seed, got.Count())
 				}
-				for i, f := range got.Files {
-					if f != want.Files[i] {
+				for i, size := range got.Sizes {
+					if f := (parentFile{Name(i), size}); f != want.Files[i] {
 						t.Fatalf("ParseSpec(%q, %d) file %d = %+v, want %+v", spec, seed, i, f, want.Files[i])
 					}
 				}
 			}
 		}
 	}
-	if got := Uniform(-5, 1).Files; got == nil || len(got) != 0 {
-		t.Fatalf("Uniform(-5) files = %#v, want empty and non-nil", got)
+	if got := Uniform(-5, 1).Sizes; got == nil || len(got) != 0 {
+		t.Fatalf("Uniform(-5) sizes = %#v, want empty and non-nil", got)
 	}
 }
 
@@ -167,8 +179,7 @@ func TestParseRejectsWhatParentRejects(t *testing.T) {
 }
 
 // TestParseSpecAllocs: a 300 000-file spec costs a handful of
-// allocations (the file slice, the shared name string, the RNG), not
-// one or two a file.
+// allocations (the size slice and the RNG), not one or two a file.
 func TestParseSpecAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := ParseSpec("lognormal:300000:48KiB:1.2", 7); err != nil {

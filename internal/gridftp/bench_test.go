@@ -9,7 +9,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -226,15 +225,15 @@ func BenchmarkFileSourceEpoch(b *testing.B) {
 	for i := range fill {
 		fill[i] = byte(i * 131)
 	}
-	for _, f := range ds.Files {
-		fh, err := os.OpenFile(filepath.Join(srcDir, f.Name), os.O_WRONLY, 0)
+	for i, size := range ds.Sizes {
+		fh, err := os.OpenFile(filepath.Join(srcDir, dataset.Name(i)), os.O_WRONLY, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for off := int64(0); off < f.Size; off += int64(len(fill)) {
+		for off := int64(0); off < size; off += int64(len(fill)) {
 			n := int64(len(fill))
-			if f.Size-off < n {
-				n = f.Size - off
+			if size-off < n {
+				n = size - off
 			}
 			if _, err := fh.Write(fill[:n]); err != nil {
 				b.Fatal(err)
@@ -379,7 +378,7 @@ func TestPumpAllocs(t *testing.T) {
 // admittedQueue is the work queue of ds with every file admitted.
 func admittedQueue(ds dataset.Dataset) *fileQueue {
 	q := newFileQueue(ds)
-	for i := range ds.Files {
+	for i := range ds.Sizes {
 		q.admit(i)
 	}
 	return q
@@ -413,10 +412,9 @@ func (c *cutConn) Write(p []byte) (int, error) {
 // the pump's sent count is the payload on the wire.
 func TestCoalescedWriteRequeuesExactly(t *testing.T) {
 	sizes := []int64{1000, 3000, 17, 5000, 2048, 1, 700, 4096}
-	ds := dataset.Dataset{}
+	ds := dataset.Dataset{Sizes: sizes}
 	var total, wire int64
 	for i, sz := range sizes {
-		ds.Files = append(ds.Files, dataset.File{Name: strconv.Itoa(i), Size: sz})
 		total += sz
 		wire += int64(len(appendFrameHeader(nil, i, 0, sz))) + sz
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"slices"
@@ -68,17 +69,19 @@ type ClientConfig struct {
 	// segments behind FILE headers, file starts are pipelined up to the
 	// epoch's pp depth (Params.PP), and accounting is per-file receiver
 	// truth. Empty makes the transfer a dataset of one file of Bytes
-	// bytes — 2^62 when unbounded — on the same plane.
+	// bytes — 2^62 when unbounded — on the same plane. No size may be
+	// negative. The client reads the sizes in place: the caller must
+	// not change them while the client lives.
 	Dataset dataset.Dataset
 	// SourceDir switches the dataset's payload from synthesized zeros
 	// to real file contents: manifest entry i is read from
-	// SourceDir/<name>. Validated up front — every name must be a
-	// local path and exist as a regular file of at least the manifest
-	// size. On Linux, leases on unwrapped *net.TCPConn stripes are
-	// routed through sendfile(2), so payload bytes never cross
-	// userspace; elsewhere — under the dstune_nozerocopy build tag, or
-	// on wrapped connections — a portable pread+writev pump produces
-	// the identical byte stream. Requires a Dataset.
+	// SourceDir/dataset.Name(i). Validated up front — every file must
+	// exist as a regular file of at least the manifest size. On Linux,
+	// leases on unwrapped *net.TCPConn stripes are routed through
+	// sendfile(2), so payload bytes never cross userspace; elsewhere —
+	// under the dstune_nozerocopy build tag, or on wrapped connections —
+	// a portable pread+writev pump produces the identical byte stream.
+	// Requires a Dataset.
 	SourceDir string
 	// RequestSink asks the server to persist the transferred files
 	// under its configured sink directory (Server.SetSink) instead of
@@ -218,6 +221,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	}
 	datasetMode := cfg.Dataset.Count() > 0
 	if datasetMode {
+		for i, size := range cfg.Dataset.Sizes {
+			if size < 0 {
+				return nil, fmt.Errorf("gridftp: dataset file %d has negative size %d", i, size)
+			}
+		}
 		total := cfg.Dataset.TotalBytes()
 		if cfg.Bytes == 0 {
 			cfg.Bytes = float64(total)
@@ -375,7 +383,7 @@ func (c *Client) Stop() {
 	cmd := "CLOSE " + c.token
 	closeOn := func(conn net.Conn, br *bufio.Reader) error {
 		defer conn.Close()
-		return c.send(conn, br, cmd, oneLine(cmd, "OK", new(string)))
+		return c.send(conn, br, command(cmd), oneLine(cmd, "OK", new(string)))
 	}
 	if ctrl != nil && closeOn(ctrl, br) == nil {
 		return
@@ -507,11 +515,11 @@ func (c *Client) dropCtrl(conn net.Conn) {
 	conn.Close()
 }
 
-// send writes cmd on conn and hands the response to read, all under
-// one DialTimeout deadline.
-func (c *Client) send(conn net.Conn, br *bufio.Reader, cmd string, read func(*bufio.Reader) error) error {
+// send writes a command on conn — write renders it — and hands the
+// response to read, all under one DialTimeout deadline.
+func (c *Client) send(conn net.Conn, br *bufio.Reader, write func(io.Writer) error, read func(*bufio.Reader) error) error {
 	conn.SetDeadline(time.Now().Add(c.cfg.DialTimeout))
-	if _, err := fmt.Fprintf(conn, "%s\n", cmd); err != nil {
+	if err := write(conn); err != nil {
 		return err
 	}
 	if err := read(br); err != nil {
@@ -521,8 +529,17 @@ func (c *Client) send(conn net.Conn, br *bufio.Reader, cmd string, read func(*bu
 	return nil
 }
 
+// command returns send's writer of the one-line command cmd.
+func command(cmd string) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := io.WriteString(w, cmd+"\n")
+		return err
+	}
+}
+
 // oneLine returns send's response reader for the one-line answers:
-// the line must start with wantPrefix and is stored in *resp.
+// the line must start with wantPrefix and is stored in *resp. cmd is
+// the command's verb line, which an unexpected answer's error quotes.
 func oneLine(cmd, wantPrefix string, resp *string) func(*bufio.Reader) error {
 	return func(br *bufio.Reader) (err error) {
 		if *resp, err = readLine(br); err == nil && !strings.HasPrefix(*resp, wantPrefix) {
@@ -534,27 +551,21 @@ func oneLine(cmd, wantPrefix string, resp *string) func(*bufio.Reader) error {
 
 // roundTrip performs one command/response exchange on the persistent
 // control connection, dialing it only when absent and retrying
-// transient failures per the retry config; read consumes the response
-// (one line for most verbs, a block for RESYNC). A failed exchange
-// discards the connection so the next attempt re-dials.
-func (c *Client) roundTrip(ctx context.Context, t *cost, cmd string, read func(*bufio.Reader) error) error {
+// transient failures per the retry config; write renders the command
+// and read consumes the response (one line for most verbs, a block for
+// RESYNC). A failed exchange discards the connection so the next
+// attempt re-dials.
+func (c *Client) roundTrip(ctx context.Context, t *cost, write func(io.Writer) error, read func(*bufio.Reader) error) error {
 	return c.retry(ctx, t, func() error {
 		conn, br, err := c.ctrlConn(t)
 		if err != nil {
 			return err
 		}
-		if err = c.send(conn, br, cmd, read); err != nil {
+		if err = c.send(conn, br, write, read); err != nil {
 			c.dropCtrl(conn)
 		}
 		return err
 	})
-}
-
-// exchange is roundTrip for the one-line responses: it returns the
-// line, which must start with wantPrefix.
-func (c *Client) exchange(ctx context.Context, t *cost, cmd, wantPrefix string) (resp string, err error) {
-	err = c.roundTrip(ctx, t, cmd, oneLine(cmd, wantPrefix, &resp))
-	return resp, err
 }
 
 // ServerReceived asks the server how many useful bytes it holds for
@@ -570,7 +581,7 @@ func (c *Client) ServerReceived() (int64, error) {
 // server's three (its aggregate counter first) are a protocol error.
 func (c *Client) settleExchange(ctx context.Context, t *cost, expect int64) (done int, useful int64, err error) {
 	cmd := fmt.Sprintf("SETTLE %s %d", c.token, expect)
-	err = c.roundTrip(ctx, t, cmd, func(br *bufio.Reader) error {
+	err = c.roundTrip(ctx, t, command(cmd), func(br *bufio.Reader) error {
 		var resp string
 		if err := oneLine(cmd, "SETTLED ", &resp)(br); err != nil {
 			return err
@@ -785,7 +796,7 @@ func (c *Client) Run(caller context.Context, p xfer.Params, epochSecs float64) (
 func (c *Client) arm(ctx context.Context, e *epoch) error {
 	var resp string
 	var held int64
-	err := c.roundTrip(ctx, &e.cost, "START "+c.token, func(br *bufio.Reader) (err error) {
+	err := c.roundTrip(ctx, &e.cost, command("START "+c.token), func(br *bufio.Reader) (err error) {
 		if resp, err = readLine(br); err != nil || resp == "NONE" {
 			return err
 		}
@@ -806,7 +817,7 @@ func (c *Client) arm(ctx context.Context, e *epoch) error {
 		c.expect = held
 	}
 	if !c.manifested {
-		if _, err := c.exchange(ctx, &e.cost, c.manifest(), "OK"); err != nil {
+		if err := c.roundTrip(ctx, &e.cost, c.writeManifest, oneLine(c.manifestLine(), "OK", new(string))); err != nil {
 			return fmt.Errorf("gridftp: manifest: %w", err)
 		}
 		c.manifested = true
@@ -977,7 +988,7 @@ func (c *Client) pumpEpoch(ctx context.Context, e *epoch) (sent int64) {
 		wg.Add(1)
 		go func(i int, conn net.Conn) {
 			defer wg.Done()
-			conn.SetWriteDeadline(e.deadline.Add(time.Second))
+			conn.SetWriteDeadline(e.deadline.Add(writeSlack))
 			pio := c.newPumpIO(conn)
 			s := &e.stripes[i]
 			s.sent, s.alive = filePump(conn, c.q, pio, e.rate, e.deadline, ctx.Done(), &c.firstByte, e.began)

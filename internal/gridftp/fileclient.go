@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"os"
@@ -48,7 +49,7 @@ const ackSlack = 2 * time.Second
 // are recovered by resyncing against the server's per-file counters.
 type fileQueue struct {
 	mu       sync.Mutex
-	sizes    []int64
+	sizes    []int64 // the dataset's own, read in place and never written
 	rem      []int64 // bytes not yet leased, per file
 	started  []bool  // admitted (or known to the server from a resume)
 	inReady  []bool  // membership in ready
@@ -57,24 +58,18 @@ type fileQueue struct {
 	unleased int64   // sum of rem across all files
 }
 
-// newFileQueue builds the queue for d. Zero-length files need no
-// bytes and are never admitted.
+// newFileQueue builds the queue for d, whose sizes must not be
+// negative. Zero-length files need no bytes and are never admitted.
 func newFileQueue(d dataset.Dataset) *fileQueue {
 	n := d.Count()
 	q := &fileQueue{
-		sizes:   make([]int64, n),
-		rem:     make([]int64, n),
-		started: make([]bool, n),
-		inReady: make([]bool, n),
-		ready:   make([]int32, 0, n),
+		sizes:    d.Sizes,
+		rem:      make([]int64, n),
+		started:  make([]bool, n),
+		inReady:  make([]bool, n),
+		unleased: d.TotalBytes(),
 	}
-	for i, f := range d.Files {
-		if f.Size > 0 {
-			q.sizes[i] = f.Size
-			q.rem[i] = f.Size
-			q.unleased += f.Size
-		}
-	}
+	copy(q.rem, d.Sizes)
 	return q
 }
 
@@ -367,6 +362,7 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 		quantum = zcLeaseQuantum
 	}
 	pumpStart := time.Now()
+	var leasing time.Time // when the stripe took its first lease, the start of its rate
 	defer pio.src.release()
 	for {
 		select {
@@ -378,7 +374,7 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 		if now.After(deadline) {
 			return sent, true
 		}
-		bound := boundLease(quantum, sent, now.Sub(pumpStart), deadline.Sub(now))
+		bound := boundLease(quantum, sent, now.Sub(leasing), deadline.Sub(now))
 		idx, off, n, wait := q.next(bound)
 		if n == 0 {
 			if !wait {
@@ -394,6 +390,9 @@ func filePump(conn net.Conn, q *fileQueue, pio *pumpIO, rate float64, deadline t
 			case <-t.C:
 			}
 			continue
+		}
+		if leasing.IsZero() {
+			leasing = now
 		}
 		if n <= fileChunk && !(pio.zc && n >= zcMinSegment) {
 			m, ok := pio.writeRun(conn, q, frameLease{idx: idx, off: off, n: n}, min(bound, fileChunk))
@@ -549,21 +548,41 @@ func creditRun(q *fileQueue, run []frameLease, written int64) (sent int64) {
 	return sent
 }
 
+// rateSpan is how long a stripe's rate must have been measured, unless
+// it already spans a whole lease quantum of bytes, before boundLease
+// trusts it to keep a lease inside the epoch: longer than the few
+// scheduler time slices a pump can lose to a busy host.
+const rateSpan = 50 * time.Millisecond
+
+// writeSlack is how far past the epoch's deadline a stripe's write
+// deadline lies.
+const writeSlack = time.Second
+
 // boundLease bounds a lease so that its frame, written whole once
-// committed, still fits before the stripe's write deadline a second past
-// the epoch's: the epoch's first lease is one chunkSize, and a later one
-// at most what the stripe's rate so far moves before the epoch deadline,
-// never less than chunkSize nor more than quantum (so a shaped lease is
+// committed, still fits before the stripe's write deadline, writeSlack
+// past the epoch's. The epoch's first lease is one chunkSize. A later
+// one is sized by the stripe's rate since it took its first lease
+// (elapsed): once that rate is measured over rateSpan or a whole
+// quantum, at most what it moves before the epoch deadline; before, at
+// most what it moves halfway into the slack, because a few slow writes
+// cannot tell a slow stream from a pump that lost its CPU for a while.
+// Never less than chunkSize nor more than quantum (so a shaped lease is
 // always chunkSize). On a stream of a few MB/s a 4 MiB lease begun late
 // would time out, and the half-written frame would cost the stripe its
-// place in the warm pool. (A send buffer that emptied between epochs
-// makes the first rates read high; only the second of slack covers
-// that.)
+// place in the warm pool; on loopback, a pump descheduled through its
+// first 64 KiB would read a few MB/s and cut a 32 MiB zero-copy file
+// into leases of a few hundred KiB, six syscalls each. (A send buffer
+// that emptied between epochs makes the first rates read high; only
+// the rest of the slack covers that.)
 func boundLease(quantum, sent int64, elapsed, left time.Duration) int64 {
 	if sent == 0 || elapsed <= 0 {
 		return chunkSize
 	}
-	return max(chunkSize, int64(min(float64(quantum), float64(sent)*left.Seconds()/elapsed.Seconds())))
+	window := left
+	if elapsed < rateSpan && sent < quantum {
+		window = (left + writeSlack) / 2
+	}
+	return max(chunkSize, int64(min(float64(quantum), float64(sent)*window.Seconds()/elapsed.Seconds())))
 }
 
 // errNotResumable refuses a resumed token whose START answer holds the
@@ -641,26 +660,41 @@ func readAck(br *bufio.Reader) (idx int, ok bool) {
 	return int(v), ok && isAck && err == nil
 }
 
-// manifest renders the MANIFEST command that registers the dataset
-// under the client's token: the header — with the SINK flag when the
-// client wants the files persisted — and one size line per file, sent
-// as a single exchange (the server answers OK after the last line).
+// manifestLine is the MANIFEST command's verb line: the token, the
+// file count and, when the client wants the files persisted, the SINK
+// flag. It is what an error about the exchange quotes.
+func (c *Client) manifestLine() string {
+	line := "MANIFEST " + c.token + " " + strconv.Itoa(len(c.q.sizes))
+	if c.cfg.RequestSink {
+		line += " SINK"
+	}
+	return line
+}
+
+// manifestChunk is the most of a rendered manifest held at once.
+const manifestChunk = 64 << 10
+
+// writeManifest writes the MANIFEST command that registers the dataset
+// under the client's token — the verb line, then one size line per
+// file — to w as it renders it, a chunk at a time, so the command never
+// exists whole in memory. The server answers OK after the last line.
 // Idempotent — a re-sent manifest of the same shape keeps the server's
 // progress.
-func (c *Client) manifest() string {
-	b := make([]byte, 0, len(c.q.sizes)*8+64)
-	b = append(b, "MANIFEST "...)
-	b = append(b, c.token...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(len(c.q.sizes)), 10)
-	if c.cfg.RequestSink {
-		b = append(b, " SINK"...)
-	}
+func (c *Client) writeManifest(w io.Writer) error {
+	b := make([]byte, 0, manifestChunk)
+	b = append(b, c.manifestLine()...)
 	for _, sz := range c.q.sizes {
+		if len(b) > manifestChunk-24 {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
 		b = append(b, '\n')
 		b = strconv.AppendInt(b, sz, 10)
 	}
-	return string(b)
+	_, err := w.Write(append(b, '\n'))
+	return err
 }
 
 // resync rebuilds the work queue from the server's per-file received
@@ -676,7 +710,7 @@ func (c *Client) resync(ctx context.Context, e *epoch) (useful int64, err error)
 		c.gotScratch = make([]int64, len(c.q.sizes))
 	}
 	got := c.gotScratch
-	err = c.roundTrip(ctx, &e.cost, "RESYNC "+c.token, func(br *bufio.Reader) error {
+	err = c.roundTrip(ctx, &e.cost, command("RESYNC "+c.token), func(br *bufio.Reader) error {
 		clear(got)
 		for {
 			line, err := readLine(br)

@@ -27,10 +27,11 @@ const maxManifestFiles = 1 << 20
 // janitor free it. Its sizes never change after MANIFEST; a manifest of
 // another shape installs a new table.
 type fileTable struct {
-	mu     sync.Mutex
-	sizes  []int64
-	got    []int64 // received bytes per file (duplicates included)
-	done   []bool
+	mu    sync.Mutex
+	sizes []int64
+	// got counts each file's received bytes, duplicates included: file
+	// i is done once got[i] reaches sizes[i], and nDone counts those.
+	got    []int64
 	nDone  int
 	useful int64 // sum of min(got, size): duplicate-free progress
 
@@ -47,11 +48,9 @@ func newFileTable(sizes []int64) *fileTable {
 	ft := &fileTable{
 		sizes: sizes,
 		got:   make([]int64, len(sizes)),
-		done:  make([]bool, len(sizes)),
 	}
-	for i, sz := range sizes {
+	for _, sz := range sizes {
 		if sz <= 0 {
-			ft.done[i] = true
 			ft.nDone++
 		}
 	}
@@ -68,11 +67,10 @@ func (ft *fileTable) touch() { ft.lastActive.Store(time.Now().UnixNano()) }
 // whether this credit completed the file.
 func (ft *fileTable) add(idx int, n int64) (completed bool) {
 	ft.mu.Lock()
-	oldUseful := min(ft.got[idx], ft.sizes[idx])
+	old := ft.got[idx]
 	ft.got[idx] += n
-	ft.useful += min(ft.got[idx], ft.sizes[idx]) - oldUseful
-	if !ft.done[idx] && ft.got[idx] >= ft.sizes[idx] {
-		ft.done[idx] = true
+	ft.useful += min(ft.got[idx], ft.sizes[idx]) - min(old, ft.sizes[idx])
+	if old < ft.sizes[idx] && ft.got[idx] >= ft.sizes[idx] {
 		ft.nDone++
 		completed = true
 	}

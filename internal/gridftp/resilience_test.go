@@ -394,6 +394,47 @@ func TestSlowStripesStayWarm(t *testing.T) {
 	}
 }
 
+// TestBoundLeaseKeepsItsPromise walks a grid of stripe rates, times
+// since the first lease and times left: a lease boundLease grants,
+// moving at the rate measured so far, ends before the write deadline,
+// and before the epoch deadline once the rate spans rateSpan or a
+// quantum. A pump that lost its CPU through its first 64 KiB is not
+// cut to a few hundred KiB.
+func TestBoundLeaseKeepsItsPromise(t *testing.T) {
+	for _, quantum := range []int64{chunkSize, leaseQuantum, zcLeaseQuantum} {
+		for _, rate := range []float64{1e5, 1e6, 3e6, 3e7, 1e9, 1e10} {
+			for _, elapsed := range []time.Duration{time.Microsecond, time.Millisecond, 20 * time.Millisecond, rateSpan, time.Second} {
+				for _, left := range []time.Duration{0, time.Millisecond, 100 * time.Millisecond, time.Second, time.Minute} {
+					sent := int64(rate * elapsed.Seconds())
+					if sent == 0 {
+						continue
+					}
+					n := boundLease(quantum, sent, elapsed, left)
+					if n < chunkSize || n > max(quantum, chunkSize) {
+						t.Fatalf("quantum %d, %g B/s, %v in, %v left: bound %d outside [chunkSize, quantum]", quantum, rate, elapsed, left, n)
+					}
+					if n == chunkSize {
+						continue // the floor: the epoch's first lease is one too
+					}
+					need := time.Duration(float64(n) / rate * float64(time.Second))
+					by := left + writeSlack
+					if elapsed >= rateSpan || sent >= quantum {
+						by = left
+					}
+					if need > by+time.Microsecond {
+						t.Errorf("quantum %d, %g B/s, %v in, %v left: a %d-byte lease takes %v, past %v", quantum, rate, elapsed, left, n, need, by)
+					}
+				}
+			}
+		}
+	}
+	// 64 KiB in 25 ms: a 2.6 MB/s stream or a descheduled pump; either
+	// way the lease may run halfway into the slack.
+	if n := boundLease(zcLeaseQuantum, chunkSize, 25*time.Millisecond, 175*time.Millisecond); n < 1500<<10 {
+		t.Errorf("a descheduled first lease cut the next to %d bytes", n)
+	}
+}
+
 func TestWarmPoolSteadyStateZeroDials(t *testing.T) {
 	// First epoch: one control dial plus one per data connection.
 	// Every following epoch with unchanged params: zero dials, full

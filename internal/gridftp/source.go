@@ -11,23 +11,19 @@ import (
 
 // fileSource resolves a dataset manifest against a directory of real
 // files (ClientConfig.SourceDir): manifest entry i's payload is read
-// from paths[i]. Built once in NewClient, where every entry is
-// validated — names must be local (no absolute paths, no ".."
-// escapes) and each file must exist as a regular file of at least the
-// manifest size — so the pump never discovers a bad source mid-epoch.
+// from the file dataset.Name(i) under dir. Built once in NewClient,
+// where every entry is validated — each file must exist as a regular
+// file of at least the manifest size — so the pump never discovers a
+// bad source mid-epoch.
 type fileSource struct {
-	dir   string
-	paths []string
+	dir string
 }
 
 // newFileSource validates dir against d and builds the source.
 func newFileSource(dir string, d dataset.Dataset) (*fileSource, error) {
-	fs := &fileSource{dir: dir, paths: make([]string, d.Count())}
-	for i, f := range d.Files {
-		if f.Name == "" || !filepath.IsLocal(f.Name) {
-			return nil, fmt.Errorf("gridftp: dataset file name %q escapes the source directory", f.Name)
-		}
-		path := filepath.Join(dir, f.Name)
+	fs := &fileSource{dir: dir}
+	for i, size := range d.Sizes {
+		path := fs.path(i)
 		st, err := os.Stat(path)
 		if err != nil {
 			return nil, fmt.Errorf("gridftp: source: %w", err)
@@ -35,13 +31,15 @@ func newFileSource(dir string, d dataset.Dataset) (*fileSource, error) {
 		if !st.Mode().IsRegular() {
 			return nil, fmt.Errorf("gridftp: source file %s is not a regular file", path)
 		}
-		if st.Size() < f.Size {
-			return nil, fmt.Errorf("gridftp: source file %s holds %d bytes; the manifest needs %d", path, st.Size(), f.Size)
+		if st.Size() < size {
+			return nil, fmt.Errorf("gridftp: source file %s holds %d bytes; the manifest needs %d", path, st.Size(), size)
 		}
-		fs.paths[i] = path
 	}
 	return fs, nil
 }
+
+// path returns the path of manifest entry idx's file.
+func (fs *fileSource) path(idx int) string { return filepath.Join(fs.dir, dataset.Name(idx)) }
 
 // fileBufPool recycles the userspace pump's read buffers, so stripes
 // churning across epochs do not allocate fileChunk each.
@@ -78,7 +76,7 @@ func (ss *stripeSource) file(idx int) (*os.File, error) {
 		return ss.f, nil
 	}
 	ss.closeFile()
-	f, err := os.Open(ss.fs.paths[idx])
+	f, err := os.Open(ss.fs.path(idx))
 	if err != nil {
 		return nil, err
 	}

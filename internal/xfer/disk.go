@@ -7,8 +7,8 @@ import "dstune/internal/dataset"
 // per-file request latency that the pipelining parameter amortizes
 // (the paper's future-work item (1), following Yildirim et al. [25]).
 type diskState struct {
-	queue     []fileRem // files not yet started, in order
-	cur       []fileRem // per-process current file; rem <= 0 means idle
+	queue     []float64 // bytes of the files not yet started, in order
+	cur       []float64 // per-process bytes left of its current file; <= 0 means idle
 	busyUntil []float64 // per-process: requesting/seeking until this time
 	diskRate  float64   // source storage bandwidth shared by the processes
 	overhead  float64   // per-file request+seek latency in seconds
@@ -18,41 +18,35 @@ type diskState struct {
 	active     int // processes moving a file this step
 }
 
-// fileRem is a file with its remaining bytes.
-type fileRem struct {
-	name string
-	rem  float64
-}
-
 // newDiskState builds the state for a dataset.
 func newDiskState(d dataset.Dataset, diskRate, overhead float64) *diskState {
 	ds := &diskState{
-		queue:    make([]fileRem, 0, d.Count()),
+		queue:    make([]float64, 0, d.Count()),
 		diskRate: diskRate,
 		overhead: overhead,
 	}
-	for _, f := range d.Files {
-		if f.Size <= 0 {
+	for _, size := range d.Sizes {
+		if size <= 0 {
 			ds.filesDone++ // empty files complete immediately
 			continue
 		}
-		ds.queue = append(ds.queue, fileRem{name: f.Name, rem: float64(f.Size)})
+		ds.queue = append(ds.queue, float64(size))
 	}
 	return ds
 }
 
 // resize prepares per-process state for nc freshly launched processes.
 func (d *diskState) resize(nc int) {
-	d.cur = make([]fileRem, nc)
+	d.cur = make([]float64, nc)
 	d.busyUntil = make([]float64, nc)
 }
 
 // requeueInFlight returns all in-flight files to the head of the
 // queue; the restarted processes will re-request them.
 func (d *diskState) requeueInFlight() {
-	var back []fileRem
+	var back []float64
 	for _, c := range d.cur {
-		if c.rem > 0 {
+		if c > 0 {
 			back = append(back, c)
 		}
 	}
@@ -70,12 +64,12 @@ func (d *diskState) assign(now float64, pp int) {
 	}
 	d.active = 0
 	for i := range d.cur {
-		if d.cur[i].rem <= 0 && len(d.queue) > 0 {
+		if d.cur[i] <= 0 && len(d.queue) > 0 {
 			d.cur[i] = d.queue[0]
 			d.queue = d.queue[1:]
 			d.busyUntil[i] = now + d.overhead/float64(pp)
 		}
-		if d.cur[i].rem > 0 && now >= d.busyUntil[i] {
+		if d.cur[i] > 0 && now >= d.busyUntil[i] {
 			d.active++
 		}
 	}
@@ -85,7 +79,7 @@ func (d *diskState) assign(now float64, pp int) {
 // blocked (-1) while requesting or idle, otherwise the minimum of the
 // CPU cap and an equal share of the disk bandwidth.
 func (d *diskState) capFor(i int, now, cpuCap float64) float64 {
-	if i >= len(d.cur) || d.cur[i].rem <= 0 || now < d.busyUntil[i] {
+	if i >= len(d.cur) || d.cur[i] <= 0 || now < d.busyUntil[i] {
 		return -1
 	}
 	c := cpuCap
@@ -102,16 +96,16 @@ func (d *diskState) capFor(i int, now, cpuCap float64) float64 {
 // and returns the bytes actually consumed (excess beyond the file's
 // remainder is a pipeline bubble and is discarded).
 func (d *diskState) consume(i int, delta float64) float64 {
-	if i >= len(d.cur) || d.cur[i].rem <= 0 || delta <= 0 {
+	if i >= len(d.cur) || d.cur[i] <= 0 || delta <= 0 {
 		return 0
 	}
 	c := delta
-	if c > d.cur[i].rem {
-		c = d.cur[i].rem
+	if c > d.cur[i] {
+		c = d.cur[i]
 	}
-	d.cur[i].rem -= c
-	if d.cur[i].rem <= 1e-6 {
-		d.cur[i] = fileRem{}
+	d.cur[i] -= c
+	if d.cur[i] <= 1e-6 {
+		d.cur[i] = 0
 		d.filesDone++
 		d.epochFiles++
 	}
@@ -124,7 +118,7 @@ func (d *diskState) finished() bool {
 		return false
 	}
 	for _, c := range d.cur {
-		if c.rem > 0 {
+		if c > 0 {
 			return false
 		}
 	}

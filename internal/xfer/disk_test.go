@@ -141,10 +141,7 @@ func TestDiskMoreProcsThanFiles(t *testing.T) {
 }
 
 func TestDiskEmptyFilesCompleteImmediately(t *testing.T) {
-	d := dataset.Dataset{Files: []dataset.File{
-		{Name: "a", Size: 0},
-		{Name: "b", Size: 10 << 20},
-	}}
+	d := dataset.Dataset{Sizes: []int64{0, 10 << 20}}
 	tr := diskTransfer(t, 6, d, 0, 0.01)
 	for i := 0; i < 50; i++ {
 		r, err := tr.Run(context.Background(), Params{NC: 2, NP: 2, PP: 1}, 5)
