@@ -79,13 +79,17 @@ func Uniform(n int, size int64) Dataset {
 // heavy-tailed shape of real scientific datasets. median is the
 // distribution's median size in bytes and sigma the log-space standard
 // deviation (1.0 is a typical spread; larger is heavier-tailed).
-// Sizes are clamped to at least 1 byte. Deterministic per seed.
+// Sizes are clamped to [1, 2^62/n] bytes — in float, before a draw past
+// the int64 range could wrap — so the total is at most 2^62.
+// Deterministic per seed.
 func LogNormal(n int, median float64, sigma float64, seed uint64) Dataset {
 	rng := sim.NewRNG(seed)
 	mu := math.Log(median)
+	most := maxFileSize(n)
 	d := Dataset{Sizes: make([]int64, max(n, 0))}
 	for i := range d.Sizes {
-		d.Sizes[i] = max(int64(math.Exp(mu+sigma*rng.NormFloat64())), 1)
+		v := min(math.Exp(mu+sigma*rng.NormFloat64()), float64(most))
+		d.Sizes[i] = min(max(int64(v), 1), most)
 	}
 	return d
 }

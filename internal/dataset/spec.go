@@ -105,8 +105,10 @@ func ParseSpec(spec string, seed uint64) (Dataset, error) {
 //
 // COUNT lies in [1, 2^20] and SIGMA in (0, 16]. SIZE accepts a decimal
 // number with an optional B, KB, MB, GB, TB (decimal) or KiB, MiB,
-// GiB, TiB (binary) suffix, up to 2^62 bytes. Hostile specs return an
-// error, never a panic.
+// GiB, TiB (binary) suffix. No file exceeds 2^62/COUNT bytes, so a
+// dataset's total is at most 2^62: a larger uniform SIZE is refused,
+// and LogNormal clamps its draws to that bound. Hostile specs return
+// an error, never a panic.
 func Parse(spec string) (Spec, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -157,8 +159,15 @@ func Parse(spec string) (Spec, error) {
 	if err != nil {
 		return Spec{}, err
 	}
+	if most := maxFileSize(n); size > most {
+		return Spec{}, fmt.Errorf("dataset: size %q over %d bytes, the most each of %d files may hold", sizeStr, most, n)
+	}
 	return Spec{n: n, size: size}, nil
 }
+
+// maxFileSize is the most bytes one of n files may hold, so that the
+// n of them total at most 2^62.
+func maxFileSize(n int) int64 { return int64(1) << 62 / int64(max(n, 1)) }
 
 // parseCount parses a file count, bounded to [1, maxSpecFiles].
 func parseCount(s string) (int, error) {

@@ -178,6 +178,49 @@ func TestParseRejectsWhatParentRejects(t *testing.T) {
 	}
 }
 
+// TestNoFileExceedsItsShare: no file exceeds 2^62/COUNT bytes, so no
+// dataset a spec builds totals more than 2^62. A log-normal spec whose
+// draws reach past the int64 range is clamped to that bound, and a
+// uniform spec over it is refused.
+func TestNoFileExceedsItsShare(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		seed uint64
+	}{
+		{"lognormal:1048576:1KiB:16", 3},
+		{"lognormal:16:4TiB:16", 1},
+		{"1048576x4TiB", 0},
+		{"1x4611686018427387904B", 0},
+		{"3x1537228672809129301B", 0},
+	} {
+		d, err := ParseSpec(tc.spec, tc.seed)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.spec, err)
+		}
+		most := int64(1) << 62 / int64(d.Count())
+		var clamped int
+		for i, sz := range d.Sizes {
+			if sz < 1 || sz > most {
+				t.Fatalf("%q: file %d has %d bytes, outside [1, %d]", tc.spec, i, sz, most)
+			}
+			if sz == most {
+				clamped++
+			}
+		}
+		if total := d.TotalBytes(); total <= 0 || total > 1<<62 {
+			t.Fatalf("%q: total %d bytes, want in (0, 2^62]", tc.spec, total)
+		}
+		if strings.HasPrefix(tc.spec, "lognormal:") && clamped == 0 {
+			t.Fatalf("%q: no draw reached the bound", tc.spec)
+		}
+	}
+	for _, spec := range []string{"1048576x4398046511105B", "2x4611686018427387904B", "3x1537228672809139301B"} {
+		if _, err := Parse(spec); err == nil || !strings.Contains(err.Error(), "the most each of") {
+			t.Errorf("%q: %v, want refused over its share of 2^62", spec, err)
+		}
+	}
+}
+
 // TestParseSpecAllocs: a 300 000-file spec costs a handful of
 // allocations (the size slice and the RNG), not one or two a file.
 func TestParseSpecAllocs(t *testing.T) {

@@ -357,9 +357,10 @@ func TestPumpAllocs(t *testing.T) {
 			var conn net.Conn = discardConn{}
 			pio := &pumpIO{}
 			var firstByte atomic.Int64
-			nothingReceived := make([]int64, tc.ds.Count())
+			var nothingReceived serverCounts
+			nothingReceived.reset(tc.ds.Count())
 			allocs := testing.AllocsPerRun(20, func() {
-				q.applyServer(nothingReceived)
+				q.applyServer(&nothingReceived)
 				if sent, alive := pumpAll(conn, q, pio, &firstByte); !alive || sent != want {
 					t.Fatalf("pump sent %d bytes (alive %v), want %d", sent, alive, want)
 				}
@@ -454,8 +455,8 @@ func TestCoalescedWriteRequeuesExactly(t *testing.T) {
 				t.Errorf("pump reports %d bytes sent, the wire carried %d", sent, payload)
 			}
 			for i, sz := range sizes {
-				if onWire[i]+q.rem[i] != sz {
-					t.Errorf("file %d: %d bytes on the wire + %d requeued, want its %d", i, onWire[i], q.rem[i], sz)
+				if onWire[i]+q.rem(i) != sz {
+					t.Errorf("file %d: %d bytes on the wire + %d requeued, want its %d", i, onWire[i], q.rem(i), sz)
 				}
 			}
 			if sent+q.unleased != total {

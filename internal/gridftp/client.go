@@ -204,9 +204,9 @@ type Client struct {
 	// expect is what the token's useful total will read once every byte
 	// written so far is in: SETTLE waits for it (see settle). -1 until
 	// the session's first START.
-	expect     int64
-	lastDone   int     // the server's completed-file count last settle
-	gotScratch []int64 // reusable RESYNC parse buffer
+	expect   int64
+	lastDone int          // the server's completed-file count last settle
+	counts   serverCounts // reusable RESYNC parse state
 
 	// Per epoch, what the stripes tally for the report.
 	firstByte atomic.Int64 // nanoseconds from epoch start to the first payload byte

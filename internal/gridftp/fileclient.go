@@ -47,30 +47,59 @@ const ackSlack = 2 * time.Second
 // leases of at most leaseQuantum bytes. The unsent remainder of a failed lease is
 // requeued immediately; bytes lost in a dead stripe's socket buffer
 // are recovered by resyncing against the server's per-file counters.
+//
+// A file costs the queue its size, read in place, and two bits. Its
+// unleased remainder is stored only while it is in ready, partly
+// leased or requeued; any other file's is implied by its bits: its size
+// until it is started, all of it again in ready, and zero once it is
+// started and out of ready — a started file with bytes to lease is
+// always in ready, and a file is leased only once started.
 type fileQueue struct {
 	mu       sync.Mutex
-	sizes    []int64 // the dataset's own, read in place and never written
-	rem      []int64 // bytes not yet leased, per file
-	started  []bool  // admitted (or known to the server from a resume)
-	inReady  []bool  // membership in ready
-	ready    []int32 // admitted files with rem > 0, leased LIFO
-	nextOpen int     // admission cursor
-	unleased int64   // sum of rem across all files
+	sizes    []int64         // the dataset's own, read in place and never written
+	started  bitset          // admitted (or known to the server from a resume)
+	inReady  bitset          // membership in ready
+	part     map[int32]int64 // the remainder of a file in ready, where it is not the size
+	ready    []int32         // admitted files with bytes to lease, leased LIFO
+	nextOpen int             // admission cursor
+	unleased int64           // sum of the remainders of all files
 }
 
 // newFileQueue builds the queue for d, whose sizes must not be
 // negative. Zero-length files need no bytes and are never admitted.
 func newFileQueue(d dataset.Dataset) *fileQueue {
 	n := d.Count()
-	q := &fileQueue{
+	return &fileQueue{
 		sizes:    d.Sizes,
-		rem:      make([]int64, n),
-		started:  make([]bool, n),
-		inReady:  make([]bool, n),
+		started:  newBitset(n),
+		inReady:  newBitset(n),
+		part:     make(map[int32]int64),
 		unleased: d.TotalBytes(),
 	}
-	copy(q.rem, d.Sizes)
-	return q
+}
+
+// rem returns file idx's unleased remainder. q.mu must be held.
+func (q *fileQueue) rem(idx int) int64 {
+	switch {
+	case !q.started.has(idx):
+		return q.sizes[idx]
+	case !q.inReady.has(idx):
+		return 0
+	}
+	if r, ok := q.part[int32(idx)]; ok {
+		return r
+	}
+	return q.sizes[idx]
+}
+
+// push puts file idx, started and out of ready, on ready with
+// remainder r. q.mu must be held.
+func (q *fileQueue) push(idx int, r int64) {
+	q.ready = append(q.ready, int32(idx))
+	q.inReady.set(idx)
+	if r != q.sizes[idx] {
+		q.part[int32(idx)] = r
+	}
 }
 
 // next leases up to quantum bytes of the next admitted file. n == 0
@@ -80,9 +109,11 @@ func newFileQueue(d dataset.Dataset) *fileQueue {
 func (q *fileQueue) next(quantum int64) (idx int, off, n int64, wait bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if i, ok := q.top(); ok {
-		off, n = q.take(i, min(q.rem[i], quantum))
-		return i, off, n, false
+	if len(q.ready) > 0 {
+		i := int(q.ready[len(q.ready)-1])
+		r := q.rem(i)
+		n = min(r, quantum)
+		return i, q.take(i, r, n), n, false
 	}
 	return 0, 0, 0, q.unleased > 0
 }
@@ -94,57 +125,49 @@ func (q *fileQueue) next(quantum int64) (idx int, off, n int64, wait bool) {
 func (q *fileQueue) nextRun(run []frameLease, budget, each int64) []frameLease {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(run) < cap(run) {
-		i, ok := q.top()
-		if !ok || q.rem[i] > min(each, budget) {
+	for len(run) < cap(run) && len(q.ready) > 0 {
+		i := int(q.ready[len(q.ready)-1])
+		r := q.rem(i)
+		if r > min(each, budget) {
 			break
 		}
-		budget -= q.rem[i]
-		off, n := q.take(i, q.rem[i])
-		run = append(run, frameLease{idx: i, off: off, n: n})
+		budget -= r
+		run = append(run, frameLease{idx: i, off: q.take(i, r, r), n: r})
 	}
 	return run
 }
 
-// top returns the next admitted file with bytes to lease, dropping
-// drained ones from ready. q.mu must be held.
-func (q *fileQueue) top() (idx int, ok bool) {
-	for len(q.ready) > 0 {
-		i := q.ready[len(q.ready)-1]
-		if q.rem[i] > 0 {
-			return int(i), true
-		}
-		q.ready = q.ready[:len(q.ready)-1]
-		q.inReady[i] = false
-	}
-	return 0, false
-}
-
-// take leases the next n bytes of file idx, the one top just returned.
-// q.mu must be held.
-func (q *fileQueue) take(idx int, n int64) (off, taken int64) {
-	off = q.sizes[idx] - q.rem[idx]
-	q.rem[idx] -= n
+// take leases the next n bytes of file idx, the top of ready, whose
+// remainder is r, returns their offset, and pops the file once nothing
+// of it is left. q.mu must be held.
+func (q *fileQueue) take(idx int, r, n int64) (off int64) {
 	q.unleased -= n
-	if q.rem[idx] <= 0 {
+	if r-n > 0 {
+		q.part[int32(idx)] = r - n
+	} else {
 		q.ready = q.ready[:len(q.ready)-1]
-		q.inReady[idx] = false
+		q.inReady.clear(idx)
+		if r != q.sizes[idx] {
+			delete(q.part, int32(idx))
+		}
 	}
-	return off, n
+	return q.sizes[idx] - r
 }
 
-// requeue returns n unsent bytes of file idx to the queue (a lease
-// cut short by a dead stripe).
+// requeue returns n unsent bytes of file idx, which it leased, to the
+// queue (a lease cut short by a dead stripe).
 func (q *fileQueue) requeue(idx int, n int64) {
 	if n <= 0 {
 		return
 	}
 	q.mu.Lock()
-	q.rem[idx] += n
 	q.unleased += n
-	if q.started[idx] && !q.inReady[idx] {
-		q.ready = append(q.ready, int32(idx))
-		q.inReady[idx] = true
+	if !q.inReady.has(idx) {
+		q.push(idx, n)
+	} else if r := q.rem(idx) + n; r == q.sizes[idx] {
+		delete(q.part, int32(idx))
+	} else {
+		q.part[int32(idx)] = r
 	}
 	q.mu.Unlock()
 }
@@ -155,11 +178,10 @@ func (q *fileQueue) admit(idx int) {
 		return
 	}
 	q.mu.Lock()
-	if idx < len(q.sizes) && !q.started[idx] {
-		q.started[idx] = true
-		if q.rem[idx] > 0 && !q.inReady[idx] {
-			q.ready = append(q.ready, int32(idx))
-			q.inReady[idx] = true
+	if idx < len(q.sizes) && !q.started.has(idx) {
+		q.started.set(idx)
+		if q.sizes[idx] > 0 {
+			q.push(idx, q.sizes[idx])
 		}
 	}
 	q.mu.Unlock()
@@ -174,11 +196,20 @@ func (q *fileQueue) nextToOpen() (idx int, ok bool) {
 	for q.nextOpen < len(q.sizes) {
 		i := q.nextOpen
 		q.nextOpen++
-		if q.sizes[i] > 0 && !q.started[i] {
+		if q.sizes[i] > 0 && !q.started.has(i) {
 			return i, true
 		}
 	}
 	return 0, false
+}
+
+// reopen moves the admission cursor back to idx, so the files from
+// there on that were not admitted — OPENs whose ACKs were lost with
+// their control connection — are opened again.
+func (q *fileQueue) reopen(idx int) {
+	q.mu.Lock()
+	q.nextOpen = min(q.nextOpen, idx)
+	q.mu.Unlock()
 }
 
 // drained reports whether every byte has been leased.
@@ -188,33 +219,78 @@ func (q *fileQueue) drained() bool {
 	return q.unleased == 0
 }
 
+// serverCounts is a RESYNC answer as the queue reads it: a bit for
+// each file the server holds whole (or past whole, after a resend) and
+// the count of each file it holds part of. Reused from one resync to
+// the next.
+type serverCounts struct {
+	whole   bitset
+	partial map[int32]int64
+}
+
+// reset empties the counts for a dataset of n files.
+func (sc *serverCounts) reset(n int) {
+	if len(sc.whole) == 0 {
+		sc.whole, sc.partial = newBitset(n), make(map[int32]int64)
+	}
+	clear(sc.whole)
+	clear(sc.partial)
+}
+
+// set records that the server holds got bytes of file idx, whose size
+// is size; a later line for the same file overrides an earlier one.
+func (sc *serverCounts) set(idx int, got, size int64) {
+	sc.whole.clear(idx)
+	delete(sc.partial, int32(idx))
+	switch {
+	case got > 0 && got >= size:
+		sc.whole.set(idx)
+	case got > 0:
+		sc.partial[int32(idx)] = got
+	}
+}
+
+// held returns the bytes of file idx the server holds, at most its
+// size, and whether it holds any.
+func (sc *serverCounts) held(idx int, size int64) (n int64, some bool) {
+	if sc.whole.has(idx) {
+		return size, true
+	}
+	n, some = sc.partial[int32(idx)]
+	return n, some
+}
+
 // applyServer resynchronizes the queue against the server's per-file
-// received counts (got, full-length): each file's unleased remainder
-// becomes exactly the bytes the server still misses, so deficits from
-// bytes lost in dead stripes' socket buffers are requeued and
-// duplicate work is dropped. Files the server has bytes for are
-// marked started — a resumed session needs no fresh OPEN for them.
-// Callers must be quiesced: no leases in flight.
-func (q *fileQueue) applyServer(got []int64) {
+// received counts: each file's unleased remainder becomes exactly the
+// bytes the server still misses, so deficits from bytes lost in dead
+// stripes' socket buffers are requeued and duplicate work is dropped.
+// Files the server has bytes for are marked started — a resumed
+// session needs no fresh OPEN for them. It returns the files the server
+// holds whole and its duplicate-free bytes. Callers must be quiesced:
+// no leases in flight.
+func (q *fileQueue) applyServer(sc *serverCounts) (done int, useful int64) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.ready = q.ready[:0]
+	clear(q.inReady)
+	clear(q.part)
 	q.unleased = 0
-	for i := range q.sizes {
-		g := got[i]
-		if g > q.sizes[i] {
-			g = q.sizes[i]
+	for i, sz := range q.sizes {
+		g, some := sc.held(i, sz)
+		if some {
+			q.started.set(i)
 		}
-		if got[i] > 0 {
-			q.started[i] = true
+		if g == sz {
+			done++
 		}
-		q.rem[i] = q.sizes[i] - g
-		q.unleased += q.rem[i]
-		q.inReady[i] = q.started[i] && q.rem[i] > 0
-		if q.inReady[i] {
-			q.ready = append(q.ready, int32(i))
+		useful += g
+		r := sz - g
+		q.unleased += r
+		if r > 0 && q.started.has(i) {
+			q.push(i, r)
 		}
 	}
+	return done, useful
 }
 
 // appendFrameHeader appends "FILE <idx> <off> <len>\n" to b without
@@ -597,8 +673,10 @@ var errNotResumable = errors.New("gridftp: token not resumable: the server count
 // to the work queue as its ACK returns, and drains every outstanding
 // ACK before returning so the connection is clean for the SETTLE
 // exchange that follows. A read or write failure poisons the control
-// connection (the next exchange re-dials); un-ACKed files simply stay
-// unadmitted for a later epoch. After each blocking read it takes every
+// connection (the next exchange re-dials), and the admission cursor
+// goes back to the first file this call opened, so the files whose
+// ACKs were lost with it are opened again, the next epoch if not this
+// one. After each blocking read it takes every
 // ACK already buffered before it refills, so a round's freed slots
 // leave as one batch of OPEN lines in one write — tallied into the
 // epoch's syscalls — and, with the server batching its ACKs the same
@@ -612,7 +690,12 @@ func (c *Client) opener(ctx context.Context, e *epoch) {
 	unwatch := onAbort(ctx, func() { conn.SetReadDeadline(time.Now()) })
 	defer unwatch()
 	batch := make([]byte, 0, 512)
-	inflight := 0
+	inflight, first := 0, -1
+	defer func() {
+		if inflight > 0 {
+			q.reopen(first)
+		}
+	}()
 	for ctx.Err() == nil {
 		if !time.Now().After(e.deadline) {
 			batch = batch[:0]
@@ -620,6 +703,9 @@ func (c *Client) opener(ctx context.Context, e *epoch) {
 				idx, ok := q.nextToOpen()
 				if !ok {
 					break
+				}
+				if first < 0 {
+					first = idx
 				}
 				batch = append(batch, "OPEN "...)
 				batch = append(batch, c.token...)
@@ -706,12 +792,9 @@ func (c *Client) writeManifest(w io.Writer) error {
 // written and once as resent. Must only run quiesced (no leases in
 // flight).
 func (c *Client) resync(ctx context.Context, e *epoch) (useful int64, err error) {
-	if c.gotScratch == nil {
-		c.gotScratch = make([]int64, len(c.q.sizes))
-	}
-	got := c.gotScratch
+	sc := &c.counts
 	err = c.roundTrip(ctx, &e.cost, command("RESYNC "+c.token), func(br *bufio.Reader) error {
-		clear(got)
+		sc.reset(len(c.q.sizes))
 		for {
 			line, err := readLine(br)
 			if err != nil || line == "END" {
@@ -723,23 +806,16 @@ func (c *Client) resync(ctx context.Context, e *epoch) (useful int64, err error)
 			}
 			idx, err1 := strconv.Atoi(fields[1])
 			g, err2 := strconv.ParseInt(fields[2], 10, 64)
-			if err1 != nil || err2 != nil || idx < 0 || idx >= len(got) || g < 0 {
+			if err1 != nil || err2 != nil || idx < 0 || idx >= len(c.q.sizes) || g < 0 {
 				return errProtocolf("bad RESYNC response")
 			}
-			got[idx] = g
+			sc.set(idx, g, c.q.sizes[idx])
 		}
 	})
 	if err != nil {
 		return 0, err
 	}
-	c.q.applyServer(got)
-	done := 0
-	for i, g := range got {
-		if g >= c.q.sizes[i] {
-			done++
-		}
-		useful += min(g, c.q.sizes[i])
-	}
+	done, useful := c.q.applyServer(sc)
 	c.expect = useful
 	if c.resuming {
 		// Files finished before this session are not its progress. Later

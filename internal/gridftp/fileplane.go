@@ -21,19 +21,31 @@ import (
 // file table.
 const maxManifestFiles = 1 << 20
 
+// bitset holds one bit per file.
+type bitset []uint64
+
+func newBitset(n int) bitset    { return make(bitset, (n+63)/64) }
+func (b bitset) has(i int) bool { return b[i>>6]&(1<<(i&63)) != 0 }
+func (b bitset) set(i int)      { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int)    { b[i>>6] &^= 1 << (i & 63) }
+
 // fileTable is a token on the server: its per-file state, registered
 // by MANIFEST, fed by framed data connections, and read by START,
 // SETTLE and RESYNC — the one receiver truth. CLOSE and the idle-TTL
 // janitor free it. Its sizes never change after MANIFEST; a manifest of
 // another shape installs a new table.
+//
+// A file costs the table its size and a done bit. Its received count,
+// duplicates included, is held only while it is neither 0 nor the
+// file's size — a file caught partway, or received past its size by a
+// resend — and is otherwise its size when done and 0 when not.
 type fileTable struct {
-	mu    sync.Mutex
-	sizes []int64
-	// got counts each file's received bytes, duplicates included: file
-	// i is done once got[i] reaches sizes[i], and nDone counts those.
-	got    []int64
-	nDone  int
-	useful int64 // sum of min(got, size): duplicate-free progress
+	mu     sync.Mutex
+	sizes  []int64
+	done   bitset          // the received count has reached the size
+	part   map[int32]int64 // the received count, where it is neither 0 nor the size
+	nDone  int             // files done
+	useful int64           // sum of min(received, size): duplicate-free progress
 
 	lastActive atomic.Int64 // unix nanos, for idle expiry
 
@@ -47,10 +59,12 @@ type fileTable struct {
 func newFileTable(sizes []int64) *fileTable {
 	ft := &fileTable{
 		sizes: sizes,
-		got:   make([]int64, len(sizes)),
+		done:  newBitset(len(sizes)),
+		part:  make(map[int32]int64),
 	}
-	for _, sz := range sizes {
+	for i, sz := range sizes {
 		if sz <= 0 {
+			ft.done.set(i)
 			ft.nDone++
 		}
 	}
@@ -61,18 +75,41 @@ func newFileTable(sizes []int64) *fileTable {
 // touch records activity on the token, deferring its idle expiry.
 func (ft *fileTable) touch() { ft.lastActive.Store(time.Now().UnixNano()) }
 
+// got returns file idx's received count, duplicates included. ft.mu
+// must be held.
+func (ft *fileTable) got(idx int) int64 {
+	if g, ok := ft.part[int32(idx)]; ok {
+		return g
+	}
+	if ft.done.has(idx) {
+		return ft.sizes[idx]
+	}
+	return 0
+}
+
 // add credits n received bytes to file idx, maintaining the done count
 // and the duplicate-free useful total (got beyond the file's size —
 // a resend after a lost stripe — counts toward neither). It reports
 // whether this credit completed the file.
 func (ft *fileTable) add(idx int, n int64) (completed bool) {
 	ft.mu.Lock()
-	old := ft.got[idx]
-	ft.got[idx] += n
-	ft.useful += min(ft.got[idx], ft.sizes[idx]) - min(old, ft.sizes[idx])
-	if old < ft.sizes[idx] && ft.got[idx] >= ft.sizes[idx] {
+	sz := ft.sizes[idx]
+	old, partial := ft.part[int32(idx)]
+	if !partial && ft.done.has(idx) {
+		old = sz
+	}
+	g := old + n
+	ft.useful += min(g, sz) - min(old, sz)
+	if old < sz && g >= sz {
+		ft.done.set(idx)
 		ft.nDone++
 		completed = true
+	}
+	switch {
+	case g != 0 && g != sz:
+		ft.part[int32(idx)] = g
+	case partial:
+		delete(ft.part, int32(idx))
 	}
 	ft.mu.Unlock()
 	return completed
@@ -93,11 +130,22 @@ func (ft *fileTable) stats() (done int, useful int64) {
 	return ft.nDone, ft.useful
 }
 
-// progress returns a copy of the per-file received counts.
-func (ft *fileTable) progress() []int64 {
+// appendProgress appends RESYNC's "F <idx> <got>" line for each file
+// from idx on with any bytes, until b holds about its capacity, and
+// returns b and the file to go on from.
+func (ft *fileTable) appendProgress(b []byte, idx int) ([]byte, int) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
-	return append([]int64(nil), ft.got...)
+	for ; idx < len(ft.sizes) && len(b) <= cap(b)-64; idx++ {
+		if g := ft.got(idx); g > 0 {
+			b = append(b, "F "...)
+			b = strconv.AppendInt(b, int64(idx), 10)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, g, 10)
+			b = append(b, '\n')
+		}
+	}
+	return b, idx
 }
 
 // SetFileLatency injects a delay between a pipelined OPEN request and
@@ -345,20 +393,25 @@ func (s *Server) serveOpen(w *connWriter, token string, idx int) bool {
 	return true
 }
 
+// resyncChunk is the most of a RESYNC answer rendered at once.
+const resyncChunk = 32 << 10
+
 // serveResync handles RESYNC <token>: it streams the token's per-file
 // received counts — one "F <idx> <got>" line per file with any bytes,
 // then "END" — so a resuming client rebuilds its work queue at
-// file/offset granularity instead of re-sending the epoch.
+// file/offset granularity instead of re-sending the epoch. The table is
+// read a chunk of lines at a time, so no copy of its counts is made
+// and its lock is not held across a write.
 func (s *Server) serveResync(w *connWriter, fields []string) bool {
 	if len(fields) != 2 {
 		fmt.Fprintf(w, "ERR bad RESYNC\n")
 		return false
 	}
 	if ft := s.lookup(fields[1]); ft != nil {
-		for idx, got := range ft.progress() {
-			if got > 0 {
-				fmt.Fprintf(w, "F %d %d\n", idx, got)
-			}
+		b := make([]byte, 0, resyncChunk)
+		for idx := 0; idx < len(ft.sizes); {
+			b, idx = ft.appendProgress(b[:0], idx)
+			w.Write(b)
 		}
 	}
 	fmt.Fprintf(w, "END\n")

@@ -625,7 +625,7 @@ func TestResumedTokenHoldingMoreThanItsCheckpoint(t *testing.T) {
 	}
 	// Received is duplicate-free and cannot exceed the volume; the file's
 	// raw count, duplicates included, is what a resend would push past it.
-	if got, wire := s.Received("tok"), s.lookup("tok").progress()[0]; got != volume || wire != volume || moved != volume-acked {
+	if got, wire := s.Received("tok"), s.lookup("tok").received(0); got != volume || wire != volume || moved != volume-acked {
 		t.Fatalf("server holds %d bytes (%d on the wire) and the epochs report %v, want %d (%d) and %d",
 			got, wire, moved, volume, volume, volume-acked)
 	}
