@@ -11,7 +11,6 @@ import (
 	"net"
 	"os"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,6 +234,28 @@ func (sc *serverCounts) reset(n int) {
 	}
 	clear(sc.whole)
 	clear(sc.partial)
+}
+
+// read takes a RESYNC answer for a dataset of the given sizes from br:
+// lines "F <idx> <count>", each field one space from the next, then
+// END. Each line is parsed where it lies in br's buffer, so the answer
+// costs nothing a file.
+func (sc *serverCounts) read(br *bufio.Reader, sizes []int64) error {
+	sc.reset(len(sizes))
+	for {
+		line, err := readSlice(br)
+		if err != nil || string(line) == "END" {
+			return err
+		}
+		rest, isF := bytes.CutPrefix(line, []byte("F "))
+		idxField, countField, two := bytes.Cut(rest, []byte(" "))
+		idx, okIdx := parseDecimal(idxField, 9)
+		got, okGot := parseDecimal(countField, 19)
+		if !isF || !two || !okIdx || !okGot || got < 0 || idx >= int64(len(sizes)) {
+			return errProtocolf("bad RESYNC response")
+		}
+		sc.set(int(idx), got, sizes[idx])
+	}
 }
 
 // set records that the server holds got bytes of file idx, whose size
@@ -794,23 +815,7 @@ func (c *Client) writeManifest(w io.Writer) error {
 func (c *Client) resync(ctx context.Context, e *epoch) (useful int64, err error) {
 	sc := &c.counts
 	err = c.roundTrip(ctx, &e.cost, command("RESYNC "+c.token), func(br *bufio.Reader) error {
-		sc.reset(len(c.q.sizes))
-		for {
-			line, err := readLine(br)
-			if err != nil || line == "END" {
-				return err
-			}
-			fields := strings.Fields(line)
-			if len(fields) != 3 || fields[0] != "F" {
-				return errProtocolf("bad RESYNC response")
-			}
-			idx, err1 := strconv.Atoi(fields[1])
-			g, err2 := strconv.ParseInt(fields[2], 10, 64)
-			if err1 != nil || err2 != nil || idx < 0 || idx >= len(c.q.sizes) || g < 0 {
-				return errProtocolf("bad RESYNC response")
-			}
-			sc.set(idx, g, c.q.sizes[idx])
-		}
+		return sc.read(br, c.q.sizes)
 	})
 	if err != nil {
 		return 0, err

@@ -2,6 +2,8 @@ package netem
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"dstune/internal/sim"
@@ -33,6 +35,36 @@ type calmShape struct {
 	atCap  bool    // the flows' rates must some time sum to exactly the capacity
 }
 
+// path returns a path of the shape, seeded by seed, its flows on alg.
+func (sh calmShape) path(seed uint64, alg tcpmodel.Algorithm) *Path {
+	p := New(sh.cfg, sim.NewRNG(seed))
+	for i, n := range sh.flows {
+		f := p.NewFlow(n, alg)
+		if sh.caps != nil {
+			f.SetCap(sh.caps[i%len(sh.caps)])
+		}
+		if sh.clock > 0 {
+			f.clock = sh.clock
+		}
+		if sh.window > 0 {
+			for j := range f.strs {
+				f.strs[j].tcp.Cwnd = sh.window
+			}
+		}
+	}
+	p.queue = sh.queue
+	return p
+}
+
+// allCalmShapes are calmShapes and capShapes as calmShapes.
+func allCalmShapes() []calmShape {
+	shapes := slices.Clone(calmShapes)
+	for _, sh := range capShapes {
+		shapes = append(shapes, calmShape{name: sh.name, cfg: sh.cfg, flows: sh.flows, mutate: sh.mutate, steps: sh.steps})
+	}
+	return shapes
+}
+
 // calmShapes are the shapes whose Steps are calm, or only just not.
 var calmShapes = []calmShape{
 	{name: "figure mix", cfg: figUChicago, flows: repeat(24, 3), caps: []float64{mixCap}, steps: 300, want: calmEvery},
@@ -51,46 +83,28 @@ var calmShapes = []calmShape{
 		flows: []int{3}, steps: 300, want: calmLater, window: 2600},
 }
 
-// TestCalmStepIsExact steps two identically seeded paths side by side,
-// one through Step and one through walkEveryStream, the substep loop
-// that visits every stream, over capShapes and calmShapes — the figure
-// mix, 64 capped single-stream flows, two loss clocks running out in
-// one substep, caps summing to exactly the capacity, a Step entered with
-// a queue, uncapped windows, blocked flows, and windows born above
-// MaxCwnd — and requires, after every Step, each stream's window and
+// TestCalmStepIsExact holds refStep, the round-trip walk calm Steps took
+// before their closed form and the reference TestCalmLawMatchesReference
+// holds that form to, to the substep loop bit for bit: it steps two
+// identically seeded paths side by side, one through refStep and one
+// through walkEveryStream, the substep loop that visits every stream,
+// over capShapes and calmShapes — the figure mix, 64 capped
+// single-stream flows, two loss clocks running out in one substep, caps
+// summing to exactly the capacity, a Step entered with a queue,
+// uncapped windows, blocked flows, and windows born above MaxCwnd — and
+// requires, after every Step, each stream's window and
 // loss count, each flow's offered and delivered rates, delivered bytes
 // and loss clock, the queue, the path's delivered rate and its clock to
 // be bit-equal. It counts the Steps that took the calm path, and each
 // calm shape must have taken it as its want says.
 // NETEM_EQUIV_SEEDS runs more seeds.
 func TestCalmStepIsExact(t *testing.T) {
-	shapes := calmShapes
-	for _, sh := range capShapes {
-		shapes = append(shapes, calmShape{name: sh.name, cfg: sh.cfg, flows: sh.flows, mutate: sh.mutate, steps: sh.steps})
-	}
 	seeds := equivSeeds(16)
-	for ci, sh := range shapes {
+	for ci, sh := range allCalmShapes() {
 		calm, steps, atCap := 0, 0, false
 		for seed := 0; seed < seeds; seed++ {
 			where := fmt.Sprintf("%s, seed %d", sh.name, seed)
-			a, b := New(sh.cfg, sim.NewRNG(uint64(seed))), New(sh.cfg, sim.NewRNG(uint64(seed)))
-			for _, p := range []*Path{a, b} {
-				for i, n := range sh.flows {
-					f := p.NewFlow(n, tcpmodel.NewHTCP())
-					if sh.caps != nil {
-						f.SetCap(sh.caps[i%len(sh.caps)])
-					}
-					if sh.clock > 0 {
-						f.clock = sh.clock
-					}
-					if sh.window > 0 {
-						for j := range f.strs {
-							f.strs[j].tcp.Cwnd = sh.window
-						}
-					}
-				}
-				p.queue = sh.queue
-			}
+			a, b := sh.path(uint64(seed), tcpmodel.NewHTCP()), sh.path(uint64(seed), tcpmodel.NewHTCP())
 			chooseA, chooseB := sim.NewRNG(uint64(700+ci)), sim.NewRNG(uint64(700+ci))
 			for step := 0; step < sh.steps; step++ {
 				if sh.mutate {
@@ -100,7 +114,7 @@ func TestCalmStepIsExact(t *testing.T) {
 				dt := equivDTs[chooseA.IntN(len(equivDTs))]
 				chooseB.IntN(len(equivDTs))
 				isCalm := a.begin()
-				a.Step(dt)
+				refStep(a, dt)
 				walkEveryStream(b, dt)
 				if err := sameState(a, b); err != nil {
 					t.Fatalf("%s: step %d (calm %v): %v", where, step, isCalm, err)
@@ -133,6 +147,48 @@ func TestCalmStepIsExact(t *testing.T) {
 		}
 		if sh.atCap && !atCap {
 			t.Errorf("%s: the flows' rates never summed to the capacity", sh.name)
+		}
+	}
+}
+
+// TestCalmStepOnEveryShape runs Step, closed-form calm Steps and all,
+// over TestCalmStepIsExact's shapes for each of the four CC laws — a
+// cap within two MSS, windows born above MaxCwnd, loss clocks run out
+// at birth, blocked flows, flows arriving and leaving — and requires
+// every Step to end: each flow's delivered bytes finite and never
+// falling, its loss clock positive, and each window, moved to the
+// Step's end, finite and positive.
+func TestCalmStepOnEveryShape(t *testing.T) {
+	for ci, sh := range allCalmShapes() {
+		for _, alg := range equivAlgs {
+			for seed := uint64(0); seed < 8; seed++ {
+				where := fmt.Sprintf("%s, %s, seed %d", sh.name, alg.Name(), seed)
+				p := sh.path(seed, alg)
+				choose := sim.NewRNG(uint64(900 + ci))
+				for step := 0; step < sh.steps; step++ {
+					if sh.mutate {
+						mutatePath(choose, p)
+					}
+					before := make([]float64, len(p.flows))
+					for i, f := range p.flows {
+						before[i] = f.delivered
+					}
+					p.Step(equivDTs[choose.IntN(len(equivDTs))])
+					for i, f := range p.flows {
+						if f.laws {
+							f.sync(p.now)
+						}
+						if !(f.delivered >= before[i]) || math.IsInf(f.delivered, 0) || !(f.clock > 0) {
+							t.Fatalf("%s: step %d flow %d: delivered %v after %v, loss clock %v", where, step, i, f.delivered, before[i], f.clock)
+						}
+						for j := range f.strs {
+							if w := f.strs[j].tcp.Cwnd; !(w > 0) || math.IsInf(w, 0) {
+								t.Fatalf("%s: step %d flow %d stream %d: window %v", where, step, i, j, w)
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }

@@ -15,7 +15,7 @@ import (
 // and advances each round trip that ends, a window at MaxCwnd included.
 // It shares lose and resum with Step, and keeps every sum Step keeps but
 // the count of streams at the cap, which it leaves to them.
-// TestCapSkipIsExact holds Step to it bit for bit.
+// TestCapSkipIsExact holds the substep loop to it bit for bit.
 func walkEveryStream(p *Path, dt float64) {
 	if dt <= 0 {
 		return
@@ -125,6 +125,19 @@ func walkEveryStreamSubstep(p *Path, dt float64) {
 	p.now = tNext
 }
 
+// substepLoop is Path.Step with every Step taken substep by substep, as
+// a Step that is not calm is: the loop TestCapSkipIsExact holds.
+func substepLoop(p *Path, dt float64) {
+	if dt <= 0 {
+		return
+	}
+	n, h := p.substeps(dt)
+	p.begin()
+	for i := 0; i < n; i++ {
+		p.step(h)
+	}
+}
+
 // capShape is one path and population of TestCapSkipIsExact.
 type capShape struct {
 	name    string
@@ -161,7 +174,8 @@ func repeat(n, v int) []int {
 }
 
 // TestCapSkipIsExact steps two identically seeded paths side by side,
-// one through Step and one through walkEveryStream, over the shapes of
+// one through the substep loop of a Step that is not calm and one
+// through walkEveryStream, over the shapes of
 // capShapes — no cap, both figure paths, a lossless path with its buffer
 // full, 64 single-stream flows, 512 streams, a cap so small a loss lands
 // on it, and flows arriving, leaving and capped negative, zero and
@@ -188,7 +202,7 @@ func TestCapSkipIsExact(t *testing.T) {
 				}
 				dt := equivDTs[chooseA.IntN(len(equivDTs))]
 				chooseB.IntN(len(equivDTs))
-				a.Step(dt)
+				substepLoop(a, dt)
 				walkEveryStream(b, dt)
 				if err := sameState(a, b); err != nil {
 					t.Fatalf("%s: step %d: %v", where, step, err)

@@ -360,10 +360,12 @@ func TestLossClockFiresAtHazard(t *testing.T) {
 	}
 }
 
-// TestFlowSumsExact holds the sums a substep keeps by delta to a fresh
-// recompute after every Step of a seeded run of 10⁵ substeps: the stream
-// counts not cooling down and at the cap exactly, the window sums within
-// 1e-9.
+// TestFlowSumsExact holds the sums a Step leaves — kept by delta in the
+// substep loop, and from one closed form in a calm Step — to a fresh
+// recompute from the streams after every Step of a seeded run of 10⁵
+// substeps, each growing window moved to the Step's end as a substep
+// loop would take it up: the stream counts not cooling down and at the
+// cap exactly, the window sums within 1e-9.
 func TestFlowSumsExact(t *testing.T) {
 	for ci, tc := range equivCases {
 		choose := sim.NewRNG(uint64(300 + ci))
@@ -377,6 +379,9 @@ func TestFlowSumsExact(t *testing.T) {
 			p.Step(dt)
 			for i, f := range p.flows {
 				cwnd, active, n, full := f.cwnd, f.active, f.nActive, f.full
+				if f.laws {
+					f.sync(p.now)
+				}
 				f.resum()
 				if n != f.nActive || math.Abs(cwnd-f.cwnd) > 1e-9*f.cwnd || math.Abs(active-f.active) > 1e-9*f.cwnd {
 					t.Fatalf("%s: step %d flow %d: kept Σcwnd %v, active %v over %d streams; recomputed %v, %v over %d",

@@ -30,11 +30,18 @@
 //
 // The endpoint CPU, not the network, caps most transfers, so the
 // bottleneck is rarely full. A Step in which no substep can fill it is
-// calm: the queue stays empty, the RTT is fixed, and flows meet only in
-// the order their losses draw from the random source. A calm Step runs
-// each flow through all its substeps in one pass, stopping it where its
-// loss clock runs out, and fires the losses in the order the
-// substep-by-substep loop would, so both orders come to the same bits.
+// calm: the queue stays empty, the RTT is fixed, and flows meet only
+// through the random source. A calm Step has no substeps. It moves each
+// stream from one of its events to the next — a loss, its window
+// reaching MaxCwnd, its cool-down ending, a change of growth law such as
+// leaving slow start — and in between the window is its algorithm's
+// closed form (tcpmodel.Growth), the line through the middle of the
+// staircase OnRTT climbs once an RTT. A flow keeps its windows' forms
+// summed as one, so its delivered bytes are the integral of its rate,
+// its loss clock runs out where the integral of its hazard reaches it,
+// and a stream costs nothing between its events. The closed form is not
+// bit-equal to the round trips; TestCalmLawMatchesReference holds the
+// two to each other in distribution.
 //
 // All rates are bytes per second and times are seconds of virtual time.
 package netem
@@ -108,8 +115,6 @@ type Path struct {
 
 	lastTotal     float64 // aggregate delivered rate, last step
 	lastCongested bool
-
-	held []held // a calm Step's flows stopped at a loss, in flow order
 }
 
 // New returns a path for cfg, drawing randomness from rng. It panics if
@@ -151,8 +156,14 @@ func (p *Path) Flows() int { return len(p.flows) }
 type stream struct {
 	rttFrom   float64 // start of the round trip in progress: the window grows when it is one RTT old
 	coolUntil float64 // further losses are ignored in substeps starting before this
-	lossAt    float64 // end of the substep of the last loss (or the stream's birth)
+	lossAt    float64 // the last loss: its instant in a calm Step, the end of its substep in others (or the stream's birth)
 	tcp       tcpmodel.Stream
+
+	// In a calm Step: the stream's phase, its closed form from from while
+	// it grows, and the time of its next event.
+	phase      uint8
+	g          tcpmodel.Growth
+	from, next float64
 }
 
 // coolEps absorbs the rounding of the path clock when a cool-down ends
@@ -163,9 +174,6 @@ const coolEps = 1e-9
 // in the paper's terms (a concurrency unit running `parallelism`
 // streams). The endpoint scheduler caps a flow's aggregate rate.
 type Flow struct {
-	strs []stream
-	alg  tcpmodel.Algorithm
-
 	cap       float64 // aggregate rate cap; 0 = unlimited
 	offered   float64 // window-limited desire before the cap, last step
 	rate      float64 // delivered aggregate rate, last step
@@ -179,6 +187,22 @@ type Flow struct {
 
 	clock float64 // Exp(1) hazard left before the flow's next loss
 
+	// A calm Step's sums (see calmStep), kept by delta at its streams'
+	// events: the windows as one closed form in the seconds since at,
+	// the windows cooling down summed and counted, the windows at
+	// MaxCwnd counted, and the earliest of the streams' next events.
+	// laws is whether the streams' closed forms are current: a congested
+	// Step moves windows round trip by round trip.
+	laws  bool
+	at    float64
+	next  float64
+	nCool int
+	nMax  int
+	cool  float64
+	sum   form
+
+	strs    []stream
+	alg     tcpmodel.Algorithm
 	path    *Path
 	removed bool
 }
@@ -279,9 +303,10 @@ const minSubstep = 0.001
 // interleave at the cadence real TCP would see, even when the caller's
 // step is much coarser than the RTT.
 //
-// A calm Step, one whose substeps cannot fill the bottleneck (see
-// begin), runs flow by flow; any other runs substep by substep. Both
-// orders leave the same bits and draw the same random numbers.
+// A calm Step, one whose substeps could not fill the bottleneck (see
+// begin), moves each flow from event to event (see calmStep); any other
+// runs substep by substep, and first moves the windows a calm Step left
+// in closed form to where they are.
 func (p *Path) Step(dt float64) {
 	if dt <= 0 {
 		return
@@ -290,6 +315,13 @@ func (p *Path) Step(dt float64) {
 	if p.begin() {
 		p.calmStep(n, h)
 		return
+	}
+	for _, f := range p.flows {
+		if f.laws {
+			f.sync(p.now)
+			f.resum()
+			f.laws = false
+		}
 	}
 	for i := 0; i < n; i++ {
 		p.step(h)
@@ -302,19 +334,22 @@ func (p *Path) Step(dt float64) {
 // 10⁻⁶.
 const calmSlack = 1e-6
 
-// begin readies the path for a Step. It recomputes every flow's sums —
-// the substeps keep them by delta, so this bounds their drift to one
-// Step — and reports whether the Step is calm: the queue is empty, the
-// path caps windows, and the flows' bounds on their rates, summed in
-// flow order, come to at most the capacity. A flow's bound is 0 if it is
-// blocked, its cap if it has one, and otherwise the most its windows can
-// sum to in the Step over the RTT. Every substep of a calm Step then
-// finds the queue empty and the same RTT, delivers every flow's capped
-// rate in full and has no congestion hazard, so its flows meet only in
-// the order their losses draw from the random source.
+// begin readies the path for a Step. It recomputes the sums of every
+// flow the substeps last moved — they keep them by delta, so this bounds
+// their drift to one Step; a calm Step leaves a flow's sums from its
+// closed form — and reports whether the Step is calm: the queue is
+// empty, the path caps windows, and the flows' bounds on their rates,
+// summed in flow order, come to at most the capacity. A flow's bound is
+// 0 if it is blocked, its cap if it has one, and otherwise the most its
+// windows can sum to in the Step over the RTT. Throughout a calm Step
+// the queue then stays empty, the RTT is the same, every flow's capped
+// rate is delivered in full and there is no congestion hazard, so its
+// flows meet only through the random source.
 func (p *Path) begin() bool {
 	for _, f := range p.flows {
-		f.resum()
+		if !f.laws {
+			f.resum()
+		}
 	}
 	if p.queue != 0 || p.cfg.MaxCwnd <= 0 {
 		return false
@@ -334,9 +369,11 @@ func (p *Path) begin() bool {
 }
 
 // ceil returns the most the flow's windows can sum to before the next
-// Step. A window moves only by OnRTT and OnLoss, which leave it at most
-// the larger of MaxCwnd and the MSS, so each can reach at most that or
-// what it is now (NewFlow's jitter can leave it above MaxCwnd).
+// Step. A window moves only by OnRTT, its closed form and OnLoss, which
+// leave it at most the larger of MaxCwnd and the MSS, so each can reach
+// at most that or what it is now (NewFlow's jitter can leave it above
+// MaxCwnd). A window a calm Step holds in closed form has its Cwnd from
+// its last event, which is as good a bound.
 func (f *Flow) ceil() float64 {
 	top := max(f.path.cfg.MaxCwnd, f.path.cfg.MSS)
 	c := 0.0
@@ -448,123 +485,448 @@ func (p *Path) step(dt float64) {
 	p.now = tNext
 }
 
-// calm is what every substep of a calm Step holds the same: the RTT,
-// the substep's length, and the random loss hazard per byte of window
-// before a flow's cap scale. The queue is empty, the bottleneck delivers
-// every offered rate in full, and there is no congestion hazard.
+// calm is what a calm Step holds the same throughout: the RTT, the
+// cool-down a loss starts, the lead a window's growth takes when the
+// cool-down ends, the random loss hazard a second per byte of an
+// uncapped flow's windows, and the Step's end. The queue stays empty,
+// the bottleneck delivers every offered rate in full, and there is no
+// congestion hazard.
+//
+// A window holds its cut through its cool-down (lose's, RTT or two
+// substeps) and then grows. The round trips of the substep loop climb a
+// staircase whose first stair lands about an RTT and a substep after
+// the loss; the line through the middle of its stairs starts half an
+// RTT before that, so the closed form starts lead seconds up the line.
 type calm struct {
-	rtt, invRTT, dt, kPath float64
+	rtt, invRTT, cool, lead, kRate, end float64
 }
 
-// held is a flow that a calm Step runs on its own, at its substep i,
-// which starts at t. When the flow's loss clock runs out, run leaves it
-// there, delivered, with the loss of hazard hz at scale k still to fire.
-type held struct {
-	f        *Flow
-	i        int
-	t, k, hz float64
+// A stream's phase in a calm Step.
+const (
+	grows uint8 = iota // its window follows its closed form g from its from
+	cools              // its window holds until its cool-down ends
+	atMax              // its window holds at MaxCwnd until a loss
+)
+
+var inf = math.Inf(1)
+
+// form is a sum of windows as a closed form of y, the seconds since its
+// flow's at: a cubic, plus e[i]·exp(r[i]·y) for each of the flow's
+// geometric rates (slow start's, and Scalable's own), which n[i] of its
+// streams grow at.
+type form struct {
+	p [4]float64
+	e [2]float64
+	r [2]float64
+	n [2]int
 }
 
-// calmStep is a calm Step of n substeps of dt, run flow by flow. Each
-// flow runs its substeps on its own until its loss clock runs out, and
-// the losses fire in the order the substep loop fires them — by
-// substep, and within a substep by flow — so the random source is drawn
-// exactly as it would be. The path's state is then what the substep
-// loop would have left: the queue still empty, no congestion, and the
-// flows' rates of the last substep.
+// calmStep is a calm Step of n substeps of dt, run flow by flow and, in
+// each flow, from one event of its streams to the next: a loss, a window
+// reaching MaxCwnd, a cool-down ending, a change of growth law. Between
+// them each window is its algorithm's closed form (tcpmodel.Growth) and
+// the flow keeps their sum as one: its loss clock runs down by the
+// integral of its hazard, its delivered bytes grow by the integral of
+// its rate, and a stream is touched only at its own events. The path's
+// state is then what a Step leaves: the queue still empty, no
+// congestion, and the flows' rates of the windows at the Step's end.
 func (p *Path) calmStep(n int, dt float64) {
 	rtt := p.RTT()
-	invRTT := 1 / rtt
-	// kPath as step computes it, with deliverFrac 1.
-	c := calm{rtt: rtt, invRTT: invRTT, dt: dt, kPath: dt * p.cfg.RandomLoss * invRTT / p.cfg.MSS}
-	p.held = slices.Grow(p.held[:0], len(p.flows))
-	for _, f := range p.flows {
-		h := held{f: f, t: p.now}
-		if h.run(&c, n); h.i < n {
-			p.held = append(p.held, h)
-		}
+	end := p.now
+	for i := 0; i < n; i++ {
+		end += dt // one substep at a time, as the substep loop rounds it
 	}
-	// p.held stays in flow order, so the first of its earliest
-	// substep is the next loss to fire.
-	for len(p.held) > 0 {
-		j := 0
-		for i := range p.held {
-			if p.held[i].i < p.held[j].i {
-				j = i
-			}
-		}
-		h := &p.held[j]
-		h.f.lose(h.hz, h.k, 0, rtt, h.t, dt)
-		if !h.f.still() {
-			h.f.walk(rtt, h.t, h.t+dt)
-		}
-		h.i, h.t = h.i+1, h.t+dt
-		if h.run(&c, n); h.i == n {
-			p.held = slices.Delete(p.held, j, j+1)
-		}
-	}
+	// lose's cool-down, and step's kPath over a second at deliverFrac 1.
+	c := calm{rtt: rtt, invRTT: 1 / rtt, cool: math.Max(rtt, 2*dt), kRate: p.cfg.RandomLoss / (rtt * p.cfg.MSS), end: end}
+	c.lead = max(c.cool-rtt/2-dt, 0)
 	total := 0.0
 	for _, f := range p.flows {
+		f.calm(&c, p.now)
 		total += f.rate
 	}
 	p.lastTotal = total
 	p.lastCongested = false
-	for i := 0; i < n; i++ {
-		p.now += dt // one substep at a time, as the substep loop rounds it
-	}
+	p.now = end
 }
 
-// run takes h's flow through the substeps of a calm Step of n, from h.i
-// on, until its loss clock runs out in one (h.i < n) or the Step ends
-// (h.i == n).
-func (h *held) run(c *calm, n int) {
-	f := h.f
-	// The RTT is the same in every substep of a calm Step, and the first
-	// stream's extremes are every stream's (see step).
-	f.strs[0].tcp.ObserveRTT(c.rtt)
-	for ; h.i < n; h.i, h.t = h.i+1, h.t+c.dt {
-		// step's offer, delivery and hazard at deliverFrac 1 and h_c 0.
-		f.offer(c.invRTT)
-		k := f.scaled(c.kPath)
-		hz := f.hazard(k, 0)
-		f.delivered += f.rate * c.dt
-		if f.still() {
-			// Every substep up to the flow's next loss is this one
-			// again, and only its bytes and its clock move.
-			if h.coast(c.dt, n, hz) {
-				return
-			}
-		} else if !f.runsOut(hz) {
-			f.walk(c.rtt, h.t, h.t+c.dt)
+// calm runs the flow through a calm Step from t, and leaves the sums the
+// substep loop keeps, and its offered and delivered rates, at those of
+// its windows at the end.
+func (f *Flow) calm(c *calm, t float64) {
+	if !f.laws {
+		// The RTT is the same throughout every calm Step, and the first
+		// stream's extremes are every stream's (see step).
+		f.strs[0].tcp.ObserveRTT(c.rtt)
+		f.derive(c, t)
+	} else if t-f.at > rebaseAfter {
+		f.rebase(t)
+	}
+	wt := f.cwnd // the windows summed at t: the last Step's end, or resum's
+	for {
+		te := min(f.next, c.end)
+		if tl, lost := f.advance(c, t, te, wt); lost {
+			f.loseAt(c, tl)
+			t, wt = tl, f.w(tl-f.at)
 			continue
 		}
-		h.k, h.hz = k, hz
-		return
+		if t = te; t >= c.end {
+			break
+		}
+		f.events(c, t)
+		wt = f.w(t - f.at)
+	}
+	if f.growing() {
+		wt = f.w(c.end - f.at)
+	}
+	f.cwnd = wt
+	f.active, f.nActive, f.full = f.cwnd-f.cool, len(f.strs)-f.nCool, f.nMax
+	f.offer(c.invRTT)
+}
+
+// derive takes up the flow's streams at t, from their birth or after a
+// congested Step moved them round trip by round trip: a stream cooling
+// down holds its window, one at MaxCwnd stays there, and any other
+// grows by its closed form from t.
+func (f *Flow) derive(c *calm, t float64) {
+	maxCwnd := f.path.cfg.MaxCwnd
+	f.at, f.sum, f.cool, f.nCool, f.nMax, f.next = t, form{}, 0, 0, 0, inf
+	for i := range f.strs {
+		s := &f.strs[i]
+		switch {
+		case s.coolUntil > t+coolEps:
+			s.phase, s.next = cools, s.coolUntil
+		case s.tcp.Cwnd == maxCwnd:
+			s.phase, s.next = atMax, inf
+		default:
+			f.grow(s, t, t, c.rtt)
+		}
+		f.add(s, 1)
+		f.next = min(f.next, s.next)
+	}
+	f.laws = true
+}
+
+// rebaseAfter is how many seconds a flow's sum of windows runs from its
+// at before it is re-expressed from a later one, which keeps the powers
+// of y small against the windows they sum.
+const rebaseAfter = 1.0
+
+// rebase re-expresses the flow's sum of windows in the seconds since t.
+func (f *Flow) rebase(t float64) {
+	x := t - f.at
+	f.sum.p = tcpmodel.Growth{P: f.sum.p}.Shift(x).P
+	for i, e := range f.sum.e {
+		if e != 0 {
+			f.sum.e[i] = e * math.Exp(f.sum.r[i]*x)
+		}
+	}
+	f.at = t
+}
+
+// sync moves every growing window of the flow to t, where the substep
+// loop takes the streams up, and restarts its round trip there.
+func (f *Flow) sync(t float64) {
+	for i := range f.strs {
+		if s := &f.strs[i]; s.phase == grows {
+			x := t - s.from
+			s.g.Move(&s.tcp, x)
+			s.g = s.g.Shift(x)
+			s.from, s.rttFrom = t, t
+		}
 	}
 }
 
-// coast runs a still flow, delivered in its substep h.i, on through the
-// substeps of dt of a calm Step of n until its loss clock runs out at a
-// hazard of hz a substep. It reports whether the Step ended first.
-func (h *held) coast(dt float64, n int, hz float64) (ended bool) {
-	f := h.f
-	i, t, clock, delivered := h.i, h.t, f.clock, f.delivered
+// grow starts s's growth from its window as it was at from, and takes
+// it on to t through every change of law before then: the algorithm's
+// closed form, or the cap once the window is at it.
+func (f *Flow) grow(s *stream, from, t, rtt float64) {
 	for {
-		if hz > 0 {
-			if !(clock > hz) {
-				break
-			}
-			clock -= hz
+		s.tcp.SinceLoss = from - s.lossAt
+		g := f.alg.Grow(&s.tcp, rtt)
+		for g.Until <= 0 && !g.AtCap { // slow start ending where it is
+			g.Move(&s.tcp, 0)
+			g = f.alg.Grow(&s.tcp, rtt)
 		}
-		if i++; i == n {
-			ended = true
+		if end := from + g.Until; end > t {
+			s.g, s.from, s.phase, s.next = g, from, grows, end
+			return
+		}
+		g.Move(&s.tcp, g.Until)
+		if g.AtCap {
+			s.phase, s.next = atMax, inf
+			return
+		}
+		from += g.Until
+	}
+}
+
+// events runs every stream whose event falls at t through it: a
+// cool-down that ends starts the stream's growth, and a growth that ends
+// leaves the window at the cap or takes up the algorithm's next law.
+func (f *Flow) events(c *calm, t float64) {
+	f.next = inf
+	for i := range f.strs {
+		s := &f.strs[i]
+		if s.next <= t {
+			f.add(s, -1)
+			at := s.next
+			if s.phase == grows {
+				s.g.Move(&s.tcp, s.g.Until)
+			}
+			switch {
+			case s.phase == cools:
+				f.grow(s, at-c.lead, at, c.rtt)
+			case s.g.AtCap:
+				s.phase, s.next = atMax, inf
+			default:
+				f.grow(s, at, at, c.rtt)
+			}
+			f.add(s, 1)
+		}
+		f.next = min(f.next, s.next)
+	}
+}
+
+// growing reports whether some window of the flow is growing, so that
+// their sum is not a constant.
+func (f *Flow) growing() bool { return f.nCool+f.nMax < len(f.strs) }
+
+// advance runs the flow's delivery and loss clock from a, where its
+// windows sum to wa, to b, where none of its streams has an event, and
+// reports the instant its clock runs out if it does before b. Its
+// windows never shrink between events, so its rate reaches its cap at
+// most once in between.
+func (f *Flow) advance(c *calm, a, b, wa float64) (float64, bool) {
+	if f.cap < 0 || !(b > a) {
+		return 0, false
+	}
+	ya, yb := a-f.at, b-f.at
+	ycap := inf
+	if f.cap > 0 {
+		switch w := f.cap * c.rtt; {
+		case wa*c.invRTT > f.cap:
+			ycap = ya
+		case f.growing() && f.w(yb)*c.invRTT > f.cap:
+			ycap = solve(ya, yb, func(y float64) (float64, float64) { return f.w(y) - w, f.slope(y) })
+		}
+	}
+	if ycap > ya {
+		yz := min(ycap, yb)
+		if y, lost := f.piece(c, false, ya, yz); lost {
+			return f.at + y, true
+		}
+		ya = yz
+	}
+	if ya < yb {
+		if y, lost := f.piece(c, true, ya, yb); lost {
+			return f.at + y, true
+		}
+	}
+	return 0, false
+}
+
+// piece runs the flow's delivery and loss clock from ya to yb, at its
+// cap throughout (limited) or under it, and reports where in it the
+// clock runs out, if it does.
+func (f *Flow) piece(c *calm, limited bool, ya, yb float64) (float64, bool) {
+	h, k := f.hazardTo(c, limited, ya, yb)
+	if h > 0 && !(f.clock > h) {
+		if clock := f.clock; limited && f.nCool == 0 {
+			yb = ya + clock/k // a constant hazard
+		} else {
+			yb = solve(ya, yb, func(y float64) (float64, float64) {
+				h, k := f.hazardTo(c, limited, ya, y)
+				return h - clock, k
+			})
+		}
+		f.delivered += f.bytes(c, limited, ya, yb)
+		return yb, true
+	}
+	f.clock -= h
+	f.delivered += f.bytes(c, limited, ya, yb)
+	return 0, false
+}
+
+// glNode is the outer node of three-point Gauss–Legendre quadrature on
+// [-1, 1], whose weights are 5/9, 8/9, 5/9.
+var glNode = math.Sqrt(3.0 / 5)
+
+// hazardTo returns the flow's loss hazard summed from ya to y, and its
+// hazard a second at y, at the flow's cap (limited) or under it. Under
+// it, a stream's hazard is the random loss rate times its packets,
+// kRate·cwnd a second, and the integral over the windows not cooling
+// down is exact. At the cap the flow's rate is its cap whatever its
+// windows, and the streams not cooling down share its packets in
+// proportion: kRate·RTT·cap·(1 - cool/Σcwnd) a second. That is a
+// constant but while a stream cools down — an RTT or so, which bounds
+// the piece — and then the quadrature is far below rounding.
+func (f *Flow) hazardTo(c *calm, limited bool, ya, y float64) (h, rate float64) {
+	if f.nCool == len(f.strs) {
+		return 0, 0
+	}
+	if !limited {
+		k := c.kRate
+		return k * (f.wInt(y) - f.wInt(ya) - f.cool*(y-ya)), k * (f.w(y) - f.cool)
+	}
+	k := c.kRate * c.rtt * f.cap
+	if f.nCool == 0 {
+		return k * (y - ya), k
+	}
+	m, r := (ya+y)/2, (y-ya)/2
+	q := r * (5*(1/f.w(m-r*glNode)+1/f.w(m+r*glNode)) + 8/f.w(m)) / 9
+	return k * ((y - ya) - f.cool*q), k * (1 - f.cool/f.w(y))
+}
+
+// bytes returns what the flow delivers from ya to yb, at its cap
+// (limited) or under it.
+func (f *Flow) bytes(c *calm, limited bool, ya, yb float64) float64 {
+	if limited {
+		return f.cap * (yb - ya)
+	}
+	return (f.wInt(yb) - f.wInt(ya)) * c.invRTT
+}
+
+// loseAt fires the flow's loss clock at t: it picks a stream not cooling
+// down in proportion to its hazard, k·cwnd with no congestion term, so
+// in proportion to its window at t; cuts the window; holds it through a
+// cool-down; and re-arms the clock.
+func (f *Flow) loseAt(c *calm, t float64) {
+	rng := f.path.rng
+	total := 0.0
+	for i := range f.strs {
+		if s := &f.strs[i]; s.phase != cools {
+			total += s.window(t)
+		}
+	}
+	u := sim.Unit(rng.Uint64()) * total
+	var v *stream
+	for i := range f.strs {
+		s := &f.strs[i]
+		if s.phase == cools {
+			continue
+		}
+		v = s
+		if u -= s.window(t); u < 0 {
 			break
 		}
-		t += dt
-		delivered += f.rate * dt
 	}
-	h.i, h.t, f.clock, f.delivered = i, t, clock, delivered
-	return ended
+	f.add(v, -1)
+	if v.phase == grows {
+		v.g.Move(&v.tcp, t-v.from)
+	}
+	v.tcp.MinRTT, v.tcp.MaxRTT = f.strs[0].tcp.MinRTT, f.strs[0].tcp.MaxRTT
+	f.alg.OnLoss(&v.tcp)
+	v.coolUntil, v.lossAt = t+c.cool, t
+	v.rttFrom = v.coolUntil
+	v.phase, v.next = cools, v.coolUntil
+	f.add(v, 1)
+	f.clock = rng.ExpFloat64()
+	f.next = inf
+	for i := range f.strs {
+		f.next = min(f.next, f.strs[i].next)
+	}
+}
+
+// window returns the stream's window at t in a calm Step.
+func (s *stream) window(t float64) float64 {
+	if s.phase != grows {
+		return s.tcp.Cwnd
+	}
+	if x := t - s.from; x < s.g.Until {
+		return s.g.At(x)
+	}
+	return s.g.End
+}
+
+// add adds sign times s's window, as it runs on from the flow's at, to
+// the flow's closed-form sums.
+func (f *Flow) add(s *stream, sign float64) {
+	w := s.tcp.Cwnd
+	switch s.phase {
+	case grows:
+		g := s.g
+		if d := f.at - s.from; d != 0 {
+			g = g.Shift(d)
+		}
+		for i, c := range g.P {
+			f.sum.p[i] += sign * c
+		}
+		if g.E != 0 {
+			i := f.slot(g.R)
+			if f.sum.n[i] += int(sign); f.sum.n[i] == 0 {
+				f.sum.e[i] = 0 // no rounding left to grow
+			} else {
+				f.sum.e[i] += sign * g.E
+			}
+		}
+		return
+	case cools:
+		if f.nCool += int(sign); f.nCool == 0 {
+			f.cool = 0
+		} else {
+			f.cool += sign * w
+		}
+	case atMax:
+		f.nMax += int(sign)
+	}
+	f.sum.p[0] += sign * w
+}
+
+// slot returns the index of the geometric rate r in the flow's sum,
+// taking a free one for a rate not seen yet. A calm Step's RTT is the
+// path's base RTT, so a flow's rates never change: slow start's and its
+// algorithm's own.
+func (f *Flow) slot(r float64) int {
+	for i, q := range f.sum.r {
+		if q == r {
+			return i
+		}
+	}
+	for i, q := range f.sum.r {
+		if q == 0 {
+			f.sum.r[i] = r
+			return i
+		}
+	}
+	panic("netem: a flow's windows grow at more than two geometric rates")
+}
+
+// w returns the flow's windows summed, y seconds after its at.
+func (f *Flow) w(y float64) float64 {
+	p := &f.sum.p
+	w := p[0] + y*(p[1]+y*(p[2]+y*p[3]))
+	for i, e := range f.sum.e {
+		if e != 0 {
+			w += e * math.Exp(f.sum.r[i]*y)
+		}
+	}
+	return w
+}
+
+// slope returns the rate at which the flow's windows summed grow, y
+// seconds after its at.
+func (f *Flow) slope(y float64) float64 {
+	p := &f.sum.p
+	d := p[1] + y*(2*p[2]+y*3*p[3])
+	for i, e := range f.sum.e {
+		if e != 0 {
+			d += e * f.sum.r[i] * math.Exp(f.sum.r[i]*y)
+		}
+	}
+	return d
+}
+
+// wInt returns the integral of the flow's windows summed from its at to
+// y seconds after.
+func (f *Flow) wInt(y float64) float64 {
+	p := &f.sum.p
+	v := y * (p[0] + y*(p[1]/2+y*(p[2]/3+y*p[3]/4)))
+	for i, e := range f.sum.e {
+		if e != 0 {
+			v += e * math.Expm1(f.sum.r[i]*y) / f.sum.r[i]
+		}
+	}
+	return v
 }
 
 // runsOut runs the loss clock down by a substep's hazard hz, and
@@ -705,4 +1067,28 @@ func (f *Flow) lose(hz, k, hc, rtt, t, dt float64) {
 			return
 		}
 	}
+}
+
+// solve returns the root in [lo, hi] of an increasing function whose
+// value and slope fn returns, fn(lo) < 0 ≤ fn(hi): Newton's method,
+// falling back on bisection when a step would leave the bracket.
+func solve(lo, hi float64, fn func(x float64) (v, slope float64)) float64 {
+	x := lo
+	v, d := fn(x)
+	for i := 0; i < 100; i++ {
+		nx := x - v/d
+		if !(nx > lo && nx < hi) {
+			nx = lo + (hi-lo)/2
+		}
+		if v, d = fn(nx); v < 0 {
+			lo = nx
+		} else {
+			hi = nx
+		}
+		if math.Abs(nx-x) <= 1e-14*nx || hi-lo <= 1e-14*hi {
+			return nx
+		}
+		x = nx
+	}
+	return hi
 }

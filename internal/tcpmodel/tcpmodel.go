@@ -7,8 +7,10 @@
 // multiplicative-decrease window dynamics of these algorithms: the slow
 // additive recovery after each loss leaves bandwidth unused that extra
 // streams can claim. The network emulator (internal/netem) advances one
-// Stream per TCP connection with one of these algorithms; everything
-// here is in bytes and seconds.
+// Stream per TCP connection with one of these algorithms, round trip by
+// round trip (OnRTT) where the bottleneck is contended and by each
+// algorithm's closed form (Grow) where it is not; everything here is in
+// bytes and seconds.
 package tcpmodel
 
 import (
@@ -115,6 +117,12 @@ type Algorithm interface {
 	// holds. internal/netem skips the round trips of a stream at the cap
 	// on the strength of this.
 	OnRTT(s *Stream, rtt float64)
+	// Grow returns OnRTT's growth from s as it is now, s.SinceLoss
+	// seconds after its last loss, as a closed form in continuous time
+	// up to the stream's next event: reaching MaxCwnd, or a change of
+	// law. internal/netem moves the streams of a calm Step from event to
+	// event by it instead of round trip by round trip.
+	Grow(s *Stream, rtt float64) Growth
 	// OnLoss applies the multiplicative decrease for one congestion
 	// event.
 	OnLoss(s *Stream)

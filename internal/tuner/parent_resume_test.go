@@ -30,7 +30,7 @@ var resumedEventCases = []struct {
 
 // resumedEventsAfter is where the pinned runs are drained and resumed:
 // 64 of the 80 epochs the step-load world runs in a 400 s budget, past
-// cs-tuner's first ε-retrigger (epoch 61).
+// cs-tuner's first ε-retrigger (epoch 54).
 const resumedEventsAfter = 64
 
 // resumedEventsCfg is simCfg over the 400 s budget the pinned runs
@@ -79,7 +79,10 @@ func resumedEvents(t *testing.T, name string) []byte {
 // must emit the same trace byte for byte — no RetriggerEpsilon or
 // RLAction re-emitted for an epoch the first incarnation already
 // reported. Each case's uninterrupted run is checked to emit such an
-// event before the resume point, so the replayed span holds one.
+// event before the resume point, so the replayed span holds one. The
+// traces were regenerated by a throw-away generator when calm Steps took
+// windows in closed form (DESIGN.md §4): the tuner code that wrote them
+// was unchanged, the simulated world under it was not.
 func TestResumedEventsMatchParent(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "resumed_events.json"))
 	if err != nil {
@@ -208,8 +211,10 @@ func replayTransfer(t *testing.T, seed uint64, ck *Checkpoint) *xfer.Sim {
 // resume became a replay wrote for a run drained after
 // parentCheckpointEpochs epochs, the last a tolerated transient
 // failure — its epoch log re-framed as the records of one file, their
-// JSON unchanged. Resumed from those records alone, each must recount
-// the transient and continue to exactly the uninterrupted run's trace.
+// JSON unchanged, and regenerated, as resumed_events.json was, when calm
+// Steps took windows in closed form. Resumed from those records alone,
+// each must recount the transient and continue to exactly the
+// uninterrupted run's trace.
 func TestParentCheckpointResumes(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "parent_checkpoints.json"))
 	if err != nil {

@@ -46,7 +46,8 @@ type proposalRun struct {
 // 40-epoch run, for every registry row, without a store, on a store miss and on a store hit, must propose the
 // same vectors here under the row's own name. The vectors were
 // regenerated, by the same throw-away generator, when the simulator's
-// loss draw became a per-flow clock (DESIGN.md §4).
+// loss draw became a per-flow clock, and when calm Steps took windows in
+// closed form (DESIGN.md §4).
 func TestProposalsMatchParent(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata", "golden", "proposals.json"))
 	if err != nil {
@@ -88,8 +89,9 @@ func TestProposalsMatchParent(t *testing.T) {
 // "start" key) and every record — but for the transfer state its
 // records now carry. The fixture holds a 12-epoch run of every name,
 // recorded on the parent and, but for the retired rl-q's, regenerated
-// when the simulator's loss draw became a per-flow clock; its epoch
-// logs were since re-framed as the records of one file.
+// when the simulator's loss draw became a per-flow clock and when calm
+// Steps took windows in closed form; its epoch logs were since re-framed
+// as the records of one file.
 func TestColdCheckpointMatchesParent(t *testing.T) {
 	want := coldCheckpoints(t)
 	for _, name := range StrategyNames() {
