@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"fmt"
+
 	"dstune/internal/dataset"
 	"dstune/internal/load"
 	"dstune/internal/tuner"
@@ -25,20 +27,39 @@ func (rc RunConfig) diskTunerCfg() tuner.Config {
 	return rc.spaceCfg(tuner.Space{Two: true, Files: true})
 }
 
-// TuneDisk runs the disk-to-disk comparison for one scenario:
-// `default` holds the static disk setting (nc=2, np=8, pp=4) while
-// cs-tuner and nm-tuner tune all three parameters. Transfers are
-// bounded by the dataset, so a trace may end early with Done.
-func TuneDisk(tb Testbed, sc DiskScenario, rc RunConfig) (*TuningResult, error) {
-	rc = rc.withDefaults()
-	names := []string{"default", "cs-tuner", "nm-tuner"}
-	return runEach(tb, names, "disk: "+sc.Name, func(name string) (*tuner.Trace, error) {
-		return runTransfer(tb, name, load.None(), rc.Seed, xfer.TransferConfig{
-			Files:        sc.Files,
-			DiskRate:     sc.DiskRate,
-			FileOverhead: sc.FileOverhead,
-		}, rc.diskTunerCfg())
-	})
+// diskStudy is the disk-to-disk extension over the three DiskScenarios
+// regimes: `default` holds the static disk setting (nc=2, np=8, pp=4)
+// while cs-tuner and nm-tuner tune all three parameters. Transfers are
+// bounded by the dataset, so a trace may end early with Done. Short, it
+// is tier-1's form: a shortened many-small workload, where pipelining
+// and concurrency dominate, and the bandwidth-bound regime at 8 x 2 GB,
+// each at the seed and length its shape test set.
+func diskStudy(r *Runs, rc RunConfig, out *Outcome) error {
+	scs, rcs := DiskScenarios(rc.Seed), []RunConfig{rc, rc, rc}
+	if r.short() {
+		scs = []DiskScenario{
+			{Name: "many-small", Files: dataset.ManySmall(4000), DiskRate: 2e9, FileOverhead: 0.5},
+			{Name: "few-huge", Files: dataset.Uniform(8, 2<<30), DiskRate: 2e9, FileOverhead: 0.5},
+		}
+		rcs = []RunConfig{r.cfg.At(RunConfig{Seed: 3, Duration: 900}), r.cfg.At(RunConfig{Seed: 4, Duration: 1800})}
+	}
+	out.Config = "each dataset as stated"
+	tb, names := ANLtoUChicago(), []string{"default", "cs-tuner", "nm-tuner"}
+	for i, sc := range scs {
+		drc := rcs[i].withDefaults()
+		tc := xfer.TransferConfig{Files: sc.Files, DiskRate: sc.DiskRate, FileOverhead: sc.FileOverhead}
+		res, err := runEach(tb, names, "disk: "+sc.Name, func(name string) (*tuner.Trace, error) {
+			return runTransfer(tb, name, load.None(), drc.Seed, tc, drc.diskTunerCfg())
+		})
+		if err != nil {
+			return err
+		}
+		title := fmt.Sprintf("%s (%s), seed %d, %g s", sc.Name, sc.Files, rcs[i].Seed, rcs[i].Duration)
+		out.Text += title + "\n"
+		// A dataset ends when its files run out: no steady window.
+		out.add(title, "disk-"+sc.Name, res, 0)
+	}
+	return nil
 }
 
 // FilesMoved sums the files completed across a trace.

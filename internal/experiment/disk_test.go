@@ -32,28 +32,28 @@ func TestDiskScenariosShape(t *testing.T) {
 func TestTuneDiskManySmall(t *testing.T) {
 	// The tuner must discover that pipelining and concurrency
 	// dominate, beating the static disk default clearly.
-	res := raw[[]*TuningResult](t, "disk")[0]
-	def := res.Traces["default"].MeanThroughput()
+	out := outcome(t, "disk")
+	def := traceOf(t, out, "disk-many-small/default")
 	best := 0.0
 	bestPP := 0
 	for _, name := range []string{"cs-tuner", "nm-tuner"} {
-		tr := res.Traces[name]
+		tr := traceOf(t, out, "disk-many-small/"+name)
 		if v := tr.MeanThroughput(); v > best {
 			best = v
 			bestPP = tr.FinalX()[2]
 		}
 	}
-	if best < 2*def {
-		t.Fatalf("tuned small-file throughput %v not >= 2x default %v", best, def)
+	if best < 2*def.MeanThroughput() {
+		t.Fatalf("tuned small-file throughput %v not >= 2x default %v", best, def.MeanThroughput())
 	}
 	if bestPP <= 4 {
 		t.Errorf("best tuner's pipelining depth %d did not rise above the default 4", bestPP)
 	}
-	if FilesMoved(res.Traces["default"]) <= 0 {
+	if FilesMoved(def) <= 0 {
 		t.Fatal("default moved no files")
 	}
-	if !strings.Contains(res.Render(), "disk: many-small") {
-		t.Fatal("Render missing scenario label")
+	if !strings.Contains(out.Text, "disk: many-small") {
+		t.Fatal("text missing scenario label")
 	}
 }
 
@@ -61,8 +61,9 @@ func TestTuneDiskFewHuge(t *testing.T) {
 	// Pipelining is irrelevant; both default and tuners should move
 	// data at a healthy rate, and the transfers complete before the
 	// budget.
-	res := raw[[]*TuningResult](t, "disk")[1]
-	for name, tr := range res.Traces {
+	out := outcome(t, "disk")
+	for _, name := range []string{"default", "cs-tuner", "nm-tuner"} {
+		tr := traceOf(t, out, "disk-few-huge/"+name)
 		if FilesMoved(tr) != 8 {
 			t.Errorf("%s moved %d files, want all 8", name, FilesMoved(tr))
 		}
@@ -74,22 +75,24 @@ func TestTuneDiskFewHuge(t *testing.T) {
 }
 
 func TestJointVsIndependent(t *testing.T) {
-	jc := raw[*JointComparison](t, "joint")
-	if jc.IndependentAggregate() <= 0 || jc.JointAggregate() <= 0 {
+	out := outcome(t, "joint")
+	aggregate := func(mode string) float64 {
+		return metric(t, out, "joint/"+mode+"/uchicago/mean-MB/s") + metric(t, out, "joint/"+mode+"/tacc/mean-MB/s")
+	}
+	ind, joint := aggregate("independent"), aggregate("joint")
+	if ind <= 0 || joint <= 0 {
 		t.Fatal("no progress in one of the modes")
 	}
 	// Both bounded by the shared NIC.
-	if jc.JointAggregate() > 5e9 || jc.IndependentAggregate() > 5e9 {
+	if joint > 5000 || ind > 5000 {
 		t.Fatal("aggregate exceeds the NIC")
 	}
 	// The joint tuner must be at least competitive: not collapse
 	// below two thirds of the independent aggregate.
-	if jc.JointAggregate() < 0.66*jc.IndependentAggregate() {
-		t.Fatalf("joint aggregate %v far below independent %v",
-			jc.JointAggregate(), jc.IndependentAggregate())
+	if joint < 0.66*ind {
+		t.Fatalf("joint aggregate %v MB/s far below independent %v MB/s", joint, ind)
 	}
-	out := jc.Render()
-	if !strings.Contains(out, "joint:") || !strings.Contains(out, "independent:") {
-		t.Fatalf("Render incomplete:\n%s", out)
+	if !strings.Contains(out.Text, "joint:") || !strings.Contains(out.Text, "independent:") {
+		t.Fatalf("text incomplete:\n%s", out.Text)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"dstune/internal/load"
-	"dstune/internal/stats"
 	"dstune/internal/tuner"
 	"dstune/internal/xfer"
 )
@@ -129,125 +128,6 @@ func runPolicy(tb Testbed, name string, policy xfer.RestartPolicy, sched load.Sc
 		return nil, err
 	}
 	return tuner.Run(context.Background(), name, cfg, tr)
-}
-
-// Fig1Config parameterizes the Figure 1 concurrency sweep.
-type Fig1Config struct {
-	// Seed drives the repeats (repeat i uses Seed+i).
-	Seed uint64
-	// Repeats per point; zero selects the paper's 5.
-	Repeats int
-	// Duration per run in seconds; zero selects the paper's 600 (10
-	// minutes).
-	Duration float64
-	// Concurrency values to sweep; nil selects powers of two from 1
-	// to 512.
-	Concurrency []int
-}
-
-// fig1Loads are Figure 1's two scenarios: no load, and
-// ext.tfr=ext.cmp=16.
-var fig1Loads = []load.Load{{}, {Tfr: 16, Cmp: 16}}
-
-// withDefaults returns cfg with zero fields replaced by defaults.
-func (c Fig1Config) withDefaults() Fig1Config {
-	if c.Repeats == 0 {
-		c.Repeats = 5
-	}
-	if c.Duration == 0 {
-		c.Duration = 600
-	}
-	if c.Concurrency == nil {
-		c.Concurrency = []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
-	}
-	return c
-}
-
-// Fig1Result holds the Figure 1 boxplot statistics: observed
-// throughput per concurrency value under each load scenario
-// (parallelism fixed at 1, as in §III-A).
-type Fig1Result struct {
-	Testbed     string
-	Concurrency []int
-	Loads       []load.Load
-	// Summary maps load -> nc -> five-number summary of the repeats'
-	// whole-run throughputs, in bytes per second.
-	Summary map[load.Load]map[int]stats.Summary
-	// Critical maps load -> the concurrency with the highest median
-	// throughput (the paper's "critical point").
-	Critical map[load.Load]int
-}
-
-// Fig1 reproduces Figure 1: a static transfer per (load, nc, repeat)
-// with parallelism 1, reporting boxplot statistics of the observed
-// throughput.
-func Fig1(tb Testbed, cfg Fig1Config) (*Fig1Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Fig1Result{
-		Testbed:     tb.Name,
-		Concurrency: cfg.Concurrency,
-		Loads:       fig1Loads,
-		Summary:     make(map[load.Load]map[int]stats.Summary),
-		Critical:    make(map[load.Load]int),
-	}
-	// Flatten the (load, nc, repeat) sweep into independent cells —
-	// each runs on its own fabric seeded by its repeat index alone, so
-	// the per-cell throughput is identical whether cells run
-	// sequentially or on the worker pool.
-	type cell struct {
-		l       load.Load
-		nc, rep int
-	}
-	cells := make([]cell, 0, len(fig1Loads)*len(cfg.Concurrency)*cfg.Repeats)
-	for _, l := range fig1Loads {
-		for _, nc := range cfg.Concurrency {
-			for rep := 0; rep < cfg.Repeats; rep++ {
-				cells = append(cells, cell{l: l, nc: nc, rep: rep})
-			}
-		}
-	}
-	tputs := make([]float64, len(cells))
-	err := forEachCell(len(cells), func(i int) error {
-		c := cells[i]
-		f, _, err := tb.NewFabric(cfg.Seed + uint64(c.rep))
-		if err != nil {
-			return err
-		}
-		f.SetLoad(load.Constant(c.l), nil)
-		tr, err := f.NewTransfer(xfer.TransferConfig{
-			Name:   fmt.Sprintf("fig1-nc%d-r%d", c.nc, c.rep),
-			Bytes:  xfer.Unbounded,
-			Policy: xfer.RestartOnChange,
-		})
-		if err != nil {
-			return err
-		}
-		rep, err := tr.Run(context.Background(), xfer.Params{NC: c.nc, NP: 1}, cfg.Duration)
-		tr.Stop()
-		if err != nil {
-			return err
-		}
-		tputs[i] = rep.Throughput
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Summarize sequentially; cells were appended repeats-innermost, so
-	// each (load, nc) owns a contiguous run of cfg.Repeats slots.
-	next := 0
-	for _, l := range fig1Loads {
-		perNC := make(map[int]stats.Summary, len(cfg.Concurrency))
-		medians := make(map[int]float64, len(cfg.Concurrency))
-		for _, nc := range cfg.Concurrency {
-			perNC[nc] = stats.Summarize(tputs[next : next+cfg.Repeats])
-			medians[nc] = perNC[nc].Median
-			next += cfg.Repeats
-		}
-		res.Summary[l] = perNC
-		res.Critical[l], _ = stats.ArgmaxKey(medians)
-	}
-	return res, nil
 }
 
 // TuningResult holds the traces of several tuners run under identical
@@ -404,48 +284,4 @@ func Simultaneous(name string, rc RunConfig) (*SimultaneousResult, error) {
 		}
 	}
 	return &SimultaneousResult{Tuner: name, UChicago: results[0].Traces[0], TACC: results[1].Traces[0]}, nil
-}
-
-// Improvement summarizes one scenario's default-vs-tuner outcome for
-// the §IV-A claims table.
-type Improvement struct {
-	Scenario string
-	// Default is the baseline's whole-run mean throughput.
-	Default float64
-	// Best is the best adaptive tuner's whole-run mean throughput,
-	// and BestName which tuner achieved it.
-	Best     float64
-	BestName string
-	// Factor is Best / Default.
-	Factor float64
-	// OverheadPct maps tuner name -> percent of throughput lost to
-	// restarts (overheadPct).
-	OverheadPct map[string]float64
-}
-
-// Improvements derives the §IV-A claims (1.4x-10x gains, 15-50%
-// overhead) from a set of tuning results.
-func Improvements(results []*TuningResult) []Improvement {
-	out := make([]Improvement, 0, len(results))
-	for _, res := range results {
-		imp := Improvement{
-			Scenario:    res.Scenario,
-			OverheadPct: make(map[string]float64, len(res.Traces)),
-		}
-		if d, ok := res.Traces["default"]; ok {
-			imp.Default = d.MeanThroughput()
-		}
-		for name, tr := range res.Traces {
-			obs := tr.MeanThroughput()
-			if tr.MeanBestCase() > 0 {
-				imp.OverheadPct[name] = overheadPct(tr)
-			}
-			if name != "default" && obs > imp.Best {
-				imp.Best, imp.BestName = obs, name
-			}
-		}
-		imp.Factor = stats.Improvement(imp.Best, imp.Default)
-		out = append(out, imp)
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"dstune/internal/load"
+	"dstune/internal/trace"
 	"dstune/internal/tuner"
 )
 
@@ -22,35 +24,40 @@ func quickRC() RunConfig {
 func TestFig1Shape(t *testing.T) {
 	// The pinned sweep is shortened: seed 1, 2 repeats of 240 s at
 	// nc = 1, 4, 16, 64, 256.
-	res := raw[*Fig1Result](t, "1")
-	noLoad := load.Load{}
-	hiLoad := load.Load{Tfr: 16, Cmp: 16}
+	out := outcome(t, "1")
+	if len(out.Charts) != 1 || len(out.Charts[0].Series) != 2 {
+		t.Fatalf("want one chart of two series (no load, loaded), got %d charts", len(out.Charts))
+	}
+	medians := func(s *trace.Series) map[int]float64 {
+		m := map[int]float64{}
+		for _, p := range s.Points {
+			m[int(p.T)] = p.V
+		}
+		return m
+	}
+	free, loaded := medians(out.Charts[0].Series[0]), medians(out.Charts[0].Series[1])
+	critFree := int(metric(t, out, "fig1/free/critical-nc"))
+	critLoaded := int(metric(t, out, "fig1/loaded/critical-nc"))
 
 	// Throughput rises monotonically with streams up to the critical
 	// point (paper observation 1).
-	free := res.Summary[noLoad]
-	if !(free[4].Median > free[1].Median && free[16].Median > free[4].Median) {
-		t.Fatalf("no-load throughput not rising: %v / %v / %v",
-			free[1].Median, free[4].Median, free[16].Median)
+	if !(free[4] > free[1] && free[16] > free[4]) {
+		t.Fatalf("no-load throughput not rising: %v / %v / %v", free[1], free[4], free[16])
 	}
 	// ...and declines beyond it.
-	if free[256].Median >= free[64].Median {
-		t.Fatalf("no decline past critical point: nc=64 %v vs nc=256 %v",
-			free[64].Median, free[256].Median)
+	if free[256] >= free[64] {
+		t.Fatalf("no decline past critical point: nc=64 %v vs nc=256 %v", free[64], free[256])
 	}
 	// The critical point increases with external load (observation 2).
-	if res.Critical[hiLoad] < res.Critical[noLoad] {
-		t.Fatalf("critical point fell under load: %d -> %d",
-			res.Critical[noLoad], res.Critical[hiLoad])
+	if critLoaded < critFree {
+		t.Fatalf("critical point fell under load: %d -> %d", critFree, critLoaded)
 	}
 	// External load decreases the peak throughput (observation 3).
-	peakFree := free[res.Critical[noLoad]].Median
-	peakLoaded := res.Summary[hiLoad][res.Critical[hiLoad]].Median
-	if peakLoaded >= peakFree {
+	if peakFree, peakLoaded := free[critFree], loaded[critLoaded]; peakLoaded >= peakFree {
 		t.Fatalf("peak did not drop under load: %v -> %v", peakFree, peakLoaded)
 	}
-	if !strings.Contains(res.Render(), "critical points") {
-		t.Fatal("Render missing critical points")
+	if !strings.Contains(out.Text, "critical points") {
+		t.Fatal("text missing critical points")
 	}
 }
 
@@ -59,17 +66,17 @@ func TestFig1Shape(t *testing.T) {
 // results must be bit-identical across runs regardless of goroutine
 // scheduling.
 func TestSweepsDeterministic(t *testing.T) {
-	fig := Fig1Config{Seed: 11, Repeats: 2, Duration: 120, Concurrency: []int{1, 8, 64}}
-	a, err := Fig1(ANLtoUChicago(), fig)
+	runs := Config{Seed: 11, Quick: true}
+	a, err := study(t, "1").Run(NewRuns(runs))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fig1(ANLtoUChicago(), fig)
+	b, err := study(t, "1").Run(NewRuns(runs))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("Fig1 not deterministic under parallel sweep:\n%v\nvs\n%v", a, b)
+		t.Fatalf("Figure 1 not deterministic under parallel sweep:\n%s\nvs\n%s", a.Text, b.Text)
 	}
 
 	rc := RunConfig{Seed: 13, Duration: 300, Epoch: 30}
@@ -87,10 +94,10 @@ func TestSweepsDeterministic(t *testing.T) {
 }
 
 func TestTuneConcurrencyNoLoad(t *testing.T) {
-	res := sweepCell(t, 0)
-	def := res.Traces["default"].SteadyThroughput(600)
+	out := outcome(t, "5")
+	def := traceOf(t, out, "fig5-free/default").SteadyThroughput(600)
 	for _, name := range []string{"cd-tuner", "cs-tuner", "nm-tuner"} {
-		tr := res.Traces[name]
+		tr := traceOf(t, out, "fig5-free/"+name)
 		if tr.SteadyThroughput(600) < def {
 			t.Errorf("%s steady %v below default %v", name, tr.SteadyThroughput(600), def)
 		}
@@ -101,11 +108,11 @@ func TestTuneConcurrencyNoLoad(t *testing.T) {
 }
 
 func TestTuneConcurrencyComputeLoad(t *testing.T) {
-	res := sweepCell(t, 1)
-	def := res.Traces["default"].SteadyThroughput(600)
+	out := outcome(t, "5")
+	def := traceOf(t, out, "fig5-cmp16/default").SteadyThroughput(600)
 	bestOf := 0.0
 	for _, name := range []string{"cs-tuner", "nm-tuner"} {
-		if v := res.Traces[name].SteadyThroughput(600); v > bestOf {
+		if v := traceOf(t, out, "fig5-cmp16/"+name).SteadyThroughput(600); v > bestOf {
 			bestOf = v
 		}
 	}
@@ -115,38 +122,39 @@ func TestTuneConcurrencyComputeLoad(t *testing.T) {
 }
 
 func TestImprovementsFromResults(t *testing.T) {
-	res := sweepCell(t, 1)
-	imps := Improvements([]*TuningResult{res})
-	if len(imps) != 1 {
-		t.Fatalf("got %d improvements", len(imps))
+	claims, sweep := outcome(t, "claims"), outcome(t, "5")
+	factor := metric(t, claims, "claims/cmp16/factor")
+	if factor < 2 {
+		t.Fatalf("improvement factor %v under compute load, want >= 2", factor)
 	}
-	im := imps[0]
-	if im.Factor < 2 {
-		t.Fatalf("improvement factor %v under compute load, want >= 2", im.Factor)
+	// The factor is the best adaptive tuner's mean over default's.
+	def, best := metric(t, sweep, "fig5-cmp16/default/mean-MB/s"), 0.0
+	for _, name := range []string{"cd-tuner", "cs-tuner", "nm-tuner"} {
+		best = max(best, metric(t, sweep, "fig5-cmp16/"+name+"/mean-MB/s"))
 	}
-	if im.BestName == "" || im.BestName == "default" {
-		t.Fatalf("best tuner %q", im.BestName)
+	if got := best / def; math.Abs(got-factor) > 1e-9*factor {
+		t.Fatalf("claims factor %v, but the best tuner's mean over default's is %v", factor, got)
 	}
 	// The adaptive tuners pay restart overhead; default pays almost
 	// none.
-	if ov := im.OverheadPct["default"]; ov > 5 {
+	if ov := metric(t, sweep, "fig5-cmp16/default/overhead-%"); ov > 5 {
 		t.Errorf("default overhead %v%%, want ~0", ov)
 	}
 	for _, name := range []string{"cs-tuner", "nm-tuner"} {
-		if ov := im.OverheadPct[name]; ov <= 1 || ov >= 80 {
+		if ov := metric(t, sweep, "fig5-cmp16/"+name+"/overhead-%"); ov <= 1 || ov >= 80 {
 			t.Errorf("%s overhead %v%%, want within the paper's 15-50%% ballpark", name, ov)
 		}
 	}
-	if !strings.Contains(RenderImprovements(imps), "factor") {
-		t.Fatal("RenderImprovements missing header")
+	if !strings.Contains(claims.Text, "factor") {
+		t.Fatal("claims text missing header")
 	}
 }
 
 func TestTuneBothAdaptsToLoadDrop(t *testing.T) {
-	res := raw[*TuningResult](t, "8")
-	def := res.Traces["default"]
+	out := outcome(t, "8")
+	def := traceOf(t, out, "fig8-tune-both/default")
 	for _, name := range []string{"cs-tuner", "nm-tuner"} {
-		tr := res.Traces[name]
+		tr := traceOf(t, out, "fig8-tune-both/"+name)
 		// After the load drops at t=1000 the tuners must beat default
 		// decisively (the paper reports up to 10x here).
 		dAfter := def.SteadyThroughput(1200)
@@ -155,21 +163,21 @@ func TestTuneBothAdaptsToLoadDrop(t *testing.T) {
 			t.Errorf("%s after load drop: %v vs default %v, want >=2x", name, tAfter, dAfter)
 		}
 	}
-	if !strings.Contains(res.Render(), "cs-tuner") {
-		t.Fatal("Render missing tuner block")
+	if !strings.Contains(out.Text, "cs-tuner") {
+		t.Fatal("text missing tuner block")
 	}
 }
 
 func TestCompareHeuristics(t *testing.T) {
-	res := raw[*TuningResult](t, "10")
-	nm := res.Traces["nm-tuner"].MeanThroughput()
-	h1 := res.Traces["heur1"].MeanThroughput()
+	out := outcome(t, "10")
+	nm := traceOf(t, out, "fig10-heuristics/nm-tuner").MeanThroughput()
+	h1 := traceOf(t, out, "fig10-heuristics/heur1").MeanThroughput()
 	if nm < h1 {
 		t.Errorf("nm-tuner (%v) below heur1 (%v); the paper finds nm and heur2 clearly ahead", nm, h1)
 	}
 	// heur2 terminates: its vector must be constant over the last
 	// third of the run.
-	h2 := res.Traces["heur2"]
+	h2 := traceOf(t, out, "fig10-heuristics/heur2")
 	last := h2.Results[len(h2.Results)-1].X
 	for _, r := range h2.Results[2*len(h2.Results)/3:] {
 		if !equalIntsTest(r.X, last) {
@@ -191,22 +199,22 @@ func equalIntsTest(a, b []int) bool {
 }
 
 func TestSimultaneous(t *testing.T) {
-	res := raw[[]*SimultaneousResult](t, "11")[0]
-	uc, tc := res.UChicago.MeanThroughput(), res.TACC.MeanThroughput()
+	out := outcome(t, "11")
+	uc, tc := metric(t, out, "fig11/uchicago-MB/s"), metric(t, out, "fig11/tacc-MB/s")
 	if uc <= 0 || tc <= 0 {
-		t.Fatalf("transfers made no progress: %v, %v", uc, tc)
+		t.Fatalf("transfers made no progress: %v, %v MB/s", uc, tc)
 	}
 	// The shared NIC bounds the aggregate.
-	if uc+tc > 5e9 {
-		t.Fatalf("aggregate %v exceeds the 5 GB/s NIC", uc+tc)
+	if uc+tc > 5000 {
+		t.Fatalf("aggregate %v MB/s exceeds the 5 GB/s NIC", uc+tc)
 	}
 	// The paper observes the UChicago transfer claiming the larger
 	// share of the shared NIC (its path supports 5 GB/s vs 2.5).
 	if uc < tc {
 		t.Logf("note: TACC (%v) out-earned UChicago (%v) this seed", tc, uc)
 	}
-	if !strings.Contains(res.Render(), "aggregate") {
-		t.Fatal("Render missing aggregate line")
+	if !strings.Contains(out.Text, "aggregate") {
+		t.Fatal("text missing aggregate line")
 	}
 }
 
@@ -275,20 +283,25 @@ func TestTunerNamesBuildable(t *testing.T) {
 }
 
 func TestThirdPartyRobustness(t *testing.T) {
-	res := raw[*TuningResult](t, "third-party")
-	def := res.Traces["default"].MeanThroughput()
-	nm := res.Traces["nm-tuner"].MeanThroughput()
+	out := outcome(t, "third-party")
+	def := traceOf(t, out, "third-party/default").MeanThroughput()
+	nm := traceOf(t, out, "third-party/nm-tuner").MeanThroughput()
 	if nm < def {
 		t.Fatalf("nm-tuner (%v) below default (%v) under bursty third-party traffic", nm, def)
 	}
-	if !strings.Contains(res.Scenario, "third-party") {
-		t.Fatalf("scenario label %q", res.Scenario)
+	if !strings.Contains(out.Text, "bursty third-party net=64 period=180s") {
+		t.Fatalf("text lacks the scenario label:\n%s", out.Text)
 	}
 }
 
 func TestConvergenceTimesDerived(t *testing.T) {
-	res := sweepCell(t, 0)
-	times := ConvergenceTimes(res, 0.9, 3)
+	out := outcome(t, "convergence")
+	times := map[string]float64{}
+	for k, v := range out.Metrics {
+		if name, ok := strings.CutPrefix(k, "convergence/free/"); ok {
+			times[strings.TrimSuffix(name, "-s")] = v
+		}
+	}
 	if len(times) != 4 {
 		t.Fatalf("got %d entries", len(times))
 	}
@@ -304,10 +317,10 @@ func TestConvergenceTimesDerived(t *testing.T) {
 }
 
 func TestCompareModel(t *testing.T) {
-	res := raw[*TuningResult](t, "model")
-	def := res.Traces["default"].MeanThroughput()
-	mod := res.Traces["model"].MeanThroughput()
-	nm := res.Traces["nm-tuner"].MeanThroughput()
+	out := outcome(t, "model")
+	def := traceOf(t, out, "compare-model/default").MeanThroughput()
+	mod := traceOf(t, out, "compare-model/model").MeanThroughput()
+	nm := traceOf(t, out, "compare-model/nm-tuner").MeanThroughput()
 	if nm <= 0 || mod <= 0 || def <= 0 {
 		t.Fatal("no progress")
 	}
@@ -331,9 +344,9 @@ func TestTACCNoLoadTrend(t *testing.T) {
 	// gains are modest (far below the 4x+ of the compute-load
 	// scenarios) and the best-case rate exceeds the observed rate by
 	// the restart overhead.
-	res := raw[*TuningResult](t, "tacc")
-	def := res.Traces["default"].MeanThroughput()
-	nm := res.Traces["nm-tuner"]
+	out := outcome(t, "tacc")
+	def := traceOf(t, out, "tacc-no-load/default").MeanThroughput()
+	nm := traceOf(t, out, "tacc-no-load/nm-tuner")
 	if gain := nm.MeanThroughput() / def; gain < 1.0 || gain > 2.0 {
 		t.Fatalf("no-load TACC gain %v, want modest (1-2x)", gain)
 	}

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"dstune/internal/tuner"
@@ -38,56 +39,34 @@ func study(t *testing.T, key string) Study {
 	return Study{}
 }
 
-// raw returns what the pinned run of study key was rendered from.
-func raw[T any](t *testing.T, key string) T {
+// outcome returns the pinned outcome of study key.
+func outcome(t *testing.T, key string) *Outcome {
 	t.Helper()
 	out, err := study(t, key).Run(pinned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return out.Raw.(T)
-}
-
-// sweepCell returns cell i (Fig5Loads order) of the pinned sweep.
-func sweepCell(t *testing.T, i int) *TuningResult {
-	t.Helper()
-	return raw[[]*TuningResult](t, "5")[i]
-}
-
-// tracesOf lists the traces behind a study's Raw.
-func tracesOf(t *testing.T, raw any) []*tuner.Trace {
-	var out []*tuner.Trace
-	result := func(res *TuningResult) {
-		for _, tr := range res.Traces {
-			out = append(out, tr)
-		}
-	}
-	switch v := raw.(type) {
-	case nil, *Fig1Result, []Improvement:
-	case *TuningResult:
-		result(v)
-	case []*TuningResult:
-		for _, res := range v {
-			result(res)
-		}
-	case []*SimultaneousResult:
-		for _, res := range v {
-			out = append(out, res.UChicago, res.TACC)
-		}
-	case *JointComparison:
-		out = append(out, v.Independent.UChicago, v.Independent.TACC, v.JointUChicago, v.JointTACC)
-	case *DynamicLoadResult:
-		for _, c := range v.Cells {
-			out = append(out, c.Trace)
-		}
-	case *WarmStartResult:
-		for _, c := range v.Cells {
-			out = append(out, c.Cold, c.Warm)
-		}
-	default:
-		t.Fatalf("tracesOf: unhandled %T", raw)
-	}
 	return out
+}
+
+// traceOf returns the trace out holds under key.
+func traceOf(t *testing.T, out *Outcome, key string) *tuner.Trace {
+	t.Helper()
+	tr, ok := out.Traces[key]
+	if !ok || tr == nil {
+		t.Fatalf("outcome holds no trace %q", key)
+	}
+	return tr
+}
+
+// metric returns the metric out holds under key.
+func metric(t *testing.T, out *Outcome, key string) float64 {
+	t.Helper()
+	v, ok := out.Metrics[key]
+	if !ok {
+		t.Fatalf("outcome holds no metric %q", key)
+	}
+	return v
 }
 
 // traceDigest is the FNV-1a of one trace's per-epoch (X, Start, End,
@@ -110,11 +89,11 @@ func traceDigest(tr *tuner.Trace) uint64 {
 	return h.Sum64()
 }
 
-// simulated returns the pinned outcome of every study tier-1 simulates:
-// all but the by-hand ones.
-func simulated(t *testing.T) []*Outcome {
+// simulated returns, by key, the pinned outcome of every study tier-1
+// simulates: all but the by-hand ones.
+func simulated(t *testing.T) map[string]*Outcome {
 	t.Helper()
-	var outs []*Outcome
+	outs := map[string]*Outcome{}
 	for _, s := range Studies() {
 		if s.ByHand {
 			continue
@@ -123,33 +102,69 @@ func simulated(t *testing.T) []*Outcome {
 		if err != nil {
 			t.Fatal(err)
 		}
-		outs = append(outs, out)
+		outs[s.Key] = out
 	}
 	return outs
 }
 
+// textDigest is the FNV-1a of what a door prints of an outcome as text:
+// its configuration line and its text.
+func textDigest(out *Outcome) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(out.Config + out.Text))
+	return h.Sum64()
+}
+
+// chartsDigest is the FNV-1a of what -csv and -html draw of an outcome:
+// every chart's title, unit and x axis, and every series' name and
+// points.
+func chartsDigest(out *Outcome) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, c := range out.Charts {
+		fmt.Fprintf(h, "%s\x00%s\x00%s\x00", c.Title, c.Unit, c.X)
+		for _, s := range c.Series {
+			fmt.Fprintf(h, "%s\x00", s.Name)
+			for _, p := range s.Points {
+				for _, f := range []float64{p.T, p.V} {
+					binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+					h.Write(b[:])
+				}
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// digestMask keeps 48 bits of a digest: what a float64 holds exactly.
+const digestMask = 1<<48 - 1
+
 // figureMetrics gathers the Metrics of every study tier-1 simulates
-// under one flat name space, plus sim/trace-digest: the sum of
-// traceDigest over every distinct trace behind them, so that a change
-// to any epoch of any trajectory moves the golden even when it leaves
-// every mean where it was. 48 bits of it: what a float64 holds exactly.
+// under one flat name space, plus
+//   - sim/trace-digest: the sum of traceDigest over every distinct trace
+//     behind them, so that a change to any epoch of any trajectory moves
+//     the golden even when it leaves every mean where it was;
+//   - text/KEY and charts/KEY: textDigest and chartsDigest of study KEY,
+//     so that what the doors print is held as well as what they measure.
 func figureMetrics(t *testing.T) map[string]float64 {
 	t.Helper()
 	m := map[string]float64{}
 	seen := map[*tuner.Trace]bool{}
 	var digest uint64
-	for _, out := range simulated(t) {
+	for key, out := range simulated(t) {
 		for k, v := range out.Metrics {
 			m[k] = v
 		}
-		for _, tr := range tracesOf(t, out.Raw) {
+		for _, tr := range out.Traces {
 			if !seen[tr] {
 				seen[tr] = true
 				digest += traceDigest(tr)
 			}
 		}
+		m["text/"+key] = float64(textDigest(out) & digestMask)
+		m["charts/"+key] = float64(chartsDigest(out) & digestMask)
 	}
-	m["sim/trace-digest"] = float64(digest & (1<<48 - 1))
+	m["sim/trace-digest"] = float64(digest & digestMask)
 	return m
 }
 
@@ -160,13 +175,30 @@ func figureMetrics(t *testing.T) map[string]float64 {
 func TestEveryStrategyIsStudied(t *testing.T) {
 	studied := map[string]bool{}
 	for _, out := range simulated(t) {
-		for _, tr := range tracesOf(t, out.Raw) {
+		for _, tr := range out.Traces {
 			studied[tr.Tuner] = true
 		}
 	}
 	for _, name := range tuner.StrategyNames() {
 		if !studied[name] {
 			t.Errorf("%s runs in no study: study it or delete it", name)
+		}
+	}
+}
+
+// TestTracesAreNamedLikeMetrics holds the one naming rule of an
+// outcome: every trace is keyed by a prefix its metrics carry, so a
+// trace and the numbers it was scored into are found by one name.
+func TestTracesAreNamedLikeMetrics(t *testing.T) {
+	for key, out := range simulated(t) {
+		for name := range out.Traces {
+			named := false
+			for m := range out.Metrics {
+				named = named || strings.HasPrefix(m, name)
+			}
+			if !named {
+				t.Errorf("study %s: trace %q prefixes none of its metrics", key, name)
+			}
 		}
 	}
 }

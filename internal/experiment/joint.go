@@ -9,45 +9,21 @@ import (
 	"dstune/internal/xfer"
 )
 
-// JointComparison holds the endpoint-level tuning study: the same
-// two-transfer scenario as Figure 11 run twice — once with independent
-// per-transfer tuners (as in the paper) and once with one joint
-// direct search over both transfers' parameters (the paper's
-// future-work item (4)).
-type JointComparison struct {
-	// Independent is the Figure 11 result: two tuners, each blind to
-	// the other.
-	Independent *SimultaneousResult
-	// JointUChicago and JointTACC are the traces of the two transfers
-	// under the single joint tuner.
-	JointUChicago, JointTACC *tuner.Trace
-}
-
-// IndependentAggregate returns the independent runs' combined mean
-// throughput.
-func (j *JointComparison) IndependentAggregate() float64 {
-	return j.Independent.UChicago.MeanThroughput() + j.Independent.TACC.MeanThroughput()
-}
-
-// JointAggregate returns the joint run's combined mean throughput.
-func (j *JointComparison) JointAggregate() float64 {
-	return j.JointUChicago.MeanThroughput() + j.JointTACC.MeanThroughput()
-}
-
-// JointVsIndependent runs the comparison with nm-tuner as the
-// independent tuner and, as the coordinated one, a single nm-tuner over
-// both transfers in one Fleet session ("joint-nm"), both tuning
-// [nc, np] per transfer on the shared-NIC dual fabric.
-func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
-	rc = rc.withDefaults()
+// jointStudy is the endpoint-level tuning study: the same two-transfer
+// scenario as Figure 11 run twice — once with independent per-transfer
+// nm-tuners (as in the paper) and once with a single nm-tuner over both
+// transfers in one Fleet session ("joint-nm", the paper's future-work
+// item (4)), both tuning [nc, np] per transfer on the shared-NIC dual
+// fabric.
+func jointStudy(_ *Runs, rc RunConfig, out *Outcome) error {
 	ind, err := Simultaneous("nm-tuner", rc)
 	if err != nil {
-		return nil, err
+		return err
 	}
 
 	t1, t2, err := dualTransfers(rc.Seed, "joint-")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// One session, one search: nm-tuner over the concatenation of both
 	// transfers' [nc, np], observing their aggregate throughput. The
@@ -73,31 +49,28 @@ func JointVsIndependent(rc RunConfig) (*JointComparison, error) {
 		},
 	).Run(context.Background())
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if err := results[0].Err; err != nil {
-		return nil, err
+		return err
 	}
-	traces := results[0].Traces
-	return &JointComparison{
-		Independent:   ind,
-		JointUChicago: traces[0],
-		JointTACC:     traces[1],
-	}, nil
-}
+	joint := &SimultaneousResult{UChicago: results[0].Traces[0], TACC: results[0].Traces[1]}
 
-// Render formats the comparison.
-func (j *JointComparison) Render() string {
-	out := "Endpoint-level tuning — joint direct search vs independent tuners (future work 4)\n\n"
-	out += fmt.Sprintf("independent: UChicago %7.1f MB/s  TACC %7.1f MB/s  aggregate %7.1f MB/s\n",
-		j.Independent.UChicago.MeanThroughput()/1e6,
-		j.Independent.TACC.MeanThroughput()/1e6,
-		j.IndependentAggregate()/1e6)
-	out += fmt.Sprintf("joint:       UChicago %7.1f MB/s  TACC %7.1f MB/s  aggregate %7.1f MB/s\n",
-		j.JointUChicago.MeanThroughput()/1e6,
-		j.JointTACC.MeanThroughput()/1e6,
-		j.JointAggregate()/1e6)
-	out += fmt.Sprintf("joint final params: uchicago x=%v, tacc x=%v\n",
-		j.JointUChicago.FinalX(), j.JointTACC.FinalX())
-	return out
+	line := func(label string, res *SimultaneousResult) string {
+		uc, tc := res.UChicago.MeanThroughput(), res.TACC.MeanThroughput()
+		return fmt.Sprintf("%-13sUChicago %7.1f MB/s  TACC %7.1f MB/s  aggregate %7.1f MB/s\n",
+			label, uc/1e6, tc/1e6, (uc+tc)/1e6)
+	}
+	out.Text = "Endpoint-level tuning — joint direct search vs independent tuners (future work 4)\n\n" +
+		line("independent:", ind) + line("joint:", joint) +
+		fmt.Sprintf("joint final params: uchicago x=%v, tacc x=%v\n", joint.UChicago.FinalX(), joint.TACC.FinalX())
+	for name, tr := range map[string]*tuner.Trace{
+		"independent/uchicago": ind.UChicago, "independent/tacc": ind.TACC,
+		"joint/uchicago": joint.UChicago, "joint/tacc": joint.TACC,
+	} {
+		out.Traces["joint/"+name] = tr
+		traceMetrics(out.Metrics, "joint/"+name, tr, 0)
+	}
+	out.Charts = []Chart{joint.chart("Joint tuning — one nm-tuner over both transfers")}
+	return nil
 }

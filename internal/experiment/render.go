@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dstune/internal/trace"
@@ -11,32 +10,6 @@ import (
 
 // sparkWidth is the width of the rendered sparklines.
 const sparkWidth = 40
-
-// Render formats the Figure 1 sweep as an aligned table of boxplot
-// statistics in MB/s, followed by the critical points.
-func (r *Fig1Result) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 1 — throughput vs parallel streams, %s (np=1)\n\n", r.Testbed)
-	header := []string{"load", "nc", "min", "q1", "median", "q3", "max"}
-	var rows [][]string
-	for _, l := range r.Loads {
-		for _, nc := range r.Concurrency {
-			s := r.Summary[l][nc]
-			rows = append(rows, []string{
-				l.String(), fmt.Sprint(nc),
-				trace.MBs(s.Min), trace.MBs(s.Q1), trace.MBs(s.Median),
-				trace.MBs(s.Q3), trace.MBs(s.Max),
-			})
-		}
-	}
-	b.WriteString(trace.Table(header, rows))
-	b.WriteString("\ncritical points (highest median):\n")
-	for _, l := range r.Loads {
-		fmt.Fprintf(&b, "  %-24s nc=%d (%s MB/s)\n",
-			l.String(), r.Critical[l], trace.MBs(r.Summary[l][r.Critical[l]].Median))
-	}
-	return b.String()
-}
 
 // renderTrace writes one tuner's summary block: means, final vector,
 // and sparklines of throughput and the tuned parameters.
@@ -76,30 +49,4 @@ func (r *SimultaneousResult) Render() string {
 	total := r.UChicago.MeanThroughput() + r.TACC.MeanThroughput()
 	fmt.Fprintf(&b, "aggregate %s MB/s out of the shared 5000 MB/s NIC\n", trace.MBs(total))
 	return b.String()
-}
-
-// RenderImprovements formats the §IV-A claims table.
-func RenderImprovements(imps []Improvement) string {
-	header := []string{"scenario", "default MB/s", "best tuner", "tuner MB/s", "factor", "overheads"}
-	var rows [][]string
-	for _, im := range imps {
-		names := make([]string, 0, len(im.OverheadPct))
-		for n := range im.OverheadPct {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		var ov []string
-		for _, n := range names {
-			ov = append(ov, fmt.Sprintf("%s %.0f%%", n, im.OverheadPct[n]))
-		}
-		rows = append(rows, []string{
-			im.Scenario,
-			trace.MBs(im.Default),
-			im.BestName,
-			trace.MBs(im.Best),
-			fmt.Sprintf("%.1fx", im.Factor),
-			strings.Join(ov, ", "),
-		})
-	}
-	return trace.Table(header, rows)
 }

@@ -1,13 +1,17 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 
 	"dstune/internal/dataset"
 	"dstune/internal/ivec"
 	"dstune/internal/load"
+	"dstune/internal/stats"
 	"dstune/internal/trace"
 	"dstune/internal/tuner"
 	"dstune/internal/xfer"
@@ -106,6 +110,7 @@ func (s Study) Run(r *Runs) (*Outcome, error) {
 		out := &Outcome{
 			Config:  fmt.Sprintf("seed %d, %g s transfers, %g s epochs", rc.Seed, rc.Duration, rc.Epoch),
 			Metrics: map[string]float64{},
+			Traces:  map[string]*tuner.Trace{},
 		}
 		if err := s.run(r, rc, out); err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Key, err)
@@ -128,10 +133,10 @@ type Outcome struct {
 	// Rows are the quantities the paper states a value for, each with
 	// its verdict.
 	Rows []Row
-	// Raw is the harness result behind the outcome (*TuningResult,
-	// []*TuningResult for the sweep and the disk datasets, *Fig1Result,
-	// …), for callers that assert on whole traces.
-	Raw any
+	// Traces are the tuned runs behind its Metrics, each keyed by the
+	// prefix the metrics scored from it carry ("fig5-cmp16/cd-tuner",
+	// "warm/cs-tuner/tfr16/cold").
+	Traces map[string]*tuner.Trace
 }
 
 // Chart is a group of series sharing axes.
@@ -221,41 +226,8 @@ func Scorecard(r *Runs) (string, error) {
 	return b.String(), nil
 }
 
-// overheadPct is the share of throughput a trace lost to restarts:
-// 100 * (1 - observed/best-case).
-func overheadPct(tr *tuner.Trace) float64 {
-	best := tr.MeanBestCase()
-	if best <= 0 {
-		return 0
-	}
-	return 100 * (1 - tr.MeanThroughput()/best)
-}
-
 // steadyFrom is where a run's steady window opens: its last third.
 func steadyFrom(rc RunConfig) float64 { return rc.Duration * 2 / 3 }
-
-// dimNames names the coordinates of a tuned vector, in Space.Apply's
-// order.
-var dimNames = [...]string{"nc", "np", "pp"}
-
-// traceMetrics records under prefix what the figures report of one
-// trace: whole-run and steady-state (none when steady is zero)
-// throughput, restart overhead, the vector it ended on, files moved.
-func traceMetrics(m map[string]float64, prefix string, tr *tuner.Trace, steady float64) {
-	m[prefix+"/mean-MB/s"] = tr.MeanThroughput() / 1e6
-	if steady > 0 {
-		m[prefix+"/steady-MB/s"] = tr.SteadyThroughput(steady) / 1e6
-	}
-	if tr.MeanBestCase() > 0 {
-		m[prefix+"/overhead-%"] = overheadPct(tr)
-	}
-	for i, v := range tr.FinalX() {
-		m[prefix+"/final-"+dimNames[i]] = float64(v)
-	}
-	if files := FilesMoved(tr); files > 0 {
-		m[prefix+"/files"] = float64(files)
-	}
-}
 
 // add renders one TuningResult into out: its text, a throughput chart
 // titled title — and, when several parameters are tuned, one per
@@ -270,6 +242,7 @@ func (out *Outcome) add(title, prefix string, res *TuningResult, steady float64)
 		}
 	}
 	for name, tr := range res.Traces {
+		out.Traces[prefix+"/"+name] = tr
 		traceMetrics(out.Metrics, prefix+"/"+name, tr, steady)
 	}
 }
@@ -285,7 +258,6 @@ func tuning(s Study, prefix string, harness func(*Runs, RunConfig) (*TuningResul
 			return err
 		}
 		out.add(s.Title, prefix, res, steadyFrom(rc))
-		out.Raw = res
 		if rows != nil {
 			rows(out, res, rc)
 		}
@@ -300,47 +272,109 @@ func mb(v float64) string { return fmt.Sprintf("%.0f", v/1e6) }
 // within reports whether v is within tol of want.
 func within(v, want, tol float64) bool { return math.Abs(v-want) <= tol }
 
-// fig1Study is Figure 1, on TestFig1Shape's shortened sweep where short.
+// fig1Loads are Figure 1's two scenarios: no load, and
+// ext.tfr=ext.cmp=16.
+var fig1Loads = []load.Load{{}, {Tfr: 16, Cmp: 16}}
+
+// fig1Study is Figure 1: a static transfer per (load, nc, repeat) with
+// parallelism 1, as in §III-A, reporting boxplot statistics of the
+// observed throughput and the concurrency with the highest median (the
+// paper's "critical point"). The sweep is the paper's — 5 repeats of
+// 600 s (10 minutes) at nc = 1, 2, 4, …, 512 — or, short,
+// TestFig1Shape's 2 repeats of 240 s at nc = 1, 4, 16, 64, 256.
 func fig1Study(r *Runs, rc RunConfig, out *Outcome) error {
-	cfg := Fig1Config{Seed: rc.Seed}
+	tb := ANLtoUChicago()
+	repeats, dur, ncs := 5, 600.0, []int{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 	if r.short() {
-		cfg.Repeats, cfg.Duration, cfg.Concurrency = 2, 240, []int{1, 4, 16, 64, 256}
+		repeats, dur, ncs = 2, 240, []int{1, 4, 16, 64, 256}
 	}
-	cfg = cfg.withDefaults()
-	out.Config = fmt.Sprintf("seed %d, %d repeats × %g s per point, nc ∈ %v", cfg.Seed, cfg.Repeats, cfg.Duration, cfg.Concurrency)
-	res, err := Fig1(ANLtoUChicago(), cfg)
+	out.Config = fmt.Sprintf("seed %d, %d repeats × %g s per point, nc ∈ %v", rc.Seed, repeats, dur, ncs)
+
+	// Flatten the (load, nc, repeat) sweep into independent cells,
+	// repeats innermost — each runs on its own fabric seeded by its
+	// repeat index alone, so the per-cell throughput is identical
+	// whether cells run sequentially or on the worker pool.
+	per := len(ncs) * repeats
+	tputs := make([]float64, len(fig1Loads)*per)
+	err := forEachCell(len(tputs), func(i int) error {
+		l, nc, rep := fig1Loads[i/per], ncs[i%per/repeats], i%repeats
+		f, _, err := tb.NewFabric(rc.Seed + uint64(rep))
+		if err != nil {
+			return err
+		}
+		f.SetLoad(load.Constant(l), nil)
+		tr, err := f.NewTransfer(xfer.TransferConfig{
+			Name:   fmt.Sprintf("fig1-nc%d-r%d", nc, rep),
+			Bytes:  xfer.Unbounded,
+			Policy: xfer.RestartOnChange,
+		})
+		if err != nil {
+			return err
+		}
+		res, err := tr.Run(context.Background(), xfer.Params{NC: nc, NP: 1}, dur)
+		tr.Stop()
+		if err != nil {
+			return err
+		}
+		tputs[i] = res.Throughput
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	out.Text, out.Raw = res.Render(), res
+
+	// Per load: each nc's five-number summary of its repeats, the
+	// critical point, the table rows and the chart series of medians.
+	summary := make([]map[int]stats.Summary, len(fig1Loads))
+	crit := make([]int, len(fig1Loads))
+	peak := func(li int) float64 { return summary[li][crit[li]].Median }
 	bars := Chart{Title: "Figure 1 — median throughput vs concurrency", Unit: "MB/s", X: "nc"}
-	ncs, free, loaded := res.Concurrency, res.Loads[0], res.Loads[len(res.Loads)-1]
-	peak := func(l load.Load) float64 { return res.Summary[l][res.Critical[l]].Median }
-	for i, l := range []load.Load{free, loaded} {
+	var table [][]string
+	for li, l := range fig1Loads {
+		summary[li] = make(map[int]stats.Summary, len(ncs))
+		medians := make(map[int]float64, len(ncs))
 		s := &trace.Series{Name: l.String()}
-		for _, nc := range ncs {
-			s.Add(float64(nc), res.Summary[l][nc].Median)
+		for k, nc := range ncs {
+			sum := stats.Summarize(tputs[li*per+k*repeats : li*per+(k+1)*repeats])
+			summary[li][nc], medians[nc] = sum, sum.Median
+			s.Add(float64(nc), sum.Median)
+			table = append(table, []string{
+				l.String(), fmt.Sprint(nc),
+				trace.MBs(sum.Min), trace.MBs(sum.Q1), trace.MBs(sum.Median),
+				trace.MBs(sum.Q3), trace.MBs(sum.Max),
+			})
 		}
+		crit[li], _ = stats.ArgmaxKey(medians)
 		bars.Series = append(bars.Series, s)
-		name := []string{"free", "loaded"}[i]
-		out.Metrics["fig1/"+name+"/critical-nc"] = float64(res.Critical[l])
-		out.Metrics["fig1/"+name+"/peak-MB/s"] = peak(l) / 1e6
+		name := []string{"free", "loaded"}[li]
+		out.Metrics["fig1/"+name+"/critical-nc"] = float64(crit[li])
+		out.Metrics["fig1/"+name+"/peak-MB/s"] = peak(li) / 1e6
 	}
 	out.Charts = []Chart{bars}
 
-	// The no-load medians rise to the critical point and fall after it.
-	crit, critLoaded, shape := res.Critical[free], res.Critical[loaded], true
-	for i, nc := range ncs[1:] {
-		rising := res.Summary[free][nc].Median > res.Summary[free][ncs[i]].Median
-		shape = shape && rising == (nc <= crit)
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 1 — throughput vs parallel streams, %s (np=1)\n\n", tb.Name)
+	b.WriteString(trace.Table([]string{"load", "nc", "min", "q1", "median", "q3", "max"}, table))
+	b.WriteString("\ncritical points (highest median):\n")
+	for li, l := range fig1Loads {
+		fmt.Fprintf(&b, "  %-24s nc=%d (%s MB/s)\n", l.String(), crit[li], trace.MBs(peak(li)))
 	}
+	out.Text = b.String()
+
+	// The no-load medians rise to the critical point and fall after it.
+	shape := true
+	for k, nc := range ncs[1:] {
+		rising := summary[0][nc].Median > summary[0][ncs[k]].Median
+		shape = shape && rising == (nc <= crit[0])
+	}
+	loaded := fig1Loads[1]
 	out.Rows = []Row{
 		{"shape", "monotone rise to a critical point, then monotone decline",
-			fmt.Sprintf("no-load medians rise nc %d→%d, fall %d→%d", ncs[0], crit, crit, ncs[len(ncs)-1]), "", shape},
-		{"critical nc, no load", "64", fmt.Sprint(crit), "same order of magnitude", crit >= 16 && crit <= 256},
-		{"critical nc, " + loaded.String(), "rises (text: 256 under tfr=64)", fmt.Sprint(critLoaded),
-			"does not fall under load", critLoaded >= crit},
-		{"peak under load vs. free", "decreases", mb(peak(free)) + " → " + mb(peak(loaded)) + " MB/s", "", peak(loaded) < peak(free)},
+			fmt.Sprintf("no-load medians rise nc %d→%d, fall %d→%d", ncs[0], crit[0], crit[0], ncs[len(ncs)-1]), "", shape},
+		{"critical nc, no load", "64", fmt.Sprint(crit[0]), "same order of magnitude", crit[0] >= 16 && crit[0] <= 256},
+		{"critical nc, " + loaded.String(), "rises (text: 256 under tfr=64)", fmt.Sprint(crit[1]),
+			"does not fall under load", crit[1] >= crit[0]},
+		{"peak under load vs. free", "decreases", mb(peak(0)) + " → " + mb(peak(1)) + " MB/s", "", peak(1) < peak(0)},
 	}
 	return nil
 }
@@ -349,21 +383,26 @@ func fig1Study(r *Runs, rc RunConfig, out *Outcome) error {
 var sweepCells = []string{"free", "cmp16", "cmp64", "tfr16", "tfr64"}
 
 // sweepStudy completes s as a view of the Figures 5–7 sweep — one tune
-// per Fig5Loads scenario, shared by every such view.
-func sweepStudy(s Study, view func(out *Outcome, sweep []*TuningResult, rc RunConfig)) Study {
+// per Fig5Loads scenario, shared by every such view, whose traces and
+// their metrics each view carries.
+func sweepStudy(s Study, view func(out *Outcome, sweep []*TuningResult)) Study {
 	s.Table = "Figures 5–7 — tuning concurrency under constant load (ANL→UChicago, np=8)"
 	s.Pinned = RunConfig{Seed: 7, Duration: 900, Epoch: 30}
 	s.run = func(r *Runs, rc RunConfig, out *Outcome) error {
 		var sweep []*TuningResult
-		for _, l := range Fig5Loads() {
+		for i, l := range Fig5Loads() {
 			res, err := r.tune(ANLtoUChicago(), l, rc)
 			if err != nil {
 				return err
 			}
 			sweep = append(sweep, res)
+			for name, tr := range res.Traces {
+				key := "fig5-" + sweepCells[i] + "/" + name
+				out.Traces[key] = tr
+				traceMetrics(out.Metrics, key, tr, steadyFrom(rc))
+			}
 		}
-		out.Raw = sweep
-		view(out, sweep, rc)
+		view(out, sweep)
 		return nil
 	}
 	return s
@@ -372,15 +411,12 @@ func sweepStudy(s Study, view func(out *Outcome, sweep []*TuningResult, rc RunCo
 // figureView is Figure 5, 6 or 7: sel of every tuner's trace, per load
 // scenario.
 func figureView(s Study, what, unit string, sel func(*tuner.Trace) *trace.Series, rows func([]*TuningResult) []Row) Study {
-	return sweepStudy(s, func(out *Outcome, sweep []*TuningResult, rc RunConfig) {
+	return sweepStudy(s, func(out *Outcome, sweep []*TuningResult) {
 		for i, res := range sweep {
 			title := fmt.Sprintf("Figure %s(%c) — %s, %s, %s", s.Key, 'a'+i, what, res.Testbed, res.Scenario)
 			c := tracesChart(title, unit, res.Order, res.Traces, sel)
 			out.Charts = append(out.Charts, c)
 			out.Text += c.text()
-			for name, tr := range res.Traces {
-				traceMetrics(out.Metrics, "fig5-"+sweepCells[i]+"/"+name, tr, steadyFrom(rc))
-			}
 		}
 		out.Rows = rows(sweep)
 	})
@@ -388,19 +424,18 @@ func figureView(s Study, what, unit string, sel func(*tuner.Trace) *trace.Series
 
 // fig5Rows judges the sweep's throughputs.
 func fig5Rows(sweep []*TuningResult) []Row {
-	imps := Improvements(sweep)
-	free, cmp16 := imps[0], imps[1]
-	best := func(im Improvement) string {
-		return fmt.Sprintf("%s %s MB/s (%.1fx)", im.BestName, mb(im.Best), im.Factor)
+	free, cmp16 := improvementOf(sweep[0]), improvementOf(sweep[1])
+	best := func(im improvement) string {
+		return fmt.Sprintf("%s %s MB/s (%.1fx)", im.bestName, mb(im.best), im.factor)
 	}
 	cd := sweep[1].Traces["cd-tuner"].MeanThroughput()
 	return []Row{
-		{"no load: default", "~2500 MB/s", mb(free.Default) + " MB/s", "calibrated", within(free.Default, 2.5e9, 0.25e9)},
-		{"no load: best tuner", "~3500 MB/s (1.4x)", best(free), "modest gain", free.Factor > 1 && free.Factor < 2.5},
-		{"ext.cmp=16: default", "~200 MB/s", mb(cmp16.Default) + " MB/s", "collapse", cmp16.Default < free.Default/10},
-		{"ext.cmp=16: best tuner", "~1500 MB/s (7x)", best(cmp16), "large gain, same direction", cmp16.Factor >= 3},
+		{"no load: default", "~2500 MB/s", mb(free.def) + " MB/s", "calibrated", within(free.def, 2.5e9, 0.25e9)},
+		{"no load: best tuner", "~3500 MB/s (1.4x)", best(free), "modest gain", free.factor > 1 && free.factor < 2.5},
+		{"ext.cmp=16: default", "~200 MB/s", mb(cmp16.def) + " MB/s", "collapse", cmp16.def < free.def/10},
+		{"ext.cmp=16: best tuner", "~1500 MB/s (7x)", best(cmp16), "large gain, same direction", cmp16.factor >= 3},
 		{"cd-tuner under load", "improves less (2x) than cs/nm",
-			fmt.Sprintf("cd-tuner %s vs %s %s MB/s at ext.cmp=16", mb(cd), cmp16.BestName, mb(cmp16.Best)), "", cd < cmp16.Best},
+			fmt.Sprintf("cd-tuner %s vs %s %s MB/s at ext.cmp=16", mb(cd), cmp16.bestName, mb(cmp16.best)), "", cd < cmp16.best},
 	}
 }
 
@@ -426,32 +461,46 @@ func fig7Rows(sweep []*TuningResult) []Row {
 	return rows
 }
 
-// claimsView derives the §IV-A improvement factors from the sweep.
-func claimsView(out *Outcome, sweep []*TuningResult, _ RunConfig) {
-	imps := Improvements(sweep)
-	out.Text = RenderImprovements(imps) + "\n"
-	most := 0.0
-	for i, im := range imps {
-		out.Metrics["claims/"+sweepCells[i]+"/factor"] = im.Factor
-		most = max(most, im.Factor)
+// claimsView derives the §IV-A claims (1.4x-10x gains, 15-50%
+// overhead) from the sweep: per scenario the improvement over default,
+// and every tuner's restart overhead.
+func claimsView(out *Outcome, sweep []*TuningResult) {
+	var rows [][]string
+	factors := make([]float64, len(sweep))
+	for i, res := range sweep {
+		im := improvementOf(res)
+		factors[i] = im.factor
+		out.Metrics["claims/"+sweepCells[i]+"/factor"] = im.factor
+		names := append([]string(nil), res.Order...)
+		sort.Strings(names)
+		var ov []string
+		for _, n := range names {
+			if tr := res.Traces[n]; tr.MeanBestCase() > 0 {
+				ov = append(ov, fmt.Sprintf("%s %.0f%%", n, overheadPct(tr)))
+			}
+		}
+		rows = append(rows, []string{res.Scenario, trace.MBs(im.def), im.bestName, trace.MBs(im.best),
+			fmt.Sprintf("%.1fx", im.factor), strings.Join(ov, ", ")})
 	}
-	cmp64, tfr16, tfr64 := imps[2].Factor, imps[3].Factor, imps[4].Factor
+	header := []string{"scenario", "default MB/s", "best tuner", "tuner MB/s", "factor", "overheads"}
+	out.Text = trace.Table(header, rows) + "\n"
+	cmp64, tfr16, tfr64 := factors[2], factors[3], factors[4]
 	out.Rows = []Row{
-		{"ext.cmp=64: improvement", "10x", fmt.Sprintf("%.1fx", cmp64), "biggest gain of the sweep", cmp64 == most},
+		{"ext.cmp=64: improvement", "10x", fmt.Sprintf("%.1fx", cmp64), "biggest gain of the sweep", cmp64 == slices.Max(factors)},
 		{"ext.tfr=16/64: improvement", "~2x", fmt.Sprintf("%.1fx / %.1fx", tfr16, tfr64), "", tfr16 > 1.2 && tfr64 > 1.2},
 	}
 }
 
 // convergenceView derives the §IV-A timing claims from the sweep: each
 // tuner's time to 90% of its steady throughput (3-epoch window).
-func convergenceView(out *Outcome, sweep []*TuningResult, _ RunConfig) {
+func convergenceView(out *Outcome, sweep []*TuningResult) {
 	out.Text = "seconds to 90% of steady throughput (3-epoch window; -1 = not reached):\n"
 	for i, res := range sweep {
 		out.Text += fmt.Sprintf("  %-24s", res.Scenario)
-		times := ConvergenceTimes(res, 0.9, 3)
 		for _, name := range res.Order {
-			out.Metrics["convergence/"+sweepCells[i]+"/"+name+"-s"] = times[name]
-			out.Text += fmt.Sprintf("  %s=%.0f", name, times[name])
+			secs := res.Traces[name].ConvergenceTime(0.9, 3)
+			out.Metrics["convergence/"+sweepCells[i]+"/"+name+"-s"] = secs
+			out.Text += fmt.Sprintf("  %s=%.0f", name, secs)
 		}
 		out.Text += "\n"
 	}
@@ -520,9 +569,9 @@ func fig11Study(_ *Runs, rc RunConfig, out *Outcome) error {
 		out.Charts = append(out.Charts, res.chart("Figure 11 — simultaneous transfers tuned by "+name))
 		uc, tc := res.UChicago.MeanThroughput(), res.TACC.MeanThroughput()
 		prefix := []string{"fig11", "fig11-cs-tuner"}[i]
+		out.Traces[prefix+"/uchicago"], out.Traces[prefix+"/tacc"] = res.UChicago, res.TACC
 		out.Metrics[prefix+"/uchicago-MB/s"], out.Metrics[prefix+"/tacc-MB/s"], out.Metrics[prefix+"/aggregate-MB/s"] = uc/1e6, tc/1e6, (uc+tc)/1e6
 	}
-	out.Raw = both
 	uc, tc := both[0].UChicago.MeanThroughput(), both[0].TACC.MeanThroughput()
 	out.Rows = []Row{
 		{"both transfers progress, tuned independently", "yes", fmt.Sprintf("UChicago %s, TACC %s MB/s", mb(uc), mb(tc)), "", uc > 0 && tc > 0},
@@ -537,92 +586,6 @@ func fig11Study(_ *Runs, rc RunConfig, out *Outcome) error {
 func (r *SimultaneousResult) chart(title string) Chart {
 	return tracesChart(title, "MB/s", []string{"UChicago", "TACC"},
 		map[string]*tuner.Trace{"UChicago": r.UChicago, "TACC": r.TACC}, (*tuner.Trace).Throughput)
-}
-
-// diskStudy is the disk-to-disk extension over the three DiskScenarios
-// regimes. Short, it is tier-1's form: a shortened many-small workload,
-// where pipelining and concurrency dominate, and the bandwidth-bound
-// regime at 8 x 2 GB, each at the seed and length its shape test set.
-func diskStudy(r *Runs, rc RunConfig, out *Outcome) error {
-	scs, rcs := DiskScenarios(rc.Seed), []RunConfig{rc, rc, rc}
-	if r.short() {
-		scs = []DiskScenario{
-			{Name: "many-small", Files: dataset.ManySmall(4000), DiskRate: 2e9, FileOverhead: 0.5},
-			{Name: "few-huge", Files: dataset.Uniform(8, 2<<30), DiskRate: 2e9, FileOverhead: 0.5},
-		}
-		rcs = []RunConfig{r.cfg.At(RunConfig{Seed: 3, Duration: 900}), r.cfg.At(RunConfig{Seed: 4, Duration: 1800})}
-	}
-	out.Config = "each dataset as stated"
-	var all []*TuningResult
-	for i, sc := range scs {
-		res, err := TuneDisk(ANLtoUChicago(), sc, rcs[i])
-		if err != nil {
-			return err
-		}
-		all = append(all, res)
-		title := fmt.Sprintf("%s (%s), seed %d, %g s", sc.Name, sc.Files, rcs[i].Seed, rcs[i].Duration)
-		out.Text += title + "\n"
-		// A dataset ends when its files run out: no steady window.
-		out.add(title, "disk-"+sc.Name, res, 0)
-	}
-	out.Raw = all
-	return nil
-}
-
-// jointStudy is the joint-vs-independent endpoint tuning extension.
-func jointStudy(_ *Runs, rc RunConfig, out *Outcome) error {
-	jc, err := JointVsIndependent(rc)
-	if err != nil {
-		return err
-	}
-	out.Text, out.Raw = jc.Render(), jc
-	joint := &SimultaneousResult{UChicago: jc.JointUChicago, TACC: jc.JointTACC}
-	out.Charts = []Chart{joint.chart("Joint tuning — one nm-tuner over both transfers")}
-	for name, tr := range map[string]*tuner.Trace{
-		"independent/uchicago": jc.Independent.UChicago, "independent/tacc": jc.Independent.TACC,
-		"joint/uchicago": jc.JointUChicago, "joint/tacc": jc.JointTACC,
-	} {
-		traceMetrics(out.Metrics, "joint/"+name, tr, 0)
-	}
-	return nil
-}
-
-// dynloadStudy is the learned-vs-direct-search study on dynamic load;
-// short, it leaves out the piecewise schedule.
-func dynloadStudy(r *Runs, rc RunConfig, out *Outcome) error {
-	cfg := DynamicLoadConfig{Run: rc}
-	for _, sc := range DynamicSchedules(rc.Duration) {
-		if !r.short() || sc.Name != "piecewise" {
-			cfg.Schedules = append(cfg.Schedules, sc)
-		}
-	}
-	res, err := DynamicLoadStudy(ANLtoUChicago(), cfg)
-	if err != nil {
-		return err
-	}
-	out.Text, out.Raw = res.Report(), res
-	for _, c := range res.Cells {
-		out.Metrics["dynload/"+c.Schedule+"/"+c.Tuner+"/GB"] = c.Bytes / 1e9
-		if len(c.Lags) > 0 {
-			out.Metrics["dynload/"+c.Schedule+"/"+c.Tuner+"/mean-lag"] = c.MeanLag
-		}
-	}
-	return nil
-}
-
-// warmStudy is the warm-start-vs-cold study of the knowledge plane.
-func warmStudy(_ *Runs, rc RunConfig, out *Outcome) error {
-	res, err := WarmStartStudy(ANLtoUChicago(), rc)
-	if err != nil {
-		return err
-	}
-	out.Text, out.Raw = res.Report(), res
-	for _, c := range res.Cells {
-		p := fmt.Sprintf("warm/%s/tfr%d/", c.Tuner, c.Load.Tfr)
-		out.Metrics[p+"cold-epochs"], out.Metrics[p+"warm-epochs"] = float64(c.ColdEpochs), float64(c.WarmEpochs)
-		out.Metrics[p+"cold-GB"], out.Metrics[p+"warm-GB"] = c.ColdBytes/1e9, c.WarmBytes/1e9
-	}
-	return nil
 }
 
 // ablation completes s as a by-hand study of n arms: arm i is one run,
@@ -701,11 +664,21 @@ func Studies() []Study {
 			func(_ *Runs, rc RunConfig) (*TuningResult, error) { return CompareHeuristics(tacc, rc) }, heuristicsRows),
 		{Key: "11", Title: "Figure 11 — simultaneous tuned transfers sharing the source", Pinned: RunConfig{Seed: 9, Duration: 1200, Epoch: 30},
 			Table: "Figure 11 — simultaneous tuned transfers sharing the source", run: fig11Study},
+		// Traffic on the path that the source endpoint does not see, which
+		// the paper could not control on its production links.
 		tuning(Study{Key: "third-party", Title: "Bursty third-party traffic (64 background streams toggling every 180 s)",
 			Pinned: RunConfig{Seed: 21, Duration: 1440, Epoch: 30}}, "third-party",
-			func(_ *Runs, rc RunConfig) (*TuningResult, error) { return ThirdParty(uc, 64, 180, rc) }, nil),
+			func(_ *Runs, rc RunConfig) (*TuningResult, error) {
+				names := []string{"default", "cd-tuner", "cs-tuner", "nm-tuner"}
+				sched := load.Square(180, load.Load{}, load.Load{Net: 64})
+				return runSet(uc, names, "bursty third-party net=64 period=180s", sched, rc, false)
+			}, nil),
+		// The paper's core argument: a model fitted to past conditions
+		// degrades when they change.
 		tuning(Study{Key: "model", Title: "Empirical model baseline vs. direct search under varying load (ANL→TACC)", Pinned: full(23)}, "compare-model",
-			func(_ *Runs, rc RunConfig) (*TuningResult, error) { return CompareModel(tacc, rc) }, nil),
+			func(_ *Runs, rc RunConfig) (*TuningResult, error) {
+				return runSet(tacc, []string{"default", "model", "nm-tuner"}, "varying load", VaryingLoad(), rc, false)
+			}, nil),
 		tuning(Study{Key: "tacc", Title: "§IV-A trend on ANL→TACC without load", Pinned: RunConfig{Seed: 30, Duration: 1800}}, "tacc-no-load",
 			func(r *Runs, rc RunConfig) (*TuningResult, error) { return r.tune(tacc, load.Load{}, rc) }, nil),
 		{Key: "disk", Title: "Extension — disk-to-disk transfers over heterogeneous file sets", run: diskStudy},

@@ -181,6 +181,16 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 			}
 		}()
 		defer func() { close(stop); data.Close(); <-writerDone }()
+		// The first bytes are credited before SETTLE goes out: a drain
+		// that stalls past the quiet window before it has counted them
+		// would be answered with less than the assertion below holds.
+		deadline := time.Now().Add(2 * time.Second)
+		for s.Received("tok") < sent {
+			if time.Now().After(deadline) {
+				t.Fatalf("server counted %d bytes for %q, want at least %d", s.Received("tok"), "tok", sent)
+			}
+			time.Sleep(time.Millisecond)
+		}
 		ctrl, br := dialCtrl(t, s)
 		resp, took := settleOnce(t, ctrl, br, "tok", 1<<60)
 		var done, useful int64
