@@ -142,10 +142,12 @@ type (
 	FabricConfig = xfer.FabricConfig
 	// TransferConfig describes one transfer on a Fabric.
 	TransferConfig = xfer.TransferConfig
-	// HostConfig describes a source endpoint (cores, pump rate,
-	// scheduler behaviour, restart cost, NIC).
+	// HostConfig describes a source endpoint: cores, pump rate, idle
+	// restart time and NIC rate. The scheduler's weights and overheads
+	// are the model's constants.
 	HostConfig = endpoint.Config
-	// PathConfig describes a WAN path (capacity, RTT, loss, buffer).
+	// PathConfig describes a WAN path: capacity, RTT, random loss and
+	// window cap. Every stream sends 1448-byte segments.
 	PathConfig = netem.Config
 )
 

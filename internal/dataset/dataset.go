@@ -97,7 +97,3 @@ func LogNormal(n int, median float64, sigma float64, seed uint64) Dataset {
 // ManySmall returns the latency-bound regime of [25]: n files of
 // 1 MB.
 func ManySmall(n int) Dataset { return Uniform(n, 1<<20) }
-
-// FewHuge returns the bandwidth-bound regime of [25]: n files of
-// 10 GB.
-func FewHuge(n int) Dataset { return Uniform(n, 10<<30) }

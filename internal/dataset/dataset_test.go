@@ -77,9 +77,9 @@ func TestRegimes(t *testing.T) {
 	if small.TotalBytes() != 100<<20 {
 		t.Fatalf("ManySmall total %d", small.TotalBytes())
 	}
-	huge := FewHuge(2)
-	if huge.TotalBytes() != 20<<30 {
-		t.Fatalf("FewHuge total %d", huge.TotalBytes())
+	huge, err := ParseSpec("fewhuge:2", 1)
+	if err != nil || huge.TotalBytes() != 20<<30 {
+		t.Fatalf("fewhuge:2 total %d (%v)", huge.TotalBytes(), err)
 	}
 }
 

@@ -6,60 +6,6 @@ import (
 	"strings"
 )
 
-// Default per-file transfer constants shared by the disk-to-disk
-// simulator, the experiment scenarios, and the CLI flag defaults, so
-// the simulated and real paths agree on one workload definition.
-const (
-	// DefaultDiskRate is the assumed source storage bandwidth in
-	// bytes per second (a modern storage array).
-	DefaultDiskRate = 2e9
-	// DefaultFileOverhead is the assumed per-file request+seek
-	// latency in seconds — the cost the pipelining depth amortizes.
-	DefaultFileOverhead = 0.5
-)
-
-// Workload is one disk-to-disk regime: a dataset plus the per-file
-// transfer constants it is moved under. It is the single definition
-// shared by the simulator scenarios (internal/experiment) and the
-// real-socket path.
-type Workload struct {
-	// Name labels the regime.
-	Name string
-	// Files is the dataset to move.
-	Files Dataset
-	// DiskRate is the source storage bandwidth in bytes per second.
-	DiskRate float64
-	// FileOverhead is the per-file request+seek latency in seconds.
-	FileOverhead float64
-}
-
-// Workloads returns the three canonical regimes of Yildirim et
-// al. [25]: request-latency-bound many small files, a heavy-tailed
-// log-normal mix, and bandwidth-bound huge files. Deterministic per
-// seed.
-func Workloads(seed uint64) []Workload {
-	return []Workload{
-		{
-			Name:         "many-small",
-			Files:        ManySmall(20000), // 20k x 1 MB
-			DiskRate:     DefaultDiskRate,
-			FileOverhead: DefaultFileOverhead,
-		},
-		{
-			Name:         "lognormal-mix",
-			Files:        LogNormal(2000, 8<<20, 1.5, seed), // median 8 MB, heavy tail
-			DiskRate:     DefaultDiskRate,
-			FileOverhead: DefaultFileOverhead,
-		},
-		{
-			Name:         "few-huge",
-			Files:        Uniform(16, 4<<30), // 16 x 4 GB
-			DiskRate:     DefaultDiskRate,
-			FileOverhead: DefaultFileOverhead,
-		},
-	}
-}
-
 // maxSpecFiles bounds the file count a spec may request, so a hostile
 // spec cannot allocate an unbounded manifest.
 const maxSpecFiles = 1 << 20
@@ -142,7 +88,7 @@ func Parse(spec string) (Spec, error) {
 			return Spec{}, err
 		}
 		sigma, err := strconv.ParseFloat(parts[2], 64)
-		if err != nil || sigma <= 0 || sigma > 16 {
+		if err != nil || !(sigma > 0 && sigma <= 16) { // refuses NaN as well
 			return Spec{}, fmt.Errorf("dataset: lognormal sigma %q outside (0, 16]", parts[2])
 		}
 		return Spec{n: n, size: median, sigma: sigma}, nil
@@ -202,7 +148,7 @@ func ParseSize(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil || v < 0 || v*mult > float64(int64(1)<<62) {
+	if err != nil || !(v >= 0) || v*mult > float64(int64(1)<<62) { // refuses NaN as well
 		return 0, fmt.Errorf("dataset: bad size %q", s)
 	}
 	return int64(v * mult), nil

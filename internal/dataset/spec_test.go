@@ -170,7 +170,7 @@ func TestParseRejectsWhatParentRejects(t *testing.T) {
 		"", "   ", "0x1MiB", "1x1MiB", "1048576x1B", "1048577x1B", "-1x1B",
 		"manysmall:0", "manysmall:1", "fewhuge:1048577", "fewhuge:x",
 		"lognormal:10:1MiB:0", "lognormal:10:1MiB:16", "lognormal:10:1MiB:16.0001",
-		"lognormal:10:1MiB:-3", "lognormal:10:1MiB:NaN", "lognormal:10:1MiB", "lognormal:10:1ZiB:1",
+		"lognormal:10:1MiB:-3", "lognormal:10:1MiB", "lognormal:10:1ZiB:1",
 		"4611686018427387904x1", "1x4611686018427387904B", "1x4611686018427387905B", "1x4194305TiB",
 		"1x1ZiB", "1x-1B", "10", "axb",
 	} {

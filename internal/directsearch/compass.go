@@ -10,9 +10,6 @@ type CompassConfig struct {
 	// Lambda is the initial step size; the paper uses 8. Zero selects
 	// 8.
 	Lambda float64
-	// MaxEvals caps the number of objective evaluations as a safety
-	// net; zero selects 10000.
-	MaxEvals int
 }
 
 // minLambda is the paper's stop rule: the search terminates once the
@@ -24,9 +21,6 @@ const minLambda = 0.5
 func (c CompassConfig) withDefaults() CompassConfig {
 	if c.Lambda == 0 {
 		c.Lambda = 8
-	}
-	if c.MaxEvals == 0 {
-		c.MaxEvals = 10000
 	}
 	return c
 }
@@ -96,7 +90,7 @@ func (c *Compass) Suggest() ([]int, bool) {
 	if c.pend.set {
 		return ivec.Clone(c.pend.x), false
 	}
-	if c.evals >= c.cfg.MaxEvals {
+	if c.evals >= evalCap {
 		c.done = true
 		return nil, true
 	}

@@ -39,6 +39,11 @@ type Searcher interface {
 	Best() ([]int, float64)
 }
 
+// evalCap caps the objective evaluations of a compass or Nelder–Mead
+// search, as a safety net against cycling on a noisy objective: the
+// search is done once it has asked for this many.
+const evalCap = 10000
+
 // Maximize drives s to completion against objective f and returns the
 // best point and value. maxEvals <= 0 means no cap beyond the
 // searcher's own termination.

@@ -202,11 +202,11 @@ func TestObserveWithoutSuggestPanics(t *testing.T) {
 func TestMaxEvalsCaps(t *testing.T) {
 	box := MustBox([]int{1}, []int{1 << 20})
 	// An objective that keeps improving forever would never converge;
-	// MaxEvals must stop it.
+	// the evaluation cap must stop it.
 	mono := func(x []int) float64 { return float64(x[0]) }
 	ss := map[string]Searcher{
-		"compass": NewCompass([]int{1}, box, CompassConfig{MaxEvals: 50}, sim.NewRNG(8)),
-		"nm":      NewNelderMead([]int{1}, box, NMConfig{MaxEvals: 50}),
+		"compass": NewCompass([]int{1}, box, CompassConfig{}, sim.NewRNG(8)),
+		"nm":      NewNelderMead([]int{1}, box, NMConfig{}),
 	}
 	for name, s := range ss {
 		evals := 0
@@ -216,25 +216,21 @@ func TestMaxEvalsCaps(t *testing.T) {
 				break
 			}
 			evals++
-			if evals > 50 {
-				t.Fatalf("%s: exceeded MaxEvals", name)
+			if evals > evalCap {
+				t.Fatalf("%s: exceeded the %d-evaluation cap", name, evalCap)
 			}
 			s.Observe(mono(sPend(s)))
 		}
 		// Compass climbs one step per eval and must hit the
 		// cap exactly; NM's exponential expansion may reach the bound
 		// and converge legitimately before the cap.
-		if name == "nm" {
-			if evals > 50 {
-				t.Errorf("nm: %d evals exceeds cap", evals)
-			}
-		} else if evals != 50 {
-			t.Errorf("%s: stopped after %d evals, want 50", name, evals)
+		if name != "nm" && evals != evalCap {
+			t.Errorf("%s: stopped after %d evals, want %d", name, evals, evalCap)
 		}
 	}
 }
 
-// sPend extracts the pending point for MaxEvals test bookkeeping.
+// sPend extracts the pending point for TestMaxEvalsCaps's bookkeeping.
 func sPend(s Searcher) []int {
 	x, _ := s.Suggest()
 	return x

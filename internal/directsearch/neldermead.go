@@ -22,18 +22,12 @@ type NMConfig struct {
 	// compass lambda, giving the "large steps in the beginning" the
 	// paper observes for nm-tuner).
 	InitStep float64
-	// MaxEvals caps the number of objective evaluations as a safety
-	// net against cycling on a noisy objective; zero selects 10000.
-	MaxEvals int
 }
 
 // withDefaults returns cfg with zero fields replaced by defaults.
 func (c NMConfig) withDefaults() NMConfig {
 	if c.InitStep == 0 {
 		c.InitStep = 8
-	}
-	if c.MaxEvals == 0 {
-		c.MaxEvals = 10000
 	}
 	return c
 }
@@ -192,7 +186,7 @@ func (nm *NelderMead) Suggest() ([]int, bool) {
 	if nm.pend.set {
 		return ivec.Clone(nm.pend.x), false
 	}
-	if nm.evals >= nm.cfg.MaxEvals {
+	if nm.evals >= evalCap {
 		nm.phase = nmDone
 		return nil, true
 	}

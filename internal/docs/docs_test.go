@@ -202,6 +202,91 @@ func unexported() {}
 	}
 }
 
+// TestCheckSettings exercises the settings lint on a synthetic module:
+// a field set by a literal through a type alias, by a flag binding or by
+// an assignment in another file passes, as does an exempt one; a field
+// set only in its own file, a test or bench/ is reported, each struct's
+// withDefaults setting its own Own field does not set the other's, and
+// an exemption with no unset field is reported.
+func TestCheckSettings(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module m\n\ngo 1.22\n")
+	write("m.go", "package m\n\nimport \"m/internal/a\"\n\ntype AConfig = a.Config\n")
+	write("internal/a/a.go", `package a
+
+type Config struct {
+	Set, Flag, Assigned int
+	Own                 int
+	TestOnly            int
+	Bench               int
+	Exempt              int
+	hidden              int
+}
+
+func (c Config) withDefaults() Config {
+	c.Own, c.hidden = 1, 1
+	return c
+}
+
+type Other struct{ Own int }
+`)
+	write("internal/a/a_test.go", "package a\n\nvar _ = Config{TestOnly: 1}\n")
+	write("internal/b/b.go", `package b
+
+type BConfig struct{ Own int }
+
+func (c *BConfig) fill() { c.Own = 2 }
+`)
+	write("bench/main.go", "package main\n\nimport \"m/internal/a\"\n\nvar _ = a.Config{Bench: 1}\n")
+	write("cmd/tool/main.go", `package main
+
+import (
+	"flag"
+
+	"m"
+	"m/internal/a"
+)
+
+func main() {
+	cfg := m.AConfig{Set: 1}
+	flag.IntVar(&cfg.Flag, "flag", 0, "")
+	var x a.Config
+	x.Assigned = 2
+	_ = x
+}
+`)
+	problems, err := CheckSettings(dir, map[string]string{"a.Config.Exempt": "kept", "a.Config.Stale": "gone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"exemption a.Config.Stale ",
+		"internal/a/a.go:7: a.Config.Bench ",
+		"internal/a/a.go:5: a.Config.Own ",
+		"internal/a/a.go:6: a.Config.TestOnly ",
+		"internal/b/b.go:3: b.BConfig.Own ",
+	}
+	slices.Sort(want)
+	if len(problems) != len(want) {
+		t.Fatalf("got problems %q, want %q", problems, want)
+	}
+	for i, p := range problems {
+		if !strings.HasPrefix(p, want[i]) {
+			t.Fatalf("problem %d = %q, want prefix %q (all: %q)", i, p, want[i], problems)
+		}
+	}
+}
+
 // TestCheckFacadeRefs: a name dstune.go declares, a lower-case file
 // name and a placeholder pass; a dstune.<Name> it does not declare is
 // reported wherever a living document spells it — and nowhere in the
@@ -360,6 +445,13 @@ func TestRepoDocs(t *testing.T) {
 	}
 	for _, p := range orphans {
 		t.Errorf("facade: %s", p)
+	}
+	settings, err := CheckSettings(root, settingExemptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range settings {
+		t.Errorf("setting: %s", p)
 	}
 	var keys []string
 	for _, s := range experiment.Studies() {

@@ -9,6 +9,9 @@
 //   - CheckFormat reports Go files gofmt would rewrite;
 //   - CheckFacade reports names the root package re-exports that
 //     nothing outside it refers to;
+//   - CheckSettings reports exported fields of *Config structs that no
+//     product file outside the struct's own sets: a value no caller
+//     varies is a constant, not a setting;
 //   - CheckQuoted reports names quoted in markdown that the code no
 //     longer has: a `-fig KEY` that is not a study cmd/figures knows
 //     (FigKeys), a `-tuner NAME` or `"tuner": "NAME"` that is not a

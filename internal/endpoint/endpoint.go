@@ -43,45 +43,40 @@ type Config struct {
 	// CorePumpRate is the data rate one transfer process can sustain
 	// with a full core, in bytes per second.
 	CorePumpRate float64
-	// ComputeWeight is the scheduling weight of a CPU-bound compute
-	// job relative to a transfer process (default 4): spinning jobs
-	// win against I/O-bound threads that block and yield.
-	ComputeWeight float64
-	// CtxSwitchPenalty is the efficiency loss per excess runnable
-	// thread per core (default 0.05).
-	CtxSwitchPenalty float64
-	// StreamOverhead is the fraction of a core consumed by the
-	// bookkeeping of one stream regardless of its rate (default
-	// 0.001).
-	StreamOverhead float64
 	// RestartBase is the process-restart dead time in seconds on an
 	// idle host (default 3).
 	RestartBase float64
-	// RestartPerLoad scales the extra restart time per unit of
-	// process oversubscription (default 0.35).
-	RestartPerLoad float64
 	// NICRate caps the host's aggregate outgoing rate in bytes per
 	// second; zero means unlimited (the network paths then provide
 	// the only capacity limits).
 	NICRate float64
 }
 
-// withDefaults returns cfg with zero fields replaced by defaults.
+// The scheduler's and the restart model's constants, which no testbed
+// varies (DESIGN.md lists them with the simulator's other constants).
+const (
+	// computeWeight is the scheduling weight of a CPU-bound compute job
+	// relative to a transfer process: spinning jobs win against
+	// I/O-bound threads that block and yield.
+	computeWeight = 4
+	// ctxSwitchPenalty is the efficiency loss per excess runnable
+	// thread per core.
+	ctxSwitchPenalty = 0.05
+	// streamOverhead is the fraction of a core consumed by the
+	// bookkeeping of one stream regardless of its rate.
+	streamOverhead = 0.001
+	// defaultRestartBase is RestartBase when the config leaves it zero.
+	defaultRestartBase = 3
+	// restartPerLoad scales the extra restart time per unit of process
+	// oversubscription.
+	restartPerLoad = 0.35
+)
+
+// withDefaults returns cfg with a zero RestartBase replaced by its
+// default.
 func (c Config) withDefaults() Config {
-	if c.ComputeWeight == 0 {
-		c.ComputeWeight = 4
-	}
-	if c.CtxSwitchPenalty == 0 {
-		c.CtxSwitchPenalty = 0.05
-	}
-	if c.StreamOverhead == 0 {
-		c.StreamOverhead = 0.001
-	}
 	if c.RestartBase == 0 {
-		c.RestartBase = 3
-	}
-	if c.RestartPerLoad == 0 {
-		c.RestartPerLoad = 0.35
+		c.RestartBase = defaultRestartBase
 	}
 	return c
 }
@@ -118,9 +113,6 @@ func New(cfg Config) *Host {
 	return &Host{cfg: cfg.withDefaults()}
 }
 
-// Config returns the host's configuration (with defaults applied).
-func (h *Host) Config() Config { return h.cfg }
-
 // SetComputeJobs sets the number of external compute jobs (the paper's
 // ext.cmp dgemm copies). Each job spins on all cores, so it contributes
 // Cores runnable threads and demands the whole machine.
@@ -152,14 +144,14 @@ func (h *Host) Efficiency(totalThreads int) float64 {
 	if over <= 0 {
 		return 1
 	}
-	return 1 / (1 + h.cfg.CtxSwitchPenalty*over)
+	return 1 / (1 + ctxSwitchPenalty*over)
 }
 
 // Allocate runs one scheduling round: given the demands of all
 // transfer processes currently running on the host (across all of its
 // transfers and paths), it returns the pump-rate cap in bytes per
 // second for each process. External compute jobs set via
-// SetComputeJobs participate in the round with weight ComputeWeight
+// SetComputeJobs participate in the round with weight computeWeight
 // and full-machine demands.
 //
 // The returned slice belongs to the host and is valid until the next
@@ -198,7 +190,7 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 		if t < 1 {
 			t = 1
 		}
-		overheads[i] = cfg.StreamOverhead * float64(t)
+		overheads[i] = streamOverhead * float64(t)
 		rate := d.Rate
 		if rate < 0 {
 			rate = 0
@@ -212,7 +204,7 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 	}
 	for j := 0; j < h.computeJobs; j++ {
 		demands = append(demands, float64(cfg.Cores))
-		weights = append(weights, cfg.ComputeWeight)
+		weights = append(weights, computeWeight)
 	}
 	wf.d, wf.w = demands, weights
 
@@ -253,7 +245,7 @@ func (h *Host) RestartTime(totalProcs int) float64 {
 	if over < 0 {
 		over = 0
 	}
-	return h.cfg.RestartBase * (1 + h.cfg.RestartPerLoad*over)
+	return h.cfg.RestartBase * (1 + restartPerLoad*over)
 }
 
 // waterfill computes the weighted max-min fair allocation of a capacity

@@ -33,12 +33,24 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	New(Config{})
 }
 
+// TestDefaultsApplied: a config that leaves RestartBase zero restarts in
+// 3 s on an idle host and 3·(1 + 0.35) s at one process per core over
+// the core count, and two runnable threads a core cost 1/(1 + 0.05) of
+// the pump rate.
 func TestDefaultsApplied(t *testing.T) {
 	h := testHost()
-	cfg := h.Config()
-	if cfg.ComputeWeight != 4 || cfg.CtxSwitchPenalty != 0.05 ||
-		cfg.StreamOverhead != 0.001 || cfg.RestartBase != 3 || cfg.RestartPerLoad != 0.35 {
-		t.Fatalf("defaults not applied: %+v", cfg)
+	over := 1.0 // 16 runnable on 8 cores; a variable, so that want rounds as the model does
+	if got := h.RestartTime(1); got != 3 {
+		t.Fatalf("idle RestartTime = %v, want 3", got)
+	}
+	if got, want := h.RestartTime(16), 3*(1+0.35*over); got != want {
+		t.Fatalf("RestartTime(16) on 8 cores = %v, want %v", got, want)
+	}
+	if got, want := h.Efficiency(16), 1/(1+0.05*over); got != want {
+		t.Fatalf("Efficiency(16) on 8 cores = %v, want %v", got, want)
+	}
+	if got := New(Config{Cores: 8, CorePumpRate: 1e9, RestartBase: 0.5}).RestartTime(1); got != 0.5 {
+		t.Fatalf("RestartTime with RestartBase 0.5 = %v, want 0.5", got)
 	}
 }
 

@@ -6,15 +6,15 @@ import (
 )
 
 func TestDiskScenariosShape(t *testing.T) {
-	scs := DiskScenarios(1)
+	scs := diskRegimes(1)
 	if len(scs) != 3 {
 		t.Fatalf("got %d scenarios", len(scs))
 	}
 	names := map[string]bool{}
 	for _, sc := range scs {
-		names[sc.Name] = true
-		if sc.Files.Count() == 0 || sc.DiskRate <= 0 || sc.FileOverhead <= 0 {
-			t.Fatalf("scenario %q incomplete: %+v", sc.Name, sc)
+		names[sc.name] = true
+		if sc.files.Count() == 0 {
+			t.Fatalf("scenario %q has no files", sc.name)
 		}
 	}
 	for _, want := range []string{"many-small", "lognormal-mix", "few-huge"} {
@@ -23,8 +23,8 @@ func TestDiskScenariosShape(t *testing.T) {
 		}
 	}
 	// Deterministic per seed.
-	again := DiskScenarios(1)
-	if again[1].Files.TotalBytes() != scs[1].Files.TotalBytes() {
+	again := diskRegimes(1)
+	if again[1].files.TotalBytes() != scs[1].files.TotalBytes() {
 		t.Fatal("lognormal scenario not deterministic")
 	}
 }

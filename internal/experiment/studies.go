@@ -715,7 +715,7 @@ func Studies() []Study {
 				cfg := rc.diskTunerCfg()
 				cfg.Start = []int{8, 4, depths[i]}
 				res, err := runEach(uc, []string{"default"}, "disk: many-small", func(name string) (*tuner.Trace, error) {
-					return runTransfer(uc, name, load.None(), rc.Seed, xfer.TransferConfig{Files: dataset.ManySmall(20000), DiskRate: 2e9, FileOverhead: 0.5}, cfg)
+					return runTransfer(uc, name, load.None(), rc.Seed, xfer.TransferConfig{Files: dataset.ManySmall(20000)}, cfg)
 				})
 				return fmt.Sprintf("pp%d", depths[i]), res, err
 			}),

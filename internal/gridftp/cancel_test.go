@@ -182,7 +182,7 @@ func TestCancelResumeRoundTrip(t *testing.T) {
 			Bytes:       size,
 			Token:       "resume-tok",
 			Dialer:      dial,
-			Retry:       RetryConfig{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+			Retry:       RetryConfig{Attempts: 3, Backoff: time.Millisecond},
 			Seed:        11,
 			AckedBytes:  acked,
 			ClockOffset: clock,

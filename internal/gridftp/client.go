@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"slices"
@@ -33,11 +34,12 @@ type RetryConfig struct {
 	// included); zero selects 3, values below 1 select 1.
 	Attempts int
 	// Backoff is the delay before the first retry; it doubles per
-	// retry. Zero selects 50 ms.
+	// retry up to maxBackoff. Zero selects 50 ms.
 	Backoff time.Duration
-	// MaxBackoff caps the grown backoff; zero selects 1 s.
-	MaxBackoff time.Duration
 }
+
+// maxBackoff caps a retry's grown backoff, before its jitter.
+const maxBackoff = time.Second
 
 // withDefaults returns r with zero fields replaced by defaults.
 func (r RetryConfig) withDefaults() RetryConfig {
@@ -49,9 +51,6 @@ func (r RetryConfig) withDefaults() RetryConfig {
 	}
 	if r.Backoff == 0 {
 		r.Backoff = 50 * time.Millisecond
-	}
-	if r.MaxBackoff == 0 {
-		r.MaxBackoff = time.Second
 	}
 	return r
 }
@@ -251,6 +250,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if cfg.ClockOffset < 0 {
 		return nil, fmt.Errorf("gridftp: negative clock offset %v", cfg.ClockOffset)
 	}
+	if err := cfg.Shaper.validate(); err != nil {
+		return nil, err
+	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = 5 * time.Second
 	}
@@ -436,16 +438,33 @@ func onAbort(ctx context.Context, f func()) (release func()) {
 	}
 }
 
+// validate reports a Rate or Quad that is negative or not finite: a
+// negative Quad turns the per-connection rate negative or infinite at
+// some connection count, and a NaN one makes it NaN. A nil Shaper is
+// valid.
+func (s *Shaper) validate() error {
+	bad := func(v float64) bool { return !(v >= 0) || math.IsInf(v, 1) }
+	switch {
+	case s == nil:
+		return nil
+	case bad(s.Rate):
+		return fmt.Errorf("gridftp: shaper Rate %v is not a finite non-negative number", s.Rate)
+	case bad(s.Quad):
+		return fmt.Errorf("gridftp: shaper Quad %v is not a finite non-negative number", s.Quad)
+	}
+	return nil
+}
+
 // backoff returns the jittered sleep before retry k (1-based): the
 // configured base doubled per retry, capped, scaled by a seeded
 // random factor in [0.5, 1.5).
 func (c *Client) backoff(k int) time.Duration {
 	d := c.cfg.Retry.Backoff
-	for i := 1; i < k && d < c.cfg.Retry.MaxBackoff; i++ {
+	for i := 1; i < k && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > c.cfg.Retry.MaxBackoff {
-		d = c.cfg.Retry.MaxBackoff
+	if d > maxBackoff {
+		d = maxBackoff
 	}
 	c.rngMu.Lock()
 	j := 0.5 + c.rng.Float64()

@@ -636,7 +636,7 @@ func TestDatasetSurvivesInjectedFaults(t *testing.T) {
 		Addr:    s.Addr(),
 		Dataset: ds,
 		Dialer:  in.Dial,
-		Retry:   RetryConfig{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Retry:   RetryConfig{Attempts: 3, Backoff: time.Millisecond},
 		Seed:    11,
 	})
 	if err != nil {

@@ -53,7 +53,7 @@ func TestFleetConcurrentFaultySockets(t *testing.T) {
 			// second, so the sessions both reuse and re-dial.
 			Shaper: &Shaper{Rate: 1.5e6},
 			Dialer: injectors[i].Dial,
-			Retry:  RetryConfig{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+			Retry:  RetryConfig{Attempts: 3, Backoff: time.Millisecond},
 			Seed:   uint64(11 + i),
 		})
 		if err != nil {

@@ -163,7 +163,8 @@ const leaseQuantum = 4 << 20
 //
 // for n total connections, so aggregate throughput n*Rate/(1+Quad*n^2)
 // peaks at n = 1/sqrt(Quad) and declines beyond it — the shape of the
-// paper's Figure 1.
+// paper's Figure 1. NewClient refuses a Rate or Quad that is negative
+// or not finite.
 type Shaper struct {
 	// Rate is the per-connection byte rate with no contention; zero
 	// means unshaped.

@@ -53,6 +53,30 @@ func TestClientConfigValidation(t *testing.T) {
 	}
 }
 
+// TestClientRefusesBadShaper: a shaper's Rate and Quad must each be a
+// finite non-negative number, and NewClient's error names the field.
+func TestClientRefusesBadShaper(t *testing.T) {
+	for _, field := range []string{"Rate", "Quad"} {
+		for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			sh := &Shaper{Rate: 8e6, Quad: 0.03}
+			if field == "Rate" {
+				sh.Rate = v
+			} else {
+				sh.Quad = v
+			}
+			_, err := NewClient(ClientConfig{Addr: "x", Bytes: 1, Shaper: sh})
+			if err == nil || !strings.Contains(err.Error(), "shaper "+field) {
+				t.Errorf("%s %v: got %v, want an error naming shaper %s", field, v, err, field)
+			}
+		}
+	}
+	for _, sh := range []*Shaper{nil, {}, {Rate: 8e6}, {Rate: 8e6, Quad: 0.03}} {
+		if _, err := NewClient(ClientConfig{Addr: "x", Bytes: 1, Shaper: sh}); err != nil {
+			t.Errorf("shaper %+v refused: %v", sh, err)
+		}
+	}
+}
+
 func TestTransferMovesBytes(t *testing.T) {
 	s := startServer(t)
 	c := newTestClient(t, s, xfer.Unbounded, &Shaper{Rate: 4e6})

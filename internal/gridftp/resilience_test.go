@@ -78,7 +78,7 @@ func TestRetriesRecoverFailedDials(t *testing.T) {
 		Bytes:  xfer.Unbounded,
 		Shaper: &Shaper{Rate: 4e6},
 		Dialer: d.Dial,
-		Retry:  RetryConfig{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Retry:  RetryConfig{Attempts: 3, Backoff: time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,7 @@ func TestTunedTransferSurvivesInjectedFaults(t *testing.T) {
 		Addr:   s.Addr(),
 		Bytes:  size,
 		Dialer: in.Dial,
-		Retry:  RetryConfig{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Retry:  RetryConfig{Attempts: 3, Backoff: time.Millisecond},
 		Seed:   11,
 	})
 	if err != nil {
@@ -787,5 +787,24 @@ func TestCloseCommandProtocol(t *testing.T) {
 	fmt.Fprintf(conn, "CLOSE\n")
 	if resp, _ := readLine(br); resp != "ERR bad CLOSE" {
 		t.Fatalf("bad CLOSE got %q", resp)
+	}
+}
+
+// TestBackoffCap: at a 200 ms base the backoff doubles to 400 and 800 ms
+// and is capped at maxBackoff from the fourth retry on, each scaled by a
+// jitter in [0.5, 1.5). Nothing sleeps.
+func TestBackoffCap(t *testing.T) {
+	c, err := NewClient(ClientConfig{Addr: "x", Bytes: 1, Seed: 7, Retry: RetryConfig{Backoff: 200 * time.Millisecond}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= 10; k++ {
+		d := time.Second // capped from the fourth retry on
+		if k <= 3 {
+			d = 200 * time.Millisecond << (k - 1)
+		}
+		if got := c.backoff(k); got < d/2 || got >= d+d/2 {
+			t.Errorf("backoff(%d) = %v, want in [%v, %v)", k, got, d/2, d+d/2)
+		}
 	}
 }

@@ -185,7 +185,7 @@ func TestDiskDatasetSurvivesInjectedFaults(t *testing.T) {
 		RequestSink: true,
 		TCPInfo:     true, // wrapped conns: sampling must degrade to nil, not break
 		Dialer:      in.Dial,
-		Retry:       RetryConfig{Attempts: 3, Backoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
+		Retry:       RetryConfig{Attempts: 3, Backoff: time.Millisecond},
 		Seed:        11,
 	})
 	if err != nil {

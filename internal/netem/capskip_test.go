@@ -74,7 +74,7 @@ func walkEveryStreamSubstep(p *Path, dt float64) {
 	if pCongStep > 0 {
 		hc = -math.Log1p(-pCongStep)
 	}
-	kPath := deliverFrac * dt * p.cfg.RandomLoss * invRTT / p.cfg.MSS
+	kPath := deliverFrac * dt * p.cfg.RandomLoss * invRTT / tcpmodel.DefaultMSS
 
 	t := p.now
 	tNext := t + dt

@@ -97,7 +97,7 @@ func bernoulliSubstep(p *Path, dt float64, timers map[*stream]float64) {
 			s.tcp.SinceLoss += dt
 			s.tcp.ObserveRTT(rtt)
 
-			h := rate*dt/p.cfg.MSS*p.cfg.RandomLoss - math.Log1p(-pCong)
+			h := rate*dt/tcpmodel.DefaultMSS*p.cfg.RandomLoss - math.Log1p(-pCong)
 			if s.coolUntil <= p.now+coolEps && p.rng.Bernoulli(-math.Expm1(-h)) {
 				f.alg.OnLoss(&s.tcp)
 				s.coolUntil = p.now + math.Max(rtt, 2*dt)

@@ -66,9 +66,6 @@ type Config struct {
 	// RandomLoss is the per-packet probability of a non-congestion
 	// loss (transmission errors, cross-traffic microbursts).
 	RandomLoss float64
-	// MSS is the segment size in bytes; zero selects
-	// tcpmodel.DefaultMSS.
-	MSS float64
 	// MaxCwnd caps each stream's window in bytes (the socket buffer
 	// limit); zero means uncapped.
 	MaxCwnd float64
@@ -81,14 +78,6 @@ type Config struct {
 // desynchronized, which is how an ensemble of streams claims more of
 // the capacity than a single stream can.
 const shedTarget = 0.95
-
-// withDefaults returns cfg with zero fields replaced by defaults.
-func (c Config) withDefaults() Config {
-	if c.MSS == 0 {
-		c.MSS = tcpmodel.DefaultMSS
-	}
-	return c
-}
 
 // Validate reports whether the configuration is usable.
 func (c Config) Validate() error {
@@ -123,7 +112,6 @@ func New(cfg Config, rng *sim.RNG) *Path {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg = cfg.withDefaults()
 	return &Path{
 		cfg:    cfg,
 		buffer: cfg.Capacity * cfg.BaseRTT, // one bandwidth-delay product
@@ -131,7 +119,7 @@ func New(cfg Config, rng *sim.RNG) *Path {
 	}
 }
 
-// Config returns the path's configuration (with defaults applied).
+// Config returns the path's configuration.
 func (p *Path) Config() Config { return p.cfg }
 
 // RTT returns the current effective round-trip time: propagation plus
@@ -216,7 +204,7 @@ func (p *Path) NewFlow(n int, alg tcpmodel.Algorithm) *Flow {
 	}
 	f := &Flow{path: p, alg: alg, strs: make([]stream, n)}
 	for i := range f.strs {
-		st := tcpmodel.NewStream(p.cfg.MSS, p.cfg.MaxCwnd)
+		st := tcpmodel.NewStream(p.cfg.MaxCwnd)
 		st.Cwnd = p.rng.Jitter(st.Cwnd, 0.3)
 		f.strs[i] = stream{rttFrom: p.now - p.rng.Float64()*p.cfg.BaseRTT, lossAt: p.now, tcp: st}
 	}
@@ -375,7 +363,7 @@ func (p *Path) begin() bool {
 // MaxCwnd). A window a calm Step holds in closed form has its Cwnd from
 // its last event, which is as good a bound.
 func (f *Flow) ceil() float64 {
-	top := max(f.path.cfg.MaxCwnd, f.path.cfg.MSS)
+	top := max(f.path.cfg.MaxCwnd, tcpmodel.DefaultMSS)
 	c := 0.0
 	for i := range f.strs {
 		c += max(f.strs[i].tcp.Cwnd, top)
@@ -457,7 +445,7 @@ func (p *Path) step(dt float64) {
 	if pCongStep > 0 {
 		hc = -math.Log1p(-pCongStep)
 	}
-	kPath := deliverFrac * dt * p.cfg.RandomLoss * invRTT / p.cfg.MSS
+	kPath := deliverFrac * dt * p.cfg.RandomLoss * invRTT / tcpmodel.DefaultMSS
 
 	// Phase 3: delivery, losses and window evolution.
 	t := p.now
@@ -537,7 +525,7 @@ func (p *Path) calmStep(n int, dt float64) {
 		end += dt // one substep at a time, as the substep loop rounds it
 	}
 	// lose's cool-down, and step's kPath over a second at deliverFrac 1.
-	c := calm{rtt: rtt, invRTT: 1 / rtt, cool: math.Max(rtt, 2*dt), kRate: p.cfg.RandomLoss / (rtt * p.cfg.MSS), end: end}
+	c := calm{rtt: rtt, invRTT: 1 / rtt, cool: math.Max(rtt, 2*dt), kRate: p.cfg.RandomLoss / (rtt * tcpmodel.DefaultMSS), end: end}
 	c.lead = max(c.cool-rtt/2-dt, 0)
 	total := 0.0
 	for _, f := range p.flows {

@@ -1,6 +1,10 @@
 package netem
 
-import "slices"
+import (
+	"slices"
+
+	"dstune/internal/tcpmodel"
+)
 
 // refStep is Path.Step with the calm Step it had before calm Steps
 // moved streams from event to event: the law a calm Step now follows in
@@ -52,7 +56,7 @@ func refCalmStep(p *Path, n int, dt float64) {
 	rtt := p.RTT()
 	invRTT := 1 / rtt
 	// kPath as step computes it, with deliverFrac 1.
-	c := refCalm{rtt: rtt, invRTT: invRTT, dt: dt, kPath: dt * p.cfg.RandomLoss * invRTT / p.cfg.MSS}
+	c := refCalm{rtt: rtt, invRTT: invRTT, dt: dt, kPath: dt * p.cfg.RandomLoss * invRTT / tcpmodel.DefaultMSS}
 	var held []refHeld
 	for _, f := range p.flows {
 		h := refHeld{f: f, t: p.now}

@@ -262,8 +262,6 @@ func fabricTransfer(fabric *xfer.Fabric, id string, spec JobSpec, files dataset.
 		// progress lives only in the dead process); socket jobs resume
 		// at file/offset granularity.
 		tcfg.Files = files
-		tcfg.DiskRate = dataset.DefaultDiskRate
-		tcfg.FileOverhead = dataset.DefaultFileOverhead
 	}
 	return fabric.NewTransfer(tcfg)
 }

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -47,8 +48,9 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		}
 		// Validate parses a dataset without generating it, so generate
 		// what it accepted (up to 2^14 files, to keep each input cheap):
-		// the build has no error path of its own and yields the parsed
-		// count.
+		// the build has no error path of its own, yields the parsed
+		// count, and every size is non-negative and sums, without
+		// wrapping, to TotalBytes.
 		if spec.Dataset == "" {
 			return
 		}
@@ -62,6 +64,16 @@ func FuzzDecodeJobSpec(f *testing.F) {
 		files, err := spec.files()
 		if err != nil || files.Count() != parsed.Count() {
 			t.Fatalf("dataset %q parsed to %d files but built %d (%v)", spec.Dataset, parsed.Count(), files.Count(), err)
+		}
+		var sum int64
+		for i, size := range files.Sizes {
+			if size < 0 || sum > math.MaxInt64-size {
+				t.Fatalf("dataset %q: file %d of %d bytes after %d", spec.Dataset, i, size, sum)
+			}
+			sum += size
+		}
+		if sum != files.TotalBytes() {
+			t.Fatalf("dataset %q: sizes sum to %d, TotalBytes %d", spec.Dataset, sum, files.TotalBytes())
 		}
 	})
 }
@@ -96,6 +108,9 @@ var decodeSeeds = []string{
 	`{"dataset": "0x1MiB", "budget": 60}`,
 	`{"dataset": "99999999999x1TiB"}`,
 	`{"dataset": "lognormal:10:1MiB:-3"}`,
+	`{"dataset": "10xNaN", "budget": 60}`,
+	`{"dataset": "lognormal:10:1MiB:NaN", "budget": 60}`,
+	`{"dataset": "lognormal:10:NaN:1", "budget": 60}`,
 	`{"dataset": "10x1MiB", "bytes": 1}`,
 	`{"pp": 4, "bytes": 1}`,
 	`{"pp": -1, "dataset": "10x1MiB"}`,

@@ -35,6 +35,11 @@ func TestDatasetCheckMatchesBuild(t *testing.T) {
 		{"lognormal:10:1MiB:0", false},
 		{"lognormal:10:1MiB:16", true},
 		{"lognormal:10:1MiB:16.0001", false},
+		// NaN, which no ordered comparison refuses: ten files of -2^63
+		// bytes, or of one byte.
+		{"10xNaN", false},
+		{"lognormal:10:1MiB:NaN", false},
+		{"lognormal:10:NaN:1", false},
 		// A size over 2^62 bytes, an unknown suffix, the empty spec.
 		{"1x4194305TiB", false},
 		{"1x1ZiB", false},

@@ -21,7 +21,7 @@ func rttsAndLoss(alg Algorithm, s *Stream, n int) {
 // benchAlg measures the per-RTT update plus an occasional loss.
 func benchAlg(b *testing.B, alg Algorithm) {
 	b.Helper()
-	s := NewStream(0, 4<<20)
+	s := NewStream(4 << 20)
 	s.SlowStart = false
 	b.ResetTimer()
 	rttsAndLoss(alg, &s, b.N)
@@ -41,7 +41,7 @@ func TestAlgorithmAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := NewStream(0, 4<<20)
+		s := NewStream(4 << 20)
 		s.SlowStart = false
 		if n := testing.AllocsPerRun(10, func() { rttsAndLoss(alg, &s, 512) }); n != 0 {
 			t.Errorf("%s: %v allocs per 512 RTTs, 10 closed forms and 2 losses, want 0", name, n)

@@ -13,7 +13,7 @@ import "math"
 // to a cubic, and Scalable's 1% an RTT and slow start's doubling are
 // geometric. The form holds for x ≤ Until. There the window is End and
 // either reaches the stream's MaxCwnd (AtCap), where it stays until a
-// loss, or its law changes — it leaves slow start, H-TCP passes DeltaL,
+// loss, or its law changes — it leaves slow start, H-TCP passes htcpDeltaL,
 // Scalable's 1% passes one MSS — and the algorithm's Grow must be asked
 // again.
 type Growth struct {
@@ -154,7 +154,7 @@ func (Reno) Grow(s *Stream, rtt float64) Growth {
 // Grow implements Algorithm: the window follows the cubic through the
 // last loss's WMax that OnRTT targets, in time from where the window is
 // on it now.
-func (c CUBIC) Grow(s *Stream, rtt float64) Growth {
+func (CUBIC) Grow(s *Stream, rtt float64) Growth {
 	if g, ok := slowStartGrowth(s, rtt); ok {
 		return g
 	}
@@ -164,30 +164,30 @@ func (c CUBIC) Grow(s *Stream, rtt float64) Growth {
 	}
 	// w(x) = MSS·(C·(x+u)³ + wmax), u the window's place on the curve
 	// relative to its plateau (-K right after a loss).
-	u := math.Cbrt((s.Cwnd/s.MSS - wmax) / c.C)
-	k := s.MSS * c.C
+	u := math.Cbrt((s.Cwnd/s.MSS - wmax) / cubicC)
+	k := s.MSS * cubicC
 	g := Growth{P: [4]float64{s.Cwnd, 3 * k * u * u, 3 * k * u, k}, Until: math.Inf(1)}
 	if s.MaxCwnd > 0 && s.Cwnd < s.MaxCwnd {
 		// The curve reaches the cap where (x+u)³ = (MaxCwnd/MSS - wmax)/C.
-		g.Until = max(math.Cbrt((s.MaxCwnd/s.MSS-wmax)/c.C)-u, 0)
+		g.Until = max(math.Cbrt((s.MaxCwnd/s.MSS-wmax)/cubicC)-u, 0)
 		g.End, g.AtCap = s.MaxCwnd, true
 		return g
 	}
 	return g.capped(s)
 }
 
-// sinceEps is how near DeltaL a time since loss counts as past it, so
+// sinceEps is how near htcpDeltaL a time since loss counts as past it, so
 // that the event ending H-TCP's low-speed phase cannot recur.
 const sinceEps = 1e-9
 
-// Grow implements Algorithm: one MSS an RTT up to DeltaL after a loss,
+// Grow implements Algorithm: one MSS an RTT up to htcpDeltaL after a loss,
 // then α(d) = 1 + 10d + d²/4 segments an RTT, whose integral is cubic in
 // the time since.
-func (h HTCP) Grow(s *Stream, rtt float64) Growth {
+func (HTCP) Grow(s *Stream, rtt float64) Growth {
 	if g, ok := slowStartGrowth(s, rtt); ok {
 		return g
 	}
-	d := s.SinceLoss - h.DeltaL
+	d := s.SinceLoss - htcpDeltaL
 	if d < -sinceEps {
 		g := linear(s, rtt)
 		g.Until = -d
@@ -202,15 +202,15 @@ func (h HTCP) Grow(s *Stream, rtt float64) Growth {
 
 // Grow implements Algorithm: one MSS an RTT while 1% of the window is
 // less, then 1% an RTT.
-func (sc Scalable) Grow(s *Stream, rtt float64) Growth {
+func (Scalable) Grow(s *Stream, rtt float64) Growth {
 	if g, ok := slowStartGrowth(s, rtt); ok {
 		return g
 	}
-	if th := s.MSS / sc.A; s.Cwnd < th {
+	if th := s.MSS / scalableA; s.Cwnd < th {
 		g := linear(s, rtt)
 		g.Until = (th - s.Cwnd) * rtt / s.MSS
 		g.End = th
 		return g.capped(s)
 	}
-	return Growth{E: s.Cwnd, R: math.Log1p(sc.A) / rtt, Until: math.Inf(1)}.capped(s)
+	return Growth{E: s.Cwnd, R: math.Log1p(scalableA) / rtt, Until: math.Inf(1)}.capped(s)
 }

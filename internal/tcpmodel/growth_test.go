@@ -12,7 +12,7 @@ import (
 func growthStarts(alg Algorithm) map[string]Stream {
 	starts := map[string]Stream{}
 	for _, maxCwnd := range []float64{4 << 20, 96 << 10} {
-		fresh := NewStream(0, maxCwnd)
+		fresh := NewStream(maxCwnd)
 		starts[fmt.Sprintf("slow start, cap %v", maxCwnd)] = fresh
 		lost := fresh
 		lost.SlowStart = false

@@ -53,17 +53,13 @@ type Stream struct {
 	Losses uint64
 }
 
-// NewStream returns a stream in slow start with an initial window of
-// ten segments (RFC 6928) and the given window cap. A non-positive mss
-// selects DefaultMSS.
-func NewStream(mss, maxCwnd float64) Stream {
-	if mss <= 0 {
-		mss = DefaultMSS
-	}
+// NewStream returns a stream of DefaultMSS segments in slow start with
+// an initial window of ten segments (RFC 6928) and the given window cap.
+func NewStream(maxCwnd float64) Stream {
 	s := Stream{
-		Cwnd:      10 * mss,
+		Cwnd:      10 * DefaultMSS,
 		Ssthresh:  math.Inf(1),
-		MSS:       mss,
+		MSS:       DefaultMSS,
 		MaxCwnd:   maxCwnd,
 		SlowStart: true,
 	}
@@ -177,26 +173,41 @@ func (Reno) OnLoss(s *Stream) {
 	s.clamp()
 }
 
+// The algorithms' standard constants. They are typed, so that an
+// expression of constants alone rounds each step to float64 as the
+// run-time arithmetic does: 1 - cubicBeta is 0.30000000000000004, where
+// an untyped 0.7 would fold exactly to 0.3 (TestAlgorithmsMatchParent).
+const (
+	// cubicC is CUBIC's scaling constant in MSS/s³.
+	cubicC float64 = 0.4
+	// cubicBeta is CUBIC's window decrease factor.
+	cubicBeta float64 = 0.7
+	// htcpDeltaL is the time in seconds after a loss below which H-TCP
+	// behaves like Reno.
+	htcpDeltaL float64 = 1
+	// htcpBetaMin and htcpBetaMax bound H-TCP's adaptive backoff factor.
+	htcpBetaMin float64 = 0.5
+	htcpBetaMax float64 = 0.8
+	// scalableA is Scalable TCP's per-RTT multiplicative increase.
+	scalableA float64 = 0.01
+	// scalableBeta is Scalable TCP's window decrease factor.
+	scalableBeta float64 = 0.875
+)
+
 // CUBIC implements the CUBIC window growth function (Ha, Rhee, Xu,
 // 2008), the Linux default. Growth is a cubic function of the time
 // since the last loss, independent of RTT, with a 0.7 multiplicative
 // decrease.
-type CUBIC struct {
-	// C is the cubic scaling constant in MSS/s^3; the standard value
-	// is 0.4.
-	C float64
-	// Beta is the window decrease factor; the standard value is 0.7.
-	Beta float64
-}
+type CUBIC struct{}
 
-// NewCUBIC returns CUBIC with the standard constants.
-func NewCUBIC() CUBIC { return CUBIC{C: 0.4, Beta: 0.7} }
+// NewCUBIC returns the CUBIC algorithm.
+func NewCUBIC() CUBIC { return CUBIC{} }
 
 // Name implements Algorithm.
 func (CUBIC) Name() string { return "cubic" }
 
 // OnRTT implements Algorithm.
-func (c CUBIC) OnRTT(s *Stream, rtt float64) {
+func (CUBIC) OnRTT(s *Stream, rtt float64) {
 	if slowStartStep(s) {
 		return
 	}
@@ -204,9 +215,9 @@ func (c CUBIC) OnRTT(s *Stream, rtt float64) {
 	if wmax <= 0 {
 		wmax = s.Cwnd / s.MSS
 	}
-	k := math.Cbrt(wmax * (1 - c.Beta) / c.C)
+	k := math.Cbrt(wmax * (1 - cubicBeta) / cubicC)
 	t := s.SinceLoss + rtt
-	target := (c.C*math.Pow(t-k, 3) + wmax) * s.MSS
+	target := (cubicC*math.Pow(t-k, 3) + wmax) * s.MSS
 	if target > s.Cwnd {
 		// Standard CUBIC paces toward the target over one RTT.
 		s.Cwnd += (target - s.Cwnd)
@@ -218,9 +229,9 @@ func (c CUBIC) OnRTT(s *Stream, rtt float64) {
 }
 
 // OnLoss implements Algorithm.
-func (c CUBIC) OnLoss(s *Stream) {
+func (CUBIC) OnLoss(s *Stream) {
 	lossCommon(s)
-	s.Ssthresh = math.Max(s.Cwnd*c.Beta, 2*s.MSS)
+	s.Ssthresh = math.Max(s.Cwnd*cubicBeta, 2*s.MSS)
 	s.Cwnd = s.Ssthresh
 	s.clamp()
 }
@@ -229,28 +240,21 @@ func (c CUBIC) OnLoss(s *Stream) {
 // increase grows quadratically with the time since the last loss, and
 // the backoff factor adapts to the observed RTT ratio. This is the
 // algorithm deployed on the paper's endpoints.
-type HTCP struct {
-	// DeltaL is the low-speed threshold in seconds below which H-TCP
-	// behaves like Reno; the standard value is 1 s.
-	DeltaL float64
-	// BetaMin and BetaMax bound the adaptive backoff factor; the
-	// standard bounds are 0.5 and 0.8.
-	BetaMin, BetaMax float64
-}
+type HTCP struct{}
 
-// NewHTCP returns H-TCP with the standard constants.
-func NewHTCP() HTCP { return HTCP{DeltaL: 1.0, BetaMin: 0.5, BetaMax: 0.8} }
+// NewHTCP returns the H-TCP algorithm.
+func NewHTCP() HTCP { return HTCP{} }
 
 // Name implements Algorithm.
 func (HTCP) Name() string { return "htcp" }
 
 // alpha returns the additive increase in segments per RTT for time
 // delta since the last loss.
-func (h HTCP) alpha(delta float64) float64 {
-	if delta <= h.DeltaL {
+func (HTCP) alpha(delta float64) float64 {
+	if delta <= htcpDeltaL {
 		return 1
 	}
-	d := delta - h.DeltaL
+	d := delta - htcpDeltaL
 	return 1 + 10*d + 0.25*d*d
 }
 
@@ -264,16 +268,16 @@ func (h HTCP) OnRTT(s *Stream, rtt float64) {
 }
 
 // OnLoss implements Algorithm.
-func (h HTCP) OnLoss(s *Stream) {
+func (HTCP) OnLoss(s *Stream) {
 	lossCommon(s)
-	beta := h.BetaMax
+	beta := htcpBetaMax
 	if s.MaxRTT > 0 && s.MinRTT > 0 {
 		beta = s.MinRTT / s.MaxRTT
-		if beta < h.BetaMin {
-			beta = h.BetaMin
+		if beta < htcpBetaMin {
+			beta = htcpBetaMin
 		}
-		if beta > h.BetaMax {
-			beta = h.BetaMax
+		if beta > htcpBetaMax {
+			beta = htcpBetaMax
 		}
 	}
 	s.Ssthresh = math.Max(s.Cwnd*beta, 2*s.MSS)
@@ -284,33 +288,27 @@ func (h HTCP) OnLoss(s *Stream) {
 // Scalable implements Scalable TCP (Kelly, 2003): multiplicative
 // increase of 1% per RTT and a 0.875 decrease, giving loss-recovery
 // times independent of window size.
-type Scalable struct {
-	// A is the per-RTT multiplicative increase; the standard value is
-	// 0.01.
-	A float64
-	// Beta is the decrease factor; the standard value is 0.875.
-	Beta float64
-}
+type Scalable struct{}
 
-// NewScalable returns Scalable TCP with the standard constants.
-func NewScalable() Scalable { return Scalable{A: 0.01, Beta: 0.875} }
+// NewScalable returns the Scalable TCP algorithm.
+func NewScalable() Scalable { return Scalable{} }
 
 // Name implements Algorithm.
 func (Scalable) Name() string { return "scalable" }
 
 // OnRTT implements Algorithm.
-func (sc Scalable) OnRTT(s *Stream, rtt float64) {
+func (Scalable) OnRTT(s *Stream, rtt float64) {
 	if slowStartStep(s) {
 		return
 	}
-	s.Cwnd += math.Max(sc.A*s.Cwnd, s.MSS)
+	s.Cwnd += math.Max(scalableA*s.Cwnd, s.MSS)
 	s.clamp()
 }
 
 // OnLoss implements Algorithm.
-func (sc Scalable) OnLoss(s *Stream) {
+func (Scalable) OnLoss(s *Stream) {
 	lossCommon(s)
-	s.Ssthresh = math.Max(s.Cwnd*sc.Beta, 2*s.MSS)
+	s.Ssthresh = math.Max(s.Cwnd*scalableBeta, 2*s.MSS)
 	s.Cwnd = s.Ssthresh
 	s.clamp()
 }

@@ -10,8 +10,17 @@ func allAlgorithms() []Algorithm {
 	return []Algorithm{NewReno(), NewCUBIC(), NewHTCP(), NewScalable()}
 }
 
+// streamOfMSS is NewStream's stream with segments of mss bytes: an
+// initial window of ten of them under the cap maxCwnd.
+func streamOfMSS(mss, maxCwnd float64) Stream {
+	s := NewStream(maxCwnd)
+	s.MSS, s.Cwnd = mss, 10*mss
+	s.clamp()
+	return s
+}
+
 func TestNewStreamDefaults(t *testing.T) {
-	s := NewStream(0, 0)
+	s := NewStream(0)
 	if s.MSS != DefaultMSS {
 		t.Fatalf("MSS = %v, want %v", s.MSS, DefaultMSS)
 	}
@@ -24,7 +33,7 @@ func TestNewStreamDefaults(t *testing.T) {
 }
 
 func TestNewStreamCapApplied(t *testing.T) {
-	s := NewStream(1000, 5000)
+	s := streamOfMSS(1000, 5000)
 	if s.Cwnd > 5000 {
 		t.Fatalf("Cwnd = %v exceeds cap 5000", s.Cwnd)
 	}
@@ -32,7 +41,7 @@ func TestNewStreamCapApplied(t *testing.T) {
 
 func TestSlowStartDoubles(t *testing.T) {
 	for _, alg := range allAlgorithms() {
-		s := NewStream(1000, 0)
+		s := streamOfMSS(1000, 0)
 		before := s.Cwnd
 		alg.OnRTT(&s, 0.03)
 		if s.Cwnd != 2*before {
@@ -43,7 +52,7 @@ func TestSlowStartDoubles(t *testing.T) {
 
 func TestSlowStartExitsAtSsthresh(t *testing.T) {
 	for _, alg := range allAlgorithms() {
-		s := NewStream(1000, 0)
+		s := streamOfMSS(1000, 0)
 		s.Ssthresh = 15000
 		alg.OnRTT(&s, 0.03) // 10000 -> 20000, clipped to 15000
 		if s.SlowStart {
@@ -57,7 +66,7 @@ func TestSlowStartExitsAtSsthresh(t *testing.T) {
 
 func TestLossReducesWindow(t *testing.T) {
 	for _, alg := range allAlgorithms() {
-		s := NewStream(1000, 0)
+		s := streamOfMSS(1000, 0)
 		s.SlowStart = false
 		s.Cwnd = 1e6
 		alg.OnLoss(&s)
@@ -78,7 +87,7 @@ func TestLossReducesWindow(t *testing.T) {
 
 func TestGrowthMonotoneInCongestionAvoidance(t *testing.T) {
 	for _, alg := range allAlgorithms() {
-		s := NewStream(1000, 0)
+		s := streamOfMSS(1000, 0)
 		s.SlowStart = false
 		s.Cwnd = 50000
 		s.WMax = 100000
@@ -99,7 +108,7 @@ func TestWindowRespectsCapProperty(t *testing.T) {
 	for _, alg := range allAlgorithms() {
 		alg := alg
 		f := func(growRTTs uint8) bool {
-			s := NewStream(1000, 64000)
+			s := streamOfMSS(1000, 64000)
 			for i := 0; i < int(growRTTs); i++ {
 				s.SinceLoss += 0.03
 				alg.OnRTT(&s, 0.03)
@@ -117,7 +126,7 @@ func TestWindowRespectsCapProperty(t *testing.T) {
 
 func TestRenoHalves(t *testing.T) {
 	r := NewReno()
-	s := NewStream(1000, 0)
+	s := streamOfMSS(1000, 0)
 	s.SlowStart = false
 	s.Cwnd = 80000
 	r.OnLoss(&s)
@@ -133,7 +142,7 @@ func TestRenoHalves(t *testing.T) {
 
 func TestCUBICDecreaseFactor(t *testing.T) {
 	c := NewCUBIC()
-	s := NewStream(1000, 0)
+	s := streamOfMSS(1000, 0)
 	s.SlowStart = false
 	s.Cwnd = 100000
 	c.OnLoss(&s)
@@ -149,7 +158,7 @@ func TestCUBICConcaveRecoveryTowardsWMax(t *testing.T) {
 	// After a loss CUBIC should approach its prior WMax and plateau
 	// near it before probing beyond.
 	c := NewCUBIC()
-	s := NewStream(1448, 0)
+	s := NewStream(0)
 	s.SlowStart = false
 	s.Cwnd = 100 * s.MSS
 	c.OnLoss(&s)
@@ -197,7 +206,7 @@ func TestHTCPAlphaRegimes(t *testing.T) {
 
 func TestHTCPAdaptiveBackoff(t *testing.T) {
 	h := NewHTCP()
-	s := NewStream(1000, 0)
+	s := streamOfMSS(1000, 0)
 	s.SlowStart = false
 	s.Cwnd = 100000
 	// No RTT info: uses BetaMax.
@@ -223,8 +232,8 @@ func TestHTCPAdaptiveBackoff(t *testing.T) {
 
 func TestHTCPFasterThanRenoAfterDeltaL(t *testing.T) {
 	h, r := NewHTCP(), NewReno()
-	hs := NewStream(1000, 0)
-	rs := NewStream(1000, 0)
+	hs := streamOfMSS(1000, 0)
+	rs := streamOfMSS(1000, 0)
 	for _, s := range []*Stream{&hs, &rs} {
 		s.SlowStart = false
 		s.Cwnd = 10000
@@ -239,7 +248,7 @@ func TestHTCPFasterThanRenoAfterDeltaL(t *testing.T) {
 
 func TestScalableMultiplicativeIncrease(t *testing.T) {
 	sc := NewScalable()
-	s := NewStream(1000, 0)
+	s := streamOfMSS(1000, 0)
 	s.SlowStart = false
 	s.Cwnd = 1e6
 	sc.OnRTT(&s, 0.03)
@@ -256,7 +265,7 @@ func TestScalableSmallWindowFloor(t *testing.T) {
 	// At tiny windows the 1% increase is below one MSS; growth must
 	// not stall.
 	sc := NewScalable()
-	s := NewStream(1000, 0)
+	s := streamOfMSS(1000, 0)
 	s.SlowStart = false
 	s.Cwnd = 2000
 	sc.OnRTT(&s, 0.03)
@@ -281,7 +290,7 @@ func TestByName(t *testing.T) {
 }
 
 func TestRate(t *testing.T) {
-	s := NewStream(1000, 0)
+	s := streamOfMSS(1000, 0)
 	s.Cwnd = 300000
 	if got := s.Rate(0.03); math.Abs(got-1e7) > 1e-6 {
 		t.Fatalf("Rate = %v, want 1e7", got)
@@ -292,7 +301,7 @@ func TestRate(t *testing.T) {
 }
 
 func TestObserveRTT(t *testing.T) {
-	s := NewStream(1000, 0)
+	s := streamOfMSS(1000, 0)
 	s.ObserveRTT(0.03)
 	s.ObserveRTT(0.05)
 	s.ObserveRTT(0.02)
@@ -306,7 +315,7 @@ func TestLossNeverBelowOneMSS(t *testing.T) {
 	for _, alg := range allAlgorithms() {
 		alg := alg
 		f := func(nLosses uint8) bool {
-			s := NewStream(1000, 0)
+			s := streamOfMSS(1000, 0)
 			s.SlowStart = false
 			for i := 0; i < int(nLosses); i++ {
 				alg.OnLoss(&s)
@@ -335,7 +344,7 @@ func TestOnRTTFixedAtCap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slowStart := NewStream(0, maxCwnd)
+		slowStart := NewStream(maxCwnd)
 		slowStart.Cwnd = maxCwnd
 		if !slowStart.SlowStart || !math.IsInf(slowStart.Ssthresh, 1) {
 			t.Fatalf("%s: a new stream is not in slow start with Ssthresh +Inf", name)

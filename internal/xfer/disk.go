@@ -10,21 +10,26 @@ type diskState struct {
 	queue     []float64 // bytes of the files not yet started, in order
 	cur       []float64 // per-process bytes left of its current file; <= 0 means idle
 	busyUntil []float64 // per-process: requesting/seeking until this time
-	diskRate  float64   // source storage bandwidth shared by the processes
-	overhead  float64   // per-file request+seek latency in seconds
 
 	filesDone  int
 	epochFiles int
 	active     int // processes moving a file this step
 }
 
+// The disk model's constants, which no scenario varies.
+const (
+	// diskRate is the source storage array's aggregate bandwidth in
+	// bytes per second, shared equally by the processes moving data.
+	diskRate = 2e9
+	// fileOverhead is the per-file request-and-seek latency in seconds
+	// (control-channel round trip plus metadata access): the cost the
+	// pipelining depth amortizes.
+	fileOverhead = 0.5
+)
+
 // newDiskState builds the state for a dataset.
-func newDiskState(d dataset.Dataset, diskRate, overhead float64) *diskState {
-	ds := &diskState{
-		queue:    make([]float64, 0, d.Count()),
-		diskRate: diskRate,
-		overhead: overhead,
-	}
+func newDiskState(d dataset.Dataset) *diskState {
+	ds := &diskState{queue: make([]float64, 0, d.Count())}
 	for _, size := range d.Sizes {
 		if size <= 0 {
 			ds.filesDone++ // empty files complete immediately
@@ -67,7 +72,7 @@ func (d *diskState) assign(now float64, pp int) {
 		if d.cur[i] <= 0 && len(d.queue) > 0 {
 			d.cur[i] = d.queue[0]
 			d.queue = d.queue[1:]
-			d.busyUntil[i] = now + d.overhead/float64(pp)
+			d.busyUntil[i] = now + fileOverhead/float64(pp)
 		}
 		if d.cur[i] > 0 && now >= d.busyUntil[i] {
 			d.active++
@@ -83,8 +88,8 @@ func (d *diskState) capFor(i int, now, cpuCap float64) float64 {
 		return -1
 	}
 	c := cpuCap
-	if d.diskRate > 0 && d.active > 0 {
-		share := d.diskRate / float64(d.active)
+	if d.active > 0 {
+		share := diskRate / float64(d.active)
 		if share < c {
 			c = share
 		}

@@ -5,20 +5,23 @@ import (
 	"testing"
 
 	"dstune/internal/dataset"
+	"dstune/internal/endpoint"
+	"dstune/internal/netem"
 )
 
 // diskTransfer builds a disk-to-disk transfer on the standard test
-// fabric.
-func diskTransfer(t *testing.T, seed uint64, d dataset.Dataset, diskRate, overhead float64) *Sim {
+// fabric, whose 1.25 GB/s path the 2 GB/s storage array never binds.
+func diskTransfer(t *testing.T, seed uint64, d dataset.Dataset) *Sim {
 	t.Helper()
 	f, _ := testFabric(t, seed)
-	tr, err := f.NewTransfer(TransferConfig{
-		Name:         "disk",
-		Files:        d,
-		DiskRate:     diskRate,
-		FileOverhead: overhead,
-		Policy:       RestartOnChange,
-	})
+	return diskTransferOn(t, f, d)
+}
+
+// diskTransferOn builds a disk-to-disk transfer on f's first path that
+// restarts only on a parameter change.
+func diskTransferOn(t *testing.T, f *Fabric, d dataset.Dataset) *Sim {
+	t.Helper()
+	tr, err := f.NewTransfer(TransferConfig{Name: "disk", Files: d, Policy: RestartOnChange})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +30,7 @@ func diskTransfer(t *testing.T, seed uint64, d dataset.Dataset, diskRate, overhe
 
 func TestDiskTransferCompletes(t *testing.T) {
 	d := dataset.Uniform(20, 50<<20) // 20 x 50 MB = 1 GB
-	tr := diskTransfer(t, 1, d, 0, 0.05)
+	tr := diskTransfer(t, 1, d)
 	if tr.Remaining() != float64(d.TotalBytes()) {
 		t.Fatalf("Remaining = %v, want %v", tr.Remaining(), d.TotalBytes())
 	}
@@ -57,11 +60,11 @@ func TestDiskTransferCompletes(t *testing.T) {
 }
 
 func TestPipeliningHelpsSmallFiles(t *testing.T) {
-	// 400 x 1 MB files with 0.2 s per-file request latency: at pp=1
+	// 400 x 1 MB files with 0.5 s per-file request latency: at pp=1
 	// each file pays the full round trip; pp=8 amortizes it.
 	measure := func(pp int) float64 {
 		d := dataset.ManySmall(400)
-		tr := diskTransfer(t, 2, d, 0, 0.2)
+		tr := diskTransfer(t, 2, d)
 		defer tr.Stop()
 		r, err := tr.Run(context.Background(), Params{NC: 4, NP: 2, PP: pp}, 30)
 		if err != nil {
@@ -76,18 +79,26 @@ func TestPipeliningHelpsSmallFiles(t *testing.T) {
 }
 
 func TestDiskRateCapsThroughput(t *testing.T) {
-	d := dataset.Uniform(4, 1<<30)
-	tr := diskTransfer(t, 3, d, 1e8, 0.01) // 100 MB/s storage
-	defer tr.Stop()
-	tr.Run(context.Background(), Params{NC: 4, NP: 4}, 10) // ramp
-	r, err := tr.Run(context.Background(), Params{NC: 4, NP: 4}, 20)
+	// A 10 GB/s host on a 5 GB/s path: only the 2 GB/s storage array
+	// can hold eight processes of eight streams back.
+	f, err := NewFabric(FabricConfig{Seed: 3, Source: endpoint.Config{Name: "src", Cores: 8, CorePumpRate: 1.25e9, RestartBase: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Throughput > 1.05e8 {
-		t.Fatalf("throughput %v exceeds the 1e8 storage rate", r.Throughput)
+	if _, err := f.AddPath(netem.Config{Name: "wan", Capacity: 5e9, BaseRTT: 0.01, RandomLoss: 1e-6, MaxCwnd: 16 << 20}); err != nil {
+		t.Fatal(err)
 	}
-	if r.Throughput < 0.5e8 {
+	tr := diskTransferOn(t, f, dataset.Uniform(16, 8<<30))
+	defer tr.Stop()
+	tr.Run(context.Background(), Params{NC: 8, NP: 8}, 10) // ramp
+	r, err := tr.Run(context.Background(), Params{NC: 8, NP: 8}, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Throughput > 1.05*diskRate {
+		t.Fatalf("throughput %v exceeds the %v storage rate", r.Throughput, diskRate)
+	}
+	if r.Throughput < 0.5*diskRate {
 		t.Fatalf("throughput %v far below the storage rate", r.Throughput)
 	}
 }
@@ -127,7 +138,7 @@ func TestDiskRestartRequeuesFiles(t *testing.T) {
 
 func TestDiskMoreProcsThanFiles(t *testing.T) {
 	d := dataset.Uniform(2, 20<<20)
-	tr := diskTransfer(t, 5, d, 0, 0.01)
+	tr := diskTransfer(t, 5, d)
 	for i := 0; i < 50; i++ {
 		r, err := tr.Run(context.Background(), Params{NC: 16, NP: 2, PP: 1}, 5)
 		if err != nil {
@@ -142,7 +153,7 @@ func TestDiskMoreProcsThanFiles(t *testing.T) {
 
 func TestDiskEmptyFilesCompleteImmediately(t *testing.T) {
 	d := dataset.Dataset{Sizes: []int64{0, 10 << 20}}
-	tr := diskTransfer(t, 6, d, 0, 0.01)
+	tr := diskTransfer(t, 6, d)
 	for i := 0; i < 50; i++ {
 		r, err := tr.Run(context.Background(), Params{NC: 2, NP: 2, PP: 1}, 5)
 		if err != nil {
@@ -177,7 +188,7 @@ func TestParamsPipelining(t *testing.T) {
 }
 
 func TestDiskStateInternals(t *testing.T) {
-	ds := newDiskState(dataset.Uniform(3, 1000), 0, 0.5)
+	ds := newDiskState(dataset.Uniform(3, 1000))
 	ds.resize(2)
 	ds.assign(0, 1)
 	if ds.active != 0 {
@@ -187,8 +198,11 @@ func TestDiskStateInternals(t *testing.T) {
 	if ds.active != 2 {
 		t.Fatalf("active = %d, want 2", ds.active)
 	}
-	if cap := ds.capFor(0, 1, 1e9); cap != 1e9 {
-		t.Fatalf("unshared disk capFor = %v", cap)
+	if cap := ds.capFor(0, 1, 5e8); cap != 5e8 {
+		t.Fatalf("CPU-bound capFor = %v, want the CPU cap 5e8", cap)
+	}
+	if cap := ds.capFor(0, 1, 4e9); cap != diskRate/2 {
+		t.Fatalf("storage-bound capFor = %v, want half the storage rate", cap)
 	}
 	// Consume one file fully.
 	if got := ds.consume(0, 2000); got != 1000 {

@@ -142,17 +142,10 @@ type TransferConfig struct {
 	// RestartEveryEpoch, matching the paper's tuners.
 	Policy RestartPolicy
 	// Files selects disk-to-disk mode: the set of files to move.
-	// Each concurrency unit moves one file at a time; the pipelining
-	// parameter amortizes the per-file request latency.
+	// Each concurrency unit moves one file at a time from a storage
+	// array of 2 GB/s, and each file costs a 0.5 s request latency
+	// that the pipelining parameter amortizes.
 	Files dataset.Dataset
-	// DiskRate is the source storage array's aggregate bandwidth in
-	// bytes per second, shared by the transfer's processes; zero
-	// means storage is not the bottleneck.
-	DiskRate float64
-	// FileOverhead is the per-file request-and-seek latency in
-	// seconds (control-channel round trip plus metadata access);
-	// zero selects 0.1 s when Files is set.
-	FileOverhead float64
 }
 
 // Unbounded is a convenience size for transfers that run until the
@@ -211,14 +204,7 @@ func (f *Fabric) NewTransfer(cfg TransferConfig) (*Sim, error) {
 		target:    f.clock.Now(), // blocks stepping until Run or Stop
 	}
 	if cfg.Files.Count() > 0 {
-		overhead := cfg.FileOverhead
-		if overhead == 0 {
-			overhead = 0.1
-		}
-		if overhead < 0 {
-			overhead = 0
-		}
-		tr.disk = newDiskState(cfg.Files, cfg.DiskRate, overhead)
+		tr.disk = newDiskState(cfg.Files)
 		tr.remaining = float64(cfg.Files.TotalBytes())
 	} else if cfg.Bytes <= 0 {
 		return nil, fmt.Errorf("xfer: transfer size must be positive, got %v", cfg.Bytes)
