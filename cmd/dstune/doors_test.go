@@ -10,10 +10,12 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"dstune"
+	"dstune/internal/history"
 	"dstune/internal/service"
 )
 
@@ -24,14 +26,14 @@ type doorRun struct {
 	xs     [][]int
 	tps    []float64
 	kernel []bool
-	key    dstune.HistoryKey
+	key    history.Key
 }
 
 // doorRunOf reads a run back from its per-epoch records and the record
-// it added to its door's history store under endpoint — after the one
-// seedStore put there, when pred is set — which must carry the spec's
-// tuner name: a store-backed session is named for its algorithm.
-func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint, tuner string, pred []int, n int, epoch func(i int) ([]int, dstune.Report)) doorRun {
+// it added under endpoint to its door's history file at hist — after
+// the one seedStore put there, when pred is set — which must carry the
+// spec's tuner name: a store-backed session is named for its algorithm.
+func doorRunOf(t *testing.T, hist, endpoint, tuner string, pred []int, n int, epoch func(i int) ([]int, dstune.Report)) doorRun {
 	t.Helper()
 	var run doorRun
 	for i := 0; i < n; i++ {
@@ -40,7 +42,7 @@ func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint, tuner string,
 		run.tps = append(run.tps, rep.Throughput)
 		run.kernel = append(run.kernel, rep.Kernel != nil)
 	}
-	recs, want := store.Records(endpoint), 1
+	recs, want := recordsIn(t, hist, endpoint), 1
 	if pred != nil {
 		want = 2
 	}
@@ -55,6 +57,40 @@ func doorRunOf(t *testing.T, store *dstune.HistoryStore, endpoint, tuner string,
 	return run
 }
 
+// openHistory opens a history store on a file of its own, which
+// recordsIn reads back, and closes it when the test ends.
+func openHistory(t *testing.T) (*dstune.HistoryStore, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	store, err := dstune.OpenHistory(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	return store, path
+}
+
+// recordsIn returns the records under endpoint in the history file at
+// path, in the order they were added.
+func recordsIn(t *testing.T, path, endpoint string) []history.Record {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []history.Record
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec history.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if rec.Key.Endpoint == endpoint {
+			recs = append(recs, rec)
+		}
+	}
+	return recs
+}
+
 // seedStore puts the prediction pred (none when nil) under endpoint,
 // where a session keyed there finds it whatever its size and load
 // classes: a lookup falls back to the endpoint's nearest record.
@@ -63,7 +99,7 @@ func seedStore(t *testing.T, store *dstune.HistoryStore, endpoint string, pred [
 	if pred == nil {
 		return
 	}
-	if err := store.Add(dstune.HistoryRecord{Key: dstune.HistoryKey{Endpoint: endpoint}, X: pred, Throughput: 1}); err != nil {
+	if err := store.Add(history.Record{Key: history.Key{Endpoint: endpoint}, X: pred, Throughput: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +132,8 @@ func (r doorRow) label() string {
 // wall-clock throughputs; it holds what a strategy that reads kernel
 // samples is owed at every door: the samples, with no flag asking.
 func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
-	d := daemonDoor{dir: t.TempDir(), hist: dstune.NewMemHistory()}
+	d := daemonDoor{dir: t.TempDir()}
+	d.hist, d.histPath = openHistory(t)
 	var err error
 	if d.sv, err = service.New(service.Config{Dir: d.dir, History: d.hist}); err != nil {
 		t.Fatal(err)
@@ -161,11 +198,12 @@ func TestSameSpecSameSessionAtEveryDoor(t *testing.T) {
 }
 
 // daemonDoor is one running Supervisor, its state directory and its
-// history store, shared by every row.
+// history store and that store's file, shared by every row.
 type daemonDoor struct {
-	sv   *service.Supervisor
-	dir  string
-	hist *dstune.HistoryStore
+	sv       *service.Supervisor
+	dir      string
+	hist     *dstune.HistoryStore
+	histPath string
 }
 
 // atEveryDoor runs spec through the three doors, each over a history
@@ -192,13 +230,13 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) (
 	if spec.Dataset != "" {
 		args = append(args, "-dataset", spec.Dataset)
 	}
-	cliHist := dstune.NewMemHistory()
+	cliHist, cliPath := openHistory(t)
 	seedStore(t, cliHist, endpoint, pred)
 	_, trace := runFlags(t, cliHist, args...)
 	if trace.Tuner != spec.Tuner {
 		t.Fatalf("the CLI's trace is named %q, want %q", trace.Tuner, spec.Tuner)
 	}
-	cli = doorRunOf(t, cliHist, endpoint, spec.Tuner, pred, len(trace.Results), func(i int) ([]int, dstune.Report) {
+	cli = doorRunOf(t, cliPath, endpoint, spec.Tuner, pred, len(trace.Results), func(i int) ([]int, dstune.Report) {
 		return trace.Results[i].X, trace.Results[i].Report
 	})
 	if len(cli.xs) == 0 {
@@ -220,7 +258,7 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) (
 	if err := os.WriteFile(path, body, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fleetHist := dstune.NewMemHistory()
+	fleetHist, fleetPath := openHistory(t)
 	seedStore(t, fleetHist, endpoint+"/only", pred)
 	fleet, err := buildFleet(path, nil, "", fleetHist)
 	if err != nil {
@@ -231,7 +269,7 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) (
 		t.Fatalf("fleet: %v / %v", err, results[0].Err)
 	}
 	ft := results[0].Traces[0]
-	viaFleet = doorRunOf(t, fleetHist, endpoint+"/only", spec.Tuner, pred, len(ft.Results), func(i int) ([]int, dstune.Report) {
+	viaFleet = doorRunOf(t, fleetPath, endpoint+"/only", spec.Tuner, pred, len(ft.Results), func(i int) ([]int, dstune.Report) {
 		return ft.Results[i].X, ft.Results[i].Report
 	})
 
@@ -263,7 +301,7 @@ func atEveryDoor(t *testing.T, d daemonDoor, spec service.JobSpec, pred []int) (
 	if ck.Tuner != spec.Tuner || !reflect.DeepEqual(ck.Start, pred) {
 		t.Fatalf("dstuned's checkpoint is %q started at %v, want %q at %v", ck.Tuner, ck.Start, spec.Tuner, pred)
 	}
-	daemon = doorRunOf(t, d.hist, endpoint+"/"+st.ID, spec.Tuner, pred, len(ck.Trace), func(i int) ([]int, dstune.Report) {
+	daemon = doorRunOf(t, d.histPath, endpoint+"/"+st.ID, spec.Tuner, pred, len(ck.Trace), func(i int) ([]int, dstune.Report) {
 		return ck.Trace[i].X, ck.Trace[i].Report
 	})
 	return cli, viaFleet, daemon

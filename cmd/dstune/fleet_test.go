@@ -29,7 +29,8 @@ func TestRunFleetDedupedDurableIdentities(t *testing.T) {
 	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	store, err := dstune.OpenHistory(filepath.Join(dir, "runs.jsonl"))
+	histPath := filepath.Join(dir, "runs.jsonl")
+	store, err := dstune.OpenHistory(histPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestRunFleetDedupedDurableIdentities(t *testing.T) {
 		}
 	}
 	for _, ep := range []string{"uchicago/bulk", "uchicago/bulk-2"} {
-		if recs := store.Records(ep); len(recs) != 1 {
+		if recs := recordsIn(t, histPath, ep); len(recs) != 1 {
 			t.Errorf("endpoint %s holds %d records, want 1", ep, len(recs))
 		}
 	}

@@ -425,6 +425,11 @@ func newObserver(addr, tracePath string) (*dstune.Observer, func(), error) {
 			endpoint.Close()
 		}
 		if sink != nil {
+			// The recorder stops writing at the sink's first error; say
+			// so, or a full disk loses the trace's tail without a word.
+			if err := observer.Recorder().Err(); err != nil {
+				log.Printf("obs-trace: %v (no later event was written)", err)
+			}
 			// Sync before Close: the trace must be durable, not just
 			// handed to the page cache, before the process exits.
 			if err := sink.Sync(); err != nil {

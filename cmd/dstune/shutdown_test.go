@@ -1,12 +1,17 @@
 package main
 
 import (
+	"bytes"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"dstune"
+	"dstune/internal/history"
 )
 
 // TestFailingRunSyncsAndClosesTraceSink: a run that fails after its
@@ -88,8 +93,8 @@ func TestHistoryStoreSurvivesShutdownCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := dstune.HistoryKey{Endpoint: "uchicago", SizeClass: -1, LoadClass: 5}
-	if err := store.Add(dstune.HistoryRecord{Key: key, X: []int{14}, Throughput: 3e8, Tuner: "cs-tuner", Epochs: 40}); err != nil {
+	key := history.Key{Endpoint: "uchicago", SizeClass: -1, LoadClass: 5}
+	if err := store.Add(history.Record{Key: key, X: []int{14}, Throughput: 3e8, Tuner: "cs-tuner", Epochs: 40}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Close(); err != nil {
@@ -116,5 +121,41 @@ func TestHistoryStoreSurvivesShutdownCycle(t *testing.T) {
 	}
 	if e, ok := re.Lookup(key); !ok || e.X[0] != 14 {
 		t.Fatalf("intact record lost after damage: %+v ok=%v", e, ok)
+	}
+}
+
+// TestTraceWriteErrorIsReported: once the -obs-trace sink fails — here
+// a FIFO whose reader goes away after the first event, as a full disk
+// fails a file — the recorder writes no later event, and closing the
+// observer says so instead of losing the trace's tail without a word.
+func TestTraceWriteErrorIsReported(t *testing.T) {
+	fifo := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	// Opened first, without blocking, so newObserver's open finds a reader.
+	r, err := os.OpenFile(fifo, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observer, obsClose, err := newObserver("", fifo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := observer.Session("full")
+	s.Propose(0, []int{2}, nil)
+	r.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if n, err := r.Read(make([]byte, 1<<16)); n == 0 {
+		t.Fatalf("the first event did not reach the trace: %v", err)
+	}
+	r.Close()
+	s.WarmStart(0, []int{14}, true)
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+	obsClose()
+	if got := logged.String(); !strings.Contains(got, "obs-trace: ") || !strings.Contains(got, "broken pipe") {
+		t.Fatalf("closing the observer did not report the trace's write error: %q", got)
 	}
 }

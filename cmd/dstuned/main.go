@@ -158,6 +158,11 @@ func run(args []string) error {
 		}
 	}
 	if sink != nil {
+		// The recorder stops writing at the sink's first error; say so,
+		// or a full disk loses the trace's tail without a word.
+		if err := observer.Recorder().Err(); err != nil {
+			log.Printf("obs-trace: %v (no later event was written)", err)
+		}
 		if err := sink.Sync(); err != nil {
 			log.Printf("obs-trace: sync: %v", err)
 		}

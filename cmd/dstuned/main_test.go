@@ -9,12 +9,15 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
 
 	"dstune"
+	"dstune/internal/service"
 )
 
 // TestMain doubles as the daemon entry point: when re-exec'd with
@@ -35,10 +38,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// daemon is one re-exec'd dstuned process under test.
+// daemon is one re-exec'd dstuned process under test, and the lines it
+// has written to stderr.
 type daemon struct {
-	cmd *exec.Cmd
-	url string
+	cmd    *exec.Cmd
+	url    string
+	mu     sync.Mutex
+	stderr []string
+	eof    chan struct{} // closed once stderr is read to its end
+}
+
+// logged returns what the daemon has written to stderr so far.
+func (d *daemon) logged() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return strings.Join(d.stderr, "\n")
 }
 
 // startDaemon launches the test binary as a dstuned process on the
@@ -55,11 +69,16 @@ func startDaemon(t *testing.T, state string, args ...string) *daemon {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	d := &daemon{cmd: cmd, eof: make(chan struct{})}
 	addrCh := make(chan string, 1)
 	go func() {
+		defer close(d.eof)
 		sc := bufio.NewScanner(stderr)
 		for sc.Scan() {
 			line := sc.Text()
+			d.mu.Lock()
+			d.stderr = append(d.stderr, line)
+			d.mu.Unlock()
 			if _, after, ok := strings.Cut(line, "listening on "); ok {
 				if addr, _, ok := strings.Cut(after, " "); ok {
 					select {
@@ -73,7 +92,8 @@ func startDaemon(t *testing.T, state string, args ...string) *daemon {
 	}()
 	select {
 	case addr := <-addrCh:
-		return &daemon{cmd: cmd, url: "http://" + addr}
+		d.url = "http://" + addr
+		return d
 	case <-time.After(30 * time.Second):
 		cmd.Process.Kill()
 		cmd.Wait()
@@ -83,7 +103,7 @@ func startDaemon(t *testing.T, state string, args ...string) *daemon {
 }
 
 // jobs lists the daemon's jobs keyed by ID.
-func (d *daemon) jobs(t *testing.T) map[string]dstune.JobStatus {
+func (d *daemon) jobs(t *testing.T) map[string]service.JobStatus {
 	t.Helper()
 	resp, err := http.Get(d.url + "/jobs")
 	if err != nil {
@@ -91,12 +111,12 @@ func (d *daemon) jobs(t *testing.T) map[string]dstune.JobStatus {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Jobs []dstune.JobStatus `json:"jobs"`
+		Jobs []service.JobStatus `json:"jobs"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	out := map[string]dstune.JobStatus{}
+	out := map[string]service.JobStatus{}
 	for _, st := range body.Jobs {
 		out[st.ID] = st
 	}
@@ -174,9 +194,9 @@ func TestDaemonSIGKILLRestart(t *testing.T) {
 		done := 0
 		for _, st := range jobs {
 			switch st.State {
-			case dstune.JobDone:
+			case service.JobDone:
 				done++
-			case dstune.JobFailed, dstune.JobEvicted, dstune.JobCancelled:
+			case service.JobFailed, service.JobEvicted, service.JobCancelled:
 				t.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
 			}
 		}
@@ -195,5 +215,59 @@ func TestDaemonSIGKILLRestart(t *testing.T) {
 		if math.Abs(st.Bytes-volume) > 1 {
 			t.Errorf("job %s moved %.0f bytes across the kill, want %.0f", id, st.Bytes, float64(volume))
 		}
+	}
+}
+
+// TestTraceWriteErrorIsReported: once the -obs-trace sink fails — here
+// a FIFO whose reader goes away after the first events, as a full disk
+// fails a file — the recorder writes no later event, and the daemon
+// says so when it shuts down instead of losing the trace's tail without
+// a word.
+func TestTraceWriteErrorIsReported(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon process")
+	}
+	fifo := filepath.Join(t.TempDir(), "events.jsonl")
+	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+		t.Skipf("mkfifo: %v", err)
+	}
+	// Opened first, without blocking, so the daemon's open finds a reader.
+	r, err := os.OpenFile(fifo, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, t.TempDir(), "-obs-trace", fifo)
+	defer d.cmd.Process.Kill()
+	run := func(id string) {
+		t.Helper()
+		spec := fmt.Sprintf(`{"id": %q, "testbed": "tacc", "bytes": 3e9, "epoch": 30}`, id)
+		resp, err := http.Post(d.url+"/jobs", "application/json", strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("submit %s: status %d", id, resp.StatusCode)
+		}
+		for deadline := time.Now().Add(30 * time.Second); d.jobs(t)[id].State != service.JobDone; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s not done: %+v", id, d.jobs(t)[id])
+			}
+		}
+	}
+	run("first")
+	r.SetReadDeadline(time.Now().Add(30 * time.Second))
+	if n, err := r.Read(make([]byte, 1<<16)); n == 0 {
+		t.Fatalf("no event reached the trace: %v", err)
+	}
+	r.Close()
+	run("second")
+	if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
+		t.Fatal(err)
+	}
+	<-d.eof
+	d.cmd.Wait()
+	if got := d.logged(); !strings.Contains(got, "obs-trace: ") || !strings.Contains(got, "broken pipe") {
+		t.Fatalf("the daemon did not report the trace's write error:\n%s", got)
 	}
 }

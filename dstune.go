@@ -25,9 +25,7 @@
 //	fabric, _, err := tb.NewFabric(42)
 //	// handle err
 //	fabric.SetLoad(dstune.ConstantLoad(dstune.Load{Cmp: 16}), nil)
-//	tr, err := fabric.NewTransfer(dstune.TransferConfig{
-//		Name: "demo", Bytes: dstune.Unbounded,
-//	})
+//	tr, err := fabric.NewTransfer(dstune.TransferConfig{Bytes: dstune.Unbounded})
 //	// handle err
 //	cfg := dstune.TunerConfig{
 //		Box:    dstune.MustBox([]int{1}, []int{128}),
@@ -52,10 +50,13 @@
 // run mid-search (see Checkpoint), and TunerConfig.History warm-starts
 // a run from what earlier ones recorded.
 //
-// Only what an example, a command, the benchmark or README.md uses is
-// re-exported here, plus the types a Strategy written outside this
-// module must spell (Strategy, Report, Params, Transferer, Box); values
-// of the other internal types arrive through these functions.
+// Only what a command, an example (examples/ or example_test.go), the
+// benchmark or README.md uses is re-exported here, plus the types a
+// Strategy written outside this module must spell (Strategy, Report,
+// Params, Transferer, Box); values of the other internal types arrive
+// through these functions. A test of this module imports the internal
+// packages instead, and TestRepoDocs fails on a re-export that only a
+// test uses.
 //
 // The harnesses behind the paper's figures are TuneConcurrency,
 // TuneBoth, CompareHeuristics and Simultaneous; the whole evaluation —
@@ -75,10 +76,8 @@ import (
 	"dstune/internal/gridftp"
 	"dstune/internal/history"
 	"dstune/internal/load"
-	"dstune/internal/netem"
 	"dstune/internal/obs"
 	"dstune/internal/service"
-	"dstune/internal/sim"
 	"dstune/internal/trace"
 	"dstune/internal/tuner"
 	"dstune/internal/xfer"
@@ -92,14 +91,6 @@ type Series = trace.Series
 func WriteSeriesCSV(w io.Writer, series ...*Series) error {
 	return trace.WriteCSV(w, series...)
 }
-
-// WriteSeriesJSON writes series as a JSON array.
-func WriteSeriesJSON(w io.Writer, series ...*Series) error {
-	return trace.WriteJSON(w, series...)
-}
-
-// Sparkline renders a series as a fixed-width ASCII sparkline.
-func Sparkline(s *Series, width int) string { return trace.Sparkline(s, width) }
 
 // Transfer parameters and reports.
 type (
@@ -129,10 +120,6 @@ const (
 // Unbounded is the transfer size for open-ended runs.
 var Unbounded = xfer.Unbounded
 
-// DefaultParams returns the Globus service default for large files:
-// concurrency 2, parallelism 8.
-func DefaultParams() Params { return xfer.Default() }
-
 // Simulated fabric.
 type (
 	// Fabric is a simulated testbed: one source endpoint, network
@@ -146,35 +133,21 @@ type (
 	// restart time and NIC rate. The scheduler's weights and overheads
 	// are the model's constants.
 	HostConfig = endpoint.Config
-	// PathConfig describes a WAN path: capacity, RTT, random loss and
-	// window cap. Every stream sends 1448-byte segments.
-	PathConfig = netem.Config
 )
 
 // NewFabric builds a simulation fabric; add paths with AddPath before
 // creating transfers.
 func NewFabric(cfg FabricConfig) (*Fabric, error) { return xfer.NewFabric(cfg) }
 
-// External load.
-type (
-	// Load is the external load at one instant: Tfr competing
-	// transfer streams and Cmp compute jobs at the source.
-	Load = load.Load
-	// LoadSegment is one piece of a piecewise-constant schedule.
-	LoadSegment = load.Segment
-)
+// Load is the external load at one instant: Tfr competing transfer
+// streams and Cmp compute jobs at the source.
+type Load = load.Load
 
 // ConstantLoad returns a time-invariant schedule.
 func ConstantLoad(l Load) load.Schedule { return load.Constant(l) }
 
-// NoLoad returns the empty schedule.
-func NoLoad() load.Schedule { return load.None() }
-
 // StepLoad switches from before to after at time at.
 func StepLoad(at float64, before, after Load) load.Schedule { return load.Step(at, before, after) }
-
-// PiecewiseLoad builds a piecewise-constant schedule.
-func PiecewiseLoad(segs ...LoadSegment) load.Schedule { return load.Piecewise(segs...) }
 
 // Tuners.
 type (
@@ -250,33 +223,22 @@ func NewFleet(cfg FleetConfig, sessions ...FleetSession) *Fleet {
 	return tuner.NewFleet(cfg, sessions...)
 }
 
-// Direct search (usable standalone for offline optimization).
-type (
-	// Box is a bounded integer search domain; its Clamp method is
-	// the paper's fBnd.
-	Box = directsearch.Box
-	// Searcher is the ask/tell optimizer interface.
-	Searcher = directsearch.Searcher
-)
+// Box is a bounded integer search domain; its Clamp method is the
+// paper's fBnd. Direct search is usable standalone, for offline
+// optimization.
+type Box = directsearch.Box
 
 // MustBox builds a Box from bounds, panicking on invalid input.
 func MustBox(lo, hi []int) Box { return directsearch.MustBox(lo, hi) }
 
 // MaximizeSearch drives a Searcher against an objective function.
-func MaximizeSearch(s Searcher, f func([]int) float64, maxEvals int) ([]int, float64) {
+func MaximizeSearch(s directsearch.Searcher, f func([]int) float64, maxEvals int) ([]int, float64) {
 	return directsearch.Maximize(s, f, maxEvals)
-}
-
-// NewCompassSearch returns a standalone compass search over box
-// starting at start, with initial step lambda (0 selects 8) and a
-// seeded polling order.
-func NewCompassSearch(start []int, box Box, lambda float64, seed uint64) Searcher {
-	return directsearch.NewCompass(start, box, directsearch.CompassConfig{Lambda: lambda}, sim.NewRNG(seed))
 }
 
 // NewNelderMeadSearch returns a standalone Nelder–Mead search over box
 // starting at start, with the customary coefficients.
-func NewNelderMeadSearch(start []int, box Box) Searcher {
+func NewNelderMeadSearch(start []int, box Box) directsearch.Searcher {
 	return directsearch.NewNelderMead(start, box, directsearch.NMConfig{})
 }
 
@@ -342,12 +304,6 @@ type (
 	// HistoryStore is a crash-safe JSONL store of best-known transfer
 	// outcomes; query it with Lookup, extend it with Add.
 	HistoryStore = history.Store
-	// HistoryKey identifies one operating regime in a HistoryStore:
-	// endpoint identity, dataset size class, external-load class.
-	HistoryKey = history.Key
-	// HistoryRecord is one recorded outcome: the key, the parameter
-	// vector, its observed throughput, and run metadata.
-	HistoryRecord = history.Record
 )
 
 // OpenHistory opens (creating if absent) the transfer-history store at
@@ -355,10 +311,6 @@ type (
 // hand-edited garbage — are skipped and reported in the error; the
 // store is unusable only when it is nil.
 func OpenHistory(path string) (*HistoryStore, error) { return history.Open(path) }
-
-// NewMemHistory returns an in-memory history store (tests, one-shot
-// studies).
-func NewMemHistory() *HistoryStore { return history.NewMemStore() }
 
 // Observability: the observation plane documented in OBSERVABILITY.md.
 type (
@@ -439,9 +391,6 @@ func MapNCNPPP() ParamMap { return tuner.MapNCNPPP() }
 // FilesMoved sums the files completed across a trace.
 func FilesMoved(tr *Trace) int { return experiment.FilesMoved(tr) }
 
-// TunerNames lists the tuners in the paper's presentation order.
-func TunerNames() []string { return experiment.TunerNames() }
-
 // The service plane: a long-running, crash-safe, multi-tenant tuning
 // daemon (cmd/dstuned) running many concurrent sessions, each on its
 // own goroutine at its own pace.
@@ -452,20 +401,6 @@ type (
 	// ServiceLimits bounds admission: fleet-wide active/queued caps,
 	// per-tenant quotas, and the tenant transient-fault budget.
 	ServiceLimits = service.Limits
-	// JobStatus is the control API's view of one job.
-	JobStatus = service.JobStatus
-)
-
-// Job lifecycle states reported by the control API.
-const (
-	// JobDone: finished cleanly; journal debt cleared.
-	JobDone = service.JobDone
-	// JobFailed: ended with a fatal error.
-	JobFailed = service.JobFailed
-	// JobCancelled: cancelled by the operator; checkpoint retained.
-	JobCancelled = service.JobCancelled
-	// JobEvicted: removed by the tenant fault-budget breaker.
-	JobEvicted = service.JobEvicted
 )
 
 // NewSupervisor opens (or re-opens) a daemon state directory, re-adopts

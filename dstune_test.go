@@ -8,14 +8,8 @@ import (
 	"testing"
 
 	"dstune"
+	"dstune/internal/netem"
 )
-
-func TestDefaultParams(t *testing.T) {
-	p := dstune.DefaultParams()
-	if p.NC != 2 || p.NP != 8 || p.Streams() != 16 {
-		t.Fatalf("DefaultParams = %v", p)
-	}
-}
 
 func TestParamMaps(t *testing.T) {
 	if got := dstune.MapNC(8)([]int{5}); got != (dstune.Params{NC: 5, NP: 8}) {
@@ -27,9 +21,6 @@ func TestParamMaps(t *testing.T) {
 }
 
 func TestLoadScheduleHelpers(t *testing.T) {
-	if dstune.NoLoad().At(5) != (dstune.Load{}) {
-		t.Fatal("NoLoad not empty")
-	}
 	c := dstune.ConstantLoad(dstune.Load{Tfr: 3})
 	if c.At(100).Tfr != 3 {
 		t.Fatal("ConstantLoad")
@@ -37,13 +28,6 @@ func TestLoadScheduleHelpers(t *testing.T) {
 	s := dstune.StepLoad(10, dstune.Load{Cmp: 1}, dstune.Load{Cmp: 2})
 	if s.At(9).Cmp != 1 || s.At(10).Cmp != 2 {
 		t.Fatal("StepLoad")
-	}
-	p := dstune.PiecewiseLoad(
-		dstune.LoadSegment{Start: 0, Load: dstune.Load{Tfr: 1}},
-		dstune.LoadSegment{Start: 5, Load: dstune.Load{Tfr: 2}},
-	)
-	if p.At(6).Tfr != 2 {
-		t.Fatal("PiecewiseLoad")
 	}
 }
 
@@ -53,14 +37,9 @@ func TestSearchers(t *testing.T) {
 		d := float64(x[0] - 33)
 		return -d * d
 	}
-	for name, s := range map[string]dstune.Searcher{
-		"compass": dstune.NewCompassSearch([]int{2}, box, 8, 1),
-		"nm":      dstune.NewNelderMeadSearch([]int{2}, box),
-	} {
-		x, _ := dstune.MaximizeSearch(s, obj, 0)
-		if x[0] != 33 {
-			t.Errorf("%s found %v, want [33]", name, x)
-		}
+	x, _ := dstune.MaximizeSearch(dstune.NewNelderMeadSearch([]int{2}, box), obj, 0)
+	if x[0] != 33 {
+		t.Errorf("nm found %v, want [33]", x)
 	}
 }
 
@@ -93,23 +72,12 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if !strings.HasPrefix(buf.String(), "series,t,v\n") {
 		t.Fatalf("csv header: %q", buf.String()[:20])
 	}
-	var jbuf bytes.Buffer
-	if err := dstune.WriteSeriesJSON(&jbuf, trace.BestCase()); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jbuf.String(), "bestcase") {
-		t.Fatal("json missing series name")
-	}
-	if dstune.Sparkline(trace.Throughput(), 10) == "" {
-		t.Fatal("empty sparkline")
-	}
 }
 
 func TestCustomFabricViaFacade(t *testing.T) {
 	fabric, err := dstune.NewFabric(dstune.FabricConfig{
 		Seed: 2,
 		Source: dstune.HostConfig{
-			Name:         "custom",
 			Cores:        4,
 			CorePumpRate: 1e9,
 		},
@@ -117,8 +85,7 @@ func TestCustomFabricViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fabric.AddPath(dstune.PathConfig{
-		Name:       "lan",
+	if _, err := fabric.AddPath(netem.Config{
 		Capacity:   1e9,
 		BaseRTT:    0.005,
 		RandomLoss: 1e-6,
@@ -204,13 +171,13 @@ func TestKernelStatsSurfaceInReport(t *testing.T) {
 	// The simulated fabric has no kernel: Kernel must stay nil.
 	fabric, err := dstune.NewFabric(dstune.FabricConfig{
 		Seed:   2,
-		Source: dstune.HostConfig{Name: "sim", Cores: 4, CorePumpRate: 1e9},
+		Source: dstune.HostConfig{Cores: 4, CorePumpRate: 1e9},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fabric.AddPath(dstune.PathConfig{
-		Name: "lan", Capacity: 1e9, BaseRTT: 0.005, MaxCwnd: 4 << 20,
+	if _, err := fabric.AddPath(netem.Config{
+		Capacity: 1e9, BaseRTT: 0.005, MaxCwnd: 4 << 20,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -225,12 +192,5 @@ func TestKernelStatsSurfaceInReport(t *testing.T) {
 	}
 	if sr.Kernel != nil {
 		t.Fatal("simulated transfer surfaced kernel samples")
-	}
-}
-
-func TestTunerNamesFacade(t *testing.T) {
-	names := dstune.TunerNames()
-	if len(names) != 7 || names[0] != "default" || names[6] != "model" {
-		t.Fatalf("TunerNames = %v", names)
 	}
 }

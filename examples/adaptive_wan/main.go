@@ -27,7 +27,7 @@ func main() {
 		}
 		fabric.SetLoad(sched, nil)
 		tr, err := fabric.NewTransfer(dstune.TransferConfig{
-			Name: "adaptive", Bytes: dstune.Unbounded, Policy: policy,
+			Bytes: dstune.Unbounded, Policy: policy,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -39,9 +39,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		transfer, err := fabric.NewTransfer(dstune.TransferConfig{
-			Name: name, Bytes: dstune.Unbounded,
-		})
+		transfer, err := fabric.NewTransfer(dstune.TransferConfig{Bytes: dstune.Unbounded})
 		if err != nil {
 			log.Fatal(err)
 		}

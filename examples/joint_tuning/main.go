@@ -20,7 +20,6 @@ func main() {
 	fabric, err := dstune.NewFabric(dstune.FabricConfig{
 		Seed: 5,
 		Source: dstune.HostConfig{
-			Name:         "anl-nehalem",
 			Cores:        8,
 			CorePumpRate: 1.3e9,
 			NICRate:      5e9,
@@ -38,13 +37,13 @@ func main() {
 		log.Fatal(err)
 	}
 	t1, err := fabric.NewTransfer(dstune.TransferConfig{
-		Name: "to-uchicago", Bytes: dstune.Unbounded, Path: p1,
+		Bytes: dstune.Unbounded, Path: p1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	t2, err := fabric.NewTransfer(dstune.TransferConfig{
-		Name: "to-tacc", Bytes: dstune.Unbounded, Path: p2,
+		Bytes: dstune.Unbounded, Path: p2,
 	})
 	if err != nil {
 		log.Fatal(err)

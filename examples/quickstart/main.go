@@ -23,7 +23,6 @@ func main() {
 		}
 		fabric.SetLoad(dstune.ConstantLoad(dstune.Load{Cmp: 16}), nil)
 		tr, err := fabric.NewTransfer(dstune.TransferConfig{
-			Name:   "quickstart",
 			Bytes:  dstune.Unbounded,
 			Policy: policy,
 		})

@@ -18,9 +18,6 @@ type Spec struct {
 	sigma float64 // the log-normal spread; 0 for uniform sizes
 }
 
-// Count returns the number of files the spec generates.
-func (s Spec) Count() int { return s.n }
-
 // Generate builds the spec's files. Log-normal specs are deterministic
 // per seed; uniform ones ignore it.
 func (s Spec) Generate(seed uint64) Dataset {

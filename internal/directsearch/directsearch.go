@@ -133,19 +133,6 @@ func (b Box) ClampInt(x []int) []int {
 	return out
 }
 
-// Contains reports whether x lies within the bounds.
-func (b Box) Contains(x []int) bool {
-	if len(x) != len(b.lo) {
-		return false
-	}
-	for i, v := range x {
-		if v < b.lo[i] || v > b.hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // roundHalfAway rounds to the nearest integer with halves away from
 // zero, e.g. 3.8 -> 4, -1.5 -> -2, matching the paper's example
 // "(3.8, 9.2) is rounded off to (4, 9)".

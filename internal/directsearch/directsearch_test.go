@@ -93,9 +93,6 @@ func TestClampIntAndContains(t *testing.T) {
 	if got[0] != 1 || got[1] != 10 {
 		t.Fatalf("ClampInt = %v", got)
 	}
-	if !b.Contains([]int{5, 5}) || b.Contains([]int{0, 5}) || b.Contains([]int{5}) {
-		t.Fatal("Contains misbehaves")
-	}
 }
 
 func TestAllMethodsFind1DPeak(t *testing.T) {

@@ -162,9 +162,10 @@ func TestCheckFormat(t *testing.T) {
 }
 
 // TestCheckFacade exercises the facade lint on a synthetic module: a
-// name a command uses, one only README.md mentions and a contract type
-// pass; a re-export nothing refers to is reported, and the facade's own
-// package comment does not count as a reference.
+// name a command uses, one only a godoc example uses, one only README.md
+// mentions and a contract type pass; a re-export nothing refers to is
+// reported, and so is one only a test uses; the facade's own package
+// comment does not count as a reference.
 func TestCheckFacade(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {
@@ -181,9 +182,11 @@ func TestCheckFacade(t *testing.T) {
 package dstune
 
 type (
-	Used   = int
-	Box    = int
-	Orphan = int
+	Used     = int
+	Box      = int
+	Orphan   = int
+	TestOnly = int
+	Shown    = int
 )
 
 var InReadme = 1
@@ -192,13 +195,15 @@ func unexported() {}
 `)
 	write("cmd/tool/main.go", "package main\n\nimport \"dstune\"\n\nvar _ dstune.Used\n")
 	write("README.md", "Start from `dstune.InReadme`.\n")
+	write("dstune_test.go", "package dstune_test\n\nimport \"dstune\"\n\nvar _ dstune.TestOnly\n")
+	write("example_test.go", "package dstune_test\n\nimport \"dstune\"\n\nfunc ExampleShown() { var _ dstune.Shown }\n")
 
 	problems, err := CheckFacade(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(problems) != 1 || !strings.HasPrefix(problems[0], "dstune.go:7: dstune.Orphan ") {
-		t.Fatalf("got problems %q, want only Orphan at dstune.go:7", problems)
+	if len(problems) != 2 || !strings.HasPrefix(problems[0], "dstune.go:7: dstune.Orphan ") || !strings.HasPrefix(problems[1], "dstune.go:8: dstune.TestOnly ") {
+		t.Fatalf("got problems %q, want Orphan at dstune.go:7 and TestOnly at dstune.go:8", problems)
 	}
 }
 
@@ -207,7 +212,11 @@ func unexported() {}
 // an assignment in another file passes, as does an exempt one; a field
 // set only in its own file, a test or bench/ is reported, each struct's
 // withDefaults setting its own Own field does not set the other's, and
-// an exemption with no unset field is reported.
+// an exemption with no unset field is reported. On the read side a
+// field read through a chain of typed fields, one read only by bench/
+// and a function field read by calling it pass; a field that is only
+// set is reported, and so is one whose only "reader" is a call of a
+// method of its name or a read of another struct's namesake.
 func TestCheckSettings(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {
@@ -230,6 +239,9 @@ type Config struct {
 	TestOnly            int
 	Bench               int
 	Exempt              int
+	Unread, BenchRead   int
+	Label               string
+	Hook                func() int
 	hidden              int
 }
 
@@ -238,16 +250,32 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-type Other struct{ Own int }
+type Other struct{ Own int; Label string }
+
+func (o Other) Name() string { return o.Label }
+
+type Server struct{ cfg Config }
+
+func (s *Server) use() int {
+	var o Other
+	_ = o.Name() + o.Label
+	return s.cfg.Set + s.cfg.Flag + s.cfg.Assigned + s.cfg.Own + s.cfg.TestOnly + s.cfg.Bench + s.cfg.Exempt + s.cfg.Hook()
+}
 `)
-	write("internal/a/a_test.go", "package a\n\nvar _ = Config{TestOnly: 1}\n")
+	write("internal/a/a_test.go", "package a\n\nvar _ = Config{TestOnly: 1, Unread: 1}\n")
 	write("internal/b/b.go", `package b
 
 type BConfig struct{ Own int }
 
-func (c *BConfig) fill() { c.Own = 2 }
+func (c *BConfig) fill() int { c.Own = 2; return c.Own }
+
+type Label struct{}
+
+func (Label) Label() string { return "" }
+
+func call(l Label) string { return l.Label() }
 `)
-	write("bench/main.go", "package main\n\nimport \"m/internal/a\"\n\nvar _ = a.Config{Bench: 1}\n")
+	write("bench/main.go", "package main\n\nimport \"m/internal/a\"\n\nvar c = a.Config{Bench: 1}\n\nvar _ = c.BenchRead\n")
 	write("cmd/tool/main.go", `package main
 
 import (
@@ -258,7 +286,7 @@ import (
 )
 
 func main() {
-	cfg := m.AConfig{Set: 1}
+	cfg := m.AConfig{Set: 1, Unread: 2, BenchRead: 3, Label: "x", Hook: nil}
 	flag.IntVar(&cfg.Flag, "flag", 0, "")
 	var x a.Config
 	x.Assigned = 2
@@ -271,10 +299,118 @@ func main() {
 	}
 	want := []string{
 		"exemption a.Config.Stale ",
-		"internal/a/a.go:7: a.Config.Bench ",
-		"internal/a/a.go:5: a.Config.Own ",
-		"internal/a/a.go:6: a.Config.TestOnly ",
-		"internal/b/b.go:3: b.BConfig.Own ",
+		"internal/a/a.go:10: a.Config.Label is read ",
+		"internal/a/a.go:5: a.Config.Own is set ",
+		"internal/a/a.go:6: a.Config.TestOnly is set ",
+		"internal/a/a.go:7: a.Config.Bench is set ",
+		"internal/a/a.go:9: a.Config.Unread is read ",
+		"internal/b/b.go:3: b.BConfig.Own is set ",
+	}
+	slices.Sort(want)
+	if len(problems) != len(want) {
+		t.Fatalf("got problems %q, want %q", problems, want)
+	}
+	for i, p := range problems {
+		if !strings.HasPrefix(p, want[i]) {
+			t.Fatalf("problem %d = %q, want prefix %q (all: %q)", i, p, want[i], problems)
+		}
+	}
+}
+
+// TestCheckCallers exercises the callers lint on a synthetic module: a
+// function called from another package, one used as a value, a method
+// called on a typed field chain, through an embedded type or an
+// interface, and one only bench/ calls pass, as does an exempt one and
+// every facade name; a function only its own body and a test call, a
+// method called only on another type's value and one whose only "call"
+// is a read of a field of its name are reported, and so is an
+// exemption that names nothing unused.
+func TestCheckCallers(t *testing.T) {
+	dir := t.TempDir()
+	write := func(rel, content string) {
+		t.Helper()
+		path := filepath.Join(dir, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module m\n\ngo 1.22\n")
+	write("dstune.go", "package m\n\nimport \"m/internal/p\"\n\nfunc Facade() *p.Path { return p.New() }\n")
+	write("internal/p/p.go", `package p
+
+type Path struct{}
+
+type Cfg struct{ Name string }
+
+func New() *Path { return &Path{} }
+
+func Recursive(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return Recursive(n - 1)
+}
+
+func Value() {}
+
+func (p *Path) Rate() float64 { return 1 }
+func (p *Path) Spare() float64 { return 2 }
+func (p *Path) Name() string  { return "" }
+func (p *Path) Bench() int     { return 3 }
+func (p *Path) Kept() int      { return 4 }
+
+type Flow struct{ Path }
+
+func (f *Flow) Rate() float64 { return f.Path.Rate() }
+
+type Stepper interface{ Step() }
+
+type Clock struct{}
+
+func (Clock) Step() {}
+
+type Holder struct{ flow *Flow }
+
+func (h Holder) Use(s Stepper) float64 {
+	s.Step()
+	f := Value
+	f()
+	return h.flow.Rate() + h.flow.Path.Rate()
+}
+`)
+	write("internal/p/p_test.go", "package p\n\nvar _ = Recursive(3) + int((&Path{}).Spare())\n")
+	write("internal/q/q.go", `package q
+
+import (
+	"slices"
+
+	"m/internal/p"
+)
+
+type Other struct{}
+
+func (Other) Spare() float64 { return 0 }
+
+func use(o Other, cs []p.Cfg) string {
+	_ = o.Spare()
+	return slices.Clone(cs)[0].Name
+}
+
+var _ = p.Holder{}.Use
+`)
+	write("bench/main.go", "package main\n\nimport \"m/internal/p\"\n\nfunc main() { p.New().Bench() }\n")
+	problems, err := CheckCallers(dir, map[string]string{"p.Path.Kept": "kept", "p.Gone": "gone"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"exemption p.Gone ",
+		"internal/p/p.go:20: p.Path.Name ",
+		"internal/p/p.go:9: p.Recursive ",
+		"internal/p/p.go:19: p.Path.Spare ",
 	}
 	slices.Sort(want)
 	if len(problems) != len(want) {
@@ -406,7 +542,9 @@ func TestCheckPackageRefs(t *testing.T) {
 // TestRepoDocs is the in-repo enforcement: the repository's own
 // markdown links must resolve, its public packages must be fully
 // documented, every Go file must be gofmt-clean, the facade must
-// re-export nothing that goes unused, every `-fig KEY` a document
+// re-export nothing that goes unused, every exported Config field must
+// be set and read and every exported function and method called by
+// the product, every `-fig KEY` a document
 // quotes must be a study, every `-tuner NAME` or `"tuner": "NAME"` a
 // living document quotes a strategy, every `dstune.<Name>` one spells
 // a name dstune.go declares, and every `<pkg>.<Name>` one writes in
@@ -452,6 +590,13 @@ func TestRepoDocs(t *testing.T) {
 	}
 	for _, p := range settings {
 		t.Errorf("setting: %s", p)
+	}
+	callers, err := CheckCallers(root, callerExemptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range callers {
+		t.Errorf("caller: %s", p)
 	}
 	var keys []string
 	for _, s := range experiment.Studies() {

@@ -7,11 +7,15 @@
 //     identifiers that carry no doc comment, plus packages with no
 //     package comment;
 //   - CheckFormat reports Go files gofmt would rewrite;
-//   - CheckFacade reports names the root package re-exports that
-//     nothing outside it refers to;
+//   - CheckFacade reports names the root package re-exports that no
+//     product file, example or README.md refers to;
 //   - CheckSettings reports exported fields of *Config structs that no
-//     product file outside the struct's own sets: a value no caller
-//     varies is a constant, not a setting;
+//     product file outside the struct's own sets — a value no caller
+//     varies is a constant, not a setting — or that no product file
+//     reads;
+//   - CheckCallers reports exported functions and methods that no
+//     product file uses: a name is exported because the product uses
+//     it;
 //   - CheckQuoted reports names quoted in markdown that the code no
 //     longer has: a `-fig KEY` that is not a study cmd/figures knows
 //     (FigKeys), a `-tuner NAME` or `"tuner": "NAME"` that is not a
@@ -468,10 +472,12 @@ func exportedDecls(f *ast.File) []*ast.Ident {
 	return ids
 }
 
-// CheckFacade reports every name FacadeNames finds that no .go file
-// other than dstune.go, nor README.md, refers to as dstune.<Name> — the
-// facade re-exports what something uses and nothing else. The
-// facadeContract types are excepted.
+// CheckFacade reports every name FacadeNames finds that no product
+// .go file other than dstune.go, no godoc example (example_test.go) and
+// not README.md refers to as dstune.<Name> — the facade re-exports what
+// a command, an example, the benchmark or a reader uses and nothing
+// else; a test imports the internal packages. The facadeContract types
+// are excepted.
 func CheckFacade(root string) ([]string, error) {
 	names, err := FacadeNames(root)
 	if err != nil {
@@ -479,7 +485,7 @@ func CheckFacade(root string) ([]string, error) {
 	}
 	used := map[string]bool{}
 	collect := func(rel string, data []byte) {
-		if rel == facade {
+		if rel == facade || strings.HasSuffix(rel, "_test.go") && filepath.Base(rel) != "example_test.go" {
 			return
 		}
 		for _, m := range facadeRef.FindAllSubmatch(data, -1) {
@@ -498,7 +504,7 @@ func CheckFacade(root string) ([]string, error) {
 	var problems []string
 	for name, line := range names {
 		if !used[name] && !facadeContract[name] {
-			problems = append(problems, fmt.Sprintf("%s:%d: dstune.%s is referenced by no .go file and not by README.md", facade, line, name))
+			problems = append(problems, fmt.Sprintf("%s:%d: dstune.%s is referenced by no product .go file, no example and not by README.md", facade, line, name))
 		}
 	}
 	sort.Strings(problems)

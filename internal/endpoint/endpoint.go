@@ -36,8 +36,6 @@ import (
 
 // Config describes a host.
 type Config struct {
-	// Name labels the host in diagnostics (e.g. "ANL-nehalem").
-	Name string
 	// Cores is the number of CPU cores.
 	Cores int
 	// CorePumpRate is the data rate one transfer process can sustain
@@ -122,9 +120,6 @@ func (h *Host) SetComputeJobs(n int) {
 	}
 	h.computeJobs = n
 }
-
-// ComputeJobs returns the current external compute job count.
-func (h *Host) ComputeJobs() int { return h.computeJobs }
 
 // Demand describes one transfer process's resource request for a
 // scheduling round.

@@ -9,7 +9,7 @@ import (
 
 // testHost is an 8-core host pumping 1.25 GB/s per core.
 func testHost() *Host {
-	return New(Config{Name: "test", Cores: 8, CorePumpRate: 1.25e9})
+	return New(Config{Cores: 8, CorePumpRate: 1.25e9})
 }
 
 func TestValidate(t *testing.T) {
@@ -224,8 +224,8 @@ func TestAllocateTotalNeverExceedsMachine(t *testing.T) {
 func TestSetComputeJobsNegative(t *testing.T) {
 	h := testHost()
 	h.SetComputeJobs(-3)
-	if h.ComputeJobs() != 0 {
-		t.Fatalf("ComputeJobs() = %d, want 0", h.ComputeJobs())
+	if h.computeJobs != 0 {
+		t.Fatalf("computeJobs = %d, want 0", h.computeJobs)
 	}
 }
 

@@ -94,12 +94,6 @@ func (rc RunConfig) spaceCfg(sp tuner.Space) tuner.Config {
 	return sp.Apply(tuner.Config{Epoch: rc.Epoch, Budget: rc.Duration, Seed: rc.Seed})
 }
 
-// TunerNames lists the tuners in the order the paper presents them,
-// plus the related-work empirical baseline "model".
-func TunerNames() []string {
-	return []string{"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model"}
-}
-
 // runTuned executes one tuned memory-to-memory transfer on a fresh
 // fabric of tb under schedule sched.
 func runTuned(tb Testbed, name string, sched load.Schedule, rc RunConfig, twoParam bool) (*tuner.Trace, error) {
@@ -240,7 +234,7 @@ type SimultaneousResult struct {
 // tuners run concurrently in lockstep virtual time.
 func Simultaneous(name string, rc RunConfig) (*SimultaneousResult, error) {
 	rc = rc.withDefaults()
-	t1, t2, err := dualTransfers(rc.Seed, "to-")
+	t1, t2, err := dualTransfers(rc.Seed)
 	if err != nil {
 		return nil, err
 	}

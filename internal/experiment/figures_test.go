@@ -271,7 +271,9 @@ func TestUnknownTuner(t *testing.T) {
 
 func TestTunerNamesBuildable(t *testing.T) {
 	cfg := RunConfig{}.withDefaults().tunerCfg(true)
-	for _, name := range TunerNames() {
+	// The tuners in the order the paper presents them, plus the
+	// related-work empirical baseline.
+	for _, name := range []string{"default", "cd-tuner", "cs-tuner", "nm-tuner", "heur1", "heur2", "model"} {
 		s, err := tuner.NewStrategy(name, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

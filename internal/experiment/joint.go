@@ -21,7 +21,7 @@ func jointStudy(_ *Runs, rc RunConfig, out *Outcome) error {
 		return err
 	}
 
-	t1, t2, err := dualTransfers(rc.Seed, "joint-")
+	t1, t2, err := dualTransfers(rc.Seed)
 	if err != nil {
 		return err
 	}

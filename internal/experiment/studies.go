@@ -304,7 +304,6 @@ func fig1Study(r *Runs, rc RunConfig, out *Outcome) error {
 		}
 		f.SetLoad(load.Constant(l), nil)
 		tr, err := f.NewTransfer(xfer.TransferConfig{
-			Name:   fmt.Sprintf("fig1-nc%d-r%d", nc, rep),
 			Bytes:  xfer.Unbounded,
 			Policy: xfer.RestartOnChange,
 		})

@@ -45,7 +45,6 @@ const defaultDT = 0.1
 // as in Figure 5a.
 func SourceANL() endpoint.Config {
 	return endpoint.Config{
-		Name:         "anl-nehalem",
 		Cores:        8,
 		CorePumpRate: 1.3e9,
 		NICRate:      5e9, // 40 Gb/s
@@ -59,7 +58,6 @@ func ANLtoUChicago() Testbed {
 		Name:   "ANL->UChicago",
 		Source: SourceANL(),
 		Path: netem.Config{
-			Name:       "anl-uchicago",
 			Capacity:   5e9,
 			BaseRTT:    0.012,
 			RandomLoss: 5e-6,
@@ -76,7 +74,6 @@ func ANLtoTACC() Testbed {
 		Name:   "ANL->TACC",
 		Source: SourceANL(),
 		Path: netem.Config{
-			Name:       "anl-tacc",
 			Capacity:   2.5e9,
 			BaseRTT:    0.033,
 			RandomLoss: 5e-6,
@@ -120,9 +117,8 @@ func (tb Testbed) NewFabric(seed uint64) (*xfer.Fabric, *netem.Path, error) {
 
 // dualTransfers builds the §IV-D fabric — one ANL source feeding both
 // the UChicago and TACC paths through the shared 40 Gb/s NIC — and one
-// unbounded transfer on each path, named prefix+"uchicago" and
-// prefix+"tacc", in that order.
-func dualTransfers(seed uint64, prefix string) (uchicago, tacc *xfer.Sim, err error) {
+// unbounded transfer on each path, UChicago's first.
+func dualTransfers(seed uint64) (uchicago, tacc *xfer.Sim, err error) {
 	f, p1, err := ANLtoUChicago().NewFabric(seed)
 	if err != nil {
 		return nil, nil, err
@@ -131,9 +127,9 @@ func dualTransfers(seed uint64, prefix string) (uchicago, tacc *xfer.Sim, err er
 	if err != nil {
 		return nil, nil, err
 	}
-	if uchicago, err = f.NewTransfer(xfer.TransferConfig{Name: prefix + "uchicago", Bytes: xfer.Unbounded, Path: p1}); err != nil {
+	if uchicago, err = f.NewTransfer(xfer.TransferConfig{Bytes: xfer.Unbounded, Path: p1}); err != nil {
 		return nil, nil, err
 	}
-	tacc, err = f.NewTransfer(xfer.TransferConfig{Name: prefix + "tacc", Bytes: xfer.Unbounded, Path: p2})
+	tacc, err = f.NewTransfer(xfer.TransferConfig{Bytes: xfer.Unbounded, Path: p2})
 	return uchicago, tacc, err
 }

@@ -229,8 +229,8 @@ func TestCancelResumeRoundTrip(t *testing.T) {
 	if ck.Epochs < 4 {
 		t.Fatalf("checkpoint holds %d epochs, want >= 4", ck.Epochs)
 	}
-	if s.Tokens() != 1 {
-		t.Fatalf("Tokens = %d after cancel, want 1 (transfer preserved)", s.Tokens())
+	if liveTokens(s) != 1 {
+		t.Fatalf("Tokens = %d after cancel, want 1 (transfer preserved)", liveTokens(s))
 	}
 	if in.Refused() == 0 {
 		t.Fatal("injector refused no dials; the test exercised nothing")
@@ -276,9 +276,9 @@ func TestCancelResumeRoundTrip(t *testing.T) {
 	// Session 2 completed uninterrupted, so its Tune stopped the
 	// transfer and released the server-side counter.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Tokens() != 0 {
+	for liveTokens(s) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("Tokens = %d after completed resume, want 0", s.Tokens())
+			t.Fatalf("Tokens = %d after completed resume, want 0", liveTokens(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -302,9 +302,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 // writes: the size of its one file, and its remaining budget.
 const unboundedBytes = int64(1) << 62
 
-// Token returns the transfer's identifying token on the server.
-func (c *Client) Token() string { return c.token }
-
 // Remaining implements xfer.Transferer.
 func (c *Client) Remaining() float64 {
 	r := c.remaining.Load()

@@ -446,7 +446,7 @@ func TestDatasetTransferCompletes(t *testing.T) {
 				t.Fatalf("done but remaining %v", c.Remaining())
 			}
 			// Server-side receiver truth agrees file by file.
-			ft := s.lookup(c.Token())
+			ft := s.lookup(c.token)
 			if ft == nil {
 				t.Fatal("server lost the file table")
 			}
@@ -667,7 +667,7 @@ func TestDatasetSurvivesInjectedFaults(t *testing.T) {
 	if files != nFiles {
 		t.Fatalf("reports account %d files, want %d", files, nFiles)
 	}
-	ft := s.lookup(c.Token())
+	ft := s.lookup(c.token)
 	if ft == nil {
 		t.Fatal("server lost the file table")
 	}
@@ -683,9 +683,9 @@ func TestDatasetSurvivesInjectedFaults(t *testing.T) {
 	}
 	c.Stop()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Tokens() != 0 {
+	for liveTokens(s) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("Tokens = %d after Stop, want 0", s.Tokens())
+			t.Fatalf("Tokens = %d after Stop, want 0", liveTokens(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -811,7 +811,7 @@ func FuzzServerControl(f *testing.F) {
 		// Whatever tokens the input created must expire with the TTL
 		// janitor; force the sweep rather than waiting out the clock.
 		s.expireTokens(time.Now().Add(24 * time.Hour))
-		if n := s.Tokens(); n != 0 {
+		if n := liveTokens(s); n != 0 {
 			t.Fatalf("%d tokens leaked past the TTL janitor", n)
 		}
 		// Every sink handle the input may have opened must be closed

@@ -129,7 +129,7 @@ func TestFleetConcurrentFaultySockets(t *testing.T) {
 		t.Fatal("no connections were reset across the fleet")
 	}
 	// Every token was closed out: the server holds no live counters.
-	if n := s.Tokens(); n != 0 {
+	if n := liveTokens(s); n != 0 {
 		t.Fatalf("server still tracks %d transfer tokens after the fleet finished", n)
 	}
 }

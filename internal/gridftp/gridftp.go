@@ -64,9 +64,9 @@
 // The server credits each file with min(received, size) so duplicate
 // retransmissions never inflate goodput, and the sum of those per-file
 // "useful" bytes is the one count it keeps: START and SETTLE answer it,
-// Server.Received reads it, and an epoch's Report.Bytes is its delta,
-// read off the SETTLE answer with the completed-file count — receiver
-// truth at file granularity. OPEN admission is what pp buys: each file
+// and an epoch's Report.Bytes is its delta, read off the SETTLE answer
+// with the completed-file count — receiver truth at file granularity.
+// OPEN admission is what pp buys: each file
 // start costs one server-side latency (SetFileLatency in tests, real
 // metadata lookups in the wild), and keeping pp OPENs outstanding
 // overlaps those waits. Mid-epoch failures resume at file/offset

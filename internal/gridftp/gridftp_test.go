@@ -347,8 +347,8 @@ func TestControlMultipleCommands(t *testing.T) {
 
 func TestStatUnknownTokenIsZero(t *testing.T) {
 	s := startServer(t)
-	if got := s.Received("never-seen"); got != 0 {
-		t.Fatalf("Received(unknown) = %d", got)
+	if got := received(s, "never-seen"); got != 0 {
+		t.Fatalf("received(unknown) = %d", got)
 	}
 }
 
@@ -368,11 +368,11 @@ func TestNowAndTokens(t *testing.T) {
 	if c.Now() != 0 {
 		t.Fatal("Now before first run should be 0")
 	}
-	if c.Token() == "" {
+	if c.token == "" {
 		t.Fatal("empty token")
 	}
 	c2 := newTestClient(t, s, xfer.Unbounded, nil)
-	if c.Token() == c2.Token() {
+	if c.token == c2.token {
 		t.Fatal("tokens collide")
 	}
 	if _, err := c.Run(context.Background(), xfer.Params{NC: 1, NP: 1}, 0.05); err != nil {
@@ -425,4 +425,22 @@ func TestBudgetNotLostOnWriteFailure(t *testing.T) {
 	if got := c.Remaining() + r.Bytes; got != size {
 		t.Fatalf("budget leak: remaining %v + moved %v != %v", c.Remaining(), r.Bytes, got)
 	}
+}
+
+// received returns token's duplicate-free received bytes: the sum over
+// its file table of min(received, size).
+func received(s *Server, token string) int64 {
+	if ft := s.lookup(token); ft != nil {
+		_, useful := ft.stats()
+		return useful
+	}
+	return 0
+}
+
+// liveTokens returns the number of manifests s has registered and not
+// yet closed or expired.
+func liveTokens(s *Server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.tokens)
 }

@@ -96,7 +96,7 @@ func TestRefusedManifestErrorIsShort(t *testing.T) {
 	if len(err.Error()) >= 256 {
 		t.Fatalf("refused manifest: a %d-byte error, want under 256: %.300q…", len(err.Error()), err.Error())
 	}
-	if !strings.Contains(err.Error(), `"MANIFEST `+c.Token()+` 100000 SINK"`) {
+	if !strings.Contains(err.Error(), `"MANIFEST `+c.token+` 100000 SINK"`) {
 		t.Fatalf("refused manifest: error %q does not quote the verb line", err)
 	}
 }

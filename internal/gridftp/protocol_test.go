@@ -69,7 +69,7 @@ func TestControlVerbTable(t *testing.T) {
 		setup  []exchange // on the same control connection, before send
 		send   string
 		want   string // the first line of the answer
-		tokens int    // Server.Tokens() afterwards
+		tokens int    // live tokens afterwards
 	}{
 		{name: "START/unknown-token-is-none", send: "START tok", want: "NONE"},
 		{name: "START/again-touches", setup: []exchange{manifest}, send: "START tok", want: "OK 0", tokens: 1},
@@ -173,7 +173,7 @@ func TestControlVerbTable(t *testing.T) {
 					t.Fatalf("connection still open after %q (read %q, %v)", r.want, line, err)
 				}
 			}
-			if got := s.Tokens(); got != r.tokens {
+			if got := liveTokens(s); got != r.tokens {
 				t.Fatalf("Tokens = %d after %q, want %d", got, r.send, r.tokens)
 			}
 			made, err := os.ReadDir(sinkRoot)

@@ -386,7 +386,7 @@ func TestLostAcksAreReopened(t *testing.T) {
 	if !cut.Load() {
 		t.Fatal("the control connection was never cut")
 	}
-	if total := ds.TotalBytes(); moved != float64(total) || files != ds.Count() || s.Received(c.Token()) != total {
-		t.Fatalf("moved %v bytes and %d files, server holds %d; want %d bytes, %d files", moved, files, s.Received(c.Token()), total, ds.Count())
+	if total := ds.TotalBytes(); moved != float64(total) || files != ds.Count() || received(s, c.token) != total {
+		t.Fatalf("moved %v bytes and %d files, server holds %d; want %d bytes, %d files", moved, files, received(s, c.token), total, ds.Count())
 	}
 }

@@ -259,8 +259,8 @@ func TestTunedTransferSurvivesInjectedFaults(t *testing.T) {
 	if moved != size {
 		t.Fatalf("trace accounts %v bytes, want %d", moved, size)
 	}
-	if s.Tokens() != 0 {
-		t.Fatalf("Tokens = %d after Stop, want 0", s.Tokens())
+	if liveTokens(s) != 0 {
+		t.Fatalf("Tokens = %d after Stop, want 0", liveTokens(s))
 	}
 }
 
@@ -669,14 +669,14 @@ func TestStopReleasesServerToken(t *testing.T) {
 	if _, err := c.Run(context.Background(), xfer.Params{NC: 1, NP: 1}, 0.05); err != nil {
 		t.Fatal(err)
 	}
-	if s.Tokens() != 1 {
-		t.Fatalf("Tokens = %d after a run, want 1", s.Tokens())
+	if liveTokens(s) != 1 {
+		t.Fatalf("Tokens = %d after a run, want 1", liveTokens(s))
 	}
 	c.Stop()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Tokens() != 0 {
+	for liveTokens(s) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("Tokens = %d after Stop, want 0", s.Tokens())
+			t.Fatalf("Tokens = %d after Stop, want 0", liveTokens(s))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -699,7 +699,7 @@ func TestStopReleasesTokenDuringOutage(t *testing.T) {
 	}
 	d.setRefuse(true)
 	c.Stop()
-	if n := s.Tokens(); n != 0 {
+	if n := liveTokens(s); n != 0 {
 		t.Fatalf("Tokens = %d after Stop during an outage, want 0", n)
 	}
 }
@@ -735,7 +735,7 @@ func TestDataConnectionCannotResurrectToken(t *testing.T) {
 			if _, err := dbr.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("data connection for a closed token stayed open (read: %v)", err)
 			}
-			if n, got := s.Tokens(), s.Received("tok"); n != 0 || got != 0 {
+			if n, got := liveTokens(s), received(s, "tok"); n != 0 || got != 0 {
 				t.Fatalf("Tokens = %d, Received = %d after a late %s; want 0, 0", n, got, r.verb)
 			}
 		})
@@ -753,13 +753,13 @@ func TestIdleTokenExpiry(t *testing.T) {
 	fmt.Fprintf(conn, "MANIFEST ghost 1\n10\n")
 	readLine(bufio.NewReader(conn))
 	conn.Close()
-	if s.Tokens() == 0 {
+	if liveTokens(s) == 0 {
 		t.Fatal("token not registered")
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Tokens() != 0 {
+	for liveTokens(s) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("idle token never expired; Tokens = %d", s.Tokens())
+			t.Fatalf("idle token never expired; Tokens = %d", liveTokens(s))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -781,8 +781,8 @@ func TestCloseCommandProtocol(t *testing.T) {
 	if resp, _ := readLine(br); resp != "OK" {
 		t.Fatalf("CLOSE got %q", resp)
 	}
-	if s.Tokens() != 0 {
-		t.Fatalf("Tokens = %d after CLOSE, want 0", s.Tokens())
+	if liveTokens(s) != 0 {
+		t.Fatalf("Tokens = %d after CLOSE, want 0", liveTokens(s))
 	}
 	fmt.Fprintf(conn, "CLOSE\n")
 	if resp, _ := readLine(br); resp != "ERR bad CLOSE" {

@@ -162,24 +162,6 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Received returns token's duplicate-free received bytes: the sum over
-// its file table of min(received, size).
-func (s *Server) Received(token string) int64 {
-	if ft := s.lookup(token); ft != nil {
-		_, useful := ft.stats()
-		return useful
-	}
-	return 0
-}
-
-// Tokens returns the number of live tokens: manifests registered and
-// not yet closed or expired.
-func (s *Server) Tokens() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.tokens)
-}
-
 // lookup returns token's file table, touched, or nil when the token is
 // unknown. Everything but MANIFEST goes through here: in particular
 // data connections never create tokens, so a stripe whose header is

@@ -24,9 +24,9 @@ import (
 func waitReceived(t *testing.T, s *Server, token string, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
-	for s.Received(token) != want {
+	for received(s, token) != want {
 		if time.Now().After(deadline) {
-			t.Fatalf("server counted %d bytes for %q, want %d", s.Received(token), token, want)
+			t.Fatalf("server counted %d bytes for %q, want %d", received(s, token), token, want)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -185,9 +185,9 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		// that stalls past the quiet window before it has counted them
 		// would be answered with less than the assertion below holds.
 		deadline := time.Now().Add(2 * time.Second)
-		for s.Received("tok") < sent {
+		for received(s, "tok") < sent {
 			if time.Now().After(deadline) {
-				t.Fatalf("server counted %d bytes for %q, want at least %d", s.Received("tok"), "tok", sent)
+				t.Fatalf("server counted %d bytes for %q, want at least %d", received(s, "tok"), "tok", sent)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -213,7 +213,7 @@ func TestSettleAnswersWhenTheCountIsIn(t *testing.T) {
 		if resp != "SETTLED 0 0" || took >= settleBound {
 			t.Fatalf("got %q after %v, want SETTLED 0 0 without a wait", resp, took)
 		}
-		if n := s.Tokens(); n != 0 {
+		if n := liveTokens(s); n != 0 {
 			t.Fatalf("SETTLE created a token: Tokens = %d", n)
 		}
 	})
@@ -261,21 +261,21 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 		if err != nil || r1.Bytes == 0 {
 			t.Fatalf("first epoch: %+v, %v", r1, err)
 		}
-		s.dropToken(c.Token())
+		s.dropToken(c.token)
 		// Shorter than the first, so the new total ends below the old
 		// one: an answer falling short would look the same.
 		r2, err := c.Run(context.Background(), p, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Received(c.Token()); r2.Bytes == 0 || r2.Bytes != float64(got) {
+		if got := received(s, c.token); r2.Bytes == 0 || r2.Bytes != float64(got) {
 			t.Fatalf("epoch over the restart reports %v bytes, the new table holds %d", r2.Bytes, got)
 		}
 		r3, err := c.Run(context.Background(), p, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := s.Received(c.Token()); r3.Bytes == 0 || r2.Bytes+r3.Bytes != float64(got) {
+		if got := received(s, c.token); r3.Bytes == 0 || r2.Bytes+r3.Bytes != float64(got) {
 			t.Fatalf("epochs since the restart report %v + %v bytes, the table holds %d", r2.Bytes, r3.Bytes, got)
 		}
 	})
@@ -295,7 +295,7 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 		if r, err := c.Run(context.Background(), p, 0.1); err != nil || r.Bytes != 0 {
 			t.Fatalf("first epoch: %+v, %v; want nothing confirmed", r, err)
 		}
-		s.dropToken(c.Token())
+		s.dropToken(c.token)
 		s.SetFileLatency(0)
 		var moved float64
 		for i := 0; i < 5; i++ {
@@ -305,7 +305,7 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 			}
 			moved += r.Bytes
 		}
-		if got := s.Received(c.Token()); moved == 0 || moved != float64(got) {
+		if got := received(s, c.token); moved == 0 || moved != float64(got) {
 			t.Fatalf("five epochs since the loss report %v bytes, the server holds %d", moved, got)
 		}
 	})
@@ -322,9 +322,9 @@ func TestSettleResyncsAfterCounterRestart(t *testing.T) {
 		if r, err := c.Run(context.Background(), p, 0.2); err != nil || r.Bytes == 0 || r.Done {
 			t.Fatalf("first epoch: %+v, %v; want part of the dataset moved", r, err)
 		}
-		s.dropToken(c.Token())
+		s.dropToken(c.token)
 		runToCompletion(t, c, p)
-		ft := s.lookup(c.Token())
+		ft := s.lookup(c.token)
 		if ft == nil {
 			t.Fatal("the manifest was not registered again")
 		}
@@ -635,7 +635,7 @@ func TestResumedTokenHoldingMoreThanItsCheckpoint(t *testing.T) {
 	}
 	// Received is duplicate-free and cannot exceed the volume; the file's
 	// raw count, duplicates included, is what a resend would push past it.
-	if got, wire := s.Received("tok"), s.lookup("tok").received(0); got != volume || wire != volume || moved != volume-acked {
+	if got, wire := received(s, "tok"), s.lookup("tok").received(0); got != volume || wire != volume || moved != volume-acked {
 		t.Fatalf("server holds %d bytes (%d on the wire) and the epochs report %v, want %d (%d) and %d",
 			got, wire, moved, volume, volume, volume-acked)
 	}

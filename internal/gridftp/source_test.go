@@ -122,7 +122,7 @@ func TestFileSourceToSinkByteExact(t *testing.T) {
 				t.Fatal("file-backed run reported no syscalls")
 			}
 
-			dir := filepath.Join(sinkRoot, sinkDirName(c.Token()))
+			dir := filepath.Join(sinkRoot, sinkDirName(c.token))
 			for i, want := range payloads {
 				if len(want) == 0 {
 					continue // zero-length files are done on arrival, never opened
@@ -212,7 +212,7 @@ func TestDiskDatasetSurvivesInjectedFaults(t *testing.T) {
 	if in.Refused() == 0 || in.Resets() == 0 {
 		t.Fatalf("injector idle (refused=%d resets=%d); the test exercised nothing", in.Refused(), in.Resets())
 	}
-	dir := filepath.Join(sinkRoot, sinkDirName(c.Token()))
+	dir := filepath.Join(sinkRoot, sinkDirName(c.token))
 	for i, want := range payloads {
 		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%06d", i)))
 		if err != nil {

@@ -36,11 +36,11 @@ func FuzzOpenHistory(f *testing.F) {
 			return
 		}
 		defer s.Close()
-		if err != nil && s.Skipped() == 0 {
+		if err != nil && s.skipped == 0 {
 			t.Fatalf("Open reported %v but skipped nothing", err)
 		}
 		// Every surviving record satisfies the Add invariants.
-		for _, rec := range s.Records("") {
+		for _, rec := range records(s, "") {
 			if rec.Key.Endpoint == "" || len(rec.X) == 0 {
 				t.Fatalf("invalid record survived load: %+v", rec)
 			}
@@ -61,7 +61,7 @@ func FuzzOpenHistory(f *testing.F) {
 			t.Fatalf("reload holds %d records, the recovered store held %d", re.Len(), before)
 		}
 		found := false
-		for _, r := range re.Records("fuzz") {
+		for _, r := range records(re, "fuzz") {
 			if len(r.X) == 1 && r.X[0] == 3 && r.Throughput == 7 {
 				found = true
 			}

@@ -294,34 +294,11 @@ func (s *Store) Lookup(key Key) (Entry, bool) {
 	return best, found
 }
 
-// Records returns a copy of every stored record for the endpoint, in
-// insertion order (every endpoint when endpoint is empty).
-func (s *Store) Records(endpoint string) []Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Record
-	for _, rec := range s.recs {
-		if endpoint == "" || rec.Key.Endpoint == endpoint {
-			r := rec
-			r.X = append([]int(nil), rec.X...)
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // Len reports the number of stored records.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.recs)
-}
-
-// Skipped reports how many lines Open discarded as unreadable.
-func (s *Store) Skipped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.skipped
 }
 
 // Close syncs and closes the backing file. Close is idempotent and a

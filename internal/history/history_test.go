@@ -67,8 +67,8 @@ func TestStoreRoundTrip(t *testing.T) {
 	if re.Len() != len(recs) {
 		t.Fatalf("reopened store holds %d records, want %d", re.Len(), len(recs))
 	}
-	if got := re.Records("uchicago"); len(got) != 2 || !reflect.DeepEqual(got[0], recs[0]) {
-		t.Fatalf("Records(uchicago) = %+v", got)
+	if got := records(re, "uchicago"); len(got) != 2 || !reflect.DeepEqual(got[0], recs[0]) {
+		t.Fatalf("records(uchicago) = %+v", got)
 	}
 	// Appends after reopen extend, not clobber.
 	extra := Record{Key: Key{Endpoint: "tacc", SizeClass: 12, LoadClass: 1}, X: []int{6}, Throughput: 4e8}
@@ -158,8 +158,8 @@ func TestOpenSkipsTornTail(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open error = %v, want ErrCorrupt", err)
 	}
-	if s.Len() != 2 || s.Skipped() != 1 {
-		t.Fatalf("loaded %d records, skipped %d; want 2 and 1", s.Len(), s.Skipped())
+	if s.Len() != 2 || s.skipped != 1 {
+		t.Fatalf("loaded %d records, skipped %d; want 2 and 1", s.Len(), s.skipped)
 	}
 	// The next append must still land on its own line and be readable.
 	if err := s.Add(Record{Key: Key{Endpoint: "uchicago", SizeClass: 3, LoadClass: 1}, X: []int{7}, Throughput: 1e8}); err != nil {
@@ -206,8 +206,8 @@ func TestOpenSkipsGarbageLines(t *testing.T) {
 		t.Fatalf("loaded %d records, want 2", s.Len())
 	}
 	// The blank line is tolerated silently; 5 lines are damage.
-	if s.Skipped() != 5 {
-		t.Fatalf("skipped %d lines, want 5", s.Skipped())
+	if s.skipped != 5 {
+		t.Fatalf("skipped %d lines, want 5", s.skipped)
 	}
 }
 
@@ -261,4 +261,18 @@ func TestKeyString(t *testing.T) {
 	if fmt.Sprint(k) != k.String() {
 		t.Fatal("Stringer not wired")
 	}
+}
+
+// records returns s's records for endpoint in insertion order (every
+// endpoint's when endpoint is empty).
+func records(s *Store, endpoint string) []Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var out []Record
+	for _, rec := range s.recs {
+		if endpoint == "" || rec.Key.Endpoint == endpoint {
+			out = append(out, rec)
+		}
+	}
+	return out
 }

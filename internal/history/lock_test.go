@@ -61,14 +61,14 @@ func TestConcurrentStoresShareFile(t *testing.T) {
 		t.Fatalf("reopen found corruption: %v", err)
 	}
 	defer reopened.Close()
-	if got := reopened.Skipped(); got != 0 {
+	if got := reopened.skipped; got != 0 {
 		t.Fatalf("reopen skipped %d lines, want 0", got)
 	}
 	if got, want := reopened.Len(), 2*perWriter; got != want {
 		t.Fatalf("reopen holds %d records, want %d", got, want)
 	}
 	for w := 0; w < 2; w++ {
-		if got := len(reopened.Records(fmt.Sprintf("ep-%d", w))); got != perWriter {
+		if got := len(records(reopened, fmt.Sprintf("ep-%d", w))); got != perWriter {
 			t.Fatalf("endpoint ep-%d has %d records, want %d", w, got, perWriter)
 		}
 	}

@@ -129,7 +129,7 @@ func TestCalmStepIsExact(t *testing.T) {
 				}
 				if sh.clock > 0 && step == 0 {
 					for i, f := range a.flows {
-						if f.Losses() == 0 {
+						if losses(f) == 0 {
 							t.Fatalf("%s: flow %d's clock did not run out in the first substep", where, i)
 						}
 					}

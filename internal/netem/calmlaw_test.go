@@ -73,7 +73,7 @@ func runLaw(sh lawShape, alg tcpmodel.Algorithm, seed uint64, step func(*Path, f
 	}
 	streams := 0
 	for _, f := range p.flows {
-		r.losses += float64(f.Losses())
+		r.losses += float64(losses(f))
 		r.bytes += f.Delivered()
 		streams += len(f.strs)
 	}

@@ -150,8 +150,8 @@ type capShape struct {
 }
 
 var (
-	figUChicago = Config{Name: "anl-uchicago", Capacity: 5e9, BaseRTT: 0.012, RandomLoss: 5e-6, MaxCwnd: 4 << 20}
-	figTACC     = Config{Name: "anl-tacc", Capacity: 2.5e9, BaseRTT: 0.033, RandomLoss: 5e-6, MaxCwnd: 4 << 20}
+	figUChicago = Config{Capacity: 5e9, BaseRTT: 0.012, RandomLoss: 5e-6, MaxCwnd: 4 << 20}
+	figTACC     = Config{Capacity: 2.5e9, BaseRTT: 0.033, RandomLoss: 5e-6, MaxCwnd: 4 << 20}
 
 	capShapes = []capShape{
 		{"uncapped", Config{Capacity: 5e9, BaseRTT: 0.012, RandomLoss: 5e-6}, []int{4, 4}, true, 300, false, false},

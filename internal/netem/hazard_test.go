@@ -42,7 +42,7 @@ func bernoulliSubstep(p *Path, dt float64, timers map[*stream]float64) {
 	for _, f := range p.flows {
 		off := 0.0
 		for i := range f.strs {
-			off += f.strs[i].tcp.Rate(rtt)
+			off += f.strs[i].tcp.Cwnd / rtt
 		}
 		f.offered = off
 		capped := off
@@ -90,7 +90,7 @@ func bernoulliSubstep(p *Path, dt float64, timers map[*stream]float64) {
 			if _, ok := timers[s]; !ok {
 				timers[s] = p.now - s.rttFrom // a new stream's jittered start
 			}
-			rate := s.tcp.Rate(rtt) * scale * deliverFrac
+			rate := s.tcp.Cwnd / rtt * scale * deliverFrac
 			flowRate += rate
 			f.delivered += rate * dt
 
@@ -172,7 +172,7 @@ func runEquiv(tc equivCase, ci int, seed uint64, step func(*Path, float64), step
 			all = append(all, f)
 		}
 		step(p, equivDTs[choose.IntN(len(equivDTs))])
-		if p.Congested() {
+		if p.lastCongested {
 			r.congested++
 		} else {
 			r.clear++
@@ -410,8 +410,8 @@ func TestRemoveClearsTail(t *testing.T) {
 	fl[4].Remove()
 	fl[0].Remove()
 	fl[2].Remove()
-	if p.Flows() != 2 {
-		t.Fatalf("Flows() = %d, want 2", p.Flows())
+	if len(p.flows) != 2 {
+		t.Fatalf("%d flows, want 2", len(p.flows))
 	}
 	for i, f := range p.flows[len(p.flows):cap(p.flows)] {
 		if f != nil {

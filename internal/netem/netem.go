@@ -57,8 +57,6 @@ import (
 
 // Config describes a network path.
 type Config struct {
-	// Name labels the path in diagnostics (e.g. "ANL->UChicago").
-	Name string
 	// Capacity is the bottleneck rate in bytes per second.
 	Capacity float64
 	// BaseRTT is the propagation round-trip time in seconds.
@@ -119,25 +117,9 @@ func New(cfg Config, rng *sim.RNG) *Path {
 	}
 }
 
-// Config returns the path's configuration.
-func (p *Path) Config() Config { return p.cfg }
-
 // RTT returns the current effective round-trip time: propagation plus
 // queueing delay.
 func (p *Path) RTT() float64 { return p.cfg.BaseRTT + p.queue/p.cfg.Capacity }
-
-// Utilization returns the delivered fraction of capacity in the last
-// step.
-func (p *Path) Utilization() float64 { return p.lastTotal / p.cfg.Capacity }
-
-// Congested reports whether the buffer was full in the last step.
-func (p *Path) Congested() bool { return p.lastCongested }
-
-// QueueBytes returns the bytes currently queued at the bottleneck.
-func (p *Path) QueueBytes() float64 { return p.queue }
-
-// Flows returns the number of flows attached to the path.
-func (p *Path) Flows() int { return len(p.flows) }
 
 // stream is one TCP connection within a flow. Its times are absolute
 // path times, so a substep only reads them unless something happens.
@@ -250,36 +232,16 @@ func (f *Flow) Remove() {
 // transfer process waiting on a file request).
 func (f *Flow) SetCap(c float64) { f.cap = c }
 
-// Cap returns the current aggregate rate limit (0 = unlimited,
-// negative = blocked).
-func (f *Flow) Cap() float64 { return f.cap }
-
-// Blocked reports whether the flow is fully blocked.
-func (f *Flow) Blocked() bool { return f.cap < 0 }
-
 // OfferedRate returns the flow's window-limited desired rate before
 // capping, from the last step. The endpoint scheduler uses this as the
 // flow's CPU demand signal.
 func (f *Flow) OfferedRate() float64 { return f.offered }
-
-// Rate returns the delivered aggregate rate from the last step.
-func (f *Flow) Rate() float64 { return f.rate }
 
 // Delivered returns the cumulative bytes delivered by the flow.
 func (f *Flow) Delivered() float64 { return f.delivered }
 
 // Streams returns the number of streams in the flow.
 func (f *Flow) Streams() int { return len(f.strs) }
-
-// Losses returns the total congestion events across the flow's
-// streams.
-func (f *Flow) Losses() uint64 {
-	var n uint64
-	for i := range f.strs {
-		n += f.strs[i].tcp.Losses
-	}
-	return n
-}
 
 // minSubstep bounds how finely Step subdivides time, in seconds.
 const minSubstep = 0.001

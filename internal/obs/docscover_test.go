@@ -1,16 +1,23 @@
 package obs
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestObservabilityDocCoverage pins the documentation contract: every
-// metric family an Observer can register and every event type the
-// Recorder can emit must appear by name in OBSERVABILITY.md. A new
-// instrument without documentation fails here before it ships.
+// metric family an Observer can register (a TYPE line of its
+// exposition) and every event type the Recorder can emit (an EventType
+// constant in events.go, read from the source) must appear by name in
+// OBSERVABILITY.md. A new instrument without documentation fails here
+// before it ships.
 func TestObservabilityDocCoverage(t *testing.T) {
 	doc, err := os.ReadFile(filepath.Join("..", "..", "OBSERVABILITY.md"))
 	if err != nil {
@@ -19,8 +26,8 @@ func TestObservabilityDocCoverage(t *testing.T) {
 	text := string(doc)
 
 	// Materialize every instrument: a full session lifecycle, server
-	// metrics, and a fault, so Registry().Names() lists the complete
-	// family set.
+	// metrics, and a fault, so the registry's exposition carries the
+	// complete family set.
 	o := NewObserver(ObserverConfig{})
 	s := o.Session("doc")
 	s.SetStrategy("cs-tuner")
@@ -55,14 +62,61 @@ func TestObservabilityDocCoverage(t *testing.T) {
 	d.SetTenantActive("tenant-a", 1)
 	d.TenantFaults("tenant-a", 1)
 
-	for _, name := range o.Registry().Names() {
-		if !strings.Contains(text, name) {
-			t.Errorf("metric %q is not documented in OBSERVABILITY.md", name)
+	var prom strings.Builder
+	if err := o.Registry().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			if name, _, _ := strings.Cut(rest, " "); !strings.Contains(text, name) {
+				t.Errorf("metric %q is not documented in OBSERVABILITY.md", name)
+			}
 		}
 	}
-	for _, et := range EventTypes() {
-		if !strings.Contains(text, string(et)) {
+	types, err := eventTypes("events.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(types) == 0 {
+		t.Fatal("events.go declares no EventType constants")
+	}
+	for _, et := range types {
+		if !strings.Contains(text, et) {
 			t.Errorf("event type %q is not documented in OBSERVABILITY.md", et)
 		}
 	}
+}
+
+// eventTypes returns the value of every EventType constant the file
+// declares.
+func eventTypes(file string) ([]string, error) {
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var types []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "EventType" {
+				continue
+			}
+			for _, v := range vs.Values {
+				lit, ok := v.(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					return nil, fmt.Errorf("%s: an EventType constant that is not a string literal", file)
+				}
+				s, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					return nil, err
+				}
+				types = append(types, s)
+			}
+		}
+	}
+	return types, nil
 }

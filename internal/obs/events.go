@@ -7,8 +7,8 @@ import (
 )
 
 // EventType names one kind of structured event in the trace stream.
-// Every type emitted by the stack is listed in EventTypes and
-// documented in OBSERVABILITY.md.
+// Every type is one of the constants below and is documented in
+// OBSERVABILITY.md.
 type EventType string
 
 // The event vocabulary of the tuning stack.
@@ -76,18 +76,6 @@ const (
 	// a random action) or "exploit" (greedy argmax).
 	EventRLAction EventType = "RLAction"
 )
-
-// EventTypes lists every event type the stack can emit, in a stable
-// order. Documentation tests iterate it.
-func EventTypes() []EventType {
-	return []EventType{
-		EventEpochStart, EventEpochEnd, EventPropose, EventObserve,
-		EventStripeDialed, EventStripeEvicted, EventRetriggerEpsilon,
-		EventCheckpointWritten, EventFaultInjected, EventWarmStart,
-		EventJobAdmitted, EventJobAdopted, EventJobEvicted,
-		EventFileCompleted, EventStripeKernelStats, EventRLAction,
-	}
-}
 
 // Event is one structured trace record. Fields beyond Seq, T, and Type
 // are populated per type; unused fields are omitted from the JSONL
@@ -257,17 +245,6 @@ func (r *Recorder) appendSlots(out []Event, from, to int) []Event {
 		from += n
 	}
 	return out
-}
-
-// Len reports how many events have been recorded in total (including
-// any that have been evicted from the ring).
-func (r *Recorder) Len() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
 }
 
 // Err returns the first error the JSONL sink reported, if any.

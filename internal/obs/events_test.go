@@ -25,8 +25,8 @@ func TestRecorderRingAndSink(t *testing.T) {
 			t.Errorf("event %d: seq %d, want %d (oldest-first after wrap)", i, ev.Seq, want)
 		}
 	}
-	if r.Len() != 6 {
-		t.Errorf("Len %d, want 6", r.Len())
+	if r.seq != 6 {
+		t.Errorf("seq %d, want 6", r.seq)
 	}
 	// The JSONL sink keeps everything, one object per line.
 	sc := bufio.NewScanner(&sink)

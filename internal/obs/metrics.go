@@ -63,13 +63,9 @@ func (k metricKind) String() string {
 	return "untyped"
 }
 
-// series is the registry's view of one instrument: its canonical label
-// rendering plus the value-producing instrument itself.
-type series struct {
-	labels string // canonical `{k="v",...}` rendering, "" when unlabeled
-	inst   interface {
-		write(w *strings.Builder, name, labels string)
-	}
+// instrument is one registered series: it renders its own lines.
+type instrument interface {
+	write(w *strings.Builder, name, labels string)
 }
 
 // family groups all series registered under one metric name. A family
@@ -77,10 +73,9 @@ type series struct {
 // different kind panics (it is a programming error, like a duplicate
 // flag).
 type family struct {
-	name   string
 	help   string
 	kind   metricKind
-	series map[string]*series // keyed by canonical label rendering
+	series map[string]instrument // keyed by canonical `{k="v",...}` label rendering
 }
 
 // Registry holds metric families and renders them in Prometheus text
@@ -167,25 +162,23 @@ func escapeHelp(v string) string {
 // creating family and series as needed via mk. Registration is
 // idempotent: asking for an existing series returns the existing
 // instrument, so packages can re-derive handles freely.
-func (r *Registry) lookup(name, help string, kind metricKind, labels []Label, mk func() interface {
-	write(w *strings.Builder, name, labels string)
-}) interface{} {
+func (r *Registry) lookup(name, help string, kind metricKind, labels []Label, mk func() instrument) instrument {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
-		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
+		f = &family{help: help, kind: kind, series: make(map[string]instrument)}
 		r.families[name] = f
 	} else if f.kind != kind {
 		panic(fmt.Sprintf("obs: metric %q registered as %s and %s", name, f.kind, kind))
 	}
 	ls := renderLabels(labels)
-	s, ok := f.series[ls]
+	in, ok := f.series[ls]
 	if !ok {
-		s = &series{labels: ls, inst: mk()}
-		f.series[ls] = s
+		in = mk()
+		f.series[ls] = in
 	}
-	return s.inst
+	return in
 }
 
 // Counter returns the monotonically increasing counter registered
@@ -195,9 +188,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindCounter, labels, func() interface {
-		write(w *strings.Builder, name, labels string)
-	} {
+	return r.lookup(name, help, kindCounter, labels, func() instrument {
 		return new(Counter)
 	}).(*Counter)
 }
@@ -209,9 +200,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindGauge, labels, func() interface {
-		write(w *strings.Builder, name, labels string)
-	} {
+	return r.lookup(name, help, kindGauge, labels, func() instrument {
 		return new(Gauge)
 	}).(*Gauge)
 }
@@ -225,9 +214,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, kindHistogram, labels, func() interface {
-		write(w *strings.Builder, name, labels string)
-	} {
+	return r.lookup(name, help, kindHistogram, labels, func() instrument {
 		return newHistogram(buckets)
 	}).(*Histogram)
 }
@@ -267,27 +254,12 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			f.series[k].inst.write(&b, name, k)
+			f.series[k].write(&b, name, k)
 		}
 	}
 	r.mu.Unlock()
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Names returns the sorted names of all registered metric families.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Counter is a monotonically increasing metric. The zero value is

@@ -328,14 +328,6 @@ func (s *SessionObs) Muted(f func()) {
 	f()
 }
 
-// ID returns the session's stable identifier; "" on a nil receiver.
-func (s *SessionObs) ID() string {
-	if s == nil {
-		return ""
-	}
-	return s.id
-}
-
 // Status snapshots the session's live state; a zero value on a nil
 // receiver.
 func (s *SessionObs) Status() SessionStatus {

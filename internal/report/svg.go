@@ -95,8 +95,6 @@ func (s *svgBuilder) text(x, y float64, anchor, class, content string) {
 	fmt.Fprintf(&s.b, `<text x="%.1f" y="%.1f" text-anchor="%s" class="%s">%s</text>`, x, y, anchor, class, esc(content))
 }
 
-func (s *svgBuilder) raw(markup string) { s.b.WriteString(markup) }
-
 func (s *svgBuilder) String() string { return s.b.String() }
 
 // polyline renders a 2px round-capped series line through the points.

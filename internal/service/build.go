@@ -246,7 +246,6 @@ func fabricTransfer(fabric *xfer.Fabric, id string, spec JobSpec, files dataset.
 		fabric.SetLoad(load.Constant(load.Load{Tfr: spec.Tfr, Cmp: spec.Cmp}), nil)
 	}
 	tcfg := xfer.TransferConfig{
-		Name:   id,
 		Bytes:  volumeOf(spec.Bytes),
 		Policy: tuner.RestartPolicyFor(spec.Tuner),
 	}

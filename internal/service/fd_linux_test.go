@@ -138,9 +138,9 @@ func TestAbandonReleasesCheckpointLog(t *testing.T) {
 	}
 	drained, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, rt := range live {
+	for i, rt := range live {
 		if info := rt.Step(drained); !info.Done || !errors.Is(info.Err, context.Canceled) || rt.Epochs() != 1 {
-			t.Fatalf("session %s under a cancelled context: %+v after %d epochs, want done with the cancellation after 1", rt.ID(), info, rt.Epochs())
+			t.Fatalf("session %d under a cancelled context: %+v after %d epochs, want done with the cancellation after 1", i, info, rt.Epochs())
 		}
 	}
 	if got := logs(); got != 0 {

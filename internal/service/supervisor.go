@@ -143,7 +143,6 @@ type job struct {
 	id     string
 	tenant string
 	spec   JobSpec // defaults applied
-	seq    int
 
 	state         JobState
 	err           error
@@ -251,7 +250,6 @@ func (sv *Supervisor) adopt() error {
 			id:      e.ID,
 			tenant:  e.Tenant,
 			spec:    e.Spec.WithDefaults(),
-			seq:     e.Seq,
 			state:   JobQueued,
 			adopted: true,
 		}
@@ -380,7 +378,6 @@ func (sv *Supervisor) Submit(spec JobSpec) (JobStatus, error) {
 		id:     id,
 		tenant: full.Tenant,
 		spec:   full,
-		seq:    seq,
 		state:  JobQueued,
 	}
 	// The journal entry must be durable before the job becomes

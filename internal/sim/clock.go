@@ -32,9 +32,6 @@ func (c *Clock) Now() float64 { return c.now }
 // DT returns the step size in seconds.
 func (c *Clock) DT() float64 { return c.dt }
 
-// Step returns the number of ticks taken so far.
-func (c *Clock) Step() uint64 { return c.step }
-
 // Tick advances the clock by one step and returns the new time.
 func (c *Clock) Tick() float64 {
 	c.step++

@@ -172,8 +172,8 @@ func TestClockTick(t *testing.T) {
 	if got := c.Now(); got != 1.0 {
 		t.Fatalf("after two 0.5s ticks Now() = %v, want 1.0", got)
 	}
-	if c.Step() != 2 {
-		t.Fatalf("Step() = %d, want 2", c.Step())
+	if c.step != 2 {
+		t.Fatalf("step = %d, want 2", c.step)
 	}
 }
 

@@ -101,10 +101,10 @@ func TestAlgorithmsMatchParent(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	if len(want) != len(Names())*len(algoRTTs) {
-		t.Fatalf("fixture holds %d runs, want %d", len(want), len(Names())*len(algoRTTs))
+	if len(want) != len(algorithmNames)*len(algoRTTs) {
+		t.Fatalf("fixture holds %d runs, want %d", len(want), len(algorithmNames)*len(algoRTTs))
 	}
-	for _, name := range Names() {
+	for _, name := range algorithmNames {
 		alg, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)

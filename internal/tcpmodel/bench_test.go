@@ -36,7 +36,7 @@ func BenchmarkScalable(b *testing.B) { benchAlg(b, NewScalable()) }
 // every RTT, its closed form, and the loss response, allocate nothing in
 // any model.
 func TestAlgorithmAllocs(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range algorithmNames {
 		alg, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)

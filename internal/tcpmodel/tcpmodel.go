@@ -67,15 +67,6 @@ func NewStream(maxCwnd float64) Stream {
 	return s
 }
 
-// Rate returns the window-limited sending rate in bytes per second for
-// the given round-trip time.
-func (s *Stream) Rate(rtt float64) float64 {
-	if rtt <= 0 {
-		return 0
-	}
-	return s.Cwnd / rtt
-}
-
 // ObserveRTT folds one RTT sample into the stream's min/max tracking.
 func (s *Stream) ObserveRTT(rtt float64) {
 	if rtt <= 0 {
@@ -328,6 +319,3 @@ func ByName(name string) (Algorithm, error) {
 	}
 	return nil, fmt.Errorf("tcpmodel: unknown algorithm %q", name)
 }
-
-// Names lists the available algorithm names.
-func Names() []string { return []string{"reno", "cubic", "htcp", "scalable"} }

@@ -275,7 +275,7 @@ func TestScalableSmallWindowFloor(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range algorithmNames {
 		alg, err := ByName(name)
 		if err != nil {
 			t.Fatalf("ByName(%q): %v", name, err)
@@ -286,17 +286,6 @@ func TestByName(t *testing.T) {
 	}
 	if _, err := ByName("bbr"); err == nil {
 		t.Fatal("ByName(bbr) succeeded, want error")
-	}
-}
-
-func TestRate(t *testing.T) {
-	s := streamOfMSS(1000, 0)
-	s.Cwnd = 300000
-	if got := s.Rate(0.03); math.Abs(got-1e7) > 1e-6 {
-		t.Fatalf("Rate = %v, want 1e7", got)
-	}
-	if got := s.Rate(0); got != 0 {
-		t.Fatalf("Rate(0) = %v, want 0", got)
 	}
 }
 
@@ -339,7 +328,7 @@ func TestLossNeverBelowOneMSS(t *testing.T) {
 // to far past H-TCP's DeltaL — and at any RTT.
 func TestOnRTTFixedAtCap(t *testing.T) {
 	const maxCwnd = 4 << 20
-	for _, name := range Names() {
+	for _, name := range algorithmNames {
 		alg, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -378,3 +367,6 @@ func TestOnRTTFixedAtCap(t *testing.T) {
 		}
 	}
 }
+
+// algorithmNames lists every name ByName knows.
+var algorithmNames = []string{"reno", "cubic", "htcp", "scalable"}

@@ -5,7 +5,6 @@ package trace
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -28,24 +27,12 @@ type Series struct {
 // Add appends a sample.
 func (s *Series) Add(t, v float64) { s.Points = append(s.Points, Point{T: t, V: v}) }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
 // Last returns the final sample, or a zero Point when empty.
 func (s *Series) Last() Point {
 	if len(s.Points) == 0 {
 		return Point{}
 	}
 	return s.Points[len(s.Points)-1]
-}
-
-// Values returns the sample values.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		vs[i] = p.V
-	}
-	return vs
 }
 
 // Mean returns the mean value, or 0 when empty.
@@ -81,13 +68,6 @@ func WriteCSV(w io.Writer, series ...*Series) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteJSON writes the series as a JSON array.
-func WriteJSON(w io.Writer, series ...*Series) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(series)
 }
 
 // sparkRunes are the eight block heights used by Sparkline.

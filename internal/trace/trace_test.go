@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -20,8 +19,8 @@ func sample() *Series {
 
 func TestSeriesBasics(t *testing.T) {
 	s := sample()
-	if s.Len() != 4 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.Points) != 4 {
+		t.Fatalf("%d points", len(s.Points))
 	}
 	if got := s.Last(); got != (Point{T: 90, V: 40}) {
 		t.Fatalf("Last = %v", got)
@@ -33,17 +32,11 @@ func TestSeriesBasics(t *testing.T) {
 
 func TestEmptySeries(t *testing.T) {
 	s := &Series{Name: "empty"}
-	if s.Mean() != 0 || s.Len() != 0 {
+	if s.Mean() != 0 || len(s.Points) != 0 {
 		t.Fatal("empty series stats")
 	}
 	if s.Last() != (Point{}) {
 		t.Fatal("empty Last should be zero")
-	}
-}
-
-func TestValues(t *testing.T) {
-	if vs := sample().Values(); len(vs) != 4 || vs[2] != 30 {
-		t.Fatalf("Values = %v", vs)
 	}
 }
 
@@ -61,20 +54,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if lines[1] != "tput,0,10" {
 		t.Fatalf("first row = %q", lines[1])
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	var out []Series
-	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 1 || out[0].Name != "tput" || len(out[0].Points) != 4 {
-		t.Fatalf("round trip = %+v", out)
 	}
 }
 

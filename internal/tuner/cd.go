@@ -71,13 +71,6 @@ func (c *CDStrategy) Name() string { return "cd-tuner" }
 // Propose implements Strategy.
 func (c *CDStrategy) Propose() ([]int, bool) { return ivec.Clone(c.st.Next), false }
 
-// step moves the active coordinate of x by d within bounds.
-func (c *CDStrategy) step(x []int, d int) []int {
-	out := ivec.Clone(x)
-	out[c.st.Rotation.Dim] += d
-	return c.cfg.Box.ClampInt(out)
-}
-
 // Observe implements Strategy.
 func (c *CDStrategy) Observe(rep xfer.Report) {
 	f := fitnessOf(c.cfg, rep)
@@ -85,7 +78,7 @@ func (c *CDStrategy) Observe(rep xfer.Report) {
 	case cdPhaseStart:
 		// Lines 7-11: x0 evaluated; probe upward next.
 		c.st.XPrev2, c.st.F2 = c.st.Next, f
-		c.st.Next = c.step(c.st.XPrev2, +1)
+		c.st.Next = bump(c.cfg, c.st.XPrev2, c.st.Rotation.Dim, +1)
 		c.st.Phase = cdPhaseProbe
 	case cdPhaseProbe:
 		c.st.XPrev, c.st.F1 = c.st.Next, f
@@ -112,15 +105,15 @@ func (c *CDStrategy) decide() []int {
 	switch {
 	case !moved && (dc > c.cfg.Tolerance || dc < -c.cfg.Tolerance):
 		// External conditions shifted while we held still: probe.
-		next = c.step(st.XPrev, +1)
+		next = bump(c.cfg, st.XPrev, dim, +1)
 	case moved:
 		// Line 15: slope per unit move of the active coordinate.
 		slope := dc / float64(st.XPrev[dim]-st.XPrev2[dim])
 		switch {
 		case slope > c.cfg.Tolerance:
-			next = c.step(st.XPrev, +1)
+			next = bump(c.cfg, st.XPrev, dim, +1)
 		case slope < -c.cfg.Tolerance:
-			next = c.step(st.XPrev, -1)
+			next = bump(c.cfg, st.XPrev, dim, -1)
 		default:
 			next = st.XPrev
 		}
@@ -131,7 +124,7 @@ func (c *CDStrategy) decide() []int {
 	// Multi-parameter extension: rotate after repeated holds.
 	if ivec.Equal(next, st.XPrev) {
 		if st.Rotation.Hold(c.cfg.Box.Dim()) {
-			next = c.step(st.XPrev, +1) // probe the fresh coordinate once
+			next = bump(c.cfg, st.XPrev, st.Rotation.Dim, +1) // probe the fresh coordinate once
 		}
 	} else {
 		st.Rotation.Progress()

@@ -2,6 +2,8 @@ package tuner
 
 import (
 	"context"
+	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -76,7 +78,12 @@ func TestFleetRejectsSharedDurableIdentity(t *testing.T) {
 // observed epoch in the shared store under their own keys; keyless
 // sessions record nothing.
 func TestFleetRecordsHistory(t *testing.T) {
-	store := history.NewMemStore()
+	path := filepath.Join(t.TempDir(), "history.jsonl")
+	store, err := history.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
 	keyA := history.Key{Endpoint: "uchicago/bulk", SizeClass: -1, LoadClass: 0}
 	a := fleetTestSession(t, "bulk", 10)
 	a.HistoryKey = keyA
@@ -101,8 +108,15 @@ func TestFleetRecordsHistory(t *testing.T) {
 	if !ok || !reflect.DeepEqual(e.X, bestX) || e.Throughput != bestTp {
 		t.Fatalf("Lookup = %+v ok=%v, want best epoch %v at %v", e, ok, bestX, bestTp)
 	}
-	rec := store.Records("uchicago/bulk")[0]
-	if rec.Tuner != "cs-tuner" || rec.Epochs != len(results[0].Traces[0].Results) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec history.Record
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Key != keyA || rec.Tuner != "cs-tuner" || rec.Epochs != len(results[0].Traces[0].Results) {
 		t.Fatalf("record metadata = %+v", rec)
 	}
 }

@@ -24,7 +24,6 @@ func simLoadedTransfer(t *testing.T, seed uint64) *xfer.Sim {
 	f, err := xfer.NewFabric(xfer.FabricConfig{
 		Seed: seed,
 		Source: endpoint.Config{
-			Name:         "src",
 			Cores:        8,
 			CorePumpRate: 1.25e9,
 			RestartBase:  0.5,
@@ -34,7 +33,6 @@ func simLoadedTransfer(t *testing.T, seed uint64) *xfer.Sim {
 		t.Fatal(err)
 	}
 	if _, err := f.AddPath(netem.Config{
-		Name:       "wan",
 		Capacity:   1.25e9,
 		BaseRTT:    0.03,
 		RandomLoss: 1e-5,

@@ -51,9 +51,6 @@ func NewSessionRuntime(cfg FleetConfig, spec FleetSession) (*SessionRuntime, err
 	return &SessionRuntime{s: s}, nil
 }
 
-// ID returns the session's stable identifier.
-func (r *SessionRuntime) ID() string { return r.s.id }
-
 // Done reports whether the session has ended.
 func (r *SessionRuntime) Done() bool { return r.s.done }
 

@@ -283,15 +283,14 @@ type StaticState struct {
 // StaticStrategy holds the starting parameters forever — the paper's
 // non-adaptive `default` baseline.
 type StaticStrategy struct {
-	cfg Config
-	st  StaticState
+	st StaticState
 }
 
 // NewStaticStrategy returns a static strategy holding cfg.Start
 // (clamped to the box).
 func NewStaticStrategy(cfg Config) *StaticStrategy {
 	cfg = cfg.withDefaults()
-	return &StaticStrategy{cfg: cfg, st: StaticState{X: cfg.Box.ClampInt(cfg.Start)}}
+	return &StaticStrategy{st: StaticState{X: cfg.Box.ClampInt(cfg.Start)}}
 }
 
 // Name implements Strategy.

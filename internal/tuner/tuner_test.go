@@ -368,16 +368,16 @@ func TestTraceAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := tr.Throughput(); s.Len() != 10 {
-		t.Fatalf("throughput series len %d", s.Len())
+	if s := tr.Throughput(); len(s.Points) != 10 {
+		t.Fatalf("throughput series len %d", len(s.Points))
 	}
-	if s := tr.BestCase(); s.Len() != 10 {
-		t.Fatalf("bestcase series len %d", s.Len())
+	if s := tr.BestCase(); len(s.Points) != 10 {
+		t.Fatalf("bestcase series len %d", len(s.Points))
 	}
-	if s := tr.Param(0); s.Len() != 10 || s.Last().V != 2 {
+	if s := tr.Param(0); len(s.Points) != 10 || s.Last().V != 2 {
 		t.Fatalf("param series %v", s.Last())
 	}
-	if tr.Param(5).Len() != 0 {
+	if len(tr.Param(5).Points) != 0 {
 		t.Fatal("out-of-range param dim returned data")
 	}
 	if tr.MeanThroughput() != 200e6 {

@@ -19,12 +19,12 @@ func fig5Fabric(tb testing.TB) *Fabric {
 	f, err := NewFabric(FabricConfig{
 		DT:     0.1,
 		Seed:   1,
-		Source: endpoint.Config{Name: "anl-nehalem", Cores: 8, CorePumpRate: 1.3e9, NICRate: 5e9},
+		Source: endpoint.Config{Cores: 8, CorePumpRate: 1.3e9, NICRate: 5e9},
 	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := f.AddPath(netem.Config{Name: "anl-uchicago", Capacity: 5e9, BaseRTT: 0.012, RandomLoss: 5e-6, MaxCwnd: 4 << 20}); err != nil {
+	if _, err := f.AddPath(netem.Config{Capacity: 5e9, BaseRTT: 0.012, RandomLoss: 5e-6, MaxCwnd: 4 << 20}); err != nil {
 		tb.Fatal(err)
 	}
 	f.SetLoad(load.Constant(load.Load{Tfr: 16, Cmp: 16}), nil)

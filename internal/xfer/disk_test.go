@@ -81,11 +81,11 @@ func TestPipeliningHelpsSmallFiles(t *testing.T) {
 func TestDiskRateCapsThroughput(t *testing.T) {
 	// A 10 GB/s host on a 5 GB/s path: only the 2 GB/s storage array
 	// can hold eight processes of eight streams back.
-	f, err := NewFabric(FabricConfig{Seed: 3, Source: endpoint.Config{Name: "src", Cores: 8, CorePumpRate: 1.25e9, RestartBase: 0.5}})
+	f, err := NewFabric(FabricConfig{Seed: 3, Source: endpoint.Config{Cores: 8, CorePumpRate: 1.25e9, RestartBase: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddPath(netem.Config{Name: "wan", Capacity: 5e9, BaseRTT: 0.01, RandomLoss: 1e-6, MaxCwnd: 16 << 20}); err != nil {
+	if _, err := f.AddPath(netem.Config{Capacity: 5e9, BaseRTT: 0.01, RandomLoss: 1e-6, MaxCwnd: 16 << 20}); err != nil {
 		t.Fatal(err)
 	}
 	tr := diskTransferOn(t, f, dataset.Uniform(16, 8<<30))

@@ -38,7 +38,6 @@ type Fabric struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	cfg   FabricConfig
 	clock *sim.Clock
 	rng   *sim.RNG
 	src   *endpoint.Host
@@ -76,7 +75,6 @@ func NewFabric(cfg FabricConfig) (*Fabric, error) {
 		cfg.TCP = tcpmodel.NewHTCP()
 	}
 	f := &Fabric{
-		cfg:      cfg,
 		clock:    sim.NewClock(cfg.DT),
 		rng:      sim.NewRNG(cfg.Seed),
 		src:      endpoint.New(cfg.Source),
@@ -117,9 +115,6 @@ func (f *Fabric) SetLoad(s load.Schedule, p *netem.Path) {
 	}
 }
 
-// Source returns the fabric's source endpoint.
-func (f *Fabric) Source() *endpoint.Host { return f.src }
-
 // Now returns the fabric's virtual time in seconds.
 func (f *Fabric) Now() float64 {
 	f.mu.Lock()
@@ -129,7 +124,8 @@ func (f *Fabric) Now() float64 {
 
 // TransferConfig describes one transfer on a fabric.
 type TransferConfig struct {
-	// Name labels the transfer in diagnostics.
+	// Name is read by nothing. It stays only because bench/, which
+	// changes only with the benchmark, sets it.
 	Name string
 	// Path is the network path to transfer over; nil selects the
 	// fabric's first path.
@@ -158,7 +154,6 @@ var Unbounded = math.Inf(1)
 // time for the whole fabric.
 type Sim struct {
 	f      *Fabric
-	name   string
 	path   *netem.Path
 	policy RestartPolicy
 
@@ -197,7 +192,6 @@ func (f *Fabric) NewTransfer(cfg TransferConfig) (*Sim, error) {
 	}
 	tr := &Sim{
 		f:         f,
-		name:      cfg.Name,
 		path:      p,
 		policy:    cfg.Policy,
 		remaining: cfg.Bytes,
@@ -213,12 +207,6 @@ func (f *Fabric) NewTransfer(cfg TransferConfig) (*Sim, error) {
 	f.transfers = append(f.transfers, tr)
 	return tr, nil
 }
-
-// Name returns the transfer's label.
-func (t *Sim) Name() string { return t.name }
-
-// Params returns the parameters of the currently running processes.
-func (t *Sim) Params() Params { return t.params }
 
 // Remaining implements Transferer.
 func (t *Sim) Remaining() float64 {

@@ -18,7 +18,6 @@ func testFabric(t *testing.T, seed uint64) (*Fabric, *netem.Path) {
 	f, err := NewFabric(FabricConfig{
 		Seed: seed,
 		Source: endpoint.Config{
-			Name:         "src",
 			Cores:        8,
 			CorePumpRate: 1.25e9,
 			RestartBase:  0.5,
@@ -28,7 +27,6 @@ func testFabric(t *testing.T, seed uint64) (*Fabric, *netem.Path) {
 		t.Fatal(err)
 	}
 	p, err := f.AddPath(netem.Config{
-		Name:       "wan",
 		Capacity:   1.25e9,
 		BaseRTT:    0.03,
 		RandomLoss: 1e-5,
@@ -310,9 +308,8 @@ func TestStopReleasesBarrier(t *testing.T) {
 }
 
 func TestSecondPath(t *testing.T) {
-	f, p1 := testFabric(t, 13)
+	f, _ := testFabric(t, 13)
 	p2, err := f.AddPath(netem.Config{
-		Name:       "wan2",
 		Capacity:   2.5e9,
 		BaseRTT:    0.033,
 		RandomLoss: 1e-5,
@@ -330,8 +327,8 @@ func TestSecondPath(t *testing.T) {
 	if r.Bytes <= 0 {
 		t.Fatal("no progress on second path")
 	}
-	if p1.Flows() != 0 {
-		t.Fatalf("first path has %d flows, want 0", p1.Flows())
+	if tr.path != p2 {
+		t.Fatal("transfer not on the path it was given")
 	}
 }
 
