@@ -430,10 +430,13 @@ func newObserver(addr, tracePath string) (*dstune.Observer, func(), error) {
 			if err := observer.Recorder().Err(); err != nil {
 				log.Printf("obs-trace: %v (no later event was written)", err)
 			}
-			// Sync before Close: the trace must be durable, not just
-			// handed to the page cache, before the process exits.
-			if err := sink.Sync(); err != nil {
-				log.Printf("obs-trace: sync: %v", err)
+			// Sync before Close: a trace file must be durable, not just
+			// handed to the page cache, before the process exits. A FIFO
+			// or a terminal has nothing to sync (fsync fails EINVAL).
+			if fi, err := sink.Stat(); err == nil && fi.Mode().IsRegular() {
+				if err := sink.Sync(); err != nil {
+					log.Printf("obs-trace: sync: %v", err)
+				}
 			}
 			if err := sink.Close(); err != nil {
 				log.Printf("obs-trace: close: %v", err)

@@ -163,8 +163,12 @@ func run(args []string) error {
 		if err := observer.Recorder().Err(); err != nil {
 			log.Printf("obs-trace: %v (no later event was written)", err)
 		}
-		if err := sink.Sync(); err != nil {
-			log.Printf("obs-trace: sync: %v", err)
+		// A trace file is synced; a FIFO or a terminal has nothing to
+		// sync (fsync fails EINVAL).
+		if fi, err := sink.Stat(); err == nil && fi.Mode().IsRegular() {
+			if err := sink.Sync(); err != nil {
+				log.Printf("obs-trace: sync: %v", err)
+			}
 		}
 		sink.Close()
 	}

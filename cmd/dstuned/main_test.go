@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -222,22 +223,26 @@ func TestDaemonSIGKILLRestart(t *testing.T) {
 // a FIFO whose reader goes away after the first events, as a full disk
 // fails a file — the recorder writes no later event, and the daemon
 // says so when it shuts down instead of losing the trace's tail without
-// a word.
+// a word. A FIFO whose reader stays to the end is a clean exit, and the
+// daemon logs nothing of the trace: a FIFO has nothing to sync.
 func TestTraceWriteErrorIsReported(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a real daemon process")
 	}
-	fifo := filepath.Join(t.TempDir(), "events.jsonl")
-	if err := syscall.Mkfifo(fifo, 0o600); err != nil {
-		t.Skipf("mkfifo: %v", err)
+	mkfifo := func() (string, *os.File) {
+		t.Helper()
+		fifo := filepath.Join(t.TempDir(), "events.jsonl")
+		if err := syscall.Mkfifo(fifo, 0o600); err != nil {
+			t.Skipf("mkfifo: %v", err)
+		}
+		// Opened first, without blocking, so the daemon's open finds a reader.
+		r, err := os.OpenFile(fifo, os.O_RDONLY|syscall.O_NONBLOCK, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fifo, r
 	}
-	// Opened first, without blocking, so the daemon's open finds a reader.
-	r, err := os.OpenFile(fifo, os.O_RDONLY|syscall.O_NONBLOCK, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := startDaemon(t, t.TempDir(), "-obs-trace", fifo)
-	defer d.cmd.Process.Kill()
+	var d *daemon
 	run := func(id string) {
 		t.Helper()
 		spec := fmt.Sprintf(`{"id": %q, "testbed": "tacc", "bytes": 3e9, "epoch": 30}`, id)
@@ -255,6 +260,36 @@ func TestTraceWriteErrorIsReported(t *testing.T) {
 			}
 		}
 	}
+	stop := func() string {
+		t.Helper()
+		if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
+			t.Fatal(err)
+		}
+		<-d.eof
+		d.cmd.Wait()
+		return d.logged()
+	}
+
+	fifo, r := mkfifo()
+	d = startDaemon(t, t.TempDir(), "-obs-trace", fifo)
+	defer d.cmd.Process.Kill()
+	// The daemon holds the FIFO open from before it listens, so the
+	// reader drains until the daemon closes it.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		io.Copy(io.Discard, r)
+	}()
+	run("clean")
+	if got := stop(); strings.Contains(got, "obs-trace:") {
+		t.Fatalf("a clean shutdown logged a trace error:\n%s", got)
+	}
+	<-drained
+	r.Close()
+
+	fifo, r = mkfifo()
+	d = startDaemon(t, t.TempDir(), "-obs-trace", fifo)
+	defer d.cmd.Process.Kill()
 	run("first")
 	r.SetReadDeadline(time.Now().Add(30 * time.Second))
 	if n, err := r.Read(make([]byte, 1<<16)); n == 0 {
@@ -262,12 +297,7 @@ func TestTraceWriteErrorIsReported(t *testing.T) {
 	}
 	r.Close()
 	run("second")
-	if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	<-d.eof
-	d.cmd.Wait()
-	if got := d.logged(); !strings.Contains(got, "obs-trace: ") || !strings.Contains(got, "broken pipe") {
+	if got := stop(); !strings.Contains(got, "obs-trace: ") || !strings.Contains(got, "broken pipe") {
 		t.Fatalf("the daemon did not report the trace's write error:\n%s", got)
 	}
 }

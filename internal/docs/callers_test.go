@@ -9,7 +9,6 @@ import (
 // product file uses but that stay, keyed "pkg.Func", "pkg.Type.Method"
 // or "pkg.Type" (every method of the type), each with why.
 var callerExemptions = map[string]string{
-	"endpoint.waterfill":         "sort.Sort calls its Len and Less",
 	"faultnet.Injector":          "faultnet is the fault injector that tests drive: they read its counters and wrap listeners with Listen",
 	"xfer.transientError.Unwrap": "errors.Is and errors.As call it",
 }

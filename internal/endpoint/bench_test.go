@@ -1,6 +1,9 @@
 package endpoint
 
-import "testing"
+import (
+	"math/rand/v2"
+	"testing"
+)
 
 // loadedHost returns an 8-core host running 16 compute jobs and the
 // demands of n transfer processes to schedule on it.
@@ -31,6 +34,73 @@ func benchAllocate(b *testing.B, n int) {
 func BenchmarkAllocate8Procs(b *testing.B)   { benchAllocate(b, 8) }
 func BenchmarkAllocate64Procs(b *testing.B)  { benchAllocate(b, 64) }
 func BenchmarkAllocate512Procs(b *testing.B) { benchAllocate(b, 512) }
+
+// mixRound is one scheduling round of figureMix: the compute jobs
+// running and the processes' demands.
+type mixRound struct {
+	jobs  int
+	procs []Demand
+}
+
+// figureMix returns a host shaped like the figure set's testbeds (8
+// cores pumping 1.3 GB/s each behind a 5 GB/s NIC) and 64 rounds like
+// theirs: 0, 16 or 64 compute jobs in turn, and a tuned transfer's 1–32
+// processes of 1–8 streams beside 64 single-stream external flows. A
+// flow's demand is twice its offered rate plus 10 MB/s, as the fabric
+// asks, so fresh flows tie at 10 MB/s and fast ones tie at the
+// one-core cap.
+func figureMix() (*Host, []mixRound) {
+	const pump = 1.3e9
+	h := New(Config{Cores: 8, CorePumpRate: pump, NICRate: 5e9})
+	rng := rand.New(rand.NewPCG(50, 3))
+	demand := func(threads int) Demand {
+		offered := 0.0
+		switch rng.IntN(3) {
+		case 0: // fresh
+		case 1:
+			offered = pump * rng.Float64() / 2
+		default:
+			offered = pump // at the one-core cap
+		}
+		return Demand{Threads: threads, Rate: 2*offered + 10e6}
+	}
+	rounds := make([]mixRound, 64)
+	for i := range rounds {
+		r := mixRound{jobs: []int{0, 16, 64}[i%3]}
+		for range 1 + rng.IntN(32) {
+			r.procs = append(r.procs, demand(1+rng.IntN(8)))
+		}
+		for range 64 {
+			r.procs = append(r.procs, demand(1))
+		}
+		rounds[i] = r
+	}
+	return h, rounds
+}
+
+// BenchmarkAllocateFigureMix measures a scheduling round of the figure
+// set's shape, cycling through figureMix's rounds.
+func BenchmarkAllocateFigureMix(b *testing.B) {
+	h, rounds := figureMix()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := rounds[i%len(rounds)]
+		h.SetComputeJobs(r.jobs)
+		h.Allocate(r.procs)
+	}
+}
+
+// BenchmarkAllocateLadder512 measures the level search's worst case: 512
+// processes whose demands saturate a quarter at a time, so the search
+// sorts the ones its passes leave.
+func BenchmarkAllocateLadder512(b *testing.B) {
+	h := New(Config{Cores: 8, CorePumpRate: 1.3e9})
+	d := ladder(512, 8, 1.3e9)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Allocate(d)
+	}
+}
 
 // TestAllocateAllocs holds a scheduling round to its budget, exactly:
 // once the host has scratch for n processes (AllocsPerRun's warm-up

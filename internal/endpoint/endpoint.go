@@ -11,10 +11,14 @@
 // package reproduces both mechanisms:
 //
 //   - A weighted max-min fair (water-filling) scheduler divides the
-//     cores among demands. CPU-bound compute jobs carry a higher weight
-//     than I/O-bound transfer processes, which models the penalty that
-//     frequently-yielding transfer threads pay against spinning dgemm
-//     threads under a real kernel scheduler.
+//     cores among demands at one water level L: a transfer process gets
+//     min(demand, L) and a compute job min(Cores, 4·L), with L chosen so
+//     the cores are used up. CPU-bound compute jobs carry the higher
+//     weight, which models the penalty that frequently-yielding transfer
+//     threads pay against spinning dgemm threads under a real kernel
+//     scheduler. L is found without sorting the demands, so the caps
+//     depend on the demands and not on their order: equal demands get
+//     identical caps.
 //   - A context-switch efficiency factor shrinks the usable pump rate
 //     as the number of runnable threads grows past the core count —
 //     this is what bends the throughput curve down after the paper's
@@ -30,8 +34,9 @@ package endpoint
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Config describes a host.
@@ -97,9 +102,9 @@ type Host struct {
 	computeJobs int
 
 	// Scratch of the scheduling round, reused by every Allocate call.
-	fill      waterfill
 	overheads []float64
 	caps      []float64
+	above     []float64
 }
 
 // New returns a host for cfg. It panics if cfg is invalid; call
@@ -173,11 +178,10 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 	}
 	eff := h.Efficiency(totalThreads)
 
-	// Build the demand vector in units of cores. A transfer process
-	// can exploit at most one core (GridFTP parallelism threads share
-	// their process's core); a compute job wants the whole machine.
-	wf := &h.fill
-	demands, weights := wf.d[:0], wf.w[:0]
+	// The demands in units of cores, in caps until the level is found.
+	// A transfer process can exploit at most one core (GridFTP
+	// parallelism threads share their process's core); a compute job
+	// wants the whole machine.
 	overheads := slices.Grow(h.overheads[:0], n)[:n]
 	h.overheads = overheads
 	for i, d := range procs {
@@ -190,35 +194,23 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 		if rate < 0 {
 			rate = 0
 		}
-		dem := rate/cfg.CorePumpRate + overheads[i]
-		if dem > 1 {
-			dem = 1
-		}
-		demands = append(demands, dem)
-		weights = append(weights, 1)
+		caps[i] = min(rate/cfg.CorePumpRate+overheads[i], 1)
 	}
-	for j := 0; j < h.computeJobs; j++ {
-		demands = append(demands, float64(cfg.Cores))
-		weights = append(weights, computeWeight)
-	}
-	wf.d, wf.w = demands, weights
+	level := waterLevel(caps, h.computeJobs, float64(cfg.Cores), &h.above)
 
-	alloc := wf.run(float64(cfg.Cores))
-
-	total := 0.0
-	for i := range procs {
-		c := (alloc[i] - overheads[i]) * cfg.CorePumpRate * eff
-		if c < 0 {
-			c = 0
+	var total fixedSum // in cores
+	for i := range caps {
+		c := max(min(caps[i], level)-overheads[i], 0)
+		if cfg.NICRate > 0 {
+			total.add(c)
 		}
-		caps[i] = c
-		total += c
+		caps[i] = c * cfg.CorePumpRate * eff
 	}
 
 	// The NIC caps the aggregate outgoing rate across all processes
 	// and paths; scale everyone down proportionally when it binds.
-	if cfg.NICRate > 0 && total > cfg.NICRate {
-		scale := cfg.NICRate / total
+	if sum := total.value() * cfg.CorePumpRate * eff; cfg.NICRate > 0 && sum > cfg.NICRate {
+		scale := cfg.NICRate / sum
 		for i := range caps {
 			caps[i] *= scale
 		}
@@ -243,57 +235,88 @@ func (h *Host) RestartTime(totalProcs int) float64 {
 	return h.cfg.RestartBase * (1 + restartPerLoad*over)
 }
 
-// waterfill computes the weighted max-min fair allocation of a capacity
-// among demands d with weights w: alloc[i] = min(d[i], w[i]*level) with
-// level chosen so the capacity is exhausted, or alloc = d when total
-// demand fits. Its slices are scratch reused from round to round; as a
-// sort.Interface it orders idx by sat, the level d[i]/w[i] at which each
-// demand saturates, computed once a round.
-type waterfill struct {
-	d, w, alloc, sat []float64
-	idx              []int
-}
-
-func (wf *waterfill) Len() int { return len(wf.idx) }
-
-func (wf *waterfill) Less(a, b int) bool { return wf.sat[wf.idx[a]] < wf.sat[wf.idx[b]] }
-
-func (wf *waterfill) Swap(a, b int) { wf.idx[a], wf.idx[b] = wf.idx[b], wf.idx[a] }
-
-// run allocates capacity c among wf.d and returns wf.alloc, valid until
-// the next run.
-func (wf *waterfill) run(c float64) []float64 {
-	d, w := wf.d, wf.w
-	n := len(d)
-	alloc := slices.Grow(wf.alloc[:0], n)[:n]
-	clear(alloc)
-	sat := slices.Grow(wf.sat[:0], n)[:n]
-	idx := slices.Grow(wf.idx[:0], n)[:n]
-	for i := range idx {
-		sat[i] = d[i] / w[i]
-		idx[i] = i
+// waterLevel returns the water level L of a round: transfer processes
+// demanding d (each in [0, 1] cores, with weight 1) and jobs compute jobs
+// (each demanding all c cores, with weight computeWeight) share c cores,
+// and L solves Σ min(d_i, L) + jobs·min(c, computeWeight·L) = c. It is
+// +Inf when every demand fits. above is scratch.
+//
+// Each pass saturates the demands at or below L, keeps the rest, and
+// sets L to the cores the saturated leave over the weight of the rest,
+// which only raises L, until no demand saturates. The jobs never
+// saturate: at a level where one would, the jobs alone take every core.
+// A pass costs O(kept), and the figure mix takes 1.5 on average. A ladder
+// of demands that saturate a few a pass would take up to n passes, so
+// after ⌊log₂ n⌋ + 1 passes the demands still above L are sorted once
+// and saturated in order: O(n log n) at worst. The saturated demands
+// are summed exactly (fixedSum), so L depends on the multiset of
+// demands, not on their order.
+func waterLevel(d []float64, jobs int, c float64, above *[]float64) float64 {
+	var sat fixedSum
+	jobW := float64(computeWeight * jobs)
+	// share is the level at which left demands above level share the
+	// cores sat leaves, never below level; +Inf once none is left.
+	share := func(level float64, left int) float64 {
+		if left+jobs == 0 {
+			return math.Inf(1)
+		}
+		return max(level, (c-sat.value())/(float64(left)+jobW))
 	}
-	wf.alloc, wf.sat, wf.idx = alloc, sat, idx
-	// Ascending by the level at which each demand saturates.
-	sort.Sort(wf)
 
-	remaining := c
-	weightSum := 0.0
-	for _, i := range idx {
-		weightSum += w[i]
+	level := c / (float64(len(d)) + jobW)
+	kept, left := (*above)[:0], len(d)
+	for _, x := range d {
+		if x <= level {
+			sat.add(x)
+		} else {
+			kept = append(kept, x)
+		}
 	}
-	for _, i := range idx {
-		if weightSum <= 0 || remaining <= 0 {
+	*above = kept
+	for passes := bits.Len(uint(len(d))) - 1; len(kept) < left; passes-- {
+		left = len(kept)
+		level = share(level, left)
+		if passes == 0 {
+			// The ladder: the rest in ascending order, each saturating
+			// while the level reaches it.
+			slices.Sort(kept)
+			for _, x := range kept {
+				if !(x <= level) {
+					break
+				}
+				sat.add(x)
+				left--
+				level = share(level, left)
+			}
 			break
 		}
-		level := remaining / weightSum
-		if d[i] <= w[i]*level {
-			alloc[i] = d[i]
-		} else {
-			alloc[i] = w[i] * level
+		rest := kept[:0]
+		for _, x := range kept {
+			if x <= level {
+				sat.add(x)
+			} else {
+				rest = append(rest, x)
+			}
 		}
-		remaining -= alloc[i]
-		weightSum -= w[i]
+		kept = rest
 	}
-	return alloc
+	return level
+}
+
+// fixedSum is an exact sum of values in [0, 1]: each is added as a whole
+// number of 2⁻⁶², in 128 bits, so a sum does not depend on the order of
+// its terms. A value of at least 2⁻¹⁰ (every demand of Allocate's, whose
+// stream overhead alone is 0.001) converts exactly; a smaller one drops
+// its bits below 2⁻⁶².
+type fixedSum struct{ hi, lo uint64 }
+
+func (s *fixedSum) add(x float64) {
+	var carry uint64
+	s.lo, carry = bits.Add64(s.lo, uint64(int64(x*0x1p62)), 0)
+	s.hi += carry
+}
+
+// value is the sum rounded to a float64.
+func (s *fixedSum) value() float64 {
+	return float64(s.hi)*0x1p2 + float64(s.lo)*0x1p-62
 }

@@ -255,16 +255,22 @@ func TestRestartTimeMinimumOneProc(t *testing.T) {
 	}
 }
 
-// fill runs one waterfill round over d and w.
-func fill(d, w []float64, c float64) []float64 {
-	wf := waterfill{d: d, w: w}
-	return wf.run(c)
+// fill runs one water-level round: processes demanding d and jobs
+// compute jobs share c cores. It returns each process's allocation and
+// each job's.
+func fill(d []float64, jobs int, c float64) ([]float64, float64) {
+	var above []float64
+	level := waterLevel(d, jobs, c, &above)
+	a := make([]float64, len(d))
+	for i, x := range d {
+		a[i] = min(x, level)
+	}
+	return a, min(c, computeWeight*level)
 }
 
 func TestWaterfillExactDemandFit(t *testing.T) {
-	d := []float64{1, 2, 3}
-	w := []float64{1, 1, 1}
-	a := fill(d, w, 10)
+	d := []float64{0.1, 0.2, 0.3}
+	a, _ := fill(d, 0, 1)
 	for i := range d {
 		if a[i] != d[i] {
 			t.Fatalf("alloc %v, want demands %v met exactly", a, d)
@@ -273,57 +279,51 @@ func TestWaterfillExactDemandFit(t *testing.T) {
 }
 
 func TestWaterfillScarcity(t *testing.T) {
-	d := []float64{10, 10}
-	w := []float64{1, 1}
-	a := fill(d, w, 8)
-	if math.Abs(a[0]-4) > 1e-9 || math.Abs(a[1]-4) > 1e-9 {
-		t.Fatalf("alloc %v, want [4 4]", a)
+	a, _ := fill([]float64{1, 1}, 0, 0.8)
+	if math.Abs(a[0]-0.4) > 1e-12 || math.Abs(a[1]-0.4) > 1e-12 {
+		t.Fatalf("alloc %v, want [0.4 0.4]", a)
 	}
 }
 
+// TestWaterfillWeights: a compute job weighs computeWeight (4) transfer
+// processes, so two processes and one job on 3 cores get 0.5, 0.5 and 2.
 func TestWaterfillWeights(t *testing.T) {
-	d := []float64{10, 10}
-	w := []float64{3, 1}
-	a := fill(d, w, 8)
-	if math.Abs(a[0]-6) > 1e-9 || math.Abs(a[1]-2) > 1e-9 {
-		t.Fatalf("alloc %v, want [6 2]", a)
+	a, job := fill([]float64{1, 1}, 1, 3)
+	if math.Abs(a[0]-0.5) > 1e-12 || math.Abs(a[1]-0.5) > 1e-12 || math.Abs(job-2) > 1e-12 {
+		t.Fatalf("alloc %v and job %v, want [0.5 0.5] and 2", a, job)
 	}
 }
 
 func TestWaterfillSmallDemandReleases(t *testing.T) {
 	// A process with a small demand frees capacity for the others.
-	d := []float64{0.5, 10, 10}
-	w := []float64{1, 1, 1}
-	a := fill(d, w, 8)
-	if a[0] != 0.5 {
-		t.Fatalf("small demand allocated %v, want 0.5", a[0])
+	a, _ := fill([]float64{0.05, 1, 1}, 0, 0.8)
+	if a[0] != 0.05 {
+		t.Fatalf("small demand allocated %v, want 0.05", a[0])
 	}
-	if math.Abs(a[1]-3.75) > 1e-9 || math.Abs(a[2]-3.75) > 1e-9 {
-		t.Fatalf("alloc %v, want remaining 7.5 split evenly", a)
+	if math.Abs(a[1]-0.375) > 1e-12 || math.Abs(a[2]-0.375) > 1e-12 {
+		t.Fatalf("alloc %v, want remaining 0.75 split evenly", a)
 	}
 }
 
+// TestWaterfillConservation: every allocation lies in [0, demand], and
+// the processes and jobs together take every core, or every demand when
+// all of them fit.
 func TestWaterfillConservation(t *testing.T) {
-	f := func(seeds []uint8) bool {
-		if len(seeds) == 0 {
-			return true
-		}
+	f := func(seeds []uint8, jobs uint8) bool {
 		if len(seeds) > 32 {
 			seeds = seeds[:32]
 		}
 		d := make([]float64, len(seeds))
-		w := make([]float64, len(seeds))
-		totalD := 0.0
+		totalD := float64(jobs%4) * 2
 		for i, s := range seeds {
-			d[i] = float64(s%50) / 10
-			w[i] = 1 + float64(s%4)
+			d[i] = float64(s%51) / 50
 			totalD += d[i]
 		}
-		const c = 8.0
-		a := fill(d, w, c)
-		sum := 0.0
+		const c = 2.0
+		a, job := fill(d, int(jobs%4), c)
+		sum := float64(jobs%4) * job
 		for i := range a {
-			if a[i] < -1e-12 || a[i] > d[i]+1e-12 {
+			if a[i] < 0 || a[i] > d[i] {
 				return false // allocation outside [0, demand]
 			}
 			sum += a[i]

@@ -138,7 +138,7 @@ func TestCalmStepIsExact(t *testing.T) {
 					calm++
 				}
 				steps++
-				atCap = atCap || a.lastTotal == sh.cfg.Capacity
+				atCap = atCap || deliveredRate(a) == sh.cfg.Capacity
 			}
 		}
 		t.Logf("%s: %d of %d steps calm", sh.name, calm, steps)

@@ -62,7 +62,6 @@ func walkEveryStreamSubstep(p *Path, dt float64) {
 	if p.queue < 0 {
 		p.queue = 0
 	}
-	p.lastCongested = congested
 
 	pCongStep := 0.0
 	if congested && total > 0 {
@@ -80,7 +79,6 @@ func walkEveryStreamSubstep(p *Path, dt float64) {
 	tNext := t + dt
 	tCool, tNextCool := t+coolEps, tNext+coolEps
 	due := tNext - rtt
-	pathRate := 0.0
 	for _, f := range p.flows {
 		k := kPath
 		if f.rate != f.offered {
@@ -89,7 +87,6 @@ func walkEveryStreamSubstep(p *Path, dt float64) {
 		rate := f.rate * deliverFrac
 		f.rate = rate
 		f.delivered += rate * dt
-		pathRate += rate
 		f.strs[0].tcp.ObserveRTT(rtt)
 		if hz := f.hazard(k, hc); hz > 0 {
 			if f.clock > hz {
@@ -121,7 +118,6 @@ func walkEveryStreamSubstep(p *Path, dt float64) {
 		}
 		f.cwnd, f.active, f.nActive = sum, active, nActive
 	}
-	p.lastTotal = pathRate
 	p.now = tNext
 }
 
@@ -243,7 +239,7 @@ func sameState(a, b *Path) error {
 		return nil
 	}
 	if err := errors.Join(differ("queue", a.queue, b.queue),
-		differ("delivered rate", a.lastTotal, b.lastTotal), differ("clock", a.now, b.now)); err != nil {
+		differ("delivered rate", deliveredRate(a), deliveredRate(b)), differ("clock", a.now, b.now)); err != nil {
 		return err
 	}
 	if len(a.flows) != len(b.flows) {

@@ -69,7 +69,6 @@ func bernoulliSubstep(p *Path, dt float64, timers map[*stream]float64) {
 	if p.queue < 0 {
 		p.queue = 0
 	}
-	p.lastCongested = congested
 
 	pCong := 0.0
 	if congested && total > 0 {
@@ -78,7 +77,6 @@ func bernoulliSubstep(p *Path, dt float64, timers map[*stream]float64) {
 		}
 	}
 
-	delivered := 0.0
 	for _, f := range p.flows {
 		scale := 1.0
 		if f.offered > 0 {
@@ -111,9 +109,7 @@ func bernoulliSubstep(p *Path, dt float64, timers map[*stream]float64) {
 			}
 		}
 		f.rate = flowRate
-		delivered += flowRate
 	}
-	p.lastTotal = delivered
 	p.now += dt
 }
 
@@ -172,7 +168,7 @@ func runEquiv(tc equivCase, ci int, seed uint64, step func(*Path, float64), step
 			all = append(all, f)
 		}
 		step(p, equivDTs[choose.IntN(len(equivDTs))])
-		if p.lastCongested {
+		if bufferFull(p) {
 			r.congested++
 		} else {
 			r.clear++

@@ -99,9 +99,6 @@ type Path struct {
 	rng    *sim.RNG
 	flows  []*Flow
 	now    float64 // virtual time at the start of the next substep
-
-	lastTotal     float64 // aggregate delivered rate, last step
-	lastCongested bool
 }
 
 // New returns a path for cfg, drawing randomness from rng. It panics if
@@ -377,7 +374,6 @@ func (p *Path) step(dt float64) {
 	if p.queue < 0 {
 		p.queue = 0
 	}
-	p.lastCongested = congested
 
 	// Per-stream congestion-loss probability for this step. When the
 	// buffer is full we size the probability so that the expected
@@ -412,13 +408,11 @@ func (p *Path) step(dt float64) {
 	// Phase 3: delivery, losses and window evolution.
 	t := p.now
 	tNext := t + dt
-	pathRate := 0.0
 	for _, f := range p.flows {
 		k := f.scaled(kPath)
 		rate := f.rate * deliverFrac
 		f.rate = rate
 		f.delivered += rate * dt
-		pathRate += rate
 
 		// A flow's streams are born together and see the same path RTT,
 		// so the first stream's extremes are every stream's.
@@ -431,7 +425,6 @@ func (p *Path) step(dt float64) {
 			f.walk(rtt, t, tNext)
 		}
 	}
-	p.lastTotal = pathRate
 	p.now = tNext
 }
 
@@ -489,13 +482,9 @@ func (p *Path) calmStep(n int, dt float64) {
 	// lose's cool-down, and step's kPath over a second at deliverFrac 1.
 	c := calm{rtt: rtt, invRTT: 1 / rtt, cool: math.Max(rtt, 2*dt), kRate: p.cfg.RandomLoss / (rtt * tcpmodel.DefaultMSS), end: end}
 	c.lead = max(c.cool-rtt/2-dt, 0)
-	total := 0.0
 	for _, f := range p.flows {
 		f.calm(&c, p.now)
-		total += f.rate
 	}
-	p.lastTotal = total
-	p.lastCongested = false
 	p.now = end
 }
 

@@ -162,7 +162,7 @@ func TestCongestionBuildsQueueAndRTT(t *testing.T) {
 	sawQueue := false
 	for i := 0; i < 4000; i++ {
 		p.Step(0.05)
-		if p.lastCongested {
+		if bufferFull(p) {
 			sawCongestion = true
 		}
 		if p.queue > 0 {
@@ -185,11 +185,26 @@ func TestAggregateNeverExceedsCapacity(t *testing.T) {
 	p.NewFlow(128, tcpmodel.NewScalable())
 	for i := 0; i < 2000; i++ {
 		p.Step(0.05)
-		if u := p.lastTotal / p.cfg.Capacity; u > 1.0001 {
+		if u := deliveredRate(p) / p.cfg.Capacity; u > 1.0001 {
 			t.Fatalf("step %d: utilization %v > 1", i, u)
 		}
 	}
 }
+
+// deliveredRate is the path's aggregate delivered rate over its last
+// Step: after a Step each flow's rate is the rate it delivered.
+func deliveredRate(p *Path) float64 {
+	total := 0.0
+	for _, f := range p.flows {
+		total += f.rate
+	}
+	return total
+}
+
+// bufferFull reports whether the path's last Step filled the buffer: a
+// congested Step holds the queue at the buffer's size, any other leaves
+// it below.
+func bufferFull(p *Path) bool { return p.queue >= p.buffer }
 
 func TestRemoveFlow(t *testing.T) {
 	p := New(testConfig(), sim.NewRNG(13))
@@ -308,7 +323,7 @@ func TestUtilizationFinite(t *testing.T) {
 	p.NewFlow(8, tcpmodel.NewCUBIC())
 	for i := 0; i < 1000; i++ {
 		p.Step(0.05)
-		if u := p.lastTotal / p.cfg.Capacity; math.IsNaN(u) || math.IsInf(u, 0) {
+		if u := deliveredRate(p) / p.cfg.Capacity; math.IsNaN(u) || math.IsInf(u, 0) {
 			t.Fatalf("step %d: utilization not finite", i)
 		}
 	}

@@ -83,12 +83,6 @@ func refCalmStep(p *Path, n int, dt float64) {
 			held = slices.Delete(held, j, j+1)
 		}
 	}
-	total := 0.0
-	for _, f := range p.flows {
-		total += f.rate
-	}
-	p.lastTotal = total
-	p.lastCongested = false
 	for i := 0; i < n; i++ {
 		p.now += dt // one substep at a time, as the substep loop rounds it
 	}
