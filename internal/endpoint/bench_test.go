@@ -90,6 +90,35 @@ func BenchmarkAllocateFigureMix(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocatePinned measures the scheduling round of Figure
+// 5(e)'s steady state, repeated: 64 single-stream external flows and a
+// transfer's 4 processes of 4 streams on the figure set's host, each
+// flow pinned at its cap, so that it asks for twice that plus 10 MB/s,
+// above the water level. Every round after the first reuses its caps.
+func BenchmarkAllocatePinned(b *testing.B) {
+	const pump = 1.3e9
+	h := New(Config{Cores: 8, CorePumpRate: pump, NICRate: 5e9})
+	procs := make([]Demand, 0, 68)
+	for range 64 {
+		procs = append(procs, Demand{Threads: 1, Rate: pump})
+	}
+	for range 4 {
+		procs = append(procs, Demand{Threads: 4, Rate: pump})
+	}
+	caps := h.Allocate(procs)
+	for i := range procs {
+		procs[i].Rate = 2*caps[i] + 10e6
+	}
+	h.Allocate(procs)
+	if !h.reuses(procs) {
+		b.Fatal("the steady round does not reuse its caps")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Allocate(procs)
+	}
+}
+
 // BenchmarkAllocateLadder512 measures the level search's worst case: 512
 // processes whose demands saturate a quarter at a time, so the search
 // sorts the ones its passes leave.
@@ -103,13 +132,22 @@ func BenchmarkAllocateLadder512(b *testing.B) {
 }
 
 // TestAllocateAllocs holds a scheduling round to its budget, exactly:
-// once the host has scratch for n processes (AllocsPerRun's warm-up
-// round), a round allocates nothing, at every process count.
+// once the host has scratch for n processes, kept caps included (two
+// rounds), a round allocates nothing, at every process count, whether it
+// reuses the last round's caps or, its compute jobs changing every
+// round, solves afresh.
 func TestAllocateAllocs(t *testing.T) {
 	for _, n := range []int{8, 64, 512} {
 		h, d := loadedHost(n)
+		h.Allocate(d)
+		h.SetComputeJobs(17)
+		h.Allocate(d)
 		if got := testing.AllocsPerRun(100, func() { h.Allocate(d) }); got != 0 {
-			t.Errorf("%d processes: Allocate allocates %v times a round, want 0", n, got)
+			t.Errorf("%d processes: Allocate allocates %v times a reused round, want 0", n, got)
+		}
+		jobs := 16
+		if got := testing.AllocsPerRun(100, func() { jobs = 33 - jobs; h.SetComputeJobs(jobs); h.Allocate(d) }); got != 0 {
+			t.Errorf("%d processes: Allocate allocates %v times a solved round, want 0", n, got)
 		}
 	}
 }

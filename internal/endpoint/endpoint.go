@@ -18,7 +18,8 @@
 //     threads pay against spinning dgemm threads under a real kernel
 //     scheduler. L is found without sorting the demands, so the caps
 //     depend on the demands and not on their order: equal demands get
-//     identical caps.
+//     identical caps. A steady round, every demand above the level of
+//     the last round and none saturating, reuses that round's caps.
 //   - A context-switch efficiency factor shrinks the usable pump rate
 //     as the number of runnable threads grows past the core count —
 //     this is what bends the throughput curve down after the paper's
@@ -105,6 +106,18 @@ type Host struct {
 	overheads []float64
 	caps      []float64
 	above     []float64
+	threads   []int
+
+	// The last round solved, if no demand in it saturated: its water
+	// level, compute jobs, thread counts and caps. It owns the buffers
+	// it took from the scratch.
+	kept struct {
+		ok      bool
+		level   float64
+		jobs    int
+		threads []int
+		caps    []float64
+	}
 }
 
 // New returns a host for cfg. It panics if cfg is invalid; call
@@ -154,10 +167,17 @@ func (h *Host) Efficiency(totalThreads int) float64 {
 // SetComputeJobs participate in the round with weight computeWeight
 // and full-machine demands.
 //
+// A round in which no demand saturates gives every process the level
+// cores/(n + computeWeight·jobs) less its stream overhead, so its caps
+// depend on the process count, the thread counts and the jobs alone.
+// The host keeps such a round's caps, and a round that follows it with
+// the same jobs and thread counts, every demand again above that level,
+// returns them: they are the bits the full solve would compute.
+//
 // The returned slice belongs to the host and is valid until the next
-// Allocate call, which overwrites it: a caller that keeps caps across
-// rounds copies them. A round allocates nothing once the host has seen
-// a round as large.
+// Allocate call: a caller that keeps caps across rounds copies them, and
+// no caller writes to it, since a later round may return it again. A
+// round allocates nothing once the host has seen two rounds as large.
 func (h *Host) Allocate(procs []Demand) []float64 {
 	cfg := h.cfg
 	n := len(procs)
@@ -166,40 +186,32 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 	if n == 0 {
 		return caps
 	}
+	if h.reuses(procs) {
+		return h.kept.caps
+	}
 
 	// Total runnable threads: each compute job spins on every core.
 	totalThreads := h.computeJobs * cfg.Cores
-	for _, d := range procs {
-		t := d.Threads
-		if t < 1 {
-			t = 1
-		}
-		totalThreads += t
+	ts := slices.Grow(h.threads[:0], n)[:n]
+	h.threads = ts
+	for i, d := range procs {
+		ts[i] = threads(d)
+		totalThreads += ts[i]
 	}
 	eff := h.Efficiency(totalThreads)
 
 	// The demands in units of cores, in caps until the level is found.
-	// A transfer process can exploit at most one core (GridFTP
-	// parallelism threads share their process's core); a compute job
-	// wants the whole machine.
 	overheads := slices.Grow(h.overheads[:0], n)[:n]
 	h.overheads = overheads
 	for i, d := range procs {
-		t := d.Threads
-		if t < 1 {
-			t = 1
-		}
-		overheads[i] = streamOverhead * float64(t)
-		rate := d.Rate
-		if rate < 0 {
-			rate = 0
-		}
-		caps[i] = min(rate/cfg.CorePumpRate+overheads[i], 1)
+		caps[i], overheads[i] = h.demand(d)
 	}
 	level := waterLevel(caps, h.computeJobs, float64(cfg.Cores), &h.above)
 
 	var total fixedSum // in cores
+	unsaturated := true
 	for i := range caps {
+		unsaturated = unsaturated && caps[i] > level
 		c := max(min(caps[i], level)-overheads[i], 0)
 		if cfg.NICRate > 0 {
 			total.add(c)
@@ -215,7 +227,58 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 			caps[i] *= scale
 		}
 	}
+	h.keep(unsaturated, level)
 	return caps
+}
+
+// threads returns the process's runnable threads: its streams, at least
+// one.
+func threads(d Demand) int { return max(d.Threads, 1) }
+
+// demand returns the process's demand in cores and the part of it its
+// streams' bookkeeping takes. A transfer process can exploit at most one
+// core (GridFTP parallelism threads share their process's core).
+func (h *Host) demand(d Demand) (cores, overhead float64) {
+	overhead = streamOverhead * float64(threads(d))
+	rate := d.Rate
+	if rate < 0 {
+		rate = 0
+	}
+	return min(rate/h.cfg.CorePumpRate+overhead, 1), overhead
+}
+
+// reuses reports whether the round of procs gets the kept caps: the last
+// round saturated no demand, and this one has its jobs and thread
+// counts and every demand above its level, so that no demand saturates
+// again and the level is the same.
+func (h *Host) reuses(procs []Demand) bool {
+	k := &h.kept
+	if !k.ok || k.jobs != h.computeJobs || len(k.threads) != len(procs) {
+		return false
+	}
+	for i, d := range procs {
+		if threads(d) != k.threads[i] {
+			return false
+		}
+		if cores, _ := h.demand(d); !(cores > k.level) {
+			return false
+		}
+	}
+	return true
+}
+
+// keep keeps the round just solved, its level, thread counts (h.threads)
+// and caps (h.caps), for the next round to reuse if no demand in it
+// saturated, and otherwise keeps nothing. It takes the round's buffers
+// and leaves the scratch the ones it kept before.
+func (h *Host) keep(unsaturated bool, level float64) {
+	k := &h.kept
+	if k.ok = unsaturated; !unsaturated {
+		return
+	}
+	k.level, k.jobs = level, h.computeJobs
+	k.threads, h.threads = h.threads, k.threads
+	k.caps, h.caps = h.caps, k.caps
 }
 
 // RestartTime returns the dead time in seconds for restarting a

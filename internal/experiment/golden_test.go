@@ -95,7 +95,7 @@ func simulated(t *testing.T) map[string]*Outcome {
 	t.Helper()
 	outs := map[string]*Outcome{}
 	for _, s := range Studies() {
-		if s.ByHand {
+		if s.byHand {
 			continue
 		}
 		out, err := s.Run(pinned)

@@ -112,7 +112,7 @@ func TestStudiesTable(t *testing.T) {
 			t.Errorf("study %q: empty or duplicate key, or nothing to run", s.Key)
 		}
 		seen[s.Key] = true
-		if s.Table != "" && s.ByHand {
+		if s.Table != "" && s.byHand {
 			t.Errorf("study %q prints under %q but tier-1 does not simulate it", s.Key, s.Table)
 		}
 	}

@@ -94,11 +94,11 @@ type Study struct {
 	Table string
 	// Pinned is the seeded configuration the study runs at by default.
 	Pinned RunConfig
-	// ByHand marks the ablations (and the scorecard, a view of the
+	// byHand marks the ablations (and the scorecard, a view of the
 	// others): regenerated with -fig KEY, not simulated by tier-1.
 	// Every other study is, at Pinned, and TestFigureMetricsGolden
 	// holds its Metrics for equality.
-	ByHand bool
+	byHand bool
 
 	run func(r *Runs, rc RunConfig, out *Outcome) error
 }
@@ -590,7 +590,7 @@ func (r *SimultaneousResult) chart(title string) Chart {
 // ablation completes s as a by-hand study of n arms: arm i is one run,
 // and the table prints the mean throughput of its traces named cols.
 func ablation(s Study, cols []string, n int, arm func(r *Runs, rc RunConfig, i int) (string, *TuningResult, error)) Study {
-	s.ByHand = true
+	s.byHand = true
 	s.run = func(r *Runs, rc RunConfig, out *Outcome) error {
 		var rows [][]string
 		for i := 0; i < n; i++ {
@@ -718,7 +718,7 @@ func Studies() []Study {
 				})
 				return fmt.Sprintf("pp%d", depths[i]), res, err
 			}),
-		{Key: "scorecard", Title: "Scorecard — paper vs. measured", ByHand: true,
+		{Key: "scorecard", Title: "Scorecard — paper vs. measured", byHand: true,
 			run: func(r *Runs, _ RunConfig, out *Outcome) (err error) {
 				out.Config = "each table at the configuration it states"
 				out.Text, err = Scorecard(r)

@@ -103,6 +103,33 @@ func BenchmarkPathStepFigureMix(b *testing.B) {
 	b.ReportMetric(float64(*touches)/(0.1*float64(b.N)), "touches/vsec")
 }
 
+// pinnedCap is the rate cap of each flow of BenchmarkPathStepPinned: a
+// little under the share of a 5 GB/s NIC each of Figure 5(e)'s 68
+// processes gets. Every window is well above it once slow start ends.
+const pinnedCap = 7e7
+
+// BenchmarkPathStepPinned steps Figure 5(e)'s mix — 64 single-stream
+// external flows beside a transfer's 4 flows of 4 streams on the 12 ms
+// path, each capped below its windows — past slow start (10 s stepped),
+// in Steps of 100 ms. Nearly every flow-Step is a flow pinned at its cap.
+func BenchmarkPathStepPinned(b *testing.B) {
+	p := New(stepConfig, sim.NewRNG(4))
+	for _, n := range append(repeat(64, 1), 4, 4, 4, 4) {
+		p.NewFlow(n, tcpmodel.NewHTCP()).SetCap(pinnedCap)
+	}
+	for i := 0; i < 100; i++ {
+		p.Step(0.1)
+	}
+	f := p.flows[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.Step(0.1)
+	}
+	if f.Delivered() <= 0 {
+		b.Fatal("no progress")
+	}
+}
+
 // figureMixTouches is the budget of stream touches (OnRTT calls and
 // Grow calls) a virtual second of the figure mix may take. Its 72
 // streams take 17 a second: a closed form where a loss's cool-down ends

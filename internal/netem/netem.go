@@ -39,7 +39,9 @@
 // staircase OnRTT climbs once an RTT. A flow keeps its windows' forms
 // summed as one, so its delivered bytes are the integral of its rate,
 // its loss clock runs out where the integral of its hazard reaches it,
-// and a stream costs nothing between its events. The closed form is not
+// and a stream costs nothing between its events. A flow pinned at its
+// cap until the Step's end, with no event or loss due, is settled in one
+// step, bit for bit as the events would take it. The closed form is not
 // bit-equal to the round trips; TestCalmLawMatchesReference holds the
 // two to each other in distribution.
 //
@@ -490,7 +492,8 @@ func (p *Path) calmStep(n int, dt float64) {
 
 // calm runs the flow through a calm Step from t, and leaves the sums the
 // substep loop keeps, and its offered and delivered rates, at those of
-// its windows at the end.
+// its windows at the end. From any point at which the flow is pinned at
+// its cap for the rest of the Step, settle finishes it in one step.
 func (f *Flow) calm(c *calm, t float64) {
 	if !f.laws {
 		// The RTT is the same throughout every calm Step, and the first
@@ -501,7 +504,7 @@ func (f *Flow) calm(c *calm, t float64) {
 		f.rebase(t)
 	}
 	wt := f.cwnd // the windows summed at t: the last Step's end, or resum's
-	for {
+	for !f.settle(c, t, wt) {
 		te := min(f.next, c.end)
 		if tl, lost := f.advance(c, t, te, wt); lost {
 			f.loseAt(c, tl)
@@ -520,6 +523,28 @@ func (f *Flow) calm(c *calm, t float64) {
 	f.cwnd = wt
 	f.active, f.nActive, f.full = f.cwnd-f.cool, len(f.strs)-f.nCool, f.nMax
 	f.offer(c.invRTT)
+}
+
+// settle runs the flow from t, where its windows sum to wt, to the
+// Step's end in one step, and reports whether it did. It does when the
+// flow is pinned at its cap until then: its windows already ask for more
+// than the cap, no stream cools down, no stream has an event before the
+// end, and its loss clock outlasts the constant hazard at the cap. That
+// is one limited piece of advance, and settle computes it from the same
+// operands in the same order, so the result is bit for bit the loop's.
+func (f *Flow) settle(c *calm, t, wt float64) bool {
+	if !(f.cap > 0 && wt*c.invRTT > f.cap && f.nCool == 0 && f.next >= c.end) {
+		return false
+	}
+	ya, yb := t-f.at, c.end-f.at
+	k := c.kRate * c.rtt * f.cap // hazardTo's, limited with no stream cooling
+	h := k * (yb - ya)
+	if h > 0 && !(f.clock > h) {
+		return false
+	}
+	f.clock -= h
+	f.delivered += f.cap * (yb - ya)
+	return true
 }
 
 // derive takes up the flow's streams at t, from their birth or after a

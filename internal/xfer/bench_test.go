@@ -56,18 +56,12 @@ func BenchmarkFabricStep(b *testing.B) {
 }
 
 // TestFabricStepAllocs holds a clock step to its budget, exactly: once
-// the fabric has run, stepping it allocates nothing, and the step's
-// scratch holds no flow or transfer afterwards.
+// the fabric has run, stepping it allocates nothing.
 func TestFabricStepAllocs(t *testing.T) {
 	f := fig5Fabric(t)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if n := testing.AllocsPerRun(100, f.stepLocked); n != 0 {
 		t.Errorf("Fabric.stepLocked allocates %v times a step, want 0", n)
-	}
-	for i, ref := range f.refs[:cap(f.refs)] {
-		if ref != (procRef{}) {
-			t.Fatalf("scheduling scratch %d still holds %+v after the step", i, ref)
-		}
 	}
 }

@@ -54,15 +54,6 @@ type Fabric struct {
 
 	// Scratch of stepLocked's scheduling round, reused every step.
 	demands []endpoint.Demand
-	refs    []procRef
-}
-
-// procRef ties one demand of a scheduling round to the flow its cap
-// goes to.
-type procRef struct {
-	tr  *Sim // nil for external flows
-	idx int
-	fl  *netem.Flow
 }
 
 // NewFabric returns a fabric with the given source endpoint and no
@@ -460,14 +451,13 @@ func (f *Fabric) stepLocked() {
 	// headroom so flows can grow into idle capacity.
 	const headroom = 2.0
 	const demandFloor = 10e6 // bytes/s; lets fresh processes ramp
-	demands, refs := f.demands[:0], f.refs[:0]
+	demands := f.demands[:0]
 	for _, tr := range f.transfers {
-		for i, fl := range tr.flows {
+		for _, fl := range tr.flows {
 			demands = append(demands, endpoint.Demand{
 				Threads: fl.Streams(),
 				Rate:    fl.OfferedRate()*headroom + demandFloor,
 			})
-			refs = append(refs, procRef{tr: tr, idx: i, fl: fl})
 		}
 	}
 	for _, fl := range f.extFlows {
@@ -475,25 +465,25 @@ func (f *Fabric) stepLocked() {
 			Threads: fl.Streams(),
 			Rate:    fl.OfferedRate()*headroom + demandFloor,
 		})
-		refs = append(refs, procRef{fl: fl})
 	}
-	if len(refs) > 0 {
+	f.demands = demands
+	if len(demands) > 0 {
+		// The caps go to the flows in the order the demands were built.
 		caps := f.src.Allocate(demands)
-		for i, ref := range refs {
-			c := caps[i]
-			if ref.tr != nil && ref.tr.disk != nil {
-				c = ref.tr.disk.capFor(ref.idx, now, c)
+		for _, tr := range f.transfers {
+			for i, fl := range tr.flows {
+				c := caps[0]
+				if tr.disk != nil {
+					c = tr.disk.capFor(i, now, c)
+				}
+				setCap(fl, c)
+				caps = caps[1:]
 			}
-			if c <= 0 {
-				c = -1 // starved or waiting: fully blocked
-			}
-			ref.fl.SetCap(c)
+		}
+		for i, fl := range f.extFlows {
+			setCap(fl, caps[i])
 		}
 	}
-	// The scratch must not keep a removed flow or a finished transfer
-	// reachable until a later round happens to overwrite it.
-	clear(refs)
-	f.demands, f.refs = demands, refs[:0]
 
 	// Network dynamics.
 	for _, p := range f.paths {
@@ -539,6 +529,15 @@ func (f *Fabric) stepLocked() {
 	}
 
 	f.clock.Tick()
+}
+
+// setCap caps the flow at c, blocking it fully when c is not positive:
+// its process is starved or waiting.
+func setCap(fl *netem.Flow, c float64) {
+	if c <= 0 {
+		c = -1
+	}
+	fl.SetCap(c)
 }
 
 // applyLoadLocked adjusts the external compute jobs and transfer flows
