@@ -216,7 +216,8 @@ func unexported() {}
 // field read through a chain of typed fields, one read only by bench/
 // and a function field read by calling it pass; a field that is only
 // set is reported, and so is one whose only "reader" is a call of a
-// method of its name or a read of another struct's namesake.
+// method of its name or a read of another struct's namesake, Rate's
+// through a slices.Clone(...)[0] included.
 func TestCheckSettings(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {
@@ -242,6 +243,7 @@ type Config struct {
 	Unread, BenchRead   int
 	Label               string
 	Hook                func() int
+	Rate                int
 	hidden              int
 }
 
@@ -265,6 +267,8 @@ func (s *Server) use() int {
 	write("internal/a/a_test.go", "package a\n\nvar _ = Config{TestOnly: 1, Unread: 1}\n")
 	write("internal/b/b.go", `package b
 
+import "slices"
+
 type BConfig struct{ Own int }
 
 func (c *BConfig) fill() int { c.Own = 2; return c.Own }
@@ -274,6 +278,10 @@ type Label struct{}
 func (Label) Label() string { return "" }
 
 func call(l Label) string { return l.Label() }
+
+type Link struct{ Rate int }
+
+func rate(links []Link) int { return slices.Clone(links)[0].Rate }
 `)
 	write("bench/main.go", "package main\n\nimport \"m/internal/a\"\n\nvar c = a.Config{Bench: 1}\n\nvar _ = c.BenchRead\n")
 	write("cmd/tool/main.go", `package main
@@ -286,25 +294,27 @@ import (
 )
 
 func main() {
-	cfg := m.AConfig{Set: 1, Unread: 2, BenchRead: 3, Label: "x", Hook: nil}
+	cfg := m.AConfig{Set: 1, Unread: 2, BenchRead: 3, Label: "x", Hook: nil, Rate: 4}
 	flag.IntVar(&cfg.Flag, "flag", 0, "")
 	var x a.Config
 	x.Assigned = 2
 	_ = x
 }
 `)
-	problems, err := CheckSettings(dir, map[string]string{"a.Config.Exempt": "kept", "a.Config.Stale": "gone"})
+	p, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	problems := CheckSettings(p, map[string]string{"a.Config.Exempt": "kept", "a.Config.Stale": "gone"})
 	want := []string{
 		"exemption a.Config.Stale ",
 		"internal/a/a.go:10: a.Config.Label is read ",
+		"internal/a/a.go:12: a.Config.Rate is read ",
 		"internal/a/a.go:5: a.Config.Own is set ",
 		"internal/a/a.go:6: a.Config.TestOnly is set ",
 		"internal/a/a.go:7: a.Config.Bench is set ",
 		"internal/a/a.go:9: a.Config.Unread is read ",
-		"internal/b/b.go:3: b.BConfig.Own is set ",
+		"internal/b/b.go:5: b.BConfig.Own is set ",
 	}
 	slices.Sort(want)
 	if len(problems) != len(want) {
@@ -322,9 +332,10 @@ func main() {
 // called on a typed field chain, through an embedded type or an
 // interface, and one only bench/ calls pass, as does an exempt one and
 // every facade name; a function only its own body and a test call, a
-// method called only on another type's value and one whose only "call"
-// is a read of a field of its name are reported, and so is an
-// exemption that names nothing unused.
+// method called only on another type's value, one whose only "call"
+// is a read of a field of its name, and Fabric.Now, whose only "call"
+// is an interface's Now that Fabric does not implement, are reported,
+// and so is an exemption that names nothing unused.
 func TestCheckCallers(t *testing.T) {
 	dir := t.TempDir()
 	write := func(rel, content string) {
@@ -374,12 +385,27 @@ func (Clock) Step() {}
 
 type Holder struct{ flow *Flow }
 
-func (h Holder) Use(s Stepper) float64 {
+func (h Holder) Use(s Stepper, t Timer) float64 {
 	s.Step()
+	t.Reset()
 	f := Value
 	f()
-	return h.flow.Rate() + h.flow.Path.Rate()
+	return h.flow.Rate() + h.flow.Path.Rate() + t.Now()
 }
+
+type Timer interface {
+	Now() float64
+	Reset()
+}
+
+type Wall struct{}
+
+func (Wall) Now() float64 { return 0 }
+func (Wall) Reset()       {}
+
+type Fabric struct{}
+
+func (*Fabric) Now() float64 { return 0 }
 `)
 	write("internal/p/p_test.go", "package p\n\nvar _ = Recursive(3) + int((&Path{}).Spare())\n")
 	write("internal/q/q.go", `package q
@@ -402,12 +428,14 @@ func use(o Other, cs []p.Cfg) string {
 var _ = p.Holder{}.Use
 `)
 	write("bench/main.go", "package main\n\nimport \"m/internal/p\"\n\nfunc main() { p.New().Bench() }\n")
-	problems, err := CheckCallers(dir, map[string]string{"p.Path.Kept": "kept", "p.Gone": "gone"})
+	p, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	problems := CheckCallers(p, map[string]string{"p.Path.Kept": "kept", "p.Gone": "gone"})
 	want := []string{
 		"exemption p.Gone ",
+		"internal/p/p.go:56: p.Fabric.Now ",
 		"internal/p/p.go:20: p.Path.Name ",
 		"internal/p/p.go:9: p.Recursive ",
 		"internal/p/p.go:19: p.Path.Spare ",
@@ -551,6 +579,16 @@ func TestCheckPackageRefs(t *testing.T) {
 // prose a name its internal package declares.
 func TestRepoDocs(t *testing.T) {
 	root := filepath.Join("..", "..")
+	// The type-checked load runs beside the syntax lints.
+	type loaded struct {
+		prog *Program
+		err  error
+	}
+	load := make(chan loaded, 1)
+	go func() {
+		prog, err := Load(root)
+		load <- loaded{prog, err}
+	}()
 	links, err := CheckLinks(root)
 	if err != nil {
 		t.Fatal(err)
@@ -584,18 +622,14 @@ func TestRepoDocs(t *testing.T) {
 	for _, p := range orphans {
 		t.Errorf("facade: %s", p)
 	}
-	settings, err := CheckSettings(root, settingExemptions)
-	if err != nil {
-		t.Fatal(err)
+	l := <-load
+	if l.err != nil {
+		t.Fatal(l.err)
 	}
-	for _, p := range settings {
+	for _, p := range CheckSettings(l.prog, settingExemptions) {
 		t.Errorf("setting: %s", p)
 	}
-	callers, err := CheckCallers(root, callerExemptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range callers {
+	for _, p := range CheckCallers(l.prog, callerExemptions) {
 		t.Errorf("caller: %s", p)
 	}
 	var keys []string

@@ -8,7 +8,9 @@
 //     package comment;
 //   - CheckFormat reports Go files gofmt would rewrite;
 //   - CheckFacade reports names the root package re-exports that no
-//     product file, example or README.md refers to;
+//     product file, example or README.md refers to; it matches the
+//     text, because README.md and the godoc examples are no product
+//     package a type checker loads;
 //   - CheckSettings reports exported fields of *Config structs that no
 //     product file outside the struct's own sets — a value no caller
 //     varies is a constant, not a setting — or that no product file
@@ -22,6 +24,14 @@
 //     strategy (TunerNames), a `dstune.<Name>` the root package does not
 //     declare (FacadeRefs), a `<pkg>.<Name>` written in prose whose
 //     internal package does not declare it (PackageRefs).
+//
+// CheckSettings and CheckCallers read one Load of the product code,
+// which go/types checks in two build configurations, the host's and the
+// host's with the dstune_nozerocopy tag, and they report from the type
+// checker's uses and selections: a name never passes because a namesake
+// is used. The !linux and !unix fallback files are in neither
+// configuration, so a name only they use is reported; CI vets the
+// !linux ones for darwin and linux/386.
 //
 // All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.

@@ -2,7 +2,8 @@ package docs
 
 import (
 	"fmt"
-	"go/ast"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,22 +26,13 @@ var settingExemptions = map[string]string{
 // CheckSettings reports every exported field of an exported struct
 // named *Config that no product file — a non-test .go file outside
 // bench/ — other than the one declaring the struct sets, or that no
-// product file, bench/ included, reads, unless exempt names it. A
-// composite literal of the struct's type (through type aliases) keying
-// the field sets it, and so do an assignment or increment of x.Field
-// and &x.Field (a flag binding); any other x.Field reads it, and so does
-// a call x.Field( when the field holds a function — a call of a method
-// named like the field does not. The lint reads syntax, not types: x is
-// typed as far as the syntax tells (see scope), and where it does not,
-// the field is matched by name alone: a field can pass because another
-// struct's namesake is set or read, never fail while it is. An exemption that names no unset or unread
-// field is reported too, so the list cannot outlive its fields.
-func CheckSettings(root string, exempt map[string]string) ([]string, error) {
-	s, err := loadSource(root)
-	if err != nil {
-		return nil, err
-	}
-	u := s.collect()
+// product file, bench/ included, reads, unless exempt names it. The
+// facts are the type checker's, in both of buildTags' configurations
+// (see Program.collect for what sets a field and what reads it): a
+// field another struct's namesake shares is told apart. An exemption
+// that names no unset or unread field is reported too, so the list
+// cannot outlive its fields.
+func CheckSettings(p *Program, exempt map[string]string) []string {
 	setElsewhere := func(in []string, own string) bool {
 		for _, f := range in {
 			if f != own && !strings.HasPrefix(f, "bench/") {
@@ -51,33 +43,41 @@ func CheckSettings(root string, exempt map[string]string) ([]string, error) {
 	}
 	var problems []string
 	used := map[string]bool{}
-	for key, td := range s.types {
-		st, ok := td.spec.Type.(*ast.StructType)
-		if !ok || strings.HasPrefix(td.sf.rel, "bench/") || !td.spec.Name.IsExported() || !strings.HasSuffix(key.name, "Config") {
-			continue
-		}
-		typeName := td.sf.f.Name.Name + "." + key.name
-		report := func(n *ast.Ident, problem string) {
-			name := typeName + "." + n.Name
-			for _, e := range []string{name, typeName} {
-				if _, ok := exempt[e]; ok {
-					used[e] = true
-					return
-				}
+	seen := map[token.Pos]bool{}
+	for _, pkg := range p.pkgs {
+		for _, name := range pkg.Scope().Names() {
+			tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() || !strings.HasSuffix(name, "Config") || seen[tn.Pos()] {
+				continue
 			}
-			problems = append(problems, fmt.Sprintf("%s:%d: %s is %s", td.sf.rel, s.fset.Position(n.Pos()).Line, name, problem))
-		}
-		for _, fld := range st.Fields.List {
-			for _, n := range fld.Names {
-				if !n.IsExported() {
+			seen[tn.Pos()] = true
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			own, _ := p.file(tn)
+			if !ok || strings.HasPrefix(own, "bench/") {
+				continue
+			}
+			typeName := pkg.Name() + "." + name
+			report := func(f *types.Var, problem string) {
+				name := typeName + "." + f.Name()
+				for _, e := range []string{name, typeName} {
+					if _, ok := exempt[e]; ok {
+						used[e] = true
+						return
+					}
+				}
+				_, line := p.file(f)
+				problems = append(problems, fmt.Sprintf("%s:%d: %s is %s", own, line, name, problem))
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				f := st.Field(i)
+				if !f.Exported() || f.Embedded() {
 					continue
 				}
-				mk := memberKey{key, n.Name}
-				if !setElsewhere(u.setTyped[mk], td.sf.rel) && !setElsewhere(u.setByName[n.Name], td.sf.rel) {
-					report(n, "set by no product file but its own: make it a constant, or exempt it with a reason")
+				if !setElsewhere(p.set[f.Pos()], own) {
+					report(f, "set by no product file but its own: make it a constant, or exempt it with a reason")
 				}
-				if !u.readTyped[mk] && !u.readName[n.Name] {
-					report(n, "read by no product file: delete it, or exempt it with a reason")
+				if !p.read[f.Pos()] {
+					report(f, "read by no product file: delete it, or exempt it with a reason")
 				}
 			}
 		}
@@ -88,20 +88,7 @@ func CheckSettings(root string, exempt map[string]string) ([]string, error) {
 		}
 	}
 	sort.Strings(problems)
-	return problems, nil
-}
-
-// literalKeys returns the identifier keys of lit's elements.
-func literalKeys(lit *ast.CompositeLit) []string {
-	var keys []string
-	for _, e := range lit.Elts {
-		if kv, ok := e.(*ast.KeyValueExpr); ok {
-			if id, ok := kv.Key.(*ast.Ident); ok {
-				keys = append(keys, id.Name)
-			}
-		}
-	}
-	return keys
+	return problems
 }
 
 // modulePath reads the module path from root/go.mod.

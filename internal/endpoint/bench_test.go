@@ -18,12 +18,17 @@ func loadedHost(n int) (*Host, []Demand) {
 }
 
 // benchAllocate measures one scheduling round with n transfer
-// processes against 16 compute jobs.
+// processes against 16 or 17 compute jobs, in turn: the jobs change
+// every round, so each round solves afresh instead of reusing the last
+// round's caps (BenchmarkAllocatePinned times the reuse).
 func benchAllocate(b *testing.B, n int) {
 	b.Helper()
 	h, d := loadedHost(n)
+	jobs := 16
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		jobs = 33 - jobs
+		h.SetComputeJobs(jobs)
 		caps := h.Allocate(d)
 		if len(caps) != n {
 			b.Fatal("wrong length")

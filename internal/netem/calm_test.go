@@ -162,7 +162,7 @@ func TestCalmStepOnEveryShape(t *testing.T) {
 	for ci, sh := range allCalmShapes() {
 		for _, alg := range equivAlgs {
 			for seed := uint64(0); seed < 8; seed++ {
-				where := fmt.Sprintf("%s, %s, seed %d", sh.name, alg.Name(), seed)
+				where := fmt.Sprintf("%s, %T, seed %d", sh.name, alg, seed)
 				p := sh.path(seed, alg)
 				choose := sim.NewRNG(uint64(900 + ci))
 				for step := 0; step < sh.steps; step++ {

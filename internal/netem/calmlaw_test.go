@@ -113,7 +113,7 @@ func TestCalmLawMatchesReference(t *testing.T) {
 	seeds := equivSeeds(100)
 	for _, sh := range lawShapes {
 		for _, alg := range equivAlgs {
-			where := sh.name + ", " + alg.Name()
+			where := fmt.Sprintf("%s, %T", sh.name, alg)
 			var law, ref []lawRun
 			calm := true
 			for s := 0; s < seeds; s++ {

@@ -175,7 +175,7 @@ func runEquiv(tc equivCase, ci int, seed uint64, step func(*Path, float64), step
 		}
 	}
 	for _, f := range all {
-		name := f.alg.Name()
+		name := fmt.Sprintf("%T", f.alg)
 		r.algBytes[name] += f.Delivered()
 		for i := range f.strs {
 			l := float64(f.strs[i].tcp.Losses)
@@ -255,8 +255,8 @@ func TestStepMatchesBernoulli(t *testing.T) {
 			}
 		}
 		for _, a := range equivAlgs {
-			if !clock[0].lost[a.Name()] {
-				t.Errorf("%s: no %s stream ever lost a packet", tc.name, a.Name())
+			if !clock[0].lost[fmt.Sprintf("%T", a)] {
+				t.Errorf("%s: no %T stream ever lost a packet", tc.name, a)
 			}
 		}
 		worst, worstWhat := 0.0, ""
@@ -280,7 +280,7 @@ func TestStepMatchesBernoulli(t *testing.T) {
 			metric(fmt.Sprintf("losses of stream %d", i), func(r equivRun) float64 { return r.slotLoss[i] })
 		}
 		for _, a := range equivAlgs {
-			name := a.Name()
+			name := fmt.Sprintf("%T", a)
 			metric(name+" losses", func(r equivRun) float64 { return r.algLoss[name] })
 			metric(name+" bytes", func(r equivRun) float64 { return r.algBytes[name] })
 		}

@@ -211,7 +211,7 @@ func TestPinnedSettleIsExact(t *testing.T) {
 	for ci, sh := range pinShapes {
 		for ai, alg := range equivAlgs {
 			for seed := 0; seed < seeds; seed++ {
-				where := fmt.Sprintf("%s, %s, seed %d", sh.name, alg.Name(), seed)
+				where := fmt.Sprintf("%s, %T, seed %d", sh.name, alg, seed)
 				a, b := New(sh.cfg, sim.NewRNG(uint64(seed))), New(sh.cfg, sim.NewRNG(uint64(seed)))
 				if !sh.stagger {
 					for i := range sh.flows {

@@ -64,8 +64,8 @@ func TestGrowBracketsOnRTT(t *testing.T) {
 					hi = stairs[m+1]
 				}
 				if w < lo*(1-1e-12) || w > hi*(1+1e-12) {
-					t.Fatalf("%s, %s: %d RTTs on the form is at %v, the round trips at %v, %v, %v",
-						alg.Name(), what, m, w, lo, stairs[m], hi)
+					t.Fatalf("%T, %s: %d RTTs on the form is at %v, the round trips at %v, %v, %v",
+						alg, what, m, w, lo, stairs[m], hi)
 				}
 			}
 		}
@@ -83,22 +83,22 @@ func TestGrowReachesCap(t *testing.T) {
 			for laws := 1; ; laws++ {
 				g := alg.Grow(&s, rtt)
 				if laws > 4 {
-					t.Fatalf("%s, %s: still growing after %d laws", alg.Name(), what, laws)
+					t.Fatalf("%T, %s: still growing after %d laws", alg, what, laws)
 				}
 				if !(g.Until > 0) && !g.AtCap {
-					t.Fatalf("%s, %s: law %d ends where it starts", alg.Name(), what, laws)
+					t.Fatalf("%T, %s: law %d ends where it starts", alg, what, laws)
 				}
 				for _, f := range []float64{0.5, 0.9, 0.999} {
 					if w := g.At(f * g.Until); g.Until > 0 && w > s.MaxCwnd*(1+1e-12) {
-						t.Fatalf("%s, %s: law %d is past the cap, at %v, before its end", alg.Name(), what, laws, w)
+						t.Fatalf("%T, %s: law %d is past the cap, at %v, before its end", alg, what, laws, w)
 					}
 				}
 				g.Move(&s, g.Until)
 				s.SinceLoss += g.Until
 				if g.AtCap {
 					if s.Cwnd != s.MaxCwnd || math.Abs(g.At(g.Until)-s.MaxCwnd) > 1e-9*s.MaxCwnd {
-						t.Fatalf("%s, %s: law %d ends at %v (form %v), want the cap %v",
-							alg.Name(), what, laws, s.Cwnd, g.At(g.Until), s.MaxCwnd)
+						t.Fatalf("%T, %s: law %d ends at %v (form %v), want the cap %v",
+							alg, what, laws, s.Cwnd, g.At(g.Until), s.MaxCwnd)
 					}
 					break
 				}
@@ -117,11 +117,11 @@ func TestGrowShift(t *testing.T) {
 				h := g.Shift(x)
 				for _, y := range []float64{0, 0.01, 0.5} {
 					if a, b := h.At(y), g.At(x+y); math.Abs(a-b) > 1e-12*b {
-						t.Errorf("%s, %s: shifted by %v, at %v: %v, unshifted %v", alg.Name(), what, x, y, a, b)
+						t.Errorf("%T, %s: shifted by %v, at %v: %v, unshifted %v", alg, what, x, y, a, b)
 					}
 				}
 				if want := max(g.Until-x, 0); h.Until != want {
-					t.Errorf("%s, %s: shifted by %v: Until %v, want %v", alg.Name(), what, x, h.Until, want)
+					t.Errorf("%T, %s: shifted by %v: Until %v, want %v", alg, what, x, h.Until, want)
 				}
 			}
 		}

@@ -95,8 +95,6 @@ func (s *Stream) clamp() {
 // confined to one goroutine; the methods mutate the Stream, never the
 // Algorithm.
 type Algorithm interface {
-	// Name returns the algorithm's conventional name.
-	Name() string
 	// OnRTT advances the window after one round trip with no loss. It
 	// never shrinks a window (slow start runs with Ssthresh +Inf) except
 	// to clamp it to MaxCwnd, so a window at MaxCwnd is a fixed point:
@@ -143,9 +141,6 @@ type Reno struct{}
 
 // NewReno returns the Reno algorithm.
 func NewReno() Reno { return Reno{} }
-
-// Name implements Algorithm.
-func (Reno) Name() string { return "reno" }
 
 // OnRTT implements Algorithm.
 func (Reno) OnRTT(s *Stream, rtt float64) {
@@ -194,9 +189,6 @@ type CUBIC struct{}
 // NewCUBIC returns the CUBIC algorithm.
 func NewCUBIC() CUBIC { return CUBIC{} }
 
-// Name implements Algorithm.
-func (CUBIC) Name() string { return "cubic" }
-
 // OnRTT implements Algorithm.
 func (CUBIC) OnRTT(s *Stream, rtt float64) {
 	if slowStartStep(s) {
@@ -235,9 +227,6 @@ type HTCP struct{}
 
 // NewHTCP returns the H-TCP algorithm.
 func NewHTCP() HTCP { return HTCP{} }
-
-// Name implements Algorithm.
-func (HTCP) Name() string { return "htcp" }
 
 // alpha returns the additive increase in segments per RTT for time
 // delta since the last loss.
@@ -283,9 +272,6 @@ type Scalable struct{}
 
 // NewScalable returns the Scalable TCP algorithm.
 func NewScalable() Scalable { return Scalable{} }
-
-// Name implements Algorithm.
-func (Scalable) Name() string { return "scalable" }
 
 // OnRTT implements Algorithm.
 func (Scalable) OnRTT(s *Stream, rtt float64) {

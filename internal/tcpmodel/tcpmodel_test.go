@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 )
 
+// allAlgorithms returns every law, in algorithmNames' order.
 func allAlgorithms() []Algorithm {
 	return []Algorithm{NewReno(), NewCUBIC(), NewHTCP(), NewScalable()}
 }
@@ -45,7 +46,7 @@ func TestSlowStartDoubles(t *testing.T) {
 		before := s.Cwnd
 		alg.OnRTT(&s, 0.03)
 		if s.Cwnd != 2*before {
-			t.Errorf("%s: slow start Cwnd = %v, want %v", alg.Name(), s.Cwnd, 2*before)
+			t.Errorf("%T: slow start Cwnd = %v, want %v", alg, s.Cwnd, 2*before)
 		}
 	}
 }
@@ -56,10 +57,10 @@ func TestSlowStartExitsAtSsthresh(t *testing.T) {
 		s.Ssthresh = 15000
 		alg.OnRTT(&s, 0.03) // 10000 -> 20000, clipped to 15000
 		if s.SlowStart {
-			t.Errorf("%s: still in slow start past ssthresh", alg.Name())
+			t.Errorf("%T: still in slow start past ssthresh", alg)
 		}
 		if s.Cwnd != 15000 {
-			t.Errorf("%s: Cwnd = %v, want 15000", alg.Name(), s.Cwnd)
+			t.Errorf("%T: Cwnd = %v, want 15000", alg, s.Cwnd)
 		}
 	}
 }
@@ -71,16 +72,16 @@ func TestLossReducesWindow(t *testing.T) {
 		s.Cwnd = 1e6
 		alg.OnLoss(&s)
 		if s.Cwnd >= 1e6 {
-			t.Errorf("%s: loss did not reduce Cwnd (%v)", alg.Name(), s.Cwnd)
+			t.Errorf("%T: loss did not reduce Cwnd (%v)", alg, s.Cwnd)
 		}
 		if s.Cwnd < s.MSS {
-			t.Errorf("%s: Cwnd = %v below one MSS", alg.Name(), s.Cwnd)
+			t.Errorf("%T: Cwnd = %v below one MSS", alg, s.Cwnd)
 		}
 		if s.Losses != 1 {
-			t.Errorf("%s: Losses = %d, want 1", alg.Name(), s.Losses)
+			t.Errorf("%T: Losses = %d, want 1", alg, s.Losses)
 		}
 		if s.SinceLoss != 0 {
-			t.Errorf("%s: SinceLoss = %v, want 0", alg.Name(), s.SinceLoss)
+			t.Errorf("%T: SinceLoss = %v, want 0", alg, s.SinceLoss)
 		}
 	}
 }
@@ -96,7 +97,7 @@ func TestGrowthMonotoneInCongestionAvoidance(t *testing.T) {
 			s.SinceLoss += 0.03
 			alg.OnRTT(&s, 0.03)
 			if s.Cwnd < prev {
-				t.Errorf("%s: window shrank without loss: %v -> %v", alg.Name(), prev, s.Cwnd)
+				t.Errorf("%T: window shrank without loss: %v -> %v", alg, prev, s.Cwnd)
 				break
 			}
 			prev = s.Cwnd
@@ -119,7 +120,7 @@ func TestWindowRespectsCapProperty(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", alg.Name(), err)
+			t.Errorf("%T: %v", alg, err)
 		}
 	}
 }
@@ -275,13 +276,13 @@ func TestScalableSmallWindowFloor(t *testing.T) {
 }
 
 func TestByName(t *testing.T) {
-	for _, name := range algorithmNames {
-		alg, err := ByName(name)
+	for i, want := range allAlgorithms() {
+		alg, err := ByName(algorithmNames[i])
 		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
+			t.Fatalf("ByName(%q): %v", algorithmNames[i], err)
 		}
-		if alg.Name() != name {
-			t.Fatalf("ByName(%q).Name() = %q", name, alg.Name())
+		if alg != want {
+			t.Fatalf("ByName(%q) = %T, want %T", algorithmNames[i], alg, want)
 		}
 	}
 	if _, err := ByName("bbr"); err == nil {
@@ -315,7 +316,7 @@ func TestLossNeverBelowOneMSS(t *testing.T) {
 			return true
 		}
 		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", alg.Name(), err)
+			t.Errorf("%T: %v", alg, err)
 		}
 	}
 }

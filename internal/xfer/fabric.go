@@ -106,13 +106,6 @@ func (f *Fabric) SetLoad(s load.Schedule, p *netem.Path) {
 	}
 }
 
-// Now returns the fabric's virtual time in seconds.
-func (f *Fabric) Now() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.clock.Now()
-}
-
 // TransferConfig describes one transfer on a fabric.
 type TransferConfig struct {
 	// Name is read by nothing. It stays only because bench/, which

@@ -60,8 +60,11 @@ func TestRunSingleEpoch(t *testing.T) {
 	if r.Done {
 		t.Fatal("unbounded transfer reported done")
 	}
-	if f.Now() < 10 {
-		t.Fatalf("fabric time %v, want >= 10", f.Now())
+	f.mu.Lock()
+	now := f.clock.Now()
+	f.mu.Unlock()
+	if now < 10 {
+		t.Fatalf("fabric time %v, want >= 10", now)
 	}
 }
 
