@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"os"
 
 	"dstune/internal/experiment"
@@ -38,28 +37,14 @@ func writeHTML(path string, studies []experiment.Study, runs *experiment.Runs) e
 		}
 		rep.AddHeading(s.Title, out.Config)
 		for _, c := range out.Charts {
+			line := &report.LineChart{Title: c.Title, YLabel: c.Unit, XLabel: c.X}
 			if c.X == "" {
-				line := &report.LineChart{Title: c.Title, YLabel: c.Unit, XLabel: "transfer time (s)"}
-				for _, ser := range c.Series {
-					line.Series = append(line.Series, lineSeries(ser, c.Scale()))
-				}
-				rep.AddLine(line)
-				continue
-			}
-			// A categorical axis: one bar group per point of the first
-			// series, one bar per series.
-			bars := &report.BarChart{Title: c.Title, Subtitle: "by " + c.X, YLabel: c.Unit}
-			for i, p := range c.Series[0].Points {
-				grp := report.BarGroup{Label: fmt.Sprint(p.T)}
-				for _, ser := range c.Series {
-					grp.Values = append(grp.Values, ser.Points[i].V/c.Scale())
-				}
-				bars.Groups = append(bars.Groups, grp)
+				line.XLabel = "transfer time (s)"
 			}
 			for _, ser := range c.Series {
-				bars.SeriesNames = append(bars.SeriesNames, ser.Name)
+				line.Series = append(line.Series, lineSeries(ser, c.Scale()))
 			}
-			rep.AddBar(bars)
+			rep.AddLine(line)
 		}
 		var rows [][]string
 		for _, w := range out.Rows {

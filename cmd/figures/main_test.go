@@ -62,8 +62,9 @@ func TestHTMLReportSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick experiment suite")
 	}
-	// A bar chart, the shared sweep's line charts, two-parameter traces
-	// and a dataset study: every kind of section the report renders.
+	// Figure 1's medians over nc, the shared sweep's line charts,
+	// two-parameter traces and a dataset study: every kind of section
+	// the report renders.
 	var studies []experiment.Study
 	for _, key := range []string{"1", "5", "10", "disk"} {
 		one, err := selectStudies(key)
@@ -86,5 +87,21 @@ func TestHTMLReportSmoke(t *testing.T) {
 		if !strings.Contains(data, want) {
 			t.Fatalf("report missing %q", want)
 		}
+	}
+	// Figure 1 is a line chart over nc, and no chart is drawn as bars.
+	title := strings.Index(data, `<span class="title">Figure 1 — median`)
+	if title < 0 {
+		t.Fatal("report has no Figure 1 chart")
+	}
+	open := strings.LastIndex(data[:title], "<figure")
+	fig1 := data[open : open+strings.Index(data[open:], "</figure>")]
+	if !strings.HasPrefix(fig1, `<figure class="chart" data-kind="line">`) {
+		t.Fatalf("Figure 1 is not a line chart: %.80s", fig1)
+	}
+	if !strings.Contains(fig1, `class="axis-label">nc</text>`) {
+		t.Fatal("Figure 1 has no x label nc")
+	}
+	if strings.Contains(data, `data-kind="bar"`) {
+		t.Fatal(`report contains a data-kind="bar" chart`)
 	}
 }

@@ -131,7 +131,8 @@ type hidden struct{}
 }
 
 // TestCheckFormat exercises the format lint on a synthetic tree: a
-// gofmt-clean file passes, a misindented one and one that does not
+// gofmt-clean file passes, a misindented one, a misindented test file,
+// a misindented fallback no host build selects and one that does not
 // parse are reported, and testdata is not looked at.
 func TestCheckFormat(t *testing.T) {
 	dir := t.TempDir()
@@ -147,6 +148,8 @@ func TestCheckFormat(t *testing.T) {
 	}
 	write("clean.go", "package demo\n\nfunc F() {\n\treturn\n}\n")
 	write("sub/ragged.go", "package demo\n\nfunc F() {\n  return\n}\n")
+	write("sub/ragged_test.go", "package demo\n\nfunc G() {\n  return\n}\n")
+	write("lock_other.go", "//go:build !unix\n\npackage demo\n\nfunc H() {\n  return\n}\n")
 	write("broken.go", "package demo\n\nfunc F( {\n")
 	write("testdata/ragged.go", "package demo\n\nfunc F() {\n  return\n}\n")
 
@@ -154,10 +157,13 @@ func TestCheckFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(problems) != 2 ||
-		!strings.HasPrefix(problems[0], "broken.go:") ||
-		problems[1] != filepath.Join("sub", "ragged.go")+": not gofmt-formatted" {
-		t.Fatalf("got problems %q, want broken.go's parse error and sub/ragged.go", problems)
+	want := []string{
+		"lock_other.go: not gofmt-formatted",
+		filepath.Join("sub", "ragged.go") + ": not gofmt-formatted",
+		filepath.Join("sub", "ragged_test.go") + ": not gofmt-formatted",
+	}
+	if len(problems) != 4 || !strings.HasPrefix(problems[0], "broken.go:") || !slices.Equal(problems[1:], want) {
+		t.Fatalf("got problems %q, want broken.go's parse error and %q", problems, want)
 	}
 }
 

@@ -31,7 +31,7 @@
 // checker's uses and selections: a name never passes because a namesake
 // is used. The !linux and !unix fallback files are in neither
 // configuration, so a name only they use is reported; CI vets the
-// !linux ones for darwin and linux/386.
+// !linux ones for darwin and linux/386, and the !unix ones for windows.
 //
 // All return findings as plain strings ("file:line: message") so
 // callers can print or assert on them without any extra structure.
@@ -49,9 +49,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // linkRE matches inline markdown links and images: [text](target) and
@@ -268,17 +270,42 @@ func CheckQuoted(root string, kinds ...Quoted) ([]string, error) {
 
 // CheckFormat walks root for .go files (skipping .git and testdata)
 // and reports those whose bytes differ from what go/format — gofmt —
-// makes of them.
+// makes of them. GOMAXPROCS goroutines format the files as the walk
+// reads them.
 func CheckFormat(root string) ([]string, error) {
-	var problems []string
-	err := eachFile(root, ".go", func(rel string, src []byte) {
-		switch formatted, err := format.Source(src); {
-		case err != nil:
-			problems = append(problems, fmt.Sprintf("%s: %v", rel, err))
-		case !bytes.Equal(src, formatted):
-			problems = append(problems, fmt.Sprintf("%s: not gofmt-formatted", rel))
-		}
-	})
+	type file struct {
+		rel string
+		src []byte
+	}
+	files := make(chan file)
+	var (
+		mu       sync.Mutex
+		problems []string
+		wg       sync.WaitGroup
+	)
+	for range runtime.GOMAXPROCS(0) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for f := range files {
+				var problem string
+				switch formatted, err := format.Source(f.src); {
+				case err != nil:
+					problem = fmt.Sprintf("%s: %v", f.rel, err)
+				case !bytes.Equal(f.src, formatted):
+					problem = fmt.Sprintf("%s: not gofmt-formatted", f.rel)
+				default:
+					continue
+				}
+				mu.Lock()
+				problems = append(problems, problem)
+				mu.Unlock()
+			}
+		}()
+	}
+	err := eachFile(root, ".go", func(rel string, src []byte) { files <- file{rel, src} })
+	close(files)
+	wg.Wait()
 	if err != nil {
 		return nil, err
 	}

@@ -144,8 +144,8 @@ type Chart struct {
 	Title string
 	// Unit labels the values; see Scale.
 	Unit string
-	// X names a categorical x axis, one bar group per point; empty
-	// means transfer time in seconds, drawn as lines.
+	// X labels the x axis, whose values are the series' T; empty
+	// means transfer time in seconds.
 	X      string
 	Series []*trace.Series
 }
@@ -327,7 +327,7 @@ func fig1Study(r *Runs, rc RunConfig, out *Outcome) error {
 	summary := make([]map[int]stats.Summary, len(fig1Loads))
 	crit := make([]int, len(fig1Loads))
 	peak := func(li int) float64 { return summary[li][crit[li]].Median }
-	bars := Chart{Title: "Figure 1 — median throughput vs concurrency", Unit: "MB/s", X: "nc"}
+	chart := Chart{Title: "Figure 1 — median throughput vs concurrency", Unit: "MB/s", X: "nc"}
 	var table [][]string
 	for li, l := range fig1Loads {
 		summary[li] = make(map[int]stats.Summary, len(ncs))
@@ -344,12 +344,12 @@ func fig1Study(r *Runs, rc RunConfig, out *Outcome) error {
 			})
 		}
 		crit[li], _ = stats.ArgmaxKey(medians)
-		bars.Series = append(bars.Series, s)
+		chart.Series = append(chart.Series, s)
 		name := []string{"free", "loaded"}[li]
 		out.Metrics["fig1/"+name+"/critical-nc"] = float64(crit[li])
 		out.Metrics["fig1/"+name+"/peak-MB/s"] = peak(li) / 1e6
 	}
-	out.Charts = []Chart{bars}
+	out.Charts = []Chart{chart}
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 1 — throughput vs parallel streams, %s (np=1)\n\n", tb.Name)

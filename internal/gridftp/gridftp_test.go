@@ -444,3 +444,44 @@ func liveTokens(s *Server) int {
 	defer s.mu.Unlock()
 	return len(s.tokens)
 }
+
+// TestSetLoggerWhileServing: the logger may be swapped while
+// connections are handled (gridftpd -v installs it after Serve), and a
+// connection handled afterwards logs through the new one. A connection
+// closed before its first line logs a header error.
+func TestSetLoggerWhileServing(t *testing.T) {
+	s := startServer(t)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			s.SetLogger(func(string, ...any) {})
+			s.SetLogger(nil)
+		}
+	}()
+	dialClose := func() {
+		t.Helper()
+		c, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+	}
+	for i := 0; i < 20; i++ {
+		dialClose()
+	}
+	<-done
+	logged := make(chan string, 1)
+	s.SetLogger(func(format string, args ...any) {
+		select {
+		case logged <- fmt.Sprintf(format, args...):
+		default:
+		}
+	})
+	dialClose()
+	select {
+	case <-logged:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a connection handled after SetLogger logged nothing")
+	}
+}

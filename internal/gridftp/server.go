@@ -31,7 +31,6 @@ const defaultTokenTTL = 5 * time.Minute
 // token's file table.
 type Server struct {
 	ln     net.Listener
-	logf   func(format string, args ...any)
 	closed atomic.Bool
 	done   chan struct{}
 
@@ -47,6 +46,9 @@ type Server struct {
 	// flag (per-token subdirectories, index-named files); nil discards
 	// payloads (the default).
 	sinkRoot atomic.Pointer[string]
+
+	// logger is the diagnostic logger (see SetLogger); nil discards.
+	logger atomic.Pointer[func(format string, args ...any)]
 
 	// metrics holds the observation instruments; nil disables them.
 	// Atomic so SetObserver is safe while traffic is flowing.
@@ -74,7 +76,6 @@ func Serve(addr string) (*Server, error) {
 func ServeListener(ln net.Listener) *Server {
 	s := &Server{
 		ln:     ln,
-		logf:   func(string, ...any) {},
 		done:   make(chan struct{}),
 		tokens: make(map[string]*fileTable),
 		conns:  make(map[net.Conn]struct{}),
@@ -86,13 +87,21 @@ func ServeListener(ln net.Listener) *Server {
 	return s
 }
 
-// SetLogger installs a diagnostic logger (e.g. log.Printf). The
-// default discards.
+// SetLogger installs a diagnostic logger (e.g. log.Printf); nil
+// discards (the default). Safe to call while serving.
 func (s *Server) SetLogger(logf func(format string, args ...any)) {
 	if logf == nil {
-		logf = func(string, ...any) {}
+		s.logger.Store(nil)
+		return
 	}
-	s.logf = logf
+	s.logger.Store(&logf)
+}
+
+// logf logs through the installed logger, if any.
+func (s *Server) logf(format string, args ...any) {
+	if l := s.logger.Load(); l != nil {
+		(*l)(format, args...)
+	}
 }
 
 // SetTokenTTL sets the idle expiry for tokens; non-positive disables

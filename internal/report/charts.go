@@ -44,6 +44,7 @@ type jsonPayload struct {
 	PX1    float64      `json:"px1"`
 	PY0    float64      `json:"py0"`
 	PY1    float64      `json:"py1"`
+	XLabel string       `json:"xlabel"`
 	YLabel string       `json:"ylabel"`
 	Series []jsonSeries `json:"series"`
 }
@@ -105,7 +106,7 @@ func (c *LineChart) HTML() string {
 	payload := jsonPayload{
 		Kind: "line", X0: minX, X1: maxX,
 		PX0: plotX0, PX1: plotX1, PY0: plotY0, PY1: plotY1,
-		YLabel: c.YLabel,
+		XLabel: c.XLabel, YLabel: c.YLabel,
 	}
 	for i, s := range c.Series {
 		color := colorVar(slots[i])
@@ -145,7 +146,7 @@ func (c *LineChart) HTML() string {
 	fmt.Fprintf(&b, `<script type="application/json" class="chart-data">%s</script>`,
 		string(data))
 	if len(c.Series) >= 2 {
-		b.WriteString(legend(seriesNames(c.Series), slots, "line"))
+		b.WriteString(legend(seriesNames(c.Series), slots))
 	}
 	b.WriteString(lineTable(c))
 	b.WriteString(`</figure>`)
@@ -203,13 +204,13 @@ func writeHeading(b *strings.Builder, title, subtitle string) {
 	b.WriteString(`</figcaption>`)
 }
 
-// legend renders the identity legend; kind "line" uses a short
-// line-key stroke, "bar" a small rect swatch.
-func legend(names []string, slots []int, kind string) string {
+// legend renders the identity legend, a short line-key stroke per
+// series.
+func legend(names []string, slots []int) string {
 	var b strings.Builder
 	b.WriteString(`<div class="legend">`)
 	for i, n := range names {
-		key := fmt.Sprintf(`<span class="key key-%s" style="background:%s"></span>`, kind, colorVar(slots[i]))
+		key := fmt.Sprintf(`<span class="key key-line" style="background:%s"></span>`, colorVar(slots[i]))
 		fmt.Fprintf(&b, `<span class="entry">%s%s</span>`, key, esc(n))
 	}
 	b.WriteString(`</div>`)
@@ -235,7 +236,12 @@ func lineTable(c *LineChart) string {
 	}
 	if len(c.Series) > 0 {
 		for _, x := range c.Series[longest].X {
-			fmt.Fprintf(&b, `<tr><td>%s</td>`, fnum(x))
+			// An integral x (an nc, a whole second) reads without decimals.
+			xs := fnum(x)
+			if x == math.Trunc(x) {
+				xs = fmt.Sprintf("%.0f", x)
+			}
+			fmt.Fprintf(&b, `<tr><td>%s</td>`, xs)
 			for _, s := range c.Series {
 				if v, ok := nearestY(s, x); ok {
 					fmt.Fprintf(&b, `<td>%s</td>`, fnum(v))

@@ -1,8 +1,7 @@
 // Package report renders experiment results as a single
 // self-contained HTML file with inline SVG charts: multi-series line
-// charts for the paper's time-series figures, grouped bars for the
-// scenario comparisons, plain tables for the paper-vs-measured rows,
-// and a table view twin for every chart.
+// charts for every figure, plain tables for the paper-vs-measured
+// rows, and a table view twin for every chart.
 //
 // The visual method follows a validated design system: a fixed
 // eight-slot categorical palette (checked for colorblind separation

@@ -103,16 +103,24 @@ func TestRenderedSVGsWellFormed(t *testing.T) {
 			{Name: "short", X: []float64{0, 10}, Y: []float64{4, 3}},
 		},
 	})
-	// Many-group bar chart (labels suppressed past 12 marks).
-	big := &BarChart{Title: "sweep", YLabel: "MB/s", SeriesNames: []string{"x", "y"}}
-	for i := 0; i < 10; i++ {
-		big.Groups = append(big.Groups, BarGroup{Label: strconv.Itoa(1 << i), Values: []float64{float64(i), float64(i * 2)}})
+	// Figure 1's shape: two series of medians over nc = 1, 2, 4, …, 512.
+	sweep := &LineChart{Title: "sweep", YLabel: "MB/s", XLabel: "nc"}
+	for _, name := range []string{"free", "loaded"} {
+		s := LineSeries{Name: name}
+		for i := 0; i < 10; i++ {
+			s.X = append(s.X, float64(int(1)<<i))
+			s.Y = append(s.Y, float64(len(name)*(i+1)))
+		}
+		sweep.Series = append(sweep.Series, s)
 	}
-	r.AddBar(big)
-	// Tiny values (rounded tops must not invert).
-	r.AddBar(&BarChart{
-		Title: "tiny", YLabel: "MB/s", SeriesNames: []string{"v"},
-		Groups: []BarGroup{{Label: "a", Values: []float64{0.001}}, {Label: "b", Values: []float64{100}}},
+	r.AddLine(sweep)
+	// A near-zero series beside a large one.
+	r.AddLine(&LineChart{
+		Title: "tiny", YLabel: "MB/s", XLabel: "nc",
+		Series: []LineSeries{
+			{Name: "v", X: []float64{1, 2}, Y: []float64{0.001, 0.002}},
+			{Name: "w", X: []float64{1, 2}, Y: []float64{100, 90}},
+		},
 	})
 
 	var buf strings.Builder

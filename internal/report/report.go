@@ -30,9 +30,6 @@ func (r *Report) AddHeading(h, prose string) {
 // AddLine appends a line chart.
 func (r *Report) AddLine(c *LineChart) { r.sections = append(r.sections, c.HTML()) }
 
-// AddBar appends a grouped bar chart.
-func (r *Report) AddBar(c *BarChart) { r.sections = append(r.sections, c.HTML()) }
-
 // AddTable appends a plain data table.
 func (r *Report) AddTable(header []string, rows [][]string) {
 	var b strings.Builder
@@ -97,11 +94,9 @@ svg text { font: 11px system-ui, sans-serif; fill: var(--muted); }
 svg text.tick { font-variant-numeric: tabular-nums; }
 svg text.axis-label { fill: var(--ink-2); }
 svg text.direct-label { fill: var(--ink-2); font-size: 12px; }
-.bar:hover, .bar:focus { filter: brightness(1.08); outline: none; }
 .legend { display: flex; flex-wrap: wrap; gap: 14px; margin: 8px 2px 2px; font-size: 13px; color: var(--ink-2); }
 .legend .key { display: inline-block; margin-right: 6px; vertical-align: middle; }
 .legend .key-line { width: 16px; height: 2px; border-radius: 1px; }
-.legend .key-bar { width: 10px; height: 10px; border-radius: 2px; }
 details.table-view { margin-top: 8px; font-size: 13px; }
 details.table-view summary { color: var(--ink-2); cursor: pointer; }
 table { border-collapse: collapse; margin-top: 6px; width: 100%; }
@@ -124,8 +119,8 @@ table.plain { font-size: 14px; }
 .crosshair { stroke: var(--axis); stroke-width: 1; }
 `
 
-// hoverJS is the shared hover layer: a crosshair+tooltip on line
-// charts (pointer and arrow keys) and per-mark tooltips on bars.
+// hoverJS is the shared hover layer: a crosshair+tooltip on every
+// chart, driven by the pointer and the arrow keys.
 // Tooltips enhance, never gate — every value is also in the table
 // view. All untrusted strings go through textContent.
 const hoverJS = `
@@ -192,7 +187,7 @@ const hoverJS = `
       cross.setAttribute('x1', px);
       cross.setAttribute('x2', px);
       cross.style.display = '';
-      var rows = [{value: fmt(xv), name: 's'}];
+      var rows = [{value: fmt(xv), name: d.xlabel}];
       d.series.forEach(function (s) {
         if (!s.x.length) return;
         var best = 0, bd = Infinity;
@@ -226,20 +221,6 @@ const hoverJS = `
       cross.style.display = 'none';
       hideTip();
     });
-  });
-
-  document.querySelectorAll('figure[data-kind="bar"] .bar').forEach(function (bar) {
-    function show(ev) {
-      var r = bar.getBoundingClientRect();
-      showTip(ev.clientX || r.left + r.width / 2, ev.clientY || r.top, [
-        {value: bar.getAttribute('data-value'), name: bar.getAttribute('data-name')},
-        {value: '', name: bar.getAttribute('data-label')}
-      ]);
-    }
-    bar.addEventListener('pointermove', show);
-    bar.addEventListener('focus', show);
-    bar.addEventListener('pointerleave', hideTip);
-    bar.addEventListener('blur', hideTip);
   });
 })();
 `

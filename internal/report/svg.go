@@ -38,8 +38,8 @@ func fnum(v float64) string {
 
 // niceTicks returns 3-6 round tick values spanning [0|min, max] using
 // the classic 1-2-5 progression. The range is expanded to include
-// zero when min is non-negative (bars and throughputs are anchored at
-// a zero baseline).
+// zero when min is non-negative (throughputs are anchored at a zero
+// baseline).
 func niceTicks(min, max float64) []float64 {
 	if min > 0 {
 		min = 0
@@ -117,25 +117,4 @@ func (s *svgBuilder) endDot(x, y float64, color string) {
 	fmt.Fprintf(&s.b,
 		`<circle cx="%.1f" cy="%.1f" r="4" fill="%s" stroke="var(--surface)" stroke-width="2"/>`,
 		x, y, color)
-}
-
-// roundTopBar renders a bar with a 4px rounded data-end and a square
-// baseline end, growing upward from the baseline.
-func (s *svgBuilder) roundTopBar(x, y, w, h float64, color, extra string) {
-	r := 4.0
-	if h < r {
-		r = h
-	}
-	if w < 2*r {
-		r = w / 2
-	}
-	path := fmt.Sprintf("M%.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Q%.1f %.1f %.1f %.1f L%.1f %.1f Z",
-		x, y+h, // bottom-left
-		x, y+r,
-		x, y, x+r, y, // top-left corner
-		x+w-r, y,
-		x+w, y, x+w, y+r, // top-right corner
-		x+w, y+h,
-	)
-	fmt.Fprintf(&s.b, `<path d="%s" fill="%s" %s/>`, path, color, extra)
 }
