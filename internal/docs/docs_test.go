@@ -556,7 +556,7 @@ func TestCheckPackageRefs(t *testing.T) {
 		"It snapshots to a `" + planted + "`; `lint.Outside` is not lint's.\n"
 	write("DESIGN.md", md)
 	write("CHANGES.md", md)
-	decls, err := PackageDecls(dir)
+	decls, err := PackageDecls(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +646,7 @@ func TestRepoDocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decls, err := PackageDecls(root)
+	decls, err := PackageDecls(root, l.prog)
 	if err != nil {
 		t.Fatal(err)
 	}

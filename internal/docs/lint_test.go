@@ -207,33 +207,37 @@ func PackageRefs(decls map[string]map[string]bool) Quoted {
 	}
 }
 
-// PackageDecls parses every package under root/internal and returns,
-// by package name, the exported package-level names its files declare
-// (test files too, for the test-only packages).
-func PackageDecls(root string) (map[string]map[string]bool, error) {
-	dirs, err := filepath.Glob(filepath.Join(root, "internal", "*"))
+// PackageDecls returns, by package name, the exported package-level
+// names the files of every package under root/internal declare (test
+// files too, for the test-only packages). A file prog parsed, if prog is
+// not nil, is read from its parse; only the others — test files and the
+// fallbacks no configuration builds — are parsed here.
+func PackageDecls(root string, prog *Program) (map[string]map[string]bool, error) {
+	paths, err := filepath.Glob(filepath.Join(root, "internal", "*", "*.go"))
 	if err != nil {
 		return nil, err
 	}
 	decls := map[string]map[string]bool{}
-	for _, dir := range dirs {
-		fset := token.NewFileSet()
-		pkgs, err := parser.ParseDir(fset, dir, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		var f *ast.File
+		if prog != nil {
+			f = prog.files[path]
 		}
-		for name, pkg := range pkgs {
-			if strings.HasSuffix(name, "_test") {
-				continue
+		if f == nil {
+			if f, err = parser.ParseFile(fset, path, nil, parser.SkipObjectResolution); err != nil {
+				return nil, err
 			}
-			if decls[name] == nil {
-				decls[name] = map[string]bool{}
-			}
-			for _, f := range pkg.Files {
-				for _, id := range exportedDecls(f) {
-					decls[name][id.Name] = true
-				}
-			}
+		}
+		name := f.Name.Name
+		if strings.HasSuffix(name, "_test") {
+			continue
+		}
+		if decls[name] == nil {
+			decls[name] = map[string]bool{}
+		}
+		for _, id := range exportedDecls(f) {
+			decls[name][id.Name] = true
 		}
 	}
 	return decls, nil

@@ -30,11 +30,12 @@ var buildTags = [][]string{nil, {"dstune_nozerocopy"}}
 // the position of the name's declaration, which the configurations
 // share because each file is parsed once.
 type Program struct {
-	fset *token.FileSet
-	pkgs []*types.Package       // the module's packages, in each configuration
-	set  map[token.Pos][]string // field → the files that set it
-	read map[token.Pos]bool     // fields some file reads
-	used map[token.Pos]bool     // functions and methods used outside their own body
+	fset  *token.FileSet
+	files map[string]*ast.File   // each file parsed, by its path
+	pkgs  []*types.Package       // the module's packages, in each configuration
+	set   map[token.Pos][]string // field → the files that set it
+	read  map[token.Pos]bool     // fields some file reads
+	used  map[token.Pos]bool     // functions and methods used outside their own body
 }
 
 // Load type-checks the product code under root: the module's packages
@@ -158,6 +159,7 @@ func Load(root string) (*Program, error) {
 func (p *Program) parse(root string, configs []map[string]*build.Package) (map[*build.Package][]*ast.File, error) {
 	files := map[*build.Package][]*ast.File{}
 	parsed := map[string]*ast.File{}
+	p.files = parsed
 	for _, bps := range configs {
 		for _, bp := range bps {
 			for _, name := range bp.GoFiles {

@@ -18,8 +18,10 @@
 //     threads pay against spinning dgemm threads under a real kernel
 //     scheduler. L is found without sorting the demands, so the caps
 //     depend on the demands and not on their order: equal demands get
-//     identical caps. A steady round, every demand above the level of
-//     the last round and none saturating, reuses that round's caps.
+//     identical caps. A steady round, every demand clear of the level
+//     of the last round and none saturating, reuses that round's caps;
+//     a caller that knows which demands changed since checks only those
+//     (Reuses).
 //   - A context-switch efficiency factor shrinks the usable pump rate
 //     as the number of runnable threads grows past the core count —
 //     this is what bends the throughput curve down after the paper's
@@ -108,6 +110,9 @@ type Host struct {
 	above     []float64
 	threads   []int
 
+	// The water level of the last round.
+	level float64
+
 	// The last round solved, if no demand in it saturated: its water
 	// level, compute jobs, thread counts and caps. It owns the buffers
 	// it took from the scratch.
@@ -170,9 +175,10 @@ func (h *Host) Efficiency(totalThreads int) float64 {
 // A round in which no demand saturates gives every process the level
 // cores/(n + computeWeight·jobs) less its stream overhead, so its caps
 // depend on the process count, the thread counts and the jobs alone.
-// The host keeps such a round's caps, and a round that follows it with
-// the same jobs and thread counts, every demand again above that level,
-// returns them: they are the bits the full solve would compute.
+// The host keeps such a round's caps, every demand clear of its level,
+// and a round that follows it with the same jobs and thread counts,
+// every demand again clear of that level, returns them: they are the
+// bits the full solve would compute.
 //
 // The returned slice belongs to the host and is valid until the next
 // Allocate call: a caller that keeps caps across rounds copies them, and
@@ -187,6 +193,7 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 		return caps
 	}
 	if h.reuses(procs) {
+		h.level = h.kept.level
 		return h.kept.caps
 	}
 
@@ -207,11 +214,12 @@ func (h *Host) Allocate(procs []Demand) []float64 {
 		caps[i], overheads[i] = h.demand(d)
 	}
 	level := waterLevel(caps, h.computeJobs, float64(cfg.Cores), &h.above)
+	h.level = level
 
 	var total fixedSum // in cores
 	unsaturated := true
 	for i := range caps {
-		unsaturated = unsaturated && caps[i] > level
+		unsaturated = unsaturated && clears(caps[i], level)
 		c := max(min(caps[i], level)-overheads[i], 0)
 		if cfg.NICRate > 0 {
 			total.add(c)
@@ -247,30 +255,73 @@ func (h *Host) demand(d Demand) (cores, overhead float64) {
 	return min(rate/h.cfg.CorePumpRate+overhead, 1), overhead
 }
 
+// steadySlack is how far above a round's water level a demand must be
+// for the round to count it as clear of the level. A demand clear of it
+// that has since grown, whatever the rounding of its growth, is still
+// above it, and the round's caps do not depend on its size. Rounding
+// that shrinks a growing demand is some 10⁻¹⁵ of it.
+const steadySlack = 1e-9
+
+// clears reports whether a demand of cores is clear of the water level:
+// above it with steadySlack to spare.
+func clears(cores, level float64) bool { return cores > level*(1+steadySlack) }
+
 // reuses reports whether the round of procs gets the kept caps: the last
 // round saturated no demand, and this one has its jobs and thread
-// counts and every demand above its level, so that no demand saturates
-// again and the level is the same.
+// counts and every demand clear of its level, so that no demand
+// saturates again and the level is the same.
 func (h *Host) reuses(procs []Demand) bool {
 	k := &h.kept
 	if !k.ok || k.jobs != h.computeJobs || len(k.threads) != len(procs) {
 		return false
 	}
 	for i, d := range procs {
-		if threads(d) != k.threads[i] {
-			return false
-		}
-		if cores, _ := h.demand(d); !(cores > k.level) {
+		if !h.keeps(i, d) {
 			return false
 		}
 	}
 	return true
 }
 
+// keeps reports whether the demand d of process i leaves the kept round
+// as it is: its thread count is the same and it is clear of the level.
+func (h *Host) keeps(i int, d Demand) bool {
+	cores, _ := h.demand(d)
+	return threads(d) == h.kept.threads[i] && clears(cores, h.kept.level)
+}
+
+// Reuses reports whether the round of procs gets the caps the last
+// Allocate returned, when procs differs from that round only in the
+// demands at the indices changed and in demands that have grown since
+// it: reuses' test, on the changed demands alone. A demand that only
+// grew stays clear of the level. Allocate is not called, and the caller
+// keeps the caps it set.
+func (h *Host) Reuses(procs []Demand, changed []int) bool {
+	k := &h.kept
+	if !k.ok || k.jobs != h.computeJobs || len(k.threads) != len(procs) {
+		return false
+	}
+	for _, i := range changed {
+		if !h.keeps(i, procs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Clear reports whether the demand d is clear of the last round's water
+// level. The last round gave a demand clear of it the level, less its
+// stream overhead, whatever its size, so a round in which such a demand
+// had grown instead would have given every process the same cap.
+func (h *Host) Clear(d Demand) bool {
+	cores, _ := h.demand(d)
+	return clears(cores, h.level)
+}
+
 // keep keeps the round just solved, its level, thread counts (h.threads)
-// and caps (h.caps), for the next round to reuse if no demand in it
-// saturated, and otherwise keeps nothing. It takes the round's buffers
-// and leaves the scratch the ones it kept before.
+// and caps (h.caps), for the next round to reuse if every demand in it
+// is clear of its level, and otherwise keeps nothing. It takes the
+// round's buffers and leaves the scratch the ones it kept before.
 func (h *Host) keep(unsaturated bool, level float64) {
 	k := &h.kept
 	if k.ok = unsaturated; !unsaturated {

@@ -99,10 +99,15 @@ func (wf *refFill) run(c float64) []float64 {
 
 // equivRounds is how many rounds TestAllocateMatchesReference runs: a
 // thousand per NETEM_EQUIV_SEEDS, the simulator's long-form setting, when
-// it is set (CI's 1000 runs 10⁶), twenty thousand otherwise.
+// it is set (CI's 1000 runs 10⁶), and otherwise twenty thousand, or four
+// thousand under the race detector: the rounds start no goroutine, so
+// -race repeats what the plain run checks.
 func equivRounds() int {
 	if n, err := strconv.Atoi(os.Getenv("NETEM_EQUIV_SEEDS")); err == nil && n > 1 {
 		return 1000 * n
+	}
+	if raceEnabled {
+		return 4000
 	}
 	return 20000
 }

@@ -10,9 +10,10 @@ import (
 // reuseCounts counts the rounds TestAllocateReuseIsExact must reach: a
 // round that reused the last one's caps, such a round with the NIC
 // binding and with it free, a round after one in which a demand
-// saturated, and a round with a demand exactly at the level.
+// saturated, a round with a demand exactly at the level, and a round
+// whose caps a demand clear of its level, grown, leaves as they are.
 type reuseCounts struct {
-	reused, nicBound, nicFree, afterSaturated, atLevel int
+	reused, nicBound, nicFree, afterSaturated, atLevel, grown int
 }
 
 // unsaturatedLevel is the water level of a round of n processes under
@@ -93,8 +94,11 @@ func change(rng *rand.Rand, h *Host, procs *[]Demand) bool {
 // jobs changed, a demand that saturates and one exactly at the level,
 // with a NIC that binds as the set grows and frees as it shrinks — each
 // round's caps must be the bits a fresh host, which has no round to
-// reuse, computes. Over all rounds each case reuseCounts names must
-// have been reached. NETEM_EQUIV_SEEDS runs more rounds.
+// reuse, computes. Reuses, told which demands changed since the last
+// round, must agree with reuses, which reads them all; and a demand that
+// Clear says is clear of a round's level must leave the round's caps as
+// they are when it grows. Over all rounds each case reuseCounts names
+// must have been reached. NETEM_EQUIV_SEEDS runs more rounds.
 func TestAllocateReuseIsExact(t *testing.T) {
 	const perSequence = 40
 	rng := rand.New(rand.NewPCG(51, 1))
@@ -117,12 +121,23 @@ func TestAllocateReuseIsExact(t *testing.T) {
 		h := New(cfg)
 		h.SetComputeJobs(jobs)
 		saturated := false
+		last := slices.Clone(procs)
 		for range perSequence {
 			exact := change(rng, h, &procs)
 			full := New(cfg)
 			full.SetComputeJobs(h.computeJobs)
 			want := slices.Clone(full.Allocate(procs))
 			reuses := h.reuses(procs)
+			var changed []int
+			for i := range procs {
+				if i >= len(last) || procs[i] != last[i] {
+					changed = append(changed, i)
+				}
+			}
+			if r := h.Reuses(procs, changed); r != reuses {
+				t.Fatalf("%d cores, %d jobs, %d processes: Reuses of the %d changed demands %v, reuses of all %v",
+					cfg.Cores, h.computeJobs, len(procs), len(changed), r, reuses)
+			}
 			got := h.Allocate(procs)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -147,6 +162,11 @@ func TestAllocateReuseIsExact(t *testing.T) {
 				}
 			}
 			saturated = saturates(h, procs)
+			last = append(last[:0], procs...)
+			if i := rng.IntN(len(procs)); h.Clear(procs[i]) {
+				rc.grown++
+				grownClearKeepsCaps(t, cfg, h.computeJobs, procs, i, got)
+			}
 		}
 	}
 	t.Logf("%+v", rc)
@@ -157,6 +177,7 @@ func TestAllocateReuseIsExact(t *testing.T) {
 		{"reused rounds", rc.reused}, {"reused rounds with the NIC binding", rc.nicBound},
 		{"reused rounds with the NIC free", rc.nicFree}, {"rounds after a saturated one", rc.afterSaturated},
 		{"rounds with a demand exactly at the level", rc.atLevel},
+		{"rounds with a grown clear demand", rc.grown},
 	} {
 		if c.n == 0 {
 			t.Errorf("no %s", c.what)
@@ -183,4 +204,23 @@ func sum(xs []float64) float64 {
 		s += x
 	}
 	return s
+}
+
+// grownClearKeepsCaps checks that the round procs on a host of cfg under
+// jobs compute jobs, whose caps were caps, gets them again, bit for bit,
+// when its demand i, clear of the round's level, grows: Clear's promise,
+// on which a round solved with a stale demand rests.
+func grownClearKeepsCaps(t *testing.T, cfg Config, jobs int, procs []Demand, i int, caps []float64) {
+	t.Helper()
+	grown := slices.Clone(procs)
+	grown[i].Rate = grown[i].Rate*1.5 + 1
+	h := New(cfg)
+	h.SetComputeJobs(jobs)
+	got := h.Allocate(grown)
+	for j := range caps {
+		if math.Float64bits(got[j]) != math.Float64bits(caps[j]) {
+			t.Fatalf("%d cores, %d jobs, %d processes: process %d capped at %v once clear demand %d %+v grew, %v before",
+				cfg.Cores, jobs, len(procs), j, got[j], i, procs[i], caps[j])
+		}
+	}
 }

@@ -99,7 +99,7 @@ var calmShapes = []calmShape{
 // calm shape must have taken it as its want says.
 // NETEM_EQUIV_SEEDS runs more seeds.
 func TestCalmStepIsExact(t *testing.T) {
-	seeds := equivSeeds(16)
+	seeds := equivSeeds(16, 2)
 	for ci, sh := range allCalmShapes() {
 		calm, steps, atCap := 0, 0, false
 		for seed := 0; seed < seeds; seed++ {

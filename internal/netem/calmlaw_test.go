@@ -110,7 +110,7 @@ const (
 // lawShare say, over a fixed set of seeds. Every Step of these shapes
 // is calm. NETEM_EQUIV_SEEDS runs more seeds (CI's long form, 1000).
 func TestCalmLawMatchesReference(t *testing.T) {
-	seeds := equivSeeds(100)
+	seeds := equivSeeds(100, 100)
 	for _, sh := range lawShapes {
 		for _, alg := range equivAlgs {
 			where := fmt.Sprintf("%s, %T", sh.name, alg)

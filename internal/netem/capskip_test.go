@@ -180,7 +180,7 @@ func repeat(n, v int) []int {
 // and each flow's count of streams at the cap to be right.
 // NETEM_EQUIV_SEEDS runs more seeds.
 func TestCapSkipIsExact(t *testing.T) {
-	seeds := equivSeeds(16)
+	seeds := equivSeeds(16, 2)
 	for ci, sh := range capShapes {
 		atCap, skipped := false, false
 		for seed := 0; seed < seeds; seed++ {
@@ -247,7 +247,8 @@ func sameState(a, b *Path) error {
 	}
 	for i, fa := range a.flows {
 		fb := b.flows[i]
-		if err := errors.Join(differ("offered", fa.offered, fb.offered), differ("rate", fa.rate, fb.rate),
+		// A sleeper's offered rate is set when it is read.
+		if err := errors.Join(differ("offered", fa.OfferedRate(), fb.OfferedRate()), differ("rate", fa.rate, fb.rate),
 			differ("delivered", fa.delivered, fb.delivered), differ("loss clock", fa.clock, fb.clock)); err != nil {
 			return fmt.Errorf("flow %d: %w", i, err)
 		}

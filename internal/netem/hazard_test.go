@@ -113,14 +113,20 @@ func bernoulliSubstep(p *Path, dt float64, timers map[*stream]float64) {
 	p.now += dt
 }
 
-// equivSeeds is how many seeds each side of TestStepMatchesBernoulli
-// runs: NETEM_EQUIV_SEEDS when set (CI's long form runs ten times the
-// default), the default otherwise.
-func equivSeeds(def int) int {
+// equivSeeds is how many seeds an equivalence run takes — each side of
+// TestStepMatchesBernoulli, each case of a lockstep test:
+// NETEM_EQUIV_SEEDS when set (CI's long form runs 1000), and otherwise
+// def, or short under the race detector. The runs start no goroutine, so
+// -race repeats what the plain run checks; a lockstep test passes it
+// short, a distribution test, whose power is its seeds, def.
+func equivSeeds(def, short int) int {
 	if s := os.Getenv("NETEM_EQUIV_SEEDS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil && n > 1 {
 			return n
 		}
+	}
+	if raceEnabled {
+		return short
 	}
 	return def
 }
@@ -235,7 +241,7 @@ func (m moments) se2() float64 {
 // delivers, must agree within three combined standard errors. The seeds
 // are fixed, so the test cannot flake; NETEM_EQUIV_SEEDS runs more.
 func TestStepMatchesBernoulli(t *testing.T) {
-	seeds := equivSeeds(100)
+	seeds := equivSeeds(100, 100)
 	const steps = 600
 	for ci, tc := range equivCases {
 		var clock, coin []equivRun
@@ -374,6 +380,9 @@ func TestFlowSumsExact(t *testing.T) {
 			substeps += n
 			p.Step(dt)
 			for i, f := range p.flows {
+				if f.behind {
+					f.rouse() // a sleeper's sums are set when they are read
+				}
 				cwnd, active, n, full := f.cwnd, f.active, f.nActive, f.full
 				if f.laws {
 					f.sync(p.now)

@@ -45,6 +45,21 @@
 // bit-equal to the round trips; TestCalmLawMatchesReference holds the
 // two to each other in distribution.
 //
+// A flow that ends a calm Step pinned at its cap — its windows ask for
+// more, with a little to spare, and no stream cools down — sleeps. Its
+// windows only grow while it sleeps, so each later calm Step would
+// settle it until one of these wakes it: a stream's next event falls
+// inside the Step; its loss clock does not outlast the Step's hazard at
+// its cap; its cap changes to one its windows may not ask more than (a
+// change of load reaches a flow only so); or a Step is not calm. Until
+// then a calm Step replays, as it passes the flow in flow order, the
+// settle's two sums — the loss clock down by k·(y_b − y_a), the
+// delivered bytes up by cap·(y_b − y_a) — and the once-a-second rebase
+// of its closed forms, from the same operands in the same order, so the
+// result is bit for bit the settle's. Its windows summed, and its offered
+// rate, are taken from its closed forms only when read or when it wakes.
+// TestSleepIsExact holds this to a Step that visits every flow.
+//
 // All rates are bytes per second and times are seconds of virtual time.
 package netem
 
@@ -101,6 +116,18 @@ type Path struct {
 	rng    *sim.RNG
 	flows  []*Flow
 	now    float64 // virtual time at the start of the next substep
+
+	// bound holds, in flow order, each flow's bound on its rate in begin
+	// while it has a cap or is blocked: its cap, or 0. An uncapped flow's
+	// bound moves with its windows, and -1 marks it. total is their sum
+	// as begin last took it, which is fresh while no bound has changed
+	// since and uncapped, the count of flows with no cap, is 0.
+	bound    []float64
+	total    float64
+	fresh    bool
+	uncapped int
+
+	lawless int // flows whose closed forms are not current (no laws)
 }
 
 // New returns a path for cfg, drawing randomness from rng. It panics if
@@ -143,18 +170,11 @@ const coolEps = 1e-9
 // in the paper's terms (a concurrency unit running `parallelism`
 // streams). The endpoint scheduler caps a flow's aggregate rate.
 type Flow struct {
+	// What a Step reads and writes of a flow asleep comes first, on one
+	// cache line.
 	cap       float64 // aggregate rate cap; 0 = unlimited
-	offered   float64 // window-limited desire before the cap, last step
-	rate      float64 // delivered aggregate rate, last step
 	delivered float64 // cumulative bytes
-
-	// The streams' sums, kept by delta and recomputed on every Step.
-	cwnd    float64 // Σcwnd
-	active  float64 // Σcwnd over streams not cooling down
-	nActive int     // streams not cooling down
-	full    int     // streams whose window is at the path's MaxCwnd
-
-	clock float64 // Exp(1) hazard left before the flow's next loss
+	clock     float64 // Exp(1) hazard left before the flow's next loss
 
 	// A calm Step's sums (see calmStep), kept by delta at its streams'
 	// events: the windows as one closed form in the seconds since at,
@@ -162,18 +182,34 @@ type Flow struct {
 	// MaxCwnd counted, and the earliest of the streams' next events.
 	// laws is whether the streams' closed forms are current: a congested
 	// Step moves windows round trip by round trip.
-	laws  bool
-	at    float64
-	next  float64
+	at   float64
+	next float64
+	laws bool
+
+	// Whether the flow is asleep (see calmStep), whether it slept through
+	// the last Step, and whether its sums and offered rate are behind its
+	// closed forms, as a Step slept through leaves them.
+	asleep, slept, behind bool
+	removed               bool
+	idx                   int // the flow's place in its path's flows
+
+	offered float64 // window-limited desire before the cap, last step
+	rate    float64 // delivered aggregate rate, last step
+
+	// The streams' sums, kept by delta and recomputed on every Step.
+	cwnd    float64 // Σcwnd
+	active  float64 // Σcwnd over streams not cooling down
+	nActive int     // streams not cooling down
+	full    int     // streams whose window is at the path's MaxCwnd
+
 	nCool int
 	nMax  int
 	cool  float64
 	sum   form
 
-	strs    []stream
-	alg     tcpmodel.Algorithm
-	path    *Path
-	removed bool
+	strs []stream
+	alg  tcpmodel.Algorithm
+	path *Path
 }
 
 // NewFlow attaches a flow of n streams driven by alg to the path. The
@@ -183,7 +219,7 @@ func (p *Path) NewFlow(n int, alg tcpmodel.Algorithm) *Flow {
 	if n < 1 {
 		n = 1
 	}
-	f := &Flow{path: p, alg: alg, strs: make([]stream, n)}
+	f := &Flow{path: p, alg: alg, strs: make([]stream, n), idx: len(p.flows)}
 	for i := range f.strs {
 		st := tcpmodel.NewStream(p.cfg.MaxCwnd)
 		st.Cwnd = p.rng.Jitter(st.Cwnd, 0.3)
@@ -191,6 +227,8 @@ func (p *Path) NewFlow(n int, alg tcpmodel.Algorithm) *Flow {
 	}
 	f.clock = p.rng.ExpFloat64()
 	p.flows = append(p.flows, f)
+	p.bound = append(p.bound, bound(f.cap))
+	p.fresh, p.uncapped, p.lawless = false, p.uncapped+1, p.lawless+1
 	return f
 }
 
@@ -218,23 +256,81 @@ func (f *Flow) Remove() {
 		return
 	}
 	f.removed = true
-	if i := slices.Index(f.path.flows, f); i >= 0 {
-		// slices.Delete zeroes the vacated tail slot, so the path no
-		// longer holds the flow.
-		f.path.flows = slices.Delete(f.path.flows, i, i+1)
+	// slices.Delete zeroes the vacated tail slot, so the path no longer
+	// holds the flow.
+	p := f.path
+	f.asleep = false
+	if f.cap == 0 {
+		p.uncapped--
+	}
+	if !f.laws {
+		p.lawless--
+	}
+	p.flows = slices.Delete(p.flows, f.idx, f.idx+1)
+	p.bound = slices.Delete(p.bound, f.idx, f.idx+1)
+	p.fresh = false
+	for i := f.idx; i < len(p.flows); i++ {
+		p.flows[i].idx = i
 	}
 }
 
 // SetCap imposes an aggregate rate limit in bytes per second on the
 // flow: zero removes the limit and a negative value blocks the flow
 // entirely (an application-limited sender with nothing to send, e.g. a
-// transfer process waiting on a file request).
-func (f *Flow) SetCap(c float64) { f.cap = c }
+// transfer process waiting on a file request). A cap that changes wakes
+// a flow asleep, unless its windows still ask for more than it.
+func (f *Flow) SetCap(c float64) {
+	if c == f.cap {
+		return
+	}
+	if f.asleep {
+		if c > 0 && f.offered > c*(1+sleepSlack) {
+			// Still pinned: its windows asked for more than c when its
+			// offered rate was last set, and they only grow.
+			f.rate = c
+		} else {
+			f.wake()
+		}
+	}
+	if !f.removed {
+		p := f.path
+		p.bound[f.idx], p.fresh = bound(c), false
+		if f.cap == 0 {
+			p.uncapped--
+		}
+		if c == 0 {
+			p.uncapped++
+		}
+	}
+	f.cap = c
+}
+
+// bound returns what begin takes as the bound on the rate of a flow
+// capped at c, or -1 if the flow is uncapped.
+func bound(c float64) float64 {
+	switch {
+	case c < 0:
+		return 0
+	case c > 0:
+		return c
+	}
+	return -1
+}
 
 // OfferedRate returns the flow's window-limited desired rate before
 // capping, from the last step. The endpoint scheduler uses this as the
 // flow's CPU demand signal.
-func (f *Flow) OfferedRate() float64 { return f.offered }
+func (f *Flow) OfferedRate() float64 {
+	if f.behind {
+		f.rouse()
+	}
+	return f.offered
+}
+
+// Slept reports whether the flow slept through the last Step: it was
+// pinned at its cap throughout, and its offered rate has not fallen
+// since the Step before. Its windows never shrink while it sleeps.
+func (f *Flow) Slept() bool { return f.slept }
 
 // Delivered returns the cumulative bytes delivered by the flow.
 func (f *Flow) Delivered() float64 { return f.delivered }
@@ -266,10 +362,14 @@ func (p *Path) Step(dt float64) {
 		return
 	}
 	for _, f := range p.flows {
+		if f.asleep {
+			f.wake()
+		}
+		f.slept = false
 		if f.laws {
 			f.sync(p.now)
 			f.resum()
-			f.laws = false
+			f.laws, p.lawless = false, p.lawless+1
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -294,27 +394,34 @@ const calmSlack = 1e-6
 // the queue then stays empty, the RTT is the same, every flow's capped
 // rate is delivered in full and there is no congestion hazard, so its
 // flows meet only through the random source.
+//
+// The bounds of flows with a cap change only with their caps, and bound
+// holds them, so begin sums them again only when one did or a flow has
+// no cap.
 func (p *Path) begin() bool {
-	for _, f := range p.flows {
-		if !f.laws {
-			f.resum()
+	if p.lawless > 0 {
+		for _, f := range p.flows {
+			if !f.laws {
+				f.resum()
+			}
 		}
 	}
 	if p.queue != 0 || p.cfg.MaxCwnd <= 0 {
 		return false
 	}
-	invRTT := 1 / p.RTT()
-	total := 0.0
-	for _, f := range p.flows {
-		switch {
-		case f.cap < 0:
-		case f.cap > 0:
-			total += f.cap
-		default:
-			total += f.ceil() * (1 + calmSlack) * invRTT
+	if !p.fresh {
+		invRTT := 1 / p.RTT()
+		total := 0.0
+		for i, b := range p.bound {
+			if b < 0 {
+				total += p.flows[i].ceil() * (1 + calmSlack) * invRTT
+			} else {
+				total += b
+			}
 		}
+		p.total, p.fresh = total, p.uncapped == 0
 	}
-	return total <= p.cfg.Capacity
+	return p.total <= p.cfg.Capacity
 }
 
 // ceil returns the most the flow's windows can sum to before the next
@@ -485,9 +592,65 @@ func (p *Path) calmStep(n int, dt float64) {
 	c := calm{rtt: rtt, invRTT: 1 / rtt, cool: math.Max(rtt, 2*dt), kRate: p.cfg.RandomLoss / (rtt * tcpmodel.DefaultMSS), end: end}
 	c.lead = max(c.cool-rtt/2-dt, 0)
 	for _, f := range p.flows {
-		f.calm(&c, p.now)
+		if f.asleep && f.replay(&c, p.now) {
+			continue
+		}
+		f.slept = false
+		if f.calm(&c, p.now); f.pinned(&c) {
+			f.asleep = true
+		}
 	}
 	p.now = end
+}
+
+// sleepSlack is how far past its cap a flow's windows must ask at the
+// end of a calm Step for it to sleep. A sleeper's windows only grow, so
+// its settle's test of them holds at every later Step of its sleep; the
+// slack covers the rounding of their closed form, some 10⁻¹⁵ of it.
+const sleepSlack = 1e-9
+
+// pinned reports whether the flow, at the end of a calm Step, is pinned
+// at its cap as settle asks at the next Step's start — its windows ask
+// for more than the cap, with sleepSlack to spare, and no stream cools
+// down — whatever its next event and its loss clock. It then sleeps:
+// until one of those falls due, nothing but its loss clock, its
+// delivered bytes and the origin of its closed forms moves.
+func (f *Flow) pinned(c *calm) bool {
+	return f.cap > 0 && f.nCool == 0 && f.cwnd*c.invRTT > f.cap*(1+sleepSlack)
+}
+
+// replay runs a flow asleep through the calm Step c from t as calm
+// would, and reports whether it did. It does not, and wakes the flow,
+// when calm would not settle it: a stream's event falls before the
+// Step's end, or its loss clock does not outlast the Step's hazard. A
+// sleeper is settled, as calm settles it, from its closed forms' origin
+// after calm's rebase, and a flow woken is left as the last Step left
+// it, for calm to take up.
+func (f *Flow) replay(c *calm, t float64) bool {
+	at := f.at
+	if t-at > rebaseAfter {
+		at = t
+	}
+	h, y := f.held(c, t, at)
+	if !(f.next >= c.end) || !f.outlasts(h) {
+		f.wake()
+		return false
+	}
+	if at != f.at {
+		f.rebase(t)
+	}
+	f.clock -= h
+	f.delivered += f.cap * y
+	f.slept, f.behind = true, true
+	return true
+}
+
+// wake wakes the flow asleep: the next calm Step visits it.
+func (f *Flow) wake() {
+	f.asleep = false
+	if f.behind {
+		f.rouse()
+	}
 }
 
 // calm runs the flow through a calm Step from t, and leaves the sums the
@@ -520,9 +683,29 @@ func (f *Flow) calm(c *calm, t float64) {
 	if f.growing() {
 		wt = f.w(c.end - f.at)
 	}
+	f.finish(wt, c.invRTT)
+}
+
+// finish leaves the flow's sums, and its offered and capped rates, at
+// those of its windows summed to wt at the end of a calm Step.
+func (f *Flow) finish(wt, invRTT float64) {
+	f.behind = false
 	f.cwnd = wt
 	f.active, f.nActive, f.full = f.cwnd-f.cool, len(f.strs)-f.nCool, f.nMax
-	f.offer(c.invRTT)
+	f.offer(invRTT)
+}
+
+// rouse sets what calm would have left of a flow asleep at the path's
+// time, the end of the last Step: its windows summed from its closed
+// forms, the sums kept from them, and its offered and capped rates. A
+// sleeper's are set only when read or when it wakes; the queue is empty
+// throughout its sleep, so the RTT is calm's.
+func (f *Flow) rouse() {
+	wt := f.cwnd
+	if f.growing() {
+		wt = f.w(f.path.now - f.at)
+	}
+	f.finish(wt, 1/f.path.RTT())
 }
 
 // settle runs the flow from t, where its windows sum to wt, to the
@@ -536,16 +719,26 @@ func (f *Flow) settle(c *calm, t, wt float64) bool {
 	if !(f.cap > 0 && wt*c.invRTT > f.cap && f.nCool == 0 && f.next >= c.end) {
 		return false
 	}
-	ya, yb := t-f.at, c.end-f.at
-	k := c.kRate * c.rtt * f.cap // hazardTo's, limited with no stream cooling
-	h := k * (yb - ya)
-	if h > 0 && !(f.clock > h) {
+	h, y := f.held(c, t, f.at)
+	if !f.outlasts(h) {
 		return false
 	}
 	f.clock -= h
-	f.delivered += f.cap * (yb - ya)
+	f.delivered += f.cap * y
 	return true
 }
+
+// held returns the loss hazard of a pinned flow's run from t to the
+// Step's end, and the run's length in the seconds of its closed forms
+// from at.
+func (f *Flow) held(c *calm, t, at float64) (h, y float64) {
+	ya, yb := t-at, c.end-at
+	k := c.kRate * c.rtt * f.cap // hazardTo's, limited with no stream cooling
+	return k * (yb - ya), yb - ya
+}
+
+// outlasts reports whether the flow's loss clock outlasts a hazard of h.
+func (f *Flow) outlasts(h float64) bool { return !(h > 0) || f.clock > h }
 
 // derive takes up the flow's streams at t, from their birth or after a
 // congested Step moved them round trip by round trip: a stream cooling
@@ -567,7 +760,7 @@ func (f *Flow) derive(c *calm, t float64) {
 		f.add(s, 1)
 		f.next = min(f.next, s.next)
 	}
-	f.laws = true
+	f.laws, f.path.lawless = true, f.path.lawless-1
 }
 
 // rebaseAfter is how many seconds a flow's sum of windows runs from its
@@ -578,7 +771,7 @@ const rebaseAfter = 1.0
 // rebase re-expresses the flow's sum of windows in the seconds since t.
 func (f *Flow) rebase(t float64) {
 	x := t - f.at
-	f.sum.p = tcpmodel.Growth{P: f.sum.p}.Shift(x).P
+	f.sum.p = tcpmodel.ShiftPoly(f.sum.p, x)
 	for i, e := range f.sum.e {
 		if e != 0 {
 			f.sum.e[i] = e * math.Exp(f.sum.r[i]*x)
@@ -808,19 +1001,23 @@ func (f *Flow) add(s *stream, sign float64) {
 	w := s.tcp.Cwnd
 	switch s.phase {
 	case grows:
-		g := s.g
+		// s.g shifted by d, as Shift shifts it.
+		p, e := s.g.P, s.g.E
 		if d := f.at - s.from; d != 0 {
-			g = g.Shift(d)
+			p = tcpmodel.ShiftPoly(p, d)
+			if e != 0 {
+				e *= math.Exp(s.g.R * d)
+			}
 		}
-		for i, c := range g.P {
+		for i, c := range p {
 			f.sum.p[i] += sign * c
 		}
-		if g.E != 0 {
-			i := f.slot(g.R)
+		if e != 0 {
+			i := f.slot(s.g.R)
 			if f.sum.n[i] += int(sign); f.sum.n[i] == 0 {
 				f.sum.e[i] = 0 // no rounding left to grow
 			} else {
-				f.sum.e[i] += sign * g.E
+				f.sum.e[i] += sign * e
 			}
 		}
 		return

@@ -105,7 +105,7 @@ func pinMutate(choose *sim.RNG, p *Path, dt float64) {
 	case r < 0.15:
 		// A cap just past or just below the windows' rate, or far from it.
 		scale := []float64{0.5, 0.97, 0.999, 1.001, 1.03, 2}[choose.IntN(6)]
-		f.SetCap(max(f.offered, 1e4) * scale)
+		f.SetCap(max(f.OfferedRate(), 1e4) * scale)
 	case r < 0.18:
 		f.SetCap([]float64{0, -1}[choose.IntN(2)])
 	case r < 0.22:
@@ -206,7 +206,7 @@ func (pc *pinCounts) count(p *Path, dt float64) (after func()) {
 // state pinCounts names must have been reached. NETEM_EQUIV_SEEDS runs
 // more seeds.
 func TestPinnedSettleIsExact(t *testing.T) {
-	seeds := equivSeeds(16)
+	seeds := equivSeeds(16, 2)
 	var pc pinCounts
 	for ci, sh := range pinShapes {
 		for ai, alg := range equivAlgs {

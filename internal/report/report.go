@@ -120,10 +120,36 @@ table.plain { font-size: 14px; }
 `
 
 // hoverJS is the shared hover layer: a crosshair+tooltip on every
-// chart, driven by the pointer and the arrow keys.
-// Tooltips enhance, never gate — every value is also in the table
-// view. All untrusted strings go through textContent.
+// chart, driven by the pointer and the arrow keys. The crosshair and the
+// tooltip's x row snap to the sample nearest the pointer, as the table
+// view's rows are samples: Figure 1's reads an nc it ran. Tooltips
+// enhance, never gate — every value is also in the table view. All
+// untrusted strings go through textContent.
 const hoverJS = `
+// nearestSample returns the x of the sample, of any series, nearest xv.
+function nearestSample(series, xv) {
+  var snap = xv, sd = Infinity;
+  series.forEach(function (s) {
+    for (var i = 0; i < s.x.length; i++) {
+      var dd = Math.abs(s.x[i] - xv);
+      if (dd < sd) { sd = dd; snap = s.x[i]; }
+    }
+  });
+  return snap;
+}
+
+// fmtX formats an x as the table view does: an integral one (an nc, a
+// whole second) without decimals.
+function fmtX(v) {
+  return v === Math.trunc(v) ? v.toFixed(0) : fmtNum(v);
+}
+
+function fmtNum(v) {
+  if (Math.abs(v) >= 100) return v.toFixed(0);
+  if (Math.abs(v) >= 10) return v.toFixed(1);
+  return v.toFixed(2);
+}
+
 (function () {
   var tip = document.getElementById('tooltip');
   function showTip(x, y, rows) {
@@ -155,12 +181,6 @@ const hoverJS = `
   }
   function hideTip() { tip.hidden = true; }
 
-  function fmt(v) {
-    if (Math.abs(v) >= 100) return v.toFixed(0);
-    if (Math.abs(v) >= 10) return v.toFixed(1);
-    return v.toFixed(2);
-  }
-
   document.querySelectorAll('figure[data-kind="line"]').forEach(function (fig) {
     var svg = fig.querySelector('svg');
     var dataEl = fig.querySelector('.chart-data');
@@ -182,12 +202,12 @@ const hoverJS = `
       return d.x0 + (sx - d.px0) / (d.px1 - d.px0) * (d.x1 - d.x0);
     }
     function render(xv, clientX, clientY) {
-      xv = Math.max(d.x0, Math.min(d.x1, xv));
+      xv = nearestSample(d.series, Math.max(d.x0, Math.min(d.x1, xv)));
       var px = d.px0 + (xv - d.x0) / (d.x1 - d.x0) * (d.px1 - d.px0);
       cross.setAttribute('x1', px);
       cross.setAttribute('x2', px);
       cross.style.display = '';
-      var rows = [{value: fmt(xv), name: d.xlabel}];
+      var rows = [{value: fmtX(xv), name: d.xlabel}];
       d.series.forEach(function (s) {
         if (!s.x.length) return;
         var best = 0, bd = Infinity;
@@ -195,7 +215,7 @@ const hoverJS = `
           var dd = Math.abs(s.x[i] - xv);
           if (dd < bd) { bd = dd; best = i; }
         }
-        rows.push({value: fmt(s.y[best]), name: s.name, color: s.color});
+        rows.push({value: fmtNum(s.y[best]), name: s.name, color: s.color});
       });
       showTip(clientX, clientY, rows);
     }

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"math"
+	"os/exec"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -208,5 +209,29 @@ func TestFnumFinite(t *testing.T) {
 		if fnum(v) == "" || math.IsNaN(v) {
 			t.Fatalf("fnum(%v) empty", v)
 		}
+	}
+}
+
+// TestHoverNamesSample runs the hover layer's x row under node, where it
+// is installed: a pointer between Figure 1's samples names the nc
+// nearest it, not the x it interpolates, and a time grid's whole seconds
+// read without decimals, as the table view's rows do.
+func TestHoverNamesSample(t *testing.T) {
+	node, err := exec.LookPath("node")
+	if err != nil {
+		t.Skip("node is not installed")
+	}
+	stub := `var document = {getElementById: function () { return {}; }, querySelectorAll: function () { return []; }};`
+	probe := `
+var fig1 = [{x: [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]}, {x: [1, 4, 16, 64, 256]}];
+var time = [{x: [0, 30, 60]}];
+console.log([nearestSample(fig1, 4.3), nearestSample(fig1, 37.4), nearestSample(fig1, 0.2),
+  nearestSample(fig1, 600), nearestSample(time, 44), 2.5].map(fmtX).join(' '));`
+	out, err := exec.Command(node, "-e", stub+hoverJS+probe).CombinedOutput()
+	if err != nil {
+		t.Fatalf("node: %v\n%s", err, out)
+	}
+	if got, want := strings.TrimSpace(string(out)), "4 32 1 512 30 2.50"; got != want {
+		t.Errorf("tooltip x rows %q, want %q", got, want)
 	}
 }

@@ -45,18 +45,23 @@ func (g Growth) slope(x float64) float64 {
 // Shift returns the growth from x seconds on: the same curve, taken x
 // seconds later.
 func (g Growth) Shift(x float64) Growth {
-	p := g.P
-	g.P = [4]float64{
-		p[0] + x*(p[1]+x*(p[2]+x*p[3])),
-		p[1] + x*(2*p[2]+x*3*p[3]),
-		p[2] + x*3*p[3],
-		p[3],
-	}
+	g.P = ShiftPoly(g.P, x)
 	if g.E != 0 {
 		g.E *= math.Exp(g.R * x)
 	}
 	g.Until = max(g.Until-x, 0)
 	return g
+}
+
+// ShiftPoly returns the cubic p[0] + p[1]·x + p[2]·x² + p[3]·x³ taken x
+// later: Shift's polynomial part.
+func ShiftPoly(p [4]float64, x float64) [4]float64 {
+	return [4]float64{
+		p[0] + x*(p[1]+x*(p[2]+x*p[3])),
+		p[1] + x*(2*p[2]+x*3*p[3]),
+		p[2] + x*3*p[3],
+		p[3],
+	}
 }
 
 // Move sets s's window to where g has taken it x seconds on: End once x

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"dstune/internal/dataset"
@@ -52,8 +53,20 @@ type Fabric struct {
 	netFlows []*netem.Flow // third-party: network only
 	curLoad  load.Load
 
-	// Scratch of stepLocked's scheduling round, reused every step.
+	// The scheduling round, kept from step to step: every process on the
+	// source in round order (each transfer's flows, then the external
+	// transfer flows), each one's demand and the cap the host gave it.
+	// A demand is set when its flow was awake in the last step, and a
+	// stale one is from before its flow slept: its flow's windows have
+	// only grown since. regroup is whether the processes changed since
+	// the last round, changed the demands set since then.
+	procs   []*netem.Flow
 	demands []endpoint.Demand
+	caps    []float64
+	stale   []bool
+	changed []int
+	regroup bool
+	extBase int // the round index of the first external transfer flow
 }
 
 // NewFabric returns a fabric with the given source endpoint and no
@@ -149,6 +162,7 @@ type Sim struct {
 	prevFlow  []float64  // per-flow cumulative bytes already accounted
 	disk      *diskState // nil for memory-to-memory transfers
 
+	base      int     // the round index of the transfer's first flow
 	target    float64 // absolute virtual time this transfer wants to reach
 	deadUntil float64 // restarting until this virtual time
 	restarted bool    // torn down by Run; stepLocked still owes deadUntil
@@ -346,6 +360,7 @@ func (t *Sim) restartLocked() {
 		t.disk.requeueInFlight()
 	}
 	t.restarted = true
+	t.f.regroup = true
 }
 
 // teardownLocked removes the transfer's flows and releases the time
@@ -356,6 +371,7 @@ func (t *Sim) teardownLocked() {
 	}
 	t.flows = nil
 	t.target = math.Inf(1)
+	t.f.regroup = true
 }
 
 // launchLocked creates the transfer's nc flows of np streams each.
@@ -368,6 +384,7 @@ func (t *Sim) launchLocked() {
 	if t.disk != nil {
 		t.disk.resize(t.params.NC)
 	}
+	t.f.regroup = true
 }
 
 // totalProcsLocked counts transfer processes currently running on the
@@ -440,43 +457,22 @@ func (f *Fabric) stepLocked() {
 
 	// CPU scheduling: one allocation round over every process on the
 	// source (all transfers' processes plus external transfer
-	// processes). Demands use the window-limited offered rate with
-	// headroom so flows can grow into idle capacity.
-	const headroom = 2.0
-	const demandFloor = 10e6 // bytes/s; lets fresh processes ramp
-	demands := f.demands[:0]
+	// processes). A round with the processes of the last one, whose
+	// changed demands leave it as it was, keeps its caps.
+	if f.regroup {
+		f.regroupLocked()
+	}
+	if len(f.procs) > 0 && (f.regroup || !f.src.Reuses(f.demands, f.changed)) {
+		f.allocateLocked()
+	}
 	for _, tr := range f.transfers {
-		for _, fl := range tr.flows {
-			demands = append(demands, endpoint.Demand{
-				Threads: fl.Streams(),
-				Rate:    fl.OfferedRate()*headroom + demandFloor,
-			})
-		}
-	}
-	for _, fl := range f.extFlows {
-		demands = append(demands, endpoint.Demand{
-			Threads: fl.Streams(),
-			Rate:    fl.OfferedRate()*headroom + demandFloor,
-		})
-	}
-	f.demands = demands
-	if len(demands) > 0 {
-		// The caps go to the flows in the order the demands were built.
-		caps := f.src.Allocate(demands)
-		for _, tr := range f.transfers {
+		if tr.disk != nil {
 			for i, fl := range tr.flows {
-				c := caps[0]
-				if tr.disk != nil {
-					c = tr.disk.capFor(i, now, c)
-				}
-				setCap(fl, c)
-				caps = caps[1:]
+				setCap(fl, tr.disk.capFor(i, now, f.caps[tr.base+i]))
 			}
 		}
-		for i, fl := range f.extFlows {
-			setCap(fl, caps[i])
-		}
 	}
+	f.regroup, f.changed = false, f.changed[:0]
 
 	// Network dynamics.
 	for _, p := range f.paths {
@@ -503,6 +499,11 @@ func (f *Fabric) stepLocked() {
 			} else {
 				moved += delta
 			}
+			if j := tr.base + i; fl.Slept() {
+				f.stale[j] = true
+			} else {
+				f.refresh(j, fl)
+			}
 		}
 		if moved > tr.remaining {
 			moved = tr.remaining
@@ -521,7 +522,93 @@ func (f *Fabric) stepLocked() {
 		}
 	}
 
+	for i, fl := range f.extFlows {
+		if j := f.extBase + i; fl.Slept() {
+			f.stale[j] = true
+		} else {
+			f.refresh(j, fl)
+		}
+	}
+
 	f.clock.Tick()
+}
+
+// Demands use the window-limited offered rate with headroom so flows
+// can grow into idle capacity.
+const (
+	headroom    = 2.0
+	demandFloor = 10e6 // bytes/s; lets fresh processes ramp
+)
+
+// demand returns the flow's demand in a scheduling round.
+func demand(fl *netem.Flow) endpoint.Demand {
+	return endpoint.Demand{Threads: fl.Streams(), Rate: fl.OfferedRate()*headroom + demandFloor}
+}
+
+// regroupLocked takes up the processes now on the source, in round
+// order, with their demands and no caps yet.
+func (f *Fabric) regroupLocked() {
+	f.procs = f.procs[:0]
+	for _, tr := range f.transfers {
+		tr.base = len(f.procs)
+		f.procs = append(f.procs, tr.flows...)
+	}
+	f.extBase = len(f.procs)
+	f.procs = append(f.procs, f.extFlows...)
+	n := len(f.procs)
+	f.demands = slices.Grow(f.demands[:0], n)[:n]
+	f.caps = slices.Grow(f.caps[:0], n)[:n]
+	f.stale = slices.Grow(f.stale[:0], n)[:n]
+	for i, fl := range f.procs {
+		f.demands[i], f.caps[i], f.stale[i] = demand(fl), math.NaN(), false
+	}
+}
+
+// allocateLocked solves the round and caps each process whose cap
+// changed; a disk transfer's processes are capped every step. A stale
+// demand is a lower bound of its flow's, so the round solved with it is
+// the round solved with its flow's demand if it is clear of the water
+// level; the flows whose stale demands are not have theirs taken up,
+// and the round is solved again.
+func (f *Fabric) allocateLocked() {
+	caps := f.src.Allocate(f.demands)
+	for again := true; again; {
+		again = false
+		for i, st := range f.stale {
+			if st && !f.src.Clear(f.demands[i]) {
+				f.demands[i], f.stale[i], again = demand(f.procs[i]), false, true
+			}
+		}
+		if again {
+			caps = f.src.Allocate(f.demands)
+		}
+	}
+	for _, tr := range f.transfers {
+		if tr.disk != nil {
+			copy(f.caps[tr.base:], caps[tr.base:tr.base+len(tr.flows)])
+			continue
+		}
+		for i, fl := range tr.flows {
+			if j := tr.base + i; caps[j] != f.caps[j] {
+				f.caps[j] = caps[j]
+				setCap(fl, caps[j])
+			}
+		}
+	}
+	for i, fl := range f.extFlows {
+		if j := f.extBase + i; caps[j] != f.caps[j] {
+			f.caps[j] = caps[j]
+			setCap(fl, caps[j])
+		}
+	}
+}
+
+// refresh takes up the demand of process i's flow, awake in the step
+// just taken, for the next round to check. The demand of a flow that
+// slept through the step stays as it was, and is marked stale.
+func (f *Fabric) refresh(i int, fl *netem.Flow) {
+	f.demands[i], f.stale[i] = demand(fl), false
+	f.changed = append(f.changed, i)
 }
 
 // setCap caps the flow at c, blocking it fully when c is not positive:
@@ -537,6 +624,7 @@ func setCap(fl *netem.Flow, c float64) {
 // to match l.
 func (f *Fabric) applyLoadLocked(l load.Load) {
 	f.curLoad = l
+	f.regroup = true
 	f.src.SetComputeJobs(l.Cmp)
 	// External transfer traffic: one single-stream process per
 	// ext.tfr unit, as in the paper's controlled experiments.
